@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-ratchet lint-fixtures lint-concurrency lint-deadlock lint-stats fmt vet check chaos overload bench
+.PHONY: build test race lint lint-ratchet lint-fixtures lint-concurrency lint-deadlock lint-stats fmt vet check chaos overload bench bench-e2e
 
 build:
 	$(GO) build ./...
@@ -78,3 +78,9 @@ overload:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# The repository benchmark (BENCHMARK.json, bench/README.md): all five
+# workloads once, each result appended to bench.jsonl. Two such files
+# are judged with `go run ./bench -compare a.jsonl b.jsonl`.
+bench-e2e:
+	$(GO) run ./bench -seed 1 -out bench.jsonl

@@ -428,7 +428,7 @@ func command(ctx context.Context, e *core.Engine, line string) bool {
 func printMisestimates(w *os.File) {
 	entries := obs.DefaultFeedback().Snapshot()
 	if len(entries) == 0 {
-		fmt.Fprintln(w, "no plan feedback recorded yet (run some statements first)")
+		fmt.Fprintln(w, "no plan feedback recorded yet (only measured statements feed it: tracing on, a -query-log-sample hit, or \\analyze)")
 		return
 	}
 	fmt.Fprintf(w, "%-32s %5s %10s %10s %8s %8s  %s\n",

@@ -89,7 +89,7 @@ func TestRaceStressDebugHandlers(t *testing.T) {
 	}
 
 	// After the storm, /estimates reflects the fragment scans the
-	// workers just ran.
+	// workers just ran (traced: traceFederation turns tracing on).
 	resp, err := http.Get(dbg.URL + "/estimates")
 	if err != nil {
 		t.Fatal(err)

@@ -131,7 +131,7 @@ func (e *Engine) Queries() *obs.QueryLog { return e.qlog }
 // (subqueries, Run dispatching to ExplainAnalyze) pass through here too
 // — they are already admitted, their spans attach under the outer root,
 // and only the outermost call publishes lastTrace.
-func (e *Engine) instrument(ctx context.Context, text string) (context.Context, func(error) error, error) {
+func (e *Engine) instrument(ctx context.Context, text string, measure bool) (context.Context, func(error) error, error) {
 	id := e.qlog.Begin(text)
 	var sess *admission.Session
 	if ctrl := e.admit.Load(); ctrl != nil && admission.SessionFrom(ctx) == nil {
@@ -144,11 +144,11 @@ func (e *Engine) instrument(ctx context.Context, text string) (context.Context, 
 	}
 	tr := obs.TraceFrom(ctx)
 	owned := false
-	if tr == nil && (e.tracing.Load() || e.qlog.IsSampled(id)) {
-		// A structured-log sample forces a trace even when interactive
-		// tracing is off, so the emitted record carries phase and
-		// per-source breakdowns; only the interactive toggle publishes
-		// the trace to \trace.
+	if tr == nil && (measure || e.tracing.Load() || e.qlog.IsSampled(id)) {
+		// EXPLAIN ANALYZE and a structured-log sample force a trace even
+		// when interactive tracing is off, so the plan annotation and the
+		// emitted record have the operators' measured records to render;
+		// only the interactive toggle publishes the trace to \trace.
 		tr = obs.NewTrace(text)
 		ctx = obs.WithTrace(ctx, tr)
 		owned = e.tracing.Load()
@@ -162,6 +162,9 @@ func (e *Engine) instrument(ctx context.Context, text string) (context.Context, 
 		err = admission.ResolveErr(sctx, err)
 		if err != nil {
 			root.SetAttr("error", err.Error())
+		}
+		if n, ok := root.RowsOut(); ok {
+			root.SetInt("rows_out", n)
 		}
 		root.End()
 		if owned {
@@ -248,7 +251,7 @@ func writePadded(b *strings.Builder, s string, width int) {
 
 // Query parses, plans, and executes a SELECT, materializing the result.
 func (e *Engine) Query(ctx context.Context, text string, params ...types.Value) (res *Result, err error) {
-	ctx, finish, err := e.instrument(ctx, text)
+	ctx, finish, err := e.instrument(ctx, text, false)
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +278,7 @@ func (e *Engine) parse(ctx context.Context, text string, params ...types.Value) 
 // QueryIter plans and executes a SELECT, streaming rows. The returned
 // schema describes the stream.
 func (e *Engine) QueryIter(ctx context.Context, text string, params ...types.Value) (*types.Schema, source.RowIter, error) {
-	ctx, finish, err := e.instrument(ctx, text)
+	ctx, finish, err := e.instrument(ctx, text, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -298,7 +301,7 @@ func (e *Engine) QueryIter(ctx context.Context, text string, params ...types.Val
 		return nil, nil, finish(err)
 	}
 	// The statement is live until the stream is closed.
-	return p.Schema(), &finishIter{ctx: ctx, in: it, fn: finish, outc: outc, root: obs.CurrentSpan(ctx)}, nil
+	return p.Schema(), &finishIter{ctx: ctx, in: it, fn: finish, outc: outc}, nil
 }
 
 // finishIter completes a streamed statement's instrumentation when the
@@ -309,22 +312,18 @@ type finishIter struct {
 	in   source.RowIter
 	fn   func(error) error
 	outc *resilience.Outcomes
-	root *obs.Span // statement root span; rows_out is set at close
-	rows int64
 	done bool
 }
 
 func (f *finishIter) Next() (types.Row, error) {
 	r, err := f.in.Next()
-	if err == nil {
-		f.rows++
-	} else if err == io.EOF {
+	if err == io.EOF {
 		// A stream where every fan-out branch degraded answered nothing;
 		// surface that as the failure it is rather than an empty result.
 		if pre := f.outc.Partial(); pre != nil && pre.AllFailed() {
 			return nil, pre
 		}
-	} else {
+	} else if err != nil {
 		// A memory-quota abort cancels the stream's context; surface the
 		// typed overload error instead of the bare cancellation.
 		err = admission.ResolveErr(f.ctx, err)
@@ -342,9 +341,8 @@ func (f *finishIter) Close() error {
 	err := f.in.Close()
 	if !f.done {
 		f.done = true
-		f.root.SetInt("rows_out", f.rows)
 		if pre := f.outc.Partial(); pre != nil {
-			f.root.SetAttr("partial", pre.Error())
+			obs.CurrentSpan(f.ctx).SetAttr("partial", pre.Error())
 		}
 		err = f.fn(err)
 	}
@@ -382,11 +380,8 @@ func (e *Engine) runSelect(ctx context.Context, sel *sql.SelectStmt) (*Result, e
 		mPartialQueries.Inc()
 		res.Partial = pre
 	}
-	if root := obs.CurrentSpan(ctx); root != nil {
-		root.SetInt("rows_out", int64(len(rows)))
-		if res.Partial != nil {
-			root.SetAttr("partial", res.Partial.Error())
-		}
+	if res.Partial != nil {
+		obs.CurrentSpan(ctx).SetAttr("partial", res.Partial.Error())
 	}
 	return res, nil
 }
@@ -432,7 +427,7 @@ func (e *Engine) Explain(ctx context.Context, text string, params ...types.Value
 // Run executes any statement: SELECT returns a Result; INSERT, UPDATE
 // and DELETE return the affected-row count in a single-column Result.
 func (e *Engine) Run(ctx context.Context, text string, params ...types.Value) (res *Result, err error) {
-	ctx, finish, err := e.instrument(ctx, text)
+	ctx, finish, err := e.instrument(ctx, text, false)
 	if err != nil {
 		return nil, err
 	}
@@ -480,7 +475,7 @@ func (e *Engine) Run(ctx context.Context, text string, params ...types.Value) (r
 // number of affected rows. Writes spanning several sources run under
 // two-phase commit.
 func (e *Engine) Exec(ctx context.Context, text string, params ...types.Value) (n int64, err error) {
-	ctx, finish, err := e.instrument(ctx, text)
+	ctx, finish, err := e.instrument(ctx, text, false)
 	if err != nil {
 		return 0, err
 	}
@@ -699,7 +694,7 @@ func (e *Engine) CreateView(name, selectSQL string) error {
 // annotated with each operator's measured row count and inclusive time,
 // followed by the total.
 func (e *Engine) ExplainAnalyze(ctx context.Context, text string, params ...types.Value) (out string, err error) {
-	ctx, finish, err := e.instrument(ctx, text)
+	ctx, finish, err := e.instrument(ctx, text, true)
 	if err != nil {
 		return "", err
 	}
@@ -719,13 +714,12 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, text string, params ...type
 	if err != nil {
 		return "", err
 	}
-	prof := exec.NewProfile()
 	start := time.Now()
-	rows, err := exec.Collect(exec.WithProfile(ctx, prof), p)
+	rows, err := exec.Collect(ctx, p)
 	if err != nil {
 		return "", err
 	}
-	out = plan.ExplainFunc(p, prof.Annotate)
+	out = plan.ExplainFunc(p, exec.Annotate(obs.TraceFrom(ctx)))
 	out += fmt.Sprintf("total: %d row(s) in %s\n", len(rows), time.Since(start).Round(time.Microsecond))
 	return out, nil
 }

@@ -394,14 +394,15 @@ func TestTraceFederationWideStitch(t *testing.T) {
 	}
 }
 
-// TestPlanFeedbackFromFederatedQuery checks the always-on
-// estimate-vs-actual path: after a federated join, the process-wide
-// feedback store holds fragment-scan entries keyed by source.table.
+// TestPlanFeedbackFromFederatedQuery checks the estimate-vs-actual
+// path of a measured statement (traceFederation turns tracing on):
+// after a federated join, the process-wide feedback store holds
+// fragment-scan entries keyed by source.table.
 func TestPlanFeedbackFromFederatedQuery(t *testing.T) {
 	e := traceFederation(t, "fbA", "fbB")
 	// Ship-all keeps both fragment scans unaugmented: semijoin/bind
-	// rewrite the inner scan's predicate, which (by design) suppresses
-	// its feedback entry because the estimate no longer matches.
+	// rewrite the inner scan's predicate, and such a scan (by design)
+	// feeds nothing because the estimate no longer matches.
 	e.PlanOptions().ForceStrategy = plan.StrategyShipAll
 	obs.DefaultFeedback().Reset()
 	t.Cleanup(obs.DefaultFeedback().Reset)
@@ -425,5 +426,168 @@ func TestPlanFeedbackFromFederatedQuery(t *testing.T) {
 	}
 	if !scopes["frag:fbA.cust"] || !scopes["frag:fbB.ord"] {
 		t.Errorf("feedback scopes = %v, want both fragment scans", scopes)
+	}
+}
+
+// fourViews is what each rendering of one statement's measured records
+// says about it.
+type fourViews struct {
+	analyzeRows, analyzeWire map[string]int64 // EXPLAIN ANALYZE, by plan line prefix
+	execRows, shipRows       map[string]int64 // \trace rows attrs, by span name prefix / source
+	logRows                  map[string]int64 // query-log SourceIO.Rows, by source
+	rowsOut                  int64            // query-log rows_out
+	actual                   map[string]int64 // /estimates LastActual, by scope
+}
+
+// runFourViews executes q once, through EXPLAIN ANALYZE on a traced
+// engine with a sample-everything query log, and reads that one
+// execution back from all four places it is rendered.
+func runFourViews(t *testing.T, e *Engine, q string) (fourViews, string) {
+	t.Helper()
+	obs.DefaultFeedback().Reset()
+	t.Cleanup(obs.DefaultFeedback().Reset)
+	var logged strings.Builder
+	e.Queries().SetStructured(obs.NewStructuredLog(&logged, 1, nil))
+	out, err := e.ExplainAnalyze(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := fourViews{
+		analyzeRows: map[string]int64{}, analyzeWire: map[string]int64{},
+		execRows: map[string]int64{}, shipRows: map[string]int64{},
+		logRows: map[string]int64{}, actual: map[string]int64{},
+	}
+	atoi := func(s string) int64 {
+		n, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			t.Fatalf("not a number: %q", s)
+		}
+		return n
+	}
+	line := regexp.MustCompile(`^\s*(\S+ \S+).*\(rows=(\d+) bytes=\d+ time=\S+?(?: close=\S+?)?(?: wire_rows=(\d+) wire_bytes=\d+)?\)$`)
+	for _, l := range strings.Split(out, "\n") {
+		if m := line.FindStringSubmatch(l); m != nil {
+			v.analyzeRows[m[1]] += atoi(m[2])
+			if m[3] != "" {
+				v.analyzeWire[m[1]] += atoi(m[3])
+			}
+		}
+	}
+	tr := e.TraceLast()
+	for _, sp := range tr.FindAll(obs.SpanExec) {
+		if rows, ok := sp.Attr("rows"); ok {
+			f := strings.Fields(sp.Name())
+			v.execRows[f[0]+" "+f[1]] += atoi(rows)
+		}
+	}
+	for _, sp := range tr.FindAll(obs.SpanShip) {
+		src, _ := sp.Attr("source")
+		rows, _ := sp.Attr("rows")
+		v.shipRows[src] += atoi(rows)
+	}
+	var rec obs.QueryLogRecord
+	if err := json.Unmarshal([]byte(logged.String()), &rec); err != nil {
+		t.Fatalf("query log line: %v\n%s", err, logged.String())
+	}
+	if rec.TraceID != tr.ID() {
+		t.Fatalf("log record is of trace %s, \\trace shows %s", rec.TraceID, tr.ID())
+	}
+	v.rowsOut = rec.RowsOut
+	for _, s := range rec.Sources {
+		v.logRows[s.Source] += s.Rows
+	}
+	for _, en := range obs.DefaultFeedback().Snapshot() {
+		v.actual[en.Scope] = en.LastActual
+	}
+	return v, out + tr.Tree()
+}
+
+// TestFourViewsAgree: EXPLAIN ANALYZE, the trace tree, the query-log
+// record and /estimates render one record per operator execution, so
+// for one statement they must report the same numbers.
+func TestFourViewsAgree(t *testing.T) {
+	t.Run("ship-all join", func(t *testing.T) {
+		e := traceFederation(t, "fvA", "fvB")
+		e.PlanOptions().ForceStrategy = plan.StrategyShipAll
+		v, dump := runFourViews(t, e, "SELECT c.name, o.amount FROM cust c JOIN ord o ON c.id = o.cust_id")
+		for _, c := range []struct {
+			node, src, scope string
+			want             int64
+		}{
+			{"FragScan fvA.cust", "fvA", "frag:fvA.cust", 2},
+			{"FragScan fvB.ord", "fvB", "frag:fvB.ord", 3},
+		} {
+			got := []int64{
+				v.analyzeRows[c.node], v.analyzeWire[c.node], v.execRows[c.node],
+				v.shipRows[c.src], v.logRows[c.src], v.actual[c.scope],
+			}
+			for i, n := range got {
+				if n != c.want {
+					t.Errorf("%s: view %d of (analyze rows, analyze wire_rows, exec span, ship span, log source, estimates) = %d, want %d", c.node, i, n, c.want)
+				}
+			}
+		}
+		join := "Join inner"
+		if v.analyzeRows[join] != 3 || v.execRows[join] != 3 || v.actual["join:inner/ship-all"] != 3 || v.rowsOut != 3 {
+			t.Errorf("join output: analyze %d, exec span %d, estimates %d, log rows_out %d; want 3 everywhere",
+				v.analyzeRows[join], v.execRows[join], v.actual["join:inner/ship-all"], v.rowsOut)
+		}
+		if t.Failed() {
+			t.Log(dump)
+		}
+	})
+	// Both branches of the union execute concurrently (check.sh runs this
+	// under -race): each branch has its own record, summed at render.
+	t.Run("parallel union", func(t *testing.T) {
+		e := traceFederation(t, "fvC", "fvD")
+		e.PlanOptions().ParallelFragments = true
+		v, dump := runFourViews(t, e, "SELECT id, balance FROM acct")
+		for _, src := range []string{"fvC", "fvD"} {
+			node, scope := "FragScan "+src+".acct", "frag:"+src+".acct"
+			got := []int64{
+				v.analyzeRows[node], v.analyzeWire[node], v.execRows[node],
+				v.shipRows[src], v.logRows[src], v.actual[scope],
+			}
+			for i, n := range got {
+				if n != 2 {
+					t.Errorf("%s: view %d = %d, want 2", node, i, n)
+				}
+			}
+		}
+		if v.rowsOut != 4 {
+			t.Errorf("log rows_out = %d, want 4", v.rowsOut)
+		}
+		if t.Failed() {
+			t.Log(dump)
+		}
+	})
+}
+
+// TestPlanFeedbackSkipsEarlyClosedJoin: a LIMIT that closes a join's
+// stream after one row must not log est-vs-1 as a misestimate; the same
+// join drained does feed the store.
+func TestPlanFeedbackSkipsEarlyClosedJoin(t *testing.T) {
+	e := newTestEngine(t)
+	e.SetTracing(true)
+	fb := obs.DefaultFeedback()
+	fb.Reset()
+	t.Cleanup(fb.Reset)
+	joins := func() (n int, actual int64) {
+		for _, en := range fb.Snapshot() {
+			if strings.HasPrefix(en.Scope, "join:") {
+				n++
+				actual = en.LastActual
+			}
+		}
+		return n, actual
+	}
+	const q = "SELECT c.name, o.oid FROM customers c JOIN orders o ON c.id = o.cust_id"
+	query(t, e, q+" LIMIT 1")
+	if n, actual := joins(); n != 0 {
+		t.Fatalf("LIMIT 1 recorded a join entry with actual %d:\n%s", actual, e.TraceLast().Tree())
+	}
+	res := query(t, e, q)
+	if n, actual := joins(); n != 1 || actual != int64(len(res.Rows)) {
+		t.Errorf("drained join: %d entries, actual %d; want 1 entry with actual %d", n, actual, len(res.Rows))
 	}
 }

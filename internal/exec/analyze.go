@@ -1,0 +1,60 @@
+package exec
+
+import (
+	"fmt"
+	"time"
+
+	"gis/internal/obs"
+	"gis/internal/plan"
+)
+
+// Annotate renders EXPLAIN ANALYZE's per-node annotation from a
+// finished statement's trace. A plan node may have run many times
+// (parallel-union branches, bind-join batches): each execution left its
+// own record, and the per-node sums are taken here. Exec spans carry
+// the operator's output and inclusive time, ship spans the rows and
+// bytes a fragment scan fetched before mediator-side compensation.
+func Annotate(tr *obs.Trace) func(plan.Node) string {
+	type sum struct {
+		rows, bytes, wireRows, wireBytes int64
+		next, close                      time.Duration
+	}
+	sums := map[plan.Node]*sum{}
+	for _, kind := range []obs.SpanKind{obs.SpanExec, obs.SpanShip} {
+		for _, sp := range tr.FindAll(kind) {
+			st, _ := sp.Stats()
+			n, ok := st.Op.(plan.Node)
+			if !ok {
+				continue
+			}
+			s := sums[n]
+			if s == nil {
+				s = &sum{}
+				sums[n] = s
+			}
+			if kind == obs.SpanShip {
+				s.wireRows += st.Rows
+				s.wireBytes += st.Bytes
+				continue
+			}
+			s.rows += st.Rows
+			s.bytes += st.Bytes
+			s.next += st.Next
+			s.close += st.Close
+		}
+	}
+	return func(n plan.Node) string {
+		s := sums[n]
+		if s == nil {
+			return " (never executed)"
+		}
+		out := fmt.Sprintf(" (rows=%d bytes=%d time=%s", s.rows, s.bytes, s.next.Round(time.Microsecond))
+		if s.close > 0 {
+			out += fmt.Sprintf(" close=%s", s.close.Round(time.Microsecond))
+		}
+		if s.wireRows > 0 || s.wireBytes > 0 {
+			out += fmt.Sprintf(" wire_rows=%d wire_bytes=%d", s.wireRows, s.wireBytes)
+		}
+		return out + ")"
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"time"
 
 	"gis/internal/expr"
 	"gis/internal/obs"
@@ -20,38 +21,27 @@ import (
 	"gis/internal/types"
 )
 
-// Run executes an optimized plan and streams its result rows. When a
-// Profile is attached to the context (EXPLAIN ANALYZE), every operator's
-// output is instrumented; when a trace is attached (obs.WithTrace),
-// every operator gets an exec span.
+// Run executes an optimized plan and streams its result rows. Under a
+// traced context (obs.Enabled: interactive tracing, a query-log sample,
+// EXPLAIN ANALYZE) every operator execution gets an exec span and the
+// measuring wrapper; untraced, the operator's own iterator is returned.
 func Run(ctx context.Context, n plan.Node) (source.RowIter, error) {
-	var span *obs.Span
-	var fbScope, fbFP string
-	var est float64
-	if obs.Enabled(ctx) {
-		ctx, span = obs.StartSpan(ctx, obs.SpanExec, opLabel(n))
-		// Plan telemetry: annotate the span with the planned estimate
-		// and, for estimated operators, feed the estimate-vs-actual
-		// store when the stream finishes. Traced queries only — the
-		// always-on fragment-scan path is handled by fetchIter.
-		if scope, fp, ok := operatorFeedbackKey(n); ok {
-			fbScope, fbFP = scope, fp
-			est = plan.EstimateRows(n)
-			span.SetInt("est_rows", int64(est))
-		}
+	if !obs.Enabled(ctx) {
+		return run(ctx, n)
 	}
+	ctx, span := obs.StartSpan(ctx, obs.SpanExec, opLabel(n))
 	it, err := run(ctx, n)
 	if err != nil {
 		span.End()
 		return nil, err
 	}
-	if p := profileFrom(ctx); p != nil {
-		it = &countIter{in: it, st: p.node(n)}
+	//lint:ignore hotalloc one wrapper per traced operator execution, not per row
+	m := &opIter{in: it, span: span, st: obs.OpStats{Op: n}}
+	if scope, fp, ok := operatorFeedbackKey(n); ok {
+		m.fbScope, m.fbFP = scope, fp
+		m.st.EstRows, m.st.HasEst = plan.EstimateRows(n), true
 	}
-	if span != nil {
-		it = &spanIter{in: it, span: span, fbScope: fbScope, fbFP: fbFP, est: est}
-	}
-	return it, nil
+	return m, nil
 }
 
 // opLabel names an operator span from the first line of its Describe.
@@ -66,46 +56,65 @@ func opLabel(n plan.Node) string {
 	return d
 }
 
-// spanIter finishes an operator's exec span when its stream ends,
-// annotating it with the rows and estimated bytes produced.
-type spanIter struct {
-	in    source.RowIter
-	span  *obs.Span
-	rows  int64
-	bytes int64
+// opIter is the one measuring wrapper. Run installs it around an
+// operator's output, and runFragScan around a scan's wire stream, when
+// the statement is traced. It fills a private obs.OpStats while rows
+// flow — one record per execution, so parallel-union branches and
+// bind-join fan-out share nothing — and publishes it on the span when
+// the stream ends.
+type opIter struct {
+	in   source.RowIter
+	span *obs.Span
+	// fetch, on a wire stream, is the ship span's child covering only
+	// the streaming part after Execute returned.
+	fetch *obs.Span
+	st    obs.OpStats
 	done  bool
-	// Plan-feedback key and estimate; fbScope == "" disables recording.
+	// Plan-feedback key; fbScope == "" disables recording.
 	fbScope, fbFP string
-	est           float64
 }
 
-func (s *spanIter) Next() (types.Row, error) {
-	r, err := s.in.Next()
+func (o *opIter) Next() (types.Row, error) {
+	start := time.Now()
+	r, err := o.in.Next()
+	o.st.Next += time.Since(start)
 	if err == nil {
-		s.rows++
-		s.bytes += int64(r.EstimatedSize())
+		o.st.Rows++
+		o.st.Bytes += int64(r.EstimatedSize())
 	} else if err == io.EOF {
-		s.finish()
+		o.finish(true)
 	}
 	return r, err
 }
 
-func (s *spanIter) Close() error {
-	err := s.in.Close()
-	s.finish()
+// Close times the teardown as well: discarding an undrained remote
+// cursor can dominate a LIMIT query's cost.
+func (o *opIter) Close() error {
+	start := time.Now()
+	err := o.in.Close()
+	o.st.Close += time.Since(start)
+	o.finish(false)
 	return err
 }
 
-func (s *spanIter) finish() {
-	if s.done {
+// finish publishes the record and, the first time, ends the spans. The
+// estimate-vs-actual pair feeds the plan-feedback store only when the
+// stream reached EOF: a LIMIT that closed it early or a source that
+// died mid-stream did not measure the operator's cardinality.
+func (o *opIter) finish(eof bool) {
+	o.span.SetStats(&o.st)
+	if o.done {
 		return
 	}
-	s.done = true
-	s.span.SetInt("rows", s.rows)
-	s.span.SetInt("bytes", s.bytes)
-	s.span.End()
-	if s.fbScope != "" {
-		obs.DefaultFeedback().Record(s.fbScope, s.fbFP, s.est, s.rows)
+	o.done = true
+	if o.fetch != nil {
+		streamed := obs.OpStats{Rows: o.st.Rows, Bytes: o.st.Bytes}
+		o.fetch.SetStats(&streamed)
+		o.fetch.End()
+	}
+	o.span.End()
+	if eof && o.fbScope != "" {
+		obs.DefaultFeedback().Record(o.fbScope, o.fbFP, o.st.EstRows, o.st.Rows)
 	}
 }
 
@@ -592,6 +601,7 @@ func runAggregate(ctx context.Context, a *plan.Aggregate) (source.RowIter, error
 	groups := make(map[uint64][]*group)
 	var order []*group
 	keyScratch := make(types.Row, 0, len(a.GroupBy))
+	var inputRows int64
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -603,7 +613,7 @@ func runAggregate(ctx context.Context, a *plan.Aggregate) (source.RowIter, error
 		if err != nil {
 			return nil, err
 		}
-		mAggInputRows.Inc()
+		inputRows++
 		// keyScratch is reused across input rows; only a freshly seen
 		// group keeps a copy. Most rows hit an existing group, so this
 		// drops the per-row key allocation to one per distinct group.
@@ -645,6 +655,7 @@ func runAggregate(ctx context.Context, a *plan.Aggregate) (source.RowIter, error
 			}
 		}
 	}
+	mAggInputRows.Add(inputRows)
 	mAggGroups.Add(int64(len(order)))
 	if len(order) == 0 && len(a.GroupBy) == 0 {
 		row := make(types.Row, len(a.Aggs))

@@ -9,14 +9,17 @@ import (
 
 // operatorFeedbackKey maps a plan operator to its plan-feedback store
 // key (scope, normalized-predicate fingerprint). Only operators whose
-// output cardinality the optimizer actually estimates — joins, filters,
-// aggregates — are keyed; pass-through operators (project, sort, limit)
-// would only echo their input. FragScans are excluded here: their
-// estimate-vs-actual pair is recorded unconditionally by fetchIter,
-// even when tracing is off, while this helper feeds the traced
-// per-operator path in Run.
+// output cardinality the optimizer actually estimates — fragment scans,
+// joins, filters, aggregates — are keyed; pass-through operators
+// (project, sort, limit) would only echo their input. Semijoin/bind-
+// augmented scans never get here (the join runs them itself, not
+// through Run), which is right: the planner's estimate describes the
+// original predicate, not the key-bound one.
 func operatorFeedbackKey(n plan.Node) (scope, fp string, ok bool) {
 	switch t := n.(type) {
+	case *plan.FragScan:
+		//lint:ignore hotalloc one key per traced scan execution, not per row
+		return "frag:" + t.Frag.Source + "." + t.Frag.RemoteTable, expr.Fingerprint(t.Query.Filter), true
 	case *plan.Join:
 		return "join:" + t.Kind.String() + "/" + t.Strategy.String(), expr.Fingerprint(t.Cond), true
 	case *plan.Filter:

@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"gis/internal/admission"
@@ -38,33 +37,24 @@ func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.
 		ship.End()
 		return nil, fmt.Errorf("exec: fragment %s.%s: %w", fs.Frag.Source, fs.Frag.RemoteTable, err)
 	}
-	var fetch *obs.Span
+	var it source.RowIter = &fetchIter{in: remote, shipStart: shipStart, sess: admission.SessionFrom(ctx)}
 	if ship != nil {
-		_, fetch = obs.StartSpan(ctx, obs.SpanFetch, fs.Frag.Source)
-	}
-	var st *NodeStats
-	if p := profileFrom(ctx); p != nil {
-		st = p.node(fs)
-	}
-	instrumented := &fetchIter{
-		in: remote, st: st, ship: ship, fetch: fetch, shipStart: shipStart,
-		sess: admission.SessionFrom(ctx),
-	}
-	if extraRemoteFilter == nil {
-		// Plan telemetry, always on: semijoin/bind-augmented scans are
-		// skipped because the planner's estimate describes the original
-		// predicate, not the key-bound one.
-		instrumented.fbScope = "frag:" + fs.Frag.Source + "." + fs.Frag.RemoteTable
-		instrumented.fbFP = expr.Fingerprint(fs.Query.Filter)
-		instrumented.est = plan.EstimateRows(fs)
-		ship.SetInt("est_rows", int64(instrumented.est))
+		_, fetch := obs.StartSpan(ctx, obs.SpanFetch, fs.Frag.Source)
+		//lint:ignore hotalloc one wrapper per traced scan execution, not per row
+		wire := &opIter{in: it, span: ship, fetch: fetch, st: obs.OpStats{Op: fs}}
+		if extraRemoteFilter == nil {
+			// A semijoin/bind-augmented scan shows no estimate: the
+			// planner estimated the original predicate, not the
+			// key-bound one.
+			wire.st.EstRows, wire.st.HasEst = plan.EstimateRows(fs), true
+		}
+		it = wire
 	}
 	if fs.Raw {
 		// Pushed aggregation: the remote output is already final.
-		return instrumented, nil
+		return it, nil
 	}
 
-	var it source.RowIter = instrumented
 	// Remote-space compensation. Filter and projection stream;
 	// aggregation/sort/limit need materialization (they never occur for
 	// fragment scans today — Split only produces them when the desired
@@ -175,7 +165,3 @@ func (t *translateIter) Next() (types.Row, error) {
 }
 
 func (t *translateIter) Close() error { return t.in.Close() }
-
-// skipTranslation reports whether rows for these fetched columns need no
-// conversion (identity mappings only).
-var _ = io.EOF

@@ -1,0 +1,191 @@
+package exec
+
+import (
+	"errors"
+	"io"
+	"strings"
+	"testing"
+	"time"
+
+	"gis/internal/expr"
+	"gis/internal/obs"
+	"gis/internal/plan"
+	"gis/internal/source"
+	"gis/internal/types"
+)
+
+// scriptIter yields rows, then fail (io.EOF when nil), and sleeps in
+// Close, standing in for a remote cursor whose teardown is slow.
+type scriptIter struct {
+	rows       []types.Row
+	fail       error
+	closeDelay time.Duration
+}
+
+func (s *scriptIter) Next() (types.Row, error) {
+	if len(s.rows) == 0 {
+		if s.fail != nil {
+			return nil, s.fail
+		}
+		return nil, io.EOF
+	}
+	r := s.rows[0]
+	s.rows = s.rows[1:]
+	return r, nil
+}
+
+func (s *scriptIter) Close() error {
+	time.Sleep(s.closeDelay)
+	return nil
+}
+
+func tracedSpan(name string) *obs.Span {
+	_, sp := obs.StartSpan(obs.WithTrace(ctx, obs.NewTrace(name)), obs.SpanExec, name)
+	return sp
+}
+
+// TestOpIterRecordsCloseLatency: teardown cost must reach the record even
+// though the stream already hit EOF (and published once) before Close.
+func TestOpIterRecordsCloseLatency(t *testing.T) {
+	sp := tracedSpan("scan")
+	it := &opIter{span: sp, in: &scriptIter{
+		rows:       []types.Row{{types.NewInt(1), types.NewString("a")}},
+		closeDelay: 5 * time.Millisecond,
+	}}
+	if rows, err := source.Drain(it); err != nil || len(rows) != 1 {
+		t.Fatalf("drain = %d rows, %v", len(rows), err)
+	}
+	st, ok := sp.Stats()
+	if !ok {
+		t.Fatal("no record published")
+	}
+	if st.Rows != 1 || st.Bytes <= 0 {
+		t.Errorf("rows/bytes = %d/%d, want 1/>0", st.Rows, st.Bytes)
+	}
+	if st.Close < 5*time.Millisecond {
+		t.Errorf("Close = %v, want >= 5ms", st.Close)
+	}
+}
+
+// TestAnnotateRendersCloseAndWire checks EXPLAIN ANALYZE's rendering of
+// the record: executions of one node are summed, zero-valued extras stay
+// hidden, and a node with no record never executed.
+func TestAnnotateRendersCloseAndWire(t *testing.T) {
+	n := valuesNode(types.NewSchema(intCol("id")), []any{1})
+	other := valuesNode(types.NewSchema(intCol("id")), []any{2})
+	tr := obs.NewTrace("q")
+	tctx := obs.WithTrace(ctx, tr)
+	tctx, root := obs.StartSpan(tctx, obs.SpanQuery, "q")
+	_, x1 := obs.StartSpan(tctx, obs.SpanExec, "n")
+	x1.SetStats(&obs.OpStats{Op: n, Rows: 3, Bytes: 42, Next: 2 * time.Millisecond})
+
+	out := Annotate(tr)(n)
+	if !strings.Contains(out, "rows=3") || !strings.Contains(out, "bytes=42") || !strings.Contains(out, "time=2ms") {
+		t.Errorf("missing rows/bytes/time: %s", out)
+	}
+	if strings.Contains(out, "close=") || strings.Contains(out, "wire_rows=") {
+		t.Errorf("zero-valued extras should be hidden: %s", out)
+	}
+	if got := Annotate(tr)(other); got != " (never executed)" {
+		t.Errorf("unexecuted node annotated %q", got)
+	}
+
+	xctx, x2 := obs.StartSpan(tctx, obs.SpanExec, "n again")
+	x2.SetStats(&obs.OpStats{Op: n, Rows: 2, Bytes: 8, Close: 7 * time.Millisecond})
+	_, sh := obs.StartSpan(xctx, obs.SpanShip, "src.t")
+	sh.SetStats(&obs.OpStats{Op: n, Rows: 100, Bytes: 9000})
+	root.End()
+	out = Annotate(tr)(n)
+	for _, want := range []string{"rows=5", "bytes=50", "close=7ms", "wire_rows=100 wire_bytes=9000"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q: %s", want, out)
+		}
+	}
+}
+
+func filterOverValues() *plan.Filter {
+	in := valuesNode(types.NewSchema(intCol("id")), []any{1}, []any{2}, []any{3})
+	pred := expr.NewBinary(expr.OpGt, expr.NewBoundColRef(0, types.KindInt, "id"), expr.NewConst(types.NewInt(0)))
+	return &plan.Filter{Input: in, Pred: pred}
+}
+
+// TestRunUntracedInstallsNoWrapper: without a trace Run hands back the
+// operator's own iterator and the statement leaves the plan-feedback
+// store untouched; with one, the measuring wrapper.
+func TestRunUntracedInstallsNoWrapper(t *testing.T) {
+	obs.DefaultFeedback().Reset()
+	t.Cleanup(obs.DefaultFeedback().Reset)
+	f := filterOverValues()
+	it, err := Run(ctx, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := it.(*filterIter); !ok {
+		t.Errorf("untraced Run(Filter) = %T, want the operator's own *filterIter", it)
+	}
+	if rows, err := source.Drain(it); err != nil || len(rows) != 3 {
+		t.Fatalf("drain = %d rows, %v", len(rows), err)
+	}
+	it, err = Run(ctx, &plan.Project{Input: f, Exprs: []expr.Expr{expr.NewBoundColRef(0, types.KindInt, "id")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := it.(*projectIter); !ok {
+		t.Errorf("untraced Run(Project) = %T, want *projectIter", it)
+	}
+	it.Close()
+	if n := obs.DefaultFeedback().Len(); n != 0 {
+		t.Errorf("untraced statements left %d plan-feedback entries", n)
+	}
+
+	it, err = Run(obs.WithTrace(ctx, obs.NewTrace("q")), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := it.(*opIter); !ok {
+		t.Errorf("traced Run(Filter) = %T, want *opIter", it)
+	}
+	it.Close()
+}
+
+// TestFeedbackOnlyFromDrainedStreams: the estimate-vs-actual pair is a
+// measurement only when the stream reached EOF. A LIMIT closing its
+// input early, or a source dying mid-stream, must not log the rows seen
+// so far as the operator's cardinality.
+func TestFeedbackOnlyFromDrainedStreams(t *testing.T) {
+	fb := obs.DefaultFeedback()
+	fb.Reset()
+	t.Cleanup(fb.Reset)
+	run := func(n plan.Node) {
+		t.Helper()
+		if _, err := Collect(obs.WithTrace(ctx, obs.NewTrace("q")), n); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	run(&plan.Limit{Input: filterOverValues(), N: 1})
+	if n := fb.Len(); n != 0 {
+		t.Fatalf("LIMIT 1 over a 3-row filter recorded %d entries: %+v", n, fb.Snapshot())
+	}
+
+	sp := tracedSpan("dying scan")
+	dying := &opIter{span: sp, fbScope: "frag:s.t", st: obs.OpStats{EstRows: 10000, HasEst: true}, in: &scriptIter{
+		rows: []types.Row{{types.NewInt(1)}, {types.NewInt(2)}},
+		fail: errors.New("source down"),
+	}}
+	if _, err := source.Drain(dying); err == nil {
+		t.Fatal("dying stream drained cleanly")
+	}
+	if n := fb.Len(); n != 0 {
+		t.Fatalf("a stream that died after 2 rows recorded %d entries: %+v", n, fb.Snapshot())
+	}
+	if st, ok := sp.Stats(); !ok || st.Rows != 2 {
+		t.Errorf("the dead stream's record = %+v, %v; want its 2 rows", st, ok)
+	}
+
+	run(filterOverValues())
+	snap := fb.Snapshot()
+	if len(snap) != 1 || snap[0].Scope != "filter" || snap[0].Count != 1 || snap[0].LastActual != 3 {
+		t.Fatalf("full drain recorded %+v, want one filter entry with actual 3", snap)
+	}
+}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"io"
-	"strconv"
 	"time"
 
 	"gis/internal/admission"
@@ -26,26 +25,16 @@ var (
 	mShipLatency   = obs.Default().Histogram("exec.source.ship_seconds", obs.LatencyBuckets)
 )
 
-// fetchIter wraps the remote stream of one fragment scan. It always
-// feeds the process-wide source counters; optionally it also feeds the
-// profile's wire stats (EXPLAIN ANALYZE) and a ship/fetch span pair
-// (tracing). Counter flushes are batched to stream end so the per-row
-// cost is two integer adds.
+// fetchIter wraps the remote stream of one fragment scan and does what
+// must happen whether or not the statement is measured: feed the
+// process-wide source counters and charge the tenant's byte quota.
+// Counter flushes are batched to stream end so the per-row cost is two
+// integer adds.
 type fetchIter struct {
-	in source.RowIter
-	st *NodeStats // nil when not profiling
-	// ship covers the whole round trip from Execute to stream end;
-	// fetch covers only the streaming part after Execute returned.
-	ship, fetch *obs.Span
-	shipStart   time.Time
+	in          source.RowIter
+	shipStart   time.Time // just before Execute: the whole round trip
 	rows, bytes int64
 	done        bool
-	// Plan-feedback key and estimate for this fragment scan, recorded
-	// at stream end even when tracing is off; fbScope == "" disables
-	// recording (set only for unaugmented scans, where the planner's
-	// estimate actually corresponds to the shipped predicate).
-	fbScope, fbFP string
-	est           float64
 	// sess, when set, charges fetched bytes against the admitted
 	// session's tenant memory quota; acct batches the charge so the
 	// per-row cost stays two integer adds.
@@ -100,31 +89,4 @@ func (f *fetchIter) finish() {
 	mSourceRows.Add(f.rows)
 	mSourceBytes.Add(f.bytes)
 	mShipLatency.ObserveSince(f.shipStart)
-	if f.st != nil {
-		f.st.mu.Lock()
-		f.st.WireRows += f.rows
-		f.st.WireBytes += f.bytes
-		f.st.mu.Unlock()
-	}
-	f.fetch.SetInt("rows", f.rows)
-	f.fetch.SetInt("bytes", f.bytes)
-	f.fetch.End()
-	f.ship.SetInt("rows", f.rows)
-	f.ship.SetInt("bytes", f.bytes)
-	f.ship.End()
-	// WAN split: when the wire client stitched a remote trailer it set
-	// remote_us (the component system's compute share); the rest of the
-	// ship round trip is WAN transit plus mediator-side decode.
-	if remote, ok := f.ship.Attr("remote_us"); ok {
-		if rus, err := strconv.ParseInt(remote, 10, 64); err == nil {
-			wan := f.ship.Duration().Microseconds() - rus
-			if wan < 0 {
-				wan = 0
-			}
-			f.ship.SetInt("wan_us", wan)
-		}
-	}
-	if f.fbScope != "" {
-		obs.DefaultFeedback().Record(f.fbScope, f.fbFP, f.est, f.rows)
-	}
 }

@@ -2,9 +2,11 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"gis/internal/obs"
 	"gis/internal/plan"
 	"gis/internal/types"
 )
@@ -64,7 +66,9 @@ func TestRaceStressParallelUnion(t *testing.T) {
 
 // TestRaceStressParallelUnionEarlyClose abandons the merge mid-stream:
 // Close must cancel the producer goroutines without leaking or racing
-// on the channel.
+// on the channel. The statement is traced and its tree rendered right
+// after Close, while abandoned branches may still be publishing their
+// records.
 func TestRaceStressParallelUnionEarlyClose(t *testing.T) {
 	if testing.Short() {
 		t.Skip("race stress test")
@@ -80,7 +84,8 @@ func TestRaceStressParallelUnionEarlyClose(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				it, err := Run(ctx, mkParallelUnion(6, 50))
+				tr := obs.NewTrace("early close")
+				it, err := Run(obs.WithTrace(ctx, tr), mkParallelUnion(6, 50))
 				if err != nil {
 					errs <- err
 					return
@@ -94,6 +99,10 @@ func TestRaceStressParallelUnionEarlyClose(t *testing.T) {
 				}
 				if err := it.Close(); err != nil {
 					errs <- err
+					return
+				}
+				if tree := tr.Tree(); !strings.Contains(tree, "exec Union") {
+					errs <- fmt.Errorf("trace lost the union span:\n%s", tree)
 					return
 				}
 			}

@@ -135,9 +135,7 @@ func (l *StructuredLog) buildRecord(sql string, start time.Time, d time.Duration
 	if root == nil {
 		return rec
 	}
-	if v, ok := root.Attr("rows_out"); ok {
-		rec.RowsOut, _ = strconv.ParseInt(v, 10, 64)
-	}
+	rec.RowsOut, _ = root.RowsOut()
 	if v, ok := root.Attr("partial"); ok {
 		rec.Partial = v
 	}
@@ -168,9 +166,9 @@ func phaseBreakdown(root *Span) map[string]int64 {
 	return out
 }
 
-// sourceBreakdown extracts one SourceIO per ship span: rows/bytes from
-// the ship attrs, the remote-compute time from a stitched SpanRemote
-// child, and the WAN share computed at stitch time.
+// sourceBreakdown extracts one SourceIO per ship span from the span's
+// measured record: the rows and bytes its wire stream delivered and the
+// remote-compute vs WAN split of the round trip.
 func sourceBreakdown(tr *Trace) []SourceIO {
 	ships := tr.FindAll(SpanShip)
 	if len(ships) == 0 {
@@ -178,22 +176,13 @@ func sourceBreakdown(tr *Trace) []SourceIO {
 	}
 	out := make([]SourceIO, 0, len(ships))
 	for _, sh := range ships {
-		io := SourceIO{ShipUS: sh.Duration().Microseconds()}
+		st, _ := sh.Stats()
+		io := SourceIO{
+			Rows: st.Rows, Bytes: st.Bytes,
+			ShipUS: sh.Duration().Microseconds(), RemoteUS: st.RemoteUS, WanUS: st.WanUS,
+		}
 		io.Source, _ = sh.Attr("source")
-		io.Rows = attrInt(sh, "rows")
-		io.Bytes = attrInt(sh, "bytes")
-		io.RemoteUS = attrInt(sh, "remote_us")
-		io.WanUS = attrInt(sh, "wan_us")
 		out = append(out, io)
 	}
 	return out
-}
-
-func attrInt(s *Span, key string) int64 {
-	v, ok := s.Attr(key)
-	if !ok {
-		return 0
-	}
-	n, _ := strconv.ParseInt(v, 10, 64)
-	return n
 }

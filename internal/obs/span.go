@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -97,6 +98,34 @@ type Attr struct {
 	Value string `json:"value"`
 }
 
+// OpStats is the one measured record of an operator execution: what the
+// stream under a span produced and what that cost. EXPLAIN ANALYZE, the
+// trace tree, the structured query log and /estimates all render it.
+// The exec measuring wrapper fills a private copy while rows flow and
+// publishes it with SetStats when the stream ends, so nothing is shared
+// between goroutines per row. A fragment scan has two: its output (exec
+// span) and its wire stream (ship span — EXPLAIN ANALYZE's wire_rows).
+type OpStats struct {
+	// Op is what ran (the plan node, opaque to obs): the records of every
+	// execution of one node are summed at render time. Nil on records
+	// nobody sums (fetch spans).
+	Op any
+	// EstRows is the planner's cardinality estimate; valid when HasEst.
+	EstRows float64
+	HasEst  bool
+	// Rows and Bytes (types.Row.EstimatedSize) the stream produced.
+	Rows, Bytes int64
+	// Next is the wall time inside the stream's Next calls, inclusive of
+	// the operator's inputs; Close the time inside Close (discarding an
+	// undrained remote cursor can dominate a LIMIT query).
+	Next, Close time.Duration
+	// RemoteUS is the component system's own compute time for a shipped
+	// sub-query, set by the wire client's trailer stitch (SetRemoteUS).
+	// WanUS is derived when the record is read: the rest of the ship
+	// span, WAN transit plus mediator-side decode.
+	RemoteUS, WanUS int64
+}
+
 // Span is one timed region of a trace. All methods are safe on a nil
 // receiver (they no-op), and safe for concurrent use: parallel union
 // branches and 2PC fan-out attach children from multiple goroutines.
@@ -109,6 +138,8 @@ type Span struct {
 	dur      time.Duration
 	ended    bool
 	attrs    []Attr
+	stats    OpStats
+	measured bool // SetStats was called: stats renders as rows/bytes attrs
 	children []*Span
 }
 
@@ -158,7 +189,79 @@ func (s *Span) SetAttr(key, value string) {
 
 // SetInt annotates the span with an integer value.
 func (s *Span) SetInt(key string, v int64) {
-	s.SetAttr(key, fmt.Sprintf("%d", v))
+	s.SetAttr(key, strconv.FormatInt(v, 10))
+}
+
+// SetStats publishes st as the span's measured record; a later call
+// (Close after EOF) replaces it. RemoteUS is kept: the wire client sets
+// it during the stream's last Next, before the wrapper publishes.
+func (s *Span) SetStats(st *OpStats) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	remote := s.stats.RemoteUS
+	s.stats, s.measured = *st, true
+	s.stats.RemoteUS = remote
+	s.mu.Unlock()
+}
+
+// SetRemoteUS records the remote-compute share of a ship span.
+func (s *Span) SetRemoteUS(us int64) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.stats.RemoteUS = us
+	s.mu.Unlock()
+}
+
+// Stats returns the span's measured record; ok is false until one was
+// published (RemoteUS alone may be set before that).
+func (s *Span) Stats() (st OpStats, ok bool) {
+	if s == nil {
+		return OpStats{}, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.statsLocked(), s.measured
+}
+
+func (s *Span) statsLocked() OpStats {
+	st := s.stats
+	if st.RemoteUS > 0 {
+		st.WanUS = max(s.durLocked().Microseconds()-st.RemoteUS, 0)
+	}
+	return st
+}
+
+func (s *Span) durLocked() time.Duration {
+	if !s.ended {
+		return time.Since(s.start)
+	}
+	return s.dur
+}
+
+// attrsLocked renders the explicit annotations followed by the ones
+// derived from the measured record.
+func (s *Span) attrsLocked() []Attr {
+	out := append([]Attr(nil), s.attrs...)
+	add := func(key string, v int64) {
+		out = append(out, Attr{Key: key, Value: strconv.FormatInt(v, 10)})
+	}
+	st := s.statsLocked()
+	if s.measured {
+		if st.HasEst {
+			add("est_rows", int64(st.EstRows))
+		}
+		add("rows", st.Rows)
+		add("bytes", st.Bytes)
+	}
+	if st.RemoteUS > 0 {
+		add("remote_us", st.RemoteUS)
+		add("wan_us", st.WanUS)
+	}
+	return out
 }
 
 // Kind returns the span's kind.
@@ -185,20 +288,18 @@ func (s *Span) Duration() time.Duration {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.ended {
-		return time.Since(s.start)
-	}
-	return s.dur
+	return s.durLocked()
 }
 
-// Attr returns the value of the named attribute, if set.
+// Attr returns the value of the named attribute, explicit or derived
+// from the measured record.
 func (s *Span) Attr(key string) (string, bool) {
 	if s == nil {
 		return "", false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, a := range s.attrs {
+	for _, a := range s.attrsLocked() {
 		if a.Key == key {
 			return a.Value, true
 		}
@@ -214,6 +315,22 @@ func (s *Span) Children() []*Span {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]*Span(nil), s.children...)
+}
+
+// RowsOut is what a statement's top operator produced: the measured
+// rows of the query span's last exec child (subquery plans run under
+// the resolve span, so the last one is the statement's own). ok is
+// false when the statement ran no plan.
+func (s *Span) RowsOut() (rows int64, ok bool) {
+	for _, c := range s.Children() {
+		if c.Kind() != SpanExec {
+			continue
+		}
+		if st, measured := c.Stats(); measured {
+			rows, ok = st.Rows, true
+		}
+	}
+	return rows, ok
 }
 
 func (s *Span) addChild(c *Span) {
@@ -242,11 +359,8 @@ func (s *Span) Data() *SpanData {
 		Kind:       s.kind.String(),
 		Name:       s.name,
 		Start:      s.start,
-		DurationUS: s.dur.Microseconds(),
-		Attrs:      append([]Attr(nil), s.attrs...),
-	}
-	if !s.ended {
-		d.DurationUS = time.Since(s.start).Microseconds()
+		DurationUS: s.durLocked().Microseconds(),
+		Attrs:      s.attrsLocked(),
 	}
 	children := append([]*Span(nil), s.children...)
 	s.mu.Unlock()

@@ -107,8 +107,9 @@ func TestStructuredLogSampling(t *testing.T) {
 }
 
 // TestStructuredLogRecord builds a realistic trace — root with phase
-// children, a ship span with stitched remote timing, a retry marker —
-// and checks the emitted JSON line carries every breakdown.
+// children, a measured exec span over a measured ship span with
+// stitched remote timing, a retry marker — and checks the emitted JSON
+// line carries every breakdown, taken from the typed records.
 func TestStructuredLogRecord(t *testing.T) {
 	tr := NewTrace("SELECT 1")
 	ctx := WithTrace(context.Background(), tr)
@@ -118,15 +119,14 @@ func TestStructuredLogRecord(t *testing.T) {
 	xctx, x := StartSpan(ctx, SpanExec, "join")
 	sctx, sh := StartSpan(xctx, SpanShip, "ny.items")
 	sh.SetAttr("source", "ny")
-	sh.SetInt("rows", 42)
-	sh.SetInt("bytes", 1000)
-	sh.SetInt("remote_us", 7)
-	sh.SetInt("wan_us", 3)
 	_, rt := StartSpan(sctx, SpanRetry, "attempt 2")
 	rt.End()
+	time.Sleep(time.Millisecond) // the ship round trip outlasts its remote share
+	sh.SetRemoteUS(7)
+	sh.SetStats(&OpStats{Rows: 42, Bytes: 1000})
 	sh.End()
+	x.SetStats(&OpStats{Rows: 5, Bytes: 90})
 	x.End()
-	root.SetInt("rows_out", 5)
 	root.SetAttr("partial", "1/2 sources")
 	root.End()
 
@@ -157,8 +157,11 @@ func TestStructuredLogRecord(t *testing.T) {
 		t.Fatalf("sources = %v", rec.Sources)
 	}
 	src := rec.Sources[0]
-	if src.Source != "ny" || src.Rows != 42 || src.Bytes != 1000 || src.RemoteUS != 7 || src.WanUS != 3 {
+	if src.Source != "ny" || src.Rows != 42 || src.Bytes != 1000 || src.RemoteUS != 7 {
 		t.Errorf("source io = %+v", src)
+	}
+	if src.WanUS <= 0 || src.WanUS != src.ShipUS-src.RemoteUS {
+		t.Errorf("wan_us = %d, want ship_us %d less remote_us %d", src.WanUS, src.ShipUS, src.RemoteUS)
 	}
 	if _, err := time.Parse(time.RFC3339Nano, rec.Time); err != nil {
 		t.Errorf("time %q not RFC3339Nano: %v", rec.Time, err)

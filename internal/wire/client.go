@@ -51,9 +51,6 @@ type Client struct {
 	creditWindow int
 	// maxFrameBytes bounds inbound frames on every connection.
 	maxFrameBytes int
-	// legacy is set once a server rejects msgHello: the link proceeds
-	// without tenancy or flow control and never retries the handshake.
-	legacy atomic.Bool
 	// rtt holds the link's EWMA round-trip nanoseconds, observed on
 	// request/response calls; Execute subtracts half of it from
 	// propagated deadlines (the one-way WAN share).
@@ -189,14 +186,9 @@ func (c *Client) dial(ctx context.Context) (*frameConn, error) {
 // negotiated credit window and frame bounds. The exchange bypasses the
 // fault injector deliberately: it is connection setup, not an operation
 // in the seeded fault sequence, so enabling it does not perturb
-// fault-plan decision streams. A non-OK answer (an old server's
-// "unknown tag" msgErr) marks the whole link legacy — the connection,
-// and every later one on this link, proceeds without tenancy or flow
-// control, exactly as before this protocol revision.
+// fault-plan decision streams. Anything but msgOK (a server rejecting
+// the announced version) fails the dial.
 func (c *Client) handshake(ctx context.Context, fc *frameConn) error {
-	if c.legacy.Load() {
-		return nil
-	}
 	var e Encoder
 	e.hello(&hello{Version: helloVersion, Tenant: c.tenant, Window: c.creditWindow, MaxRead: c.maxFrameBytes})
 	if err := fc.writeFrame(ctx, msgHello, e.Bytes()); err != nil {
@@ -206,9 +198,8 @@ func (c *Client) handshake(ctx context.Context, fc *frameConn) error {
 	if err != nil {
 		return err
 	}
-	if tag != msgOK {
-		c.legacy.Store(true)
-		return nil
+	if resp, err = checkResp(tag, resp); err != nil {
+		return fmt.Errorf("handshake: %w", err)
 	}
 	rep, err := NewDecoder(resp).helloReply()
 	if err != nil {

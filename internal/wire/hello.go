@@ -2,26 +2,23 @@ package wire
 
 // Session handshake and deadline propagation.
 //
-// Hello: a client that wants tenancy, flow control, or frame-bound
-// negotiation sends msgHello as the first frame on every fresh
+// Hello: the client sends msgHello as the first frame on every fresh
 // connection: (version, tenant, requested credit window, inbound frame
 // bound). The server answers msgOK with (version, granted window — the
 // min of both sides, 0 when either side disables it — and its own
 // inbound frame bound); each side then lowers its outbound frame bound
-// to the peer's inbound one. A server that predates the tag answers
-// msgErr ("unknown message tag"), which the client records as "legacy
-// peer" for the whole link and never sends hello again: the connection
-// proceeds exactly as before this protocol revision.
+// to the peer's inbound one. The handshake is mandatory: a hello
+// announcing another version, or any request arriving before hello, is
+// answered msgErr and the connection closed, and a client treats a
+// non-msgOK answer as a failed dial.
 //
 // Deadlines: Client.Execute appends the query's remaining time budget
 // (µs, uvarint, 0 = none) after the trace context in the msgExecute
 // payload, decremented by the link's observed one-way latency (half
 // the RTT EWMA) so the server-side deadline never outlives the
-// client's. Like the trace context, the field is Decoder.Remaining-
-// gated: old peers simply never see it, new servers treat a missing
-// field as "no deadline". The server enforces the budget with
-// context.WithTimeout around the fragment's execution, so a propagated
-// deadline cancels the component store's work mid-scan.
+// client's. The server enforces the budget with context.WithTimeout
+// around the fragment's execution, so a propagated deadline cancels
+// the component store's work mid-scan.
 
 import (
 	"context"
@@ -139,12 +136,8 @@ func (e *Encoder) deadlineBudget(budget time.Duration) {
 	e.Uvarint(uint64(us))
 }
 
-// deadlineBudget reads the optional time budget from the tail of a
-// msgExecute payload; absent (old peer) decodes as 0.
+// deadlineBudget reads the time budget that ends a msgExecute payload.
 func (d *Decoder) deadlineBudget() (time.Duration, error) {
-	if d.Remaining() == 0 {
-		return 0, nil
-	}
 	us, err := d.Uvarint()
 	if err != nil {
 		return 0, err

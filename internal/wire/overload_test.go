@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,9 +24,6 @@ func TestHelloNegotiatesWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.putConn(fc)
-	if cl.legacy.Load() {
-		t.Error("modern server must not mark the link legacy")
-	}
 	// The server's default window (32) is larger, so min wins.
 	if fc.window != 4 {
 		t.Errorf("negotiated window = %d, want 4", fc.window)
@@ -75,114 +73,91 @@ func TestCreditFlowSlowConsumer(t *testing.T) {
 	}
 }
 
-// --- interop with peers predating the handshake --------------------
+// --- the handshake is mandatory --------------------------------------
 
-// serveLegacy runs a minimal pre-handshake wire server: msgHello gets
-// the "unknown tag" msgErr an old binary would send, msgTables a valid
-// reply. Everything else closes the connection.
-func serveLegacy(t *testing.T) string {
+// rawConn opens a bare framed connection to cl's server, bypassing the
+// client's own handshake.
+func rawConn(t *testing.T, cl *Client) *frameConn {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				fc := newFrameConn(conn, SimLink{}, SimLink{})
-				for {
-					tag, _, err := fc.readFrame(context.Background())
-					if err != nil {
-						return
-					}
-					switch tag {
-					case msgHello:
-						if sendErr(context.Background(), fc, errors.New("wire: unknown message tag 18")) != nil {
-							return
-						}
-					case msgTables:
-						var e Encoder
-						e.Uvarint(1)
-						e.String("oldtable")
-						if fc.writeFrame(context.Background(), msgOK, e.Bytes()) != nil {
-							return
-						}
-					default:
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
-
-func TestLegacyServerFallback(t *testing.T) {
-	addr := serveLegacy(t)
-	cl, err := DialContext(ctx, addr, WithTenant("acme"), WithCreditWindow(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	tables, err := cl.Tables(ctx)
-	if err != nil || len(tables) != 1 || tables[0] != "oldtable" {
-		t.Fatalf("Tables via legacy peer = %v, %v", tables, err)
-	}
-	if !cl.legacy.Load() {
-		t.Error("a msgErr hello answer must mark the link legacy")
-	}
-	// Later dials on the marked link skip the handshake entirely.
-	fc, err := cl.dial(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.putConn(fc)
-	if fc.window != 0 {
-		t.Errorf("legacy link window = %d, want 0 (flow control off)", fc.window)
-	}
-}
-
-func TestRawLegacyClientStreams(t *testing.T) {
-	// A pre-handshake client never sends msgHello or msgCredit; the
-	// server must leave the window at 0 (unlimited) and stream to
-	// completion without waiting for grants. Speak the old protocol
-	// raw: straight to msgExecute on a fresh conn.
-	_, cl := startRelServer(t, 600)
 	conn, err := net.Dial("tcp", cl.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	fc := newFrameConn(conn, SimLink{}, SimLink{})
+	t.Cleanup(func() { conn.Close() })
+	return newFrameConn(conn, SimLink{}, SimLink{})
+}
+
+// expectRejected reads the server's answer to a handshake violation: one
+// msgErr naming the problem, then a closed connection.
+func expectRejected(t *testing.T, fc *frameConn, wantInMsg string) {
+	t.Helper()
+	tag, payload, err := fc.readFrame(ctx)
+	if err != nil {
+		t.Fatalf("no answer before close: %v", err)
+	}
+	if tag != msgErr {
+		t.Fatalf("answer tag = %d, want msgErr", tag)
+	}
+	if msg, _ := NewDecoder(payload).String(); !strings.Contains(msg, wantInMsg) {
+		t.Errorf("rejection message = %q, want it to mention %q", msg, wantInMsg)
+	}
+	if _, _, err := fc.readFrame(ctx); err == nil {
+		t.Error("connection still open after the rejection")
+	}
+}
+
+func TestHelloVersionMismatchRejected(t *testing.T) {
+	_, cl := startRelServer(t, 10)
+	fc := rawConn(t, cl)
+	var e Encoder
+	e.hello(&hello{Version: helloVersion + 1, Window: 8, MaxRead: maxFrame})
+	if err := fc.writeFrame(ctx, msgHello, e.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	expectRejected(t, fc, "hello version")
+}
+
+func TestRequestBeforeHelloRejected(t *testing.T) {
+	_, cl := startRelServer(t, 10)
+	fc := rawConn(t, cl)
 	var e Encoder
 	if err := e.Query(source.NewScan("items")); err != nil {
 		t.Fatal(err)
 	}
+	e.traceContext(nil)
+	e.deadlineBudget(0)
 	if err := fc.writeFrame(ctx, msgExecute, e.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	sawEnd := false
-	for !sawEnd {
-		tag, payload, err := fc.readFrame(ctx)
+	expectRejected(t, fc, "before hello")
+}
+
+// TestDialFailsWhenHelloRejected: a server that answers hello with
+// anything but msgOK is not a peer; the dial reports its answer.
+func TestDialFailsWhenHelloRejected(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
 		if err != nil {
-			t.Fatalf("legacy stream read: %v", err)
+			return
 		}
-		switch tag {
-		case msgOK, msgRows:
-		case msgEnd:
-			sawEnd = true
-		case msgErr:
-			msg, _ := NewDecoder(payload).String()
-			t.Fatalf("legacy stream got error: %s", msg)
-		default:
-			t.Fatalf("legacy stream got unexpected tag %d", tag)
+		defer conn.Close()
+		fc := newFrameConn(conn, SimLink{}, SimLink{})
+		if _, _, err := fc.readFrame(context.Background()); err == nil {
+			_ = sendErr(context.Background(), fc, errors.New("wire: unknown message tag 18"))
 		}
+	}()
+	cl, err := DialContext(ctx, ln.Addr().String())
+	if err == nil {
+		cl.Close()
+		t.Fatal("dial succeeded against a server that rejected hello")
+	}
+	if !strings.Contains(err.Error(), "unknown message tag") {
+		t.Errorf("dial error = %v, want the server's answer in it", err)
 	}
 }
 

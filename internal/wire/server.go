@@ -227,9 +227,10 @@ func (s *Server) acceptLoop(ctx context.Context) {
 }
 
 // connState tracks per-connection transactions and the handshake's
-// tenant.
+// outcome: hello is set once the connection has been greeted.
 type connState struct {
 	txs    map[string]source.Tx
+	hello  bool
 	tenant string
 }
 
@@ -271,6 +272,16 @@ func sendErr(ctx context.Context, fc *frameConn, err error) error {
 	return fc.writeFrame(ctx, msgErr, e.Bytes())
 }
 
+// reject answers a handshake violation with msgErr and returns err, so
+// the caller closes the connection: a peer that does not speak this
+// protocol revision gets one explicit answer, not a conversation.
+func reject(ctx context.Context, fc *frameConn, err error) error {
+	if werr := sendErr(ctx, fc, err); werr != nil {
+		return werr
+	}
+	return err
+}
+
 func (s *Server) handle(ctx context.Context, fc *frameConn, st *connState, tag byte, payload []byte) error {
 	// Handshake and flow-control frames bypass the fault injector: they
 	// are connection plumbing, not operations, and their arrival depends
@@ -284,6 +295,9 @@ func (s *Server) handle(ctx context.Context, fc *frameConn, st *connState, tag b
 		// carries is void. Ignoring it here keeps pooled connections in
 		// protocol sync.
 		return nil
+	}
+	if !st.hello {
+		return reject(ctx, fc, fmt.Errorf("wire: request tag %d before hello", tag))
 	}
 	// Server-side fault point: transient injections are reported to the
 	// client as protocol errors (the conn survives); drops and
@@ -472,15 +486,19 @@ func (s *Server) handle(ctx context.Context, fc *frameConn, st *connState, tag b
 	}
 }
 
-// handleHello answers the optional per-connection handshake: record the
-// tenant, grant the negotiated credit window, and exchange frame-size
-// bounds (each side lowers its outbound bound to the peer's inbound
-// one).
+// handleHello answers the per-connection handshake: check the protocol
+// version, record the tenant, grant the negotiated credit window, and
+// exchange frame-size bounds (each side lowers its outbound bound to
+// the peer's inbound one).
 func (s *Server) handleHello(ctx context.Context, fc *frameConn, st *connState, payload []byte) error {
 	h, err := NewDecoder(payload).hello()
 	if err != nil {
 		return sendErr(ctx, fc, err)
 	}
+	if h.Version != helloVersion {
+		return reject(ctx, fc, fmt.Errorf("wire: hello version %d, this server speaks %d", h.Version, helloVersion))
+	}
+	st.hello = true
 	st.tenant = h.Tenant
 	fc.window = negotiateWindow(h.Window, s.creditWindow)
 	if h.MaxRead > 0 && h.MaxRead < fc.wlimit {
@@ -505,7 +523,7 @@ func sendShed(ctx context.Context, fc *frameConn, err error) error {
 }
 
 // handleExecute serves one msgExecute request: decode the query, the
-// optional trace context, and the optional deadline budget; pass
+// trace context, and the deadline budget; pass
 // admission control; run the fragment (under a server-local trace when
 // the mediator sent a sampled context) with the budget enforced as a
 // context deadline; stream the rows; and then — best-effort — return

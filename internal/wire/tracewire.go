@@ -2,11 +2,11 @@ package wire
 
 // Distributed trace propagation over the wire protocol.
 //
-// Request side: Client.Execute appends an optional trace context —
-// (present flag, trace id, parent span id, sampling flag) — after the
-// encoded query in the msgExecute payload. Decoder.Query consumes an
-// exact prefix, so a server reads the context from the remaining bytes;
-// a request from an untraced query carries `false` and nothing else.
+// Request side: Client.Execute appends the trace context — (present
+// flag, trace id, parent span id, sampling flag) — after the encoded
+// query in the msgExecute payload. Decoder.Query consumes an exact
+// prefix, so a server reads the context from the bytes that follow; a
+// request from an untraced query carries `false` and nothing else.
 //
 // Response side: when the context is present and sampled, the server
 // runs the fragment under its own obs.Trace (rooted at a SpanRemote)
@@ -44,8 +44,8 @@ type traceContext struct {
 	Sampled    bool
 }
 
-// traceContext appends the optional trace context (nil encodes as a
-// single absent flag, keeping untraced requests one byte longer only).
+// traceContext appends the trace context; nil (an untraced query)
+// encodes as a single absent flag.
 func (e *Encoder) traceContext(tc *traceContext) {
 	if tc == nil {
 		e.Bool(false)
@@ -57,13 +57,9 @@ func (e *Encoder) traceContext(tc *traceContext) {
 	e.Bool(tc.Sampled)
 }
 
-// traceContext reads the optional trace context from the tail of a
-// msgExecute payload. A payload with no remaining bytes (an
-// out-of-version peer) decodes as absent.
+// traceContext reads the trace context that follows the query in a
+// msgExecute payload; nil when the flag says the query is untraced.
 func (d *Decoder) traceContext() (*traceContext, error) {
-	if d.Remaining() == 0 {
-		return nil, nil
-	}
 	present, err := d.Bool()
 	if err != nil || !present {
 		return nil, err
@@ -205,10 +201,9 @@ func (it *streamIter) readTrailer(fc *frameConn) bool {
 		return false
 	}
 	it.parent.AttachData(data)
-	// Record the remote-compute share on the ship span now; the WAN
-	// share is derived when the ship span ends (exec.fetchIter) as
-	// ship duration minus remote duration.
-	it.parent.SetInt("remote_us", data.DurationUS)
+	// The remote-compute share of the ship span; whatever else the span
+	// took is the WAN share.
+	it.parent.SetRemoteUS(data.DurationUS)
 	return true
 }
 

@@ -38,12 +38,10 @@ const (
 	// a sampled trace context (see tracewire.go). Losing it degrades
 	// the mediator to its local-only trace; it never affects rows.
 	msgTrace
-	// msgHello is the optional per-connection handshake: the client
-	// announces its protocol version, tenant, requested credit window,
-	// and frame-size bound; the server answers msgOK with the
-	// negotiated values (see hello.go). Servers predating the tag
-	// answer msgErr, which the client treats as "legacy peer" and
-	// continues without tenancy or flow control.
+	// msgHello is the per-connection handshake, the first frame on
+	// every connection: the client announces its protocol version,
+	// tenant, requested credit window, and frame-size bound; the server
+	// answers msgOK with the negotiated values (see hello.go).
 	msgHello
 	// msgCredit is the client→server flow-control grant on a result
 	// stream: its payload is a uvarint count of additional msgRows
@@ -152,7 +150,7 @@ type frameConn struct {
 	limit, wlimit int
 	// window is the negotiated credit window for result streams on
 	// this connection (msgRows frames in flight); 0 disables flow
-	// control (legacy peer or feature off).
+	// control (either side asked for that).
 	window int
 	// rttEWMA, when set, receives an exponentially-weighted moving
 	// average of observed round-trip nanoseconds (the client uses it to
