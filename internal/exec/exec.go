@@ -135,6 +135,11 @@ func run(ctx context.Context, n plan.Node) (source.RowIter, error) {
 		if err != nil {
 			return nil, err
 		}
+		if identityProject(t) {
+			// The input's rows are already the output's; rows are
+			// read-only downstream, so no copy is owed.
+			return in, nil
+		}
 		return &projectIter{ctx: ctx, in: in, exprs: t.Exprs}, nil
 
 	case *plan.Join:
@@ -255,6 +260,22 @@ func (p *projectIter) Next() (types.Row, error) {
 }
 
 func (p *projectIter) Close() error { return p.in.Close() }
+
+// identityProject reports whether p emits its input rows unchanged:
+// column i at position i, for every column of the input. The planner
+// keeps such a node (it carries the output names), the executor need
+// not run it.
+func identityProject(p *plan.Project) bool {
+	if len(p.Exprs) != p.Input.Schema().Len() {
+		return false
+	}
+	for i, e := range p.Exprs {
+		if c, ok := e.(*expr.ColRef); !ok || c.Index != i {
+			return false
+		}
+	}
+	return true
+}
 
 // ---- limit ----
 

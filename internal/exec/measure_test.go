@@ -126,12 +126,22 @@ func TestRunUntracedInstallsNoWrapper(t *testing.T) {
 	if rows, err := source.Drain(it); err != nil || len(rows) != 3 {
 		t.Fatalf("drain = %d rows, %v", len(rows), err)
 	}
-	it, err = Run(ctx, &plan.Project{Input: f, Exprs: []expr.Expr{expr.NewBoundColRef(0, types.KindInt, "id")}})
+	id := expr.NewBoundColRef(0, types.KindInt, "id")
+	it, err = Run(ctx, &plan.Project{Input: f, Exprs: []expr.Expr{expr.NewBinary(expr.OpAdd, id, id)}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := it.(*projectIter); !ok {
 		t.Errorf("untraced Run(Project) = %T, want *projectIter", it)
+	}
+	it.Close()
+	// A projection of every input column in place is not run at all.
+	it, err = Run(ctx, &plan.Project{Input: f, Exprs: []expr.Expr{id}, Names: []string{"id"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := it.(*filterIter); !ok {
+		t.Errorf("untraced Run(identity Project) = %T, want the input's *filterIter", it)
 	}
 	it.Close()
 	if n := obs.DefaultFeedback().Len(); n != 0 {

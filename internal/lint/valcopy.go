@@ -6,10 +6,10 @@ import (
 )
 
 // valCopyLimit is the largest by-value parameter/copy the hot path
-// tolerates, in bytes. types.Value is exactly 64 bytes and travels by
-// value everywhere by repo convention, so the threshold is strictly
-// greater-than: Value passes, anything bigger (a struct embedding a
-// Value plus bookkeeping, a fat config struct) is flagged.
+// tolerates, in bytes: eight machine words. types.Value (32 bytes)
+// travels by value everywhere by repo convention and passes, as does a
+// pair of them (a range's bounds); anything bigger (a struct embedding
+// Values plus bookkeeping, a fat config struct) is flagged.
 const valCopyLimit = 64
 
 // valCopySizes matches the target platform model used across the repo

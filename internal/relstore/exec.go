@@ -24,12 +24,22 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 		return nil, err
 	}
 
-	candidates, scanned := t.candidateRows(q.Filter)
+	// Without a usable index every row is a candidate: walk t.rows
+	// itself rather than materialize the list of its positions.
+	candidates, indexed := t.candidateRows(q.Filter)
+	n := len(t.rows)
+	if indexed {
+		n = len(candidates)
+	}
 
 	var out []types.Row
 	limitEarly := q.Limit >= 0 && !q.HasAggregation() &&
 		len(q.OrderBy) == 0
-	for _, pos := range candidates {
+	for i := 0; i < n; i++ {
+		pos := i
+		if indexed {
+			pos = candidates[i]
+		}
 		r := t.rows[pos]
 		if r == nil {
 			continue
@@ -48,7 +58,6 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 			break
 		}
 	}
-	_ = scanned
 
 	if q.HasAggregation() {
 		out, err = aggregate(out, q.GroupBy, q.Aggs)
@@ -56,9 +65,14 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 			return nil, fmt.Errorf("relstore %s: %w", s.name, err)
 		}
 	} else if q.Columns != nil {
+		// One slab per result, not one allocation per row. Rows are cut
+		// with a full slice expression so an append to one copies
+		// instead of reaching its neighbour.
+		w := len(q.Columns)
 		proj := make([]types.Row, len(out))
+		slab := make([]types.Value, w*len(out))
 		for i, r := range out {
-			nr := make(types.Row, len(q.Columns))
+			nr := slab[i*w : (i+1)*w : (i+1)*w]
 			for j, c := range q.Columns {
 				if c < 0 || c >= len(r) {
 					return nil, fmt.Errorf("relstore %s: projected column %d out of range", s.name, c)
@@ -86,8 +100,8 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 // candidateRows returns row positions to test against the filter, using
 // a hash index when the filter contains an equality — or an IN list, as
 // shipped by the semijoin strategy — between an indexed column and
-// constants. The second result reports whether a full scan was used
-// (for tests/metrics).
+// constants. The second result is false when no index applies and the
+// caller must scan every row.
 func (t *table) candidateRows(filter expr.Expr) ([]int, bool) {
 	for _, c := range expr.Conjuncts(filter) {
 		switch n := c.(type) {
@@ -108,7 +122,7 @@ func (t *table) candidateRows(filter expr.Expr) ([]int, bool) {
 			if !indexed {
 				continue
 			}
-			return idx[val.Val.Hash(0)], false
+			return idx[val.Val.Hash(0)], true
 		case *expr.InList:
 			if n.Negate {
 				continue
@@ -142,17 +156,13 @@ func (t *table) candidateRows(filter expr.Expr) ([]int, bool) {
 				}
 			}
 			if allConst {
-				return out, false
+				return out, true
 			}
 		default:
 			// Other conjuncts cannot use the hash index.
 		}
 	}
-	all := make([]int, len(t.rows))
-	for i := range all {
-		all[i] = i
-	}
-	return all, true
+	return nil, false
 }
 
 // aggregate evaluates grouping and aggregates over materialized rows.

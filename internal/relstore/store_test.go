@@ -478,3 +478,44 @@ func TestInListIndexProbe(t *testing.T) {
 		t.Fatalf("NOT IN = %d rows, want 29", len(rows))
 	}
 }
+
+// TestProjectedRowsDoNotAlias: a projection's rows are carved from one
+// slab per result. Each must be cut to its own length — an append to
+// one may not reach the next — and they stay the caller's after the
+// iterator is closed and the table is written to.
+func TestProjectedRowsDoNotAlias(t *testing.T) {
+	s := newTestStore(t)
+	q := source.NewScan("items")
+	q.Columns = []int{2, 0}
+	it, err := s.Execute(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []types.Row
+	for {
+		r, err := it.Next()
+		if err != nil {
+			break
+		}
+		if cap(r) != len(r) {
+			t.Fatalf("row %d: cap %d != len %d", len(rows), cap(r), len(r))
+		}
+		_ = append(r, types.NewString("intruder"))
+		rows = append(rows, r)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Delete(ctx, "items", nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 30 {
+		t.Fatalf("projected %d rows, want 30", len(rows))
+	}
+	for i, r := range rows {
+		want := types.Row{types.NewFloat(float64(i) * 0.5), types.NewInt(int64(i))}
+		if !r.Equal(want) {
+			t.Errorf("row %d = %v, want %v", i, r, want)
+		}
+	}
+}

@@ -311,7 +311,7 @@ func comparisonSelectivity(b *expr.Binary, ts *TableStats) float64 {
 		}
 		return DefaultRangeSel
 	}
-	cs := ts.Columns[col.Index]
+	cs := &ts.Columns[col.Index]
 	switch op {
 	case expr.OpEq:
 		if cs.NDV > 0 {
@@ -334,7 +334,7 @@ func comparisonSelectivity(b *expr.Binary, ts *TableStats) float64 {
 }
 
 // fracBelow estimates P(col <= v) from histogram or min/max interpolation.
-func fracBelow(cs ColumnStats, v types.Value) float64 {
+func fracBelow(cs *ColumnStats, v types.Value) float64 {
 	if cs.Hist != nil {
 		return cs.Hist.FracLE(v)
 	}

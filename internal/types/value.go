@@ -81,26 +81,32 @@ func (k Kind) Numeric() bool { return k == KindInt || k == KindFloat }
 // Value is a single datum in the global type system. The zero Value is
 // NULL. Values are immutable by convention; Bytes payloads must not be
 // mutated after construction.
+//
+// The layout is a tagged union in 32 bytes (DESIGN.md "Value layout"):
+// only one payload is ever live, so the scalar kinds share one word.
 type Value struct {
 	kind Kind
-	b    bool
-	i    int64
-	f    float64
-	s    string // also backs BYTES to keep Value comparable-free of slices
-	t    time.Time
+	nsec uint32 // TIME: nanoseconds within the second, [0, 1e9)
+	n    uint64 // BOOL 0/1, INT bits, FLOAT bits, TIME unix seconds
+	s    string // STRING, and BYTES (keeps Value free of slices)
 }
 
 // Null is the NULL value.
 var Null = Value{}
 
 // NewBool returns a BOOL value.
-func NewBool(b bool) Value { return Value{kind: KindBool, b: b} }
+func NewBool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // NewInt returns an INT value.
-func NewInt(i int64) Value { return Value{kind: KindInt, i: i} }
+func NewInt(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(f float64) Value { return Value{kind: KindFloat, f: f} }
+func NewFloat(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
 // NewString returns a STRING value.
 func NewString(s string) Value { return Value{kind: KindString, s: s} }
@@ -108,8 +114,14 @@ func NewString(s string) Value { return Value{kind: KindString, s: s} }
 // NewBytes returns a BYTES value. The slice is copied.
 func NewBytes(b []byte) Value { return Value{kind: KindBytes, s: string(b)} }
 
-// NewTime returns a TIME value normalized to UTC.
-func NewTime(t time.Time) Value { return Value{kind: KindTime, t: t.UTC()} }
+// NewTime returns a TIME value. Only the instant is kept — as unix
+// seconds plus nanoseconds, which covers every time.Time — so the
+// value reads back in UTC.
+func NewTime(t time.Time) Value { return newUnixTime(t.Unix(), uint32(t.Nanosecond())) }
+
+func newUnixTime(sec int64, nsec uint32) Value {
+	return Value{kind: KindTime, nsec: nsec, n: uint64(sec)}
+}
 
 // Kind returns the value's kind. NULL values have KindNull.
 func (v Value) Kind() Kind { return v.kind }
@@ -118,13 +130,13 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // Bool returns the BOOL payload; it must only be called when Kind()==KindBool.
-func (v Value) Bool() bool { return v.b }
+func (v Value) Bool() bool { return v.n != 0 }
 
 // Int returns the INT payload; it must only be called when Kind()==KindInt.
-func (v Value) Int() int64 { return v.i }
+func (v Value) Int() int64 { return int64(v.n) }
 
 // Float returns the FLOAT payload; it must only be called when Kind()==KindFloat.
-func (v Value) Float() float64 { return v.f }
+func (v Value) Float() float64 { return math.Float64frombits(v.n) }
 
 // Str returns the STRING payload; it must only be called when Kind()==KindString.
 func (v Value) Str() string { return v.s }
@@ -132,16 +144,17 @@ func (v Value) Str() string { return v.s }
 // Bytes returns a copy of the BYTES payload.
 func (v Value) Bytes() []byte { return []byte(v.s) }
 
-// Time returns the TIME payload; it must only be called when Kind()==KindTime.
-func (v Value) Time() time.Time { return v.t }
+// Time returns the TIME payload, in UTC; it must only be called when
+// Kind()==KindTime.
+func (v Value) Time() time.Time { return time.Unix(int64(v.n), int64(v.nsec)).UTC() }
 
 // AsFloat converts a numeric value to float64. It must only be called on
 // INT or FLOAT values.
 func (v Value) AsFloat() float64 {
 	if v.kind == KindInt {
-		return float64(v.i)
+		return float64(v.Int())
 	}
-	return v.f
+	return v.Float()
 }
 
 // String renders the value for display and EXPLAIN output.
@@ -150,20 +163,20 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindBool:
-		if v.b {
+		if v.Bool() {
 			return "true"
 		}
 		return "false"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindBytes:
 		return fmt.Sprintf("x'%x'", v.s)
 	case KindTime:
-		return v.t.Format(time.RFC3339Nano)
+		return v.Time().Format(time.RFC3339Nano)
 	default:
 		return fmt.Sprintf("<bad kind %d>", v.kind)
 	}
@@ -175,7 +188,7 @@ func (v Value) SQL() string {
 	case KindString:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case KindTime:
-		return "'" + v.t.Format(time.RFC3339Nano) + "'"
+		return "'" + v.String() + "'"
 	default:
 		return v.String()
 	}
@@ -195,16 +208,14 @@ func (v Value) Equal(o Value) bool {
 	switch v.kind {
 	case KindNull:
 		return true
-	case KindBool:
-		return v.b == o.b
-	case KindInt:
-		return v.i == o.i
+	case KindBool, KindInt:
+		return v.n == o.n
 	case KindFloat:
-		return v.f == o.f
+		return v.Float() == o.Float()
 	case KindString, KindBytes:
 		return v.s == o.s
 	case KindTime:
-		return v.t.Equal(o.t)
+		return v.n == o.n && v.nsec == o.nsec
 	}
 	return false
 }
@@ -234,41 +245,33 @@ func (v Value) Compare(o Value) int {
 		return 1
 	}
 	switch v.kind {
-	case KindBool:
-		switch {
-		case v.b == o.b:
-			return 0
-		case !v.b:
-			return -1
-		default:
-			return 1
-		}
-	case KindInt:
-		switch {
-		case v.i < o.i:
-			return -1
-		case v.i > o.i:
-			return 1
-		default:
-			return 0
-		}
+	case KindBool, KindInt:
+		// false < true falls out of 0 < 1.
+		return compareInt(int64(v.n), int64(o.n))
 	case KindFloat:
-		return compareFloat(v.f, o.f)
+		return compareFloat(v.Float(), o.Float())
 	case KindString, KindBytes:
 		return strings.Compare(v.s, o.s)
 	case KindTime:
-		switch {
-		case v.t.Before(o.t):
-			return -1
-		case v.t.After(o.t):
-			return 1
-		default:
-			return 0
+		if c := compareInt(int64(v.n), int64(o.n)); c != 0 {
+			return c
 		}
+		return compareInt(int64(v.nsec), int64(o.nsec))
 	default:
 		// KindNull was handled before the switch.
 	}
 	return 0
+}
+
+func compareInt(a, b int64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
+	}
 }
 
 func compareFloat(a, b float64) int {
@@ -310,11 +313,7 @@ func (v Value) Hash(seed uint64) uint64 {
 		h = fnvByte(h, 0xff)
 	case KindBool:
 		h = fnvByte(h, 1)
-		b := byte(0)
-		if v.b {
-			b = 1
-		}
-		h = fnvByte(h, b)
+		h = fnvByte(h, byte(v.n))
 	case KindInt, KindFloat:
 		h = fnvByte(h, 2) // shared tag: 1 and 1.0 must collide
 		bits := math.Float64bits(v.AsFloat())
@@ -328,7 +327,9 @@ func (v Value) Hash(seed uint64) uint64 {
 		}
 	case KindTime:
 		h = fnvByte(h, 6)
-		n := uint64(v.t.UnixNano())
+		// The instant as nanoseconds since the epoch. The product wraps
+		// outside 1677–2262; equal pairs still hash equally.
+		n := v.n*1e9 + uint64(v.nsec)
 		for i := 0; i < 8; i++ {
 			h = fnvByte(h, byte(n>>(8*i)))
 		}
@@ -346,7 +347,7 @@ func (v Value) Coerce(to Kind) (Value, error) {
 	case KindBool:
 		switch v.kind {
 		case KindInt:
-			return NewBool(v.i != 0), nil
+			return NewBool(v.n != 0), nil
 		case KindString:
 			b, err := strconv.ParseBool(strings.ToLower(v.s))
 			if err != nil {
@@ -359,15 +360,13 @@ func (v Value) Coerce(to Kind) (Value, error) {
 	case KindInt:
 		switch v.kind {
 		case KindFloat:
-			if v.f != math.Trunc(v.f) || math.IsNaN(v.f) || math.IsInf(v.f, 0) {
-				return Null, fmt.Errorf("cannot coerce %v to INT without loss", v.f)
+			f := v.Float()
+			if f != math.Trunc(f) || math.IsNaN(f) || math.IsInf(f, 0) {
+				return Null, fmt.Errorf("cannot coerce %v to INT without loss", f)
 			}
-			return NewInt(int64(v.f)), nil
+			return NewInt(int64(f)), nil
 		case KindBool:
-			if v.b {
-				return NewInt(1), nil
-			}
-			return NewInt(0), nil
+			return NewInt(int64(v.n)), nil
 		case KindString:
 			i, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
 			if err != nil {
@@ -375,14 +374,14 @@ func (v Value) Coerce(to Kind) (Value, error) {
 			}
 			return NewInt(i), nil
 		case KindTime:
-			return NewInt(v.t.Unix()), nil
+			return NewInt(int64(v.n)), nil
 		default:
 			// Uncoercible: fall through to the error below.
 		}
 	case KindFloat:
 		switch v.kind {
 		case KindInt:
-			return NewFloat(float64(v.i)), nil
+			return NewFloat(float64(v.Int())), nil
 		case KindString:
 			f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
 			if err != nil {
@@ -407,7 +406,7 @@ func (v Value) Coerce(to Kind) (Value, error) {
 			}
 			return NewTime(t), nil
 		case KindInt:
-			return NewTime(time.Unix(v.i, 0)), nil
+			return newUnixTime(v.Int(), 0), nil
 		default:
 			// Uncoercible: fall through to the error below.
 		}

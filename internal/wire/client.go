@@ -545,25 +545,12 @@ func (it *streamIter) Next() (types.Row, error) {
 		it.fail(err)
 		return nil, err
 	case msgRows:
-		d := NewDecoder(payload)
-		n, err := d.Uvarint()
-		if err != nil {
+		// The slot array is reused: the previous batch is fully consumed
+		// (pos == len) before a new msgRows frame is read, and handed-out
+		// rows live in their own frame's slab, not in the slots.
+		if it.batch, err = NewDecoder(payload).rowBatch(it.batch); err != nil {
 			it.fail(err)
 			return nil, err
-		}
-		// Reuse the batch slice: the previous batch is fully consumed
-		// (pos == len) before a new msgRows frame is read, and handed-out
-		// rows are independent of the slot array.
-		if cap(it.batch) >= int(n) {
-			it.batch = it.batch[:n]
-		} else {
-			it.batch = make([]types.Row, n)
-		}
-		for i := range it.batch {
-			if it.batch[i], err = d.Row(); err != nil {
-				it.fail(err)
-				return nil, err
-			}
 		}
 		it.pos = 0
 		if it.window > 0 {

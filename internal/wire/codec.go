@@ -77,7 +77,11 @@ func (e *Encoder) Value(v types.Value) {
 		e.Uvarint(uint64(len(b)))
 		e.buf = append(e.buf, b...)
 	case types.KindTime:
-		e.Varint(v.Time().UnixNano())
+		// The (seconds, nanos) pair types.Value holds: a single int64 of
+		// nanoseconds cannot carry a 0001-01-01 or 9999-12-31 sentinel.
+		t := v.Time()
+		e.Varint(t.Unix())
+		e.Uvarint(uint64(t.Nanosecond()))
 	}
 }
 
@@ -337,8 +341,18 @@ func (d *Decoder) Value() (types.Value, error) {
 		}
 		return types.NewBytes(b), nil
 	case types.KindTime:
-		n, err := d.Varint()
-		return types.NewTime(time.Unix(0, n)), err
+		sec, err := d.Varint()
+		if err != nil {
+			return types.Null, err
+		}
+		nsec, err := d.Uvarint()
+		if err != nil {
+			return types.Null, err
+		}
+		if nsec >= 1e9 {
+			return types.Null, fmt.Errorf("wire: bad TIME nanoseconds %d", nsec)
+		}
+		return types.NewTime(time.Unix(sec, int64(nsec))), nil
 	default:
 		return types.Null, fmt.Errorf("wire: bad value tag %d", tag)
 	}
@@ -354,12 +368,71 @@ func (d *Decoder) Row() (types.Row, error) {
 		return nil, io.ErrUnexpectedEOF
 	}
 	r := make(types.Row, n)
-	for i := range r {
-		if r[i], err = d.Value(); err != nil {
-			return nil, err
-		}
+	if err := d.values(r); err != nil {
+		return nil, err
 	}
 	return r, nil
+}
+
+// values fills dst with the next len(dst) values.
+func (d *Decoder) values(dst []types.Value) error {
+	for i := range dst {
+		var err error
+		if dst[i], err = d.Value(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rowBatch reads a msgRows payload — a row count, then that many rows —
+// into batch, reusing its slot array when it is large enough. The rows
+// are carved from one slab, sized from the first row's width (a result
+// stream's rows all have one), so a frame costs one allocation and not
+// one per row. Each row is cut with a full slice expression, so
+// appending to it copies instead of reaching its neighbour, and a slab
+// is never written again once decoded: rows stay valid for as long as
+// the caller keeps them.
+func (d *Decoder) rowBatch(batch []types.Row) ([]types.Row, error) {
+	n, err := d.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	// Every row takes at least its width byte, every value its tag byte:
+	// Remaining bounds what a hostile count or width can make us allocate.
+	if n > uint64(d.Remaining()) {
+		return nil, io.ErrUnexpectedEOF
+	}
+	if cap(batch) >= int(n) {
+		batch = batch[:n]
+	} else {
+		//lint:ignore hotalloc the slot array grows to the frame size once per stream
+		batch = make([]types.Row, n)
+	}
+	var slab []types.Value
+	for i := range batch {
+		w, err := d.Uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if w > uint64(d.Remaining()) {
+			return nil, io.ErrUnexpectedEOF
+		}
+		width := int(w)
+		if slab == nil || width > len(slab) {
+			// The first row, or one wider than those before it: room
+			// for the rest of the frame at this width.
+			//lint:ignore hotalloc one slab per frame, not per row
+			slab = make([]types.Value, min(width*(len(batch)-i), d.Remaining()))
+		}
+		row := slab[:width:width]
+		slab = slab[width:]
+		if err := d.values(row); err != nil {
+			return nil, err
+		}
+		batch[i] = row
+	}
+	return batch, nil
 }
 
 // Schema reads a schema.

@@ -23,6 +23,10 @@ func TestValueRoundTrip(t *testing.T) {
 		types.NewString("héllo wörld"),
 		types.NewBytes([]byte{0, 1, 2, 255}),
 		types.NewTime(time.Date(2021, 6, 1, 12, 0, 0, 123456789, time.UTC)),
+		// Sentinel dates outside what one int64 of nanoseconds holds.
+		types.NewTime(time.Date(1, 1, 1, 0, 0, 0, 0, time.UTC)),
+		types.NewTime(time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC)),
+		types.NewTime(time.Unix(0, -1)),
 	}
 	var e Encoder
 	for _, v := range vals {
@@ -163,6 +167,88 @@ func TestDecoderGarbage(t *testing.T) {
 	}
 	if _, err := NewDecoder([]byte{0xee}).Expr(); err == nil {
 		t.Error("garbage expr tag must error")
+	}
+	var e Encoder
+	e.Byte(byte(types.KindTime))
+	e.Varint(0)
+	e.Uvarint(1e9)
+	if _, err := NewDecoder(e.Bytes()).Value(); err == nil {
+		t.Error("TIME with 1e9 nanoseconds must error")
+	}
+	// A row count or a width the payload cannot hold must fail before
+	// anything is allocated for it.
+	for _, hostile := range [][]byte{
+		{0xff, 0xff, 0xff, 0xff, 0x0f},       // 2^32-1 rows, no bytes
+		{0x01, 0xff, 0xff, 0xff, 0xff, 0x0f}, // one row of 2^32-1 values
+	} {
+		if _, err := NewDecoder(hostile).rowBatch(nil); err == nil {
+			t.Errorf("rowBatch(% x) must error", hostile)
+		}
+	}
+}
+
+// frameOf encodes rows as one msgRows payload.
+func frameOf(rows []types.Row) []byte {
+	var e Encoder
+	for _, r := range rows {
+		e.Row(r)
+	}
+	return prependCount(e.Bytes(), len(rows))
+}
+
+// TestRowBatchRowsDoNotAlias: the rows of one frame share a slab, so
+// each must be cut to its own length, and a frame decoded later into
+// the same slot array must not disturb rows already handed out.
+func TestRowBatchRowsDoNotAlias(t *testing.T) {
+	mk := func(base, n, width int) []types.Row {
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = make(types.Row, width)
+			for j := range rows[i] {
+				rows[i][j] = types.NewInt(int64(base + i*width + j))
+			}
+		}
+		return rows
+	}
+	first := mk(0, 8, 3)
+	batch, err := NewDecoder(frameOf(first)).rowBatch(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := append([]types.Row(nil), batch...)
+	for i, r := range kept {
+		if cap(r) != len(r) {
+			t.Errorf("row %d: cap %d != len %d", i, cap(r), len(r))
+		}
+	}
+	for i := range kept {
+		_ = append(kept[i], types.NewString("intruder"))
+	}
+	// The next frame reuses the slot array, not the slab.
+	second, err := NewDecoder(frameOf(mk(1000, 8, 3))).rowBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &second[0] != &batch[0] {
+		t.Error("slot array was not reused")
+	}
+	for i, r := range kept {
+		if !r.Equal(first[i]) {
+			t.Errorf("row %d = %v after append and next frame, want %v", i, r, first[i])
+		}
+	}
+
+	// Rows of unequal width (no source sends them, the format allows
+	// them): narrower, empty and wider rows all decode intact.
+	ragged := []types.Row{mk(0, 1, 2)[0], {}, mk(10, 1, 1)[0], mk(20, 1, 5)[0], mk(30, 1, 5)[0]}
+	got, err := NewDecoder(frameOf(ragged)).rowBatch(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range got {
+		if !r.Equal(ragged[i]) || cap(r) != len(r) || r == nil {
+			t.Errorf("ragged row %d = %v (cap %d), want %v", i, r, cap(r), ragged[i])
+		}
 	}
 }
 

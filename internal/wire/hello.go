@@ -26,7 +26,9 @@ import (
 )
 
 // helloVersion is the protocol revision announced in msgHello.
-const helloVersion = 1
+// Revision 2 ships TIME as (unix seconds, nanoseconds), not one int64
+// of nanoseconds.
+const helloVersion = 2
 
 // defaultCreditWindow is how many msgRows frames either side is
 // willing to have in flight before requiring a credit grant. The

@@ -354,3 +354,105 @@ func TestClientDialFailure(t *testing.T) {
 		t.Error("dialing a dead address must error")
 	}
 }
+
+// TestStreamRowsOutliveIterator: rows handed out by a stream are kept by
+// Drain and by a hash join's build side after the stream has moved on.
+// They must not share capacity with their neighbours in the frame's
+// slab, nor change when later frames are decoded or the stream closes.
+func TestStreamRowsOutliveIterator(t *testing.T) {
+	st, cl := startRelServer(t, 3*rowBatchSize+17)
+	q := source.NewScan("items")
+	q.OrderBy = []source.OrderSpec{{Col: 0}}
+	local, err := st.Execute(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := source.Drain(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := cl.Execute(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []types.Row
+	for {
+		r, err := it.Next()
+		if err != nil {
+			break
+		}
+		if cap(r) != len(r) {
+			t.Fatalf("row %d: cap %d != len %d", len(got), cap(r), len(r))
+		}
+		_ = append(r, types.NewString("intruder"))
+		got = append(got, r)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("streamed %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("row %d = %v after the stream closed, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestRemoteTimeSentinelsMatchLocal: the answer must not depend on the
+// wrapper class. The 0001-01-01 and 9999-12-31 sentinel dates lie
+// outside what an int64 of nanoseconds can carry, which is how TIME
+// used to cross the wire.
+func TestRemoteTimeSentinelsMatchLocal(t *testing.T) {
+	st := relstore.New("dates")
+	schema := types.NewSchema(
+		types.Column{Name: "id", Type: types.KindInt},
+		types.Column{Name: "at", Type: types.KindTime},
+	)
+	if err := st.CreateTable("spans", schema, 0); err != nil {
+		t.Fatal(err)
+	}
+	rows := []types.Row{
+		{types.NewInt(1), types.NewTime(time.Date(1, 1, 1, 0, 0, 0, 0, time.UTC))},
+		{types.NewInt(2), types.NewTime(time.Date(9999, 12, 31, 0, 0, 0, 0, time.UTC))},
+		{types.NewInt(3), types.NewTime(time.Date(2024, 2, 29, 12, 0, 0, 1, time.UTC))},
+	}
+	if _, err := st.Insert(ctx, "spans", rows); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(context.Background(), "127.0.0.1:0", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cl, err := DialContext(ctx, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+
+	q := source.NewScan("spans")
+	q.OrderBy = []source.OrderSpec{{Col: 0}}
+	answer := func(src source.Source) []types.Row {
+		t.Helper()
+		it, err := src.Execute(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := source.Drain(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	local, remote := answer(st), answer(cl)
+	if len(local) != len(rows) || len(remote) != len(rows) {
+		t.Fatalf("local %d rows, remote %d, want %d", len(local), len(remote), len(rows))
+	}
+	for i := range local {
+		if !remote[i].Equal(local[i]) || remote[i].String() != local[i].String() {
+			t.Errorf("row %d: remote %v, local %v", i, remote[i], local[i])
+		}
+	}
+}
