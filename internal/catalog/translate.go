@@ -146,32 +146,41 @@ func (f *Fragment) RemoteCols(globalCols []int) (remote []int, backed []bool) {
 // representation of globalCols, coercing to the global column types.
 func (f *Fragment) TranslateRow(globalSchema *types.Schema, globalCols []int, remoteRow types.Row) (types.Row, error) {
 	out := make(types.Row, len(globalCols))
+	if err := f.TranslateInto(out, globalSchema, globalCols, remoteRow); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// TranslateInto is TranslateRow into a row the caller supplies, which
+// must be len(globalCols) wide.
+func (f *Fragment) TranslateInto(dst types.Row, globalSchema *types.Schema, globalCols []int, remoteRow types.Row) error {
 	ri := 0
 	for i, g := range globalCols {
 		m := f.Columns[g]
 		var v types.Value
 		if m.RemoteCol >= 0 {
 			if ri >= len(remoteRow) {
-				return nil, fmt.Errorf("catalog: remote row too short for fragment %s.%s", f.Source, f.RemoteTable)
+				return fmt.Errorf("catalog: remote row too short for fragment %s.%s", f.Source, f.RemoteTable)
 			}
 			v = remoteRow[ri]
 			ri++
 		}
 		gv, err := m.ToGlobal(v)
 		if err != nil {
-			return nil, fmt.Errorf("catalog: fragment %s.%s column %s: %w",
+			return fmt.Errorf("catalog: fragment %s.%s column %s: %w",
 				f.Source, f.RemoteTable, globalSchema.Columns[g].Name, err)
 		}
 		if !gv.IsNull() && gv.Kind() != globalSchema.Columns[g].Type {
 			gv, err = gv.Coerce(globalSchema.Columns[g].Type)
 			if err != nil {
-				return nil, fmt.Errorf("catalog: fragment %s.%s column %s: %w",
+				return fmt.Errorf("catalog: fragment %s.%s column %s: %w",
 					f.Source, f.RemoteTable, globalSchema.Columns[g].Name, err)
 			}
 		}
-		out[i] = gv
+		dst[i] = gv
 	}
-	return out, nil
+	return nil
 }
 
 // PruneByPartition reports whether the fragment can be skipped entirely

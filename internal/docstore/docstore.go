@@ -35,6 +35,7 @@ type Store struct {
 
 type collection struct {
 	fields []FieldMap
+	paths  [][]string // fields[i].Path split at the dots, once
 	schema *types.Schema
 	docs   []map[string]any
 }
@@ -55,14 +56,17 @@ func (s *Store) CreateCollection(name string, fields []FieldMap) error {
 		return fmt.Errorf("docstore %s: collection %q needs at least one field", s.name, name)
 	}
 	cols := make([]types.Column, len(fields))
+	paths := make([][]string, len(fields))
 	for i, f := range fields {
 		if f.Path == "" {
 			return fmt.Errorf("docstore %s: field %q has empty path", s.name, f.Column.Name)
 		}
 		cols[i] = f.Column
+		paths[i] = strings.Split(f.Path, ".")
 	}
 	s.collections[name] = &collection{
 		fields: append([]FieldMap(nil), fields...),
+		paths:  paths,
 		schema: &types.Schema{Columns: cols},
 	}
 	return nil
@@ -135,63 +139,96 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	if q.HasAggregation() || len(q.OrderBy) > 0 || q.Limit >= 0 {
 		return nil, fmt.Errorf("docstore %s: query shape exceeds capabilities: %s", s.name, q)
 	}
+	w := len(c.fields)
+	for _, col := range q.Columns {
+		if col < 0 || col >= w {
+			return nil, fmt.Errorf("docstore %s: projected column %d out of range", s.name, col)
+		}
+	}
+	if q.Columns != nil {
+		w = len(q.Columns)
+	}
+	// One scratch row serves every document: only the fields the filter
+	// or the projection reads are extracted into it, and an output row
+	// is carved only for a document that passes.
+	need := c.fieldsRead(q.Columns, q.Filter)
+	scratch := make(types.Row, len(c.fields))
+	var slab types.RowSlab
 	var out []types.Row
 	for _, doc := range c.docs {
-		row, err := c.extract(doc)
+		match, err := c.matches(scratch, doc, need, q.Filter)
 		if err != nil {
 			return nil, fmt.Errorf("docstore %s: %w", s.name, err)
 		}
-		if q.Filter != nil {
-			ok, err := expr.EvalBool(q.Filter, row)
-			if err != nil {
-				return nil, fmt.Errorf("docstore %s: %w", s.name, err)
-			}
-			if !ok {
-				continue
-			}
+		if !match {
+			continue
 		}
-		if q.Columns != nil {
-			nr := make(types.Row, len(q.Columns))
+		row := slab.Next(w)
+		if q.Columns == nil {
+			copy(row, scratch)
+		} else {
 			for j, col := range q.Columns {
-				if col < 0 || col >= len(row) {
-					return nil, fmt.Errorf("docstore %s: projected column %d out of range", s.name, col)
-				}
-				nr[j] = row[col]
+				row[j] = scratch[col]
 			}
-			row = nr
 		}
 		out = append(out, row)
 	}
 	return source.SliceIter(out), nil
 }
 
-// extract projects one document onto the collection's schema, coercing
-// JSON values to the declared column types. Missing paths yield NULL.
-func (c *collection) extract(doc map[string]any) (types.Row, error) {
-	row := make(types.Row, len(c.fields))
-	for i, f := range c.fields {
-		raw, found := lookupPath(doc, f.Path)
+// fieldsRead marks the fields a statement reads: the projected columns
+// (every field when cols is nil) and the columns the expressions
+// reference. The rest of a scratch row stays NULL.
+func (c *collection) fieldsRead(cols []int, exprs ...expr.Expr) []bool {
+	//lint:ignore hotalloc one mask per statement, not per document
+	read := make([]bool, len(c.fields))
+	for i := range read {
+		read[i] = cols == nil
+	}
+	for _, col := range cols {
+		read[col] = true
+	}
+	for _, e := range exprs {
+		for _, ref := range expr.Columns(e) {
+			if ref.Index >= 0 && ref.Index < len(read) {
+				read[ref.Index] = true
+			}
+		}
+	}
+	return read
+}
+
+// extract projects the fields marked in need from one document onto
+// row (as wide as the collection's schema), coercing JSON values to the
+// declared column types. Missing paths yield NULL.
+func (c *collection) extract(row types.Row, doc map[string]any, need []bool) error {
+	for i, path := range c.paths {
+		if !need[i] {
+			continue
+		}
+		raw, found := lookupPath(doc, path)
 		if !found || raw == nil {
 			row[i] = types.Null
 			continue
 		}
+		f := &c.fields[i]
 		v, err := fromJSON(raw)
 		if err != nil {
-			return nil, fmt.Errorf("field %s (path %s): %w", f.Column.Name, f.Path, err)
+			return fmt.Errorf("field %s (path %s): %w", f.Column.Name, f.Path, err)
 		}
 		cv, err := v.Coerce(f.Column.Type)
 		if err != nil {
-			return nil, fmt.Errorf("field %s (path %s): %w", f.Column.Name, f.Path, err)
+			return fmt.Errorf("field %s (path %s): %w", f.Column.Name, f.Path, err)
 		}
 		row[i] = cv
 	}
-	return row, nil
+	return nil
 }
 
-// lookupPath walks a dotted path through nested JSON objects.
-func lookupPath(doc map[string]any, path string) (any, bool) {
+// lookupPath walks a path through nested JSON objects.
+func lookupPath(doc map[string]any, path []string) (any, bool) {
 	cur := any(doc)
-	for _, part := range strings.Split(path, ".") {
+	for _, part := range path {
 		m, ok := cur.(map[string]any)
 		if !ok {
 			return nil, false
@@ -305,7 +342,9 @@ func (s *Store) Insert(_ context.Context, name string, rows []types.Row) (int64,
 }
 
 // Update implements source.Writer: documents whose extracted row matches
-// the filter get the mapped paths of the SET clauses rewritten.
+// the filter get the mapped paths of the SET clauses rewritten. Every
+// new value is computed before any document is written, so a filter or
+// SET expression that fails leaves the collection as it was.
 func (s *Store) Update(_ context.Context, name string, filter expr.Expr, set []source.SetClause) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -313,39 +352,46 @@ func (s *Store) Update(_ context.Context, name string, filter expr.Expr, set []s
 	if !ok {
 		return 0, fmt.Errorf("docstore %s: unknown collection %q", s.name, name)
 	}
-	var n int64
-	for _, doc := range c.docs {
-		row, err := c.extract(doc)
-		if err != nil {
-			return n, fmt.Errorf("docstore %s: %w", s.name, err)
+	reads := []expr.Expr{filter}
+	for _, sc := range set {
+		if sc.Col < 0 || sc.Col >= len(c.fields) {
+			return 0, fmt.Errorf("docstore %s: SET column %d out of range", s.name, sc.Col)
 		}
-		if filter != nil {
-			ok, err := expr.EvalBool(filter, row)
-			if err != nil {
-				return n, err
-			}
-			if !ok {
-				continue
-			}
+		reads = append(reads, sc.Value)
+	}
+	need := c.fieldsRead([]int{}, reads...)
+	scratch := make(types.Row, len(c.fields))
+	var hits []map[string]any
+	var vals []any // len(set) new values per hit
+	for _, doc := range c.docs {
+		match, err := c.matches(scratch, doc, need, filter)
+		if err != nil {
+			return 0, fmt.Errorf("docstore %s: %w", s.name, err)
+		}
+		if !match {
+			continue
 		}
 		for _, sc := range set {
-			if sc.Col < 0 || sc.Col >= len(c.fields) {
-				return n, fmt.Errorf("docstore %s: SET column %d out of range", s.name, sc.Col)
-			}
-			v, err := sc.Value.Eval(row)
+			v, err := sc.Value.Eval(scratch)
 			if err != nil {
-				return n, err
+				return 0, err
 			}
-			if err := setPath(doc, c.fields[sc.Col].Path, toJSON(v)); err != nil {
-				return n, fmt.Errorf("docstore %s: %w", s.name, err)
+			vals = append(vals, toJSON(v))
+		}
+		hits = append(hits, doc)
+	}
+	for i, doc := range hits {
+		for j, sc := range set {
+			if err := setPath(doc, c.fields[sc.Col].Path, vals[i*len(set)+j]); err != nil {
+				return int64(i), fmt.Errorf("docstore %s: %w", s.name, err)
 			}
 		}
-		n++
 	}
-	return n, nil
+	return int64(len(hits)), nil
 }
 
-// Delete implements source.Writer.
+// Delete implements source.Writer. Every document is decided before the
+// collection changes, so a filter that fails leaves it as it was.
 func (s *Store) Delete(_ context.Context, name string, filter expr.Expr) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -353,26 +399,31 @@ func (s *Store) Delete(_ context.Context, name string, filter expr.Expr) (int64,
 	if !ok {
 		return 0, fmt.Errorf("docstore %s: unknown collection %q", s.name, name)
 	}
-	kept := c.docs[:0]
-	var n int64
+	need := c.fieldsRead([]int{}, filter)
+	scratch := make(types.Row, len(c.fields))
+	kept := make([]map[string]any, 0, len(c.docs))
 	for _, doc := range c.docs {
-		row, err := c.extract(doc)
+		match, err := c.matches(scratch, doc, need, filter)
 		if err != nil {
-			return n, fmt.Errorf("docstore %s: %w", s.name, err)
+			return 0, fmt.Errorf("docstore %s: %w", s.name, err)
 		}
-		match := true
-		if filter != nil {
-			match, err = expr.EvalBool(filter, row)
-			if err != nil {
-				return n, err
-			}
+		if !match {
+			kept = append(kept, doc)
 		}
-		if match {
-			n++
-			continue
-		}
-		kept = append(kept, doc)
 	}
+	n := int64(len(c.docs) - len(kept))
 	c.docs = kept
 	return n, nil
+}
+
+// matches extracts doc's needed fields into scratch and evaluates the
+// filter (nil matches everything) over it.
+func (c *collection) matches(scratch types.Row, doc map[string]any, need []bool, filter expr.Expr) (bool, error) {
+	if err := c.extract(scratch, doc, need); err != nil {
+		return false, err
+	}
+	if filter == nil {
+		return true, nil
+	}
+	return expr.EvalBool(filter, scratch)
 }

@@ -238,6 +238,7 @@ type projectIter struct {
 	ctx   context.Context
 	in    source.RowIter
 	exprs []expr.Expr
+	slab  types.RowSlab
 }
 
 func (p *projectIter) Next() (types.Row, error) {
@@ -248,7 +249,7 @@ func (p *projectIter) Next() (types.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make(types.Row, len(p.exprs))
+	out := p.slab.Next(len(p.exprs))
 	for i, e := range p.exprs {
 		v, err := e.Eval(r)
 		if err != nil {

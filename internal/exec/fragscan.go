@@ -116,6 +116,7 @@ func identityProjection(out []int, width int) bool {
 type colProjectIter struct {
 	in   source.RowIter
 	cols []int
+	slab types.RowSlab
 }
 
 func (p *colProjectIter) Next() (types.Row, error) {
@@ -123,7 +124,7 @@ func (p *colProjectIter) Next() (types.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make(types.Row, len(p.cols))
+	out := p.slab.Next(len(p.cols))
 	for i, c := range p.cols {
 		if c < 0 || c >= len(r) {
 			return nil, fmt.Errorf("exec: projection column %d out of range (row width %d)", c, len(r))
@@ -143,6 +144,7 @@ type translateIter struct {
 	// row already matches the fetched layout.
 	checked bool
 	fast    bool
+	slab    types.RowSlab
 }
 
 func (t *translateIter) Next() (types.Row, error) {
@@ -157,8 +159,8 @@ func (t *translateIter) Next() (types.Row, error) {
 	if t.fast {
 		return r, nil
 	}
-	out, err := t.fs.Frag.TranslateRow(t.fs.GlobalSchema, t.fs.Cols, r)
-	if err != nil {
+	out := t.slab.Next(len(t.fs.Cols))
+	if err := t.fs.Frag.TranslateInto(out, t.fs.GlobalSchema, t.fs.Cols, r); err != nil {
 		return nil, err
 	}
 	return out, nil

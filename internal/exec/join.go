@@ -119,6 +119,24 @@ func keyEqual(l types.Row, lc []int, r types.Row, rc []int) bool {
 	return true
 }
 
+// joinedRow carves l followed by r. A row the join then does not emit
+// (the condition rejects it, or the join is semi/anti and emits l) is
+// given back with Undo.
+func joinedRow(slab *types.RowSlab, l, r types.Row) types.Row {
+	out := slab.Next(len(l) + len(r))
+	copy(out, l)
+	copy(out[len(l):], r)
+	return out
+}
+
+// leftPadded carves l followed by rightWidth NULLs, which a carved row
+// already holds.
+func leftPadded(slab *types.RowSlab, l types.Row, rightWidth int) types.Row {
+	out := slab.Next(len(l) + rightWidth)
+	copy(out, l)
+	return out
+}
+
 // hashJoinIter streams left rows against a hash table of right rows.
 type hashJoinIter struct {
 	ctx        context.Context
@@ -137,6 +155,7 @@ type hashJoinIter struct {
 	matched  bool
 	done     bool
 	probed   int64 // left rows consumed, flushed to metrics at stream end
+	slab     types.RowSlab
 }
 
 func (h *hashJoinIter) Next() (types.Row, error) {
@@ -151,20 +170,23 @@ func (h *hashJoinIter) Next() (types.Row, error) {
 		for h.midx < len(h.matches) {
 			r := h.matches[h.midx]
 			h.midx++
-			joined := h.cur.Concat(r)
+			joined := joinedRow(&h.slab, h.cur, r)
 			ok, err := h.condHolds(joined)
 			if err != nil {
 				return nil, err
 			}
 			if !ok {
+				h.slab.Undo(joined)
 				continue
 			}
 			h.matched = true
 			switch h.j.Kind {
 			case plan.JoinSemi:
+				h.slab.Undo(joined)
 				h.matches = nil // one match suffices
 				return h.cur, nil
 			case plan.JoinAnti:
+				h.slab.Undo(joined)
 				h.matches = nil // disqualified
 			default:
 				return joined, nil
@@ -177,8 +199,7 @@ func (h *hashJoinIter) Next() (types.Row, error) {
 			if !matched {
 				switch h.j.Kind {
 				case plan.JoinLeft:
-					nulls := make(types.Row, h.rightWidth)
-					return cur.Concat(nulls), nil
+					return leftPadded(&h.slab, cur, h.rightWidth), nil
 				case plan.JoinAnti:
 					return cur, nil
 				default:
@@ -260,6 +281,7 @@ type nlJoinIter struct {
 	ridx    int
 	matched bool
 	done    bool
+	slab    types.RowSlab
 }
 
 func (n *nlJoinIter) Next() (types.Row, error) {
@@ -286,7 +308,7 @@ func (n *nlJoinIter) Next() (types.Row, error) {
 		for n.ridx < len(n.right) {
 			r := n.right[n.ridx]
 			n.ridx++
-			joined := n.cur.Concat(r)
+			joined := joinedRow(&n.slab, n.cur, r)
 			ok := true
 			if n.j.Cond != nil {
 				var err error
@@ -296,16 +318,19 @@ func (n *nlJoinIter) Next() (types.Row, error) {
 				}
 			}
 			if !ok {
+				n.slab.Undo(joined)
 				continue
 			}
 			n.matched = true
 			switch n.j.Kind {
 			case plan.JoinSemi:
+				n.slab.Undo(joined)
 				n.ridx = len(n.right)
 				cur := n.cur
 				n.cur = nil
 				return cur, nil
 			case plan.JoinAnti:
+				n.slab.Undo(joined)
 				n.ridx = len(n.right) // disqualified
 			default:
 				return joined, nil
@@ -316,7 +341,7 @@ func (n *nlJoinIter) Next() (types.Row, error) {
 		if !matched {
 			switch n.j.Kind {
 			case plan.JoinLeft:
-				return cur.Concat(make(types.Row, n.rightWidth)), nil
+				return leftPadded(&n.slab, cur, n.rightWidth), nil
 			case plan.JoinAnti:
 				return cur, nil
 			default:

@@ -48,6 +48,7 @@ type mergeJoinIter struct {
 	nextR    types.Row // lookahead past the current run
 	rightEOF bool
 	done     bool
+	slab     types.RowSlab
 }
 
 // Next implements source.RowIter.
@@ -61,7 +62,7 @@ func (m *mergeJoinIter) Next() (types.Row, error) {
 		}
 		// Emit pending matches for the current left row.
 		for m.curL != nil && m.runIdx < len(m.rightRun) {
-			joined := m.curL.Concat(m.rightRun[m.runIdx])
+			joined := joinedRow(&m.slab, m.curL, m.rightRun[m.runIdx])
 			m.runIdx++
 			ok := true
 			if m.j.Cond != nil {
@@ -74,6 +75,7 @@ func (m *mergeJoinIter) Next() (types.Row, error) {
 			if ok {
 				return joined, nil
 			}
+			m.slab.Undo(joined)
 		}
 		// Advance the left side.
 		l, err := m.left.Next()

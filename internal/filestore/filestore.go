@@ -14,6 +14,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"gis/internal/source"
 	"gis/internal/types"
@@ -36,7 +37,9 @@ type fileTable struct {
 	data      string
 	comma     rune
 	hasHeader bool
-	rowCount  int64 // -1 until first full scan
+	// rowCount is -1 until the first full scan. Concurrent scans each
+	// store it at EOF while TableInfo reads it.
+	rowCount atomic.Int64
 }
 
 // Option configures a registered file.
@@ -70,7 +73,7 @@ func (s *Store) register(name string, t *fileTable, opts []Option) error {
 		return fmt.Errorf("filestore %s: table %q already exists", s.name, name)
 	}
 	t.comma = ','
-	t.rowCount = -1
+	t.rowCount.Store(-1)
 	for _, o := range opts {
 		o(t)
 	}
@@ -100,7 +103,7 @@ func (s *Store) TableInfo(_ context.Context, name string) (*source.TableInfo, er
 	if !ok {
 		return nil, fmt.Errorf("filestore %s: unknown table %q", s.name, name)
 	}
-	return &source.TableInfo{Schema: t.schema.Clone(), RowCount: t.rowCount}, nil
+	return &source.TableInfo{Schema: t.schema.Clone(), RowCount: t.rowCount.Load()}, nil
 }
 
 // Capabilities implements source.Source: scan-only with projection.
@@ -153,7 +156,8 @@ type csvIter struct {
 	t     *fileTable
 	r     *csv.Reader
 	c     io.Closer
-	cols  []int
+	cols  []int // nil: every column
+	slab  types.RowSlab
 	count int64
 	done  bool
 }
@@ -169,7 +173,7 @@ func (it *csvIter) Next() (types.Row, error) {
 	rec, err := it.r.Read()
 	if err == io.EOF {
 		it.done = true
-		it.t.rowCount = it.count
+		it.t.rowCount.Store(it.count)
 		return nil, io.EOF
 	}
 	if err != nil {
@@ -180,35 +184,24 @@ func (it *csvIter) Next() (types.Row, error) {
 	if len(rec) != schema.Len() {
 		return nil, fmt.Errorf("filestore %s: record %d has %d fields, want %d", it.store, it.count, len(rec), schema.Len())
 	}
-	parseField := func(col int) (types.Value, error) {
-		field := rec[col]
-		if field == "" {
-			return types.Null, nil
-		}
-		v, err := types.NewString(field).Coerce(schema.Columns[col].Type)
-		if err != nil {
-			return types.Null, fmt.Errorf("filestore %s: record %d column %s: %w", it.store, it.count, schema.Columns[col].Name, err)
-		}
-		return v, nil
-	}
+	w := len(rec)
 	if it.cols != nil {
-		row := make(types.Row, len(it.cols))
-		for i, c := range it.cols {
-			v, err := parseField(c)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		return row, nil
+		w = len(it.cols)
 	}
-	row := make(types.Row, schema.Len())
-	for c := range row {
-		v, err := parseField(c)
-		if err != nil {
-			return nil, err
+	row := it.slab.Next(w)
+	for i := range row {
+		col := i
+		if it.cols != nil {
+			col = it.cols[i]
 		}
-		row[c] = v
+		if rec[col] == "" {
+			continue // NULL, which a carved row already holds
+		}
+		v, err := types.NewString(rec[col]).Coerce(schema.Columns[col].Type)
+		if err != nil {
+			return nil, fmt.Errorf("filestore %s: record %d column %s: %w", it.store, it.count, schema.Columns[col].Name, err)
+		}
+		row[i] = v
 	}
 	return row, nil
 }

@@ -2,8 +2,12 @@ package filestore
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"gis/internal/source"
@@ -149,5 +153,121 @@ func TestFileCapabilities(t *testing.T) {
 	c := New("f").Capabilities()
 	if c.Filter != source.FilterNone || !c.Project || c.Write {
 		t.Errorf("caps = %v", c)
+	}
+}
+
+// TestConcurrentScansAndTableInfo is for -race: every scan stores the
+// table's row count at EOF while TableInfo reads it.
+func TestConcurrentScansAndTableInfo(t *testing.T) {
+	s := New("files")
+	if err := s.RegisterData("products", csvData, fileSchema); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				it, err := s.Execute(ctx, source.NewScan("products"))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if rows, err := source.Drain(it); err != nil || len(rows) != 3 {
+					t.Errorf("scan = %d rows, %v", len(rows), err)
+					return
+				}
+				if info, err := s.TableInfo(ctx, "products"); err != nil || info.RowCount != 3 {
+					t.Errorf("TableInfo after a full scan = %+v, %v", info, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestScanRowsSurviveTheStream checks the rows of a long scan once it
+// has ended: past the first 64 they are carved from shared chunks, and
+// empty fields must read NULL whatever the chunk held.
+func TestScanRowsSurviveTheStream(t *testing.T) {
+	var data strings.Builder
+	for i := 0; i < 500; i++ {
+		if i%3 == 0 {
+			fmt.Fprintf(&data, "%d,,%d.5\n", i, i)
+		} else {
+			fmt.Fprintf(&data, "%d,item%d,\n", i, i)
+		}
+	}
+	s := New("files")
+	if err := s.RegisterData("products", data.String(), fileSchema); err != nil {
+		t.Fatal(err)
+	}
+	for _, cols := range [][]int{nil, {2, 0}, {1, 1}} {
+		q := source.NewScan("products")
+		q.Columns = cols
+		it, err := s.Execute(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := source.Drain(it)
+		if err != nil || len(rows) != 500 {
+			t.Fatalf("columns %v: %d rows, %v", cols, len(rows), err)
+		}
+		for i, r := range rows {
+			want := types.Row{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("item%d", i)), types.Null}
+			if i%3 == 0 {
+				want[1], want[2] = types.Null, types.NewFloat(float64(i)+0.5)
+			}
+			if cols != nil {
+				full := want
+				want = nil
+				for _, c := range cols {
+					want = append(want, full[c])
+				}
+			}
+			if len(r) != len(want) || !r.Equal(want) {
+				t.Fatalf("columns %v: row %d = %v, want %v", cols, i, r, want)
+			}
+		}
+	}
+}
+
+// BenchmarkScanProject parses 20 000 records and keeps three of their
+// five columns.
+func BenchmarkScanProject(b *testing.B) {
+	var data strings.Builder
+	for i := 0; i < 20000; i++ {
+		fmt.Fprintf(&data, "%d,%d,region%d,%d.25,open\n", i, i%997, i%5, i%1000)
+	}
+	s := New("bench")
+	schema := types.NewSchema(
+		types.Column{Name: "id", Type: types.KindInt},
+		types.Column{Name: "cust", Type: types.KindInt},
+		types.Column{Name: "region", Type: types.KindString},
+		types.Column{Name: "amount", Type: types.KindFloat},
+		types.Column{Name: "status", Type: types.KindString},
+	)
+	if err := s.RegisterData("orders", data.String(), schema); err != nil {
+		b.Fatal(err)
+	}
+	q := source.NewScan("orders")
+	q.Columns = []int{0, 2, 3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it, err := s.Execute(ctx, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for ; err == nil; n++ {
+			_, err = it.Next()
+		}
+		if err != io.EOF || n-1 != 20000 {
+			b.Fatalf("%d rows, %v", n-1, err)
+		}
+		it.Close()
 	}
 }

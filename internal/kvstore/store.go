@@ -127,6 +127,16 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 		}
 		return source.SliceIter(rows), nil
 	}
+	if lo.Unbounded && hi.Unbounded {
+		// A whole-bucket scan knows its length: growing rows by doubling
+		// copies twice what the result holds.
+		n := b.tree.Len()
+		if limit >= 0 && limit < int64(n) {
+			n = int(limit)
+		}
+		//lint:ignore hotalloc one slice of row headers per query, not per row
+		rows = make([]types.Row, 0, n)
+	}
 	b.tree.Ascend(lo, hi, func(_ types.Value, v types.Row) bool {
 		rows = append(rows, v)
 		return limit < 0 || int64(len(rows)) < limit

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"context"
+	"io"
 	"testing"
 
 	"gis/internal/expr"
@@ -192,5 +193,79 @@ func TestKVBucketErrors(t *testing.T) {
 	}
 	if s.Capabilities().Filter != source.FilterKey {
 		t.Error("kv capabilities must be FilterKey")
+	}
+}
+
+func benchBucket(tb testing.TB, n int) *Store {
+	tb.Helper()
+	s := New("kv")
+	schema := types.NewSchema(
+		types.Column{Name: "id", Type: types.KindInt},
+		types.Column{Name: "cust", Type: types.KindInt},
+		types.Column{Name: "amount", Type: types.KindFloat},
+	)
+	if err := s.CreateBucket("orders", schema, 0); err != nil {
+		tb.Fatal(err)
+	}
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 997)), types.NewFloat(float64(i%1000) + 0.25)}
+	}
+	if _, err := s.Insert(ctx, "orders", rows); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// A whole-bucket scan sizes its result from the tree (and the limit)
+// rather than growing it by doubling.
+func TestKVScanAllAllocatesItsResultOnce(t *testing.T) {
+	s := benchBucket(t, 5000)
+	for _, limit := range []int64{-1, 7} {
+		q := source.NewScan("orders")
+		q.Limit = limit
+		want := 5000
+		if limit >= 0 {
+			want = int(limit)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if n := scanAll(t, s, q); n != want {
+				t.Fatalf("limit %d: %d rows", limit, n)
+			}
+		})
+		// The result and the iterator; growing the result by doubling
+		// is 14 more at 5 000 rows.
+		if allocs > 4 {
+			t.Errorf("limit %d: %v allocations", limit, allocs)
+		}
+	}
+}
+
+// BenchmarkScanAll is an unbounded scan of a 20 000-row bucket.
+func BenchmarkScanAll(b *testing.B) {
+	s := benchBucket(b, 20000)
+	q := source.NewScan("orders")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := scanAll(b, s, q); n != 20000 {
+			b.Fatalf("%d rows", n)
+		}
+	}
+}
+
+// scanAll runs q and counts its rows without keeping them.
+func scanAll(tb testing.TB, s *Store, q *source.Query) int {
+	it, err := s.Execute(ctx, q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer it.Close()
+	for n := 0; ; n++ {
+		if _, err := it.Next(); err == io.EOF {
+			return n
+		} else if err != nil {
+			tb.Fatal(err)
+		}
 	}
 }

@@ -67,7 +67,10 @@ func Collect(rows []types.Row, width int) *TableStats {
 	ts := &TableStats{RowCount: int64(len(rows)), Columns: make([]ColumnStats, width)}
 	for c := 0; c < width; c++ {
 		var vals []types.Value
-		distinct := make(map[uint64][]types.Value)
+		// The first value seen per hash is kept inline; only values that
+		// collide with a different one go to the overflow lists.
+		distinct := make(map[uint64]types.Value)
+		var collided map[uint64][]types.Value
 		cs := &ts.Columns[c]
 		for _, r := range rows {
 			if c >= len(r) {
@@ -80,15 +83,17 @@ func Collect(rows []types.Row, width int) *TableStats {
 			}
 			vals = append(vals, v)
 			h := v.Hash(0)
-			dup := false
-			for _, p := range distinct[h] {
-				if p.Equal(v) {
-					dup = true
-					break
+			first, seen := distinct[h]
+			switch {
+			case !seen:
+				distinct[h] = v
+				cs.NDV++
+			case first.Equal(v):
+			case !containsValue(collided[h], v):
+				if collided == nil {
+					collided = make(map[uint64][]types.Value)
 				}
-			}
-			if !dup {
-				distinct[h] = append(distinct[h], v)
+				collided[h] = append(collided[h], v)
 				cs.NDV++
 			}
 			if cs.Min.IsNull() || v.Compare(cs.Min) < 0 {
@@ -103,6 +108,15 @@ func Collect(rows []types.Row, width int) *TableStats {
 		}
 	}
 	return ts
+}
+
+func containsValue(vals []types.Value, v types.Value) bool {
+	for _, p := range vals {
+		if p.Equal(v) {
+			return true
+		}
+	}
+	return false
 }
 
 // Merge combines statistics of disjoint fragments of the same table

@@ -16,14 +16,6 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// Concat returns a new row that is r followed by o.
-func (r Row) Concat(o Row) Row {
-	out := make(Row, 0, len(r)+len(o))
-	out = append(out, r...)
-	out = append(out, o...)
-	return out
-}
-
 // Equal reports identity equality of two rows (NULL == NULL).
 func (r Row) Equal(o Row) bool {
 	if len(r) != len(o) {

@@ -14,13 +14,6 @@ func TestRowCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestRowConcat(t *testing.T) {
-	r := Row{NewInt(1)}.Concat(Row{NewInt(2), NewInt(3)})
-	if len(r) != 3 || r[2].Int() != 3 {
-		t.Errorf("Concat = %v", r)
-	}
-}
-
 func TestRowEqualHash(t *testing.T) {
 	a := Row{NewInt(1), NewString("x"), Null}
 	b := Row{NewFloat(1), NewString("x"), Null}
