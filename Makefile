@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-ratchet lint-fixtures lint-concurrency lint-deadlock lint-stats fmt vet check chaos overload bench bench-e2e
+.PHONY: build test race lint lint-fixtures lint-stats fmt vet check chaos overload bench bench-e2e
 
 build:
 	$(GO) build ./...
@@ -11,45 +11,24 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Project invariant analyzers (stdlib-only driver; see DESIGN.md).
-# Baseline-aware: known perf-lint findings snapshotted in
-# lint.baseline.json are absorbed, anything new fails. After fixing
-# findings, shrink the snapshot with
-#   go run ./cmd/gislint -baseline lint.baseline.json -update-baseline ./...
-# and commit the smaller file — the ratchet only turns one way.
-lint: lint-ratchet
-
-lint-ratchet:
-	$(GO) run ./cmd/gislint -baseline lint.baseline.json ./...
+# Project invariant analyzers (stdlib-only driver; see DESIGN.md). Every
+# finding fails: there is no baseline and no warning level, so this one
+# run is the gate.
+lint:
+	$(GO) run ./cmd/gislint ./...
 
 # Assert every analyzer still fires on its fixture package (guards
-# against an analyzer silently going blind). Covers the interprocedural
-# fixtures, the sqlship/goleak suites, the concurrency-safety suites
-# (lockguard/atomicmix/wglifecycle/chanmisuse), the deadlock suites
-# (lockorder/selfdeadlock/blockcycle, plus the TestDeadlock* runtime
-# confirmation), the hot-path perf fixtures, and the
-# hotness/baseline/changed-mode unit tests; any unexpected-finding diff
-# is a hard failure.
+# against an analyzer silently going blind), plus the suppression,
+# call-graph and summary unit tests and the TestDeadlock* runtime
+# confirmation. `go test ./...` runs these too; the target is the quick
+# loop while editing an analyzer.
 lint-fixtures:
-	$(GO) test ./internal/lint -run 'TestFixtures|TestSuppressions|TestSummary|TestCallGraph|TestHotness|TestBaseline|TestLoadBaseline|TestChanged|TestDeadlock' -count=1
-
-# Concurrency-safety analyzers alone, at their native error severity
-# (no baseline: a lock-protocol finding is a bug, not ratcheted debt).
-lint-concurrency:
-	$(GO) run ./cmd/gislint -only lockguard,atomicmix,wglifecycle,chanmisuse ./...
-
-# Deadlock analyzers alone, at their native error severity (no
-# baseline: a lock-order cycle, self-deadlock, or lock-wait cycle is a
-# hang waiting for its interleaving, never ratcheted debt). The
-# module-wide lock-order graph itself is inspectable with
-#   go run ./cmd/gislint -dot lockorder ./...
-lint-deadlock:
-	$(GO) run ./cmd/gislint -only lockorder,selfdeadlock,blockcycle ./...
+	$(GO) test ./internal/lint -run 'TestFixtures|TestSuppressions|TestSummary|TestCallGraph|TestDeadlock' -count=1
 
 # Findings-by-analyzer counts plus call-graph/SCC dimensions, the
-# hot-set census, and the guard-model census (guardable structs, data
-# fields, accesses, inferred guarded fields) over the whole module
-# (one run is recorded in EXPERIMENTS.md).
+# guard-model census (guardable structs, data fields, accesses, inferred
+# guarded fields) and the lock-order census over the whole module (one
+# run is recorded in EXPERIMENTS.md).
 lint-stats:
 	$(GO) run ./cmd/gislint -stats ./...
 

@@ -18,34 +18,24 @@
 //	lockorder    no lock-order cycles: one global acquisition order for every mutex pair
 //	selfdeadlock no re-acquisition of a held non-reentrant mutex (double Lock, upgrade)
 //	blockcycle   no parking on a channel/WaitGroup while holding a lock the waker needs
-//	hotalloc     no per-row allocations in hot executor/codec code (warning)
-//	boxing       no scalar-to-interface boxing in hot code (warning)
-//	hotdefer     no defer inside hot loops (warning)
-//	valcopy      no large-struct by-value traffic in hot code (warning)
 //
 // Usage:
 //
-//	gislint [-only name[,name]] [-skip name[,name]] [-json|-sarif] [-v] [-stats] [-list]
-//	        [-baseline file [-update-baseline]] [-changed git-ref] [-dot lockorder] [packages]
+//	gislint [-only name[,name]] [-skip name[,name]] [-json] [-v] [-stats] [-list]
+//	        [-dot lockorder] [packages]
 //
-// Correctness analyzers report errors: any finding fails the run.
-// Performance analyzers report warnings and are normally gated through
-// the ratchet: -baseline lint.baseline.json absorbs the recorded debt
-// and reports only regressions; -update-baseline rewrites the snapshot
-// after a deliberate change.
+// Every finding is a contract violation and fails the run; there is no
+// warning level and no baseline, so `gislint ./...` with no flags is the
+// gate scripts/check.sh runs.
 //
 // Packages are directory patterns ("./...", "./internal/exec"); the
-// default is ./... from the current directory. -changed <git-ref>
-// narrows the matched packages to those whose files differ from the ref
-// (per git diff, plus untracked files) and the packages that
-// transitively import them, so an edit-lint loop pays only for the
-// blast radius of the edit. Diagnostics print as
+// default is ./... from the current directory. Diagnostics print as
 // file:line:col (or a JSON array with -json) and any finding makes the
-// driver exit 1 (2 on load or type-check failure), so it slots directly
-// into scripts/check.sh. Individual findings can be waived in source
-// with `//lint:ignore <analyzer> <reason>` — the reason is mandatory,
-// and a bare suppression is itself reported. Parsing fans out across a
-// bounded worker pool; the wall-time summary goes to stderr.
+// driver exit 1 (2 on load or type-check failure). Individual findings
+// can be waived in source with `//lint:ignore <analyzer> <reason>` — the
+// reason is mandatory, and a bare suppression is itself reported.
+// Parsing fans out across a bounded worker pool; the wall-time summary
+// goes to stderr.
 package main
 
 import (
@@ -53,7 +43,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"strings"
 	"time"
 
@@ -69,23 +58,11 @@ func run(args []string) int {
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	skip := fs.String("skip", "", "comma-separated analyzer names to exclude")
 	asJSON := fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	asSARIF := fs.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log on stdout")
 	verbose := fs.Bool("v", false, "report per-analyzer wall time on stderr")
-	stats := fs.Bool("stats", false, "report findings per analyzer, call-graph size, hot-set, guard-model and lock-order census on stderr")
+	stats := fs.Bool("stats", false, "report findings per analyzer, call-graph size, guard-model and lock-order census on stderr")
 	dotGraph := fs.String("dot", "", "emit a Graphviz DOT graph on stdout and exit; the only supported graph is 'lockorder'")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	baselinePath := fs.String("baseline", "", "report only findings not absorbed by this ratchet snapshot")
-	changedRef := fs.String("changed", "", "lint only packages changed since this git ref, plus their reverse dependencies")
-	updateBaseline := fs.Bool("update-baseline", false, "rewrite the -baseline snapshot from this run's findings and exit clean")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *asJSON && *asSARIF {
-		fmt.Fprintln(os.Stderr, "gislint: -json and -sarif are mutually exclusive")
-		return 2
-	}
-	if *updateBaseline && *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "gislint: -update-baseline requires -baseline <path>")
 		return 2
 	}
 
@@ -121,23 +98,6 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "gislint: no packages matched")
 		return 2
 	}
-	if *changedRef != "" {
-		files, err := gitChangedFiles(loader.ModuleRoot, *changedRef)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gislint:", err)
-			return 2
-		}
-		matched := len(dirs)
-		dirs, err = loader.ChangedDirs(dirs, files)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gislint:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "gislint: -changed %s: %d of %d package(s) affected\n", *changedRef, len(dirs), matched)
-		if len(dirs) == 0 {
-			return 0
-		}
-	}
 	if err := loader.Preparse(dirs, 0); err != nil {
 		fmt.Fprintln(os.Stderr, "gislint:", err)
 		return 2
@@ -167,37 +127,12 @@ func run(args []string) int {
 	}
 
 	diags, info := lint.RunWithInfo(loader, pkgs, analyzers)
-	absorbed := 0
-	if *baselinePath != "" {
-		if *updateBaseline {
-			b := lint.NewBaseline(loader.ModuleRoot, diags)
-			if err := b.WriteBaseline(*baselinePath); err != nil {
-				fmt.Fprintln(os.Stderr, "gislint:", err)
-				return 2
-			}
-			fmt.Fprintf(os.Stderr, "gislint: baseline %s rewritten with %d finding(s) under %d key(s)\n",
-				*baselinePath, len(diags), len(b))
-			return 0
-		}
-		b, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gislint:", err)
-			return 2
-		}
-		diags, absorbed = b.Regressions(loader.ModuleRoot, diags)
-	}
-	switch {
-	case *asJSON:
+	if *asJSON {
 		if err := writeJSON(os.Stdout, diags); err != nil {
 			fmt.Fprintln(os.Stderr, "gislint:", err)
 			return 2
 		}
-	case *asSARIF:
-		if err := writeSARIF(os.Stdout, analyzers, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "gislint:", err)
-			return 2
-		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Println(d)
 		}
@@ -206,17 +141,13 @@ func run(args []string) int {
 		printRunInfo(os.Stderr, info, *verbose, *stats)
 	}
 	elapsed := time.Since(start).Round(time.Millisecond)
-	ratchet := ""
-	if *baselinePath != "" {
-		ratchet = fmt.Sprintf(", %d baselined", absorbed)
-	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "gislint: %d finding(s) in %d package(s), %d analyzer(s)%s, %s\n",
-			len(diags), len(pkgs), len(analyzers), ratchet, elapsed)
+		fmt.Fprintf(os.Stderr, "gislint: %d finding(s) in %d package(s), %d analyzer(s), %s\n",
+			len(diags), len(pkgs), len(analyzers), elapsed)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "gislint: clean, %d package(s), %d analyzer(s)%s, %s\n",
-		len(pkgs), len(analyzers), ratchet, elapsed)
+	fmt.Fprintf(os.Stderr, "gislint: clean, %d package(s), %d analyzer(s), %s\n",
+		len(pkgs), len(analyzers), elapsed)
 	return 0
 }
 
@@ -238,35 +169,11 @@ func printRunInfo(w *os.File, info *lint.RunInfo, verbose, stats bool) {
 	if stats {
 		fmt.Fprintf(w, "gislint: call graph: %d function(s), %d resolved edge(s), %d SCC(s), largest SCC %d, built in %s\n",
 			info.GraphFuncs, info.GraphEdges, info.GraphSCCs, info.GraphMaxSCC, info.InterprocTime.Round(time.Microsecond))
-		fmt.Fprintf(w, "gislint: hot set: %d hot function(s), %d hot-loop, %d loop-nested call site(s)\n",
-			info.HotFuncs, info.HotLoopFuncs, info.HotSites)
 		fmt.Fprintf(w, "gislint: guard model: %d guardable struct(s), %d data field(s), %d access(es), %d guarded field(s)\n",
 			info.GuardStructs, info.GuardFields, info.GuardAccesses, info.GuardedFields)
 		fmt.Fprintf(w, "gislint: lock order: %d class(es), %d edge(s), %d SCC(s), %d cycle(s), max witness %d step(s)\n",
 			info.LockClasses, info.LockEdges, info.LockSCCs, info.LockCycles, info.LockMaxWitness)
 	}
-}
-
-// gitChangedFiles lists files differing from ref — committed or in the
-// working tree, plus untracked files — as module-root-relative paths.
-func gitChangedFiles(root, ref string) ([]string, error) {
-	diff := exec.Command("git", "-C", root, "diff", "--name-only", ref, "--")
-	out, err := diff.Output()
-	if err != nil {
-		return nil, fmt.Errorf("git diff --name-only %s: %w", ref, err)
-	}
-	untracked := exec.Command("git", "-C", root, "ls-files", "--others", "--exclude-standard")
-	more, err := untracked.Output()
-	if err != nil {
-		return nil, fmt.Errorf("git ls-files --others: %w", err)
-	}
-	var files []string
-	for _, line := range strings.Split(string(out)+string(more), "\n") {
-		if line = strings.TrimSpace(line); line != "" {
-			files = append(files, line)
-		}
-	}
-	return files, nil
 }
 
 // filterAnalyzers applies -only then -skip; unknown names are an error

@@ -180,7 +180,7 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 // (every field when cols is nil) and the columns the expressions
 // reference. The rest of a scratch row stays NULL.
 func (c *collection) fieldsRead(cols []int, exprs ...expr.Expr) []bool {
-	//lint:ignore hotalloc one mask per statement, not per document
+	// One mask per statement, not per document.
 	read := make([]bool, len(c.fields))
 	for i := range read {
 		read[i] = cols == nil

@@ -8,24 +8,29 @@ import (
 	"gis/internal/expr"
 	"gis/internal/obs"
 	"gis/internal/plan"
+	"gis/internal/source"
 	"gis/internal/types"
 )
+
+// benchExprs are the predicate and projection of benchPlan: id >= 0
+// (true of every row) and the id column alone.
+func benchExprs() (pred expr.Expr, proj []expr.Expr) {
+	id := expr.NewBoundColRef(0, types.KindInt, "id")
+	return expr.NewBinary(expr.OpGe, id, expr.NewConst(types.NewInt(0))), []expr.Expr{id}
+}
 
 // benchPlan is filter→project over a 10k-row Values node (a SliceIter
 // once run): two streaming operators whose per-row work is small enough
 // that what Run adds around them shows.
 func benchPlan() plan.Node {
-	id := expr.NewBoundColRef(0, types.KindInt, "id")
 	in := &plan.Values{Out: types.NewSchema(intCol("id"), intCol("v"))}
 	for i := 0; i < 10000; i++ {
 		in.Rows = append(in.Rows, []expr.Expr{
 			expr.NewConst(types.NewInt(int64(i))), expr.NewConst(types.NewInt(int64(i % 7))),
 		})
 	}
-	return &plan.Project{
-		Input: &plan.Filter{Input: in, Pred: expr.NewBinary(expr.OpGe, id, expr.NewConst(types.NewInt(0)))},
-		Exprs: []expr.Expr{id},
-	}
+	pred, proj := benchExprs()
+	return &plan.Project{Input: &plan.Filter{Input: in, Pred: pred}, Exprs: proj}
 }
 
 var benchRows int
@@ -65,25 +70,33 @@ func BenchmarkRunTraced(b *testing.B) {
 	benchmarkRun(b, func() context.Context { return obs.WithTrace(context.Background(), obs.NewTrace("bench")) })
 }
 
-// BenchmarkHashJoinProbe probes a 1 000-row build side with 10 000 left
-// rows, one key-equal partner each; the residual condition rejects
-// every other pair, so half the joined rows are carved and given back.
-// Both inputs are materialized beforehand: what is measured is the
-// build and the probe.
-func BenchmarkHashJoinProbe(b *testing.B) {
-	schema := types.NewSchema(intCol("k"), intCol("v"))
-	side := func(n int) []types.Row {
-		rows := make([]types.Row, n)
-		for i := range rows {
-			rows[i] = types.Row{types.NewInt(int64(i % 1000)), types.NewInt(int64(i))}
-		}
-		return rows
+// benchJoinSide is n two-column rows (k = i mod 1 000, v = i).
+func benchJoinSide(n int) []types.Row {
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i % 1000)), types.NewInt(int64(i))}
 	}
-	left, right := side(10000), side(1000)
+	return rows
+}
+
+// benchJoin is an inner equi-join on k whose residual condition rejects
+// every pair with an odd left v, so half the joined rows are carved and
+// given back.
+func benchJoin() *plan.Join {
+	schema := types.NewSchema(intCol("k"), intCol("v"))
 	j := equiJoin(plan.JoinInner, &plan.Values{Out: schema}, &plan.Values{Out: schema})
 	j.Cond = expr.NewBinary(expr.OpAnd, j.Cond, expr.NewBinary(expr.OpEq,
 		expr.NewBinary(expr.OpMod, expr.NewBoundColRef(1, types.KindInt, "v"), expr.NewConst(types.NewInt(2))),
 		expr.NewConst(types.NewInt(0))))
+	return j
+}
+
+// BenchmarkHashJoinProbe probes a 1 000-row build side with 10 000 left
+// rows, one key-equal partner each. Both inputs are materialized
+// beforehand: what is measured is the build and the probe.
+func BenchmarkHashJoinProbe(b *testing.B) {
+	left, right := benchJoinSide(10000), benchJoinSide(1000)
+	j := benchJoin()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -100,4 +113,57 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 		}
 		it.Close()
 	}
+}
+
+// checkSlope fails when doubling the input from n to 2n rows adds more
+// than n/32 allocations. Per-query set-up cancels out of the
+// difference, so what is left is the per-row cost times n.
+func checkSlope(t *testing.T, what string, n int, run func(n int)) {
+	t.Helper()
+	at := func(n int) float64 { return testing.AllocsPerRun(5, func() { run(n) }) }
+	slope := at(2*n) - at(n)
+	t.Logf("%s: %v more allocations for %d more rows", what, slope, n)
+	if slope > float64(n)/32 {
+		t.Errorf("%s allocates per row: %v more allocations for %d more rows (bound %d)", what, slope, n, n/32)
+	}
+}
+
+// The streaming operators and the hash-join probe allocate per slab
+// chunk (types.RowSlab: one per up to 127 rows), never per row. One
+// stray allocation per row would put the slope at n.
+func TestOperatorAllocsDoNotGrowPerRow(t *testing.T) {
+	const n = 4096
+	ctx := context.Background()
+	drain := func(it source.RowIter, want int) {
+		got := 0
+		for {
+			if _, err := it.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			got++
+		}
+		if err := it.Close(); err != nil || got != want {
+			t.Fatalf("%d rows, want %d (close: %v)", got, want, err)
+		}
+	}
+
+	rows := benchJoinSide(2 * n)
+	pred, proj := benchExprs()
+	filterProject := func(n int) {
+		drain(&projectIter{ctx: ctx, exprs: proj,
+			in: &filterIter{ctx: ctx, in: source.SliceIter(rows[:n]), pred: pred}}, n)
+	}
+	checkSlope(t, "filter→project", n, filterProject)
+
+	right, j := benchJoinSide(1000), benchJoin()
+	probe := func(n int) {
+		it, err := runLocalJoinMaterialized(ctx, j, rows[:n], right)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drain(it, n/2)
+	}
+	checkSlope(t, "hash-join probe", n, probe)
 }

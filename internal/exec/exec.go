@@ -35,7 +35,7 @@ func Run(ctx context.Context, n plan.Node) (source.RowIter, error) {
 		span.End()
 		return nil, err
 	}
-	//lint:ignore hotalloc one wrapper per traced operator execution, not per row
+	// One wrapper per traced operator execution, not per row.
 	m := &opIter{in: it, span: span, st: obs.OpStats{Op: n}}
 	if scope, fp, ok := operatorFeedbackKey(n); ok {
 		m.fbScope, m.fbFP = scope, fp

@@ -18,7 +18,7 @@ import (
 func operatorFeedbackKey(n plan.Node) (scope, fp string, ok bool) {
 	switch t := n.(type) {
 	case *plan.FragScan:
-		//lint:ignore hotalloc one key per traced scan execution, not per row
+		// One key per traced scan execution, not per row.
 		return "frag:" + t.Frag.Source + "." + t.Frag.RemoteTable, expr.Fingerprint(t.Query.Filter), true
 	case *plan.Join:
 		return "join:" + t.Kind.String() + "/" + t.Strategy.String(), expr.Fingerprint(t.Cond), true

@@ -40,7 +40,7 @@ func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.
 	var it source.RowIter = &fetchIter{in: remote, shipStart: shipStart, sess: admission.SessionFrom(ctx)}
 	if ship != nil {
 		_, fetch := obs.StartSpan(ctx, obs.SpanFetch, fs.Frag.Source)
-		//lint:ignore hotalloc one wrapper per traced scan execution, not per row
+		// One wrapper per traced scan execution, not per row.
 		wire := &opIter{in: it, span: ship, fetch: fetch, st: obs.OpStats{Op: fs}}
 		if extraRemoteFilter == nil {
 			// A semijoin/bind-augmented scan shows no estimate: the

@@ -134,7 +134,7 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 		if limit >= 0 && limit < int64(n) {
 			n = int(limit)
 		}
-		//lint:ignore hotalloc one slice of row headers per query, not per row
+		// One slice of row headers per query, not per row.
 		rows = make([]types.Row, 0, n)
 	}
 	b.tree.Ascend(lo, hi, func(_ types.Value, v types.Row) bool {

@@ -160,7 +160,7 @@ func buildAtomicModel(ip *Interproc) *atomicModel {
 // sync/atomic (the function forms; the Int64-family methods are safe by
 // construction).
 func isAtomicPkgCall(pkg *Package, call *ast.CallExpr) bool {
-	fn := pkgCalleeFunc(pkg, call)
+	fn := calleeFunc(pkg, call)
 	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
 }
 

@@ -7,6 +7,7 @@ import (
 	"go/types"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // This file builds the module-wide call graph the interprocedural layer
@@ -162,7 +163,7 @@ func addNodes(g *CallGraph, fset *token.FileSet, pkg *Package, f *ast.File, meth
 // File-and-line, not the raw token.Pos offset: offsets depend on the
 // order files were added to the shared FileSet, which varies across
 // runs with the parse worker pool — and the name reaches diagnostic
-// messages, where it must be deterministic for the baseline ratchet.
+// messages, which must be deterministic.
 func litName(fset *token.FileSet, pkg *Package, fn *ast.FuncLit) string {
 	p := fset.Position(fn.Pos())
 	return fmt.Sprintf("%s.func@%s:%d", pkg.Types.Name(), filepath.Base(p.Filename), p.Line)
@@ -189,6 +190,16 @@ func qualifiedName(fn *types.Func) string {
 		name = n.Obj().Name()
 	}
 	return fmt.Sprintf("%s(%s%s).%s", pkg, star, name, fn.Name())
+}
+
+// displayName strips the package qualifier from a node's graph name for
+// diagnostics: "pkg.(*iter).Next" renders as "(*iter).Next", "pkg.f" as
+// "f".
+func displayName(n *FuncNode) string {
+	if i := strings.Index(n.Name, "."); i >= 0 {
+		return n.Name[i+1:]
+	}
+	return n.Name
 }
 
 // resolveSites walks n's own statements (not nested literals) and

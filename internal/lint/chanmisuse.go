@@ -61,7 +61,7 @@ func chanOpRef(pass *Pass, e ast.Expr) (lockRef, bool) {
 	if _, ok := t.Underlying().(*types.Chan); !ok {
 		return lockRef{}, false
 	}
-	return lockPath(pass, e)
+	return refPath(pass.Pkg, e)
 }
 
 // closeCallRef matches close(ch) and returns ch's reference.

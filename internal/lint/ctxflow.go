@@ -112,7 +112,7 @@ func checkRetryLoop(pass *Pass, body *ast.BlockStmt) {
 // ctx.Done() (the latter is only useful as a receive, so any use
 // counts).
 func ctxConsult(pass *Pass, call *ast.CallExpr) bool {
-	fn := calleeFunc(pass, call)
+	fn := calleeFunc(pass.Pkg, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
 		return false
 	}
@@ -260,7 +260,7 @@ func contextParam(pass *Pass, typ *ast.FuncType) *types.Var {
 
 // freshContextCall matches context.Background() and context.TODO().
 func freshContextCall(pass *Pass, call *ast.CallExpr) (string, bool) {
-	fn := calleeFunc(pass, call)
+	fn := calleeFunc(pass.Pkg, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
 		return "", false
 	}

@@ -100,7 +100,7 @@ func hasContextParam(sig *types.Signature) bool {
 // that accepts a context.Context — the RPC-shaped calls the flow
 // analyzers treat as potentially blocking. Returns nil otherwise.
 func moduleCtxCallee(pass *Pass, call *ast.CallExpr) *types.Func {
-	fn := calleeFunc(pass, call)
+	fn := calleeFunc(pass.Pkg, call)
 	if fn == nil || !pass.InModule(fn.Pkg()) {
 		return nil
 	}

@@ -40,7 +40,7 @@ func checkErrDrop(pass *Pass, call *ast.CallExpr) {
 	if !returnsError(pass, call) {
 		return
 	}
-	fn := calleeFunc(pass, call)
+	fn := calleeFunc(pass.Pkg, call)
 	if fn == nil {
 		return // conversion, builtin, or dynamic call through a variable
 	}
@@ -70,18 +70,4 @@ func returnsError(pass *Pass, call *ast.CallExpr) bool {
 
 func isErrorType(t types.Type) bool {
 	return types.Identical(t, types.Universe.Lookup("error").Type())
-}
-
-// calleeFunc resolves the called function/method object, nil for
-// conversions, builtins, and calls through function-typed values.
-func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.ObjectOf(fun).(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.ObjectOf(fun.Sel).(*types.Func)
-		return fn
-	}
-	return nil
 }

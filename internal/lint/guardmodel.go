@@ -199,120 +199,6 @@ func (gm *GuardModel) discoverStructs(ip *Interproc) {
 	}
 }
 
-// heldState runs the held-lock dataflow over n's body with the given
-// entry set and returns the per-block incoming states (nil for bodies
-// that neither start with locks held nor lock anything themselves —
-// then every access in them is trivially unguarded and callers can skip
-// the fixpoint).
-func (gm *GuardModel) heldState(n *FuncNode, entry map[lockRef]bool) map[*Block]map[lockRef]uint8 {
-	locks := len(entry) > 0
-	if !locks {
-		walkNode(n.Body, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if op, _, ok := pkgSyncLockOp(n.Pkg, call); ok && (op == "Lock" || op == "RLock") {
-				locks = true
-			} else if site := gm.ip.Graph.SiteOf(call); site != nil && !site.Interface && !site.InGo {
-				// An ensureLocked-style helper locks on the caller's
-				// behalf.
-				for _, t := range site.Targets {
-					if ts := gm.ip.SummaryOf(t); ts != nil && len(ts.LocksRecvPaths) > 0 {
-						locks = true
-					}
-				}
-			}
-			return !locks
-		}, nil)
-	}
-	if !locks {
-		return nil
-	}
-	g := n.Pkg.CFGOf(n.Body)
-	seed := make(map[lockRef]uint8, len(entry))
-	for r := range entry {
-		seed[r] = lockHeldState
-	}
-	return fixpoint(g, seed, func(bl *Block, s map[lockRef]uint8) {
-		gm.transferHeld(n.Pkg, bl, s)
-	}, nil)
-}
-
-// transferHeld applies one block's lock/unlock operations to the state.
-func (gm *GuardModel) transferHeld(pkg *Package, bl *Block, s map[lockRef]uint8) {
-	for _, stmt := range bl.Nodes {
-		walkNode(stmt, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if _, isDefer := pkg.Parent(call).(*ast.DeferStmt); isDefer {
-				// defer mu.Unlock() releases at return; the lock stays
-				// held through the rest of the body.
-				return true
-			}
-			gm.applyCallEffect(pkg, call, s)
-			return true
-		}, nil)
-	}
-}
-
-// applyCallEffect applies one non-deferred call's lock effects to s:
-// direct sync Lock/Unlock ops, plus resolved callees whose summaries
-// leave receiver-rooted mutexes locked (ensureLocked-style) or released
-// (release-style). Leaves-locked requires agreement of EVERY target
-// (must); releases apply on ANY target (may-release kills the held
-// fact, erring toward "not held").
-func (gm *GuardModel) applyCallEffect(pkg *Package, call *ast.CallExpr, s map[lockRef]uint8) {
-	if op, ref, ok := pkgSyncLockOp(pkg, call); ok {
-		switch op {
-		case "Lock", "RLock":
-			s[ref] = lockHeldState
-		case "Unlock", "RUnlock":
-			delete(s, ref)
-		}
-		return
-	}
-	site := gm.ip.Graph.SiteOf(call)
-	if site == nil || site.Interface || site.InGo || len(site.Targets) == 0 {
-		return
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	base, ok := refPath(pkg, sel.X)
-	if !ok {
-		return
-	}
-	var locks map[string]bool
-	for i, t := range site.Targets {
-		ts := gm.ip.SummaryOf(t)
-		if ts == nil {
-			locks = nil
-			break
-		}
-		if i == 0 {
-			locks = ts.LocksRecvPaths
-		} else {
-			merged := make(map[string]bool)
-			for p := range locks {
-				if ts.LocksRecvPaths[p] {
-					merged[p] = true
-				}
-			}
-			locks = merged
-		}
-		for p := range ts.UnlocksRecvPaths {
-			delete(s, lockRef{root: base.root, path: base.path + p})
-		}
-	}
-	for p := range locks {
-		s[lockRef{root: base.root, path: base.path + p}] = lockHeldState
-	}
-}
-
 // propagateOnce computes, from the current entry sets, the held-set
 // contribution every resolved call site makes to its targets, and
 // returns the per-target meet. Interface-dispatched sites and `go`
@@ -334,37 +220,17 @@ func (gm *GuardModel) propagateOnce(ip *Interproc, entries map[*FuncNode]map[loc
 		}
 	}
 	for _, n := range ip.Graph.Nodes {
-		in := gm.heldState(n, entries[n])
-		g := n.Pkg.CFGOf(n.Body)
-		// Per-site held state: replay each block's transfer, checking
-		// call sites as they are reached.
-		siteHeld := make(map[*ast.CallExpr]map[lockRef]uint8)
-		if in != nil {
-			for _, bl := range g.Blocks {
-				s, ok := in[bl]
-				if !ok {
-					continue
-				}
-				s = cloneFacts(s)
-				for _, stmt := range bl.Nodes {
-					walkNode(stmt, func(m ast.Node) bool {
-						call, ok := m.(*ast.CallExpr)
-						if !ok {
-							return true
-						}
-						if _, isDefer := n.Pkg.Parent(call).(*ast.DeferStmt); isDefer {
-							siteHeld[call] = cloneFacts(s)
-							return true
-						}
-						// Record the held set at call entry, then apply
-						// the call's own lock effects.
-						siteHeld[call] = cloneFacts(s)
-						gm.applyCallEffect(n.Pkg, call, s)
-						return true
-					}, nil)
-				}
+		// The held set at entry to every call site of n; a deferred call
+		// is charged the set at its registration.
+		siteHeld := make(map[*ast.CallExpr]heldSet)
+		ip.walkHeld(n, entryFacts(entries[n]), func(m ast.Node, held heldSet) {
+			switch m := m.(type) {
+			case *ast.CallExpr:
+				siteHeld[m] = cloneFacts(held)
+			case *ast.DeferStmt:
+				siteHeld[m.Call] = cloneFacts(held)
 			}
-		}
+		})
 		for _, site := range n.Sites {
 			if site.Interface {
 				for _, t := range site.Targets {
@@ -390,11 +256,11 @@ func (gm *GuardModel) propagateOnce(ip *Interproc, entries map[*FuncNode]map[loc
 // mutex; a held mutex on an argument path becomes the parameter's; a
 // directly invoked literal keeps the refs verbatim (its free variables
 // are the caller's objects).
-func (gm *GuardModel) translateHeld(n *FuncNode, call *ast.CallExpr, t *FuncNode, held map[lockRef]uint8) map[lockRef]bool {
+func (gm *GuardModel) translateHeld(n *FuncNode, call *ast.CallExpr, t *FuncNode, held heldSet) map[lockRef]bool {
 	out := make(map[lockRef]bool)
 	if t.Lit != nil {
-		for r := range held {
-			out[r] = true
+		for h := range held {
+			out[h.ref] = true
 		}
 		return out
 	}
@@ -408,7 +274,7 @@ func (gm *GuardModel) translateHeld(n *FuncNode, call *ast.CallExpr, t *FuncNode
 			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 				if base, ok := refPath(n.Pkg, sel.X); ok {
 					for _, m := range gs.mutexes {
-						if held[lockRef{root: base.root, path: base.path + "." + m.Name()}] != 0 {
+						if holdsRef(held, lockRef{root: base.root, path: base.path + "." + m.Name()}) {
 							out[lockRef{root: recv, path: recv.Name() + "." + m.Name()}] = true
 						}
 					}
@@ -432,7 +298,7 @@ func (gm *GuardModel) translateHeld(n *FuncNode, call *ast.CallExpr, t *FuncNode
 			continue
 		}
 		for _, m := range gs.mutexes {
-			if held[lockRef{root: base.root, path: base.path + "." + m.Name()}] != 0 {
+			if holdsRef(held, lockRef{root: base.root, path: base.path + "." + m.Name()}) {
 				out[lockRef{root: pv, path: pv.Name() + "." + m.Name()}] = true
 			}
 		}
@@ -454,8 +320,7 @@ func (gm *GuardModel) structOf(t types.Type) *guardStruct {
 // that struct on the access base path.
 func (gm *GuardModel) collectAccesses(ip *Interproc, n *FuncNode, entry map[lockRef]bool) []*guardAccess {
 	var out []*guardAccess
-	in := gm.heldState(n, entry)
-	record := func(sel *ast.SelectorExpr, s map[lockRef]uint8) {
+	record := func(sel *ast.SelectorExpr, s heldSet) {
 		f, ok := n.Pkg.ObjectOf(sel.Sel).(*types.Var)
 		if !ok || !f.IsField() {
 			return
@@ -473,7 +338,7 @@ func (gm *GuardModel) collectAccesses(ip *Interproc, n *FuncNode, entry map[lock
 		}
 		held := make(map[*types.Var]bool)
 		for _, m := range gs.mutexes {
-			if s[lockRef{root: base.root, path: base.path + "." + m.Name()}] != 0 {
+			if holdsRef(s, lockRef{root: base.root, path: base.path + "." + m.Name()}) {
 				held[m] = true
 			}
 		}
@@ -487,39 +352,25 @@ func (gm *GuardModel) collectAccesses(ip *Interproc, n *FuncNode, entry map[lock
 			write: isWriteAccess(n.Pkg, sel),
 		})
 	}
-	if in == nil {
-		// No locks anywhere: every access is unguarded; skip the replay.
-		walkNode(n.Body, func(m ast.Node) bool {
-			if sel, ok := m.(*ast.SelectorExpr); ok {
-				record(sel, nil)
-			}
-			return true
-		}, nil)
-		return out
-	}
-	g := n.Pkg.CFGOf(n.Body)
-	for _, bl := range g.Blocks {
-		s, ok := in[bl]
-		if !ok {
-			continue
+	ip.walkHeld(n, entryFacts(entry), func(m ast.Node, held heldSet) {
+		if sel, ok := m.(*ast.SelectorExpr); ok {
+			record(sel, held)
 		}
-		s = cloneFacts(s)
-		for _, stmt := range bl.Nodes {
-			walkNode(stmt, func(m ast.Node) bool {
-				switch m := m.(type) {
-				case *ast.CallExpr:
-					if _, isDefer := n.Pkg.Parent(m).(*ast.DeferStmt); isDefer {
-						return true
-					}
-					gm.applyCallEffect(n.Pkg, m, s)
-				case *ast.SelectorExpr:
-					record(m, s)
-				}
-				return true
-			}, nil)
-		}
-	}
+	})
 	return out
+}
+
+// entryFacts turns an inherited entry set into walker facts; only the
+// instance matters to the guard model.
+func entryFacts(entry map[lockRef]bool) heldSet {
+	if len(entry) == 0 {
+		return nil
+	}
+	s := make(heldSet, len(entry))
+	for r := range entry {
+		s[heldLock{ref: r}] = 1
+	}
+	return s
 }
 
 // preEscape reports whether root is a local variable n itself created
@@ -685,76 +536,4 @@ func (gm *GuardModel) infer(accesses []*guardAccess) {
 		}
 	}
 	sort.Slice(gm.violations, func(i, j int) bool { return gm.violations[i].pos < gm.violations[j].pos })
-}
-
-// pkgSyncLockOp is the Package-level twin of lockheld's syncLockOp: it
-// matches mu.Lock/RLock/Unlock/RUnlock calls on sync mutexes and
-// returns the operation plus the lock's canonical path (promoted
-// embedded mutexes render their field hop, so c.Lock() on an embedded
-// sync.Mutex keys as "c.Mutex").
-func pkgSyncLockOp(pkg *Package, call *ast.CallExpr) (string, lockRef, bool) {
-	fn := pkgCalleeFunc(pkg, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", lockRef{}, false
-	}
-	switch fn.Name() {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", lockRef{}, false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", lockRef{}, false
-	}
-	ref, ok := refPath(pkg, sel.X)
-	if !ok {
-		return "", lockRef{}, false
-	}
-	// Promoted selection: append the embedded field hops the selector
-	// elides (all but the final method index).
-	if s := pkg.Info.Selections[sel]; s != nil {
-		idx := s.Index()
-		t := s.Recv()
-		for _, i := range idx[:len(idx)-1] {
-			st, ok := derefStruct(t)
-			if !ok {
-				break
-			}
-			f := st.Field(i)
-			ref.path += "." + f.Name()
-			t = f.Type()
-		}
-	}
-	return fn.Name(), ref, true
-}
-
-// derefStruct unwraps pointers and named types down to a struct.
-func derefStruct(t types.Type) (*types.Struct, bool) {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	return st, ok
-}
-
-// refPath renders an access chain like c.inner into a stable (root,
-// path) key; complex bases (map index, call result) are not tracked.
-func refPath(pkg *Package, e ast.Expr) (lockRef, bool) {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		obj := pkg.ObjectOf(e)
-		if obj == nil {
-			return lockRef{}, false
-		}
-		return lockRef{root: obj, path: e.Name}, true
-	case *ast.SelectorExpr:
-		r, ok := refPath(pkg, e.X)
-		if !ok {
-			return lockRef{}, false
-		}
-		return lockRef{root: r.root, path: r.path + "." + e.Sel.Name}, true
-	case *ast.StarExpr:
-		return refPath(pkg, e.X)
-	}
-	return lockRef{}, false
 }

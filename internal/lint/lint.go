@@ -39,34 +39,14 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s [%s]", d.Pos, d.Message, d.Analyzer)
 }
 
-// Severity classifies an analyzer's findings. Correctness analyzers
-// (leaked iterators, dropped errors, lock misuse) report errors: a
-// finding is a bug. Performance analyzers (hot-path allocation, boxing)
-// report warnings: a finding is per-row waste, gated through the
-// baseline ratchet rather than failing the build outright.
-const (
-	SeverityError   = "error"
-	SeverityWarning = "warning"
-)
-
 // Analyzer is one invariant checker.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and -only filters.
 	Name string
 	// Doc is the one-line description printed by the driver's -list.
 	Doc string
-	// Severity is SeverityError or SeverityWarning; empty means error.
-	Severity string
 	// Run analyzes one package, reporting findings through the pass.
 	Run func(*Pass)
-}
-
-// Level returns the analyzer's effective severity.
-func (a *Analyzer) Level() string {
-	if a.Severity == "" {
-		return SeverityError
-	}
-	return a.Severity
 }
 
 // All returns the full analyzer suite.
@@ -88,10 +68,6 @@ func All() []*Analyzer {
 		LockOrder(),
 		SelfDeadlock(),
 		BlockCycle(),
-		HotAlloc(),
-		Boxing(),
-		HotDefer(),
-		ValCopy(),
 	}
 }
 
@@ -181,9 +157,6 @@ type RunInfo struct {
 	// InterprocTime covers call-graph construction plus the bottom-up
 	// summary fixpoint.
 	InterprocTime time.Duration
-	// Hot-set census: bodies graded hot or better, bodies graded
-	// hot-loop, and loop-nested call sites inside hot bodies.
-	HotFuncs, HotLoopFuncs, HotSites int
 	// Guard-model census: guardable structs (a mutex plus data fields),
 	// data fields across them, counted accesses, and fields with an
 	// inferred guard.
@@ -216,11 +189,6 @@ func RunWithInfo(l *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Diagnosti
 	info.GraphFuncs = len(ip.Graph.Nodes)
 	info.GraphEdges = ip.Graph.Edges
 	info.GraphSCCs, info.GraphMaxSCC = ip.SCCCount, ip.MaxSCC
-	if ip.Hot != nil {
-		info.HotFuncs = ip.Hot.HotFuncs
-		info.HotLoopFuncs = ip.Hot.HotLoopFuncs
-		info.HotSites = ip.Hot.HotSites
-	}
 	if ip.Guards != nil {
 		info.GuardStructs = ip.Guards.NumStructs
 		info.GuardFields = ip.Guards.NumFields

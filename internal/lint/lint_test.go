@@ -82,11 +82,13 @@ func runFixture(t *testing.T, name string) []Diagnostic {
 	return Run(l, []*Package{pkg}, []*Analyzer{analyzerByName(t, name)})
 }
 
-// TestFixtures checks every analyzer against its fixture package: each
+// TestFixtures checks every analyzer in All() against the fixture
+// package of the same name (an analyzer without one fails here): each
 // want comment must be matched by exactly one diagnostic on its line,
 // and no diagnostic may appear on an unmarked line.
 func TestFixtures(t *testing.T) {
-	for _, name := range []string{"iterclose", "errdrop", "valuecompare", "exhaustive", "spanfinish", "ctxflow", "lockheld", "sqlship", "goleak", "lockguard", "atomicmix", "wglifecycle", "chanmisuse", "lockorder", "selfdeadlock", "blockcycle", "hotalloc", "boxing", "hotdefer", "valcopy"} {
+	for _, a := range All() {
+		name := a.Name
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join("testdata", "fixture", name)
 			wants := parseWants(t, dir)
@@ -135,8 +137,8 @@ func TestFixturesFailUnderFullSuite(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pkgs []*Package
-	for _, name := range []string{"iterclose", "errdrop", "valuecompare", "exhaustive", "spanfinish", "ctxflow", "lockheld", "sqlship", "goleak", "lockguard", "atomicmix", "wglifecycle", "chanmisuse", "lockorder", "selfdeadlock", "blockcycle", "hotalloc", "boxing", "hotdefer", "valcopy"} {
-		pkg, err := l.LoadDir(filepath.Join("testdata", "fixture", name))
+	for _, a := range All() {
+		pkg, err := l.LoadDir(filepath.Join("testdata", "fixture", a.Name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,11 +150,8 @@ func TestFixturesFailUnderFullSuite(t *testing.T) {
 	}
 }
 
-// TestRepoClean is the acceptance gate in test form: every
-// error-severity analyzer over the whole module must be silent.
-// Warning-severity perf analyzers are expected to fire on accepted
-// hot-path debt and are gated by the baseline ratchet (make
-// lint-ratchet) instead.
+// TestRepoClean is the acceptance gate in test form: every analyzer
+// over the whole module must be silent, exactly as `gislint ./...`.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -176,13 +175,7 @@ func TestRepoClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("expected to load the whole module, got %d packages", len(pkgs))
 	}
-	var errorAnalyzers []*Analyzer
-	for _, a := range All() {
-		if a.Level() == SeverityError {
-			errorAnalyzers = append(errorAnalyzers, a)
-		}
-	}
-	diags := Run(l, pkgs, errorAnalyzers)
+	diags := Run(l, pkgs, All())
 	for _, d := range diags {
 		t.Errorf("unexpected finding: %s", d)
 	}

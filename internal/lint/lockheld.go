@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -25,167 +26,69 @@ func LockHeld() *Analyzer {
 		Doc:  "no mutex held across a blocking operation (RPC-shaped call, channel op, Wait)",
 	}
 	a.Run = func(pass *Pass) {
-		for _, fs := range pass.FuncScopes() {
-			checkLockHeld(pass, fs)
+		ip := pass.Interproc()
+		for _, n := range ip.Graph.Nodes {
+			if n.Pkg == pass.Pkg {
+				checkLockHeld(pass, ip, n)
+			}
 		}
 	}
 	return a
 }
 
-// lockRef identifies one mutex by the root object of its access path
-// plus the rendered path ("c.mu"), so shadowing cannot alias two locks.
-type lockRef struct {
-	root types.Object
-	path string
-}
-
-const lockHeldState uint8 = 1
-
-func checkLockHeld(pass *Pass, fs funcScope) {
-	g := BuildCFG(fs.body)
-
-	// Cheap pre-scan: functions that never lock need no dataflow.
-	locks := false
-	for _, bl := range g.Blocks {
-		for _, n := range bl.Nodes {
-			walkNode(n, func(m ast.Node) bool {
-				if call, ok := m.(*ast.CallExpr); ok {
-					if op, _, ok := syncLockOp(pass, call); ok && (op == "Lock" || op == "RLock") {
-						locks = true
+// checkLockHeld reports every blocking operation n performs with a
+// mutex held (held-set computation: heldlocks.go).
+func checkLockHeld(pass *Pass, ip *Interproc, n *FuncNode) {
+	ip.walkHeld(n, nil, func(m ast.Node, held heldSet) {
+		if len(held) == 0 {
+			return
+		}
+		switch m := m.(type) {
+		case *ast.CallExpr:
+			if _, isGo := pass.Parent(m).(*ast.GoStmt); isGo {
+				return // spawned work blocks its own goroutine
+			}
+			if desc, ok := blockingCall(pass, m); ok {
+				reportHeld(pass, m.Pos(), held, desc)
+			}
+		case *ast.SendStmt:
+			if !inSelectWithDefault(pass.Pkg, m) {
+				reportHeld(pass, m.Pos(), held, "a channel send")
+			}
+		case *ast.UnaryExpr:
+			if m.Op == token.ARROW && !inSelectWithDefault(pass.Pkg, m) {
+				reportHeld(pass, m.Pos(), held, "a channel receive")
+			}
+		case ast.Expr:
+			// Range subjects over channels block per iteration.
+			if _, isRange := pass.Parent(m).(*ast.RangeStmt); isRange {
+				if t := pass.TypeOf(m); t != nil {
+					if _, isChan := t.Underlying().(*types.Chan); isChan {
+						reportHeld(pass, m.Pos(), held, "a channel range loop")
 					}
 				}
-				return !locks
-			}, nil)
+			}
 		}
-	}
-	if !locks {
-		return
-	}
-
-	apply := func(bl *Block, s map[lockRef]uint8, report bool) {
-		for _, n := range bl.Nodes {
-			walkNode(n, func(m ast.Node) bool {
-				switch m := m.(type) {
-				case *ast.CallExpr:
-					if _, isDefer := pass.Parent(m).(*ast.DeferStmt); isDefer {
-						// `defer mu.Unlock()` releases at return, so the
-						// lock stays held through the body; deferred
-						// calls themselves run after the last statement.
-						return true
-					}
-					if op, ref, ok := syncLockOp(pass, m); ok {
-						switch op {
-						case "Lock", "RLock":
-							s[ref] = lockHeldState
-						case "Unlock", "RUnlock":
-							delete(s, ref)
-						}
-						return true
-					}
-					if report && len(s) > 0 {
-						if _, isGo := pass.Parent(m).(*ast.GoStmt); isGo {
-							return true // spawned work blocks its own goroutine
-						}
-						if desc, ok := blockingCall(pass, m); ok {
-							reportHeld(pass, m.Pos(), s, desc)
-						}
-					}
-				case *ast.SendStmt:
-					if report && len(s) > 0 && !inSelectWithDefault(pass, m) {
-						reportHeld(pass, m.Pos(), s, "a channel send")
-					}
-				case *ast.UnaryExpr:
-					if m.Op == token.ARROW && report && len(s) > 0 && !inSelectWithDefault(pass, m) {
-						reportHeld(pass, m.Pos(), s, "a channel receive")
-					}
-				case ast.Expr:
-					// Range subjects over channels block per iteration.
-					if report && len(s) > 0 {
-						if _, isRange := pass.Parent(m).(*ast.RangeStmt); isRange {
-							if t := pass.TypeOf(m); t != nil {
-								if _, isChan := t.Underlying().(*types.Chan); isChan {
-									reportHeld(pass, m.Pos(), s, "a channel range loop")
-								}
-							}
-						}
-					}
-				}
-				return true
-			}, nil)
-		}
-	}
-
-	in := fixpoint(g, map[lockRef]uint8{},
-		func(bl *Block, s map[lockRef]uint8) { apply(bl, s, false) }, nil)
-	for _, bl := range g.Blocks {
-		s, ok := in[bl]
-		if !ok {
-			continue
-		}
-		apply(bl, cloneFacts(s), true)
-	}
+	})
 }
 
-func reportHeld(pass *Pass, pos token.Pos, s map[lockRef]uint8, desc string) {
+func reportHeld(pass *Pass, pos token.Pos, held heldSet, desc string) {
+	// One lock acquired on two paths is two facts with one name.
 	var names []string
-	for ref := range s {
-		names = append(names, ref.path)
+	for h := range held {
+		names = append(names, h.ref.path)
 	}
 	sort.Strings(names)
+	names = slices.Compact(names)
 	pass.Reportf(pos, "%s is held across %s, which can block indefinitely and stall every goroutine contending for the lock; unlock before blocking",
 		strings.Join(names, ", "), desc)
-}
-
-// syncLockOp matches mu.Lock/RLock/Unlock/RUnlock calls on sync mutexes
-// and returns the operation plus the lock's identity.
-func syncLockOp(pass *Pass, call *ast.CallExpr) (string, lockRef, bool) {
-	fn := calleeFunc(pass, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", lockRef{}, false
-	}
-	switch fn.Name() {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", lockRef{}, false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", lockRef{}, false
-	}
-	ref, ok := lockPath(pass, sel.X)
-	if !ok {
-		return "", lockRef{}, false
-	}
-	return fn.Name(), ref, true
-}
-
-// lockPath renders a receiver chain like c.mu into a stable key; complex
-// receivers (map index, call result) are not tracked.
-func lockPath(pass *Pass, e ast.Expr) (lockRef, bool) {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		obj := pass.ObjectOf(e)
-		if obj == nil {
-			return lockRef{}, false
-		}
-		return lockRef{root: obj, path: e.Name}, true
-	case *ast.SelectorExpr:
-		r, ok := lockPath(pass, e.X)
-		if !ok {
-			return lockRef{}, false
-		}
-		return lockRef{root: r.root, path: r.path + "." + e.Sel.Name}, true
-	case *ast.StarExpr:
-		return lockPath(pass, e.X)
-	}
-	return lockRef{}, false
 }
 
 // blockingCall classifies calls that can block indefinitely: module
 // internal context-taking functions in the federation's I/O layers, and
 // sync.WaitGroup.Wait.
 func blockingCall(pass *Pass, call *ast.CallExpr) (string, bool) {
-	fn := calleeFunc(pass, call)
+	fn := calleeFunc(pass.Pkg, call)
 	if fn == nil || fn.Pkg() == nil {
 		return "", false
 	}
@@ -237,13 +140,7 @@ func derefNamed(t types.Type) *types.Named {
 
 // inSelectWithDefault reports whether n is the communication of a select
 // case in a select that has a default clause (then the op cannot block).
-func inSelectWithDefault(pass *Pass, n ast.Node) bool {
-	return pkgInSelectWithDefault(pass.Pkg, n)
-}
-
-// pkgInSelectWithDefault is the Package-level twin, usable outside an
-// analyzer pass (the summary scanner and the lock-order model).
-func pkgInSelectWithDefault(pkg *Package, n ast.Node) bool {
+func inSelectWithDefault(pkg *Package, n ast.Node) bool {
 	cur := ast.Node(n)
 	for i := 0; i < 4 && cur != nil; i++ {
 		parent := pkg.Parent(cur)

@@ -52,13 +52,13 @@ import (
 //     spanning a mutex and a channel/WaitGroup, invisible to a
 //     mutex-only order graph.
 //
-// The per-function dataflow reuses the held-set machinery of the guard
-// model (instance-level lockRefs over the CFG), but unlike guard
-// inference — which MEETS held sets over call sites because it must
-// under-approximate "held" — edge construction needs may-hold, and gets
-// it for free: an edge "caller holds A, callee acquires B" is created
-// at the caller's call site from the callee's transitive acquire set,
-// so no entry-set propagation is needed at all.
+// The per-function held sets come from the shared walker
+// (heldlocks.go), but unlike guard inference — which MEETS held sets
+// over call sites because it must under-approximate "held" — edge
+// construction needs may-hold, and gets it for free: an edge "caller
+// holds A, callee acquires B" is created at the caller's call site
+// from the callee's transitive acquire set, so no entry-set propagation
+// is needed at all.
 
 // acqInfo records how a function (transitively) acquires one lock
 // class: the site inside the function (a direct Lock/RLock, or the call
@@ -107,22 +107,10 @@ type deadlockFinding struct {
 	msg string
 }
 
-// heldLock is one instance-level held-mutex fact: the concrete access
-// path (ref), its class, where it was acquired in the current function,
-// and whether it is held in read mode. Position is part of the key so a
-// lock acquired on two paths keeps both witnesses alive; unlocking
-// deletes every fact with the same ref regardless of position.
-type heldLock struct {
-	ref  lockRef
-	cls  *types.Var
-	pos  token.Pos
-	read bool
-}
-
 type lockEdgeKey struct{ from, to *types.Var }
 
 // LockOrderModel is the module-wide deadlock-analysis artifact, built
-// once per Run alongside the hot set and the guard model.
+// once per Run alongside the guard model.
 type LockOrderModel struct {
 	ip    *Interproc
 	names map[*types.Var]string
@@ -213,94 +201,12 @@ func (lm *LockOrderModel) registerClass(cls *types.Var, owner *types.Named) {
 	}
 }
 
-// classOfLockOp resolves a direct sync Lock/RLock/Unlock/RUnlock call
-// to its lock class (the mutex field or variable object), the concrete
-// instance ref, and the operation name.
-func (lm *LockOrderModel) classOfLockOp(pkg *Package, call *ast.CallExpr) (cls *types.Var, ref lockRef, op string, ok bool) {
-	op, ref, ok = pkgSyncLockOp(pkg, call)
-	if !ok {
-		return nil, lockRef{}, "", false
-	}
-	sel, selOK := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !selOK {
-		return nil, lockRef{}, "", false
-	}
-	// Promoted selection (c.Lock() on an embedded mutex): the last field
-	// hop before the method IS the mutex field.
-	if s := pkg.Info.Selections[sel]; s != nil && len(s.Index()) > 1 {
-		idx := s.Index()
-		t := s.Recv()
-		var f *types.Var
-		var owner *types.Named
-		for _, i := range idx[:len(idx)-1] {
-			st, stOK := derefStruct(t)
-			if !stOK {
-				return nil, lockRef{}, "", false
-			}
-			owner = derefNamed(t)
-			f = st.Field(i)
-			t = f.Type()
-		}
-		if f == nil {
-			return nil, lockRef{}, "", false
-		}
-		lm.registerClass(f, owner)
-		return f, ref, op, true
-	}
-	switch x := ast.Unparen(sel.X).(type) {
-	case *ast.SelectorExpr:
-		v, vOK := pkg.ObjectOf(x.Sel).(*types.Var)
-		if !vOK {
-			return nil, lockRef{}, "", false
-		}
-		var owner *types.Named
-		if v.IsField() {
-			owner = derefNamed(pkg.TypeOf(x.X))
-		}
-		lm.registerClass(v, owner)
-		return v, ref, op, true
-	case *ast.Ident:
-		v, vOK := pkg.ObjectOf(x).(*types.Var)
-		if !vOK {
-			return nil, lockRef{}, "", false
-		}
-		lm.registerClass(v, nil)
-		return v, ref, op, true
-	}
-	return nil, lockRef{}, "", false
-}
-
-// fieldByRelPath walks a receiver-relative ".a.mu" path down t's struct
-// fields, returning the final field and the named type that owns it.
-func fieldByRelPath(t types.Type, rel string) (*types.Var, *types.Named) {
-	hops := strings.Split(strings.TrimPrefix(rel, "."), ".")
-	var f *types.Var
-	var owner *types.Named
-	for _, hop := range hops {
-		st, ok := derefStruct(t)
-		if !ok {
-			return nil, nil
-		}
-		owner = derefNamed(t)
-		f = nil
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i).Name() == hop {
-				f = st.Field(i)
-				break
-			}
-		}
-		if f == nil {
-			return nil, nil
-		}
-		t = f.Type()
-	}
-	return f, owner
-}
-
 // scanAcquires computes one monotone approximation of n's transitive
 // lock-class acquire set. First-witness-wins keeps chains deterministic
 // (body order, then target order); a read entry upgrades to write when
-// a write acquisition of the same class appears.
+// a write acquisition of the same class appears. Every direct lock
+// operation also registers its class's display name here, before any
+// replay renders one.
 func (lm *LockOrderModel) scanAcquires(n *FuncNode) bool {
 	acq := lm.acquires[n]
 	if acq == nil {
@@ -326,12 +232,15 @@ func (lm *LockOrderModel) scanAcquires(n *FuncNode) bool {
 		if !ok {
 			return true
 		}
-		if _, isDefer := n.Pkg.Parent(call).(*ast.DeferStmt); isDefer {
+		if isDeferredCall(n.Pkg, call) {
 			return true
 		}
-		if cls, _, op, ok := lm.classOfLockOp(n.Pkg, call); ok {
-			if op == "Lock" || op == "RLock" {
-				add(cls, acqInfo{pos: call.Pos(), read: op == "RLock"})
+		if op, ok := syncLockOp(n.Pkg, call); ok {
+			if op.cls != nil {
+				lm.registerClass(op.cls, op.owner)
+				if op.acquires() {
+					add(op.cls, acqInfo{pos: call.Pos(), read: op.name == "RLock"})
+				}
 			}
 			return true
 		}
@@ -349,45 +258,34 @@ func (lm *LockOrderModel) scanAcquires(n *FuncNode) bool {
 	return changed
 }
 
-// nodeLocksAtAll is the cheap pre-scan: a body with no lock op and no
-// resolved call into a lock-acquiring callee contributes nothing.
-func (lm *LockOrderModel) nodeLocksAtAll(n *FuncNode) bool {
-	if len(lm.acquires[n]) > 0 {
-		return true
-	}
-	// A body that only unlocks (release-style helper) still needs the
-	// replay for the caller's sake? No — with no acquisition there is
-	// never a held set, so no edge, no self-deadlock, no block site
-	// with a lock held. Blocking sites without held locks are silent.
-	return false
-}
-
-// replay runs the held-set dataflow over n and, in a second
-// deterministic pass, emits lock-order edges, self-deadlock findings,
-// and blocking-cycle findings.
+// replay walks n with the held set in force before each node and emits
+// lock-order edges, self-deadlock findings, and blocking-cycle findings.
 func (lm *LockOrderModel) replay(n *FuncNode) {
-	if !lm.nodeLocksAtAll(n) {
-		return
-	}
-	g := n.Pkg.CFGOf(n.Body)
-	in := fixpoint(g, map[heldLock]uint8{}, func(bl *Block, s map[heldLock]uint8) {
-		lm.transfer(n, bl, s, false)
-	}, nil)
-	for _, bl := range g.Blocks {
-		s, ok := in[bl]
-		if !ok {
-			continue
+	lm.ip.walkHeld(n, nil, func(m ast.Node, s heldSet) {
+		if len(s) == 0 {
+			return
 		}
-		lm.transfer(n, bl, cloneFacts(s), true)
-	}
+		switch m := m.(type) {
+		case *ast.CallExpr:
+			lm.visitCall(n, m, s)
+		case *ast.SendStmt:
+			lm.checkBlockSite(n, m.Chan, m.Pos(), blockSend, s)
+		case *ast.UnaryExpr:
+			if m.Op == token.ARROW {
+				lm.checkBlockSite(n, m.X, m.Pos(), blockRecv, s)
+			}
+		}
+	})
 }
 
-// sortedHeld returns the held set in deterministic order (class name,
-// then acquisition position, then instance path).
-func (lm *LockOrderModel) sortedHeld(s map[heldLock]uint8) []heldLock {
+// sortedHeld returns the held locks of known class in deterministic
+// order (class name, then acquisition position, then instance path).
+func (lm *LockOrderModel) sortedHeld(s heldSet) []heldLock {
 	out := make([]heldLock, 0, len(s))
 	for h := range s {
-		out = append(out, h)
+		if h.cls != nil {
+			out = append(out, h)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -403,138 +301,54 @@ func (lm *LockOrderModel) sortedHeld(s map[heldLock]uint8) []heldLock {
 	return out
 }
 
-// transfer walks one block's statements applying lock effects to s; in
-// report mode it also emits edges and findings at each event site
-// before applying the event's own effect.
-func (lm *LockOrderModel) transfer(n *FuncNode, bl *Block, s map[heldLock]uint8, report bool) {
-	for _, stmt := range bl.Nodes {
-		walkNode(stmt, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.CallExpr:
-				if _, isDefer := n.Pkg.Parent(m).(*ast.DeferStmt); isDefer {
-					// defer mu.Unlock() releases at return; deferred
-					// helpers run after the body, holding nothing yet.
-					return true
-				}
-				lm.applyCall(n, m, s, report)
-			case *ast.SendStmt:
-				if report {
-					lm.checkBlockSite(n, m.Chan, m.Pos(), blockSend, s)
-				}
-			case *ast.UnaryExpr:
-				if m.Op == token.ARROW && report {
-					lm.checkBlockSite(n, m.X, m.Pos(), blockRecv, s)
-				}
+// visitCall handles one non-deferred call reached with locks held. A
+// direct Lock/RLock convicts a same-instance re-acquisition and grows an
+// order edge from every other held class; a resolved call reports what
+// its callees acquire or park on.
+func (lm *LockOrderModel) visitCall(n *FuncNode, call *ast.CallExpr, s heldSet) {
+	if op, ok := syncLockOp(n.Pkg, call); ok {
+		if op.cls == nil || !op.acquires() {
+			return
+		}
+		read := op.name == "RLock"
+		desc := op.name + " " + lm.ClassName(op.cls)
+		for _, h := range lm.sortedHeld(s) {
+			last := lockStep{fn: n, pos: call.Pos(), desc: desc}
+			switch {
+			case h.ref == op.ref:
+				lm.reportSelfDeadlock(n, call.Pos(), h, read, "")
+				continue
+			case h.cls == op.cls:
+				// Same class, provably different instance: a self-edge
+				// (two instances of one class locked nested) — a real
+				// order hazard unless ranked by address, which the graph
+				// cannot see.
+				last.desc += " (second instance)"
 			}
-			return true
-		}, nil)
-	}
-}
-
-// applyCall handles one non-deferred call: direct sync ops mutate the
-// held set (reporting self-deadlocks and edges first); resolved calls
-// report callee-driven events, then apply the callee's lock balance.
-func (lm *LockOrderModel) applyCall(n *FuncNode, call *ast.CallExpr, s map[heldLock]uint8, report bool) {
-	if cls, ref, op, ok := lm.classOfLockOp(n.Pkg, call); ok {
-		switch op {
-		case "Lock", "RLock":
-			read := op == "RLock"
-			if report {
-				for _, h := range lm.sortedHeld(s) {
-					if h.ref == ref {
-						lm.reportSelfDeadlock(n, call.Pos(), h, read, "")
-					} else if h.cls != cls {
-						lm.addEdge(n, h, cls, read, lockStep{fn: n, pos: call.Pos(), desc: op + " " + lm.ClassName(cls)})
-					} else {
-						// Same class, provably different instance: a
-						// self-edge (two instances of one class locked
-						// nested) — a real order hazard unless ranked
-						// by address, which the graph cannot see.
-						lm.addEdge(n, h, cls, read, lockStep{fn: n, pos: call.Pos(), desc: op + " " + lm.ClassName(cls) + " (second instance)"})
-					}
-				}
-			}
-			s[heldLock{ref: ref, cls: cls, pos: call.Pos(), read: read}] = 1
-		case "Unlock", "RUnlock":
-			for h := range s {
-				if h.ref == ref {
-					delete(s, h)
-				}
-			}
+			lm.addEdgeSteps(h, op.cls, read, []lockStep{last})
 		}
 		return
 	}
-	if report {
-		// Direct wg.Wait() is an external sync call with no module
-		// target, so it must be checked before the target gate below.
-		lm.checkDirectWait(n, call, s)
-	}
+	// Direct wg.Wait() is an external sync call with no module target, so
+	// it is checked before the target gate below.
+	lm.checkDirectWait(n, call, s)
 	site := lm.ip.Graph.SiteOf(call)
 	if site == nil || site.Interface || site.InGo || len(site.Targets) == 0 {
 		return
 	}
-	sel, selOK := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	var base lockRef
-	baseOK := false
-	var baseType types.Type
-	if selOK {
-		base, baseOK = refPath(n.Pkg, sel.X)
-		baseType = n.Pkg.TypeOf(sel.X)
-	}
-	if report {
-		lm.reportCallEvents(n, call, site, s, base, baseOK)
-		lm.checkBlockingCallee(n, call, site, s)
-	}
-	// Apply the callee's lock balance (ensureLocked/release helpers),
-	// mirroring the guard model: leaves-locked needs every target to
-	// agree; any target releasing kills the held fact.
-	if !baseOK || baseType == nil {
-		return
-	}
-	var locks map[string]bool
-	for i, t := range site.Targets {
-		ts := lm.ip.SummaryOf(t)
-		if ts == nil {
-			locks = nil
-			break
-		}
-		if i == 0 {
-			locks = ts.LocksRecvPaths
-		} else {
-			merged := make(map[string]bool)
-			for p := range locks {
-				if ts.LocksRecvPaths[p] {
-					merged[p] = true
-				}
-			}
-			locks = merged
-		}
-		for p := range ts.UnlocksRecvPaths {
-			ref := lockRef{root: base.root, path: base.path + p}
-			for h := range s {
-				if h.ref == ref {
-					delete(s, h)
-				}
-			}
-		}
-	}
-	for p := range locks {
-		f, owner := fieldByRelPath(baseType, p)
-		if f == nil {
-			continue
-		}
-		lm.registerClass(f, owner)
-		s[heldLock{ref: lockRef{root: base.root, path: base.path + p}, cls: f, pos: call.Pos()}] = 1
-	}
+	lm.reportCallEvents(n, call, site, s)
+	lm.checkBlockingCallee(n, call, site, s)
 }
 
 // reportCallEvents emits, for one resolved call with locks held: the
 // self-deadlock conviction when a callee re-acquires a held
 // receiver-path mutex, and the lock-order edges from each held class to
 // each class the callees transitively acquire.
-func (lm *LockOrderModel) reportCallEvents(n *FuncNode, call *ast.CallExpr, site *CallSite, s map[heldLock]uint8, base lockRef, baseOK bool) {
-	if len(s) == 0 {
-		return
+func (lm *LockOrderModel) reportCallEvents(n *FuncNode, call *ast.CallExpr, site *CallSite, s heldSet) {
+	var base lockRef
+	baseOK := false
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		base, baseOK = refPath(n.Pkg, sel.X)
 	}
 	held := lm.sortedHeld(s)
 	for _, t := range site.Targets {
@@ -607,12 +421,6 @@ func (lm *LockOrderModel) expandChain(t *FuncNode, cls *types.Var, first lockSte
 		t = info.next
 	}
 	return steps
-}
-
-// addEdge records edge h.cls→cls with a two-step witness (the held
-// acquisition, then the final step).
-func (lm *LockOrderModel) addEdge(n *FuncNode, h heldLock, cls *types.Var, read bool, last lockStep) {
-	lm.addEdgeSteps(h, cls, read, []lockStep{last})
 }
 
 // addEdgeSteps records edge h.cls→cls, prefixing the witness with the
@@ -717,11 +525,8 @@ func (k blockKind) counterpartVerb() string {
 // held and the channel provably unbuffered, any goroutine spawned in n
 // that touches the same channel but acquires a held lock class before
 // its counterpart operation closes a lock-wait cycle.
-func (lm *LockOrderModel) checkBlockSite(n *FuncNode, chanExpr ast.Expr, pos token.Pos, kind blockKind, s map[heldLock]uint8) {
-	if len(s) == 0 {
-		return
-	}
-	if pkgInSelectWithDefault(n.Pkg, chanExpr) {
+func (lm *LockOrderModel) checkBlockSite(n *FuncNode, chanExpr ast.Expr, pos token.Pos, kind blockKind, s heldSet) {
+	if inSelectWithDefault(n.Pkg, chanExpr) {
 		return
 	}
 	ident, ok := terminalObj(n.Pkg, chanExpr)
@@ -733,11 +538,8 @@ func (lm *LockOrderModel) checkBlockSite(n *FuncNode, chanExpr ast.Expr, pos tok
 
 // checkDirectWait convicts a direct wg.Wait() with locks held when a
 // goroutine spawned in n must acquire a held class before its Done.
-func (lm *LockOrderModel) checkDirectWait(n *FuncNode, call *ast.CallExpr, s map[heldLock]uint8) {
-	if len(s) == 0 {
-		return
-	}
-	fn := pkgCalleeFunc(n.Pkg, call)
+func (lm *LockOrderModel) checkDirectWait(n *FuncNode, call *ast.CallExpr, s heldSet) {
+	fn := calleeFunc(n.Pkg, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" || fn.Name() != "Wait" || !isWaitGroupMethod(fn) {
 		return
 	}
@@ -754,10 +556,7 @@ func (lm *LockOrderModel) checkDirectWait(n *FuncNode, call *ast.CallExpr, s map
 // resolved callee summarized as blocking on a WaitGroup (or a channel)
 // that is passed the tracked object as an argument parks the caller
 // just the same.
-func (lm *LockOrderModel) checkBlockingCallee(n *FuncNode, call *ast.CallExpr, site *CallSite, s map[heldLock]uint8) {
-	if len(s) == 0 {
-		return
-	}
+func (lm *LockOrderModel) checkBlockingCallee(n *FuncNode, call *ast.CallExpr, site *CallSite, s heldSet) {
 	var blocksWG, blocksChan bool
 	for _, t := range site.Targets {
 		if ts := lm.ip.SummaryOf(t); ts != nil {
@@ -796,7 +595,7 @@ func (lm *LockOrderModel) checkBlockingCallee(n *FuncNode, call *ast.CallExpr, s
 // checkCounterparts scans the goroutines n spawns for one that (a)
 // performs the counterpart operation on ident and (b) may acquire a
 // held lock class before reaching it.
-func (lm *LockOrderModel) checkCounterparts(n *FuncNode, ident types.Object, pos token.Pos, kind blockKind, s map[heldLock]uint8) {
+func (lm *LockOrderModel) checkCounterparts(n *FuncNode, ident types.Object, pos token.Pos, kind blockKind, s heldSet) {
 	heldCls := make(map[*types.Var]heldLock)
 	for _, h := range lm.sortedHeld(s) {
 		if _, ok := heldCls[h.cls]; !ok {
@@ -840,7 +639,7 @@ func counterpartTouches(t *FuncNode, ident types.Object, kind blockKind) bool {
 		switch m := m.(type) {
 		case *ast.CallExpr:
 			if kind == blockWGWait {
-				if fn := pkgCalleeFunc(t.Pkg, m); fn != nil && fn.Pkg() != nil &&
+				if fn := calleeFunc(t.Pkg, m); fn != nil && fn.Pkg() != nil &&
 					fn.Pkg().Path() == "sync" && fn.Name() == "Done" && isWaitGroupMethod(fn) {
 					if sel, ok := ast.Unparen(m.Fun).(*ast.SelectorExpr); ok {
 						if obj, ok := terminalObj(t.Pkg, sel.X); ok && obj == ident {
@@ -882,10 +681,10 @@ func (lm *LockOrderModel) spawneeAcquiresBeforeOp(t *FuncNode, ident types.Objec
 			if kind != blockWGWait {
 				return false
 			}
-			if _, isDefer := t.Pkg.Parent(m).(*ast.DeferStmt); isDefer {
+			if isDeferredCall(t.Pkg, m) {
 				return false
 			}
-			fn := pkgCalleeFunc(t.Pkg, m)
+			fn := calleeFunc(t.Pkg, m)
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" || fn.Name() != "Done" || !isWaitGroupMethod(fn) {
 				return false
 			}
@@ -918,17 +717,15 @@ func (lm *LockOrderModel) spawneeAcquiresBeforeOp(t *FuncNode, ident types.Objec
 				if !ok {
 					return true
 				}
-				if _, isDefer := t.Pkg.Parent(call).(*ast.DeferStmt); isDefer {
+				if isDeferredCall(t.Pkg, call) {
 					return true
 				}
 				if s[notDone] == 0 || visit == nil {
 					return true
 				}
-				if cls, _, op, ok := lm.classOfLockOp(t.Pkg, call); ok {
-					if op == "Lock" || op == "RLock" {
-						if _, held := heldCls[cls]; held {
-							visit(cls, call.Pos())
-						}
+				if op, ok := syncLockOp(t.Pkg, call); ok {
+					if _, held := heldCls[op.cls]; held && op.acquires() {
+						visit(op.cls, call.Pos())
 					}
 					return true
 				}

@@ -184,7 +184,7 @@ func isStartSpanCall(pass *Pass, e ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	fn := calleeFunc(pass, call)
+	fn := calleeFunc(pass.Pkg, call)
 	return fn != nil && fn.Name() == "StartSpan" && fn.Pkg() != nil &&
 		fn.Pkg().Path() == pass.loader.ModulePath+"/internal/obs"
 }

@@ -221,9 +221,6 @@ type Interproc struct {
 	// SCCCount / MaxSCC describe the condensation (for -stats).
 	SCCCount int
 	MaxSCC   int
-	// Hot is the hot-path grading of the graph (see hotpath.go), read by
-	// the perf analyzers and the driver's -stats census.
-	Hot *HotSet
 	// Guards is the module-wide lock-guard inference (see guardmodel.go),
 	// read by the lockguard analyzer and the driver's -stats census.
 	Guards *GuardModel
@@ -276,7 +273,6 @@ func BuildInterproc(l *Loader) *Interproc {
 			}
 		}
 	}
-	ip.Hot = BuildHotSet(ip)
 	ip.Guards = BuildGuardModel(ip)
 	ip.Locks = BuildLockOrderModel(ip)
 	return ip
@@ -417,13 +413,13 @@ func (ip *Interproc) scan(n *FuncNode) *Summary {
 		case *ast.GoStmt:
 			s.StartsGoroutine = true
 		case *ast.SendStmt:
-			if !pkgInSelectWithDefault(n.Pkg, m) {
+			if !inSelectWithDefault(n.Pkg, m) {
 				s.BlocksOnChan = true
 			}
 		case *ast.UnaryExpr:
 			if m.Op == token.ARROW {
 				s.HasChanRecv = true
-				if !pkgInSelectWithDefault(n.Pkg, m) {
+				if !inSelectWithDefault(n.Pkg, m) {
 					s.BlocksOnChan = true
 				}
 			}
@@ -804,7 +800,7 @@ func (ip *Interproc) ConsultingCall(call *ast.CallExpr) bool {
 func (ip *Interproc) sqlSinkPositions(pkg *Package, call *ast.CallExpr) ([]int, string) {
 	posSet := make(map[int]bool)
 	name := ""
-	fn := pkgCalleeFunc(pkg, call)
+	fn := calleeFunc(pkg, call)
 	if fn != nil {
 		for _, p := range ip.rootSinkPositions(fn) {
 			posSet[p] = true
@@ -894,75 +890,49 @@ func (ip *Interproc) scanLockPaths(n *FuncNode, s *Summary) {
 		if !ok {
 			return true
 		}
-		_, isDefer := n.Pkg.Parent(call).(*ast.DeferStmt)
-		if op, ref, ok := pkgSyncLockOp(n.Pkg, call); ok {
-			rel, ok := relOf(ref)
+		isDefer := isDeferredCall(n.Pkg, call)
+		if op, ok := syncLockOp(n.Pkg, call); ok {
+			rel, ok := relOf(op.ref)
 			if !ok {
 				return true
 			}
-			switch op {
-			case "Lock", "RLock":
-				if !isDefer {
-					lockSet[rel] = true
-					if op == "RLock" {
-						s.AcquiresRecvPaths[rel] |= acquireRead
-					} else {
-						s.AcquiresRecvPaths[rel] |= acquireWrite
-					}
-				}
-			case "Unlock", "RUnlock":
+			switch {
+			case !op.acquires():
 				unlockSet[rel] = true
-			}
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		base, ok := refPath(n.Pkg, sel.X)
-		if !ok {
-			return true
-		}
-		baseRel, ok := relOf(base)
-		if !ok {
-			return true
-		}
-		site := ip.Graph.SiteOf(call)
-		if site == nil || site.Interface || site.InGo || len(site.Targets) == 0 {
-			return true
-		}
-		var locks map[string]bool
-		for i, t := range site.Targets {
-			ts := ip.summaries[t]
-			if ts == nil {
-				locks = nil
-				break
-			}
-			if i == 0 {
-				locks = ts.LocksRecvPaths
-			} else {
-				merged := make(map[string]bool)
-				for p := range locks {
-					if ts.LocksRecvPaths[p] {
-						merged[p] = true
-					}
+			case !isDefer:
+				lockSet[rel] = true
+				if op.name == "RLock" {
+					s.AcquiresRecvPaths[rel] |= acquireRead
+				} else {
+					s.AcquiresRecvPaths[rel] |= acquireWrite
 				}
-				locks = merged
 			}
-			for p := range ts.UnlocksRecvPaths {
-				unlockSet[baseRel+p] = true
-			}
-			// Acquisition is a may-fact: ANY target acquiring taints the
-			// site (unlike leaves-locked, which needs every target).
-			if !isDefer {
+			return true
+		}
+		bal, ok := ip.calleeLockBalance(n.Pkg, call)
+		if !ok {
+			return true
+		}
+		baseRel, ok := relOf(bal.base)
+		if !ok {
+			return true
+		}
+		for _, p := range bal.unlocks {
+			unlockSet[baseRel+p] = true
+		}
+		if isDefer {
+			return true
+		}
+		for p := range bal.locks {
+			lockSet[baseRel+p] = true
+		}
+		// Acquisition is a may-fact: ANY target acquiring taints the site
+		// (unlike leaves-locked, which needs every target).
+		for _, t := range ip.Graph.SiteOf(call).Targets {
+			if ts := ip.summaries[t]; ts != nil {
 				for p, mode := range ts.AcquiresRecvPaths {
 					s.AcquiresRecvPaths[baseRel+p] |= mode
 				}
-			}
-		}
-		if !isDefer {
-			for p := range locks {
-				lockSet[baseRel+p] = true
 			}
 		}
 		return true
@@ -1104,7 +1074,7 @@ func (ip *Interproc) taintedSQLExpr(pkg *Package, e ast.Expr, taint map[*types.V
 		flattenConcat(e, &ops)
 		return ip.mixesSQLWithRuntime(pkg, ops, taint)
 	case *ast.CallExpr:
-		if fn := pkgCalleeFunc(pkg, e); fn != nil && fn.Pkg() != nil {
+		if fn := calleeFunc(pkg, e); fn != nil && fn.Pkg() != nil {
 			if fn.Pkg().Path() == "fmt" {
 				switch fn.Name() {
 				case "Sprintf", "Sprint", "Sprintln", "Appendf":
@@ -1151,7 +1121,7 @@ func (ip *Interproc) mixesSQLWithRuntime(pkg *Package, ops []ast.Expr, taint map
 			continue // non-string constant
 		}
 		if call, ok := op.(*ast.CallExpr); ok {
-			if fn := pkgCalleeFunc(pkg, call); fn != nil && ip.trustedSQLBuilder(fn) {
+			if fn := calleeFunc(pkg, call); fn != nil && ip.trustedSQLBuilder(fn) {
 				continue
 			}
 		}
@@ -1235,9 +1205,9 @@ func funcHasCtxParam(fn *types.Func) bool {
 	return ok && hasContextParam(sig)
 }
 
-// pkgCalleeFunc is the Package-level twin of calleeFunc for contexts
-// that have no Pass at hand (summary computation).
-func pkgCalleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
+// calleeFunc resolves the called function/method object, nil for
+// conversions, builtins, and calls through function-typed values.
+func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		fn, _ := pkg.ObjectOf(fun).(*types.Func)

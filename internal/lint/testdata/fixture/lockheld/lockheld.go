@@ -107,3 +107,41 @@ func (c *cache) inMemoryOnly(table string, info *source.TableInfo) {
 	c.val[table] = info
 	c.mu.Unlock()
 }
+
+// embedded carries a promoted mutex: e.Lock() and e.Mutex.Lock() name
+// the same instance and must key alike.
+type embedded struct {
+	sync.Mutex
+	src source.Source
+}
+
+// fieldLockPromotedUnlock locks through the field and releases through
+// the promoted method: nothing is held at the round-trip.
+func (e *embedded) fieldLockPromotedUnlock(ctx context.Context, table string) (*source.TableInfo, error) {
+	e.Mutex.Lock()
+	e.Unlock()
+	return e.src.TableInfo(ctx, table)
+}
+
+// promotedLockFieldUnlock is the mirror spelling with the round-trip
+// inside the critical section.
+func (e *embedded) promotedLockFieldUnlock(ctx context.Context, table string) error {
+	e.Lock()
+	_, err := e.src.TableInfo(ctx, table) // want "e.Mutex is held across the call to TableInfo"
+	e.Mutex.Unlock()
+	return err
+}
+
+// ensureLocked leaves mu locked for its caller.
+func (c *cache) ensureLocked() {
+	c.mu.Lock()
+}
+
+// rpcAfterEnsureLocked acquires through the helper, so no Lock call
+// appears in this body, and still crosses the wire holding mu.
+func (c *cache) rpcAfterEnsureLocked(ctx context.Context, table string) error {
+	c.ensureLocked()
+	_, err := c.src.TableInfo(ctx, table) // want "c.mu is held across the call to TableInfo"
+	c.mu.Unlock()
+	return err
+}

@@ -64,7 +64,7 @@ type wgFact struct {
 // syncWGOp matches wg.Add/Done/Wait calls on sync.WaitGroup and returns
 // the operation plus the group's identity.
 func syncWGOp(pass *Pass, call *ast.CallExpr) (string, lockRef, bool) {
-	fn := calleeFunc(pass, call)
+	fn := calleeFunc(pass.Pkg, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" || !isWaitGroupMethod(fn) {
 		return "", lockRef{}, false
 	}
@@ -77,7 +77,7 @@ func syncWGOp(pass *Pass, call *ast.CallExpr) (string, lockRef, bool) {
 	if !ok {
 		return "", lockRef{}, false
 	}
-	ref, ok := lockPath(pass, sel.X)
+	ref, ok := refPath(pass.Pkg, sel.X)
 	if !ok {
 		return "", lockRef{}, false
 	}

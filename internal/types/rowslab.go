@@ -49,7 +49,7 @@ func (s *RowSlab) Next(w int) Row {
 		return noColumns
 	}
 	if s.off+w > len(s.chunk) {
-		//lint:ignore hotalloc one chunk per up to 127 rows, not one per row
+		// One chunk per up to 127 rows, not one per row.
 		s.chunk, s.off = make([]Value, w*chunkRows(s.rows, w)), 0
 	}
 	row := s.chunk[s.off : s.off+w : s.off+w]

@@ -27,3 +27,40 @@ func BenchmarkDecodeFrame256(b *testing.B) {
 		}
 	}
 }
+
+// TestRowsFrameAllocsDoNotGrowPerRow ships n and then 2n rows the way a
+// result stream does — the server's reused Encoder cut into msgRows
+// frames of rowBatchSize, the client's rowBatch into a reused slot
+// array — and requires the extra n rows to cost at most n/32 more
+// allocations: a frame's header, decoder and slab, never one per row.
+// Fixed-width columns only: a string value is one allocation per value
+// by construction (EXPERIMENTS.md lists that slope).
+func TestRowsFrameAllocsDoNotGrowPerRow(t *testing.T) {
+	const n = 4096
+	rows := make([]types.Row, 2*n)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 97)),
+			types.NewFloat(float64(i) / 3), types.NewBool(i%2 == 0)}
+	}
+	ship := func(n int) {
+		var e Encoder
+		var batch []types.Row
+		for lo := 0; lo < n; lo += rowBatchSize {
+			e.Reset()
+			for _, r := range rows[lo : lo+rowBatchSize] {
+				e.Row(r)
+			}
+			var err error
+			batch, err = NewDecoder(prependCount(e.Bytes(), rowBatchSize)).rowBatch(batch)
+			if err != nil || len(batch) != rowBatchSize || !batch[1].Equal(rows[lo+1]) {
+				t.Fatalf("frame at %d: %d rows, %v", lo, len(batch), err)
+			}
+		}
+	}
+	at := func(n int) float64 { return testing.AllocsPerRun(5, func() { ship(n) }) }
+	slope := at(2*n) - at(n)
+	t.Logf("msgRows encode→decode: %v more allocations for %d more rows", slope, n)
+	if slope > n/32 {
+		t.Errorf("msgRows encode→decode allocates per row: %v more allocations for %d more rows (bound %d)", slope, n, n/32)
+	}
+}

@@ -406,7 +406,7 @@ func (d *Decoder) rowBatch(batch []types.Row) ([]types.Row, error) {
 	if cap(batch) >= int(n) {
 		batch = batch[:n]
 	} else {
-		//lint:ignore hotalloc the slot array grows to the frame size once per stream
+		// The slot array grows to the frame size once per stream.
 		batch = make([]types.Row, n)
 	}
 	var slab []types.Value
@@ -422,7 +422,6 @@ func (d *Decoder) rowBatch(batch []types.Row) ([]types.Row, error) {
 		if slab == nil || width > len(slab) {
 			// The first row, or one wider than those before it: room
 			// for the rest of the frame at this width.
-			//lint:ignore hotalloc one slab per frame, not per row
 			slab = make([]types.Value, min(width*(len(batch)-i), d.Remaining()))
 		}
 		row := slab[:width:width]
