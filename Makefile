@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures lint-stats fmt vet check chaos overload bench bench-e2e
+.PHONY: build test race lint lint-fixtures lint-stats fmt vet check chaos overload bench rungs bench-e2e
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,11 @@ overload:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# Every per-layer rung next to the code at once. Read B/op and
+# allocs/op: ns/op is not repeatable on a shared machine.
+rungs:
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): all five
 # workloads once, each result appended to bench.jsonl. Two such files

@@ -151,7 +151,12 @@ type GlobalTable struct {
 }
 
 // Stats merges the fragments' statistics; nil when none were analyzed.
+// The result is only to be read: for a table of one analyzed fragment it
+// is that fragment's own statistics, not a copy.
 func (g *GlobalTable) Stats() *stats.TableStats {
+	if len(g.Fragments) == 1 && g.Fragments[0].stats != nil {
+		return g.Fragments[0].stats
+	}
 	var parts []*stats.TableStats
 	for _, f := range g.Fragments {
 		if f.stats != nil {

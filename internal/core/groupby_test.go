@@ -1,0 +1,115 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"gis/internal/catalog"
+	"gis/internal/expr"
+	"gis/internal/relstore"
+	"gis/internal/source"
+	"gis/internal/types"
+	"gis/internal/wire"
+)
+
+// groupByEngine is newTestEngine's two relstore tables — customers on
+// one site, orders split over two — with each store handed to the
+// catalog as wrap returns it.
+func groupByEngine(t *testing.T, wrap func(*testing.T, *relstore.Store) source.Source) *Engine {
+	t.Helper()
+	custSchema := types.NewSchema(
+		types.Column{Name: "id", Type: types.KindInt},
+		types.Column{Name: "name", Type: types.KindString},
+		types.Column{Name: "region", Type: types.KindString},
+		types.Column{Name: "balance", Type: types.KindFloat},
+	)
+	orderSchema := types.NewSchema(
+		types.Column{Name: "oid", Type: types.KindInt},
+		types.Column{Name: "cust_id", Type: types.KindInt},
+	)
+	ny, eu := relstore.New("ny"), relstore.New("eu")
+	if err := ny.CreateTable("customers", custSchema, 0); err != nil {
+		t.Fatal(err)
+	}
+	mustInsert(t, ny, "customers", []types.Row{
+		{types.NewInt(1), types.NewString("alice"), types.NewString("east"), types.NewFloat(100)},
+		{types.NewInt(2), types.NewString("bob"), types.NewString("west"), types.NewFloat(200)},
+		{types.NewInt(3), types.NewString("carol"), types.NewString("east"), types.NewFloat(300)},
+		{types.NewInt(4), types.NewString("dave"), types.NewString("west"), types.NewFloat(50)},
+	})
+	for st, base := range map[*relstore.Store]int64{ny: 10, eu: 100} {
+		if err := st.CreateTable("orders", orderSchema, 0); err != nil {
+			t.Fatal(err)
+		}
+		mustInsert(t, st, "orders", []types.Row{
+			{types.NewInt(base), types.NewInt(base/50 + 1)},
+			{types.NewInt(base + 1), types.NewInt(base/50 + 2)},
+			{types.NewInt(base + 2), types.NewInt(base/50 + 1)},
+		})
+	}
+
+	e := New()
+	cat := e.Catalog()
+	for _, st := range []*relstore.Store{ny, eu} {
+		if err := cat.AddSource(wrap(t, st)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cat.DefineTable("customers", custSchema); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.MapSimple(ctx, "customers", "ny", "customers"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.DefineTable("orders", orderSchema); err != nil {
+		t.Fatal(err)
+	}
+	oid, hundred := expr.NewColRef("", "oid"), expr.NewConst(types.NewInt(100))
+	for src, where := range map[string]expr.Expr{
+		"ny": expr.NewBinary(expr.OpLt, oid, hundred),
+		"eu": expr.NewBinary(expr.OpGe, oid, hundred),
+	} {
+		if err := cat.MapFragment(ctx, "orders", &catalog.Fragment{
+			Source: src, RemoteTable: "orders", Where: where,
+			Columns: []catalog.ColumnMapping{{RemoteCol: 0}, {RemoteCol: 1}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
+}
+
+// overWire serves a store on loopback and returns the client dialled to
+// it, under the store's name.
+func overWire(t *testing.T, st *relstore.Store) source.Source {
+	t.Helper()
+	srv, err := wire.Serve(context.Background(), "127.0.0.1:0", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cl, err := wire.DialContext(ctx, srv.Addr(), wire.WithName(st.Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// GROUP BY with no aggregate is pushed whole to a single-fragment
+// relstore table as a query with GroupBy and no Aggs. It must come back
+// as one row per key under the one-column schema, not as the table.
+func TestGroupByWithoutAggregates(t *testing.T) {
+	for name, wrap := range map[string]func(*testing.T, *relstore.Store) source.Source{
+		"local": func(_ *testing.T, st *relstore.Store) source.Source { return st },
+		"wire":  overWire,
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := groupByEngine(t, wrap)
+			wantRows(t, query(t, e, "SELECT region FROM customers GROUP BY region"), false, "(east)", "(west)")
+			wantRows(t, query(t, e, "SELECT region FROM customers GROUP BY region ORDER BY region"), true, "(east)", "(west)")
+			wantRows(t, query(t, e, "SELECT DISTINCT region FROM customers"), false, "(east)", "(west)")
+			wantRows(t, query(t, e, "SELECT cust_id FROM orders GROUP BY cust_id"), false, "(1)", "(2)", "(3)", "(4)")
+		})
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 
@@ -154,7 +155,7 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	need := c.fieldsRead(q.Columns, q.Filter)
 	scratch := make(types.Row, len(c.fields))
 	var slab types.RowSlab
-	var out []types.Row
+	out := &rowChunks{}
 	for _, doc := range c.docs {
 		match, err := c.matches(scratch, doc, need, q.Filter)
 		if err != nil {
@@ -171,10 +172,53 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 				row[j] = scratch[col]
 			}
 		}
-		out = append(out, row)
+		out.add(row)
 	}
-	return source.SliceIter(out), nil
+	return out, nil
 }
+
+// rowChunks is a result whose size is not known until the scan ends:
+// rows are added to chunks that are never regrown — the first small,
+// each next one twice the last up to maxChunk — and read back in order
+// as a source.RowIter. Growing one slice by append would copy every row
+// header about twice more and leave the copies as garbage.
+type rowChunks struct {
+	chunks [][]types.Row
+	c, i   int // Next's position: chunk and row within it
+}
+
+const (
+	firstChunk = 16
+	maxChunk   = 1024
+)
+
+func (rc *rowChunks) add(r types.Row) {
+	last := len(rc.chunks) - 1
+	if last < 0 || len(rc.chunks[last]) == cap(rc.chunks[last]) {
+		n := firstChunk
+		if last >= 0 {
+			n = min(2*cap(rc.chunks[last]), maxChunk)
+		}
+		rc.chunks = append(rc.chunks, make([]types.Row, 0, n))
+		last++
+	}
+	rc.chunks[last] = append(rc.chunks[last], r)
+}
+
+// Next implements source.RowIter.
+func (rc *rowChunks) Next() (types.Row, error) {
+	for rc.c < len(rc.chunks) {
+		if ch := rc.chunks[rc.c]; rc.i < len(ch) {
+			rc.i++
+			return ch[rc.i-1], nil
+		}
+		rc.c, rc.i = rc.c+1, 0
+	}
+	return nil, io.EOF
+}
+
+// Close implements source.RowIter.
+func (rc *rowChunks) Close() error { return nil }
 
 // fieldsRead marks the fields a statement reads: the projected columns
 // (every field when cols is nil) and the columns the expressions

@@ -19,18 +19,24 @@ func benchExprs() (pred expr.Expr, proj []expr.Expr) {
 	return expr.NewBinary(expr.OpGe, id, expr.NewConst(types.NewInt(0))), []expr.Expr{id}
 }
 
-// benchPlan is filter→project over a 10k-row Values node (a SliceIter
-// once run): two streaming operators whose per-row work is small enough
-// that what Run adds around them shows.
-func benchPlan() plan.Node {
+// benchValues is a 10k-row Values node (a SliceIter once run) of
+// (id, v = id mod 7).
+func benchValues() *plan.Values {
 	in := &plan.Values{Out: types.NewSchema(intCol("id"), intCol("v"))}
 	for i := 0; i < 10000; i++ {
 		in.Rows = append(in.Rows, []expr.Expr{
 			expr.NewConst(types.NewInt(int64(i))), expr.NewConst(types.NewInt(int64(i % 7))),
 		})
 	}
+	return in
+}
+
+// benchPlan is filter→project over benchValues: two streaming operators
+// whose per-row work is small enough that what Run adds around them
+// shows.
+func benchPlan() plan.Node {
 	pred, proj := benchExprs()
-	return &plan.Project{Input: &plan.Filter{Input: in, Pred: pred}, Exprs: proj}
+	return &plan.Project{Input: &plan.Filter{Input: benchValues(), Pred: pred}, Exprs: proj}
 }
 
 var benchRows int
@@ -112,6 +118,31 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 			b.Fatalf("%d rows, %v", n-1, err)
 		}
 		it.Close()
+	}
+}
+
+// BenchmarkAggregate groups benchValues' 10 000 rows by v (seven groups)
+// under COUNT(*) and SUM(id). The Values input costs one allocation per
+// row on either side of a comparison; what the operator adds is the
+// rest.
+func BenchmarkAggregate(b *testing.B) {
+	id, v := expr.NewBoundColRef(0, types.KindInt, "id"), expr.NewBoundColRef(1, types.KindInt, "v")
+	a := &plan.Aggregate{
+		GroupBy: []expr.Expr{v},
+		Aggs:    []plan.AggItem{{Kind: expr.AggCount}, {Kind: expr.AggSum, Arg: id}},
+		Input:   benchValues(),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it, err := Run(context.Background(), a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows, err := source.Drain(it)
+		if err != nil || len(rows) != 7 {
+			b.Fatalf("%d groups, %v", len(rows), err)
+		}
 	}
 }
 

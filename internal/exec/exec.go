@@ -616,13 +616,14 @@ func runAggregate(ctx context.Context, a *plan.Aggregate) (source.RowIter, error
 		return nil, err
 	}
 	defer in.Close()
-	type group struct {
-		key  types.Row
-		accs []expr.Accumulator
+	aggs := make([]expr.AccSpec, len(a.Aggs))
+	for i, ag := range a.Aggs {
+		aggs[i] = expr.AccSpec{Kind: ag.Kind, Star: ag.Arg == nil, Distinct: ag.Distinct}
 	}
-	groups := make(map[uint64][]*group)
-	var order []*group
-	keyScratch := make(types.Row, 0, len(a.GroupBy))
+	groups := expr.NewGroupTable(len(a.GroupBy), aggs)
+	// key is reused across input rows; the table copies it only when it
+	// starts a group.
+	key := make(types.Row, len(a.GroupBy))
 	var inputRows int64
 	for {
 		if err := ctx.Err(); err != nil {
@@ -636,64 +637,24 @@ func runAggregate(ctx context.Context, a *plan.Aggregate) (source.RowIter, error
 			return nil, err
 		}
 		inputRows++
-		// keyScratch is reused across input rows; only a freshly seen
-		// group keeps a copy. Most rows hit an existing group, so this
-		// drops the per-row key allocation to one per distinct group.
-		key := keyScratch[:0]
-		for _, g := range a.GroupBy {
-			v, err := g.Eval(r)
-			if err != nil {
+		for i, g := range a.GroupBy {
+			if key[i], err = g.Eval(r); err != nil {
 				return nil, err
 			}
-			key = append(key, v)
 		}
-		keyScratch = key
-		h := key.Hash()
-		var grp *group
-		for _, g := range groups[h] {
-			if g.key.Equal(key) {
-				grp = g
-				break
-			}
-		}
-		if grp == nil {
-			grp = &group{key: key.Clone(), accs: make([]expr.Accumulator, len(a.Aggs))}
-			for i, ag := range a.Aggs {
-				grp.accs[i] = expr.NewAccumulator(ag.Kind, ag.Arg == nil, ag.Distinct)
-			}
-			groups[h] = append(groups[h], grp)
-			order = append(order, grp)
-		}
-		for i, ag := range a.Aggs {
+		for i, acc := range groups.Group(key) {
 			v := types.NewInt(1)
-			if ag.Arg != nil {
-				v, err = ag.Arg.Eval(r)
-				if err != nil {
+			if arg := a.Aggs[i].Arg; arg != nil {
+				if v, err = arg.Eval(r); err != nil {
 					return nil, err
 				}
 			}
-			if err := grp.accs[i].Add(v); err != nil {
+			if err := acc.Add(v); err != nil {
 				return nil, err
 			}
 		}
 	}
 	mAggInputRows.Add(inputRows)
-	mAggGroups.Add(int64(len(order)))
-	if len(order) == 0 && len(a.GroupBy) == 0 {
-		row := make(types.Row, len(a.Aggs))
-		for i, ag := range a.Aggs {
-			row[i] = expr.NewAccumulator(ag.Kind, ag.Arg == nil, ag.Distinct).Result()
-		}
-		return source.SliceIter([]types.Row{row}), nil
-	}
-	out := make([]types.Row, 0, len(order))
-	for _, g := range order {
-		row := make(types.Row, 0, len(a.GroupBy)+len(a.Aggs))
-		row = append(row, g.key...)
-		for _, acc := range g.accs {
-			row = append(row, acc.Result())
-		}
-		out = append(out, row)
-	}
-	return source.SliceIter(out), nil
+	mAggGroups.Add(int64(groups.Len()))
+	return source.SliceIter(groups.Rows()), nil
 }

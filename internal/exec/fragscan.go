@@ -62,7 +62,7 @@ func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.
 	// them for robustness).
 	res := fs.Residual
 	if res != nil && !res.Empty() {
-		if len(res.Aggs) > 0 || len(res.OrderBy) > 0 {
+		if res.HasAggregation() || len(res.OrderBy) > 0 {
 			rows, err := source.Drain(it)
 			if err != nil {
 				return nil, err

@@ -217,3 +217,95 @@ func (a *distinctAcc) Merge(o Accumulator) error {
 	}
 	return nil
 }
+
+// AccSpec is what a GroupTable needs to know of one aggregate: the
+// arguments of NewAccumulator.
+type AccSpec struct {
+	Kind     AggKind
+	Star     bool
+	Distinct bool
+}
+
+// GroupTable is the state of a grouped aggregation: the groups seen so
+// far, in first-seen order, each with one Accumulator per aggregate.
+// The caller computes a row's group key into a scratch row it reuses,
+// asks for the group and feeds the accumulators; the key is copied only
+// when it starts a group.
+type GroupTable struct {
+	keyWidth int
+	aggs     []AccSpec
+	// heads maps a key hash to the last group started under it;
+	// group.sameHash chains the ones before.
+	heads       map[uint64]*group
+	first, last *group // the first-seen order, chained by group.after
+	n           int
+}
+
+// group owns its output row from the start: the key is row[:keyWidth],
+// and Rows writes the aggregate results behind it.
+type group struct {
+	row             types.Row
+	accs            []Accumulator
+	sameHash, after *group
+}
+
+// NewGroupTable returns an empty table for keys of keyWidth values.
+// aggs is retained, not copied.
+func NewGroupTable(keyWidth int, aggs []AccSpec) *GroupTable {
+	return &GroupTable{keyWidth: keyWidth, aggs: aggs, heads: make(map[uint64]*group)}
+}
+
+// Group returns the accumulators of key's group, one per aggregate in
+// order, starting the group if key (NULL equal to NULL) is new. key is
+// only read.
+func (t *GroupTable) Group(key types.Row) []Accumulator {
+	h := key.Hash()
+	head := t.heads[h]
+	for g := head; g != nil; g = g.sameHash {
+		if g.row[:t.keyWidth].Equal(key) {
+			return g.accs
+		}
+	}
+	g := t.newGroup(key)
+	g.sameHash, t.heads[h] = head, g
+	if t.last == nil {
+		t.first = g
+	} else {
+		t.last.after = g
+	}
+	t.last = g
+	t.n++
+	return g.accs
+}
+
+func (t *GroupTable) newGroup(key types.Row) *group {
+	g := &group{row: make(types.Row, t.keyWidth+len(t.aggs)), accs: make([]Accumulator, len(t.aggs))}
+	copy(g.row, key)
+	for i, a := range t.aggs {
+		g.accs[i] = NewAccumulator(a.Kind, a.Star, a.Distinct)
+	}
+	return g
+}
+
+// Len is the number of groups started.
+func (t *GroupTable) Len() int { return t.n }
+
+// Rows returns one row per group in first-seen order: the key followed
+// by the aggregate results. A global aggregation (keyWidth 0) that saw
+// no input yields the one row of empty-input results. The rows are the
+// table's own; adding to a group afterwards and calling Rows again
+// overwrites their results.
+func (t *GroupTable) Rows() []types.Row {
+	first, n := t.first, t.n
+	if n == 0 && t.keyWidth == 0 {
+		first, n = t.newGroup(nil), 1
+	}
+	out := make([]types.Row, 0, n)
+	for g := first; g != nil; g = g.after {
+		for j, acc := range g.accs {
+			g.row[t.keyWidth+j] = acc.Result()
+		}
+		out = append(out, g.row)
+	}
+	return out
+}

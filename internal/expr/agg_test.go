@@ -208,3 +208,45 @@ func TestSumSplitMergeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestGroupTable(t *testing.T) {
+	sum := []AccSpec{{Kind: AggCount, Star: true}, {Kind: AggSum}}
+	gt := NewGroupTable(1, sum)
+	key := make(types.Row, 1) // reused, as callers do
+	for _, in := range []struct {
+		k types.Value
+		v int64
+	}{{types.NewString("b"), 1}, {types.Null, 2}, {types.NewString("a"), 3}, {types.NewString("b"), 4}, {types.Null, 5}} {
+		key[0] = in.k
+		for _, acc := range gt.Group(key) {
+			feed(t, acc, types.NewInt(in.v))
+		}
+	}
+	rows := gt.Rows()
+	want := []string{"(b, 2, 5)", "(NULL, 2, 7)", "(a, 1, 3)"} // first-seen order, NULL keys one group
+	if gt.Len() != len(want) || len(rows) != len(want) {
+		t.Fatalf("%d groups, %d rows, want %d", gt.Len(), len(rows), len(want))
+	}
+	for i, r := range rows {
+		if r.String() != want[i] {
+			t.Errorf("row %d = %v, want %s", i, r, want[i])
+		}
+	}
+
+	// A global aggregation over no input is one row of empty-input
+	// results; a keyed one, or one with keys and no aggregates, is none.
+	if rows := NewGroupTable(0, sum).Rows(); len(rows) != 1 || rows[0].String() != "(0, NULL)" {
+		t.Errorf("global over no input = %v", rows)
+	}
+	if rows := NewGroupTable(1, sum).Rows(); len(rows) != 0 {
+		t.Errorf("keyed over no input = %v", rows)
+	}
+	distinct := NewGroupTable(1, nil)
+	for _, k := range []string{"x", "y", "x"} {
+		key[0] = types.NewString(k)
+		distinct.Group(key)
+	}
+	if rows := distinct.Rows(); len(rows) != 2 || rows[0].String() != "(x)" || rows[1].String() != "(y)" {
+		t.Errorf("keys with no aggregates = %v", rows)
+	}
+}

@@ -3,6 +3,7 @@ package relstore
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"gis/internal/expr"
 	"gis/internal/source"
@@ -13,6 +14,11 @@ import (
 // IR locally: index-accelerated filter, projection, grouping/aggregation,
 // sort, and limit. Results are materialized under the read lock and
 // streamed lock-free afterwards (snapshot semantics per query).
+//
+// The scan is one pass with no list of matches in between: an
+// aggregating query folds each passing row into its group as it is
+// found; any other marks it in a bitmap, whose size is known before the
+// scan, so that the result is allocated once, at its exact size.
 func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -31,16 +37,34 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	if indexed {
 		n = len(candidates)
 	}
-
-	var out []types.Row
-	limitEarly := q.Limit >= 0 && !q.HasAggregation() &&
-		len(q.OrderBy) == 0
-	for i := 0; i < n; i++ {
-		pos := i
+	rowAt := func(i int) types.Row {
 		if indexed {
-			pos = candidates[i]
+			return t.rows[candidates[i]]
 		}
-		r := t.rows[pos]
+		return t.rows[i]
+	}
+
+	var (
+		groups *expr.GroupTable
+		key    types.Row // scratch: the group key of the row in hand
+		// Bit i of passed is set when candidate i is in the result. Up
+		// to 512 candidates it lives on the stack.
+		small  [8]uint64
+		passed = small[:]
+		count  int
+	)
+	if q.HasAggregation() {
+		aggs := make([]expr.AccSpec, len(q.Aggs))
+		for i, a := range q.Aggs {
+			aggs[i] = expr.AccSpec{Kind: a.Kind, Star: a.Star, Distinct: a.Distinct}
+		}
+		groups, key = expr.NewGroupTable(len(q.GroupBy), aggs), make(types.Row, len(q.GroupBy))
+	} else if n > 64*len(small) {
+		passed = make([]uint64, (n+63)/64)
+	}
+	limitEarly := q.Limit >= 0 && groups == nil && len(q.OrderBy) == 0
+	for i := 0; i < n; i++ {
+		r := rowAt(i)
 		if r == nil {
 			continue
 		}
@@ -53,43 +77,63 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 				continue
 			}
 		}
-		out = append(out, r)
-		if limitEarly && int64(len(out)) >= q.Limit {
-			break
+		if groups == nil {
+			passed[i/64] |= 1 << (i % 64)
+			if count++; limitEarly && int64(count) >= q.Limit {
+				break
+			}
+			continue
+		}
+		for j, g := range q.GroupBy {
+			key[j] = r[g]
+		}
+		for j, acc := range groups.Group(key) {
+			v := types.NewInt(1)
+			if a := q.Aggs[j]; !a.Star {
+				v = r[a.Col]
+			}
+			if err := acc.Add(v); err != nil {
+				return nil, fmt.Errorf("relstore %s: %w", s.name, err)
+			}
 		}
 	}
 
-	if q.HasAggregation() {
-		out, err = aggregate(out, q.GroupBy, q.Aggs)
-		if err != nil {
-			return nil, fmt.Errorf("relstore %s: %w", s.name, err)
-		}
-	} else if q.Columns != nil {
-		// One slab per result, not one allocation per row. Rows are cut
-		// with a full slice expression so an append to one copies
-		// instead of reaching its neighbour.
+	var out []types.Row
+	if groups != nil {
+		out = groups.Rows()
+	} else {
+		// Unprojected rows are the committed rows themselves. Projected
+		// ones are carved from one slab, each cut with a full slice
+		// expression so an append to one copies instead of reaching its
+		// neighbour.
+		out = make([]types.Row, count)
 		w := len(q.Columns)
-		proj := make([]types.Row, len(out))
-		slab := make([]types.Value, w*len(out))
-		for i, r := range out {
-			nr := slab[i*w : (i+1)*w : (i+1)*w]
-			for j, c := range q.Columns {
-				if c < 0 || c >= len(r) {
-					return nil, fmt.Errorf("relstore %s: projected column %d out of range", s.name, c)
-				}
-				nr[j] = r[c]
-			}
-			proj[i] = nr
+		var slab []types.Value
+		if q.Columns != nil {
+			slab = make([]types.Value, w*count)
 		}
-		out = proj
+		k := 0
+		for base, word := range passed {
+			for ; word != 0; word &= word - 1 {
+				r := rowAt(base*64 + bits.TrailingZeros64(word))
+				if q.Columns != nil {
+					nr := slab[k*w : (k+1)*w : (k+1)*w]
+					for j, c := range q.Columns {
+						if c < 0 || c >= len(r) {
+							return nil, fmt.Errorf("relstore %s: projected column %d out of range", s.name, c)
+						}
+						nr[j] = r[c]
+					}
+					r = nr
+				}
+				out[k] = r
+				k++
+			}
+		}
 	}
 	if len(q.OrderBy) > 0 {
-		// Sorting mutates; the slice may alias committed rows only at
-		// the top level, so copying the slice header set is enough.
-		cp := make([]types.Row, len(out))
-		copy(cp, out)
-		source.SortRows(cp, q.OrderBy)
-		out = cp
+		// out is this query's own slice, never t.rows: sort it in place.
+		source.SortRows(out, q.OrderBy)
 	}
 	if q.Limit >= 0 && int64(len(out)) > q.Limit {
 		out = out[:q.Limit]
@@ -163,62 +207,4 @@ func (t *table) candidateRows(filter expr.Expr) ([]int, bool) {
 		}
 	}
 	return nil, false
-}
-
-// aggregate evaluates grouping and aggregates over materialized rows.
-func aggregate(rows []types.Row, groupBy []int, aggs []source.AggSpec) ([]types.Row, error) {
-	type group struct {
-		key  types.Row
-		accs []expr.Accumulator
-	}
-	groups := make(map[uint64][]*group)
-	var order []*group
-	for _, r := range rows {
-		key := make(types.Row, len(groupBy))
-		for i, g := range groupBy {
-			key[i] = r[g]
-		}
-		h := key.Hash()
-		var grp *group
-		for _, g := range groups[h] {
-			if g.key.Equal(key) {
-				grp = g
-				break
-			}
-		}
-		if grp == nil {
-			grp = &group{key: key, accs: make([]expr.Accumulator, len(aggs))}
-			for i, a := range aggs {
-				grp.accs[i] = expr.NewAccumulator(a.Kind, a.Star, a.Distinct)
-			}
-			groups[h] = append(groups[h], grp)
-			order = append(order, grp)
-		}
-		for i, a := range aggs {
-			v := types.NewInt(1)
-			if !a.Star {
-				v = r[a.Col]
-			}
-			if err := grp.accs[i].Add(v); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if len(order) == 0 && len(groupBy) == 0 {
-		row := make(types.Row, len(aggs))
-		for i, a := range aggs {
-			row[i] = expr.NewAccumulator(a.Kind, a.Star, a.Distinct).Result()
-		}
-		return []types.Row{row}, nil
-	}
-	out := make([]types.Row, 0, len(order))
-	for _, g := range order {
-		row := make(types.Row, 0, len(groupBy)+len(aggs))
-		row = append(row, g.key...)
-		for _, acc := range g.accs {
-			row = append(row, acc.Result())
-		}
-		out = append(out, row)
-	}
-	return out, nil
 }

@@ -481,8 +481,9 @@ func TestInListIndexProbe(t *testing.T) {
 
 // TestProjectedRowsDoNotAlias: a projection's rows are carved from one
 // slab per result. Each must be cut to its own length — an append to
-// one may not reach the next — and they stay the caller's after the
-// iterator is closed and the table is written to.
+// one may not reach the next — a write to one may not reach the table,
+// and they stay the caller's after the iterator is closed and the table
+// is written to.
 func TestProjectedRowsDoNotAlias(t *testing.T) {
 	s := newTestStore(t)
 	q := source.NewScan("items")
@@ -506,11 +507,16 @@ func TestProjectedRowsDoNotAlias(t *testing.T) {
 	if err := it.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Delete(ctx, "items", nil); err != nil {
-		t.Fatal(err)
-	}
 	if len(rows) != 30 {
 		t.Fatalf("projected %d rows, want 30", len(rows))
+	}
+	rows[3][0] = types.NewString("scribble")
+	if got := runQuery(t, s, source.NewScan("items"))[3]; !got[2].Equal(types.NewFloat(1.5)) {
+		t.Errorf("a write to a projected row reached the table: %v", got)
+	}
+	rows[3][0] = types.NewFloat(1.5)
+	if _, err := s.Delete(ctx, "items", nil); err != nil {
+		t.Fatal(err)
 	}
 	for i, r := range rows {
 		want := types.Row{types.NewFloat(float64(i) * 0.5), types.NewInt(int64(i))}

@@ -119,7 +119,7 @@ type OrderSpec struct {
 //	WHERE Filter GROUP BY GroupBy ORDER BY OrderBy LIMIT Limit
 //
 // Filter is bound against the table's schema (column references are
-// positions in TableInfo.Schema). When len(Aggs) > 0 the output schema is
+// positions in TableInfo.Schema). When HasAggregation the output schema is
 // the GroupBy columns followed by the aggregate results; otherwise it is
 // the projected Columns (nil Columns means all, in table order).
 // OrderSpec columns index the *output* schema.
@@ -136,8 +136,9 @@ type Query struct {
 // NewScan returns the trivial full-scan query for a table.
 func NewScan(table string) *Query { return &Query{Table: table, Limit: -1} }
 
-// HasAggregation reports whether the query groups/aggregates.
-func (q *Query) HasAggregation() bool { return len(q.Aggs) > 0 }
+// HasAggregation reports whether the query groups/aggregates: GROUP BY
+// with no aggregate (one row per distinct key) counts.
+func (q *Query) HasAggregation() bool { return len(q.Aggs) > 0 || len(q.GroupBy) > 0 }
 
 // OutputSchema computes the schema of the query's result given the
 // table's schema.

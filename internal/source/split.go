@@ -25,9 +25,13 @@ type Residual struct {
 	Limit   int64 // -1: none
 }
 
+// HasAggregation reports whether the mediator groups/aggregates. As in
+// Query, GROUP BY with no aggregate still groups.
+func (r *Residual) HasAggregation() bool { return len(r.Aggs) > 0 || len(r.GroupBy) > 0 }
+
 // Empty reports whether no compensation is needed.
 func (r *Residual) Empty() bool {
-	return r.Filter == nil && r.Project == nil && len(r.Aggs) == 0 &&
+	return r.Filter == nil && r.Project == nil && !r.HasAggregation() &&
 		len(r.OrderBy) == 0 && r.Limit < 0
 }
 
@@ -150,7 +154,7 @@ func Split(desired *Query, caps Capabilities, info *TableInfo) (*Query, *Residua
 	// --- sort & limit ---
 	// Both can only be pushed when everything upstream of them was
 	// pushed (otherwise order/limit would apply to the wrong rows).
-	fullyPushedSoFar := res.Filter == nil && res.Project == nil && len(res.Aggs) == 0
+	fullyPushedSoFar := res.Filter == nil && res.Project == nil && !res.HasAggregation()
 	if len(desired.OrderBy) > 0 {
 		if caps.Sort && fullyPushedSoFar {
 			pushed.OrderBy = desired.OrderBy
@@ -167,7 +171,7 @@ func Split(desired *Query, caps Capabilities, info *TableInfo) (*Query, *Residua
 			// A limit without residual filter/agg/sort still lets us ship
 			// a superset limit when the source supports it and no
 			// mediator-side reordering happens before the cut.
-			if caps.Limit && res.Filter == nil && len(res.Aggs) == 0 && orderedAtSource {
+			if caps.Limit && res.Filter == nil && !res.HasAggregation() && orderedAtSource {
 				pushed.Limit = desired.Limit
 				res.Limit = -1
 			}
@@ -275,7 +279,7 @@ func ApplyResidual(rows []types.Row, res *Residual) ([]types.Row, error) {
 		}
 		out = proj
 	}
-	if len(res.Aggs) > 0 {
+	if res.HasAggregation() {
 		var err error
 		out, err = aggregateRows(out, res.GroupBy, res.Aggs)
 		if err != nil {
