@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures lint-stats fmt vet check chaos overload bench rungs bench-e2e
+.PHONY: build test race lint lint-fixtures lint-stats fmt vet check chaos overload fuzz bench rungs bench-e2e
 
 build:
 	$(GO) build ./...
@@ -55,8 +55,17 @@ overload:
 	$(GO) test -race -run TestChaosOverload -count=1 ./internal/core
 	$(GO) run ./cmd/gisbench -overload -tenants 8 -scale 0.05 -reps 1 -latency 200us -json | $(GO) run ./scripts/benchjson
 
-bench:
-	$(GO) test -bench=. -benchmem
+# Ten seconds of coverage-guided fuzzing per byte-reader: the wire
+# decoder (every message body a peer can send) and the SQL lexer/parser.
+# Their seed corpora run as ordinary tests under `go test ./...`; a crash
+# found here lands in the package's testdata/fuzz and fails from then on.
+fuzz:
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecoder -fuzztime 10s
+	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime 10s
+
+# Both benchmark harnesses: the per-layer rungs, then the repository
+# benchmark. The T1-F9 experiment shapes are `go run ./cmd/gisbench`.
+bench: rungs bench-e2e
 
 # Every per-layer rung next to the code at once. Read B/op and
 # allocs/op: ns/op is not repeatable on a shared machine.

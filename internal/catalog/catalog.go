@@ -425,6 +425,12 @@ func (m *ColumnMapping) Invertible() bool {
 	return true
 }
 
+// InvertsExactly reports whether a global value translates back to the
+// very remote value it came from — what an equality on shipped join keys
+// needs. An affine conversion inverts only up to floating-point
+// rounding.
+func (m *ColumnMapping) InvertsExactly() bool { return m.Invertible() && !m.hasAffine() }
+
 // DefineView registers a named global view: a SELECT statement expanded
 // wherever the view's name appears in a FROM clause. The text is parsed
 // and validated lazily by the planner (keeping this package independent

@@ -284,7 +284,11 @@ func TestTranslateRow(t *testing.T) {
 	if len(remote) != 3 || backed[3] {
 		t.Fatalf("remote cols = %v backed = %v", remote, backed)
 	}
-	row, err := fragA.TranslateRow(tab.Schema, globalCols,
+	translate := func(f *Fragment, globalCols []int, remote types.Row) (types.Row, error) {
+		row := make(types.Row, len(globalCols))
+		return row, f.TranslateInto(row, tab.Schema, globalCols, remote)
+	}
+	row, err := translate(fragA, globalCols,
 		types.Row{types.NewInt(1), types.NewString("F"), types.NewFloat(61)})
 	if err != nil {
 		t.Fatal(err)
@@ -293,8 +297,7 @@ func TestTranslateRow(t *testing.T) {
 		t.Errorf("translated = %v", row)
 	}
 	// Subset + reorder.
-	row, err = fragA.TranslateRow(tab.Schema, []int{3, 1},
-		types.Row{types.NewString("M")})
+	row, err = translate(fragA, []int{3, 1}, types.Row{types.NewString("M")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,13 +305,13 @@ func TestTranslateRow(t *testing.T) {
 		t.Errorf("subset translated = %v", row)
 	}
 	// NULL passes through.
-	row, err = fragA.TranslateRow(tab.Schema, []int{1}, types.Row{types.Null})
+	row, err = translate(fragA, []int{1}, types.Row{types.Null})
 	if err != nil || !row[0].IsNull() {
 		t.Errorf("null translate = %v, %v", row, err)
 	}
 	// Affine coercion to global type.
 	fragB := tab.Fragments[1]
-	row, err = fragB.TranslateRow(tab.Schema, []int{2}, types.Row{types.NewFloat(100)})
+	row, err = translate(fragB, []int{2}, types.Row{types.NewFloat(100)})
 	if err != nil || row[0].Kind() != types.KindFloat {
 		t.Errorf("affine row = %v, %v", row, err)
 	}

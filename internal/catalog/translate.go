@@ -141,19 +141,10 @@ func (f *Fragment) RemoteCols(globalCols []int) (remote []int, backed []bool) {
 	return remote, backed
 }
 
-// TranslateRow converts a remote row (projected to exactly the
+// TranslateInto converts a remote row (projected to exactly the
 // remote-backed columns of globalCols, in order) into the global
-// representation of globalCols, coercing to the global column types.
-func (f *Fragment) TranslateRow(globalSchema *types.Schema, globalCols []int, remoteRow types.Row) (types.Row, error) {
-	out := make(types.Row, len(globalCols))
-	if err := f.TranslateInto(out, globalSchema, globalCols, remoteRow); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// TranslateInto is TranslateRow into a row the caller supplies, which
-// must be len(globalCols) wide.
+// representation of globalCols, coercing to the global column types. It
+// fills dst, which the caller supplies len(globalCols) wide.
 func (f *Fragment) TranslateInto(dst types.Row, globalSchema *types.Schema, globalCols []int, remoteRow types.Row) error {
 	ri := 0
 	for i, g := range globalCols {

@@ -50,39 +50,18 @@ func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.
 		}
 		it = wire
 	}
-	if fs.Raw {
+	if q.HasAggregation() {
 		// Pushed aggregation: the remote output is already final.
 		return it, nil
 	}
 
-	// Remote-space compensation. Filter and projection stream;
-	// aggregation/sort/limit need materialization (they never occur for
-	// fragment scans today — Split only produces them when the desired
-	// query aggregates, which the planner does not push — but handle
-	// them for robustness).
-	res := fs.Residual
-	if res != nil && !res.Empty() {
-		if res.HasAggregation() || len(res.OrderBy) > 0 {
-			rows, err := source.Drain(it)
-			if err != nil {
-				return nil, err
-			}
-			rows, err = source.ApplyResidual(rows, res)
-			if err != nil {
-				return nil, err
-			}
-			it = source.SliceIter(rows)
-		} else {
-			if res.Filter != nil {
-				it = &filterIter{ctx: ctx, in: it, pred: res.Filter}
-			}
-			if res.Project != nil {
-				it = &colProjectIter{in: it, cols: res.Project}
-			}
-			if res.Limit >= 0 {
-				it = &limitIter{in: it, remaining: res.Limit}
-			}
-		}
+	// Remote-space compensation for what the source could not filter
+	// or project.
+	if fs.Residual.Filter != nil {
+		it = &filterIter{ctx: ctx, in: it, pred: fs.Residual.Filter}
+	}
+	if fs.Residual.Project != nil {
+		it = &colProjectIter{in: it, cols: fs.Residual.Project}
 	}
 
 	// Translate remote rows to the fetched global layout.

@@ -33,46 +33,46 @@ func runJoin(ctx context.Context, j *plan.Join) (source.RowIter, error) {
 	case plan.StrategyBind:
 		return runKeyShippedJoin(ctx, j, bindBatchSize)
 	default:
-		return runLocalJoin(ctx, j, nil)
+		return runLocalJoin(ctx, j)
 	}
 }
 
-// runLocalJoin joins both inputs at the mediator. preFetchedRight, when
-// non-nil, replaces executing the right child (used by the key-shipping
-// strategies).
-func runLocalJoin(ctx context.Context, j *plan.Join, preFetchedRight []types.Row) (source.RowIter, error) {
-	var right []types.Row
-	if preFetchedRight != nil {
-		right = preFetchedRight
-	} else {
-		var err error
-		right, err = Collect(ctx, j.R)
-		if err != nil {
-			return nil, err
-		}
+// runLocalJoin joins both inputs at the mediator: the right side
+// materialized, the left streamed against it.
+func runLocalJoin(ctx context.Context, j *plan.Join) (source.RowIter, error) {
+	right, err := Collect(ctx, j.R)
+	if err != nil {
+		return nil, err
 	}
 	left, err := Run(ctx, j.L)
 	if err != nil {
 		return nil, err
 	}
 	if len(j.EquiL) > 0 {
-		// Hash join: build on the right, probe with the left stream.
 		mJoinBuildRows.Add(int64(len(right)))
-		build := make(map[uint64][]types.Row, len(right))
-		for _, r := range right {
-			h := keyHash(r, j.EquiR)
-			build[h] = append(build[h], r)
-		}
-		return &hashJoinIter{
-			ctx: ctx, j: j, left: left, build: build,
-			leftWidth: j.L.Schema().Len(), rightWidth: widthOfRight(j, right),
-		}, nil
 	}
-	// Nested loops for non-equi / cross joins.
-	return &nlJoinIter{
-		ctx: ctx, j: j, left: left, right: right,
+	return joinRows(ctx, j, left, right), nil
+}
+
+// joinRows joins a left stream with materialized right rows: a hash join
+// built on the right when the join has equi keys, nested loops for
+// non-equi and cross joins.
+func joinRows(ctx context.Context, j *plan.Join, left source.RowIter, right []types.Row) source.RowIter {
+	if len(j.EquiL) == 0 {
+		return &nlJoinIter{
+			ctx: ctx, j: j, left: left, right: right,
+			leftWidth: j.L.Schema().Len(), rightWidth: widthOfRight(j, right),
+		}
+	}
+	build := make(map[uint64][]types.Row, len(right))
+	for _, r := range right {
+		h := keyHash(r, j.EquiR)
+		build[h] = append(build[h], r)
+	}
+	return &hashJoinIter{
+		ctx: ctx, j: j, left: left, build: build,
 		leftWidth: j.L.Schema().Len(), rightWidth: widthOfRight(j, right),
-	}, nil
+	}
 }
 
 func widthOfRight(j *plan.Join, right []types.Row) int {
@@ -393,7 +393,7 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, chunk int) (source.Row
 			keys = append(keys, v)
 		}
 	}
-	scans := rightScansOf(j.R)
+	scans := plan.FragScans(j.R)
 	if scans == nil {
 		return nil, fmt.Errorf("exec: %s strategy requires fragment scans on the right side", j.Strategy)
 	}
@@ -411,16 +411,14 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, chunk int) (source.Row
 	errs := make([]error, len(scans))
 	var wg sync.WaitGroup
 	for si, fs := range scans {
-		remoteCol, ok := fs.CanBindOn(j.EquiR[0])
+		mapping, ok := fs.CanBindOn(j.EquiR[0])
 		if !ok {
 			return nil, fmt.Errorf("exec: fragment %s.%s cannot accept join keys", fs.Frag.Source, fs.Frag.RemoteTable)
 		}
 		wg.Add(1)
-		go func(si int, fs *plan.FragScan, remoteCol int) {
+		go func(si int, fs *plan.FragScan, mapping *catalog.ColumnMapping) {
 			defer wg.Done()
-			gcol := fs.Cols[fs.Out[j.EquiR[0]]]
-			mapping := &fs.Frag.Columns[gcol]
-			rtype := fs.Frag.Info().Schema.Columns[remoteCol].Type
+			rtype := fs.Frag.Info().Schema.Columns[mapping.RemoteCol].Type
 			fail := func(err error) {
 				errs[si] = err
 				if outc == nil {
@@ -436,7 +434,7 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, chunk int) (source.Row
 				if end > len(keys) {
 					end = len(keys)
 				}
-				pred, err := buildKeyPredicate(mapping, remoteCol, rtype, keys[start:end])
+				pred, err := buildKeyPredicate(mapping, rtype, keys[start:end])
 				if err != nil {
 					fail(err)
 					return
@@ -453,7 +451,7 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, chunk int) (source.Row
 				}
 				perScan[si] = append(perScan[si], rows...)
 			}
-		}(si, fs, remoteCol)
+		}(si, fs, mapping)
 	}
 	wg.Wait()
 	degrade := outc != nil && ctx.Err() == nil
@@ -487,50 +485,15 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, chunk int) (source.Row
 	return runLocalJoinMaterialized(ctx, j, leftRows, right)
 }
 
-// runLocalJoinMaterialized hash/NL-joins already-materialized inputs.
+// runLocalJoinMaterialized joins already-materialized inputs.
 func runLocalJoinMaterialized(ctx context.Context, j *plan.Join, left, right []types.Row) (source.RowIter, error) {
-	if len(j.EquiL) > 0 {
-		build := make(map[uint64][]types.Row, len(right))
-		for _, r := range right {
-			h := keyHash(r, j.EquiR)
-			build[h] = append(build[h], r)
-		}
-		return &hashJoinIter{
-			ctx: ctx, j: j, left: source.SliceIter(left), build: build,
-			leftWidth: j.L.Schema().Len(), rightWidth: widthOfRight(j, right),
-		}, nil
-	}
-	return &nlJoinIter{
-		ctx: ctx, j: j, left: source.SliceIter(left), right: right,
-		leftWidth: j.L.Schema().Len(), rightWidth: widthOfRight(j, right),
-	}, nil
-}
-
-// rightScansOf mirrors plan's strategy precondition: the right side must
-// be a FragScan or a union of them.
-func rightScansOf(n plan.Node) []*plan.FragScan {
-	switch t := n.(type) {
-	case *plan.FragScan:
-		return []*plan.FragScan{t}
-	case *plan.Union:
-		var out []*plan.FragScan
-		for _, in := range t.Inputs {
-			fs, ok := in.(*plan.FragScan)
-			if !ok {
-				return nil
-			}
-			out = append(out, fs)
-		}
-		return out
-	default:
-		return nil
-	}
+	return joinRows(ctx, j, source.SliceIter(left), right), nil
 }
 
 // buildKeyPredicate translates global key values to the remote
 // representation and builds the IN (or =) predicate to ship.
-func buildKeyPredicate(m *catalog.ColumnMapping, remoteCol int, rtype types.Kind, keys []types.Value) (expr.Expr, error) {
-	ref := expr.NewBoundColRef(remoteCol, rtype, "")
+func buildKeyPredicate(m *catalog.ColumnMapping, rtype types.Kind, keys []types.Value) (expr.Expr, error) {
+	ref := expr.NewBoundColRef(m.RemoteCol, rtype, "")
 	if len(keys) == 1 {
 		rv, ok := m.ToRemote(keys[0])
 		if !ok {

@@ -64,8 +64,17 @@ func (c *ColRef) Eval(row types.Row) (types.Value, error) {
 	return row[c.Index], nil
 }
 
-// String implements Expr.
+// String implements Expr. An unbound reference is the parser's and
+// prints as SQL source, quoted where the lexer needs it; a bound one
+// prints its name as the label it is (the planner names synthesized
+// columns after what they hold: COUNT(*)).
 func (c *ColRef) String() string {
+	if c.Index < 0 {
+		if c.Table != "" {
+			return QuoteIdent(c.Table) + "." + QuoteIdent(c.Name)
+		}
+		return QuoteIdent(c.Name)
+	}
 	if c.Table != "" {
 		return c.Table + "." + c.Name
 	}

@@ -3,7 +3,6 @@ package expr
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"gis/internal/types"
 )
@@ -404,23 +403,4 @@ func EvalBool(e Expr, row types.Row) (bool, error) {
 		return false, nil
 	}
 	return truthy(v)
-}
-
-// LikePrefixToRange converts a LIKE pattern with a literal prefix (e.g.
-// 'abc%') into a [lo, hi) string range usable by an ordered index. It
-// returns ok=false when the pattern has no usable literal prefix.
-func LikePrefixToRange(pattern string) (lo, hi string, ok bool) {
-	i := strings.IndexAny(pattern, "%_")
-	if i <= 0 {
-		return "", "", false
-	}
-	prefix := pattern[:i]
-	b := []byte(prefix)
-	for j := len(b) - 1; j >= 0; j-- {
-		if b[j] < 0xff {
-			b[j]++
-			return prefix, string(b[:j+1]), true
-		}
-	}
-	return prefix, "", false
 }

@@ -338,21 +338,6 @@ func TestEvalBool(t *testing.T) {
 	}
 }
 
-func TestLikePrefixToRange(t *testing.T) {
-	lo, hi, ok := LikePrefixToRange("abc%")
-	if !ok || lo != "abc" || hi != "abd" {
-		t.Errorf("range = %q..%q,%v", lo, hi, ok)
-	}
-	if _, _, ok := LikePrefixToRange("%abc"); ok {
-		t.Error("no prefix pattern must not produce a range")
-	}
-	if _, _, ok := LikePrefixToRange("abc"); !ok {
-		// 'abc' has prefix abc (degenerate but valid: no wildcards means
-		// IndexAny returns -1, so not ok).
-		_ = ok
-	}
-}
-
 // Property: likeMatch with pattern == s always matches when s has no
 // metacharacters.
 func TestLikeSelfMatchProperty(t *testing.T) {

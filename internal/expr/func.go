@@ -44,12 +44,6 @@ var builtins = map[string]*builtin{}
 
 func register(b *builtin) { builtins[b.name] = b }
 
-// LookupFunc reports whether name is a known scalar function.
-func LookupFunc(name string) bool {
-	_, ok := builtins[strings.ToUpper(name)]
-	return ok
-}
-
 func init() {
 	register(&builtin{
 		name: "ABS", minArgs: 1, maxArgs: 1, nullPropagating: true,

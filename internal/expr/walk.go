@@ -141,17 +141,6 @@ func Shift(e Expr, delta int) Expr {
 	})
 }
 
-// MaxColumnIndex returns the largest bound column index in e, or -1.
-func MaxColumnIndex(e Expr) int {
-	max := -1
-	for _, c := range Columns(e) {
-		if c.Index > max {
-			max = c.Index
-		}
-	}
-	return max
-}
-
 // IsConst reports whether the tree references no columns and contains no
 // aggregates (so it can be folded to a literal).
 func IsConst(e Expr) bool {

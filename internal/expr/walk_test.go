@@ -75,9 +75,6 @@ func TestRemapShift(t *testing.T) {
 	if Shift(e, 0) != e {
 		t.Error("Shift(0) should return the same tree")
 	}
-	if MaxColumnIndex(s) != 4 {
-		t.Errorf("MaxColumnIndex = %d", MaxColumnIndex(s))
-	}
 }
 
 func TestIsConstAndFold(t *testing.T) {

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"gis/internal/expr"
@@ -90,8 +91,9 @@ func (s *Store) Capabilities() source.Capabilities {
 }
 
 // Execute implements source.Source. Per the capability contract the
-// filter contains only comparisons between the key column and constants;
-// they are converted to a single B-tree range scan.
+// filter contains only comparisons between the key column and constants
+// and IN lists of constants over it; they are converted to a single
+// B-tree range scan or to point lookups.
 func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -112,13 +114,18 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	var rows []types.Row
 	limit := q.Limit
 	if inKeys != nil {
-		// IN-list keyed access (shipped join keys): point lookups,
-		// filtered by any accompanying range bounds.
+		// IN-list keyed access (a pushed key IN (...), or shipped join
+		// keys): one point lookup per distinct key, in key order as a
+		// range scan would answer, filtered by any accompanying range
+		// bounds. A list may name a key twice (1 and 1.0 are one key)
+		// and a NULL entry matches nothing.
+		slices.SortFunc(inKeys, types.Value.Compare)
+		inKeys = slices.CompactFunc(inKeys, func(a, b types.Value) bool { return a.Compare(b) == 0 })
 		for _, k := range inKeys {
 			if limit >= 0 && int64(len(rows)) >= limit {
 				break
 			}
-			if !withinBounds(k, lo, hi) {
+			if k.IsNull() || !withinBounds(k, lo, hi) {
 				continue
 			}
 			if r, ok := b.tree.Get(k); ok {

@@ -96,6 +96,62 @@ func TestKVRangeScan(t *testing.T) {
 	}
 }
 
+// TestKVInListAnswersEachKeyOnce: an IN list is a set of keys. An entry
+// repeated, or spelled as another numeric kind, names one key; a NULL
+// entry names none; accompanying bounds and a limit still apply.
+func TestKVInListAnswersEachKeyOnce(t *testing.T) {
+	s := newTestKV(t)
+	in := func(vals ...types.Value) *expr.InList {
+		n := &expr.InList{E: expr.NewColRef("", "id")}
+		for _, v := range vals {
+			n.List = append(n.List, expr.NewConst(v))
+		}
+		return n
+	}
+	ids := func(q *source.Query) []int64 {
+		t.Helper()
+		it, err := s.Execute(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := source.Drain(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]int64, len(rows))
+		for i, r := range rows {
+			out[i] = r[0].Int()
+		}
+		return out
+	}
+	same := func(got []int64, want ...int64) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	list := in(types.NewInt(2), types.NewInt(1), types.NewInt(1), types.NewFloat(2.0), types.Null, types.NewInt(77))
+	q := &source.Query{Table: "users", Filter: keyPred(t, s, list), Limit: -1}
+	if got := ids(q); !same(got, 1, 2) {
+		t.Errorf("id IN (2, 1, 1, 2.0, NULL, 77) = %v, want [1 2]", got)
+	}
+	bounded := expr.NewBinary(expr.OpAnd, in(types.NewInt(9), types.NewInt(3), types.NewInt(3), types.NewInt(5)),
+		expr.NewBinary(expr.OpGt, expr.NewColRef("", "id"), expr.NewConst(types.NewInt(3))))
+	q = &source.Query{Table: "users", Filter: keyPred(t, s, bounded), Limit: -1}
+	if got := ids(q); !same(got, 5, 9) {
+		t.Errorf("id IN (9, 3, 3, 5) AND id > 3 = %v, want [5 9]", got)
+	}
+	q.Limit = 1
+	if got := ids(q); !same(got, 5) {
+		t.Errorf("... LIMIT 1 = %v, want [5]", got)
+	}
+}
+
 func TestKVLimit(t *testing.T) {
 	s := newTestKV(t)
 	q := source.NewScan("users")

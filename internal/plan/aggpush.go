@@ -17,109 +17,92 @@ import (
 //     decomposed into SUM+COUNT with a final division).
 //
 // The rewrite requires: group keys and aggregate arguments are bare
-// columns, every referenced column is identity-mapped, the scan has no
-// residual work, and the source advertises aggregate capability.
+// identity-mapped columns, and every scan accepts an aggregate.
 // DISTINCT aggregates never push (distinctness is global).
 func pushAggregates(n Node) Node {
 	rewriteChildren(n, pushAggregates)
 	agg, ok := n.(*Aggregate)
-	if !ok {
+	if !ok || len(agg.GroupBy)+len(agg.Aggs) == 0 {
+		// An aggregation with neither keys nor aggregates (SELECT 1 FROM
+		// t HAVING ...) is one row whatever it reads; the sub-query IR
+		// cannot say that, so it stays at the mediator.
 		return n
 	}
-	switch input := agg.Input.(type) {
-	case *FragScan:
-		if out := pushWholeAggregate(agg, input); out != nil {
-			return out
+	if fs, single := agg.Input.(*FragScan); single {
+		if cols, ok := remoteAggColumns(agg, fs); ok {
+			return pushWholeAggregate(agg, fs, cols)
 		}
-	case *Union:
-		if out := pushPartialAggregate(agg, input); out != nil {
-			return out
+		return n
+	}
+	// Every fragment of a union takes its partial, or none does.
+	scans := FragScans(agg.Input)
+	if scans == nil {
+		return n
+	}
+	cols := make([]aggColumns, len(scans))
+	for i, fs := range scans {
+		if cols[i], ok = remoteAggColumns(agg, fs); !ok {
+			return n
 		}
-	default:
-		// Aggregation over any other operator stays at the mediator.
+	}
+	if out := pushPartialAggregate(agg, scans, cols, agg.Input.(*Union).Parallel); out != nil {
+		return out
 	}
 	return n
 }
 
-// aggPushable checks the shared preconditions and resolves the remote
-// columns of the group keys and aggregate arguments.
-func aggPushable(agg *Aggregate, fs *FragScan) (groupRemote []int, argRemote []int, ok bool) {
-	if fs.Raw || fs.Query.HasAggregation() {
-		return nil, nil, false
+// aggColumns are the remote columns of one scan behind an aggregation's
+// group keys and aggregate arguments (-1 for COUNT(*)).
+type aggColumns struct{ group, args []int }
+
+// remoteAggColumns resolves agg's group keys and arguments over fs; ok
+// is false when the scan does not accept an aggregate or one of them is
+// not a bare identity-mapped column.
+func remoteAggColumns(agg *Aggregate, fs *FragScan) (cols aggColumns, ok bool) {
+	if !fs.acceptsAggregate() {
+		return cols, false
 	}
-	if !fs.Residual.Empty() || fs.GlobalResidual != nil {
-		return nil, nil, false
-	}
-	caps := fs.Src.Capabilities()
-	if !caps.Aggregate {
-		return nil, nil, false
-	}
-	// Resolve one FragScan output column to its remote column, demanding
-	// an identity mapping.
-	remoteOf := func(outCol int) (int, bool) {
-		if outCol < 0 || outCol >= len(fs.Out) {
+	remoteOf := func(e expr.Expr) (int, bool) {
+		ref, isCol := e.(*expr.ColRef)
+		if !isCol {
 			return -1, false
 		}
-		gcol := fs.Cols[fs.Out[outCol]]
-		m := fs.Frag.Columns[gcol]
-		if !m.Identity() {
-			return -1, false
-		}
-		return m.RemoteCol, true
+		return fs.identityCol(ref.Index)
+	}
+	if len(agg.GroupBy) > 0 {
+		cols.group = make([]int, 0, len(agg.GroupBy))
 	}
 	for _, g := range agg.GroupBy {
-		ref, isCol := g.(*expr.ColRef)
-		if !isCol {
-			return nil, nil, false
-		}
-		rc, ok := remoteOf(ref.Index)
+		rc, ok := remoteOf(g)
 		if !ok {
-			return nil, nil, false
+			return cols, false
 		}
-		groupRemote = append(groupRemote, rc)
+		cols.group = append(cols.group, rc)
 	}
+	cols.args = make([]int, 0, len(agg.Aggs))
 	for _, a := range agg.Aggs {
 		if a.Distinct {
-			return nil, nil, false
+			return cols, false
 		}
-		if a.Arg == nil {
-			argRemote = append(argRemote, -1)
-			continue
+		rc := -1
+		if a.Arg != nil {
+			if rc, ok = remoteOf(a.Arg); !ok {
+				return cols, false
+			}
 		}
-		ref, isCol := a.Arg.(*expr.ColRef)
-		if !isCol {
-			return nil, nil, false
-		}
-		rc, ok := remoteOf(ref.Index)
-		if !ok {
-			return nil, nil, false
-		}
-		argRemote = append(argRemote, rc)
+		cols.args = append(cols.args, rc)
 	}
-	return groupRemote, argRemote, true
+	return cols, true
 }
 
-// pushWholeAggregate rewrites Aggregate(FragScan) into a raw scan whose
-// remote query aggregates; nil when not applicable.
-func pushWholeAggregate(agg *Aggregate, fs *FragScan) Node {
-	groupRemote, argRemote, ok := aggPushable(agg, fs)
-	if !ok {
-		return nil
-	}
-	q := *fs.Query
-	q.Columns = nil
-	q.GroupBy = groupRemote
-	q.Aggs = make([]source.AggSpec, len(agg.Aggs))
+// pushWholeAggregate rewrites Aggregate(FragScan) into a scan whose
+// remote query aggregates.
+func pushWholeAggregate(agg *Aggregate, fs *FragScan, cols aggColumns) Node {
+	aggs := make([]source.AggSpec, len(agg.Aggs))
 	for i, a := range agg.Aggs {
-		q.Aggs[i] = source.AggSpec{Kind: a.Kind, Col: argRemote[i], Star: a.Arg == nil}
+		aggs[i] = source.AggSpec{Kind: a.Kind, Col: cols.args[i], Star: a.Arg == nil}
 	}
-	return &FragScan{
-		Src: fs.Src, Frag: fs.Frag, Query: &q,
-		Residual:     &source.Residual{Limit: -1},
-		GlobalSchema: fs.GlobalSchema,
-		OutSchema:    agg.Schema(),
-		Raw:          true,
-	}
+	return fs.aggregated(cols.group, aggs, agg.Schema())
 }
 
 // partialSpec describes how one final aggregate decomposes into partial
@@ -132,39 +115,23 @@ type partialSpec struct {
 }
 
 // pushPartialAggregate rewrites Aggregate(Union{FragScans}) into
-// Project(FinalAggregate(Union{partial FragScans})); nil when any
-// fragment cannot participate.
-func pushPartialAggregate(agg *Aggregate, u *Union) Node {
-	if !u.All || len(agg.Aggs) == 0 {
+// Project(FinalAggregate(Union{partial FragScans})), the union fetched
+// as the original was; nil when the aggregation cannot be split.
+func pushPartialAggregate(agg *Aggregate, scans []*FragScan, cols []aggColumns, parallel bool) Node {
+	if len(agg.Aggs) == 0 {
 		return nil
-	}
-	type fragPush struct {
-		fs          *FragScan
-		groupRemote []int
-		argRemote   []int
-	}
-	var pushes []fragPush
-	for _, in := range u.Inputs {
-		fs, isScan := in.(*FragScan)
-		if !isScan {
-			return nil
-		}
-		g, a, ok := aggPushable(agg, fs)
-		if !ok {
-			return nil
-		}
-		pushes = append(pushes, fragPush{fs, g, a})
 	}
 
 	// Build the partial aggregate list: AVG becomes SUM+COUNT; every
 	// other aggregate maps to itself.
 	nGroup := len(agg.GroupBy)
 	var specs []partialSpec
-	var partialAggs []struct {
+	type partialAgg struct {
 		kind expr.AggKind
-		argI int // index into argRemote
+		argI int // index into the scan's argument columns
 		star bool
 	}
+	var partialAggs []partialAgg
 	for i, a := range agg.Aggs {
 		switch a.Kind {
 		case expr.AggAvg:
@@ -173,62 +140,41 @@ func pushPartialAggregate(agg *Aggregate, u *Union) Node {
 				cntCol: nGroup + len(partialAggs) + 1,
 				kind:   expr.AggAvg,
 			})
-			partialAggs = append(partialAggs,
-				struct {
-					kind expr.AggKind
-					argI int
-					star bool
-				}{expr.AggSum, i, false},
-				struct {
-					kind expr.AggKind
-					argI int
-					star bool
-				}{expr.AggCount, i, false})
+			partialAggs = append(partialAggs, partialAgg{expr.AggSum, i, false}, partialAgg{expr.AggCount, i, false})
 		default:
 			specs = append(specs, partialSpec{
 				sumCol: nGroup + len(partialAggs),
 				cntCol: -1,
 				kind:   a.Kind,
 			})
-			partialAggs = append(partialAggs, struct {
-				kind expr.AggKind
-				argI int
-				star bool
-			}{a.Kind, i, a.Arg == nil})
+			partialAggs = append(partialAggs, partialAgg{a.Kind, i, a.Arg == nil})
 		}
 	}
 
-	// Per-fragment raw scans with the partial aggregation pushed.
-	newInputs := make([]Node, len(pushes))
+	// Per-fragment scans with the partial aggregation pushed.
+	newInputs := make([]Node, len(scans))
 	var partialSchema *types.Schema
-	for pi, p := range pushes {
-		q := *p.fs.Query
-		q.Columns = nil
-		q.GroupBy = p.groupRemote
-		q.Aggs = make([]source.AggSpec, len(partialAggs))
+	for si, fs := range scans {
+		aggs := make([]source.AggSpec, len(partialAggs))
 		for i, pa := range partialAggs {
 			col := -1
 			if !pa.star {
-				col = p.argRemote[pa.argI]
+				col = cols[si].args[pa.argI]
 			}
-			q.Aggs[i] = source.AggSpec{Kind: pa.kind, Col: col, Star: pa.star}
+			aggs[i] = source.AggSpec{Kind: pa.kind, Col: col, Star: pa.star}
 		}
-		sch, err := q.OutputSchema(p.fs.Frag.Info().Schema)
+		partial := fs.aggregated(cols[si].group, aggs, nil)
+		sch, err := partial.Query.OutputSchema(fs.Frag.Info().Schema)
 		if err != nil {
 			return nil
 		}
+		partial.OutSchema = sch
 		if partialSchema == nil {
 			partialSchema = sch
 		}
-		newInputs[pi] = &FragScan{
-			Src: p.fs.Src, Frag: p.fs.Frag, Query: &q,
-			Residual:     &source.Residual{Limit: -1},
-			GlobalSchema: p.fs.GlobalSchema,
-			OutSchema:    sch,
-			Raw:          true,
-		}
+		newInputs[si] = partial
 	}
-	partialUnion := &Union{Inputs: newInputs, All: true, Parallel: u.Parallel}
+	partialUnion := &Union{Inputs: newInputs, All: true, Parallel: parallel}
 
 	// Final aggregation combines the partials, grouped by the keys.
 	final := &Aggregate{Input: partialUnion}

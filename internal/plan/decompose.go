@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gis/internal/catalog"
@@ -19,35 +20,16 @@ func decompose(n Node, cat *catalog.Catalog, parallel bool) (Node, error) {
 		return decomposeScan(gs, cat, parallel)
 	}
 	var err error
-	switch t := n.(type) {
-	case *Filter:
-		t.Input, err = decompose(t.Input, cat, parallel)
-	case *Project:
-		t.Input, err = decompose(t.Input, cat, parallel)
-	case *Aggregate:
-		t.Input, err = decompose(t.Input, cat, parallel)
-	case *Sort:
-		t.Input, err = decompose(t.Input, cat, parallel)
-	case *Limit:
-		t.Input, err = decompose(t.Input, cat, parallel)
-	case *Distinct:
-		t.Input, err = decompose(t.Input, cat, parallel)
-	case *Union:
-		for i := range t.Inputs {
-			t.Inputs[i], err = decompose(t.Inputs[i], cat, parallel)
-			if err != nil {
-				return nil, err
-			}
-		}
-	case *Join:
-		t.L, err = decompose(t.L, cat, parallel)
+	rewriteChildren(n, func(c Node) Node {
 		if err != nil {
-			return nil, err
+			return c
 		}
-		t.R, err = decompose(t.R, cat, parallel)
-	default:
-		// FragScan and Values are leaves; GlobalScan was handled above.
-	}
+		var out Node
+		if out, err = decompose(c, cat, parallel); err != nil {
+			return c
+		}
+		return out
+	})
 	return n, err
 }
 
@@ -112,8 +94,6 @@ func buildFragScan(cat *catalog.Catalog, tab *catalog.GlobalTable, frag *catalog
 	if err != nil {
 		return nil, err
 	}
-	info := frag.Info()
-
 	// Split the filter into a remote-translated part and a global-side
 	// residual.
 	remoteFilter, globalResidual := frag.SplitFilter(filter)
@@ -130,18 +110,12 @@ func buildFragScan(cat *catalog.Catalog, tab *catalog.GlobalTable, frag *catalog
 	for c := range fetchSet {
 		fetch = append(fetch, c)
 	}
-	sortInts(fetch)
+	slices.Sort(fetch)
 
 	// Remote projection: the remote columns backing the fetched set.
 	remoteCols, _ := frag.RemoteCols(fetch)
 
-	desired := &source.Query{
-		Table:   frag.RemoteTable,
-		Columns: remoteCols,
-		Filter:  remoteFilter,
-		Limit:   -1,
-	}
-	pushed, residual := source.Split(desired, src.Capabilities(), info)
+	pushed, residual := source.Split(frag.RemoteTable, remoteCols, remoteFilter, src.Capabilities(), frag.Info())
 
 	// Remap the global residual onto the fetched layout.
 	remap := make(map[int]int, len(fetch))
@@ -182,7 +156,7 @@ func chooseStrategies(n Node, forced Strategy, bindThreshold float64) Node {
 		j.Strategy = StrategyShipAll
 		return j
 	}
-	rights := rightFragScans(j.R)
+	rights := FragScans(j.R)
 	if len(rights) == 0 {
 		j.Strategy = StrategyShipAll
 		return j
@@ -214,26 +188,4 @@ func chooseStrategies(n Node, forced Strategy, bindThreshold float64) Node {
 		j.Strategy = StrategyShipAll
 	}
 	return j
-}
-
-// rightFragScans returns the FragScans making up a join's right side
-// when it is shaped for semijoin/bind (a bare FragScan or a union of
-// them); nil otherwise.
-func rightFragScans(n Node) []*FragScan {
-	switch t := n.(type) {
-	case *FragScan:
-		return []*FragScan{t}
-	case *Union:
-		var out []*FragScan
-		for _, in := range t.Inputs {
-			fs, ok := in.(*FragScan)
-			if !ok {
-				return nil
-			}
-			out = append(out, fs)
-		}
-		return out
-	default:
-		return nil
-	}
 }

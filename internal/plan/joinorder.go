@@ -3,6 +3,7 @@ package plan
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"gis/internal/expr"
 	"gis/internal/types"
@@ -309,7 +310,7 @@ func flattenJoins(j *Join) ([]flatRel, []flatPred) {
 		for r := range set {
 			preds[i].rels = append(preds[i].rels, r)
 		}
-		sortInts(preds[i].rels)
+		slices.Sort(preds[i].rels)
 		preds[i].sel = predSelectivity(preds[i].e, rels)
 	}
 	return rels, preds
@@ -322,14 +323,6 @@ func relOf(rels []flatRel, col int) int {
 		}
 	}
 	return 0
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }
 
 // predSelectivity estimates a join predicate's selectivity: equi joins

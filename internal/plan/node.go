@@ -12,7 +12,6 @@ import (
 
 	"gis/internal/catalog"
 	"gis/internal/expr"
-	"gis/internal/source"
 	"gis/internal/stats"
 	"gis/internal/types"
 )
@@ -97,80 +96,6 @@ func (s *GlobalScan) Describe() string {
 
 // invalidate clears the cached schema after mutation.
 func (s *GlobalScan) invalidate() { s.schema = nil }
-
-// FragScan executes one fragment's share of a global scan. The pipeline
-// is: ship Query to the fragment's source; apply the remote-space
-// Residual at the mediator; translate rows to the global representation
-// of the fetched columns (Cols); apply GlobalResidual; project to Out.
-// Decomposition produces these.
-type FragScan struct {
-	Src      source.Source
-	Frag     *catalog.Fragment
-	Query    *source.Query
-	Residual *source.Residual
-	// Cols are the fetched global columns, in translation order (they
-	// may include columns needed only by GlobalResidual).
-	Cols []int
-	// GlobalResidual is a predicate bound over the fetched layout.
-	GlobalResidual expr.Expr
-	// Out projects the fetched layout to the node's output (positions
-	// into Cols).
-	Out []int
-	// GlobalSchema is the full global table schema (for translation).
-	GlobalSchema *types.Schema
-	// OutSchema is the produced schema.
-	OutSchema *types.Schema
-	// Raw emits the remote rows unchanged (no translation, residuals,
-	// or projection) — set when aggregation was pushed into Query, whose
-	// output is already in its final shape.
-	Raw bool
-}
-
-// CanBindOn reports whether the scan's source can evaluate an IN-list
-// predicate on the given output column, and returns the remote column it
-// maps to. Used by the semijoin/bind strategy chooser.
-func (s *FragScan) CanBindOn(outCol int) (int, bool) {
-	if outCol < 0 || outCol >= len(s.Out) {
-		return -1, false
-	}
-	gcol := s.Cols[s.Out[outCol]]
-	m := s.Frag.Columns[gcol]
-	if m.RemoteCol < 0 || !m.Invertible() {
-		return -1, false
-	}
-	caps := s.Src.Capabilities()
-	switch caps.Filter {
-	case source.FilterFull:
-		return m.RemoteCol, true
-	case source.FilterKey:
-		for _, k := range s.Frag.Info().KeyColumns {
-			if k == m.RemoteCol {
-				return m.RemoteCol, true
-			}
-		}
-	default:
-		// FilterNone: the source cannot evaluate any predicate.
-	}
-	return -1, false
-}
-
-// Schema implements Node.
-func (s *FragScan) Schema() *types.Schema { return s.OutSchema }
-
-// Children implements Node.
-func (s *FragScan) Children() []Node { return nil }
-
-// Describe implements Node.
-func (s *FragScan) Describe() string {
-	out := "FragScan " + s.Frag.Source + "." + s.Frag.RemoteTable + " [" + s.Query.String() + "]"
-	if !s.Residual.Empty() {
-		out += " +compensate"
-	}
-	if s.GlobalResidual != nil {
-		out += " globalFilter=" + s.GlobalResidual.String()
-	}
-	return out
-}
 
 // Filter keeps rows satisfying Pred.
 type Filter struct {
@@ -573,7 +498,7 @@ func EstimateRows(n Node) float64 {
 		if t.Query.Filter != nil {
 			sel *= stats.Selectivity(t.Query.Filter, fs)
 		}
-		if t.Residual != nil && t.Residual.Filter != nil {
+		if t.Residual.Filter != nil {
 			sel *= stats.DefaultSel
 		}
 		if t.GlobalResidual != nil {
@@ -669,15 +594,10 @@ func childColumnNDV(n Node, col int) float64 {
 			return float64(ts.Columns[actual].NDV)
 		}
 	case *FragScan:
-		// Output col → fetched global col → remote col → remote-space
-		// fragment statistics.
-		if col < 0 || col >= len(t.Out) {
-			return 0
-		}
-		gcol := t.Cols[t.Out[col]]
-		m := t.Frag.Columns[gcol]
+		// Output col → remote col → remote-space fragment statistics.
+		m := t.mapping(col)
 		fs := t.Frag.Stats()
-		if m.RemoteCol >= 0 && fs != nil && m.RemoteCol < len(fs.Columns) && fs.Columns[m.RemoteCol].NDV > 0 {
+		if m != nil && m.RemoteCol >= 0 && fs != nil && m.RemoteCol < len(fs.Columns) && fs.Columns[m.RemoteCol].NDV > 0 {
 			return float64(fs.Columns[m.RemoteCol].NDV)
 		}
 	case *Union:

@@ -7,18 +7,11 @@ import (
 	"gis/internal/obs"
 )
 
-// Rewrite-rule hit counters (plan.rule.*) plus the join-order search
-// effort counter, reported into the default registry.
+// Optimizer runs and the join-order search effort, reported into the
+// default registry.
 var (
 	mOptimizeRuns    = obs.Default().Counter("plan.optimize_runs")
 	mPlansConsidered = obs.Default().Counter("plan.joinorder.considered")
-	mRuleFold        = obs.Default().Counter("plan.rule.fold_constants")
-	mRulePushFilter  = obs.Default().Counter("plan.rule.push_filters")
-	mRuleJoinOrder   = obs.Default().Counter("plan.rule.reorder_joins")
-	mRulePrune       = obs.Default().Counter("plan.rule.prune_columns")
-	mRuleAggPush     = obs.Default().Counter("plan.rule.push_aggregates")
-	mRuleMergeJoin   = obs.Default().Counter("plan.rule.merge_join")
-	mRuleTopK        = obs.Default().Counter("plan.rule.push_topk")
 )
 
 // Options control the optimizer. The zero value is NOT usable; call
@@ -81,15 +74,12 @@ func Optimize(ctx context.Context, n Node, cat *catalog.Catalog, opts *Options) 
 	}
 	mOptimizeRuns.Inc()
 	if opts.FoldConstants {
-		mRuleFold.Inc()
 		n = foldConstants(n)
 	}
 	if opts.PushFilters {
-		mRulePushFilter.Inc()
 		n = pushDownFilters(n)
 	}
 	if opts.ReorderJoins {
-		mRuleJoinOrder.Inc()
 		n = chooseJoinOrder(n, opts.JoinOrder)
 		if opts.PushFilters {
 			// Reordering re-attaches predicates at joins; push the
@@ -98,7 +88,6 @@ func Optimize(ctx context.Context, n Node, cat *catalog.Catalog, opts *Options) 
 		}
 	}
 	if opts.PruneColumns {
-		mRulePrune.Inc()
 		n = pruneColumns(n)
 	}
 	n = extractEquiKeys(n)
@@ -110,15 +99,12 @@ func Optimize(ctx context.Context, n Node, cat *catalog.Catalog, opts *Options) 
 	}
 	n = chooseStrategies(n, opts.ForceStrategy, opts.BindThreshold)
 	if opts.PushAggregates {
-		mRuleAggPush.Inc()
 		n = pushAggregates(n)
 	}
 	if opts.PreferMergeJoin {
-		mRuleMergeJoin.Inc()
 		n = chooseMergeJoin(n)
 	}
 	if opts.PushTopK {
-		mRuleTopK.Inc()
 		n = pushTopK(n)
 	}
 	return n, nil

@@ -291,8 +291,8 @@ func TestAggregatePushdownWhole(t *testing.T) {
 	if fs == nil || !fs.Query.HasAggregation() {
 		t.Fatalf("aggregation not pushed:\n%s", Explain(p))
 	}
-	if !fs.Raw {
-		t.Error("pushed-agg scan must be raw")
+	if fs.Out != nil || !fs.Residual.Empty() || fs.GlobalResidual != nil {
+		t.Error("pushed-agg scan must leave the mediator nothing to do")
 	}
 	// Disabled by ablation switch.
 	opts := DefaultOptions()

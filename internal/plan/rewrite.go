@@ -40,21 +40,9 @@ func foldConstants(n Node) Node {
 			}
 		}
 		return t
-	case *Sort:
-		t.Input = foldConstants(t.Input)
-		return t
-	case *Limit:
-		t.Input = foldConstants(t.Input)
-		return t
-	case *Distinct:
-		t.Input = foldConstants(t.Input)
-		return t
-	case *Union:
-		for i := range t.Inputs {
-			t.Inputs[i] = foldConstants(t.Inputs[i])
-		}
-		return t
 	default:
+		// Sort, Limit, Distinct and Union hold no expression to fold.
+		rewriteChildren(n, foldConstants)
 		return n
 	}
 }
@@ -82,27 +70,9 @@ func pushDownFilters(n Node) Node {
 			t.Cond = pushJoinCond(t)
 		}
 		return t
-	case *Project:
-		t.Input = pushDownFilters(t.Input)
-		return t
-	case *Aggregate:
-		t.Input = pushDownFilters(t.Input)
-		return t
-	case *Sort:
-		t.Input = pushDownFilters(t.Input)
-		return t
-	case *Limit:
-		t.Input = pushDownFilters(t.Input)
-		return t
-	case *Distinct:
-		t.Input = pushDownFilters(t.Input)
-		return t
-	case *Union:
-		for i := range t.Inputs {
-			t.Inputs[i] = pushDownFilters(t.Inputs[i])
-		}
-		return t
 	default:
+		// No filter of their own to sink: only their inputs change.
+		rewriteChildren(n, pushDownFilters)
 		return n
 	}
 }

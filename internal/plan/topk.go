@@ -1,48 +1,89 @@
 package plan
 
 import (
+	"slices"
+
 	"gis/internal/expr"
 	"gis/internal/source"
 	"gis/internal/types"
 )
 
-// pushTopK sinks ORDER BY and LIMIT toward the sources:
+// pushTopK sinks ORDER BY and LIMIT toward the sources, bottom-up:
 //
-//   - Sort over a single capable fragment scan pushes the ordering
+//   - Sort over a single scan whose source sorts pushes the ordering
 //     remotely and disappears;
-//   - Limit(Sort(...)) over a single fragment additionally ships
-//     offset+N as the remote limit;
-//   - Limit(Sort(...)) over a fragment union ships the per-fragment
+//   - Limit over Sort over a fragment union ships the per-fragment
 //     top-(offset+N) — the global top-N is contained in the union of the
-//     per-fragment top-Ns — and keeps the final Sort+Limit at the
-//     mediator (distributed top-k);
-//   - a bare Limit pushes offset+N into every fragment (any subset of
-//     the right size is a valid unordered LIMIT result).
+//     per-fragment top-Ns, provided every fragment is ordered and cut
+//     alike, so all take it or none does — and keeps the final
+//     Sort+Limit at the mediator (distributed top-k);
+//   - any other Limit pushes offset+N into each fragment that takes it
+//     (any subset of the right size is a valid unordered LIMIT result;
+//     over a single scan the Sort rule just ordered, it is the top-N).
 //
-// Sort keys must be bare identity-mapped columns, possibly seen through
-// pass-through projections.
+// Both see through pass-through projections (hidden ORDER BY columns).
+// Sort keys must be bare identity-mapped columns.
 func pushTopK(n Node) Node {
 	rewriteChildren(n, pushTopK)
 	switch t := n.(type) {
-	case *Limit:
-		if s, ok := t.Input.(*Sort); ok {
-			return pushSortLimit(t, s)
-		}
-		// A projection chain between the limit and the sort (hidden
-		// ORDER BY columns) commutes with both: push the remote top-k
-		// but keep the mediator sort/limit in place.
-		if s := sortBelowProjections(t.Input); s != nil {
-			pushSortLimitKeep(t, s)
-			return t
-		}
-		return pushLimitOnly(t)
 	case *Sort:
-		if out := pushSortOnly(t); out != nil {
-			return out
+		term, translate := throughProjections(t.Input)
+		if fs, ok := term.(*FragScan); ok && pushOrderLimit([]*FragScan{fs}, t.Keys, translate, -1, true) {
+			return t.Input
 		}
-		return t
+	case *Limit:
+		if shipN := t.N + t.Offset; shipN >= 0 {
+			if s := sortBelowProjections(t.Input); s != nil {
+				term, translate := throughProjections(s.Input)
+				pushOrderLimit(FragScans(term), s.Keys, translate, shipN, true)
+			} else {
+				term, _ := throughProjections(t.Input)
+				pushOrderLimit(FragScans(term), nil, nil, shipN, false)
+			}
+		}
 	default:
-		return n
+		// Nothing else orders or cuts.
+	}
+	return n
+}
+
+// pushOrderLimit asks the sources of scans to order their rows by keys
+// (nil: no ordering asked) and to stop after limit rows (negative: no
+// limit asked). translate maps a key's column to a column of the scans.
+// With allOrNothing a scan that cannot take the request leaves every
+// scan as it was; without, each scan decides for itself. It reports
+// whether every scan took the request.
+func pushOrderLimit(scans []*FragScan, keys []SortKey, translate func(int) int, limit int64, allOrNothing bool) bool {
+	type request struct {
+		fs    *FragScan
+		specs []source.OrderSpec
+	}
+	var taken []request
+	for _, fs := range scans {
+		specs, ok := remoteOrderSpec(fs, keys, translate)
+		if ok && (limit < 0 || fs.acceptsLimit()) {
+			if taken == nil {
+				taken = make([]request, 0, len(scans))
+			}
+			taken = append(taken, request{fs, specs})
+		} else if allOrNothing {
+			return false
+		}
+	}
+	for _, r := range taken {
+		setOrderLimit(r.fs, r.specs, limit)
+	}
+	return len(taken) == len(scans)
+}
+
+// setOrderLimit is the only writer of a pushed query's OrderBy and
+// Limit; nil specs and a negative limit leave theirs alone.
+func setOrderLimit(fs *FragScan, specs []source.OrderSpec, limit int64) {
+	if specs != nil {
+		fs.Query.OrderBy = specs
+	}
+	if limit >= 0 {
+		fs.Query.Limit = limit
 	}
 }
 
@@ -77,167 +118,60 @@ func throughProjections(n Node) (Node, func(int) int) {
 	return cur, translate
 }
 
-// remoteOrderSpec resolves sort keys (over the chain output) to remote
-// OrderSpecs for one fragment scan; ok=false when any key fails.
+// sortBelowProjections finds a Sort under a chain of projections.
+func sortBelowProjections(n Node) *Sort {
+	for {
+		p, ok := n.(*Project)
+		if !ok {
+			break
+		}
+		n = p.Input
+	}
+	s, _ := n.(*Sort)
+	return s
+}
+
+// remoteOrderSpec resolves sort keys for a scan that accepts an ordering
+// to positions in the output of its pushed query; ok=false when it does
+// not, or a key is not a bare identity-mapped column the query ships.
+// No keys need no acceptance and resolve to nil. (The mediator-side
+// projection Out may reorder columns; order is preserved row-wise either
+// way, so only the key's position in the source's output matters.)
 func remoteOrderSpec(fs *FragScan, keys []SortKey, translate func(int) int) ([]source.OrderSpec, bool) {
-	if fs.Raw || fs.Query.HasAggregation() || !fs.Residual.Empty() || fs.GlobalResidual != nil {
+	if keys == nil {
+		return nil, true
+	}
+	if !fs.acceptsOrder() {
 		return nil, false
 	}
-	if len(fs.Query.OrderBy) > 0 || fs.Query.Limit >= 0 {
-		return nil, false
-	}
-	var specs []source.OrderSpec
+	specs := make([]source.OrderSpec, 0, len(keys))
 	for _, k := range keys {
 		ref, isCol := k.E.(*expr.ColRef)
 		if !isCol {
 			return nil, false
 		}
-		outCol := translate(ref.Index)
-		if outCol < 0 || outCol >= len(fs.Out) {
+		remote, ok := fs.identityCol(translate(ref.Index))
+		if !ok {
 			return nil, false
 		}
-		gcol := fs.Cols[fs.Out[outCol]]
-		m := fs.Frag.Columns[gcol]
-		if !m.Identity() {
-			return nil, false
-		}
-		// Position of the remote column in the pushed query's output.
-		pos := -1
-		if fs.Query.Columns == nil {
-			pos = m.RemoteCol
-		} else {
-			for i, c := range fs.Query.Columns {
-				if c == m.RemoteCol {
-					pos = i
-					break
-				}
-			}
+		pos := remote
+		if fs.Query.Columns != nil {
+			pos = slices.Index(fs.Query.Columns, remote)
 		}
 		if pos < 0 {
 			return nil, false
 		}
-		// The mediator-side projection must not reorder... it may: Out
-		// projects fetched → output. Order is preserved row-wise either
-		// way, so only the key position matters, which we resolved.
 		specs = append(specs, source.OrderSpec{Col: pos, Desc: k.Desc})
 	}
 	return specs, true
 }
 
-// pushSortOnly handles Sort over (projections of) one capable fragment
-// scan; returns nil when not applicable.
-func pushSortOnly(s *Sort) Node {
-	term, translate := throughProjections(s.Input)
-	fs, ok := term.(*FragScan)
-	if !ok || !fs.Src.Capabilities().Sort {
-		return nil
-	}
-	specs, ok := remoteOrderSpec(fs, s.Keys, translate)
-	if !ok {
-		return nil
-	}
-	fs.Query.OrderBy = specs
-	return s.Input
-}
-
-// pushSortLimit handles Limit(Sort(...)).
-func pushSortLimit(l *Limit, s *Sort) Node {
-	term, translate := throughProjections(s.Input)
-	shipN := l.N + l.Offset
-	switch fsOrUnion := term.(type) {
-	case *FragScan:
-		caps := fsOrUnion.Src.Capabilities()
-		if !caps.Sort {
-			return l
-		}
-		specs, ok := remoteOrderSpec(fsOrUnion, s.Keys, translate)
-		if !ok {
-			return l
-		}
-		fsOrUnion.Query.OrderBy = specs
-		if caps.Limit && shipN >= 0 {
-			fsOrUnion.Query.Limit = shipN
-		}
-		// Ordering is now produced by the source; the limit (and its
-		// offset) remain at the mediator.
-		l.Input = s.Input
-		return l
-	case *Union:
-		if !fsOrUnion.All {
-			return l
-		}
-		// Every fragment must accept both the ordering and the limit for
-		// the containment argument to hold.
-		type push struct {
-			fs    *FragScan
-			specs []source.OrderSpec
-		}
-		var pushes []push
-		for _, in := range fsOrUnion.Inputs {
-			fs, isScan := in.(*FragScan)
-			if !isScan {
-				return l
-			}
-			caps := fs.Src.Capabilities()
-			if !caps.Sort || !caps.Limit {
-				return l
-			}
-			specs, ok := remoteOrderSpec(fs, s.Keys, translate)
-			if !ok {
-				return l
-			}
-			pushes = append(pushes, push{fs, specs})
-		}
-		for _, p := range pushes {
-			p.fs.Query.OrderBy = p.specs
-			p.fs.Query.Limit = shipN
-		}
-		// The mediator still merges, re-sorts, and cuts.
-		return l
-	default:
-		return l
-	}
-}
-
-// pushLimitOnly ships offset+N into capable fragment scans under a bare
-// LIMIT (no ordering requirement).
-func pushLimitOnly(l *Limit) Node {
-	term, _ := throughProjections(l.Input)
-	shipN := l.N + l.Offset
-	if shipN < 0 {
-		return l
-	}
-	apply := func(fs *FragScan) {
-		caps := fs.Src.Capabilities()
-		if !caps.Limit || fs.Raw || fs.Query.HasAggregation() ||
-			!fs.Residual.Empty() || fs.GlobalResidual != nil || fs.Query.Limit >= 0 {
-			return
-		}
-		fs.Query.Limit = shipN
-	}
-	switch t := term.(type) {
-	case *FragScan:
-		apply(t)
-	case *Union:
-		if t.All {
-			for _, in := range t.Inputs {
-				if fs, ok := in.(*FragScan); ok {
-					apply(fs)
-				}
-			}
-		}
-	default:
-		// Limits over other operators cannot ship to the sources.
-	}
-	return l
-}
-
 // chooseMergeJoin converts eligible hash joins into streaming sort-merge
 // joins by pushing an ORDER BY on the join key into both fragment scans.
 // Eligible: inner join, single equi key, ship-all strategy, both inputs
-// bare fragment scans on sort-capable sources with identity-mapped keys.
-// Enabled by Options.PreferMergeJoin (an explicit choice: sort-merge
-// trades source-side sorting for a hash-table-free mediator).
+// bare fragment scans that accept an ordering on the (identity-mapped)
+// key. Enabled by Options.PreferMergeJoin (an explicit choice:
+// sort-merge trades source-side sorting for a hash-table-free mediator).
 func chooseMergeJoin(n Node) Node {
 	rewriteChildren(n, chooseMergeJoin)
 	j, ok := n.(*Join)
@@ -252,90 +186,16 @@ func chooseMergeJoin(n Node) Node {
 	if !lok || !rok {
 		return n
 	}
-	identityKey := func(fs *FragScan, outCol int) bool {
-		if outCol < 0 || outCol >= len(fs.Out) {
-			return false
-		}
-		return fs.Frag.Columns[fs.Cols[fs.Out[outCol]]].Identity()
-	}
-	if !identityKey(lfs, j.EquiL[0]) || !identityKey(rfs, j.EquiR[0]) {
+	// Both sides take their ordering or neither does.
+	sameCol := func(c int) int { return c }
+	lspec, lok := remoteOrderSpec(lfs, []SortKey{{E: expr.NewBoundColRef(j.EquiL[0], types.KindNull, "")}}, sameCol)
+	rspec, rok := remoteOrderSpec(rfs, []SortKey{{E: expr.NewBoundColRef(j.EquiR[0], types.KindNull, "")}}, sameCol)
+	if !lok || !rok {
 		return n
 	}
-	lspec, lok2 := remoteOrderSpec(lfs, []SortKey{{E: expr.NewBoundColRef(j.EquiL[0], types.KindNull, "")}}, func(c int) int { return c })
-	rspec, rok2 := remoteOrderSpec(rfs, []SortKey{{E: expr.NewBoundColRef(j.EquiR[0], types.KindNull, "")}}, func(c int) int { return c })
-	if !lok2 || !rok2 || !lfs.Src.Capabilities().Sort || !rfs.Src.Capabilities().Sort {
-		return n
-	}
-	lfs.Query.OrderBy = lspec
-	rfs.Query.OrderBy = rspec
+	setOrderLimit(lfs, lspec, -1)
+	setOrderLimit(rfs, rspec, -1)
 	j.Merge = true
 	j.Strategy = StrategyShipAll
 	return j
-}
-
-// sortBelowProjections finds a Sort under a chain of projections.
-func sortBelowProjections(n Node) *Sort {
-	for {
-		p, ok := n.(*Project)
-		if !ok {
-			break
-		}
-		n = p.Input
-	}
-	s, _ := n.(*Sort)
-	return s
-}
-
-// pushSortLimitKeep ships the per-fragment ordering and top-(offset+N)
-// without removing any mediator operator (the sort above re-orders the
-// merged partials; the limit above cuts).
-func pushSortLimitKeep(l *Limit, s *Sort) {
-	term, translate := throughProjections(s.Input)
-	shipN := l.N + l.Offset
-	if shipN < 0 {
-		return
-	}
-	tryPush := func(fs *FragScan) bool {
-		caps := fs.Src.Capabilities()
-		if !caps.Sort || !caps.Limit {
-			return false
-		}
-		specs, ok := remoteOrderSpec(fs, s.Keys, translate)
-		if !ok {
-			return false
-		}
-		fs.Query.OrderBy = specs
-		fs.Query.Limit = shipN
-		return true
-	}
-	switch t := term.(type) {
-	case *FragScan:
-		tryPush(t)
-	case *Union:
-		if !t.All {
-			return
-		}
-		// All-or-nothing across the fragments (the containment argument
-		// needs every fragment limited consistently); probe first.
-		var scans []*FragScan
-		for _, in := range t.Inputs {
-			fs, ok := in.(*FragScan)
-			if !ok {
-				return
-			}
-			caps := fs.Src.Capabilities()
-			if !caps.Sort || !caps.Limit {
-				return
-			}
-			if _, ok := remoteOrderSpec(fs, s.Keys, translate); !ok {
-				return
-			}
-			scans = append(scans, fs)
-		}
-		for _, fs := range scans {
-			tryPush(fs)
-		}
-	default:
-		// Sorted limits over other operators stay at the mediator.
-	}
 }

@@ -39,16 +39,16 @@ func referenceExecute(s *Store, q *source.Query) ([]types.Row, error) {
 			break
 		}
 	}
-	res := &source.Residual{GroupBy: q.GroupBy, Aggs: q.Aggs, OrderBy: q.OrderBy, Limit: q.Limit}
 	if !grouped {
-		res.Project = q.Columns
 		for _, c := range q.Columns {
 			if len(kept) > 0 && (c < 0 || c >= len(kept[0])) {
 				return nil, fmt.Errorf("relstore %s: projected column %d out of range", s.name, c)
 			}
 		}
 	}
-	out, err := source.ApplyResidual(kept, res)
+	rest := *q
+	rest.Filter = nil // applied above
+	out, err := source.ApplyResidual(kept, &rest)
 	if err != nil {
 		return nil, fmt.Errorf("relstore %s: %w", s.name, err)
 	}

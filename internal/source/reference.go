@@ -1,0 +1,161 @@
+package source
+
+import (
+	"gis/internal/expr"
+	"gis/internal/types"
+)
+
+// ApplyResidual is the reference evaluator of the sub-query IR: it does
+// to rows, the plain way, everything q asks — filter, then group and
+// aggregate or project, then order, then limit — as if rows were the
+// table and nothing had been pushed. The stores' tests compare Execute
+// with it; the production executor and the stores implement the same
+// semantics with streaming operators.
+func ApplyResidual(rows []types.Row, q *Query) ([]types.Row, error) {
+	out := rows
+	if q.Filter != nil {
+		kept := out[:0:0]
+		for _, r := range out {
+			ok, err := expr.EvalBool(q.Filter, r)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				kept = append(kept, r)
+			}
+		}
+		out = kept
+	}
+	if q.HasAggregation() {
+		var err error
+		out, err = aggregateRows(out, q.GroupBy, q.Aggs)
+		if err != nil {
+			return nil, err
+		}
+	} else if q.Columns != nil {
+		proj := make([]types.Row, len(out))
+		for i, r := range out {
+			nr := make(types.Row, len(q.Columns))
+			for j, c := range q.Columns {
+				nr[j] = r[c]
+			}
+			proj[i] = nr
+		}
+		out = proj
+	}
+	if len(q.OrderBy) > 0 {
+		SortRows(out, q.OrderBy)
+	}
+	if q.Limit >= 0 && int64(len(out)) > q.Limit {
+		out = out[:q.Limit]
+	}
+	return out, nil
+}
+
+// SortRows sorts rows in place by the given keys (stable insertion via
+// sort.SliceStable-equivalent merge is unnecessary; ordering ties are
+// unspecified by SQL).
+func SortRows(rows []types.Row, keys []OrderSpec) {
+	less := func(a, b types.Row) bool {
+		for _, k := range keys {
+			c := a[k.Col].Compare(b[k.Col])
+			if k.Desc {
+				c = -c
+			}
+			if c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	}
+	// Simple bottom-up merge sort to keep this helper dependency-free
+	// and stable.
+	n := len(rows)
+	buf := make([]types.Row, n)
+	for width := 1; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid := lo + width
+			hi := lo + 2*width
+			if mid > n {
+				mid = n
+			}
+			if hi > n {
+				hi = n
+			}
+			i, j, k := lo, mid, lo
+			for i < mid && j < hi {
+				if less(rows[j], rows[i]) {
+					buf[k] = rows[j]
+					j++
+				} else {
+					buf[k] = rows[i]
+					i++
+				}
+				k++
+			}
+			copy(buf[k:hi], rows[i:mid])
+			copy(buf[k+mid-i:hi], rows[j:hi])
+			copy(rows[lo:hi], buf[lo:hi])
+		}
+	}
+}
+
+// aggregateRows evaluates grouping+aggregates over materialized rows.
+func aggregateRows(rows []types.Row, groupBy []int, aggs []AggSpec) ([]types.Row, error) {
+	type group struct {
+		key  types.Row
+		accs []expr.Accumulator
+	}
+	groups := make(map[uint64][]*group)
+	var order []*group
+	for _, r := range rows {
+		key := make(types.Row, len(groupBy))
+		for i, g := range groupBy {
+			key[i] = r[g]
+		}
+		h := key.Hash()
+		var grp *group
+		for _, g := range groups[h] {
+			if g.key.Equal(key) {
+				grp = g
+				break
+			}
+		}
+		if grp == nil {
+			grp = &group{key: key, accs: make([]expr.Accumulator, len(aggs))}
+			for i, a := range aggs {
+				grp.accs[i] = expr.NewAccumulator(a.Kind, a.Star, a.Distinct)
+			}
+			groups[h] = append(groups[h], grp)
+			order = append(order, grp)
+		}
+		for i, a := range aggs {
+			v := types.NewInt(1)
+			if !a.Star {
+				v = r[a.Col]
+			}
+			if err := grp.accs[i].Add(v); err != nil {
+				return nil, err
+			}
+		}
+	}
+	// Global aggregation over zero rows yields one row of empty-input
+	// aggregate values.
+	if len(order) == 0 && len(groupBy) == 0 {
+		out := make(types.Row, len(aggs))
+		for i, a := range aggs {
+			out[i] = expr.NewAccumulator(a.Kind, a.Star, a.Distinct).Result()
+		}
+		return []types.Row{out}, nil
+	}
+	result := make([]types.Row, 0, len(order))
+	for _, g := range order {
+		row := make(types.Row, 0, len(groupBy)+len(aggs))
+		row = append(row, g.key...)
+		for _, acc := range g.accs {
+			row = append(row, acc.Result())
+		}
+		result = append(result, row)
+	}
+	return result, nil
+}

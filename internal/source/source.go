@@ -219,7 +219,7 @@ type Source interface {
 	// Capabilities reports what the source can push down.
 	Capabilities() Capabilities
 	// Execute runs a sub-query. The query must respect the source's
-	// capabilities (the mediator guarantees this via Split).
+	// capabilities (the mediator's planner guarantees this).
 	Execute(ctx context.Context, q *Query) (RowIter, error)
 }
 
@@ -292,11 +292,3 @@ func Drain(it RowIter) ([]types.Row, error) {
 		out = append(out, r)
 	}
 }
-
-// ErrIter returns an iterator that fails immediately with err.
-func ErrIter(err error) RowIter { return &errIter{err: err} }
-
-type errIter struct{ err error }
-
-func (e *errIter) Next() (types.Row, error) { return nil, e.err }
-func (e *errIter) Close() error             { return nil }

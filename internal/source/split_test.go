@@ -31,21 +31,11 @@ func splitRows() []types.Row {
 	return rows
 }
 
-// evalDesired evaluates the desired query directly over rows — the
-// reference semantics Split must preserve.
-func evalDesired(t *testing.T, rows []types.Row, q *Query) []types.Row {
+// evalDesired filters and projects rows directly — the reference
+// semantics Split must preserve.
+func evalDesired(t *testing.T, rows []types.Row, columns []int, filter expr.Expr) []types.Row {
 	t.Helper()
-	cp := make([]types.Row, len(rows))
-	copy(cp, rows)
-	res := &Residual{
-		Filter:  q.Filter,
-		Project: q.Columns,
-		GroupBy: q.GroupBy,
-		Aggs:    q.Aggs,
-		OrderBy: q.OrderBy,
-		Limit:   q.Limit,
-	}
-	out, err := ApplyResidual(cp, res)
+	out, err := ApplyResidual(rows, &Query{Columns: columns, Filter: filter, Limit: -1})
 	if err != nil {
 		t.Fatalf("evalDesired: %v", err)
 	}
@@ -54,23 +44,13 @@ func evalDesired(t *testing.T, rows []types.Row, q *Query) []types.Row {
 
 // evalSplit runs the pushed query against rows (simulating a source that
 // honors exactly the pushed fragment), then applies the residual.
-func evalSplit(t *testing.T, rows []types.Row, pushed *Query, res *Residual) []types.Row {
+func evalSplit(t *testing.T, rows []types.Row, pushed *Query, res Residual) []types.Row {
 	t.Helper()
-	cp := make([]types.Row, len(rows))
-	copy(cp, rows)
-	atSource := &Residual{
-		Filter:  pushed.Filter,
-		Project: pushed.Columns,
-		GroupBy: pushed.GroupBy,
-		Aggs:    pushed.Aggs,
-		OrderBy: pushed.OrderBy,
-		Limit:   pushed.Limit,
-	}
-	mid, err := ApplyResidual(cp, atSource)
+	mid, err := ApplyResidual(rows, pushed)
 	if err != nil {
 		t.Fatalf("source side: %v", err)
 	}
-	out, err := ApplyResidual(mid, res)
+	out, err := ApplyResidual(mid, &Query{Columns: res.Project, Filter: res.Filter, Limit: -1})
 	if err != nil {
 		t.Fatalf("mediator side: %v", err)
 	}
@@ -106,39 +86,30 @@ func bindFilter(t *testing.T, e expr.Expr) expr.Expr {
 
 func TestSplitFullCapabilityPushesEverything(t *testing.T) {
 	caps := Capabilities{Filter: FilterFull, Project: true, Aggregate: true, Sort: true, Limit: true}
-	desired := &Query{
-		Table:   "t",
-		Columns: []int{0, 2},
-		Filter:  bindFilter(t, expr.NewBinary(expr.OpGt, expr.NewColRef("", "val"), expr.NewConst(types.NewFloat(3)))),
-		OrderBy: []OrderSpec{{Col: 0}},
-		Limit:   3,
-	}
-	pushed, res := Split(desired, caps, splitInfo)
+	filter := bindFilter(t, expr.NewBinary(expr.OpGt, expr.NewColRef("", "val"), expr.NewConst(types.NewFloat(3))))
+	pushed, res := Split("t", []int{0, 2}, filter, caps, splitInfo)
 	if !res.Empty() {
 		t.Errorf("full caps must leave no residual, got %+v", res)
 	}
-	if pushed.Filter == nil || pushed.Columns == nil || pushed.Limit != 3 {
+	if pushed.Filter == nil || pushed.Columns == nil {
 		t.Errorf("pushed = %+v", pushed)
+	}
+	if pushed.HasAggregation() || len(pushed.OrderBy) > 0 || pushed.Limit != -1 {
+		t.Errorf("Split negotiates a filter and a projection only, pushed = %+v", pushed)
 	}
 }
 
 func TestSplitNoCapabilityPushesNothing(t *testing.T) {
-	caps := Capabilities{}
-	desired := &Query{
-		Table:   "t",
-		Columns: []int{1},
-		Filter:  bindFilter(t, expr.NewBinary(expr.OpEq, expr.NewColRef("", "cat"), expr.NewConst(types.NewString("a")))),
-		Limit:   2,
-	}
-	pushed, res := Split(desired, caps, splitInfo)
+	filter := bindFilter(t, expr.NewBinary(expr.OpEq, expr.NewColRef("", "cat"), expr.NewConst(types.NewString("a"))))
+	pushed, res := Split("t", []int{1}, filter, Capabilities{}, splitInfo)
 	if pushed.Filter != nil || pushed.Columns != nil || pushed.Limit != -1 {
 		t.Errorf("pushed must be bare scan, got %+v", pushed)
 	}
-	if res.Filter == nil || res.Project == nil || res.Limit != 2 {
+	if res.Filter == nil || res.Project == nil {
 		t.Errorf("residual = %+v", res)
 	}
 	rows := splitRows()
-	want := evalDesired(t, rows, desired)
+	want := evalDesired(t, rows, []int{1}, filter)
 	got := evalSplit(t, rows, pushed, res)
 	if !sameRowSet(want, got) {
 		t.Errorf("split result %v != direct %v", got, want)
@@ -149,12 +120,8 @@ func TestSplitKeyFilter(t *testing.T) {
 	caps := Capabilities{Filter: FilterKey}
 	keyPred := expr.NewBinary(expr.OpLt, expr.NewColRef("", "id"), expr.NewConst(types.NewInt(5)))
 	nonKeyPred := expr.NewBinary(expr.OpEq, expr.NewColRef("", "cat"), expr.NewConst(types.NewString("a")))
-	desired := &Query{
-		Table:  "t",
-		Filter: bindFilter(t, expr.NewBinary(expr.OpAnd, keyPred, nonKeyPred)),
-		Limit:  -1,
-	}
-	pushed, res := Split(desired, caps, splitInfo)
+	filter := bindFilter(t, expr.NewBinary(expr.OpAnd, keyPred, nonKeyPred))
+	pushed, res := Split("t", nil, filter, caps, splitInfo)
 	if pushed.Filter == nil {
 		t.Fatal("key predicate must push")
 	}
@@ -162,51 +129,46 @@ func TestSplitKeyFilter(t *testing.T) {
 		t.Fatal("non-key predicate must stay residual")
 	}
 	rows := splitRows()
-	if !sameRowSet(evalDesired(t, rows, desired), evalSplit(t, rows, pushed, res)) {
+	if !sameRowSet(evalDesired(t, rows, nil, filter), evalSplit(t, rows, pushed, res)) {
 		t.Error("key split not equivalent")
 	}
 }
 
-func TestSplitAggregationNotPushedPastResidualFilter(t *testing.T) {
-	// Source does aggregation but only key filters; the non-key filter
-	// must force aggregation to the mediator.
-	caps := Capabilities{Filter: FilterKey, Aggregate: true, Project: true}
-	desired := &Query{
-		Table:   "t",
-		Filter:  bindFilter(t, expr.NewBinary(expr.OpEq, expr.NewColRef("", "cat"), expr.NewConst(types.NewString("a")))),
-		GroupBy: []int{1},
-		Aggs:    []AggSpec{{Kind: expr.AggSum, Col: 2}},
-		Limit:   -1,
+// TestCanFilterKeyShapes pins what a FilterKey source is sent: a
+// comparison of a key column with a constant, either way round, or the
+// key IN a list of constants — the predicate a semijoin ships, so
+// CanCompare answers the strategy chooser for the same column.
+func TestCanFilterKeyShapes(t *testing.T) {
+	caps := Capabilities{Filter: FilterKey}
+	id, cat := expr.NewColRef("", "id"), expr.NewColRef("", "cat")
+	one, two := expr.NewConst(types.NewInt(1)), expr.NewConst(types.NewFloat(2))
+	for _, c := range []struct {
+		e    expr.Expr
+		want bool
+	}{
+		{expr.NewBinary(expr.OpEq, id, one), true},
+		{expr.NewBinary(expr.OpGe, one, id), true},
+		{&expr.InList{E: id, List: []expr.Expr{one, one, two, expr.NewConst(types.Null)}}, true},
+		{&expr.InList{E: id, List: []expr.Expr{one}, Negate: true}, false},
+		{&expr.InList{E: id, List: []expr.Expr{one, expr.NewBinary(expr.OpAdd, id, one)}}, false},
+		{&expr.InList{E: cat, List: []expr.Expr{expr.NewConst(types.NewString("a"))}}, false},
+		{expr.NewBinary(expr.OpNe, id, one), false},
+		{expr.NewBinary(expr.OpEq, id, id), false},
+		{expr.NewBinary(expr.OpEq, expr.NewBinary(expr.OpAdd, id, one), two), false},
+		{&expr.IsNull{E: id}, false},
+	} {
+		if got := caps.CanFilter(splitInfo, bindFilter(t, c.e)); got != c.want {
+			t.Errorf("CanFilter(%s) = %v, want %v", c.e, got, c.want)
+		}
 	}
-	pushed, res := Split(desired, caps, splitInfo)
-	if pushed.HasAggregation() {
-		t.Error("aggregation must not push below a residual filter")
+	if !caps.CanCompare(splitInfo, 0) || caps.CanCompare(splitInfo, 1) || caps.CanCompare(splitInfo, -1) {
+		t.Error("a FilterKey source compares its key columns and nothing else")
 	}
-	if len(res.Aggs) != 1 {
-		t.Errorf("residual aggs = %+v", res.Aggs)
+	if full := (Capabilities{Filter: FilterFull}); !full.CanCompare(splitInfo, 1) || !full.CanCompare(splitInfo, -1) {
+		t.Error("a FilterFull source evaluates any predicate")
 	}
-	rows := splitRows()
-	if !sameRowSet(evalDesired(t, rows, desired), evalSplit(t, rows, pushed, res)) {
-		t.Error("agg split not equivalent")
-	}
-}
-
-func TestSplitAggregationPushed(t *testing.T) {
-	caps := Capabilities{Filter: FilterFull, Aggregate: true, Project: true}
-	desired := &Query{
-		Table:   "t",
-		Filter:  bindFilter(t, expr.NewBinary(expr.OpGt, expr.NewColRef("", "id"), expr.NewConst(types.NewInt(1)))),
-		GroupBy: []int{1},
-		Aggs:    []AggSpec{{Kind: expr.AggCount, Star: true}, {Kind: expr.AggAvg, Col: 2}},
-		Limit:   -1,
-	}
-	pushed, res := Split(desired, caps, splitInfo)
-	if !pushed.HasAggregation() || len(res.Aggs) != 0 {
-		t.Errorf("aggregation should push fully: pushed=%+v res=%+v", pushed, res)
-	}
-	rows := splitRows()
-	if !sameRowSet(evalDesired(t, rows, desired), evalSplit(t, rows, pushed, res)) {
-		t.Error("pushed agg not equivalent")
+	if (Capabilities{}).CanCompare(splitInfo, 0) {
+		t.Error("a FilterNone source evaluates no predicate")
 	}
 }
 
@@ -214,66 +176,31 @@ func TestSplitProjectionWithResidualFilter(t *testing.T) {
 	// Project pushdown must still ship the columns the residual filter
 	// needs, then cut them at the mediator.
 	caps := Capabilities{Filter: FilterNone, Project: true}
-	desired := &Query{
-		Table:   "t",
-		Columns: []int{2},
-		Filter:  bindFilter(t, expr.NewBinary(expr.OpEq, expr.NewColRef("", "cat"), expr.NewConst(types.NewString("b")))),
-		Limit:   -1,
-	}
-	pushed, res := Split(desired, caps, splitInfo)
+	filter := bindFilter(t, expr.NewBinary(expr.OpEq, expr.NewColRef("", "cat"), expr.NewConst(types.NewString("b"))))
+	pushed, res := Split("t", []int{2}, filter, caps, splitInfo)
 	if len(pushed.Columns) != 2 {
 		t.Errorf("pushed cols = %v, want cat and val", pushed.Columns)
 	}
 	rows := splitRows()
-	want := evalDesired(t, rows, desired)
+	want := evalDesired(t, rows, []int{2}, filter)
 	got := evalSplit(t, rows, pushed, res)
 	if !sameRowSet(want, got) {
 		t.Errorf("projection split: %v != %v", got, want)
 	}
 }
 
-func TestSplitLimitSafety(t *testing.T) {
-	// Limit must not push below a residual filter.
-	caps := Capabilities{Filter: FilterNone, Limit: true}
-	desired := &Query{
-		Table:  "t",
-		Filter: bindFilter(t, expr.NewBinary(expr.OpEq, expr.NewColRef("", "cat"), expr.NewConst(types.NewString("a")))),
-		Limit:  1,
-	}
-	pushed, res := Split(desired, caps, splitInfo)
-	if pushed.Limit != -1 {
-		t.Error("limit must not push below residual filter")
-	}
-	if res.Limit != 1 {
-		t.Error("limit must stay in residual")
-	}
-	// Without any filter, the limit may push.
-	desired = &Query{Table: "t", Limit: 2}
-	pushed, res = Split(desired, caps, splitInfo)
-	if pushed.Limit != 2 || res.Limit != -1 {
-		t.Errorf("bare limit should push: pushed=%d res=%d", pushed.Limit, res.Limit)
-	}
-}
-
-func TestSplitSortRequiresFullPush(t *testing.T) {
-	caps := Capabilities{Filter: FilterNone, Sort: true}
-	desired := &Query{
-		Table:   "t",
-		Filter:  bindFilter(t, expr.NewBinary(expr.OpEq, expr.NewColRef("", "cat"), expr.NewConst(types.NewString("a")))),
-		OrderBy: []OrderSpec{{Col: 0, Desc: true}},
-		Limit:   -1,
-	}
-	_, res := Split(desired, caps, splitInfo)
-	if len(res.OrderBy) != 1 {
-		t.Error("sort must stay residual when filter is residual")
-	}
-}
-
-// TestSplitEquivalenceProperty fuzzes desired queries × capability
-// vectors and checks Split∘Apply ≡ direct evaluation.
+// TestSplitEquivalenceProperty fuzzes desired filters and projections ×
+// capability vectors and checks Split∘Apply ≡ direct evaluation.
 func TestSplitEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	rows := splitRows()
+	idIn := func(vs ...int64) expr.Expr {
+		in := &expr.InList{E: expr.NewColRef("", "id")}
+		for _, v := range vs {
+			in.List = append(in.List, expr.NewConst(types.NewInt(v)))
+		}
+		return in
+	}
 	for trial := 0; trial < 500; trial++ {
 		caps := Capabilities{
 			Filter:    FilterCap(rng.Intn(3)),
@@ -282,47 +209,39 @@ func TestSplitEquivalenceProperty(t *testing.T) {
 			Sort:      rng.Intn(2) == 0,
 			Limit:     rng.Intn(2) == 0,
 		}
-		desired := &Query{Table: "t", Limit: -1}
-		// Random filter: key pred, non-key pred, both, or none.
-		switch rng.Intn(4) {
+		// Random filter: key pred, non-key pred, both, a key IN list, or
+		// none.
+		var filter expr.Expr
+		switch rng.Intn(6) {
 		case 0:
-			desired.Filter = bindFilter(t, expr.NewBinary(expr.OpLe, expr.NewColRef("", "id"), expr.NewConst(types.NewInt(int64(rng.Intn(8))))))
+			filter = bindFilter(t, expr.NewBinary(expr.OpLe, expr.NewColRef("", "id"), expr.NewConst(types.NewInt(int64(rng.Intn(8))))))
 		case 1:
-			desired.Filter = bindFilter(t, expr.NewBinary(expr.OpEq, expr.NewColRef("", "cat"), expr.NewConst(types.NewString("a"))))
+			filter = bindFilter(t, expr.NewBinary(expr.OpEq, expr.NewColRef("", "cat"), expr.NewConst(types.NewString("a"))))
 		case 2:
-			desired.Filter = bindFilter(t, expr.NewBinary(expr.OpAnd,
+			filter = bindFilter(t, expr.NewBinary(expr.OpAnd,
 				expr.NewBinary(expr.OpGe, expr.NewColRef("", "id"), expr.NewConst(types.NewInt(2))),
 				expr.NewBinary(expr.OpNe, expr.NewColRef("", "cat"), expr.NewConst(types.NewString("c")))))
+		case 3:
+			filter = bindFilter(t, idIn(int64(rng.Intn(8)), 3, int64(rng.Intn(8))))
+		case 4:
+			filter = bindFilter(t, expr.NewBinary(expr.OpAnd, idIn(1, 2, 5, 6),
+				expr.NewBinary(expr.OpGt, expr.NewColRef("", "val"), expr.NewConst(types.NewFloat(2)))))
 		}
-		// Aggregation or plain projection.
-		if rng.Intn(3) == 0 {
-			desired.GroupBy = []int{1}
-			desired.Aggs = []AggSpec{
-				{Kind: expr.AggCount, Star: true},
-				{Kind: expr.AggSum, Col: 0},
-			}
-		} else if rng.Intn(2) == 0 {
-			desired.Columns = []int{2, 0}
+		var columns []int
+		switch rng.Intn(3) {
+		case 0:
+			columns = []int{2, 0}
+		case 1:
+			columns = []int{1}
 		}
-		// Sorting only over output columns that exist.
-		if rng.Intn(2) == 0 {
-			desired.OrderBy = []OrderSpec{{Col: 0, Desc: rng.Intn(2) == 0}}
+		pushed, res := Split("t", columns, filter, caps, splitInfo)
+		if pushed.HasAggregation() || len(pushed.OrderBy) > 0 || pushed.Limit != -1 {
+			t.Fatalf("trial %d: caps=%v pushed %s", trial, caps, pushed)
 		}
-		if rng.Intn(3) == 0 {
-			desired.Limit = int64(rng.Intn(5))
-		}
-		// When both order and limit present, direct-vs-split row sets can
-		// legitimately differ on ties; restrict to deterministic cases by
-		// dropping limit when ordering column has duplicates (cat groups).
-		pushed, res := Split(desired, caps, splitInfo)
-		want := evalDesired(t, rows, desired)
+		want := evalDesired(t, rows, columns, filter)
 		got := evalSplit(t, rows, pushed, res)
-		if desired.Limit >= 0 && len(desired.OrderBy) == 0 && len(want) == len(got) {
-			// Unordered LIMIT: any subset of the right size is legal.
-			continue
-		}
 		if !sameRowSet(want, got) {
-			t.Fatalf("trial %d: caps=%v desired=%s\n got %v\nwant %v", trial, caps, desired, got, want)
+			t.Fatalf("trial %d: caps=%v columns=%v filter=%v\n got %v\nwant %v", trial, caps, columns, filter, got, want)
 		}
 	}
 }
@@ -355,10 +274,15 @@ func TestSliceIterAndDrain(t *testing.T) {
 	if err != nil || len(got) != len(rows) {
 		t.Errorf("Drain = %d rows, %v", len(got), err)
 	}
-	if _, err := Drain(ErrIter(fmt.Errorf("boom"))); err == nil {
-		t.Error("ErrIter must propagate")
+	if _, err := Drain(failingIter{}); err == nil {
+		t.Error("Drain must propagate the iterator's error")
 	}
 }
+
+type failingIter struct{}
+
+func (failingIter) Next() (types.Row, error) { return nil, fmt.Errorf("boom") }
+func (failingIter) Close() error             { return nil }
 
 func TestSortRowsStability(t *testing.T) {
 	rows := []types.Row{
@@ -378,11 +302,11 @@ func TestSortRowsStability(t *testing.T) {
 }
 
 func TestApplyResidualGlobalAggEmptyInput(t *testing.T) {
-	res := &Residual{
+	q := &Query{
 		Aggs:  []AggSpec{{Kind: expr.AggCount, Star: true}, {Kind: expr.AggSum, Col: 0}},
 		Limit: -1,
 	}
-	out, err := ApplyResidual(nil, res)
+	out, err := ApplyResidual(nil, q)
 	if err != nil || len(out) != 1 {
 		t.Fatalf("global agg over empty = %v, %v", out, err)
 	}

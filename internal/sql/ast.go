@@ -27,12 +27,12 @@ type SelectItem struct {
 func (s SelectItem) String() string {
 	if s.Star {
 		if s.StarTable != "" {
-			return s.StarTable + ".*"
+			return expr.QuoteIdent(s.StarTable) + ".*"
 		}
 		return "*"
 	}
 	if s.Alias != "" {
-		return fmt.Sprintf("%s AS %s", s.Expr, s.Alias)
+		return fmt.Sprintf("%s AS %s", s.Expr, expr.QuoteIdent(s.Alias))
 	}
 	return s.Expr.String()
 }
@@ -92,9 +92,9 @@ func (*TableRef) tableExpr() {}
 
 func (t *TableRef) String() string {
 	if t.Alias != "" && !strings.EqualFold(t.Alias, t.Name) {
-		return t.Name + " AS " + t.Alias
+		return expr.QuoteIdent(t.Name) + " AS " + expr.QuoteIdent(t.Alias)
 	}
-	return t.Name
+	return expr.QuoteIdent(t.Name)
 }
 
 // Binding returns the name this table is referenced by in expressions.
@@ -114,7 +114,7 @@ type SubqueryTable struct {
 func (*SubqueryTable) tableExpr() {}
 
 func (s *SubqueryTable) String() string {
-	return "(" + s.Select.String() + ") AS " + s.Alias
+	return "(" + s.Select.String() + ") AS " + expr.QuoteIdent(s.Alias)
 }
 
 // JoinExpr combines two FROM items.
@@ -226,9 +226,13 @@ func (*InsertStmt) stmt() {}
 
 func (s *InsertStmt) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "INSERT INTO %s", s.Table)
+	fmt.Fprintf(&b, "INSERT INTO %s", expr.QuoteIdent(s.Table))
 	if len(s.Columns) > 0 {
-		fmt.Fprintf(&b, " (%s)", strings.Join(s.Columns, ", "))
+		cols := make([]string, len(s.Columns))
+		for i, c := range s.Columns {
+			cols[i] = expr.QuoteIdent(c)
+		}
+		fmt.Fprintf(&b, " (%s)", strings.Join(cols, ", "))
 	}
 	b.WriteString(" VALUES ")
 	for i, row := range s.Rows {
@@ -261,12 +265,12 @@ func (*UpdateStmt) stmt() {}
 
 func (s *UpdateStmt) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "UPDATE %s SET ", s.Table)
+	fmt.Fprintf(&b, "UPDATE %s SET ", expr.QuoteIdent(s.Table))
 	for i, a := range s.Set {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s = %s", a.Column, a.Value)
+		fmt.Fprintf(&b, "%s = %s", expr.QuoteIdent(a.Column), a.Value)
 	}
 	if s.Where != nil {
 		b.WriteString(" WHERE ")
@@ -284,7 +288,7 @@ type DeleteStmt struct {
 func (*DeleteStmt) stmt() {}
 
 func (s *DeleteStmt) String() string {
-	out := "DELETE FROM " + s.Table
+	out := "DELETE FROM " + expr.QuoteIdent(s.Table)
 	if s.Where != nil {
 		out += " WHERE " + s.Where.String()
 	}

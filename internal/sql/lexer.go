@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+
+	"gis/internal/expr"
 )
 
 // TokenKind classifies lexer output.
@@ -45,20 +47,6 @@ func (t Token) String() string {
 	default:
 		return t.Text
 	}
-}
-
-// keywords is the reserved-word set of the dialect.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "LIMIT": true, "OFFSET": true,
-	"AS": true, "AND": true, "OR": true, "NOT": true, "IN": true,
-	"IS": true, "NULL": true, "LIKE": true, "BETWEEN": true,
-	"JOIN": true, "INNER": true, "LEFT": true, "RIGHT": true, "OUTER": true,
-	"CROSS": true, "ON": true, "UNION": true, "ALL": true, "DISTINCT": true,
-	"INSERT": true, "INTO": true, "VALUES": true, "UPDATE": true, "SET": true,
-	"DELETE": true, "EXPLAIN": true, "ANALYZE": true, "CASE": true, "WHEN": true, "THEN": true,
-	"ELSE": true, "END": true, "CAST": true, "EXISTS": true, "ASC": true,
-	"DESC": true, "TRUE": true, "FALSE": true,
 }
 
 // Lexer scans SQL text into tokens.
@@ -157,7 +145,7 @@ func (l *Lexer) Next() (Token, error) {
 			l.advance()
 		}
 		word := l.src[start:l.pos]
-		if up := strings.ToUpper(word); keywords[up] {
+		if up := strings.ToUpper(word); expr.Reserved(up) {
 			return tok(TokKeyword, up), nil
 		}
 		return tok(TokIdent, word), nil

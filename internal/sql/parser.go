@@ -15,7 +15,28 @@ type Parser struct {
 	pos    int
 	params []types.Value
 	nparam int
+	// depth is how deep in the statement's tree the parser stands.
+	depth int
 }
+
+// maxDepth bounds how deep a statement's tree may grow: parentheses,
+// NOT and sign chains, subqueries and derived tables nest it, and every
+// further operand of a left-deep operator chain (a AND b AND c ...) adds
+// a level. Everything downstream — binding, folding, printing, the wire
+// codec, which refuses deeper trees itself — walks the tree recursively,
+// and a goroutine stack overflow is fatal to the process, not an error.
+const maxDepth = 10000
+
+// deeper steps one level down; a function that calls it restores the
+// depth it started at with `defer p.ascend(p.depth)`.
+func (p *Parser) deeper() error {
+	if p.depth++; p.depth > maxDepth {
+		return p.errorf("statement nests deeper than %d levels", maxDepth)
+	}
+	return nil
+}
+
+func (p *Parser) ascend(depth int) { p.depth = depth }
 
 // Parse parses a single statement (an optional trailing semicolon is
 // allowed). Positional ? parameters are substituted from params in order.
@@ -144,6 +165,10 @@ func (p *Parser) parseStatement() (Statement, error) {
 	case "EXPLAIN":
 		p.pos++
 		analyze := p.acceptKeyword("ANALYZE")
+		defer p.ascend(p.depth)
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		inner, err := p.parseStatement()
 		if err != nil {
 			return nil, err
@@ -390,6 +415,10 @@ func (p *Parser) parseJoinChain() (TableExpr, error) {
 
 func (p *Parser) parseTablePrimary() (TableExpr, error) {
 	if p.acceptOp("(") {
+		defer p.ascend(p.depth)
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		// Derived table or parenthesized join.
 		if p.peek().Kind == TokKeyword && p.peek().Text == "SELECT" {
 			sub, err := p.parseSelect()
@@ -558,7 +587,11 @@ func (p *Parser) parseOr() (expr.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.ascend(p.depth)
 	for p.acceptKeyword("OR") {
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		right, err := p.parseAnd()
 		if err != nil {
 			return nil, err
@@ -573,11 +606,15 @@ func (p *Parser) parseAnd() (expr.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.ascend(p.depth)
 	for {
 		// Stop at the AND of a BETWEEN; parsePredicate consumes those
 		// before we ever get here, so a bare AND keyword is logical.
 		if !p.acceptKeyword("AND") {
 			return left, nil
+		}
+		if err := p.deeper(); err != nil {
+			return nil, err
 		}
 		right, err := p.parseNot()
 		if err != nil {
@@ -589,6 +626,10 @@ func (p *Parser) parseAnd() (expr.Expr, error) {
 
 func (p *Parser) parseNot() (expr.Expr, error) {
 	if p.acceptKeyword("NOT") {
+		defer p.ascend(p.depth)
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		inner, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -608,7 +649,13 @@ func (p *Parser) parsePredicate() (expr.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.ascend(p.depth)
 	for {
+		// Each turn wraps left in one more node (a = b = c, x IS NULL IS
+		// NULL ...).
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		t := p.peek()
 		if t.Kind == TokOp {
 			if op, ok := comparisonOps[t.Text]; ok {
@@ -748,6 +795,7 @@ func (p *Parser) parseAdditive() (expr.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.ascend(p.depth)
 	for {
 		t := p.peek()
 		if t.Kind != TokOp {
@@ -765,6 +813,9 @@ func (p *Parser) parseAdditive() (expr.Expr, error) {
 			return left, nil
 		}
 		p.pos++
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		right, err := p.parseMultiplicative()
 		if err != nil {
 			return nil, err
@@ -778,6 +829,7 @@ func (p *Parser) parseMultiplicative() (expr.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.ascend(p.depth)
 	for {
 		t := p.peek()
 		if t.Kind != TokOp {
@@ -795,6 +847,9 @@ func (p *Parser) parseMultiplicative() (expr.Expr, error) {
 			return left, nil
 		}
 		p.pos++
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		right, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -803,7 +858,14 @@ func (p *Parser) parseMultiplicative() (expr.Expr, error) {
 	}
 }
 
+// parseUnary is on every path back into parseExpr — a parenthesis, a
+// subquery, a function argument, a CASE arm — so the level it takes
+// covers those as well as its own sign chains.
 func (p *Parser) parseUnary() (expr.Expr, error) {
+	defer p.ascend(p.depth)
+	if err := p.deeper(); err != nil {
+		return nil, err
+	}
 	if p.acceptOp("-") {
 		inner, err := p.parseUnary()
 		if err != nil {
@@ -815,7 +877,9 @@ func (p *Parser) parseUnary() (expr.Expr, error) {
 			case types.KindInt:
 				return expr.NewConst(types.NewInt(-c.Val.Int())), nil
 			case types.KindFloat:
-				return expr.NewConst(types.NewFloat(-c.Val.Float())), nil
+				// 0 - f, not -f: SQL has no negative zero, and "-0"
+				// would not print as it parses.
+				return expr.NewConst(types.NewFloat(0 - c.Val.Float())), nil
 			default:
 				// Non-numeric literal: leave the unary for the binder.
 			}

@@ -399,3 +399,34 @@ func TestParseIdempotence(t *testing.T) {
 		}
 	}
 }
+
+// TestDepthBound: a statement whose tree would be deeper than maxDepth
+// is a clean error however the depth is written — the recursive walks
+// downstream would otherwise overflow the goroutine stack, which no
+// recover catches — and one just inside the bound parses.
+func TestDepthBound(t *testing.T) {
+	deep := maxDepth + 10
+	for name, src := range map[string]string{
+		"parentheses":    "SELECT " + strings.Repeat("(", deep) + "1" + strings.Repeat(")", deep),
+		"NOT chain":      "SELECT " + strings.Repeat("NOT ", deep) + "TRUE",
+		"sign chain":     "SELECT " + strings.Repeat("- ", deep) + "a",
+		"AND chain":      "SELECT 1 FROM t WHERE a = 1" + strings.Repeat(" AND a = 1", deep),
+		"OR chain":       "SELECT 1 FROM t WHERE a = 1" + strings.Repeat(" OR a = 1", deep),
+		"sum":            "SELECT 1" + strings.Repeat(" + 1", deep),
+		"product":        "SELECT 1" + strings.Repeat(" * 1", deep),
+		"IS NULL chain":  "SELECT a" + strings.Repeat(" IS NULL", deep),
+		"subqueries":     strings.Repeat("SELECT (", deep) + "SELECT 1" + strings.Repeat(")", deep),
+		"derived tables": strings.Repeat("SELECT * FROM (", deep) + "SELECT 1" + strings.Repeat(") d", deep),
+		"joins":          "SELECT * FROM " + strings.Repeat("(", deep) + "t" + strings.Repeat(")", deep),
+		"EXPLAIN chain":  strings.Repeat("EXPLAIN ", deep) + "SELECT 1",
+		"function calls": "SELECT " + strings.Repeat("ABS(", deep) + "1" + strings.Repeat(")", deep),
+	} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "nests deeper") {
+			t.Errorf("%s %d deep: err = %v, want the depth error", name, deep, err)
+		}
+	}
+	wide := "SELECT 1 FROM t WHERE a IN (1" + strings.Repeat(", 1", 5*maxDepth) + ")" + strings.Repeat(" AND a = 1", maxDepth/2)
+	if _, err := Parse(wide); err != nil {
+		t.Errorf("a wide statement inside the bound: %v", err)
+	}
+}

@@ -222,23 +222,6 @@ func (h *Histogram) FracLE(v types.Value) float64 {
 	return f
 }
 
-// FracEq estimates the fraction of values equal to v using bucket depth.
-func (h *Histogram) FracEq(v types.Value, ndv int64) float64 {
-	if h == nil || h.Total == 0 {
-		if ndv > 0 {
-			return 1 / float64(ndv)
-		}
-		return 0.1
-	}
-	lo := h.FracLE(v)
-	if ndv > 0 {
-		f := 1 / float64(ndv)
-		_ = lo
-		return f
-	}
-	return 1 / float64(h.Total)
-}
-
 // Default selectivities for predicates the estimator cannot analyze.
 const (
 	DefaultEqSel    = 0.1
@@ -364,34 +347,6 @@ func fracBelow(cs *ColumnStats, v types.Value) float64 {
 		return 0
 	}
 	return clamp((x - lo) / (hi - lo))
-}
-
-// JoinCardinality estimates |L ⋈ R| on L.lcol = R.rcol using the classic
-// containment assumption: |L|·|R| / max(ndv(lcol), ndv(rcol)).
-func JoinCardinality(l, r *TableStats, lcol, rcol int) float64 {
-	lrows, rrows := rowsOf(l), rowsOf(r)
-	ndv := math.Max(ndvOf(l, lcol), ndvOf(r, rcol))
-	if ndv < 1 {
-		ndv = math.Max(lrows, rrows)
-		if ndv < 1 {
-			ndv = 1
-		}
-	}
-	return lrows * rrows / ndv
-}
-
-func rowsOf(t *TableStats) float64 {
-	if t == nil || t.RowCount <= 0 {
-		return 1000 // assumption for unknown tables
-	}
-	return float64(t.RowCount)
-}
-
-func ndvOf(t *TableStats, col int) float64 {
-	if t == nil || col < 0 || col >= len(t.Columns) || t.Columns[col].NDV <= 0 {
-		return 0
-	}
-	return float64(t.Columns[col].NDV)
 }
 
 func clamp(f float64) float64 {

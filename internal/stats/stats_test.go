@@ -216,25 +216,6 @@ func TestSelectivityUnknownStats(t *testing.T) {
 	}
 }
 
-func TestJoinCardinality(t *testing.T) {
-	l := Collect(mkRows(1000), 3)
-	r := Collect(mkRows(100), 3)
-	// Join on id: ndv(l)=1000, ndv(r)=100 → 1000*100/1000 = 100.
-	got := JoinCardinality(l, r, 0, 0)
-	if math.Abs(got-100) > 1 {
-		t.Errorf("join card = %v, want 100", got)
-	}
-	// Join on cat: ndv=4 both → 1000*100/4 = 25000.
-	got = JoinCardinality(l, r, 1, 1)
-	if math.Abs(got-25000) > 1 {
-		t.Errorf("join card = %v, want 25000", got)
-	}
-	// Unknown stats fall back to something sane.
-	if got := JoinCardinality(nil, nil, 0, 0); got <= 0 {
-		t.Errorf("unknown join card = %v", got)
-	}
-}
-
 func TestMergeFragments(t *testing.T) {
 	a := Collect(mkRows(50), 3)
 	b := Collect(mkRows(50), 3)

@@ -235,7 +235,29 @@ func (e *Encoder) Query(q *source.Query) error {
 type Decoder struct {
 	buf []byte
 	pos int
+	// depth is how many Expr or Span decodes are on the stack.
+	depth int
 }
+
+// maxNesting bounds how deep an expression or span tree a payload may
+// nest. A level costs two bytes on the wire and a stack frame to decode,
+// so without a bound one 16 MiB frame of nested NOTs overflows the
+// goroutine stack, which is fatal to the process, not a recoverable
+// panic. Real trees are a few levels deep; a conjunction of n predicates
+// is n levels.
+const maxNesting = 10000
+
+// descend enters one level of a recursive decode; the caller defers
+// d.ascend when it succeeds.
+func (d *Decoder) descend() error {
+	if d.depth >= maxNesting {
+		return fmt.Errorf("wire: payload nests deeper than %d levels", maxNesting)
+	}
+	d.depth++
+	return nil
+}
+
+func (d *Decoder) ascend() { d.depth-- }
 
 // NewDecoder wraps a payload.
 func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
@@ -334,6 +356,11 @@ func (d *Decoder) Value() (types.Value, error) {
 		n, err := d.Uvarint()
 		if err != nil {
 			return types.Null, err
+		}
+		// Checked as a uint64: a length of 2^63 or more is negative as
+		// an int and would slip past take.
+		if n > uint64(d.Remaining()) {
+			return types.Null, io.ErrUnexpectedEOF
 		}
 		b, err := d.take(int(n))
 		if err != nil {
@@ -486,6 +513,10 @@ func (d *Decoder) IntSlice() ([]int, error) {
 
 // Expr reads an expression tree.
 func (d *Decoder) Expr() (expr.Expr, error) {
+	if err := d.descend(); err != nil {
+		return nil, err
+	}
+	defer d.ascend()
 	tag, err := d.Byte()
 	if err != nil {
 		return nil, err

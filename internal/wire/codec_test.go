@@ -11,8 +11,10 @@ import (
 	"gis/internal/types"
 )
 
-func TestValueRoundTrip(t *testing.T) {
-	vals := []types.Value{
+// sampleValues, sampleExprs and sampleQueries are the round-trip cases;
+// FuzzDecoder seeds its corpus with their encodings.
+func sampleValues() []types.Value {
+	return []types.Value{
 		types.Null,
 		types.NewBool(true),
 		types.NewBool(false),
@@ -28,6 +30,10 @@ func TestValueRoundTrip(t *testing.T) {
 		types.NewTime(time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC)),
 		types.NewTime(time.Unix(0, -1)),
 	}
+}
+
+func TestValueRoundTrip(t *testing.T) {
+	vals := sampleValues()
 	var e Encoder
 	for _, v := range vals {
 		e.Value(v)
@@ -71,8 +77,8 @@ func TestRowSchemaRoundTrip(t *testing.T) {
 	}
 }
 
-func TestExprRoundTrip(t *testing.T) {
-	exprs := []expr.Expr{
+func sampleExprs() []expr.Expr {
+	return []expr.Expr{
 		nil,
 		expr.NewBoundColRef(2, types.KindInt, "a"),
 		expr.NewConst(types.NewString("lit")),
@@ -91,7 +97,10 @@ func TestExprRoundTrip(t *testing.T) {
 		&expr.Cast{E: expr.NewBoundColRef(0, types.KindInt, "x"), To: types.KindString},
 		expr.NewCall("ABS", expr.NewBoundColRef(0, types.KindInt, "x")),
 	}
-	for _, want := range exprs {
+}
+
+func TestExprRoundTrip(t *testing.T) {
+	for _, want := range sampleExprs() {
 		var e Encoder
 		if err := e.Expr(want); err != nil {
 			t.Fatalf("encode %v: %v", want, err)
@@ -111,8 +120,8 @@ func TestExprRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQueryRoundTrip(t *testing.T) {
-	queries := []*source.Query{
+func sampleQueries() []*source.Query {
+	return []*source.Query{
 		source.NewScan("t"),
 		{
 			Table:   "t",
@@ -132,7 +141,10 @@ func TestQueryRoundTrip(t *testing.T) {
 		},
 		{Table: "t", Columns: []int{}, Limit: -1}, // empty but non-nil projection
 	}
-	for _, want := range queries {
+}
+
+func TestQueryRoundTrip(t *testing.T) {
+	for _, want := range sampleQueries() {
 		var e Encoder
 		if err := e.Query(want); err != nil {
 			t.Fatal(err)
@@ -175,6 +187,18 @@ func TestDecoderGarbage(t *testing.T) {
 	if _, err := NewDecoder(e.Bytes()).Value(); err == nil {
 		t.Error("TIME with 1e9 nanoseconds must error")
 	}
+	// A BYTES length of 2^63 or more is negative as an int.
+	if _, err := NewDecoder(hostileBytesLength).Value(); err == nil {
+		t.Error("BYTES longer than the payload must error")
+	}
+	// A tree nested past maxNesting must fail, not overflow the stack;
+	// one nested just short of it decodes.
+	if _, err := NewDecoder(nestedNots(maxNesting + 1)).Expr(); err == nil {
+		t.Errorf("an expression %d levels deep must error", maxNesting+1)
+	}
+	if _, err := NewDecoder(nestedNots(maxNesting - 1)).Expr(); err != nil {
+		t.Errorf("an expression %d levels deep: %v", maxNesting-1, err)
+	}
 	// A row count or a width the payload cannot hold must fail before
 	// anything is allocated for it.
 	for _, hostile := range [][]byte{
@@ -185,6 +209,20 @@ func TestDecoderGarbage(t *testing.T) {
 			t.Errorf("rowBatch(% x) must error", hostile)
 		}
 	}
+}
+
+// hostileBytesLength is a BYTES value claiming 2^64-1 bytes.
+var hostileBytesLength = []byte{byte(types.KindBytes), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
+
+// nestedNots encodes NOT(NOT(...NOT(nil))), depth levels in all.
+func nestedNots(depth int) []byte {
+	var e Encoder
+	for i := 1; i < depth; i++ {
+		e.Byte(exTagUnary)
+		e.Byte(byte(expr.OpNot))
+	}
+	e.Byte(exTagNil)
+	return e.Bytes()
 }
 
 // frameOf encodes rows as one msgRows payload.

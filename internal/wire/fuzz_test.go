@@ -1,0 +1,209 @@
+package wire
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+	"time"
+
+	"gis/internal/admission"
+	"gis/internal/obs"
+	"gis/internal/types"
+)
+
+// A fuzzBody is one message body a peer can send: decode reads it from
+// the payload and returns a function that encodes what was read.
+type fuzzBody struct {
+	name   string
+	decode func(d *Decoder) (encode func(e *Encoder) error, err error)
+}
+
+var fuzzBodies = []fuzzBody{
+	{"Value", func(d *Decoder) (func(*Encoder) error, error) {
+		v, err := d.Value()
+		return func(e *Encoder) error { e.Value(v); return nil }, err
+	}},
+	{"Row", func(d *Decoder) (func(*Encoder) error, error) {
+		r, err := d.Row()
+		return func(e *Encoder) error { e.Row(r); return nil }, err
+	}},
+	{"rowBatch", func(d *Decoder) (func(*Encoder) error, error) {
+		rows, err := d.rowBatch(nil)
+		return func(e *Encoder) error {
+			e.Uvarint(uint64(len(rows)))
+			for _, r := range rows {
+				e.Row(r)
+			}
+			return nil
+		}, err
+	}},
+	{"Schema", func(d *Decoder) (func(*Encoder) error, error) {
+		s, err := d.Schema()
+		return func(e *Encoder) error { e.Schema(s); return nil }, err
+	}},
+	{"Expr", func(d *Decoder) (func(*Encoder) error, error) {
+		x, err := d.Expr()
+		return func(e *Encoder) error { return e.Expr(x) }, err
+	}},
+	// A msgExecute payload: the query, the trace context, the budget.
+	{"Execute", func(d *Decoder) (func(*Encoder) error, error) {
+		q, err := d.Query()
+		if err != nil {
+			return nil, err
+		}
+		tc, err := d.traceContext()
+		if err != nil {
+			return nil, err
+		}
+		budget, err := d.deadlineBudget()
+		return func(e *Encoder) error {
+			if err := e.Query(q); err != nil {
+				return err
+			}
+			e.traceContext(tc)
+			e.deadlineBudget(budget)
+			return nil
+		}, err
+	}},
+	{"hello", func(d *Decoder) (func(*Encoder) error, error) {
+		h, err := d.hello()
+		return func(e *Encoder) error { e.hello(h); return nil }, err
+	}},
+	{"helloReply", func(d *Decoder) (func(*Encoder) error, error) {
+		h, err := d.helloReply()
+		return func(e *Encoder) error { e.helloReply(h); return nil }, err
+	}},
+	// The msgTrace trailer.
+	{"Span", func(d *Decoder) (func(*Encoder) error, error) {
+		sp, err := d.Span()
+		return func(e *Encoder) error { e.Span(sp); return nil }, err
+	}},
+	// A msgErr payload, which may carry a typed overload error.
+	{"OverloadError", func(d *Decoder) (func(*Encoder) error, error) {
+		msg, err := d.String()
+		if err != nil {
+			return nil, err
+		}
+		if oe, ok := admission.ParseWireError(msg); ok {
+			msg = oe.MarshalWire()
+		}
+		return func(e *Encoder) error { e.String(msg); return nil }, nil
+	}},
+}
+
+// fuzzSeeds encodes the codec tests' round-trip cases, one payload per
+// body kind.
+func fuzzSeeds(t testing.TB) map[string][][]byte {
+	seeds := map[string][][]byte{}
+	add := func(kind string, fill func(e *Encoder) error) {
+		var e Encoder
+		if err := fill(&e); err != nil {
+			t.Fatal(err)
+		}
+		seeds[kind] = append(seeds[kind], bytes.Clone(e.Bytes()))
+	}
+	for _, v := range sampleValues() {
+		add("Value", func(e *Encoder) error { e.Value(v); return nil })
+	}
+	add("Row", func(e *Encoder) error { e.Row(sampleValues()); return nil })
+	add("Row", func(e *Encoder) error { e.Row(nil); return nil })
+	seeds["rowBatch"] = append(seeds["rowBatch"],
+		frameOf([]types.Row{sampleValues(), {types.NewInt(1)}, {}, sampleValues()[:4]}),
+		frameOf(nil),
+		[]byte{0xff, 0xff, 0xff, 0xff, 0x0f},       // 2^32-1 rows, no bytes
+		[]byte{0x01, 0xff, 0xff, 0xff, 0xff, 0x0f}) // one row of 2^32-1 values
+	add("Schema", func(e *Encoder) error {
+		e.Schema(types.NewSchema(
+			types.Column{Table: "t", Name: "a", Type: types.KindInt},
+			types.Column{Name: "b", Type: types.KindFloat, Nullable: true}))
+		return nil
+	})
+	for _, x := range sampleExprs() {
+		add("Expr", func(e *Encoder) error { return e.Expr(x) })
+	}
+	seeds["Expr"] = append(seeds["Expr"], nestedNots(maxNesting+1), nestedNots(64))
+	seeds["Value"] = append(seeds["Value"], hostileBytesLength)
+	for i, q := range sampleQueries() {
+		add("Execute", func(e *Encoder) error {
+			if err := e.Query(q); err != nil {
+				return err
+			}
+			if i%2 == 0 {
+				e.traceContext(&traceContext{TraceID: "4bf92f3577b34da6", ParentSpan: 7, Sampled: true})
+			} else {
+				e.traceContext(nil)
+			}
+			e.deadlineBudget(time.Duration(i) * time.Second)
+			return nil
+		})
+	}
+	add("hello", func(e *Encoder) error {
+		e.hello(&hello{Version: helloVersion, Tenant: "tenant-a", Window: 8, MaxRead: 1 << 20})
+		return nil
+	})
+	add("helloReply", func(e *Encoder) error {
+		e.helloReply(&helloReply{Version: helloVersion, Window: 2, MaxRead: 1 << 24})
+		return nil
+	})
+	add("Span", func(e *Encoder) error {
+		e.Span(&obs.SpanData{Kind: "remote", Name: "src", Start: time.UnixMicro(1700000000000000), DurationUS: 1234,
+			Attrs: []obs.Attr{{Key: "rows", Value: "3"}},
+			Children: []*obs.SpanData{
+				{Kind: "exec", Name: "scan t", DurationUS: 1000},
+				{Kind: "stream", Attrs: []obs.Attr{{Key: "bytes", Value: "96"}}},
+			}})
+		return nil
+	})
+	for _, msg := range []string{
+		(&admission.OverloadError{Tenant: "t1", Reason: admission.ReasonQueueFull, Retryable: true, RetryAfter: 40 * time.Millisecond}).MarshalWire(),
+		"!overload;", "!overload;deadline;;0;-5", "relstore src: unknown table \"t\"",
+	} {
+		add("OverloadError", func(e *Encoder) error { e.String(msg); return nil })
+	}
+	return seeds
+}
+
+// FuzzDecoder feeds arbitrary bytes to every decoder that reads what a
+// peer sent. Whatever the bytes: no panic; no allocation out of
+// proportion to the payload (a count or a width is checked against the
+// bytes left before anything is made for it); and what does decode is a
+// fixed point — encoding it and decoding that encodes to the same bytes.
+func FuzzDecoder(f *testing.F) {
+	seeds := fuzzSeeds(f)
+	for kind, body := range fuzzBodies {
+		for _, seed := range seeds[body.name] {
+			f.Add(uint8(kind), seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		body := fuzzBodies[int(kind)%len(fuzzBodies)]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		encode, err := body.decode(NewDecoder(data))
+		runtime.ReadMemStats(&after)
+		// The widest thing a byte can stand for is a 32-byte NULL Value
+		// or a tree node of a few words; the slack covers the runtime's
+		// own background allocation.
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(512*len(data)+1<<16); got > bound {
+			t.Fatalf("%s: decoding %d bytes allocated %d (bound %d)", body.name, len(data), got, bound)
+		}
+		if err != nil {
+			return
+		}
+		var first Encoder
+		if err := encode(&first); err != nil {
+			t.Fatalf("%s: decoded % x but cannot encode it: %v", body.name, data, err)
+		}
+		again, err := body.decode(NewDecoder(first.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: own encoding % x of % x does not decode: %v", body.name, first.Bytes(), data, err)
+		}
+		var second Encoder
+		if err := again(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("%s: not a fixed point:\n % x\n % x", body.name, first.Bytes(), second.Bytes())
+		}
+	})
+}

@@ -96,10 +96,14 @@ func (e *Encoder) Span(sp *obs.SpanData) {
 }
 
 // Span decodes a span snapshot subtree. Counts are bounded by the
-// remaining payload (every attr and child costs at least one byte), so
-// a corrupt frame cannot provoke an oversized allocation or unbounded
-// recursion.
+// remaining payload (every attr and child costs at least one byte) and
+// depth by maxNesting, so a corrupt frame cannot provoke an oversized
+// allocation or unbounded recursion.
 func (d *Decoder) Span() (*obs.SpanData, error) {
+	if err := d.descend(); err != nil {
+		return nil, err
+	}
+	defer d.ascend()
 	sp := &obs.SpanData{}
 	var err error
 	if sp.Kind, err = d.String(); err != nil {

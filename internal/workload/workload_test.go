@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 )
@@ -169,5 +170,38 @@ func TestGenDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical data")
+	}
+}
+
+// TestKeyInListPushedToKeyedSource: a FilterKey source takes an IN list
+// on its key — the predicate a semijoin ships it anyway — instead of
+// handing the mediator the whole bucket to filter; and the answer is the
+// full-SQL wrapper's whatever the list repeats, retypes or leaves NULL.
+func TestKeyInListPushedToKeyedSource(t *testing.T) {
+	f, err := Capability(context.Background(), 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	plan, err := f.Engine.Explain(ctx, "SELECT oid, amount FROM orders_kv WHERE oid IN (1, 2, 3)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "FragScan cap_kv.orders [scan orders where (oid IN (1, 2, 3))] +compensate"; !strings.Contains(plan, want) {
+		t.Errorf("plan:\n%swant a line %q", plan, want)
+	}
+	for _, list := range []string{"1, 1, 2.0", "7, NULL, 7.0, 299, 300", "NULL", "4.5, 4"} {
+		q := "SELECT oid, amount FROM %s WHERE oid IN (" + list + ")"
+		want, err := eqRun(f, replaceTable(q, "orders_rel"), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eqRun(f, replaceTable(q, "orders_kv"), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := diffRows(got, want); d != "" {
+			t.Errorf("oid IN (%s): orders_kv against orders_rel: %s", list, d)
+		}
 	}
 }
