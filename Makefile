@@ -43,7 +43,11 @@ check:
 	sh scripts/check.sh
 
 # Seeded fault-injection stress tests: wire, union, bind-join, 2PC
-# (see DESIGN.md "Resilience & fault model").
+# (see DESIGN.md "Resilience & fault model"). What faults do not cover —
+# concurrent global updates, two transactions on one client, a call
+# blocked past its deadline — is TestConcurrentGlobalUpdates (workload)
+# and TestTwoTransactionsOneClient / TestCallObservesDeadline (wire),
+# which run in `make test` and `make race`.
 chaos:
 	$(GO) test -race -run TestChaos ./...
 

@@ -65,7 +65,6 @@ func main() {
 		tenantRate   = flag.Float64("tenant-rate", 0, "admission: per-tenant sustained sub-queries/sec (0 = unlimited)")
 		tenantQuota  = flag.Int64("tenant-quota", 0, "admission: per-tenant result-stream memory quota in bytes (0 = unlimited)")
 		maxFrame     = flag.Int("max-frame-bytes", 0, "reject wire frames larger than this (0 = protocol default 16MiB)")
-		creditWindow = flag.Int("credit-window", 0, "flow control: max row frames in flight per stream (0 = protocol default 32)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "on SIGTERM, let in-flight sub-queries finish up to this long before closing")
 
 		tables tableFlag
@@ -113,9 +112,6 @@ func main() {
 	}
 	if *maxFrame > 0 {
 		srvOpts = append(srvOpts, wire.WithServerMaxFrameBytes(*maxFrame))
-	}
-	if *creditWindow > 0 {
-		srvOpts = append(srvOpts, wire.WithServerCreditWindow(*creditWindow))
 	}
 	srv, err := wire.Serve(ctx, *listen, store, srvOpts...)
 	if err != nil {

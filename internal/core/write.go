@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"gis/internal/catalog"
 	"gis/internal/expr"
@@ -366,10 +367,20 @@ func (e *Engine) applyWrites(ctx context.Context, writes map[*catalog.Fragment]*
 		return total, nil
 	}
 
-	// Multiple participants: two-phase commit.
+	// Multiple participants: two-phase commit, the participants taken in
+	// name order. A participant's store is locked from its first write to
+	// commit, so two global updates that took theirs in different orders
+	// would each hold what the other waits for; one global order is the
+	// whole deadlock-avoidance argument. It also makes 2PC traces and the
+	// decision log repeatable.
+	names := make([]string, 0, len(bySource))
+	for name := range bySource {
+		names = append(names, name)
+	}
+	slices.Sort(names)
 	g := e.coord.Begin()
 	var total int64
-	for name, fws := range bySource {
+	for _, name := range names {
 		if err := ctx.Err(); err != nil {
 			_ = g.Abort(ctx) // best-effort rollback; the original error wins
 			return 0, err
@@ -394,7 +405,7 @@ func (e *Engine) applyWrites(ctx context.Context, writes map[*catalog.Fragment]*
 			_ = g.Abort(ctx)  // best-effort rollback; the original error wins
 			return 0, err
 		}
-		for _, fw := range fws {
+		for _, fw := range bySource[name] {
 			if err := ctx.Err(); err != nil {
 				_ = g.Abort(ctx) // best-effort rollback; the original error wins
 				return 0, err

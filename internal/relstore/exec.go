@@ -22,7 +22,7 @@ import (
 func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	t, err := s.tableLocked(q.Table)
+	t, err := s.lookup(q.Table)
 	if err != nil {
 		return nil, err
 	}

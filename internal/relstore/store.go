@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"gis/internal/expr"
 	"gis/internal/source"
@@ -21,7 +22,16 @@ import (
 type Store struct {
 	name string
 
-	mu     sync.RWMutex
+	// mu is the data lock: a transaction holds it from its first write to
+	// commit or abort.
+	mu sync.RWMutex
+	// catMu guards the table directory only, and is never held across
+	// anything that blocks. What a table is — schema, key — is fixed at
+	// creation, so metadata (Tables, TableInfo) is answered without mu:
+	// it must not wait out a transaction, least of all one the asker
+	// itself holds open (a wire server looks the schema up on behalf of
+	// every write of a remote transaction).
+	catMu  sync.RWMutex
 	tables map[string]*table
 
 	// fail injects two-phase-commit failures for recovery tests.
@@ -45,7 +55,9 @@ type table struct {
 	// rows holds the committed data; nil rows are tombstones left by
 	// deletes and skipped by scans (compacted opportunistically).
 	rows []types.Row
-	live int
+	// live counts non-tombstone rows; written under mu, read by
+	// TableInfo without it.
+	live atomic.Int64
 	// hashIdx maps indexed column → value hash → row positions.
 	hashIdx map[int]map[uint64][]int
 	// statsCache is invalidated by writes.
@@ -67,8 +79,8 @@ func (s *Store) SetFailPolicy(p FailPolicy) {
 // CreateTable registers a table. keyCols lists primary-key column
 // positions (indexed automatically).
 func (s *Store) CreateTable(name string, schema *types.Schema, keyCols ...int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.catMu.Lock()
+	defer s.catMu.Unlock()
 	if _, dup := s.tables[name]; dup {
 		return fmt.Errorf("relstore %s: table %q already exists", s.name, name)
 	}
@@ -93,7 +105,7 @@ func (s *Store) CreateTable(name string, schema *types.Schema, keyCols ...int) e
 func (s *Store) CreateIndex(name string, col int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t, err := s.tableLocked(name)
+	t, err := s.lookup(name)
 	if err != nil {
 		return err
 	}
@@ -115,8 +127,12 @@ func (s *Store) CreateIndex(name string, col int) error {
 	return nil
 }
 
-func (s *Store) tableLocked(name string) (*table, error) {
+// lookup finds a table in the directory. Callers that go on to touch
+// its rows hold mu; the directory itself needs only catMu.
+func (s *Store) lookup(name string) (*table, error) {
+	s.catMu.RLock()
 	t, ok := s.tables[name]
+	s.catMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("relstore %s: unknown table %q", s.name, name)
 	}
@@ -128,8 +144,8 @@ func (s *Store) Name() string { return s.name }
 
 // Tables implements source.Source.
 func (s *Store) Tables(context.Context) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.catMu.RLock()
+	defer s.catMu.RUnlock()
 	out := make([]string, 0, len(s.tables))
 	for n := range s.tables {
 		out = append(out, n)
@@ -139,16 +155,14 @@ func (s *Store) Tables(context.Context) ([]string, error) {
 
 // TableInfo implements source.Source.
 func (s *Store) TableInfo(_ context.Context, name string) (*source.TableInfo, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, err := s.tableLocked(name)
+	t, err := s.lookup(name)
 	if err != nil {
 		return nil, err
 	}
 	return &source.TableInfo{
 		Schema:     t.schema.Clone(),
 		KeyColumns: append([]int(nil), t.key...),
-		RowCount:   int64(t.live),
+		RowCount:   t.live.Load(),
 	}, nil
 }
 
@@ -170,12 +184,12 @@ func (s *Store) Capabilities() source.Capabilities {
 func (s *Store) Stats(name string) (*stats.TableStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t, err := s.tableLocked(name)
+	t, err := s.lookup(name)
 	if err != nil {
 		return nil, err
 	}
 	if t.statsCache == nil {
-		live := make([]types.Row, 0, t.live)
+		live := make([]types.Row, 0, t.live.Load())
 		for _, r := range t.rows {
 			if r != nil {
 				live = append(live, r)
@@ -232,7 +246,7 @@ func (s *Store) Delete(ctx context.Context, tbl string, filter expr.Expr) (int64
 func (t *table) insertLocked(r types.Row) int {
 	pos := len(t.rows)
 	t.rows = append(t.rows, r)
-	t.live++
+	t.live.Add(1)
 	for col, idx := range t.hashIdx {
 		h := r[col].Hash(0)
 		idx[h] = append(idx[h], pos)
@@ -249,7 +263,7 @@ func (t *table) deleteLocked(pos int) types.Row {
 		return nil
 	}
 	t.rows[pos] = nil
-	t.live--
+	t.live.Add(-1)
 	t.statsCache = nil
 	return old
 }

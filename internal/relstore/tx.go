@@ -74,7 +74,7 @@ func (tx *Tx) Insert(_ context.Context, tbl string, rows []types.Row) (int64, er
 	if err := tx.ensureLocked(); err != nil {
 		return 0, err
 	}
-	t, err := tx.s.tableLocked(tbl)
+	t, err := tx.s.lookup(tbl)
 	if err != nil {
 		return 0, err
 	}
@@ -100,7 +100,7 @@ func (tx *Tx) Update(_ context.Context, tbl string, filter expr.Expr, set []sour
 	if err := tx.ensureLocked(); err != nil {
 		return 0, err
 	}
-	t, err := tx.s.tableLocked(tbl)
+	t, err := tx.s.lookup(tbl)
 	if err != nil {
 		return 0, err
 	}
@@ -145,7 +145,7 @@ func (tx *Tx) Delete(_ context.Context, tbl string, filter expr.Expr) (int64, er
 	if err := tx.ensureLocked(); err != nil {
 		return 0, err
 	}
-	t, err := tx.s.tableLocked(tbl)
+	t, err := tx.s.lookup(tbl)
 	if err != nil {
 		return 0, err
 	}
@@ -228,7 +228,7 @@ func (tx *Tx) Abort(context.Context) error {
 			u.t.deleteLocked(u.pos)
 		case undoDelete:
 			u.t.rows[u.pos] = u.old
-			u.t.live++
+			u.t.live.Add(1)
 			u.t.statsCache = nil
 		case undoReplace:
 			u.t.replaceLocked(u.pos, u.old)

@@ -88,6 +88,12 @@ func (l *Log) Decisions() []Decision {
 	return append([]Decision(nil), l.decisions...)
 }
 
+// decisionDelivery bounds the commit round. Once the decision is logged
+// the round no longer answers to the caller's deadline or cancellation
+// (see GlobalTx.Commit), so it needs a limit of its own: a participant
+// that has stopped answering is reported in-doubt after this long.
+const decisionDelivery = 10 * time.Second
+
 // Coordinator creates and drives global transactions.
 type Coordinator struct {
 	log *Log
@@ -200,6 +206,12 @@ func (g *GlobalTx) fanOut(ctx context.Context, fn func(i int) error) []error {
 // is logged, commit is retried per participant up to CommitRetries; a
 // participant that still fails leaves the transaction in-doubt on that
 // participant and the error reports it (the decision log resolves it).
+//
+// ctx governs the prepare round only. A caller that runs out of time
+// before the decision gets an abort everywhere; one that runs out after
+// it does not get to stop the commit round halfway, with one
+// participant committed and the next never told — that round runs to
+// its end, or to decisionDelivery, under a context of its own.
 func (g *GlobalTx) Commit(ctx context.Context) error {
 	if g.state != StateActive {
 		return fmt.Errorf("txn %s: commit in state %s", g.id, g.state)
@@ -244,6 +256,8 @@ func (g *GlobalTx) Commit(ctx context.Context) error {
 	// Decision point: log commit, then it is irrevocable.
 	g.coord.log.Append(Decision{TxID: g.id, Commit: true, Participants: g.Participants()})
 	g.state = StateCommitted
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), decisionDelivery)
+	defer cancel()
 
 	// Phase 2: commit with bounded retry (Commit must be idempotent).
 	commitErrs := g.fanOut(ctx, func(i int) error {
@@ -254,7 +268,7 @@ func (g *GlobalTx) Commit(ctx context.Context) error {
 		for attempt := 0; attempt <= g.coord.CommitRetries; attempt++ {
 			if attempt > 0 {
 				// The decision is already logged and irrevocable, so only
-				// the caller vanishing stops the retry loop early — the
+				// the delivery bound stops the retry loop early — the
 				// participant stays in-doubt and the decision log resolves
 				// it. The jittered pause keeps retries from hammering the
 				// same partition window.

@@ -168,6 +168,50 @@ func TestCommitExhaustsRetriesLeavesInDoubt(t *testing.T) {
 	}
 }
 
+// hurriedTx is a participant whose coordinator's caller runs out of
+// patience the moment the last vote is in: onPrepared cancels the
+// caller's context, and Commit does what a wire participant does with a
+// dead context — nothing.
+type hurriedTx struct {
+	stubTx
+	onPrepared func()
+}
+
+func (h *hurriedTx) Prepare(ctx context.Context) error {
+	defer h.onPrepared()
+	return h.stubTx.Prepare(ctx)
+}
+
+func (h *hurriedTx) Commit(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return h.stubTx.Commit(ctx)
+}
+
+// TestCommitRoundOutlivesCallerDeadline: the caller's context decides
+// whether a transaction commits only until the decision is logged.
+// After that, cutting the commit round short would leave one
+// participant committed and another holding its locks, undecided.
+func TestCommitRoundOutlivesCallerDeadline(t *testing.T) {
+	c := NewCoordinator()
+	c.Parallel = false
+	g := c.Begin()
+	cctx, cancel := context.WithCancel(ctx)
+	first, last := &hurriedTx{onPrepared: func() {}}, &hurriedTx{onPrepared: cancel}
+	g.Enlist("first", first)
+	g.Enlist("last", last)
+	if err := g.Commit(cctx); err != nil {
+		t.Fatalf("commit decided before the caller gave up, reported %v", err)
+	}
+	if cctx.Err() == nil {
+		t.Fatal("the caller's context was meant to be done by now")
+	}
+	if first.commits != 1 || last.commits != 1 {
+		t.Errorf("commits delivered = %d, %d; want every participant told once", first.commits, last.commits)
+	}
+}
+
 func TestPrepareFailureAbortsEveryone(t *testing.T) {
 	c := NewCoordinator()
 	c.Parallel = false // deterministic order

@@ -25,10 +25,13 @@ import (
 const DefaultDialTimeout = 5 * time.Second
 
 // Client is a remote source: it implements source.Source, source.Writer,
-// and source.Transactional over the wire protocol. A client multiplexes
-// work over a small pool of TCP connections; every Execute gets its own
-// connection so result streams from parallel sub-queries do not block
-// each other.
+// and source.Transactional over the wire protocol. A client keeps a pool
+// of TCP connections and one rule: a connection is borrowed, carries one
+// conversation — a request and its answer, a result stream, or a whole
+// transaction from begin to commit or abort — and goes back, or is
+// closed when a transport error leaves its protocol state unknown. So
+// parallel sub-queries do not block each other, and neither do two
+// transactions, or a transaction and a metadata call.
 type Client struct {
 	addr string
 	name string
@@ -45,10 +48,6 @@ type Client struct {
 	// tenant rides the per-connection hello handshake so the component
 	// system can enforce its own per-tenant quotas on sub-queries.
 	tenant string
-	// creditWindow is the flow-control window this client requests
-	// (msgRows frames in flight before a grant is required); 0
-	// disables flow control.
-	creditWindow int
 	// maxFrameBytes bounds inbound frames on every connection.
 	maxFrameBytes int
 	// rtt holds the link's EWMA round-trip nanoseconds, observed on
@@ -56,22 +55,16 @@ type Client struct {
 	// propagated deadlines (the one-way WAN share).
 	rtt atomic.Int64
 
-	// baseCtx detaches long-lived background calls (the one-shot
-	// capability fetch) from the dialing context's cancellation.
+	// baseCtx stands in for the context Stats has no parameter for: the
+	// dialing context's values without its cancellation.
 	baseCtx context.Context
+	// caps is the served source's capability vector, learned from the
+	// hello reply of the connection DialContext opened.
+	caps source.Capabilities
 
 	mu     sync.Mutex
 	pool   []*frameConn
 	closed bool
-	// ctrl is the dedicated connection for metadata and transactions;
-	// ctrlSem serializes its use (and keeps waiting cancellable, which
-	// a mutex would not).
-	ctrl    *frameConn
-	ctrlSem chan struct{}
-
-	capsOnce sync.Once
-	caps     source.Capabilities
-	capsErr  error
 
 	// lm counts this link's frames/bytes/round trips under
 	// wire.client.<name>.*; set once in DialContext after options resolve.
@@ -117,14 +110,6 @@ func WithTenant(tenant string) Option {
 	return func(c *Client) { c.tenant = tenant }
 }
 
-// WithCreditWindow overrides the requested flow-control window
-// (msgRows frames in flight before the server needs a credit grant).
-// 0 disables flow control for this link; the effective window is
-// negotiated down to the server's limit in the handshake.
-func WithCreditWindow(frames int) Option {
-	return func(c *Client) { c.creditWindow = frames }
-}
-
 // WithMaxFrameBytes bounds inbound frames on this link's connections;
 // larger frames are rejected with ErrFrameTooLarge before allocation.
 func WithMaxFrameBytes(n int) Option {
@@ -136,16 +121,16 @@ func WithMaxFrameBytes(n int) Option {
 }
 
 // DialContext connects to a wire server, bounding the connect by ctx
-// and by the connect timeout (DefaultDialTimeout unless overridden).
+// and by the connect timeout (DefaultDialTimeout unless overridden). The
+// connection it opens proves the address and the protocol version,
+// brings the source's capabilities, and is the pool's first.
 func DialContext(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 	c := &Client{
 		addr:           addr,
 		name:           addr,
 		connectTimeout: DefaultDialTimeout,
 		trailerTimeout: defaultTrailerTimeout,
-		creditWindow:   defaultCreditWindow,
 		maxFrameBytes:  maxFrame,
-		ctrlSem:        make(chan struct{}, 1),
 	}
 	for _, o := range opts {
 		o(c)
@@ -153,68 +138,74 @@ func DialContext(ctx context.Context, addr string, opts ...Option) (*Client, err
 	c.lm = newLinkMetrics("client", c.name)
 	c.inj = c.plan.Link(c.name)
 	c.baseCtx = context.WithoutCancel(ctx)
-	ctrl, err := c.dial(ctx)
+	fc, rep, err := c.dial(ctx)
 	if err != nil {
 		return nil, err
 	}
-	c.ctrl = ctrl
+	c.caps = rep.Caps
+	c.pool = append(c.pool, fc)
 	return c, nil
 }
 
-func (c *Client) dial(ctx context.Context) (*frameConn, error) {
+func (c *Client) dial(ctx context.Context) (*frameConn, *helloReply, error) {
 	if err := c.inj.Inject(ctx, faults.OpConnect); err != nil {
-		return nil, fmt.Errorf("wire: dial %s: %w", c.addr, err)
+		return nil, nil, fmt.Errorf("wire: dial %s: %w", c.addr, err)
 	}
 	nd := net.Dialer{Timeout: c.connectTimeout}
 	conn, err := nd.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
-		return nil, fmt.Errorf("wire: dial %s: %w", c.addr, err)
+		return nil, nil, fmt.Errorf("wire: dial %s: %w", c.addr, ioErr(ctx, err))
 	}
 	fc := newFrameConn(conn, c.up, c.down)
 	fc.metrics = c.lm
 	fc.inj = c.inj
 	fc.limit = c.maxFrameBytes
 	fc.rttEWMA = &c.rtt
-	if err := c.handshake(ctx, fc); err != nil {
+	rep, err := c.handshake(ctx, fc)
+	if err != nil {
 		c.discard(fc)
-		return nil, fmt.Errorf("wire: dial %s: %w", c.addr, err)
+		return nil, nil, fmt.Errorf("wire: dial %s: %w", c.addr, err)
 	}
-	return fc, nil
+	return fc, rep, nil
 }
 
-// handshake sends msgHello on a fresh connection and applies the
-// negotiated credit window and frame bounds. The exchange bypasses the
-// fault injector deliberately: it is connection setup, not an operation
-// in the seeded fault sequence, so enabling it does not perturb
-// fault-plan decision streams. Anything but msgOK (a server rejecting
-// the announced version) fails the dial.
-func (c *Client) handshake(ctx context.Context, fc *frameConn) error {
+// handshake sends msgHello on a fresh connection, applies the peer's
+// frame bound and returns its reply. The exchange bypasses the fault
+// injector deliberately: it is connection setup, not an operation in
+// the seeded fault sequence, so enabling it does not perturb fault-plan
+// decision streams. Anything but a well-formed msgOK (a server
+// rejecting the announced version, a reply cut short) fails the dial.
+func (c *Client) handshake(ctx context.Context, fc *frameConn) (*helloReply, error) {
 	var e Encoder
-	e.hello(&hello{Version: helloVersion, Tenant: c.tenant, Window: c.creditWindow, MaxRead: c.maxFrameBytes})
+	e.hello(&hello{Version: helloVersion, Tenant: c.tenant, MaxRead: c.maxFrameBytes})
 	if err := fc.writeFrame(ctx, msgHello, e.Bytes()); err != nil {
-		return err
+		return nil, err
 	}
 	tag, resp, err := fc.readFrame(ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp, err = checkResp(tag, resp); err != nil {
-		return fmt.Errorf("handshake: %w", err)
+		return nil, fmt.Errorf("handshake: %w", err)
 	}
 	rep, err := NewDecoder(resp).helloReply()
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("handshake: malformed hello reply: %w", err)
 	}
-	fc.window = negotiateWindow(c.creditWindow, rep.Window)
 	if rep.MaxRead > 0 && rep.MaxRead < fc.wlimit {
 		fc.wlimit = rep.MaxRead
 	}
-	return nil
+	return rep, nil
 }
 
-// getConn returns a pooled or fresh connection for a result stream.
+// getConn borrows a pooled connection, or dials one when the pool is
+// empty; a closed client lends nothing.
 func (c *Client) getConn(ctx context.Context) (*frameConn, error) {
 	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, net.ErrClosed
+	}
 	if n := len(c.pool); n > 0 {
 		fc := c.pool[n-1]
 		c.pool = c.pool[:n-1]
@@ -222,10 +213,16 @@ func (c *Client) getConn(ctx context.Context) (*frameConn, error) {
 		return fc, nil
 	}
 	c.mu.Unlock()
-	return c.dial(ctx)
+	fc, _, err := c.dial(ctx)
+	return fc, err
 }
 
+// putConn ends a conversation whose connection is still in protocol
+// sync (nil: the connection did not survive it).
 func (c *Client) putConn(fc *frameConn) {
+	if fc == nil {
+		return
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -236,25 +233,17 @@ func (c *Client) putConn(fc *frameConn) {
 	c.mu.Unlock()
 }
 
-// Close shuts every pooled connection down.
+// Close shuts every pooled connection down; one that a stream or a
+// transaction still owns is closed when that conversation hands it back.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
 	var first error
-	close := func(fc *frameConn) {
-		if cl, ok := fc.rw.(io.Closer); ok {
-			if err := cl.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	if c.ctrl != nil {
-		close(c.ctrl)
-		c.ctrl = nil
-	}
 	for _, fc := range c.pool {
-		close(fc)
+		if err := fc.rw.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
 	c.pool = nil
 	return first
@@ -263,49 +252,36 @@ func (c *Client) Close() error {
 // Name implements source.Source.
 func (c *Client) Name() string { return c.name }
 
-// ctrlCall performs a request/response on the control connection,
-// re-dialing it if a previous transport error left it broken.
-func (c *Client) ctrlCall(ctx context.Context, tag byte, payload []byte) ([]byte, error) {
-	select {
-	case c.ctrlSem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+// roundTrip performs one request/response of a conversation. A nil fc
+// starts the conversation: a connection is borrowed. When the peer
+// answered — msgOK, or a msgErr, which leaves the protocol state as
+// clean — the connection comes back with the answer, the caller's to
+// keep for the next step or to put back; after a transport error its
+// state is unknown, so it has been closed and nil comes back.
+func (c *Client) roundTrip(ctx context.Context, fc *frameConn, tag byte, payload []byte) (*frameConn, []byte, error) {
+	if err := ctx.Err(); err != nil {
+		return fc, nil, err
 	}
-	defer func() { <-c.ctrlSem }()
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, net.ErrClosed
-	}
-	fc := c.ctrl
-	c.mu.Unlock()
 	if fc == nil {
 		var err error
-		if fc, err = c.dial(ctx); err != nil {
-			return nil, err
+		if fc, err = c.getConn(ctx); err != nil {
+			return nil, nil, err
 		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			c.discard(fc)
-			return nil, net.ErrClosed
-		}
-		c.ctrl = fc
-		c.mu.Unlock()
 	}
 	respTag, resp, err := fc.call(ctx, tag, payload)
 	if err != nil {
-		// The control conn's protocol state is unknown after a
-		// transport error: discard it; the next call re-dials.
-		c.mu.Lock()
-		if c.ctrl == fc {
-			c.ctrl = nil
-		}
-		c.mu.Unlock()
 		c.discard(fc)
-		return nil, err
+		return nil, nil, err
 	}
-	return checkResp(respTag, resp)
+	resp, err = checkResp(respTag, resp)
+	return fc, resp, err
+}
+
+// call is the conversation of one request and its answer.
+func (c *Client) call(ctx context.Context, tag byte, payload []byte) ([]byte, error) {
+	fc, resp, err := c.roundTrip(ctx, nil, tag, payload)
+	c.putConn(fc)
+	return resp, err
 }
 
 func checkResp(tag byte, payload []byte) ([]byte, error) {
@@ -330,15 +306,12 @@ func checkResp(tag byte, payload []byte) ([]byte, error) {
 
 // Tables implements source.Source.
 func (c *Client) Tables(ctx context.Context) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	resp, err := c.ctrlCall(ctx, msgTables, nil)
+	resp, err := c.call(ctx, msgTables, nil)
 	if err != nil {
 		return nil, err
 	}
 	d := NewDecoder(resp)
-	n, err := d.Uvarint()
+	n, err := d.count()
 	if err != nil {
 		return nil, err
 	}
@@ -353,12 +326,9 @@ func (c *Client) Tables(ctx context.Context) ([]string, error) {
 
 // TableInfo implements source.Source.
 func (c *Client) TableInfo(ctx context.Context, table string) (*source.TableInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	var e Encoder
 	e.String(table)
-	resp, err := c.ctrlCall(ctx, msgTableInfo, e.Bytes())
+	resp, err := c.call(ctx, msgTableInfo, e.Bytes())
 	if err != nil {
 		return nil, err
 	}
@@ -379,35 +349,16 @@ func (c *Client) TableInfo(ctx context.Context, table string) (*source.TableInfo
 	return info, nil
 }
 
-// Capabilities implements source.Source. The remote capability vector is
-// fetched once and cached; the fetch runs under the client's base
-// context (detached from any one query's cancellation).
-func (c *Client) Capabilities() source.Capabilities {
-	c.capsOnce.Do(func() {
-		resp, err := c.ctrlCall(c.baseCtx, msgCaps, nil)
-		if err != nil {
-			c.capsErr = err
-			return
-		}
-		d := NewDecoder(resp)
-		f, _ := d.Byte()
-		c.caps.Filter = source.FilterCap(f)
-		c.caps.Project, _ = d.Bool()
-		c.caps.Aggregate, _ = d.Bool()
-		c.caps.Sort, _ = d.Bool()
-		c.caps.Limit, _ = d.Bool()
-		c.caps.Write, _ = d.Bool()
-		c.caps.Txn, _ = d.Bool()
-	})
-	return c.caps
-}
+// Capabilities implements source.Source: the vector the served source
+// announced in the handshake.
+func (c *Client) Capabilities() source.Capabilities { return c.caps }
 
 // Stats fetches optimizer statistics from the remote source (which must
 // be a StatsProvider).
 func (c *Client) Stats(table string) (*stats.TableStats, error) {
 	var e Encoder
 	e.String(table)
-	resp, err := c.ctrlCall(c.baseCtx, msgStats, e.Bytes())
+	resp, err := c.call(c.baseCtx, msgStats, e.Bytes())
 	if err != nil {
 		return nil, err
 	}
@@ -415,11 +366,8 @@ func (c *Client) Stats(table string) (*stats.TableStats, error) {
 }
 
 // Execute implements source.Source, streaming result batches over a
-// dedicated connection.
+// connection the stream owns until it ends.
 func (c *Client) Execute(ctx context.Context, q *source.Query) (source.RowIter, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	var e Encoder
 	if err := e.Query(q); err != nil {
 		return nil, err
@@ -442,21 +390,12 @@ func (c *Client) Execute(ctx context.Context, q *source.Query) (source.RowIter, 
 		return nil, context.DeadlineExceeded
 	}
 	e.deadlineBudget(budget)
-	fc, err := c.getConn(ctx)
+	fc, _, err := c.roundTrip(ctx, nil, msgExecute, e.Bytes())
 	if err != nil {
+		c.putConn(fc) // refused, not broken
 		return nil, err
 	}
-	tag, resp, err := fc.call(ctx, msgExecute, e.Bytes())
-	if err != nil {
-		c.discard(fc)
-		return nil, err
-	}
-	if _, err := checkResp(tag, resp); err != nil {
-		// Protocol state is clean after msgErr; the conn is reusable.
-		c.putConn(fc)
-		return nil, err
-	}
-	it := &streamIter{ctx: ctx, c: c, fc: fc, window: fc.window}
+	it := &streamIter{ctx: ctx, c: c, fc: fc}
 	if tc != nil {
 		it.traced = true
 		it.traceID = tc.TraceID
@@ -466,9 +405,7 @@ func (c *Client) Execute(ctx context.Context, q *source.Query) (source.RowIter, 
 }
 
 func (c *Client) discard(fc *frameConn) {
-	if cl, ok := fc.rw.(io.Closer); ok {
-		_ = cl.Close() // the conn is being thrown away; nothing to report
-	}
+	_ = fc.rw.Close() // the conn is being thrown away; nothing to report
 }
 
 // streamIter reads msgRows batches until msgEnd, then — when this
@@ -487,11 +424,9 @@ type streamIter struct {
 	traceID string
 	parent  *obs.Span
 
-	// window is the stream's negotiated credit window (0 = flow control
-	// off); pending counts msgRows frames consumed since the last
+	// pending counts msgRows frames consumed since the last credit
 	// grant. Granting at half the window keeps the server streaming
 	// while bounding its in-flight frames.
-	window  int
 	pending int
 }
 
@@ -553,17 +488,14 @@ func (it *streamIter) Next() (types.Row, error) {
 			return nil, err
 		}
 		it.pos = 0
-		if it.window > 0 {
-			it.pending++
-			if it.pending >= it.window/2 {
-				var ge Encoder
-				ge.Uvarint(uint64(it.pending))
-				if err := it.fc.writeFrame(it.ctx, msgCredit, ge.Bytes()); err != nil {
-					it.fail(err)
-					return nil, err
-				}
-				it.pending = 0
+		if it.pending++; it.pending >= creditWindow/2 {
+			var ge Encoder
+			ge.Uvarint(uint64(it.pending))
+			if err := it.fc.writeFrame(it.ctx, msgCredit, ge.Bytes()); err != nil {
+				it.fail(err)
+				return nil, err
 			}
+			it.pending = 0
 		}
 		return it.Next()
 	default:
@@ -594,129 +526,133 @@ func (it *streamIter) Close() error {
 
 // ---- writes ----
 
-// Insert implements source.Writer (autocommit).
-func (c *Client) Insert(ctx context.Context, table string, rows []types.Row) (int64, error) {
-	return c.insert(ctx, "", table, rows)
-}
-
-func (c *Client) insert(ctx context.Context, txid, table string, rows []types.Row) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
+// write sends one write request — down tx's connection when it is a
+// step of that transaction, else as a conversation of its own, which is
+// all that tells the server an autocommit write from a transactional
+// one — and reads the affected-row count that answers it.
+func (c *Client) write(ctx context.Context, tx *remoteTx, tag byte, req writeReq) (int64, error) {
 	var e Encoder
-	e.String(txid)
-	e.String(table)
-	e.Uvarint(uint64(len(rows)))
-	for _, r := range rows {
-		e.Row(r)
-	}
-	return c.affected(c.ctrlCall(ctx, msgInsert, e.Bytes()))
-}
-
-// Update implements source.Writer (autocommit).
-func (c *Client) Update(ctx context.Context, table string, filter expr.Expr, set []source.SetClause) (int64, error) {
-	return c.update(ctx, "", table, filter, set)
-}
-
-func (c *Client) update(ctx context.Context, txid, table string, filter expr.Expr, set []source.SetClause) (int64, error) {
-	if err := ctx.Err(); err != nil {
+	if err := e.writeReq(tag, &req); err != nil {
 		return 0, err
 	}
-	var e Encoder
-	e.String(txid)
-	e.String(table)
-	if err := e.Expr(filter); err != nil {
-		return 0, err
+	var resp []byte
+	var err error
+	if tx != nil {
+		resp, err = tx.step(ctx, tag, e.Bytes())
+	} else {
+		resp, err = c.call(ctx, tag, e.Bytes())
 	}
-	e.Uvarint(uint64(len(set)))
-	for _, sc := range set {
-		e.Varint(int64(sc.Col))
-		if err := e.Expr(sc.Value); err != nil {
-			return 0, err
-		}
-	}
-	return c.affected(c.ctrlCall(ctx, msgUpdate, e.Bytes()))
-}
-
-// Delete implements source.Writer (autocommit).
-func (c *Client) Delete(ctx context.Context, table string, filter expr.Expr) (int64, error) {
-	return c.delete(ctx, "", table, filter)
-}
-
-func (c *Client) delete(ctx context.Context, txid, table string, filter expr.Expr) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	var e Encoder
-	e.String(txid)
-	e.String(table)
-	if err := e.Expr(filter); err != nil {
-		return 0, err
-	}
-	return c.affected(c.ctrlCall(ctx, msgDelete, e.Bytes()))
-}
-
-func (c *Client) affected(resp []byte, err error) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
 	return NewDecoder(resp).Varint()
 }
 
+// Insert implements source.Writer (autocommit).
+func (c *Client) Insert(ctx context.Context, table string, rows []types.Row) (int64, error) {
+	return c.write(ctx, nil, msgInsert, writeReq{Table: table, Rows: rows})
+}
+
+// Update implements source.Writer (autocommit).
+func (c *Client) Update(ctx context.Context, table string, filter expr.Expr, set []source.SetClause) (int64, error) {
+	return c.write(ctx, nil, msgUpdate, writeReq{Table: table, Filter: filter, Set: set})
+}
+
+// Delete implements source.Writer (autocommit).
+func (c *Client) Delete(ctx context.Context, table string, filter expr.Expr) (int64, error) {
+	return c.write(ctx, nil, msgDelete, writeReq{Table: table, Filter: filter})
+}
+
 // ---- transactions ----
 
 // BeginTx implements source.Transactional.
 func (c *Client) BeginTx(ctx context.Context) (source.Tx, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	resp, err := c.ctrlCall(ctx, msgBeginTx, nil)
+	fc, _, err := c.roundTrip(ctx, nil, msgBeginTx, nil)
 	if err != nil {
+		c.putConn(fc) // refused, not broken
 		return nil, err
 	}
-	id, err := NewDecoder(resp).String()
-	if err != nil {
-		return nil, err
-	}
-	return &remoteTx{c: c, id: id}, nil
+	return &remoteTx{c: c, fc: fc}, nil
 }
 
-// remoteTx drives a server-side transaction by id.
+// remoteTx is a transaction conversation. It owns the connection its
+// msgBeginTx ran on — the server keeps the open transaction in that
+// connection's state, so the connection is the transaction's name —
+// until Commit is acknowledged or Abort returns. Closing the connection
+// is an abort: the server rolls back what a peer leaves open.
 type remoteTx struct {
-	c  *Client
-	id string
+	c *Client
+	// fc is nil once the transaction is over or its connection is lost.
+	fc *frameConn
+}
+
+var errTxOver = errors.New("wire: transaction is over or its connection was lost")
+
+// step runs one request of the transaction. After a transport error the
+// connection is gone and the participant has rolled back, so every
+// later step fails here instead of reaching a server that no longer
+// knows the transaction.
+func (t *remoteTx) step(ctx context.Context, tag byte, payload []byte) ([]byte, error) {
+	if t.fc == nil {
+		return nil, errTxOver
+	}
+	var resp []byte
+	var err error
+	t.fc, resp, err = t.c.roundTrip(ctx, t.fc, tag, payload)
+	return resp, err
 }
 
 // Insert implements source.Writer within the transaction.
 func (t *remoteTx) Insert(ctx context.Context, table string, rows []types.Row) (int64, error) {
-	return t.c.insert(ctx, t.id, table, rows)
+	return t.c.write(ctx, t, msgInsert, writeReq{Table: table, Rows: rows})
 }
 
 // Update implements source.Writer within the transaction.
 func (t *remoteTx) Update(ctx context.Context, table string, filter expr.Expr, set []source.SetClause) (int64, error) {
-	return t.c.update(ctx, t.id, table, filter, set)
+	return t.c.write(ctx, t, msgUpdate, writeReq{Table: table, Filter: filter, Set: set})
 }
 
 // Delete implements source.Writer within the transaction.
 func (t *remoteTx) Delete(ctx context.Context, table string, filter expr.Expr) (int64, error) {
-	return t.c.delete(ctx, t.id, table, filter)
-}
-
-func (t *remoteTx) protocol(ctx context.Context, tag byte) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	var e Encoder
-	e.String(t.id)
-	_, err := t.c.ctrlCall(ctx, tag, e.Bytes())
-	return err
+	return t.c.write(ctx, t, msgDelete, writeReq{Table: table, Filter: filter})
 }
 
 // Prepare implements source.Tx.
-func (t *remoteTx) Prepare(ctx context.Context) error { return t.protocol(ctx, msgPrepare) }
+func (t *remoteTx) Prepare(ctx context.Context) error {
+	_, err := t.step(ctx, msgPrepare, nil)
+	return err
+}
 
-// Commit implements source.Tx.
-func (t *remoteTx) Commit(ctx context.Context) error { return t.protocol(ctx, msgCommit) }
+// Commit implements source.Tx. An acknowledged commit ends the
+// conversation; a refused or unsent one keeps the connection, so the
+// coordinator's retry reaches the same transaction.
+func (t *remoteTx) Commit(ctx context.Context) error {
+	_, err := t.step(ctx, msgCommit, nil)
+	if err == nil {
+		t.c.putConn(t.fc)
+		t.fc = nil
+	}
+	return err
+}
 
-// Abort implements source.Tx.
-func (t *remoteTx) Abort(ctx context.Context) error { return t.protocol(ctx, msgAbort) }
+// Abort implements source.Tx. An abort the server acknowledged ends the
+// conversation; one that could not be sent or was not acknowledged —
+// the context is already done, the transport failed — is delivered by
+// closing the connection, which needs neither a live context nor an
+// answer, so a coordinator that ran out of time still releases the
+// participant's locks.
+func (t *remoteTx) Abort(ctx context.Context) error {
+	if t.fc == nil {
+		return nil // over, or rolled back when its connection closed
+	}
+	_, err := t.step(ctx, msgAbort, nil)
+	if fc := t.fc; fc != nil {
+		t.fc = nil
+		if err == nil {
+			t.c.putConn(fc)
+		} else {
+			t.c.discard(fc)
+		}
+	}
+	return err
+}

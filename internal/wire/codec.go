@@ -294,6 +294,22 @@ func (d *Decoder) Varint() (int64, error) {
 	return v, nil
 }
 
+// count reads the length of what follows — elements, bytes — and
+// refuses one the rest of the payload could not hold: every element
+// costs at least a byte, so Remaining bounds what a hostile length can
+// make the caller allocate. Compared as a uint64, because 2^63 or more
+// is negative as an int and would slip past take.
+func (d *Decoder) count() (int, error) {
+	n, err := d.Uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(d.Remaining()) {
+		return 0, io.ErrUnexpectedEOF
+	}
+	return int(n), nil
+}
+
 // Byte reads one byte.
 func (d *Decoder) Byte() (byte, error) {
 	b, err := d.take(1)
@@ -311,14 +327,11 @@ func (d *Decoder) Bool() (bool, error) {
 
 // String reads a length-prefixed string.
 func (d *Decoder) String() (string, error) {
-	n, err := d.Uvarint()
+	n, err := d.count()
 	if err != nil {
 		return "", err
 	}
-	if n > uint64(d.Remaining()) {
-		return "", io.ErrUnexpectedEOF
-	}
-	b, err := d.take(int(n))
+	b, err := d.take(n)
 	return string(b), err
 }
 
@@ -353,16 +366,11 @@ func (d *Decoder) Value() (types.Value, error) {
 		s, err := d.String()
 		return types.NewString(s), err
 	case types.KindBytes:
-		n, err := d.Uvarint()
+		n, err := d.count()
 		if err != nil {
 			return types.Null, err
 		}
-		// Checked as a uint64: a length of 2^63 or more is negative as
-		// an int and would slip past take.
-		if n > uint64(d.Remaining()) {
-			return types.Null, io.ErrUnexpectedEOF
-		}
-		b, err := d.take(int(n))
+		b, err := d.take(n)
 		if err != nil {
 			return types.Null, err
 		}
@@ -387,12 +395,9 @@ func (d *Decoder) Value() (types.Value, error) {
 
 // Row reads a row.
 func (d *Decoder) Row() (types.Row, error) {
-	n, err := d.Uvarint()
+	n, err := d.count()
 	if err != nil {
 		return nil, err
-	}
-	if n > uint64(d.Remaining()) {
-		return nil, io.ErrUnexpectedEOF
 	}
 	r := make(types.Row, n)
 	if err := d.values(r); err != nil {
@@ -421,16 +426,11 @@ func (d *Decoder) values(dst []types.Value) error {
 // is never written again once decoded: rows stay valid for as long as
 // the caller keeps them.
 func (d *Decoder) rowBatch(batch []types.Row) ([]types.Row, error) {
-	n, err := d.Uvarint()
+	n, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	// Every row takes at least its width byte, every value its tag byte:
-	// Remaining bounds what a hostile count or width can make us allocate.
-	if n > uint64(d.Remaining()) {
-		return nil, io.ErrUnexpectedEOF
-	}
-	if cap(batch) >= int(n) {
+	if cap(batch) >= n {
 		batch = batch[:n]
 	} else {
 		// The slot array grows to the frame size once per stream.
@@ -438,14 +438,10 @@ func (d *Decoder) rowBatch(batch []types.Row) ([]types.Row, error) {
 	}
 	var slab []types.Value
 	for i := range batch {
-		w, err := d.Uvarint()
+		width, err := d.count()
 		if err != nil {
 			return nil, err
 		}
-		if w > uint64(d.Remaining()) {
-			return nil, io.ErrUnexpectedEOF
-		}
-		width := int(w)
 		if slab == nil || width > len(slab) {
 			// The first row, or one wider than those before it: room
 			// for the rest of the frame at this width.
@@ -463,12 +459,9 @@ func (d *Decoder) rowBatch(batch []types.Row) ([]types.Row, error) {
 
 // Schema reads a schema.
 func (d *Decoder) Schema() (*types.Schema, error) {
-	n, err := d.Uvarint()
+	n, err := d.count()
 	if err != nil {
 		return nil, err
-	}
-	if n > uint64(d.Remaining()) {
-		return nil, io.ErrUnexpectedEOF
 	}
 	s := &types.Schema{Columns: make([]types.Column, n)}
 	for i := range s.Columns {
@@ -493,12 +486,9 @@ func (d *Decoder) Schema() (*types.Schema, error) {
 
 // IntSlice reads a varint-coded []int.
 func (d *Decoder) IntSlice() ([]int, error) {
-	n, err := d.Uvarint()
+	n, err := d.count()
 	if err != nil {
 		return nil, err
-	}
-	if n > uint64(d.Remaining()) {
-		return nil, io.ErrUnexpectedEOF
 	}
 	out := make([]int, n)
 	for i := range out {
@@ -587,12 +577,9 @@ func (d *Decoder) Expr() (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		n, err := d.Uvarint()
+		n, err := d.count()
 		if err != nil {
 			return nil, err
-		}
-		if n > uint64(d.Remaining()) {
-			return nil, io.ErrUnexpectedEOF
 		}
 		list := make([]expr.Expr, n)
 		for i := range list {
@@ -606,12 +593,9 @@ func (d *Decoder) Expr() (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		n, err := d.Uvarint()
+		n, err := d.count()
 		if err != nil {
 			return nil, err
-		}
-		if n > uint64(d.Remaining()) {
-			return nil, io.ErrUnexpectedEOF
 		}
 		whens := make([]expr.When, n)
 		for i := range whens {
@@ -642,12 +626,9 @@ func (d *Decoder) Expr() (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		n, err := d.Uvarint()
+		n, err := d.count()
 		if err != nil {
 			return nil, err
-		}
-		if n > uint64(d.Remaining()) {
-			return nil, io.ErrUnexpectedEOF
 		}
 		args := make([]expr.Expr, n)
 		for i := range args {
@@ -686,12 +667,9 @@ func (d *Decoder) Query() (*source.Query, error) {
 	if q.GroupBy, err = d.IntSlice(); err != nil {
 		return nil, err
 	}
-	nAggs, err := d.Uvarint()
+	nAggs, err := d.count()
 	if err != nil {
 		return nil, err
-	}
-	if nAggs > uint64(d.Remaining()) {
-		return nil, io.ErrUnexpectedEOF
 	}
 	q.Aggs = make([]source.AggSpec, nAggs)
 	for i := range q.Aggs {
@@ -716,12 +694,9 @@ func (d *Decoder) Query() (*source.Query, error) {
 	if len(q.Aggs) == 0 {
 		q.Aggs = nil
 	}
-	nOrd, err := d.Uvarint()
+	nOrd, err := d.count()
 	if err != nil {
 		return nil, err
-	}
-	if nOrd > uint64(d.Remaining()) {
-		return nil, io.ErrUnexpectedEOF
 	}
 	q.OrderBy = make([]source.OrderSpec, nOrd)
 	for i := range q.OrderBy {
@@ -745,4 +720,78 @@ func (d *Decoder) Query() (*source.Query, error) {
 		q.GroupBy = nil
 	}
 	return q, nil
+}
+
+// ---- write requests ----
+
+// writeReq is the body of the three write requests: msgInsert carries
+// (Table, Rows), msgDelete (Table, Filter), msgUpdate (Table, Filter,
+// Set). None names a transaction: a write runs inside the one open on
+// the connection that carries it, or autocommits when there is none.
+type writeReq struct {
+	Table  string
+	Rows   []types.Row
+	Filter expr.Expr
+	Set    []source.SetClause
+}
+
+func (e *Encoder) writeReq(tag byte, w *writeReq) error {
+	e.String(w.Table)
+	if tag == msgInsert {
+		e.Uvarint(uint64(len(w.Rows)))
+		for _, r := range w.Rows {
+			e.Row(r)
+		}
+		return nil
+	}
+	if err := e.Expr(w.Filter); err != nil || tag == msgDelete {
+		return err
+	}
+	e.Uvarint(uint64(len(w.Set)))
+	for _, sc := range w.Set {
+		e.Varint(int64(sc.Col))
+		if err := e.Expr(sc.Value); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeReq decodes the body of write request tag. The row or SET-clause
+// count is checked against the bytes left (each costs at least one)
+// before anything is made for it.
+func (d *Decoder) writeReq(tag byte) (w writeReq, err error) {
+	if w.Table, err = d.String(); err != nil {
+		return w, err
+	}
+	if tag != msgInsert {
+		if w.Filter, err = d.Expr(); err != nil || tag == msgDelete {
+			return w, err
+		}
+	}
+	n, err := d.count()
+	if err != nil {
+		return w, err
+	}
+	if tag == msgInsert {
+		w.Rows = make([]types.Row, n)
+		for i := range w.Rows {
+			if w.Rows[i], err = d.Row(); err != nil {
+				return w, err
+			}
+		}
+		return w, nil
+	}
+	w.Set = make([]source.SetClause, n)
+	for i := range w.Set {
+		col, err := d.Varint()
+		if err != nil {
+			return w, err
+		}
+		w.Set[i].Col = int(col)
+		if w.Set[i].Value, err = d.Expr(); err != nil {
+			return w, err
+		}
+	}
+	return w, nil
 }

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"gis/internal/admission"
+	"gis/internal/expr"
 	"gis/internal/obs"
+	"gis/internal/source"
 	"gis/internal/types"
 )
 
@@ -16,6 +18,13 @@ import (
 type fuzzBody struct {
 	name   string
 	decode func(d *Decoder) (encode func(e *Encoder) error, err error)
+}
+
+func fuzzWriteReq(tag byte) func(d *Decoder) (func(*Encoder) error, error) {
+	return func(d *Decoder) (func(*Encoder) error, error) {
+		w, err := d.writeReq(tag)
+		return func(e *Encoder) error { return e.writeReq(tag, &w) }, err
+	}
 }
 
 var fuzzBodies = []fuzzBody{
@@ -73,6 +82,10 @@ var fuzzBodies = []fuzzBody{
 		h, err := d.helloReply()
 		return func(e *Encoder) error { e.helloReply(h); return nil }, err
 	}},
+	// The three write requests, which share a codec switched by tag.
+	{"insert", fuzzWriteReq(msgInsert)},
+	{"update", fuzzWriteReq(msgUpdate)},
+	{"delete", fuzzWriteReq(msgDelete)},
 	// The msgTrace trailer.
 	{"Span", func(d *Decoder) (func(*Encoder) error, error) {
 		sp, err := d.Span()
@@ -138,13 +151,28 @@ func fuzzSeeds(t testing.TB) map[string][][]byte {
 		})
 	}
 	add("hello", func(e *Encoder) error {
-		e.hello(&hello{Version: helloVersion, Tenant: "tenant-a", Window: 8, MaxRead: 1 << 20})
+		e.hello(&hello{Version: helloVersion, Tenant: "tenant-a", MaxRead: 1 << 20})
 		return nil
 	})
 	add("helloReply", func(e *Encoder) error {
-		e.helloReply(&helloReply{Version: helloVersion, Window: 2, MaxRead: 1 << 24})
+		e.helloReply(&helloReply{MaxRead: 1 << 24,
+			Caps: source.Capabilities{Filter: source.FilterKey, Project: true, Limit: true, Txn: true}})
 		return nil
 	})
+	add("insert", func(e *Encoder) error {
+		return e.writeReq(msgInsert, &writeReq{Table: "accounts", Rows: []types.Row{sampleValues(), {types.NewInt(1)}, {}}})
+	})
+	seeds["insert"] = append(seeds["insert"],
+		[]byte{0x01, 't', 0xff, 0xff, 0xff, 0xff, 0x0f}) // table "t", 2^32-1 rows, no bytes
+	for _, x := range sampleExprs() {
+		add("update", func(e *Encoder) error {
+			return e.writeReq(msgUpdate, &writeReq{Table: "accounts", Filter: x,
+				Set: []source.SetClause{{Col: 1, Value: x}, {Col: 0, Value: expr.NewConst(types.NewFloat(1.5))}}})
+		})
+		add("delete", func(e *Encoder) error { return e.writeReq(msgDelete, &writeReq{Table: "accounts", Filter: x}) })
+	}
+	seeds["update"] = append(seeds["update"],
+		[]byte{0x01, 't', 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f}) // table "t", no filter, 2^32-1 SET clauses
 	add("Span", func(e *Encoder) error {
 		e.Span(&obs.SpanData{Kind: "remote", Name: "src", Start: time.UnixMicro(1700000000000000), DurationUS: 1234,
 			Attrs: []obs.Attr{{Key: "rows", Value: "3"}},

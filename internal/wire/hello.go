@@ -3,14 +3,14 @@ package wire
 // Session handshake and deadline propagation.
 //
 // Hello: the client sends msgHello as the first frame on every fresh
-// connection: (version, tenant, requested credit window, inbound frame
-// bound). The server answers msgOK with (version, granted window — the
-// min of both sides, 0 when either side disables it — and its own
-// inbound frame bound); each side then lowers its outbound frame bound
-// to the peer's inbound one. The handshake is mandatory: a hello
+// connection: (version, tenant, inbound frame bound). The server answers
+// msgOK with (its own inbound frame bound, the served source's
+// capability vector); each side then lowers its outbound frame bound to
+// the peer's inbound one. The handshake is mandatory: a hello
 // announcing another version, or any request arriving before hello, is
 // answered msgErr and the connection closed, and a client treats a
-// non-msgOK answer as a failed dial.
+// non-msgOK or undecodable answer as a failed dial — so a Client that
+// exists knows what its source can be asked.
 //
 // Deadlines: Client.Execute appends the query's remaining time budget
 // (µs, uvarint, 0 = none) after the trace context in the msgExecute
@@ -23,35 +23,33 @@ package wire
 import (
 	"context"
 	"time"
+
+	"gis/internal/source"
 )
 
 // helloVersion is the protocol revision announced in msgHello.
-// Revision 2 ships TIME as (unix seconds, nanoseconds), not one int64
-// of nanoseconds.
-const helloVersion = 2
+// Revision 2 shipped TIME as (unix seconds, nanoseconds); revision 3
+// carries one conversation per connection — writes and 2PC messages
+// name no transaction — and the capability vector in the hello reply.
+const helloVersion = 3
 
-// defaultCreditWindow is how many msgRows frames either side is
-// willing to have in flight before requiring a credit grant. The
+// creditWindow is how many msgRows frames a result stream may have in
+// flight before the server needs a credit grant (see msgCredit). The
 // window trades stream throughput against peak per-stream buffering:
-// at 256 rows per frame, 32 frames keep ~8k rows in flight.
-const defaultCreditWindow = 32
-
-// minCreditWindow keeps the grant protocol deadlock-free: the client
-// grants at half the window, so the window must be at least 2.
-const minCreditWindow = 2
+// at 256 rows per frame, 32 frames keep ~8k rows in flight. The client
+// grants at half the window, which keeps the server streaming.
+const creditWindow = 32
 
 // hello is the decoded msgHello request.
 type hello struct {
 	Version int
 	Tenant  string
-	Window  int // requested credit window (frames); 0 disables
 	MaxRead int // sender's inbound frame bound (bytes)
 }
 
 func (e *Encoder) hello(h *hello) {
 	e.Uvarint(uint64(h.Version))
 	e.String(h.Tenant)
-	e.Uvarint(uint64(h.Window))
 	e.Uvarint(uint64(h.MaxRead))
 }
 
@@ -65,11 +63,6 @@ func (d *Decoder) hello() (*hello, error) {
 	if h.Tenant, err = d.String(); err != nil {
 		return nil, err
 	}
-	w, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	h.Window = int(w)
 	m, err := d.Uvarint()
 	if err != nil {
 		return nil, err
@@ -80,52 +73,36 @@ func (d *Decoder) hello() (*hello, error) {
 
 // helloReply is the server's msgOK answer to msgHello.
 type helloReply struct {
-	Version int
-	Window  int // granted credit window; min(client, server), 0 = off
 	MaxRead int // server's inbound frame bound
+	Caps    source.Capabilities
 }
 
 func (e *Encoder) helloReply(h *helloReply) {
-	e.Uvarint(uint64(h.Version))
-	e.Uvarint(uint64(h.Window))
 	e.Uvarint(uint64(h.MaxRead))
+	e.Byte(byte(h.Caps.Filter))
+	for _, b := range []bool{h.Caps.Project, h.Caps.Aggregate, h.Caps.Sort, h.Caps.Limit, h.Caps.Write, h.Caps.Txn} {
+		e.Bool(b)
+	}
 }
 
 func (d *Decoder) helloReply() (*helloReply, error) {
 	h := &helloReply{}
-	v, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	h.Version = int(v)
-	w, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	h.Window = int(w)
 	m, err := d.Uvarint()
 	if err != nil {
 		return nil, err
 	}
 	h.MaxRead = int(m)
+	f, err := d.Byte()
+	if err != nil {
+		return nil, err
+	}
+	h.Caps.Filter = source.FilterCap(f)
+	for _, b := range []*bool{&h.Caps.Project, &h.Caps.Aggregate, &h.Caps.Sort, &h.Caps.Limit, &h.Caps.Write, &h.Caps.Txn} {
+		if *b, err = d.Bool(); err != nil {
+			return nil, err
+		}
+	}
 	return h, nil
-}
-
-// negotiateWindow combines both sides' credit windows: 0 on either
-// side disables flow control; otherwise the smaller window wins, with
-// the protocol's floor applied.
-func negotiateWindow(client, server int) int {
-	if client <= 0 || server <= 0 {
-		return 0
-	}
-	w := client
-	if server < w {
-		w = server
-	}
-	if w < minCreditWindow {
-		w = minCreditWindow
-	}
-	return w
 }
 
 // deadlineBudget appends the remaining time budget (µs; 0 = none) to a

@@ -11,43 +11,36 @@ import (
 	"time"
 
 	"gis/internal/admission"
+	"gis/internal/docstore"
+	"gis/internal/filestore"
+	"gis/internal/kvstore"
+	"gis/internal/relstore"
 	"gis/internal/source"
 	"gis/internal/types"
 )
 
 // --- handshake & credit flow ---------------------------------------
 
-func TestHelloNegotiatesWindow(t *testing.T) {
-	_, cl := startRelServer(t, 10, WithCreditWindow(4), WithTenant("acme"))
-	fc, err := cl.getConn(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.putConn(fc)
-	// The server's default window (32) is larger, so min wins.
-	if fc.window != 4 {
-		t.Errorf("negotiated window = %d, want 4", fc.window)
-	}
-}
+// creditCycleRows fills the credit window three times over, so a stream
+// of that many rows only completes if grants keep arriving.
+const creditCycleRows = 3 * creditWindow * rowBatchSize
 
 func TestCreditFlowStreamsCompletely(t *testing.T) {
-	// The minimum window forces many block/grant cycles: 3000 rows =
-	// 12 batches through a 2-frame window.
-	_, cl := startRelServer(t, 3000, WithCreditWindow(2))
+	_, cl := startRelServer(t, creditCycleRows)
 	for round := 0; round < 3; round++ {
 		it, err := cl.Execute(ctx, source.NewScan("items"))
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		rows, err := source.Drain(it)
-		if err != nil || len(rows) != 3000 {
+		if err != nil || len(rows) != creditCycleRows {
 			t.Fatalf("round %d: %d rows, %v", round, len(rows), err)
 		}
 	}
 }
 
 func TestCreditFlowSlowConsumer(t *testing.T) {
-	_, cl := startRelServer(t, 2000, WithCreditWindow(2))
+	_, cl := startRelServer(t, creditCycleRows)
 	it, err := cl.Execute(ctx, source.NewScan("items"))
 	if err != nil {
 		t.Fatal(err)
@@ -64,12 +57,12 @@ func TestCreditFlowSlowConsumer(t *testing.T) {
 		}
 		_ = row
 		n++
-		if n%500 == 0 {
+		if n%(creditWindow*rowBatchSize/2) == 0 {
 			time.Sleep(20 * time.Millisecond)
 		}
 	}
-	if n != 2000 {
-		t.Fatalf("slow consumer got %d rows, want 2000", n)
+	if n != creditCycleRows {
+		t.Fatalf("slow consumer got %d rows, want %d", n, creditCycleRows)
 	}
 }
 
@@ -85,6 +78,23 @@ func rawConn(t *testing.T, cl *Client) *frameConn {
 	}
 	t.Cleanup(func() { conn.Close() })
 	return newFrameConn(conn, SimLink{}, SimLink{})
+}
+
+// greetedConn is a rawConn that has said hello, so a handler is serving
+// it and it is idle.
+func greetedConn(t *testing.T, cl *Client) *frameConn {
+	t.Helper()
+	fc := rawConn(t, cl)
+	var e Encoder
+	e.hello(&hello{Version: helloVersion, MaxRead: maxFrame})
+	tag, payload, err := fc.call(ctx, msgHello, e.Bytes())
+	if err == nil {
+		_, err = checkResp(tag, payload)
+	}
+	if err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	return fc
 }
 
 // expectRejected reads the server's answer to a handshake violation: one
@@ -110,7 +120,7 @@ func TestHelloVersionMismatchRejected(t *testing.T) {
 	_, cl := startRelServer(t, 10)
 	fc := rawConn(t, cl)
 	var e Encoder
-	e.hello(&hello{Version: helloVersion + 1, Window: 8, MaxRead: maxFrame})
+	e.hello(&hello{Version: helloVersion + 1, MaxRead: maxFrame})
 	if err := fc.writeFrame(ctx, msgHello, e.Bytes()); err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +142,10 @@ func TestRequestBeforeHelloRejected(t *testing.T) {
 	expectRejected(t, fc, "before hello")
 }
 
-// TestDialFailsWhenHelloRejected: a server that answers hello with
-// anything but msgOK is not a peer; the dial reports its answer.
-func TestDialFailsWhenHelloRejected(t *testing.T) {
+// dialAnswering dials a listener that answers the first frame it reads
+// (the hello) with answer and hangs up, and returns the dial's error.
+func dialAnswering(t *testing.T, answer func(fc *frameConn)) error {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -147,17 +158,60 @@ func TestDialFailsWhenHelloRejected(t *testing.T) {
 		}
 		defer conn.Close()
 		fc := newFrameConn(conn, SimLink{}, SimLink{})
-		if _, _, err := fc.readFrame(context.Background()); err == nil {
-			_ = sendErr(context.Background(), fc, errors.New("wire: unknown message tag 18"))
+		if _, _, err := fc.readFrame(ctx); err == nil {
+			answer(fc)
 		}
 	}()
 	cl, err := DialContext(ctx, ln.Addr().String())
 	if err == nil {
 		cl.Close()
+	}
+	return err
+}
+
+// TestDialFailsWhenHelloRejected: a server that answers hello with
+// anything but msgOK is not a peer; the dial reports its answer.
+func TestDialFailsWhenHelloRejected(t *testing.T) {
+	err := dialAnswering(t, func(fc *frameConn) {
+		_ = sendErr(ctx, fc, errors.New("wire: unknown message tag 18"))
+	})
+	if err == nil {
 		t.Fatal("dial succeeded against a server that rejected hello")
 	}
 	if !strings.Contains(err.Error(), "unknown message tag") {
 		t.Errorf("dial error = %v, want the server's answer in it", err)
+	}
+}
+
+// TestHelloCarriesCapabilities: what a source can be asked arrives with
+// the handshake, for every wrapper class — and a client that could not
+// learn it does not exist, where it used to plan FilterNone for good.
+func TestHelloCarriesCapabilities(t *testing.T) {
+	for _, src := range []source.Source{
+		relstore.New("rel"), kvstore.New("kv"), docstore.New("doc"), filestore.New("file"),
+	} {
+		srv, err := Serve(ctx, "127.0.0.1:0", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		cl, err := DialContext(ctx, srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		if got, want := cl.Capabilities(), src.Capabilities(); got != want {
+			t.Errorf("%s: capabilities over the wire = %v, served source has %v", src.Name(), got, want)
+		}
+	}
+
+	var full Encoder
+	full.helloReply(&helloReply{MaxRead: maxFrame, Caps: relstore.New("rel").Capabilities()})
+	for cut := 0; cut < len(full.Bytes()); cut++ {
+		err := dialAnswering(t, func(fc *frameConn) { _ = fc.writeFrame(ctx, msgOK, full.Bytes()[:cut]) })
+		if err == nil {
+			t.Fatalf("dial succeeded on a hello reply cut to %d of %d bytes", cut, len(full.Bytes()))
+		}
 	}
 }
 
@@ -406,6 +460,60 @@ func TestShutdownDrainsInFlightStream(t *testing.T) {
 	// New connections are refused after drain.
 	if _, err := DialContext(ctx, srv.Addr()); err == nil {
 		t.Error("dial after shutdown must fail")
+	}
+}
+
+// TestShutdownDrainsOpenTransaction: a connection between a
+// transaction's begin and its commit is in the middle of a
+// conversation, not idle; a drain that closed it would make the
+// participant abort what the coordinator is about to commit.
+func TestShutdownDrainsOpenTransaction(t *testing.T) {
+	st := stressStore(t, 10)
+	srv, err := Serve(context.Background(), "127.0.0.1:0", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := DialContext(ctx, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	tx, err := cl.BeginTx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Insert(ctx, "items", []types.Row{{types.NewInt(100), types.NewFloat(1)}}); err != nil {
+		t.Fatal(err)
+	}
+
+	// An idle connection beside the transaction's: when the server hangs
+	// up on it, Shutdown is passing over the connections, under srv.mu.
+	idle := greetedConn(t, cl)
+
+	sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Shutdown(sctx) }()
+	if _, _, err := idle.readFrame(ctx); err == nil {
+		t.Fatal("the idle connection was sent a frame, not closed")
+	}
+	srv.mu.Lock() // the pass is over: the transaction's connection was spared, or is gone
+	srv.mu.Unlock()
+
+	if err := tx.Prepare(ctx); err != nil {
+		t.Fatalf("prepare during drain: %v", err)
+	}
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatalf("commit during drain: %v", err)
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if sctx.Err() != nil {
+		t.Error("Shutdown sat out its drain timeout although the last conversation had ended")
+	}
+	if info, err := st.TableInfo(ctx, "items"); err != nil || info.RowCount != 11 {
+		t.Errorf("rows after the drained commit = %+v, %v; want 11", info, err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -34,9 +33,12 @@ type Server struct {
 	src source.Source
 	ln  net.Listener
 
-	mu     sync.Mutex
-	nextTx uint64
-	conns  map[net.Conn]*connTrack
+	mu sync.Mutex
+	// conns maps every connection to whether it is inside a conversation
+	// — serving a request, or holding an open transaction between two —
+	// or between conversations (idle: a client's pooled socket), which is
+	// what Shutdown closes without waiting.
+	conns  map[net.Conn]*atomic.Bool
 	closed atomic.Bool
 	wg     sync.WaitGroup
 	// cancelConns cancels every handler's context. Force-close paths
@@ -63,9 +65,6 @@ type Server struct {
 	// over-limit requests are shed with a wire-marked OverloadError the
 	// client decodes back into the typed form.
 	admit *admission.Controller
-	// creditWindow is the server's flow-control cap (msgRows frames in
-	// flight per stream); the handshake grants min(client, server).
-	creditWindow int
 	// maxFrameBytes bounds inbound frames on every connection.
 	maxFrameBytes int
 }
@@ -86,13 +85,6 @@ func WithServerFaults(p *faults.Plan) ServerOption {
 // instead of deepening the overload.
 func WithAdmission(ctrl *admission.Controller) ServerOption {
 	return func(s *Server) { s.admit = ctrl }
-}
-
-// WithServerCreditWindow overrides the server's flow-control cap
-// (msgRows frames in flight per stream; 0 disables flow control). The
-// effective per-connection window is min(client request, this cap).
-func WithServerCreditWindow(frames int) ServerOption {
-	return func(s *Server) { s.creditWindow = frames }
 }
 
 // WithServerMaxFrameBytes bounds inbound frames on every connection;
@@ -116,10 +108,9 @@ func Serve(ctx context.Context, addr string, src source.Source, opts ...ServerOp
 		return nil, err
 	}
 	s := &Server{
-		src: src, ln: ln, conns: make(map[net.Conn]*connTrack), Logf: log.Printf,
+		src: src, ln: ln, conns: make(map[net.Conn]*atomic.Bool), Logf: log.Printf,
 		Queries:       obs.NewQueryLog(250*time.Millisecond, 64),
 		lm:            newLinkMetrics("server", src.Name()),
-		creditWindow:  defaultCreditWindow,
 		maxFrameBytes: maxFrame,
 	}
 	for _, o := range opts {
@@ -152,15 +143,16 @@ func (s *Server) Close() error {
 
 // Shutdown drains the server: it stops accepting, closes idle
 // connections immediately (an idle conn is a client's pooled socket,
-// not work), lets connections with an in-flight request finish until
-// ctx expires, then force-closes the stragglers. Always waits for every
+// not work), lets connections with an in-flight request or an open
+// transaction finish — each closes as soon as it falls idle — until ctx
+// expires, then force-closes the stragglers. Always waits for every
 // handler to exit before returning.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closed.Store(true)
 	err := s.ln.Close()
 	s.mu.Lock()
-	for c, t := range s.conns {
-		if !t.busy.Load() {
+	for c, busy := range s.conns {
+		if !busy.Load() {
 			_ = c.Close() // idle; the client will re-dial elsewhere
 		}
 	}
@@ -186,12 +178,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// connTrack marks whether a connection is between requests (idle) or
-// serving one; Shutdown closes idle connections without waiting.
-type connTrack struct {
-	busy atomic.Bool
-}
-
 func (s *Server) acceptLoop(ctx context.Context) {
 	defer s.wg.Done()
 	for {
@@ -199,7 +185,7 @@ func (s *Server) acceptLoop(ctx context.Context) {
 		if err != nil {
 			return
 		}
-		tr := &connTrack{}
+		busy := new(atomic.Bool)
 		s.mu.Lock()
 		if s.closed.Load() {
 			// Lost the race with Shutdown/Close: do not serve.
@@ -207,7 +193,7 @@ func (s *Server) acceptLoop(ctx context.Context) {
 			_ = conn.Close()
 			continue
 		}
-		s.conns[conn] = tr
+		s.conns[conn] = busy
 		s.mu.Unlock()
 		s.wg.Add(1)
 		go func() {
@@ -218,7 +204,7 @@ func (s *Server) acceptLoop(ctx context.Context) {
 				delete(s.conns, conn)
 				s.mu.Unlock()
 			}()
-			err := s.serveConn(ctx, conn, tr)
+			err := s.serveConn(ctx, conn, busy)
 			if err != nil && !errors.Is(err, io.EOF) && !s.closed.Load() && !benignNetErr(err) {
 				s.Logf("wire server %s: connection error: %v", s.src.Name(), err)
 			}
@@ -226,27 +212,30 @@ func (s *Server) acceptLoop(ctx context.Context) {
 	}
 }
 
-// connState tracks per-connection transactions and the handshake's
-// outcome: hello is set once the connection has been greeted.
+// connState is what a connection's requests share: the handshake's
+// outcome (hello is set once the connection has been greeted) and the
+// open transaction, if any. A connection carries one conversation, so
+// there is at most one, and the writes and 2PC messages that arrive
+// while it is open are its steps — nothing on the wire names it.
 type connState struct {
-	txs    map[string]source.Tx
+	tx     source.Tx
 	hello  bool
 	tenant string
 }
 
-func (s *Server) serveConn(ctx context.Context, conn net.Conn, tr *connTrack) error {
+func (s *Server) serveConn(ctx context.Context, conn net.Conn, busy *atomic.Bool) error {
 	fc := newFrameConn(conn, SimLink{}, SimLink{})
 	fc.metrics = s.lm
 	fc.inj = s.inj
 	fc.limit = s.maxFrameBytes
-	st := &connState{txs: make(map[string]source.Tx)}
+	st := &connState{}
 	defer func() {
-		// Abort any transaction the client abandoned. The abort must run
-		// even when the server's root context is already cancelled, so it
-		// uses a context detached from ctx's cancellation.
-		for _, tx := range st.txs {
-			//lint:ignore ctxflow every abandoned transaction must be aborted even after the server context is cancelled; the loop is bounded by the connection's transaction count
-			_ = tx.Abort(context.WithoutCancel(ctx))
+		// A connection that closes with a transaction open is how a peer
+		// that died, gave up or ran out of time says abort. The abort must
+		// run even when the server's root context is already cancelled, so
+		// it uses a context detached from ctx's cancellation.
+		if st.tx != nil {
+			_ = st.tx.Abort(context.WithoutCancel(ctx))
 		}
 	}()
 	for {
@@ -257,11 +246,14 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn, tr *connTrack) er
 		if err != nil {
 			return err
 		}
-		tr.busy.Store(true)
+		busy.Store(true)
 		err = s.handle(ctx, fc, st, tag, payload)
-		tr.busy.Store(false)
+		busy.Store(st.tx != nil)
 		if err != nil {
 			return err
+		}
+		if st.tx == nil && s.closed.Load() {
+			return nil // draining, and this conversation is over
 		}
 	}
 }
@@ -308,188 +300,110 @@ func (s *Server) handle(ctx context.Context, fc *frameConn, st *connState, tag b
 		}
 		return err
 	}
-	d := NewDecoder(payload)
+	switch {
+	case tag == msgExecute:
+		return s.handleExecute(ctx, fc, st, NewDecoder(payload))
+	case tag == msgBeginTx && st.tx != nil:
+		return reject(ctx, fc, errors.New("wire: begin with a transaction already open on this connection"))
+	}
+	var reply Encoder
+	if err := s.answer(ctx, st, tag, NewDecoder(payload), &reply); err != nil {
+		return sendErr(ctx, fc, err)
+	}
+	return fc.writeFrame(ctx, msgOK, reply.Bytes())
+}
+
+// answer serves a request that has one answer: it returns the error to
+// report, or fills in the msgOK payload.
+func (s *Server) answer(ctx context.Context, st *connState, tag byte, d *Decoder, reply *Encoder) error {
 	switch tag {
 	case msgTables:
 		names, err := s.src.Tables(ctx)
 		if err != nil {
-			return sendErr(ctx, fc, err)
+			return err
 		}
-		var e Encoder
-		e.Uvarint(uint64(len(names)))
+		reply.Uvarint(uint64(len(names)))
 		for _, n := range names {
-			e.String(n)
+			reply.String(n)
 		}
-		return fc.writeFrame(ctx, msgOK, e.Bytes())
 
 	case msgTableInfo:
 		table, err := d.String()
 		if err != nil {
-			return sendErr(ctx, fc, err)
+			return err
 		}
 		info, err := s.src.TableInfo(ctx, table)
 		if err != nil {
-			return sendErr(ctx, fc, err)
+			return err
 		}
-		var e Encoder
-		e.Schema(info.Schema)
-		e.IntSlice(info.KeyColumns)
-		e.Varint(info.RowCount)
-		return fc.writeFrame(ctx, msgOK, e.Bytes())
-
-	case msgCaps:
-		c := s.src.Capabilities()
-		var e Encoder
-		e.Byte(byte(c.Filter))
-		e.Bool(c.Project)
-		e.Bool(c.Aggregate)
-		e.Bool(c.Sort)
-		e.Bool(c.Limit)
-		e.Bool(c.Write)
-		e.Bool(c.Txn)
-		return fc.writeFrame(ctx, msgOK, e.Bytes())
+		reply.Schema(info.Schema)
+		reply.IntSlice(info.KeyColumns)
+		reply.Varint(info.RowCount)
 
 	case msgStats:
 		table, err := d.String()
 		if err != nil {
-			return sendErr(ctx, fc, err)
+			return err
 		}
 		sp, ok := s.src.(StatsProvider)
 		if !ok {
-			return sendErr(ctx, fc, fmt.Errorf("source %s does not provide statistics", s.src.Name()))
+			return fmt.Errorf("source %s does not provide statistics", s.src.Name())
 		}
 		ts, err := sp.Stats(table)
 		if err != nil {
-			return sendErr(ctx, fc, err)
+			return err
 		}
-		var e Encoder
-		encodeStats(&e, ts)
-		return fc.writeFrame(ctx, msgOK, e.Bytes())
-
-	case msgExecute:
-		return s.handleExecute(ctx, fc, st, d)
+		encodeStats(reply, ts)
 
 	case msgBeginTx:
 		t, ok := s.src.(source.Transactional)
 		if !ok {
-			return sendErr(ctx, fc, fmt.Errorf("source %s is not transactional", s.src.Name()))
+			return fmt.Errorf("source %s is not transactional", s.src.Name())
 		}
 		tx, err := t.BeginTx(ctx)
 		if err != nil {
-			return sendErr(ctx, fc, err)
+			return err
 		}
-		s.mu.Lock()
-		s.nextTx++
-		id := strconv.FormatUint(s.nextTx, 10)
-		s.mu.Unlock()
-		st.txs[id] = tx
-		var e Encoder
-		e.String(id)
-		return fc.writeFrame(ctx, msgOK, e.Bytes())
+		st.tx = tx
 
-	case msgInsert:
-		return s.handleWrite(ctx, fc, st, d, func(ctx context.Context, w source.Writer, table string, d *Decoder) (int64, error) {
-			n, err := d.Uvarint()
-			if err != nil {
-				return 0, err
-			}
-			rows := make([]types.Row, n)
-			for i := range rows {
-				if rows[i], err = d.Row(); err != nil {
-					return 0, err
-				}
-			}
-			return w.Insert(ctx, table, rows)
-		})
-
-	case msgUpdate:
-		return s.handleWrite(ctx, fc, st, d, func(ctx context.Context, w source.Writer, table string, d *Decoder) (int64, error) {
-			filter, err := d.Expr()
-			if err != nil {
-				return 0, err
-			}
-			n, err := d.Uvarint()
-			if err != nil {
-				return 0, err
-			}
-			set := make([]source.SetClause, n)
-			for i := range set {
-				col, err := d.Varint()
-				if err != nil {
-					return 0, err
-				}
-				val, err := d.Expr()
-				if err != nil {
-					return 0, err
-				}
-				set[i] = source.SetClause{Col: int(col), Value: val}
-			}
-			info, err := s.src.TableInfo(ctx, table)
-			if err != nil {
-				return 0, err
-			}
-			if filter, err = rebindExpr(filter, info.Schema); err != nil {
-				return 0, err
-			}
-			for i := range set {
-				if set[i].Value, err = rebindExpr(set[i].Value, info.Schema); err != nil {
-					return 0, err
-				}
-			}
-			return w.Update(ctx, table, filter, set)
-		})
-
-	case msgDelete:
-		return s.handleWrite(ctx, fc, st, d, func(ctx context.Context, w source.Writer, table string, d *Decoder) (int64, error) {
-			filter, err := d.Expr()
-			if err != nil {
-				return 0, err
-			}
-			info, err := s.src.TableInfo(ctx, table)
-			if err != nil {
-				return 0, err
-			}
-			if filter, err = rebindExpr(filter, info.Schema); err != nil {
-				return 0, err
-			}
-			return w.Delete(ctx, table, filter)
-		})
+	case msgInsert, msgUpdate, msgDelete:
+		w, err := d.writeReq(tag)
+		if err != nil {
+			return err
+		}
+		n, err := s.write(ctx, st, tag, &w)
+		if err != nil {
+			return err
+		}
+		reply.Varint(n)
 
 	case msgPrepare, msgCommit, msgAbort:
-		id, err := d.String()
-		if err != nil {
-			return sendErr(ctx, fc, err)
+		tx := st.tx
+		switch {
+		case tx == nil:
+			return errors.New("wire: no transaction is open on this connection")
+		case tag == msgPrepare:
+			return tx.Prepare(ctx)
+		case tag == msgAbort:
+			st.tx = nil
+			return tx.Abort(ctx)
 		}
-		tx, ok := st.txs[id]
-		if !ok {
-			return sendErr(ctx, fc, fmt.Errorf("unknown transaction %q", id))
+		// A refused commit stays open: the coordinator retries it.
+		if err := tx.Commit(ctx); err != nil {
+			return err
 		}
-		switch tag {
-		case msgPrepare:
-			err = tx.Prepare(ctx)
-		case msgCommit:
-			err = tx.Commit(ctx)
-			if err == nil {
-				delete(st.txs, id)
-			}
-		case msgAbort:
-			err = tx.Abort(ctx)
-			delete(st.txs, id)
-		}
-		if err != nil {
-			return sendErr(ctx, fc, err)
-		}
-		return fc.writeFrame(ctx, msgOK, nil)
+		st.tx = nil
 
 	default:
-		return sendErr(ctx, fc, fmt.Errorf("wire: unknown message tag %d", tag))
+		return fmt.Errorf("wire: unknown message tag %d", tag)
 	}
+	return nil
 }
 
 // handleHello answers the per-connection handshake: check the protocol
-// version, record the tenant, grant the negotiated credit window, and
-// exchange frame-size bounds (each side lowers its outbound bound to
-// the peer's inbound one).
+// version, record the tenant, exchange frame-size bounds (each side
+// lowers its outbound bound to the peer's inbound one), and tell the
+// client what the served source can be asked.
 func (s *Server) handleHello(ctx context.Context, fc *frameConn, st *connState, payload []byte) error {
 	h, err := NewDecoder(payload).hello()
 	if err != nil {
@@ -500,12 +414,11 @@ func (s *Server) handleHello(ctx context.Context, fc *frameConn, st *connState, 
 	}
 	st.hello = true
 	st.tenant = h.Tenant
-	fc.window = negotiateWindow(h.Window, s.creditWindow)
 	if h.MaxRead > 0 && h.MaxRead < fc.wlimit {
 		fc.wlimit = h.MaxRead
 	}
 	var e Encoder
-	e.helloReply(&helloReply{Version: helloVersion, Window: fc.window, MaxRead: s.maxFrameBytes})
+	e.helloReply(&helloReply{MaxRead: s.maxFrameBytes, Caps: s.src.Capabilities()})
 	return fc.writeFrame(ctx, msgOK, e.Bytes())
 }
 
@@ -623,27 +536,25 @@ func (s *Server) streamQuery(ctx context.Context, fc *frameConn, q *source.Query
 // with msgEnd (flagged when a trace trailer will follow). The bool
 // reports whether msgEnd was written.
 //
-// When the connection negotiated a credit window, each msgRows frame
-// spends one credit; at zero the server blocks reading msgCredit grants
-// instead of buffering ahead, so a slow consumer stalls this stream
-// rather than ballooning server memory. A context deadline (propagated
-// or local) is reported to the client as a clean in-stream error: the
-// connection survives, the stream does not.
+// Each msgRows frame spends one credit of the stream's window; at zero
+// the server blocks reading msgCredit grants instead of buffering
+// ahead, so a slow consumer stalls this stream rather than ballooning
+// server memory. A context deadline (propagated or local) is reported
+// to the client as a clean in-stream error: the connection survives,
+// the stream does not.
 func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIter, traced bool) (bool, error) {
 	_, ssp := obs.StartSpan(ctx, obs.SpanStream, "rows")
 	defer ssp.End()
 	var e Encoder
 	batch, rows := 0, int64(0)
-	credit := fc.window
+	credit := creditWindow
 	sendBatch := func(n int) error {
-		if fc.window > 0 {
-			if credit == 0 {
-				if err := awaitCredit(ctx, fc, &credit); err != nil {
-					return err
-				}
+		if credit == 0 {
+			if err := awaitCredit(ctx, fc, &credit); err != nil {
+				return err
 			}
-			credit--
 		}
+		credit--
 		hdr := prependCount(e.Bytes(), n)
 		return fc.writeFrame(ctx, msgRows, hdr)
 	}
@@ -706,17 +617,10 @@ func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIte
 
 // awaitCredit blocks until the client grants more stream credit,
 // accumulating grants into credit. The read is bounded by the stream
-// context's deadline (set on the socket, so a blocked read observes
-// it); a client that abandons the stream closes its connection, which
-// surfaces here as a read error.
+// context's deadline (readFrame arms it on the socket, so a blocked
+// read observes it); a client that abandons the stream closes its
+// connection, which surfaces here as a read error.
 func awaitCredit(ctx context.Context, fc *frameConn, credit *int) error {
-	rd, hasDeadline := fc.rw.(readDeadliner)
-	if hasDeadline {
-		if dl, ok := ctx.Deadline(); ok {
-			_ = rd.SetReadDeadline(dl)
-			defer func() { _ = rd.SetReadDeadline(time.Time{}) }()
-		}
-	}
 	for *credit == 0 {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -737,40 +641,38 @@ func awaitCredit(ctx context.Context, fc *frameConn, credit *int) error {
 	return nil
 }
 
-// handleWrite decodes the shared (txid, table) prefix of write requests,
-// resolves the writer (transactional or autocommit), runs op, and sends
-// the affected-row count.
-func (s *Server) handleWrite(ctx context.Context, fc *frameConn, st *connState, d *Decoder,
-	op func(context.Context, source.Writer, string, *Decoder) (int64, error)) error {
-	txid, err := d.String()
-	if err != nil {
-		return sendErr(ctx, fc, err)
-	}
-	table, err := d.String()
-	if err != nil {
-		return sendErr(ctx, fc, err)
-	}
-	var w source.Writer
-	if txid != "" {
-		tx, ok := st.txs[txid]
-		if !ok {
-			return sendErr(ctx, fc, fmt.Errorf("unknown transaction %q", txid))
-		}
-		w = tx
-	} else {
+// write applies a decoded write request through the transaction open on
+// this connection, else through the source's autocommit facet, and
+// returns the affected-row count. Shipped expressions are re-bound
+// against the table's schema first (see rebindExpr).
+func (s *Server) write(ctx context.Context, st *connState, tag byte, req *writeReq) (int64, error) {
+	var w source.Writer = st.tx
+	if st.tx == nil {
 		sw, ok := s.src.(source.Writer)
 		if !ok {
-			return sendErr(ctx, fc, fmt.Errorf("source %s is not writable", s.src.Name()))
+			return 0, fmt.Errorf("source %s is not writable", s.src.Name())
 		}
 		w = sw
 	}
-	n, err := op(ctx, w, table, d)
-	if err != nil {
-		return sendErr(ctx, fc, err)
+	if tag == msgInsert {
+		return w.Insert(ctx, req.Table, req.Rows)
 	}
-	var e Encoder
-	e.Varint(n)
-	return fc.writeFrame(ctx, msgOK, e.Bytes())
+	info, err := s.src.TableInfo(ctx, req.Table)
+	if err != nil {
+		return 0, err
+	}
+	if req.Filter, err = rebindExpr(req.Filter, info.Schema); err != nil {
+		return 0, err
+	}
+	if tag == msgDelete {
+		return w.Delete(ctx, req.Table, req.Filter)
+	}
+	for i := range req.Set {
+		if req.Set[i].Value, err = rebindExpr(req.Set[i].Value, info.Schema); err != nil {
+			return 0, err
+		}
+	}
+	return w.Update(ctx, req.Table, req.Filter, req.Set)
 }
 
 // rebindQuery re-binds the decoded filter against the target table's
@@ -839,12 +741,9 @@ func decodeStats(d *Decoder) (*stats.TableStats, error) {
 	if ts.RowCount, err = d.Varint(); err != nil {
 		return nil, err
 	}
-	n, err := d.Uvarint()
+	n, err := d.count()
 	if err != nil {
 		return nil, err
-	}
-	if n > uint64(d.Remaining()) {
-		return nil, io.ErrUnexpectedEOF
 	}
 	ts.Columns = make([]stats.ColumnStats, n)
 	for i := range ts.Columns {
@@ -872,12 +771,9 @@ func decodeStats(d *Decoder) (*stats.TableStats, error) {
 		if h.Total, err = d.Varint(); err != nil {
 			return nil, err
 		}
-		nb, err := d.Uvarint()
+		nb, err := d.count()
 		if err != nil {
 			return nil, err
-		}
-		if nb > uint64(d.Remaining()) {
-			return nil, io.ErrUnexpectedEOF
 		}
 		h.Bounds = make([]types.Value, nb)
 		h.Counts = make([]int64, nb)

@@ -19,7 +19,7 @@ package wire
 // telemetry".
 
 import (
-	"io"
+	"context"
 	"time"
 
 	"gis/internal/faults"
@@ -120,14 +120,11 @@ func (d *Decoder) Span() (*obs.SpanData, error) {
 	if sp.DurationUS, err = d.Varint(); err != nil {
 		return nil, err
 	}
-	na, err := d.Uvarint()
+	na, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	if na > uint64(d.Remaining()) {
-		return nil, io.ErrUnexpectedEOF
-	}
-	for i := uint64(0); i < na; i++ {
+	for i := 0; i < na; i++ {
 		var a obs.Attr
 		if a.Key, err = d.String(); err != nil {
 			return nil, err
@@ -137,14 +134,11 @@ func (d *Decoder) Span() (*obs.SpanData, error) {
 		}
 		sp.Attrs = append(sp.Attrs, a)
 	}
-	nc, err := d.Uvarint()
+	nc, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	if nc > uint64(d.Remaining()) {
-		return nil, io.ErrUnexpectedEOF
-	}
-	for i := uint64(0); i < nc; i++ {
+	for i := 0; i < nc; i++ {
 		c, err := d.Span()
 		if err != nil {
 			return nil, err
@@ -152,12 +146,6 @@ func (d *Decoder) Span() (*obs.SpanData, error) {
 		sp.Children = append(sp.Children, c)
 	}
 	return sp, nil
-}
-
-// readDeadliner is the subset of net.Conn the trailer read needs to
-// stay bounded; net.Pipe connections in tests implement it too.
-type readDeadliner interface {
-	SetReadDeadline(t time.Time) error
 }
 
 // finishTrailer consumes the msgTrace trailer the server announced via
@@ -184,14 +172,11 @@ func (it *streamIter) readTrailer(fc *frameConn) bool {
 	if err := fc.injure(it.ctx, faults.OpTrace); err != nil {
 		return false
 	}
-	dl, hasDeadline := fc.rw.(readDeadliner)
-	if hasDeadline {
-		_ = dl.SetReadDeadline(time.Now().Add(it.c.trailerTimeout))
-	}
-	tag, payload, err := fc.readFrame(it.ctx)
-	if hasDeadline {
-		_ = dl.SetReadDeadline(time.Time{})
-	}
+	// The wait is bounded by the trailer timeout or the query's own
+	// deadline, whichever is sooner.
+	tctx, cancel := context.WithTimeout(it.ctx, it.c.trailerTimeout)
+	defer cancel()
+	tag, payload, err := fc.readFrame(tctx)
 	if err != nil || tag != msgTrace {
 		return false
 	}

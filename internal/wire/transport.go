@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"os"
 	"sync/atomic"
 	"time"
 
@@ -18,7 +20,6 @@ const (
 	// Requests.
 	msgTables byte = iota + 1
 	msgTableInfo
-	msgCaps
 	msgExecute
 	msgBeginTx
 	msgInsert
@@ -40,14 +41,14 @@ const (
 	msgTrace
 	// msgHello is the per-connection handshake, the first frame on
 	// every connection: the client announces its protocol version,
-	// tenant, requested credit window, and frame-size bound; the server
-	// answers msgOK with the negotiated values (see hello.go).
+	// tenant and frame-size bound; the server answers msgOK with its own
+	// bound and the source's capability vector (see hello.go).
 	msgHello
 	// msgCredit is the client→server flow-control grant on a result
 	// stream: its payload is a uvarint count of additional msgRows
 	// frames the server may send. The server stops streaming when the
-	// window is exhausted, so a slow consumer stalls the producer
-	// instead of ballooning server memory.
+	// window (creditWindow) is exhausted, so a slow consumer stalls the
+	// producer instead of ballooning server memory.
 	msgCredit
 )
 
@@ -134,10 +135,13 @@ func newLinkMetrics(scope, name string) *linkMetrics {
 // the connection.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 
-// frameConn reads and writes tagged frames over an io stream:
-// [4-byte big-endian length][1-byte tag][payload].
+// frameConn reads and writes tagged frames over a connection:
+// [4-byte big-endian length][1-byte tag][payload]. Every read and write
+// is bounded by the deadline of the context it is given (see arm).
 type frameConn struct {
-	rw io.ReadWriter
+	rw net.Conn
+	// armed is the deadline currently set on rw (zero: none).
+	armed time.Time
 	// send/recv simulate the uplink and downlink.
 	send, recv SimLink
 	// metrics, when set, counts frames/bytes per direction.
@@ -148,10 +152,6 @@ type frameConn struct {
 	// before allocating); wlimit bounds outbound frames and is lowered
 	// to the peer's advertised limit by the hello handshake.
 	limit, wlimit int
-	// window is the negotiated credit window for result streams on
-	// this connection (msgRows frames in flight); 0 disables flow
-	// control (either side asked for that).
-	window int
 	// rttEWMA, when set, receives an exponentially-weighted moving
 	// average of observed round-trip nanoseconds (the client uses it to
 	// decrement propagated deadlines by WAN latency).
@@ -161,13 +161,47 @@ type frameConn struct {
 	// dominate traffic and their payloads are fully decoded (with every
 	// string/bytes value copied out) before the next read on this conn,
 	// so reuse is safe there; every other tag gets a fresh buffer
-	// because its payload can outlive the next read (e.g. a control
-	// response decoded after the ctrl slot is released).
+	// because its payload can outlive the next read (e.g. a response
+	// decoded after the connection went back to the pool).
 	rbuf []byte
 }
 
-func newFrameConn(rw io.ReadWriter, send, recv SimLink) *frameConn {
+func newFrameConn(rw net.Conn, send, recv SimLink) *frameConn {
 	return &frameConn{rw: rw, send: send, recv: recv, limit: maxFrame, wlimit: maxFrame}
+}
+
+// arm makes the socket observe ctx's deadline, so a read or write that
+// blocks — a peer parked on a lock, a consumer that stopped reading —
+// returns when the deadline passes; a context without one clears
+// whatever an earlier borrower of the connection left set. Only the
+// deadline is armed: a bare cancel is seen between frames, not inside a
+// blocked one (arming Done() by context.AfterFunc costs three
+// allocations a round trip; Deadline → SetDeadline costs none).
+func (f *frameConn) arm(ctx context.Context) {
+	dl, _ := ctx.Deadline()
+	if !dl.Equal(f.armed) {
+		f.armed = dl
+		_ = f.rw.SetDeadline(dl) // fails only on a closed conn, which the I/O that follows reports
+	}
+}
+
+// ioErr names a timeout by its cause. A socket times out because the
+// deadline arm took from ctx has passed (a connect may also run into the
+// dialer's own bound, which is the source's fault and stays as it is),
+// so the caller sees the context's error, whichever of the two timers
+// fired first. The frame may be half-moved; callers discard the
+// connection as after any transport error.
+func ioErr(ctx context.Context, err error) error {
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		return err
+	}
+	if dl, ok := ctx.Deadline(); !ok || time.Now().Before(dl) {
+		return err
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	return context.DeadlineExceeded
 }
 
 // injure consults the fault injector for one operation of the given
@@ -180,9 +214,7 @@ func (f *frameConn) injure(ctx context.Context, class faults.OpClass) error {
 		return nil
 	}
 	if errors.Is(err, faults.ErrDropped) || errors.Is(err, faults.ErrPartitioned) {
-		if cl, ok := f.rw.(io.Closer); ok {
-			_ = cl.Close() // the injected drop is the error that matters
-		}
+		_ = f.rw.Close() // the injected drop is the error that matters
 	}
 	return err
 }
@@ -199,14 +231,15 @@ func (f *frameConn) writeFrame(ctx context.Context, tag byte, payload []byte) er
 	if err := f.send.delay(ctx, len(payload)+5); err != nil {
 		return err
 	}
+	f.arm(ctx)
 	binary.BigEndian.PutUint32(f.hdr[:4], uint32(len(payload)))
 	f.hdr[4] = tag
 	if _, err := f.rw.Write(f.hdr[:]); err != nil {
-		return err
+		return ioErr(ctx, err)
 	}
 	if len(payload) > 0 {
 		if _, err := f.rw.Write(payload); err != nil {
-			return err
+			return ioErr(ctx, err)
 		}
 	}
 	return nil
@@ -214,9 +247,10 @@ func (f *frameConn) writeFrame(ctx context.Context, tag byte, payload []byte) er
 
 // readFrame receives one frame, applying downlink simulation.
 func (f *frameConn) readFrame(ctx context.Context) (byte, []byte, error) {
+	f.arm(ctx)
 	var hdr [5]byte
 	if _, err := io.ReadFull(f.rw, hdr[:]); err != nil {
-		return 0, nil, err
+		return 0, nil, ioErr(ctx, err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
 	if uint64(n) > uint64(f.limit) {
@@ -232,7 +266,7 @@ func (f *frameConn) readFrame(ctx context.Context) (byte, []byte, error) {
 		payload = make([]byte, n)
 	}
 	if _, err := io.ReadFull(f.rw, payload); err != nil {
-		return 0, nil, err
+		return 0, nil, ioErr(ctx, err)
 	}
 	if m := f.metrics; m != nil {
 		m.framesIn.Inc()

@@ -213,13 +213,27 @@ func TestRemoteTransaction(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// A second write of the same transaction: the server looks the
+	// table's schema up again, now with this transaction holding the
+	// store — which used to park the handler on its own lock for good.
+	info, _ := cl.TableInfo(ctx, "items")
+	filter, _ := expr.Bind(expr.NewBinary(expr.OpEq,
+		expr.NewColRef("", "id"), expr.NewConst(types.NewInt(200))), info.Schema)
+	within(t, 5*time.Second, "second write of one transaction", func() {
+		if n, err := tx.Delete(ctx, "items", filter); err != nil || n != 1 {
+			t.Errorf("delete inside the transaction = %d, %v", n, err)
+		}
+		if _, err := tx.Insert(ctx, "items", itemRow(200)); err != nil {
+			t.Error(err)
+		}
+	})
 	if err := tx.Prepare(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	info, _ := cl.TableInfo(ctx, "items")
+	info, _ = cl.TableInfo(ctx, "items")
 	if info.RowCount != 11 {
 		t.Errorf("rows after remote tx = %d", info.RowCount)
 	}

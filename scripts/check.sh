@@ -12,7 +12,13 @@
 #   5. go test -race ./... — the full suite, which includes the analyzer
 #                   fixtures, the race-stress, seeded-chaos and overload
 #                   tests (`make lint-fixtures`, `make chaos` and `make
-#                   overload` run those subsets on demand)
+#                   overload` run those subsets on demand) and the
+#                   concurrency tests no analyzer can stand in for:
+#                   workload TestConcurrentGlobalUpdates, wire
+#                   TestTwoTransactionsOneClient, TestCallObservesDeadline
+#                   and TestAbandonedTransactionReleasesLock (a lock held
+#                   in a server across round trips; DESIGN.md "Wire
+#                   connections and transactions")
 #   6. gisbench   — the OV1 overload bench and the quick bench as JSON,
 #                   schema-validated by scripts/benchjson
 #   7. query log  — demo-federation query with -query-log-sample 1,
