@@ -21,16 +21,29 @@ import (
 	"gis/internal/types"
 )
 
-// Run executes an optimized plan and streams its result rows. Under a
-// traced context (obs.Enabled: interactive tracing, a query-log sample,
-// EXPLAIN ANALYZE) every operator execution gets an exec span and the
-// measuring wrapper; untraced, the operator's own iterator is returned.
+// Run executes an optimized plan and streams its result rows, which are
+// the caller's to keep. Under a traced context (obs.Enabled: interactive
+// tracing, a query-log sample, EXPLAIN ANALYZE) every operator execution
+// gets an exec span and the measuring wrapper; untraced, the operator's
+// own iterator is returned.
 func Run(ctx context.Context, n plan.Node) (source.RowIter, error) {
+	return runNode(ctx, n, false)
+}
+
+// runNode is Run for a consumer inside the executor, which says whether
+// it keeps the rows it is handed. lent is the one fact that decides
+// where a row is allocated (DESIGN.md "Who keeps a row"): true means the
+// consumer is done with each row before it asks for the next, so the
+// stage that builds the row may hand out the same storage again. An
+// operator that builds its output from its input asks its input for
+// lent rows and lends its own iff told to; one that passes rows through
+// forwards what it was told; one that keeps rows asks for kept ones.
+func runNode(ctx context.Context, n plan.Node, lent bool) (source.RowIter, error) {
 	if !obs.Enabled(ctx) {
-		return run(ctx, n)
+		return run(ctx, n, lent)
 	}
 	ctx, span := obs.StartSpan(ctx, obs.SpanExec, opLabel(n))
-	it, err := run(ctx, n)
+	it, err := run(ctx, n, lent)
 	if err != nil {
 		span.End()
 		return nil, err
@@ -118,32 +131,32 @@ func (o *opIter) finish(eof bool) {
 	}
 }
 
-func run(ctx context.Context, n plan.Node) (source.RowIter, error) {
+func run(ctx context.Context, n plan.Node, lent bool) (source.RowIter, error) {
 	switch t := n.(type) {
 	case *plan.FragScan:
-		return runFragScan(ctx, t, nil)
+		return runFragScan(ctx, t, nil, lent)
 
 	case *plan.Filter:
-		in, err := Run(ctx, t.Input)
+		in, err := runNode(ctx, t.Input, lent)
 		if err != nil {
 			return nil, err
 		}
 		return &filterIter{ctx: ctx, in: in, pred: t.Pred}, nil
 
 	case *plan.Project:
-		in, err := Run(ctx, t.Input)
-		if err != nil {
-			return nil, err
-		}
 		if identityProject(t) {
 			// The input's rows are already the output's; rows are
 			// read-only downstream, so no copy is owed.
-			return in, nil
+			return runNode(ctx, t.Input, lent)
 		}
-		return &projectIter{ctx: ctx, in: in, exprs: t.Exprs}, nil
+		in, err := runNode(ctx, t.Input, true)
+		if err != nil {
+			return nil, err
+		}
+		return &projectIter{ctx: ctx, in: in, exprs: t.Exprs, slab: slabFor(lent)}, nil
 
 	case *plan.Join:
-		return runJoin(ctx, t)
+		return runJoin(ctx, t, lent)
 
 	case *plan.Aggregate:
 		return runAggregate(ctx, t)
@@ -152,14 +165,15 @@ func run(ctx context.Context, n plan.Node) (source.RowIter, error) {
 		return runSort(ctx, t)
 
 	case *plan.Limit:
-		in, err := Run(ctx, t.Input)
+		in, err := runNode(ctx, t.Input, lent)
 		if err != nil {
 			return nil, err
 		}
 		return &limitIter{in: in, remaining: t.N, offset: t.Offset}, nil
 
 	case *plan.Distinct:
-		in, err := Run(ctx, t.Input)
+		// Keeps the first row of every distinct value.
+		in, err := runNode(ctx, t.Input, false)
 		if err != nil {
 			return nil, err
 		}
@@ -167,9 +181,10 @@ func run(ctx context.Context, n plan.Node) (source.RowIter, error) {
 
 	case *plan.Union:
 		if t.Parallel {
+			// Rows wait in the merge channel: its branches keep.
 			return runParallelUnion(ctx, t)
 		}
-		return &unionIter{ctx: ctx, inputs: t.Inputs}, nil
+		return &unionIter{ctx: ctx, inputs: t.Inputs, lent: lent}, nil
 
 	case *plan.Values:
 		rows := make([]types.Row, len(t.Rows))
@@ -194,7 +209,15 @@ func run(ctx context.Context, n plan.Node) (source.RowIter, error) {
 	}
 }
 
-// Collect runs the plan and materializes every row.
+// slabFor is the slab of a stage that builds rows and was told lent.
+func slabFor(lent bool) (s types.RowSlab) {
+	if lent {
+		s.Lend()
+	}
+	return s
+}
+
+// Collect runs the plan and materializes every row: it keeps them.
 func Collect(ctx context.Context, n plan.Node) ([]types.Row, error) {
 	it, err := Run(ctx, n)
 	if err != nil {
@@ -350,6 +373,7 @@ func (d *distinctIter) Close() error { return d.in.Close() }
 type unionIter struct {
 	ctx    context.Context
 	inputs []plan.Node
+	lent   bool // what the consumer said, passed on to each input
 	cur    source.RowIter
 	idx    int
 	rows   int64 // rows delivered by the current input
@@ -367,7 +391,7 @@ func (u *unionIter) Next() (types.Row, error) {
 			in := u.inputs[u.idx]
 			u.idx++
 			u.rows = 0
-			it, err := Run(u.ctx, in)
+			it, err := runNode(u.ctx, in, u.lent)
 			if err != nil {
 				if u.degrade(in, err) {
 					continue
@@ -610,8 +634,11 @@ func mergeSortIdx(idx []int, less func(a, b int) bool) {
 
 // ---- aggregate ----
 
+// runAggregate folds each input row into its group before it asks for
+// the next, so it asks for lent rows; the group rows it returns are its
+// own, one per group.
 func runAggregate(ctx context.Context, a *plan.Aggregate) (source.RowIter, error) {
-	in, err := Run(ctx, a.Input)
+	in, err := runNode(ctx, a.Input, true)
 	if err != nil {
 		return nil, err
 	}

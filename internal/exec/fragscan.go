@@ -17,7 +17,12 @@ import (
 // query, compensate, translate, filter, project. extraRemoteFilter is an
 // additional predicate over the remote table schema injected by the
 // semijoin/bind strategies; it must satisfy the source's capabilities.
-func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.Expr) (source.RowIter, error) {
+//
+// lent is what the scan's consumer said (runNode). The chain is decided
+// from the consumer down: a stage that builds a row lends it iff the
+// stage above asked, and asks the one below for lent rows; a filter and
+// the fetch wrappers pass the request on, and the source hears it last.
+func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.Expr, lent bool) (source.RowIter, error) {
 	q := fs.Query
 	if extraRemoteFilter != nil {
 		cp := *fs.Query
@@ -37,6 +42,23 @@ func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.
 		ship.End()
 		return nil, fmt.Errorf("exec: fragment %s.%s: %w", fs.Frag.Source, fs.Frag.RemoteTable, err)
 	}
+	// What each stage that builds a row is asked, from the consumer
+	// down: the output projection, the translation (which on its fast
+	// path passes rows through), the residual projection, the source.
+	// A pushed aggregation's rows reach the consumer as the source
+	// made them.
+	aggregated := q.HasAggregation()
+	outProject := !identityProjection(fs.Out, len(fs.Cols))
+	translates := fs.Frag.NeedsTranslation(fs.Cols)
+	lendTranslated := lent || outProject
+	lendProjected := lendTranslated || translates
+	lendRemote := lendProjected || fs.Residual.Project != nil
+	if aggregated {
+		lendRemote = lent
+	}
+	if lendRemote {
+		source.Lend(remote)
+	}
 	var it source.RowIter = &fetchIter{in: remote, shipStart: shipStart, sess: admission.SessionFrom(ctx)}
 	if ship != nil {
 		_, fetch := obs.StartSpan(ctx, obs.SpanFetch, fs.Frag.Source)
@@ -50,7 +72,7 @@ func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.
 		}
 		it = wire
 	}
-	if q.HasAggregation() {
+	if aggregated {
 		// Pushed aggregation: the remote output is already final.
 		return it, nil
 	}
@@ -61,11 +83,11 @@ func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.
 		it = &filterIter{ctx: ctx, in: it, pred: fs.Residual.Filter}
 	}
 	if fs.Residual.Project != nil {
-		it = &colProjectIter{in: it, cols: fs.Residual.Project}
+		it = &colProjectIter{in: it, cols: fs.Residual.Project, slab: slabFor(lendProjected)}
 	}
 
 	// Translate remote rows to the fetched global layout.
-	it = &translateIter{fs: fs, in: it}
+	it = &translateIter{fs: fs, in: it, translates: translates, slab: slabFor(lendTranslated)}
 
 	if fs.GlobalResidual != nil {
 		it = &filterIter{ctx: ctx, in: it, pred: fs.GlobalResidual}
@@ -73,8 +95,8 @@ func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.
 
 	// Project the fetched layout down to the output columns unless it
 	// is already exact.
-	if !identityProjection(fs.Out, len(fs.Cols)) {
-		it = &colProjectIter{in: it, cols: fs.Out}
+	if outProject {
+		it = &colProjectIter{in: it, cols: fs.Out, slab: slabFor(lent)}
 	}
 	return it, nil
 }
@@ -119,6 +141,8 @@ func (p *colProjectIter) Close() error { return p.in.Close() }
 type translateIter struct {
 	fs *plan.FragScan
 	in source.RowIter
+	// translates: some fetched column has a non-identity mapping.
+	translates bool
 	// fast is set when no value translation is needed and the remote
 	// row already matches the fetched layout.
 	checked bool
@@ -133,7 +157,7 @@ func (t *translateIter) Next() (types.Row, error) {
 	}
 	if !t.checked {
 		t.checked = true
-		t.fast = !t.fs.Frag.NeedsTranslation(t.fs.Cols) && len(r) == len(t.fs.Cols)
+		t.fast = !t.translates && len(r) == len(t.fs.Cols)
 	}
 	if t.fast {
 		return r, nil

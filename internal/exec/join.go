@@ -22,57 +22,91 @@ const semiJoinKeyLimit = 1000
 // bindBatchSize is how many distinct keys one bind-join probe carries.
 const bindBatchSize = 16
 
-// runJoin dispatches on the join's distributed strategy.
-func runJoin(ctx context.Context, j *plan.Join) (source.RowIter, error) {
+// runJoin dispatches on the join's distributed strategy. lent is what
+// the join's consumer said (runNode); a merge join keeps its right runs
+// and is run as it always was.
+func runJoin(ctx context.Context, j *plan.Join, lent bool) (source.RowIter, error) {
 	if j.Merge {
 		return runMergeJoin(ctx, j)
 	}
 	switch j.Strategy {
 	case plan.StrategySemiJoin:
-		return runKeyShippedJoin(ctx, j, semiJoinKeyLimit)
+		return runKeyShippedJoin(ctx, j, semiJoinKeyLimit, lent)
 	case plan.StrategyBind:
-		return runKeyShippedJoin(ctx, j, bindBatchSize)
+		return runKeyShippedJoin(ctx, j, bindBatchSize, lent)
 	default:
-		return runLocalJoin(ctx, j)
+		return runLocalJoin(ctx, j, lent)
 	}
 }
 
 // runLocalJoin joins both inputs at the mediator: the right side
-// materialized, the left streamed against it.
-func runLocalJoin(ctx context.Context, j *plan.Join) (source.RowIter, error) {
+// materialized — kept — and the left streamed against it. The left
+// input is not advanced while a left row's matches are emitted, so an
+// inner, left or cross join, which copies the left row into each row it
+// builds, asks for lent left rows; a semi or anti join hands the left
+// row itself on and asks for what its consumer asked.
+func runLocalJoin(ctx context.Context, j *plan.Join, lent bool) (source.RowIter, error) {
 	right, err := Collect(ctx, j.R)
 	if err != nil {
 		return nil, err
 	}
-	left, err := Run(ctx, j.L)
+	passesLeft := j.Kind == plan.JoinSemi || j.Kind == plan.JoinAnti
+	left, err := runNode(ctx, j.L, lent || !passesLeft)
 	if err != nil {
 		return nil, err
 	}
 	if len(j.EquiL) > 0 {
 		mJoinBuildRows.Add(int64(len(right)))
 	}
-	return joinRows(ctx, j, left, right), nil
+	return joinRows(ctx, j, left, right, lent), nil
 }
 
 // joinRows joins a left stream with materialized right rows: a hash join
 // built on the right when the join has equi keys, nested loops for
-// non-equi and cross joins.
-func joinRows(ctx context.Context, j *plan.Join, left source.RowIter, right []types.Row) source.RowIter {
+// non-equi and cross joins. The rows it builds are lent iff lent.
+func joinRows(ctx context.Context, j *plan.Join, left source.RowIter, right []types.Row, lent bool) source.RowIter {
 	if len(j.EquiL) == 0 {
 		return &nlJoinIter{
-			ctx: ctx, j: j, left: left, right: right,
+			ctx: ctx, j: j, left: left, right: right, slab: slabFor(lent),
 			leftWidth: j.L.Schema().Len(), rightWidth: widthOfRight(j, right),
 		}
 	}
-	build := make(map[uint64][]types.Row, len(right))
-	for _, r := range right {
-		h := keyHash(r, j.EquiR)
-		build[h] = append(build[h], r)
-	}
 	return &hashJoinIter{
-		ctx: ctx, j: j, left: left, build: build,
+		ctx: ctx, j: j, left: left, build: newHashBuild(right, j.EquiR), slab: slabFor(lent),
 		leftWidth: j.L.Schema().Len(), rightWidth: widthOfRight(j, right),
 	}
+}
+
+// hashBuild is a hash join's build side: the rows as they arrived and
+// two arrays of positions over them — head, the first row of each
+// bucket, and next, the row after each row in its bucket — instead of a
+// slice per distinct key. Positions are stored plus one, so a zeroed
+// array is an empty table. A bucket is a hash's low bits and may hold
+// several keys; the probe compares keys, and walks a bucket in arrival
+// order, so matches come out in the order the rows came in. (int32: the
+// rows are materialized before the table is built, a long way short of
+// 2^31 of them.)
+type hashBuild struct {
+	rows []types.Row
+	head []int32 // len is a power of two, at least len(rows)
+	next []int32
+}
+
+func newHashBuild(rows []types.Row, cols []int) hashBuild {
+	size := 1
+	for size < len(rows) {
+		size *= 2
+	}
+	// One allocation backs both arrays.
+	pos := make([]int32, size+len(rows))
+	b := hashBuild{rows: rows, head: pos[:size], next: pos[size:]}
+	// Last row first, each put at the head of its bucket: the chains
+	// run in arrival order.
+	for i := len(rows) - 1; i >= 0; i-- {
+		slot := &b.head[keyHash(rows[i], cols)&uint64(size-1)]
+		b.next[i], *slot = *slot, int32(i+1)
+	}
+	return b
 }
 
 func widthOfRight(j *plan.Join, right []types.Row) int {
@@ -142,7 +176,7 @@ type hashJoinIter struct {
 	ctx        context.Context
 	j          *plan.Join
 	left       source.RowIter
-	build      map[uint64][]types.Row
+	build      hashBuild
 	leftWidth  int
 	rightWidth int
 
@@ -228,18 +262,20 @@ func (h *hashJoinIter) Next() (types.Row, error) {
 			// condHolds evaluates the full join condition which includes
 			// the equi predicates, so collisions are rejected there. For
 			// semi/anti with nil extra cond, check keys explicitly.
-			h.matches = h.filterKeyEqual(l, h.build[keyHash(l, h.j.EquiL)])
+			h.matches = h.keyEqualRows(l)
 		}
 	}
 }
 
-// filterKeyEqual keeps the candidates whose right key equals l's left
-// key. Survivors land in a scratch buffer reused across probe rows (the
-// previous row's matches are fully consumed before the next probe).
-func (h *hashJoinIter) filterKeyEqual(l types.Row, candidates []types.Row) []types.Row {
+// keyEqualRows walks l's bucket of the build side and keeps the rows
+// whose right key equals l's left key. They land in a scratch buffer
+// reused across probe rows (the previous row's matches are fully
+// consumed before the next probe).
+func (h *hashJoinIter) keyEqualRows(l types.Row) []types.Row {
 	out := h.matchBuf[:0]
-	for _, r := range candidates {
-		if !keyHasNull(r, h.j.EquiR) && keyEqual(l, h.j.EquiL, r, h.j.EquiR) {
+	b := &h.build
+	for i := b.head[keyHash(l, h.j.EquiL)&uint64(len(b.head)-1)]; i != 0; i = b.next[i-1] {
+		if r := b.rows[i-1]; !keyHasNull(r, h.j.EquiR) && keyEqual(l, h.j.EquiL, r, h.j.EquiR) {
 			out = append(out, r)
 		}
 	}
@@ -356,8 +392,9 @@ func (n *nlJoinIter) Close() error { return n.left.Close() }
 // runKeyShippedJoin implements the semijoin and bind-join strategies:
 // materialize the left input, ship its distinct join-key values to the
 // right side's fragment scans as IN predicates (chunked), and join the
-// reduced right side at the mediator.
-func runKeyShippedJoin(ctx context.Context, j *plan.Join, chunk int) (source.RowIter, error) {
+// reduced right side at the mediator. Both sides are kept; the joined
+// rows are lent iff lent.
+func runKeyShippedJoin(ctx context.Context, j *plan.Join, chunk int, lent bool) (source.RowIter, error) {
 	leftRows, err := Collect(ctx, j.L)
 	if err != nil {
 		return nil, err
@@ -366,7 +403,7 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, chunk int) (source.Row
 		// Inner/semi joins produce nothing; left/anti keep left rows.
 		switch j.Kind {
 		case plan.JoinLeft, plan.JoinAnti:
-			return runLocalJoinMaterialized(ctx, j, leftRows, nil)
+			return joinRows(ctx, j, source.SliceIter(leftRows), nil, lent), nil
 		default:
 			return source.SliceIter(nil), nil
 		}
@@ -439,7 +476,7 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, chunk int) (source.Row
 					fail(err)
 					return
 				}
-				it, err := runFragScan(cctx, fs, pred)
+				it, err := runFragScan(cctx, fs, pred, false)
 				if err != nil {
 					fail(err)
 					return
@@ -482,12 +519,7 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, chunk int) (source.Row
 	if hardErr != nil {
 		return nil, hardErr
 	}
-	return runLocalJoinMaterialized(ctx, j, leftRows, right)
-}
-
-// runLocalJoinMaterialized joins already-materialized inputs.
-func runLocalJoinMaterialized(ctx context.Context, j *plan.Join, left, right []types.Row) (source.RowIter, error) {
-	return joinRows(ctx, j, source.SliceIter(left), right), nil
+	return joinRows(ctx, j, source.SliceIter(leftRows), right, lent), nil
 }
 
 // buildKeyPredicate translates global key values to the remote

@@ -162,6 +162,9 @@ type csvIter struct {
 	done  bool
 }
 
+// Lend implements source.Lender: every record is parsed into one row.
+func (it *csvIter) Lend() { it.slab.Lend() }
+
 // Next implements source.RowIter.
 func (it *csvIter) Next() (types.Row, error) {
 	if it.done {

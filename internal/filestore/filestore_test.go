@@ -47,6 +47,53 @@ func TestFileScanInMemory(t *testing.T) {
 	}
 }
 
+// A scan that was asked to lend parses every record into one row —
+// NULL where a field is empty, whatever the record before left there —
+// and reads the same as one that was not; a projected scan likewise.
+func TestFileScanLent(t *testing.T) {
+	s := New("files1")
+	data := "1,widget,9.99\n2,,\n3,sprocket,0.25\n,,7.5\n"
+	if err := s.RegisterData("products", data, fileSchema); err != nil {
+		t.Fatal(err)
+	}
+	for _, cols := range [][]int{nil, {2, 0}} {
+		q := source.NewScan("products")
+		q.Columns = cols
+		kept, err := s.Execute(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := source.DrainOwned(kept)
+		if err != nil || len(want) != 4 {
+			t.Fatalf("columns %v, kept: %d rows, %v", cols, len(want), err)
+		}
+		lent, err := s.Execute(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		source.Lend(lent)
+		var first *types.Value
+		for i := 0; ; i++ {
+			r, err := lent.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Equal(want[i]) || r[1].IsNull() != want[i][1].IsNull() {
+				t.Errorf("columns %v, lent: row %d = %v, want %v", cols, i, r, want[i])
+			}
+			if first == nil {
+				first = &r[0]
+			} else if first != &r[0] {
+				t.Errorf("columns %v: row %d was not parsed into the row lent before", cols, i)
+			}
+		}
+		lent.Close()
+	}
+}
+
 func TestFileScanFromDisk(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.csv")

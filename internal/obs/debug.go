@@ -39,12 +39,28 @@ type SlowQuery struct {
 type QueryLog struct {
 	mu         sync.Mutex
 	nextID     int64
-	active     map[int64]ActiveQuery
+	active     map[int64]inFlight
 	threshold  time.Duration
 	ring       []SlowQuery
 	pos        int
 	capacity   int
 	structured *StructuredLog
+}
+
+// inFlight is an active query as the log holds it. text, when set,
+// stands for SQL and is rendered only for somebody who reads it: the
+// debug endpoint, the slow ring, a sampled structured record.
+type inFlight struct {
+	ActiveQuery
+	text fmt.Stringer
+}
+
+// rendered returns the query with its text in SQL.
+func (q inFlight) rendered() ActiveQuery {
+	if q.text != nil {
+		q.SQL = q.text.String()
+	}
+	return q.ActiveQuery
 }
 
 // maxSlowTraceSpans bounds the span subtree retained per slow-ring
@@ -59,7 +75,7 @@ func NewQueryLog(threshold time.Duration, capacity int) *QueryLog {
 		capacity = 64
 	}
 	return &QueryLog{
-		active:    map[int64]ActiveQuery{},
+		active:    map[int64]inFlight{},
 		threshold: threshold,
 		capacity:  capacity,
 	}
@@ -109,7 +125,14 @@ func (l *QueryLog) Structured() *StructuredLog {
 // Begin registers an in-flight query and returns its id. When a
 // structured log is attached the sampling decision for this query is
 // drawn here, once, so callers can consult IsSampled to force tracing.
-func (l *QueryLog) Begin(sql string) int64 {
+func (l *QueryLog) Begin(sql string) int64 { return l.begin(sql, nil) }
+
+// BeginLazy is Begin for a caller that has no text at hand, only what
+// prints it: text.String() is called if and when the text is read, from
+// whichever goroutine reads it, so text must not change until Finish.
+func (l *QueryLog) BeginLazy(text fmt.Stringer) int64 { return l.begin("", text) }
+
+func (l *QueryLog) begin(sql string, text fmt.Stringer) int64 {
 	if l == nil {
 		return 0
 	}
@@ -122,7 +145,7 @@ func (l *QueryLog) Begin(sql string) int64 {
 	// outside ours to avoid ordering constraints.
 	sampled := sl.SampleHit()
 	l.mu.Lock()
-	l.active[id] = ActiveQuery{ID: id, SQL: sql, Start: time.Now(), Sampled: sampled}
+	l.active[id] = inFlight{ActiveQuery{ID: id, SQL: sql, Start: time.Now(), Sampled: sampled}, text}
 	l.mu.Unlock()
 	return id
 }
@@ -145,41 +168,43 @@ func (l *QueryLog) Finish(id int64, err error, tr *Trace) {
 		return
 	}
 	l.mu.Lock()
-	q, ok := l.active[id]
+	held, ok := l.active[id]
 	if !ok {
 		l.mu.Unlock()
 		return
 	}
 	delete(l.active, id)
-	d := time.Since(q.Start)
+	d := time.Since(held.Start)
 	slow := d >= l.threshold
 	sl := l.structured
-	if !slow {
-		l.mu.Unlock()
-		if sl != nil && q.Sampled {
-			sl.Emit(sl.buildRecord(q.SQL, q.Start, d, err, tr, false))
-		}
+	l.mu.Unlock()
+	if !slow && (sl == nil || !held.Sampled) {
 		return
 	}
-	entry := SlowQuery{
-		ID:         q.ID,
-		SQL:        q.SQL,
-		Start:      q.Start,
-		DurationMS: float64(d) / float64(time.Millisecond),
-		Trace:      CapSpanData(tr.Root().Data(), maxSlowTraceSpans),
+	// Somebody reads the text: render it, outside the lock.
+	q := held.rendered()
+	if slow {
+		entry := SlowQuery{
+			ID:         q.ID,
+			SQL:        q.SQL,
+			Start:      q.Start,
+			DurationMS: float64(d) / float64(time.Millisecond),
+			Trace:      CapSpanData(tr.Root().Data(), maxSlowTraceSpans),
+		}
+		if err != nil {
+			entry.Err = err.Error()
+		}
+		l.mu.Lock()
+		if len(l.ring) < l.capacity {
+			l.ring = append(l.ring, entry)
+		} else {
+			l.ring[l.pos] = entry
+		}
+		l.pos = (l.pos + 1) % l.capacity
+		l.mu.Unlock()
 	}
-	if err != nil {
-		entry.Err = err.Error()
-	}
-	if len(l.ring) < l.capacity {
-		l.ring = append(l.ring, entry)
-	} else {
-		l.ring[l.pos] = entry
-	}
-	l.pos = (l.pos + 1) % l.capacity
-	l.mu.Unlock()
 	if sl != nil {
-		sl.Emit(sl.buildRecord(q.SQL, q.Start, d, err, tr, true))
+		sl.Emit(sl.buildRecord(q.SQL, q.Start, d, err, tr, slow))
 	}
 }
 
@@ -189,11 +214,15 @@ func (l *QueryLog) Active() []ActiveQuery {
 		return nil
 	}
 	l.mu.Lock()
-	out := make([]ActiveQuery, 0, len(l.active))
+	held := make([]inFlight, 0, len(l.active))
 	for _, q := range l.active {
-		out = append(out, q)
+		held = append(held, q)
 	}
 	l.mu.Unlock()
+	out := make([]ActiveQuery, len(held))
+	for i, q := range held {
+		out[i] = q.rendered()
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

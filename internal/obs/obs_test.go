@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -201,6 +203,52 @@ func TestQueryLogSlowRing(t *testing.T) {
 	nilLog.Finish(nilLog.Begin("x"), nil, nil)
 	if nilLog.Active() != nil || nilLog.Slow() != nil {
 		t.Fatal("nil query log should return nil slices")
+	}
+}
+
+// countingText renders a query's text and counts how often it is asked.
+type countingText struct{ renders *int }
+
+func (c countingText) String() string { *c.renders++; return "scan t where (id = 7)" }
+
+// A query begun with BeginLazy pays for its text only when somebody
+// reads it: the debug endpoint's list, the slow ring, a sampled
+// structured record. A fast unsampled one never renders it.
+func TestQueryLogRendersLazyTextOnlyForAReader(t *testing.T) {
+	renders := 0
+	text := countingText{&renders}
+	ql := NewQueryLog(time.Hour, 4)
+	id := ql.BeginLazy(text)
+	if renders != 0 {
+		t.Fatalf("BeginLazy rendered the text %d times", renders)
+	}
+	if a := ql.Active(); len(a) != 1 || a[0].SQL != text.String() || a[0].ID != id {
+		t.Fatalf("Active = %+v", a)
+	}
+	renders = 0
+	ql.Finish(id, nil, nil)
+	if renders != 0 || len(ql.Slow()) != 0 {
+		t.Fatalf("a fast unsampled query rendered its text %d times, slow ring %d", renders, len(ql.Slow()))
+	}
+
+	ql.SetThreshold(0) // everything is slow
+	ql.Finish(ql.BeginLazy(text), errors.New("boom"), nil)
+	if slow := ql.Slow(); renders != 1 || len(slow) != 1 || slow[0].SQL != "scan t where (id = 7)" || slow[0].Err != "boom" {
+		t.Fatalf("slow query: %d renders, ring %+v", renders, slow)
+	}
+
+	var logged bytes.Buffer
+	sampled := NewQueryLog(time.Hour, 4)
+	sampled.SetStructured(NewStructuredLog(&logged, 1, nil))
+	renders = 0
+	sampled.Finish(sampled.BeginLazy(text), nil, nil)
+	if renders != 1 || !strings.Contains(logged.String(), `"sql":"scan t where (id = 7)"`) {
+		t.Fatalf("sampled query: %d renders, record %s", renders, logged.String())
+	}
+	// A text given as a string is kept as it is.
+	sampled.Finish(sampled.Begin("SELECT 1"), nil, nil)
+	if !strings.Contains(logged.String(), `"sql":"SELECT 1"`) {
+		t.Fatalf("record of a query begun with its text: %s", logged.String())
 	}
 }
 

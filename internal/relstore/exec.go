@@ -3,6 +3,7 @@ package relstore
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/bits"
 
 	"gis/internal/expr"
@@ -99,47 +100,97 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	}
 
 	var out []types.Row
+	project := groups == nil && q.Columns != nil
 	if groups != nil {
 		out = groups.Rows()
 	} else {
-		// Unprojected rows are the committed rows themselves. Projected
-		// ones are carved from one slab, each cut with a full slice
-		// expression so an append to one copies instead of reaching its
-		// neighbour.
-		out = make([]types.Row, count)
-		w := len(q.Columns)
-		var slab []types.Value
-		if q.Columns != nil {
-			slab = make([]types.Value, w*count)
-		}
-		k := 0
+		// The committed rows themselves: they are replaced, never
+		// mutated, so the snapshot outlives the lock.
+		out = make([]types.Row, 0, count)
 		for base, word := range passed {
 			for ; word != 0; word &= word - 1 {
-				r := rowAt(base*64 + bits.TrailingZeros64(word))
-				if q.Columns != nil {
-					nr := slab[k*w : (k+1)*w : (k+1)*w]
-					for j, c := range q.Columns {
-						if c < 0 || c >= len(r) {
-							return nil, fmt.Errorf("relstore %s: projected column %d out of range", s.name, c)
-						}
-						nr[j] = r[c]
-					}
-					r = nr
-				}
-				out[k] = r
-				k++
+				out = append(out, rowAt(base*64+bits.TrailingZeros64(word)))
+			}
+		}
+	}
+	if project && count > 0 {
+		for _, c := range q.Columns {
+			if c < 0 || c >= len(out[0]) {
+				return nil, fmt.Errorf("relstore %s: projected column %d out of range", s.name, c)
 			}
 		}
 	}
 	if len(q.OrderBy) > 0 {
+		if project {
+			// ORDER BY addresses projected positions: project now, in
+			// place, into the one slab a kept result gets.
+			p := projectIter{rows: out, cols: q.Columns}
+			for i := range out {
+				out[i] = p.project()
+			}
+			project = false
+		}
 		// out is this query's own slice, never t.rows: sort it in place.
 		source.SortRows(out, q.OrderBy)
 	}
 	if q.Limit >= 0 && int64(len(out)) > q.Limit {
 		out = out[:q.Limit]
 	}
+	if project {
+		return &projectIter{rows: out, cols: q.Columns}, nil
+	}
 	return source.SliceIter(out), nil
 }
+
+// projectIter streams a projected result: the snapshot of committed
+// rows Execute took under the read lock, projected as they are asked
+// for. Kept (the default), the projected rows are carved from one slab
+// of the exact result size, allocated at the first Next, each cut with
+// a full slice expression so an append to one copies instead of
+// reaching its neighbour. Lent, there is one row, written again by
+// every Next.
+type projectIter struct {
+	rows []types.Row // what is left of the snapshot
+	cols []int       // in range of every row: Execute checked
+	slab []types.Value
+	lent bool
+}
+
+// Lend implements source.Lender.
+func (p *projectIter) Lend() { p.lent = true }
+
+// Next implements source.RowIter.
+func (p *projectIter) Next() (types.Row, error) {
+	if len(p.rows) == 0 {
+		return nil, io.EOF
+	}
+	return p.project(), nil
+}
+
+// project takes the first row off the snapshot and returns its
+// projection.
+func (p *projectIter) project() types.Row {
+	w := len(p.cols)
+	if p.slab == nil {
+		n := w
+		if !p.lent {
+			n *= len(p.rows)
+		}
+		p.slab = make([]types.Value, n)
+	}
+	out := p.slab[:w:w]
+	if !p.lent {
+		p.slab = p.slab[w:]
+	}
+	for j, c := range p.cols {
+		out[j] = p.rows[0][c]
+	}
+	p.rows = p.rows[1:]
+	return out
+}
+
+// Close implements source.RowIter.
+func (p *projectIter) Close() error { return nil }
 
 // candidateRows returns row positions to test against the filter, using
 // a hash index when the filter contains an equality — or an IN list, as

@@ -3,6 +3,7 @@ package relstore
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -157,15 +158,36 @@ type refQuery struct {
 // unlimited reference has, as often; and the order wherever the query
 // fixes it — the ORDER BY keys always, the whole rows when a plain scan
 // walks the table itself.
+//
+// Execute is read twice: by a consumer that keeps its rows, under the
+// ownership oracle, and by one that asked to be lent them.
 func checkAgainstReference(t *testing.T, s *Store, c refQuery) {
+	t.Helper()
+	checkAgainstReferenceAs(t, s, c, false)
+	c.name += ", lent"
+	checkAgainstReferenceAs(t, s, c, true)
+}
+
+// executeAs runs q and drains it as the reference keeper does, or —
+// lent — as a consumer that asks for lent rows and copies each on
+// delivery.
+func executeAs(s *Store, q *source.Query, lent bool) ([]types.Row, error) {
+	it, err := s.Execute(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	if lent {
+		source.Lend(it)
+		return source.DrainCopies(it)
+	}
+	return source.DrainOwned(it)
+}
+
+func checkAgainstReferenceAs(t *testing.T, s *Store, c refQuery, lent bool) {
 	t.Helper()
 	q := c.q
 	want, wantErr := referenceExecute(s, q)
-	var got []types.Row
-	it, err := s.Execute(ctx, q)
-	if err == nil {
-		got, err = source.Drain(it)
-	}
+	got, err := executeAs(s, q, lent)
 	if err != nil || wantErr != nil {
 		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
 			t.Errorf("%s: error %v, reference %v", c.name, err, wantErr)
@@ -374,12 +396,17 @@ func TestExecuteResultSurvivesConcurrentUpdate(t *testing.T) {
 		{Table: "ref", Filter: refCmp(expr.OpEq, refCol(refCat), types.NewString("b")), OrderBy: []source.OrderSpec{{Col: refVal}}, Limit: -1},
 		{Table: "ref", GroupBy: []int{refCat}, Aggs: []source.AggSpec{{Kind: expr.AggSum, Col: refVal}}, Limit: -1},
 	}
+	// Each query is read kept and lent.
+	queries = append(queries, queries...)
 	var its []source.RowIter
 	var want [][]types.Row
-	for _, q := range queries {
+	for i, q := range queries {
 		it, err := s.Execute(ctx, q)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if i >= len(queries)/2 {
+			source.Lend(it)
 		}
 		its = append(its, it)
 		rows, err := referenceExecute(s, q)
@@ -407,7 +434,11 @@ func TestExecuteResultSurvivesConcurrentUpdate(t *testing.T) {
 		}
 	}()
 	for i, it := range its {
-		got, err := source.Drain(it)
+		drain := source.DrainOwned
+		if i >= len(queries)/2 {
+			drain = source.DrainCopies
+		}
+		got, err := drain(it)
 		if err != nil || len(got) != len(want[i]) {
 			t.Fatalf("query %d: %d rows, %v; want %d", i, len(got), err, len(want[i]))
 		}
@@ -446,5 +477,28 @@ func TestExecuteAllocsDoNotGrowWithRows(t *testing.T) {
 	a, b := at(small, rangeProject(n/4, n/2), n/4), at(large, rangeProject(n/2, n), n/2)
 	if b > a+1 {
 		t.Errorf("projected range scan: %v allocations for %d of %d rows, %v for %d of %d", a, n/4, n, b, n/2, 2*n)
+	}
+	// Lent, the slab of values is one row.
+	lent := func(s *Store, q *source.Query, want int) (objects float64, bytes uint64) {
+		run := func() {
+			if got := execCountAs(t, s, q, true); got != want {
+				t.Fatalf("%d rows, want %d", got, want)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return testing.AllocsPerRun(5, run), after.TotalAlloc - before.TotalAlloc
+	}
+	la, bytesA := lent(small, rangeProject(n/4, n/2), n/4)
+	lb, bytesB := lent(large, rangeProject(n/2, n), n/2)
+	if lb > la+1 || la > a {
+		t.Errorf("projected range scan, lent: %v allocations for %d rows, %v for %d (kept: %v)", la, n/4, lb, n/2, a)
+	}
+	// What grows with the rows is the snapshot's row headers and the
+	// bitmap, not four values a row.
+	if perRow := float64(bytesB-bytesA) / float64(n/4); perRow > 40 {
+		t.Errorf("projected range scan, lent: %.0f B a row (%d B for %d rows, %d B for %d), want a row header and change", perRow, bytesA, n/4, bytesB, n/2)
 	}
 }

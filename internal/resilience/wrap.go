@@ -143,6 +143,9 @@ func (i *healthIter) Next() (types.Row, error) {
 	return row, err
 }
 
+// Lend implements source.Lender: the rows are the inner iterator's.
+func (i *healthIter) Lend() { source.Lend(i.it) }
+
 // Close implements source.RowIter.
 func (i *healthIter) Close() error { return i.it.Close() }
 

@@ -25,7 +25,7 @@ type fakeSource struct {
 func newFakeSource(name string, fails map[string]int) *fakeSource {
 	f := &fakeSource{name: name, calls: map[string]*atomic.Int64{}, fails: fails}
 	for _, m := range []string{
-		"tables", "tableinfo", "execute",
+		"tables", "tableinfo", "execute", "lend",
 		"insert", "update", "delete",
 		"begin", "txinsert", "prepare", "commit", "abort",
 	} {
@@ -68,8 +68,16 @@ func (f *fakeSource) Execute(ctx context.Context, q *source.Query) (source.RowIt
 	if err := f.step("execute"); err != nil {
 		return nil, err
 	}
-	return source.SliceIter([]types.Row{{types.NewInt(1)}}), nil
+	return &fakeIter{source.SliceIter([]types.Row{{types.NewInt(1)}}), f}, nil
 }
+
+// fakeIter counts the requests to lend that reach it.
+type fakeIter struct {
+	source.RowIter
+	f *fakeSource
+}
+
+func (i *fakeIter) Lend() { i.f.calls["lend"].Add(1) }
 
 func (f *fakeSource) Insert(ctx context.Context, table string, rows []types.Row) (int64, error) {
 	if err := f.step("insert"); err != nil {
@@ -162,6 +170,27 @@ func TestWrapRetriesReads(t *testing.T) {
 	defer it.Close()
 	if n := f.count("execute"); n != 3 {
 		t.Errorf("execute calls = %d, want 3 (stream-open retry)", n)
+	}
+}
+
+// The guarded stream only watches rows go by: a consumer's request to
+// be lent them is the inner iterator's to answer.
+func TestWrapForwardsLend(t *testing.T) {
+	f, w := wrapped(t, nil, fastPolicy())
+	it, err := w.Execute(ctx, source.NewScan("t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	if n := f.count("lend"); n != 0 {
+		t.Fatalf("%d requests to lend before any was made", n)
+	}
+	source.Lend(it)
+	if n := f.count("lend"); n != 1 {
+		t.Errorf("Lend reached the inner iterator %d times, want 1", n)
+	}
+	if rows, err := source.DrainCopies(it); err != nil || len(rows) != 1 {
+		t.Errorf("%d rows, %v", len(rows), err)
 	}
 }
 

@@ -1,6 +1,9 @@
 package source
 
 import (
+	"fmt"
+	"slices"
+
 	"gis/internal/expr"
 	"gis/internal/types"
 )
@@ -158,4 +161,48 @@ func aggregateRows(rows []types.Row, groupBy []int, aggs []AggSpec) ([]types.Row
 		result = append(result, row)
 	}
 	return result, nil
+}
+
+// DrainOwned is the reference keeper: Drain, with the ownership rule of
+// RowIter checked. Every row is also deep-copied as it is delivered, and
+// when the stream ends each row Drain holds must still read as its copy
+// does; a difference means some stage below lent a row to a consumer
+// that keeps it. The executor's, the stores' and the wire's tests drain
+// through it.
+func DrainOwned(it RowIter) ([]types.Row, error) {
+	c := &copyIter{RowIter: it}
+	rows, err := Drain(c)
+	if err != nil {
+		return rows, err
+	}
+	for i, r := range rows {
+		if !slices.Equal(r, c.copies[i]) {
+			return rows, fmt.Errorf("source: row %d of %d was delivered as %v and reads %v at the end of the stream: a kept row was lent", i, len(rows), c.copies[i], r)
+		}
+	}
+	return rows, nil
+}
+
+// DrainCopies is the reference consumer that keeps no row: it copies
+// each row as it is delivered and never looks at it again, which is all
+// a lent row allows. What it returns from an iterator asked to lend
+// must equal what DrainOwned returns from one that was not.
+func DrainCopies(it RowIter) ([]types.Row, error) {
+	c := &copyIter{RowIter: it}
+	_, err := Drain(c)
+	return c.copies, err
+}
+
+// copyIter deep-copies every row on its way through.
+type copyIter struct {
+	RowIter
+	copies []types.Row
+}
+
+func (c *copyIter) Next() (types.Row, error) {
+	r, err := c.RowIter.Next()
+	if err == nil {
+		c.copies = append(c.copies, r.Clone())
+	}
+	return r, err
 }

@@ -202,9 +202,35 @@ func (q *Query) String() string {
 
 // RowIter streams query results. Next returns io.EOF after the last row.
 // Close releases resources and is safe to call more than once.
+//
+// A row is the consumer's to keep: it stays valid, and is never written
+// again, for as long as the consumer holds it. The one exception is an
+// iterator the consumer has asked to lend (Lender): its rows are valid
+// only until the next Next or Close. Rows are read-only either way.
 type RowIter interface {
 	Next() (types.Row, error)
 	Close() error
+}
+
+// Lender is implemented by a RowIter that allocates the rows it hands
+// out and can reuse one row's storage for the next instead. Lend, called
+// before the first Next, says the consumer is done with each row — has
+// folded, copied or encoded it — before it asks for the next; a consumer
+// that keeps rows (Drain, a sort, a join's build side) never calls it.
+// Values copied out of a lent row stay valid: they own what they point
+// to. An iterator that only passes rows on forwards Lend to its input.
+type Lender interface {
+	Lend()
+}
+
+// Lend asks it to lend its rows if it can. An iterator that cannot —
+// one that hands out rows it did not allocate, or a wrapper that does
+// not forward the request — keeps handing out rows that stay valid,
+// which costs allocations and is never wrong.
+func Lend(it RowIter) {
+	if l, ok := it.(Lender); ok {
+		l.Lend()
+	}
 }
 
 // Source adapts one component information system to the common model.
@@ -277,18 +303,44 @@ func (s *sliceIter) Next() (types.Row, error) {
 
 func (s *sliceIter) Close() error { return nil }
 
-// Drain reads every row from an iterator and closes it.
+// drainChunk is the size past which Drain stops growing its result by
+// append: a doubling copies every header about twice over and leaves
+// the copies as garbage, which for a shipped range is more than the
+// result itself.
+const drainChunk = 1024
+
+// Drain reads every row from an iterator and closes it. It keeps the
+// rows, so it never asks the iterator to lend. A result of up to
+// drainChunk rows is built by append; a longer one sets each full chunk
+// aside and is gathered once, at its exact size, when the stream ends.
 func Drain(it RowIter) ([]types.Row, error) {
 	defer it.Close()
 	var out []types.Row
+	var full [][]types.Row
 	for {
 		r, err := it.Next()
+		if err == nil {
+			if len(out) == cap(out) && len(out) >= drainChunk {
+				full = append(full, out)
+				out = make([]types.Row, 0, len(out))
+			}
+			out = append(out, r)
+			continue
+		}
+		if full != nil {
+			n := len(out)
+			for _, c := range full {
+				n += len(c)
+			}
+			all := make([]types.Row, 0, n)
+			for _, c := range full {
+				all = append(all, c...)
+			}
+			out = append(all, out...)
+		}
 		if err == io.EOF {
-			return out, nil
+			err = nil
 		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
+		return out, err
 	}
 }

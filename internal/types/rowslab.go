@@ -26,18 +26,33 @@ const (
 	slabTailShare = 32
 )
 
-// RowSlab hands out rows carved from shared chunks, for an iterator
-// that would otherwise make one row per Next. The zero value is ready.
+// RowSlab hands out rows for an iterator that would otherwise make one
+// row per Next. The zero value is ready, and keeps.
 //
-// Rows never alias: each is cut with a full slice expression, so
-// appending to one copies instead of reaching its neighbour. Chunks are
-// never reused, so a row the consumer retains (a hash-join build side,
-// Drain, a sort, a top-k heap) stays valid for as long as it is held
-// and pins only its own chunk.
+// Keeping (the default): rows are carved from shared chunks and never
+// alias — each is cut with a full slice expression, so appending to one
+// copies instead of reaching its neighbour. Chunks are never reused, so
+// a row the consumer retains (a hash-join build side, Drain, a sort, a
+// top-k heap) stays valid for as long as it is held and pins only its
+// own chunk.
+//
+// Lending (after Lend): every Next hands out the same storage again,
+// zeroed, so a stream of one width allocates one row however long it
+// is. It is for a producer whose consumer is done with a row before it
+// asks for the next (DESIGN.md "Who keeps a row").
 type RowSlab struct {
 	chunk []Value
 	off   int // chunk[off:] is not handed out yet
 	rows  int // rows carved so far
+	lent  bool
+}
+
+// Lend switches the slab to lending. Rows already carved stay valid:
+// the chunk they were cut from is not handed out again.
+func (s *RowSlab) Lend() {
+	if !s.lent {
+		s.lent, s.chunk, s.off = true, nil, 0
+	}
 }
 
 // noColumns is the zero-width row: empty, not nil, as make(Row, 0) is.
@@ -47,6 +62,14 @@ var noColumns = Row{}
 func (s *RowSlab) Next(w int) Row {
 	if w == 0 {
 		return noColumns
+	}
+	if s.lent {
+		if w > len(s.chunk) {
+			s.chunk = make([]Value, w)
+		} else {
+			clear(s.chunk[:w])
+		}
+		return s.chunk[:w:w]
 	}
 	if s.off+w > len(s.chunk) {
 		// One chunk per up to 127 rows, not one per row.
@@ -82,8 +105,9 @@ func chunkRows(rows, w int) int {
 
 // Undo takes back row, which must be the row the last Next returned and
 // must not have been handed on: the next Next reuses its space, zeroed.
+// A lending slab does that anyway.
 func (s *RowSlab) Undo(row Row) {
-	if len(row) == 0 {
+	if len(row) == 0 || s.lent {
 		return
 	}
 	if s.off < len(row) || &s.chunk[s.off-len(row)] != &row[0] {

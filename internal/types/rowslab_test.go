@@ -132,6 +132,79 @@ func TestRowSlabWidths(t *testing.T) {
 	}
 }
 
+// A lending slab hands out one row's storage again and again: zeroed
+// every time, regrown only for a wider row, Undo a no-op.
+func TestRowSlabLend(t *testing.T) {
+	var s RowSlab
+	s.Lend()
+	first := s.Next(3)
+	for i := 0; i < 1000; i++ {
+		r := s.Next(3)
+		if len(r) != 3 || cap(r) != 3 || &r[0] != &first[0] {
+			t.Fatalf("row %d: len %d cap %d, same storage %v; want 3 3 true", i, len(r), cap(r), &r[0] == &first[0])
+		}
+		for j := range r {
+			if !r[j].IsNull() {
+				t.Fatalf("row %d column %d lent as %v, want NULL", i, j, r[j])
+			}
+			r[j] = NewString("left behind")
+		}
+		if i%3 == 0 {
+			s.Undo(r) // must neither panic nor move anything
+		}
+	}
+	narrow := s.Next(2)
+	if len(narrow) != 2 || cap(narrow) != 2 || &narrow[0] != &first[0] || !narrow[0].IsNull() || !narrow[1].IsNull() {
+		t.Fatalf("a narrower row = %v (cap %d), want two NULLs over the same storage", narrow, cap(narrow))
+	}
+	wide := s.Next(5)
+	if len(wide) != 5 || cap(wide) != 5 || &wide[0] == &first[0] {
+		t.Fatalf("a wider row: len %d cap %d, regrown %v", len(wide), cap(wide), &wide[0] != &first[0])
+	}
+	for j := range wide {
+		if !wide[j].IsNull() {
+			t.Fatalf("regrown row column %d = %v, want NULL", j, wide[j])
+		}
+	}
+	if again := s.Next(5); &again[0] != &wide[0] {
+		t.Fatal("the regrown row was not lent again")
+	}
+	if empty := s.Next(0); empty == nil || len(empty) != 0 {
+		t.Fatalf("Next(0) = %#v, want an empty non-nil row", empty)
+	}
+
+	if got := testing.AllocsPerRun(5, func() {
+		var s RowSlab
+		s.Lend()
+		for i := 0; i < 1000; i++ {
+			sinkRow = s.Next(4)
+		}
+	}); got != 1 {
+		t.Errorf("1 000 lent rows of one width: %v allocations, want 1", got)
+	}
+}
+
+// Rows carved before Lend were the consumer's to keep, and stay so.
+func TestRowSlabLendLeavesKeptRowsAlone(t *testing.T) {
+	var s RowSlab
+	var kept []Row
+	for i := 0; i < 100; i++ {
+		r := s.Next(2)
+		r[0], r[1] = NewInt(int64(i)), NewString("kept")
+		kept = append(kept, r)
+	}
+	s.Lend()
+	for i := 0; i < 100; i++ {
+		r := s.Next(2)
+		r[0], r[1] = NewInt(-1), NewString("lent")
+	}
+	for i, r := range kept {
+		if r[0].Int() != int64(i) || r[1].Str() != "kept" {
+			t.Fatalf("kept row %d = %v after lending", i, r)
+		}
+	}
+}
+
 var sinkRows []Row
 
 // allocatedBytes reports the bytes one run of f allocates: the least of

@@ -2,8 +2,11 @@ package wire
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
+	"gis/internal/expr"
+	"gis/internal/source"
 	"gis/internal/types"
 )
 
@@ -22,7 +25,7 @@ func BenchmarkDecodeFrame256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		if batch, err = NewDecoder(frame).rowBatch(batch); err != nil {
+		if batch, _, err = NewDecoder(frame).rowBatch(batch, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -46,12 +49,12 @@ func TestRowsFrameAllocsDoNotGrowPerRow(t *testing.T) {
 		var e Encoder
 		var batch []types.Row
 		for lo := 0; lo < n; lo += rowBatchSize {
-			e.Reset()
+			e.beginRows()
 			for _, r := range rows[lo : lo+rowBatchSize] {
 				e.Row(r)
 			}
 			var err error
-			batch, err = NewDecoder(prependCount(e.Bytes(), rowBatchSize)).rowBatch(batch)
+			batch, _, err = NewDecoder(e.endRows(rowBatchSize)).rowBatch(batch, nil)
 			if err != nil || len(batch) != rowBatchSize || !batch[1].Equal(rows[lo+1]) {
 				t.Fatalf("frame at %d: %d rows, %v", lo, len(batch), err)
 			}
@@ -62,5 +65,44 @@ func TestRowsFrameAllocsDoNotGrowPerRow(t *testing.T) {
 	t.Logf("msgRows encode→decode: %v more allocations for %d more rows", slope, n)
 	if slope > n/32 {
 		t.Errorf("msgRows encode→decode allocates per row: %v more allocations for %d more rows (bound %d)", slope, n, n/32)
+	}
+}
+
+// BenchmarkStreamRange ships a projected range of 4 000 two-column rows
+// (sixteen frames) from a relstore through a server and a client on
+// loopback, to a consumer that keeps the rows and to one that is lent
+// them. Both ends run in this process, so B/op and allocs/op are the
+// statement's whole bill: the store's snapshot, the server's encoder,
+// the client's frame slabs. The server lends from the store either way.
+func BenchmarkStreamRange(b *testing.B) {
+	const n = 4000
+	_, cl := startRelServer(b, n+1000)
+	q := &source.Query{Table: "items", Columns: []int{2, 0}, Limit: -1,
+		Filter: expr.NewBinary(expr.OpLt, expr.NewBoundColRef(0, types.KindInt, "id"), expr.NewConst(types.NewInt(n)))}
+	for _, lent := range []bool{false, true} {
+		name := "kept"
+		if lent {
+			name = "lent"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				it, err := cl.Execute(ctx, q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if lent {
+					source.Lend(it)
+				}
+				rows := 0
+				for ; err == nil; rows++ {
+					_, err = it.Next()
+				}
+				if err != io.EOF || rows-1 != n {
+					b.Fatalf("%d rows, %v", rows-1, err)
+				}
+				it.Close()
+			}
+		})
 	}
 }

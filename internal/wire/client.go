@@ -395,13 +395,7 @@ func (c *Client) Execute(ctx context.Context, q *source.Query) (source.RowIter, 
 		c.putConn(fc) // refused, not broken
 		return nil, err
 	}
-	it := &streamIter{ctx: ctx, c: c, fc: fc}
-	if tc != nil {
-		it.traced = true
-		it.traceID = tc.TraceID
-		it.parent = parent
-	}
-	return it, nil
+	return &streamIter{ctx: ctx, c: c, fc: fc, parent: parent}, nil
 }
 
 func (c *Client) discard(fc *frameConn) {
@@ -418,17 +412,24 @@ type streamIter struct {
 	batch []types.Row
 	pos   int
 	done  bool
-	err   error
+	// lent: the consumer is done with a frame's rows before the next
+	// frame is read, so each frame is decoded over slab, the storage of
+	// the one before. Otherwise every frame gets a slab of its own.
+	lent bool
+	slab []types.Value
+	err  error
 
-	traced  bool
-	traceID string
-	parent  *obs.Span
+	// parent is the span a traced stream's remote subtree goes under.
+	parent *obs.Span
 
 	// pending counts msgRows frames consumed since the last credit
 	// grant. Granting at half the window keeps the server streaming
 	// while bounding its in-flight frames.
 	pending int
 }
+
+// Lend implements source.Lender.
+func (it *streamIter) Lend() { it.lent = true }
 
 // Next implements source.RowIter.
 func (it *streamIter) Next() (types.Row, error) {
@@ -468,8 +469,8 @@ func (it *streamIter) Next() (types.Row, error) {
 	switch tag {
 	case msgEnd:
 		it.done = true
-		if it.traced && len(payload) > 0 && payload[0] == 1 {
-			it.finishTrailer()
+		if tr := obs.TraceFrom(it.ctx); tr != nil && len(payload) > 0 && payload[0] == 1 {
+			it.finishTrailer(tr.ID())
 		} else {
 			it.c.putConn(it.fc)
 			it.fc = nil
@@ -482,10 +483,14 @@ func (it *streamIter) Next() (types.Row, error) {
 	case msgRows:
 		// The slot array is reused: the previous batch is fully consumed
 		// (pos == len) before a new msgRows frame is read, and handed-out
-		// rows live in their own frame's slab, not in the slots.
-		if it.batch, err = NewDecoder(payload).rowBatch(it.batch); err != nil {
+		// rows live in their frame's slab, not in the slots.
+		var slab []types.Value
+		if it.batch, slab, err = NewDecoder(payload).rowBatch(it.batch, it.slab); err != nil {
 			it.fail(err)
 			return nil, err
+		}
+		if it.lent {
+			it.slab = slab
 		}
 		it.pos = 0
 		if it.pending++; it.pending >= creditWindow/2 {

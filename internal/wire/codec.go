@@ -93,6 +93,29 @@ func (e *Encoder) Row(r types.Row) {
 	}
 }
 
+// rowCountRoom is the room beginRows leaves for a frame's row count:
+// any count fits.
+const rowCountRoom = binary.MaxVarintLen64
+
+// beginRows starts a msgRows payload — a row count, then that many
+// rows — whose count is known only when the frame is cut: it clears the
+// buffer and leaves room for the count ahead of the first row.
+func (e *Encoder) beginRows() {
+	var room [rowCountRoom]byte
+	e.buf = append(e.buf[:0], room[:]...)
+}
+
+// endRows writes n, the number of rows appended since beginRows, into
+// the end of the room ahead of them and returns the payload: the rows
+// are not copied to put the count in front.
+func (e *Encoder) endRows(n int) []byte {
+	var count [rowCountRoom]byte
+	k := binary.PutUvarint(count[:], uint64(n))
+	start := rowCountRoom - k
+	copy(e.buf[start:], count[:k])
+	return e.buf[start:]
+}
+
 // Schema appends a schema.
 func (e *Encoder) Schema(s *types.Schema) {
 	e.Uvarint(uint64(s.Len()))
@@ -422,13 +445,18 @@ func (d *Decoder) values(dst []types.Value) error {
 // are carved from one slab, sized from the first row's width (a result
 // stream's rows all have one), so a frame costs one allocation and not
 // one per row. Each row is cut with a full slice expression, so
-// appending to it copies instead of reaching its neighbour, and a slab
-// is never written again once decoded: rows stay valid for as long as
-// the caller keeps them.
-func (d *Decoder) rowBatch(batch []types.Row) ([]types.Row, error) {
+// appending to it copies instead of reaching its neighbour.
+//
+// With a nil slab the frame gets its own, which is never written again:
+// rows stay valid for as long as the caller keeps them. A caller whose
+// consumer is done with a frame's rows before the next frame is read
+// passes the slab the previous call returned, and the frame is decoded
+// over it; only a frame that needs more room than it has allocates.
+// The slab returned is the largest the frame used.
+func (d *Decoder) rowBatch(batch []types.Row, slab []types.Value) ([]types.Row, []types.Value, error) {
 	n, err := d.count()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if cap(batch) >= n {
 		batch = batch[:n]
@@ -436,25 +464,28 @@ func (d *Decoder) rowBatch(batch []types.Row) ([]types.Row, error) {
 		// The slot array grows to the frame size once per stream.
 		batch = make([]types.Row, n)
 	}
-	var slab []types.Value
+	free := slab // not carved yet
 	for i := range batch {
 		width, err := d.count()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if slab == nil || width > len(slab) {
+		if free == nil || width > len(free) {
 			// The first row, or one wider than those before it: room
 			// for the rest of the frame at this width.
-			slab = make([]types.Value, min(width*(len(batch)-i), d.Remaining()))
+			free = make([]types.Value, min(width*(len(batch)-i), d.Remaining()))
+			if len(free) > len(slab) {
+				slab = free
+			}
 		}
-		row := slab[:width:width]
-		slab = slab[width:]
+		row := free[:width:width]
+		free = free[width:]
 		if err := d.values(row); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		batch[i] = row
 	}
-	return batch, nil
+	return batch, slab, nil
 }
 
 // Schema reads a schema.

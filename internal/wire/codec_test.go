@@ -205,7 +205,7 @@ func TestDecoderGarbage(t *testing.T) {
 		{0xff, 0xff, 0xff, 0xff, 0x0f},       // 2^32-1 rows, no bytes
 		{0x01, 0xff, 0xff, 0xff, 0xff, 0x0f}, // one row of 2^32-1 values
 	} {
-		if _, err := NewDecoder(hostile).rowBatch(nil); err == nil {
+		if _, _, err := NewDecoder(hostile).rowBatch(nil, nil); err == nil {
 			t.Errorf("rowBatch(% x) must error", hostile)
 		}
 	}
@@ -228,10 +228,11 @@ func nestedNots(depth int) []byte {
 // frameOf encodes rows as one msgRows payload.
 func frameOf(rows []types.Row) []byte {
 	var e Encoder
+	e.beginRows()
 	for _, r := range rows {
 		e.Row(r)
 	}
-	return prependCount(e.Bytes(), len(rows))
+	return e.endRows(len(rows))
 }
 
 // TestRowBatchRowsDoNotAlias: the rows of one frame share a slab, so
@@ -249,7 +250,7 @@ func TestRowBatchRowsDoNotAlias(t *testing.T) {
 		return rows
 	}
 	first := mk(0, 8, 3)
-	batch, err := NewDecoder(frameOf(first)).rowBatch(nil)
+	batch, _, err := NewDecoder(frameOf(first)).rowBatch(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestRowBatchRowsDoNotAlias(t *testing.T) {
 		_ = append(kept[i], types.NewString("intruder"))
 	}
 	// The next frame reuses the slot array, not the slab.
-	second, err := NewDecoder(frameOf(mk(1000, 8, 3))).rowBatch(batch)
+	second, _, err := NewDecoder(frameOf(mk(1000, 8, 3))).rowBatch(batch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestRowBatchRowsDoNotAlias(t *testing.T) {
 	// Rows of unequal width (no source sends them, the format allows
 	// them): narrower, empty and wider rows all decode intact.
 	ragged := []types.Row{mk(0, 1, 2)[0], {}, mk(10, 1, 1)[0], mk(20, 1, 5)[0], mk(30, 1, 5)[0]}
-	got, err := NewDecoder(frameOf(ragged)).rowBatch(nil)
+	got, _, err := NewDecoder(frameOf(ragged)).rowBatch(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

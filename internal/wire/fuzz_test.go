@@ -37,14 +37,8 @@ var fuzzBodies = []fuzzBody{
 		return func(e *Encoder) error { e.Row(r); return nil }, err
 	}},
 	{"rowBatch", func(d *Decoder) (func(*Encoder) error, error) {
-		rows, err := d.rowBatch(nil)
-		return func(e *Encoder) error {
-			e.Uvarint(uint64(len(rows)))
-			for _, r := range rows {
-				e.Row(r)
-			}
-			return nil
-		}, err
+		rows, _, err := d.rowBatch(nil, nil)
+		return encodeFrame(rows), err
 	}},
 	{"Schema", func(d *Decoder) (func(*Encoder) error, error) {
 		s, err := d.Schema()
@@ -102,6 +96,28 @@ var fuzzBodies = []fuzzBody{
 		}
 		return func(e *Encoder) error { e.String(msg); return nil }, nil
 	}},
+	// The rowBatch body as a lending stream decodes it: over the slot
+	// array and the slab of the frame before, here three two-column
+	// rows. Last, so that the corpus keeps its kind numbers.
+	{"rowBatch over a reused slab", func(d *Decoder) (func(*Encoder) error, error) {
+		before := []types.Row{{types.NewInt(1), types.NewString("a")}, {types.Null, types.NewInt(2)}, {types.NewInt(3), types.NewInt(4)}}
+		batch, slab, err := NewDecoder(frameOf(before)).rowBatch(nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		rows, _, err := d.rowBatch(batch, slab)
+		return encodeFrame(rows), err
+	}},
+}
+
+func encodeFrame(rows []types.Row) func(*Encoder) error {
+	return func(e *Encoder) error {
+		e.Uvarint(uint64(len(rows)))
+		for _, r := range rows {
+			e.Row(r)
+		}
+		return nil
+	}
 }
 
 // fuzzSeeds encodes the codec tests' round-trip cases, one payload per
@@ -125,6 +141,7 @@ func fuzzSeeds(t testing.TB) map[string][][]byte {
 		frameOf(nil),
 		[]byte{0xff, 0xff, 0xff, 0xff, 0x0f},       // 2^32-1 rows, no bytes
 		[]byte{0x01, 0xff, 0xff, 0xff, 0xff, 0x0f}) // one row of 2^32-1 values
+	seeds["rowBatch over a reused slab"] = seeds["rowBatch"]
 	add("Schema", func(e *Encoder) error {
 		e.Schema(types.NewSchema(
 			types.Column{Table: "t", Name: "a", Type: types.KindInt},

@@ -516,7 +516,7 @@ func (s *Server) streamQuery(ctx context.Context, fc *frameConn, q *source.Query
 	if err != nil {
 		return false, sendErr(ctx, fc, err)
 	}
-	qid := s.Queries.Begin(q.String())
+	qid := s.Queries.BeginLazy(q)
 	xctx, xsp := obs.StartSpan(ctx, obs.SpanExec, q.Table)
 	it, err := s.src.Execute(xctx, q)
 	xsp.End()
@@ -542,9 +542,13 @@ func (s *Server) streamQuery(ctx context.Context, fc *frameConn, q *source.Query
 // server memory. A context deadline (propagated or local) is reported
 // to the client as a clean in-stream error: the connection survives,
 // the stream does not.
+//
+// A row is encoded before the next is asked for, so the source is asked
+// to lend its rows.
 func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIter, traced bool) (bool, error) {
 	_, ssp := obs.StartSpan(ctx, obs.SpanStream, "rows")
 	defer ssp.End()
+	source.Lend(it)
 	var e Encoder
 	batch, rows := 0, int64(0)
 	credit := creditWindow
@@ -555,8 +559,7 @@ func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIte
 			}
 		}
 		credit--
-		hdr := prependCount(e.Bytes(), n)
-		return fc.writeFrame(ctx, msgRows, hdr)
+		return fc.writeFrame(ctx, msgRows, e.endRows(n))
 	}
 	for {
 		if err := ctx.Err(); err != nil {
@@ -578,7 +581,7 @@ func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIte
 			return false, sendErr(ctx, fc, err)
 		}
 		if batch == 0 {
-			e.Reset()
+			e.beginRows()
 		}
 		e.Row(row)
 		batch++
@@ -702,13 +705,6 @@ func rebindExpr(e expr.Expr, schema *types.Schema) (expr.Expr, error) {
 		return n
 	})
 	return expr.Bind(stripped, schema)
-}
-
-// prependCount prefixes a row-batch payload with its row count.
-func prependCount(payload []byte, n int) []byte {
-	var hdr Encoder
-	hdr.Uvarint(uint64(n))
-	return append(hdr.Bytes(), payload...)
 }
 
 // encodeStats serializes table statistics (histograms travel too).

@@ -155,10 +155,10 @@ func (d *Decoder) Span() (*obs.SpanData, error) {
 // — degrades to the mediator-only trace: the counter is bumped and the
 // connection discarded (its protocol state is unknown), but the query
 // has already succeeded.
-func (it *streamIter) finishTrailer() {
+func (it *streamIter) finishTrailer(traceID string) {
 	fc := it.fc
 	it.fc = nil
-	if it.readTrailer(fc) {
+	if it.readTrailer(fc, traceID) {
 		it.c.putConn(fc)
 		return
 	}
@@ -166,7 +166,7 @@ func (it *streamIter) finishTrailer() {
 	it.c.discard(fc)
 }
 
-func (it *streamIter) readTrailer(fc *frameConn) bool {
+func (it *streamIter) readTrailer(fc *frameConn, traceID string) bool {
 	// Client-side fault point (ops=trace): a drop here models the link
 	// dying between the last row and the trailer.
 	if err := fc.injure(it.ctx, faults.OpTrace); err != nil {
@@ -186,7 +186,7 @@ func (it *streamIter) readTrailer(fc *frameConn) bool {
 	}
 	// The subtree must belong to this query's trace; a mismatch means
 	// the conn's protocol state is confused and the subtree is not ours.
-	if id := attrValue(data, "trace_id"); id != it.traceID {
+	if id := attrValue(data, "trace_id"); id != traceID {
 		return false
 	}
 	it.parent.AttachData(data)

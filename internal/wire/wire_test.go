@@ -17,7 +17,7 @@ var ctx = context.Background()
 
 // startRelServer serves a populated relstore and returns a connected
 // client (both cleaned up with the test).
-func startRelServer(t *testing.T, n int, opts ...Option) (*relstore.Store, *Client) {
+func startRelServer(t testing.TB, n int, opts ...Option) (*relstore.Store, *Client) {
 	t.Helper()
 	st := relstore.New("remote1")
 	schema := types.NewSchema(

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"gis/internal/source"
 	"gis/internal/types"
 )
 
@@ -337,14 +338,20 @@ type eqRow struct {
 }
 
 // eqRun executes one statement and returns its rows, sorted by text
-// unless the statement orders them totally.
+// unless the statement orders them totally. It drains the statement's
+// stream as the reference keeper does (source.DrainOwned): a row that
+// some operator lent to a consumer that keeps it fails the statement.
 func eqRun(f *Fixture, sql string, ordered bool) ([]eqRow, error) {
-	res, err := f.Engine.Query(ctx, sql)
+	_, it, err := f.Engine.QueryIter(ctx, sql)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]eqRow, len(res.Rows))
-	for i, r := range res.Rows {
+	res, err := source.DrainOwned(it)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]eqRow, len(res))
+	for i, r := range res {
 		rows[i] = eqRow{r.String(), r}
 	}
 	if !ordered {
