@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"gis/internal/expr"
@@ -280,9 +281,9 @@ func TestTranslateRow(t *testing.T) {
 	fragA := tab.Fragments[0]
 	// Requested global columns: id, gender, weight_kg, site.
 	globalCols := []int{0, 1, 2, 3}
-	remote, backed := fragA.RemoteCols(globalCols)
-	if len(remote) != 3 || backed[3] {
-		t.Fatalf("remote cols = %v backed = %v", remote, backed)
+	// site is a constant of the fragment: no remote column backs it.
+	if remote := fragA.RemoteCols(globalCols); !slices.Equal(remote, []int{0, 1, 2}) {
+		t.Fatalf("remote cols = %v", remote)
 	}
 	translate := func(f *Fragment, globalCols []int, remote types.Row) (types.Row, error) {
 		row := make(types.Row, len(globalCols))

@@ -29,12 +29,12 @@ func (f *Fragment) TranslateConjunct(c expr.Expr) (expr.Expr, bool) {
 
 func (f *Fragment) translateIdentity(c expr.Expr) (expr.Expr, bool) {
 	allIdentity := true
-	for _, col := range expr.Columns(c) {
-		if col.Index < 0 || col.Index >= len(f.Columns) || !f.Columns[col.Index].Identity() {
+	expr.Walk(c, func(n expr.Expr) bool {
+		if col, ok := n.(*expr.ColRef); ok && (col.Index < 0 || col.Index >= len(f.Columns) || !f.Columns[col.Index].Identity()) {
 			allIdentity = false
-			break
 		}
-	}
+		return allIdentity
+	})
 	if !allIdentity {
 		return nil, false
 	}
@@ -127,18 +127,15 @@ func (f *Fragment) NeedsTranslation(globalCols []int) bool {
 }
 
 // RemoteCols maps the requested global columns to remote positions.
-// Constant-mapped columns contribute no remote column; the bool slice
-// marks which requested columns are remote-backed.
-func (f *Fragment) RemoteCols(globalCols []int) (remote []int, backed []bool) {
-	backed = make([]bool, len(globalCols))
-	for i, g := range globalCols {
-		m := f.Columns[g]
-		if m.RemoteCol >= 0 {
-			remote = append(remote, m.RemoteCol)
-			backed[i] = true
+// Constant-mapped columns contribute no remote column.
+func (f *Fragment) RemoteCols(globalCols []int) []int {
+	remote := make([]int, 0, len(globalCols))
+	for _, g := range globalCols {
+		if rc := f.Columns[g].RemoteCol; rc >= 0 {
+			remote = append(remote, rc)
 		}
 	}
-	return remote, backed
+	return remote
 }
 
 // TranslateInto converts a remote row (projected to exactly the

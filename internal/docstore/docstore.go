@@ -116,7 +116,7 @@ func (s *Store) TableInfo(_ context.Context, name string) (*source.TableInfo, er
 	if !ok {
 		return nil, fmt.Errorf("docstore %s: unknown collection %q", s.name, name)
 	}
-	return &source.TableInfo{Schema: c.schema.Clone(), RowCount: int64(len(c.docs))}, nil
+	return &source.TableInfo{Schema: c.schema, RowCount: int64(len(c.docs))}, nil
 }
 
 // Capabilities implements source.Source: filters and projections push
@@ -233,11 +233,11 @@ func (c *collection) fieldsRead(cols []int, exprs ...expr.Expr) []bool {
 		read[col] = true
 	}
 	for _, e := range exprs {
-		for _, ref := range expr.Columns(e) {
-			if ref.Index >= 0 && ref.Index < len(read) {
-				read[ref.Index] = true
+		expr.Columns(e, func(i int) {
+			if i < len(read) {
+				read[i] = true
 			}
-		}
+		})
 	}
 	return read
 }

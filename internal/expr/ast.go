@@ -14,7 +14,9 @@ import (
 	"gis/internal/types"
 )
 
-// Expr is a node in an expression tree.
+// Expr is a node in an expression tree. The node set is closed: the
+// eleven types of this package, which Bind and the traversal switches of
+// walk.go enumerate (a node's children are stated there, not by a method).
 //
 // ResultType is only meaningful after the expression has been bound; an
 // unbound expression reports KindNull. Eval must only be called on bound
@@ -26,11 +28,6 @@ type Expr interface {
 	Eval(row types.Row) (types.Value, error)
 	// String renders the expression in SQL-ish syntax.
 	String() string
-	// Children returns the direct sub-expressions.
-	Children() []Expr
-	// withChildren returns a copy of the node with the children replaced.
-	// len(kids) must equal len(Children()).
-	withChildren(kids []Expr) Expr
 }
 
 // ColRef is a reference to a column. The parser produces unbound refs
@@ -84,11 +81,6 @@ func (c *ColRef) String() string {
 	return "$" + strconv.Itoa(c.Index)
 }
 
-// Children implements Expr.
-func (c *ColRef) Children() []Expr { return nil }
-
-func (c *ColRef) withChildren(kids []Expr) Expr { cp := *c; return &cp }
-
 // Const is a literal value.
 type Const struct {
 	Val types.Value
@@ -105,11 +97,6 @@ func (c *Const) Eval(types.Row) (types.Value, error) { return c.Val, nil }
 
 // String implements Expr.
 func (c *Const) String() string { return c.Val.SQL() }
-
-// Children implements Expr.
-func (c *Const) Children() []Expr { return nil }
-
-func (c *Const) withChildren(kids []Expr) Expr { cp := *c; return &cp }
 
 // BinOp enumerates binary operators.
 type BinOp uint8
@@ -216,15 +203,6 @@ func (b *Binary) String() string {
 	return "(" + b.L.String() + " " + b.Op.String() + " " + b.R.String() + ")"
 }
 
-// Children implements Expr.
-func (b *Binary) Children() []Expr { return []Expr{b.L, b.R} }
-
-func (b *Binary) withChildren(kids []Expr) Expr {
-	cp := *b
-	cp.L, cp.R = kids[0], kids[1]
-	return &cp
-}
-
 // UnOp enumerates unary operators.
 type UnOp uint8
 
@@ -258,15 +236,6 @@ func (u *Unary) ResultType() types.Kind { return u.typ }
 // String implements Expr.
 func (u *Unary) String() string { return "(" + u.Op.String() + u.E.String() + ")" }
 
-// Children implements Expr.
-func (u *Unary) Children() []Expr { return []Expr{u.E} }
-
-func (u *Unary) withChildren(kids []Expr) Expr {
-	cp := *u
-	cp.E = kids[0]
-	return &cp
-}
-
 // IsNull tests x IS [NOT] NULL.
 type IsNull struct {
 	E      Expr
@@ -282,15 +251,6 @@ func (n *IsNull) String() string {
 		return fmt.Sprintf("(%s IS NOT NULL)", n.E)
 	}
 	return fmt.Sprintf("(%s IS NULL)", n.E)
-}
-
-// Children implements Expr.
-func (n *IsNull) Children() []Expr { return []Expr{n.E} }
-
-func (n *IsNull) withChildren(kids []Expr) Expr {
-	cp := *n
-	cp.E = kids[0]
-	return &cp
 }
 
 // InList tests x [NOT] IN (e1, e2, ...). When every list element is a
@@ -344,20 +304,6 @@ func (n *InList) String() string {
 	return "(" + n.E.String() + " " + op + " (" + strings.Join(parts, ", ") + "))"
 }
 
-// Children implements Expr.
-func (n *InList) Children() []Expr {
-	kids := make([]Expr, 0, len(n.List)+1)
-	kids = append(kids, n.E)
-	kids = append(kids, n.List...)
-	return kids
-}
-
-func (n *InList) withChildren(kids []Expr) Expr {
-	// Build a fresh node: the cached membership set must not leak to a
-	// copy with a different list.
-	return &InList{E: kids[0], List: append([]Expr(nil), kids[1:]...), Negate: n.Negate}
-}
-
 // When is one WHEN...THEN arm of a CASE expression.
 type When struct {
 	Cond Expr
@@ -393,39 +339,6 @@ func (c *Case) String() string {
 	return b.String()
 }
 
-// Children implements Expr.
-func (c *Case) Children() []Expr {
-	var kids []Expr
-	if c.Operand != nil {
-		kids = append(kids, c.Operand)
-	}
-	for _, w := range c.Whens {
-		kids = append(kids, w.Cond, w.Then)
-	}
-	if c.Else != nil {
-		kids = append(kids, c.Else)
-	}
-	return kids
-}
-
-func (c *Case) withChildren(kids []Expr) Expr {
-	cp := *c
-	i := 0
-	if cp.Operand != nil {
-		cp.Operand = kids[i]
-		i++
-	}
-	cp.Whens = make([]When, len(c.Whens))
-	for j := range c.Whens {
-		cp.Whens[j] = When{Cond: kids[i], Then: kids[i+1]}
-		i += 2
-	}
-	if cp.Else != nil {
-		cp.Else = kids[i]
-	}
-	return &cp
-}
-
 // Cast is CAST(e AS type).
 type Cast struct {
 	E  Expr
@@ -437,15 +350,6 @@ func (c *Cast) ResultType() types.Kind { return c.To }
 
 // String implements Expr.
 func (c *Cast) String() string { return "CAST(" + c.E.String() + " AS " + c.To.String() + ")" }
-
-// Children implements Expr.
-func (c *Cast) Children() []Expr { return []Expr{c.E} }
-
-func (c *Cast) withChildren(kids []Expr) Expr {
-	cp := *c
-	cp.E = kids[0]
-	return &cp
-}
 
 // Call is a scalar function call. fn is resolved during Bind.
 type Call struct {
@@ -470,15 +374,6 @@ func (c *Call) String() string {
 		parts[i] = a.String()
 	}
 	return c.Name + "(" + strings.Join(parts, ", ") + ")"
-}
-
-// Children implements Expr.
-func (c *Call) Children() []Expr { return c.Args }
-
-func (c *Call) withChildren(kids []Expr) Expr {
-	cp := *c
-	cp.Args = append([]Expr(nil), kids...)
-	return &cp
 }
 
 // AggKind enumerates aggregate functions.
@@ -558,20 +453,4 @@ func (a *AggCall) String() string {
 		arg = "DISTINCT " + arg
 	}
 	return a.Kind.String() + "(" + arg + ")"
-}
-
-// Children implements Expr.
-func (a *AggCall) Children() []Expr {
-	if a.Arg == nil {
-		return nil
-	}
-	return []Expr{a.Arg}
-}
-
-func (a *AggCall) withChildren(kids []Expr) Expr {
-	cp := *a
-	if len(kids) > 0 {
-		cp.Arg = kids[0]
-	}
-	return &cp
 }

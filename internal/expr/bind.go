@@ -12,14 +12,33 @@ import (
 // input is not modified. Binding an already-bound tree is harmless:
 // resolved references keep their positions only if the schema still
 // agrees, otherwise they are re-resolved by name.
-func Bind(e Expr, schema *types.Schema) (Expr, error) {
+func Bind(e Expr, schema *types.Schema) (Expr, error) { return bind(e, schema, false) }
+
+// BindPositions binds a tree that was bound elsewhere, under other
+// names, against the schema its positions mean: a reference that carries
+// a position keeps it and loses its name (the sender's, which may come
+// from another schema), and everything else is bound as Bind binds it. A
+// component server rebinds a shipped filter this way, to restore the
+// function references and operator types the wire does not carry; no
+// expression (nil) stays none.
+func BindPositions(e Expr, schema *types.Schema) (Expr, error) {
+	if e == nil {
+		return nil, nil
+	}
+	return bind(e, schema, true)
+}
+
+func bind(e Expr, schema *types.Schema, positional bool) (Expr, error) {
 	switch n := e.(type) {
 	case *ColRef:
-		idx := n.Index
+		table, name, idx := n.Table, n.Name, n.Index
+		if positional && idx >= 0 {
+			table, name = "", ""
+		}
 		// Re-resolve by name when possible; synthesized refs may be
 		// nameless and are trusted as-is.
-		if n.Name != "" {
-			i, err := schema.IndexOf(n.Table, n.Name)
+		if name != "" {
+			i, err := schema.IndexOf(table, name)
 			if err != nil {
 				return nil, err
 			}
@@ -28,17 +47,17 @@ func Bind(e Expr, schema *types.Schema) (Expr, error) {
 		if idx < 0 || idx >= schema.Len() {
 			return nil, fmt.Errorf("column reference %s out of range", n)
 		}
-		return &ColRef{Table: n.Table, Name: n.Name, Index: idx, Type: schema.Columns[idx].Type}, nil
+		return &ColRef{Table: table, Name: name, Index: idx, Type: schema.Columns[idx].Type}, nil
 
 	case *Const:
 		return n, nil
 
 	case *Binary:
-		l, err := Bind(n.L, schema)
+		l, err := bind(n.L, schema, positional)
 		if err != nil {
 			return nil, err
 		}
-		r, err := Bind(n.R, schema)
+		r, err := bind(n.R, schema, positional)
 		if err != nil {
 			return nil, err
 		}
@@ -49,7 +68,7 @@ func Bind(e Expr, schema *types.Schema) (Expr, error) {
 		return &Binary{Op: n.Op, L: l, R: r, typ: typ}, nil
 
 	case *Unary:
-		inner, err := Bind(n.E, schema)
+		inner, err := bind(n.E, schema, positional)
 		if err != nil {
 			return nil, err
 		}
@@ -66,20 +85,20 @@ func Bind(e Expr, schema *types.Schema) (Expr, error) {
 		return &Unary{Op: n.Op, E: inner, typ: typ}, nil
 
 	case *IsNull:
-		inner, err := Bind(n.E, schema)
+		inner, err := bind(n.E, schema, positional)
 		if err != nil {
 			return nil, err
 		}
 		return &IsNull{E: inner, Negate: n.Negate}, nil
 
 	case *InList:
-		inner, err := Bind(n.E, schema)
+		inner, err := bind(n.E, schema, positional)
 		if err != nil {
 			return nil, err
 		}
 		list := make([]Expr, len(n.List))
 		for i, le := range n.List {
-			b, err := Bind(le, schema)
+			b, err := bind(le, schema, positional)
 			if err != nil {
 				return nil, err
 			}
@@ -90,7 +109,7 @@ func Bind(e Expr, schema *types.Schema) (Expr, error) {
 	case *Case:
 		out := &Case{}
 		if n.Operand != nil {
-			op, err := Bind(n.Operand, schema)
+			op, err := bind(n.Operand, schema, positional)
 			if err != nil {
 				return nil, err
 			}
@@ -98,11 +117,11 @@ func Bind(e Expr, schema *types.Schema) (Expr, error) {
 		}
 		out.Whens = make([]When, len(n.Whens))
 		for i, w := range n.Whens {
-			cond, err := Bind(w.Cond, schema)
+			cond, err := bind(w.Cond, schema, positional)
 			if err != nil {
 				return nil, err
 			}
-			then, err := Bind(w.Then, schema)
+			then, err := bind(w.Then, schema, positional)
 			if err != nil {
 				return nil, err
 			}
@@ -110,7 +129,7 @@ func Bind(e Expr, schema *types.Schema) (Expr, error) {
 			out.typ = unify(out.typ, then.ResultType())
 		}
 		if n.Else != nil {
-			els, err := Bind(n.Else, schema)
+			els, err := bind(n.Else, schema, positional)
 			if err != nil {
 				return nil, err
 			}
@@ -120,7 +139,7 @@ func Bind(e Expr, schema *types.Schema) (Expr, error) {
 		return out, nil
 
 	case *Cast:
-		inner, err := Bind(n.E, schema)
+		inner, err := bind(n.E, schema, positional)
 		if err != nil {
 			return nil, err
 		}
@@ -137,7 +156,7 @@ func Bind(e Expr, schema *types.Schema) (Expr, error) {
 		args := make([]Expr, len(n.Args))
 		kinds := make([]types.Kind, len(n.Args))
 		for i, a := range n.Args {
-			b, err := Bind(a, schema)
+			b, err := bind(a, schema, positional)
 			if err != nil {
 				return nil, err
 			}
@@ -153,7 +172,7 @@ func Bind(e Expr, schema *types.Schema) (Expr, error) {
 	case *AggCall:
 		out := &AggCall{Kind: n.Kind, Distinct: n.Distinct}
 		if n.Arg != nil {
-			arg, err := Bind(n.Arg, schema)
+			arg, err := bind(n.Arg, schema, positional)
 			if err != nil {
 				return nil, err
 			}
@@ -165,7 +184,7 @@ func Bind(e Expr, schema *types.Schema) (Expr, error) {
 	case *Subquery:
 		out := *n
 		if n.Operand != nil {
-			op, err := Bind(n.Operand, schema)
+			op, err := bind(n.Operand, schema, positional)
 			if err != nil {
 				return nil, err
 			}

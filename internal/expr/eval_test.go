@@ -324,6 +324,38 @@ func TestBindQualified(t *testing.T) {
 	}
 }
 
+// TestBindPositions: a reference that arrives with a position keeps it
+// whatever it is called, loses the name, and takes the schema's type; an
+// unbound one is resolved by name as Bind does; calls get their function.
+func TestBindPositions(t *testing.T) {
+	shipped := bin(OpAnd,
+		bin(OpEq, &ColRef{Name: "globally_named", Index: 2, Type: types.KindInt}, strc("x")),
+		bin(OpGt, &Call{Name: "ABS", Args: []Expr{col("b")}}, intc(1)))
+	e, err := BindPositions(shipped, testSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.String(); got != "(($2 = 'x') AND (ABS(b) > 1))" {
+		t.Errorf("bound = %s", got)
+	}
+	ref := e.(*Binary).L.(*Binary).L.(*ColRef)
+	if ref.Index != 2 || ref.Type != types.KindString || ref.Name != "" {
+		t.Errorf("positional ref = %+v, want position 2 typed by the schema and nameless", ref)
+	}
+	if ok, err := EvalBool(e, types.Row{types.Null, types.NewFloat(-2), types.NewString("x")}); err != nil || !ok {
+		t.Errorf("eval = %v, %v", ok, err)
+	}
+	if _, err := Bind(shipped, testSchema); err == nil {
+		t.Error("Bind resolves by name and must not know globally_named")
+	}
+	if _, err := BindPositions(&ColRef{Name: "a", Index: 9}, testSchema); err == nil {
+		t.Error("a position past the schema must fail")
+	}
+	if e, err := BindPositions(nil, testSchema); e != nil || err != nil {
+		t.Errorf("BindPositions(nil) = %v, %v", e, err)
+	}
+}
+
 func TestEvalBool(t *testing.T) {
 	e := mustBind(t, bin(OpGt, col("a"), intc(5)))
 	ok, err := EvalBool(e, testRow)

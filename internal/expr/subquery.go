@@ -76,22 +76,6 @@ func (s *Subquery) String() string {
 	}
 }
 
-// Children implements Expr.
-func (s *Subquery) Children() []Expr {
-	if s.Operand != nil {
-		return []Expr{s.Operand}
-	}
-	return nil
-}
-
-func (s *Subquery) withChildren(kids []Expr) Expr {
-	cp := *s
-	if len(kids) > 0 {
-		cp.Operand = kids[0]
-	}
-	return &cp
-}
-
 // HasSubquery reports whether the tree contains a Subquery node.
 func HasSubquery(e Expr) bool {
 	found := false

@@ -7,61 +7,198 @@ import (
 // Walk calls fn for every node in the tree in pre-order. If fn returns
 // false the node's children are not visited.
 func Walk(e Expr, fn func(Expr) bool) {
-	if e == nil {
+	if e == nil || !fn(e) {
 		return
 	}
-	if !fn(e) {
-		return
-	}
-	for _, c := range e.Children() {
-		Walk(c, fn)
+	walkChildren(e, fn)
+}
+
+// walkChildren walks each direct sub-expression of e, in the order the
+// node's String prints them. It and mapChildren are the one statement of
+// what a node's children are; neither has a default clause, so a new
+// node type fails the exhaustive lint until both know it. They are
+// switches and not methods of Expr because a func handed through an
+// interface call escapes: every visitor's closure would be allocated.
+func walkChildren(e Expr, fn func(Expr) bool) {
+	switch n := e.(type) {
+	case *ColRef, *Const:
+	case *Binary:
+		Walk(n.L, fn)
+		Walk(n.R, fn)
+	case *Unary:
+		Walk(n.E, fn)
+	case *IsNull:
+		Walk(n.E, fn)
+	case *InList:
+		Walk(n.E, fn)
+		for _, el := range n.List {
+			Walk(el, fn)
+		}
+	case *Case:
+		Walk(n.Operand, fn)
+		for _, w := range n.Whens {
+			Walk(w.Cond, fn)
+			Walk(w.Then, fn)
+		}
+		Walk(n.Else, fn)
+	case *Cast:
+		Walk(n.E, fn)
+	case *Call:
+		for _, a := range n.Args {
+			Walk(a, fn)
+		}
+	case *AggCall:
+		Walk(n.Arg, fn)
+	case *Subquery:
+		Walk(n.Operand, fn)
 	}
 }
 
 // Transform rebuilds the tree bottom-up, replacing every node with
-// fn(node-with-transformed-children). fn must not return nil.
+// fn(node-with-transformed-children). fn must not return nil. A node is
+// copied only when one of its children changed: where fn returns its
+// argument throughout a subtree, the result shares that subtree with the
+// input, and a Transform that changes nothing returns e itself and
+// allocates nothing. Trees are therefore shared between plans, and only
+// Transform (through mapChildren) and Bind make nodes out of old ones.
 func Transform(e Expr, fn func(Expr) Expr) Expr {
 	if e == nil {
 		return nil
 	}
-	kids := e.Children()
-	if len(kids) > 0 {
-		newKids := make([]Expr, len(kids))
-		changed := false
-		for i, k := range kids {
-			newKids[i] = Transform(k, fn)
-			if newKids[i] != k {
-				changed = true
-			}
-		}
-		if changed {
-			e = e.withChildren(newKids)
-		}
-	}
-	return fn(e)
+	return fn(mapChildren(e, fn))
 }
 
-// Columns returns every column reference in the tree, in visit order.
-func Columns(e Expr) []*ColRef {
-	var out []*ColRef
+// mapChildren transforms each direct sub-expression of e, in walkChildren's
+// order, and returns e itself when none changed, else a copy of e over
+// the new children.
+func mapChildren(e Expr, fn func(Expr) Expr) Expr {
+	switch n := e.(type) {
+	case *ColRef, *Const:
+	case *Binary:
+		l, r := Transform(n.L, fn), Transform(n.R, fn)
+		if l != n.L || r != n.R {
+			cp := *n
+			cp.L, cp.R = l, r
+			return &cp
+		}
+	case *Unary:
+		if in := Transform(n.E, fn); in != n.E {
+			cp := *n
+			cp.E = in
+			return &cp
+		}
+	case *IsNull:
+		if in := Transform(n.E, fn); in != n.E {
+			cp := *n
+			cp.E = in
+			return &cp
+		}
+	case *InList:
+		in := Transform(n.E, fn)
+		if list, changed := mapList(n.List, fn); changed || in != n.E {
+			// A fresh node: the cached membership set must not leak to a
+			// copy with a different list.
+			return &InList{E: in, List: list, Negate: n.Negate}
+		}
+	case *Case:
+		op := Transform(n.Operand, fn)
+		whens, changed := n.Whens, false
+		for i, w := range n.Whens {
+			cond, then := Transform(w.Cond, fn), Transform(w.Then, fn)
+			if cond == w.Cond && then == w.Then {
+				continue
+			}
+			if !changed {
+				whens, changed = append([]When(nil), n.Whens...), true
+			}
+			whens[i] = When{Cond: cond, Then: then}
+		}
+		els := Transform(n.Else, fn)
+		if changed || op != n.Operand || els != n.Else {
+			cp := *n
+			cp.Operand, cp.Whens, cp.Else = op, whens, els
+			return &cp
+		}
+	case *Cast:
+		if in := Transform(n.E, fn); in != n.E {
+			cp := *n
+			cp.E = in
+			return &cp
+		}
+	case *Call:
+		if args, changed := mapList(n.Args, fn); changed {
+			cp := *n
+			cp.Args = args
+			return &cp
+		}
+	case *AggCall:
+		if arg := Transform(n.Arg, fn); arg != n.Arg {
+			cp := *n
+			cp.Arg = arg
+			return &cp
+		}
+	case *Subquery:
+		if op := Transform(n.Operand, fn); op != n.Operand {
+			cp := *n
+			cp.Operand = op
+			return &cp
+		}
+	}
+	return e
+}
+
+// mapList transforms every element of list. It returns list itself when
+// none changed, and a copy made at the first that did.
+func mapList(list []Expr, fn func(Expr) Expr) (out []Expr, changed bool) {
+	out = list
+	for i, el := range list {
+		nw := Transform(el, fn)
+		if nw == el {
+			continue
+		}
+		if !changed {
+			out, changed = append([]Expr(nil), list...), true
+		}
+		out[i] = nw
+	}
+	return out, changed
+}
+
+// Columns calls fn with the position of every bound column reference in
+// the tree, in visit order; a column referenced twice is reported twice.
+// It is how a caller learns which columns an expression reads: mark a
+// []bool, or test each position as it comes.
+func Columns(e Expr, fn func(index int)) {
 	Walk(e, func(n Expr) bool {
-		if c, ok := n.(*ColRef); ok {
-			out = append(out, c)
+		if c, ok := n.(*ColRef); ok && c.Index >= 0 {
+			fn(c.Index)
 		}
 		return true
 	})
-	return out
 }
 
-// ColumnSet returns the set of bound column indexes referenced by e.
-func ColumnSet(e Expr) map[int]struct{} {
-	set := make(map[int]struct{})
-	for _, c := range Columns(e) {
-		if c.Index >= 0 {
-			set[c.Index] = struct{}{}
+// ColumnLayout lays out, in ascending order, the columns a consumer is
+// handed when it asked for cols and its filter e reads some more: list
+// holds them, and pos[c] is where column c sits in list, -1 when it does
+// not. width is the number of columns there are to choose from.
+func ColumnLayout(width int, cols []int, e Expr) (list, pos []int) {
+	const absent, present = -1, 0
+	pos = make([]int, width)
+	for i := range pos {
+		pos[i] = absent
+	}
+	for _, c := range cols {
+		pos[c] = present
+	}
+	Columns(e, func(c int) { pos[c] = present })
+	list = make([]int, 0, width)
+	for c, p := range pos {
+		if p == present {
+			pos[c] = len(list)
+			list = append(list, c)
 		}
 	}
-	return set
+	return list, pos
 }
 
 // HasAggregate reports whether the tree contains an AggCall.
@@ -70,9 +207,8 @@ func HasAggregate(e Expr) bool {
 	Walk(e, func(n Expr) bool {
 		if _, ok := n.(*AggCall); ok {
 			found = true
-			return false
 		}
-		return true
+		return !found
 	})
 	return found
 }
@@ -83,10 +219,21 @@ func Conjuncts(e Expr) []Expr {
 	if e == nil {
 		return nil
 	}
+	return appendConjuncts(make([]Expr, 0, countConjuncts(e)), e)
+}
+
+func countConjuncts(e Expr) int {
 	if b, ok := e.(*Binary); ok && b.Op == OpAnd {
-		return append(Conjuncts(b.L), Conjuncts(b.R)...)
+		return countConjuncts(b.L) + countConjuncts(b.R)
 	}
-	return []Expr{e}
+	return 1
+}
+
+func appendConjuncts(dst []Expr, e Expr) []Expr {
+	if b, ok := e.(*Binary); ok && b.Op == OpAnd {
+		return appendConjuncts(appendConjuncts(dst, b.L), b.R)
+	}
+	return append(dst, e)
 }
 
 // Conjoin combines predicates with AND. An empty list yields nil.
@@ -105,21 +252,23 @@ func Conjoin(preds []Expr) Expr {
 	return out
 }
 
-// Remap rewrites bound column indexes through mapping (old index → new
-// index). References absent from the mapping are left unchanged.
-func Remap(e Expr, mapping map[int]int) Expr {
+// Remap rewrites bound column indexes through mapping: a reference to
+// column i becomes one to mapping[i]. A reference mapping does not reach
+// (i >= len(mapping)) or maps to -1 is left as it is, and so is one that
+// maps to itself; like every Transform, Remap copies only the nodes above
+// a reference it changed and returns e itself when it changed none.
+func Remap(e Expr, mapping []int) Expr {
 	return Transform(e, func(n Expr) Expr {
 		c, ok := n.(*ColRef)
-		if !ok || c.Index < 0 {
+		if !ok || c.Index < 0 || c.Index >= len(mapping) {
 			return n
 		}
-		ni, ok := mapping[c.Index]
-		if !ok {
-			return n
+		if ni := mapping[c.Index]; ni >= 0 && ni != c.Index {
+			cp := *c
+			cp.Index = ni
+			return &cp
 		}
-		cp := *c
-		cp.Index = ni
-		return &cp
+		return n
 	})
 }
 
@@ -149,11 +298,10 @@ func IsConst(e Expr) bool {
 		switch n.(type) {
 		case *ColRef, *AggCall:
 			constant = false
-			return false
 		default:
 			// Every other node is constant if its children are.
 		}
-		return true
+		return constant
 	})
 	return constant
 }

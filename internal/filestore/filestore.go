@@ -103,7 +103,7 @@ func (s *Store) TableInfo(_ context.Context, name string) (*source.TableInfo, er
 	if !ok {
 		return nil, fmt.Errorf("filestore %s: unknown table %q", s.name, name)
 	}
-	return &source.TableInfo{Schema: t.schema.Clone(), RowCount: t.rowCount.Load()}, nil
+	return &source.TableInfo{Schema: t.schema, RowCount: t.rowCount.Load()}, nil
 }
 
 // Capabilities implements source.Source: scan-only with projection.

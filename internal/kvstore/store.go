@@ -79,7 +79,7 @@ func (s *Store) TableInfo(_ context.Context, name string) (*source.TableInfo, er
 		return nil, err
 	}
 	return &source.TableInfo{
-		Schema:     b.schema.Clone(),
+		Schema:     b.schema,
 		KeyColumns: []int{b.keyCol},
 		RowCount:   int64(b.tree.Len()),
 	}, nil

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"gis/internal/catalog"
@@ -229,7 +230,7 @@ func (b *Builder) buildFrom(t sql.TableExpr) (Node, error) {
 // the (A ++ B) output column order.
 func buildRightJoin(l, r Node, cond expr.Expr) Node {
 	lw, rw := l.Schema().Len(), r.Schema().Len()
-	remap := make(map[int]int, lw+rw)
+	remap := make([]int, lw+rw)
 	for i := 0; i < lw; i++ {
 		remap[i] = rw + i
 	}
@@ -288,7 +289,13 @@ func qualify(inner Node, alias string) Node {
 
 // expandStars replaces * and t.* items with explicit column references.
 func expandStars(items []sql.SelectItem, schema *types.Schema) ([]sql.SelectItem, error) {
-	var out []sql.SelectItem
+	if len(items) == 0 {
+		return nil, fmt.Errorf("empty select list")
+	}
+	if !slices.ContainsFunc(items, func(it sql.SelectItem) bool { return it.Star }) {
+		return items, nil
+	}
+	out := make([]sql.SelectItem, 0, len(items)-1+schema.Len())
 	for _, it := range items {
 		if !it.Star {
 			out = append(out, it)
@@ -305,9 +312,6 @@ func expandStars(items []sql.SelectItem, schema *types.Schema) ([]sql.SelectItem
 		if !matched {
 			return nil, fmt.Errorf("star expansion found no columns for %q", it.StarTable)
 		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty select list")
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"gis/internal/catalog"
@@ -98,36 +97,18 @@ func buildFragScan(cat *catalog.Catalog, tab *catalog.GlobalTable, frag *catalog
 	// residual.
 	remoteFilter, globalResidual := frag.SplitFilter(filter)
 
-	// Fetched columns: requested plus whatever the residual needs.
-	fetchSet := map[int]struct{}{}
-	for _, c := range requested {
-		fetchSet[c] = struct{}{}
-	}
-	for c := range expr.ColumnSet(globalResidual) {
-		fetchSet[c] = struct{}{}
-	}
-	fetch := make([]int, 0, len(fetchSet))
-	for c := range fetchSet {
-		fetch = append(fetch, c)
-	}
-	slices.Sort(fetch)
+	// Fetched columns: requested plus whatever the residual needs, which
+	// is remapped onto that layout.
+	fetch, pos := expr.ColumnLayout(tab.Schema.Len(), requested, globalResidual)
+	gres := expr.Remap(globalResidual, pos)
 
 	// Remote projection: the remote columns backing the fetched set.
-	remoteCols, _ := frag.RemoteCols(fetch)
-
-	pushed, residual := source.Split(frag.RemoteTable, remoteCols, remoteFilter, src.Capabilities(), frag.Info())
-
-	// Remap the global residual onto the fetched layout.
-	remap := make(map[int]int, len(fetch))
-	for i, c := range fetch {
-		remap[c] = i
-	}
-	gres := expr.Remap(globalResidual, remap)
+	pushed, residual := source.Split(frag.RemoteTable, frag.RemoteCols(fetch), remoteFilter, src.Capabilities(), frag.Info())
 
 	// Output projection within the fetched layout.
 	out := make([]int, len(requested))
 	for i, c := range requested {
-		out[i] = remap[c]
+		out[i] = pos[c]
 	}
 
 	return &FragScan{

@@ -3,7 +3,6 @@ package plan
 import (
 	"math"
 	"math/bits"
-	"slices"
 
 	"gis/internal/expr"
 	"gis/internal/types"
@@ -302,15 +301,15 @@ func flattenJoins(j *Join) ([]flatRel, []flatPred) {
 	}
 	walk(j)
 	// Annotate predicates with the relations they reference.
+	touched := make([]bool, len(rels))
 	for i := range preds {
-		set := map[int]struct{}{}
-		for col := range expr.ColumnSet(preds[i].e) {
-			set[relOf(rels, col)] = struct{}{}
+		clear(touched)
+		expr.Columns(preds[i].e, func(col int) { touched[relOf(rels, col)] = true })
+		for r, ok := range touched {
+			if ok {
+				preds[i].rels = append(preds[i].rels, r)
+			}
 		}
-		for r := range set {
-			preds[i].rels = append(preds[i].rels, r)
-		}
-		slices.Sort(preds[i].rels)
 		preds[i].sel = predSelectivity(preds[i].e, rels)
 	}
 	return rels, preds
@@ -358,12 +357,12 @@ func predSelectivity(e expr.Expr, rels []flatRel) float64 {
 func rebuildJoinTree(rels []flatRel, preds []flatPred, order []int) Node {
 	// Column remapping: original global index → new global index.
 	newOffsets := make([]int, len(rels))
-	off := 0
+	total := 0
 	for _, r := range order {
-		newOffsets[r] = off
-		off += rels[r].node.Schema().Len()
+		newOffsets[r] = total
+		total += rels[r].node.Schema().Len()
 	}
-	remap := make(map[int]int)
+	remap := make([]int, total)
 	for ri, r := range rels {
 		w := r.node.Schema().Len()
 		for c := 0; c < w; c++ {
@@ -372,7 +371,8 @@ func rebuildJoinTree(rels []flatRel, preds []flatPred, order []int) Node {
 	}
 
 	attached := make([]bool, len(preds))
-	inSet := map[int]bool{order[0]: true}
+	inSet := make([]bool, len(rels))
+	inSet[order[0]] = true
 	cur := rels[order[0]].node
 	for k := 1; k < len(order); k++ {
 		r := order[k]
@@ -411,10 +411,6 @@ func rebuildJoinTree(rels []flatRel, preds []flatPred, order []int) Node {
 		cur = &Filter{Pred: expr.Conjoin(leftover), Input: cur}
 	}
 	// Restore original column order.
-	total := 0
-	for _, r := range rels {
-		total += r.node.Schema().Len()
-	}
 	exprs := make([]expr.Expr, total)
 	names := make([]string, total)
 	outSchema := cur.Schema()

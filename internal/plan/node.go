@@ -7,6 +7,7 @@
 package plan
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -49,20 +50,22 @@ func NewGlobalScan(t *catalog.GlobalTable, alias string) *GlobalScan {
 // Schema implements Node.
 func (s *GlobalScan) Schema() *types.Schema {
 	if s.schema == nil {
-		base := s.Table.Schema
+		base := s.Table.Schema.Columns
 		var cols []types.Column
 		if s.Cols == nil {
-			cols = append(cols, base.Columns...)
+			cols = slices.Clone(base)
 		} else {
-			for _, c := range s.Cols {
-				cols = append(cols, base.Columns[c])
+			cols = make([]types.Column, len(s.Cols))
+			for i, c := range s.Cols {
+				cols[i] = base[c]
 			}
 		}
-		sc := &types.Schema{Columns: cols}
 		if s.Alias != "" {
-			sc = sc.WithQualifier(s.Alias)
+			for i := range cols {
+				cols[i].Table = s.Alias
+			}
 		}
-		s.schema = sc
+		s.schema = &types.Schema{Columns: cols}
 	}
 	return s.schema
 }

@@ -7,71 +7,87 @@ import (
 // pruneColumns trims unused columns from the plan so fragment scans ship
 // only what the query needs. It runs a required-columns pass top-down;
 // each recursive call returns the rewritten node together with a mapping
-// from the node's previous output positions to its new ones (entries are
-// present only for surviving columns).
+// from the node's previous output positions to its new ones.
 func pruneColumns(n Node) Node {
-	width := n.Schema().Len()
+	out, _ := prune(n, allColumns(n.Schema().Len()))
+	return out
+}
+
+// allColumns requires every one of width columns.
+func allColumns(width int) []bool {
 	all := make([]bool, width)
 	for i := range all {
 		all[i] = true
 	}
-	out, _ := prune(n, all)
-	return out
+	return all
+}
+
+// identityMapping maps each of width columns to itself.
+func identityMapping(width int) []int {
+	m := make([]int, width)
+	for i := range m {
+		m[i] = i
+	}
+	return m
+}
+
+// markColumns marks in need the columns e reads.
+func markColumns(need []bool, e expr.Expr) {
+	expr.Columns(e, func(c int) {
+		if c < len(need) {
+			need[c] = true
+		}
+	})
 }
 
 // prune rewrites n so it produces (at least) the required columns.
-// mapping[old] = new position.
-func prune(n Node, required []bool) (Node, map[int]int) {
-	identity := func(width int) map[int]int {
-		m := make(map[int]int, width)
-		for i := 0; i < width; i++ {
-			m[i] = i
-		}
-		return m
-	}
+// mapping is as long as n was wide: mapping[old] is the column's new
+// position, -1 when it is gone.
+func prune(n Node, required []bool) (Node, []int) {
 	switch t := n.(type) {
 	case *Project:
-		// Keep only required expressions.
-		var keptExprs []expr.Expr
-		var keptNames []string
-		mapping := make(map[int]int)
-		needIn := make([]bool, t.Input.Schema().Len())
-		for i, e := range t.Exprs {
+		// Keep only required expressions — one at least, to preserve
+		// row counts.
+		mapping := make([]int, len(t.Exprs))
+		kept := 0
+		for i := range mapping {
 			if i < len(required) && !required[i] {
+				mapping[i] = -1
 				continue
 			}
-			mapping[i] = len(keptExprs)
-			keptExprs = append(keptExprs, e)
-			keptNames = append(keptNames, t.Names[i])
-			for c := range expr.ColumnSet(e) {
-				if c < len(needIn) {
-					needIn[c] = true
+			mapping[i] = kept
+			kept++
+		}
+		if kept == 0 && len(mapping) > 0 {
+			mapping[0], kept = 0, 1
+		}
+		// A projection that loses nothing stays the node it is, and its
+		// schema stands: remapping below moves positions, not names or
+		// types.
+		out := t
+		if kept < len(t.Exprs) {
+			out = &Project{Exprs: make([]expr.Expr, kept), Names: make([]string, kept)}
+			for i, m := range mapping {
+				if m >= 0 {
+					out.Exprs[m], out.Names[m] = t.Exprs[i], t.Names[i]
 				}
 			}
 		}
-		if len(keptExprs) == 0 && len(t.Exprs) > 0 {
-			// Keep one column to preserve row counts.
-			mapping[0] = 0
-			keptExprs = append(keptExprs, t.Exprs[0])
-			keptNames = append(keptNames, t.Names[0])
-			for c := range expr.ColumnSet(t.Exprs[0]) {
-				needIn[c] = true
-			}
+		needIn := make([]bool, t.Input.Schema().Len())
+		for _, e := range out.Exprs {
+			markColumns(needIn, e)
 		}
 		input, inMap := prune(t.Input, needIn)
-		for i := range keptExprs {
-			keptExprs[i] = expr.Remap(keptExprs[i], inMap)
+		out.Input = input
+		for i, e := range out.Exprs {
+			out.Exprs[i] = expr.Remap(e, inMap)
 		}
-		return &Project{Exprs: keptExprs, Names: keptNames, Input: input}, mapping
+		return out, mapping
 
 	case *Filter:
-		need := append([]bool(nil), required...)
-		for c := range expr.ColumnSet(t.Pred) {
-			for len(need) <= c {
-				need = append(need, false)
-			}
-			need[c] = true
-		}
+		need := make([]bool, t.Input.Schema().Len())
+		copy(need, required)
+		markColumns(need, t.Pred)
 		input, inMap := prune(t.Input, need)
 		t.Input = input
 		t.Pred = expr.Remap(t.Pred, inMap)
@@ -79,30 +95,35 @@ func prune(n Node, required []bool) (Node, map[int]int) {
 
 	case *GlobalScan:
 		// Translate required output positions into full-schema columns.
-		var cols []int
-		mapping := make(map[int]int)
-		for i, r := range required {
-			if !r {
+		full := func(i int) int {
+			if t.Cols != nil {
+				return t.Cols[i]
+			}
+			return i
+		}
+		width := len(t.Cols)
+		if t.Cols == nil {
+			width = t.Table.Schema.Len()
+		}
+		cols := make([]int, 0, width)
+		mapping := make([]int, width)
+		for i := range mapping {
+			if i >= len(required) || !required[i] {
+				mapping[i] = -1
 				continue
 			}
-			full := i
-			if t.Cols != nil {
-				full = t.Cols[i]
-			}
 			mapping[i] = len(cols)
-			cols = append(cols, full)
+			cols = append(cols, full(i))
 		}
-		if len(cols) == 0 {
+		if len(cols) == 0 && width > 0 {
 			// Keep one column so the scan still yields rows.
-			full := 0
-			if t.Cols != nil {
-				full = t.Cols[0]
-			}
-			cols = []int{full}
+			cols = append(cols, full(0))
 			mapping[0] = 0
 		}
 		t.Cols = cols
-		t.invalidate()
+		if len(cols) < width {
+			t.invalidate()
+		}
 		return t, mapping
 
 	case *Join:
@@ -131,69 +152,54 @@ func prune(n Node, required []bool) (Node, map[int]int) {
 				mark(i)
 			}
 		}
-		for c := range expr.ColumnSet(t.Cond) {
-			mark(c)
-		}
+		expr.Columns(t.Cond, mark)
 		l, lMap := prune(t.L, needL)
 		r, rMap := prune(t.R, needR)
 		newLW := l.Schema().Len()
-		// Rebuild the condition over the pruned concatenated schema.
-		condMap := make(map[int]int)
-		for old, nw := range lMap {
-			condMap[old] = nw
-		}
+		// The pruned concatenated schema: the condition is rebuilt over
+		// it, and it is the output of every join but a semi or anti join,
+		// whose output is its left input's.
+		both := make([]int, lw+rw)
+		copy(both, lMap)
 		for old, nw := range rMap {
-			condMap[old+lw] = nw + newLW
+			if nw >= 0 {
+				nw += newLW
+			}
+			both[lw+old] = nw
 		}
-		t.Cond = expr.Remap(t.Cond, condMap)
+		t.Cond = expr.Remap(t.Cond, both)
 		t.L, t.R = l, r
 		t.EquiL, t.EquiR = nil, nil // re-extracted later
 		t.schema = nil
-		// Output mapping for the parent.
-		outMap := make(map[int]int)
 		if semi {
-			for old, nw := range lMap {
-				outMap[old] = nw
-			}
-		} else {
-			for old, nw := range lMap {
-				outMap[old] = nw
-			}
-			for old, nw := range rMap {
-				outMap[old+lw] = nw + newLW
-			}
+			return t, lMap
 		}
-		return t, outMap
+		return t, both
 
 	case *Aggregate:
 		// Group keys always survive; unused aggregates are dropped.
 		nGroup := len(t.GroupBy)
-		var keptAggs []AggItem
-		mapping := make(map[int]int)
+		mapping := make([]int, nGroup+len(t.Aggs))
 		for i := 0; i < nGroup; i++ {
 			mapping[i] = i
 		}
+		kept := t.Aggs[:0]
 		for i, a := range t.Aggs {
 			pos := nGroup + i
 			if pos < len(required) && !required[pos] && len(t.Aggs) > 1 {
+				mapping[pos] = -1
 				continue
 			}
-			mapping[pos] = nGroup + len(keptAggs)
-			keptAggs = append(keptAggs, a)
+			mapping[pos] = nGroup + len(kept)
+			kept = append(kept, a)
 		}
-		t.Aggs = keptAggs
+		t.Aggs = kept
 		needIn := make([]bool, t.Input.Schema().Len())
 		for _, g := range t.GroupBy {
-			for c := range expr.ColumnSet(g) {
-				needIn[c] = true
-			}
+			markColumns(needIn, g)
 		}
 		for _, a := range t.Aggs {
-			if a.Arg != nil {
-				for c := range expr.ColumnSet(a.Arg) {
-					needIn[c] = true
-				}
-			}
+			markColumns(needIn, a.Arg)
 		}
 		input, inMap := prune(t.Input, needIn)
 		t.Input = input
@@ -201,22 +207,16 @@ func prune(n Node, required []bool) (Node, map[int]int) {
 			t.GroupBy[i] = expr.Remap(t.GroupBy[i], inMap)
 		}
 		for i := range t.Aggs {
-			if t.Aggs[i].Arg != nil {
-				t.Aggs[i].Arg = expr.Remap(t.Aggs[i].Arg, inMap)
-			}
+			t.Aggs[i].Arg = expr.Remap(t.Aggs[i].Arg, inMap)
 		}
 		t.schema = nil
 		return t, mapping
 
 	case *Sort:
-		need := append([]bool(nil), required...)
+		need := make([]bool, t.Input.Schema().Len())
+		copy(need, required)
 		for _, k := range t.Keys {
-			for c := range expr.ColumnSet(k.E) {
-				for len(need) <= c {
-					need = append(need, false)
-				}
-				need[c] = true
-			}
+			markColumns(need, k.E)
 		}
 		input, inMap := prune(t.Input, need)
 		t.Input = input
@@ -232,28 +232,18 @@ func prune(n Node, required []bool) (Node, map[int]int) {
 
 	case *Distinct:
 		// Every input column participates in duplicate elimination.
-		w := t.Input.Schema().Len()
-		all := make([]bool, w)
-		for i := range all {
-			all[i] = true
-		}
-		input, inMap := prune(t.Input, all)
+		input, inMap := prune(t.Input, allColumns(t.Input.Schema().Len()))
 		t.Input = input
 		return t, inMap
 
 	case *Union:
 		// Arms must stay position-compatible; require everything.
 		for i := range t.Inputs {
-			w := t.Inputs[i].Schema().Len()
-			all := make([]bool, w)
-			for j := range all {
-				all[j] = true
-			}
-			t.Inputs[i], _ = prune(t.Inputs[i], all)
+			t.Inputs[i], _ = prune(t.Inputs[i], allColumns(t.Inputs[i].Schema().Len()))
 		}
-		return t, identity(t.Schema().Len())
+		return t, identityMapping(t.Schema().Len())
 
 	default:
-		return n, identity(n.Schema().Len())
+		return n, identityMapping(n.Schema().Len())
 	}
 }

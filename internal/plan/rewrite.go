@@ -100,16 +100,8 @@ func pushConjunct(c expr.Expr, node *Node) bool {
 	switch t := (*node).(type) {
 	case *GlobalScan:
 		// References are over the scan's output (post-Cols); rewrite to
-		// full-schema positions.
-		remapped := c
-		if t.Cols != nil {
-			m := make(map[int]int, len(t.Cols))
-			for out, full := range t.Cols {
-				m[out] = full
-			}
-			remapped = expr.Remap(c, m)
-		}
-		t.Filter = expr.Conjoin([]expr.Expr{t.Filter, remapped})
+		// full-schema positions, which is what Cols lists.
+		t.Filter = expr.Conjoin([]expr.Expr{t.Filter, expr.Remap(c, t.Cols)})
 		return true
 
 	case *Filter:
@@ -180,25 +172,21 @@ func pushConjunct(c expr.Expr, node *Node) bool {
 	case *Aggregate:
 		// Only predicates over pure group-by columns commute with
 		// grouping.
-		ok := true
-		for idx := range expr.ColumnSet(c) {
-			if idx >= len(t.GroupBy) {
-				ok = false
-				break
-			}
-			if _, isCol := t.GroupBy[idx].(*expr.ColRef); !isCol {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-		m := make(map[int]int)
+		m := make([]int, len(t.GroupBy)) // output position → input column
 		for i, g := range t.GroupBy {
+			m[i] = -1
 			if ref, isCol := g.(*expr.ColRef); isCol {
 				m[i] = ref.Index
 			}
+		}
+		ok := true
+		expr.Columns(c, func(idx int) {
+			if idx >= len(m) || m[idx] < 0 {
+				ok = false
+			}
+		})
+		if !ok {
+			return false
 		}
 		remapped := expr.Remap(c, m)
 		if !pushConjunct(remapped, &t.Input) {
@@ -216,13 +204,13 @@ func pushConjunct(c expr.Expr, node *Node) bool {
 // -1 = left only, +1 = right only, 0 = both (or neither).
 func sideOf(c expr.Expr, leftWidth int) int {
 	hasL, hasR := false, false
-	for idx := range expr.ColumnSet(c) {
+	expr.Columns(c, func(idx int) {
 		if idx < leftWidth {
 			hasL = true
 		} else {
 			hasR = true
 		}
-	}
+	})
 	switch {
 	case hasL && !hasR:
 		return -1

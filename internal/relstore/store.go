@@ -160,8 +160,8 @@ func (s *Store) TableInfo(_ context.Context, name string) (*source.TableInfo, er
 		return nil, err
 	}
 	return &source.TableInfo{
-		Schema:     t.schema.Clone(),
-		KeyColumns: append([]int(nil), t.key...),
+		Schema:     t.schema,
+		KeyColumns: t.key,
 		RowCount:   t.live.Load(),
 	}, nil
 }

@@ -77,7 +77,11 @@ func (c Capabilities) String() string {
 	return s
 }
 
-// TableInfo describes one table as exposed by a source.
+// TableInfo describes one table as exposed by a source. Schema and
+// KeyColumns are read-only: a table's shape is fixed when it is
+// registered, so a store hands out its own, uncloned, on every call (a
+// wire server asks once per shipped filter), and whoever needs a variant
+// copies first (Schema.Clone, WithQualifier).
 type TableInfo struct {
 	Schema *types.Schema
 	// KeyColumns are the positions usable for keyed access when the

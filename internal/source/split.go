@@ -129,22 +129,13 @@ func Split(table string, columns []int, filter expr.Expr, caps Capabilities, inf
 		pushed.Columns = columns
 	default:
 		// Ship the desired columns and the ones the residual filter
-		// reads, then filter and cut down at the mediator.
-		cols := slices.Clone(columns)
-		for c := range expr.ColumnSet(res.Filter) {
-			cols = append(cols, c)
-		}
-		slices.Sort(cols)
-		cols = slices.Compact(cols)
-		pushed.Columns = cols
-		remap := make(map[int]int, len(cols))
-		for i, c := range cols {
-			remap[c] = i
-		}
-		res.Filter = expr.Remap(res.Filter, remap)
+		// reads, in table order, then filter and cut down at the mediator.
+		var pos []int
+		pushed.Columns, pos = expr.ColumnLayout(info.Schema.Len(), columns, res.Filter)
+		res.Filter = expr.Remap(res.Filter, pos)
 		res.Project = make([]int, len(columns))
 		for i, c := range columns {
-			res.Project[i] = remap[c]
+			res.Project[i] = pos[c]
 		}
 	}
 	return pushed, res

@@ -43,6 +43,12 @@ line', '-- not a comment', '/* nor this */' FROM t`,
 	"", ";", "SELECT", "SELECT ,", "SELECT a FROM", "SELECT a FROM t WHERE", "SELECT (((a)))", "SELECT ((a)", "SELECT a b c",
 	"SELECT a FROM t t2 t3", "SELECT * FROM t; SELECT 1", "SELECT a != b, a <> b, a <= b, a >= b, a || b, a ! b",
 	"SELECT COUNT(DISTINCT *), COUNT(), f(,)", "SELECT a.b.c FROM t", "SELECT t.* AS x FROM t", "\x00", "SELECT \xff",
+	// Characters outside the dialect, keywords in mixed case, words one
+	// byte and many bytes past the longest keyword, and each two-byte
+	// operator with the input ending inside or right after it.
+	"SELECT é FROM t", "SELECT §", "SeLeCt a fRoM t wHeRe a Is NoT nUlL", "SELECT distinct_customer, distinctx FROM t",
+	"SELECT " + strings.Repeat("SelectFr", 8) + " FROM t",
+	"SELECT a <=", "SELECT a >=", "SELECT a <>", "SELECT a !=", "SELECT a ||", "SELECT a <", "SELECT a !", "SELECT a |",
 }
 
 // FuzzParse feeds arbitrary text to the lexer and parser. Whatever the

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"gis/internal/expr"
 )
@@ -145,7 +146,7 @@ func (l *Lexer) Next() (Token, error) {
 			l.advance()
 		}
 		word := l.src[start:l.pos]
-		if up := strings.ToUpper(word); expr.Reserved(up) {
+		if up, ok := keyword(word); ok {
 			return tok(TokKeyword, up), nil
 		}
 		return tok(TokIdent, word), nil
@@ -234,23 +235,55 @@ done:
 	return tok(TokInt, text), nil
 }
 
-func (l *Lexer) lexOperator(tok func(TokenKind, string) Token) (Token, error) {
-	c := l.advance()
-	two := string(c) + string(l.peek())
-	switch two {
-	case "<=", ">=", "<>", "!=", "||":
-		l.advance()
-		if two == "!=" {
-			two = "<>"
+// keyword reports whether word is a reserved word in any mix of case,
+// and returns its upper-case spelling. It folds the word into a buffer on
+// the stack — no keyword is longer, so a longer word is an identifier —
+// and allocates only to spell a keyword that was not written in upper
+// case.
+func keyword(word string) (string, bool) {
+	var buf [8]byte // len("DISTINCT"), the longest reserved word
+	if len(word) > len(buf) {
+		return "", false
+	}
+	upper := true
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+			upper = false
 		}
+		buf[i] = c
+	}
+	if !expr.Reserved(string(buf[:len(word)])) {
+		return "", false
+	}
+	if upper {
+		return word, true
+	}
+	return string(buf[:len(word)]), true
+}
+
+// lexOperator scans an operator. Its text is a substring of the source,
+// except that != is spelled <>.
+func (l *Lexer) lexOperator(tok func(TokenKind, string) Token) (Token, error) {
+	start := l.pos
+	c := l.advance()
+	switch two := l.src[start:min(start+2, len(l.src))]; two {
+	case "!=":
+		l.advance()
+		return tok(TokOp, "<>"), nil
+	case "<=", ">=", "<>", "||":
+		l.advance()
 		return tok(TokOp, two), nil
 	}
 	switch c {
 	case '=', '<', '>', '+', '-', '*', '/', '%', '(', ')', ',', '.', ';':
-		return tok(TokOp, string(c)), nil
+		return tok(TokOp, l.src[start:l.pos]), nil
 	}
-	if unicode.IsPrint(rune(c)) {
-		return Token{}, l.errorf("unexpected character %q", string(c))
+	// Report the character, not its first byte: é is two. Bytes that are
+	// no UTF-8 decode as RuneError, one byte wide.
+	if r, size := utf8.DecodeRuneInString(l.src[start:]); (r != utf8.RuneError || size > 1) && unicode.IsPrint(r) {
+		return Token{}, l.errorf("unexpected character %q", string(r))
 	}
 	return Token{}, l.errorf("unexpected byte 0x%02x", c)
 }

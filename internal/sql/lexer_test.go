@@ -145,3 +145,84 @@ func TestTokenizeBadByte(t *testing.T) {
 		t.Error("bad character must error")
 	}
 }
+
+// TestTokenizeKeywordFolding pins the keyword test's stack buffer: any
+// mix of case is a keyword and comes back in upper case, and a word
+// longer than the longest keyword is an identifier however it starts.
+func TestTokenizeKeywordFolding(t *testing.T) {
+	id17 := "distinct_customer"
+	id64 := strings.Repeat("SelectFr", 8)
+	toks, err := Tokenize("SeLeCt dIsTiNcT " + id17 + ", " + id64 + " fRoM distinc, distinctx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "SELECT DISTINCT " + id17 + " , " + id64 + " FROM distinc , distinctx"
+	if got := texts(toks); got != want {
+		t.Errorf("texts = %q, want %q", got, want)
+	}
+	wantKinds := []TokenKind{TokKeyword, TokKeyword, TokIdent, TokOp, TokIdent, TokKeyword, TokIdent, TokOp, TokIdent}
+	for i, k := range kinds(toks) {
+		if k != wantKinds[i] {
+			t.Errorf("token %d (%q) has kind %d, want %d", i, toks[i].Text, k, wantKinds[i])
+		}
+	}
+}
+
+// TestTokenizeOperatorsAtEnd: every two-byte operator, and its one-byte
+// prefix where that is one, as the last thing in the input.
+func TestTokenizeOperatorsAtEnd(t *testing.T) {
+	for in, want := range map[string]string{
+		"a <=": "<=", "a >=": ">=", "a <>": "<>", "a !=": "<>", "a ||": "||",
+		"a <": "<", "a >": ">", "a =": "=", "a<=": "<=", "(": "(",
+	} {
+		toks, err := Tokenize(in)
+		if err != nil {
+			t.Errorf("%q: %v", in, err)
+			continue
+		}
+		if last := toks[len(toks)-1]; last.Kind != TokOp || last.Text != want {
+			t.Errorf("%q: last token %q (kind %d), want operator %q", in, last.Text, last.Kind, want)
+		}
+	}
+	for _, in := range []string{"a !", "a |", "!", "|"} {
+		if _, err := Tokenize(in); err == nil {
+			t.Errorf("%q must not lex", in)
+		}
+	}
+}
+
+// TestTokenizeUnexpectedCharacter: the error names the character, not
+// the first byte of its encoding read as Latin-1.
+func TestTokenizeUnexpectedCharacter(t *testing.T) {
+	for in, want := range map[string]string{
+		"SELECT é FROM t":    `unexpected character "é"`,
+		"SELECT §":           `unexpected character "§"`,
+		"SELECT a ! b":       `unexpected character "!"`,
+		"SELECT \xff":        "unexpected byte 0xff",
+		"SELECT \xc3":        "unexpected byte 0xc3", // é cut short
+		"SELECT \x00":        "unexpected byte 0x00",
+		"SELECT \u00a0 FROM": "unexpected byte 0xc2", // no-break space: valid, not printable
+	} {
+		_, err := Tokenize(in)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %v, want %q", in, err, want)
+		}
+	}
+}
+
+// TestTokenizeAllocatesItsResult: lexing the benchmark's point_remote
+// statements (bench/gen.go) builds the token slice and nothing else — no
+// upper-cased copy of a word to look it up, no string per operator. This
+// also pins that expr.Reserved(string(buf)) stays an allocation-free map
+// index.
+func TestTokenizeAllocatesItsResult(t *testing.T) {
+	for _, src := range pointRemoteStatements {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := Tokenize(src); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("Tokenize allocates %.0f objects, want 1 (its result): %s", n, src)
+		}
+	}
+}

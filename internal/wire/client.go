@@ -256,8 +256,10 @@ func (c *Client) Name() string { return c.name }
 // starts the conversation: a connection is borrowed. When the peer
 // answered — msgOK, or a msgErr, which leaves the protocol state as
 // clean — the connection comes back with the answer, the caller's to
-// keep for the next step or to put back; after a transport error its
-// state is unknown, so it has been closed and nil comes back.
+// keep for the next step or to put back; after a transport error, or an
+// answer that is neither, its state is unknown (what else the peer has
+// queued on it would be read as the next request's answer), so it has
+// been closed and nil comes back.
 func (c *Client) roundTrip(ctx context.Context, fc *frameConn, tag byte, payload []byte) (*frameConn, []byte, error) {
 	if err := ctx.Err(); err != nil {
 		return fc, nil, err
@@ -272,6 +274,10 @@ func (c *Client) roundTrip(ctx context.Context, fc *frameConn, tag byte, payload
 	if err != nil {
 		c.discard(fc)
 		return nil, nil, err
+	}
+	if respTag != msgOK && respTag != msgErr {
+		c.discard(fc)
+		fc = nil
 	}
 	resp, err = checkResp(respTag, resp)
 	return fc, resp, err
@@ -368,7 +374,7 @@ func (c *Client) Stats(table string) (*stats.TableStats, error) {
 // Execute implements source.Source, streaming result batches over a
 // connection the stream owns until it ends.
 func (c *Client) Execute(ctx context.Context, q *source.Query) (source.RowIter, error) {
-	var e Encoder
+	e := newMessage()
 	if err := e.Query(q); err != nil {
 		return nil, err
 	}
@@ -536,7 +542,7 @@ func (it *streamIter) Close() error {
 // all that tells the server an autocommit write from a transactional
 // one — and reads the affected-row count that answers it.
 func (c *Client) write(ctx context.Context, tx *remoteTx, tag byte, req writeReq) (int64, error) {
-	var e Encoder
+	e := newMessage()
 	if err := e.writeReq(tag, &req); err != nil {
 		return 0, err
 	}

@@ -19,10 +19,21 @@ import (
 // maxFrame bounds a single protocol frame (16 MiB).
 const maxFrame = 16 << 20
 
-// Encoder writes protocol values into a byte buffer.
+// Encoder writes protocol values into a byte buffer. The zero value is
+// ready to use and grows from nothing.
 type Encoder struct {
 	buf []byte
 }
+
+// messageRoom is the capacity an encoder of per-statement messages — a
+// sub-query, a write, the first frame of a reply — starts from. It holds
+// a point statement's request or answer, so such a message is allocated
+// once instead of reaching its size by five or six doublings from nil,
+// and it is small enough that a larger message loses nothing by it.
+const messageRoom = 256
+
+// newMessage returns an encoder with messageRoom to start from.
+func newMessage() Encoder { return Encoder{buf: make([]byte, 0, messageRoom)} }
 
 // Bytes returns the encoded payload.
 func (e *Encoder) Bytes() []byte { return e.buf }

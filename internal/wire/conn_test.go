@@ -3,6 +3,8 @@ package wire
 import (
 	"context"
 	"errors"
+	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -200,4 +202,78 @@ func TestCallObservesDeadline(t *testing.T) {
 			t.Errorf("next call on the client: %v", err)
 		}
 	})
+}
+
+// TestUnexpectedTagDiscardsConnection: after an answer that is neither
+// msgOK nor msgErr the protocol state of the connection is unknown, so
+// it does not go back to the pool. The fake peer answers the first
+// msgTables on its first connection with a msgRows frame and leaves a
+// stale msgOK queued behind it; every later connection it serves
+// correctly. The second call must be answered on a fresh connection, not
+// by the stale frame.
+func TestUnexpectedTagDiscardsConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	tables := func(name string) []byte {
+		var e Encoder
+		e.Uvarint(1)
+		e.String(name)
+		return e.Bytes()
+	}
+	var conns atomic.Int32
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			first := conns.Add(1) == 1
+			go func() {
+				defer conn.Close()
+				fc := newFrameConn(conn, SimLink{}, SimLink{})
+				for {
+					tag, _, err := fc.readFrame(ctx)
+					if err != nil {
+						return
+					}
+					switch {
+					case tag == msgHello:
+						var e Encoder
+						e.helloReply(&helloReply{MaxRead: maxFrame})
+						err = fc.writeFrame(ctx, msgOK, e.Bytes())
+					case first:
+						if err = fc.writeFrame(ctx, msgRows, []byte{0}); err == nil {
+							err = fc.writeFrame(ctx, msgOK, tables("stale"))
+						}
+					default:
+						err = fc.writeFrame(ctx, msgOK, tables("fresh"))
+					}
+					if err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	cl, err := DialContext(ctx, ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+
+	if got, err := cl.Tables(ctx); err == nil || !strings.Contains(err.Error(), "unexpected response tag") {
+		t.Fatalf("Tables answered with msgRows = %v, %v; want an unexpected-tag error", got, err)
+	}
+	within(t, 2*time.Second, "the call after the out-of-sync one", func() {
+		got, err := cl.Tables(ctx)
+		if err != nil || len(got) != 1 || got[0] != "fresh" {
+			t.Errorf("Tables after an out-of-sync answer = %v, %v; want [fresh] from a new connection", got, err)
+		}
+	})
+	if n := conns.Load(); n != 2 {
+		t.Errorf("peer saw %d connections, want 2: the out-of-sync one and its replacement", n)
+	}
 }

@@ -581,6 +581,9 @@ func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIte
 			return false, sendErr(ctx, fc, err)
 		}
 		if batch == 0 {
+			if rows == 0 {
+				e = newMessage() // at the first row: an empty stream encodes nothing
+			}
 			e.beginRows()
 		}
 		e.Row(row)
@@ -647,7 +650,7 @@ func awaitCredit(ctx context.Context, fc *frameConn, credit *int) error {
 // write applies a decoded write request through the transaction open on
 // this connection, else through the source's autocommit facet, and
 // returns the affected-row count. Shipped expressions are re-bound
-// against the table's schema first (see rebindExpr).
+// against the table's schema first (expr.BindPositions).
 func (s *Server) write(ctx context.Context, st *connState, tag byte, req *writeReq) (int64, error) {
 	var w source.Writer = st.tx
 	if st.tx == nil {
@@ -664,14 +667,14 @@ func (s *Server) write(ctx context.Context, st *connState, tag byte, req *writeR
 	if err != nil {
 		return 0, err
 	}
-	if req.Filter, err = rebindExpr(req.Filter, info.Schema); err != nil {
+	if req.Filter, err = expr.BindPositions(req.Filter, info.Schema); err != nil {
 		return 0, err
 	}
 	if tag == msgDelete {
 		return w.Delete(ctx, req.Table, req.Filter)
 	}
 	for i := range req.Set {
-		if req.Set[i].Value, err = rebindExpr(req.Set[i].Value, info.Schema); err != nil {
+		if req.Set[i].Value, err = expr.BindPositions(req.Set[i].Value, info.Schema); err != nil {
 			return 0, err
 		}
 	}
@@ -688,23 +691,8 @@ func (s *Server) rebindQuery(ctx context.Context, q *source.Query) error {
 	if err != nil {
 		return err
 	}
-	q.Filter, err = rebindExpr(q.Filter, info.Schema)
+	q.Filter, err = expr.BindPositions(q.Filter, info.Schema)
 	return err
-}
-
-// rebindExpr strips names from positional references (the sender's names
-// may come from the global schema) and binds against schema.
-func rebindExpr(e expr.Expr, schema *types.Schema) (expr.Expr, error) {
-	if e == nil {
-		return nil, nil
-	}
-	stripped := expr.Transform(e, func(n expr.Expr) expr.Expr {
-		if c, ok := n.(*expr.ColRef); ok && c.Index >= 0 {
-			return expr.NewBoundColRef(c.Index, c.Type, "")
-		}
-		return n
-	})
-	return expr.Bind(stripped, schema)
 }
 
 // encodeStats serializes table statistics (histograms travel too).

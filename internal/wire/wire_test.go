@@ -77,6 +77,45 @@ func TestRemoteMetadata(t *testing.T) {
 	}
 }
 
+// TestRebindBuildsTheFilterOnce: a component server gives a shipped
+// filter back its operator types and function references by building one
+// new tree over the decoded one, positions as they arrived, and reads
+// the table's schema without copying it: for `id = ?` the decoded nodes
+// (reference, its name, constant, comparison), the table info and the
+// bound reference and comparison — seven objects, where stripping names
+// into a second tree, binding a third and cloning the schema took twelve.
+func TestRebindBuildsTheFilterOnce(t *testing.T) {
+	st, _ := startRelServer(t, 10)
+	srv := &Server{src: st}
+	// As the mediator ships it: bound, under the global schema's name.
+	var e Encoder
+	if err := e.Expr(expr.NewBinary(expr.OpEq,
+		&expr.ColRef{Name: "item_id", Index: 0, Type: types.KindInt}, expr.NewConst(types.NewInt(7)))); err != nil {
+		t.Fatal(err)
+	}
+	q := &source.Query{Table: "items", Limit: -1}
+	rebind := func() *source.Query {
+		var err error
+		if q.Filter, err = NewDecoder(e.Bytes()).Expr(); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.rebindQuery(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	it, err := st.Execute(ctx, rebind())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := source.Drain(it); err != nil || len(rows) != 1 || rows[0][0].Int() != 7 {
+		t.Fatalf("rebound filter selects %v, %v; want the row with id 7", rows, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { rebind() }); n > 7 {
+		t.Errorf("decode + rebind of `id = ?` allocates %.0f objects, want at most 7", n)
+	}
+}
+
 func TestRemoteExecute(t *testing.T) {
 	_, cl := startRelServer(t, 1000)
 	// Full scan streams in batches (1000 > rowBatchSize).
