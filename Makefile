@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures lint-stats fmt vet check chaos overload fuzz bench rungs bench-e2e
+.PHONY: build test race lint lint-fixtures fmt vet check chaos overload fuzz bench rungs bench-e2e
 
 build:
 	$(GO) build ./...
@@ -19,18 +19,10 @@ lint:
 
 # Assert every analyzer still fires on its fixture package (guards
 # against an analyzer silently going blind), plus the suppression,
-# call-graph and summary unit tests and the TestDeadlock* runtime
-# confirmation. `go test ./...` runs these too; the target is the quick
-# loop while editing an analyzer.
+# call-graph and summary unit tests. `go test ./...` runs these too; the
+# target is the quick loop while editing an analyzer.
 lint-fixtures:
-	$(GO) test ./internal/lint -run 'TestFixtures|TestSuppressions|TestSummary|TestCallGraph|TestDeadlock' -count=1
-
-# Findings-by-analyzer counts plus call-graph/SCC dimensions, the
-# guard-model census (guardable structs, data fields, accesses, inferred
-# guarded fields) and the lock-order census over the whole module (one
-# run is recorded in EXPERIMENTS.md).
-lint-stats:
-	$(GO) run ./cmd/gislint -stats ./...
+	$(GO) test ./internal/lint -run 'TestFixtures|TestSuppressions|TestSummary|TestCallGraph' -count=1
 
 fmt:
 	gofmt -w .

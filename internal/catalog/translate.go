@@ -53,30 +53,15 @@ func (f *Fragment) translateIdentity(c expr.Expr) (expr.Expr, bool) {
 // translateComparison handles <col> cmp <const> over a transformed
 // column by inverting the transform on the constant.
 func (f *Fragment) translateComparison(c expr.Expr) (expr.Expr, bool) {
-	b, ok := c.(*expr.Binary)
-	if !ok || !b.Op.Comparison() {
-		return nil, false
-	}
-	col, colOK := b.L.(*expr.ColRef)
-	con, conOK := b.R.(*expr.Const)
-	op := b.Op
-	if !colOK || !conOK {
-		col, colOK = b.R.(*expr.ColRef)
-		con, conOK = b.L.(*expr.Const)
-		flipped, can := op.Commutes()
-		if !can {
-			return nil, false
-		}
-		op = flipped
-	}
-	if !colOK || !conOK || col.Index < 0 || col.Index >= len(f.Columns) {
+	col, op, val, ok := expr.ColumnComparison(c)
+	if !ok || col.Index < 0 || col.Index >= len(f.Columns) {
 		return nil, false
 	}
 	m := f.Columns[col.Index]
 	if m.Const != nil {
 		return nil, false
 	}
-	rv, ok := m.ToRemote(con.Val)
+	rv, ok := m.ToRemote(val)
 	if !ok {
 		return nil, false
 	}
@@ -221,27 +206,14 @@ func contradicts(a, b expr.Expr) bool {
 	return false
 }
 
+// colConstCmp is a column comparison an interval can be read from: not
+// <>, not against NULL.
 func colConstCmp(e expr.Expr) (col int, v types.Value, op expr.BinOp, ok bool) {
-	b, isBin := e.(*expr.Binary)
-	if !isBin || !b.Op.Comparison() || b.Op == expr.OpNe {
+	c, op, v, ok := expr.ColumnComparison(e)
+	if !ok || op == expr.OpNe || c.Index < 0 || v.IsNull() {
 		return 0, types.Null, 0, false
 	}
-	c, cok := b.L.(*expr.ColRef)
-	k, kok := b.R.(*expr.Const)
-	op = b.Op
-	if !cok || !kok {
-		c, cok = b.R.(*expr.ColRef)
-		k, kok = b.L.(*expr.Const)
-		flipped, can := op.Commutes()
-		if !can {
-			return 0, types.Null, 0, false
-		}
-		op = flipped
-	}
-	if !cok || !kok || c.Index < 0 || k.Val.IsNull() {
-		return 0, types.Null, 0, false
-	}
-	return c.Index, k.Val, op, true
+	return c.Index, v, op, true
 }
 
 type bound struct {

@@ -82,11 +82,6 @@ func New(opts ...Option) *Engine {
 	return e
 }
 
-// WithPartialResults enables graceful degradation from construction.
-func WithPartialResults() Option {
-	return func(e *Engine) { e.partial.Store(true) }
-}
-
 // SetPartialResults toggles graceful degradation for SELECTs. Off by
 // default: every source failure fails the query. On, a failed fan-out
 // branch yields a Result with Partial set (unless every branch failed,

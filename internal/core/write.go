@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"gis/internal/obs"
 	"gis/internal/source"
 	"gis/internal/sql"
+	"gis/internal/txn"
 	"gis/internal/types"
 )
 
@@ -51,10 +53,37 @@ func (e *Engine) execStmt(ctx context.Context, stmt sql.Statement) (int64, error
 	return n, err
 }
 
-// fragWrite batches the per-fragment work of one global write.
+// fragWrite is one fragment's share of a global write, in the remote
+// representation: rows for an INSERT, a filter and a SET list for an
+// UPDATE, a filter alone for a DELETE (a nil filter matches every row).
 type fragWrite struct {
-	frag *catalog.Fragment
-	rows []types.Row // inserts (remote representation)
+	frag   *catalog.Fragment
+	op     writeOp
+	rows   []types.Row
+	filter expr.Expr
+	set    []source.SetClause
+}
+
+type writeOp uint8
+
+const (
+	opInsert writeOp = iota
+	opUpdate
+	opDelete
+)
+
+// apply performs the write through w: the source itself (autocommit) or
+// a transaction on it.
+func (fw *fragWrite) apply(ctx context.Context, w source.Writer) (int64, error) {
+	switch fw.op {
+	case opInsert:
+		return w.Insert(ctx, fw.frag.RemoteTable, fw.rows)
+	case opUpdate:
+		return w.Update(ctx, fw.frag.RemoteTable, fw.filter, fw.set)
+	case opDelete:
+		return w.Delete(ctx, fw.frag.RemoteTable, fw.filter)
+	}
+	return 0, fmt.Errorf("core: unknown write operation %d", fw.op)
 }
 
 // execInsert evaluates the literal rows, routes each to the fragment
@@ -83,7 +112,7 @@ func (e *Engine) execInsert(ctx context.Context, ins *sql.InsertStmt) (int64, er
 			colIdx = append(colIdx, i)
 		}
 	}
-	writes := map[*catalog.Fragment]*fragWrite{}
+	var writes []fragWrite
 	for ri, exprRow := range ins.Rows {
 		if len(exprRow) != len(colIdx) {
 			return 0, fmt.Errorf("core: INSERT row %d has %d values, expected %d", ri+1, len(exprRow), len(colIdx))
@@ -119,16 +148,18 @@ func (e *Engine) execInsert(ctx context.Context, ins *sql.InsertStmt) (int64, er
 		if err != nil {
 			return 0, fmt.Errorf("core: INSERT row %d: %w", ri+1, err)
 		}
-		w := writes[frag]
-		if w == nil {
-			w = &fragWrite{frag: frag}
-			writes[frag] = w
+		i := slices.IndexFunc(writes, func(w fragWrite) bool { return w.frag == frag })
+		if i < 0 {
+			i = len(writes)
+			writes = append(writes, fragWrite{frag: frag, op: opInsert})
 		}
-		w.rows = append(w.rows, remote)
+		writes[i].rows = append(writes[i].rows, remote)
 	}
-	return e.applyWrites(ctx, writes, func(ctx context.Context, w source.Writer, fw *fragWrite) (int64, error) {
-		return w.Insert(ctx, fw.frag.RemoteTable, fw.rows)
+	// Catalog order, however the rows arrived.
+	slices.SortFunc(writes, func(a, b fragWrite) int {
+		return cmp.Compare(slices.Index(tab.Fragments, a.frag), slices.Index(tab.Fragments, b.frag))
 	})
+	return e.applyWrites(ctx, writes)
 }
 
 // routeRow picks the single fragment whose partition predicate accepts
@@ -245,11 +276,7 @@ func (e *Engine) execUpdate(ctx context.Context, upd *sql.UpdateStmt) (int64, er
 		sets[i] = setClause{col: col, value: expr.FoldConstants(bound)}
 	}
 
-	writes := map[*catalog.Fragment]*fragWrite{}
-	translated := map[*catalog.Fragment]struct {
-		filter expr.Expr
-		set    []source.SetClause
-	}{}
+	var writes []fragWrite
 	for _, frag := range tab.Fragments {
 		if frag.PruneByPartition(filter) {
 			continue
@@ -273,16 +300,9 @@ func (e *Engine) execUpdate(ctx context.Context, upd *sql.UpdateStmt) (int64, er
 			}
 			rset[i] = source.SetClause{Col: m.RemoteCol, Value: rv}
 		}
-		writes[frag] = &fragWrite{frag: frag}
-		translated[frag] = struct {
-			filter expr.Expr
-			set    []source.SetClause
-		}{remoteFilter, rset}
+		writes = append(writes, fragWrite{frag: frag, op: opUpdate, filter: remoteFilter, set: rset})
 	}
-	return e.applyWrites(ctx, writes, func(ctx context.Context, w source.Writer, fw *fragWrite) (int64, error) {
-		t := translated[fw.frag]
-		return w.Update(ctx, fw.frag.RemoteTable, t.filter, t.set)
-	})
+	return e.applyWrites(ctx, writes)
 }
 
 // execDelete translates the statement per fragment and applies it.
@@ -295,8 +315,7 @@ func (e *Engine) execDelete(ctx context.Context, del *sql.DeleteStmt) (int64, er
 	if err != nil {
 		return 0, err
 	}
-	writes := map[*catalog.Fragment]*fragWrite{}
-	filters := map[*catalog.Fragment]expr.Expr{}
+	var writes []fragWrite
 	for _, frag := range tab.Fragments {
 		if frag.PruneByPartition(filter) {
 			continue
@@ -306,12 +325,9 @@ func (e *Engine) execDelete(ctx context.Context, del *sql.DeleteStmt) (int64, er
 			return 0, fmt.Errorf("core: DELETE predicate %s is not expressible at %s.%s",
 				residual, frag.Source, frag.RemoteTable)
 		}
-		writes[frag] = &fragWrite{frag: frag}
-		filters[frag] = remoteFilter
+		writes = append(writes, fragWrite{frag: frag, op: opDelete, filter: remoteFilter})
 	}
-	return e.applyWrites(ctx, writes, func(ctx context.Context, w source.Writer, fw *fragWrite) (int64, error) {
-		return w.Delete(ctx, fw.frag.RemoteTable, filters[fw.frag])
-	})
+	return e.applyWrites(ctx, writes)
 }
 
 // bindWriteFilter binds (and de-subqueries) a write statement's WHERE.
@@ -330,96 +346,106 @@ func (e *Engine) bindWriteFilter(ctx context.Context, where expr.Expr, tab *cata
 	return expr.FoldConstants(bound), nil
 }
 
-// applyWrites drives the per-fragment writes: direct autocommit for a
-// single source, two-phase commit across several.
-func (e *Engine) applyWrites(ctx context.Context, writes map[*catalog.Fragment]*fragWrite,
-	apply func(context.Context, source.Writer, *fragWrite) (int64, error)) (int64, error) {
-
+// applyWrites performs the fragment writes of one statement, given in
+// catalog fragment order. One write is one autocommit call. Several run
+// under the coordinator, one transaction per source — also when the
+// source is one, so that the statement is atomic within a participant as
+// it is across them. One source that offers no transaction takes them
+// one autocommit call after another in catalog order: what a failure
+// leaves behind is then at least the same every time, which is all an
+// autonomous component without transactions allows.
+func (e *Engine) applyWrites(ctx context.Context, writes []fragWrite) (int64, error) {
 	if len(writes) == 0 {
 		return 0, nil
 	}
-	// Group by source (several fragments can live on one source).
-	bySource := map[string][]*fragWrite{}
-	for _, fw := range writes {
-		bySource[fw.frag.Source] = append(bySource[fw.frag.Source], fw)
-	}
-
-	if len(bySource) == 1 {
-		// Single participant: autocommit through the source's writer.
-		var total int64
-		for name, fws := range bySource {
-			src, err := e.cat.Source(name)
-			if err != nil {
-				return 0, err
-			}
-			w, ok := src.(source.Writer)
-			if !ok {
-				return 0, fmt.Errorf("core: source %s is not writable", name)
-			}
-			for _, fw := range fws {
-				n, err := apply(ctx, w, fw)
-				total += n
-				if err != nil {
-					return total, err
-				}
-			}
-		}
-		return total, nil
-	}
-
-	// Multiple participants: two-phase commit, the participants taken in
-	// name order. A participant's store is locked from its first write to
+	// Participants in name order, each one's writes still in catalog
+	// order. A participant's store is locked from its first write to
 	// commit, so two global updates that took theirs in different orders
 	// would each hold what the other waits for; one global order is the
 	// whole deadlock-avoidance argument. It also makes 2PC traces and the
 	// decision log repeatable.
-	names := make([]string, 0, len(bySource))
-	for name := range bySource {
-		names = append(names, name)
+	slices.SortStableFunc(writes, func(a, b fragWrite) int { return cmp.Compare(a.frag.Source, b.frag.Source) })
+
+	if name := writes[0].frag.Source; name == writes[len(writes)-1].frag.Source {
+		src, err := e.cat.Source(name)
+		if err != nil {
+			return 0, err
+		}
+		w, ok := src.(source.Writer)
+		if !ok {
+			return 0, fmt.Errorf("core: source %s is not writable", name)
+		}
+		if _, transactional := src.(source.Transactional); len(writes) == 1 || !transactional {
+			return applyAll(ctx, w, writes)
+		}
 	}
-	slices.Sort(names)
+
 	g := e.coord.Begin()
+	total, err := e.enlistAndApply(ctx, g, writes)
+	if err != nil {
+		_ = g.Abort(ctx) // best-effort rollback; the original error wins
+		return 0, err
+	}
+	if err := g.Commit(ctx); err != nil {
+		return 0, err
+	}
+	return total, nil
+}
+
+// enlistAndApply takes writes' sources in turn: a transaction is begun
+// on the source, enlisted in g, and given that source's writes. On an
+// error the caller aborts g, and with it every transaction enlisted.
+func (e *Engine) enlistAndApply(ctx context.Context, g *txn.GlobalTx, writes []fragWrite) (int64, error) {
 	var total int64
-	for _, name := range names {
+	for len(writes) > 0 {
+		name := writes[0].frag.Source
+		n := 1
+		for n < len(writes) && writes[n].frag.Source == name {
+			n++
+		}
 		if err := ctx.Err(); err != nil {
-			_ = g.Abort(ctx) // best-effort rollback; the original error wins
 			return 0, err
 		}
 		src, err := e.cat.Source(name)
 		if err != nil {
-			_ = g.Abort(ctx) // best-effort rollback; the original error wins
 			return 0, err
 		}
 		t, ok := src.(source.Transactional)
 		if !ok {
-			_ = g.Abort(ctx) // best-effort rollback; the original error wins
 			return 0, fmt.Errorf("core: source %s cannot participate in a multi-source write (no transaction support)", name)
 		}
 		tx, err := t.BeginTx(ctx)
 		if err != nil {
-			_ = g.Abort(ctx) // best-effort rollback; the original error wins
 			return 0, err
 		}
 		if err := g.Enlist(name, tx); err != nil {
-			_ = tx.Abort(ctx) // best-effort rollback; the original error wins
-			_ = g.Abort(ctx)  // best-effort rollback; the original error wins
+			_ = tx.Abort(ctx) // not enlisted, so not covered by the caller's abort
 			return 0, err
 		}
-		for _, fw := range bySource[name] {
-			if err := ctx.Err(); err != nil {
-				_ = g.Abort(ctx) // best-effort rollback; the original error wins
-				return 0, err
-			}
-			n, err := apply(ctx, tx, fw)
-			total += n
-			if err != nil {
-				_ = g.Abort(ctx) // best-effort rollback; the original error wins
-				return 0, err
-			}
+		affected, err := applyAll(ctx, tx, writes[:n])
+		if err != nil {
+			return 0, err
 		}
+		total += affected
+		writes = writes[n:]
 	}
-	if err := g.Commit(ctx); err != nil {
-		return 0, err
+	return total, nil
+}
+
+// applyAll performs one participant's writes in order through w and
+// stops at the first error, returning the rows affected until then: an
+// autocommitting source keeps them, a transaction's caller aborts.
+func applyAll(ctx context.Context, w source.Writer, writes []fragWrite) (int64, error) {
+	var total int64
+	for i := range writes {
+		if err := ctx.Err(); err != nil {
+			return total, err
+		}
+		n, err := writes[i].apply(ctx, w)
+		total += n
+		if err != nil {
+			return total, err
+		}
 	}
 	return total, nil
 }

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"gis/internal/catalog"
+	"gis/internal/expr"
+	"gis/internal/kvstore"
 	"gis/internal/relstore"
 	"gis/internal/source"
 	"gis/internal/types"
@@ -194,4 +197,131 @@ func TestWriteErrorMessagesAreActionable(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "constant-mapped") {
 		t.Errorf("error should explain the constant mapping: %v", err)
 	}
+}
+
+// twoFragmentsOneSource maps t(id INT, v STRING) onto two tables of one
+// source, in catalog order lo (id < 100) then hi (id >= 100), each
+// holding one row: 1 and 150. hi keeps v as an INT, so that a string
+// written through the mapping is refused there and accepted at lo.
+func twoFragmentsOneSource(t *testing.T, src source.Source, create func(name string, schema *types.Schema) error) *Engine {
+	t.Helper()
+	col := func(v types.Kind) *types.Schema {
+		return types.NewSchema(types.Column{Name: "id", Type: types.KindInt}, types.Column{Name: "v", Type: v})
+	}
+	if err := create("lo", col(types.KindString)); err != nil {
+		t.Fatal(err)
+	}
+	if err := create("hi", col(types.KindInt)); err != nil {
+		t.Fatal(err)
+	}
+	w := src.(source.Writer)
+	if _, err := w.Insert(ctx, "lo", []types.Row{{types.NewInt(1), types.NewString("a")}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Insert(ctx, "hi", []types.Row{{types.NewInt(150), types.NewInt(7)}}); err != nil {
+		t.Fatal(err)
+	}
+	e := New()
+	if err := e.Catalog().AddSource(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Catalog().DefineTable("t", col(types.KindString)); err != nil {
+		t.Fatal(err)
+	}
+	id, hundred := expr.NewColRef("", "id"), expr.NewConst(types.NewInt(100))
+	for _, f := range []*catalog.Fragment{
+		{RemoteTable: "lo", Where: expr.NewBinary(expr.OpLt, id, hundred)},
+		{RemoteTable: "hi", Where: expr.NewBinary(expr.OpGe, id, hundred)},
+	} {
+		f.Source = src.Name()
+		f.Columns = []catalog.ColumnMapping{{RemoteCol: 0}, {RemoteCol: 1}}
+		if err := e.Catalog().MapFragment(ctx, "t", f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
+}
+
+// remoteRows renders a component table's rows, sorted, for comparison.
+func remoteRows(t *testing.T, s source.Source, table string) string {
+	t.Helper()
+	it, err := s.Execute(ctx, source.NewScan(table))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := source.Drain(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.String()
+	}
+	slices.Sort(out)
+	return strings.Join(out, " ")
+}
+
+// TestSingleSourceMultiFragmentWriteIsAtomic: a statement that touches
+// two fragments of one source and fails on the second leaves nothing
+// behind on the first when the source has transactions, and leaves the
+// same thing behind every time — the first fragment in catalog order,
+// written — when it has none.
+func TestSingleSourceMultiFragmentWriteIsAtomic(t *testing.T) {
+	const rounds = 200
+	failing := []struct{ name, stmt string }{
+		{"insert", "INSERT INTO t VALUES (2, 'b'), (150, '8')"}, // 150 is a duplicate key at hi
+		{"update", "UPDATE t SET v = 'abc'"},                    // 'abc' is no INT at hi
+	}
+
+	t.Run("relstore", func(t *testing.T) {
+		st := relstore.New("one")
+		e := twoFragmentsOneSource(t, st, func(name string, schema *types.Schema) error {
+			return st.CreateTable(name, schema, 0)
+		})
+		before := remoteRows(t, st, "lo")
+		for _, f := range failing {
+			left := 0
+			for i := 0; i < rounds; i++ {
+				if _, err := e.Exec(ctx, f.stmt); err == nil {
+					t.Fatalf("%s: %s succeeded; the test needs it to fail at hi", f.name, f.stmt)
+				}
+				if remoteRows(t, st, "lo") != before {
+					left++
+					// Put lo back so that the next round starts clean.
+					if _, err := st.Delete(ctx, "lo", nil); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := st.Insert(ctx, "lo", []types.Row{{types.NewInt(1), types.NewString("a")}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if left > 0 {
+				t.Errorf("%s: %d of %d failed statements left their write to lo behind", f.name, left, rounds)
+			}
+		}
+	})
+
+	t.Run("kvstore", func(t *testing.T) {
+		st := kvstore.New("one")
+		e := twoFragmentsOneSource(t, st, func(name string, schema *types.Schema) error {
+			return st.CreateBucket(name, schema, 0)
+		})
+		skipped := 0
+		for i := 0; i < rounds; i++ {
+			if _, err := e.Exec(ctx, failing[0].stmt); err == nil {
+				t.Fatal("insert of a duplicate key succeeded")
+			}
+			if got := remoteRows(t, st, "lo"); !strings.Contains(got, "b") {
+				skipped++
+			}
+			two := expr.NewBinary(expr.OpEq, expr.NewBoundColRef(0, types.KindInt, "id"), expr.NewConst(types.NewInt(2)))
+			if _, err := st.Delete(ctx, "lo", two); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if skipped > 0 {
+			t.Errorf("%d of %d rounds reached hi before lo: fragments are not written in catalog order", skipped, rounds)
+		}
+	})
 }

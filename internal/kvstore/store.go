@@ -194,24 +194,10 @@ func (b *bucket) rangeFromFilter(filter expr.Expr) (Bound, Bound, []types.Value,
 			}
 			continue
 		}
-		bin, ok := c.(*expr.Binary)
-		if !ok || !bin.Op.Comparison() {
+		col, op, v, ok := expr.ColumnComparison(c)
+		if !ok || col.Index != b.keyCol {
 			return lo, hi, nil, fmt.Errorf("unsupported pushed predicate %s", c)
 		}
-		col, colOK := bin.L.(*expr.ColRef)
-		con, conOK := bin.R.(*expr.Const)
-		op := bin.Op
-		if !colOK || !conOK {
-			col, colOK = bin.R.(*expr.ColRef)
-			con, conOK = bin.L.(*expr.Const)
-			if flipped, can := op.Commutes(); can {
-				op = flipped
-			}
-		}
-		if !colOK || !conOK || col.Index != b.keyCol {
-			return lo, hi, nil, fmt.Errorf("unsupported pushed predicate %s", c)
-		}
-		v := con.Val
 		switch op {
 		case expr.OpEq:
 			lo = tighterLo(lo, Incl(v))

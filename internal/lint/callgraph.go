@@ -7,7 +7,6 @@ import (
 	"go/types"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // This file builds the module-wide call graph the interprocedural layer
@@ -60,8 +59,6 @@ type CallSite struct {
 	Callee *types.Func
 	// Targets are the module-internal bodies the call may reach.
 	Targets []*FuncNode
-	// Deferred marks `defer f(...)`.
-	Deferred bool
 	// InGo marks `go f(...)` — the call runs on a new goroutine, so its
 	// blocking behavior does not propagate to the spawner.
 	InGo bool
@@ -74,8 +71,6 @@ type CallSite struct {
 // CallGraph is the module-wide graph plus its site index.
 type CallGraph struct {
 	Nodes []*FuncNode
-	// Edges counts resolved call→target pairs.
-	Edges int
 
 	byObj  map[*types.Func]*FuncNode
 	byLit  map[*ast.FuncLit]*FuncNode
@@ -85,9 +80,6 @@ type CallGraph struct {
 // NodeOf returns the graph node for a declared function, nil when the
 // function has no analyzable body in the module.
 func (g *CallGraph) NodeOf(fn *types.Func) *FuncNode { return g.byObj[fn] }
-
-// LitNode returns the graph node for a function literal.
-func (g *CallGraph) LitNode(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] }
 
 // SiteOf returns the call-site record for a call expression, nil when
 // the expression is outside every analyzed body.
@@ -192,16 +184,6 @@ func qualifiedName(fn *types.Func) string {
 	return fmt.Sprintf("%s(%s%s).%s", pkg, star, name, fn.Name())
 }
 
-// displayName strips the package qualifier from a node's graph name for
-// diagnostics: "pkg.(*iter).Next" renders as "(*iter).Next", "pkg.f" as
-// "f".
-func displayName(n *FuncNode) string {
-	if i := strings.Index(n.Name, "."); i >= 0 {
-		return n.Name[i+1:]
-	}
-	return n.Name
-}
-
 // resolveSites walks n's own statements (not nested literals) and
 // records every call with its resolved targets.
 func resolveSites(g *CallGraph, n *FuncNode, methodsByName map[string][]*FuncNode) {
@@ -211,14 +193,10 @@ func resolveSites(g *CallGraph, n *FuncNode, methodsByName map[string][]*FuncNod
 			return true
 		}
 		site := &CallSite{Call: call}
-		switch parent := n.Pkg.Parent(call).(type) {
-		case *ast.DeferStmt:
-			site.Deferred = parent.Call == call
-		case *ast.GoStmt:
+		if parent, ok := n.Pkg.Parent(call).(*ast.GoStmt); ok {
 			site.InGo = parent.Call == call
 		}
 		site.Callee, site.Targets, site.Interface = resolveCall(g, n, call, methodsByName)
-		g.Edges += len(site.Targets)
 		n.Sites = append(n.Sites, site)
 		g.bySite[call] = site
 		return true

@@ -7,20 +7,18 @@ import (
 	"strings"
 )
 
-// The held-lock walker. Five analyzers ask the same question of every
+// The held-lock walker. Two analyzers ask the same question of every
 // function body — which mutexes are held when this node executes — and
 // differ only in what they do with the answer: lockheld reports blocking
-// operations, the guard model (lockguard, atomicmix) records field
-// accesses, the lock-order model (lockorder, selfdeadlock, blockcycle)
-// builds order edges and convicts re-acquisitions. This file owns the
-// shared half: recognising a sync lock operation, folding a callee's
-// lock balance into the call site, keeping `defer` out of the flow, and
-// the fixpoint-then-replay over the CFG that hands each node to a
-// visitor together with the set held just before it.
+// operations, the lock-order model (lockorder) builds order edges. This
+// file owns the shared half: recognising a sync lock operation, folding
+// a callee's lock balance into the call site, keeping `defer` out of the
+// flow, and the fixpoint-then-replay over the CFG that hands each node
+// to a visitor together with the set held just before it.
 
-// lockRef identifies one mutex (or channel, or WaitGroup) instance by
-// the root object of its access path plus the rendered path ("c.mu"),
-// so shadowing cannot alias two of them.
+// lockRef identifies one mutex instance by the root object of its access
+// path plus the rendered path ("c.mu"), so shadowing cannot alias two of
+// them.
 type lockRef struct {
 	root types.Object
 	path string
@@ -124,19 +122,17 @@ func derefStruct(t types.Type) (*types.Struct, bool) {
 }
 
 // fieldByRelPath walks a receiver-relative ".a.mu" path down t's struct
-// fields, returning the final field and the named type that owns it.
-func fieldByRelPath(t types.Type, rel string) (*types.Var, *types.Named) {
+// fields and returns the final field, nil when a hop does not resolve.
+func fieldByRelPath(t types.Type, rel string) *types.Var {
 	var f *types.Var
-	var owner *types.Named
 	for _, hop := range strings.Split(strings.TrimPrefix(rel, "."), ".") {
 		if t == nil {
-			return nil, nil
+			return nil
 		}
 		st, ok := derefStruct(t)
 		if !ok {
-			return nil, nil
+			return nil
 		}
-		owner = derefNamed(t)
 		f = nil
 		for i := 0; i < st.NumFields(); i++ {
 			if st.Field(i).Name() == hop {
@@ -145,11 +141,11 @@ func fieldByRelPath(t types.Type, rel string) (*types.Var, *types.Named) {
 			}
 		}
 		if f == nil {
-			return nil, nil
+			return nil
 		}
 		t = f.Type()
 	}
-	return f, owner
+	return f
 }
 
 // lockBalance is what one resolved method call does, on return, to the
@@ -211,8 +207,7 @@ func (ip *Interproc) calleeLockBalance(pkg *Package, call *ast.CallExpr) (lockBa
 // unknown), where the current function acquired it, and whether it is
 // held in read mode. Position is part of the key so a lock acquired on
 // two paths keeps both witnesses alive; releasing drops every fact with
-// the same ref. Consumers that only ask "is this instance held" use
-// holdsRef.
+// the same ref.
 type heldLock struct {
 	ref  lockRef
 	cls  *types.Var
@@ -223,15 +218,6 @@ type heldLock struct {
 // heldSet is the dataflow state: a may-set, a lock is in it when some
 // path to the program point holds it.
 type heldSet = map[heldLock]uint8
-
-func holdsRef(s heldSet, ref lockRef) bool {
-	for h := range s {
-		if h.ref == ref {
-			return true
-		}
-	}
-	return false
-}
 
 func releaseRef(s heldSet, ref lockRef) {
 	for h := range s {
@@ -266,14 +252,13 @@ func (ip *Interproc) applyLockEffect(pkg *Package, call *ast.CallExpr, s heldSet
 		releaseRef(s, lockRef{root: bal.base.root, path: bal.base.path + p})
 	}
 	for p := range bal.locks {
-		cls, _ := fieldByRelPath(bal.baseType, p)
+		cls := fieldByRelPath(bal.baseType, p)
 		s[heldLock{ref: lockRef{root: bal.base.root, path: bal.base.path + p}, cls: cls, pos: call.Pos()}] = 1
 	}
 }
 
 // acquiresLocks is the cheap pre-scan: a body with no Lock/RLock and no
-// call to a helper that leaves a lock held never holds anything it was
-// not entered with.
+// call to a helper that leaves a lock held never holds anything.
 func (ip *Interproc) acquiresLocks(n *FuncNode) bool {
 	found := false
 	walkNode(n.Body, func(m ast.Node) bool {
@@ -289,18 +274,18 @@ func (ip *Interproc) acquiresLocks(n *FuncNode) bool {
 	return found
 }
 
-// walkHeld runs the held-lock dataflow over n's body — entered with the
-// locks in entry held — and then replays it deterministically (blocks
-// in CFG order, nodes in syntactic order), calling visit on every node
-// of the body outside nested literals with the set held immediately
-// BEFORE the node takes effect. visit must not retain or mutate held.
+// walkHeld runs the held-lock dataflow over n's body, entered holding
+// nothing, and then replays it deterministically (blocks in CFG order,
+// nodes in syntactic order), calling visit on every node of the body
+// outside nested literals with the set held immediately BEFORE the node
+// takes effect. visit must not retain or mutate held.
 //
 // A deferred call runs at return, after the body: it neither changes
 // the held set where it is registered (so `defer mu.Unlock()` keeps mu
 // held to the end) nor is presented to visit as a call. Its DeferStmt
 // is presented, and its argument expressions — evaluated at
 // registration — are walked like any others.
-func (ip *Interproc) walkHeld(n *FuncNode, entry heldSet, visit func(m ast.Node, held heldSet)) {
+func (ip *Interproc) walkHeld(n *FuncNode, visit func(m ast.Node, held heldSet)) {
 	step := func(root ast.Node, s heldSet, visit func(ast.Node, heldSet)) {
 		walkNode(root, func(m ast.Node) bool {
 			call, isCall := m.(*ast.CallExpr)
@@ -316,13 +301,13 @@ func (ip *Interproc) walkHeld(n *FuncNode, entry heldSet, visit func(m ast.Node,
 			return true
 		}, nil)
 	}
-	if len(entry) == 0 && !ip.acquiresLocks(n) {
+	if !ip.acquiresLocks(n) {
 		// Nothing is ever held: no dataflow needed.
 		step(n.Body, nil, visit)
 		return
 	}
 	g := n.Pkg.CFGOf(n.Body)
-	in := fixpoint(g, entry, func(bl *Block, s heldSet) {
+	in := fixpoint(g, nil, func(bl *Block, s heldSet) {
 		for _, stmt := range bl.Nodes {
 			step(stmt, s, nil)
 		}

@@ -61,13 +61,7 @@ func All() []*Analyzer {
 		LockHeld(),
 		SQLShip(),
 		GoLeak(),
-		LockGuard(),
-		AtomicMix(),
-		WGLifecycle(),
-		ChanMisuse(),
 		LockOrder(),
-		SelfDeadlock(),
-		BlockCycle(),
 	}
 }
 
@@ -137,33 +131,17 @@ func (p *Pass) Named(path, name string) *types.Named {
 // package-level cache).
 func (p *Pass) Parent(n ast.Node) ast.Node { return p.Pkg.Parent(n) }
 
-// AnalyzerStat is one analyzer's aggregate cost and yield over a run.
+// AnalyzerStat is one analyzer's aggregate cost over a run.
 type AnalyzerStat struct {
 	Name string
-	// Findings counts diagnostics before suppression.
-	Findings int
 	// Wall is the summed wall time of the analyzer's package passes
 	// (passes run concurrently, so analyzer walls can overlap).
 	Wall time.Duration
 }
 
-// RunInfo describes one Run: per-analyzer cost plus the shared
-// interprocedural artifacts' size and build time.
+// RunInfo describes one Run: per-analyzer cost.
 type RunInfo struct {
 	Analyzers []AnalyzerStat
-	// Graph statistics: nodes (function bodies), resolved edges, SCC
-	// count and largest SCC in the module-wide call graph.
-	GraphFuncs, GraphEdges, GraphSCCs, GraphMaxSCC int
-	// InterprocTime covers call-graph construction plus the bottom-up
-	// summary fixpoint.
-	InterprocTime time.Duration
-	// Guard-model census: guardable structs (a mutex plus data fields),
-	// data fields across them, counted accesses, and fields with an
-	// inferred guard.
-	GuardStructs, GuardFields, GuardAccesses, GuardedFields int
-	// Lock-order census: mutex classes, order edges, SCCs of the class
-	// graph, reported cycles, and the deepest witness chain (steps).
-	LockClasses, LockEdges, LockSCCs, LockCycles, LockMaxWitness int
 }
 
 // Run executes analyzers over packages in parallel, applies lint:ignore
@@ -175,33 +153,14 @@ func Run(l *Loader, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
-// RunWithInfo is Run plus per-analyzer timing and call-graph statistics
-// for the driver's -v and -stats output.
+// RunWithInfo is Run plus per-analyzer timing for the driver's -v.
 func RunWithInfo(l *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *RunInfo) {
 	info := &RunInfo{}
 
 	// The interprocedural layer — call graph plus function summaries —
 	// is built once over every loaded package and shared (read-only) by
 	// all analyzer passes.
-	ipStart := time.Now()
 	ip := BuildInterproc(l)
-	info.InterprocTime = time.Since(ipStart)
-	info.GraphFuncs = len(ip.Graph.Nodes)
-	info.GraphEdges = ip.Graph.Edges
-	info.GraphSCCs, info.GraphMaxSCC = ip.SCCCount, ip.MaxSCC
-	if ip.Guards != nil {
-		info.GuardStructs = ip.Guards.NumStructs
-		info.GuardFields = ip.Guards.NumFields
-		info.GuardAccesses = ip.Guards.NumAccesses
-		info.GuardedFields = ip.Guards.NumGuarded
-	}
-	if ip.Locks != nil {
-		info.LockClasses = ip.Locks.NumClasses
-		info.LockEdges = ip.Locks.NumEdges
-		info.LockSCCs = ip.Locks.NumSCCs
-		info.LockCycles = ip.Locks.NumCycles
-		info.LockMaxWitness = ip.Locks.MaxWitness
-	}
 
 	var (
 		mu  sync.Mutex
@@ -243,11 +202,6 @@ func RunWithInfo(l *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Diagnosti
 		}
 	}
 	wg.Wait()
-	for _, d := range out {
-		if s, ok := stats[d.Analyzer]; ok {
-			s.Findings++
-		}
-	}
 	for _, a := range analyzers {
 		info.Analyzers = append(info.Analyzers, *stats[a.Name])
 	}

@@ -13,13 +13,13 @@ import (
 // LockHeld flags a sync.Mutex/RWMutex held across an operation that can
 // block indefinitely — a module-internal RPC-shaped call (anything
 // taking a context), a channel send/receive, a select without default,
-// or WaitGroup.Wait. This is the classic 2PC fan-out deadlock shape: a
-// participant's lock held across a wire round-trip stalls every other
-// goroutine needing that lock for as long as the slowest (or dead)
-// source takes to answer. The analysis is per-function and path
-// sensitive: locking, calling, then unlocking on every path is still
-// flagged at the call, while lock/unlock pairs that bracket only
-// in-memory work are fine.
+// WaitGroup.Wait, or a helper whose summary does any of these. This is
+// the classic 2PC fan-out deadlock shape: a participant's lock held
+// across a wire round-trip stalls every other goroutine needing that
+// lock for as long as the slowest (or dead) source takes to answer. The
+// analysis is per-function and path sensitive: locking, calling, then
+// unlocking on every path is still flagged at the call, while
+// lock/unlock pairs that bracket only in-memory work are fine.
 func LockHeld() *Analyzer {
 	a := &Analyzer{
 		Name: "lockheld",
@@ -39,7 +39,7 @@ func LockHeld() *Analyzer {
 // checkLockHeld reports every blocking operation n performs with a
 // mutex held (held-set computation: heldlocks.go).
 func checkLockHeld(pass *Pass, ip *Interproc, n *FuncNode) {
-	ip.walkHeld(n, nil, func(m ast.Node, held heldSet) {
+	ip.walkHeld(n, func(m ast.Node, held heldSet) {
 		if len(held) == 0 {
 			return
 		}
@@ -85,8 +85,8 @@ func reportHeld(pass *Pass, pos token.Pos, held heldSet, desc string) {
 }
 
 // blockingCall classifies calls that can block indefinitely: module
-// internal context-taking functions in the federation's I/O layers, and
-// sync.WaitGroup.Wait.
+// internal context-taking functions in the federation's I/O layers,
+// sync.WaitGroup.Wait, and helpers that do either or park on a channel.
 func blockingCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	fn := calleeFunc(pass.Pkg, call)
 	if fn == nil || fn.Pkg() == nil {
@@ -109,6 +109,14 @@ func blockingCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	if ip := pass.Interproc(); ip != nil {
 		if name, via, ok := ip.WireIOCall(call); ok {
 			return fmt.Sprintf("the call to %s, which performs wire I/O via %s", name, via), true
+		}
+		// So does one that parks on a channel or a WaitGroup.
+		if site := ip.Graph.SiteOf(call); site != nil && !site.Interface {
+			for _, t := range site.Targets {
+				if ts := ip.SummaryOf(t); ts != nil && (ts.BlocksOnChan || ts.BlocksOnWG) {
+					return fmt.Sprintf("the call to %s, which parks on a channel or WaitGroup", t.Name), true
+				}
+			}
 		}
 	}
 	return "", false

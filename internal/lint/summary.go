@@ -11,11 +11,12 @@ import (
 // Bottom-up interprocedural function summaries. Each function body in
 // the call graph gets a Summary of the behaviors the flow analyzers
 // care about: whether it (transitively) performs wire I/O, consults its
-// context, starts goroutines, touches locks, receives on channels,
-// joins a WaitGroup, returns a freshly opened iterator, hand-assembles
-// SQL text, or forwards a string parameter into a SQL parse/execute
-// sink — plus, per span/iterator parameter, what the callee does with
-// the value (ends it, absorbs ownership, or only reads it).
+// context, receives on channels, joins a WaitGroup, parks on either,
+// leaves a receiver's mutex locked, returns a freshly opened iterator,
+// hand-assembles SQL text, or forwards a string parameter into a SQL
+// parse/execute sink — plus, per span/iterator parameter, what the
+// callee does with the value (ends it, absorbs ownership, or only reads
+// it).
 //
 // Summaries are computed over Tarjan SCCs in reverse topological order
 // (callees first), iterating within each component until a fixpoint.
@@ -60,12 +61,6 @@ type Summary struct {
 	// ConsultsCtx: the function checks context liveness (ctx.Err or
 	// ctx.Done), directly or through every-path concrete callees.
 	ConsultsCtx bool
-	// StartsGoroutine: a go statement is reachable from the body.
-	StartsGoroutine bool
-	// AcquiresLock / ReleasesLock: a sync.(RW)Mutex Lock/Unlock family
-	// call is reachable on the calling goroutine.
-	AcquiresLock bool
-	ReleasesLock bool
 	// HasChanRecv: the body (transitively) receives from a channel.
 	HasChanRecv bool
 	// JoinsWaitGroup: the body (transitively) calls WaitGroup.Wait or
@@ -77,11 +72,6 @@ type Summary struct {
 	// TaintedSQL: the function returns a string assembled by
 	// concatenating/formatting SQL keyword literals with runtime values.
 	TaintedSQL bool
-	// AddsToWaitGroup / CallsWGDone: the body (transitively, on the
-	// calling goroutine) calls WaitGroup.Add or WaitGroup.Done — the two
-	// sides of the counter protocol wglifecycle audits.
-	AddsToWaitGroup bool
-	CallsWGDone     bool
 
 	// SpanFate / IterFate map parameter index → fate for *obs.Span and
 	// source.RowIter parameters respectively.
@@ -90,50 +80,28 @@ type Summary struct {
 	// SQLSinkParams marks string parameter indices the function forwards
 	// into a SQL parse/execute sink (directly or transitively).
 	SQLSinkParams map[int]bool
-	// ClosesChanParams marks channel parameter indices the function may
-	// close (directly or transitively) — chanmisuse uses it to see a
-	// close hidden behind a helper extraction.
-	ClosesChanParams map[int]bool
 	// LocksRecvPaths / UnlocksRecvPaths: mutex paths relative to the
 	// receiver (".mu", ".s.mu") the method leaves locked on return /
 	// releases by return (deferred unlocks included — they have run by
-	// the time the caller resumes). This is how the guard model sees
+	// the time the caller resumes). This is how the held-lock walker sees
 	// through ensureLocked-style helpers that acquire for their caller.
 	LocksRecvPaths   map[string]bool
 	UnlocksRecvPaths map[string]bool
-	// AcquiresRecvPaths: receiver-relative mutex paths the body may
-	// acquire on the calling goroutine at any point (transitively through
-	// receiver-rooted helper calls), with the acquisition mode. Unlike
-	// LocksRecvPaths this is not a balance: a lock/unlock pair still
-	// acquires, which is what self-deadlock detection needs — calling a
-	// helper that transiently takes r.mu while r.mu is already held
-	// blocks forever regardless of the helper's exit balance.
-	AcquiresRecvPaths map[string]uint8
 	// BlocksOnChan / BlocksOnWG: a channel send or receive outside a
 	// select-with-default, or a WaitGroup.Wait, is reachable on the
-	// calling goroutine — the per-function blocking-op facts the
-	// blockcycle analyzer composes with lock acquisition to find
-	// lock-wait cycles hidden behind helper extractions.
+	// calling goroutine — how lockheld sees a park hidden behind a helper
+	// extraction.
 	BlocksOnChan bool
 	BlocksOnWG   bool
 }
 
-// Acquisition modes recorded in AcquiresRecvPaths (a bitmask: a path
-// acquired both ways carries both bits).
-const (
-	acquireRead  uint8 = 1
-	acquireWrite uint8 = 2
-)
-
 func newSummary() *Summary {
 	return &Summary{
-		SpanFate:          make(map[int]ParamFate),
-		IterFate:          make(map[int]ParamFate),
-		SQLSinkParams:     make(map[int]bool),
-		ClosesChanParams:  make(map[int]bool),
-		LocksRecvPaths:    make(map[string]bool),
-		UnlocksRecvPaths:  make(map[string]bool),
-		AcquiresRecvPaths: make(map[string]uint8),
+		SpanFate:         make(map[int]ParamFate),
+		IterFate:         make(map[int]ParamFate),
+		SQLSinkParams:    make(map[int]bool),
+		LocksRecvPaths:   make(map[string]bool),
+		UnlocksRecvPaths: make(map[string]bool),
 	}
 }
 
@@ -158,21 +126,10 @@ func (s *Summary) join(o *Summary) bool {
 		s.IOVia = o.IOVia
 	}
 	orb(&s.ConsultsCtx, o.ConsultsCtx)
-	orb(&s.StartsGoroutine, o.StartsGoroutine)
-	orb(&s.AcquiresLock, o.AcquiresLock)
-	orb(&s.ReleasesLock, o.ReleasesLock)
 	orb(&s.HasChanRecv, o.HasChanRecv)
 	orb(&s.JoinsWaitGroup, o.JoinsWaitGroup)
 	orb(&s.ReturnsFreshIter, o.ReturnsFreshIter)
 	orb(&s.TaintedSQL, o.TaintedSQL)
-	orb(&s.AddsToWaitGroup, o.AddsToWaitGroup)
-	orb(&s.CallsWGDone, o.CallsWGDone)
-	for i, b := range o.ClosesChanParams {
-		if b && !s.ClosesChanParams[i] {
-			s.ClosesChanParams[i] = true
-			changed = true
-		}
-	}
 	for i, f := range o.SpanFate {
 		if f > s.SpanFate[i] {
 			s.SpanFate[i] = f
@@ -203,12 +160,6 @@ func (s *Summary) join(o *Summary) bool {
 			changed = true
 		}
 	}
-	for p, m := range o.AcquiresRecvPaths {
-		if s.AcquiresRecvPaths[p]|m != s.AcquiresRecvPaths[p] {
-			s.AcquiresRecvPaths[p] |= m
-			changed = true
-		}
-	}
 	orb(&s.BlocksOnChan, o.BlocksOnChan)
 	orb(&s.BlocksOnWG, o.BlocksOnWG)
 	return changed
@@ -218,15 +169,8 @@ func (s *Summary) join(o *Summary) bool {
 // module-wide call graph plus the summary of every function body.
 type Interproc struct {
 	Graph *CallGraph
-	// SCCCount / MaxSCC describe the condensation (for -stats).
-	SCCCount int
-	MaxSCC   int
-	// Guards is the module-wide lock-guard inference (see guardmodel.go),
-	// read by the lockguard analyzer and the driver's -stats census.
-	Guards *GuardModel
-	// Locks is the module-wide lock-order/deadlock model (see
-	// lockordermodel.go), read by the lockorder/selfdeadlock/blockcycle
-	// analyzers, the driver's -stats census, and -dot lockorder.
+	// Locks is the module-wide lock-order graph (see lockordermodel.go),
+	// read by the lockorder analyzer.
 	Locks *LockOrderModel
 
 	loader    *Loader
@@ -253,12 +197,7 @@ func BuildInterproc(l *Loader) *Interproc {
 			ip.iterIface, _ = tn.Type().Underlying().(*types.Interface)
 		}
 	}
-	sccs := ip.Graph.SCCs()
-	ip.SCCCount = len(sccs)
-	for _, comp := range sccs {
-		if len(comp) > ip.MaxSCC {
-			ip.MaxSCC = len(comp)
-		}
+	for _, comp := range ip.Graph.SCCs() {
 		for _, n := range comp {
 			ip.summaries[n] = newSummary()
 		}
@@ -273,7 +212,6 @@ func BuildInterproc(l *Loader) *Interproc {
 			}
 		}
 	}
-	ip.Guards = BuildGuardModel(ip)
 	ip.Locks = BuildLockOrderModel(ip)
 	return ip
 }
@@ -322,23 +260,10 @@ func (ip *Interproc) scan(n *FuncNode) *Summary {
 		if fn != nil && fn.Pkg() != nil && !site.InGo {
 			switch fn.Pkg().Path() {
 			case "sync":
-				switch fn.Name() {
-				case "Lock", "RLock":
-					s.AcquiresLock = true
-				case "Unlock", "RUnlock":
-					s.ReleasesLock = true
-				case "Wait", "Done":
-					if isWaitGroupMethod(fn) {
-						s.JoinsWaitGroup = true
-						if fn.Name() == "Done" {
-							s.CallsWGDone = true
-						} else {
-							s.BlocksOnWG = true
-						}
-					}
-				case "Add":
-					if isWaitGroupMethod(fn) {
-						s.AddsToWaitGroup = true
+				if (fn.Name() == "Wait" || fn.Name() == "Done") && isWaitGroupMethod(fn) {
+					s.JoinsWaitGroup = true
+					if fn.Name() == "Wait" {
+						s.BlocksOnWG = true
 					}
 				}
 			case "net":
@@ -368,9 +293,6 @@ func (ip *Interproc) scan(n *FuncNode) *Summary {
 			if ts == nil {
 				continue
 			}
-			if ts.StartsGoroutine {
-				s.StartsGoroutine = true
-			}
 			if site.InGo {
 				continue // spawned work blocks its own goroutine
 			}
@@ -386,18 +308,6 @@ func (ip *Interproc) scan(n *FuncNode) *Summary {
 			if ts.JoinsWaitGroup {
 				s.JoinsWaitGroup = true
 			}
-			if ts.AcquiresLock {
-				s.AcquiresLock = true
-			}
-			if ts.ReleasesLock {
-				s.ReleasesLock = true
-			}
-			if ts.AddsToWaitGroup {
-				s.AddsToWaitGroup = true
-			}
-			if ts.CallsWGDone {
-				s.CallsWGDone = true
-			}
 			if ts.BlocksOnChan {
 				s.BlocksOnChan = true
 			}
@@ -410,8 +320,6 @@ func (ip *Interproc) scan(n *FuncNode) *Summary {
 	// Direct syntactic facts.
 	walkNode(n.Body, func(m ast.Node) bool {
 		switch m := m.(type) {
-		case *ast.GoStmt:
-			s.StartsGoroutine = true
 		case *ast.SendStmt:
 			if !inSelectWithDefault(n.Pkg, m) {
 				s.BlocksOnChan = true
@@ -456,13 +364,10 @@ func (ip *Interproc) scan(n *FuncNode) *Summary {
 			if isStringType(pv.Type()) && ip.paramReachesSQLSink(n, pv) {
 				s.SQLSinkParams[i] = true
 			}
-			if _, isChan := pv.Type().Underlying().(*types.Chan); isChan && ip.paramMayBeClosed(n, pv) {
-				s.ClosesChanParams[i] = true
-			}
 		}
 	}
 
-	// Receiver-relative lock balance (for the guard model's view through
+	// Receiver-relative lock balance (the held-lock walker's view through
 	// lock helpers).
 	ip.scanLockPaths(n, s)
 
@@ -901,11 +806,6 @@ func (ip *Interproc) scanLockPaths(n *FuncNode, s *Summary) {
 				unlockSet[rel] = true
 			case !isDefer:
 				lockSet[rel] = true
-				if op.name == "RLock" {
-					s.AcquiresRecvPaths[rel] |= acquireRead
-				} else {
-					s.AcquiresRecvPaths[rel] |= acquireWrite
-				}
 			}
 			return true
 		}
@@ -920,19 +820,9 @@ func (ip *Interproc) scanLockPaths(n *FuncNode, s *Summary) {
 		for _, p := range bal.unlocks {
 			unlockSet[baseRel+p] = true
 		}
-		if isDefer {
-			return true
-		}
-		for p := range bal.locks {
-			lockSet[baseRel+p] = true
-		}
-		// Acquisition is a may-fact: ANY target acquiring taints the site
-		// (unlike leaves-locked, which needs every target).
-		for _, t := range ip.Graph.SiteOf(call).Targets {
-			if ts := ip.summaries[t]; ts != nil {
-				for p, mode := range ts.AcquiresRecvPaths {
-					s.AcquiresRecvPaths[baseRel+p] |= mode
-				}
+		if !isDefer {
+			for p := range bal.locks {
+				lockSet[baseRel+p] = true
 			}
 		}
 		return true
@@ -947,46 +837,6 @@ func (ip *Interproc) scanLockPaths(n *FuncNode, s *Summary) {
 			s.UnlocksRecvPaths[p] = true
 		}
 	}
-}
-
-// paramMayBeClosed reports whether the channel parameter pv may be
-// closed anywhere lexically inside n — nested literals included, since
-// a close in a spawned producer goroutine still closes the caller's
-// channel — either by the close builtin or by forwarding pv into a
-// resolved concrete callee summarized as closing that position.
-func (ip *Interproc) paramMayBeClosed(n *FuncNode, pv *types.Var) bool {
-	found := false
-	ast.Inspect(n.Body, func(m ast.Node) bool {
-		call, ok := m.(*ast.CallExpr)
-		if !ok || found {
-			return !found
-		}
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && len(call.Args) == 1 {
-			if _, isBuiltin := n.Pkg.ObjectOf(id).(*types.Builtin); isBuiltin && id.Name == "close" {
-				if aid, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok && n.Pkg.ObjectOf(aid) == pv {
-					found = true
-					return false
-				}
-			}
-		}
-		site := ip.Graph.SiteOf(call)
-		if site == nil || site.Interface {
-			return true
-		}
-		for i, a := range call.Args {
-			aid, ok := ast.Unparen(a).(*ast.Ident)
-			if !ok || n.Pkg.ObjectOf(aid) != pv {
-				continue
-			}
-			for _, t := range site.Targets {
-				if ts := ip.summaries[t]; ts != nil && ts.ClosesChanParams[i] {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 // paramReachesSQLSink reports whether pv is forwarded as a sink-position

@@ -39,25 +39,11 @@ func (c *cache) rlockUnderLock(ctx context.Context, table string) (*source.Table
 	return c.src.TableInfo(ctx, table) // want "c.rw is held across the call to TableInfo"
 }
 
-// sendUnderLock performs an unbuffered-channel send with the lock held.
-func (c *cache) sendUnderLock(ch chan int) {
-	c.mu.Lock()
-	ch <- 1 // want "c.mu is held across a channel send"
-	c.mu.Unlock()
-}
-
 // recvUnderLock blocks on a receive with the lock held.
 func (c *cache) recvUnderLock(ch chan int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return <-ch // want "c.mu is held across a channel receive"
-}
-
-// waitUnderLock joins a WaitGroup while holding the lock.
-func (c *cache) waitUnderLock(wg *sync.WaitGroup) {
-	c.mu.Lock()
-	wg.Wait() // want "c.mu is held across WaitGroup.Wait"
-	c.mu.Unlock()
 }
 
 // rangeUnderLock drains a channel while holding the lock.

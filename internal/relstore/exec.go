@@ -201,23 +201,15 @@ func (t *table) candidateRows(filter expr.Expr) ([]int, bool) {
 	for _, c := range expr.Conjuncts(filter) {
 		switch n := c.(type) {
 		case *expr.Binary:
-			if n.Op != expr.OpEq {
-				continue
-			}
-			col, colOK := n.L.(*expr.ColRef)
-			val, valOK := n.R.(*expr.Const)
-			if !colOK || !valOK {
-				col, colOK = n.R.(*expr.ColRef)
-				val, valOK = n.L.(*expr.Const)
-			}
-			if !colOK || !valOK || col.Index < 0 {
+			col, op, val, ok := expr.ColumnComparison(n)
+			if !ok || op != expr.OpEq || col.Index < 0 {
 				continue
 			}
 			idx, indexed := t.hashIdx[col.Index]
 			if !indexed {
 				continue
 			}
-			return idx[val.Val.Hash(0)], true
+			return idx[val.Hash(0)], true
 		case *expr.InList:
 			if n.Negate {
 				continue

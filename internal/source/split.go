@@ -56,16 +56,8 @@ func (c Capabilities) CanFilter(info *TableInfo, conj expr.Expr) bool {
 func constComparison(conj expr.Expr) (int, bool) {
 	switch n := conj.(type) {
 	case *expr.Binary:
-		if !n.Op.Comparison() || n.Op == expr.OpNe {
-			return 0, false
-		}
-		col, cok := n.L.(*expr.ColRef)
-		con := n.R
-		if !cok {
-			col, cok = n.R.(*expr.ColRef)
-			con = n.L
-		}
-		if _, isConst := con.(*expr.Const); !cok || !isConst {
+		col, op, _, ok := expr.ColumnComparison(n)
+		if !ok || op == expr.OpNe {
 			return 0, false
 		}
 		return col.Index, true

@@ -288,22 +288,9 @@ func Selectivity(pred expr.Expr, ts *TableStats) float64 {
 }
 
 func comparisonSelectivity(b *expr.Binary, ts *TableStats) float64 {
-	col, colOK := b.L.(*expr.ColRef)
-	val, valOK := b.R.(*expr.Const)
-	op := b.Op
-	if !colOK || !valOK {
-		// Try the commuted form (const op col).
-		if c2, ok := b.R.(*expr.ColRef); ok {
-			if v2, ok2 := b.L.(*expr.Const); ok2 {
-				if flipped, can := op.Commutes(); can {
-					col, val, op = c2, v2, flipped
-					colOK, valOK = true, true
-				}
-			}
-		}
-	}
-	if !colOK || !valOK || ts == nil || col.Index < 0 || col.Index >= len(ts.Columns) {
-		if op == expr.OpEq {
+	col, op, val, ok := expr.ColumnComparison(b)
+	if !ok || ts == nil || col.Index < 0 || col.Index >= len(ts.Columns) {
+		if b.Op == expr.OpEq {
 			return DefaultEqSel
 		}
 		return DefaultRangeSel
@@ -321,9 +308,9 @@ func comparisonSelectivity(b *expr.Binary, ts *TableStats) float64 {
 		}
 		return 1 - DefaultEqSel
 	case expr.OpLe, expr.OpLt:
-		return clamp(fracBelow(cs, val.Val))
+		return clamp(fracBelow(cs, val))
 	case expr.OpGe, expr.OpGt:
-		return clamp(1 - fracBelow(cs, val.Val))
+		return clamp(1 - fracBelow(cs, val))
 	default:
 		// Non-comparison operators reach the generic fallback below.
 	}
