@@ -52,11 +52,14 @@ overload:
 	$(GO) run ./cmd/gisbench -overload -tenants 8 -scale 0.05 -reps 1 -latency 200us -json | $(GO) run ./scripts/benchjson
 
 # Ten seconds of coverage-guided fuzzing per byte-reader: the wire
-# decoder (every message body a peer can send) and the SQL lexer/parser.
-# Their seed corpora run as ordinary tests under `go test ./...`; a crash
-# found here lands in the package's testdata/fuzz and fails from then on.
+# decoder (every message body a peer can send), the server past it (every
+# sub-query that decodes and passes source.Query.Check, executed against
+# each kind of store) and the SQL lexer/parser. Their seed corpora run as
+# ordinary tests under `go test ./...`; a crash found here lands in the
+# package's testdata/fuzz and fails from then on.
 fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecoder -fuzztime 10s
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzServe -fuzztime 10s
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime 10s
 
 # Both benchmark harnesses: the per-layer rungs, then the repository

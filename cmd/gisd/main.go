@@ -129,7 +129,7 @@ func main() {
 	log.Printf("gisd: serving source %q on %s", *name, srv.Addr())
 
 	if *debugAddr != "" {
-		dbg := &http.Server{Addr: *debugAddr, Handler: obs.Handler(obs.Default(), srv.Queries, obs.DefaultFeedback())}
+		dbg := &http.Server{Addr: *debugAddr, Handler: obs.Handler(obs.Default(), srv.Queries)}
 		go func() {
 			log.Printf("gisd: debug endpoint on http://%s/", *debugAddr)
 			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {

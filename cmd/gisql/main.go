@@ -127,7 +127,7 @@ func main() {
 
 	if *debugAddr != "" {
 		go func() {
-			h := obs.Handler(obs.Default(), e.Queries(), obs.DefaultFeedback())
+			h := obs.Handler(obs.Default(), e.Queries())
 			if err := http.ListenAndServe(*debugAddr, h); err != nil {
 				fmt.Fprintf(os.Stderr, "gisql: debug endpoint: %v\n", err)
 			}
@@ -326,7 +326,7 @@ func buildDemo(ctx context.Context, e *core.Engine) error {
 func repl(ctx context.Context, e *core.Engine) {
 	in := bufio.NewScanner(os.Stdin)
 	in.Buffer(make([]byte, 1<<20), 1<<20)
-	fmt.Println(`gisql — type SQL, \tables, \sources, \explain <q>, \analyze <q>, \trace, \metrics, \misest, or \q`)
+	fmt.Println(`gisql — type SQL, \tables, \sources, \explain <q>, \analyze <q>, \trace, \metrics, or \q`)
 	var pending strings.Builder
 	for {
 		if pending.Len() == 0 {
@@ -407,8 +407,6 @@ func command(ctx context.Context, e *core.Engine, line string) bool {
 			break
 		}
 		fmt.Print(tr.Tree())
-	case line == "\\misest":
-		printMisestimates(os.Stdout)
 	case line == "\\metrics":
 		out, err := json.MarshalIndent(obs.Default().Snapshot(), "", "  ")
 		if err != nil {
@@ -420,30 +418,6 @@ func command(ctx context.Context, e *core.Engine, line string) bool {
 		fmt.Fprintf(os.Stderr, "unknown command %q\n", line)
 	}
 	return true
-}
-
-// printMisestimates renders the process-wide plan-feedback store: per
-// (operator scope, normalized predicate) estimate-vs-actual history,
-// worst misestimates first.
-func printMisestimates(w *os.File) {
-	entries := obs.DefaultFeedback().Snapshot()
-	if len(entries) == 0 {
-		fmt.Fprintln(w, "no plan feedback recorded yet (only measured statements feed it: tracing on, a -query-log-sample hit, or \\analyze)")
-		return
-	}
-	fmt.Fprintf(w, "%-32s %5s %10s %10s %8s %8s  %s\n",
-		"scope", "count", "last est", "last act", "q-err", "max", "predicate")
-	for _, en := range entries {
-		pred := en.Fingerprint
-		if len(pred) > 48 {
-			pred = pred[:45] + "..."
-		}
-		fmt.Fprintf(w, "%-32s %5d %10.0f %10d %8.1f %8.1f  %s\n",
-			en.Scope, en.Count, en.LastEst, en.LastActual, en.LastQErr, en.MaxQErr, pred)
-	}
-	if d := obs.DefaultFeedback().Dropped(); d > 0 {
-		fmt.Fprintf(w, "(%d entries dropped at capacity)\n", d)
-	}
 }
 
 func runStatement(ctx context.Context, e *core.Engine, stmt string) error {

@@ -88,9 +88,6 @@ func New(opts ...Option) *Engine {
 // which is still a hard error). Writes are never degraded.
 func (e *Engine) SetPartialResults(on bool) { e.partial.Store(on) }
 
-// PartialResults reports whether graceful degradation is enabled.
-func (e *Engine) PartialResults() bool { return e.partial.Load() }
-
 // SetAdmission installs (or, with nil, removes) the admission
 // controller gating top-level statements. The controller's Degraded
 // hook is typically wired to the catalog health tracker's Degraded.
@@ -103,9 +100,6 @@ func (e *Engine) Admission() *admission.Controller { return e.admit.Load() }
 // SetTracing toggles per-statement tracing. Off by default: with it off
 // the only per-query cost is the query-log bookkeeping.
 func (e *Engine) SetTracing(on bool) { e.tracing.Store(on) }
-
-// Tracing reports whether per-statement tracing is enabled.
-func (e *Engine) Tracing() bool { return e.tracing.Load() }
 
 // TraceLast returns the trace of the most recently completed top-level
 // statement (nil when tracing was never on).
@@ -122,10 +116,10 @@ func (e *Engine) Queries() *obs.QueryLog { return e.qlog }
 // error immediately, before any planning work. On success the returned
 // context must be used for the statement; finish must be called exactly
 // once with the statement's outcome and returns that outcome with a
-// session abort mapped back to its typed ErrOverload. Nested statements
-// (subqueries, Run dispatching to ExplainAnalyze) pass through here too
-// — they are already admitted, their spans attach under the outer root,
-// and only the outermost call publishes lastTrace.
+// session abort mapped back to its typed ErrOverload. A statement whose
+// context already carries a session or a trace (the caller's own) keeps
+// them: it is not admitted twice, its spans attach under the caller's
+// root, and lastTrace is not published.
 func (e *Engine) instrument(ctx context.Context, text string, measure bool) (context.Context, func(error) error, error) {
 	id := e.qlog.Begin(text)
 	var sess *admission.Session
@@ -405,13 +399,27 @@ func (e *Engine) Explain(ctx context.Context, text string, params ...types.Value
 	if err != nil {
 		return "", err
 	}
+	sel, err := explained(stmt)
+	if err != nil {
+		return "", err
+	}
+	return e.explainSelect(ctx, sel)
+}
+
+// explained returns the SELECT an EXPLAIN [ANALYZE] is about: stmt
+// itself, or what its EXPLAIN wraps.
+func explained(stmt sql.Statement) (*sql.SelectStmt, error) {
 	if ex, ok := stmt.(*sql.ExplainStmt); ok {
 		stmt = ex.Stmt
 	}
 	sel, ok := stmt.(*sql.SelectStmt)
 	if !ok {
-		return "", fmt.Errorf("core: EXPLAIN supports SELECT statements")
+		return nil, fmt.Errorf("core: EXPLAIN supports SELECT statements")
 	}
+	return sel, nil
+}
+
+func (e *Engine) explainSelect(ctx context.Context, sel *sql.SelectStmt) (string, error) {
 	p, err := e.planSelect(ctx, sel)
 	if err != nil {
 		return "", err
@@ -435,12 +443,17 @@ func (e *Engine) Run(ctx context.Context, text string, params ...types.Value) (r
 	case *sql.SelectStmt:
 		return e.runSelect(ctx, s)
 	case *sql.ExplainStmt:
-		var out string
-		if s.Analyze {
-			out, err = e.ExplainAnalyze(ctx, s.Stmt.String())
-		} else {
-			out, err = e.Explain(ctx, text)
+		// The statement as it was parsed, parameters bound: printing it
+		// and parsing the text again would lose both.
+		sel, err := explained(s)
+		if err != nil {
+			return nil, err
 		}
+		explain := e.explainSelect
+		if s.Analyze {
+			explain = e.analyzeSelect
+		}
+		out, err := explain(ctx, sel)
 		if err != nil {
 			return nil, err
 		}
@@ -698,12 +711,21 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, text string, params ...type
 	if err != nil {
 		return "", err
 	}
-	if ex, ok := stmt.(*sql.ExplainStmt); ok {
-		stmt = ex.Stmt
+	sel, err := explained(stmt)
+	if err != nil {
+		return "", err
 	}
-	sel, ok := stmt.(*sql.SelectStmt)
-	if !ok {
-		return "", fmt.Errorf("core: EXPLAIN ANALYZE supports SELECT statements")
+	return e.analyzeSelect(ctx, sel)
+}
+
+// analyzeSelect plans and runs sel and annotates the plan from the
+// operators' records, which are kept on ctx's trace. ExplainAnalyze has
+// instrument attach one; Run learns that a statement is an EXPLAIN
+// ANALYZE only by parsing it, after instrument, and may arrive without:
+// the records then go on a trace of this call's own.
+func (e *Engine) analyzeSelect(ctx context.Context, sel *sql.SelectStmt) (string, error) {
+	if !obs.Enabled(ctx) {
+		ctx = obs.WithTrace(ctx, obs.NewTrace(""))
 	}
 	p, err := e.planSelect(ctx, sel)
 	if err != nil {
@@ -714,7 +736,7 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, text string, params ...type
 	if err != nil {
 		return "", err
 	}
-	out = plan.ExplainFunc(p, exec.Annotate(obs.TraceFrom(ctx)))
+	out := plan.ExplainFunc(p, exec.Annotate(obs.TraceFrom(ctx)))
 	out += fmt.Sprintf("total: %d row(s) in %s\n", len(rows), time.Since(start).Round(time.Microsecond))
 	return out, nil
 }

@@ -12,6 +12,7 @@ import (
 	"gis/internal/expr"
 	"gis/internal/filestore"
 	"gis/internal/kvstore"
+	"gis/internal/obs"
 	"gis/internal/relstore"
 	"gis/internal/types"
 )
@@ -917,17 +918,55 @@ func TestQueryContextCancellation(t *testing.T) {
 	}
 }
 
+// planText joins the one-column rows EXPLAIN returns through Run.
+func planText(res *Result) string {
+	out := ""
+	for _, r := range res.Rows {
+		out += r[0].Str() + "\n"
+	}
+	return out
+}
+
+// TestRunExplainsWhatItParsed: Run hands EXPLAIN [ANALYZE] the statement
+// it parsed, parameters bound — not its text to parse a second time,
+// which lost the parameters of an EXPLAIN and made an EXPLAIN ANALYZE
+// two statements to the query log.
+func TestRunExplainsWhatItParsed(t *testing.T) {
+	e := newTestEngine(t)
+	const q = "EXPLAIN SELECT name FROM customers WHERE id = ?"
+	want, err := e.Explain(ctx, q, types.NewInt(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(ctx, q, types.NewInt(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := planText(res); got != want {
+		t.Errorf("Run(EXPLAIN ... ?) =\n%swant Explain's\n%s", got, want)
+	}
+
+	var logged strings.Builder
+	e.Queries().SetStructured(obs.NewStructuredLog(&logged, 1, nil))
+	res, err = e.Run(ctx, "EXPLAIN ANALYZE SELECT COUNT(*) FROM orders WHERE qty > ?", types.NewInt(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := planText(res); !strings.Contains(out, "rows=") || !strings.Contains(out, "total: 1 row(s)") {
+		t.Errorf("EXPLAIN ANALYZE output:\n%s", out)
+	}
+	if n := strings.Count(logged.String(), "\n"); n != 1 {
+		t.Errorf("one EXPLAIN ANALYZE through Run left %d query-log records:\n%s", n, logged.String())
+	}
+}
+
 func TestExplainAnalyzeSQL(t *testing.T) {
 	e := newTestEngine(t)
 	res, err := e.Run(ctx, "EXPLAIN ANALYZE SELECT COUNT(*) FROM orders")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := ""
-	for _, r := range res.Rows {
-		out += r[0].Str() + "\n"
-	}
-	if !strings.Contains(out, "rows=") || !strings.Contains(out, "total: 1 row(s)") {
+	if out := planText(res); !strings.Contains(out, "rows=") || !strings.Contains(out, "total: 1 row(s)") {
 		t.Errorf("EXPLAIN ANALYZE output:\n%s", out)
 	}
 }

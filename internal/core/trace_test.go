@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"regexp"
 	"strconv"
 	"strings"
@@ -345,11 +346,10 @@ func TestQueryLogRecordsSlowQueries(t *testing.T) {
 // TestTraceFederationWideStitch checks the full distributed-tracing
 // path through the engine: every ship span of a traced federated join
 // carries a stitched SpanRemote subtree (the component system's
-// parse/exec/stream spans returned in the wire trailer), the
-// remote-vs-WAN split, and nothing was counted lost.
+// parse/exec/stream spans returned in the stream's footer) and the
+// remote-vs-WAN split.
 func TestTraceFederationWideStitch(t *testing.T) {
 	e := traceFederation(t, "stitchA", "stitchB")
-	lost := obs.Default().Counter("obs.trace.remote_lost").Value()
 
 	query(t, e,
 		"SELECT c.name, SUM(o.amount) FROM cust c JOIN ord o ON c.id = o.cust_id GROUP BY c.name")
@@ -389,44 +389,6 @@ func TestTraceFederationWideStitch(t *testing.T) {
 			t.Errorf("ship span for %s lacks wan_us", src)
 		}
 	}
-	if got := obs.Default().Counter("obs.trace.remote_lost").Value() - lost; got != 0 {
-		t.Errorf("remote_lost advanced by %d on a healthy federation", got)
-	}
-}
-
-// TestPlanFeedbackFromFederatedQuery checks the estimate-vs-actual
-// path of a measured statement (traceFederation turns tracing on):
-// after a federated join, the process-wide feedback store holds
-// fragment-scan entries keyed by source.table.
-func TestPlanFeedbackFromFederatedQuery(t *testing.T) {
-	e := traceFederation(t, "fbA", "fbB")
-	// Ship-all keeps both fragment scans unaugmented: semijoin/bind
-	// rewrite the inner scan's predicate, and such a scan (by design)
-	// feeds nothing because the estimate no longer matches.
-	e.PlanOptions().ForceStrategy = plan.StrategyShipAll
-	obs.DefaultFeedback().Reset()
-	t.Cleanup(obs.DefaultFeedback().Reset)
-
-	query(t, e,
-		"SELECT c.name FROM cust c JOIN ord o ON c.id = o.cust_id WHERE o.amount > 1")
-
-	snap := obs.DefaultFeedback().Snapshot()
-	if len(snap) == 0 {
-		t.Fatal("no plan-feedback entries after a federated query")
-	}
-	scopes := map[string]bool{}
-	for _, en := range snap {
-		scopes[en.Scope] = true
-		if en.Count <= 0 {
-			t.Errorf("entry %s/%s has count %d", en.Scope, en.Fingerprint, en.Count)
-		}
-		if en.MaxQErr < 1 {
-			t.Errorf("entry %s q-error %v < 1", en.Scope, en.MaxQErr)
-		}
-	}
-	if !scopes["frag:fbA.cust"] || !scopes["frag:fbB.ord"] {
-		t.Errorf("feedback scopes = %v, want both fragment scans", scopes)
-	}
 }
 
 // fourViews is what each rendering of one statement's measured records
@@ -436,16 +398,17 @@ type fourViews struct {
 	execRows, shipRows       map[string]int64 // \trace rows attrs, by span name prefix / source
 	logRows                  map[string]int64 // query-log SourceIO.Rows, by source
 	rowsOut                  int64            // query-log rows_out
-	actual                   map[string]int64 // /estimates LastActual, by scope
+	// The planner's estimate, where a node has one: est= in EXPLAIN
+	// ANALYZE and est_rows on the exec span, keyed as analyzeRows is.
+	analyzeEst, execEst map[string]int64
 }
 
 // runFourViews executes q once, through EXPLAIN ANALYZE on a traced
 // engine with a sample-everything query log, and reads that one
-// execution back from all four places it is rendered.
+// execution back from the four places it is rendered: the annotated
+// plan, the trace's exec spans, its ship spans, the log record.
 func runFourViews(t *testing.T, e *Engine, q string) (fourViews, string) {
 	t.Helper()
-	obs.DefaultFeedback().Reset()
-	t.Cleanup(obs.DefaultFeedback().Reset)
 	var logged strings.Builder
 	e.Queries().SetStructured(obs.NewStructuredLog(&logged, 1, nil))
 	out, err := e.ExplainAnalyze(ctx, q)
@@ -455,7 +418,7 @@ func runFourViews(t *testing.T, e *Engine, q string) (fourViews, string) {
 	v := fourViews{
 		analyzeRows: map[string]int64{}, analyzeWire: map[string]int64{},
 		execRows: map[string]int64{}, shipRows: map[string]int64{},
-		logRows: map[string]int64{}, actual: map[string]int64{},
+		logRows: map[string]int64{}, analyzeEst: map[string]int64{}, execEst: map[string]int64{},
 	}
 	atoi := func(s string) int64 {
 		n, err := strconv.ParseInt(s, 10, 64)
@@ -464,20 +427,29 @@ func runFourViews(t *testing.T, e *Engine, q string) (fourViews, string) {
 		}
 		return n
 	}
-	line := regexp.MustCompile(`^\s*(\S+ \S+).*\(rows=(\d+) bytes=\d+ time=\S+?(?: close=\S+?)?(?: wire_rows=(\d+) wire_bytes=\d+)?\)$`)
+	line := regexp.MustCompile(`^\s*(\S+ \S+).*\(rows=(\d+)(?: est=(\d+))? bytes=\d+ time=\S+?(?: close=\S+?)?(?: wire_rows=(\d+) wire_bytes=\d+)?\)$`)
 	for _, l := range strings.Split(out, "\n") {
 		if m := line.FindStringSubmatch(l); m != nil {
 			v.analyzeRows[m[1]] += atoi(m[2])
 			if m[3] != "" {
-				v.analyzeWire[m[1]] += atoi(m[3])
+				v.analyzeEst[m[1]] = atoi(m[3])
+			}
+			if m[4] != "" {
+				v.analyzeWire[m[1]] += atoi(m[4])
 			}
 		}
 	}
 	tr := e.TraceLast()
 	for _, sp := range tr.FindAll(obs.SpanExec) {
-		if rows, ok := sp.Attr("rows"); ok {
-			f := strings.Fields(sp.Name())
-			v.execRows[f[0]+" "+f[1]] += atoi(rows)
+		rows, ok := sp.Attr("rows")
+		if !ok {
+			continue // a component's own exec span, stitched in
+		}
+		f := strings.Fields(sp.Name())
+		node := f[0] + " " + f[1]
+		v.execRows[node] += atoi(rows)
+		if est, ok := sp.Attr("est_rows"); ok {
+			v.execEst[node] = atoi(est)
 		}
 	}
 	for _, sp := range tr.FindAll(obs.SpanShip) {
@@ -496,41 +468,44 @@ func runFourViews(t *testing.T, e *Engine, q string) (fourViews, string) {
 	for _, s := range rec.Sources {
 		v.logRows[s.Source] += s.Rows
 	}
-	for _, en := range obs.DefaultFeedback().Snapshot() {
-		v.actual[en.Scope] = en.LastActual
-	}
 	return v, out + tr.Tree()
 }
 
-// TestFourViewsAgree: EXPLAIN ANALYZE, the trace tree, the query-log
-// record and /estimates render one record per operator execution, so
-// for one statement they must report the same numbers.
+// TestFourViewsAgree: EXPLAIN ANALYZE, the trace tree's exec and ship
+// spans and the query-log record render one record per operator
+// execution, so for one statement they must report the same numbers —
+// and the same estimate beside them, on the nodes the planner estimates.
 func TestFourViewsAgree(t *testing.T) {
 	t.Run("ship-all join", func(t *testing.T) {
 		e := traceFederation(t, "fvA", "fvB")
 		e.PlanOptions().ForceStrategy = plan.StrategyShipAll
 		v, dump := runFourViews(t, e, "SELECT c.name, o.amount FROM cust c JOIN ord o ON c.id = o.cust_id")
 		for _, c := range []struct {
-			node, src, scope string
-			want             int64
+			node, src string
+			want      int64
 		}{
-			{"FragScan fvA.cust", "fvA", "frag:fvA.cust", 2},
-			{"FragScan fvB.ord", "fvB", "frag:fvB.ord", 3},
+			{"FragScan fvA.cust", "fvA", 2},
+			{"FragScan fvB.ord", "fvB", 3},
 		} {
 			got := []int64{
 				v.analyzeRows[c.node], v.analyzeWire[c.node], v.execRows[c.node],
-				v.shipRows[c.src], v.logRows[c.src], v.actual[c.scope],
+				v.shipRows[c.src], v.logRows[c.src],
 			}
 			for i, n := range got {
 				if n != c.want {
-					t.Errorf("%s: view %d of (analyze rows, analyze wire_rows, exec span, ship span, log source, estimates) = %d, want %d", c.node, i, n, c.want)
+					t.Errorf("%s: view %d of (analyze rows, analyze wire_rows, exec span, ship span, log source) = %d, want %d", c.node, i, n, c.want)
 				}
 			}
 		}
 		join := "Join inner"
-		if v.analyzeRows[join] != 3 || v.execRows[join] != 3 || v.actual["join:inner/ship-all"] != 3 || v.rowsOut != 3 {
-			t.Errorf("join output: analyze %d, exec span %d, estimates %d, log rows_out %d; want 3 everywhere",
-				v.analyzeRows[join], v.execRows[join], v.actual["join:inner/ship-all"], v.rowsOut)
+		if v.analyzeRows[join] != 3 || v.execRows[join] != 3 || v.rowsOut != 3 {
+			t.Errorf("join output: analyze %d, exec span %d, log rows_out %d; want 3 everywhere",
+				v.analyzeRows[join], v.execRows[join], v.rowsOut)
+		}
+		// The two scans and the join are estimated; the project over them
+		// is not, and prints no est=.
+		if len(v.execEst) != 3 || !maps.Equal(v.analyzeEst, v.execEst) {
+			t.Errorf("estimates: EXPLAIN ANALYZE est= %v, exec spans est_rows %v; want the same three", v.analyzeEst, v.execEst)
 		}
 		if t.Failed() {
 			t.Log(dump)
@@ -543,10 +518,10 @@ func TestFourViewsAgree(t *testing.T) {
 		e.PlanOptions().ParallelFragments = true
 		v, dump := runFourViews(t, e, "SELECT id, balance FROM acct")
 		for _, src := range []string{"fvC", "fvD"} {
-			node, scope := "FragScan "+src+".acct", "frag:"+src+".acct"
+			node := "FragScan " + src + ".acct"
 			got := []int64{
 				v.analyzeRows[node], v.analyzeWire[node], v.execRows[node],
-				v.shipRows[src], v.logRows[src], v.actual[scope],
+				v.shipRows[src], v.logRows[src],
 			}
 			for i, n := range got {
 				if n != 2 {
@@ -557,37 +532,11 @@ func TestFourViewsAgree(t *testing.T) {
 		if v.rowsOut != 4 {
 			t.Errorf("log rows_out = %d, want 4", v.rowsOut)
 		}
+		if len(v.execEst) != 2 || !maps.Equal(v.analyzeEst, v.execEst) {
+			t.Errorf("estimates: EXPLAIN ANALYZE est= %v, exec spans est_rows %v; want the same two", v.analyzeEst, v.execEst)
+		}
 		if t.Failed() {
 			t.Log(dump)
 		}
 	})
-}
-
-// TestPlanFeedbackSkipsEarlyClosedJoin: a LIMIT that closes a join's
-// stream after one row must not log est-vs-1 as a misestimate; the same
-// join drained does feed the store.
-func TestPlanFeedbackSkipsEarlyClosedJoin(t *testing.T) {
-	e := newTestEngine(t)
-	e.SetTracing(true)
-	fb := obs.DefaultFeedback()
-	fb.Reset()
-	t.Cleanup(fb.Reset)
-	joins := func() (n int, actual int64) {
-		for _, en := range fb.Snapshot() {
-			if strings.HasPrefix(en.Scope, "join:") {
-				n++
-				actual = en.LastActual
-			}
-		}
-		return n, actual
-	}
-	const q = "SELECT c.name, o.oid FROM customers c JOIN orders o ON c.id = o.cust_id"
-	query(t, e, q+" LIMIT 1")
-	if n, actual := joins(); n != 0 {
-		t.Fatalf("LIMIT 1 recorded a join entry with actual %d:\n%s", actual, e.TraceLast().Tree())
-	}
-	res := query(t, e, q)
-	if n, actual := joins(); n != 1 || actual != int64(len(res.Rows)) {
-		t.Errorf("drained join: %d entries, actual %d; want 1 entry with actual %d", n, actual, len(res.Rows))
-	}
 }

@@ -137,15 +137,10 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if q.HasAggregation() || len(q.OrderBy) > 0 || q.Limit >= 0 {
-		return nil, fmt.Errorf("docstore %s: query shape exceeds capabilities: %s", s.name, q)
+	if err := q.Check(s.Capabilities(), &source.TableInfo{Schema: c.schema}); err != nil {
+		return nil, fmt.Errorf("docstore %s: %w", s.name, err)
 	}
 	w := len(c.fields)
-	for _, col := range q.Columns {
-		if col < 0 || col >= w {
-			return nil, fmt.Errorf("docstore %s: projected column %d out of range", s.name, col)
-		}
-	}
 	if q.Columns != nil {
 		w = len(q.Columns)
 	}

@@ -12,12 +12,16 @@ import (
 // finished statement's trace. A plan node may have run many times
 // (parallel-union branches, bind-join batches): each execution left its
 // own record, and the per-node sums are taken here. Exec spans carry
-// the operator's output and inclusive time, ship spans the rows and
-// bytes a fragment scan fetched before mediator-side compensation.
+// the operator's output and inclusive time — beside the planner's
+// estimate of that output, where it made one: est= against rows= is
+// where a misestimate is read — ship spans the rows and bytes a fragment
+// scan fetched before mediator-side compensation.
 func Annotate(tr *obs.Trace) func(plan.Node) string {
 	type sum struct {
 		rows, bytes, wireRows, wireBytes int64
 		next, close                      time.Duration
+		est                              float64 // of one execution: the node's, not a sum
+		hasEst                           bool
 	}
 	sums := map[plan.Node]*sum{}
 	for _, kind := range []obs.SpanKind{obs.SpanExec, obs.SpanShip} {
@@ -37,6 +41,7 @@ func Annotate(tr *obs.Trace) func(plan.Node) string {
 				s.wireBytes += st.Bytes
 				continue
 			}
+			s.est, s.hasEst = st.EstRows, st.HasEst
 			s.rows += st.Rows
 			s.bytes += st.Bytes
 			s.next += st.Next
@@ -48,7 +53,11 @@ func Annotate(tr *obs.Trace) func(plan.Node) string {
 		if s == nil {
 			return " (never executed)"
 		}
-		out := fmt.Sprintf(" (rows=%d bytes=%d time=%s", s.rows, s.bytes, s.next.Round(time.Microsecond))
+		out := fmt.Sprintf(" (rows=%d", s.rows)
+		if s.hasEst {
+			out += fmt.Sprintf(" est=%d", int64(s.est))
+		}
+		out += fmt.Sprintf(" bytes=%d time=%s", s.bytes, s.next.Round(time.Microsecond))
 		if s.close > 0 {
 			out += fmt.Sprintf(" close=%s", s.close.Round(time.Microsecond))
 		}

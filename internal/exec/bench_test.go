@@ -73,8 +73,6 @@ func BenchmarkRunUntraced(b *testing.B) {
 // BenchmarkRunTraced is the same plan with every operator measured: a
 // span and the wrapper's two clock reads per Next, per operator.
 func BenchmarkRunTraced(b *testing.B) {
-	obs.DefaultFeedback().Reset()
-	b.Cleanup(obs.DefaultFeedback().Reset)
 	benchmarkRun(b, func() context.Context { return obs.WithTrace(context.Background(), obs.NewTrace("bench")) })
 }
 

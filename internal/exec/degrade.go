@@ -14,33 +14,12 @@ func srcLabel(n plan.Node) string {
 	seen := map[string]bool{}
 	var walk func(plan.Node)
 	walk = func(n plan.Node) {
-		switch t := n.(type) {
-		case *plan.FragScan:
-			if !seen[t.Frag.Source] {
-				seen[t.Frag.Source] = true
-				names = append(names, t.Frag.Source)
-			}
-		case *plan.Filter:
-			walk(t.Input)
-		case *plan.Project:
-			walk(t.Input)
-		case *plan.Aggregate:
-			walk(t.Input)
-		case *plan.Sort:
-			walk(t.Input)
-		case *plan.Limit:
-			walk(t.Input)
-		case *plan.Distinct:
-			walk(t.Input)
-		case *plan.Union:
-			for _, in := range t.Inputs {
-				walk(in)
-			}
-		case *plan.Join:
-			walk(t.L)
-			walk(t.R)
-		default:
-			// Values and GlobalScan feed no remote source.
+		if fs, ok := n.(*plan.FragScan); ok && !seen[fs.Frag.Source] {
+			seen[fs.Frag.Source] = true
+			names = append(names, fs.Frag.Source)
+		}
+		for _, c := range n.Children() {
+			walk(c)
 		}
 	}
 	walk(n)

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -50,9 +51,15 @@ func runNode(ctx context.Context, n plan.Node, lent bool) (source.RowIter, error
 	}
 	// One wrapper per traced operator execution, not per row.
 	m := &opIter{in: it, span: span, st: obs.OpStats{Op: n}}
-	if scope, fp, ok := operatorFeedbackKey(n); ok {
-		m.fbScope, m.fbFP = scope, fp
+	switch n.(type) {
+	case *plan.FragScan, *plan.Join, *plan.Filter, *plan.Aggregate:
+		// The operators whose output the optimizer estimates. A scan
+		// augmented with shipped keys never gets here (the join runs it
+		// itself), which is right: the estimate describes the original
+		// predicate.
 		m.st.EstRows, m.st.HasEst = plan.EstimateRows(n), true
+	default:
+		// A project, sort or limit would only echo its input's estimate.
 	}
 	return m, nil
 }
@@ -83,8 +90,6 @@ type opIter struct {
 	fetch *obs.Span
 	st    obs.OpStats
 	done  bool
-	// Plan-feedback key; fbScope == "" disables recording.
-	fbScope, fbFP string
 }
 
 func (o *opIter) Next() (types.Row, error) {
@@ -95,7 +100,7 @@ func (o *opIter) Next() (types.Row, error) {
 		o.st.Rows++
 		o.st.Bytes += int64(r.EstimatedSize())
 	} else if err == io.EOF {
-		o.finish(true)
+		o.finish()
 	}
 	return r, err
 }
@@ -106,15 +111,12 @@ func (o *opIter) Close() error {
 	start := time.Now()
 	err := o.in.Close()
 	o.st.Close += time.Since(start)
-	o.finish(false)
+	o.finish()
 	return err
 }
 
-// finish publishes the record and, the first time, ends the spans. The
-// estimate-vs-actual pair feeds the plan-feedback store only when the
-// stream reached EOF: a LIMIT that closed it early or a source that
-// died mid-stream did not measure the operator's cardinality.
-func (o *opIter) finish(eof bool) {
+// finish publishes the record and, the first time, ends the spans.
+func (o *opIter) finish() {
 	o.span.SetStats(&o.st)
 	if o.done {
 		return
@@ -126,9 +128,6 @@ func (o *opIter) finish(eof bool) {
 		o.fetch.End()
 	}
 	o.span.End()
-	if eof && o.fbScope != "" {
-		obs.DefaultFeedback().Record(o.fbScope, o.fbFP, o.st.EstRows, o.st.Rows)
-	}
 }
 
 func run(ctx context.Context, n plan.Node, lent bool) (source.RowIter, error) {
@@ -573,63 +572,25 @@ func runSort(ctx context.Context, s *plan.Sort) (source.RowIter, error) {
 	for i := range idx {
 		idx[i] = i
 	}
-	less := func(a, b int) bool {
+	// Ties keep their input order, which also makes the order total, so
+	// the sort itself need not be stable.
+	slices.SortFunc(idx, func(a, b int) int {
 		for j, sk := range s.Keys {
 			c := keys[a][j].Compare(keys[b][j])
 			if sk.Desc {
 				c = -c
 			}
 			if c != 0 {
-				return c < 0
+				return c
 			}
 		}
-		return a < b // stable tie-break
-	}
-	mergeSortIdx(idx, less)
+		return a - b
+	})
 	out := make([]types.Row, len(rows))
 	for i, j := range idx {
 		out[i] = rows[j]
 	}
 	return source.SliceIter(out), nil
-}
-
-// mergeSortIdx sorts idx with a bottom-up merge sort (stable).
-func mergeSortIdx(idx []int, less func(a, b int) bool) {
-	n := len(idx)
-	buf := make([]int, n)
-	for width := 1; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid, hi := lo+width, lo+2*width
-			if mid > n {
-				mid = n
-			}
-			if hi > n {
-				hi = n
-			}
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				if less(idx[j], idx[i]) {
-					buf[k] = idx[j]
-					j++
-				} else {
-					buf[k] = idx[i]
-					i++
-				}
-				k++
-			}
-			for i < mid {
-				buf[k] = idx[i]
-				i++
-				k++
-			}
-			for j < hi {
-				buf[k] = idx[j]
-				j++
-				k++
-			}
-			copy(idx[lo:hi], buf[lo:hi])
-		}
-	}
 }
 
 // ---- aggregate ----

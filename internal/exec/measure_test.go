@@ -68,7 +68,8 @@ func TestOpIterRecordsCloseLatency(t *testing.T) {
 }
 
 // TestAnnotateRendersCloseAndWire checks EXPLAIN ANALYZE's rendering of
-// the record: executions of one node are summed, zero-valued extras stay
+// the record: executions of one node are summed, the estimate printed
+// beside them as the trace tree prints it, zero-valued extras stay
 // hidden, and a node with no record never executed.
 func TestAnnotateRendersCloseAndWire(t *testing.T) {
 	n := valuesNode(types.NewSchema(intCol("id")), []any{1})
@@ -83,20 +84,20 @@ func TestAnnotateRendersCloseAndWire(t *testing.T) {
 	if !strings.Contains(out, "rows=3") || !strings.Contains(out, "bytes=42") || !strings.Contains(out, "time=2ms") {
 		t.Errorf("missing rows/bytes/time: %s", out)
 	}
-	if strings.Contains(out, "close=") || strings.Contains(out, "wire_rows=") {
-		t.Errorf("zero-valued extras should be hidden: %s", out)
+	if strings.Contains(out, "close=") || strings.Contains(out, "wire_rows=") || strings.Contains(out, "est=") {
+		t.Errorf("zero-valued extras and an estimate nobody made should be hidden: %s", out)
 	}
 	if got := Annotate(tr)(other); got != " (never executed)" {
 		t.Errorf("unexecuted node annotated %q", got)
 	}
 
 	xctx, x2 := obs.StartSpan(tctx, obs.SpanExec, "n again")
-	x2.SetStats(&obs.OpStats{Op: n, Rows: 2, Bytes: 8, Close: 7 * time.Millisecond})
+	x2.SetStats(&obs.OpStats{Op: n, EstRows: 4.6, HasEst: true, Rows: 2, Bytes: 8, Close: 7 * time.Millisecond})
 	_, sh := obs.StartSpan(xctx, obs.SpanShip, "src.t")
 	sh.SetStats(&obs.OpStats{Op: n, Rows: 100, Bytes: 9000})
 	root.End()
 	out = Annotate(tr)(n)
-	for _, want := range []string{"rows=5", "bytes=50", "close=7ms", "wire_rows=100 wire_bytes=9000"} {
+	for _, want := range []string{"rows=5 est=4 bytes=50", "close=7ms", "wire_rows=100 wire_bytes=9000"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q: %s", want, out)
 		}
@@ -110,11 +111,8 @@ func filterOverValues() *plan.Filter {
 }
 
 // TestRunUntracedInstallsNoWrapper: without a trace Run hands back the
-// operator's own iterator and the statement leaves the plan-feedback
-// store untouched; with one, the measuring wrapper.
+// operator's own iterator; with one, the measuring wrapper.
 func TestRunUntracedInstallsNoWrapper(t *testing.T) {
-	obs.DefaultFeedback().Reset()
-	t.Cleanup(obs.DefaultFeedback().Reset)
 	f := filterOverValues()
 	it, err := Run(ctx, f)
 	if err != nil {
@@ -144,9 +142,6 @@ func TestRunUntracedInstallsNoWrapper(t *testing.T) {
 		t.Errorf("untraced Run(identity Project) = %T, want the input's *filterIter", it)
 	}
 	it.Close()
-	if n := obs.DefaultFeedback().Len(); n != 0 {
-		t.Errorf("untraced statements left %d plan-feedback entries", n)
-	}
 
 	it, err = Run(obs.WithTrace(ctx, obs.NewTrace("q")), f)
 	if err != nil {
@@ -158,44 +153,18 @@ func TestRunUntracedInstallsNoWrapper(t *testing.T) {
 	it.Close()
 }
 
-// TestFeedbackOnlyFromDrainedStreams: the estimate-vs-actual pair is a
-// measurement only when the stream reached EOF. A LIMIT closing its
-// input early, or a source dying mid-stream, must not log the rows seen
-// so far as the operator's cardinality.
-func TestFeedbackOnlyFromDrainedStreams(t *testing.T) {
-	fb := obs.DefaultFeedback()
-	fb.Reset()
-	t.Cleanup(fb.Reset)
-	run := func(n plan.Node) {
-		t.Helper()
-		if _, err := Collect(obs.WithTrace(ctx, obs.NewTrace("q")), n); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	run(&plan.Limit{Input: filterOverValues(), N: 1})
-	if n := fb.Len(); n != 0 {
-		t.Fatalf("LIMIT 1 over a 3-row filter recorded %d entries: %+v", n, fb.Snapshot())
-	}
-
+// TestDeadStreamKeepsItsRecord: a stream that dies mid-way still
+// publishes what it measured up to there, beside the estimate.
+func TestDeadStreamKeepsItsRecord(t *testing.T) {
 	sp := tracedSpan("dying scan")
-	dying := &opIter{span: sp, fbScope: "frag:s.t", st: obs.OpStats{EstRows: 10000, HasEst: true}, in: &scriptIter{
+	dying := &opIter{span: sp, st: obs.OpStats{EstRows: 10000, HasEst: true}, in: &scriptIter{
 		rows: []types.Row{{types.NewInt(1)}, {types.NewInt(2)}},
 		fail: errors.New("source down"),
 	}}
 	if _, err := source.Drain(dying); err == nil {
 		t.Fatal("dying stream drained cleanly")
 	}
-	if n := fb.Len(); n != 0 {
-		t.Fatalf("a stream that died after 2 rows recorded %d entries: %+v", n, fb.Snapshot())
-	}
-	if st, ok := sp.Stats(); !ok || st.Rows != 2 {
-		t.Errorf("the dead stream's record = %+v, %v; want its 2 rows", st, ok)
-	}
-
-	run(filterOverValues())
-	snap := fb.Snapshot()
-	if len(snap) != 1 || snap[0].Scope != "filter" || snap[0].Count != 1 || snap[0].LastActual != 3 {
-		t.Fatalf("full drain recorded %+v, want one filter entry with actual 3", snap)
+	if st, ok := sp.Stats(); !ok || st.Rows != 2 || !st.HasEst || st.EstRows != 10000 {
+		t.Errorf("the dead stream's record = %+v, %v; want its 2 rows against the estimate of 10000", st, ok)
 	}
 }

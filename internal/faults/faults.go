@@ -42,11 +42,6 @@ const (
 	OpCommit
 	// OpAbort is the 2PC rollback message.
 	OpAbort
-	// OpTrace is the trace-subtree trailer frame sent after a result
-	// stream. Targeting it (ops=trace) exercises trailer loss without
-	// touching the rows themselves: the mediator must degrade to its
-	// local-only trace, never fail the query.
-	OpTrace
 )
 
 // String implements fmt.Stringer.
@@ -64,8 +59,6 @@ func (c OpClass) String() string {
 		return "commit"
 	case OpAbort:
 		return "abort"
-	case OpTrace:
-		return "trace"
 	default:
 		return "op(" + strconv.Itoa(int(c)) + ")"
 	}
@@ -86,8 +79,6 @@ func parseOpClass(s string) (OpClass, error) {
 		return OpCommit, nil
 	case "abort":
 		return OpAbort, nil
-	case "trace":
-		return OpTrace, nil
 	default:
 		return 0, fmt.Errorf("faults: unknown op class %q", s)
 	}
@@ -193,7 +184,7 @@ func (p *Plan) Link(name string) *Injector {
 //	stall=DUR      latency spike duration (e.g. 50ms)
 //	stallp=P       stall probability (defaults to 1 when stall is set)
 //	part=AFTER+FOR partition window, e.g. part=2s+5s
-//	ops=C+C        restrict to op classes: connect,read,write,prepare,commit,abort,trace
+//	ops=C+C        restrict to op classes: connect,read,write,prepare,commit,abort
 //
 // Example: "seed=7;*:err=0.05;ny:drop=0.1,stall=40ms,stallp=0.3,ops=read".
 func ParsePlan(spec string) (*Plan, error) {

@@ -119,13 +119,8 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	if !ok {
 		return nil, fmt.Errorf("filestore %s: unknown table %q", s.name, q.Table)
 	}
-	if q.Filter != nil || q.HasAggregation() || len(q.OrderBy) > 0 || q.Limit >= 0 {
-		return nil, fmt.Errorf("filestore %s: query shape exceeds capabilities: %s", s.name, q)
-	}
-	for _, c := range q.Columns {
-		if c < 0 || c >= t.schema.Len() {
-			return nil, fmt.Errorf("filestore %s: projected column %d out of range", s.name, c)
-		}
+	if err := q.Check(s.Capabilities(), &source.TableInfo{Schema: t.schema}); err != nil {
+		return nil, fmt.Errorf("filestore %s: %w", s.name, err)
 	}
 	var rc io.ReadCloser
 	if t.path != "" {

@@ -104,8 +104,12 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if q.HasAggregation() || q.Columns != nil || len(q.OrderBy) > 0 {
-		return nil, fmt.Errorf("kvstore %s: query shape exceeds capabilities: %s", s.name, q)
+	// The store stops at a limit when it is handed one, though it does
+	// not advertise that it can.
+	caps := s.Capabilities()
+	caps.Limit = true
+	if err := q.Check(caps, &source.TableInfo{Schema: b.schema}); err != nil {
+		return nil, fmt.Errorf("kvstore %s: %w", s.name, err)
 	}
 	lo, hi, inKeys, err := b.rangeFromFilter(q.Filter)
 	if err != nil {

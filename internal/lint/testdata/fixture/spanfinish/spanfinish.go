@@ -100,8 +100,8 @@ func passedOn(ctx context.Context) {
 }
 
 // leakRemoteTrailer mirrors a server that opens a remote root span for
-// a traced fragment but forgets it when the stream errors before the
-// trailer — the new SpanRemote/SpanStream kinds are tracked like any
+// a traced fragment but forgets it when the stream errors before its
+// last frame — the SpanRemote/SpanStream kinds are tracked like any
 // other span.
 func leakRemoteTrailer(ctx context.Context, fail bool) error {
 	rctx, root := obs.StartSpan(ctx, obs.SpanRemote, "src") // want "span root may reach a return without End"
@@ -114,9 +114,8 @@ func leakRemoteTrailer(ctx context.Context, fail bool) error {
 	return nil
 }
 
-// remoteTrailerCompliant is the shape wire.Server.handleExecute uses:
-// the remote root ends unconditionally after streaming, before the
-// trailer is (maybe) written, so no path can lose it.
+// remoteTrailerCompliant ends the remote root unconditionally after
+// streaming, before anything can fail, so no path can lose it.
 func remoteTrailerCompliant(ctx context.Context, fail bool) error {
 	rctx, root := obs.StartSpan(ctx, obs.SpanRemote, "src")
 	_, ssp := obs.StartSpan(rctx, obs.SpanStream, "rows")

@@ -112,16 +112,6 @@ func (l *QueryLog) SetStructured(sl *StructuredLog) {
 	l.mu.Unlock()
 }
 
-// Structured returns the attached structured log, or nil.
-func (l *QueryLog) Structured() *StructuredLog {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.structured
-}
-
 // Begin registers an in-flight query and returns its id. When a
 // structured log is attached the sampling decision for this query is
 // drawn here, once, so callers can consult IsSampled to force tracing.
@@ -251,19 +241,18 @@ func (l *QueryLog) Slow() []SlowQuery {
 //	/metrics        registry snapshot as JSON
 //	/sessions       active queries as JSON
 //	/slow           slow queries (with capped traces) as JSON
-//	/estimates      estimate-vs-actual plan feedback as JSON
 //	/debug/pprof/   the standard net/http/pprof handlers
 //
-// Any argument may be nil; the corresponding routes then serve empty
+// Either argument may be nil; the corresponding routes then serve empty
 // data.
-func Handler(reg *Registry, ql *QueryLog, fb *Feedback) http.Handler {
+func Handler(reg *Registry, ql *QueryLog) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintf(w, "gis debug endpoint\n\n/metrics\n/sessions\n/slow\n/estimates\n/debug/pprof/\n")
+		fmt.Fprintf(w, "gis debug endpoint\n\n/metrics\n/sessions\n/slow\n/debug/pprof/\n")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		var snap Snapshot
@@ -282,12 +271,6 @@ func Handler(reg *Registry, ql *QueryLog, fb *Feedback) http.Handler {
 			ThresholdMS float64     `json:"threshold_ms"`
 			Slow        []SlowQuery `json:"slow"`
 		}{float64(ql.Threshold()) / float64(time.Millisecond), ql.Slow()})
-	})
-	mux.HandleFunc("/estimates", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, struct {
-			Entries []FeedbackEntry `json:"entries"`
-			Dropped int64           `json:"dropped"`
-		}{fb.Snapshot(), fb.Dropped()})
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

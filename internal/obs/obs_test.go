@@ -257,7 +257,7 @@ func TestDebugHandler(t *testing.T) {
 	reg.Counter("wire.client.ny.frames_out").Add(7)
 	ql := NewQueryLog(0, 4)
 	ql.Finish(ql.Begin("SELECT slow"), nil, NewTrace("SELECT slow"))
-	srv := httptest.NewServer(Handler(reg, ql, NewFeedback(8)))
+	srv := httptest.NewServer(Handler(reg, ql))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {

@@ -7,7 +7,7 @@ import (
 
 // Remote-subtree stitching: a component-system server runs its part of
 // a query under its own Trace, snapshots the finished tree as SpanData,
-// and ships it back to the mediator in a wire trailer frame. The
+// and ships it back to the mediator in the result stream's footer. The
 // mediator reconstructs the snapshot as ended spans and attaches them
 // under the live ship span, producing one federation-wide tree.
 

@@ -46,7 +46,7 @@ const (
 	SpanRetry
 	SpanBreaker
 	// SpanRemote roots a component-system subtree stitched into the
-	// mediator's trace from a wire trailer frame; SpanStream times the
+	// mediator's trace from a result stream's footer; SpanStream times the
 	// remote side's row-streaming phase. See DESIGN.md "Distributed
 	// tracing & plan telemetry".
 	SpanRemote
@@ -100,7 +100,7 @@ type Attr struct {
 
 // OpStats is the one measured record of an operator execution: what the
 // stream under a span produced and what that cost. EXPLAIN ANALYZE, the
-// trace tree, the structured query log and /estimates all render it.
+// trace tree and the structured query log all render it.
 // The exec measuring wrapper fills a private copy while rows flow and
 // publishes it with SetStats when the stream ends, so nothing is shared
 // between goroutines per row. A fragment scan has two: its output (exec
@@ -111,6 +111,8 @@ type OpStats struct {
 	// nobody sums (fetch spans).
 	Op any
 	// EstRows is the planner's cardinality estimate; valid when HasEst.
+	// This is the estimate's one home: est= beside rows= in EXPLAIN
+	// ANALYZE, est_rows in the trace tree.
 	EstRows float64
 	HasEst  bool
 	// Rows and Bytes (types.Row.EstimatedSize) the stream produced.
@@ -120,7 +122,7 @@ type OpStats struct {
 	// undrained remote cursor can dominate a LIMIT query).
 	Next, Close time.Duration
 	// RemoteUS is the component system's own compute time for a shipped
-	// sub-query, set by the wire client's trailer stitch (SetRemoteUS).
+	// sub-query, set by the wire client's footer stitch (SetRemoteUS).
 	// WanUS is derived when the record is read: the rest of the ship
 	// span, WAN transit plus mediator-side decode.
 	RemoteUS, WanUS int64

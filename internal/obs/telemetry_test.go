@@ -8,76 +8,6 @@ import (
 	"time"
 )
 
-func TestFeedbackAggregation(t *testing.T) {
-	f := NewFeedback(8)
-	f.Record("frag:ny.items", "(id > ?)", 100, 10) // q-err 10
-	f.Record("frag:ny.items", "(id > ?)", 100, 50) // q-err 2
-	f.Record("filter", "(cat = ?)", 5, 5)          // q-err 1
-
-	if f.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", f.Len())
-	}
-	snap := f.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("Snapshot len = %d", len(snap))
-	}
-	// Worst-first ordering.
-	top := snap[0]
-	if top.Scope != "frag:ny.items" {
-		t.Fatalf("top scope = %q", top.Scope)
-	}
-	if top.Count != 2 || top.SumEst != 200 || top.SumActual != 60 {
-		t.Errorf("aggregates = %+v", top)
-	}
-	if top.LastEst != 100 || top.LastActual != 50 {
-		t.Errorf("last pair = %v/%v", top.LastEst, top.LastActual)
-	}
-	if top.LastQErr != 2 || top.MaxQErr != 10 {
-		t.Errorf("q-errors = last %v max %v, want 2/10", top.LastQErr, top.MaxQErr)
-	}
-	if snap[1].MaxQErr != 1 {
-		t.Errorf("perfect estimate q-err = %v, want 1", snap[1].MaxQErr)
-	}
-
-	f.Reset()
-	if f.Len() != 0 || f.Dropped() != 0 {
-		t.Errorf("Reset left %d entries, %d dropped", f.Len(), f.Dropped())
-	}
-}
-
-func TestFeedbackQErrorFloor(t *testing.T) {
-	// Zero estimate against zero actual is a perfect estimate, not a
-	// division by zero.
-	if q := qError(0, 0); q != 1 {
-		t.Errorf("qError(0,0) = %v", q)
-	}
-	if q := qError(0, 10); q != 10 {
-		t.Errorf("qError(0,10) = %v", q)
-	}
-	if q := qError(50, 0); q != 50 {
-		t.Errorf("qError(50,0) = %v", q)
-	}
-}
-
-func TestFeedbackCapacity(t *testing.T) {
-	f := NewFeedback(2)
-	f.Record("a", "p", 1, 1)
-	f.Record("b", "p", 1, 1)
-	f.Record("c", "p", 1, 1) // over capacity: dropped, not evicting
-	f.Record("a", "p", 1, 1) // existing keys still update at capacity
-	if f.Len() != 2 {
-		t.Errorf("Len = %d, want 2", f.Len())
-	}
-	if f.Dropped() != 1 {
-		t.Errorf("Dropped = %d, want 1", f.Dropped())
-	}
-	var nilF *Feedback
-	nilF.Record("x", "y", 1, 1) // nil receiver must not panic
-	if nilF.Len() != 0 || nilF.Snapshot() != nil {
-		t.Error("nil Feedback must be inert")
-	}
-}
-
 func TestStructuredLogSampling(t *testing.T) {
 	always := NewStructuredLog(&strings.Builder{}, 1, nil)
 	never := NewStructuredLog(&strings.Builder{}, 0, nil)

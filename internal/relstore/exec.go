@@ -30,6 +30,9 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if err := q.Check(s.Capabilities(), &source.TableInfo{Schema: t.schema}); err != nil {
+		return nil, fmt.Errorf("relstore %s: %w", s.name, err)
+	}
 
 	// Without a usable index every row is a candidate: walk t.rows
 	// itself rather than materialize the list of its positions.
@@ -110,13 +113,6 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 		for base, word := range passed {
 			for ; word != 0; word &= word - 1 {
 				out = append(out, rowAt(base*64+bits.TrailingZeros64(word)))
-			}
-		}
-	}
-	if project && count > 0 {
-		for _, c := range q.Columns {
-			if c < 0 || c >= len(out[0]) {
-				return nil, fmt.Errorf("relstore %s: projected column %d out of range", s.name, c)
 			}
 		}
 	}

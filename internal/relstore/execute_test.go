@@ -21,6 +21,11 @@ import (
 func referenceExecute(s *Store, q *source.Query) ([]types.Row, error) {
 	grouped := len(q.GroupBy) > 0 || len(q.Aggs) > 0
 	limitEarly := q.Limit >= 0 && !grouped && len(q.OrderBy) == 0
+	// A query that addresses what the table does not have is refused
+	// before a row is read (source.Query.Check has its own test).
+	if err := q.Check(s.Capabilities(), &source.TableInfo{Schema: s.tables[q.Table].schema}); err != nil {
+		return nil, fmt.Errorf("relstore %s: %w", s.name, err)
+	}
 	var kept []types.Row
 	for _, r := range s.tables[q.Table].rows {
 		if r == nil {
@@ -38,13 +43,6 @@ func referenceExecute(s *Store, q *source.Query) ([]types.Row, error) {
 		kept = append(kept, r)
 		if limitEarly && int64(len(kept)) >= q.Limit {
 			break
-		}
-	}
-	if !grouped {
-		for _, c := range q.Columns {
-			if len(kept) > 0 && (c < 0 || c >= len(kept[0])) {
-				return nil, fmt.Errorf("relstore %s: projected column %d out of range", s.name, c)
-			}
 		}
 	}
 	rest := *q

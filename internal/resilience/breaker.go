@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -46,12 +45,6 @@ type BreakerOpenError struct {
 
 func (e *BreakerOpenError) Error() string {
 	return fmt.Sprintf("resilience: source %s: circuit breaker open", e.Source)
-}
-
-// IsBreakerOpen reports whether err is a breaker rejection.
-func IsBreakerOpen(err error) bool {
-	var b *BreakerOpenError
-	return errors.As(err, &b)
 }
 
 var (

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"gis/internal/obs"
 )
@@ -18,11 +17,10 @@ type SourceHealth struct {
 	breaker *Breaker
 	gauge   *obs.Gauge // 1 = healthy (breaker not open), 0 = shedding
 
-	mu        sync.Mutex
-	ok        int64
-	fails     int64
-	lastErr   error
-	lastErrAt time.Time
+	mu      sync.Mutex
+	ok      int64
+	fails   int64
+	lastErr error
 }
 
 // Name returns the source's name.
@@ -61,7 +59,6 @@ func (h *SourceHealth) Failure(ctx context.Context, err error) {
 	h.mu.Lock()
 	h.fails++
 	h.lastErr = err
-	h.lastErrAt = time.Now()
 	h.mu.Unlock()
 	h.breaker.Failure(ctx)
 	if h.breaker.State() == BreakerOpen {
@@ -76,16 +73,6 @@ func (h *SourceHealth) Healthy() bool {
 		return true
 	}
 	return h.breaker.State() != BreakerOpen
-}
-
-// LastError returns the most recent failure, if any.
-func (h *SourceHealth) LastError() (error, time.Time) {
-	if h == nil {
-		return nil, time.Time{}
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.lastErr, h.lastErrAt
 }
 
 // Describe renders a one-line health summary for \sources.

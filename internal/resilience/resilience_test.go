@@ -3,6 +3,7 @@ package resilience
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -133,8 +134,8 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.State() != BreakerOpen {
 		t.Fatalf("state after threshold failures = %v, want open", b.State())
 	}
-	err := b.Allow(ctx)
-	if !IsBreakerOpen(err) {
+	var open *BreakerOpenError
+	if err := b.Allow(ctx); !errors.As(err, &open) {
 		t.Fatalf("open breaker allowed a call (err=%v)", err)
 	}
 	// After the cooldown, exactly one probe passes; concurrent calls are
@@ -143,7 +144,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if err := b.Allow(ctx); err != nil {
 		t.Fatalf("half-open probe rejected: %v", err)
 	}
-	if err := b.Allow(ctx); !IsBreakerOpen(err) {
+	if err := b.Allow(ctx); !errors.As(err, &open) {
 		t.Fatalf("second call during probe allowed (err=%v)", err)
 	}
 	// A failed probe re-opens immediately.
@@ -193,8 +194,8 @@ func TestTracker(t *testing.T) {
 	if tr.Healthy("ny") || h.Healthy() {
 		t.Error("open breaker still reports healthy")
 	}
-	if err, at := h.LastError(); !errors.Is(err, errBoom) || at.IsZero() {
-		t.Errorf("LastError = (%v, %v)", err, at)
+	if d := h.Describe(); !strings.Contains(d, errBoom.Error()) {
+		t.Errorf("Describe() = %q, want the last error in it", d)
 	}
 	tr.For("la")
 	if names := tr.Names(); len(names) != 2 || names[0] != "la" || names[1] != "ny" {

@@ -46,9 +46,6 @@ type Guarded struct {
 	h   *SourceHealth
 }
 
-// Unwrap returns the underlying source.
-func (g *Guarded) Unwrap() source.Source { return g.src }
-
 // Health returns the wrapped source's health record.
 func (g *Guarded) Health() *SourceHealth { return g.h }
 

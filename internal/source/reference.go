@@ -55,52 +55,21 @@ func ApplyResidual(rows []types.Row, q *Query) ([]types.Row, error) {
 	return out, nil
 }
 
-// SortRows sorts rows in place by the given keys (stable insertion via
-// sort.SliceStable-equivalent merge is unnecessary; ordering ties are
-// unspecified by SQL).
+// SortRows sorts rows in place by the given keys; rows that tie keep
+// their order.
 func SortRows(rows []types.Row, keys []OrderSpec) {
-	less := func(a, b types.Row) bool {
+	slices.SortStableFunc(rows, func(a, b types.Row) int {
 		for _, k := range keys {
 			c := a[k.Col].Compare(b[k.Col])
 			if k.Desc {
 				c = -c
 			}
 			if c != 0 {
-				return c < 0
+				return c
 			}
 		}
-		return false
-	}
-	// Simple bottom-up merge sort to keep this helper dependency-free
-	// and stable.
-	n := len(rows)
-	buf := make([]types.Row, n)
-	for width := 1; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid := lo + width
-			hi := lo + 2*width
-			if mid > n {
-				mid = n
-			}
-			if hi > n {
-				hi = n
-			}
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				if less(rows[j], rows[i]) {
-					buf[k] = rows[j]
-					j++
-				} else {
-					buf[k] = rows[i]
-					i++
-				}
-				k++
-			}
-			copy(buf[k:hi], rows[i:mid])
-			copy(buf[k+mid-i:hi], rows[j:hi])
-			copy(rows[lo:hi], buf[lo:hi])
-		}
-	}
+		return 0
+	})
 }
 
 // aggregateRows evaluates grouping+aggregates over materialized rows.

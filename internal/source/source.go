@@ -81,7 +81,7 @@ func (c Capabilities) String() string {
 // KeyColumns are read-only: a table's shape is fixed when it is
 // registered, so a store hands out its own, uncloned, on every call (a
 // wire server asks once per shipped filter), and whoever needs a variant
-// copies first (Schema.Clone, WithQualifier).
+// copies first (Schema.Clone).
 type TableInfo struct {
 	Schema *types.Schema
 	// KeyColumns are the positions usable for keyed access when the
@@ -144,23 +144,96 @@ func NewScan(table string) *Query { return &Query{Table: table, Limit: -1} }
 // with no aggregate (one row per distinct key) counts.
 func (q *Query) HasAggregation() bool { return len(q.Aggs) > 0 || len(q.GroupBy) > 0 }
 
+// Check reports what makes q unanswerable by a source of capabilities
+// caps over the table info describes: a shape the source does not offer
+// (projection, aggregation, any filter at all, sort, limit), a column
+// position outside the table — or, for OrderBy, outside the output — an
+// aggregate kind that does not exist, a limit below -1. A query that
+// passes indexes nothing out of range when it runs. The planner builds
+// only queries that pass; a query decoded off the wire, or handed to a
+// store by anyone else, is whatever its sender made it, so the wire
+// server and every store ask before they execute. Whether a FilterKey
+// source can evaluate the particular filter is the store's own check.
+// A query that passes costs no allocation.
+func (q *Query) Check(caps Capabilities, info *TableInfo) error {
+	width := info.Schema.Len()
+	out := width // of the output, which OrderBy addresses
+	inTable := func(what string, col int) error {
+		if col < 0 || col >= width {
+			return fmt.Errorf("%s column %d out of range of %s's %d columns", what, col, q.Table, width)
+		}
+		return nil
+	}
+	switch {
+	case q.HasAggregation():
+		if !caps.Aggregate {
+			return q.exceeds(caps)
+		}
+		for _, g := range q.GroupBy {
+			if err := inTable("group-by", g); err != nil {
+				return err
+			}
+		}
+		for _, a := range q.Aggs {
+			if a.Kind > expr.AggAvg {
+				return fmt.Errorf("unknown aggregate kind %d", a.Kind)
+			}
+			if !a.Star {
+				if err := inTable("aggregate", a.Col); err != nil {
+					return err
+				}
+			}
+		}
+		out = len(q.GroupBy) + len(q.Aggs)
+	case q.Columns != nil:
+		if !caps.Project {
+			return q.exceeds(caps)
+		}
+		for _, c := range q.Columns {
+			if err := inTable("projected", c); err != nil {
+				return err
+			}
+		}
+		out = len(q.Columns)
+	}
+	switch {
+	case q.Filter != nil && caps.Filter == FilterNone,
+		len(q.OrderBy) > 0 && !caps.Sort,
+		q.Limit >= 0 && !caps.Limit:
+		return q.exceeds(caps)
+	}
+	for _, o := range q.OrderBy {
+		if o.Col < 0 || o.Col >= out {
+			return fmt.Errorf("order-by column %d out of range of the %d output columns", o.Col, out)
+		}
+	}
+	if q.Limit < -1 {
+		return fmt.Errorf("limit %d", q.Limit)
+	}
+	return nil
+}
+
+func (q *Query) exceeds(caps Capabilities) error {
+	return fmt.Errorf("query shape exceeds capabilities (%s): %s", caps, q)
+}
+
 // OutputSchema computes the schema of the query's result given the
 // table's schema.
 func (q *Query) OutputSchema(table *types.Schema) (*types.Schema, error) {
+	// Positions are what matters here: whether the source offers the
+	// shape is decided where the query is built.
+	everything := Capabilities{Filter: FilterFull, Project: true, Aggregate: true, Sort: true, Limit: true}
+	if err := q.Check(everything, &TableInfo{Schema: table}); err != nil {
+		return nil, err
+	}
 	if q.HasAggregation() {
 		cols := make([]types.Column, 0, len(q.GroupBy)+len(q.Aggs))
 		for _, g := range q.GroupBy {
-			if g < 0 || g >= table.Len() {
-				return nil, fmt.Errorf("group-by column %d out of range", g)
-			}
 			cols = append(cols, table.Columns[g])
 		}
 		for _, a := range q.Aggs {
 			in := types.KindInt
 			if !a.Star {
-				if a.Col < 0 || a.Col >= table.Len() {
-					return nil, fmt.Errorf("aggregate column %d out of range", a.Col)
-				}
 				in = table.Columns[a.Col].Type
 			}
 			cols = append(cols, types.Column{
@@ -176,9 +249,6 @@ func (q *Query) OutputSchema(table *types.Schema) (*types.Schema, error) {
 	}
 	cols := make([]types.Column, len(q.Columns))
 	for i, c := range q.Columns {
-		if c < 0 || c >= table.Len() {
-			return nil, fmt.Errorf("projected column %d out of range", c)
-		}
 		cols[i] = table.Columns[c]
 	}
 	return &types.Schema{Columns: cols}, nil

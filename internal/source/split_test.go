@@ -268,6 +268,56 @@ func TestQueryOutputSchema(t *testing.T) {
 	}
 }
 
+// TestQueryCheck: what a query may address is decided by the table's
+// width, the output's width and the source's capabilities — and a query
+// that passes is checked for nothing, in allocations.
+func TestQueryCheck(t *testing.T) {
+	everything := Capabilities{Filter: FilterFull, Project: true, Aggregate: true, Sort: true, Limit: true}
+	filter := expr.NewBinary(expr.OpGt, expr.NewBoundColRef(0, types.KindInt, "id"), expr.NewConst(types.NewInt(3)))
+	count := AggSpec{Kind: expr.AggCount, Col: -1, Star: true}
+	for _, c := range []struct {
+		name string
+		q    Query
+		caps Capabilities
+		ok   bool
+	}{
+		{"scan", Query{Limit: -1}, Capabilities{}, true},
+		{"everything", Query{Filter: filter, GroupBy: []int{1}, Aggs: []AggSpec{count, {Kind: expr.AggAvg, Col: 2}},
+			OrderBy: []OrderSpec{{Col: 2}}, Limit: 5}, everything, true},
+		{"projection, ordered by its last column", Query{Columns: []int{2, 0}, OrderBy: []OrderSpec{{Col: 1}}, Limit: -1}, everything, true},
+		{"empty projection", Query{Columns: []int{}, Limit: -1}, everything, true},
+		{"key filter", Query{Filter: filter, Limit: -1}, Capabilities{Filter: FilterKey}, true},
+
+		{"projection past the table", Query{Columns: []int{0, 3}, Limit: -1}, everything, false},
+		{"negative projection", Query{Columns: []int{-1}, Limit: -1}, everything, false},
+		{"group-by past the table", Query{GroupBy: []int{99}, Limit: -1}, everything, false},
+		{"aggregate past the table", Query{Aggs: []AggSpec{{Kind: expr.AggSum, Col: 99}}, Limit: -1}, everything, false},
+		{"unknown aggregate", Query{Aggs: []AggSpec{{Kind: expr.AggAvg + 1, Col: 0}}, Limit: -1}, everything, false},
+		{"order-by past the table", Query{OrderBy: []OrderSpec{{Col: 99}}, Limit: -1}, everything, false},
+		{"order-by past the projection", Query{Columns: []int{0}, OrderBy: []OrderSpec{{Col: 1}}, Limit: -1}, everything, false},
+		{"order-by past the groups", Query{GroupBy: []int{1}, Aggs: []AggSpec{count}, OrderBy: []OrderSpec{{Col: 2}}, Limit: -1}, everything, false},
+		{"limit below none", Query{Limit: -2}, everything, false},
+
+		{"filter, source scans only", Query{Filter: filter, Limit: -1}, Capabilities{Project: true}, false},
+		{"projection, source cannot", Query{Columns: []int{0}, Limit: -1}, Capabilities{Filter: FilterFull}, false},
+		{"aggregate, source cannot", Query{Aggs: []AggSpec{count}, Limit: -1}, Capabilities{Filter: FilterFull, Project: true}, false},
+		{"sort, source cannot", Query{OrderBy: []OrderSpec{{Col: 0}}, Limit: -1}, Capabilities{Filter: FilterFull, Project: true}, false},
+		{"limit, source cannot", Query{Limit: 1}, Capabilities{Filter: FilterFull, Project: true}, false},
+	} {
+		c.q.Table = "t"
+		err := c.q.Check(c.caps, splitInfo)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: Check(%s) of %s = %v, want ok=%v", c.name, c.caps, &c.q, err, c.ok)
+		}
+		if !c.ok {
+			continue
+		}
+		if n := testing.AllocsPerRun(10, func() { _ = c.q.Check(c.caps, splitInfo) }); n != 0 {
+			t.Errorf("%s: a passing Check allocates %v objects", c.name, n)
+		}
+	}
+}
+
 func TestSliceIterAndDrain(t *testing.T) {
 	rows := splitRows()
 	got, err := Drain(SliceIter(rows))

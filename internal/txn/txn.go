@@ -24,7 +24,6 @@ var (
 	mCommitted       = obs.Default().Counter("txn.committed")
 	mAborted         = obs.Default().Counter("txn.aborted")
 	mInDoubt         = obs.Default().Counter("txn.in_doubt")
-	mOnePhase        = obs.Default().Counter("txn.one_phase")
 	mPrepareLatency  = obs.Default().Histogram("txn.participant.prepare_seconds", obs.LatencyBuckets)
 	mCommitLatency   = obs.Default().Histogram("txn.participant.commit_seconds", obs.LatencyBuckets)
 	mParticipantFail = obs.Default().Counter("txn.participant.failures")
@@ -162,17 +161,6 @@ func (g *GlobalTx) Enlist(name string, tx source.Tx) error {
 	g.names = append(g.names, name)
 	g.txs = append(g.txs, tx)
 	return nil
-}
-
-// Participant returns the enlisted transaction for name, if any (used by
-// the mediator to route writes).
-func (g *GlobalTx) Participant(name string) (source.Tx, bool) {
-	for i, n := range g.names {
-		if n == name {
-			return g.txs[i], true
-		}
-	}
-	return nil, false
 }
 
 // Participants returns the enlisted participant names.
@@ -328,31 +316,4 @@ func (g *GlobalTx) Abort(ctx context.Context) error {
 	g.state = StateAborted
 	mAborted.Inc()
 	return errors.Join(errs...)
-}
-
-// CommitOnePhase is the unsafe baseline: no prepare round, no decision
-// log — every participant commits directly. A failure partway leaves the
-// federation inconsistent; the returned error reports which participants
-// committed. This exists to quantify what 2PC costs (experiment T6).
-func (g *GlobalTx) CommitOnePhase(ctx context.Context) error {
-	if g.state != StateActive {
-		return fmt.Errorf("txn %s: commit in state %s", g.id, g.state)
-	}
-	mOnePhase.Inc()
-	errs := g.fanOut(ctx, func(i int) error { return g.txs[i].Commit(ctx) })
-	g.state = StateCommitted
-	var failed []string
-	var firstErr error
-	for i, err := range errs {
-		if err != nil {
-			failed = append(failed, g.names[i])
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	if len(failed) > 0 {
-		return fmt.Errorf("txn %s: one-phase commit failed on %v (federation may be inconsistent): %w", g.id, failed, firstErr)
-	}
-	return nil
 }

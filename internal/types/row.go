@@ -138,16 +138,6 @@ func joinRef(table, name string) string {
 	return table + "." + name
 }
 
-// WithQualifier returns a copy of the schema with every column's Table set
-// to the given alias (used when a table is aliased in FROM).
-func (s *Schema) WithQualifier(alias string) *Schema {
-	out := s.Clone()
-	for i := range out.Columns {
-		out.Columns[i].Table = alias
-	}
-	return out
-}
-
 // String renders the schema for EXPLAIN output.
 func (s *Schema) String() string {
 	parts := make([]string, len(s.Columns))

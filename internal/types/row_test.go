@@ -76,13 +76,6 @@ func TestSchemaConcatQualifier(t *testing.T) {
 	if j.Len() != 2 || j.Columns[1].Name != "y" {
 		t.Errorf("Concat = %v", j)
 	}
-	q := j.WithQualifier("z")
-	if q.Columns[0].Table != "z" || q.Columns[1].Table != "z" {
-		t.Error("WithQualifier did not set tables")
-	}
-	if j.Columns[0].Table != "" {
-		t.Error("WithQualifier mutated receiver")
-	}
 }
 
 func TestColumnQualifiedName(t *testing.T) {

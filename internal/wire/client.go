@@ -39,7 +39,6 @@ type Client struct {
 	down SimLink // server → client
 
 	connectTimeout time.Duration
-	trailerTimeout time.Duration
 	plan           *faults.Plan
 	// inj is this link's fault injector, shared by every connection so
 	// the plan's decision sequence is per-link, not per-conn.
@@ -97,13 +96,6 @@ func WithConnectTimeout(d time.Duration) Option {
 	return func(c *Client) { c.connectTimeout = d }
 }
 
-// WithTraceTrailerTimeout overrides how long Execute result streams
-// wait for the trace trailer after the final msgEnd (default 2s). Tests
-// use a short timeout to exercise the degraded path quickly.
-func WithTraceTrailerTimeout(d time.Duration) Option {
-	return func(c *Client) { c.trailerTimeout = d }
-}
-
 // WithTenant sets the tenant announced in the connection handshake, so
 // the component system can attribute and quota this link's sub-queries.
 func WithTenant(tenant string) Option {
@@ -129,7 +121,6 @@ func DialContext(ctx context.Context, addr string, opts ...Option) (*Client, err
 		addr:           addr,
 		name:           addr,
 		connectTimeout: DefaultDialTimeout,
-		trailerTimeout: defaultTrailerTimeout,
 		maxFrameBytes:  maxFrame,
 	}
 	for _, o := range opts {
@@ -374,19 +365,6 @@ func (c *Client) Stats(table string) (*stats.TableStats, error) {
 // Execute implements source.Source, streaming result batches over a
 // connection the stream owns until it ends.
 func (c *Client) Execute(ctx context.Context, q *source.Query) (source.RowIter, error) {
-	e := newMessage()
-	if err := e.Query(q); err != nil {
-		return nil, err
-	}
-	// Propagate the distributed trace context: the server runs the
-	// fragment under its own trace and returns the finished subtree in
-	// a trailer frame after the row stream (see tracewire.go).
-	var tc *traceContext
-	parent := obs.CurrentSpan(ctx)
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		tc = &traceContext{TraceID: tr.ID(), ParentSpan: parent.ID(), Sampled: true}
-	}
-	e.traceContext(tc)
 	// Ship the remaining deadline budget, shrunk by the link's one-way
 	// latency estimate, so the remote fragment's deadline expires no
 	// later than ours. A budget the WAN latency has already consumed
@@ -395,7 +373,19 @@ func (c *Client) Execute(ctx context.Context, q *source.Query) (source.RowIter, 
 	if !ok {
 		return nil, context.DeadlineExceeded
 	}
-	e.deadlineBudget(budget)
+	h := execHeader{Budget: budget}
+	// A traced sub-query names its trace: the server runs the fragment
+	// under a trace of its own and returns the finished subtree in the
+	// stream's footer, which goes under parent.
+	parent := obs.CurrentSpan(ctx)
+	if tr := obs.TraceFrom(ctx); tr != nil {
+		h.TraceID, h.ParentSpan = tr.ID(), parent.ID()
+	}
+	e := newMessage()
+	e.execHeader(h)
+	if err := e.Query(q); err != nil {
+		return nil, err
+	}
 	fc, _, err := c.roundTrip(ctx, nil, msgExecute, e.Bytes())
 	if err != nil {
 		c.putConn(fc) // refused, not broken
@@ -408,9 +398,9 @@ func (c *Client) discard(fc *frameConn) {
 	_ = fc.rw.Close() // the conn is being thrown away; nothing to report
 }
 
-// streamIter reads msgRows batches until msgEnd, then — when this
-// stream carried a trace — consumes the msgTrace trailer and stitches
-// the remote subtree under the parent span.
+// streamIter reads msgRows batches until msgEnd, whose footer — when
+// this stream carried a trace — is the remote subtree it stitches under
+// the parent span.
 type streamIter struct {
 	ctx   context.Context
 	c     *Client
@@ -475,12 +465,19 @@ func (it *streamIter) Next() (types.Row, error) {
 	switch tag {
 	case msgEnd:
 		it.done = true
-		if tr := obs.TraceFrom(it.ctx); tr != nil && len(payload) > 0 && payload[0] == 1 {
-			it.finishTrailer(tr.ID())
-		} else {
-			it.c.putConn(it.fc)
-			it.fc = nil
+		// A footer that does not decode costs the remote half of the
+		// trace and nothing else: the frame was read whole, so the stream
+		// has ended and the connection is in protocol sync either way.
+		if it.parent != nil && len(payload) > 0 {
+			if data, err := NewDecoder(payload).Span(); err == nil {
+				it.parent.AttachData(data)
+				// The remote-compute share of the ship span; whatever else
+				// the span took is the WAN share.
+				it.parent.SetRemoteUS(data.DurationUS)
+			}
 		}
+		it.c.putConn(it.fc)
+		it.fc = nil
 		return nil, io.EOF
 	case msgErr:
 		_, err := checkResp(tag, payload)

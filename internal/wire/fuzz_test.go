@@ -48,24 +48,16 @@ var fuzzBodies = []fuzzBody{
 		x, err := d.Expr()
 		return func(e *Encoder) error { return e.Expr(x) }, err
 	}},
-	// A msgExecute payload: the query, the trace context, the budget.
+	// A msgExecute payload: the header, the query.
 	{"Execute", func(d *Decoder) (func(*Encoder) error, error) {
+		h, err := d.execHeader()
+		if err != nil {
+			return nil, err
+		}
 		q, err := d.Query()
-		if err != nil {
-			return nil, err
-		}
-		tc, err := d.traceContext()
-		if err != nil {
-			return nil, err
-		}
-		budget, err := d.deadlineBudget()
 		return func(e *Encoder) error {
-			if err := e.Query(q); err != nil {
-				return err
-			}
-			e.traceContext(tc)
-			e.deadlineBudget(budget)
-			return nil
+			e.execHeader(h)
+			return e.Query(q)
 		}, err
 	}},
 	{"hello", func(d *Decoder) (func(*Encoder) error, error) {
@@ -80,8 +72,11 @@ var fuzzBodies = []fuzzBody{
 	{"insert", fuzzWriteReq(msgInsert)},
 	{"update", fuzzWriteReq(msgUpdate)},
 	{"delete", fuzzWriteReq(msgDelete)},
-	// The msgTrace trailer.
-	{"Span", func(d *Decoder) (func(*Encoder) error, error) {
+	// A msgEnd payload, as the client reads it: empty, or a span subtree.
+	{"footer", func(d *Decoder) (func(*Encoder) error, error) {
+		if d.Remaining() == 0 {
+			return func(*Encoder) error { return nil }, nil
+		}
 		sp, err := d.Span()
 		return func(e *Encoder) error { e.Span(sp); return nil }, err
 	}},
@@ -155,16 +150,12 @@ func fuzzSeeds(t testing.TB) map[string][][]byte {
 	seeds["Value"] = append(seeds["Value"], hostileBytesLength)
 	for i, q := range sampleQueries() {
 		add("Execute", func(e *Encoder) error {
-			if err := e.Query(q); err != nil {
-				return err
-			}
+			h := execHeader{Budget: time.Duration(i) * time.Second}
 			if i%2 == 0 {
-				e.traceContext(&traceContext{TraceID: "4bf92f3577b34da6", ParentSpan: 7, Sampled: true})
-			} else {
-				e.traceContext(nil)
+				h.TraceID, h.ParentSpan = "4bf92f3577b34da6", 7
 			}
-			e.deadlineBudget(time.Duration(i) * time.Second)
-			return nil
+			e.execHeader(h)
+			return e.Query(q)
 		})
 	}
 	add("hello", func(e *Encoder) error {
@@ -190,7 +181,8 @@ func fuzzSeeds(t testing.TB) map[string][][]byte {
 	}
 	seeds["update"] = append(seeds["update"],
 		[]byte{0x01, 't', 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f}) // table "t", no filter, 2^32-1 SET clauses
-	add("Span", func(e *Encoder) error {
+	seeds["footer"] = append(seeds["footer"], nil) // an untraced stream's
+	add("footer", func(e *Encoder) error {
 		e.Span(&obs.SpanData{Kind: "remote", Name: "src", Start: time.UnixMicro(1700000000000000), DurationUS: 1234,
 			Attrs: []obs.Attr{{Key: "rows", Value: "3"}},
 			Children: []*obs.SpanData{

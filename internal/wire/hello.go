@@ -12,13 +12,13 @@ package wire
 // non-msgOK or undecodable answer as a failed dial — so a Client that
 // exists knows what its source can be asked.
 //
-// Deadlines: Client.Execute appends the query's remaining time budget
-// (µs, uvarint, 0 = none) after the trace context in the msgExecute
-// payload, decremented by the link's observed one-way latency (half
-// the RTT EWMA) so the server-side deadline never outlives the
-// client's. The server enforces the budget with context.WithTimeout
-// around the fragment's execution, so a propagated deadline cancels
-// the component store's work mid-scan.
+// Deadlines: Client.Execute sends the query's remaining time budget
+// (µs, uvarint, 0 = none) in the msgExecute header (subquery.go),
+// decremented by the link's observed one-way latency (half the RTT
+// EWMA) so the server-side deadline never outlives the client's. The
+// server enforces the budget with context.WithTimeout around the
+// fragment's execution, so a propagated deadline cancels the component
+// store's work mid-scan.
 
 import (
 	"context"
@@ -30,8 +30,10 @@ import (
 // helloVersion is the protocol revision announced in msgHello.
 // Revision 2 shipped TIME as (unix seconds, nanoseconds); revision 3
 // carries one conversation per connection — writes and 2PC messages
-// name no transaction — and the capability vector in the hello reply.
-const helloVersion = 3
+// name no transaction — and the capability vector in the hello reply;
+// revision 4 opens msgExecute with one header and ends a result stream
+// with one frame, msgEnd carrying the footer (subquery.go).
+const helloVersion = 4
 
 // creditWindow is how many msgRows frames a result stream may have in
 // flight before the server needs a credit grant (see msgCredit). The
@@ -103,25 +105,6 @@ func (d *Decoder) helloReply() (*helloReply, error) {
 		}
 	}
 	return h, nil
-}
-
-// deadlineBudget appends the remaining time budget (µs; 0 = none) to a
-// msgExecute payload.
-func (e *Encoder) deadlineBudget(budget time.Duration) {
-	us := budget.Microseconds()
-	if us < 0 {
-		us = 0
-	}
-	e.Uvarint(uint64(us))
-}
-
-// deadlineBudget reads the time budget that ends a msgExecute payload.
-func (d *Decoder) deadlineBudget() (time.Duration, error) {
-	us, err := d.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return time.Duration(us) * time.Microsecond, nil
 }
 
 // executeBudget derives the budget to ship with a query: the context's

@@ -184,8 +184,8 @@ func TestStreamRowsAllocsDoNotGrowWithRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if done, err := srv.streamRows(ctx, fc, it, false); err != nil || !done {
-				t.Fatalf("streamRows: %v, %v", done, err)
+			if err := srv.streamRows(ctx, fc, it, nil); err != nil {
+				t.Fatalf("streamRows: %v", err)
 			}
 		})
 	}

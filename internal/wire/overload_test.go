@@ -131,11 +131,10 @@ func TestRequestBeforeHelloRejected(t *testing.T) {
 	_, cl := startRelServer(t, 10)
 	fc := rawConn(t, cl)
 	var e Encoder
+	e.execHeader(execHeader{})
 	if err := e.Query(source.NewScan("items")); err != nil {
 		t.Fatal(err)
 	}
-	e.traceContext(nil)
-	e.deadlineBudget(0)
 	if err := fc.writeFrame(ctx, msgExecute, e.Bytes()); err != nil {
 		t.Fatal(err)
 	}

@@ -435,33 +435,26 @@ func sendShed(ctx context.Context, fc *frameConn, err error) error {
 	return sendErr(ctx, fc, err)
 }
 
-// handleExecute serves one msgExecute request: decode the query, the
-// trace context, and the deadline budget; pass
-// admission control; run the fragment (under a server-local trace when
-// the mediator sent a sampled context) with the budget enforced as a
-// context deadline; stream the rows; and then — best-effort — return
-// the finished span subtree in a msgTrace trailer. The trailer travels
-// strictly after msgEnd so its loss can never cost rows; the mediator
-// degrades to its local-only trace.
+// handleExecute serves one msgExecute request: decode the header and the
+// query; enforce the header's budget as a context deadline; pass
+// admission control; run the fragment — under a server-local trace when
+// the header names the mediator's — and stream the rows. The finished
+// span subtree goes back in the stream's last frame (footer).
 func (s *Server) handleExecute(ctx context.Context, fc *frameConn, st *connState, d *Decoder) error {
+	h, err := d.execHeader()
+	if err != nil {
+		return sendErr(ctx, fc, err)
+	}
 	q, err := d.Query()
 	if err != nil {
 		return sendErr(ctx, fc, err)
 	}
-	tc, err := d.traceContext()
-	if err != nil {
-		return sendErr(ctx, fc, err)
-	}
-	budget, err := d.deadlineBudget()
-	if err != nil {
-		return sendErr(ctx, fc, err)
-	}
-	if budget > 0 {
+	if h.Budget > 0 {
 		// The propagated deadline caps this fragment: when it fires, the
 		// source's Execute/Next observe ctx cancellation and the stream
 		// reports the expiry instead of pinning the connection.
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, budget)
+		ctx, cancel = context.WithTimeout(ctx, h.Budget)
 		defer cancel()
 	}
 	if s.admit != nil {
@@ -472,49 +465,26 @@ func (s *Server) handleExecute(ctx context.Context, fc *frameConn, st *connState
 		defer sess.Release()
 		ctx = actx
 	}
-	rctx := ctx
-	var tr *obs.Trace
 	var root *obs.Span
-	if tc != nil && tc.Sampled {
-		tr = obs.NewTraceWithID(tc.TraceID, q.String())
-		rctx = obs.WithTrace(ctx, tr)
-		rctx, root = obs.StartSpan(rctx, obs.SpanRemote, s.src.Name())
-		root.SetAttr("trace_id", tc.TraceID)
-		root.SetInt("parent_span", int64(tc.ParentSpan))
+	if h.TraceID != "" {
+		ctx = obs.WithTrace(ctx, obs.NewTraceWithID(h.TraceID, q.String()))
+		ctx, root = obs.StartSpan(ctx, obs.SpanRemote, s.src.Name())
+		defer root.End() // a stream that fails sends no footer to end it for
+		root.SetAttr("trace_id", h.TraceID)
+		root.SetInt("parent_span", int64(h.ParentSpan))
 	}
-	done, streamErr := s.streamQuery(rctx, fc, q, tr != nil)
-	root.End()
-	// Only a stream that reached its flagged msgEnd owes a trailer; an
-	// error stream (msgErr) left the client not reading one.
-	if streamErr != nil || tr == nil || !done {
-		return streamErr
-	}
-	// Trailer fault point (ops=trace): a transient injection skips the
-	// trailer the stream already promised — the mediator's read times
-	// out and it degrades; a drop severs the connection the same way a
-	// crash between msgEnd and the trailer would.
-	if err := fc.injure(ctx, faults.OpTrace); err != nil {
-		if errors.Is(err, faults.ErrInjected) {
-			return nil
-		}
-		return err
-	}
-	var e Encoder
-	e.Span(root.Data())
-	return fc.writeFrame(ctx, msgTrace, e.Bytes())
+	return s.streamQuery(ctx, fc, q, root)
 }
 
-// streamQuery rebinds and executes q, streaming row batches until EOF.
+// streamQuery binds and executes q, streaming row batches until EOF.
 // Under a traced context it records the remote parse/exec/stream child
-// spans; traced also sets the msgEnd trailer-follows flag. The bool
-// reports whether the stream completed through msgEnd (and so owes a
-// trailer when traced).
-func (s *Server) streamQuery(ctx context.Context, fc *frameConn, q *source.Query, traced bool) (bool, error) {
+// spans of root, the sub-query's remote span (nil when untraced).
+func (s *Server) streamQuery(ctx context.Context, fc *frameConn, q *source.Query, root *obs.Span) error {
 	pctx, psp := obs.StartSpan(ctx, obs.SpanParse, "rebind")
-	err := s.rebindQuery(pctx, q)
+	err := s.bindQuery(pctx, q)
 	psp.End()
 	if err != nil {
-		return false, sendErr(ctx, fc, err)
+		return sendErr(ctx, fc, err)
 	}
 	qid := s.Queries.BeginLazy(q)
 	xctx, xsp := obs.StartSpan(ctx, obs.SpanExec, q.Table)
@@ -522,19 +492,19 @@ func (s *Server) streamQuery(ctx context.Context, fc *frameConn, q *source.Query
 	xsp.End()
 	if err != nil {
 		s.Queries.Finish(qid, err, obs.TraceFrom(ctx))
-		return false, sendErr(ctx, fc, err)
+		return sendErr(ctx, fc, err)
 	}
 	defer it.Close()
 	defer func() { s.Queries.Finish(qid, nil, obs.TraceFrom(ctx)) }()
 	if err := fc.writeFrame(ctx, msgOK, nil); err != nil {
-		return false, err
+		return err
 	}
-	return s.streamRows(ctx, fc, it, traced)
+	return s.streamRows(ctx, fc, it, root)
 }
 
 // streamRows drains it into msgRows batches and terminates the stream
-// with msgEnd (flagged when a trace trailer will follow). The bool
-// reports whether msgEnd was written.
+// with msgEnd, whose payload is the finished subtree of root, the
+// sub-query's remote span (see footer; nil and empty when untraced).
 //
 // Each msgRows frame spends one credit of the stream's window; at zero
 // the server blocks reading msgCredit grants instead of buffering
@@ -545,7 +515,7 @@ func (s *Server) streamQuery(ctx context.Context, fc *frameConn, q *source.Query
 //
 // A row is encoded before the next is asked for, so the source is asked
 // to lend its rows.
-func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIter, traced bool) (bool, error) {
+func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIter, root *obs.Span) error {
 	_, ssp := obs.StartSpan(ctx, obs.SpanStream, "rows")
 	defer ssp.End()
 	source.Lend(it)
@@ -567,7 +537,7 @@ func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIte
 			// the client on a detached context: the notice is one bounded
 			// frame and must not itself be suppressed by the expiry.
 			//lint:ignore ctxflow the expiry notice must outlive the deadline that triggered it; single bounded frame
-			return false, sendErr(context.WithoutCancel(ctx), fc, err)
+			return sendErr(context.WithoutCancel(ctx), fc, err)
 		}
 		row, err := it.Next()
 		if err == io.EOF {
@@ -576,9 +546,9 @@ func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIte
 		if err != nil {
 			if ctx.Err() != nil {
 				//lint:ignore ctxflow the expiry notice must outlive the deadline that triggered it; single bounded frame
-				return false, sendErr(context.WithoutCancel(ctx), fc, err)
+				return sendErr(context.WithoutCancel(ctx), fc, err)
 			}
-			return false, sendErr(ctx, fc, err)
+			return sendErr(ctx, fc, err)
 		}
 		if batch == 0 {
 			if rows == 0 {
@@ -595,30 +565,25 @@ func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIte
 			// rows in flight.
 			if err := fc.injure(ctx, faults.OpRead); err != nil {
 				if errors.Is(err, faults.ErrInjected) {
-					return false, sendErr(ctx, fc, err)
+					return sendErr(ctx, fc, err)
 				}
-				return false, err
+				return err
 			}
 			if err := sendBatch(batch); err != nil {
-				return false, err
+				return err
 			}
 			batch = 0
 		}
 	}
 	if batch > 0 {
 		if err := sendBatch(batch); err != nil {
-			return false, err
+			return err
 		}
 	}
 	ssp.SetInt("rows", rows)
-	var end []byte
-	if traced {
-		end = []byte{1}
-	}
-	if err := fc.writeFrame(ctx, msgEnd, end); err != nil {
-		return false, err
-	}
-	return true, nil
+	ssp.End()
+	root.End()
+	return fc.writeFrame(ctx, msgEnd, footer(root.Data(), fc.wlimit))
 }
 
 // awaitCredit blocks until the client grants more stream credit,
@@ -681,14 +646,18 @@ func (s *Server) write(ctx context.Context, st *connState, tag byte, req *writeR
 	return w.Update(ctx, req.Table, req.Filter, req.Set)
 }
 
-// rebindQuery re-binds the decoded filter against the target table's
-// schema so function references and operator types are restored.
-func (s *Server) rebindQuery(ctx context.Context, q *source.Query) error {
-	if q.Filter == nil {
-		return nil
-	}
+// bindQuery makes a decoded sub-query safe to hand to the source: the
+// decoder has no schema, so the positions and the shape of q are checked
+// here, against the table it names and what the source can be asked
+// (source.Query.Check), and the filter is re-bound against the table's
+// schema, which restores function references and operator types and
+// refuses a reference out of range.
+func (s *Server) bindQuery(ctx context.Context, q *source.Query) error {
 	info, err := s.src.TableInfo(ctx, q.Table)
 	if err != nil {
+		return err
+	}
+	if err := q.Check(s.src.Capabilities(), info); err != nil {
 		return err
 	}
 	q.Filter, err = expr.BindPositions(q.Filter, info.Schema)

@@ -1,19 +1,24 @@
 package wire
 
 import (
+	"context"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net"
 	"reflect"
 	"testing"
 	"time"
 
-	"gis/internal/faults"
 	"gis/internal/obs"
+	"gis/internal/relstore"
 	"gis/internal/source"
 )
 
 // runTracedScan executes a full-table scan under a fresh trace with a
 // ship parent span (mimicking the mediator's FragScan) and returns the
 // ended ship span for inspection. The query must always succeed with n
-// rows regardless of what happens to the trace trailer.
+// rows regardless of what happens to the footer.
 func runTracedScan(t *testing.T, cl *Client, n int) *obs.Span {
 	t.Helper()
 	tr := obs.NewTrace("traced scan")
@@ -35,7 +40,7 @@ func runTracedScan(t *testing.T, cl *Client, n int) *obs.Span {
 }
 
 // remoteChild returns the stitched SpanRemote child of a ship span, or
-// nil when the trailer was lost.
+// nil when the footer brought none.
 func remoteChild(sp *obs.Span) *obs.Span {
 	for _, c := range sp.Children() {
 		if c.Kind() == obs.SpanRemote {
@@ -46,12 +51,11 @@ func remoteChild(sp *obs.Span) *obs.Span {
 }
 
 // TestTraceTrailerStitch is the happy path of federation-wide tracing:
-// the remote parse/exec/stream subtree arrives in the msgTrace trailer
-// and lands under the mediator's ship span, with the remote-compute
-// share recorded for the WAN split.
+// the remote parse/exec/stream subtree trails the rows in the stream's
+// footer and lands under the mediator's ship span, with the
+// remote-compute share recorded for the WAN split.
 func TestTraceTrailerStitch(t *testing.T) {
 	_, cl := startRelServer(t, 600)
-	before := mRemoteLost.Value()
 	ship := runTracedScan(t, cl, 600)
 
 	remote := remoteChild(ship)
@@ -78,37 +82,170 @@ func TestTraceTrailerStitch(t *testing.T) {
 	if _, ok := ship.Attr("remote_us"); !ok {
 		t.Error("ship span missing remote_us (WAN split input)")
 	}
-	if got := mRemoteLost.Value() - before; got != 0 {
-		t.Errorf("remote_lost advanced by %d on the happy path", got)
-	}
-	// The trailer must leave the connection in protocol sync: the next
-	// (untraced) query reuses the pooled conn.
-	it, err := cl.Execute(ctx, source.NewScan("items"))
+	scan(t, cl, ctx, 600)
+}
+
+// scan drains a full-table scan of n rows under sctx.
+func scan(t *testing.T, cl *Client, sctx context.Context, n int) {
+	t.Helper()
+	it, err := cl.Execute(sctx, source.NewScan("items"))
 	if err != nil {
-		t.Fatalf("follow-up Execute: %v", err)
+		t.Fatal(err)
 	}
-	if rows, err := source.Drain(it); err != nil || len(rows) != 600 {
-		t.Fatalf("follow-up scan = %d rows, %v", len(rows), err)
+	if rows, err := source.Drain(it); err != nil || len(rows) != n {
+		t.Fatalf("scan = %d rows, %v; want %d", len(rows), err, n)
 	}
 }
 
-// TestTraceUntracedRequestCompat pins the wire format contract: a
-// request without a trace context (the pre-trace payload shape plus an
-// absent flag) gets a plain unflagged msgEnd and no trailer.
+// TestTraceUntracedRequestCompat pins the wire format contract from the
+// outside: a request whose header names no trace is answered msgOK, the
+// rows, and a msgEnd with nothing in it.
 func TestTraceUntracedRequestCompat(t *testing.T) {
 	_, cl := startRelServer(t, 50)
-	before := mRemoteLost.Value()
-	for i := 0; i < 3; i++ {
-		it, err := cl.Execute(ctx, source.NewScan("items"))
+	fc := greetedConn(t, cl)
+	var e Encoder
+	e.execHeader(execHeader{})
+	if err := e.Query(source.NewScan("items")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fc.writeFrame(ctx, msgExecute, e.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []byte{msgOK, msgRows, msgEnd} {
+		tag, payload, err := fc.readFrame(ctx)
+		if err != nil || tag != want {
+			t.Fatalf("frame = tag %d, %v; want tag %d", tag, err, want)
+		}
+		if tag == msgEnd && len(payload) != 0 {
+			t.Errorf("untraced msgEnd carries % x, want an empty footer", payload)
+		}
+	}
+}
+
+// TestTracedStreamCostsTheSameFrames: the footer rides in msgEnd, so a
+// traced sub-query is msgExecute → msgOK, msgRows × ⌈rows/256⌉, msgEnd
+// like an untraced one, and nothing after it.
+func TestTracedStreamCostsTheSameFrames(t *testing.T) {
+	_, cl := startRelServer(t, 600, WithName("framecount"))
+	in := obs.Default().Counter("wire.client.framecount.frames_in")
+	out := obs.Default().Counter("wire.client.framecount.frames_out")
+	frames := func(run func()) (int64, int64) {
+		i, o := in.Value(), out.Value()
+		run()
+		return in.Value() - i, out.Value() - o
+	}
+	ui, uo := frames(func() { scan(t, cl, ctx, 600) })
+	ti, to := frames(func() {
+		if remoteChild(runTracedScan(t, cl, 600)) == nil {
+			t.Error("the traced scan stitched no remote subtree")
+		}
+	})
+	if ui != 5 || uo != 1 {
+		t.Errorf("untraced scan of 600 rows: %d frames in, %d out; want 5 (msgOK, 3 × msgRows, msgEnd) and 1", ui, uo)
+	}
+	if ti != ui || to != uo {
+		t.Errorf("traced scan: %d frames in, %d out; untraced: %d, %d", ti, to, ui, uo)
+	}
+}
+
+// shortFooter is a connection on which every non-empty msgEnd arrives
+// with its payload cut in half — by a middlebox that rewrites the length
+// too, so the frame is whole and only its content is wrong.
+type shortFooter struct {
+	net.Conn
+	buf []byte // of the frame being handed out
+}
+
+func (c *shortFooter) Read(p []byte) (int, error) {
+	if len(c.buf) == 0 {
+		var hdr [5]byte
+		if _, err := io.ReadFull(c.Conn, hdr[:]); err != nil {
+			return 0, err
+		}
+		payload := make([]byte, binary.BigEndian.Uint32(hdr[:4]))
+		if _, err := io.ReadFull(c.Conn, payload); err != nil {
+			return 0, err
+		}
+		if hdr[4] == msgEnd {
+			payload = payload[:len(payload)/2]
+			binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
+		}
+		c.buf = append(hdr[:], payload...)
+	}
+	n := copy(p, c.buf)
+	c.buf = c.buf[n:]
+	return n, nil
+}
+
+// TestUndecodableFooterCostsOnlyTheTrace: a footer that does not decode
+// leaves the rows, a clean end of stream and a mediator-only trace, and
+// — the frame was read whole — the same connection, back in the pool
+// and serving the next call.
+func TestUndecodableFooterCostsOnlyTheTrace(t *testing.T) {
+	_, cl := startRelServer(t, 50)
+	fc := cl.pool[0]
+	fc.rw = &shortFooter{Conn: fc.rw}
+	ship := runTracedScan(t, cl, 50) // drains to io.EOF, or fails the test
+	if remoteChild(ship) != nil {
+		t.Error("half a footer stitched a remote subtree")
+	}
+	if _, ok := ship.Attr("remote_us"); ok {
+		t.Error("half a footer set remote_us")
+	}
+	if len(cl.pool) != 1 || cl.pool[0] != fc {
+		t.Fatalf("pool after the stream = %v, want the connection that carried it", cl.pool)
+	}
+	scan(t, cl, ctx, 50) // on the pool's only connection
+	if len(cl.pool) != 1 || cl.pool[0] != fc {
+		t.Errorf("pool after the next call = %v, want the same connection still", cl.pool)
+	}
+}
+
+// chattySource is a relstore that leaves a span per page under the
+// caller's, so its remote subtree is as large as the test wants.
+type chattySource struct {
+	*relstore.Store
+	pages int
+}
+
+func (s *chattySource) Execute(ctx context.Context, q *source.Query) (source.RowIter, error) {
+	for i := 0; i < s.pages; i++ {
+		_, sp := obs.StartSpan(ctx, obs.SpanFetch, fmt.Sprintf("page %04d of a store that reports every single one", i))
+		sp.End()
+	}
+	return s.Store.Execute(ctx, q)
+}
+
+// TestFooterFitsThePeersFrameBound: a subtree larger than the frame the
+// client said it reads arrives capped — and says by how much — or, when
+// not even its root fits, not at all; the stream ends cleanly either way.
+func TestFooterFitsThePeersFrameBound(t *testing.T) {
+	srv, err := Serve(ctx, "127.0.0.1:0", &chattySource{Store: stressStore(t, 3), pages: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	dial := func(maxRead int) *Client {
+		cl, err := DialContext(ctx, srv.Addr(), WithMaxFrameBytes(maxRead))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rows, err := source.Drain(it); err != nil || len(rows) != 50 {
-			t.Fatalf("scan = %d rows, %v", len(rows), err)
-		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
 	}
-	if got := mRemoteLost.Value() - before; got != 0 {
-		t.Errorf("remote_lost advanced by %d for untraced streams", got)
+
+	// 400 page spans of some 70 bytes each do not fit 4 KiB.
+	remote := remoteChild(runTracedScan(t, dial(4096), 3))
+	if remote == nil {
+		t.Fatal("a subtree over the bound was dropped, want it capped")
+	}
+	dropped, ok := remote.Attr("truncated_spans")
+	if n := len(remote.Children()); !ok || n == 0 || n >= 400 {
+		t.Errorf("capped subtree has %d children, truncated_spans=%q; want fewer than all and the count of the rest", n, dropped)
+	}
+	// Its root alone — kind, name, times, trace id — is over 64 bytes.
+	if remote := remoteChild(runTracedScan(t, dial(64), 3)); remote != nil {
+		t.Errorf("a 64-byte bound let through a subtree of %d spans", obs.CountSpanData(remote.Data()))
 	}
 }
 
@@ -143,76 +280,5 @@ func TestSpanCodecRoundTrip(t *testing.T) {
 		if _, err := NewDecoder(e.Bytes()[:cut]).Span(); err == nil {
 			t.Errorf("decode of %d-byte prefix succeeded", cut)
 		}
-	}
-}
-
-// traceChaosHarness arms a server-side fault plan targeting only the
-// trace trailer (ops=trace) and returns a connected client with a short
-// trailer timeout so degraded paths resolve quickly.
-func traceChaosHarness(t *testing.T, spec string) *Client {
-	t.Helper()
-	plan, err := faults.ParsePlan(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := chaosServer(t, 50, plan)
-	return chaosDial(t, srv.Addr(), WithName("chaos"),
-		WithTraceTrailerTimeout(100*time.Millisecond))
-}
-
-// TestChaosTraceTrailerDropped severs the connection between msgEnd and
-// the trailer on every traced stream. The rows are already complete, so
-// the query must succeed; the mediator degrades to its local-only trace
-// and counts the loss.
-func TestChaosTraceTrailerDropped(t *testing.T) {
-	cl := traceChaosHarness(t, "seed=3;*:drop=1.0,ops=trace")
-	before := mRemoteLost.Value()
-	for i := 0; i < 2; i++ {
-		ship := runTracedScan(t, cl, 50)
-		if remoteChild(ship) != nil {
-			t.Error("dropped trailer must not stitch a remote subtree")
-		}
-	}
-	if got := mRemoteLost.Value() - before; got != 2 {
-		t.Errorf("remote_lost advanced by %d, want 2", got)
-	}
-}
-
-// TestChaosTraceTrailerSkipped injects a transient error at the trailer
-// fault point: the server skips the trailer it promised, the client's
-// bounded read times out, and the query still succeeds.
-func TestChaosTraceTrailerSkipped(t *testing.T) {
-	cl := traceChaosHarness(t, "seed=3;*:err=1.0,ops=trace")
-	before := mRemoteLost.Value()
-	ship := runTracedScan(t, cl, 50)
-	if remoteChild(ship) != nil {
-		t.Error("skipped trailer must not stitch a remote subtree")
-	}
-	if got := mRemoteLost.Value() - before; got != 1 {
-		t.Errorf("remote_lost advanced by %d, want 1", got)
-	}
-}
-
-// TestChaosTraceTrailerStalled stalls the trailer write past the
-// client's trailer timeout. The stream itself is untouched; only the
-// trace degrades.
-func TestChaosTraceTrailerStalled(t *testing.T) {
-	cl := traceChaosHarness(t, "seed=3;*:stall=400ms,stallp=1,ops=trace")
-	before := mRemoteLost.Value()
-	ship := runTracedScan(t, cl, 50)
-	if remoteChild(ship) != nil {
-		t.Error("stalled trailer must not stitch a remote subtree")
-	}
-	if got := mRemoteLost.Value() - before; got != 1 {
-		t.Errorf("remote_lost advanced by %d, want 1", got)
-	}
-	// After the degraded trailer the conn was discarded; a fresh query
-	// must work (untraced: the trailer fault point is not hit).
-	it, err := cl.Execute(ctx, source.NewScan("items"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows, err := source.Drain(it); err != nil || len(rows) != 50 {
-		t.Fatalf("follow-up scan = %d rows, %v", len(rows), err)
 	}
 }

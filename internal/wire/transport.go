@@ -33,12 +33,10 @@ const (
 	msgOK   // payload depends on the request
 	msgErr  // payload: error string
 	msgRows // payload: row batch (streamed after msgExecute's msgOK)
-	msgEnd  // end of a row stream; one-byte payload 1 = trace trailer follows
-	// msgTrace is the best-effort trace trailer: the component system's
-	// finished span subtree, sent after msgEnd when the request carried
-	// a sampled trace context (see tracewire.go). Losing it degrades
-	// the mediator to its local-only trace; it never affects rows.
-	msgTrace
+	// msgEnd ends a row stream. Its payload is the sub-query's footer: the
+	// component system's finished span subtree when the request carried a
+	// trace, empty otherwise (see subquery.go).
+	msgEnd
 	// msgHello is the per-connection handshake, the first frame on
 	// every connection: the client announces its protocol version,
 	// tenant and frame-size bound; the server answers msgOK with its own

@@ -99,7 +99,7 @@ func TestRebindBuildsTheFilterOnce(t *testing.T) {
 		if q.Filter, err = NewDecoder(e.Bytes()).Expr(); err != nil {
 			t.Fatal(err)
 		}
-		if err := srv.rebindQuery(ctx, q); err != nil {
+		if err := srv.bindQuery(ctx, q); err != nil {
 			t.Fatal(err)
 		}
 		return q
