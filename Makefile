@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures fmt vet check chaos overload fuzz bench rungs bench-e2e
+.PHONY: build test race lint lint-fixtures fmt vet check loc chaos overload fuzz bench rungs bench-e2e
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,11 @@ vet:
 # The full gate: gofmt, vet, gislint, build, race-enabled tests.
 check:
 	sh scripts/check.sh
+
+# The non-test lines of Go a simplicity PR quotes, per package and in
+# total: *.go outside _test.go files, bench/ and testdata/.
+loc:
+	@sh scripts/loc.sh
 
 # Seeded fault-injection stress tests: wire, union, bind-join, 2PC
 # (see DESIGN.md "Resilience & fault model"). What faults do not cover —

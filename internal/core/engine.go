@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -240,15 +241,11 @@ func writePadded(b *strings.Builder, s string, width int) {
 
 // Query parses, plans, and executes a SELECT, materializing the result.
 func (e *Engine) Query(ctx context.Context, text string, params ...types.Value) (res *Result, err error) {
-	ctx, finish, err := e.instrument(ctx, text, false)
+	ctx, stmt, finish, err := e.begin(ctx, text, false, params)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { err = finish(err) }()
-	stmt, err := e.parse(ctx, text, params...)
-	if err != nil {
-		return nil, err
-	}
 	sel, ok := stmt.(*sql.SelectStmt)
 	if !ok {
 		return nil, fmt.Errorf("core: Query requires a SELECT; use Exec for %T", stmt)
@@ -256,12 +253,24 @@ func (e *Engine) Query(ctx context.Context, text string, params ...types.Value) 
 	return e.runSelect(ctx, sel)
 }
 
-// parse wraps sql.Parse in a parse span.
-func (e *Engine) parse(ctx context.Context, text string, params ...types.Value) (sql.Statement, error) {
+// begin is how every entry point that returns with its statement done
+// opens: instrument — so nothing is planned, and no subquery run for the
+// plan, outside admission, the query log and the trace — then parse under
+// a parse span. A statement that is shed or does not parse is already
+// finished when begin returns its error; otherwise the caller defers
+// finish, as instrument asks.
+func (e *Engine) begin(ctx context.Context, text string, measure bool, params []types.Value) (context.Context, sql.Statement, func(error) error, error) {
+	ctx, finish, err := e.instrument(ctx, text, measure)
+	if err != nil {
+		return ctx, nil, nil, err
+	}
 	_, span := obs.StartSpan(ctx, obs.SpanParse, "")
 	stmt, err := sql.Parse(text, params...)
 	span.End()
-	return stmt, err
+	if err != nil {
+		return ctx, nil, nil, finish(err)
+	}
+	return ctx, stmt, finish, nil
 }
 
 // QueryIter plans and executes a SELECT, streaming rows. The returned
@@ -368,9 +377,7 @@ func (e *Engine) runSelect(ctx context.Context, sel *sql.SelectStmt) (*Result, e
 		}
 		mPartialQueries.Inc()
 		res.Partial = pre
-	}
-	if res.Partial != nil {
-		obs.CurrentSpan(ctx).SetAttr("partial", res.Partial.Error())
+		obs.CurrentSpan(ctx).SetAttr("partial", pre.Error())
 	}
 	return res, nil
 }
@@ -394,11 +401,12 @@ func (e *Engine) planSelect(ctx context.Context, sel *sql.SelectStmt) (plan.Node
 }
 
 // Explain returns the optimized plan of a statement as indented text.
-func (e *Engine) Explain(ctx context.Context, text string, params ...types.Value) (string, error) {
-	stmt, err := sql.Parse(text, params...)
+func (e *Engine) Explain(ctx context.Context, text string, params ...types.Value) (out string, err error) {
+	ctx, stmt, finish, err := e.begin(ctx, text, false, params)
 	if err != nil {
 		return "", err
 	}
+	defer func() { err = finish(err) }()
 	sel, err := explained(stmt)
 	if err != nil {
 		return "", err
@@ -430,15 +438,11 @@ func (e *Engine) explainSelect(ctx context.Context, sel *sql.SelectStmt) (string
 // Run executes any statement: SELECT returns a Result; INSERT, UPDATE
 // and DELETE return the affected-row count in a single-column Result.
 func (e *Engine) Run(ctx context.Context, text string, params ...types.Value) (res *Result, err error) {
-	ctx, finish, err := e.instrument(ctx, text, false)
+	ctx, stmt, finish, err := e.begin(ctx, text, false, params)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { err = finish(err) }()
-	stmt, err := e.parse(ctx, text, params...)
-	if err != nil {
-		return nil, err
-	}
 	switch s := stmt.(type) {
 	case *sql.SelectStmt:
 		return e.runSelect(ctx, s)
@@ -483,15 +487,11 @@ func (e *Engine) Run(ctx context.Context, text string, params ...types.Value) (r
 // number of affected rows. Writes spanning several sources run under
 // two-phase commit.
 func (e *Engine) Exec(ctx context.Context, text string, params ...types.Value) (n int64, err error) {
-	ctx, finish, err := e.instrument(ctx, text, false)
+	ctx, stmt, finish, err := e.begin(ctx, text, false, params)
 	if err != nil {
 		return 0, err
 	}
 	defer func() { err = finish(err) }()
-	stmt, err := e.parse(ctx, text, params...)
-	if err != nil {
-		return 0, err
-	}
 	return e.execStmt(ctx, stmt)
 }
 
@@ -632,12 +632,21 @@ func (e *Engine) substituteSubqueries(ctx context.Context, ex expr.Expr) (expr.E
 			}
 			return expr.NewConst(res.Rows[0][0])
 		case expr.SubIn:
-			list := make([]expr.Expr, 0, len(res.Rows))
+			// One literal per distinct value, not per row: the list is
+			// planned, shipped and probed. NULL is a value here and is
+			// kept, once — it decides NOT IN.
+			var list []expr.Expr
+			seen := map[uint64][]types.Value{}
 			for _, r := range res.Rows {
 				if len(r) != 1 {
 					firstErr = fmt.Errorf("core: IN subquery must return one column, got %d", len(r))
 					return n
 				}
+				h := r[0].Hash(0)
+				if slices.ContainsFunc(seen[h], r[0].Equal) {
+					continue
+				}
+				seen[h] = append(seen[h], r[0])
 				list = append(list, expr.NewConst(r[0]))
 			}
 			if len(list) == 0 {
@@ -702,15 +711,11 @@ func (e *Engine) CreateView(name, selectSQL string) error {
 // annotated with each operator's measured row count and inclusive time,
 // followed by the total.
 func (e *Engine) ExplainAnalyze(ctx context.Context, text string, params ...types.Value) (out string, err error) {
-	ctx, finish, err := e.instrument(ctx, text, true)
+	ctx, stmt, finish, err := e.begin(ctx, text, true, params)
 	if err != nil {
 		return "", err
 	}
 	defer func() { err = finish(err) }()
-	stmt, err := e.parse(ctx, text, params...)
-	if err != nil {
-		return "", err
-	}
 	sel, err := explained(stmt)
 	if err != nil {
 		return "", err

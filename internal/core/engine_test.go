@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"gis/internal/admission"
 	"gis/internal/catalog"
 	"gis/internal/expr"
 	"gis/internal/filestore"
@@ -375,6 +378,41 @@ func TestSubqueries(t *testing.T) {
 	wantRows(t, res, false)
 	res = query(t, e, `SELECT name FROM customers WHERE balance > (SELECT AVG(balance) FROM customers)`)
 	wantRows(t, res, false, "(bob)", "(carol)")
+}
+
+// TestInSubqueryListIsDistinct: the literal list an IN subquery plans as
+// holds each distinct value once — NULL, which decides NOT IN, included —
+// however many rows the subquery returned, and the answers are those of
+// the row-per-literal list.
+func TestInSubqueryListIsDistinct(t *testing.T) {
+	e := newTestEngine(t)
+	for _, c := range []struct {
+		sub       string
+		distinct  int
+		in, notIn []string
+	}{
+		// cust_id over the six orders: 1, 2, 1, 3, 4, 3.
+		{"SELECT cust_id FROM orders", 4, []string{"(alice)", "(bob)", "(carol)", "(dave)"}, nil},
+		// Over the four of qty >= 2: 1, 1, 3, 4.
+		{"SELECT cust_id FROM orders WHERE qty >= 2", 3, []string{"(alice)", "(carol)", "(dave)"}, []string{"(bob)"}},
+		// One per customer, NULL without an order of qty > 4: 1, NULL, 3, NULL.
+		{"SELECT o.cust_id FROM customers c LEFT JOIN orders o ON c.id = o.cust_id AND o.qty > 4", 3, []string{"(alice)", "(carol)"}, nil},
+	} {
+		out, err := e.Explain(ctx, "SELECT name FROM customers WHERE id IN ("+c.sub+")")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, list, ok := strings.Cut(out, " IN (")
+		if !ok {
+			t.Fatalf("no IN list in the plan:\n%s", out)
+		}
+		list, _, _ = strings.Cut(list, ")")
+		if got := len(strings.Split(list, ", ")); got != c.distinct {
+			t.Errorf("IN (%s) planned %d literals (%s), want the %d distinct values", c.sub, got, list, c.distinct)
+		}
+		wantRows(t, query(t, e, "SELECT name FROM customers WHERE id IN ("+c.sub+")"), false, c.in...)
+		wantRows(t, query(t, e, "SELECT name FROM customers WHERE id NOT IN ("+c.sub+")"), false, c.notIn...)
+	}
 }
 
 func TestDerivedTable(t *testing.T) {
@@ -770,69 +808,6 @@ func TestVerticalIntegrationViaView(t *testing.T) {
 	wantRows(t, res, false, "(sprocket, 6.25)")
 }
 
-func TestMergeJoinAgreesWithHashJoin(t *testing.T) {
-	queries := []string{
-		"SELECT c.name, o.oid FROM customers c JOIN orders o ON c.id = o.cust_id",
-		"SELECT COUNT(*) FROM customers c JOIN orders o ON c.id = o.cust_id WHERE o.qty > 1",
-	}
-	for _, q := range queries {
-		e := newTestEngine(t)
-		want := rowsAsStrings(query(t, e, q))
-		sort.Strings(want)
-		e2 := newTestEngine(t)
-		e2.PlanOptions().PreferMergeJoin = true
-		got := rowsAsStrings(query(t, e2, q))
-		sort.Strings(got)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("merge join disagrees on %q:\n got %v\nwant %v", q, got, want)
-		}
-	}
-	// The plan actually uses merge when both sides are single fragments.
-	e := newTestEngine(t)
-	e.PlanOptions().PreferMergeJoin = true
-	out, err := e.Explain(ctx, "SELECT c.name FROM customers c JOIN suppliers s ON c.id = s.sid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// suppliers is a filestore (no sort capability) — merge must NOT
-	// trigger there.
-	if strings.Contains(out, "merge") {
-		t.Errorf("merge join chosen against a sort-incapable source:\n%s", out)
-	}
-}
-
-func TestMergeJoinTriggers(t *testing.T) {
-	e := newTestEngine(t)
-	e.PlanOptions().PreferMergeJoin = true
-	// ship-all is a merge precondition (the cost-based chooser would
-	// pick a key-shipping strategy for these tiny tables).
-	e.PlanOptions().ForceStrategy = 1 // plan.StrategyShipAll
-	// Self-join of a single-fragment relational table: both sides are
-	// bare sort-capable fragment scans → merge fires.
-	q := "SELECT a.name, b.name FROM customers a JOIN customers b ON a.id = b.id"
-	out, err := e.Explain(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "merge") {
-		t.Fatalf("merge join did not trigger:\n%s", out)
-	}
-	res := query(t, e, q)
-	if len(res.Rows) != 4 {
-		t.Errorf("self merge join = %d rows", len(res.Rows))
-	}
-	// Duplicate keys on both sides through a view of orders by sku.
-	e2 := newTestEngine(t)
-	e2.PlanOptions().PreferMergeJoin = true
-	e2.PlanOptions().ForceStrategy = 1
-	dup := query(t, e2, `
-		SELECT a.oid, b.oid FROM orders a JOIN orders b ON a.sku = b.sku WHERE a.oid < 100 AND b.oid < 100`)
-	// ny orders skus: 501,502,503 distinct → 3 self pairs.
-	if len(dup.Rows) != 3 {
-		t.Errorf("dup-key merge join = %d rows: %v", len(dup.Rows), dup.Rows)
-	}
-}
-
 func TestRightJoin(t *testing.T) {
 	e := newTestEngine(t)
 	// products has sku 503/504 with few orders; a RIGHT JOIN keeps all
@@ -957,6 +932,41 @@ func TestRunExplainsWhatItParsed(t *testing.T) {
 	}
 	if n := strings.Count(logged.String(), "\n"); n != 1 {
 		t.Errorf("one EXPLAIN ANALYZE through Run left %d query-log records:\n%s", n, logged.String())
+	}
+}
+
+// TestExplainIsAdmitted: planning runs a statement's uncorrelated
+// subqueries, so EXPLAIN is work like any other. With the one slot held,
+// Explain of a statement with an IN subquery is shed as Query and
+// Run("EXPLAIN ...") of it are — it used to scan orders unadmitted and
+// return the plan — and once admitted it is in the query log.
+func TestExplainIsAdmitted(t *testing.T) {
+	e := newTestEngine(t)
+	ctrl := admission.New(admission.Config{MaxInFlight: 1, MaxWait: 20 * time.Millisecond})
+	e.SetAdmission(ctrl)
+	_, held, err := ctrl.Admit(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Release()
+	const q = "SELECT name FROM customers WHERE id IN (SELECT cust_id FROM orders)"
+	_, qerr := e.Query(ctx, q)
+	_, rerr := e.Run(ctx, "EXPLAIN "+q)
+	_, xerr := e.Explain(ctx, q)
+	for name, err := range map[string]error{"Query": qerr, "Run(EXPLAIN)": rerr, "Explain": xerr} {
+		if !errors.Is(err, admission.ErrOverload) {
+			t.Errorf("%s under a full admission controller: %v, want ErrOverload", name, err)
+		}
+	}
+
+	held.Release()
+	var logged strings.Builder
+	e.Queries().SetStructured(obs.NewStructuredLog(&logged, 1, nil))
+	if _, err := e.Explain(ctx, q); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(logged.String(), "\n"); n != 1 {
+		t.Errorf("an admitted Explain left %d query-log records:\n%s", n, logged.String())
 	}
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"gis/internal/obs"
@@ -15,13 +16,17 @@ import (
 // the operator's output and inclusive time — beside the planner's
 // estimate of that output, where it made one: est= against rows= is
 // where a misestimate is read — ship spans the rows and bytes a fragment
-// scan fetched before mediator-side compensation.
+// scan fetched before mediator-side compensation. The right scan of a
+// semijoin or bind join is run by the join itself, key chunk by key
+// chunk: it has ship records and no exec record, and shows the wire half
+// alone.
 func Annotate(tr *obs.Trace) func(plan.Node) string {
 	type sum struct {
 		rows, bytes, wireRows, wireBytes int64
-		next, close                      time.Duration
+		spent, close                     time.Duration
 		est                              float64 // of one execution: the node's, not a sum
 		hasEst                           bool
+		ran                              bool // an exec record; false: wire records alone
 	}
 	sums := map[plan.Node]*sum{}
 	for _, kind := range []obs.SpanKind{obs.SpanExec, obs.SpanShip} {
@@ -41,10 +46,11 @@ func Annotate(tr *obs.Trace) func(plan.Node) string {
 				s.wireBytes += st.Bytes
 				continue
 			}
+			s.ran = true
 			s.est, s.hasEst = st.EstRows, st.HasEst
 			s.rows += st.Rows
 			s.bytes += st.Bytes
-			s.next += st.Next
+			s.spent += st.Open + st.Next
 			s.close += st.Close
 		}
 	}
@@ -53,17 +59,20 @@ func Annotate(tr *obs.Trace) func(plan.Node) string {
 		if s == nil {
 			return " (never executed)"
 		}
-		out := fmt.Sprintf(" (rows=%d", s.rows)
-		if s.hasEst {
-			out += fmt.Sprintf(" est=%d", int64(s.est))
+		var parts []string
+		if s.ran {
+			parts = append(parts, fmt.Sprintf("rows=%d", s.rows))
+			if s.hasEst {
+				parts = append(parts, fmt.Sprintf("est=%d", int64(s.est)))
+			}
+			parts = append(parts, fmt.Sprintf("bytes=%d time=%s", s.bytes, s.spent.Round(time.Microsecond)))
+			if c := s.close.Round(time.Microsecond); c > 0 {
+				parts = append(parts, fmt.Sprintf("close=%s", c))
+			}
 		}
-		out += fmt.Sprintf(" bytes=%d time=%s", s.bytes, s.next.Round(time.Microsecond))
-		if s.close > 0 {
-			out += fmt.Sprintf(" close=%s", s.close.Round(time.Microsecond))
+		if !s.ran || s.wireRows > 0 || s.wireBytes > 0 {
+			parts = append(parts, fmt.Sprintf("wire_rows=%d wire_bytes=%d", s.wireRows, s.wireBytes))
 		}
-		if s.wireRows > 0 || s.wireBytes > 0 {
-			out += fmt.Sprintf(" wire_rows=%d wire_bytes=%d", s.wireRows, s.wireBytes)
-		}
-		return out + ")"
+		return " (" + strings.Join(parts, " ") + ")"
 	}
 }

@@ -97,12 +97,17 @@ func benchJoin() *plan.Join {
 	return j
 }
 
-// BenchmarkHashJoinProbe probes a 1 000-row build side with 10 000 left
-// rows, one key-equal partner each. Both inputs are materialized
-// beforehand: what is measured is the build and the probe.
-func BenchmarkHashJoinProbe(b *testing.B) {
-	left, right := benchJoinSide(10000), benchJoinSide(1000)
-	j := benchJoin()
+// benchNonEquiJoin is an inner join on L.v < R.v: no equi keys, so every
+// right row is a candidate for every left row.
+func benchNonEquiJoin() *plan.Join {
+	schema := types.NewSchema(intCol("k"), intCol("v"))
+	return &plan.Join{Kind: plan.JoinInner, L: &plan.Values{Out: schema}, R: &plan.Values{Out: schema},
+		Cond: expr.NewBinary(expr.OpLt, expr.NewBoundColRef(1, types.KindInt, "v"), expr.NewBoundColRef(3, types.KindInt, "v"))}
+}
+
+// benchmarkJoin drains joinRows over materialized inputs: what is
+// measured is the build, if the join has one, and the probe loop.
+func benchmarkJoin(b *testing.B, j *plan.Join, left, right []types.Row, want int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -112,11 +117,24 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 		for ; err == nil; n++ {
 			_, err = it.Next()
 		}
-		if err != io.EOF || n-1 != 5000 {
+		if err != io.EOF || n-1 != want {
 			b.Fatalf("%d rows, %v", n-1, err)
 		}
 		it.Close()
 	}
+}
+
+// BenchmarkHashJoinProbe probes a 1 000-row build side with 10 000 left
+// rows, one key-equal partner each: the loop's candidates are a bucket.
+func BenchmarkHashJoinProbe(b *testing.B) {
+	benchmarkJoin(b, benchJoin(), benchJoinSide(10000), benchJoinSide(1000), 5000)
+}
+
+// BenchmarkNestedLoopJoin is the same loop with every right row a
+// candidate: 10 000 left rows against 100 right rows, a million pairs
+// carved and all but 4 950 given back.
+func BenchmarkNestedLoopJoin(b *testing.B) {
+	benchmarkJoin(b, benchNonEquiJoin(), benchJoinSide(10000), benchJoinSide(100), 4950)
 }
 
 // BenchmarkAggregate groups benchValues' 10 000 rows by v (seven groups)
@@ -268,9 +286,10 @@ func checkSlope(t *testing.T, what string, n int, run func(n int)) {
 	}
 }
 
-// The streaming operators and the hash-join probe allocate per slab
-// chunk (types.RowSlab: one per up to 127 rows), never per row. One
-// stray allocation per row would put the slope at n.
+// The streaming operators and the join's probe loop — candidates from a
+// bucket, candidates all of the right side — allocate per slab chunk
+// (types.RowSlab: one per up to 127 rows), never per row. One stray
+// allocation per row would put the slope at n.
 func TestOperatorAllocsDoNotGrowPerRow(t *testing.T) {
 	const n = 4096
 	ctx := context.Background()
@@ -302,4 +321,20 @@ func TestOperatorAllocsDoNotGrowPerRow(t *testing.T) {
 		drain(joinRows(ctx, j, source.SliceIter(rows[:n]), right, false), n/2)
 	}
 	checkSlope(t, "hash-join probe", n, probe)
+
+	// Four candidates a left row: three at or below every left v but the
+	// first few, carved and given back, and one above them all.
+	right, j = append(rows[:3:3], rows[2*n-1]), benchNonEquiJoin()
+	nonEqui := func(n int) {
+		want := 0
+		for _, l := range rows[:n] {
+			for _, r := range right {
+				if l[1].Int() < r[1].Int() {
+					want++
+				}
+			}
+		}
+		drain(joinRows(ctx, j, source.SliceIter(rows[:n]), right, false), want)
+	}
+	checkSlope(t, "non-equi probe", n, nonEqui)
 }

@@ -44,13 +44,15 @@ func runNode(ctx context.Context, n plan.Node, lent bool) (source.RowIter, error
 		return run(ctx, n, lent)
 	}
 	ctx, span := obs.StartSpan(ctx, obs.SpanExec, opLabel(n))
+	start := time.Now()
 	it, err := run(ctx, n, lent)
 	if err != nil {
 		span.End()
 		return nil, err
 	}
-	// One wrapper per traced operator execution, not per row.
-	m := &opIter{in: it, span: span, st: obs.OpStats{Op: n}}
+	// One wrapper per traced operator execution, not per row. What run
+	// did before it had a stream to return is the operator's time too.
+	m := &opIter{in: it, span: span, st: obs.OpStats{Op: n, Open: time.Since(start)}}
 	switch n.(type) {
 	case *plan.FragScan, *plan.Join, *plan.Filter, *plan.Aggregate:
 		// The operators whose output the optimizer estimates. A scan

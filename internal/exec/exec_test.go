@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"testing"
 
@@ -291,59 +290,10 @@ func TestContextCancelStopsOperators(t *testing.T) {
 	}
 }
 
-// TestMergeJoinMatchesHashJoinProperty cross-checks the sort-merge
-// iterator against the hash join on random key distributions (duplicates
-// and NULLs included).
-func TestMergeJoinMatchesHashJoinProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 100; trial++ {
-		mkRows := func(n, keyRange int) [][]any {
-			rows := make([][]any, n)
-			for i := range rows {
-				var k any
-				if rng.Intn(10) == 0 {
-					k = nil // NULL keys never match
-				} else {
-					k = rng.Intn(keyRange)
-				}
-				rows[i] = []any{k, i}
-			}
-			// Merge join needs key-sorted inputs (NULLs first, as the
-			// sources deliver them).
-			sort.SliceStable(rows, func(a, b int) bool {
-				ka, kb := rows[a][0], rows[b][0]
-				if ka == nil {
-					return kb != nil
-				}
-				if kb == nil {
-					return false
-				}
-				return ka.(int) < kb.(int)
-			})
-			return rows
-		}
-		lRows := mkRows(rng.Intn(30), 8)
-		rRows := mkRows(rng.Intn(30), 8)
-		schema := types.NewSchema(intCol("k"), intCol("tag"))
-
-		mk := func(merge bool) *plan.Join {
-			j := equiJoin(plan.JoinInner, valuesNode(schema, lRows...), valuesNode(schema, rRows...))
-			j.Merge = merge
-			return j
-		}
-		hash := collect(t, mk(false))
-		merge := collect(t, mk(true))
-		sort.Strings(hash)
-		sort.Strings(merge)
-		if fmt.Sprint(hash) != fmt.Sprint(merge) {
-			t.Fatalf("trial %d: merge %v != hash %v\nL=%v\nR=%v", trial, merge, hash, lRows, rRows)
-		}
-	}
-}
-
-// TestJoinsWithRejectingResidual runs every join kind of every join
-// operator over inputs whose residual condition rejects some key-equal
-// pairs — a rejected pair followed by an accepted one for the same left
+// TestJoinsWithRejectingResidual runs every join kind through both
+// candidate sources of the join loop — the hash bucket and, with the equi
+// keys taken away, every right row — over inputs whose residual
+// condition rejects some key-equal pairs — a rejected pair followed by an accepted one for the same left
 // row included, and enough rows that joined rows share slab chunks —
 // and compares the collected result with plain nested loops.
 func TestJoinsWithRejectingResidual(t *testing.T) {
@@ -355,18 +305,6 @@ func TestJoinsWithRejectingResidual(t *testing.T) {
 		rRows = append(rRows, []any{i % 50, i})
 	}
 	lRows = append(lRows, []any{nil, 1000}, []any{77, 1001}) // a NULL key; a key with no partner
-	// Both sorted on the key, NULLs first, for the merge join.
-	byKey := func(rows [][]any) {
-		sort.SliceStable(rows, func(a, b int) bool {
-			ka, kb := rows[a][0], rows[b][0]
-			if ka == nil || kb == nil {
-				return ka == nil && kb != nil
-			}
-			return ka.(int) < kb.(int)
-		})
-	}
-	byKey(lRows)
-	byKey(rRows)
 	// L.k = R.k AND (L.v + R.v) % 3 <> 0
 	holds := func(l, r []any) bool {
 		return l[0] != nil && r[0] != nil && l[0] == r[0] && (l[1].(int)+r[1].(int))%3 != 0
@@ -413,7 +351,4 @@ func TestJoinsWithRejectingResidual(t *testing.T) {
 		nested.EquiL, nested.EquiR = nil, nil
 		wantSet(t, collect(t, nested), want[kind]...)
 	}
-	merge := mk(plan.JoinInner)
-	merge.Merge = true
-	wantSet(t, collect(t, merge), want[plan.JoinInner]...)
 }

@@ -63,7 +63,7 @@ func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.
 	if ship != nil {
 		_, fetch := obs.StartSpan(ctx, obs.SpanFetch, fs.Frag.Source)
 		// One wrapper per traced scan execution, not per row.
-		wire := &opIter{in: it, span: ship, fetch: fetch, st: obs.OpStats{Op: fs}}
+		wire := &opIter{in: it, span: ship, fetch: fetch, st: obs.OpStats{Op: fs, Open: time.Since(shipStart)}}
 		if extraRemoteFilter == nil {
 			// A semijoin/bind-augmented scan shows no estimate: the
 			// planner estimated the original predicate, not the

@@ -23,12 +23,8 @@ const semiJoinKeyLimit = 1000
 const bindBatchSize = 16
 
 // runJoin dispatches on the join's distributed strategy. lent is what
-// the join's consumer said (runNode); a merge join keeps its right runs
-// and is run as it always was.
+// the join's consumer said (runNode).
 func runJoin(ctx context.Context, j *plan.Join, lent bool) (source.RowIter, error) {
-	if j.Merge {
-		return runMergeJoin(ctx, j)
-	}
 	switch j.Strategy {
 	case plan.StrategySemiJoin:
 		return runKeyShippedJoin(ctx, j, semiJoinKeyLimit, lent)
@@ -55,25 +51,23 @@ func runLocalJoin(ctx context.Context, j *plan.Join, lent bool) (source.RowIter,
 	if err != nil {
 		return nil, err
 	}
-	if len(j.EquiL) > 0 {
-		mJoinBuildRows.Add(int64(len(right)))
-	}
+	mJoinBuildRows.Add(int64(len(right)))
 	return joinRows(ctx, j, left, right, lent), nil
 }
 
-// joinRows joins a left stream with materialized right rows: a hash join
-// built on the right when the join has equi keys, nested loops for
-// non-equi and cross joins. The rows it builds are lent iff lent.
+// joinRows joins a left stream with materialized right rows in the one
+// probe loop there is: a left row's candidates are its bucket of a hash
+// table built on the right when the join has equi keys, and every right
+// row when it has none (a non-equi or cross join — nested loops). The
+// rows it builds are lent iff lent.
 func joinRows(ctx context.Context, j *plan.Join, left source.RowIter, right []types.Row, lent bool) source.RowIter {
-	if len(j.EquiL) == 0 {
-		return &nlJoinIter{
-			ctx: ctx, j: j, left: left, right: right, slab: slabFor(lent),
-			leftWidth: j.L.Schema().Len(), rightWidth: widthOfRight(j, right),
-		}
+	build := hashBuild{rows: right}
+	if len(j.EquiL) > 0 {
+		build = newHashBuild(right, j.EquiR)
 	}
-	return &hashJoinIter{
-		ctx: ctx, j: j, left: left, build: newHashBuild(right, j.EquiR), slab: slabFor(lent),
-		leftWidth: j.L.Schema().Len(), rightWidth: widthOfRight(j, right),
+	return &joinIter{
+		ctx: ctx, j: j, left: left, build: build, slab: slabFor(lent),
+		rightWidth: widthOfRight(j, right),
 	}
 }
 
@@ -85,7 +79,7 @@ func joinRows(ctx context.Context, j *plan.Join, left source.RowIter, right []ty
 // several keys; the probe compares keys, and walks a bucket in arrival
 // order, so matches come out in the order the rows came in. (int32: the
 // rows are materialized before the table is built, a long way short of
-// 2^31 of them.)
+// 2^31 of them.) A join without equi keys has the rows and no table.
 type hashBuild struct {
 	rows []types.Row
 	head []int32 // len is a power of two, at least len(rows)
@@ -171,17 +165,18 @@ func leftPadded(slab *types.RowSlab, l types.Row, rightWidth int) types.Row {
 	return out
 }
 
-// hashJoinIter streams left rows against a hash table of right rows.
-type hashJoinIter struct {
+// joinIter streams left rows against the kept right rows: every join
+// kind, hash or nested loops, runs through its Next.
+type joinIter struct {
 	ctx        context.Context
 	j          *plan.Join
 	left       source.RowIter
 	build      hashBuild
-	leftWidth  int
 	rightWidth int
 
-	// Iteration state: matches pending for the current left row.
-	// matchBuf backs matches and is reused across probe rows.
+	// Iteration state: the current left row's candidates still to be
+	// tried. matchBuf backs a bucket's key-equal rows and is reused
+	// across probe rows.
 	cur      types.Row
 	matches  []types.Row
 	matchBuf []types.Row
@@ -192,7 +187,7 @@ type hashJoinIter struct {
 	slab     types.RowSlab
 }
 
-func (h *hashJoinIter) Next() (types.Row, error) {
+func (h *joinIter) Next() (types.Row, error) {
 	for {
 		if h.done {
 			return nil, io.EOF
@@ -255,25 +250,26 @@ func (h *hashJoinIter) Next() (types.Row, error) {
 		h.cur = l
 		h.matched = false
 		h.midx = 0
-		if keyHasNull(l, h.j.EquiL) {
-			h.matches = nil
-		} else {
-			// Hash collisions: verify key equality during cond check —
-			// condHolds evaluates the full join condition which includes
-			// the equi predicates, so collisions are rejected there. For
-			// semi/anti with nil extra cond, check keys explicitly.
-			h.matches = h.keyEqualRows(l)
-		}
+		h.matches = h.candidates(l)
 	}
 }
 
-// keyEqualRows walks l's bucket of the build side and keeps the rows
-// whose right key equals l's left key. They land in a scratch buffer
-// reused across probe rows (the previous row's matches are fully
-// consumed before the next probe).
-func (h *hashJoinIter) keyEqualRows(l types.Row) []types.Row {
-	out := h.matchBuf[:0]
+// candidates are the right rows l is tried against. Without equi keys
+// that is all of them. With equi keys it is the rows of l's bucket whose
+// right key equals l's left key — none when a key column is NULL — in a
+// scratch buffer reused across probe rows (the previous row's matches
+// are fully consumed before the next probe). The condition, which
+// includes the equi predicates, is evaluated over each candidate either
+// way; a semi or anti join may have none, hence the key comparison here.
+func (h *joinIter) candidates(l types.Row) []types.Row {
 	b := &h.build
+	if len(h.j.EquiL) == 0 {
+		return b.rows
+	}
+	if keyHasNull(l, h.j.EquiL) {
+		return nil
+	}
+	out := h.matchBuf[:0]
 	for i := b.head[keyHash(l, h.j.EquiL)&uint64(len(b.head)-1)]; i != 0; i = b.next[i-1] {
 		if r := b.rows[i-1]; !keyHasNull(r, h.j.EquiR) && keyEqual(l, h.j.EquiL, r, h.j.EquiR) {
 			out = append(out, r)
@@ -284,110 +280,25 @@ func (h *hashJoinIter) keyEqualRows(l types.Row) []types.Row {
 }
 
 // condHolds evaluates the join's full condition over a joined row.
-func (h *hashJoinIter) condHolds(joined types.Row) (bool, error) {
+func (h *joinIter) condHolds(joined types.Row) (bool, error) {
 	if h.j.Cond == nil {
 		return true, nil
 	}
 	return expr.EvalBool(h.j.Cond, joined)
 }
 
-func (h *hashJoinIter) Close() error {
+func (h *joinIter) Close() error {
 	h.flush()
 	return h.left.Close()
 }
 
 // flush reports the probe-side row count once per stream.
-func (h *hashJoinIter) flush() {
+func (h *joinIter) flush() {
 	if h.probed > 0 {
 		mJoinProbeRows.Add(h.probed)
 		h.probed = 0
 	}
 }
-
-// nlJoinIter is the nested-loops fallback for non-equi conditions.
-type nlJoinIter struct {
-	ctx        context.Context
-	j          *plan.Join
-	left       source.RowIter
-	right      []types.Row
-	leftWidth  int
-	rightWidth int
-
-	cur     types.Row
-	ridx    int
-	matched bool
-	done    bool
-	slab    types.RowSlab
-}
-
-func (n *nlJoinIter) Next() (types.Row, error) {
-	for {
-		if n.done {
-			return nil, io.EOF
-		}
-		if err := n.ctx.Err(); err != nil {
-			return nil, err
-		}
-		if n.cur == nil {
-			l, err := n.left.Next()
-			if err == io.EOF {
-				n.done = true
-				return nil, io.EOF
-			}
-			if err != nil {
-				return nil, err
-			}
-			n.cur = l
-			n.ridx = 0
-			n.matched = false
-		}
-		for n.ridx < len(n.right) {
-			r := n.right[n.ridx]
-			n.ridx++
-			joined := joinedRow(&n.slab, n.cur, r)
-			ok := true
-			if n.j.Cond != nil {
-				var err error
-				ok, err = expr.EvalBool(n.j.Cond, joined)
-				if err != nil {
-					return nil, err
-				}
-			}
-			if !ok {
-				n.slab.Undo(joined)
-				continue
-			}
-			n.matched = true
-			switch n.j.Kind {
-			case plan.JoinSemi:
-				n.slab.Undo(joined)
-				n.ridx = len(n.right)
-				cur := n.cur
-				n.cur = nil
-				return cur, nil
-			case plan.JoinAnti:
-				n.slab.Undo(joined)
-				n.ridx = len(n.right) // disqualified
-			default:
-				return joined, nil
-			}
-		}
-		cur, matched := n.cur, n.matched
-		n.cur = nil
-		if !matched {
-			switch n.j.Kind {
-			case plan.JoinLeft:
-				return leftPadded(&n.slab, cur, n.rightWidth), nil
-			case plan.JoinAnti:
-				return cur, nil
-			default:
-				// Inner/semi/cross: unmatched left rows vanish.
-			}
-		}
-	}
-}
-
-func (n *nlJoinIter) Close() error { return n.left.Close() }
 
 // runKeyShippedJoin implements the semijoin and bind-join strategies:
 // materialize the left input, ship its distinct join-key values to the

@@ -1,15 +1,18 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"io"
 	"strings"
 	"testing"
 	"time"
 
+	"gis/internal/catalog"
 	"gis/internal/expr"
 	"gis/internal/obs"
 	"gis/internal/plan"
+	"gis/internal/relstore"
 	"gis/internal/source"
 	"gis/internal/types"
 )
@@ -78,14 +81,14 @@ func TestAnnotateRendersCloseAndWire(t *testing.T) {
 	tctx := obs.WithTrace(ctx, tr)
 	tctx, root := obs.StartSpan(tctx, obs.SpanQuery, "q")
 	_, x1 := obs.StartSpan(tctx, obs.SpanExec, "n")
-	x1.SetStats(&obs.OpStats{Op: n, Rows: 3, Bytes: 42, Next: 2 * time.Millisecond})
+	x1.SetStats(&obs.OpStats{Op: n, Rows: 3, Bytes: 42, Open: 3 * time.Millisecond, Next: 2 * time.Millisecond, Close: 300 * time.Nanosecond})
 
 	out := Annotate(tr)(n)
-	if !strings.Contains(out, "rows=3") || !strings.Contains(out, "bytes=42") || !strings.Contains(out, "time=2ms") {
-		t.Errorf("missing rows/bytes/time: %s", out)
+	if !strings.Contains(out, "rows=3") || !strings.Contains(out, "bytes=42") || !strings.Contains(out, "time=5ms") {
+		t.Errorf("missing rows/bytes/time (open + next): %s", out)
 	}
 	if strings.Contains(out, "close=") || strings.Contains(out, "wire_rows=") || strings.Contains(out, "est=") {
-		t.Errorf("zero-valued extras and an estimate nobody made should be hidden: %s", out)
+		t.Errorf("extras that are zero (a close that rounds to it too) and an estimate nobody made should be hidden: %s", out)
 	}
 	if got := Annotate(tr)(other); got != " (never executed)" {
 		t.Errorf("unexecuted node annotated %q", got)
@@ -101,6 +104,96 @@ func TestAnnotateRendersCloseAndWire(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q: %s", want, out)
 		}
+	}
+
+	// Ship records and no exec record — a scan its join ran, chunk by
+	// chunk: the wire half alone, not rows=0 beside it.
+	for _, chunk := range []int64{12, 8} {
+		_, sh := obs.StartSpan(tctx, obs.SpanShip, "src.t")
+		sh.SetStats(&obs.OpStats{Op: other, Rows: chunk, Bytes: chunk * 10})
+	}
+	if got := Annotate(tr)(other); got != " (wire_rows=20 wire_bytes=200)" {
+		t.Errorf("a scan with wire records only annotated %q", got)
+	}
+}
+
+// slowSource answers every sub-query delay late: what a statement over it
+// costs is spent in Execute, before any operator has a row to return.
+type slowSource struct {
+	source.Source
+	delay time.Duration
+}
+
+func (s slowSource) Execute(ctx context.Context, q *source.Query) (source.RowIter, error) {
+	time.Sleep(s.delay)
+	return s.Source.Execute(ctx, q)
+}
+
+// TestAnalyzeTimeIsInclusive: a scan waits for its source, a join
+// builds, an aggregate folds and a sort collects before any of them has
+// a stream to return, so time= is what run took and what Next took:
+// every operator over sources that answer 5 ms late reports at least
+// 5 ms (the blocking ones used to report what handing over finished rows
+// took). And the right scan of a key-shipped join, which the join runs
+// itself, shows what crossed the wire and no rows=0 nobody measured.
+func TestAnalyzeTimeIsInclusive(t *testing.T) {
+	const delay = 5 * time.Millisecond
+	cat := catalog.New()
+	for _, tab := range []struct {
+		src, name string
+		schema    *types.Schema
+		rows      []types.Row
+	}{
+		{"crm", "customers", types.NewSchema(intCol("id"), intCol("seg")),
+			[]types.Row{{types.NewInt(1), types.NewInt(7)}, {types.NewInt(2), types.NewInt(8)}}},
+		{"shop", "orders", types.NewSchema(intCol("oid"), intCol("cust_id")),
+			[]types.Row{{types.NewInt(10), types.NewInt(1)}, {types.NewInt(11), types.NewInt(1)}, {types.NewInt(12), types.NewInt(2)}}},
+	} {
+		st := relstore.New(tab.src)
+		if err := st.CreateTable(tab.name, tab.schema, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Insert(ctx, tab.name, tab.rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.AddSource(slowSource{st, delay}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.DefineTable(tab.name, tab.schema); err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.MapSimple(ctx, tab.name, tab.src, tab.name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	analyze := func(text string, strategy plan.Strategy) string {
+		n := (&ownFed{cat: cat}).plan(t, text, func(o *plan.Options) { o.ForceStrategy = strategy })
+		tr := obs.NewTrace(text)
+		if _, err := Collect(obs.WithTrace(ctx, tr), n); err != nil {
+			t.Fatal(err)
+		}
+		return plan.ExplainFunc(n, Annotate(tr))
+	}
+
+	const q = "SELECT c.seg, COUNT(*) FROM customers c JOIN orders o ON c.id = o.cust_id GROUP BY c.seg ORDER BY c.seg"
+	out := analyze(q, plan.StrategyShipAll)
+	for _, op := range []string{"Sort", "Aggregate", "Join", "FragScan crm", "FragScan shop"} {
+		if !strings.Contains(out, op) {
+			t.Fatalf("no %s in the plan:\n%s", op, out)
+		}
+	}
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		_, after, _ := strings.Cut(line, " time=")
+		spent, _, _ := strings.Cut(after, " ")
+		if d, err := time.ParseDuration(strings.TrimSuffix(spent, ")")); err != nil || d < delay {
+			t.Errorf("time=%s (%v), want at least the source's %v: %s", spent, err, delay, line)
+		}
+	}
+
+	out = analyze(q, plan.StrategyBind)
+	_, right, _ := strings.Cut(out, "FragScan shop")
+	if !strings.Contains(right, "(wire_rows=3 wire_bytes=") {
+		t.Errorf("the key-shipped scan should show its wire half and nothing else:\n%s", out)
 	}
 }
 

@@ -242,8 +242,6 @@ func TestRowOwnership(t *testing.T) {
 			func(o *plan.Options) { o.ForceStrategy = plan.StrategyBind }, 7},
 		{"key-shipped join over a union", "SELECT c.name, e.oid FROM customers c JOIN events e ON c.id = e.cust_id WHERE c.id IN (3, 4)",
 			func(o *plan.Options) { o.ForceStrategy = plan.StrategySemiJoin }, -1},
-		{"merge join", "SELECT c.name, o.oid FROM customers c JOIN orders_rel o ON c.id = o.cust_id",
-			func(o *plan.Options) { o.PreferMergeJoin = true }, ownOrders},
 	}
 	for _, c := range cases {
 		n := f.plan(t, c.sql, c.tweak)

@@ -69,15 +69,8 @@ func (b *Binary) evalLogical(row types.Row) (types.Value, error) {
 		return types.Null, err
 	}
 	if r.IsNull() {
-		if l.IsNull() {
-			return types.Null, nil
-		}
-		lb, err := truthy(l)
-		if err != nil {
-			return types.Null, err
-		}
-		// l known; short-circuit above didn't fire, so l doesn't decide.
-		_ = lb
+		// Whatever l is: a non-NULL l passed truthy above and, the
+		// short-circuit not having fired, does not decide.
 		return types.Null, nil
 	}
 	rb, err := truthy(r)

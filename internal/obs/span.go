@@ -117,10 +117,13 @@ type OpStats struct {
 	HasEst  bool
 	// Rows and Bytes (types.Row.EstimatedSize) the stream produced.
 	Rows, Bytes int64
-	// Next is the wall time inside the stream's Next calls, inclusive of
-	// the operator's inputs; Close the time inside Close (discarding an
+	// Open is the wall time until the stream existed — an aggregate's
+	// fold, a sort's collect, a join's build, a sub-query's round trip
+	// all happen there — and Next the time inside the stream's Next
+	// calls, both inclusive of the operator's inputs: EXPLAIN ANALYZE's
+	// time= is their sum. Close is the time inside Close (discarding an
 	// undrained remote cursor can dominate a LIMIT query).
-	Next, Close time.Duration
+	Open, Next, Close time.Duration
 	// RemoteUS is the component system's own compute time for a shipped
 	// sub-query, set by the wire client's footer stitch (SetRemoteUS).
 	// WanUS is derived when the record is read: the rest of the ship

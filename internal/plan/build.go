@@ -41,10 +41,6 @@ func (b *Builder) BuildSelect(sel *sql.SelectStmt) (Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			if cur.Union.Distinct || len(cur.Union.GroupBy) > 0 {
-				// fine — handled inside buildCore
-				_ = next
-			}
 			if !cur.UnionAll {
 				all = false
 			}
@@ -147,7 +143,7 @@ func (b *Builder) buildCore(sel *sql.SelectStmt) (Node, error) {
 		}
 	}
 	if needAgg {
-		node, boundItems, boundHaving, err = b.buildAggregate(node, sel.GroupBy, boundItems, boundHaving, inSchema, names)
+		node, boundItems, boundHaving, err = b.buildAggregate(node, sel.GroupBy, boundItems, boundHaving, inSchema)
 		if err != nil {
 			return nil, err
 		}
@@ -320,7 +316,7 @@ func expandStars(items []sql.SelectItem, schema *types.Schema) ([]sql.SelectItem
 // select items and HAVING, builds the Aggregate node, and rewrites the
 // expressions to reference the aggregate's output columns.
 func (b *Builder) buildAggregate(input Node, groupBy []expr.Expr, items []expr.Expr,
-	having expr.Expr, inSchema *types.Schema, names []string) (Node, []expr.Expr, expr.Expr, error) {
+	having expr.Expr, inSchema *types.Schema) (Node, []expr.Expr, expr.Expr, error) {
 
 	agg := &Aggregate{Input: input}
 
@@ -435,7 +431,6 @@ func (b *Builder) buildAggregate(input Node, groupBy []expr.Expr, items []expr.E
 			return nil, nil, nil, err
 		}
 	}
-	_ = names
 	return agg, newItems, newHaving, nil
 }
 

@@ -124,11 +124,20 @@ func buildFragScan(cat *catalog.Catalog, tab *catalog.GlobalTable, frag *catalog
 	}, nil
 }
 
+// The two constants of the strategy choice: a left input estimated at
+// bindThreshold rows or fewer ships its keys as a bind join; above it, a
+// semijoin must be estimated to move less than semiJoinGain of the rows
+// that shipping both sides whole would.
+const (
+	bindThreshold = 64
+	semiJoinGain  = 0.8
+)
+
 // chooseStrategies assigns a distributed execution strategy to every
 // auto-strategy join whose right side is remote. forced overrides the
 // cost decision when not StrategyAuto.
-func chooseStrategies(n Node, forced Strategy, bindThreshold float64) Node {
-	rewriteChildren(n, func(c Node) Node { return chooseStrategies(c, forced, bindThreshold) })
+func chooseStrategies(n Node, forced Strategy) Node {
+	rewriteChildren(n, func(c Node) Node { return chooseStrategies(c, forced) })
 	j, ok := n.(*Join)
 	if !ok || j.Strategy != StrategyAuto {
 		return n
@@ -163,7 +172,7 @@ func chooseStrategies(n Node, forced Strategy, bindThreshold float64) Node {
 	switch {
 	case estL <= bindThreshold:
 		j.Strategy = StrategyBind
-	case estL+matchedR < 0.8*(estL+estR):
+	case estL+matchedR < semiJoinGain*(estL+estR):
 		j.Strategy = StrategySemiJoin
 	default:
 		j.Strategy = StrategyShipAll

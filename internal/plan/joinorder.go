@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"gis/internal/expr"
-	"gis/internal/types"
 )
 
 // JoinOrderAlgo selects the join-order search algorithm.
@@ -423,6 +422,3 @@ func rebuildJoinTree(rels []flatRel, preds []flatPred, order []int) Node {
 	}
 	return &Project{Exprs: exprs, Names: names, Input: cur}
 }
-
-// ensure types referenced
-var _ = types.KindNull

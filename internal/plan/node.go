@@ -235,12 +235,9 @@ type Join struct {
 
 	// EquiL/EquiR list the column positions of equi-join keys extracted
 	// from Cond (left positions in L's schema, right in R's), set by the
-	// optimizer; empty means no hash join possible.
+	// optimizer; empty means every right row is a candidate for every
+	// left row (nested loops).
 	EquiL, EquiR []int
-	// Merge executes the join with a streaming sort-merge: the optimizer
-	// sets it only after arranging both inputs to arrive sorted on the
-	// first equi key.
-	Merge bool
 
 	schema *types.Schema
 }
@@ -273,9 +270,6 @@ func (j *Join) Describe() string {
 	out := "Join " + j.Kind.String()
 	if j.Strategy != StrategyAuto {
 		out += " strategy=" + j.Strategy.String()
-	}
-	if j.Merge {
-		out += " merge"
 	}
 	if j.Cond != nil {
 		out += " on " + j.Cond.String()
@@ -462,22 +456,7 @@ func (v *Values) Children() []Node { return nil }
 func (v *Values) Describe() string { return "Values " + strconv.Itoa(len(v.Rows)) + " row(s)" }
 
 // Explain renders a plan tree as indented text.
-func Explain(n Node) string {
-	var b strings.Builder
-	explain(&b, n, 0)
-	return b.String()
-}
-
-func explain(b *strings.Builder, n Node, depth int) {
-	for i := 0; i < depth; i++ {
-		b.WriteString("  ")
-	}
-	b.WriteString(n.Describe())
-	b.WriteByte('\n')
-	for _, c := range n.Children() {
-		explain(b, c, depth+1)
-	}
-}
+func Explain(n Node) string { return ExplainFunc(n, nil) }
 
 // EstimateRows estimates the node's output cardinality.
 func EstimateRows(n Node) float64 {

@@ -31,9 +31,6 @@ type Options struct {
 	// ForceStrategy overrides the per-join distributed strategy
 	// decision (StrategyAuto = cost-based).
 	ForceStrategy Strategy
-	// BindThreshold is the left-cardinality below which a bind join is
-	// chosen over a semijoin.
-	BindThreshold float64
 	// ParallelFragments fetches fragment unions concurrently.
 	ParallelFragments bool
 	// PushAggregates sinks aggregation into capable sources (exact for
@@ -42,10 +39,6 @@ type Options struct {
 	// PushTopK sinks ORDER BY / LIMIT into capable sources (per-fragment
 	// top-k for unions).
 	PushTopK bool
-	// PreferMergeJoin converts eligible ship-all joins into streaming
-	// sort-merge joins (sources sort; the mediator needs no hash table).
-	// Off by default: it trades remote sorting for mediator memory.
-	PreferMergeJoin bool
 }
 
 // DefaultOptions enables every optimization.
@@ -57,7 +50,6 @@ func DefaultOptions() *Options {
 		JoinOrder:         OrderDP,
 		ReorderJoins:      true,
 		ForceStrategy:     StrategyAuto,
-		BindThreshold:     64,
 		ParallelFragments: true,
 		PushAggregates:    true,
 		PushTopK:          true,
@@ -97,12 +89,9 @@ func Optimize(ctx context.Context, n Node, cat *catalog.Catalog, opts *Options) 
 	if err != nil {
 		return nil, err
 	}
-	n = chooseStrategies(n, opts.ForceStrategy, opts.BindThreshold)
+	n = chooseStrategies(n, opts.ForceStrategy)
 	if opts.PushAggregates {
 		n = pushAggregates(n)
-	}
-	if opts.PreferMergeJoin {
-		n = chooseMergeJoin(n)
 	}
 	if opts.PushTopK {
 		n = pushTopK(n)

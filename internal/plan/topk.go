@@ -5,7 +5,6 @@ import (
 
 	"gis/internal/expr"
 	"gis/internal/source"
-	"gis/internal/types"
 )
 
 // pushTopK sinks ORDER BY and LIMIT toward the sources, bottom-up:
@@ -164,38 +163,4 @@ func remoteOrderSpec(fs *FragScan, keys []SortKey, translate func(int) int) ([]s
 		specs = append(specs, source.OrderSpec{Col: pos, Desc: k.Desc})
 	}
 	return specs, true
-}
-
-// chooseMergeJoin converts eligible hash joins into streaming sort-merge
-// joins by pushing an ORDER BY on the join key into both fragment scans.
-// Eligible: inner join, single equi key, ship-all strategy, both inputs
-// bare fragment scans that accept an ordering on the (identity-mapped)
-// key. Enabled by Options.PreferMergeJoin (an explicit choice:
-// sort-merge trades source-side sorting for a hash-table-free mediator).
-func chooseMergeJoin(n Node) Node {
-	rewriteChildren(n, chooseMergeJoin)
-	j, ok := n.(*Join)
-	if !ok || j.Kind != JoinInner || j.Merge {
-		return n
-	}
-	if len(j.EquiL) != 1 || j.Strategy != StrategyShipAll && j.Strategy != StrategyAuto {
-		return n
-	}
-	lfs, lok := j.L.(*FragScan)
-	rfs, rok := j.R.(*FragScan)
-	if !lok || !rok {
-		return n
-	}
-	// Both sides take their ordering or neither does.
-	sameCol := func(c int) int { return c }
-	lspec, lok := remoteOrderSpec(lfs, []SortKey{{E: expr.NewBoundColRef(j.EquiL[0], types.KindNull, "")}}, sameCol)
-	rspec, rok := remoteOrderSpec(rfs, []SortKey{{E: expr.NewBoundColRef(j.EquiR[0], types.KindNull, "")}}, sameCol)
-	if !lok || !rok {
-		return n
-	}
-	setOrderLimit(lfs, lspec, -1)
-	setOrderLimit(rfs, rspec, -1)
-	j.Merge = true
-	j.Strategy = StrategyShipAll
-	return j
 }

@@ -93,6 +93,11 @@ func (l *Log) Decisions() []Decision {
 // that has stopped answering is reported in-doubt after this long.
 const decisionDelivery = 10 * time.Second
 
+// commitBackoff paces the commit-retry loop (jittered, context-
+// aware): retrying the instant an acknowledgement is lost mostly re-hits
+// the same partition.
+var commitBackoff = &resilience.Policy{BackoffBase: 5 * time.Millisecond, BackoffMax: 100 * time.Millisecond}
+
 // Coordinator creates and drives global transactions.
 type Coordinator struct {
 	log *Log
@@ -103,10 +108,6 @@ type Coordinator struct {
 	// CommitRetries bounds the retry loop for participants whose Commit
 	// acknowledgement is lost. Default 3.
 	CommitRetries int
-	// RetryBackoff paces the commit-retry loop (jittered, context-aware).
-	// Retrying the instant an acknowledgement is lost mostly re-hits the
-	// same partition; nil disables the pause.
-	RetryBackoff *resilience.Policy
 	// Parallel drives prepare/commit rounds concurrently (the default);
 	// sequential mode exists for the T6 ablation.
 	Parallel bool
@@ -117,7 +118,6 @@ func NewCoordinator() *Coordinator {
 	return &Coordinator{
 		log:           &Log{},
 		CommitRetries: 3,
-		RetryBackoff:  &resilience.Policy{BackoffBase: 5 * time.Millisecond, BackoffMax: 100 * time.Millisecond},
 		Parallel:      true,
 	}
 }
@@ -263,7 +263,7 @@ func (g *GlobalTx) Commit(ctx context.Context) error {
 				if ctx.Err() != nil {
 					break
 				}
-				if serr := resilience.SleepBackoff(ctx, g.coord.RetryBackoff, attempt); serr != nil {
+				if serr := resilience.SleepBackoff(ctx, commitBackoff, attempt); serr != nil {
 					break
 				}
 			}

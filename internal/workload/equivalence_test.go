@@ -18,7 +18,7 @@ import (
 // a seeded generator writes global queries, and every query must return
 // the same rows under the default options, under each single-switch
 // variant of plans_test.go (each F9 ablation, each forced join strategy,
-// sequential fragments, merge join) and — when it reads one table of the
+// sequential fragments) and — when it reads one table of the
 // Capability fixture — from each of the four wrapper classes.
 
 // eqTable is a table the generator draws from: a unique integer key, an

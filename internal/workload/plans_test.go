@@ -16,7 +16,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/plans.golden fro
 
 // planVariant is one optimizer configuration: the defaults, or the
 // defaults with a single switch moved (experiment F9's ablations, the
-// forced join strategies, the opt-in merge join).
+// forced join strategies).
 type planVariant struct {
 	name  string
 	tweak func(*plan.Options)
@@ -32,7 +32,6 @@ var planVariants = []planVariant{
 	{"ParallelFragments=off", func(o *plan.Options) { o.ParallelFragments = false }},
 	{"PushAggregates=off", func(o *plan.Options) { o.PushAggregates = false }},
 	{"PushTopK=off", func(o *plan.Options) { o.PushTopK = false }},
-	{"PreferMergeJoin=on", func(o *plan.Options) { o.PreferMergeJoin = true }},
 	{"ForceStrategy=ship-all", func(o *plan.Options) { o.ForceStrategy = plan.StrategyShipAll }},
 	{"ForceStrategy=semijoin", func(o *plan.Options) { o.ForceStrategy = plan.StrategySemiJoin }},
 	{"ForceStrategy=bind", func(o *plan.Options) { o.ForceStrategy = plan.StrategyBind }},

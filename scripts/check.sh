@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the full verification gate, run from the repo root (or any
 # subdirectory: it cd's to the module root first). Fails fast on the
-# first broken step, and prints each step's wall time as it ends and the
-# total at the end:
+# first broken step, and prints each step's wall time as it ends and, at
+# the end, the total and the size of the code it passed (`make loc`;
+# reported, not gated):
 #
 #   1. gofmt      — no unformatted files
 #   2. go vet     — stdlib static checks
@@ -81,4 +82,4 @@ go run ./cmd/gisql -demo -query-log "$qlog" -query-log-sample 1 \
 go run ./scripts/querylogjson < "$qlog"
 
 step ''
-echo "check: all gates passed in $(($(date +%s) - t0)) s"
+echo "check: all gates passed in $(($(date +%s) - t0)) s; $(sh scripts/loc.sh | awk 'END { print $1 }') non-test lines of Go (make loc)"
