@@ -59,13 +59,15 @@ overload:
 # Ten seconds of coverage-guided fuzzing per byte-reader: the wire
 # decoder (every message body a peer can send), the server past it (every
 # sub-query that decodes and passes source.Query.Check, executed against
-# each kind of store) and the SQL lexer/parser. Their seed corpora run as
+# each kind of store), the SQL lexer/parser and filestore's record
+# scanner (against encoding/csv, whole and in blocks). Their seed corpora run as
 # ordinary tests under `go test ./...`; a crash found here lands in the
 # package's testdata/fuzz and fails from then on.
 fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecoder -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzServe -fuzztime 10s
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime 10s
+	$(GO) test ./internal/filestore -run '^$$' -fuzz FuzzScanRecords -fuzztime 10s
 
 # Both benchmark harnesses: the per-layer rungs, then the repository
 # benchmark. The T1-F9 experiment shapes are `go run ./cmd/gisbench`.

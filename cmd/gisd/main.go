@@ -21,7 +21,6 @@ package main
 
 import (
 	"context"
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"log"
@@ -34,8 +33,10 @@ import (
 
 	"gis/internal/admission"
 	"gis/internal/faults"
+	"gis/internal/filestore"
 	"gis/internal/obs"
 	"gis/internal/relstore"
+	"gis/internal/source"
 	"gis/internal/sql"
 	"gis/internal/types"
 	"gis/internal/wire"
@@ -153,7 +154,8 @@ func main() {
 	log.Printf("gisd: bye")
 }
 
-// loadTable parses one -table definition and loads its CSV data.
+// loadTable parses one -table definition and loads its CSV data: all of
+// it, or an error that names the record it stopped at.
 func loadTable(store *relstore.Store, def string) error {
 	eq := strings.IndexByte(def, '=')
 	if eq < 0 {
@@ -182,36 +184,19 @@ func loadTable(store *relstore.Store, def string) error {
 	if err := store.CreateTable(name, schema, 0); err != nil {
 		return err
 	}
-	f, err := os.Open(path)
+	// One scan of the file through the scan-only wrapper: the typed rows
+	// a mediator would read from it, or the error it would get.
+	files := filestore.New(path)
+	if err := files.RegisterFile(name, path, schema); err != nil {
+		return err
+	}
+	it, err := files.Execute(context.Background(), source.NewScan(name))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	r := csv.NewReader(f)
-	var rows []types.Row
-	recNo := 0
-	for {
-		rec, err := r.Read()
-		if err != nil {
-			break
-		}
-		recNo++
-		if len(rec) != len(cols) {
-			return fmt.Errorf("%s record %d: %d fields, want %d", path, recNo, len(rec), len(cols))
-		}
-		row := make(types.Row, len(cols))
-		for i, field := range rec {
-			if field == "" {
-				row[i] = types.Null
-				continue
-			}
-			v, err := types.NewString(field).Coerce(cols[i].Type)
-			if err != nil {
-				return fmt.Errorf("%s record %d column %s: %w", path, recNo, cols[i].Name, err)
-			}
-			row[i] = v
-		}
-		rows = append(rows, row)
+	rows, err := source.Drain(it)
+	if err != nil {
+		return err
 	}
 	if _, err := store.Insert(context.Background(), name, rows); err != nil {
 		return err

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"gis/internal/catalog"
+	"gis/internal/filestore"
 	"gis/internal/obs"
 	"gis/internal/plan"
 	"gis/internal/relstore"
@@ -534,6 +535,53 @@ func TestFourViewsAgree(t *testing.T) {
 		}
 		if len(v.execEst) != 2 || !maps.Equal(v.analyzeEst, v.execEst) {
 			t.Errorf("estimates: EXPLAIN ANALYZE est= %v, exec spans est_rows %v; want the same two", v.analyzeEst, v.execEst)
+		}
+		if t.Failed() {
+			t.Log(dump)
+		}
+	})
+	// hetero_local's file_topk: the Sort under the Limit says how many
+	// rows it keeps, and hands on that many of the 38 it read.
+	t.Run("top-k over a file", func(t *testing.T) {
+		var data strings.Builder
+		for i := 0; i < 90; i++ {
+			fmt.Fprintf(&data, "%d,%d.5,%s\n", i, i*37%400, []string{"north", "south", "east"}[i%3])
+		}
+		schema := types.NewSchema(
+			types.Column{Name: "oid", Type: types.KindInt},
+			types.Column{Name: "amount", Type: types.KindFloat},
+			types.Column{Name: "region", Type: types.KindString},
+		)
+		files := filestore.New("fvFiles")
+		if err := files.RegisterData("orders", data.String(), schema); err != nil {
+			t.Fatal(err)
+		}
+		e := New()
+		e.SetTracing(true)
+		cat := e.Catalog()
+		for _, err := range []error{
+			cat.AddSource(files), cat.DefineTable("orders_file", schema),
+			cat.MapSimple(ctx, "orders_file", "fvFiles", "orders"),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		v, dump := runFourViews(t, e, "SELECT oid, amount FROM orders_file WHERE region <> 'east' AND amount < 250 ORDER BY amount DESC, oid LIMIT 10")
+		if !strings.Contains(dump, "Limit 10 (rows=10 ") || !strings.Contains(dump, "Sort amount DESC, oid top 10 (rows=10 ") {
+			t.Errorf("EXPLAIN ANALYZE should show the Sort keeping what the Limit reads:\n%s", dump)
+		}
+		for _, c := range []struct {
+			node string
+			want int64
+		}{{"Limit 10", 10}, {"Sort amount", 10}, {"FragScan fvFiles.orders", 38}} {
+			if v.analyzeRows[c.node] != c.want || v.execRows[c.node] != c.want {
+				t.Errorf("%s: analyze rows %d, exec span %d; want %d", c.node, v.analyzeRows[c.node], v.execRows[c.node], c.want)
+			}
+		}
+		if v.shipRows["fvFiles"] != 90 || v.logRows["fvFiles"] != 90 || v.rowsOut != 10 {
+			t.Errorf("the scan-only source ships its 90 rows and the statement returns 10: ship span %d, log source %d, rows_out %d",
+				v.shipRows["fvFiles"], v.logRows["fvFiles"], v.rowsOut)
 		}
 		if t.Failed() {
 			t.Log(dump)

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"io"
+	"strconv"
 	"testing"
 
 	"gis/internal/catalog"
@@ -159,6 +160,46 @@ func BenchmarkAggregate(b *testing.B) {
 		if err != nil || len(rows) != 7 {
 			b.Fatalf("%d groups, %v", len(rows), err)
 		}
+	}
+}
+
+// benchSort orders benchValues' rows — n of them — by v descending, then
+// id: seven values of the first key, so the second decides most
+// comparisons. top bounds it as pushTopK would under a LIMIT.
+func benchSort(n int, top int64) *plan.Sort {
+	in := benchValues()
+	for len(in.Rows) < n {
+		in.Rows = append(in.Rows, in.Rows[:min(n-len(in.Rows), len(in.Rows))]...)
+	}
+	return &plan.Sort{Input: in, Top: top, Keys: []plan.SortKey{
+		{E: expr.NewBoundColRef(1, types.KindInt, "v"), Desc: true}, {E: expr.NewBoundColRef(0, types.KindInt, "id")},
+	}}
+}
+
+func benchmarkSort(b *testing.B, p plan.Node, want int) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := Collect(context.Background(), p)
+		if err != nil || len(rows) != want {
+			b.Fatalf("%d rows, %v", len(rows), err)
+		}
+	}
+}
+
+// BenchmarkSort is the full sort of 10 000 rows by two keys. The Values
+// input costs the same two allocations on either side of a comparison.
+func BenchmarkSort(b *testing.B) {
+	benchmarkSort(b, benchSort(10000, 0), 10000)
+}
+
+// BenchmarkTopK is the same sort under LIMIT 10, over 10 000 and over
+// 20 000 rows: B/op grows with the input's literals, allocs/op does not.
+func BenchmarkTopK(b *testing.B) {
+	for _, n := range []int{10000, 20000} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			benchmarkSort(b, &plan.Limit{N: 10, Input: benchSort(n, 10)}, 10)
+		})
 	}
 }
 
@@ -337,4 +378,34 @@ func TestOperatorAllocsDoNotGrowPerRow(t *testing.T) {
 		drain(joinRows(ctx, j, source.SliceIter(rows[:n]), right, false), want)
 	}
 	checkSlope(t, "non-equi probe", n, nonEqui)
+
+	// A Sort under a Limit keeps what the Limit reads, not its input: no
+	// row, no key tuple and no array that grows with the rows it sees.
+	// Its input builds rows and lends them: a projection over literals,
+	// which are carved from one array however many they are.
+	literals := benchValues()
+	values := func(n int) *plan.Values { return &plan.Values{Out: literals.Out, Rows: literals.Rows[:n]} }
+	id, v := expr.NewBoundColRef(0, types.KindInt, "id"), expr.NewBoundColRef(1, types.KindInt, "v")
+	lender := func(n int) plan.Node {
+		return &plan.Project{Input: values(n), Exprs: []expr.Expr{v, id}, Names: []string{"v", "id"}}
+	}
+	topK := func(n int) {
+		it, err := Run(ctx, &plan.Limit{N: 10, Offset: 5, Input: &plan.Sort{Top: 15, Input: lender(n),
+			Keys: []plan.SortKey{{E: expr.NewBoundColRef(0, types.KindInt, "v"), Desc: true}, {E: expr.NewBoundColRef(1, types.KindInt, "id")}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drain(it, 10)
+	}
+	if a, b := testing.AllocsPerRun(5, func() { topK(n) }), testing.AllocsPerRun(5, func() { topK(2 * n) }); a != b {
+		t.Errorf("limit→sort: %v allocations over %d rows, %v over %d", a, n, b, 2*n)
+	}
+
+	checkSlope(t, "values", n, func(n int) {
+		it, err := Run(ctx, values(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		drain(it, n)
+	})
 }

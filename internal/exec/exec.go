@@ -188,9 +188,17 @@ func run(ctx context.Context, n plan.Node, lent bool) (source.RowIter, error) {
 		return &unionIter{ctx: ctx, inputs: t.Inputs, lent: lent}, nil
 
 	case *plan.Values:
+		// Every row is carved from one array cut to size, each with a
+		// full slice expression so that appending to one copies.
 		rows := make([]types.Row, len(t.Rows))
+		n := 0
+		for _, exprs := range t.Rows {
+			n += len(exprs)
+		}
+		flat := make([]types.Value, n)
 		for i, exprs := range t.Rows {
-			row := make(types.Row, len(exprs))
+			row := flat[:len(exprs):len(exprs)]
+			flat = flat[len(exprs):]
 			for j, e := range exprs {
 				v, err := e.Eval(nil)
 				if err != nil {
@@ -550,47 +558,146 @@ func (c *chanIter) Close() error {
 
 // ---- sort ----
 
+// sortKeys evaluates s's keys over r into k.
+func sortKeys(s *plan.Sort, r, k types.Row) error {
+	for j, sk := range s.Keys {
+		v, err := sk.E.Eval(r)
+		if err != nil {
+			return err
+		}
+		k[j] = v
+	}
+	return nil
+}
+
+// compareKeys orders two key tuples of s.
+func compareKeys(s *plan.Sort, a, b types.Row) int {
+	for j, sk := range s.Keys {
+		c := a[j].Compare(b[j])
+		if sk.Desc {
+			c = -c
+		}
+		if c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// runSort orders its input; rows that tie keep the order they arrived
+// in, which also makes the order total, so no sort here need be stable.
+//
+// A Sort keeps every row — unless the Limit above reads only s.Top of
+// them. Then it keeps s.Top: it asks for lent rows, evaluates each one's
+// keys into a scratch tuple, and copies keys and row — into the storage
+// of the row they push out, once s.Top are held — only when they sort
+// before the last one it holds, which is the root of a max-heap ordered
+// as the result is. What it holds grows as rows arrive and is never
+// sized from s.Top, which is as large as OFFSET makes it.
 func runSort(ctx context.Context, s *plan.Sort) (source.RowIter, error) {
-	rows, err := Collect(ctx, s.Input)
+	nk := len(s.Keys)
+	if s.Top <= 0 {
+		rows, err := Collect(ctx, s.Input)
+		if err != nil {
+			return nil, err
+		}
+		// Precompute key tuples, then sort by them. All tuples share one
+		// flat backing array: two allocations total instead of one per row.
+		keys := make([]types.Row, len(rows))
+		flat := make(types.Row, len(rows)*nk)
+		for i, r := range rows {
+			keys[i] = flat[i*nk : (i+1)*nk : (i+1)*nk]
+			if err := sortKeys(s, r, keys[i]); err != nil {
+				return nil, err
+			}
+		}
+		idx := make([]int, len(rows))
+		for i := range idx {
+			idx[i] = i
+		}
+		slices.SortFunc(idx, func(a, b int) int {
+			if c := compareKeys(s, keys[a], keys[b]); c != 0 {
+				return c
+			}
+			return a - b
+		})
+		out := make([]types.Row, len(rows))
+		for i, j := range idx {
+			out[i] = rows[j]
+		}
+		return source.SliceIter(out), nil
+	}
+
+	in, err := runNode(ctx, s.Input, true)
 	if err != nil {
 		return nil, err
 	}
-	// Precompute key tuples, then sort by them. All tuples share one
-	// flat backing array: two allocations total instead of one per row.
-	keys := make([]types.Row, len(rows))
-	flat := make(types.Row, len(rows)*len(s.Keys))
-	for i, r := range rows {
-		k := flat[i*len(s.Keys) : (i+1)*len(s.Keys) : (i+1)*len(s.Keys)]
-		for j, sk := range s.Keys {
-			v, err := sk.E.Eval(r)
-			if err != nil {
-				return nil, err
-			}
-			k[j] = v
-		}
-		keys[i] = k
+	defer in.Close()
+	// A held row is its key tuple and the input row behind it, in one
+	// carved row; seq is its place in the input.
+	type held struct {
+		row types.Row
+		seq int
 	}
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Ties keep their input order, which also makes the order total, so
-	// the sort itself need not be stable.
-	slices.SortFunc(idx, func(a, b int) int {
-		for j, sk := range s.Keys {
-			c := keys[a][j].Compare(keys[b][j])
-			if sk.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c
-			}
+	var (
+		top  []held
+		slab types.RowSlab
+		key  = make(types.Row, nk)
+	)
+	before := func(a, b held) int {
+		if c := compareKeys(s, a.row[:nk], b.row[:nk]); c != 0 {
+			return c
 		}
-		return a - b
-	})
-	out := make([]types.Row, len(rows))
-	for i, j := range idx {
-		out[i] = rows[j]
+		return a.seq - b.seq
+	}
+	for seq := 0; ; seq++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		r, err := in.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := sortKeys(s, r, key); err != nil {
+			return nil, err
+		}
+		var h held
+		i := 0
+		switch {
+		case int64(len(top)) < s.Top:
+			h, i = held{slab.Next(nk + len(r)), seq}, len(top)
+			top = append(top, h)
+		case compareKeys(s, key, top[0].row[:nk]) < 0:
+			h = held{top[0].row, seq} // the root is pushed out: h takes its storage
+		default:
+			continue
+		}
+		copy(h.row, key)
+		copy(h.row[nk:], r)
+		// Sift h up from the new leaf, or down from the root.
+		for i > 0 && before(top[(i-1)/2], h) < 0 {
+			top[i] = top[(i-1)/2]
+			i = (i - 1) / 2
+		}
+		for c := 2*i + 1; c < len(top); c = 2*i + 1 {
+			if c+1 < len(top) && before(top[c], top[c+1]) < 0 {
+				c++
+			}
+			if before(h, top[c]) >= 0 {
+				break
+			}
+			top[i] = top[c]
+			i = c
+		}
+		top[i] = h
+	}
+	slices.SortFunc(top, before)
+	out := make([]types.Row, len(top))
+	for i, h := range top {
+		out[i] = h.row[nk:]
 	}
 	return source.SliceIter(out), nil
 }

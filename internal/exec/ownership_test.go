@@ -217,7 +217,12 @@ func TestRowOwnership(t *testing.T) {
 		{"project over a filter over a scan", "SELECT oid + 1, amount * 2, region FROM orders_file WHERE oid % 3 = 0", nil, ownOrders / 3},
 		{"project over project", "SELECT x + 1 FROM (SELECT oid * 2 AS x FROM orders_rel) q WHERE x > 10", nil, -1},
 		{"sort keeps", "SELECT oid, amount FROM orders_file ORDER BY amount DESC, oid", nil, ownOrders},
-		{"sort and limit", "SELECT oid, amount FROM orders_file ORDER BY amount DESC, oid LIMIT 7", nil, 7},
+		{"sort and limit, the full sort", "SELECT oid, amount FROM orders_file ORDER BY amount DESC, oid LIMIT 7", noPush, 7},
+		// The Sort keeps 45 rows out of lent ones: what it copied out of
+		// the file scan's one row must survive the stream.
+		{"top-k over a lent input", "SELECT oid, amount, region FROM orders_file ORDER BY region, amount DESC, oid LIMIT 40 OFFSET 5", nil, 40},
+		{"top-k over a lent join", "SELECT c.name, o.oid FROM customers c JOIN orders_file o ON c.id = o.cust_id ORDER BY o.amount, o.oid LIMIT 9",
+			func(o *plan.Options) { o.ForceStrategy = plan.StrategyShipAll }, 9},
 		{"limit and offset pass through", "SELECT oid, amount FROM orders_file LIMIT 70 OFFSET 5", nil, 70},
 		{"distinct keeps", "SELECT DISTINCT region, cust_id % 2 FROM orders_file", nil, -1},
 		{"distinct under an aggregate", "SELECT COUNT(*) FROM (SELECT DISTINCT region FROM orders_file) q", nil, 1},
@@ -251,6 +256,9 @@ func TestRowOwnership(t *testing.T) {
 		}
 		if c.rows < 0 && len(rows) < 2 {
 			t.Errorf("%s: %d rows prove nothing\n%s", c.name, len(rows), plan.Explain(n))
+		}
+		if strings.HasPrefix(c.name, "top-k") != strings.Contains(plan.Explain(n), " top ") {
+			t.Errorf("%s: not the sort the case is named for\n%s", c.name, plan.Explain(n))
 		}
 	}
 

@@ -3,16 +3,15 @@
 // The wrapper can skip columns while parsing (projection pushdown) but
 // evaluates no predicates — the mediator compensates for everything else.
 // It models the flat-file systems an early global information system had
-// to integrate.
+// to integrate. It splits records itself (scan.go): a field is a
+// substring of the text it was read from.
 package filestore
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -35,7 +34,7 @@ type fileTable struct {
 	// workload generators).
 	path      string
 	data      string
-	comma     rune
+	comma     string // one rune
 	hasHeader bool
 	// rowCount is -1 until the first full scan. Concurrent scans each
 	// store it at EOF while TableInfo reads it.
@@ -46,7 +45,7 @@ type fileTable struct {
 type Option func(*fileTable)
 
 // WithDelimiter sets the field delimiter (default ',').
-func WithDelimiter(r rune) Option { return func(t *fileTable) { t.comma = r } }
+func WithDelimiter(r rune) Option { return func(t *fileTable) { t.comma = string(r) } }
 
 // WithHeader marks the first record as a header line to skip.
 func WithHeader() Option { return func(t *fileTable) { t.hasHeader = true } }
@@ -72,10 +71,13 @@ func (s *Store) register(name string, t *fileTable, opts []Option) error {
 	if _, dup := s.tables[name]; dup {
 		return fmt.Errorf("filestore %s: table %q already exists", s.name, name)
 	}
-	t.comma = ','
+	t.comma = ","
 	t.rowCount.Store(-1)
 	for _, o := range opts {
 		o(t)
+	}
+	if !validDelimiter(t.comma) {
+		return fmt.Errorf("filestore %s: table %q: no scan can split fields at %q", s.name, name, t.comma)
 	}
 	s.tables[name] = t
 	return nil
@@ -122,23 +124,23 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	if err := q.Check(s.Capabilities(), &source.TableInfo{Schema: t.schema}); err != nil {
 		return nil, fmt.Errorf("filestore %s: %w", s.name, err)
 	}
-	var rc io.ReadCloser
+	it := &csvIter{ctx: ctx, store: s.name, t: t, cols: q.Columns}
+	it.recs = records{text: t.data, last: true, comma: t.comma, fields: make([]string, 0, t.schema.Len())}
 	if t.path != "" {
 		f, err := os.Open(t.path)
 		if err != nil {
 			return nil, fmt.Errorf("filestore %s: %w", s.name, err)
 		}
-		rc = f
-	} else {
-		rc = io.NopCloser(strings.NewReader(t.data))
+		it.file = f
+		it.recs.in, it.recs.block, it.recs.last = f, blockBytes, false
 	}
-	r := csv.NewReader(rc)
-	r.Comma = t.comma
-	r.ReuseRecord = true
-	it := &csvIter{ctx: ctx, store: s.name, t: t, r: r, c: rc, cols: q.Columns}
 	if t.hasHeader {
-		if _, err := r.Read(); err != nil && err != io.EOF {
-			_ = rc.Close() // the header error wins
+		hdr, err := it.recs.next()
+		if err == nil && len(hdr) != t.schema.Len() {
+			err = fmt.Errorf("%d fields, want %d", len(hdr), t.schema.Len())
+		}
+		if err != nil && err != io.EOF {
+			_ = it.Close() // the header error wins
 			return nil, fmt.Errorf("filestore %s: header: %w", s.name, err)
 		}
 	}
@@ -149,15 +151,16 @@ type csvIter struct {
 	ctx   context.Context
 	store string
 	t     *fileTable
-	r     *csv.Reader
-	c     io.Closer
-	cols  []int // nil: every column
+	recs  records
+	file  *os.File // nil: an in-memory table
+	cols  []int    // nil: every column
 	slab  types.RowSlab
 	count int64
 	done  bool
 }
 
-// Lend implements source.Lender: every record is parsed into one row.
+// Lend implements source.Lender: every record is parsed into one row,
+// and a scan allocates nothing else per record.
 func (it *csvIter) Lend() { it.slab.Lend() }
 
 // Next implements source.RowIter.
@@ -168,16 +171,16 @@ func (it *csvIter) Next() (types.Row, error) {
 	if err := it.ctx.Err(); err != nil {
 		return nil, err
 	}
-	rec, err := it.r.Read()
+	rec, err := it.recs.next()
 	if err == io.EOF {
 		it.done = true
 		it.t.rowCount.Store(it.count)
 		return nil, io.EOF
 	}
-	if err != nil {
-		return nil, fmt.Errorf("filestore %s: %w", it.store, err)
-	}
 	it.count++
+	if err != nil {
+		return nil, fmt.Errorf("filestore %s: record %d: %w", it.store, it.count, err)
+	}
 	schema := it.t.schema
 	if len(rec) != schema.Len() {
 		return nil, fmt.Errorf("filestore %s: record %d has %d fields, want %d", it.store, it.count, len(rec), schema.Len())
@@ -207,5 +210,10 @@ func (it *csvIter) Next() (types.Row, error) {
 // Close implements source.RowIter.
 func (it *csvIter) Close() error {
 	it.done = true
-	return it.c.Close()
+	if it.file == nil {
+		return nil
+	}
+	f := it.file
+	it.file = nil
+	return f.Close()
 }

@@ -6,9 +6,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 
 	"gis/internal/source"
 	"gis/internal/types"
@@ -281,8 +283,166 @@ func TestScanRowsSurviveTheStream(t *testing.T) {
 	}
 }
 
-// BenchmarkScanProject parses 20 000 records and keeps three of their
-// five columns.
+// A delimiter no scan could split at is refused when the table is
+// registered, not by every scan's first record; one of several bytes
+// splits like any other, quoted or not.
+func TestDelimiters(t *testing.T) {
+	s := New("files")
+	for _, r := range []rune{'"', '\n', '\r', 0, utf8.RuneError, -1, utf8.MaxRune + 1} {
+		if err := s.RegisterData("bad", csvData, fileSchema, WithDelimiter(r)); err == nil {
+			t.Errorf("a table split at %q registered", r)
+		}
+	}
+	if names, _ := s.Tables(ctx); len(names) != 0 {
+		t.Errorf("refused tables are listed: %v", names)
+	}
+	for i, r := range []rune{'→', '§', ';', ' '} {
+		d := string(r)
+		name := fmt.Sprintf("t%d", i)
+		// The second record's middle field holds the first byte of '→'.
+		data := "1" + d + "\"a" + d + "\"\"b\"\"\"" + d + "9.5\r\n2" + d + "wid\xe2get" + d + "\n"
+		if err := s.RegisterData(name, data, fileSchema, WithDelimiter(r)); err != nil {
+			t.Fatal(err)
+		}
+		it, err := s.Execute(ctx, source.NewScan(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := source.DrainOwned(it)
+		if err != nil || len(rows) != 2 || rows[0][1].Str() != "a"+d+`"b"` || rows[0][2].Float() != 9.5 ||
+			rows[1][1].Str() != "wid\xe2get" || !rows[1][2].IsNull() {
+			t.Errorf("split at %q: %v, %v", r, rows, err)
+		}
+	}
+}
+
+// A header is one record, whatever it says, and an empty file has none
+// to skip.
+func TestHeader(t *testing.T) {
+	dir := t.TempDir()
+	s := New("files")
+	for name, c := range map[string]struct {
+		data string
+		rows int
+		fail bool
+	}{
+		"empty":      {"", 0, false},
+		"headeronly": {"sku,desc,price", 0, false},
+		"quoted":     {"\"sku\nno\",desc,price\r\n1,a,2\n", 1, false},
+		"short":      {"sku,desc\n1,a,2\n", 0, true},
+		"barequote":  {"s\"ku,desc,price\n1,a,2\n", 0, true},
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(c.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RegisterFile(name, path, fileSchema, WithHeader()); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RegisterData(name+"_mem", c.data, fileSchema, WithHeader()); err != nil {
+			t.Fatal(err)
+		}
+		for _, table := range []string{name, name + "_mem"} {
+			it, err := s.Execute(ctx, source.NewScan(table))
+			if err != nil {
+				if !c.fail {
+					t.Errorf("%s: %v", table, err)
+				}
+				continue
+			}
+			rows, err := source.DrainOwned(it)
+			if c.fail || err != nil || len(rows) != c.rows {
+				t.Errorf("%s: %d rows, %v; want %d, fail %v", table, len(rows), err, c.rows, c.fail)
+			}
+		}
+	}
+}
+
+// An on-disk table is read a block at a time, and a field is cut from
+// its block: rows kept past many blocks read what the file says, records
+// that straddle blocks and one longer than a block included.
+func TestDiskScanAcrossBlocks(t *testing.T) {
+	var data strings.Builder
+	long := strings.Repeat("a long line\r\n", blockBytes/8)
+	const n = 12000
+	for i := 0; i < n; i++ {
+		if i == n/2 {
+			fmt.Fprintf(&data, "%d,\"%s\",0.5\n", i, long)
+			continue
+		}
+		fmt.Fprintf(&data, "%d,item %d,%d.25\n", i, i, i%100)
+	}
+	if data.Len() < 4*blockBytes {
+		t.Fatalf("%d bytes are not several blocks", data.Len())
+	}
+	path := filepath.Join(t.TempDir(), "big.csv")
+	if err := os.WriteFile(path, []byte(data.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := New("files")
+	if err := s.RegisterFile("disk", path, fileSchema); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterData("mem", data.String(), fileSchema); err != nil {
+		t.Fatal(err)
+	}
+	scan := func(table string) []types.Row {
+		it, err := s.Execute(ctx, source.NewScan(table))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := source.DrainOwned(it)
+		if err != nil || len(rows) != n {
+			t.Fatalf("%s: %d rows, %v", table, len(rows), err)
+		}
+		return rows
+	}
+	disk, mem := scan("disk"), scan("mem")
+	for i := range disk {
+		if !slices.Equal(disk[i], mem[i]) {
+			t.Fatalf("row %d = %v on disk, %v in memory", i, disk[i], mem[i])
+		}
+	}
+	if got, want := disk[n/2][1].Str(), strings.ReplaceAll(long, "\r\n", "\n"); got != want {
+		t.Errorf("the long field reads %d bytes, want %d", len(got), len(want))
+	}
+}
+
+// A scan whose consumer was lent its rows allocates for the scan — the
+// iterator, the field slice, the one row — and nothing per record.
+func TestLentScanAllocsDoNotGrowPerRow(t *testing.T) {
+	at := func(n int) float64 {
+		s := New("files")
+		if err := s.RegisterData("products", strings.Repeat("1,widget,9.99\n2,,\n3,sprocket,0.25\n,,7.5\n", n/4), fileSchema); err != nil {
+			t.Fatal(err)
+		}
+		q := source.NewScan("products")
+		q.Columns = []int{2, 0}
+		return testing.AllocsPerRun(5, func() {
+			it, err := s.Execute(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			source.Lend(it)
+			rows := 0
+			for ; err == nil; rows++ {
+				_, err = it.Next()
+			}
+			if err != io.EOF || rows-1 != n {
+				t.Fatalf("%d rows, %v", rows-1, err)
+			}
+			it.Close()
+		})
+	}
+	a, b := at(2048), at(4096)
+	if a != b || a > 8 {
+		t.Errorf("a lent scan: %v allocations over 2048 records, %v over 4096; want the same, and at most 8", a, b)
+	}
+}
+
+// BenchmarkScanProject parses 20 000 records and hands out three of
+// their five columns: to a consumer that keeps the rows, to one that was
+// lent them, and — kept — from a file on disk.
 func BenchmarkScanProject(b *testing.B) {
 	var data strings.Builder
 	for i := 0; i < 20000; i++ {
@@ -299,22 +459,39 @@ func BenchmarkScanProject(b *testing.B) {
 	if err := s.RegisterData("orders", data.String(), schema); err != nil {
 		b.Fatal(err)
 	}
-	q := source.NewScan("orders")
-	q.Columns = []int{0, 2, 3}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it, err := s.Execute(ctx, q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := 0
-		for ; err == nil; n++ {
-			_, err = it.Next()
-		}
-		if err != io.EOF || n-1 != 20000 {
-			b.Fatalf("%d rows, %v", n-1, err)
-		}
-		it.Close()
+	path := filepath.Join(b.TempDir(), "orders.csv")
+	if err := os.WriteFile(path, []byte(data.String()), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.RegisterFile("orders_disk", path, schema); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, table string
+		lent        bool
+	}{{"kept", "orders", false}, {"lent", "orders", true}, {"disk", "orders_disk", false}} {
+		b.Run(c.name, func(b *testing.B) {
+			q := source.NewScan(c.table)
+			q.Columns = []int{0, 2, 3}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				it, err := s.Execute(ctx, q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if c.lent {
+					source.Lend(it)
+				}
+				n := 0
+				for ; err == nil; n++ {
+					_, err = it.Next()
+				}
+				if err != io.EOF || n-1 != 20000 {
+					b.Fatalf("%d rows, %v", n-1, err)
+				}
+				it.Close()
+			}
+		})
 	}
 }

@@ -357,6 +357,10 @@ type SortKey struct {
 type Sort struct {
 	Keys  []SortKey
 	Input Node
+	// Top, when positive, is how many rows the Limit above reads
+	// (Offset + N): pushTopK sets it, and the executor then keeps that
+	// many rows instead of its whole input.
+	Top int64
 }
 
 // Schema implements Node.
@@ -374,7 +378,11 @@ func (s *Sort) Describe() string {
 			parts[i] += " DESC"
 		}
 	}
-	return "Sort " + strings.Join(parts, ", ")
+	d := "Sort " + strings.Join(parts, ", ")
+	if s.Top > 0 {
+		d += " top " + strconv.FormatInt(s.Top, 10)
+	}
+	return d
 }
 
 // Limit truncates input after Offset+N rows, skipping Offset.

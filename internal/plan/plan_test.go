@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -395,6 +396,49 @@ func TestTopKNotPushedToWeakSource(t *testing.T) {
 	fs := findFragScan(p)
 	if len(fs.Query.OrderBy) != 0 {
 		t.Error("order pushed into incapable source")
+	}
+}
+
+// The Sort a Limit reads offset+N rows of is told so — through the
+// projection that drops a hidden ORDER BY column, too — and keeps that
+// many at the mediator. OFFSET alone is a limit of 1<<62; a sum that
+// overflows, or no Limit, or the rule switched off, leaves the full sort.
+func TestLimitBoundsTheSortBelowIt(t *testing.T) {
+	cat := newPlanFixture(t)
+	off := DefaultOptions()
+	off.PushTopK = false
+	for _, c := range []struct {
+		q    string
+		opts *Options
+		top  int64
+	}{
+		{"SELECT k FROM big ORDER BY k LIMIT 3", nil, 3},
+		{"SELECT k FROM big ORDER BY v DESC, k LIMIT 5 OFFSET 2", nil, 7},
+		{"SELECT b1.k FROM big b1 JOIN big b2 ON b1.k = b2.k ORDER BY b2.v LIMIT 4", nil, 4},
+		{"SELECT k FROM big ORDER BY k OFFSET 4", nil, 1<<62 + 4},
+		{"SELECT k FROM big ORDER BY k LIMIT 9223372036854775807 OFFSET 4", nil, 0},
+		{"SELECT k FROM big ORDER BY k", nil, 0},
+		{"SELECT k FROM (SELECT k FROM big ORDER BY k) q LIMIT 3", nil, 3},
+		{"SELECT k FROM big ORDER BY k LIMIT 3", off, 0},
+	} {
+		p := planQuery(t, cat, c.q, c.opts)
+		var found *Sort
+		var walk func(n Node)
+		walk = func(n Node) {
+			if s, ok := n.(*Sort); ok {
+				found = s
+			}
+			for _, ch := range n.Children() {
+				walk(ch)
+			}
+		}
+		walk(p)
+		if found == nil || found.Top != c.top {
+			t.Errorf("%s: the mediator's Sort keeps %+v rows, want %d\n%s", c.q, found, c.top, Explain(p))
+		}
+		if c.top > 0 && !strings.Contains(Explain(p), fmt.Sprintf(" top %d\n", c.top)) {
+			t.Errorf("%s: EXPLAIN does not say so:\n%s", c.q, Explain(p))
+		}
 	}
 }
 

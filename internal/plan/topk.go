@@ -11,7 +11,9 @@ import (
 //
 //   - Sort over a single scan whose source sorts pushes the ordering
 //     remotely and disappears;
-//   - Limit over Sort over a fragment union ships the per-fragment
+//   - Limit over Sort tells the Sort how many rows it reads of it
+//     (Sort.Top = offset+N: the mediator keeps that many, not its whole
+//     input), and over a fragment union ships the per-fragment
 //     top-(offset+N) — the global top-N is contained in the union of the
 //     per-fragment top-Ns, provided every fragment is ordered and cut
 //     alike, so all take it or none does — and keeps the final
@@ -33,6 +35,7 @@ func pushTopK(n Node) Node {
 	case *Limit:
 		if shipN := t.N + t.Offset; shipN >= 0 {
 			if s := sortBelowProjections(t.Input); s != nil {
+				s.Top = shipN
 				term, translate := throughProjections(s.Input)
 				pushOrderLimit(FragScans(term), s.Keys, translate, shipN, true)
 			} else {
