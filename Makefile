@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures fmt vet check loc chaos overload fuzz bench rungs bench-e2e
+.PHONY: build test race lint lint-fixtures fmt vet check loc golden chaos overload fuzz bench rungs bench-e2e
 
 build:
 	$(GO) build ./...
@@ -39,7 +39,13 @@ check:
 loc:
 	@sh scripts/loc.sh
 
-# Seeded fault-injection stress tests: wire, union, bind-join, 2PC
+# After a change meant to move a plan: rewrite the golden file of
+# TestPlansGolden (227 statements under each optimizer variant) from the
+# plans this build produces, then review its diff.
+golden:
+	$(GO) test ./internal/workload -run TestPlansGolden -update
+
+# Seeded fault-injection stress tests: wire, union, semijoin, 2PC
 # (see DESIGN.md "Resilience & fault model"). What faults do not cover —
 # concurrent global updates, two transactions on one client, a call
 # blocked past its deadline — is TestConcurrentGlobalUpdates (workload)
@@ -57,15 +63,18 @@ overload:
 	$(GO) run ./cmd/gisbench -overload -tenants 8 -scale 0.05 -reps 1 -latency 200us -json | $(GO) run ./scripts/benchjson
 
 # Ten seconds of coverage-guided fuzzing per byte-reader: the wire
-# decoder (every message body a peer can send), the server past it (every
-# sub-query that decodes and passes source.Query.Check, executed against
-# each kind of store), the SQL lexer/parser and filestore's record
-# scanner (against encoding/csv, whole and in blocks). Their seed corpora run as
+# decoder (every message body a peer can send), the server past it —
+# FuzzServe every sub-query that decodes and passes source.Query.Check,
+# executed against each kind of store, FuzzServeWrite every insert,
+# update and delete that decodes, through Server.write into each — the
+# SQL lexer/parser and filestore's record scanner (against encoding/csv,
+# whole and in blocks). Their seed corpora run as
 # ordinary tests under `go test ./...`; a crash found here lands in the
 # package's testdata/fuzz and fails from then on.
 fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecoder -fuzztime 10s
-	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzServe -fuzztime 10s
+	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzServe$$' -fuzztime 10s
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzServeWrite -fuzztime 10s
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/filestore -run '^$$' -fuzz FuzzScanRecords -fuzztime 10s
 

@@ -386,7 +386,7 @@ func TestChaosParallelUnion(t *testing.T) {
 	t.Logf("parallel union: %d full, %d partial, %d failed cleanly", full, part, failed)
 }
 
-// TestChaosBindJoin drives the key-shipped bind join under the same
+// TestChaosBindJoin drives the key-shipped join (the semijoin) under the same
 // seeded plan: a lost fragment degrades to the surviving fragment's
 // matches, atomically per fragment.
 func TestChaosBindJoin(t *testing.T) {
@@ -394,13 +394,13 @@ func TestChaosBindJoin(t *testing.T) {
 		t.Skip("chaos stress test")
 	}
 	e := newWireChaosEngine(t, "seed=17;eu:err=0.25,drop=0.1,ops=read", chaosPolicy(), true)
-	e.PlanOptions().ForceStrategy = plan.StrategyBind
+	e.PlanOptions().ForceStrategy = plan.StrategySemiJoin
 	q := "SELECT c.name, o.oid FROM customers c JOIN orders o ON c.id = o.cust_id"
-	full, part, failed := runChaosQueries(t, e, q, 6, "bind-join")
+	full, part, failed := runChaosQueries(t, e, q, 6, "semijoin")
 	if full+part == 0 {
 		t.Error("no query produced rows under injection")
 	}
-	t.Logf("bind join: %d full, %d partial, %d failed cleanly", full, part, failed)
+	t.Logf("key-shipped join: %d full, %d partial, %d failed cleanly", full, part, failed)
 }
 
 // ---- 2PC under faults ----

@@ -515,9 +515,7 @@ func (e *Engine) Analyze(ctx context.Context) error {
 			if err != nil {
 				return err
 			}
-			if sp, ok := src.(interface {
-				Stats(table string) (*stats.TableStats, error)
-			}); ok {
+			if sp, ok := src.(source.StatsProvider); ok {
 				ts, err := sp.Stats(frag.RemoteTable)
 				if err == nil {
 					frag.SetStats(ts)

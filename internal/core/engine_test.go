@@ -16,6 +16,7 @@ import (
 	"gis/internal/filestore"
 	"gis/internal/kvstore"
 	"gis/internal/obs"
+	"gis/internal/plan"
 	"gis/internal/relstore"
 	"gis/internal/types"
 )
@@ -610,18 +611,11 @@ func TestResultString(t *testing.T) {
 }
 
 func TestForcedStrategiesAgree(t *testing.T) {
-	// All three distributed join strategies must return identical rows.
+	// Both distributed join strategies must return identical rows.
 	baseline := map[string][]string{}
-	for _, strat := range []string{"ship-all", "semijoin", "bind"} {
+	for _, strat := range []plan.Strategy{plan.StrategyShipAll, plan.StrategySemiJoin} {
 		e := newTestEngine(t)
-		switch strat {
-		case "ship-all":
-			e.PlanOptions().ForceStrategy = 1 // plan.StrategyShipAll
-		case "semijoin":
-			e.PlanOptions().ForceStrategy = 2 // plan.StrategySemiJoin
-		case "bind":
-			e.PlanOptions().ForceStrategy = 3 // plan.StrategyBind
-		}
+		e.PlanOptions().ForceStrategy = strat
 		for _, q := range []string{
 			"SELECT o.oid, p.pname FROM orders o JOIN products p ON o.sku = p.sku",
 			"SELECT c.name, o.oid FROM customers c JOIN orders o ON c.id = o.cust_id WHERE c.region = 'east'",
@@ -669,7 +663,7 @@ func TestOptimizerAblationsStillCorrect(t *testing.T) {
 		case "noprune":
 			e.PlanOptions().PruneColumns = false
 		case "noreorder":
-			e.PlanOptions().ReorderJoins = false
+			e.PlanOptions().JoinOrder = plan.OrderSyntactic
 		case "nofold":
 			e.PlanOptions().FoldConstants = false
 		}

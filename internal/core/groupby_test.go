@@ -81,7 +81,7 @@ func groupByEngine(t *testing.T, wrap func(*testing.T, *relstore.Store) source.S
 
 // overWire serves a store on loopback and returns the client dialled to
 // it, under the store's name.
-func overWire(t *testing.T, st *relstore.Store) source.Source {
+func overWire(t *testing.T, st source.Source) source.Source {
 	t.Helper()
 	srv, err := wire.Serve(context.Background(), "127.0.0.1:0", st)
 	if err != nil {
@@ -102,7 +102,7 @@ func overWire(t *testing.T, st *relstore.Store) source.Source {
 func TestGroupByWithoutAggregates(t *testing.T) {
 	for name, wrap := range map[string]func(*testing.T, *relstore.Store) source.Source{
 		"local": func(_ *testing.T, st *relstore.Store) source.Source { return st },
-		"wire":  overWire,
+		"wire":  func(t *testing.T, st *relstore.Store) source.Source { return overWire(t, st) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			e := groupByEngine(t, wrap)

@@ -8,9 +8,10 @@ import (
 	"gis/internal/plan"
 )
 
-// TestRaceStressBindJoinKeyShipping drives the bind-join strategy from
-// many goroutines at once: each query materializes the left side, ships
-// key chunks to both order fragments concurrently, and joins at the
+// TestRaceStressBindJoinKeyShipping drives the semijoin over a
+// two-fragment right side from many goroutines at once: each query
+// materializes the left side, ships its keys to both order fragments
+// concurrently, and joins at the
 // mediator. The engine and both relstores are shared, so fragment
 // fan-out races against sibling queries. Run under -race.
 func TestRaceStressBindJoinKeyShipping(t *testing.T) {
@@ -18,7 +19,7 @@ func TestRaceStressBindJoinKeyShipping(t *testing.T) {
 		t.Skip("race stress test")
 	}
 	e := newTestEngine(t)
-	e.PlanOptions().ForceStrategy = plan.StrategyBind
+	e.PlanOptions().ForceStrategy = plan.StrategySemiJoin
 	const (
 		goroutines = 8
 		iters      = 15
@@ -37,7 +38,7 @@ func TestRaceStressBindJoinKeyShipping(t *testing.T) {
 					return
 				}
 				if len(res.Rows) != 6 {
-					errs <- fmt.Errorf("bind join returned %d rows, want 6", len(res.Rows))
+					errs <- fmt.Errorf("key-shipped join returned %d rows, want 6", len(res.Rows))
 					return
 				}
 			}

@@ -353,7 +353,8 @@ func (e *Engine) bindWriteFilter(ctx context.Context, where expr.Expr, tab *cata
 // it is across them. One source that offers no transaction takes them
 // one autocommit call after another in catalog order: what a failure
 // leaves behind is then at least the same every time, which is all an
-// autonomous component without transactions allows.
+// autonomous component without transactions allows. What a source
+// offers is what it advertises (writeFacets).
 func (e *Engine) applyWrites(ctx context.Context, writes []fragWrite) (int64, error) {
 	if len(writes) == 0 {
 		return 0, nil
@@ -371,11 +372,11 @@ func (e *Engine) applyWrites(ctx context.Context, writes []fragWrite) (int64, er
 		if err != nil {
 			return 0, err
 		}
-		w, ok := src.(source.Writer)
-		if !ok {
-			return 0, fmt.Errorf("core: source %s is not writable", name)
+		w, t, err := writeFacets(src)
+		if err != nil {
+			return 0, err
 		}
-		if _, transactional := src.(source.Transactional); len(writes) == 1 || !transactional {
+		if len(writes) == 1 || t == nil {
 			return applyAll(ctx, w, writes)
 		}
 	}
@@ -390,6 +391,27 @@ func (e *Engine) applyWrites(ctx context.Context, writes []fragWrite) (int64, er
 		return 0, err
 	}
 	return total, nil
+}
+
+// writeFacets returns the write facets src's capability vector says it
+// has: the autocommit writer, and the transactional facet or nil. The
+// vector decides and not the Go type, because a wire client and a
+// resilience guard implement every facet whatever they front; this is
+// the only reader of Capabilities.Write and .Txn. A source that does not
+// say Write is refused, and so is one that says more than it implements.
+func writeFacets(src source.Source) (source.Writer, source.Transactional, error) {
+	caps := src.Capabilities()
+	w, isWriter := src.(source.Writer)
+	t, isTxn := src.(source.Transactional)
+	switch {
+	case !caps.Write:
+		return nil, nil, fmt.Errorf("core: source %s is not writable", src.Name())
+	case !isWriter, caps.Txn && !isTxn:
+		return nil, nil, fmt.Errorf("core: source %s advertises %s and implements less", src.Name(), caps)
+	case !caps.Txn:
+		t = nil
+	}
+	return w, t, nil
 }
 
 // enlistAndApply takes writes' sources in turn: a transaction is begun
@@ -410,8 +432,11 @@ func (e *Engine) enlistAndApply(ctx context.Context, g *txn.GlobalTx, writes []f
 		if err != nil {
 			return 0, err
 		}
-		t, ok := src.(source.Transactional)
-		if !ok {
+		_, t, err := writeFacets(src)
+		if err != nil {
+			return 0, err
+		}
+		if t == nil {
 			return 0, fmt.Errorf("core: source %s cannot participate in a multi-source write (no transaction support)", name)
 		}
 		tx, err := t.BeginTx(ctx)

@@ -10,6 +10,7 @@ import (
 	"gis/internal/expr"
 	"gis/internal/kvstore"
 	"gis/internal/relstore"
+	"gis/internal/resilience"
 	"gis/internal/source"
 	"gis/internal/types"
 )
@@ -200,10 +201,11 @@ func TestWriteErrorMessagesAreActionable(t *testing.T) {
 }
 
 // twoFragmentsOneSource maps t(id INT, v STRING) onto two tables of one
-// source, in catalog order lo (id < 100) then hi (id >= 100), each
+// store, in catalog order lo (id < 100) then hi (id >= 100), each
 // holding one row: 1 and 150. hi keeps v as an INT, so that a string
-// written through the mapping is refused there and accepted at lo.
-func twoFragmentsOneSource(t *testing.T, src source.Source, create func(name string, schema *types.Schema) error) *Engine {
+// written through the mapping is refused there and accepted at lo. The
+// engine reaches the store as src: the store itself, or a wrapper of it.
+func twoFragmentsOneSource(t *testing.T, st, src source.Source, create func(name string, schema *types.Schema) error) *Engine {
 	t.Helper()
 	col := func(v types.Kind) *types.Schema {
 		return types.NewSchema(types.Column{Name: "id", Type: types.KindInt}, types.Column{Name: "v", Type: v})
@@ -214,7 +216,7 @@ func twoFragmentsOneSource(t *testing.T, src source.Source, create func(name str
 	if err := create("hi", col(types.KindInt)); err != nil {
 		t.Fatal(err)
 	}
-	w := src.(source.Writer)
+	w := st.(source.Writer)
 	if _, err := w.Insert(ctx, "lo", []types.Row{{types.NewInt(1), types.NewString("a")}}); err != nil {
 		t.Fatal(err)
 	}
@@ -261,67 +263,140 @@ func remoteRows(t *testing.T, s source.Source, table string) string {
 	return strings.Join(out, " ")
 }
 
+// wrapperClasses are the ways a store reaches the mediator: as itself,
+// behind a wire server, behind the resilience guard. The last two
+// implement every facet whatever the store does, so what the write path
+// does with a source must follow from the store's capability vector.
+var wrapperClasses = []struct {
+	name string
+	wrap func(*testing.T, source.Source) source.Source
+}{
+	{"in process", func(_ *testing.T, st source.Source) source.Source { return st }},
+	{"wire", overWire},
+	{"guarded", func(_ *testing.T, st source.Source) source.Source {
+		p := chaosPolicy()
+		return resilience.WrapSource(st, p, resilience.NewTracker(p).For(st.Name()))
+	}},
+}
+
 // TestSingleSourceMultiFragmentWriteIsAtomic: a statement that touches
 // two fragments of one source and fails on the second leaves nothing
 // behind on the first when the source has transactions, and leaves the
 // same thing behind every time — the first fragment in catalog order,
-// written — when it has none.
+// written — when it has none. Whichever wrapper class the source is
+// reached through; and one that succeeds on both fragments does, in
+// every class (the kvstore behind a wire server used to be asked for a
+// transaction, because its client could have begun one).
 func TestSingleSourceMultiFragmentWriteIsAtomic(t *testing.T) {
 	const rounds = 200
 	failing := []struct{ name, stmt string }{
 		{"insert", "INSERT INTO t VALUES (2, 'b'), (150, '8')"}, // 150 is a duplicate key at hi
 		{"update", "UPDATE t SET v = 'abc'"},                    // 'abc' is no INT at hi
 	}
+	deleteBoth := func(t *testing.T, e *Engine) {
+		t.Helper()
+		if n, err := e.Exec(ctx, "DELETE FROM t WHERE id > 0"); err != nil || n != 2 {
+			t.Errorf("DELETE over both fragments: %d rows, %v; want 2", n, err)
+		}
+	}
 
 	t.Run("relstore", func(t *testing.T) {
-		st := relstore.New("one")
-		e := twoFragmentsOneSource(t, st, func(name string, schema *types.Schema) error {
-			return st.CreateTable(name, schema, 0)
-		})
-		before := remoteRows(t, st, "lo")
-		for _, f := range failing {
-			left := 0
-			for i := 0; i < rounds; i++ {
-				if _, err := e.Exec(ctx, f.stmt); err == nil {
-					t.Fatalf("%s: %s succeeded; the test needs it to fail at hi", f.name, f.stmt)
-				}
-				if remoteRows(t, st, "lo") != before {
-					left++
-					// Put lo back so that the next round starts clean.
-					if _, err := st.Delete(ctx, "lo", nil); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := st.Insert(ctx, "lo", []types.Row{{types.NewInt(1), types.NewString("a")}}); err != nil {
-						t.Fatal(err)
+		for _, c := range wrapperClasses {
+			t.Run(c.name, func(t *testing.T) {
+				st := relstore.New("one")
+				e := twoFragmentsOneSource(t, st, c.wrap(t, st), func(name string, schema *types.Schema) error {
+					return st.CreateTable(name, schema, 0)
+				})
+				before := remoteRows(t, st, "lo")
+				for _, f := range failing {
+					for i := 0; i < rounds; i++ {
+						if _, err := e.Exec(ctx, f.stmt); err == nil {
+							t.Fatalf("%s: %s succeeded; the test needs it to fail at hi", f.name, f.stmt)
+						}
+						if got := remoteRows(t, st, "lo"); got != before {
+							t.Fatalf("%s, round %d: the failed statement left its write to lo behind: %s", f.name, i, got)
+						}
 					}
 				}
-			}
-			if left > 0 {
-				t.Errorf("%s: %d of %d failed statements left their write to lo behind", f.name, left, rounds)
-			}
+				deleteBoth(t, e)
+			})
 		}
 	})
 
 	t.Run("kvstore", func(t *testing.T) {
-		st := kvstore.New("one")
-		e := twoFragmentsOneSource(t, st, func(name string, schema *types.Schema) error {
-			return st.CreateBucket(name, schema, 0)
-		})
-		skipped := 0
-		for i := 0; i < rounds; i++ {
-			if _, err := e.Exec(ctx, failing[0].stmt); err == nil {
-				t.Fatal("insert of a duplicate key succeeded")
-			}
-			if got := remoteRows(t, st, "lo"); !strings.Contains(got, "b") {
-				skipped++
-			}
-			two := expr.NewBinary(expr.OpEq, expr.NewBoundColRef(0, types.KindInt, "id"), expr.NewConst(types.NewInt(2)))
-			if _, err := st.Delete(ctx, "lo", two); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if skipped > 0 {
-			t.Errorf("%d of %d rounds reached hi before lo: fragments are not written in catalog order", skipped, rounds)
+		for _, c := range wrapperClasses {
+			t.Run(c.name, func(t *testing.T) {
+				st := kvstore.New("one")
+				e := twoFragmentsOneSource(t, st, c.wrap(t, st), func(name string, schema *types.Schema) error {
+					return st.CreateBucket(name, schema, 0)
+				})
+				two := expr.NewBinary(expr.OpEq, expr.NewBoundColRef(0, types.KindInt, "id"), expr.NewConst(types.NewInt(2)))
+				for i := 0; i < rounds; i++ {
+					_, err := e.Exec(ctx, failing[0].stmt)
+					if err == nil || !strings.Contains(err.Error(), "duplicate key") {
+						t.Fatalf("insert of a duplicate key: %v", err)
+					}
+					if got := remoteRows(t, st, "lo"); !strings.Contains(got, "b") {
+						t.Fatalf("round %d reached hi before lo: fragments are not written in catalog order (lo: %s)", i, got)
+					}
+					if _, err := st.Delete(ctx, "lo", two); err != nil {
+						t.Fatal(err)
+					}
+				}
+				deleteBoth(t, e)
+			})
 		}
 	})
+}
+
+// advertised is a source under another capability vector.
+type advertised struct {
+	source.Source
+	caps source.Capabilities
+}
+
+func (a advertised) Capabilities() source.Capabilities { return a.caps }
+
+// modest is a relstore, write facets and all, that advertises none.
+type modest struct{ *relstore.Store }
+
+func (modest) Capabilities() source.Capabilities {
+	return source.Capabilities{Filter: source.FilterFull}
+}
+
+// TestWriteFacetsFollowTheCapabilityVector: what a source can be asked
+// to write is what it advertises. One that advertises a facet it does
+// not implement is an error that names it, not a failed assertion; one
+// that implements what it does not advertise is not written to.
+func TestWriteFacetsFollowTheCapabilityVector(t *testing.T) {
+	const one, both = "INSERT INTO t VALUES (2, 'b')", "DELETE FROM t WHERE id > 0"
+	for _, c := range []struct {
+		name string
+		// wrap hides (interface embedding) or keeps (the store embedded
+		// as itself) the store's Writer and Transactional methods.
+		wrap       func(*relstore.Store) source.Source
+		stmt, want string
+	}{
+		{"says Write, implements nothing", func(st *relstore.Store) source.Source {
+			return advertised{source.Source(st), source.Capabilities{Filter: source.FilterFull, Write: true}}
+		}, one, "source one advertises filter=full+write and implements less"},
+		{"says Write and Txn, implements nothing", func(st *relstore.Store) source.Source {
+			return advertised{source.Source(st), source.Capabilities{Filter: source.FilterFull, Write: true, Txn: true}}
+		}, both, "source one advertises filter=full+write+txn and implements less"},
+		{"implements Writer, does not say so", func(st *relstore.Store) source.Source {
+			return modest{st}
+		}, one, "source one is not writable"},
+	} {
+		st := relstore.New("one")
+		e := twoFragmentsOneSource(t, st, c.wrap(st), func(name string, schema *types.Schema) error {
+			return st.CreateTable(name, schema, 0)
+		})
+		before := remoteRows(t, st, "lo") + remoteRows(t, st, "hi")
+		if _, err := e.Exec(ctx, c.stmt); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want %q", c.name, err, c.want)
+		}
+		if after := remoteRows(t, st, "lo") + remoteRows(t, st, "hi"); after != before {
+			t.Errorf("%s: the refused statement wrote: %s", c.name, after)
+		}
+	}
 }

@@ -360,11 +360,11 @@ func (s *Store) Insert(_ context.Context, name string, rows []types.Row) (int64,
 	if !ok {
 		return 0, fmt.Errorf("docstore %s: unknown collection %q", s.name, name)
 	}
+	if err := (&source.TableInfo{Schema: c.schema}).CheckWrite(name, nil, rows); err != nil {
+		return 0, fmt.Errorf("docstore %s: %w", s.name, err)
+	}
 	var n int64
 	for _, r := range rows {
-		if len(r) != len(c.fields) {
-			return n, fmt.Errorf("docstore %s: row has %d values, collection maps %d fields", s.name, len(r), len(c.fields))
-		}
 		doc := map[string]any{}
 		for i, f := range c.fields {
 			if r[i].IsNull() {
@@ -391,11 +391,11 @@ func (s *Store) Update(_ context.Context, name string, filter expr.Expr, set []s
 	if !ok {
 		return 0, fmt.Errorf("docstore %s: unknown collection %q", s.name, name)
 	}
+	if err := (&source.TableInfo{Schema: c.schema}).CheckWrite(name, set, nil); err != nil {
+		return 0, fmt.Errorf("docstore %s: %w", s.name, err)
+	}
 	reads := []expr.Expr{filter}
 	for _, sc := range set {
-		if sc.Col < 0 || sc.Col >= len(c.fields) {
-			return 0, fmt.Errorf("docstore %s: SET column %d out of range", s.name, sc.Col)
-		}
 		reads = append(reads, sc.Value)
 	}
 	need := c.fieldsRead([]int{}, reads...)

@@ -11,15 +11,14 @@ import (
 
 // Annotate renders EXPLAIN ANALYZE's per-node annotation from a
 // finished statement's trace. A plan node may have run many times
-// (parallel-union branches, bind-join batches): each execution left its
-// own record, and the per-node sums are taken here. Exec spans carry
+// (parallel-union branches, a semijoin's key chunks): each execution
+// left its own record, and the per-node sums are taken here. Exec spans carry
 // the operator's output and inclusive time — beside the planner's
 // estimate of that output, where it made one: est= against rows= is
 // where a misestimate is read — ship spans the rows and bytes a fragment
 // scan fetched before mediator-side compensation. The right scan of a
-// semijoin or bind join is run by the join itself, key chunk by key
-// chunk: it has ship records and no exec record, and shows the wire half
-// alone.
+// semijoin is run by the join itself, key chunk by key chunk: it has
+// ship records and no exec record, and shows the wire half alone.
 func Annotate(tr *obs.Trace) func(plan.Node) string {
 	type sum struct {
 		rows, bytes, wireRows, wireBytes int64

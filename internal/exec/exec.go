@@ -2,7 +2,7 @@
 // streaming iterators for filter/project/limit/union, hash-based join,
 // aggregation and duplicate elimination, sort, fragment scans with
 // mediator-side compensation and representation translation, and the
-// distributed join strategies (ship-all, semijoin, bind join).
+// distributed join strategies (ship-all, semijoin).
 package exec
 
 import (
@@ -82,7 +82,7 @@ func opLabel(n plan.Node) string {
 // operator's output, and runFragScan around a scan's wire stream, when
 // the statement is traced. It fills a private obs.OpStats while rows
 // flow — one record per execution, so parallel-union branches and
-// bind-join fan-out share nothing — and publishes it on the span when
+// semijoin fan-out share nothing — and publishes it on the span when
 // the stream ends.
 type opIter struct {
 	in   source.RowIter

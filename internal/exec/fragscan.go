@@ -16,7 +16,7 @@ import (
 // runFragScan executes one fragment scan: ship the (possibly augmented)
 // query, compensate, translate, filter, project. extraRemoteFilter is an
 // additional predicate over the remote table schema injected by the
-// semijoin/bind strategies; it must satisfy the source's capabilities.
+// semijoin strategy; it must satisfy the source's capabilities.
 //
 // lent is what the scan's consumer said (runNode). The chain is decided
 // from the consumer down: a stage that builds a row lends it iff the
@@ -65,7 +65,7 @@ func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.
 		// One wrapper per traced scan execution, not per row.
 		wire := &opIter{in: it, span: ship, fetch: fetch, st: obs.OpStats{Op: fs, Open: time.Since(shipStart)}}
 		if extraRemoteFilter == nil {
-			// A semijoin/bind-augmented scan shows no estimate: the
+			// A semijoin-augmented scan shows no estimate: the
 			// planner estimated the original predicate, not the
 			// key-bound one.
 			wire.st.EstRows, wire.st.HasEst = plan.EstimateRows(fs), true

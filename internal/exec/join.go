@@ -19,20 +19,13 @@ import (
 // single remote query stays bounded.
 const semiJoinKeyLimit = 1000
 
-// bindBatchSize is how many distinct keys one bind-join probe carries.
-const bindBatchSize = 16
-
 // runJoin dispatches on the join's distributed strategy. lent is what
 // the join's consumer said (runNode).
 func runJoin(ctx context.Context, j *plan.Join, lent bool) (source.RowIter, error) {
-	switch j.Strategy {
-	case plan.StrategySemiJoin:
-		return runKeyShippedJoin(ctx, j, semiJoinKeyLimit, lent)
-	case plan.StrategyBind:
-		return runKeyShippedJoin(ctx, j, bindBatchSize, lent)
-	default:
-		return runLocalJoin(ctx, j, lent)
+	if j.Strategy == plan.StrategySemiJoin {
+		return runKeyShippedJoin(ctx, j, lent)
 	}
+	return runLocalJoin(ctx, j, lent)
 }
 
 // runLocalJoin joins both inputs at the mediator: the right side
@@ -300,12 +293,12 @@ func (h *joinIter) flush() {
 	}
 }
 
-// runKeyShippedJoin implements the semijoin and bind-join strategies:
-// materialize the left input, ship its distinct join-key values to the
-// right side's fragment scans as IN predicates (chunked), and join the
-// reduced right side at the mediator. Both sides are kept; the joined
-// rows are lent iff lent.
-func runKeyShippedJoin(ctx context.Context, j *plan.Join, chunk int, lent bool) (source.RowIter, error) {
+// runKeyShippedJoin implements the semijoin strategy: materialize the
+// left input, ship its distinct join-key values to the right side's
+// fragment scans as IN predicates (semiJoinKeyLimit to a sub-query), and
+// join the reduced right side at the mediator. Both sides are kept; the
+// joined rows are lent iff lent.
+func runKeyShippedJoin(ctx context.Context, j *plan.Join, lent bool) (source.RowIter, error) {
 	leftRows, err := Collect(ctx, j.L)
 	if err != nil {
 		return nil, err
@@ -345,10 +338,7 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, chunk int, lent bool) 
 	if scans == nil {
 		return nil, fmt.Errorf("exec: %s strategy requires fragment scans on the right side", j.Strategy)
 	}
-	op := "semijoin"
-	if j.Strategy == plan.StrategyBind {
-		op = "bind-join"
-	}
+	const op = "semijoin"
 	outc := resilience.OutcomesFrom(ctx)
 	// Ship the keys to every fragment concurrently (each fetch is an
 	// independent round trip to a different source). cctx lets the first
@@ -373,16 +363,12 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, chunk int, lent bool) 
 					cancel() // whole join fails anyway; stop the siblings
 				}
 			}
-			for start := 0; start < len(keys); start += chunk {
+			for start := 0; start < len(keys); start += semiJoinKeyLimit {
 				if err := cctx.Err(); err != nil {
 					fail(err)
 					return
 				}
-				end := start + chunk
-				if end > len(keys) {
-					end = len(keys)
-				}
-				pred, err := buildKeyPredicate(mapping, rtype, keys[start:end])
+				pred, err := buildKeyPredicate(mapping, rtype, keys[start:min(start+semiJoinKeyLimit, len(keys))])
 				if err != nil {
 					fail(err)
 					return

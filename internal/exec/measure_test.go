@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -190,7 +191,7 @@ func TestAnalyzeTimeIsInclusive(t *testing.T) {
 		}
 	}
 
-	out = analyze(q, plan.StrategyBind)
+	out = analyze(q, plan.StrategySemiJoin)
 	_, right, _ := strings.Cut(out, "FragScan shop")
 	if !strings.Contains(right, "(wire_rows=3 wire_bytes=") {
 		t.Errorf("the key-shipped scan should show its wire half and nothing else:\n%s", out)
@@ -259,5 +260,80 @@ func TestDeadStreamKeepsItsRecord(t *testing.T) {
 	}
 	if st, ok := sp.Stats(); !ok || st.Rows != 2 || !st.HasEst || st.EstRows != 10000 {
 		t.Errorf("the dead stream's record = %+v, %v; want its 2 rows against the estimate of 10000", st, ok)
+	}
+}
+
+// countingSource counts the sub-queries that reach a source.
+type countingSource struct {
+	source.Source
+	executes *atomic.Int64
+}
+
+func (s countingSource) Execute(ctx context.Context, q *source.Query) (source.RowIter, error) {
+	s.executes.Add(1)
+	return s.Source.Execute(ctx, q)
+}
+
+// TestKeyShippedJoinSubQueriesPerFragment: the keys of the left side go
+// to each right fragment in as few sub-queries as semiJoinKeyLimit
+// allows — one for the 40 keys of a left side the default planner ships
+// (which used to go out 16 at a time, three sub-queries one after
+// another), three for 2 500, which the semijoin has to be forced on.
+func TestKeyShippedJoinSubQueriesPerFragment(t *testing.T) {
+	for _, c := range []struct {
+		keys, perFragment int64
+		force             plan.Strategy
+	}{{40, 1, plan.StrategyAuto}, {2500, 3, plan.StrategySemiJoin}} {
+		cat := catalog.New()
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		schema := types.NewSchema(types.Column{Name: "id", Type: types.KindInt}, types.Column{Name: "v", Type: types.KindInt})
+		rows := make([]types.Row, c.keys)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 7))}
+		}
+		left := relstore.New("left")
+		must(left.CreateTable("keys", schema, 0))
+		_, err := left.Insert(ctx, "keys", rows)
+		must(err)
+		must(cat.AddSource(left))
+		must(cat.DefineTable("keys", schema))
+		must(cat.MapSimple(ctx, "keys", "left", "keys"))
+
+		// facts: one row per key, even ids at f0 and odd ones at f1.
+		must(cat.DefineTable("facts", schema))
+		var executes [2]atomic.Int64
+		for i := range executes {
+			st := relstore.New("f" + string(rune('0'+i)))
+			must(st.CreateTable("facts", schema, 0))
+			for _, r := range rows {
+				if r[0].Int()%2 == int64(i) {
+					_, err := st.Insert(ctx, "facts", []types.Row{r})
+					must(err)
+				}
+			}
+			must(cat.AddSource(countingSource{st, &executes[i]}))
+			must(cat.MapSimple(ctx, "facts", st.Name(), "facts"))
+		}
+
+		n := (&ownFed{cat: cat}).plan(t, "SELECT k.id, f.v FROM keys k JOIN facts f ON k.id = f.id",
+			func(o *plan.Options) { o.ForceStrategy = c.force })
+		if !strings.Contains(plan.Explain(n), "strategy=semijoin") {
+			t.Fatalf("%d keys: the plan does not ship keys:\n%s", c.keys, plan.Explain(n))
+		}
+		got, err := Collect(ctx, n)
+		must(err)
+		if int64(len(got)) != c.keys {
+			t.Errorf("%d keys: %d rows joined", c.keys, len(got))
+		}
+		for i := range executes {
+			if e := executes[i].Load(); e != c.perFragment {
+				t.Errorf("%d keys: fragment f%d answered %d sub-queries, want %d", c.keys, i, e, c.perFragment)
+			}
+		}
 	}
 }

@@ -239,12 +239,12 @@ func TestRowOwnership(t *testing.T) {
 		{"left join", "SELECT c.id, o.oid FROM customers c LEFT JOIN orders_file o ON c.id = o.cust_id AND o.amount > 9",
 			func(o *plan.Options) { o.ForceStrategy = plan.StrategyShipAll }, -1},
 		{"left join, file side streamed", "SELECT o.oid, c.name FROM orders_file o LEFT JOIN customers c ON o.cust_id = c.id AND c.id < 10",
-			func(o *plan.Options) { o.ForceStrategy, o.ReorderJoins = plan.StrategyShipAll, false }, ownOrders},
+			func(o *plan.Options) { o.ForceStrategy, o.JoinOrder = plan.StrategyShipAll, plan.OrderSyntactic }, ownOrders},
 		{"non-equi join", "SELECT c.id, o.oid FROM customers c JOIN orders_file o ON c.id > o.oid + 50", nil, -1},
 		{"key-shipped join: semijoin", "SELECT c.name, o.oid FROM customers c JOIN orders_rel o ON c.id = o.cust_id WHERE c.id < 7",
 			func(o *plan.Options) { o.ForceStrategy = plan.StrategySemiJoin }, -1},
-		{"key-shipped join: bind, folded", "SELECT c.name, COUNT(*) FROM customers c JOIN orders_rel o ON c.id = o.cust_id WHERE c.id < 7 GROUP BY c.name",
-			func(o *plan.Options) { o.ForceStrategy = plan.StrategyBind }, 7},
+		{"key-shipped join: folded", "SELECT c.name, COUNT(*) FROM customers c JOIN orders_rel o ON c.id = o.cust_id WHERE c.id < 7 GROUP BY c.name",
+			func(o *plan.Options) { o.ForceStrategy = plan.StrategySemiJoin }, 7},
 		{"key-shipped join over a union", "SELECT c.name, e.oid FROM customers c JOIN events e ON c.id = e.cust_id WHERE c.id IN (3, 4)",
 			func(o *plan.Options) { o.ForceStrategy = plan.StrategySemiJoin }, -1},
 	}

@@ -182,8 +182,8 @@ func T1Pushdown(ctx context.Context, sc Scale) (*Table, error) {
 	return t, nil
 }
 
-// T2JoinStrategies compares ship-all, semijoin, and bind join at three
-// left-side sizes (Table 2).
+// T2JoinStrategies compares ship-all and semijoin at three left-side
+// sizes (Table 2).
 func T2JoinStrategies(ctx context.Context, sc Scale) (*Table, error) {
 	nCust := sc.n(2000)
 	nOrd := sc.n(20000)
@@ -195,7 +195,7 @@ func T2JoinStrategies(ctx context.Context, sc Scale) (*Table, error) {
 	t := &Table{
 		ID:     "T2",
 		Title:  "Distributed join strategies (customers ⋈ orders, remote)",
-		Header: []string{"left_rows", "ship_all_ms", "semijoin_ms", "bind_ms", "best"},
+		Header: []string{"left_rows", "ship_all_ms", "semijoin_ms", "best"},
 		Notes:  fmt.Sprintf("customers=%d, orders=%d, link=%v", nCust, nOrd, sc.Link.Latency),
 	}
 	for _, leftFrac := range []float64{0.005, 0.05, 0.5} {
@@ -205,7 +205,7 @@ func T2JoinStrategies(ctx context.Context, sc Scale) (*Table, error) {
 		}
 		q := `SELECT COUNT(*) FROM customers c JOIN orders o ON c.id = o.cust_id WHERE c.id < ?`
 		times := map[plan.Strategy]time.Duration{}
-		for _, strat := range []plan.Strategy{plan.StrategyShipAll, plan.StrategySemiJoin, plan.StrategyBind} {
+		for _, strat := range []plan.Strategy{plan.StrategyShipAll, plan.StrategySemiJoin} {
 			f.Engine.PlanOptions().ForceStrategy = strat
 			d, err := t.median(sc.Reps, queryOnce(ctx, f.Engine, q, types.NewInt(int64(limit))))
 			if err != nil {
@@ -214,20 +214,15 @@ func T2JoinStrategies(ctx context.Context, sc Scale) (*Table, error) {
 			times[strat] = d
 		}
 		f.Engine.PlanOptions().ForceStrategy = plan.StrategyAuto
-		best := "ship-all"
-		bestT := times[plan.StrategyShipAll]
-		if times[plan.StrategySemiJoin] < bestT {
-			best, bestT = "semijoin", times[plan.StrategySemiJoin]
-		}
-		if times[plan.StrategyBind] < bestT {
-			best = "bind"
+		best := plan.StrategyShipAll
+		if times[plan.StrategySemiJoin] < times[best] {
+			best = plan.StrategySemiJoin
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", limit),
 			ms(times[plan.StrategyShipAll]),
 			ms(times[plan.StrategySemiJoin]),
-			ms(times[plan.StrategyBind]),
-			best,
+			best.String(),
 		})
 	}
 	return t, nil

@@ -257,11 +257,11 @@ func (s *Store) Insert(_ context.Context, table string, rows []types.Row) (int64
 	if err != nil {
 		return 0, err
 	}
+	if err := (&source.TableInfo{Schema: b.schema}).CheckWrite(table, nil, rows); err != nil {
+		return 0, fmt.Errorf("kvstore %s: %w", s.name, err)
+	}
 	var n int64
 	for _, r := range rows {
-		if len(r) != b.schema.Len() {
-			return n, fmt.Errorf("kvstore %s: row has %d values, bucket has %d columns", s.name, len(r), b.schema.Len())
-		}
 		k := r[b.keyCol]
 		if k.IsNull() {
 			return n, fmt.Errorf("kvstore %s: NULL key", s.name)
@@ -284,6 +284,9 @@ func (s *Store) Update(_ context.Context, table string, filter expr.Expr, set []
 	b, err := s.bucketLocked(table)
 	if err != nil {
 		return 0, err
+	}
+	if err := (&source.TableInfo{Schema: b.schema}).CheckWrite(table, set, nil); err != nil {
+		return 0, fmt.Errorf("kvstore %s: %w", s.name, err)
 	}
 	type change struct {
 		oldKey types.Value

@@ -6,7 +6,7 @@ import (
 
 // GoLeak requires every goroutine started in a library package to have
 // a cancellation path. A federation fans out constantly — per-source
-// union branches, bind-join fragments, the wire accept loop — and a
+// union branches, semijoin fragments, the wire accept loop — and a
 // goroutine with no way to learn the query is over outlives it: it pins
 // its connection, its iterator, and a stuck source can accumulate one
 // leaked goroutine per query forever. Accepted evidence, judged against

@@ -125,12 +125,13 @@ func buildFragScan(cat *catalog.Catalog, tab *catalog.GlobalTable, frag *catalog
 }
 
 // The two constants of the strategy choice: a left input estimated at
-// bindThreshold rows or fewer ships its keys as a bind join; above it, a
-// semijoin must be estimated to move less than semiJoinGain of the rows
-// that shipping both sides whole would.
+// fewKeys rows or fewer ships its keys whatever the estimates say (one
+// small IN list per right fragment); above it, the semijoin must be
+// estimated to move less than semiJoinGain of the rows that shipping
+// both sides whole would.
 const (
-	bindThreshold = 64
-	semiJoinGain  = 0.8
+	fewKeys      = 64
+	semiJoinGain = 0.8
 )
 
 // chooseStrategies assigns a distributed execution strategy to every
@@ -152,7 +153,7 @@ func chooseStrategies(n Node, forced Strategy) Node {
 		return j
 	}
 	// The right side must accept the join key remotely on every
-	// fragment for semijoin/bind to be legal.
+	// fragment for the semijoin to be legal.
 	for _, fs := range rights {
 		if _, ok := fs.CanBindOn(j.EquiR[0]); !ok {
 			j.Strategy = StrategyShipAll
@@ -169,12 +170,9 @@ func chooseStrategies(n Node, forced Strategy) Node {
 	if matchedR > estR {
 		matchedR = estR
 	}
-	switch {
-	case estL <= bindThreshold:
-		j.Strategy = StrategyBind
-	case estL+matchedR < semiJoinGain*(estL+estR):
+	if estL <= fewKeys || estL+matchedR < semiJoinGain*(estL+estR) {
 		j.Strategy = StrategySemiJoin
-	default:
+	} else {
 		j.Strategy = StrategyShipAll
 	}
 	return j

@@ -153,7 +153,7 @@ func (s *FragScan) aggregated(groupBy []int, aggs []source.AggSpec, out *types.S
 // translate back to the very remote value it came from, since the
 // source compares for equality: a unit-converted column inverts only up
 // to floating-point rounding, so it does not qualify. Used by the
-// semijoin/bind strategy chooser and by the executor shipping the keys.
+// semijoin strategy chooser and by the executor shipping the keys.
 func (s *FragScan) CanBindOn(outCol int) (*catalog.ColumnMapping, bool) {
 	m := s.mapping(outCol)
 	if m == nil || !m.InvertsExactly() || !s.Src.Capabilities().CanCompare(s.Frag.Info(), m.RemoteCol) {

@@ -1,7 +1,7 @@
 // Package plan implements the mediator's query planner: logical plan
 // construction from the SQL AST, rewrite rules (constant folding,
 // predicate pushdown, projection pruning), cost-based join ordering,
-// distributed join strategy selection (ship-all / semijoin / bind join),
+// distributed join strategy selection (ship-all / semijoin),
 // and capability-based decomposition of global table scans into
 // per-fragment remote queries with mediator-side compensation.
 package plan
@@ -204,9 +204,6 @@ const (
 	// StrategySemiJoin fetches the left side, ships its distinct join
 	// keys to the right source as an IN filter, then joins.
 	StrategySemiJoin
-	// StrategyBind re-executes the right side per batch of left rows
-	// with the join keys bound (point queries against keyed sources).
-	StrategyBind
 )
 
 func (s Strategy) String() string {
@@ -217,8 +214,6 @@ func (s Strategy) String() string {
 		return "ship-all"
 	case StrategySemiJoin:
 		return "semijoin"
-	case StrategyBind:
-		return "bind"
 	default:
 		return "Strategy(" + strconv.Itoa(int(s)) + ")"
 	}

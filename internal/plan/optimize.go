@@ -24,10 +24,9 @@ type Options struct {
 	PushFilters bool
 	// PruneColumns trims unused columns so sources ship less data.
 	PruneColumns bool
-	// JoinOrder selects the join-order search algorithm.
+	// JoinOrder selects the join-order search algorithm; OrderSyntactic
+	// is no search, the order as written.
 	JoinOrder JoinOrderAlgo
-	// ReorderJoins enables the join-order search at all.
-	ReorderJoins bool
 	// ForceStrategy overrides the per-join distributed strategy
 	// decision (StrategyAuto = cost-based).
 	ForceStrategy Strategy
@@ -48,7 +47,6 @@ func DefaultOptions() *Options {
 		PushFilters:       true,
 		PruneColumns:      true,
 		JoinOrder:         OrderDP,
-		ReorderJoins:      true,
 		ForceStrategy:     StrategyAuto,
 		ParallelFragments: true,
 		PushAggregates:    true,
@@ -71,13 +69,11 @@ func Optimize(ctx context.Context, n Node, cat *catalog.Catalog, opts *Options) 
 	if opts.PushFilters {
 		n = pushDownFilters(n)
 	}
-	if opts.ReorderJoins {
-		n = chooseJoinOrder(n, opts.JoinOrder)
-		if opts.PushFilters {
-			// Reordering re-attaches predicates at joins; push the
-			// single-sided ones back into the scans.
-			n = pushDownFilters(n)
-		}
+	n = chooseJoinOrder(n, opts.JoinOrder)
+	if opts.PushFilters {
+		// Reordering re-attaches predicates at joins; push the
+		// single-sided ones back into the scans.
+		n = pushDownFilters(n)
 	}
 	if opts.PruneColumns {
 		n = pruneColumns(n)

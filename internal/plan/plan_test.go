@@ -216,14 +216,14 @@ func TestEquiKeysExtracted(t *testing.T) {
 func TestStrategyChoice(t *testing.T) {
 	cat := newPlanFixture(t)
 	// t2 (10 rows) joined against big (1000 rows, keyed): tiny left →
-	// bind join.
+	// its keys are shipped.
 	p := planQuery(t, cat, "SELECT t2.d FROM t2 JOIN big ON t2.a = big.k", nil)
 	j := findJoin(p)
 	if j == nil {
 		t.Fatal("no join")
 	}
-	if j.Strategy != StrategyBind && j.Strategy != StrategySemiJoin {
-		t.Errorf("strategy = %s, want bind or semijoin for tiny left", j.Strategy)
+	if j.Strategy != StrategySemiJoin {
+		t.Errorf("strategy = %s, want semijoin for tiny left", j.Strategy)
 	}
 	// Forced strategy is honored.
 	opts := DefaultOptions()

@@ -78,6 +78,9 @@ func (tx *Tx) Insert(_ context.Context, tbl string, rows []types.Row) (int64, er
 	if err != nil {
 		return 0, err
 	}
+	if err := (&source.TableInfo{Schema: t.schema}).CheckWrite(tbl, nil, rows); err != nil {
+		return 0, fmt.Errorf("relstore %s: %w", tx.s.name, err)
+	}
 	var n int64
 	for _, r := range rows {
 		nr, err := normalizeRow(t.schema, r)
@@ -104,6 +107,9 @@ func (tx *Tx) Update(_ context.Context, tbl string, filter expr.Expr, set []sour
 	if err != nil {
 		return 0, err
 	}
+	if err := (&source.TableInfo{Schema: t.schema}).CheckWrite(tbl, set, nil); err != nil {
+		return 0, fmt.Errorf("relstore %s: %w", tx.s.name, err)
+	}
 	var n int64
 	for pos, r := range t.rows {
 		if r == nil {
@@ -120,9 +126,6 @@ func (tx *Tx) Update(_ context.Context, tbl string, filter expr.Expr, set []sour
 		}
 		nr := r.Clone()
 		for _, sc := range set {
-			if sc.Col < 0 || sc.Col >= len(nr) {
-				return n, fmt.Errorf("relstore %s: SET column %d out of range", tx.s.name, sc.Col)
-			}
 			v, err := sc.Value.Eval(r)
 			if err != nil {
 				return n, err
@@ -240,11 +243,9 @@ func (tx *Tx) Abort(context.Context) error {
 	return nil
 }
 
-// normalizeRow validates arity and coerces each value to the column type.
+// normalizeRow coerces each value of a row as wide as the schema to the
+// column type.
 func normalizeRow(schema *types.Schema, r types.Row) (types.Row, error) {
-	if len(r) != schema.Len() {
-		return nil, fmt.Errorf("row has %d values, table has %d columns", len(r), schema.Len())
-	}
 	out := make(types.Row, len(r))
 	for i, v := range r {
 		cv, err := coerceForColumn(v, schema.Columns[i].Type)

@@ -14,7 +14,7 @@ type SourceOutcome struct {
 	// Source is the component system's name ("?" when a plan branch has
 	// no resolvable source).
 	Source string
-	// Op names the consuming operator: "union", "bind-join", "semijoin".
+	// Op names the consuming operator: "union" or "semijoin".
 	Op string
 	// Rows is how many rows the source delivered before finishing or
 	// failing.

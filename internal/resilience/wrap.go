@@ -20,34 +20,22 @@ import (
 // reach its participant or fail honestly, not be silently re-sent or
 // short-circuited halfway through a 2PC round).
 //
-// The returned source preserves the optional facets of the original:
-// it implements source.Writer and/or source.Transactional only when
-// src does, so capability checks in the write planner keep working.
+// What src can be asked is what its capability vector says, which the
+// guard passes on unchanged; the guard itself has every facet, and
+// refuses by name the one src turns out not to implement.
 func WrapSource(src source.Source, p *Policy, h *SourceHealth) source.Source {
-	g := &Guarded{src: src, p: p, h: h}
-	w, isWriter := src.(source.Writer)
-	t, isTxn := src.(source.Transactional)
-	switch {
-	case isWriter && isTxn:
-		return &fullGuard{writerGuard: &writerGuard{Guarded: g, w: w}, t: t}
-	case isWriter:
-		return &writerGuard{Guarded: g, w: w}
-	case isTxn:
-		return &txnGuard{Guarded: g, t: t}
-	default:
-		return g
-	}
+	w, _ := src.(source.Writer)
+	return &Guarded{src: src, p: p, onceWriter: onceWriter{w: w, h: h}}
 }
 
-// Guarded is the read facet of a wrapped source.
+// Guarded is a wrapped source: its reads retried, its autocommit writes
+// (onceWriter, which also holds its health record) and BeginTx forwarded
+// once.
 type Guarded struct {
 	src source.Source
 	p   *Policy
-	h   *SourceHealth
+	onceWriter
 }
-
-// Health returns the wrapped source's health record.
-func (g *Guarded) Health() *SourceHealth { return g.h }
 
 // Name implements source.Source.
 func (g *Guarded) Name() string { return g.src.Name() }
@@ -99,9 +87,7 @@ func (g *Guarded) Execute(ctx context.Context, q *source.Query) (source.RowIter,
 // provides them. Statistics collection has its own fallback (a full
 // scan), so it is deliberately not retried or breaker-gated.
 func (g *Guarded) Stats(table string) (*stats.TableStats, error) {
-	sp, ok := g.src.(interface {
-		Stats(table string) (*stats.TableStats, error)
-	})
+	sp, ok := g.src.(source.StatsProvider)
 	if !ok {
 		return nil, fmt.Errorf("resilience: source %s does not provide statistics", g.src.Name())
 	}
@@ -110,13 +96,13 @@ func (g *Guarded) Stats(table string) (*stats.TableStats, error) {
 
 // record feeds one unretried call's outcome into the health tracker.
 // Caller-side cancellation is nobody's failure.
-func (g *Guarded) record(ctx context.Context, err error) {
+func (h *SourceHealth) record(ctx context.Context, err error) {
 	switch {
 	case err == nil:
-		g.h.Success(ctx)
+		h.Success(ctx)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 	default:
-		g.h.Failure(ctx, err)
+		h.Failure(ctx, err)
 	}
 }
 
@@ -131,11 +117,7 @@ type healthIter struct {
 func (i *healthIter) Next() (types.Row, error) {
 	row, err := i.it.Next()
 	if err != nil && err != io.EOF {
-		switch {
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		default:
-			i.h.Failure(i.ctx, err)
-		}
+		i.h.record(i.ctx, err)
 	}
 	return row, err
 }
@@ -146,63 +128,62 @@ func (i *healthIter) Lend() { source.Lend(i.it) }
 // Close implements source.RowIter.
 func (i *healthIter) Close() error { return i.it.Close() }
 
-// writerGuard adds the Writer facet: forwarded once, never retried.
-type writerGuard struct {
-	*Guarded
+// onceWriter is a Writer facet behind the guard — a source's autocommit
+// one, or a transaction's: each write is forwarded exactly once, never
+// retried, and its outcome feeds the health tracker. w is nil for a
+// source without the facet, which is refused by name (the health record
+// is kept under the source's).
+type onceWriter struct {
 	w source.Writer
+	h *SourceHealth
+}
+
+func (o onceWriter) refusal() error {
+	return fmt.Errorf("resilience: source %s is not writable", o.h.Name())
 }
 
 // Insert implements source.Writer (no retry).
-func (g *writerGuard) Insert(ctx context.Context, table string, rows []types.Row) (int64, error) {
-	n, err := g.w.Insert(ctx, table, rows)
-	g.record(ctx, err)
+func (o onceWriter) Insert(ctx context.Context, table string, rows []types.Row) (int64, error) {
+	if o.w == nil {
+		return 0, o.refusal()
+	}
+	n, err := o.w.Insert(ctx, table, rows)
+	o.h.record(ctx, err)
 	return n, err
 }
 
 // Update implements source.Writer (no retry).
-func (g *writerGuard) Update(ctx context.Context, table string, filter expr.Expr, set []source.SetClause) (int64, error) {
-	n, err := g.w.Update(ctx, table, filter, set)
-	g.record(ctx, err)
+func (o onceWriter) Update(ctx context.Context, table string, filter expr.Expr, set []source.SetClause) (int64, error) {
+	if o.w == nil {
+		return 0, o.refusal()
+	}
+	n, err := o.w.Update(ctx, table, filter, set)
+	o.h.record(ctx, err)
 	return n, err
 }
 
 // Delete implements source.Writer (no retry).
-func (g *writerGuard) Delete(ctx context.Context, table string, filter expr.Expr) (int64, error) {
-	n, err := g.w.Delete(ctx, table, filter)
-	g.record(ctx, err)
+func (o onceWriter) Delete(ctx context.Context, table string, filter expr.Expr) (int64, error) {
+	if o.w == nil {
+		return 0, o.refusal()
+	}
+	n, err := o.w.Delete(ctx, table, filter)
+	o.h.record(ctx, err)
 	return n, err
 }
 
-// txnGuard adds the Transactional facet for sources without autocommit
-// writes.
-type txnGuard struct {
-	*Guarded
-	t source.Transactional
-}
-
 // BeginTx implements source.Transactional (no retry).
-func (g *txnGuard) BeginTx(ctx context.Context) (source.Tx, error) {
-	return beginTx(ctx, g.Guarded, g.t)
-}
-
-// fullGuard is a source with both facets.
-type fullGuard struct {
-	*writerGuard
-	t source.Transactional
-}
-
-// BeginTx implements source.Transactional (no retry).
-func (g *fullGuard) BeginTx(ctx context.Context) (source.Tx, error) {
-	return beginTx(ctx, g.Guarded, g.t)
-}
-
-func beginTx(ctx context.Context, g *Guarded, t source.Transactional) (source.Tx, error) {
+func (g *Guarded) BeginTx(ctx context.Context) (source.Tx, error) {
+	t, ok := g.src.(source.Transactional)
+	if !ok {
+		return nil, fmt.Errorf("resilience: source %s is not transactional", g.src.Name())
+	}
 	tx, err := t.BeginTx(ctx)
-	g.record(ctx, err)
+	g.h.record(ctx, err)
 	if err != nil {
 		return nil, err
 	}
-	return &guardedTx{tx: tx, g: g}, nil
+	return &guardedTx{onceWriter: onceWriter{w: tx, h: g.h}, tx: tx}, nil
 }
 
 // guardedTx forwards every transactional operation exactly once. 2PC
@@ -211,35 +192,14 @@ func beginTx(ctx context.Context, g *Guarded, t source.Transactional) (source.Tx
 // coordinator's job (it owns the decision log and the in-doubt
 // bookkeeping).
 type guardedTx struct {
+	onceWriter
 	tx source.Tx
-	g  *Guarded
-}
-
-// Insert implements source.Writer within the transaction (no retry).
-func (t *guardedTx) Insert(ctx context.Context, table string, rows []types.Row) (int64, error) {
-	n, err := t.tx.Insert(ctx, table, rows)
-	t.g.record(ctx, err)
-	return n, err
-}
-
-// Update implements source.Writer within the transaction (no retry).
-func (t *guardedTx) Update(ctx context.Context, table string, filter expr.Expr, set []source.SetClause) (int64, error) {
-	n, err := t.tx.Update(ctx, table, filter, set)
-	t.g.record(ctx, err)
-	return n, err
-}
-
-// Delete implements source.Writer within the transaction (no retry).
-func (t *guardedTx) Delete(ctx context.Context, table string, filter expr.Expr) (int64, error) {
-	n, err := t.tx.Delete(ctx, table, filter)
-	t.g.record(ctx, err)
-	return n, err
 }
 
 // Prepare implements source.Tx (no retry: a 2PC vote is sent once).
 func (t *guardedTx) Prepare(ctx context.Context) error {
 	err := t.tx.Prepare(ctx)
-	t.g.record(ctx, err)
+	t.h.record(ctx, err)
 	return err
 }
 
@@ -247,13 +207,13 @@ func (t *guardedTx) Prepare(ctx context.Context) error {
 // retries and in-doubt tracking).
 func (t *guardedTx) Commit(ctx context.Context) error {
 	err := t.tx.Commit(ctx)
-	t.g.record(ctx, err)
+	t.h.record(ctx, err)
 	return err
 }
 
 // Abort implements source.Tx (no retry).
 func (t *guardedTx) Abort(ctx context.Context) error {
 	err := t.tx.Abort(ctx)
-	t.g.record(ctx, err)
+	t.h.record(ctx, err)
 	return err
 }

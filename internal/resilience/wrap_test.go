@@ -3,6 +3,7 @@ package resilience
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -273,22 +274,42 @@ func TestWrapBreakerFailsFast(t *testing.T) {
 	}
 }
 
+// TestWrapPreservesFacets: the guard passes the capability vector on
+// unchanged — that is what says which facets a source has — forwards the
+// facets of a source that implements them, and refuses by name those of
+// one that does not.
 func TestWrapPreservesFacets(t *testing.T) {
 	p := fastPolicy()
 	tr := NewTracker(p)
-	ro := WrapSource(readOnlySource{newFakeSource("ro", nil)}, p, tr.For("ro"))
-	if _, ok := ro.(source.Writer); ok {
-		t.Error("read-only wrap gained a Writer facet")
+	type facets interface {
+		source.Source
+		source.Writer
+		source.Transactional
 	}
-	if _, ok := ro.(source.Transactional); ok {
-		t.Error("read-only wrap gained a Transactional facet")
+	inner := readOnlySource{newFakeSource("ro", nil)}
+	ro := WrapSource(inner, p, tr.For("ro")).(facets)
+	if ro.Capabilities() != inner.Capabilities() {
+		t.Errorf("read-only wrap advertises %s, the source %s", ro.Capabilities(), inner.Capabilities())
 	}
-	full := WrapSource(newFakeSource("full", nil), p, tr.For("full"))
-	if _, ok := full.(source.Writer); !ok {
-		t.Error("full wrap lost the Writer facet")
+	_, insErr := ro.Insert(ctx, "t", nil)
+	_, updErr := ro.Update(ctx, "t", nil, nil)
+	_, delErr := ro.Delete(ctx, "t", nil)
+	_, txErr := ro.BeginTx(ctx)
+	for op, err := range map[string]error{"insert": insErr, "update": updErr, "delete": delErr, "begin": txErr} {
+		if err == nil || !strings.Contains(err.Error(), "source ro is not") {
+			t.Errorf("%s on a read-only source: %v, want a refusal that names it", op, err)
+		}
 	}
-	if _, ok := full.(source.Transactional); !ok {
-		t.Error("full wrap lost the Transactional facet")
+	f := newFakeSource("full", nil)
+	full := WrapSource(f, p, tr.For("full")).(facets)
+	if full.Capabilities() != f.Capabilities() {
+		t.Errorf("full wrap advertises %s, the source %s", full.Capabilities(), f.Capabilities())
+	}
+	if n, err := full.Insert(ctx, "t", []types.Row{{types.NewInt(1)}}); err != nil || n != 1 || f.count("insert") != 1 {
+		t.Errorf("full wrap's insert: %d, %v, %d calls reached the source", n, err, f.count("insert"))
+	}
+	if tx, err := full.BeginTx(ctx); err != nil || tx == nil || f.count("begin") != 1 {
+		t.Errorf("full wrap's begin: %v, %d calls reached the source", err, f.count("begin"))
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"io"
 
 	"gis/internal/expr"
+	"gis/internal/stats"
 	"gis/internal/types"
 )
 
@@ -329,6 +330,31 @@ type SetClause struct {
 	Value expr.Expr
 }
 
+// CheckWrite is Query.Check's sibling for the write path: it reports
+// what makes an UPDATE's SET list or an INSERT's rows unappliable to the
+// table (named for the message) info describes — a SET position outside
+// it or without a value, a row of another width. A write decoded off the wire is
+// whatever its sender made it, so the wire server and every writing
+// store ask before they index a row by a SET position. A DELETE has
+// nothing to check; the expressions are bounded by expr.BindPositions.
+func (info *TableInfo) CheckWrite(table string, set []SetClause, rows []types.Row) error {
+	width := info.Schema.Len()
+	for _, sc := range set {
+		if sc.Col < 0 || sc.Col >= width {
+			return fmt.Errorf("SET column %d out of range of %s's %d columns", sc.Col, table, width)
+		}
+		if sc.Value == nil {
+			return fmt.Errorf("SET column %d of %s has no value", sc.Col, table)
+		}
+	}
+	for _, r := range rows {
+		if len(r) != width {
+			return fmt.Errorf("row has %d values, %s has %d columns", len(r), table, width)
+		}
+	}
+	return nil
+}
+
 // Writer is implemented by sources that accept updates.
 type Writer interface {
 	Insert(ctx context.Context, table string, rows []types.Row) (int64, error)
@@ -353,6 +379,13 @@ type Tx interface {
 // Transactional is implemented by sources that support transactions.
 type Transactional interface {
 	BeginTx(ctx context.Context) (Tx, error)
+}
+
+// StatsProvider is implemented by sources that can report optimizer
+// statistics (relstore, and what passes a relstore's on: the wire, the
+// resilience guard). Anyone else's are collected by a scan.
+type StatsProvider interface {
+	Stats(table string) (*stats.TableStats, error)
 }
 
 // ---- iterator helpers ----

@@ -350,8 +350,8 @@ func (c *Client) TableInfo(ctx context.Context, table string) (*source.TableInfo
 // announced in the handshake.
 func (c *Client) Capabilities() source.Capabilities { return c.caps }
 
-// Stats fetches optimizer statistics from the remote source (which must
-// be a StatsProvider).
+// Stats implements source.StatsProvider: the statistics of the remote
+// source, which must be one itself.
 func (c *Client) Stats(table string) (*stats.TableStats, error) {
 	var e Encoder
 	e.String(table)

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 
 	"gis/internal/docstore"
@@ -106,5 +107,91 @@ func TestHostileQueryIsAnErrorNotACrash(t *testing.T) {
 	}
 	if len(cl.pool) != 1 {
 		t.Errorf("%d pooled connections, want the one every request ran on", len(cl.pool))
+	}
+}
+
+type taggedWrite struct {
+	tag byte
+	req writeReq
+}
+
+// hostileWrites are write requests no mediator builds and any peer can
+// send: a SET position outside the table (the first, as one frame, ended
+// a process serving a kvstore), a SET clause without a value, an INSERT
+// row narrower than the table.
+func hostileWrites() []taggedWrite {
+	one := expr.NewConst(types.NewInt(1))
+	return []taggedWrite{
+		{msgUpdate, writeReq{Table: "t", Set: []source.SetClause{{Col: 99, Value: one}}}},
+		{msgUpdate, writeReq{Table: "t", Set: []source.SetClause{{Col: -1, Value: one}}}},
+		{msgUpdate, writeReq{Table: "t", Set: []source.SetClause{{Col: 1}}}},
+		{msgInsert, writeReq{Table: "t", Rows: []types.Row{{types.NewInt(9)}}}},
+	}
+}
+
+// FuzzServeWrite is the write half of FuzzServe: every request that
+// decodes as the body of msgInsert, msgUpdate or msgDelete goes through
+// Server.write — the SET list checked against the table, filter and
+// values rebound — into each kind of store, the scan-only one included
+// (it is refused). The stores are new each time: a write that lands
+// changes them. Whatever the bytes, and whatever errors come back: no
+// panic.
+func FuzzServeWrite(f *testing.F) {
+	tags := []byte{msgInsert, msgUpdate, msgDelete}
+	add := func(tag byte, req *writeReq) {
+		var e Encoder
+		if err := e.writeReq(tag, req); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(bytes.IndexByte(tags, tag)), e.Bytes())
+	}
+	for _, h := range hostileWrites() {
+		add(h.tag, &h.req)
+	}
+	id := expr.NewBoundColRef(0, types.KindInt, "id")
+	add(msgInsert, &writeReq{Table: "t", Rows: []types.Row{{types.NewInt(4), types.NewString("c"), types.Null}}})
+	add(msgDelete, &writeReq{Table: "t", Filter: expr.NewBinary(expr.OpGe, id, expr.NewConst(types.NewInt(2)))})
+	for _, x := range sampleExprs() {
+		add(msgUpdate, &writeReq{Table: "t", Filter: x, Set: []source.SetClause{{Col: 1, Value: x}, {Col: 0, Value: id}}})
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		tag := tags[int(kind)%len(tags)]
+		for _, st := range fuzzStores(t) {
+			// Decoded once a store: binding rewrites the expressions.
+			req, err := NewDecoder(data).writeReq(tag)
+			if err != nil {
+				return
+			}
+			_, _ = (&Server{src: st}).write(ctx, &connState{}, tag, &req)
+		}
+	})
+}
+
+// TestHostileWriteIsAnErrorNotACrash sends them over a real connection
+// to a served kvstore: each is answered msgErr and changes nothing, and
+// the same server serves the next request.
+func TestHostileWriteIsAnErrorNotACrash(t *testing.T) {
+	kv := fuzzStores(t)[1] // rel, kv, doc, file
+	srv, err := Serve(ctx, "127.0.0.1:0", kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := DialContext(ctx, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, h := range hostileWrites() {
+		if n, err := cl.write(ctx, nil, h.tag, h.req); err == nil {
+			t.Errorf("tag %d %+v was applied to %d rows", h.tag, h.req, n)
+		}
+		it, err := cl.Execute(ctx, source.NewScan("t"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows, err := source.Drain(it); err != nil || len(rows) != 3 {
+			t.Fatalf("after tag %d %+v: %d rows, %v; want the three the bucket held", h.tag, h.req, len(rows), err)
+		}
 	}
 }

@@ -21,12 +21,6 @@ import (
 	"gis/internal/types"
 )
 
-// StatsProvider is implemented by sources that can report optimizer
-// statistics (relstore does); the server exposes it over the wire.
-type StatsProvider interface {
-	Stats(table string) (*stats.TableStats, error)
-}
-
 // Server exposes one source.Source over TCP. The source's optional
 // Writer and Transactional facets are served when implemented.
 type Server struct {
@@ -345,7 +339,7 @@ func (s *Server) answer(ctx context.Context, st *connState, tag byte, d *Decoder
 		if err != nil {
 			return err
 		}
-		sp, ok := s.src.(StatsProvider)
+		sp, ok := s.src.(source.StatsProvider)
 		if !ok {
 			return fmt.Errorf("source %s does not provide statistics", s.src.Name())
 		}
@@ -614,8 +608,10 @@ func awaitCredit(ctx context.Context, fc *frameConn, credit *int) error {
 
 // write applies a decoded write request through the transaction open on
 // this connection, else through the source's autocommit facet, and
-// returns the affected-row count. Shipped expressions are re-bound
-// against the table's schema first (expr.BindPositions).
+// returns the affected-row count. The decoder has no schema, so a SET
+// list is checked against the table first (TableInfo.CheckWrite; a store
+// checks an INSERT's rows itself) and shipped expressions are re-bound
+// against its schema (expr.BindPositions).
 func (s *Server) write(ctx context.Context, st *connState, tag byte, req *writeReq) (int64, error) {
 	var w source.Writer = st.tx
 	if st.tx == nil {
@@ -637,6 +633,9 @@ func (s *Server) write(ctx context.Context, st *connState, tag byte, req *writeR
 	}
 	if tag == msgDelete {
 		return w.Delete(ctx, req.Table, req.Filter)
+	}
+	if err := info.CheckWrite(req.Table, req.Set, nil); err != nil {
+		return 0, err
 	}
 	for i := range req.Set {
 		if req.Set[i].Value, err = expr.BindPositions(req.Set[i].Value, info.Schema); err != nil {

@@ -27,14 +27,13 @@ var planVariants = []planVariant{
 	{"FoldConstants=off", func(o *plan.Options) { o.FoldConstants = false }},
 	{"PushFilters=off", func(o *plan.Options) { o.PushFilters = false }},
 	{"PruneColumns=off", func(o *plan.Options) { o.PruneColumns = false }},
-	{"ReorderJoins=off", func(o *plan.Options) { o.ReorderJoins = false }},
+	{"JoinOrder=syntactic", func(o *plan.Options) { o.JoinOrder = plan.OrderSyntactic }},
 	{"JoinOrder=greedy", func(o *plan.Options) { o.JoinOrder = plan.OrderGreedy }},
 	{"ParallelFragments=off", func(o *plan.Options) { o.ParallelFragments = false }},
 	{"PushAggregates=off", func(o *plan.Options) { o.PushAggregates = false }},
 	{"PushTopK=off", func(o *plan.Options) { o.PushTopK = false }},
 	{"ForceStrategy=ship-all", func(o *plan.Options) { o.ForceStrategy = plan.StrategyShipAll }},
 	{"ForceStrategy=semijoin", func(o *plan.Options) { o.ForceStrategy = plan.StrategySemiJoin }},
-	{"ForceStrategy=bind", func(o *plan.Options) { o.ForceStrategy = plan.StrategyBind }},
 }
 
 // setVariant installs v's options on the fixture's engine.

@@ -14,7 +14,10 @@
 #   5. go test -race -timeout 100s ./... — the full suite, which includes
 #                   the analyzer fixtures, the race-stress, seeded-chaos
 #                   and overload tests (`make lint-fixtures`, `make chaos`
-#                   and `make overload` run those subsets on demand) and
+#                   and `make overload` run those subsets on demand), the
+#                   seed corpora of the fuzz targets (wire FuzzDecoder,
+#                   FuzzServe and FuzzServeWrite, sql FuzzParse, filestore
+#                   FuzzScanRecords; `make fuzz` fuzzes each for 10 s) and
 #                   the concurrency tests no analyzer can stand in for:
 #                   workload TestConcurrentGlobalUpdates, wire
 #                   TestTwoTransactionsOneClient, TestCallObservesDeadline
@@ -23,7 +26,7 @@
 #                   connections and transactions"). A hang is how a
 #                   re-acquired mutex, a Wait that misses its Done or a
 #                   lock cycle shows, so the timeout is part of the gate:
-#                   three times the slowest package (workload, 31 s)
+#                   well over three times the slowest package (workload, 27 s)
 #                   instead of Go's ten minutes a package
 #   6. gisbench   — the OV1 overload bench and the quick bench as JSON,
 #                   schema-validated by scripts/benchjson
