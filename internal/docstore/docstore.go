@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 
@@ -38,7 +40,12 @@ type collection struct {
 	fields []FieldMap
 	paths  [][]string // fields[i].Path split at the dots, once
 	schema *types.Schema
-	docs   []map[string]any
+	// docs holds the committed documents. A document, and every object
+	// nested in it, is never written once it is here, and a position of
+	// docs is never written again: an insert appends, an update or a
+	// delete publishes a new slice. A scan therefore borrows docs[:n:n]
+	// under the read lock and reads it with the lock gone.
+	docs []map[string]any
 }
 
 // New returns an empty document store.
@@ -126,7 +133,9 @@ func (s *Store) Capabilities() source.Capabilities {
 	return source.Capabilities{Filter: source.FilterFull, Project: true, Write: true}
 }
 
-// Execute implements source.Source.
+// Execute implements source.Source: a scan of the collection as it was
+// when Execute returned. Nothing is copied under the read lock; the
+// documents are read, filtered and projected in Next, after it is gone.
 func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -140,80 +149,63 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	if err := q.Check(s.Capabilities(), &source.TableInfo{Schema: c.schema}); err != nil {
 		return nil, fmt.Errorf("docstore %s: %w", s.name, err)
 	}
-	w := len(c.fields)
-	if q.Columns != nil {
-		w = len(q.Columns)
-	}
-	// One scratch row serves every document: only the fields the filter
-	// or the projection reads are extracted into it, and an output row
-	// is carved only for a document that passes.
-	need := c.fieldsRead(q.Columns, q.Filter)
-	scratch := make(types.Row, len(c.fields))
-	var slab types.RowSlab
-	out := &rowChunks{}
-	for _, doc := range c.docs {
-		match, err := c.matches(scratch, doc, need, q.Filter)
+	return &scanIter{
+		store: s.name, c: c, docs: c.docs[:len(c.docs):len(c.docs)],
+		filter: q.Filter, cols: q.Columns,
+		need: c.fieldsRead(q.Columns, q.Filter), scratch: make(types.Row, len(c.fields)),
+	}, nil
+}
+
+// scanIter streams the documents of a view that pass the filter, as
+// rows. One scratch row serves every document: only the fields the
+// filter or the projection reads are extracted into it, and an output
+// row is carved only for a document that passes — kept (the default),
+// from a slab's chunks; lent, the one row every Next rewrites.
+type scanIter struct {
+	store   string
+	c       *collection // fields, paths: fixed when it was created
+	docs    []map[string]any
+	filter  expr.Expr
+	cols    []int // nil: every field
+	need    []bool
+	scratch types.Row
+	slab    types.RowSlab
+}
+
+// Lend implements source.Lender.
+func (it *scanIter) Lend() { it.slab.Lend() }
+
+// Next implements source.RowIter.
+func (it *scanIter) Next() (types.Row, error) {
+	for len(it.docs) > 0 {
+		doc := it.docs[0]
+		it.docs = it.docs[1:]
+		match, err := it.c.matches(it.scratch, doc, it.need, it.filter)
 		if err != nil {
-			return nil, fmt.Errorf("docstore %s: %w", s.name, err)
+			return nil, fmt.Errorf("docstore %s: %w", it.store, err)
 		}
 		if !match {
 			continue
 		}
-		row := slab.Next(w)
-		if q.Columns == nil {
-			copy(row, scratch)
-		} else {
-			for j, col := range q.Columns {
-				row[j] = scratch[col]
-			}
+		if it.cols == nil {
+			row := it.slab.Next(len(it.scratch))
+			copy(row, it.scratch)
+			return row, nil
 		}
-		out.add(row)
-	}
-	return out, nil
-}
-
-// rowChunks is a result whose size is not known until the scan ends:
-// rows are added to chunks that are never regrown — the first small,
-// each next one twice the last up to maxChunk — and read back in order
-// as a source.RowIter. Growing one slice by append would copy every row
-// header about twice more and leave the copies as garbage.
-type rowChunks struct {
-	chunks [][]types.Row
-	c, i   int // Next's position: chunk and row within it
-}
-
-const (
-	firstChunk = 16
-	maxChunk   = 1024
-)
-
-func (rc *rowChunks) add(r types.Row) {
-	last := len(rc.chunks) - 1
-	if last < 0 || len(rc.chunks[last]) == cap(rc.chunks[last]) {
-		n := firstChunk
-		if last >= 0 {
-			n = min(2*cap(rc.chunks[last]), maxChunk)
+		row := it.slab.Next(len(it.cols))
+		for j, col := range it.cols {
+			row[j] = it.scratch[col]
 		}
-		rc.chunks = append(rc.chunks, make([]types.Row, 0, n))
-		last++
-	}
-	rc.chunks[last] = append(rc.chunks[last], r)
-}
-
-// Next implements source.RowIter.
-func (rc *rowChunks) Next() (types.Row, error) {
-	for rc.c < len(rc.chunks) {
-		if ch := rc.chunks[rc.c]; rc.i < len(ch) {
-			rc.i++
-			return ch[rc.i-1], nil
-		}
-		rc.c, rc.i = rc.c+1, 0
+		return row, nil
 	}
 	return nil, io.EOF
 }
 
 // Close implements source.RowIter.
-func (rc *rowChunks) Close() error { return nil }
+func (it *scanIter) Close() error {
+	it.docs = nil
+	return nil
+}
 
 // fieldsRead marks the fields a statement reads: the projected columns
 // (every field when cols is nil) and the columns the expressions
@@ -308,29 +300,33 @@ func fromJSON(raw any) (types.Value, error) {
 	}
 }
 
-// setPath writes v at a dotted path, creating intermediate objects.
-func setPath(doc map[string]any, path string, v any) error {
-	parts := strings.Split(path, ".")
+// setPath writes v at a path of doc, which the caller has made or
+// copied. It creates the objects on the way that are missing and copies
+// those that are there, so that nothing a committed document shares
+// with doc is written.
+func setPath(doc map[string]any, path []string, v any) error {
 	cur := doc
-	for i, part := range parts {
-		if i == len(parts)-1 {
-			cur[part] = v
-			return nil
+	for i, part := range path[:len(path)-1] {
+		var child map[string]any
+		if next, ok := cur[part]; ok {
+			if child, ok = next.(map[string]any); !ok {
+				return fmt.Errorf("path %s collides with a scalar at %s", strings.Join(path, "."), path[i])
+			}
 		}
-		next, ok := cur[part]
-		if !ok {
-			child := map[string]any{}
-			cur[part] = child
-			cur = child
-			continue
-		}
-		child, isMap := next.(map[string]any)
-		if !isMap {
-			return fmt.Errorf("path %s collides with a scalar at %s", path, part)
-		}
+		child = cloneObject(child)
+		cur[part] = child
 		cur = child
 	}
+	cur[path[len(path)-1]] = v
 	return nil
+}
+
+// cloneObject returns a copy of m, sharing its values, to write to.
+func cloneObject(m map[string]any) map[string]any {
+	if m == nil {
+		return map[string]any{}
+	}
+	return maps.Clone(m)
 }
 
 // toJSON converts a value to its JSON representation.
@@ -366,11 +362,11 @@ func (s *Store) Insert(_ context.Context, name string, rows []types.Row) (int64,
 	var n int64
 	for _, r := range rows {
 		doc := map[string]any{}
-		for i, f := range c.fields {
+		for i := range c.fields {
 			if r[i].IsNull() {
 				continue
 			}
-			if err := setPath(doc, f.Path, toJSON(r[i])); err != nil {
+			if err := setPath(doc, c.paths[i], toJSON(r[i])); err != nil {
 				return n, fmt.Errorf("docstore %s: %w", s.name, err)
 			}
 		}
@@ -381,9 +377,12 @@ func (s *Store) Insert(_ context.Context, name string, rows []types.Row) (int64,
 }
 
 // Update implements source.Writer: documents whose extracted row matches
-// the filter get the mapped paths of the SET clauses rewritten. Every
-// new value is computed before any document is written, so a filter or
-// SET expression that fails leaves the collection as it was.
+// the filter get the mapped paths of the SET clauses rewritten — in a
+// copy, which shares with the document all but the objects along those
+// paths. The copies take the documents' places in a new slice, and that
+// is published only when every one is made: a filter, a SET expression
+// or a path that fails leaves the collection as it was, and a scan that
+// holds the old slice goes on reading the old documents.
 func (s *Store) Update(_ context.Context, name string, filter expr.Expr, set []source.SetClause) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -400,9 +399,9 @@ func (s *Store) Update(_ context.Context, name string, filter expr.Expr, set []s
 	}
 	need := c.fieldsRead([]int{}, reads...)
 	scratch := make(types.Row, len(c.fields))
-	var hits []map[string]any
-	var vals []any // len(set) new values per hit
-	for _, doc := range c.docs {
+	docs := slices.Clone(c.docs)
+	var n int64
+	for i, doc := range docs {
 		match, err := c.matches(scratch, doc, need, filter)
 		if err != nil {
 			return 0, fmt.Errorf("docstore %s: %w", s.name, err)
@@ -410,23 +409,20 @@ func (s *Store) Update(_ context.Context, name string, filter expr.Expr, set []s
 		if !match {
 			continue
 		}
+		docs[i] = cloneObject(doc)
 		for _, sc := range set {
 			v, err := sc.Value.Eval(scratch)
 			if err != nil {
 				return 0, err
 			}
-			vals = append(vals, toJSON(v))
-		}
-		hits = append(hits, doc)
-	}
-	for i, doc := range hits {
-		for j, sc := range set {
-			if err := setPath(doc, c.fields[sc.Col].Path, vals[i*len(set)+j]); err != nil {
-				return int64(i), fmt.Errorf("docstore %s: %w", s.name, err)
+			if err := setPath(docs[i], c.paths[sc.Col], toJSON(v)); err != nil {
+				return 0, fmt.Errorf("docstore %s: %w", s.name, err)
 			}
 		}
+		n++
 	}
-	return int64(len(hits)), nil
+	c.docs = docs
+	return n, nil
 }
 
 // Delete implements source.Writer. Every document is decided before the

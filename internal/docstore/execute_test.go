@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"reflect"
@@ -134,9 +135,16 @@ func TestExecuteErrorsMatchReference(t *testing.T) {
 		q := source.NewScan("patients")
 		q.Columns = cols
 		_, want := referenceExecute(s, q)
-		_, got := s.Execute(ctx, q)
-		if want == nil || got == nil || got.Error() != want.Error() {
-			t.Errorf("columns %v: error %v, reference %v", cols, got, want)
+		// The scan is opened, and fails at the document: after the four
+		// rows before it, with the reference's error, which names the
+		// store.
+		it, err := s.Execute(ctx, q)
+		if err != nil {
+			t.Fatalf("columns %v: %v", cols, err)
+		}
+		rows, got := source.Drain(it)
+		if want == nil || got == nil || got.Error() != want.Error() || len(rows) != 4 || !strings.HasPrefix(got.Error(), "docstore docs1: ") {
+			t.Errorf("columns %v: %d rows and error %v, reference %v", cols, len(rows), got, want)
 		}
 	}
 	// A field the statement does not read is not extracted, so what is
@@ -231,10 +239,89 @@ func TestFailedUpdateLeavesCollectionUnchanged(t *testing.T) {
 	wantDocs(t, s, 1.0, 13.0)
 }
 
-// BenchmarkScanFilterProject is the wrapper's whole job on one
-// statement: 20 000 nested documents of four mapped fields, a filter on
-// one of them that a fifth pass, two others projected.
-func BenchmarkScanFilterProject(b *testing.B) {
+// An UPDATE whose SET cannot be written to one of the documents it hits
+// — the third has a scalar where the path needs an object — changes
+// none of them; and one that can leaves the documents it replaced, and
+// the objects nested in them, as they were for whoever still holds them.
+func TestUpdateWritesCopies(t *testing.T) {
+	s := New("d")
+	fm := []FieldMap{
+		{Column: types.Column{Name: "oid", Type: types.KindInt}, Path: "oid"},
+		{Column: types.Column{Name: "cust_id", Type: types.KindInt, Nullable: true}, Path: "cust.id"},
+		{Column: types.Column{Name: "tier", Type: types.KindString, Nullable: true}, Path: "cust.tier"},
+	}
+	if err := s.CreateCollection("c", fm); err != nil {
+		t.Fatal(err)
+	}
+	docs := []string{
+		`{"oid": 1, "cust": {"id": 10, "tier": "gold"}}`,
+		`{"oid": 2}`,
+		`{"oid": 3, "cust": 5}`,
+		`{"oid": 4, "cust": {"id": 40}, "note": {"k": [1, 2]}}`,
+	}
+	collection := func() string {
+		out, err := json.Marshal(s.collections["c"].docs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	for _, d := range docs {
+		if err := s.InsertJSON("c", d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := collection()
+	held := s.collections["c"].docs // what a scan opened now would read
+	oid := expr.NewBoundColRef(0, types.KindInt, "oid")
+	set := []source.SetClause{{Col: 1, Value: expr.NewBinary(expr.OpMul, oid, expr.NewConst(types.NewInt(100)))}}
+	n, err := s.Update(ctx, "c", nil, set)
+	if err == nil || !strings.Contains(err.Error(), "collides with a scalar") || n != 0 {
+		t.Fatalf("SET cust.id over a document whose cust is 5: %d rows, %v", n, err)
+	}
+	if got := collection(); got != before {
+		t.Errorf("the failed update left\n%s\nthe collection was\n%s", got, before)
+	}
+	// Without the third document the statement goes through.
+	notThird := expr.NewBinary(expr.OpNe, oid, expr.NewConst(types.NewInt(3)))
+	if n, err := s.Update(ctx, "c", notThird, set); err != nil || n != 3 {
+		t.Fatalf("update = %d, %v; want 3", n, err)
+	}
+	want := `[{"cust":{"id":100,"tier":"gold"},"oid":1},{"cust":{"id":200},"oid":2},{"cust":5,"oid":3},{"cust":{"id":400},"note":{"k":[1,2]},"oid":4}]`
+	if got := collection(); got != want {
+		t.Errorf("collection =\n%s\nwant\n%s", got, want)
+	}
+	if out, _ := json.Marshal(held); string(out) != before {
+		t.Errorf("the documents the update replaced read\n%s\nthey were\n%s", out, before)
+	}
+}
+
+// A scan borrows the collection: lent its rows it allocates the same
+// objects and the same bytes over 2 048 documents and over 4 096.
+func TestLentScanAllocsDoNotGrowPerRow(t *testing.T) {
+	q := benchQuery()
+	measure := func(s *Store, want int) (objects, bytes uint64) {
+		return source.Allocations(func() {
+			if got := benchScan(t, s, q, true); got != want {
+				t.Fatalf("%d rows, want %d", got, want)
+			}
+		})
+	}
+	objA, bytesA := measure(benchOrders(t, 2050), 410)
+	objB, bytesB := measure(benchOrders(t, 4100), 820)
+	if objA != objB || bytesA != bytesB {
+		t.Errorf("%v objects and %d B over 2 050 documents, %v and %d B over 4 100", objA, bytesA, objB, bytesB)
+	}
+	// The iterator, its mask of fields, its scratch row, the lent row.
+	if objA > 4 {
+		t.Errorf("%v objects a scan", objA)
+	}
+}
+
+// benchOrders is a collection of n nested documents of four mapped
+// fields.
+func benchOrders(tb testing.TB, n int) *Store {
+	tb.Helper()
 	s := New("bench")
 	err := s.CreateCollection("orders", []FieldMap{
 		{Column: types.Column{Name: "id", Type: types.KindInt}, Path: "id"},
@@ -243,35 +330,65 @@ func BenchmarkScanFilterProject(b *testing.B) {
 		{Column: types.Column{Name: "amount", Type: types.KindFloat}, Path: "totals.amount"},
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	regions := []string{"north", "south", "east", "west", "mid"}
-	for i := 0; i < 20000; i++ {
+	for i := 0; i < n; i++ {
 		err := s.InsertDoc("orders", map[string]any{
 			"id":       float64(i),
 			"customer": map[string]any{"id": float64(i % 997), "address": map[string]any{"region": regions[i%len(regions)]}},
 			"totals":   map[string]any{"amount": float64(i%1000) + 0.25},
 		})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
+	return s
+}
+
+// benchQuery filters on one field, which a fifth of the documents pass,
+// and projects two others.
+func benchQuery() *source.Query {
 	q := source.NewScan("orders")
 	q.Filter = expr.NewBinary(expr.OpEq, expr.NewBoundColRef(2, types.KindString, "region"), expr.NewConst(types.NewString("east")))
 	q.Columns = []int{0, 3}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it, err := s.Execute(ctx, q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := 0
-		for ; err == nil; n++ {
-			_, err = it.Next()
-		}
-		if err != io.EOF || n-1 != 4000 {
-			b.Fatalf("%d rows, %v", n-1, err)
-		}
+	return q
+}
+
+// benchScan runs q as a consumer that keeps its rows or, lent, as one
+// that asks to be lent them, and counts them.
+func benchScan(tb testing.TB, s *Store, q *source.Query, lent bool) int {
+	it, err := s.Execute(ctx, q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if lent {
+		source.Lend(it)
+	}
+	n := 0
+	for ; err == nil; n++ {
+		_, err = it.Next()
+	}
+	if err != io.EOF {
+		tb.Fatal(err)
+	}
+	return n - 1
+}
+
+// BenchmarkScanFilterProject is the wrapper's whole job on one
+// statement: 20 000 nested documents of four mapped fields, a filter on
+// one of them that a fifth pass, two others projected — read by a
+// consumer that keeps the rows and by one that is lent them.
+func BenchmarkScanFilterProject(b *testing.B) {
+	s, q := benchOrders(b, 20000), benchQuery()
+	for _, lent := range []bool{false, true} {
+		b.Run(map[bool]string{false: "kept", true: "lent"}[lent], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if n := benchScan(b, s, q, lent); n != 4000 {
+					b.Fatalf("%d rows", n)
+				}
+			}
+		})
 	}
 }

@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"gis/internal/catalog"
+	"gis/internal/docstore"
 	"gis/internal/expr"
 	"gis/internal/filestore"
+	"gis/internal/kvstore"
 	"gis/internal/plan"
 	"gis/internal/relstore"
 	"gis/internal/source"
@@ -30,11 +32,16 @@ import (
 // unit-converted and a value-mapped column (residual filter, residual
 // projection, translation, output projection, csvIter lending);
 // orders_rel behind a relstore with identity mappings (the translation's
-// fast path, relstore's projecting iterator lending); events is two
-// relstore fragments (both unions); customers is the other side of the
-// joins.
+// fast path, relstore's projecting iterator lending); orders_kv and
+// orders_doc hold the same rows in a kvstore bucket and a docstore
+// collection, whose scans borrow the store's data as relstore's do
+// (DESIGN.md "What a scan holds"); events is two relstore fragments
+// (both unions); customers is the other side of the joins.
 type ownFed struct {
 	cat *catalog.Catalog
+	// orders are the writers of orders_rel, orders_kv and orders_doc,
+	// by global table.
+	orders map[string]source.Writer
 }
 
 const ownOrders = 300
@@ -90,6 +97,25 @@ func newOwnFed(t *testing.T) *ownFed {
 	must(cat.DefineTable("orders_rel", remote))
 	must(cat.MapSimple(ctx, "orders_rel", "rel", "orders"))
 
+	kv := kvstore.New("kv")
+	must(kv.CreateBucket("orders", remote, 0))
+	_, err = kv.Insert(ctx, "orders", rows)
+	must(err)
+	must(cat.AddSource(kv))
+	must(cat.DefineTable("orders_kv", remote))
+	must(cat.MapSimple(ctx, "orders_kv", "kv", "orders"))
+
+	doc := docstore.New("doc")
+	must(doc.CreateCollection("orders", []docstore.FieldMap{
+		{Column: remote.Columns[0], Path: "oid"}, {Column: remote.Columns[1], Path: "cust.id"},
+		{Column: remote.Columns[2], Path: "cents"}, {Column: remote.Columns[3], Path: "cust.rg"},
+	}))
+	_, err = doc.Insert(ctx, "orders", rows)
+	must(err)
+	must(cat.AddSource(doc))
+	must(cat.DefineTable("orders_doc", remote))
+	must(cat.MapSimple(ctx, "orders_doc", "doc", "orders"))
+
 	must(cat.DefineTable("events", remote))
 	for i, name := range []string{"ev_a", "ev_b"} {
 		st := relstore.New(name)
@@ -115,7 +141,7 @@ func newOwnFed(t *testing.T) *ownFed {
 	must(cat.AddSource(cust))
 	must(cat.DefineTable("customers", custSchema))
 	must(cat.MapSimple(ctx, "customers", "crm", "customers"))
-	return &ownFed{cat: cat}
+	return &ownFed{cat: cat, orders: map[string]source.Writer{"orders_rel": rel, "orders_kv": kv, "orders_doc": doc}}
 }
 
 // plan optimizes one SELECT under the default options as tweak changes
@@ -214,6 +240,12 @@ func TestRowOwnership(t *testing.T) {
 		{"rel scan: identity translation", "SELECT oid, cents FROM orders_rel WHERE oid >= 20", nil, ownOrders - 20},
 		{"rel scan folded at the mediator", "SELECT rg, MIN(cents), COUNT(*) FROM orders_rel GROUP BY rg", noPush, 5},
 		{"rel scan, pushed aggregate", "SELECT rg, COUNT(*) FROM orders_rel GROUP BY rg", nil, 5},
+		{"kv scan: the committed rows, filtered at the mediator", "SELECT oid, cents FROM orders_kv WHERE cents > 100 AND oid >= 20", nil, -1},
+		{"kv scan kept whole", "SELECT * FROM orders_kv", nil, ownOrders},
+		{"kv range scan folded", "SELECT rg, MIN(cents), COUNT(*) FROM orders_kv WHERE oid < 200 GROUP BY rg", nil, 5},
+		{"doc scan: filter and projection pushed", "SELECT oid, cents FROM orders_doc WHERE cust_id < 7 AND cents > 100", nil, -1},
+		{"doc scan kept whole", "SELECT * FROM orders_doc", nil, ownOrders},
+		{"doc scan folded", "SELECT rg, SUM(cents) FROM orders_doc GROUP BY rg", nil, 5},
 		{"project over a filter over a scan", "SELECT oid + 1, amount * 2, region FROM orders_file WHERE oid % 3 = 0", nil, ownOrders / 3},
 		{"project over project", "SELECT x + 1 FROM (SELECT oid * 2 AS x FROM orders_rel) q WHERE x > 10", nil, -1},
 		{"sort keeps", "SELECT oid, amount FROM orders_file ORDER BY amount DESC, oid", nil, ownOrders},
@@ -286,6 +318,43 @@ func TestRowOwnership(t *testing.T) {
 			checkOwnership(t, name+" sorted", &plan.Sort{Input: j, Keys: []plan.SortKey{{E: expr.NewBoundColRef(1, types.KindInt, "oid"), Desc: true}}})
 			checkOwnership(t, name+" projected", &plan.Project{Input: j, Exprs: []expr.Expr{expr.NewBinary(expr.OpAdd, id, id)}, Names: []string{"twice"}})
 			checkOwnership(t, name+" distinct", &plan.Distinct{Input: &plan.Project{Input: j, Exprs: []expr.Expr{id}, Names: []string{"cust_id"}}})
+		}
+	}
+}
+
+// A keeper's rows are its own for as long as it holds them: rows drained
+// from a scan of each store that lends its data to a scan read the same
+// after the store has rewritten, deleted and added to what was scanned.
+func TestKeptRowsSurviveLaterWrites(t *testing.T) {
+	f := newOwnFed(t)
+	cents := expr.NewBoundColRef(2, types.KindFloat, "cents")
+	oid := expr.NewBoundColRef(0, types.KindInt, "oid")
+	for table, w := range f.orders {
+		for _, text := range []string{"SELECT * FROM " + table, "SELECT cents, oid FROM " + table + " WHERE oid >= 10"} {
+			it, err := runNode(ctx, f.plan(t, text, nil), false)
+			if err != nil {
+				t.Fatalf("%s: %v", text, err)
+			}
+			rows, err := source.DrainOwned(it)
+			if err != nil || len(rows) < ownOrders/2 {
+				t.Fatalf("%s: %d rows, %v", text, len(rows), err)
+			}
+			copies := make([]types.Row, len(rows))
+			for i, r := range rows {
+				copies[i] = r.Clone()
+			}
+			set := []source.SetClause{{Col: 2, Value: expr.NewBinary(expr.OpAdd, cents, expr.NewConst(types.NewFloat(0.25)))}, {Col: 3, Value: expr.NewConst(types.NewString("moved"))}}
+			if n, err := w.Update(ctx, "orders", nil, set); err != nil || n == 0 {
+				t.Fatalf("%s: update = %d, %v", table, n, err)
+			}
+			if n, err := w.Delete(ctx, "orders", expr.NewBinary(expr.OpEq, expr.NewBinary(expr.OpMod, oid, expr.NewConst(types.NewInt(7))), expr.NewConst(types.NewInt(3)))); err != nil {
+				t.Fatalf("%s: delete = %d, %v", table, n, err)
+			}
+			for i, r := range rows {
+				if !slices.Equal(r, copies[i]) {
+					t.Fatalf("%s: row %d was delivered as %v and reads %v after later writes", text, i, copies[i], r)
+				}
+			}
 		}
 	}
 }

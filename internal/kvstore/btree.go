@@ -7,6 +7,8 @@
 package kvstore
 
 import (
+	"sync/atomic"
+
 	"gis/internal/types"
 )
 
@@ -22,6 +24,9 @@ type item struct {
 type node struct {
 	items    []item
 	children []*node // nil for leaves
+	// stamp is BTree.views when the node was made: a view taken since
+	// may hold it, and then a writer changes a copy (BTree.own).
+	stamp uint64
 }
 
 func (n *node) leaf() bool { return len(n.children) == 0 }
@@ -47,9 +52,19 @@ func (n *node) find(k types.Value) (int, bool) {
 // BTree is an ordered map from types.Value keys to rows. Duplicate keys
 // are not allowed; Put replaces. The zero value is not usable — call
 // NewBTree.
+//
+// One writer at a time changes the tree, in place. A reader that wants
+// the tree as it stands beyond the lock that excludes the writer takes
+// a view: the root, and a count. From then on a node made before the
+// count is one the view may be walking, so Put and Delete copy such a
+// node before they change it, from the root down the one path they
+// descend, and leave the view its own. With no view taken since a node
+// was made, a write allocates what it always did.
 type BTree struct {
 	root *node
 	size int
+	// views counts the views taken.
+	views atomic.Uint64
 }
 
 // NewBTree returns an empty tree.
@@ -57,6 +72,35 @@ func NewBTree() *BTree { return &BTree{root: &node{}} }
 
 // Len returns the number of entries.
 func (t *BTree) Len() int { return t.size }
+
+// view returns the tree as it stands, for a cursor to walk while
+// writers go on. Readers may take views concurrently; a writer may not
+// be running.
+func (t *BTree) view() *node {
+	t.views.Add(1)
+	return t.root
+}
+
+// own returns n for a writer to change: n itself when no view was taken
+// since it was made, else a copy, which the caller puts in n's place in
+// a parent it already owns.
+func (t *BTree) own(n *node) *node {
+	v := t.views.Load()
+	if n.stamp == v {
+		return n
+	}
+	c := &node{items: append(make([]item, 0, 2*degree-1), n.items...), stamp: v}
+	if !n.leaf() {
+		c.children = append(make([]*node, 0, 2*degree), n.children...)
+	}
+	return c
+}
+
+// ownChild makes child i of n, which the caller owns, the writer's own.
+func (t *BTree) ownChild(n *node, i int) *node {
+	n.children[i] = t.own(n.children[i])
+	return n.children[i]
+}
 
 // Get returns the row stored under k.
 func (t *BTree) Get(k types.Value) (types.Row, bool) {
@@ -76,25 +120,27 @@ func (t *BTree) Get(k types.Value) (types.Row, bool) {
 // Put inserts or replaces the entry for k. It reports whether a new key
 // was inserted (false means replaced).
 func (t *BTree) Put(k types.Value, v types.Row) bool {
+	t.root = t.own(t.root)
 	if len(t.root.items) == 2*degree-1 {
-		old := t.root
-		t.root = &node{children: []*node{old}}
-		t.root.splitChild(0)
+		t.root = &node{children: []*node{t.root}, stamp: t.root.stamp}
+		t.splitChild(t.root, 0)
 	}
-	inserted := t.root.insert(k, v)
+	inserted := t.insert(t.root, k, v)
 	if inserted {
 		t.size++
 	}
 	return inserted
 }
 
-// splitChild splits the full child at index i, lifting its median item.
-func (n *node) splitChild(i int) {
-	child := n.children[i]
+// splitChild splits the full child at index i of n, lifting its median
+// item. The caller owns n.
+func (t *BTree) splitChild(n *node, i int) {
+	child := t.ownChild(n, i)
 	mid := degree - 1
 	median := child.items[mid]
 	right := &node{
 		items: append([]item(nil), child.items[mid+1:]...),
+		stamp: child.stamp,
 	}
 	if !child.leaf() {
 		right.children = append([]*node(nil), child.children[mid+1:]...)
@@ -110,7 +156,8 @@ func (n *node) splitChild(i int) {
 	n.children[i+1] = right
 }
 
-func (n *node) insert(k types.Value, v types.Row) bool {
+// insert puts k under n, which the caller owns.
+func (t *BTree) insert(n *node, k types.Value, v types.Row) bool {
 	i, eq := n.find(k)
 	if eq {
 		n.items[i].val = v
@@ -123,7 +170,7 @@ func (n *node) insert(k types.Value, v types.Row) bool {
 		return true
 	}
 	if len(n.children[i].items) == 2*degree-1 {
-		n.splitChild(i)
+		t.splitChild(n, i)
 		switch c := k.Compare(n.items[i].key); {
 		case c == 0:
 			n.items[i].val = v
@@ -132,7 +179,7 @@ func (n *node) insert(k types.Value, v types.Row) bool {
 			i++
 		}
 	}
-	return n.children[i].insert(k, v)
+	return t.insert(t.ownChild(n, i), k, v)
 }
 
 // Delete removes the entry for k and reports whether it existed.
@@ -140,7 +187,8 @@ func (t *BTree) Delete(k types.Value) bool {
 	if t.size == 0 {
 		return false
 	}
-	deleted := t.root.delete(k)
+	t.root = t.own(t.root)
+	deleted := t.delete(t.root, k)
 	if len(t.root.items) == 0 && !t.root.leaf() {
 		t.root = t.root.children[0]
 	}
@@ -150,7 +198,8 @@ func (t *BTree) Delete(k types.Value) bool {
 	return deleted
 }
 
-func (n *node) delete(k types.Value) bool {
+// delete removes k from under n, which the caller owns.
+func (t *BTree) delete(n *node, k types.Value) bool {
 	i, eq := n.find(k)
 	if n.leaf() {
 		if !eq {
@@ -161,33 +210,31 @@ func (n *node) delete(k types.Value) bool {
 	}
 	if eq {
 		// Replace with predecessor from the left child, then delete it.
-		left := n.children[i]
-		if len(left.items) >= degree {
+		if len(n.children[i].items) >= degree {
+			left := t.ownChild(n, i)
 			pred := left.maxItem()
 			n.items[i] = pred
-			return left.delete(pred.key)
+			return t.delete(left, pred.key)
 		}
-		right := n.children[i+1]
-		if len(right.items) >= degree {
+		if len(n.children[i+1].items) >= degree {
+			right := t.ownChild(n, i+1)
 			succ := right.minItem()
 			n.items[i] = succ
-			return right.delete(succ.key)
+			return t.delete(right, succ.key)
 		}
 		// Merge left + median + right, then recurse.
-		n.mergeChildren(i)
-		return n.children[i].delete(k)
+		t.mergeChildren(n, i)
+		return t.delete(n.children[i], k)
 	}
-	child := n.children[i]
-	if len(child.items) < degree {
-		n.fill(i)
+	if len(n.children[i].items) < degree {
+		t.fill(n, i)
 		// fill may have merged child i with a sibling; recompute.
 		i, _ = n.find(k)
 		if i > len(n.children)-1 {
 			i = len(n.children) - 1
 		}
-		child = n.children[i]
 	}
-	return child.delete(k)
+	return t.delete(t.ownChild(n, i), k)
 }
 
 func (n *node) maxItem() item {
@@ -204,12 +251,12 @@ func (n *node) minItem() item {
 	return n.items[0]
 }
 
-// fill ensures child i has at least degree items by borrowing from a
-// sibling or merging.
-func (n *node) fill(i int) {
+// fill ensures child i of n, which the caller owns, has at least degree
+// items by borrowing from a sibling or merging.
+func (t *BTree) fill(n *node, i int) {
 	if i > 0 && len(n.children[i-1].items) >= degree {
 		// Borrow from left sibling through the separator.
-		child, left := n.children[i], n.children[i-1]
+		child, left := t.ownChild(n, i), t.ownChild(n, i-1)
 		child.items = append([]item{n.items[i-1]}, child.items...)
 		n.items[i-1] = left.items[len(left.items)-1]
 		left.items = left.items[:len(left.items)-1]
@@ -221,7 +268,7 @@ func (n *node) fill(i int) {
 		return
 	}
 	if i < len(n.children)-1 && len(n.children[i+1].items) >= degree {
-		child, right := n.children[i], n.children[i+1]
+		child, right := t.ownChild(n, i), t.ownChild(n, i+1)
 		child.items = append(child.items, n.items[i])
 		n.items[i] = right.items[0]
 		right.items = right.items[1:]
@@ -233,15 +280,16 @@ func (n *node) fill(i int) {
 		return
 	}
 	if i < len(n.children)-1 {
-		n.mergeChildren(i)
+		t.mergeChildren(n, i)
 	} else {
-		n.mergeChildren(i - 1)
+		t.mergeChildren(n, i-1)
 	}
 }
 
-// mergeChildren merges child i, separator i, and child i+1.
-func (n *node) mergeChildren(i int) {
-	left, right := n.children[i], n.children[i+1]
+// mergeChildren merges child i, separator i, and child i+1 of n, which
+// the caller owns, into child i.
+func (t *BTree) mergeChildren(n *node, i int) {
+	left, right := t.ownChild(n, i), n.children[i+1]
 	left.items = append(left.items, n.items[i])
 	left.items = append(left.items, right.items...)
 	left.children = append(left.children, right.children...)
@@ -258,49 +306,110 @@ type Bound struct {
 	Unbounded bool
 }
 
+// excludesAbove reports whether k lies beyond b taken as a range's
+// upper end, excludesBelow whether it lies short of b taken as its lower.
+func (b Bound) excludesAbove(k types.Value) bool {
+	if b.Unbounded {
+		return false
+	}
+	c := k.Compare(b.Value)
+	return c > 0 || (c == 0 && !b.Inclusive)
+}
+
+func (b Bound) excludesBelow(k types.Value) bool {
+	if b.Unbounded {
+		return false
+	}
+	c := k.Compare(b.Value)
+	return c < 0 || (c == 0 && !b.Inclusive)
+}
+
 // Ascend visits entries with lo <= key <= hi (per bound flags) in key
 // order. fn returning false stops the scan.
 func (t *BTree) Ascend(lo, hi Bound, fn func(k types.Value, v types.Row) bool) {
-	t.root.ascend(lo, hi, fn)
+	var c cursor
+	c.seek(t.root, lo)
+	for {
+		it, ok := c.next()
+		if !ok || hi.excludesAbove(it.key) || !fn(it.key, it.val) {
+			return
+		}
+	}
 }
 
-// ascend performs an in-order traversal starting at the subtree that can
-// contain lo, stopping as soon as a key exceeds hi. Returning false means
-// "stop the whole scan".
-func (n *node) ascend(lo, hi Bound, fn func(types.Value, types.Row) bool) bool {
-	start := 0
-	if !lo.Unbounded {
-		// First item >= lo; the child at the same index may also hold
-		// in-range keys (those between items[start-1] and items[start]).
-		start, _ = n.find(lo.Value)
+// maxHeight bounds a cursor's stack. A tree of height h holds at least
+// 2*degree^(h-1) - 1 keys: sixteen levels are more than memory has.
+const maxHeight = 16
+
+// cursor walks a tree in key order with a stack in place of recursion,
+// so that a walk can stop at an entry and go on from it later. It starts
+// from a node and reads nodes, never the BTree, and so walks a view
+// while writers change the tree.
+// A frame (n, i) says item i of n is the next of n's own to visit, and
+// what lies under child i is already on the stack above, or done.
+type cursor struct {
+	stack [maxHeight]struct {
+		n *node
+		i int
 	}
-	for i := start; i <= len(n.items); i++ {
-		if !n.leaf() {
-			if !n.children[i].ascend(lo, hi, fn) {
-				return false
-			}
-		}
-		if i == len(n.items) {
-			break
-		}
-		it := n.items[i]
-		if !lo.Unbounded {
-			c := it.key.Compare(lo.Value)
-			if c < 0 || (c == 0 && !lo.Inclusive) {
-				continue
-			}
-		}
-		if !hi.Unbounded {
-			c := it.key.Compare(hi.Value)
-			if c > 0 || (c == 0 && !hi.Inclusive) {
-				return false
-			}
-		}
-		if !fn(it.key, it.val) {
-			return false
-		}
+	depth int
+}
+
+func (c *cursor) push(n *node, i int) {
+	c.stack[c.depth].n, c.stack[c.depth].i = n, i
+	c.depth++
+}
+
+// descend stacks the path to the smallest key under n.
+func (c *cursor) descend(n *node) {
+	for c.push(n, 0); !n.leaf(); c.push(n, 0) {
+		n = n.children[0]
 	}
-	return true
+}
+
+// seek stacks the path to the first key under n that lo admits.
+func (c *cursor) seek(n *node, lo Bound) {
+	if lo.Unbounded {
+		c.descend(n)
+		return
+	}
+	for {
+		// The first item >= lo; what lies under the child before it is
+		// smaller than it, and may or may not reach lo.
+		i, eq := n.find(lo.Value)
+		if eq && !lo.Inclusive {
+			i++
+		}
+		c.push(n, i)
+		switch {
+		case n.leaf():
+			return
+		case eq && lo.Inclusive:
+			return
+		case eq:
+			c.descend(n.children[i])
+			return
+		}
+		n = n.children[i]
+	}
+}
+
+// next returns the entry the cursor is at and moves past it.
+func (c *cursor) next() (item, bool) {
+	for c.depth > 0 {
+		f := &c.stack[c.depth-1]
+		if f.i == len(f.n.items) {
+			c.depth--
+			continue
+		}
+		it := f.n.items[f.i]
+		f.i++
+		if !f.n.leaf() {
+			c.descend(f.n.children[f.i])
+		}
+		return it, true
+	}
+	return item{}, false
 }
 
 // Unbounded is the open bound.

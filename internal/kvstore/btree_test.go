@@ -233,3 +233,76 @@ func TestBTreeRandomRanges(t *testing.T) {
 		}
 	}
 }
+
+// A view is the tree as it stood: through a long random run of puts,
+// replacements and deletes — splits, borrows and merges among them —
+// every view taken on the way, walked whole or from a key on, reads the
+// entries of its moment.
+func TestBTreeViewsSurviveWrites(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	tr := NewBTree()
+	ref := make(map[int64]int64)
+	type view struct {
+		root *node
+		want []int64 // key, value, key, value, ... in key order
+	}
+	var views []view
+	snapshot := func() []int64 {
+		keys := make([]int64, 0, len(ref))
+		for k := range ref {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		out := make([]int64, 0, 2*len(keys))
+		for _, k := range keys {
+			out = append(out, k, ref[k])
+		}
+		return out
+	}
+	check := func(op int, v view) {
+		t.Helper()
+		from := int64(rng.Intn(3000)) - 500
+		var c cursor
+		c.seek(v.root, Incl(types.NewInt(from)))
+		want := v.want
+		for len(want) > 0 && want[0] < from {
+			want = want[2:]
+		}
+		for i := 0; ; i += 2 {
+			e, ok := c.next()
+			if !ok {
+				if i != len(want) {
+					t.Fatalf("op %d: a view of %d entries ends after %d from key %d on", op, len(v.want)/2, i/2, from)
+				}
+				return
+			}
+			if i == len(want) || e.key.Int() != want[i] || e.val[0].Int() != want[i+1] {
+				t.Fatalf("op %d: a view reads (%v, %v) at entry %d from key %d on, not what it held", op, e.key, e.val, i/2, from)
+			}
+		}
+	}
+	for op := 0; op < 30000; op++ {
+		if op >= 10000 && rng.Intn(200) == 0 {
+			views = append(views, view{tr.view(), snapshot()})
+		}
+		k := int64(rng.Intn(2000))
+		// Deletes outnumber puts now and then, so the tree shrinks too.
+		if rng.Intn(100) < 45+20*((op/3000)%2) {
+			tr.Put(types.NewInt(k), row(int64(op)))
+			ref[k] = int64(op)
+		} else {
+			tr.Delete(types.NewInt(k))
+			delete(ref, k)
+		}
+		if len(views) > 0 && rng.Intn(50) == 0 {
+			check(op, views[rng.Intn(len(views))])
+		}
+	}
+	for _, v := range views {
+		check(30000, v)
+	}
+	check(30000, view{tr.root, snapshot()})
+	if len(views) < 50 {
+		t.Fatalf("%d views: the run proves nothing", len(views))
+	}
+}

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"context"
 	"fmt"
+	"io"
 	"slices"
 	"sync"
 
@@ -92,8 +93,13 @@ func (s *Store) Capabilities() source.Capabilities {
 
 // Execute implements source.Source. Per the capability contract the
 // filter contains only comparisons between the key column and constants
-// and IN lists of constants over it; they are converted to a single
-// B-tree range scan or to point lookups.
+// and IN lists of constants over it. Keys it names — by equality, or in
+// a list — are looked up one by one and their rows' headers copied; any
+// other query is a scan of a key range, the whole bucket with no filter
+// at all, and borrows the tree (BTree.view): Execute copies nothing, and
+// Next walks, with the lock gone, the bucket as it was when Execute
+// returned. Writers pay for that, once a node; a lookup takes no view so
+// that a point read never makes the next write copy anything.
 func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -111,69 +117,69 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	if err := q.Check(caps, &source.TableInfo{Schema: b.schema}); err != nil {
 		return nil, fmt.Errorf("kvstore %s: %w", s.name, err)
 	}
-	lo, hi, inKeys, err := b.rangeFromFilter(q.Filter)
+	lo, hi, keys, err := b.rangeFromFilter(q.Filter)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore %s: %w", s.name, err)
 	}
+	if keys == nil {
+		it := &scanIter{hi: hi, limit: q.Limit}
+		it.at.seek(b.tree.view(), lo)
+		return it, nil
+	}
+	// Keyed access (a pushed key = or key IN (...), or shipped join
+	// keys): one point lookup per distinct key, in key order as a range
+	// scan would answer, filtered by any accompanying range bounds. A
+	// list may name a key twice (1 and 1.0 are one key) and a NULL entry
+	// matches nothing.
+	slices.SortFunc(keys, types.Value.Compare)
+	keys = slices.CompactFunc(keys, func(a, b types.Value) bool { return a.Compare(b) == 0 })
 	var rows []types.Row
-	limit := q.Limit
-	if inKeys != nil {
-		// IN-list keyed access (a pushed key IN (...), or shipped join
-		// keys): one point lookup per distinct key, in key order as a
-		// range scan would answer, filtered by any accompanying range
-		// bounds. A list may name a key twice (1 and 1.0 are one key)
-		// and a NULL entry matches nothing.
-		slices.SortFunc(inKeys, types.Value.Compare)
-		inKeys = slices.CompactFunc(inKeys, func(a, b types.Value) bool { return a.Compare(b) == 0 })
-		for _, k := range inKeys {
-			if limit >= 0 && int64(len(rows)) >= limit {
-				break
-			}
-			if k.IsNull() || !withinBounds(k, lo, hi) {
-				continue
-			}
-			if r, ok := b.tree.Get(k); ok {
-				rows = append(rows, r)
-			}
+	for _, k := range keys {
+		if q.Limit >= 0 && int64(len(rows)) >= q.Limit {
+			break
 		}
-		return source.SliceIter(rows), nil
-	}
-	if lo.Unbounded && hi.Unbounded {
-		// A whole-bucket scan knows its length: growing rows by doubling
-		// copies twice what the result holds.
-		n := b.tree.Len()
-		if limit >= 0 && limit < int64(n) {
-			n = int(limit)
+		if k.IsNull() || lo.excludesBelow(k) || hi.excludesAbove(k) {
+			continue
 		}
-		// One slice of row headers per query, not per row.
-		rows = make([]types.Row, 0, n)
+		if r, ok := b.tree.Get(k); ok {
+			rows = append(rows, r)
+		}
 	}
-	b.tree.Ascend(lo, hi, func(_ types.Value, v types.Row) bool {
-		rows = append(rows, v)
-		return limit < 0 || int64(len(rows)) < limit
-	})
 	return source.SliceIter(rows), nil
 }
 
-// withinBounds checks a key against optional range bounds.
-func withinBounds(k types.Value, lo, hi Bound) bool {
-	if !lo.Unbounded {
-		c := k.Compare(lo.Value)
-		if c < 0 || (c == 0 && !lo.Inclusive) {
-			return false
-		}
-	}
-	if !hi.Unbounded {
-		c := k.Compare(hi.Value)
-		if c > 0 || (c == 0 && !hi.Inclusive) {
-			return false
-		}
-	}
-	return true
+// scanIter streams a key range of a view of a bucket, up to a limit.
+// Its rows are the committed rows themselves, which are replaced and
+// never written again: there is nothing for it to lend.
+type scanIter struct {
+	at    cursor
+	hi    Bound
+	limit int64 // rows still wanted; negative: all
 }
 
-// rangeFromFilter intersects key-column comparisons into one scan range
-// and collects IN-list key sets (used by shipped join keys).
+// Next implements source.RowIter.
+func (it *scanIter) Next() (types.Row, error) {
+	if it.limit != 0 {
+		if e, ok := it.at.next(); ok && !it.hi.excludesAbove(e.key) {
+			if it.limit > 0 {
+				it.limit--
+			}
+			return e.val, nil
+		}
+		it.limit = 0
+	}
+	return nil, io.EOF
+}
+
+// Close implements source.RowIter.
+func (it *scanIter) Close() error {
+	it.limit = 0
+	return nil
+}
+
+// rangeFromFilter intersects the key column's inequalities into one scan
+// range, and its equalities and IN lists into one set of keys: nil when
+// the filter names no key, empty when it names keys no row can have.
 func (b *bucket) rangeFromFilter(filter expr.Expr) (Bound, Bound, []types.Value, error) {
 	lo, hi := Unbounded, Unbounded
 	var inKeys []types.Value
@@ -191,11 +197,7 @@ func (b *bucket) rangeFromFilter(filter expr.Expr) (Bound, Bound, []types.Value,
 				}
 				vals = append(vals, k.Val)
 			}
-			if inKeys == nil {
-				inKeys = vals
-			} else {
-				inKeys = intersectValues(inKeys, vals)
-			}
+			inKeys = intersectValues(inKeys, vals)
 			continue
 		}
 		col, op, v, ok := expr.ColumnComparison(c)
@@ -204,8 +206,7 @@ func (b *bucket) rangeFromFilter(filter expr.Expr) (Bound, Bound, []types.Value,
 		}
 		switch op {
 		case expr.OpEq:
-			lo = tighterLo(lo, Incl(v))
-			hi = tighterHi(hi, Incl(v))
+			inKeys = intersectValues(inKeys, []types.Value{v})
 		case expr.OpLt:
 			hi = tighterHi(hi, Excl(v))
 		case expr.OpLe:
@@ -249,7 +250,8 @@ func tighterHi(a, b Bound) Bound {
 	return b
 }
 
-// Insert implements source.Writer. Inserting an existing key fails.
+// Insert implements source.Writer. Inserting an existing key fails. A
+// row is stored as a copy, each value coerced to its column's type.
 func (s *Store) Insert(_ context.Context, table string, rows []types.Row) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -262,14 +264,18 @@ func (s *Store) Insert(_ context.Context, table string, rows []types.Row) (int64
 	}
 	var n int64
 	for _, r := range rows {
-		k := r[b.keyCol]
+		nr, err := source.NormalizeRow(b.schema, r)
+		if err != nil {
+			return n, fmt.Errorf("kvstore %s bucket %s: %w", s.name, table, err)
+		}
+		k := nr[b.keyCol]
 		if k.IsNull() {
 			return n, fmt.Errorf("kvstore %s: NULL key", s.name)
 		}
 		if _, exists := b.tree.Get(k); exists {
 			return n, fmt.Errorf("kvstore %s: duplicate key %v", s.name, k)
 		}
-		b.tree.Put(k, r.Clone())
+		b.tree.Put(k, nr)
 		n++
 	}
 	return n, nil
@@ -277,7 +283,11 @@ func (s *Store) Insert(_ context.Context, table string, rows []types.Row) (int64
 
 // Update implements source.Writer. The filter is evaluated at the
 // mediator's behest over full rows (the wrapper applies it here since
-// only it can see the data).
+// only it can see the data). Every change is decided before any is
+// applied, so a statement that fails leaves the bucket as it was: a SET
+// value its column cannot hold, a row moved to the NULL key, to a key
+// the bucket held when the statement began, or to the key another row
+// of the statement moves to.
 func (s *Store) Update(_ context.Context, table string, filter expr.Expr, set []source.SetClause) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -294,6 +304,7 @@ func (s *Store) Update(_ context.Context, table string, filter expr.Expr, set []
 	}
 	var updated []change
 	var evalErr error
+	var taken *BTree // the keys rows move to
 	b.tree.Ascend(Unbounded, Unbounded, func(k types.Value, r types.Row) bool {
 		if filter != nil {
 			ok, err := expr.EvalBool(filter, r)
@@ -308,14 +319,29 @@ func (s *Store) Update(_ context.Context, table string, filter expr.Expr, set []
 		nr := r.Clone()
 		for _, sc := range set {
 			v, err := sc.Value.Eval(r)
+			if err == nil {
+				v, err = source.CoerceForColumn(v, b.schema.Columns[sc.Col].Type)
+			}
 			if err != nil {
 				evalErr = err
 				return false
 			}
 			nr[sc.Col] = v
 		}
+		if nk := nr[b.keyCol]; !nk.Equal(k) {
+			if taken == nil {
+				taken = NewBTree()
+			}
+			_, held := b.tree.Get(nk)
+			switch {
+			case nk.IsNull():
+				evalErr = fmt.Errorf("kvstore %s: NULL key", s.name)
+			case held || !taken.Put(nk, nil):
+				evalErr = fmt.Errorf("kvstore %s: duplicate key %v", s.name, nk)
+			}
+		}
 		updated = append(updated, change{oldKey: k, row: nr})
-		return true
+		return evalErr == nil
 	})
 	if evalErr != nil {
 		return 0, evalErr
@@ -363,8 +389,12 @@ func (s *Store) Delete(_ context.Context, table string, filter expr.Expr) (int64
 	return int64(len(keys)), nil
 }
 
-// intersectValues keeps the values present in both sets.
+// intersectValues keeps the values present in both sets; a nil a is no
+// set yet, and the result is b.
 func intersectValues(a, b []types.Value) []types.Value {
+	if a == nil {
+		return b
+	}
 	var out []types.Value
 	for _, x := range a {
 		for _, y := range b {

@@ -2,7 +2,9 @@ package kvstore
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"gis/internal/expr"
@@ -273,8 +275,8 @@ func benchBucket(tb testing.TB, n int) *Store {
 	return s
 }
 
-// A whole-bucket scan sizes its result from the tree (and the limit)
-// rather than growing it by doubling.
+// A scan borrows the tree: whole or to a limit it allocates its
+// iterator and nothing else.
 func TestKVScanAllAllocatesItsResultOnce(t *testing.T) {
 	s := benchBucket(t, 5000)
 	for _, limit := range []int64{-1, 7} {
@@ -289,26 +291,229 @@ func TestKVScanAllAllocatesItsResultOnce(t *testing.T) {
 				t.Fatalf("limit %d: %d rows", limit, n)
 			}
 		})
-		// The result and the iterator; growing the result by doubling
-		// is 14 more at 5 000 rows.
-		if allocs > 4 {
+		if allocs > 1 {
 			t.Errorf("limit %d: %v allocations", limit, allocs)
 		}
 	}
 }
 
-// BenchmarkScanAll is an unbounded scan of a 20 000-row bucket.
-func BenchmarkScanAll(b *testing.B) {
-	s := benchBucket(b, 20000)
-	q := source.NewScan("orders")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if n := scanAll(b, s, q); n != 20000 {
-			b.Fatalf("%d rows", n)
+// The same objects and the same bytes over 2 048 rows and over 4 096,
+// asked to lend or not: the rows are the committed ones.
+func TestLentScanAllocsDoNotGrowPerRow(t *testing.T) {
+	full := source.NewScan("orders")
+	measure := func(s *Store, want int) (objects, bytes uint64) {
+		return source.Allocations(func() {
+			it, err := s.Execute(ctx, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			source.Lend(it)
+			n := 0
+			for ; err == nil; n++ {
+				_, err = it.Next()
+			}
+			if err != io.EOF || n-1 != want {
+				t.Fatalf("%d rows, %v; want %d", n-1, err, want)
+			}
+		})
+	}
+	objA, bytesA := measure(benchBucket(t, 2048), 2048)
+	objB, bytesB := measure(benchBucket(t, 4096), 4096)
+	if objA != objB || bytesA != bytesB || objA != 1 {
+		t.Errorf("%v objects and %d B over 2 048 rows, %v and %d B over 4 096; want the iterator", objA, bytesA, objB, bytesB)
+	}
+}
+
+var (
+	benchID     = expr.NewBoundColRef(0, types.KindInt, "id")
+	benchAmount = expr.NewBoundColRef(2, types.KindFloat, "amount")
+	// bumpAmount is SET amount = amount + 1.
+	bumpAmount = []source.SetClause{{Col: 2, Value: expr.NewBinary(expr.OpAdd, benchAmount, expr.NewConst(types.NewFloat(1)))}}
+)
+
+func idIs(id int) expr.Expr {
+	return expr.NewBinary(expr.OpEq, benchID, expr.NewConst(types.NewInt(int64(id))))
+}
+
+// updateOne is UPDATE orders SET amount = amount + 1 WHERE <one row>.
+func updateOne(tb testing.TB, s *Store, where expr.Expr) {
+	if n, err := s.Update(ctx, "orders", where, bumpAmount); err != nil || n != 1 {
+		tb.Fatalf("update WHERE %s: %d rows, %v", where, n, err)
+	}
+}
+
+// openScan opens q, reads one row and closes.
+func openScan(tb testing.TB, s *Store, q *source.Query) {
+	it, err := s.Execute(ctx, q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := it.Next(); err != nil {
+		tb.Fatal(err)
+	}
+	it.Close()
+}
+
+// A write pays for a scan only when there is one: with no view taken
+// an update allocates what it did before the tree could be borrowed
+// (updateAllocs, measured at the commit before this one), so copies no
+// node; after a scan it copies the nodes from the root to the entry,
+// once, whatever the bucket's size — and a lookup takes no view.
+func TestWriteCopiesOnlyWhenViewed(t *testing.T) {
+	const updateAllocs = 2 // the new row, the list of changes
+	full := source.NewScan("orders")
+	for _, n := range []int{1000, 100000} {
+		s := benchBucket(t, n)
+		tree := s.buckets["orders"].tree
+		one, next := idIs(n/2), idIs(n/2+1)
+		if got := testing.AllocsPerRun(20, func() { updateOne(t, s, one) }); got != updateAllocs {
+			t.Errorf("%d rows, no view outstanding: an update allocates %v objects, want %v", n, got, updateAllocs)
+		}
+		lookup := &source.Query{Table: "orders", Filter: one, Limit: -1}
+		alone := testing.AllocsPerRun(20, func() { openScan(t, s, lookup) })
+		if got := testing.AllocsPerRun(20, func() { openScan(t, s, lookup); updateOne(t, s, one) }); got != alone+updateAllocs {
+			t.Errorf("%d rows: a lookup allocates %v objects, a lookup and an update %v: the update copied for it", n, alone, got)
+		}
+		height := 1
+		for nd := tree.root; !nd.leaf(); nd = nd.children[0] {
+			height++
+		}
+		// Every first update follows a new scan, and so copies again:
+		// a node and its items, and the children of all but the leaf.
+		got := testing.AllocsPerRun(20, func() {
+			openScan(t, s, full)
+			updateOne(t, s, one)
+			updateOne(t, s, next) // the path is the writer's own now
+		})
+		if want := float64(1 + 2*updateAllocs + 3*height - 1); got > want {
+			t.Errorf("%d rows: a scan and two updates allocate %v objects, want %v at most for a tree %d high", n, got, want, height)
 		}
 	}
 }
+
+// UPDATE decides every change before it applies any, and refuses what
+// INSERT refuses: a row moved onto a key the bucket holds, two rows
+// moved onto one key, a NULL key, a value its column cannot hold. What
+// it stores is of the column's type, as what INSERT stores is.
+func TestKVUpdateRefusesWhatInsertRefuses(t *testing.T) {
+	s := New("kv")
+	schema := types.NewSchema(types.Column{Name: "id", Type: types.KindInt}, types.Column{Name: "v", Type: types.KindInt})
+	if err := s.CreateBucket("t", schema, 0); err != nil {
+		t.Fatal(err)
+	}
+	// A float that is whole is stored as the INT the column declares.
+	if _, err := s.Insert(ctx, "t", []types.Row{{types.NewInt(1), types.NewFloat(10)}, {types.NewInt(2), types.NewInt(20)}, {types.NewInt(7), types.NewInt(70)}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Insert(ctx, "t", []types.Row{{types.NewInt(3), types.NewString("x")}}); err == nil {
+		t.Error("INSERT of a STRING into an INT column was accepted")
+	}
+	id, v := expr.NewBoundColRef(0, types.KindInt, "id"), expr.NewBoundColRef(1, types.KindInt, "v")
+	num := func(i int64) expr.Expr { return expr.NewConst(types.NewInt(i)) }
+	eq := func(i int64) expr.Expr { return expr.NewBinary(expr.OpEq, id, num(i)) }
+	bucket := func() string {
+		it, err := s.Execute(ctx, source.NewScan("t"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := source.Drain(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if r[0].Kind() != types.KindInt || r[1].Kind() != types.KindInt {
+				t.Errorf("row %v holds a %s and a %s, the columns are INT", r, r[0].Kind(), r[1].Kind())
+			}
+		}
+		return fmt.Sprint(rows)
+	}
+	before := bucket()
+	for name, c := range map[string]struct {
+		where expr.Expr
+		set   []source.SetClause
+		want  string
+	}{
+		"SET id = 1 WHERE id = 2":     {eq(2), []source.SetClause{{Col: 0, Value: num(1)}}, "duplicate key"},
+		"SET id = 9 (every row)":      {nil, []source.SetClause{{Col: 0, Value: num(9)}}, "duplicate key"},
+		"SET id = id + 5 (2 onto 7)":  {nil, []source.SetClause{{Col: 0, Value: expr.NewBinary(expr.OpAdd, id, num(5))}}, "duplicate key"},
+		"SET id = NULL WHERE id = 2":  {eq(2), []source.SetClause{{Col: 0, Value: expr.NewConst(types.Null)}}, "NULL key"},
+		"SET v = 'x' WHERE id = 2":    {eq(2), []source.SetClause{{Col: 1, Value: expr.NewConst(types.NewString("x"))}}, "coerce"},
+		"SET v = 'x', one row passes": {expr.NewBinary(expr.OpGe, id, num(2)), []source.SetClause{{Col: 1, Value: expr.NewConst(types.NewString("x"))}}, "coerce"},
+	} {
+		n, err := s.Update(ctx, "t", c.where, c.set)
+		if err == nil || !strings.Contains(err.Error(), c.want) || n != 0 {
+			t.Errorf("%s: %d rows, %v; want an error about a %s", name, n, err, c.want)
+		}
+		if got := bucket(); got != before {
+			t.Errorf("%s: the refused update left %s, the bucket was %s", name, got, before)
+		}
+	}
+	// What is allowed: a free key, the key a row has, a value that
+	// converts.
+	if n, err := s.Update(ctx, "t", eq(2), []source.SetClause{{Col: 0, Value: num(3)}, {Col: 1, Value: expr.NewConst(types.NewFloat(21))}}); err != nil || n != 1 {
+		t.Errorf("SET id = 3, v = 21.0 WHERE id = 2: %d rows, %v", n, err)
+	}
+	if n, err := s.Update(ctx, "t", nil, []source.SetClause{{Col: 0, Value: id}, {Col: 1, Value: expr.NewBinary(expr.OpAdd, v, num(1))}}); err != nil || n != 3 {
+		t.Errorf("SET id = id, v = v + 1: %d rows, %v", n, err)
+	}
+	if got, want := bucket(), "[(1, 11) (3, 22) (7, 71)]"; got != want {
+		t.Errorf("bucket = %s, want %s", got, want)
+	}
+}
+
+// BenchmarkScanAll is an unbounded scan of a 20 000-row bucket, by a
+// consumer that keeps its rows and by one that asks to be lent them:
+// the bucket lends nothing, its rows are the committed ones either way.
+func BenchmarkScanAll(b *testing.B) {
+	s := benchBucket(b, 20000)
+	q := source.NewScan("orders")
+	for _, lent := range []bool{false, true} {
+		b.Run(map[bool]string{false: "kept", true: "lent"}[lent], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				it, err := s.Execute(ctx, q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if lent {
+					source.Lend(it)
+				}
+				n := 0
+				for ; err == nil; n++ {
+					_, err = it.Next()
+				}
+				if err != io.EOF || n-1 != 20000 {
+					b.Fatalf("%d rows, %v", n-1, err)
+				}
+			}
+		})
+	}
+}
+
+// benchWrite rewrites one row b.N times, each time after a full scan
+// was opened, read one row of and closed, or with no scan at all. The
+// update itself visits every entry, so read B/op and allocs/op: what a
+// scan costs the write that follows it is the path from the root to the
+// entry, whatever the bucket's size.
+func benchWrite(b *testing.B, afterScan bool) {
+	full := source.NewScan("orders")
+	for _, n := range []int{1000, 100000} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			s, one := benchBucket(b, n), idIs(n/2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if afterScan {
+					openScan(b, s, full)
+				}
+				updateOne(b, s, one)
+			}
+		})
+	}
+}
+
+func BenchmarkWriteNoScan(b *testing.B)    { benchWrite(b, false) }
+func BenchmarkWriteAfterScan(b *testing.B) { benchWrite(b, true) }
 
 // scanAll runs q and counts its rows without keeping them.
 func scanAll(tb testing.TB, s *Store, q *source.Query) int {

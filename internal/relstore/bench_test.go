@@ -176,3 +176,42 @@ func BenchmarkExecuteIndexLookup(b *testing.B) {
 		benchExecute(b, s, q, 50)
 	})
 }
+
+// openScan opens q, reads one row and closes.
+func openScan(tb testing.TB, s *Store, q *source.Query) {
+	it, err := s.Execute(ctx, q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := it.Next(); err != nil {
+		tb.Fatal(err)
+	}
+	it.Close()
+}
+
+// benchWrite rewrites one row by primary key b.N times — update_2pc's
+// update_1p as the store sees it — each time after a full scan was
+// opened, read one row of and closed, or with no scan at all. The update
+// itself reads every row (writes do not use the index), so read B/op and
+// allocs/op: what a scan costs the write that follows it is one chunk
+// and the directory, whatever the table's size.
+func benchWrite(b *testing.B, afterScan bool) {
+	full := source.NewScan("orders")
+	for _, n := range []int{1000, 100000} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			s := benchOrders(b, n, 50)
+			one := benchCmp(expr.OpEq, benchOid, types.NewInt(int64(n/2)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if afterScan {
+					openScan(b, s, full)
+				}
+				updateOne(b, s, one)
+			}
+		})
+	}
+}
+
+func BenchmarkWriteNoScan(b *testing.B)    { benchWrite(b, false) }
+func BenchmarkWriteAfterScan(b *testing.B) { benchWrite(b, true) }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/bits"
 
 	"gis/internal/expr"
 	"gis/internal/source"
@@ -13,13 +12,19 @@ import (
 
 // Execute implements source.Source. The store evaluates the full query
 // IR locally: index-accelerated filter, projection, grouping/aggregation,
-// sort, and limit. Results are materialized under the read lock and
-// streamed lock-free afterwards (snapshot semantics per query).
+// sort, and limit. The read lock is held to open the query, not to read
+// its rows, and what is done under it is in proportion to what is read:
 //
-// The scan is one pass with no list of matches in between: an
-// aggregating query folds each passing row into its group as it is
-// found; any other marks it in a bitmap, whose size is known before the
-// scan, so that the result is allocated once, at its exact size.
+//   - an aggregating query folds each passing row into its group as it
+//     is found, and an ordered one is drained and sorted, both here;
+//   - an index probe copies the headers of its bucket's rows;
+//   - any other query is a scan of the whole table, and borrows it
+//     (table.view): nothing is copied, and the filter, the projection
+//     and the limit happen in Next, after the lock is gone. Writers pay
+//     for that, once a chunk (table.own); a probe takes no view so that
+//     a point read never makes the next write copy anything.
+//
+// Either way the rows are those committed when Execute returned.
 func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -33,60 +38,72 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	if err := q.Check(s.Capabilities(), &source.TableInfo{Schema: t.schema}); err != nil {
 		return nil, fmt.Errorf("relstore %s: %w", s.name, err)
 	}
-
-	// Without a usable index every row is a candidate: walk t.rows
-	// itself rather than materialize the list of its positions.
 	candidates, indexed := t.candidateRows(q.Filter)
-	n := len(t.rows)
+	if q.HasAggregation() {
+		rows, err := t.fold(q, candidates, indexed)
+		if err != nil {
+			return nil, fmt.Errorf("relstore %s: %w", s.name, err)
+		}
+		return sortLimit(rows, q), nil
+	}
+	it := &scanIter{s: s, q: q, limit: q.Limit}
+	switch {
+	case indexed:
+		it.cur = make([]types.Row, 0, len(candidates))
+		for _, pos := range candidates {
+			if r := t.at(pos); r != nil {
+				it.cur = append(it.cur, r)
+			}
+		}
+	case len(q.OrderBy) > 0:
+		// Drained below, under the lock: there is nothing to borrow.
+		it.dir, it.n = t.dir, t.n
+	default:
+		it.dir, it.n = t.view()
+	}
+	if len(q.OrderBy) == 0 {
+		return it, nil
+	}
+	// ORDER BY addresses the projected positions of every passing row:
+	// the limit waits for the sort.
+	it.limit = -1
+	rows, err := source.Drain(it)
+	if err != nil {
+		return nil, err
+	}
+	return sortLimit(rows, q), nil
+}
+
+// fold groups and aggregates the rows of t that pass q's filter — of the
+// candidates, when an index gave them. Caller holds mu.
+func (t *table) fold(q *source.Query, candidates []int, indexed bool) ([]types.Row, error) {
+	aggs := make([]expr.AccSpec, len(q.Aggs))
+	for i, a := range q.Aggs {
+		aggs[i] = expr.AccSpec{Kind: a.Kind, Star: a.Star, Distinct: a.Distinct}
+	}
+	groups := expr.NewGroupTable(len(q.GroupBy), aggs)
+	key := make(types.Row, len(q.GroupBy)) // scratch: the group key of the row in hand
+	n := t.n
 	if indexed {
 		n = len(candidates)
 	}
-	rowAt := func(i int) types.Row {
-		if indexed {
-			return t.rows[candidates[i]]
-		}
-		return t.rows[i]
-	}
-
-	var (
-		groups *expr.GroupTable
-		key    types.Row // scratch: the group key of the row in hand
-		// Bit i of passed is set when candidate i is in the result. Up
-		// to 512 candidates it lives on the stack.
-		small  [8]uint64
-		passed = small[:]
-		count  int
-	)
-	if q.HasAggregation() {
-		aggs := make([]expr.AccSpec, len(q.Aggs))
-		for i, a := range q.Aggs {
-			aggs[i] = expr.AccSpec{Kind: a.Kind, Star: a.Star, Distinct: a.Distinct}
-		}
-		groups, key = expr.NewGroupTable(len(q.GroupBy), aggs), make(types.Row, len(q.GroupBy))
-	} else if n > 64*len(small) {
-		passed = make([]uint64, (n+63)/64)
-	}
-	limitEarly := q.Limit >= 0 && groups == nil && len(q.OrderBy) == 0
 	for i := 0; i < n; i++ {
-		r := rowAt(i)
+		pos := i
+		if indexed {
+			pos = candidates[i]
+		}
+		r := t.at(pos)
 		if r == nil {
 			continue
 		}
 		if q.Filter != nil {
 			ok, err := expr.EvalBool(q.Filter, r)
 			if err != nil {
-				return nil, fmt.Errorf("relstore %s: %w", s.name, err)
+				return nil, err
 			}
 			if !ok {
 				continue
 			}
-		}
-		if groups == nil {
-			passed[i/64] |= 1 << (i % 64)
-			if count++; limitEarly && int64(count) >= q.Limit {
-				break
-			}
-			continue
 		}
 		for j, g := range q.GroupBy {
 			key[j] = r[g]
@@ -97,96 +114,87 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 				v = r[a.Col]
 			}
 			if err := acc.Add(v); err != nil {
-				return nil, fmt.Errorf("relstore %s: %w", s.name, err)
+				return nil, err
 			}
 		}
 	}
-
-	var out []types.Row
-	project := groups == nil && q.Columns != nil
-	if groups != nil {
-		out = groups.Rows()
-	} else {
-		// The committed rows themselves: they are replaced, never
-		// mutated, so the snapshot outlives the lock.
-		out = make([]types.Row, 0, count)
-		for base, word := range passed {
-			for ; word != 0; word &= word - 1 {
-				out = append(out, rowAt(base*64+bits.TrailingZeros64(word)))
-			}
-		}
-	}
-	if len(q.OrderBy) > 0 {
-		if project {
-			// ORDER BY addresses projected positions: project now, in
-			// place, into the one slab a kept result gets.
-			p := projectIter{rows: out, cols: q.Columns}
-			for i := range out {
-				out[i] = p.project()
-			}
-			project = false
-		}
-		// out is this query's own slice, never t.rows: sort it in place.
-		source.SortRows(out, q.OrderBy)
-	}
-	if q.Limit >= 0 && int64(len(out)) > q.Limit {
-		out = out[:q.Limit]
-	}
-	if project {
-		return &projectIter{rows: out, cols: q.Columns}, nil
-	}
-	return source.SliceIter(out), nil
+	return groups.Rows(), nil
 }
 
-// projectIter streams a projected result: the snapshot of committed
-// rows Execute took under the read lock, projected as they are asked
-// for. Kept (the default), the projected rows are carved from one slab
-// of the exact result size, allocated at the first Next, each cut with
-// a full slice expression so an append to one copies instead of
-// reaching its neighbour. Lent, there is one row, written again by
-// every Next.
-type projectIter struct {
-	rows []types.Row // what is left of the snapshot
-	cols []int       // in range of every row: Execute checked
-	slab []types.Value
-	lent bool
+// sortLimit orders rows, which are this query's own, by q's ORDER BY,
+// cuts them to its LIMIT and streams them.
+func sortLimit(rows []types.Row, q *source.Query) source.RowIter {
+	if len(q.OrderBy) > 0 {
+		source.SortRows(rows, q.OrderBy)
+	}
+	if q.Limit >= 0 && int64(len(rows)) > q.Limit {
+		rows = rows[:q.Limit]
+	}
+	return source.SliceIter(rows)
+}
+
+// scanIter streams the rows of a table — the chunks a view lent, or the
+// rows an index probe copied — that pass the filter, projected, up to
+// the limit. An unprojected row is the committed row itself, which is
+// never written again. A projected one is built here: kept (the
+// default), in a slab's chunks; lent, in one row every Next rewrites.
+type scanIter struct {
+	s     *Store
+	q     *source.Query // its Filter and Columns, which Execute checked
+	cur   []types.Row   // what is left of the chunk being read
+	dir   []*chunk      // the chunks after it,
+	n     int           // and how many rows of them are the view's
+	limit int64         // rows still wanted; negative: all
+	slab  types.RowSlab
 }
 
 // Lend implements source.Lender.
-func (p *projectIter) Lend() { p.lent = true }
+func (it *scanIter) Lend() { it.slab.Lend() }
 
 // Next implements source.RowIter.
-func (p *projectIter) Next() (types.Row, error) {
-	if len(p.rows) == 0 {
-		return nil, io.EOF
-	}
-	return p.project(), nil
-}
-
-// project takes the first row off the snapshot and returns its
-// projection.
-func (p *projectIter) project() types.Row {
-	w := len(p.cols)
-	if p.slab == nil {
-		n := w
-		if !p.lent {
-			n *= len(p.rows)
+func (it *scanIter) Next() (types.Row, error) {
+	for it.limit != 0 {
+		if len(it.cur) == 0 {
+			if it.n == 0 {
+				break
+			}
+			k := min(it.n, chunkRows)
+			it.cur, it.dir, it.n = it.dir[0][:k], it.dir[1:], it.n-k
 		}
-		p.slab = make([]types.Value, n)
+		r := it.cur[0]
+		it.cur = it.cur[1:]
+		if r == nil {
+			continue
+		}
+		if it.q.Filter != nil {
+			ok, err := expr.EvalBool(it.q.Filter, r)
+			if err != nil {
+				return nil, fmt.Errorf("relstore %s: %w", it.s.name, err)
+			}
+			if !ok {
+				continue
+			}
+		}
+		if it.limit > 0 {
+			it.limit--
+		}
+		if it.q.Columns == nil {
+			return r, nil
+		}
+		out := it.slab.Next(len(it.q.Columns))
+		for j, c := range it.q.Columns {
+			out[j] = r[c]
+		}
+		return out, nil
 	}
-	out := p.slab[:w:w]
-	if !p.lent {
-		p.slab = p.slab[w:]
-	}
-	for j, c := range p.cols {
-		out[j] = p.rows[0][c]
-	}
-	p.rows = p.rows[1:]
-	return out
+	return nil, io.EOF
 }
 
 // Close implements source.RowIter.
-func (p *projectIter) Close() error { return nil }
+func (it *scanIter) Close() error {
+	it.limit = 0
+	return nil
+}
 
 // candidateRows returns row positions to test against the filter, using
 // a hash index when the filter contains an equality — or an IN list, as

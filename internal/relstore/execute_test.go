@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"gis/internal/expr"
 	"gis/internal/source"
@@ -27,7 +28,7 @@ func referenceExecute(s *Store, q *source.Query) ([]types.Row, error) {
 		return nil, fmt.Errorf("relstore %s: %w", s.name, err)
 	}
 	var kept []types.Row
-	for _, r := range s.tables[q.Table].rows {
+	for _, r := range tableRows(s, q.Table) {
 		if r == nil {
 			continue
 		}
@@ -52,6 +53,16 @@ func referenceExecute(s *Store, q *source.Query) ([]types.Row, error) {
 		return nil, fmt.Errorf("relstore %s: %w", s.name, err)
 	}
 	return out, nil
+}
+
+// tableRows lists a table's rows by position, tombstones included.
+func tableRows(s *Store, name string) []types.Row {
+	t := s.tables[name]
+	rows := make([]types.Row, t.n)
+	for pos := range rows {
+		rows[pos] = t.at(pos)
+	}
+	return rows
 }
 
 // Columns of the reference table.
@@ -308,12 +319,12 @@ func TestExecuteMatchesReference(t *testing.T) {
 	t.Logf("%d queries", cases)
 }
 
-// The bitmap of passing candidates is eight words on the stack up to
-// 512 candidates and n/64 rounded up above: table sizes and index
-// buckets on either side of a word and of the stack array, with the
-// first, the last, every and every other candidate passing.
-func TestExecuteAtBitmapEdges(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 512, 513, 1000} {
+// A scan walks the table a chunk at a time and an index probe copies
+// its bucket's rows: table sizes and index buckets on either side of a
+// chunk, with the first, the last, every and every other candidate
+// passing.
+func TestExecuteAtChunkEdges(t *testing.T) {
+	for _, n := range []int{0, 1, chunkRows - 4, chunkRows - 3, chunkRows - 2, chunkRows, 2*chunkRows - 3, 3*chunkRows + 7} {
 		s := emptyRefStore(t)
 		// n rows of cat 'x' are the index's candidates; three others
 		// make the table a little longer than the bucket.
@@ -356,7 +367,7 @@ func TestExecuteLimitStopsTheScan(t *testing.T) {
 	s := newRefStore(t, 2, 100)
 	const failsAt = 50
 	before := int64(0) // live rows ahead of the failing one
-	for _, r := range s.tables["ref"].rows[:failsAt] {
+	for _, r := range tableRows(s, "ref")[:failsAt] {
 		if r != nil {
 			before++
 		}
@@ -380,6 +391,16 @@ func TestExecuteLimitStopsTheScan(t *testing.T) {
 	}
 	if _, err := run(1, []source.OrderSpec{{Col: 0}}); err == nil {
 		t.Error("ORDER BY needs every row: the failing one was not evaluated")
+	}
+	// The scan is opened whatever its rows hold: the filter's error is
+	// Next's, after the rows before it, and names the store.
+	it, err := s.Execute(ctx, &source.Query{Table: "ref", Filter: errorsAt(failsAt), Limit: -1})
+	if err != nil {
+		t.Fatalf("Execute of a scan whose filter fails on a row: %v", err)
+	}
+	rows, err := source.Drain(it)
+	if int64(len(rows)) != before || err == nil || !strings.HasPrefix(err.Error(), "relstore db1: ") || !strings.Contains(err.Error(), "division by zero") {
+		t.Errorf("%d rows, then %v; want %d and the store's division by zero", len(rows), err, before)
 	}
 }
 
@@ -453,9 +474,7 @@ func TestExecuteResultSurvivesConcurrentUpdate(t *testing.T) {
 	wg.Wait()
 }
 
-// Execute's allocations are per query, not per row: a fold allocates
-// per group, and a projected scan one bitmap, one slice of rows and one
-// slab of values whatever their sizes.
+// A fold's allocations are per group, not per row.
 func TestExecuteAllocsDoNotGrowWithRows(t *testing.T) {
 	const n = 2048
 	small, large := benchOrders(t, n, 64), benchOrders(t, 2*n, 64)
@@ -472,31 +491,110 @@ func TestExecuteAllocsDoNotGrowWithRows(t *testing.T) {
 			t.Errorf("%s: %v allocations over %d rows, %v over %d", name, a, n, b, 2*n)
 		}
 	}
-	a, b := at(small, rangeProject(n/4, n/2), n/4), at(large, rangeProject(n/2, n), n/2)
-	if b > a+1 {
-		t.Errorf("projected range scan: %v allocations for %d of %d rows, %v for %d of %d", a, n/4, n, b, n/2, 2*n)
-	}
-	// Lent, the slab of values is one row.
-	lent := func(s *Store, q *source.Query, want int) (objects float64, bytes uint64) {
-		run := func() {
-			if got := execCountAs(t, s, q, true); got != want {
-				t.Fatalf("%d rows, want %d", got, want)
+}
+
+// A scan borrows the table: read by a consumer that is lent its rows,
+// it allocates its iterator and, projected, one row — the same objects
+// and the same bytes over 2 048 rows and over 4 096, all of them
+// passing or a quarter.
+func TestLentScanAllocsDoNotGrowPerRow(t *testing.T) {
+	const n = 2048
+	small, large := benchOrders(t, n, 64), benchOrders(t, 2*n, 64)
+	all := func(cols []int) *source.Query { return &source.Query{Table: "orders", Columns: cols, Limit: -1} }
+	for name, c := range map[string]struct {
+		small, large *source.Query
+		rows         int // of small; large returns twice as many
+	}{
+		"every row":            {all(nil), all(nil), n},
+		"every row, projected": {all([]int{2, 0}), all([]int{2, 0}), n},
+		"a range, projected":   {rangeProject(n/4, n/2), rangeProject(n/2, n), n / 4},
+	} {
+		scan := func(s *Store, q *source.Query, want int) func() {
+			return func() {
+				if got := execCountAs(t, s, q, true); got != want {
+					t.Fatalf("%s: %d rows, want %d", name, got, want)
+				}
 			}
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		return testing.AllocsPerRun(5, run), after.TotalAlloc - before.TotalAlloc
-	}
-	la, bytesA := lent(small, rangeProject(n/4, n/2), n/4)
-	lb, bytesB := lent(large, rangeProject(n/2, n), n/2)
-	if lb > la+1 || la > a {
-		t.Errorf("projected range scan, lent: %v allocations for %d rows, %v for %d (kept: %v)", la, n/4, lb, n/2, a)
-	}
-	// What grows with the rows is the snapshot's row headers and the
-	// bitmap, not four values a row.
-	if perRow := float64(bytesB-bytesA) / float64(n/4); perRow > 40 {
-		t.Errorf("projected range scan, lent: %.0f B a row (%d B for %d rows, %d B for %d), want a row header and change", perRow, bytesA, n/4, bytesB, n/2)
+		objA, bytesA := source.Allocations(scan(small, c.small, c.rows))
+		objB, bytesB := source.Allocations(scan(large, c.large, 2*c.rows))
+		if objA != objB || bytesA != bytesB {
+			t.Errorf("%s: %v objects and %d B over %d rows, %v and %d B over %d", name, objA, bytesA, n, objB, bytesB, 2*n)
+		}
+		if objA > 3 {
+			t.Errorf("%s: %v objects, want the iterator, the filter's list of conjuncts and one row at most", name, objA)
+		}
 	}
 }
+
+// bumpAmount is SET amount = amount + 1.
+var bumpAmount = []source.SetClause{{Col: 2, Value: expr.NewBinary(expr.OpAdd, benchAmount, expr.NewConst(types.NewFloat(1)))}}
+
+// updateOne is UPDATE orders SET amount = amount + 1 WHERE <one row>.
+func updateOne(tb testing.TB, s *Store, where expr.Expr) {
+	if n, err := s.Update(ctx, "orders", where, bumpAmount); err != nil || n != 1 {
+		tb.Fatalf("update WHERE %s: %d rows, %v", where, n, err)
+	}
+}
+
+// A write pays for a scan only when there is one: with no view taken
+// since the chunk it writes to was made, an update allocates what it
+// did before chunks could be borrowed (updateAllocs, measured at the
+// commit before this one) and copies nothing; after a full scan it
+// copies that chunk and the directory, once, whatever the table's
+// size — and an index probe, an aggregate and a pushed ORDER BY take no
+// view at all.
+func TestWriteCopiesOnlyWhenViewed(t *testing.T) {
+	const updateAllocs = 3 // the transaction, its undo log, the new row
+	full := source.NewScan("orders")
+	probe := &source.Query{Table: "orders", Filter: benchCmp(expr.OpEq, benchCust, types.NewInt(3)), Limit: -1}
+	ordered := &source.Query{Table: "orders", OrderBy: []source.OrderSpec{{Col: 2}}, Limit: 3}
+	var viewed [2]float64
+	for i, n := range []int{1000, 100000} {
+		s := benchOrders(t, n, 50)
+		one := benchCmp(expr.OpEq, benchOid, types.NewInt(int64(n/2)))
+		next := benchCmp(expr.OpEq, benchOid, types.NewInt(int64(n/2+1))) // in one's chunk
+		if got := testing.AllocsPerRun(20, func() { updateOne(t, s, one) }); got != updateAllocs {
+			t.Errorf("%d rows, no view outstanding: an update allocates %v objects, want %v", n, got, updateAllocs)
+		}
+		for _, q := range []*source.Query{probe, globalAgg(), ordered} {
+			openScan(t, s, q)
+		}
+		updateOne(t, s, one)
+		if c := s.ViewCopies(); c != 0 {
+			t.Errorf("%d rows: %d chunks copied with no view taken", n, c)
+		}
+		// Every update follows a new scan, and so copies again.
+		viewed[i] = testing.AllocsPerRun(20, func() {
+			openScan(t, s, full)
+			updateOne(t, s, one)
+			updateOne(t, s, next) // the chunk is the writer's own now
+		})
+		if c := s.ViewCopies(); c != 21 {
+			t.Errorf("%d rows: %d chunks copied by 21 updates that each followed a scan, and 21 that did not", n, c)
+		}
+	}
+	// The scan's iterator, two updates, the chunk and the directory.
+	if want := float64(1 + 2*updateAllocs + 2); viewed[0] != want || viewed[1] != want {
+		t.Errorf("a scan and two updates allocate %v objects over 1 000 rows and %v over 100 000, want %v", viewed[0], viewed[1], want)
+	}
+}
+
+// The allocator rounds a chunk up to nothing: 170 row headers and its
+// own 8-byte header are the 4 KiB size class. If this fails after a
+// toolchain bump, re-derive chunkRows.
+func TestChunkBytes(t *testing.T) {
+	const mallocHeader, class = 8, 4096
+	if got := unsafe.Sizeof(chunk{}) + mallocHeader; got > class || got+unsafe.Sizeof(types.Row{}) <= class {
+		t.Errorf("a chunk takes %d B with its header: want the most rows that fit %d B", got, class)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	chunkSink = new(chunk)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got != class {
+		t.Errorf("new(chunk) allocates %d B, want %d", got, class)
+	}
+}
+
+var chunkSink *chunk // makes TestChunkBytes' chunk escape

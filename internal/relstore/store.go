@@ -2,13 +2,19 @@
 // strongest component system in the federation. It supports full
 // predicate/projection/aggregation/sort/limit pushdown, hash indexes,
 // transactional writes with an undo log, and two-phase-commit
-// participation, all guarded by a store-level lock (strict two-phase
-// locking at store granularity).
+// participation. Writers are serialized by a store-level lock (strict
+// two-phase locking at store granularity) and change the committed data
+// in place; a reader takes the lock only to open its query. A full scan
+// then borrows the table's chunks as they stand (table.view) and reads
+// them with the lock gone, and the first write to a chunk a scan may
+// hold copies that chunk instead of changing it (table.own). A deleted
+// row leaves a tombstone, and its position is never used again.
 package relstore
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -52,9 +58,21 @@ type table struct {
 	schema *types.Schema
 	// key columns (for TableInfo and fast point access).
 	key []int
-	// rows holds the committed data; nil rows are tombstones left by
-	// deletes and skipped by scans (compacted opportunistically).
-	rows []types.Row
+	// dir lists the chunks that hold the committed data: row pos, of n,
+	// is dir[pos/chunkRows][pos%chunkRows]. A row is replaced, never
+	// mutated; a nil row is the tombstone a delete leaves, which scans
+	// skip and nothing reclaims.
+	dir []*chunk
+	n   int
+	// views counts the scans that borrowed dir (view). stamps[i] is its
+	// reading when chunk i was made or last copied, dirStamp likewise
+	// for dir's own array: equal to views, no scan can hold the thing
+	// and a writer changes it in place; behind, own copies it first.
+	// copied counts those chunk copies.
+	views    atomic.Uint64
+	stamps   []uint64
+	dirStamp uint64
+	copied   atomic.Int64
 	// live counts non-tombstone rows; written under mu, read by
 	// TableInfo without it.
 	live atomic.Int64
@@ -62,6 +80,59 @@ type table struct {
 	hashIdx map[int]map[uint64][]int
 	// statsCache is invalidated by writes.
 	statsCache *stats.TableStats
+}
+
+// chunkRows is how many rows a chunk holds: 4 080 B of row headers,
+// which with the allocator's 8-byte header is the 4 KiB size class to
+// the byte (TestChunkBytes). A chunk is what the first write after a
+// scan copies and what a table's last one leaves unused at most; the
+// directory, which that write may copy too, is 8 B a chunk.
+const chunkRows = 170
+
+type chunk [chunkRows]types.Row
+
+// at returns row pos, nil for a tombstone.
+func (t *table) at(pos int) types.Row { return t.dir[pos/chunkRows][pos%chunkRows] }
+
+// view lends the table as it stands to a scan that reads it after the
+// lock is gone: the chunks of its n rows. It costs one count, which
+// tells the next write to each of them that it is no longer alone.
+func (t *table) view() ([]*chunk, int) {
+	t.views.Add(1)
+	return t.dir[:len(t.dir):len(t.dir)], t.n
+}
+
+// own returns the chunk of row pos for a writer to change: the chunk
+// itself when no view was taken since it was made, else a copy, put in
+// its place in a directory that is likewise copied once if a view may
+// hold it. A slot past every view's n — an insert's — needs no own.
+func (t *table) own(pos int) *chunk {
+	i, v := pos/chunkRows, t.views.Load()
+	if t.stamps[i] != v {
+		if t.dirStamp != v {
+			t.dir, t.dirStamp = slices.Clone(t.dir), v
+		}
+		c := *t.dir[i]
+		t.dir[i], t.stamps[i] = &c, v
+		t.copied.Add(1)
+	}
+	return t.dir[i]
+}
+
+// set puts r, or a tombstone, at the position of a row some scan may
+// be reading.
+func (t *table) set(pos int, r types.Row) { t.own(pos)[pos%chunkRows] = r }
+
+// ViewCopies reports how many chunks the store's writers have copied
+// because a scan had borrowed them.
+func (s *Store) ViewCopies() int64 {
+	s.catMu.RLock()
+	defer s.catMu.RUnlock()
+	var n int64
+	for _, t := range s.tables {
+		n += t.copied.Load()
+	}
+	return n
 }
 
 // New returns an empty store named name.
@@ -116,12 +187,11 @@ func (s *Store) CreateIndex(name string, col int) error {
 		return nil
 	}
 	idx := make(map[uint64][]int)
-	for pos, r := range t.rows {
-		if r == nil {
-			continue
+	for pos := 0; pos < t.n; pos++ {
+		if r := t.at(pos); r != nil {
+			h := r[col].Hash(0)
+			idx[h] = append(idx[h], pos)
 		}
-		h := r[col].Hash(0)
-		idx[h] = append(idx[h], pos)
 	}
 	t.hashIdx[col] = idx
 	return nil
@@ -190,8 +260,8 @@ func (s *Store) Stats(name string) (*stats.TableStats, error) {
 	}
 	if t.statsCache == nil {
 		live := make([]types.Row, 0, t.live.Load())
-		for _, r := range t.rows {
-			if r != nil {
+		for pos := 0; pos < t.n; pos++ {
+			if r := t.at(pos); r != nil {
 				live = append(live, r)
 			}
 		}
@@ -244,8 +314,12 @@ func (s *Store) Delete(ctx context.Context, tbl string, filter expr.Expr) (int64
 
 // insertLocked appends a row and maintains indexes. Caller holds mu.
 func (t *table) insertLocked(r types.Row) int {
-	pos := len(t.rows)
-	t.rows = append(t.rows, r)
+	pos := t.n
+	if pos == len(t.dir)*chunkRows {
+		t.dir, t.stamps = append(t.dir, new(chunk)), append(t.stamps, t.views.Load())
+	}
+	t.dir[pos/chunkRows][pos%chunkRows] = r
+	t.n++
 	t.live.Add(1)
 	for col, idx := range t.hashIdx {
 		h := r[col].Hash(0)
@@ -255,14 +329,14 @@ func (t *table) insertLocked(r types.Row) int {
 	return pos
 }
 
-// deleteLocked tombstones row pos. Index entries are left in place (they
-// point at a nil row, which probes skip); compaction rebuilds them.
+// deleteLocked tombstones row pos. Its index entries stay where they
+// are: they point at a nil row, which probes skip.
 func (t *table) deleteLocked(pos int) types.Row {
-	old := t.rows[pos]
+	old := t.at(pos)
 	if old == nil {
 		return nil
 	}
-	t.rows[pos] = nil
+	t.set(pos, nil)
 	t.live.Add(-1)
 	t.statsCache = nil
 	return old
@@ -270,8 +344,8 @@ func (t *table) deleteLocked(pos int) types.Row {
 
 // replaceLocked overwrites row pos with r, keeping indexes consistent.
 func (t *table) replaceLocked(pos int, r types.Row) types.Row {
-	old := t.rows[pos]
-	t.rows[pos] = r
+	old := t.at(pos)
+	t.set(pos, r)
 	for col, idx := range t.hashIdx {
 		oh := old[col].Hash(0)
 		nh := r[col].Hash(0)

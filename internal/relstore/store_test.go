@@ -3,6 +3,7 @@ package relstore
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -280,6 +281,53 @@ func TestTxUpdateRollback(t *testing.T) {
 	q.Filter = itemsPred(t, s, expr.NewBinary(expr.OpEq, expr.NewColRef("", "val"), expr.NewConst(types.NewFloat(999))))
 	if rows := runQuery(t, s, q); len(rows) != 0 {
 		t.Errorf("update not rolled back: %d rows", len(rows))
+	}
+}
+
+// An UPDATE that moves a row onto another row's key is refused as the
+// INSERT of that key is, and undone: the rows it had already rewritten
+// read as before. A row may be given the key it has.
+func TestUpdateRefusesDuplicateKey(t *testing.T) {
+	s := New("db")
+	schema := types.NewSchema(types.Column{Name: "id", Type: types.KindInt}, types.Column{Name: "v", Type: types.KindInt})
+	if err := s.CreateTable("t", schema, 0); err != nil {
+		t.Fatal(err)
+	}
+	rows := []types.Row{{types.NewInt(1), types.NewInt(10)}, {types.NewInt(2), types.NewInt(20)}, {types.NewInt(7), types.NewInt(70)}}
+	if _, err := s.Insert(ctx, "t", rows); err != nil {
+		t.Fatal(err)
+	}
+	id, num := expr.NewBoundColRef(0, types.KindInt, "id"), func(i int64) expr.Expr { return expr.NewConst(types.NewInt(i)) }
+	table := func() string { return fmt.Sprint(runQuery(t, s, source.NewScan("t"))) }
+	before := table()
+
+	// UPDATE t SET id = 1 WHERE id = 2.
+	n, err := s.Update(ctx, "t", expr.NewBinary(expr.OpEq, id, num(2)), []source.SetClause{{Col: 0, Value: num(1)}})
+	if err == nil || !strings.Contains(err.Error(), "duplicate key") || n != 0 {
+		t.Errorf("a SET onto a key that exists: %d rows, %v; want a duplicate-key error", n, err)
+	}
+	// UPDATE t SET id = id + 5, v = 0 rewrites 1 as 6 before 2 becomes
+	// 7, which is there; SET id = id * 7 fails on its first row.
+	for _, set := range [][]source.SetClause{
+		{{Col: 0, Value: expr.NewBinary(expr.OpAdd, id, num(5))}, {Col: 1, Value: num(0)}},
+		{{Col: 0, Value: expr.NewBinary(expr.OpMul, id, num(7))}, {Col: 1, Value: num(0)}},
+	} {
+		if n, err := s.Update(ctx, "t", nil, set); err == nil || n != 0 {
+			t.Errorf("SET id = %s: %d rows, %v; want a duplicate-key error", set[0].Value, n, err)
+		}
+		if got := table(); got != before {
+			t.Errorf("a refused update left %s, the table was %s", got, before)
+		}
+	}
+	// The row being replaced is not its own duplicate.
+	if n, err := s.Update(ctx, "t", nil, []source.SetClause{{Col: 0, Value: id}, {Col: 1, Value: num(5)}}); err != nil || n != 3 {
+		t.Errorf("SET id = id: %d rows, %v", n, err)
+	}
+	if n, err := s.Update(ctx, "t", expr.NewBinary(expr.OpEq, id, num(2)), []source.SetClause{{Col: 0, Value: num(3)}}); err != nil || n != 1 {
+		t.Errorf("a SET onto a free key: %d rows, %v", n, err)
+	}
+	if got, want := table(), "[(1, 5) (3, 5) (7, 5)]"; got != want {
+		t.Errorf("table = %s, want %s", got, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package relstore
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"gis/internal/expr"
 	"gis/internal/source"
@@ -83,11 +84,11 @@ func (tx *Tx) Insert(_ context.Context, tbl string, rows []types.Row) (int64, er
 	}
 	var n int64
 	for _, r := range rows {
-		nr, err := normalizeRow(t.schema, r)
+		nr, err := source.NormalizeRow(t.schema, r)
 		if err != nil {
 			return n, fmt.Errorf("relstore %s table %s: %w", tx.s.name, tbl, err)
 		}
-		if err := t.checkKeyUnique(nr); err != nil {
+		if err := t.checkKeyUnique(nr, -1); err != nil {
 			return n, fmt.Errorf("relstore %s table %s: %w", tx.s.name, tbl, err)
 		}
 		pos := t.insertLocked(nr)
@@ -110,8 +111,11 @@ func (tx *Tx) Update(_ context.Context, tbl string, filter expr.Expr, set []sour
 	if err := (&source.TableInfo{Schema: t.schema}).CheckWrite(tbl, set, nil); err != nil {
 		return 0, fmt.Errorf("relstore %s: %w", tx.s.name, err)
 	}
+	// A SET of a key column can make the row another row's duplicate.
+	setsKey := slices.ContainsFunc(set, func(sc source.SetClause) bool { return slices.Contains(t.key, sc.Col) })
 	var n int64
-	for pos, r := range t.rows {
+	for pos := 0; pos < t.n; pos++ {
+		r := t.at(pos)
 		if r == nil {
 			continue
 		}
@@ -130,11 +134,16 @@ func (tx *Tx) Update(_ context.Context, tbl string, filter expr.Expr, set []sour
 			if err != nil {
 				return n, err
 			}
-			cv, err := coerceForColumn(v, t.schema.Columns[sc.Col].Type)
+			cv, err := source.CoerceForColumn(v, t.schema.Columns[sc.Col].Type)
 			if err != nil {
 				return n, err
 			}
 			nr[sc.Col] = cv
+		}
+		if setsKey {
+			if err := t.checkKeyUnique(nr, pos); err != nil {
+				return n, fmt.Errorf("relstore %s table %s: %w", tx.s.name, tbl, err)
+			}
 		}
 		old := t.replaceLocked(pos, nr)
 		tx.undo = append(tx.undo, undoRec{kind: undoReplace, t: t, pos: pos, old: old})
@@ -153,7 +162,8 @@ func (tx *Tx) Delete(_ context.Context, tbl string, filter expr.Expr) (int64, er
 		return 0, err
 	}
 	var n int64
-	for pos, r := range t.rows {
+	for pos := 0; pos < t.n; pos++ {
+		r := t.at(pos)
 		if r == nil {
 			continue
 		}
@@ -230,7 +240,7 @@ func (tx *Tx) Abort(context.Context) error {
 		case undoInsert:
 			u.t.deleteLocked(u.pos)
 		case undoDelete:
-			u.t.rows[u.pos] = u.old
+			u.t.set(u.pos, u.old)
 			u.t.live.Add(1)
 			u.t.statsCache = nil
 		case undoReplace:
@@ -243,30 +253,10 @@ func (tx *Tx) Abort(context.Context) error {
 	return nil
 }
 
-// normalizeRow coerces each value of a row as wide as the schema to the
-// column type.
-func normalizeRow(schema *types.Schema, r types.Row) (types.Row, error) {
-	out := make(types.Row, len(r))
-	for i, v := range r {
-		cv, err := coerceForColumn(v, schema.Columns[i].Type)
-		if err != nil {
-			return nil, fmt.Errorf("column %s: %w", schema.Columns[i].Name, err)
-		}
-		out[i] = cv
-	}
-	return out, nil
-}
-
-func coerceForColumn(v types.Value, k types.Kind) (types.Value, error) {
-	if v.IsNull() || v.Kind() == k {
-		return v, nil
-	}
-	return v.Coerce(k)
-}
-
 // checkKeyUnique enforces primary-key uniqueness using the key hash
-// index when present.
-func (t *table) checkKeyUnique(r types.Row) error {
+// index when present: no row but the one at position self, which r is
+// about to replace (-1: r is new), may hold r's key.
+func (t *table) checkKeyUnique(r types.Row, self int) error {
 	if len(t.key) == 0 {
 		return nil
 	}
@@ -276,8 +266,8 @@ func (t *table) checkKeyUnique(r types.Row) error {
 		return nil
 	}
 	for _, pos := range idx[r[probe].Hash(0)] {
-		ex := t.rows[pos]
-		if ex == nil {
+		ex := t.at(pos)
+		if ex == nil || pos == self {
 			continue
 		}
 		same := true

@@ -2,6 +2,8 @@ package source
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 
 	"gis/internal/expr"
@@ -174,4 +176,20 @@ func (c *copyIter) Next() (types.Row, error) {
 		c.copies = append(c.copies, r.Clone())
 	}
 	return r, err
+}
+
+// Allocations reports the objects and the bytes one call of run
+// allocates: what the stores' slope tests compare between a table and
+// one twice its size. It is the least of a few readings, since whatever
+// else the runtime allocates meanwhile lands in them too.
+func Allocations(run func()) (objects, bytes uint64) {
+	objects, bytes = math.MaxUint64, math.MaxUint64
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		objects, bytes = min(objects, after.Mallocs-before.Mallocs), min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return objects, bytes
 }

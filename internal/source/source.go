@@ -355,6 +355,33 @@ func (info *TableInfo) CheckWrite(table string, set []SetClause, rows []types.Ro
 	return nil
 }
 
+// CoerceForColumn converts a value being written to the type of the
+// column it is written to. NULL, and a value of that type already, pass
+// as they are; anything else converts or is refused (types.Value.Coerce).
+// Every store that holds typed rows asks it of every value it stores, so
+// that a column reads back as the kind its schema declares.
+func CoerceForColumn(v types.Value, k types.Kind) (types.Value, error) {
+	if v.IsNull() || v.Kind() == k {
+		return v, nil
+	}
+	return v.Coerce(k)
+}
+
+// NormalizeRow returns r — as wide as schema, which CheckWrite has
+// established — as the store keeps it: a copy the caller has no hold
+// on, each value coerced to its column's type.
+func NormalizeRow(schema *types.Schema, r types.Row) (types.Row, error) {
+	out := make(types.Row, len(r))
+	for i, v := range r {
+		cv, err := CoerceForColumn(v, schema.Columns[i].Type)
+		if err != nil {
+			return nil, fmt.Errorf("column %s: %w", schema.Columns[i].Name, err)
+		}
+		out[i] = cv
+	}
+	return out, nil
+}
+
 // Writer is implemented by sources that accept updates.
 type Writer interface {
 	Insert(ctx context.Context, table string, rows []types.Row) (int64, error)

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gis/internal/types"
 )
 
 var ctx = context.Background()
@@ -149,6 +151,66 @@ func TestTxnStoresFixture(t *testing.T) {
 	res, err := f.Engine.Query(ctx, "SELECT SUM(balance) FROM accounts")
 	if err != nil || res.Rows[0][0].Float() != 4*10*999 {
 		t.Fatalf("sum = %v, %v", res, err)
+	}
+}
+
+// The repository benchmark's update_2pc workload at its test scale —
+// four served relstores, its five statements in rounds — takes no view
+// of a table, so no write ever copies a chunk for a reader: the writes
+// scan under the write lock, sum_check folds under the read lock, and a
+// DELETE or UPDATE by key that the mediator turns into a read first is
+// an index probe. A full scan put between the rounds is what a copy
+// takes, and the counter shows it.
+func TestUpdateWorkloadCopiesNoChunk(t *testing.T) {
+	const parts, rowsPer = 4, 100
+	f, err := TxnStores(ctx, parts, rowsPer, true, Link{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	copies := func() (n int64) {
+		for _, st := range f.Stores {
+			n += st.ViewCopies()
+		}
+		return n
+	}
+	num := func(i int) types.Value { return types.NewInt(int64(i)) }
+	round := func(i int) {
+		t.Helper()
+		id, span := i%(parts*rowsPer), rowsPer/2
+		lo := (i * 37) % (parts*rowsPer - 2*span)
+		for _, st := range []struct {
+			sql    string
+			params []types.Value
+			rows   int64
+		}{
+			{"DELETE FROM accounts WHERE id = ?", []types.Value{num(id)}, 1},
+			{"INSERT INTO accounts (id, balance) VALUES (?, ?)", []types.Value{num(id), types.NewFloat(5)}, 1},
+			{"UPDATE accounts SET balance = balance + ? WHERE id = ?", []types.Value{types.NewFloat(1), num(id)}, 1},
+			{"UPDATE accounts SET balance = CASE WHEN id < ? THEN balance - ? ELSE balance + ? END WHERE id >= ? AND id < ?",
+				[]types.Value{num(lo + span), types.NewFloat(2), types.NewFloat(2), num(lo), num(lo + 2*span)}, int64(2 * span)},
+		} {
+			if n, err := f.Engine.Exec(ctx, st.sql, st.params...); err != nil || n != st.rows {
+				t.Fatalf("round %d, %s: %d rows, %v; want %d", i, st.sql, n, err, st.rows)
+			}
+		}
+		res, err := f.Engine.Query(ctx, "SELECT SUM(balance), COUNT(*) FROM accounts")
+		if err != nil || res.Rows[0][1].Int() != parts*rowsPer {
+			t.Fatalf("round %d, sum_check: %v, %v", i, res, err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		round(i)
+	}
+	if n := copies(); n != 0 {
+		t.Errorf("%d chunks copied for a scan over 40 rounds of update_2pc's statements: something took a view", n)
+	}
+	if res, err := f.Engine.Query(ctx, "SELECT id, balance FROM accounts"); err != nil || len(res.Rows) != parts*rowsPer {
+		t.Fatalf("full scan: %v, %v", res, err)
+	}
+	round(40)
+	if n := copies(); n == 0 {
+		t.Error("no chunk copied by the writes that followed a full scan of every participant: the counter counts nothing")
 	}
 }
 

@@ -23,7 +23,10 @@
 #                   TestTwoTransactionsOneClient, TestCallObservesDeadline
 #                   and TestAbandonedTransactionReleasesLock (a lock held
 #                   in a server across round trips; DESIGN.md "Wire
-#                   connections and transactions"). A hang is how a
+#                   connections and transactions"), and wire
+#                   TestRaceStressScansDuringWrites (scans of every store
+#                   read while writes commit; DESIGN.md "What a scan
+#                   holds"). A hang is how a
 #                   re-acquired mutex, a Wait that misses its Done or a
 #                   lock cycle shows, so the timeout is part of the gate:
 #                   well over three times the slowest package (workload, 27 s)
