@@ -35,13 +35,21 @@ check:
 	sh scripts/check.sh
 
 # The non-test lines of Go a simplicity PR quotes, per package and in
-# total: *.go outside _test.go files, bench/ and testdata/.
+# total: *.go outside _test.go files, bench/ and testdata/. The second
+# column counts the row iterators among them (types with a
+# `Next() (types.Row, error)` method).
 loc:
 	@sh scripts/loc.sh
 
 # After a change meant to move a plan: rewrite the golden file of
 # TestPlansGolden (227 statements under each optimizer variant) from the
-# plans this build produces, then review its diff.
+# plans this build produces, then review its diff. A change meant to
+# move only how a fragment scan prints (its suffix, a pushed constant)
+# moves no other line:
+#   git diff -U0 internal/workload/testdata/plans.golden | grep '^[-+]' | grep -v FragScan
+# prints the two header lines and nothing else — unless two variants of
+# a statement stopped or started printing alike, which adds or removes a
+# "-- variant" block.
 golden:
 	$(GO) test ./internal/workload -run TestPlansGolden -update
 

@@ -75,7 +75,9 @@ type Controller struct {
 
 // tenantState is one tenant's bucket and memory account. The bucket is
 // mutated under Controller.mu (once per query); the byte account uses
-// atomics because it is touched per row batch.
+// atomics because it is touched per row batch. A tenant's name is
+// whatever a peer sent, so its state lives only while something would be
+// lost without it (idle).
 type tenantState struct {
 	name   string
 	tokens float64 // may go negative: reservations queue on the bucket
@@ -83,11 +85,12 @@ type tenantState struct {
 	rate   float64
 	burst  float64
 
-	bytes    atomic.Int64
-	sessions map[*Session]struct{} // guarded by Controller.mu
-
-	mAdmitted *obs.Counter
-	mShed     *obs.Counter
+	bytes atomic.Int64
+	// holds counts the tenant's queries between Admit's look-up and
+	// their shedding or Release; sessions are the admitted ones among
+	// them. Both guarded by Controller.mu.
+	holds    int
+	sessions map[*Session]struct{}
 }
 
 // New builds a controller from cfg.
@@ -122,9 +125,21 @@ func New(cfg Config) *Controller {
 	return c
 }
 
-// tenant returns (creating on first use) the named tenant's state.
-// Caller holds c.mu.
-func (c *Controller) tenant(name string) *tenantState {
+// idle reports whether forgetting t loses nothing: no query of the
+// tenant is admitted or on its way in, and its bucket has refilled — a
+// fresh bucket is a full one. Caller holds c.mu.
+func (t *tenantState) idle(now time.Time) bool {
+	return t.holds == 0 && (t.rate <= 0 || t.tokens+now.Sub(t.last).Seconds()*t.rate >= t.burst)
+}
+
+// hold looks tenant name up for one query, making its state on first
+// use; the query keeps it alive until it is shed or released (holds).
+// It also forgets up to two other tenants that have gone idle — map
+// order is random, so every entry comes up — which bounds the states
+// kept by the tenants with a query in flight or a bucket refilling,
+// without a timer or a goroutine, and never forgets the tenant a steady
+// client is about to use again. Caller holds c.mu.
+func (c *Controller) hold(name string, now time.Time) *tenantState {
 	t, ok := c.tenants[name]
 	if !ok {
 		w := 1.0
@@ -132,16 +147,24 @@ func (c *Controller) tenant(name string) *tenantState {
 			w = cw
 		}
 		t = &tenantState{
-			name:      name,
-			rate:      c.cfg.TenantRate * w,
-			burst:     c.cfg.TenantBurst * w,
-			tokens:    c.cfg.TenantBurst * w,
-			last:      time.Now(),
-			sessions:  make(map[*Session]struct{}),
-			mAdmitted: obs.Default().Counter("admission.tenant." + name + ".admitted"),
-			mShed:     obs.Default().Counter("admission.tenant." + name + ".shed"),
+			name:     name,
+			rate:     c.cfg.TenantRate * w,
+			burst:    c.cfg.TenantBurst * w,
+			tokens:   c.cfg.TenantBurst * w,
+			last:     now,
+			sessions: make(map[*Session]struct{}),
 		}
 		c.tenants[name] = t
+	}
+	t.holds++
+	seen := 0
+	for other, o := range c.tenants {
+		if o.idle(now) {
+			delete(c.tenants, other)
+		}
+		if seen++; seen == 2 {
+			break
+		}
 	}
 	return t
 }
@@ -189,14 +212,13 @@ func (c *Controller) Admit(ctx context.Context, tenant string) (context.Context,
 		}
 	}
 	if maxWait <= 0 {
-		c.shed(nil, tenant, ReasonDeadline, false, 0)
-		return ctx, nil, shedError(tenant, ReasonDeadline, false, 0)
+		return ctx, nil, c.refuse(nil, tenant, ReasonDeadline, false, 0)
 	}
 	degraded := c.cfg.Degraded != nil && c.cfg.Degraded()
 
 	// Per-tenant token bucket (weighted-fair rate limiting).
 	c.mu.Lock()
-	t := c.tenant(tenant)
+	t := c.hold(tenant, now)
 	wait := t.reserveToken(now)
 	if wait > 0 && (degraded || wait > maxWait) {
 		t.unreserve()
@@ -205,8 +227,7 @@ func (c *Controller) Admit(ctx context.Context, tenant string) (context.Context,
 		if degraded {
 			reason = ReasonDegraded
 		}
-		c.shed(t, tenant, reason, true, wait)
-		return ctx, nil, shedError(tenant, reason, true, wait)
+		return ctx, nil, c.refuse(t, tenant, reason, true, wait)
 	}
 	c.mu.Unlock()
 
@@ -215,8 +236,7 @@ func (c *Controller) Admit(ctx context.Context, tenant string) (context.Context,
 			c.mu.Lock()
 			t.unreserve()
 			c.mu.Unlock()
-			c.shed(t, tenant, ReasonDeadline, false, 0)
-			return ctx, nil, shedError(tenant, ReasonDeadline, false, 0)
+			return ctx, nil, c.refuse(t, tenant, ReasonDeadline, false, 0)
 		}
 		maxWait -= wait
 	}
@@ -226,39 +246,33 @@ func (c *Controller) Admit(ctx context.Context, tenant string) (context.Context,
 		select {
 		case c.slots <- struct{}{}:
 		default:
-			if degraded || maxWait <= 0 {
-				reason := ReasonDegraded
-				retryable := true
-				if !degraded {
-					reason, retryable = ReasonDeadline, false
-				}
-				c.shed(t, tenant, reason, retryable, 0)
-				return ctx, nil, shedError(tenant, reason, retryable, 0)
+			if degraded {
+				return ctx, nil, c.refuse(t, tenant, ReasonDegraded, true, 0)
+			}
+			if maxWait <= 0 {
+				return ctx, nil, c.refuse(t, tenant, ReasonDeadline, false, 0)
 			}
 			if int(c.queued.Load()) >= c.cfg.MaxQueue {
-				c.shed(t, tenant, ReasonQueueFull, true, maxWait)
-				return ctx, nil, shedError(tenant, ReasonQueueFull, true, maxWait)
+				return ctx, nil, c.refuse(t, tenant, ReasonQueueFull, true, maxWait)
 			}
 			qstart := time.Now()
 			c.queued.Add(1)
 			c.gQueue.Set(float64(c.queued.Load()))
 			c.mQueued.Inc()
 			timer := time.NewTimer(maxWait)
-			var err error
+			admitted := false
 			select {
 			case c.slots <- struct{}{}:
+				admitted = true
 			case <-ctx.Done():
-				err = shedError(tenant, ReasonDeadline, false, 0)
 			case <-timer.C:
-				err = shedError(tenant, ReasonDeadline, false, 0)
 			}
 			timer.Stop()
 			c.queued.Add(-1)
 			c.gQueue.Set(float64(c.queued.Load()))
 			c.hQueueWait.ObserveSince(qstart)
-			if err != nil {
-				c.shed(t, tenant, ReasonDeadline, false, 0)
-				return ctx, nil, err
+			if !admitted {
+				return ctx, nil, c.refuse(t, tenant, ReasonDeadline, false, 0)
 			}
 		}
 	}
@@ -277,7 +291,6 @@ func (c *Controller) Admit(ctx context.Context, tenant string) (context.Context,
 	t.sessions[s] = struct{}{}
 	c.mu.Unlock()
 	c.mAdmitted.Inc()
-	t.mAdmitted.Inc()
 	c.gInflight.Add(1)
 	return ctx, s, nil
 }
@@ -294,16 +307,17 @@ func (c *Controller) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// shed records one shed decision in the metrics. t may be nil when the
-// decision fired before tenant state was resolved.
-func (c *Controller) shed(t *tenantState, tenant string, reason Reason, retryable bool, after time.Duration) {
+// refuse counts one shed decision, ends the query's hold on its tenant
+// (t is nil when the decision fell before it had one) and returns the
+// typed error.
+func (c *Controller) refuse(t *tenantState, tenant string, reason Reason, retryable bool, after time.Duration) error {
 	c.mShed.Inc()
-	if t == nil {
+	if t != nil {
 		c.mu.Lock()
-		t = c.tenant(tenant)
+		t.holds--
 		c.mu.Unlock()
 	}
-	t.mShed.Inc()
+	return shedError(tenant, reason, retryable, after)
 }
 
 // Session is one admitted query's handle: it accounts result-stream
@@ -329,6 +343,11 @@ func (s *Session) Tenant() string {
 	}
 	return s.tenant
 }
+
+// Metered reports whether the bytes a query fetches count against a
+// quota: AddBytes is worth calling, and the sizes it is given worth
+// computing, only then.
+func (s *Session) Metered() bool { return s != nil && s.c.cfg.MemQuota > 0 }
 
 // AddBytes accounts n bytes of result-stream data against the tenant's
 // memory quota. When the quota is exceeded the tenant's largest session
@@ -383,6 +402,7 @@ func (s *Session) Release() {
 	s.t.bytes.Add(-s.bytes.Load())
 	s.c.mu.Lock()
 	delete(s.t.sessions, s)
+	s.t.holds--
 	s.c.mu.Unlock()
 	if s.c.slots != nil {
 		<-s.c.slots
@@ -427,7 +447,6 @@ func (c *Controller) abortWorst(t *tenantState) {
 		worst.cancel(e)
 		c.mMemAborts.Inc()
 		c.mShed.Inc()
-		t.mShed.Inc()
 	}
 }
 

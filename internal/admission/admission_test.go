@@ -3,8 +3,11 @@ package admission
 import (
 	"context"
 	"errors"
+	"strconv"
 	"testing"
 	"time"
+
+	"gis/internal/obs"
 )
 
 var bg = context.Background()
@@ -253,4 +256,68 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("condition never became true")
+}
+
+// A tenant's name is whatever a connection's hello says, so the state
+// kept for it must not outlive its use: 10 000 distinct tenants admitted
+// and released leave the controller and the registry where one tenant
+// leaves them. With a rate limit a bucket has to refill first — a
+// tenant dropped earlier would come back with a full one — and the
+// admissions that follow do the forgetting. (Until PR 28 every name kept
+// a tenantState and two counters for ever.)
+func TestTenantStateIsBounded(t *testing.T) {
+	tenants := func(c *Controller) int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.tenants)
+	}
+	signals := func() int {
+		s := obs.Default().Snapshot()
+		return len(s.Counters) + len(s.Gauges) + len(s.Histograms)
+	}
+	visit := func(c *Controller, from, to int) {
+		for i := from; i < to; i++ {
+			_, s := mustAdmit(t, c, bg, "tenant-"+strconv.Itoa(i))
+			s.Release()
+		}
+	}
+
+	c := New(Config{MaxInFlight: 4})
+	visit(c, 0, 1)
+	one, registered := tenants(c), signals()
+	visit(c, 1, 10000)
+	if got := tenants(c); got != one {
+		t.Errorf("%d tenant states after 10 000 tenants came and went, %d after one", got, one)
+	}
+	if got := signals(); got != registered {
+		t.Errorf("%d signals registered after 10 000 tenants, %d after one", got, registered)
+	}
+
+	// A session in flight, or on its way in, keeps its tenant.
+	_, held := mustAdmit(t, c, bg, "held")
+	visit(c, 0, 100)
+	c.mu.Lock()
+	if st := c.tenants["held"]; st == nil || st != held.t {
+		t.Error("a tenant with a session in flight was forgotten")
+	}
+	c.mu.Unlock()
+	held.Release()
+
+	// One token a millisecond, one in the bucket: a tenant is remembered
+	// while its bucket refills — forgotten sooner, it would come back
+	// with a full one — and forgotten by the admissions after that.
+	limited := New(Config{TenantRate: 1000, TenantBurst: 1, MaxWait: time.Nanosecond, Weights: map[string]float64{"steady": 1e9}})
+	visit(limited, 0, 1)
+	if _, _, err := limited.Admit(bg, "tenant-0"); !errors.Is(err, ErrOverload) {
+		t.Errorf("a second query inside the refill time = %v, want shed", err)
+	}
+	visit(limited, 1, 500)
+	time.Sleep(5 * time.Millisecond)
+	for i := 0; i < 10000; i++ {
+		_, s := mustAdmit(t, limited, bg, "steady")
+		s.Release()
+	}
+	if got := tenants(limited); got != 1 {
+		t.Errorf("%d tenant states kept under a rate limit, long after 500 tenants' buckets refilled", got)
+	}
 }

@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"gis/internal/expr"
-	"gis/internal/obs"
 	"gis/internal/resilience"
 	"gis/internal/source"
 	"gis/internal/stats"
@@ -43,13 +42,22 @@ type ColumnMapping struct {
 	// inverse of ValueMap, built on registration; nil when ValueMap is
 	// not bijective (then predicates on this column cannot push down).
 	inverse map[string]string
+	// remoteKind and globalKind are the column's kind at the source and
+	// in the global schema, recorded on registration. Where they differ
+	// every value is coerced on its way up.
+	remoteKind, globalKind types.Kind
 }
 
 // Identity reports whether the mapping is a plain column reference with
-// no transformation.
+// no transformation: the source's value is the global value, kind and
+// all.
 func (m *ColumnMapping) Identity() bool {
-	return m.RemoteCol >= 0 && m.Scale == 0 && m.ValueMap == nil && m.Const == nil
+	return m.RemoteCol >= 0 && m.Scale == 0 && m.ValueMap == nil && m.Const == nil && !m.retyped()
 }
+
+// retyped reports whether the column's remote kind is not its global
+// kind.
+func (m *ColumnMapping) retyped() bool { return m.remoteKind != m.globalKind }
 
 // hasAffine reports whether an affine conversion applies.
 func (m *ColumnMapping) hasAffine() bool { return m.Scale != 0 }
@@ -239,15 +247,7 @@ func (c *Catalog) AddSource(src source.Source) error {
 }
 
 // Source resolves a registered source.
-// Lookup counters expose how often the planner consults the catalog.
-var (
-	mTableLookups  = obs.Default().Counter("catalog.table_lookups")
-	mSourceLookups = obs.Default().Counter("catalog.source_lookups")
-	mViewLookups   = obs.Default().Counter("catalog.view_lookups")
-)
-
 func (c *Catalog) Source(name string) (source.Source, error) {
-	mSourceLookups.Inc()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	src, ok := c.sources[name]
@@ -291,7 +291,6 @@ func (c *Catalog) DefineTable(name string, schema *types.Schema) error {
 
 // Table resolves a global table.
 func (c *Catalog) Table(name string) (*GlobalTable, error) {
-	mTableLookups.Inc()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	t, ok := c.tables[name]
@@ -369,6 +368,9 @@ func (c *Catalog) MapFragment(ctx context.Context, table string, f *Fragment) er
 				return fmt.Errorf("catalog: column %q value map needs string types", gcol.Name)
 			}
 		}
+		if m.RemoteCol >= 0 {
+			m.remoteKind, m.globalKind = info.Schema.Columns[m.RemoteCol].Type, gcol.Type
+		}
 		// Build the inverse value map when bijective.
 		if m.ValueMap != nil {
 			inv := make(map[string]string, len(m.ValueMap))
@@ -428,8 +430,11 @@ func (m *ColumnMapping) Invertible() bool {
 // InvertsExactly reports whether a global value translates back to the
 // very remote value it came from — what an equality on shipped join keys
 // needs. An affine conversion inverts only up to floating-point
-// rounding.
-func (m *ColumnMapping) InvertsExactly() bool { return m.Invertible() && !m.hasAffine() }
+// rounding, and a coercion need not invert at all ('042' and '42' are
+// one INT).
+func (m *ColumnMapping) InvertsExactly() bool {
+	return m.Invertible() && !m.hasAffine() && !m.retyped()
+}
 
 // DefineView registers a named global view: a SELECT statement expanded
 // wherever the view's name appears in a FROM clause. The text is parsed
@@ -454,7 +459,6 @@ func (c *Catalog) DefineView(name, selectSQL string) error {
 
 // View returns the SQL text of a view, if defined.
 func (c *Catalog) View(name string) (string, bool) {
-	mViewLookups.Inc()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	v, ok := c.views[name]

@@ -287,7 +287,7 @@ func TestTranslateRow(t *testing.T) {
 	}
 	translate := func(f *Fragment, globalCols []int, remote types.Row) (types.Row, error) {
 		row := make(types.Row, len(globalCols))
-		return row, f.TranslateInto(row, tab.Schema, globalCols, remote)
+		return row, f.TranslateInto(row, tab.Schema, globalCols, f.RowPositions(globalCols, true), remote)
 	}
 	row, err := translate(fragA, globalCols,
 		types.Row{types.NewInt(1), types.NewString("F"), types.NewFloat(61)})
@@ -396,5 +396,141 @@ func TestGlobalTableStats(t *testing.T) {
 	tab.Fragments[0].SetStats(ts)
 	if tab.Stats() == nil {
 		t.Error("stats must merge when a fragment is analyzed")
+	}
+}
+
+// mappedColumn maps one global column g of kind global over the only
+// column of a remote table, of kind remote, through m.
+func mappedColumn(t *testing.T, remote, global types.Kind, m ColumnMapping) (*Fragment, *types.Schema) {
+	t.Helper()
+	st := relstore.New("s")
+	if err := st.CreateTable("t", types.NewSchema(types.Column{Name: "r", Type: remote}), 0); err != nil {
+		t.Fatal(err)
+	}
+	c := New()
+	if err := c.AddSource(st); err != nil {
+		t.Fatal(err)
+	}
+	schema := types.NewSchema(types.Column{Name: "g", Type: global})
+	if err := c.DefineTable("g", schema); err != nil {
+		t.Fatal(err)
+	}
+	f := &Fragment{Source: "s", RemoteTable: "t", Columns: []ColumnMapping{m}}
+	if err := c.MapFragment(context.Background(), "g", f); err != nil {
+		t.Fatal(err)
+	}
+	return f, schema
+}
+
+var comparisons = []expr.BinOp{expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe, expr.OpEq, expr.OpNe}
+
+// A comparison over a unit-converted column is pushed only as a remote
+// comparison that accepts exactly the remote values whose conversion the
+// global one accepts: for every threshold c × scale + offset, c in
+// 1…1 999, and the remote values around c, stored as INT and as FLOAT.
+// The rounded inverse alone lands above 163 of the 1 999 stored values
+// of × 0.01 and below 140 (it says 7.000000000000001 for 0.07, and
+// 7 × 0.01 is 0.07, so "cents < inverse" took the row "usd < 0.07" does
+// not); = and <> have no exact remote form and are not translated.
+func TestAffineComparisonTranslatesExactly(t *testing.T) {
+	for _, m := range []ColumnMapping{{Scale: 0.01}, {Scale: -0.01}, {Scale: 1.8, Offset: 32}, {Scale: 0.453592}, {Scale: -3, Offset: 0.1}} {
+		f, schema := mappedColumn(t, types.KindFloat, types.KindFloat, m)
+		m := &f.Columns[0]
+		inverseWrong := 0
+		for c := 1; c < 2000; c++ {
+			v, err := m.ToGlobal(types.NewInt(int64(c)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rv, _ := m.ToRemote(v); rv.Float() != float64(c) {
+				inverseWrong++
+			}
+			for _, op := range comparisons {
+				global, err := expr.Bind(expr.NewBinary(op, expr.NewColRef("", "g"), expr.NewConst(v)), schema)
+				if err != nil {
+					t.Fatal(err)
+				}
+				remote, ok := f.TranslateConjunct(global)
+				if op == expr.OpEq || op == expr.OpNe {
+					if ok {
+						t.Fatalf("scale %v: %s was translated to %s", m.Scale, global, remote)
+					}
+					continue
+				}
+				if !ok {
+					t.Fatalf("scale %v: %s was not translated", m.Scale, global)
+				}
+				for d := -2; d <= 2; d++ {
+					for _, r := range []types.Value{types.NewInt(int64(c + d)), types.NewFloat(float64(c + d))} {
+						g, err := m.ToGlobal(r)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, werr := expr.EvalBool(global, types.Row{g})
+						got, gerr := expr.EvalBool(remote, types.Row{r})
+						if werr != nil || gerr != nil || got != want {
+							t.Fatalf("scale %v offset %v: remote value %v is %v: %s says %v (%v), pushed as %s says %v (%v)",
+								m.Scale, m.Offset, r, g, global, want, werr, remote, got, gerr)
+						}
+					}
+				}
+			}
+		}
+		t.Logf("scale %v offset %v: the rounded inverse misses %d of 1999 stored values", m.Scale, m.Offset, inverseWrong)
+	}
+	// A conversion whose offset swamps its scale maps whole ranges of
+	// remote values to one global value; the boundary is then far from
+	// the inverse and the conjunct is kept rather than searched for.
+	f, schema := mappedColumn(t, types.KindFloat, types.KindFloat, ColumnMapping{Scale: 1e-30, Offset: 1})
+	global, _ := expr.Bind(expr.NewBinary(expr.OpLe, expr.NewColRef("", "g"), expr.NewConst(types.NewFloat(1))), schema)
+	if remote, ok := f.TranslateConjunct(global); ok {
+		t.Errorf("%s translated to %s", global, remote)
+	}
+}
+
+// A column whose remote kind is not its global kind is not an identity:
+// every value is coerced. Numbers order and equal alike as INT and as
+// FLOAT, so a comparison goes to the source with its constant as
+// written; other kinds do not ('5' < '42', '042' is not '42'), so theirs
+// stay with the mediator.
+func TestRetypedColumnIsNotIdentity(t *testing.T) {
+	f, schema := mappedColumn(t, types.KindInt, types.KindString, ColumnMapping{})
+	m := &f.Columns[0]
+	if m.Identity() || m.InvertsExactly() {
+		t.Errorf("STRING over INT: Identity %v, InvertsExactly %v", m.Identity(), m.InvertsExactly())
+	}
+	if !f.NeedsTranslation([]int{0}) {
+		t.Error("STRING over INT needs no translation")
+	}
+	for _, op := range comparisons {
+		global, err := expr.Bind(expr.NewBinary(op, expr.NewColRef("", "g"), expr.NewConst(types.NewString("42"))), schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if remote, ok := f.TranslateConjunct(global); ok {
+			t.Errorf("%s translated to %s", global, remote)
+		}
+	}
+	row := make(types.Row, 1)
+	if err := f.TranslateInto(row, schema, []int{0}, []int{0}, types.Row{types.NewInt(42)}); err != nil || row[0].Kind() != types.KindString || row[0].Str() != "42" {
+		t.Errorf("INT 42 came up as %v %v, %v", row[0].Kind(), row[0], err)
+	}
+
+	f, schema = mappedColumn(t, types.KindInt, types.KindFloat, ColumnMapping{})
+	if f.Columns[0].Identity() {
+		t.Error("FLOAT over INT is an identity")
+	}
+	global, err := expr.Bind(expr.NewBinary(expr.OpLt, expr.NewColRef("", "g"), expr.NewConst(types.NewFloat(3.5))), schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, ok := f.TranslateConjunct(global)
+	if !ok || remote.String() != "(r < 3.5)" {
+		t.Errorf("%s translated to %v, %v", global, remote, ok)
+	}
+
+	f, _ = mappedColumn(t, types.KindInt, types.KindInt, ColumnMapping{})
+	if !f.Columns[0].Identity() || !f.Columns[0].InvertsExactly() {
+		t.Error("INT over INT is no identity")
 	}
 }

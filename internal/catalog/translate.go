@@ -2,17 +2,21 @@ package catalog
 
 import (
 	"fmt"
+	"math"
 
 	"gis/internal/expr"
 	"gis/internal/types"
 )
 
 // TranslateConjunct rewrites one conjunct of a global-schema predicate
-// into the fragment's remote schema for pushdown. ok is false when the
-// conjunct cannot be translated (it then stays at the mediator):
+// into the fragment's remote schema for pushdown: a predicate that holds
+// of a remote row exactly when the conjunct holds of its translation. ok
+// is false when there is none to be had (the conjunct then stays at the
+// mediator):
 //   - references a constant-mapped or transformed column in a shape
 //     other than <col> cmp <const>,
-//   - needs a non-invertible mapping,
+//   - needs a mapping inverted that does not invert, or not exactly
+//     (translateComparison),
 //   - contains a subquery.
 func (f *Fragment) TranslateConjunct(c expr.Expr) (expr.Expr, bool) {
 	if c == nil || expr.HasSubquery(c) {
@@ -51,39 +55,95 @@ func (f *Fragment) translateIdentity(c expr.Expr) (expr.Expr, bool) {
 }
 
 // translateComparison handles <col> cmp <const> over a transformed
-// column by inverting the transform on the constant.
+// column, and only where the source's comparison accepts exactly the
+// rows the global one does:
+//   - a value map inverts the constant of = and <> (ToRemote says when
+//     it cannot); codes need not sort as what they stand for, so an
+//     ordering comparison stays;
+//   - an affine conversion takes <, <=, > and >= with the boundary found
+//     by affineBound; = and <> stay, since the inverse is rounded and no
+//     remote constant need map onto the global one;
+//   - a column coerced from one numeric kind to the other compares as
+//     numbers either side, so the constant goes as written; any other
+//     coercion stays, since the two kinds neither order nor identify
+//     values alike ('5' < '42', and '042' is not '42').
 func (f *Fragment) translateComparison(c expr.Expr) (expr.Expr, bool) {
 	col, op, val, ok := expr.ColumnComparison(c)
 	if !ok || col.Index < 0 || col.Index >= len(f.Columns) {
 		return nil, false
 	}
-	m := f.Columns[col.Index]
-	if m.Const != nil {
+	m := &f.Columns[col.Index]
+	var rv types.Value
+	switch {
+	case m.Const != nil:
 		return nil, false
-	}
-	rv, ok := m.ToRemote(val)
-	if !ok {
+	case m.hasAffine():
+		if rv, op, ok = m.affineBound(op, val); !ok {
+			return nil, false
+		}
+	case m.ValueMap != nil && op != expr.OpEq && op != expr.OpNe,
+		m.retyped() && !(m.remoteKind.Numeric() && m.globalKind.Numeric()):
 		return nil, false
-	}
-	// A negative affine scale flips inequality directions.
-	if m.hasAffine() && m.Scale < 0 {
-		switch op {
-		case expr.OpLt:
-			op = expr.OpGt
-		case expr.OpLe:
-			op = expr.OpGe
-		case expr.OpGt:
-			op = expr.OpLt
-		case expr.OpGe:
-			op = expr.OpLe
-		default:
-			// Equality and non-comparison operators are direction-free.
+	default:
+		if rv, ok = m.ToRemote(val); !ok {
+			return nil, false
 		}
 	}
 	rcol := f.info.Schema.Columns[m.RemoteCol]
 	return expr.NewBinary(op,
 		expr.NewBoundColRef(m.RemoteCol, rcol.Type, rcol.Name),
 		expr.NewConst(rv)), true
+}
+
+// affineBoundSteps bounds affineBound's walk. The boundary is a few
+// representable values from the rounded inverse unless Offset swamps
+// Scale, and then the conjunct is better kept than searched for.
+const affineBoundSteps = 64
+
+// affineBound translates <global> op v over an affine column into the
+// remote comparison that holds for exactly the same remote values. The
+// inverse (v - Offset) / Scale is rounded, so comparing with it can
+// disagree, for values at the boundary, with comparing ToGlobal's result
+// with v. ToGlobal is monotone — a float multiply-add by constants
+// rounds monotonically — so the boundary exists, and the inverse is
+// stepped one representable value at a time onto it: for < and >= the
+// first value, going the way ToGlobal grows, whose image is not below
+// v; for <= and > the last whose image is not above it. A negative scale
+// grows the other way and flips the operator.
+func (m *ColumnMapping) affineBound(op expr.BinOp, v types.Value) (types.Value, expr.BinOp, bool) {
+	if v.IsNull() {
+		return v, op, true
+	}
+	if !v.Kind().Numeric() {
+		return types.Null, op, false
+	}
+	// Seen from the boundary value, sign*side is >= 0 on it and past
+	// it, < 0 before it, and up is where "past" lies.
+	up, sign := math.Inf(1), 1
+	switch op {
+	case expr.OpLt, expr.OpGe:
+	case expr.OpLe, expr.OpGt:
+		up, sign = -up, -1
+	default:
+		return types.Null, op, false
+	}
+	if m.Scale < 0 {
+		up = -up
+		op, _ = op.Commutes()
+	}
+	side := func(c float64) int {
+		g, _ := m.ToGlobal(types.NewFloat(c))
+		return sign * g.Compare(v)
+	}
+	c := (v.AsFloat() - m.Offset) / m.Scale
+	steps := affineBoundSteps
+	for ; steps > 0 && side(c) >= 0; steps-- {
+		c = math.Nextafter(c, -up)
+	}
+	for ; steps > 0 && side(c) < 0; steps-- {
+		c = math.Nextafter(c, up)
+	}
+	return types.NewFloat(c), op, steps > 0 && !math.IsNaN(c) && !math.IsInf(c, 0)
 }
 
 // SplitFilter partitions a bound global predicate's conjuncts into the
@@ -123,33 +183,48 @@ func (f *Fragment) RemoteCols(globalCols []int) []int {
 	return remote
 }
 
-// TranslateInto converts a remote row (projected to exactly the
-// remote-backed columns of globalCols, in order) into the global
-// representation of globalCols, coercing to the global column types. It
-// fills dst, which the caller supplies len(globalCols) wide.
-func (f *Fragment) TranslateInto(dst types.Row, globalSchema *types.Schema, globalCols []int, remoteRow types.Row) error {
-	ri := 0
+// RowPositions says where each of globalCols sits in a row the source
+// returns: in the projection RemoteCols(globalCols) when the source was
+// asked for it, in the whole remote row otherwise; -1 for a constant of
+// the fragment.
+func (f *Fragment) RowPositions(globalCols []int, projected bool) []int {
+	pos := make([]int, len(globalCols))
+	next := 0
 	for i, g := range globalCols {
-		m := f.Columns[g]
+		switch rc := f.Columns[g].RemoteCol; {
+		case rc < 0:
+			pos[i] = -1
+		case projected:
+			pos[i] = next
+			next++
+		default:
+			pos[i] = rc
+		}
+	}
+	return pos
+}
+
+// TranslateInto converts a source's row into the global representation
+// of globalCols, coercing to the global column types. pos[i] is where
+// globalCols[i] sits in remoteRow, negative for a constant of the
+// fragment. It fills dst, which the caller supplies len(globalCols)
+// wide.
+func (f *Fragment) TranslateInto(dst types.Row, globalSchema *types.Schema, globalCols, pos []int, remoteRow types.Row) error {
+	for i, g := range globalCols {
+		m := &f.Columns[g]
 		var v types.Value
-		if m.RemoteCol >= 0 {
-			if ri >= len(remoteRow) {
-				return fmt.Errorf("catalog: remote row too short for fragment %s.%s", f.Source, f.RemoteTable)
-			}
-			v = remoteRow[ri]
-			ri++
+		if p := pos[i]; p >= len(remoteRow) {
+			return fmt.Errorf("catalog: remote row too short for fragment %s.%s", f.Source, f.RemoteTable)
+		} else if p >= 0 {
+			v = remoteRow[p]
 		}
 		gv, err := m.ToGlobal(v)
+		if err == nil && !gv.IsNull() && gv.Kind() != globalSchema.Columns[g].Type {
+			gv, err = gv.Coerce(globalSchema.Columns[g].Type)
+		}
 		if err != nil {
 			return fmt.Errorf("catalog: fragment %s.%s column %s: %w",
 				f.Source, f.RemoteTable, globalSchema.Columns[g].Name, err)
-		}
-		if !gv.IsNull() && gv.Kind() != globalSchema.Columns[g].Type {
-			gv, err = gv.Coerce(globalSchema.Columns[g].Type)
-			if err != nil {
-				return fmt.Errorf("catalog: fragment %s.%s column %s: %w",
-					f.Source, f.RemoteTable, globalSchema.Columns[g].Name, err)
-			}
 		}
 		dst[i] = gv
 	}

@@ -203,33 +203,44 @@ func BenchmarkTopK(b *testing.B) {
 	}
 }
 
-// scanOnly is a source that can only scan whole tables: no filter, no
-// projection, so the mediator compensates for both. It builds every row
-// it hands out, from a slab that lends when asked, as a wrapper that
-// parses records does.
-type scanOnly struct {
-	schema *types.Schema
-	rows   []types.Row
+// refSource is the reference source: it holds rows, advertises caps,
+// refuses a sub-query that asks for more (Query.Check) and answers one
+// that does not with the reference evaluator (source.ApplyResidual).
+// The zero vector can only scan whole tables — no filter, no
+// projection — so the mediator compensates for both. It builds every
+// row it hands out, from a slab that lends when asked, as a wrapper
+// that parses records does.
+type refSource struct {
+	caps source.Capabilities
+	info *source.TableInfo
+	rows []types.Row
 }
 
-func (s *scanOnly) Name() string                             { return "scanonly" }
-func (s *scanOnly) Tables(context.Context) ([]string, error) { return []string{"readings"}, nil }
-func (s *scanOnly) Capabilities() source.Capabilities        { return source.Capabilities{} }
-func (s *scanOnly) TableInfo(context.Context, string) (*source.TableInfo, error) {
-	return &source.TableInfo{Schema: s.schema, RowCount: int64(len(s.rows))}, nil
+func (s *refSource) Name() string                             { return "ref" }
+func (s *refSource) Tables(context.Context) ([]string, error) { return []string{"readings"}, nil }
+func (s *refSource) Capabilities() source.Capabilities        { return s.caps }
+func (s *refSource) TableInfo(context.Context, string) (*source.TableInfo, error) {
+	return s.info, nil
 }
-func (s *scanOnly) Execute(context.Context, *source.Query) (source.RowIter, error) {
-	return &scanOnlyIter{rows: s.rows}, nil
+func (s *refSource) Execute(_ context.Context, q *source.Query) (source.RowIter, error) {
+	if err := q.Check(s.caps, s.info); err != nil {
+		return nil, err
+	}
+	rows, err := source.ApplyResidual(s.rows, q)
+	if err != nil {
+		return nil, err
+	}
+	return &refIter{rows: rows}, nil
 }
 
-type scanOnlyIter struct {
+type refIter struct {
 	rows []types.Row
 	slab types.RowSlab
 }
 
-func (it *scanOnlyIter) Lend() { it.slab.Lend() }
+func (it *refIter) Lend() { it.slab.Lend() }
 
-func (it *scanOnlyIter) Next() (types.Row, error) {
+func (it *refIter) Next() (types.Row, error) {
 	if len(it.rows) == 0 {
 		return nil, io.EOF
 	}
@@ -239,19 +250,19 @@ func (it *scanOnlyIter) Next() (types.Row, error) {
 	return r, nil
 }
 
-func (it *scanOnlyIter) Close() error { return nil }
+func (it *refIter) Close() error { return nil }
 
-// compensatedScanPlan plans, over n rows behind a scanOnly source whose
-// table stores cents and region codes,
+// compensatedScanPlan plans, over n rows behind a scan-only refSource
+// whose table stores cents and region codes,
 //
 //	SELECT region, COUNT(*), SUM(amount) FROM readings
 //	WHERE amount > 2.5 AND region <> 'west' GROUP BY region
 //
-// — hetero_local's mediated aggregate: every stage of a fragment scan's
-// compensation (residual filter, residual projection, translation of a
-// unit-converted and a value-mapped column) under an aggregate that
-// folds each row as it arrives. Three quarters of a third of the rows
-// pass.
+// — hetero_local's mediated aggregate: all of a fragment scan's
+// compensation (two columns read out of whole rows, a unit-converted and
+// a value-mapped one translated, both conjuncts kept) under an aggregate
+// that folds each row as it arrives. Three quarters of a third of the
+// rows pass.
 func compensatedScanPlan(tb testing.TB, n int) plan.Node {
 	tb.Helper()
 	must := func(err error) {
@@ -262,7 +273,7 @@ func compensatedScanPlan(tb testing.TB, n int) plan.Node {
 	}
 	remote := types.NewSchema(intCol("oid"), intCol("cust_id"),
 		types.Column{Name: "cents", Type: types.KindFloat}, strCol("rg"), strCol("note"))
-	src := &scanOnly{schema: remote, rows: make([]types.Row, n)}
+	src := &refSource{info: &source.TableInfo{Schema: remote, RowCount: int64(n)}, rows: make([]types.Row, n)}
 	for i := range src.rows {
 		src.rows[i] = types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 97)),
 			types.NewFloat(float64(i*7919%1000) + 0.5), types.NewString("NSEW"[i%4 : i%4+1]), types.NewString("n/a")}
@@ -271,7 +282,7 @@ func compensatedScanPlan(tb testing.TB, n int) plan.Node {
 	must(cat.AddSource(src))
 	must(cat.DefineTable("readings", types.NewSchema(intCol("oid"), intCol("cust_id"),
 		types.Column{Name: "amount", Type: types.KindFloat}, strCol("region"))))
-	must(cat.MapFragment(context.Background(), "readings", &catalog.Fragment{Source: "scanonly", RemoteTable: "readings",
+	must(cat.MapFragment(context.Background(), "readings", &catalog.Fragment{Source: "ref", RemoteTable: "readings",
 		Columns: []catalog.ColumnMapping{{RemoteCol: 0}, {RemoteCol: 1}, {RemoteCol: 2, Scale: 0.01},
 			{RemoteCol: 3, ValueMap: map[string]string{"N": "north", "S": "south", "E": "east", "W": "west"}}}}))
 	sel, err := sql.ParseSelect("SELECT region, COUNT(*), SUM(amount) FROM readings WHERE amount > 2.5 AND region <> 'west' GROUP BY region")
@@ -310,7 +321,7 @@ func TestCompensatedScanAllocsDoNotGrowWithRows(t *testing.T) {
 		})
 	}
 	if a, b := at(2048), at(4096); a != b {
-		t.Errorf("scan → filter → project → translate → aggregate: %v allocations over 2048 rows, %v over 4096", a, b)
+		t.Errorf("scan → translate → filter → project → aggregate: %v allocations over 2048 rows, %v over 4096", a, b)
 	}
 }
 

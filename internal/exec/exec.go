@@ -441,7 +441,6 @@ func (u *unionIter) degrade(n plan.Node, err error) bool {
 	if outc == nil || u.ctx.Err() != nil {
 		return false
 	}
-	mUnionDegraded.Inc()
 	u.record(n, err)
 	return true
 }
@@ -462,7 +461,6 @@ func (u *unionIter) Close() error {
 // runParallelUnion fetches every input concurrently and merges rows as
 // they arrive (order across inputs is unspecified, as for UNION ALL).
 func runParallelUnion(ctx context.Context, u *plan.Union) (source.RowIter, error) {
-	mUnionBranches.Add(int64(len(u.Inputs)))
 	outc := resilience.OutcomesFrom(ctx)
 	cctx, cancel := context.WithCancel(ctx)
 	ch := make(chan rowOrErr, 64)
@@ -479,7 +477,6 @@ func runParallelUnion(ctx context.Context, u *plan.Union) (source.RowIter, error
 			// otherwise the error fails the whole union.
 			fail := func(err error) {
 				if outc != nil && cctx.Err() == nil {
-					mUnionDegraded.Inc()
 					outc.Record(resilience.SourceOutcome{Source: srcLabel(n), Op: "union", Rows: rows, Err: err})
 					return
 				}
@@ -721,7 +718,6 @@ func runAggregate(ctx context.Context, a *plan.Aggregate) (source.RowIter, error
 	// key is reused across input rows; the table copies it only when it
 	// starts a group.
 	key := make(types.Row, len(a.GroupBy))
-	var inputRows int64
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -733,7 +729,6 @@ func runAggregate(ctx context.Context, a *plan.Aggregate) (source.RowIter, error
 		if err != nil {
 			return nil, err
 		}
-		inputRows++
 		for i, g := range a.GroupBy {
 			if key[i], err = g.Eval(r); err != nil {
 				return nil, err
@@ -751,7 +746,5 @@ func runAggregate(ctx context.Context, a *plan.Aggregate) (source.RowIter, error
 			}
 		}
 	}
-	mAggInputRows.Add(inputRows)
-	mAggGroups.Add(int64(groups.Len()))
 	return source.SliceIter(groups.Rows()), nil
 }

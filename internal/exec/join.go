@@ -44,7 +44,6 @@ func runLocalJoin(ctx context.Context, j *plan.Join, lent bool) (source.RowIter,
 	if err != nil {
 		return nil, err
 	}
-	mJoinBuildRows.Add(int64(len(right)))
 	return joinRows(ctx, j, left, right, lent), nil
 }
 
@@ -176,7 +175,6 @@ type joinIter struct {
 	midx     int
 	matched  bool
 	done     bool
-	probed   int64 // left rows consumed, flushed to metrics at stream end
 	slab     types.RowSlab
 }
 
@@ -233,13 +231,11 @@ func (h *joinIter) Next() (types.Row, error) {
 		l, err := h.left.Next()
 		if err == io.EOF {
 			h.done = true
-			h.flush()
 			return nil, io.EOF
 		}
 		if err != nil {
 			return nil, err
 		}
-		h.probed++
 		h.cur = l
 		h.matched = false
 		h.midx = 0
@@ -280,18 +276,7 @@ func (h *joinIter) condHolds(joined types.Row) (bool, error) {
 	return expr.EvalBool(h.j.Cond, joined)
 }
 
-func (h *joinIter) Close() error {
-	h.flush()
-	return h.left.Close()
-}
-
-// flush reports the probe-side row count once per stream.
-func (h *joinIter) flush() {
-	if h.probed > 0 {
-		mJoinProbeRows.Add(h.probed)
-		h.probed = 0
-	}
-}
+func (h *joinIter) Close() error { return h.left.Close() }
 
 // runKeyShippedJoin implements the semijoin strategy: materialize the
 // left input, ship its distinct join-key values to the right side's
@@ -398,7 +383,6 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, lent bool) (source.Row
 				// union, its partial rows never left this function, so
 				// dropping them keeps each fragment's contribution
 				// all-or-nothing.
-				mJoinDegraded.Inc()
 				outc.Record(resilience.SourceOutcome{Source: fs.Frag.Source, Op: op, Err: err})
 				continue
 			}

@@ -27,12 +27,12 @@ import (
 // allows. checkOwnership runs a plan for a kept and for a lent consumer
 // and wants both to be what Collect returns.
 
-// ownFed is a small federation whose scans exercise every stage of
-// runFragScan: orders_file sits behind a scan-only CSV wrapper with a
-// unit-converted and a value-mapped column (residual filter, residual
-// projection, translation, output projection, csvIter lending);
-// orders_rel behind a relstore with identity mappings (the translation's
-// fast path, relstore's projecting iterator lending); orders_kv and
+// ownFed is a small federation whose scans exercise all of runFragScan:
+// orders_file sits behind a scan-only CSV wrapper with a unit-converted
+// and a value-mapped column (translation, the kept filter, a cut output,
+// csvIter lending); orders_rel behind a relstore with identity mappings
+// (the source's rows handed on, relstore's projecting iterator lending);
+// orders_kv — whole rows read by position — and
 // orders_doc hold the same rows in a kvstore bucket and a docstore
 // collection, whose scans borrow the store's data as relstore's do
 // (DESIGN.md "What a scan holds"); events is two relstore fragments
@@ -234,7 +234,7 @@ func TestRowOwnership(t *testing.T) {
 		tweak func(*plan.Options)
 		rows  int // -1: not pinned
 	}{
-		{"file scan: residual filter, translation, projection", "SELECT oid, amount FROM orders_file WHERE region = 'north' AND amount > 2", nil, -1},
+		{"file scan: translation, kept filter, projection", "SELECT oid, amount FROM orders_file WHERE region = 'north' AND amount > 2", nil, -1},
 		{"file scan, every column", "SELECT * FROM orders_file", nil, ownOrders},
 		{"file scan folded by an aggregate", "SELECT region, COUNT(*), SUM(amount) FROM orders_file WHERE amount < 9 GROUP BY region", nil, 5},
 		{"rel scan: identity translation", "SELECT oid, cents FROM orders_rel WHERE oid >= 20", nil, ownOrders - 20},

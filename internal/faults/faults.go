@@ -19,8 +19,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"gis/internal/obs"
 )
 
 // OpClass partitions wire operations by their retry semantics: reads
@@ -285,26 +283,6 @@ func parseProb(s string) (float64, error) {
 	return p, nil
 }
 
-// injectionMetrics counts what the fault layer actually did, so chaos
-// tests (and operators) can see injected load in \metrics.
-var (
-	metricsOnce sync.Once
-	mErrors     *obs.Counter
-	mDrops      *obs.Counter
-	mStalls     *obs.Counter
-	mPartitions *obs.Counter
-)
-
-func injectionMetrics() {
-	metricsOnce.Do(func() {
-		r := obs.Default()
-		mErrors = r.Counter("faults.injected_errors")
-		mDrops = r.Counter("faults.injected_drops")
-		mStalls = r.Counter("faults.injected_stalls")
-		mPartitions = r.Counter("faults.partition_rejects")
-	})
-}
-
 // Injector makes the per-operation fault decisions for one link. Its
 // random stream is a private splitmix64 generator seeded from the plan
 // seed and the link name, so the k-th decision on a link is a pure
@@ -349,30 +327,25 @@ func (in *Injector) Inject(ctx context.Context, class OpClass) error {
 	if in == nil || !in.f.applies(class) {
 		return nil
 	}
-	injectionMetrics()
 	in.mu.Lock()
 	if in.f.PartitionFor > 0 {
 		since := time.Since(in.epoch)
 		if since >= in.f.PartitionAfter && since < in.f.PartitionAfter+in.f.PartitionFor {
 			in.mu.Unlock()
-			mPartitions.Inc()
 			return fmt.Errorf("faults: link %s %s: %w", in.name, class, ErrPartitioned)
 		}
 	}
 	if in.f.ErrRate > 0 && in.next() < in.f.ErrRate {
 		in.mu.Unlock()
-		mErrors.Inc()
 		return fmt.Errorf("faults: link %s %s: %w", in.name, class, ErrInjected)
 	}
 	if in.f.DropRate > 0 && in.next() < in.f.DropRate {
 		in.mu.Unlock()
-		mDrops.Inc()
 		return fmt.Errorf("faults: link %s %s: %w", in.name, class, ErrDropped)
 	}
 	stall := in.f.Stall > 0 && in.f.StallRate > 0 && in.next() < in.f.StallRate
 	in.mu.Unlock()
 	if stall {
-		mStalls.Inc()
 		t := time.NewTimer(in.f.Stall)
 		defer t.Stop()
 		select {

@@ -84,8 +84,13 @@ func orderByHealth(scans []Node, cat *catalog.Catalog) {
 	sort.SliceStable(scans, func(i, j int) bool { return healthy(scans[i]) && !healthy(scans[j]) })
 }
 
-// buildFragScan constructs one fragment's scan: filter translation,
-// capability split, and the fetch/output column bookkeeping.
+// buildFragScan constructs one fragment's scan. Each conjunct of the
+// filter is decided once: it goes to the source iff it translates into
+// the source's representation and the source evaluates the translation;
+// otherwise it stays with the mediator as the query wrote it, to be
+// evaluated over translated rows — which is what the predicate means.
+// The projection goes to a source that projects; one that does not
+// returns whole rows and the scan reads what it needs by position.
 func buildFragScan(cat *catalog.Catalog, tab *catalog.GlobalTable, frag *catalog.Fragment,
 	requested []int, filter expr.Expr, outSchema *types.Schema) (*FragScan, error) {
 
@@ -93,17 +98,24 @@ func buildFragScan(cat *catalog.Catalog, tab *catalog.GlobalTable, frag *catalog
 	if err != nil {
 		return nil, err
 	}
-	// Split the filter into a remote-translated part and a global-side
-	// residual.
-	remoteFilter, globalResidual := frag.SplitFilter(filter)
+	caps, info := src.Capabilities(), frag.Info()
+	var pushed, kept []expr.Expr
+	for _, c := range expr.Conjuncts(filter) {
+		if rc, ok := frag.TranslateConjunct(c); ok && caps.CanFilter(info, rc) {
+			pushed = append(pushed, rc)
+		} else {
+			kept = append(kept, c)
+		}
+	}
+	residual := expr.Conjoin(kept)
 
-	// Fetched columns: requested plus whatever the residual needs, which
-	// is remapped onto that layout.
-	fetch, pos := expr.ColumnLayout(tab.Schema.Len(), requested, globalResidual)
-	gres := expr.Remap(globalResidual, pos)
-
-	// Remote projection: the remote columns backing the fetched set.
-	pushed, residual := source.Split(frag.RemoteTable, frag.RemoteCols(fetch), remoteFilter, src.Capabilities(), frag.Info())
+	// Fetched columns: requested plus whatever the kept filter reads,
+	// which is remapped onto that layout.
+	fetch, pos := expr.ColumnLayout(tab.Schema.Len(), requested, residual)
+	q := &source.Query{Table: frag.RemoteTable, Filter: expr.Conjoin(pushed), Limit: -1}
+	if caps.Project {
+		q.Columns = frag.RemoteCols(fetch)
+	}
 
 	// Output projection within the fetched layout.
 	out := make([]int, len(requested))
@@ -114,10 +126,9 @@ func buildFragScan(cat *catalog.Catalog, tab *catalog.GlobalTable, frag *catalog
 	return &FragScan{
 		Src:            src,
 		Frag:           frag,
-		Query:          pushed,
-		Residual:       residual,
+		Query:          q,
 		Cols:           fetch,
-		GlobalResidual: gres,
+		GlobalResidual: expr.Remap(residual, pos),
 		Out:            out,
 		GlobalSchema:   tab.Schema,
 		OutSchema:      outSchema,

@@ -7,28 +7,33 @@ import (
 	"gis/internal/types"
 )
 
-// FragScan executes one fragment's share of a global scan. The pipeline
-// is: ship Query to the fragment's source; apply the remote-space
-// Residual at the mediator; translate rows to the global representation
-// of the fetched columns (Cols); apply GlobalResidual; project to Out.
-// Decomposition produces these. A scan whose Query aggregates has none
-// of the mediator half: the source's rows are its output as they come.
+// FragScan executes one fragment's share of a global scan: ship Query
+// to the fragment's source; translate each row to the global
+// representation of the fetched columns (Cols); filter it by
+// GlobalResidual; project it to Out. Decomposition produces these. A
+// scan whose Query aggregates has none of the mediator half: the
+// source's rows are its output as they come.
 //
-// This file is also the one place that decides what a fragment's source
-// is asked to do. source.Split negotiates the filter and the projection
-// when the scan is built; the methods below answer, from the source's
-// advertised capabilities and the state of the scan, whether aggregation,
-// an ordering, a limit or a shipped join key may follow. The rewrite
-// rules state only algebra and ask here.
+// This file and buildFragScan are also the one place that decides what
+// a fragment's source is asked to do. buildFragScan settles the filter,
+// conjunct by conjunct, and the projection when the scan is built; the
+// methods below answer, from the source's advertised capabilities and
+// the state of the scan, whether aggregation, an ordering, a limit or a
+// shipped join key may follow. The rewrite rules state only algebra and
+// ask here.
 type FragScan struct {
-	Src      source.Source
-	Frag     *catalog.Fragment
-	Query    *source.Query
-	Residual source.Residual
-	// Cols are the fetched global columns, in translation order (they
-	// may include columns needed only by GlobalResidual).
+	Src   source.Source
+	Frag  *catalog.Fragment
+	Query *source.Query
+	// Cols are the fetched global columns, in ascending order: the
+	// requested ones and those only GlobalResidual reads. The source is
+	// asked for the remote columns behind them when it projects
+	// (Query.Columns), and for whole rows, read by position, when not.
 	Cols []int
-	// GlobalResidual is a predicate bound over the fetched layout.
+	// GlobalResidual is what the source was not asked to filter: the
+	// conjuncts that do not translate into its representation or that it
+	// does not evaluate, as the query wrote them, bound over the fetched
+	// layout.
 	GlobalResidual expr.Expr
 	// Out projects the fetched layout to the node's output (positions
 	// into Cols).
@@ -48,9 +53,6 @@ func (s *FragScan) Children() []Node { return nil }
 // Describe implements Node.
 func (s *FragScan) Describe() string {
 	out := "FragScan " + s.Frag.Source + "." + s.Frag.RemoteTable + " [" + s.Query.String() + "]"
-	if !s.Residual.Empty() {
-		out += " +compensate"
-	}
 	if s.GlobalResidual != nil {
 		out += " globalFilter=" + s.GlobalResidual.String()
 	}
@@ -104,15 +106,15 @@ func (s *FragScan) identityCol(outCol int) (int, bool) {
 	return m.RemoteCol, true
 }
 
-// pristine reports whether the source's rows are exactly the scan's
-// rows: it is asked to filter, project and perhaps order, and the
-// mediator compensates for nothing. Only then may an aggregate, an
+// pristine reports whether the source's rows are, row for row, the
+// scan's rows: nothing is kept for the mediator to filter, and no
+// aggregate or limit is asked yet. Only then may an aggregate, an
 // ordering or a limit move to the source — any of them over rows the
 // mediator has yet to filter, or over an aggregate's or a limit's
-// output, would answer a different question.
+// output, would answer a different question. (Translating and projecting
+// a row changes neither how many there are nor their order.)
 func (s *FragScan) pristine() bool {
-	return s.Residual.Empty() && s.GlobalResidual == nil &&
-		!s.Query.HasAggregation() && s.Query.Limit < 0
+	return s.GlobalResidual == nil && !s.Query.HasAggregation() && s.Query.Limit < 0
 }
 
 // acceptsAggregate reports whether the source may be asked to group and

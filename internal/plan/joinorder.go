@@ -88,7 +88,6 @@ func OrderSearch(rels []RelInfo, preds []PredInfo, algo JoinOrderAlgo) SearchRes
 		}
 		res = SearchResult{Order: order, Cost: orderCost(rels, preds, order), Considered: 1}
 	}
-	mPlansConsidered.Add(res.Considered)
 	return res
 }
 

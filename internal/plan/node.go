@@ -483,9 +483,6 @@ func EstimateRows(n Node) float64 {
 		if t.Query.Filter != nil {
 			sel *= stats.Selectivity(t.Query.Filter, fs)
 		}
-		if t.Residual.Filter != nil {
-			sel *= stats.DefaultSel
-		}
 		if t.GlobalResidual != nil {
 			sel *= stats.DefaultSel
 		}

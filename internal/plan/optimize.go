@@ -7,13 +7,6 @@ import (
 	"gis/internal/obs"
 )
 
-// Optimizer runs and the join-order search effort, reported into the
-// default registry.
-var (
-	mOptimizeRuns    = obs.Default().Counter("plan.optimize_runs")
-	mPlansConsidered = obs.Default().Counter("plan.joinorder.considered")
-)
-
 // Options control the optimizer. The zero value is NOT usable; call
 // DefaultOptions. Every switch exists so the evaluation harness can
 // ablate one rule at a time (experiment F9).
@@ -62,7 +55,6 @@ func Optimize(ctx context.Context, n Node, cat *catalog.Catalog, opts *Options) 
 	if opts == nil {
 		opts = DefaultOptions()
 	}
-	mOptimizeRuns.Inc()
 	if opts.FoldConstants {
 		n = foldConstants(n)
 	}

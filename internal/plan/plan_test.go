@@ -148,11 +148,11 @@ func TestFilterCompensatedForWeakSource(t *testing.T) {
 	// v = 'v' is a non-key predicate: the kv source cannot evaluate it.
 	p := planQuery(t, cat, "SELECT k FROM big WHERE v = 'x' AND k < 10", nil)
 	out := Explain(p)
-	if !strings.Contains(out, "+compensate") {
-		t.Errorf("expected compensation marker:\n%s", out)
+	if !strings.Contains(out, "globalFilter=(v = 'x')") {
+		t.Errorf("the conjunct the source cannot evaluate should stay with the mediator as written:\n%s", out)
 	}
 	// Key predicate went remote.
-	if !strings.Contains(out, "where") {
+	if !strings.Contains(out, "[scan big where (k < 10)]") {
 		t.Errorf("key predicate should push:\n%s", out)
 	}
 }
@@ -292,7 +292,7 @@ func TestAggregatePushdownWhole(t *testing.T) {
 	if fs == nil || !fs.Query.HasAggregation() {
 		t.Fatalf("aggregation not pushed:\n%s", Explain(p))
 	}
-	if fs.Out != nil || !fs.Residual.Empty() || fs.GlobalResidual != nil {
+	if fs.Out != nil || fs.Cols != nil || fs.GlobalResidual != nil {
 		t.Error("pushed-agg scan must leave the mediator nothing to do")
 	}
 	// Disabled by ablation switch.

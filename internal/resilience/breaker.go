@@ -47,19 +47,8 @@ func (e *BreakerOpenError) Error() string {
 	return fmt.Sprintf("resilience: source %s: circuit breaker open", e.Source)
 }
 
-var (
-	breakerMetricsOnce sync.Once
-	mTransitions       *obs.Counter
-	mShortCircuits     *obs.Counter
-)
-
-func breakerMetrics() {
-	breakerMetricsOnce.Do(func() {
-		r := obs.Default()
-		mTransitions = r.Counter("resilience.breaker.transitions")
-		mShortCircuits = r.Counter("resilience.breaker.short_circuits")
-	})
-}
+// mShortCircuits counts the calls an open breaker refused.
+var mShortCircuits = obs.Default().Counter("resilience.breaker.short_circuits")
 
 // Breaker is one source's circuit breaker. A nil *Breaker always
 // allows (breaker disabled).
@@ -82,7 +71,6 @@ func NewBreaker(source string, p *Policy) *Breaker {
 	if p == nil || p.BreakerThreshold <= 0 {
 		return nil
 	}
-	breakerMetrics()
 	return &Breaker{
 		source:    source,
 		threshold: p.BreakerThreshold,
@@ -176,14 +164,12 @@ func (b *Breaker) Failure(ctx context.Context) {
 	b.mu.Unlock()
 }
 
-// transition flips the state, updating the gauge, the transition
-// counter, and — when tracing — a zero-width breaker span. Callers hold
-// b.mu.
+// transition flips the state, updating the gauge and — when tracing —
+// a zero-width breaker span. Callers hold b.mu.
 func (b *Breaker) transition(ctx context.Context, to BreakerState) {
 	from := b.state
 	b.state = to
 	b.stateG.Set(float64(to))
-	mTransitions.Inc()
 	if obs.Enabled(ctx) {
 		_, sp := obs.StartSpan(ctx, obs.SpanBreaker, b.source)
 		sp.SetAttr("transition", from.String()+"->"+to.String())

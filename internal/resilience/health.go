@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"gis/internal/obs"
 )
 
 // SourceHealth is one source's live health record: its breaker plus
@@ -15,7 +13,6 @@ import (
 type SourceHealth struct {
 	name    string
 	breaker *Breaker
-	gauge   *obs.Gauge // 1 = healthy (breaker not open), 0 = shedding
 
 	mu      sync.Mutex
 	ok      int64
@@ -48,7 +45,6 @@ func (h *SourceHealth) Success(ctx context.Context) {
 	h.ok++
 	h.mu.Unlock()
 	h.breaker.Success(ctx)
-	h.gauge.Set(1)
 }
 
 // Failure records a failed call, feeding the breaker.
@@ -61,9 +57,6 @@ func (h *SourceHealth) Failure(ctx context.Context, err error) {
 	h.lastErr = err
 	h.mu.Unlock()
 	h.breaker.Failure(ctx)
-	if h.breaker.State() == BreakerOpen {
-		h.gauge.Set(0)
-	}
 }
 
 // Healthy reports whether the source's breaker is not open. The planner
@@ -119,9 +112,7 @@ func (t *Tracker) For(name string) *SourceHealth {
 		h = &SourceHealth{
 			name:    name,
 			breaker: NewBreaker(name, t.policy),
-			gauge:   obs.Default().Gauge("resilience.health." + name),
 		}
-		h.gauge.Set(1)
 		t.m[name] = h
 	}
 	return h

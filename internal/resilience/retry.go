@@ -2,25 +2,10 @@ package resilience
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"gis/internal/obs"
 )
-
-var (
-	retryMetricsOnce sync.Once
-	mRetryAttempts   *obs.Counter
-	mRetrySuccess    *obs.Counter
-)
-
-func retryMetrics() {
-	retryMetricsOnce.Do(func() {
-		r := obs.Default()
-		mRetryAttempts = r.Counter("resilience.retry.attempts")
-		mRetrySuccess = r.Counter("resilience.retry.recovered")
-	})
-}
 
 // Retry runs one idempotent read under the policy: breaker-gated,
 // per-attempt CallTimeout, at most MaxRetries re-attempts with jittered
@@ -38,7 +23,6 @@ func Retry(ctx context.Context, p *Policy, h *SourceHealth, name string, op func
 // retry is Retry with an explicit per-attempt timeout so streaming
 // calls (whose result outlives the call) can opt out of CallTimeout.
 func retry(ctx context.Context, p *Policy, h *SourceHealth, name string, timeout time.Duration, op func(context.Context) error) error {
-	retryMetrics()
 	maxRetries := 0
 	if p != nil {
 		maxRetries = p.MaxRetries
@@ -64,9 +48,6 @@ func retry(ctx context.Context, p *Policy, h *SourceHealth, name string, timeout
 		cancel()
 		if err == nil {
 			h.Success(ctx)
-			if attempt > 0 {
-				mRetrySuccess.Inc()
-			}
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -79,7 +60,6 @@ func retry(ctx context.Context, p *Policy, h *SourceHealth, name string, timeout
 		if attempt >= maxRetries {
 			return err
 		}
-		mRetryAttempts.Inc()
 		if obs.Enabled(ctx) {
 			_, sp := obs.StartSpan(ctx, obs.SpanRetry, name)
 			sp.SetInt("attempt", int64(attempt+1))

@@ -1,8 +1,8 @@
 // Package source defines the component-system wrapper framework: the
 // Source interface every store adapter implements, the sub-query IR the
-// mediator ships to sources, per-source capability descriptions, and the
-// capability-based splitting ("compensation") used when a source cannot
-// evaluate part of a query.
+// mediator ships to sources, and the per-source capability descriptions
+// the planner reads to decide what a source is asked and what the
+// mediator does itself ("compensation").
 //
 // This is the paper's wrapper layer: each autonomous component
 // information system is adapted to the common model by a Source, and

@@ -2,7 +2,6 @@ package source
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"gis/internal/expr"
@@ -31,50 +30,6 @@ func splitRows() []types.Row {
 	return rows
 }
 
-// evalDesired filters and projects rows directly — the reference
-// semantics Split must preserve.
-func evalDesired(t *testing.T, rows []types.Row, columns []int, filter expr.Expr) []types.Row {
-	t.Helper()
-	out, err := ApplyResidual(rows, &Query{Columns: columns, Filter: filter, Limit: -1})
-	if err != nil {
-		t.Fatalf("evalDesired: %v", err)
-	}
-	return out
-}
-
-// evalSplit runs the pushed query against rows (simulating a source that
-// honors exactly the pushed fragment), then applies the residual.
-func evalSplit(t *testing.T, rows []types.Row, pushed *Query, res Residual) []types.Row {
-	t.Helper()
-	mid, err := ApplyResidual(rows, pushed)
-	if err != nil {
-		t.Fatalf("source side: %v", err)
-	}
-	out, err := ApplyResidual(mid, &Query{Columns: res.Project, Filter: res.Filter, Limit: -1})
-	if err != nil {
-		t.Fatalf("mediator side: %v", err)
-	}
-	return out
-}
-
-func sameRowSet(a, b []types.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	used := make([]bool, len(b))
-outer:
-	for _, ra := range a {
-		for j, rb := range b {
-			if !used[j] && ra.Equal(rb) {
-				used[j] = true
-				continue outer
-			}
-		}
-		return false
-	}
-	return true
-}
-
 func bindFilter(t *testing.T, e expr.Expr) expr.Expr {
 	t.Helper()
 	b, err := expr.Bind(e, splitSchema)
@@ -82,56 +37,6 @@ func bindFilter(t *testing.T, e expr.Expr) expr.Expr {
 		t.Fatalf("bind: %v", err)
 	}
 	return b
-}
-
-func TestSplitFullCapabilityPushesEverything(t *testing.T) {
-	caps := Capabilities{Filter: FilterFull, Project: true, Aggregate: true, Sort: true, Limit: true}
-	filter := bindFilter(t, expr.NewBinary(expr.OpGt, expr.NewColRef("", "val"), expr.NewConst(types.NewFloat(3))))
-	pushed, res := Split("t", []int{0, 2}, filter, caps, splitInfo)
-	if !res.Empty() {
-		t.Errorf("full caps must leave no residual, got %+v", res)
-	}
-	if pushed.Filter == nil || pushed.Columns == nil {
-		t.Errorf("pushed = %+v", pushed)
-	}
-	if pushed.HasAggregation() || len(pushed.OrderBy) > 0 || pushed.Limit != -1 {
-		t.Errorf("Split negotiates a filter and a projection only, pushed = %+v", pushed)
-	}
-}
-
-func TestSplitNoCapabilityPushesNothing(t *testing.T) {
-	filter := bindFilter(t, expr.NewBinary(expr.OpEq, expr.NewColRef("", "cat"), expr.NewConst(types.NewString("a"))))
-	pushed, res := Split("t", []int{1}, filter, Capabilities{}, splitInfo)
-	if pushed.Filter != nil || pushed.Columns != nil || pushed.Limit != -1 {
-		t.Errorf("pushed must be bare scan, got %+v", pushed)
-	}
-	if res.Filter == nil || res.Project == nil {
-		t.Errorf("residual = %+v", res)
-	}
-	rows := splitRows()
-	want := evalDesired(t, rows, []int{1}, filter)
-	got := evalSplit(t, rows, pushed, res)
-	if !sameRowSet(want, got) {
-		t.Errorf("split result %v != direct %v", got, want)
-	}
-}
-
-func TestSplitKeyFilter(t *testing.T) {
-	caps := Capabilities{Filter: FilterKey}
-	keyPred := expr.NewBinary(expr.OpLt, expr.NewColRef("", "id"), expr.NewConst(types.NewInt(5)))
-	nonKeyPred := expr.NewBinary(expr.OpEq, expr.NewColRef("", "cat"), expr.NewConst(types.NewString("a")))
-	filter := bindFilter(t, expr.NewBinary(expr.OpAnd, keyPred, nonKeyPred))
-	pushed, res := Split("t", nil, filter, caps, splitInfo)
-	if pushed.Filter == nil {
-		t.Fatal("key predicate must push")
-	}
-	if res.Filter == nil {
-		t.Fatal("non-key predicate must stay residual")
-	}
-	rows := splitRows()
-	if !sameRowSet(evalDesired(t, rows, nil, filter), evalSplit(t, rows, pushed, res)) {
-		t.Error("key split not equivalent")
-	}
 }
 
 // TestCanFilterKeyShapes pins what a FilterKey source is sent: a
@@ -169,80 +74,6 @@ func TestCanFilterKeyShapes(t *testing.T) {
 	}
 	if (Capabilities{}).CanCompare(splitInfo, 0) {
 		t.Error("a FilterNone source evaluates no predicate")
-	}
-}
-
-func TestSplitProjectionWithResidualFilter(t *testing.T) {
-	// Project pushdown must still ship the columns the residual filter
-	// needs, then cut them at the mediator.
-	caps := Capabilities{Filter: FilterNone, Project: true}
-	filter := bindFilter(t, expr.NewBinary(expr.OpEq, expr.NewColRef("", "cat"), expr.NewConst(types.NewString("b"))))
-	pushed, res := Split("t", []int{2}, filter, caps, splitInfo)
-	if len(pushed.Columns) != 2 {
-		t.Errorf("pushed cols = %v, want cat and val", pushed.Columns)
-	}
-	rows := splitRows()
-	want := evalDesired(t, rows, []int{2}, filter)
-	got := evalSplit(t, rows, pushed, res)
-	if !sameRowSet(want, got) {
-		t.Errorf("projection split: %v != %v", got, want)
-	}
-}
-
-// TestSplitEquivalenceProperty fuzzes desired filters and projections ×
-// capability vectors and checks Split∘Apply ≡ direct evaluation.
-func TestSplitEquivalenceProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	rows := splitRows()
-	idIn := func(vs ...int64) expr.Expr {
-		in := &expr.InList{E: expr.NewColRef("", "id")}
-		for _, v := range vs {
-			in.List = append(in.List, expr.NewConst(types.NewInt(v)))
-		}
-		return in
-	}
-	for trial := 0; trial < 500; trial++ {
-		caps := Capabilities{
-			Filter:    FilterCap(rng.Intn(3)),
-			Project:   rng.Intn(2) == 0,
-			Aggregate: rng.Intn(2) == 0,
-			Sort:      rng.Intn(2) == 0,
-			Limit:     rng.Intn(2) == 0,
-		}
-		// Random filter: key pred, non-key pred, both, a key IN list, or
-		// none.
-		var filter expr.Expr
-		switch rng.Intn(6) {
-		case 0:
-			filter = bindFilter(t, expr.NewBinary(expr.OpLe, expr.NewColRef("", "id"), expr.NewConst(types.NewInt(int64(rng.Intn(8))))))
-		case 1:
-			filter = bindFilter(t, expr.NewBinary(expr.OpEq, expr.NewColRef("", "cat"), expr.NewConst(types.NewString("a"))))
-		case 2:
-			filter = bindFilter(t, expr.NewBinary(expr.OpAnd,
-				expr.NewBinary(expr.OpGe, expr.NewColRef("", "id"), expr.NewConst(types.NewInt(2))),
-				expr.NewBinary(expr.OpNe, expr.NewColRef("", "cat"), expr.NewConst(types.NewString("c")))))
-		case 3:
-			filter = bindFilter(t, idIn(int64(rng.Intn(8)), 3, int64(rng.Intn(8))))
-		case 4:
-			filter = bindFilter(t, expr.NewBinary(expr.OpAnd, idIn(1, 2, 5, 6),
-				expr.NewBinary(expr.OpGt, expr.NewColRef("", "val"), expr.NewConst(types.NewFloat(2)))))
-		}
-		var columns []int
-		switch rng.Intn(3) {
-		case 0:
-			columns = []int{2, 0}
-		case 1:
-			columns = []int{1}
-		}
-		pushed, res := Split("t", columns, filter, caps, splitInfo)
-		if pushed.HasAggregation() || len(pushed.OrderBy) > 0 || pushed.Limit != -1 {
-			t.Fatalf("trial %d: caps=%v pushed %s", trial, caps, pushed)
-		}
-		want := evalDesired(t, rows, columns, filter)
-		got := evalSplit(t, rows, pushed, res)
-		if !sameRowSet(want, got) {
-			t.Fatalf("trial %d: caps=%v columns=%v filter=%v\n got %v\nwant %v", trial, caps, columns, filter, got, want)
-		}
 	}
 }
 

@@ -33,9 +33,10 @@ type eqTable struct {
 	regions []string
 	nKeys   int
 	// amountConst renders a filter constant for the float column that no
-	// stored value equals or rounds to: a unit-converted column compared
-	// at the source and at the mediator may disagree on an exact
-	// boundary, which is arithmetic, not a plan defect.
+	// stored value equals or rounds to. (It was chosen so while a
+	// unit-converted column compared at the source and at the mediator
+	// could disagree on an exact boundary; they cannot any more, and
+	// TestPlanEquivalenceCases compares at stored values.)
 	amountConst func(r *rand.Rand) string
 	// joins is the other side of a two-table query.
 	joins *eqJoin
@@ -341,8 +342,11 @@ type eqRow struct {
 // unless the statement orders them totally. It drains the statement's
 // stream as the reference keeper does (source.DrainOwned): a row that
 // some operator lent to a consumer that keeps it fails the statement.
+// So does a value that is not of the kind the statement's schema says:
+// a column retyped by its mapping came up as the source stored it when
+// the scan had nothing else to translate.
 func eqRun(f *Fixture, sql string, ordered bool) ([]eqRow, error) {
-	_, it, err := f.Engine.QueryIter(ctx, sql)
+	schema, it, err := f.Engine.QueryIter(ctx, sql)
 	if err != nil {
 		return nil, err
 	}
@@ -352,6 +356,11 @@ func eqRun(f *Fixture, sql string, ordered bool) ([]eqRow, error) {
 	}
 	rows := make([]eqRow, len(res))
 	for i, r := range res {
+		for j, v := range r {
+			if c := schema.Columns[j]; !v.IsNull() && c.Type != types.KindNull && v.Kind() != c.Type {
+				return nil, fmt.Errorf("row %d: column %s is %s and holds %s %v", i, c.Name, c.Type, v.Kind(), v)
+			}
+		}
 		rows[i] = eqRow{r.String(), r}
 	}
 	if !ordered {
@@ -514,4 +523,21 @@ func TestPlanEquivalenceCases(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) { checkEquivalent(t, fixtures, c.q) })
 	}
+	// A comparison of a unit-converted column with a value some row
+	// stores went to the source with the constant divided back, which
+	// rounds: the row on the boundary was in under PushFilters=on and out
+	// under off for one stored amount in seven, and = found nothing.
+	t.Run("unit-converted column compared at stored values", func(t *testing.T) {
+		stored, err := eqRun(fixtures["hetero"], "SELECT amount FROM orders_mediated WHERE oid < 40", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range stored {
+			v := strconv.FormatFloat(s.row[0].Float(), 'g', -1, 64)
+			for _, op := range []string{"<", "<=", ">", ">=", "=", "<>"} {
+				checkEquivalent(t, fixtures, eqQuery{t: mediated, ordered: true,
+					sql: "SELECT oid, amount FROM orders_mediated WHERE amount " + op + " " + v + " AND oid < 200 ORDER BY oid"})
+			}
+		}
+	})
 }
