@@ -88,7 +88,8 @@ type tenantState struct {
 	bytes atomic.Int64
 	// holds counts the tenant's queries between Admit's look-up and
 	// their shedding or Release; sessions are the admitted ones among
-	// them. Both guarded by Controller.mu.
+	// them, kept only under a memory quota (abortWorst's candidates).
+	// Both guarded by Controller.mu.
 	holds    int
 	sessions map[*Session]struct{}
 }
@@ -194,10 +195,11 @@ func (t *tenantState) reserveToken(now time.Time) time.Duration {
 func (t *tenantState) unreserve() { t.tokens++ }
 
 // Admit gates one query for the given tenant ("" is the anonymous
-// tenant, which shares one bucket). On success it returns a derived
-// context the query MUST run under (it carries the session, the default
-// deadline, and the controller's abort lever) plus the session to
-// Release when the query finishes. On overload it returns a typed
+// tenant, which shares one bucket). On success it returns the context the
+// query MUST run under — the session itself, which carries the default
+// deadline and, under a memory quota, the controller's abort lever — and
+// the session to Release when the query finishes: one object, without a
+// quota or a default deadline. On overload it returns a typed
 // *OverloadError matching ErrOverload.
 func (c *Controller) Admit(ctx context.Context, tenant string) (context.Context, *Session, error) {
 	if c == nil {
@@ -277,22 +279,22 @@ func (c *Controller) Admit(ctx context.Context, tenant string) (context.Context,
 		}
 	}
 
-	// Admitted: derive the session context (default deadline + abort
-	// lever) and register the session for memory accounting.
-	s := &Session{c: c, t: t, tenant: tenant}
-	var cancelT context.CancelFunc
+	// Admitted: the session wraps the caller's context, under the default
+	// deadline when one applies and under the abort lever — registered
+	// for abortWorst to pull — only when a memory quota can pull it.
+	s := &Session{Context: ctx, c: c, t: t, tenant: tenant}
 	if c.cfg.DefaultDeadline > 0 && !hasDeadline {
-		ctx, cancelT = context.WithTimeout(ctx, c.cfg.DefaultDeadline)
+		s.Context, s.cancelTimeout = context.WithTimeout(s.Context, c.cfg.DefaultDeadline)
 	}
-	ctx, s.cancel = context.WithCancelCause(ctx)
-	s.cancelTimeout = cancelT
-	ctx = withSession(ctx, s)
-	c.mu.Lock()
-	t.sessions[s] = struct{}{}
-	c.mu.Unlock()
+	if c.cfg.MemQuota > 0 {
+		s.Context, s.cancel = context.WithCancelCause(s.Context)
+		c.mu.Lock()
+		t.sessions[s] = struct{}{}
+		c.mu.Unlock()
+	}
 	c.mAdmitted.Inc()
 	c.gInflight.Add(1)
-	return ctx, s, nil
+	return s, s, nil
 }
 
 // sleep waits d or until ctx is done.
@@ -320,20 +322,33 @@ func (c *Controller) refuse(t *tenantState, tenant string, reason Reason, retrya
 	return shedError(tenant, reason, retryable, after)
 }
 
-// Session is one admitted query's handle: it accounts result-stream
-// bytes against the tenant's memory quota and releases the in-flight
-// slot when the query finishes.
+// Session is one admitted query: the context it runs under (SessionFrom
+// finds the session in it and in every context derived from it), and its
+// handle on the controller, which accounts result-stream bytes against
+// the tenant's memory quota and releases the in-flight slot when the
+// query finishes.
 type Session struct {
+	context.Context // the caller's, or it under the default deadline and the abort lever
+
 	c      *Controller
 	t      *tenantState
 	tenant string
 
-	cancel        context.CancelCauseFunc
-	cancelTimeout context.CancelFunc // DefaultDeadline timer, if armed
+	cancel        context.CancelCauseFunc // the abort lever; nil without a MemQuota
+	cancelTimeout context.CancelFunc      // DefaultDeadline timer, if armed
 
 	bytes    atomic.Int64
 	released atomic.Bool
 	aborted  atomic.Pointer[OverloadError]
+}
+
+// Value implements context.Context: the session answers for itself and
+// passes every other key to the context it wraps.
+func (s *Session) Value(key any) any {
+	if key == (sessionKey{}) {
+		return s
+	}
+	return s.Context.Value(key)
 }
 
 // Tenant returns the tenant this session was admitted for.
@@ -380,10 +395,10 @@ func (s *Session) Bytes() int64 {
 	return s.bytes.Load()
 }
 
-// Err returns the overload error that aborted this session, or nil.
+// Aborted returns the overload error that aborted this session, or nil.
 // Engines use it to surface a typed ErrOverload instead of the bare
-// context.Canceled the abort provoked.
-func (s *Session) Err() error {
+// context.Canceled the abort provoked. (Err is the context's.)
+func (s *Session) Aborted() error {
 	if s == nil {
 		return nil
 	}
@@ -408,7 +423,9 @@ func (s *Session) Release() {
 		<-s.c.slots
 	}
 	s.c.gInflight.Add(-1)
-	s.cancel(nil)
+	if s.cancel != nil {
+		s.cancel(nil)
+	}
 	if s.cancelTimeout != nil {
 		s.cancelTimeout()
 	}

@@ -43,8 +43,41 @@ func TestNilControllerAdmits(t *testing.T) {
 		t.Fatalf("nil controller = %v, %v, %v", actx, s, err)
 	}
 	s.Release() // nil-safe
-	if s.AddBytes(1) != nil || s.Err() != nil || s.Bytes() != 0 || s.Tenant() != "" {
+	if s.AddBytes(1) != nil || s.Aborted() != nil || s.Bytes() != 0 || s.Tenant() != "" {
 		t.Error("nil session accessors must be inert")
+	}
+}
+
+// An admitted session is the context its query runs under: without a
+// memory quota or a default deadline it is one object, SessionFrom finds
+// it there and in every context derived from it, it passes the caller's
+// values and cancellation through, and its Release cancels nothing.
+func TestSessionIsTheContext(t *testing.T) {
+	c := New(Config{MaxInFlight: 4})
+	if n := testing.AllocsPerRun(100, func() {
+		_, s, err := c.Admit(bg, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Release()
+	}); n != 1 {
+		t.Errorf("an unmetered Admit and Release allocate %.0f objects, want the session", n)
+	}
+	parent, cancel := context.WithCancel(WithTenant(bg, "acme"))
+	ctx, s := mustAdmit(t, c, parent, "acme")
+	derived, cancelDerived := context.WithCancel(ctx)
+	defer cancelDerived()
+	if ctx != context.Context(s) || SessionFrom(ctx) != s || SessionFrom(derived) != s || TenantFrom(derived) != "acme" {
+		t.Error("the session must be the context, found from it and from what derives from it, over the caller's values")
+	}
+	s.Release()
+	if ctx.Err() != nil {
+		t.Errorf("an unmetered Release cancelled the context: %v", ctx.Err())
+	}
+	cancel()
+	<-derived.Done()
+	if !errors.Is(ctx.Err(), context.Canceled) {
+		t.Errorf("the caller's cancellation reached the session as %v", ctx.Err())
 	}
 }
 

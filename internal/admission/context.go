@@ -19,11 +19,6 @@ func TenantFrom(ctx context.Context) string {
 	return t
 }
 
-// withSession attaches an admitted session to its query context.
-func withSession(ctx context.Context, s *Session) context.Context {
-	return context.WithValue(ctx, sessionKey{}, s)
-}
-
 // SessionFrom returns the admitted session governing ctx, or nil. The
 // executor uses it to account result-stream bytes against the tenant's
 // memory quota.

@@ -121,7 +121,7 @@ func ResolveErr(ctx context.Context, err error) error {
 	if s == nil {
 		return err
 	}
-	ae := s.Err()
+	ae := s.Aborted()
 	if ae == nil {
 		return err
 	}

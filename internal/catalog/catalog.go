@@ -316,7 +316,9 @@ func (c *Catalog) Tables() []string {
 // from the live source, so the source must be registered first. The
 // fetch is a remote round-trip governed by ctx; it runs outside the
 // catalog lock so a slow or dead source cannot stall concurrent
-// catalog lookups.
+// catalog lookups. The fragment takes its partition predicate f.Where:
+// the tree is bound against the global table's schema in place, so one
+// tree may serve fragments of one table but not of two.
 func (c *Catalog) MapFragment(ctx context.Context, table string, f *Fragment) error {
 	c.mu.RLock()
 	t, tableOK := c.tables[table]
@@ -388,11 +390,9 @@ func (c *Catalog) MapFragment(ctx context.Context, table string, f *Fragment) er
 		}
 	}
 	if f.Where != nil {
-		bound, err := expr.Bind(f.Where, t.Schema)
-		if err != nil {
+		if _, err := expr.Bind(f.Where, t.Schema); err != nil {
 			return fmt.Errorf("catalog: fragment partition predicate: %w", err)
 		}
-		f.Where = bound
 	}
 	f.info = info
 	c.mu.Lock()

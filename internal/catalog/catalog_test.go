@@ -219,7 +219,7 @@ func TestSplitFilterTranslation(t *testing.T) {
 	if remote == nil || residual == nil {
 		t.Fatalf("split = %v | %v", remote, residual)
 	}
-	rcs := expr.Conjuncts(remote)
+	rcs := expr.AppendConjuncts(nil, remote)
 	if len(rcs) != 2 {
 		t.Errorf("remote conjuncts = %v", rcs)
 	}
@@ -229,7 +229,7 @@ func TestSplitFilterTranslation(t *testing.T) {
 	// Fragment B: weight_kg > 80 → weight_lbs > ~176.4.
 	remoteB, _ := fragB.SplitFilter(pred)
 	found := false
-	for _, rc := range expr.Conjuncts(remoteB) {
+	for _, rc := range expr.AppendConjuncts(nil, remoteB) {
 		b, ok := rc.(*expr.Binary)
 		if !ok {
 			continue

@@ -149,8 +149,9 @@ func (m *ColumnMapping) affineBound(op expr.BinOp, v types.Value) (types.Value, 
 // SplitFilter partitions a bound global predicate's conjuncts into the
 // remote-translated pushable part and the global-side residual.
 func (f *Fragment) SplitFilter(pred expr.Expr) (remote expr.Expr, residual expr.Expr) {
-	var pushed, kept []expr.Expr
-	for _, c := range expr.Conjuncts(pred) {
+	var conj, pushedBuf, keptBuf [8]expr.Expr
+	pushed, kept := pushedBuf[:0], keptBuf[:0]
+	for _, c := range expr.AppendConjuncts(conj[:0], pred) {
 		if rc, ok := f.TranslateConjunct(c); ok {
 			pushed = append(pushed, rc)
 		} else {
@@ -239,8 +240,10 @@ func (f *Fragment) PruneByPartition(filter expr.Expr) bool {
 	if f.Where == nil || filter == nil {
 		return false
 	}
-	for _, fc := range expr.Conjuncts(filter) {
-		for _, pc := range expr.Conjuncts(f.Where) {
+	var conj, whereConj [8]expr.Expr
+	where := expr.AppendConjuncts(whereConj[:0], f.Where)
+	for _, fc := range expr.AppendConjuncts(conj[:0], filter) {
+		for _, pc := range where {
 			if contradicts(fc, pc) {
 				return true
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"gis/internal/catalog"
@@ -111,5 +112,62 @@ func TestGroupByWithoutAggregates(t *testing.T) {
 			wantRows(t, query(t, e, "SELECT DISTINCT region FROM customers"), false, "(east)", "(west)")
 			wantRows(t, query(t, e, "SELECT cust_id FROM orders GROUP BY cust_id"), false, "(1)", "(2)", "(3)", "(4)")
 		})
+	}
+}
+
+// A FLOAT literal prints as a FLOAT, so the planner, which names and
+// deduplicates aggregates and matches GROUP BY keys by their printed
+// form, keeps oid / 2 (integer division) and oid / 2.0 apart: two sums,
+// in either order, and a select item that is not the grouping key is
+// refused instead of answered from it. When 2.0 printed as 2, the second
+// sum answered with the first and the GROUP BY query with 5.5, 50.5, ….
+func TestFloatLiteralKeepsItsKind(t *testing.T) {
+	for name, wrap := range map[string]func(*testing.T, *relstore.Store) source.Source{
+		"local": func(_ *testing.T, st *relstore.Store) source.Source { return st },
+		"wire":  func(t *testing.T, st *relstore.Store) source.Source { return overWire(t, st) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := groupByEngine(t, wrap)
+			for q, want := range map[string]string{
+				"SELECT SUM(oid / 2), SUM(oid / 2.0) FROM orders":            "(167, 168)",
+				"SELECT SUM(oid / 2.0), SUM(oid / 2) FROM orders":            "(168, 167)",
+				"SELECT oid / 2 AS a FROM orders GROUP BY oid / 2.0":         "error",
+				"SELECT MAX(balance * 1), MAX(balance * 1.0) FROM customers": "columns MAX((balance * 1)), MAX((balance * 1.0))",
+			} {
+				got := "error"
+				if res, err := e.Query(ctx, q); err == nil && strings.HasPrefix(want, "columns") {
+					got = "columns " + strings.Join(res.Columns, ", ")
+				} else if err == nil {
+					got = strings.Join(rowsAsStrings(res), " ")
+				}
+				if got != want {
+					t.Errorf("%s = %s, want %s", q, got, want)
+				}
+			}
+		})
+	}
+}
+
+// Bind refuses a predicate it cannot type, as it refuses oid = '10': an
+// IN element or a simple CASE's WHEN value that does not compare with
+// its operand, and a NOT or a searched CASE's WHEN over something that is
+// not a truth value. Each was answered before: the mismatched element
+// dropped, NOT of an INT false, the WHEN never matching.
+func TestBindRefusesWhatItCannotType(t *testing.T) {
+	e := groupByEngine(t, func(_ *testing.T, st *relstore.Store) source.Source { return st })
+	for _, q := range []string{
+		"SELECT oid FROM orders WHERE oid IN ('10', 11)",
+		"SELECT oid FROM orders WHERE oid NOT IN ('10', 11)",
+		"SELECT NOT oid FROM orders",
+		"SELECT oid FROM orders WHERE NOT oid",
+		"SELECT CASE WHEN oid THEN 1 ELSE 0 END FROM orders",
+		"SELECT CASE oid WHEN 'x' THEN 1 ELSE 0 END FROM orders",
+	} {
+		res, err := e.Query(ctx, q)
+		if err == nil {
+			t.Errorf("%s = %v, want a bind error", q, rowsAsStrings(res))
+		} else if !strings.Contains(err.Error(), "INT") {
+			t.Errorf("%s: %v, want the error to name the operand's kind", q, err)
+		}
 	}
 }

@@ -295,8 +295,8 @@ func TestConjunctsAreDecidedOnce(t *testing.T) {
 		{source.Capabilities{}, "[scan readings] globalFilter=" + pred.String()},
 		{source.Capabilities{Project: true}, "[scan readings cols[6 0 1 2 5 4]] globalFilter=" + pred.String()},
 		{source.Capabilities{Filter: source.FilterKey}, "[scan readings where (k < 90)] globalFilter=((((((((usd >= 0.07) AND (usd = 0.14)) AND (region = 'north')) AND (region >= 'north')) AND (grade = 'low')) AND (site = 'hq')) AND (n > '1')) AND (f < 8.5))"},
-		{source.Capabilities{Filter: source.FilterFull}, "[scan readings where ((((k < 90) AND (cents >= 7)) AND (code = '1')) AND (i < 8.5))] globalFilter=(" + kept},
-		{source.Capabilities{Filter: source.FilterFull, Project: true}, "[scan readings where ((((k < 90) AND (cents >= 7)) AND (code = '1')) AND (i < 8.5)) cols[6 1 2 5]] globalFilter=(" + kept},
+		{source.Capabilities{Filter: source.FilterFull}, "[scan readings where ((((k < 90) AND (cents >= 7.0)) AND (code = '1')) AND (i < 8.5))] globalFilter=(" + kept},
+		{source.Capabilities{Filter: source.FilterFull, Project: true}, "[scan readings where ((((k < 90) AND (cents >= 7.0)) AND (code = '1')) AND (i < 8.5)) cols[6 1 2 5]] globalFilter=(" + kept},
 	} {
 		f := newScanFed(t, c.caps, 150)
 		fs, _ := f.scan(t, []int{gUsd}, pred)

@@ -6,7 +6,9 @@
 package expr
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -254,38 +256,60 @@ func (n *IsNull) String() string {
 }
 
 // InList tests x [NOT] IN (e1, e2, ...). When every list element is a
-// constant, membership is evaluated against a lazily-built hash set, so
-// large shipped key lists (semijoins) probe in O(1) per row.
+// constant, membership is evaluated against a lazily-built set, so large
+// shipped key lists (semijoins) probe in O(log n) per row.
 type InList struct {
 	E      Expr
 	List   []Expr
 	Negate bool
 
-	setOnce    sync.Once
-	set        map[uint64][]types.Value
+	// setHasNull sits in Negate's padding, which keeps the node in the
+	// allocator's 80-byte class.
 	setHasNull bool
+	setOnce    sync.Once
+	set        []hashedValue // ordered by h; nil unless every element is a constant
 }
 
-// buildSet materializes the constant-list hash set; set stays nil when
-// any element is non-constant.
+// hashedValue is one constant of an InList's set under its hash.
+type hashedValue struct {
+	h uint64
+	v types.Value
+}
+
+// buildSet materializes the constant list as its non-NULL values ordered
+// by hash, in one allocation; set stays nil when any element is not a
+// constant.
 func (n *InList) buildSet() {
 	if len(n.List) < 8 {
 		return // linear scan is faster for tiny lists
 	}
-	set := make(map[uint64][]types.Value, len(n.List))
+	set := make([]hashedValue, 0, len(n.List))
+	hasNull := false
 	for _, e := range n.List {
 		c, ok := e.(*Const)
 		if !ok {
 			return
 		}
 		if c.Val.IsNull() {
-			n.setHasNull = true
+			hasNull = true
 			continue
 		}
-		h := c.Val.Hash(0)
-		set[h] = append(set[h], c.Val)
+		set = append(set, hashedValue{c.Val.Hash(0), c.Val})
 	}
-	n.set = set
+	slices.SortFunc(set, func(a, b hashedValue) int { return cmp.Compare(a.h, b.h) })
+	n.set, n.setHasNull = set, hasNull
+}
+
+// contains reports whether a non-NULL value of the set equals v.
+func (n *InList) contains(v types.Value) bool {
+	h := v.Hash(0)
+	i, _ := slices.BinarySearchFunc(n.set, h, func(e hashedValue, h uint64) int { return cmp.Compare(e.h, h) })
+	for ; i < len(n.set) && n.set[i].h == h; i++ {
+		if cand := n.set[i].v; comparable(v.Kind(), cand.Kind()) && v.Compare(cand) == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // ResultType implements Expr.

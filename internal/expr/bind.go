@@ -8,193 +8,195 @@ import (
 )
 
 // Bind resolves every column reference in e against schema and infers
-// result types bottom-up. It returns a new, bound expression tree; the
-// input is not modified. Binding an already-bound tree is harmless:
-// resolved references keep their positions only if the schema still
-// agrees, otherwise they are re-resolved by name.
-func Bind(e Expr, schema *types.Schema) (Expr, error) { return bind(e, schema, false) }
+// result types bottom-up, on the tree it is handed, and returns that tree:
+// the caller owns it — the parser's statement, a decoded request, a
+// predicate the catalog keeps, a tree the planner has just built — and no
+// other holder may see it change. Binding a bound tree again is harmless:
+// a named reference is re-resolved by name and every type recomputed, so a
+// caller may retry against another schema after a failure. A tree shared
+// by two holders is copied first (Transform copies what it changes).
+func Bind(e Expr, schema *types.Schema) (Expr, error) {
+	if err := bind(e, schema, false); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
 
 // BindPositions binds a tree that was bound elsewhere, under other
 // names, against the schema its positions mean: a reference that carries
 // a position keeps it and loses its name (the sender's, which may come
-// from another schema), and everything else is bound as Bind binds it. A
-// component server rebinds a shipped filter this way, to restore the
-// function references and operator types the wire does not carry; no
+// from another schema), and everything else is bound as Bind binds it, in
+// place. A component server rebinds a shipped filter this way, to restore
+// the function references and operator types the wire does not carry; no
 // expression (nil) stays none.
 func BindPositions(e Expr, schema *types.Schema) (Expr, error) {
 	if e == nil {
 		return nil, nil
 	}
-	return bind(e, schema, true)
+	if err := bind(e, schema, true); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
-func bind(e Expr, schema *types.Schema, positional bool) (Expr, error) {
+func bind(e Expr, schema *types.Schema, positional bool) error {
 	switch n := e.(type) {
 	case *ColRef:
-		table, name, idx := n.Table, n.Name, n.Index
-		if positional && idx >= 0 {
-			table, name = "", ""
-		}
 		// Re-resolve by name when possible; synthesized refs may be
-		// nameless and are trusted as-is.
-		if name != "" {
-			i, err := schema.IndexOf(table, name)
+		// nameless and are trusted as-is, and so are a sender's positions.
+		idx, positioned := n.Index, positional && n.Index >= 0
+		if n.Name != "" && !positioned {
+			i, err := schema.IndexOf(n.Table, n.Name)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			idx = i
 		}
 		if idx < 0 || idx >= schema.Len() {
-			return nil, fmt.Errorf("column reference %s out of range", n)
+			return fmt.Errorf("column reference %s out of range", n)
 		}
-		return &ColRef{Table: table, Name: name, Index: idx, Type: schema.Columns[idx].Type}, nil
+		if positioned {
+			n.Table, n.Name = "", ""
+		}
+		n.Index, n.Type = idx, schema.Columns[idx].Type
+		return nil
 
 	case *Const:
-		return n, nil
+		return nil
 
 	case *Binary:
-		l, err := bind(n.L, schema, positional)
-		if err != nil {
-			return nil, err
+		if err := bind(n.L, schema, positional); err != nil {
+			return err
 		}
-		r, err := bind(n.R, schema, positional)
-		if err != nil {
-			return nil, err
+		if err := bind(n.R, schema, positional); err != nil {
+			return err
 		}
-		typ, err := binaryResultType(n.Op, l.ResultType(), r.ResultType())
+		typ, err := binaryResultType(n.Op, n.L.ResultType(), n.R.ResultType())
 		if err != nil {
-			return nil, fmt.Errorf("%v in %s", err, n)
+			return fmt.Errorf("%v in %s", err, n)
 		}
-		return &Binary{Op: n.Op, L: l, R: r, typ: typ}, nil
+		n.typ = typ
+		return nil
 
 	case *Unary:
-		inner, err := bind(n.E, schema, positional)
-		if err != nil {
-			return nil, err
+		if err := bind(n.E, schema, positional); err != nil {
+			return err
 		}
-		var typ types.Kind
+		in := n.E.ResultType()
 		switch n.Op {
 		case OpNeg:
-			typ = inner.ResultType()
-			if typ != types.KindNull && !typ.Numeric() {
-				return nil, fmt.Errorf("cannot negate %s in %s", typ, n)
+			if in != types.KindNull && !in.Numeric() {
+				return fmt.Errorf("cannot negate %s in %s", in, n)
 			}
+			n.typ = in
 		case OpNot:
-			typ = types.KindBool
+			if !truthValued(in) {
+				return fmt.Errorf("NOT requires a BOOL operand, got %s in %s", in, n)
+			}
+			n.typ = types.KindBool
 		}
-		return &Unary{Op: n.Op, E: inner, typ: typ}, nil
+		return nil
 
 	case *IsNull:
-		inner, err := bind(n.E, schema, positional)
-		if err != nil {
-			return nil, err
-		}
-		return &IsNull{E: inner, Negate: n.Negate}, nil
+		return bind(n.E, schema, positional)
 
 	case *InList:
-		inner, err := bind(n.E, schema, positional)
-		if err != nil {
-			return nil, err
+		if err := bind(n.E, schema, positional); err != nil {
+			return err
 		}
-		list := make([]Expr, len(n.List))
-		for i, le := range n.List {
-			b, err := bind(le, schema, positional)
-			if err != nil {
-				return nil, err
+		for _, el := range n.List {
+			if err := bind(el, schema, positional); err != nil {
+				return err
 			}
-			list[i] = b
+			if !comparableOrNull(n.E.ResultType(), el.ResultType()) {
+				return fmt.Errorf("cannot compare %s with %s in %s", n.E.ResultType(), el.ResultType(), n)
+			}
 		}
-		return &InList{E: inner, List: list, Negate: n.Negate}, nil
+		return nil
 
 	case *Case:
-		out := &Case{}
 		if n.Operand != nil {
-			op, err := bind(n.Operand, schema, positional)
-			if err != nil {
-				return nil, err
+			if err := bind(n.Operand, schema, positional); err != nil {
+				return err
 			}
-			out.Operand = op
 		}
-		out.Whens = make([]When, len(n.Whens))
-		for i, w := range n.Whens {
-			cond, err := bind(w.Cond, schema, positional)
-			if err != nil {
-				return nil, err
+		n.typ = types.KindNull
+		for _, w := range n.Whens {
+			if err := bind(w.Cond, schema, positional); err != nil {
+				return err
 			}
-			then, err := bind(w.Then, schema, positional)
-			if err != nil {
-				return nil, err
+			if err := bind(w.Then, schema, positional); err != nil {
+				return err
 			}
-			out.Whens[i] = When{Cond: cond, Then: then}
-			out.typ = unify(out.typ, then.ResultType())
+			switch cond := w.Cond.ResultType(); {
+			case n.Operand == nil && !truthValued(cond):
+				return fmt.Errorf("WHEN requires a BOOL condition, got %s in %s", cond, n)
+			case n.Operand != nil && !comparableOrNull(n.Operand.ResultType(), cond):
+				return fmt.Errorf("cannot compare %s with %s in %s", n.Operand.ResultType(), cond, n)
+			}
+			n.typ = unify(n.typ, w.Then.ResultType())
 		}
 		if n.Else != nil {
-			els, err := bind(n.Else, schema, positional)
-			if err != nil {
-				return nil, err
+			if err := bind(n.Else, schema, positional); err != nil {
+				return err
 			}
-			out.Else = els
-			out.typ = unify(out.typ, els.ResultType())
+			n.typ = unify(n.typ, n.Else.ResultType())
 		}
-		return out, nil
+		return nil
 
 	case *Cast:
-		inner, err := bind(n.E, schema, positional)
-		if err != nil {
-			return nil, err
-		}
-		return &Cast{E: inner, To: n.To}, nil
+		return bind(n.E, schema, positional)
 
 	case *Call:
 		fn, ok := builtins[strings.ToUpper(n.Name)]
 		if !ok {
-			return nil, fmt.Errorf("unknown function %s", n.Name)
+			return fmt.Errorf("unknown function %s", n.Name)
 		}
 		if len(n.Args) < fn.minArgs || (fn.maxArgs >= 0 && len(n.Args) > fn.maxArgs) {
-			return nil, fmt.Errorf("%s: wrong argument count %d", n.Name, len(n.Args))
+			return fmt.Errorf("%s: wrong argument count %d", n.Name, len(n.Args))
 		}
-		args := make([]Expr, len(n.Args))
 		kinds := make([]types.Kind, len(n.Args))
 		for i, a := range n.Args {
-			b, err := bind(a, schema, positional)
-			if err != nil {
-				return nil, err
+			if err := bind(a, schema, positional); err != nil {
+				return err
 			}
-			args[i] = b
-			kinds[i] = b.ResultType()
+			kinds[i] = a.ResultType()
 		}
 		typ, err := fn.resultType(kinds)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %v", n.Name, err)
+			return fmt.Errorf("%s: %v", n.Name, err)
 		}
-		return &Call{Name: fn.name, Args: args, fn: fn, typ: typ}, nil
+		n.Name, n.fn, n.typ = fn.name, fn, typ
+		return nil
 
 	case *AggCall:
-		out := &AggCall{Kind: n.Kind, Distinct: n.Distinct}
 		if n.Arg != nil {
-			arg, err := bind(n.Arg, schema, positional)
-			if err != nil {
-				return nil, err
+			if err := bind(n.Arg, schema, positional); err != nil {
+				return err
 			}
-			out.Arg = arg
 		}
-		out.typ = AggResultType(n.Kind, argKind(out.Arg))
-		return out, nil
+		n.typ = AggResultType(n.Kind, argKind(n.Arg))
+		return nil
 
 	case *Subquery:
-		out := *n
 		if n.Operand != nil {
-			op, err := bind(n.Operand, schema, positional)
-			if err != nil {
-				return nil, err
-			}
-			out.Operand = op
+			return bind(n.Operand, schema, positional)
 		}
-		return &out, nil
+		return nil
 
 	default:
-		return nil, fmt.Errorf("cannot bind expression node %T", e)
+		return fmt.Errorf("cannot bind expression node %T", e)
 	}
+}
+
+// truthValued reports whether a value of kind k can decide a predicate:
+// a BOOL, or a NULL literal.
+func truthValued(k types.Kind) bool { return k == types.KindBool || k == types.KindNull }
+
+// comparableOrNull reports whether = may compare a with b: NULL literals
+// type-check against anything.
+func comparableOrNull(a, b types.Kind) bool {
+	return a == types.KindNull || b == types.KindNull || comparable(a, b)
 }
 
 func argKind(e Expr) types.Kind {
@@ -223,10 +225,9 @@ func AggResultType(k AggKind, in types.Kind) types.Kind {
 }
 
 func binaryResultType(op BinOp, l, r types.Kind) (types.Kind, error) {
-	// NULL literals type-check against anything.
 	switch {
 	case op.Comparison():
-		if l != types.KindNull && r != types.KindNull && !comparable(l, r) {
+		if !comparableOrNull(l, r) {
 			return types.KindNull, fmt.Errorf("cannot compare %s with %s", l, r)
 		}
 		return types.KindBool, nil

@@ -274,10 +274,8 @@ func (n *InList) Eval(row types.Row) (types.Value, error) {
 	}
 	n.setOnce.Do(n.buildSet)
 	if n.set != nil {
-		for _, cand := range n.set[v.Hash(0)] {
-			if comparable(v.Kind(), cand.Kind()) && v.Compare(cand) == 0 {
-				return types.NewBool(!n.Negate), nil
-			}
+		if n.contains(v) {
+			return types.NewBool(!n.Negate), nil
 		}
 		if n.setHasNull {
 			return types.Null, nil

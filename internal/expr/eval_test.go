@@ -204,6 +204,53 @@ func TestInList(t *testing.T) {
 	}
 }
 
+// TestInListSet: a list of eight or more constants is probed through its
+// set — one allocation, built once — and answers what the linear scan
+// does: INT and FLOAT meet, duplicates are harmless, a NULL entry turns a
+// miss into NULL.
+func TestInListSet(t *testing.T) {
+	list := func(extra ...Expr) []Expr {
+		l := []Expr{intc(3), floatc(7), intc(3), intc(40), intc(-2), intc(11), floatc(12.5), intc(13)}
+		return append(l, extra...)
+	}
+	for _, c := range []struct {
+		v    types.Value
+		list []Expr
+		want string
+	}{
+		{types.NewInt(7), list(), "true"},
+		{types.NewFloat(3), list(), "true"},
+		{types.NewFloat(12.5), list(), "true"},
+		{types.NewInt(12), list(), "false"},
+		{types.NewInt(12), list(NewConst(types.Null)), "NULL"},
+		{types.NewInt(40), list(NewConst(types.Null)), "true"},
+		{types.Null, list(), "NULL"},
+	} {
+		for _, negate := range []bool{false, true} {
+			e := &InList{E: NewBoundColRef(0, c.v.Kind(), "v"), List: c.list, Negate: negate}
+			got, err := e.Eval(types.Row{c.v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := c.want
+			if negate && want != "NULL" {
+				want = map[string]string{"true": "false", "false": "true"}[want]
+			}
+			if got.String() != want || e.set == nil && !c.v.IsNull() {
+				t.Errorf("%s with %s = %s (set built: %v), want %s", e, c.v, got, e.set != nil, want)
+			}
+		}
+	}
+	nodes := make([]*InList, 11)
+	for i := range nodes {
+		nodes[i] = &InList{E: col("a"), List: list(NewConst(types.Null))}
+	}
+	i := 0
+	if n := testing.AllocsPerRun(10, func() { nodes[i].buildSet(); i++ }); n != 1 {
+		t.Errorf("building an IN list's set allocates %.0f objects, want 1", n)
+	}
+}
+
 func TestCase(t *testing.T) {
 	// Searched CASE.
 	e := mustBind(t, &Case{
@@ -296,13 +343,18 @@ func TestBindErrors(t *testing.T) {
 	bad := []Expr{
 		col("nope"),
 		NewCall("NOSUCHFN", intc(1)),
-		NewCall("ABS"),                   // too few args
-		NewCall("ABS", intc(1), intc(2)), // too many args
-		NewCall("ABS", strc("x")),        // non-numeric
-		bin(OpAdd, col("s"), intc(1)),    // string + int
-		bin(OpEq, col("s"), intc(1)),     // string = int
-		bin(OpLike, col("a"), strc("%")), // LIKE over int
-		NewUnary(OpNeg, col("s")),        // negate string
+		NewCall("ABS"),                                           // too few args
+		NewCall("ABS", intc(1), intc(2)),                         // too many args
+		NewCall("ABS", strc("x")),                                // non-numeric
+		bin(OpAdd, col("s"), intc(1)),                            // string + int
+		bin(OpEq, col("s"), intc(1)),                             // string = int
+		bin(OpLike, col("a"), strc("%")),                         // LIKE over int
+		NewUnary(OpNeg, col("s")),                                // negate string
+		&InList{E: col("a"), List: []Expr{strc("10"), intc(11)}}, // int IN (string, ...)
+		&InList{E: col("a"), List: []Expr{intc(11), strc("10")}, Negate: true}, // int NOT IN (..., string)
+		NewUnary(OpNot, col("a")),                                                 // NOT int
+		&Case{Whens: []When{{Cond: col("a"), Then: intc(1)}}},                     // WHEN int THEN
+		&Case{Operand: col("a"), Whens: []When{{Cond: strc("x"), Then: intc(1)}}}, // CASE int WHEN string
 	}
 	for _, e := range bad {
 		if _, err := Bind(e, testSchema); err == nil {
@@ -328,12 +380,18 @@ func TestBindQualified(t *testing.T) {
 // whatever it is called, loses the name, and takes the schema's type; an
 // unbound one is resolved by name as Bind does; calls get their function.
 func TestBindPositions(t *testing.T) {
-	shipped := bin(OpAnd,
-		bin(OpEq, &ColRef{Name: "globally_named", Index: 2, Type: types.KindInt}, strc("x")),
-		bin(OpGt, &Call{Name: "ABS", Args: []Expr{col("b")}}, intc(1)))
-	e, err := BindPositions(shipped, testSchema)
+	shipped := func() Expr {
+		return bin(OpAnd,
+			bin(OpEq, &ColRef{Name: "globally_named", Index: 2, Type: types.KindInt}, strc("x")),
+			bin(OpGt, &Call{Name: "ABS", Args: []Expr{col("b")}}, intc(1)))
+	}
+	in := shipped()
+	e, err := BindPositions(in, testSchema)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if e != in {
+		t.Error("BindPositions must bind the tree it is handed, in place")
 	}
 	if got := e.String(); got != "(($2 = 'x') AND (ABS(b) > 1))" {
 		t.Errorf("bound = %s", got)
@@ -345,7 +403,7 @@ func TestBindPositions(t *testing.T) {
 	if ok, err := EvalBool(e, types.Row{types.Null, types.NewFloat(-2), types.NewString("x")}); err != nil || !ok {
 		t.Errorf("eval = %v, %v", ok, err)
 	}
-	if _, err := Bind(shipped, testSchema); err == nil {
+	if _, err := Bind(shipped(), testSchema); err == nil {
 		t.Error("Bind resolves by name and must not know globally_named")
 	}
 	if _, err := BindPositions(&ColRef{Name: "a", Index: 9}, testSchema); err == nil {

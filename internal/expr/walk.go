@@ -213,25 +213,18 @@ func HasAggregate(e Expr) bool {
 	return found
 }
 
-// Conjuncts splits a predicate on top-level ANDs: (a AND (b AND c))
-// yields [a, b, c]. A nil predicate yields nil.
-func Conjuncts(e Expr) []Expr {
+// AppendConjuncts appends the conjuncts of a predicate — its operands
+// under top-level ANDs, (a AND (b AND c)) yields a, b, c — to dst and
+// returns the extended slice; a nil predicate appends nothing. A caller
+// that splits a predicate to look at its parts passes a buffer on its own
+// stack (var buf [8]expr.Expr; AppendConjuncts(buf[:0], e)), which costs
+// no allocation up to its capacity.
+func AppendConjuncts(dst []Expr, e Expr) []Expr {
 	if e == nil {
-		return nil
+		return dst
 	}
-	return appendConjuncts(make([]Expr, 0, countConjuncts(e)), e)
-}
-
-func countConjuncts(e Expr) int {
 	if b, ok := e.(*Binary); ok && b.Op == OpAnd {
-		return countConjuncts(b.L) + countConjuncts(b.R)
-	}
-	return 1
-}
-
-func appendConjuncts(dst []Expr, e Expr) []Expr {
-	if b, ok := e.(*Binary); ok && b.Op == OpAnd {
-		return appendConjuncts(appendConjuncts(dst, b.L), b.R)
+		return AppendConjuncts(AppendConjuncts(dst, b.L), b.R)
 	}
 	return append(dst, e)
 }

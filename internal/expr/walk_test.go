@@ -12,21 +12,30 @@ func TestConjunctsConjoin(t *testing.T) {
 	b := bin(OpLt, col("a"), intc(9))
 	c := bin(OpEq, col("s"), strc("x"))
 	e := Conjoin([]Expr{a, b, c})
-	parts := Conjuncts(e)
+	var buf [8]Expr
+	parts := AppendConjuncts(buf[:0], e)
 	if len(parts) != 3 {
-		t.Fatalf("Conjuncts = %d parts", len(parts))
+		t.Fatalf("AppendConjuncts = %d parts", len(parts))
 	}
-	if parts[0].String() != a.String() || parts[2].String() != c.String() {
-		t.Errorf("Conjuncts order wrong: %v", parts)
+	if parts[0] != Expr(a) || parts[1] != Expr(b) || parts[2] != Expr(c) {
+		t.Errorf("AppendConjuncts order wrong: %v", parts)
 	}
-	if n := testing.AllocsPerRun(100, func() { Conjuncts(e) }); n != 1 {
-		t.Errorf("Conjuncts allocates %.0f objects, want its one result slice", n)
+	if got := AppendConjuncts(parts[:1], c); len(got) != 2 || got[0] != Expr(a) || got[1] != Expr(c) {
+		t.Errorf("AppendConjuncts must keep what dst holds: %v", got)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		var buf [8]Expr
+		for _, p := range AppendConjuncts(buf[:0], e) {
+			p.ResultType()
+		}
+	}); n != 0 {
+		t.Errorf("AppendConjuncts into a stack buffer allocates %.0f objects, want 0", n)
 	}
 	if Conjoin(nil) != nil {
 		t.Error("Conjoin(nil) must be nil")
 	}
-	if Conjuncts(nil) != nil {
-		t.Error("Conjuncts(nil) must be nil")
+	if AppendConjuncts(nil, nil) != nil {
+		t.Error("AppendConjuncts(nil, nil) must be nil")
 	}
 	if got := Conjoin([]Expr{nil, a, nil}); got.String() != a.String() {
 		t.Errorf("Conjoin skips nils: %v", got)

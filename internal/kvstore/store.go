@@ -183,7 +183,8 @@ func (it *scanIter) Close() error {
 func (b *bucket) rangeFromFilter(filter expr.Expr) (Bound, Bound, []types.Value, error) {
 	lo, hi := Unbounded, Unbounded
 	var inKeys []types.Value
-	for _, c := range expr.Conjuncts(filter) {
+	var conj [8]expr.Expr
+	for _, c := range expr.AppendConjuncts(conj[:0], filter) {
 		if in, ok := c.(*expr.InList); ok && !in.Negate {
 			col, colOK := in.E.(*expr.ColRef)
 			if !colOK || col.Index != b.keyCol {

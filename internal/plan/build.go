@@ -98,19 +98,21 @@ func (b *Builder) buildCore(sel *sql.SelectStmt) (Node, error) {
 	boundItems := make([]expr.Expr, len(items))
 	names := make([]string, len(items))
 	for i, it := range items {
-		bound, err := expr.Bind(it.Expr, inSchema)
-		if err != nil {
-			return nil, err
-		}
-		boundItems[i] = bound
+		// Named as written: Bind binds the parser's tree in place, and a
+		// bound reference prints unquoted.
 		names[i] = it.Alias
 		if names[i] == "" {
-			if c, ok := bound.(*expr.ColRef); ok {
+			if c, ok := it.Expr.(*expr.ColRef); ok {
 				names[i] = c.Name
 			} else {
 				names[i] = it.Expr.String()
 			}
 		}
+		bound, err := expr.Bind(it.Expr, inSchema)
+		if err != nil {
+			return nil, err
+		}
+		boundItems[i] = bound
 	}
 
 	// WHERE.

@@ -99,8 +99,9 @@ func buildFragScan(cat *catalog.Catalog, tab *catalog.GlobalTable, frag *catalog
 		return nil, err
 	}
 	caps, info := src.Capabilities(), frag.Info()
-	var pushed, kept []expr.Expr
-	for _, c := range expr.Conjuncts(filter) {
+	var conj, pushedBuf, keptBuf [8]expr.Expr
+	pushed, kept := pushedBuf[:0], keptBuf[:0]
+	for _, c := range expr.AppendConjuncts(conj[:0], filter) {
 		if rc, ok := frag.TranslateConjunct(c); ok && caps.CanFilter(info, rc) {
 			pushed = append(pushed, rc)
 		} else {

@@ -281,7 +281,8 @@ func flattenJoins(j *Join) ([]flatRel, []flatPred) {
 			lw := walk(jn.L)
 			rw := walk(jn.R)
 			if jn.Cond != nil {
-				for _, c := range expr.Conjuncts(jn.Cond) {
+				var conj [8]expr.Expr
+				for _, c := range expr.AppendConjuncts(conj[:0], jn.Cond) {
 					// The condition is bound over this join's local
 					// concatenated schema; shift to the global space.
 					preds = append(preds, flatPred{e: expr.Shift(c, base)})

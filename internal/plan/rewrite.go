@@ -81,8 +81,9 @@ func pushDownFilters(n Node) Node {
 // place, and returns the conjunction that could not be pushed (nil when
 // everything sank).
 func pushPred(pred expr.Expr, input *Node) expr.Expr {
-	var kept []expr.Expr
-	for _, c := range expr.Conjuncts(pred) {
+	var conj, keptBuf [8]expr.Expr
+	kept := keptBuf[:0]
+	for _, c := range expr.AppendConjuncts(conj[:0], pred) {
 		if !pushConjunct(c, input) {
 			kept = append(kept, c)
 		}
@@ -225,8 +226,9 @@ func sideOf(c expr.Expr, leftWidth int) int {
 // condition into the inputs, returning the remaining condition.
 func pushJoinCond(j *Join) expr.Expr {
 	lw := j.L.Schema().Len()
-	var kept []expr.Expr
-	for _, c := range expr.Conjuncts(j.Cond) {
+	var conj, keptBuf [8]expr.Expr
+	kept := keptBuf[:0]
+	for _, c := range expr.AppendConjuncts(conj[:0], j.Cond) {
 		switch sideOf(c, lw) {
 		case -1:
 			if !pushConjunct(c, &j.L) {
@@ -255,7 +257,8 @@ func extractEquiKeys(n Node) Node {
 		t.EquiL, t.EquiR = nil, nil
 		if t.Kind == JoinInner || t.Kind == JoinSemi || t.Kind == JoinAnti || t.Kind == JoinLeft {
 			lw := t.L.Schema().Len()
-			for _, c := range expr.Conjuncts(t.Cond) {
+			var conj [8]expr.Expr
+			for _, c := range expr.AppendConjuncts(conj[:0], t.Cond) {
 				b, ok := c.(*expr.Binary)
 				if !ok || b.Op != expr.OpEq {
 					continue

@@ -202,7 +202,8 @@ func (it *scanIter) Close() error {
 // constants. The second result is false when no index applies and the
 // caller must scan every row.
 func (t *table) candidateRows(filter expr.Expr) ([]int, bool) {
-	for _, c := range expr.Conjuncts(filter) {
+	var conj [8]expr.Expr
+	for _, c := range expr.AppendConjuncts(conj[:0], filter) {
 		switch n := c.(type) {
 		case *expr.Binary:
 			col, op, val, ok := expr.ColumnComparison(n)

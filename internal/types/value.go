@@ -9,6 +9,7 @@
 package types
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -182,13 +183,23 @@ func (v Value) String() string {
 	}
 }
 
-// SQL renders the value as a SQL literal (quoting strings).
+// SQL renders the value as a SQL literal (quoting strings) that reads
+// back as the same kind: a finite FLOAT whose shortest form has neither a
+// point nor an exponent gets ".0", or 2.0 would read back as the INT 2.
 func (v Value) SQL() string {
 	switch v.kind {
 	case KindString:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case KindTime:
 		return "'" + v.String() + "'"
+	case KindFloat:
+		var buf [32]byte
+		f := v.Float()
+		b := strconv.AppendFloat(buf[:0], f, 'g', -1, 64)
+		if !math.IsInf(f, 0) && !math.IsNaN(f) && !bytes.ContainsAny(b, ".e") {
+			b = append(b, ".0"...)
+		}
+		return string(b)
 	default:
 		return v.String()
 	}
