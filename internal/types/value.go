@@ -115,6 +115,11 @@ func NewString(s string) Value { return Value{kind: KindString, s: s} }
 // NewBytes returns a BYTES value. The slice is copied.
 func NewBytes(b []byte) Value { return Value{kind: KindBytes, s: string(b)} }
 
+// NewBytesOf returns a BYTES value whose payload is s's bytes. Nothing is
+// copied: a decoder that already holds the payload as a string hands it
+// over as it is.
+func NewBytesOf(s string) Value { return Value{kind: KindBytes, s: s} }
+
 // NewTime returns a TIME value. Only the instant is kept — as unix
 // seconds plus nanoseconds, which covers every time.Time — so the
 // value reads back in UTC.
@@ -406,7 +411,7 @@ func (v Value) Coerce(to Kind) (Value, error) {
 		return NewString(v.String()), nil
 	case KindBytes:
 		if v.kind == KindString {
-			return Value{kind: KindBytes, s: v.s}, nil
+			return NewBytesOf(v.s), nil
 		}
 	case KindTime:
 		switch v.kind {

@@ -488,7 +488,7 @@ func (it *streamIter) Next() (types.Row, error) {
 		// (pos == len) before a new msgRows frame is read, and handed-out
 		// rows live in their frame's slab, not in the slots.
 		var slab []types.Value
-		if it.batch, slab, err = NewDecoder(payload).rowBatch(it.batch, it.slab); err != nil {
+		if it.batch, slab, err = it.fc.decoder(payload).rowBatch(it.batch, it.slab); err != nil {
 			it.fail(err)
 			return nil, err
 		}

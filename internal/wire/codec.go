@@ -104,27 +104,39 @@ func (e *Encoder) Row(r types.Row) {
 	}
 }
 
-// rowCountRoom is the room beginRows leaves for a frame's row count:
-// any count fits.
+// rowCountRoom is the room beginRows leaves for a row count: any count
+// fits.
 const rowCountRoom = binary.MaxVarintLen64
 
-// beginRows starts a msgRows payload — a row count, then that many
-// rows — whose count is known only when the frame is cut: it clears the
-// buffer and leaves room for the count ahead of the first row.
-func (e *Encoder) beginRows() {
+// beginRows starts a rows body — a row count, then that many rows, the
+// whole of a msgRows payload and the tail of an INSERT — whose count is
+// known only when the body is cut. It leaves room for the count at the
+// end of the buffer and returns where the room starts.
+func (e *Encoder) beginRows() (mark int) {
 	var room [rowCountRoom]byte
-	e.buf = append(e.buf[:0], room[:]...)
+	mark = len(e.buf)
+	e.buf = append(e.buf, room[:]...)
+	return mark
 }
 
-// endRows writes n, the number of rows appended since beginRows, into
-// the end of the room ahead of them and returns the payload: the rows
-// are not copied to put the count in front.
-func (e *Encoder) endRows(n int) []byte {
+// rowsLen is the length of the message endRows would return for n rows
+// now.
+func (e *Encoder) rowsLen(n int) int {
+	var count [rowCountRoom]byte
+	return len(e.buf) - rowCountRoom + binary.PutUvarint(count[:], uint64(n))
+}
+
+// endRows writes n, the number of rows appended since the beginRows that
+// returned mark, into the end of the room it left, slides what precedes
+// mark up against the count and returns the message from its first byte:
+// the rows are not copied to put the count in front of them.
+func (e *Encoder) endRows(mark, n int) []byte {
 	var count [rowCountRoom]byte
 	k := binary.PutUvarint(count[:], uint64(n))
-	start := rowCountRoom - k
-	copy(e.buf[start:], count[:k])
-	return e.buf[start:]
+	gap := rowCountRoom - k
+	copy(e.buf[mark+gap:], count[:k])
+	copy(e.buf[gap:], e.buf[:mark])
+	return e.buf[gap:]
 }
 
 // Schema appends a schema.
@@ -271,6 +283,10 @@ type Decoder struct {
 	pos int
 	// depth is how many Expr or Span decodes are on the stack.
 	depth int
+	// strs is where rowBatch gathers a frame's strings: the connection's
+	// (frameConn.decoder), reused frame after frame, or nil for one of
+	// the frame's own.
+	strs *stringScratch
 }
 
 // maxNesting bounds how deep an expression or span tree a payload may
@@ -359,13 +375,19 @@ func (d *Decoder) Bool() (bool, error) {
 	return b != 0, err
 }
 
-// String reads a length-prefixed string.
-func (d *Decoder) String() (string, error) {
+// payload reads a length-prefixed run of bytes, which points into the
+// buffer being decoded.
+func (d *Decoder) payload() ([]byte, error) {
 	n, err := d.count()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	b, err := d.take(n)
+	return d.take(n)
+}
+
+// String reads a length-prefixed string.
+func (d *Decoder) String() (string, error) {
+	b, err := d.payload()
 	return string(b), err
 }
 
@@ -400,11 +422,7 @@ func (d *Decoder) Value() (types.Value, error) {
 		s, err := d.String()
 		return types.NewString(s), err
 	case types.KindBytes:
-		n, err := d.count()
-		if err != nil {
-			return types.Null, err
-		}
-		b, err := d.take(n)
+		b, err := d.payload()
 		if err != nil {
 			return types.Null, err
 		}
@@ -427,7 +445,9 @@ func (d *Decoder) Value() (types.Value, error) {
 	}
 }
 
-// Row reads a row.
+// Row reads one row, each of its strings copied out on its own. A result
+// frame and an INSERT's rows are read by rowBatch; Row stays for a reader
+// of single rows, the repository benchmark's codec probe.
 func (d *Decoder) Row() (types.Row, error) {
 	n, err := d.count()
 	if err != nil {
@@ -451,19 +471,22 @@ func (d *Decoder) values(dst []types.Value) error {
 	return nil
 }
 
-// rowBatch reads a msgRows payload — a row count, then that many rows —
-// into batch, reusing its slot array when it is large enough. The rows
-// are carved from one slab, sized from the first row's width (a result
-// stream's rows all have one), so a frame costs one allocation and not
-// one per row. Each row is cut with a full slice expression, so
-// appending to it copies instead of reaching its neighbour.
+// rowBatch reads a rows body — a row count, then that many rows: a
+// msgRows payload, an INSERT's rows — into batch, reusing its slot array
+// when it is large enough. The rows are carved from one slab, sized from
+// the first row's width (a result stream's rows all have one), and their
+// strings are substrings of one string block, so a frame costs two
+// allocations and not one per row or per string. Each row is cut with a
+// full slice expression, so appending to it copies instead of reaching
+// its neighbour.
 //
 // With a nil slab the frame gets its own, which is never written again:
 // rows stay valid for as long as the caller keeps them. A caller whose
 // consumer is done with a frame's rows before the next frame is read
 // passes the slab the previous call returned, and the frame is decoded
 // over it; only a frame that needs more room than it has allocates.
-// The slab returned is the largest the frame used.
+// The slab returned is the largest the frame used. The string block is
+// the frame's own either way (see stringScratch.place).
 func (d *Decoder) rowBatch(batch []types.Row, slab []types.Value) ([]types.Row, []types.Value, error) {
 	n, err := d.count()
 	if err != nil {
@@ -475,6 +498,11 @@ func (d *Decoder) rowBatch(batch []types.Row, slab []types.Value) ([]types.Row, 
 		// The slot array grows to the frame size once per stream.
 		batch = make([]types.Row, n)
 	}
+	strs := d.strs
+	if strs == nil {
+		strs = new(stringScratch)
+	}
+	strs.buf, strs.notes = strs.buf[:0], strs.notes[:0]
 	free := slab // not carved yet
 	for i := range batch {
 		width, err := d.count()
@@ -491,12 +519,75 @@ func (d *Decoder) rowBatch(batch []types.Row, slab []types.Value) ([]types.Row, 
 		}
 		row := free[:width:width]
 		free = free[width:]
-		if err := d.values(row); err != nil {
+		if err := d.frameValues(row, i, strs); err != nil {
 			return nil, nil, err
 		}
 		batch[i] = row
 	}
+	strs.place(batch)
 	return batch, slab, nil
+}
+
+// frameValues fills row i of a frame as values does, except that a
+// STRING or BYTES payload is not copied out on its own: its bytes are
+// appended to strs and its slot is noted.
+func (d *Decoder) frameValues(row types.Row, i int, strs *stringScratch) error {
+	for j := range row {
+		if d.Remaining() > 0 {
+			if k := types.Kind(d.buf[d.pos]); k == types.KindString || k == types.KindBytes {
+				d.pos++
+				b, err := d.payload()
+				if err != nil {
+					return err
+				}
+				strs.buf = append(strs.buf, b...)
+				strs.notes = append(strs.notes, stringNote{row: uint32(i), col: uint32(j), end: uint32(len(strs.buf)), kind: k})
+				continue
+			}
+		}
+		var err error
+		if row[j], err = d.Value(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// stringScratch gathers a frame's STRING and BYTES payloads while
+// rowBatch reads its rows. A connection keeps one and reuses it frame
+// after frame: nothing a row holds points into it, and its notes are
+// positions in the batch, not pointers, so it pins no row.
+type stringScratch struct {
+	buf   []byte
+	notes []stringNote
+}
+
+// stringNote is a slot waiting for its payload: column col of row row of
+// the batch is a value of kind whose bytes run in the scratch from the
+// previous note's end (0 for the first) to end. A frame's length is a
+// uint32 on the wire, so each fits one.
+type stringNote struct {
+	row, col, end uint32
+	kind          types.Kind
+}
+
+// place copies the gathered payloads into the frame's string block, one
+// string of exactly their bytes, and points each noted slot at its
+// substring. The block is never written again, not even when the next
+// frame is decoded over this one's slab: a value copied out of a lent row
+// stays valid, and keeps at most one frame's string bytes alive.
+func (s *stringScratch) place(batch []types.Row) {
+	block := string(s.buf)
+	start := uint32(0)
+	for _, n := range s.notes {
+		p := block[start:n.end]
+		if n.kind == types.KindBytes {
+			batch[n.row][n.col] = types.NewBytesOf(p)
+		} else {
+			batch[n.row][n.col] = types.NewString(p)
+		}
+		start = n.end
+	}
 }
 
 // Schema reads a schema.
@@ -780,10 +871,11 @@ type writeReq struct {
 func (e *Encoder) writeReq(tag byte, w *writeReq) error {
 	e.String(w.Table)
 	if tag == msgInsert {
-		e.Uvarint(uint64(len(w.Rows)))
+		mark := e.beginRows()
 		for _, r := range w.Rows {
 			e.Row(r)
 		}
+		e.buf = e.endRows(mark, len(w.Rows)) // starts past the room the count left unused
 		return nil
 	}
 	if err := e.Expr(w.Filter); err != nil || tag == msgDelete {
@@ -799,30 +891,24 @@ func (e *Encoder) writeReq(tag byte, w *writeReq) error {
 	return nil
 }
 
-// writeReq decodes the body of write request tag. The row or SET-clause
-// count is checked against the bytes left (each costs at least one)
-// before anything is made for it.
+// writeReq decodes the body of write request tag. An INSERT's rows are a
+// rows body, read as a result frame is (rowBatch); the SET-clause count
+// is checked against the bytes left (each costs at least one) before
+// anything is made for it.
 func (d *Decoder) writeReq(tag byte) (w writeReq, err error) {
 	if w.Table, err = d.String(); err != nil {
 		return w, err
 	}
-	if tag != msgInsert {
-		if w.Filter, err = d.Expr(); err != nil || tag == msgDelete {
-			return w, err
-		}
+	if tag == msgInsert {
+		w.Rows, _, err = d.rowBatch(nil, nil)
+		return w, err
+	}
+	if w.Filter, err = d.Expr(); err != nil || tag == msgDelete {
+		return w, err
 	}
 	n, err := d.count()
 	if err != nil {
 		return w, err
-	}
-	if tag == msgInsert {
-		w.Rows = make([]types.Row, n)
-		for i := range w.Rows {
-			if w.Rows[i], err = d.Row(); err != nil {
-				return w, err
-			}
-		}
-		return w, nil
 	}
 	w.Set = make([]source.SetClause, n)
 	for i := range w.Set {

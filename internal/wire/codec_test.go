@@ -228,11 +228,11 @@ func nestedNots(depth int) []byte {
 // frameOf encodes rows as one msgRows payload.
 func frameOf(rows []types.Row) []byte {
 	var e Encoder
-	e.beginRows()
+	mark := e.beginRows()
 	for _, r := range rows {
 		e.Row(r)
 	}
-	return e.endRows(len(rows))
+	return e.endRows(mark, len(rows))
 }
 
 // TestRowBatchRowsDoNotAlias: the rows of one frame share a slab, so

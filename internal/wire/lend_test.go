@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"slices"
@@ -157,6 +158,66 @@ func TestLentRelstoreStreamEqualsKept(t *testing.T) {
 			if !slices.Equal(got[i], want[i]) {
 				t.Fatalf("lent %v: row %d = %v, the store has %v", lent, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// A value copied out of a lent row is the consumer's to keep (DESIGN.md
+// "Who keeps a row"): a GROUP BY key, a MIN. So a frame's string block is
+// never written again, though the next frame is decoded over its slab,
+// into the connection's buffer and through the connection's string
+// scratch. A lent stream of four frames of distinct strings keeps one
+// value from each and reads them once the stream has ended; the same
+// stream kept is drained by DrainOwned, which fails on a row that changed.
+func TestLentStringsOutliveTheirFrame(t *testing.T) {
+	const n = 3*rowBatchSize + 17
+	st, cl := startRelServer(t, 0)
+	schema := types.NewSchema(types.Column{Name: "id", Type: types.KindInt}, types.Column{Name: "name", Type: types.KindString})
+	if err := st.CreateTable("names", schema, 0); err != nil {
+		t.Fatal(err)
+	}
+	name := func(i int) string { return fmt.Sprintf("name-%05d", i) }
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewString(name(i))}
+	}
+	if _, err := st.Insert(ctx, "names", rows); err != nil {
+		t.Fatal(err)
+	}
+	q := &source.Query{Table: "names", Columns: []int{1, 0}, Limit: -1}
+
+	kept, err := cl.Execute(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := source.DrainOwned(kept); err != nil || len(got) != n {
+		t.Fatalf("kept stream: %d rows, %v", len(got), err)
+	}
+
+	it, err := cl.Execute(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	source.Lend(it)
+	var saved []types.Value
+	for i := 0; ; i++ {
+		r, err := it.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("lent stream, row %d: %v", i, err)
+		}
+		if i%rowBatchSize == 5 {
+			saved = append(saved, r[0])
+		}
+	}
+	if len(saved) != 4 {
+		t.Fatalf("kept %d values, want one from each of 4 frames", len(saved))
+	}
+	for k, v := range saved {
+		if want := name(k*rowBatchSize + 5); v.Str() != want {
+			t.Errorf("the value kept from frame %d reads %q once the stream has ended, want %q", k, v.Str(), want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"gis/internal/docstore"
 	"gis/internal/filestore"
 	"gis/internal/kvstore"
+	"gis/internal/obs"
 	"gis/internal/relstore"
 	"gis/internal/source"
 	"gis/internal/types"
@@ -237,20 +239,51 @@ func TestOversizedFrameRejectedBeforeAllocation(t *testing.T) {
 	}
 }
 
+// TestMaxFrameBytesTravelsInHello: the client advertises a tiny inbound
+// bound, and the handshake lowers the server's outbound bound to it. 256
+// rows no longer fit a frame, but each row does, so the server cuts its
+// frames at the bound and the result arrives whole, in more frames. Only a
+// row wider than the bound fails its stream, cleanly: the client survives
+// and the next call works.
 func TestMaxFrameBytesTravelsInHello(t *testing.T) {
-	// The client advertises a tiny inbound bound; the handshake must
-	// lower the server's outbound bound so a full 256-row batch can no
-	// longer be sent. The stream fails cleanly; the client survives and
-	// a later small result works.
-	_, cl := startRelServer(t, 2000, WithMaxFrameBytes(1024))
+	const n = 2000
+	st, cl := startRelServer(t, n, WithMaxFrameBytes(1024), WithName("bounded"))
+	in := obs.Default().Counter("wire.client.bounded.frames_in")
+	before := in.Value()
 	it, err := cl.Execute(ctx, source.NewScan("items"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := source.DrainOwned(it)
+	if err != nil || len(rows) != n {
+		t.Fatalf("a scan of %d rows under a 1 KiB bound: %d rows, %v", n, len(rows), err)
+	}
+	for i, r := range rows {
+		if r[0].Int() != int64(i) || r[1].Str() != fmt.Sprintf("c%d", i%5) {
+			t.Fatalf("row %d = %v", i, r)
+		}
+	}
+	frames := in.Value() - before - 2 // msgOK, then msgRows, then msgEnd
+	t.Logf("%d rows in %d msgRows frames", n, frames)
+	if frames <= (n+rowBatchSize-1)/rowBatchSize {
+		t.Errorf("%d rows arrived in %d msgRows frames under a 1 KiB bound, want more than %d", n, frames, (n+rowBatchSize-1)/rowBatchSize)
+	}
+
+	wide := types.NewSchema(types.Column{Name: "id", Type: types.KindInt}, types.Column{Name: "note", Type: types.KindString})
+	if err := st.CreateTable("wide", wide, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Insert(ctx, "wide", []types.Row{{types.NewInt(1), types.NewString(strings.Repeat("x", 2000))}}); err != nil {
+		t.Fatal(err)
+	}
+	it, err = cl.Execute(ctx, source.NewScan("wide"))
 	if err == nil {
 		_, err = source.Drain(it)
 	}
-	if err == nil {
-		t.Fatal("a batch larger than the advertised bound must fail the stream")
+	if err == nil || !strings.Contains(err.Error(), "frame bound") {
+		t.Fatalf("a row wider than the advertised bound: %v, want the stream to fail naming the bound", err)
 	}
-	if tables, err := cl.Tables(ctx); err != nil || len(tables) != 1 {
+	if tables, err := cl.Tables(ctx); err != nil || len(tables) != 2 {
 		t.Fatalf("client must recover after a bounded-frame failure: %v, %v", tables, err)
 	}
 }

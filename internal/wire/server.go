@@ -301,7 +301,7 @@ func (s *Server) handle(ctx context.Context, fc *frameConn, st *connState, tag b
 		return reject(ctx, fc, errors.New("wire: begin with a transaction already open on this connection"))
 	}
 	var reply Encoder
-	if err := s.answer(ctx, st, tag, NewDecoder(payload), &reply); err != nil {
+	if err := s.answer(ctx, st, tag, fc.decoder(payload), &reply); err != nil {
 		return sendErr(ctx, fc, err)
 	}
 	return fc.writeFrame(ctx, msgOK, reply.Bytes())
@@ -507,8 +507,12 @@ func (s *Server) streamQuery(ctx context.Context, fc *frameConn, q *source.Query
 // to the client as a clean in-stream error: the connection survives,
 // the stream does not.
 //
-// A row is encoded before the next is asked for, so the source is asked
-// to lend its rows.
+// A frame is cut at rowBatchSize rows, or before the row that would push
+// its payload past the peer's frame bound (fc.wlimit), which then starts
+// the next frame; a single row wider than the bound fails the stream with
+// msgErr. A row is encoded before the next is asked for, so the source is
+// asked to lend its rows: re-encoding the row that did not fit reads it
+// before the next Next.
 func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIter, root *obs.Span) error {
 	_, ssp := obs.StartSpan(ctx, obs.SpanStream, "rows")
 	defer ssp.End()
@@ -523,7 +527,19 @@ func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIte
 			}
 		}
 		credit--
-		return fc.writeFrame(ctx, msgRows, e.endRows(n))
+		return fc.writeFrame(ctx, msgRows, e.endRows(0, n))
+	}
+	// cut sends a frame mid-stream. Mid-stream fault point: a transient
+	// injection aborts just this stream, a drop severs the connection
+	// with rows in flight.
+	cut := func(n int) error {
+		if err := fc.injure(ctx, faults.OpRead); err != nil {
+			if errors.Is(err, faults.ErrInjected) {
+				return sendErr(ctx, fc, err)
+			}
+			return err
+		}
+		return sendBatch(n)
 	}
 	for {
 		if err := ctx.Err(); err != nil {
@@ -548,22 +564,31 @@ func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIte
 			if rows == 0 {
 				e = newMessage() // at the first row: an empty stream encodes nothing
 			}
+			e.Reset()
 			e.beginRows()
 		}
+		at := len(e.buf)
 		e.Row(row)
+		if batch > 0 && e.rowsLen(batch+1) > fc.wlimit {
+			// The row would push the frame past the peer's bound: send
+			// the frame without it, and start the next one with it.
+			e.buf = e.buf[:at]
+			if err := cut(batch); err != nil {
+				return err
+			}
+			batch = 0
+			e.Reset()
+			e.beginRows()
+			at = len(e.buf)
+			e.Row(row)
+		}
+		if batch == 0 && e.rowsLen(1) > fc.wlimit {
+			return sendErr(ctx, fc, fmt.Errorf("wire: a row of %d bytes does not fit the peer's %d-byte frame bound: %w", len(e.buf)-at, fc.wlimit, ErrFrameTooLarge))
+		}
 		batch++
 		rows++
 		if batch == rowBatchSize {
-			// Mid-stream fault point: a transient injection aborts
-			// just this stream, a drop severs the connection with
-			// rows in flight.
-			if err := fc.injure(ctx, faults.OpRead); err != nil {
-				if errors.Is(err, faults.ErrInjected) {
-					return sendErr(ctx, fc, err)
-				}
-				return err
-			}
-			if err := sendBatch(batch); err != nil {
+			if err := cut(batch); err != nil {
 				return err
 			}
 			batch = 0

@@ -156,12 +156,21 @@ type frameConn struct {
 	rttEWMA *atomic.Int64
 	hdr     [5]byte
 	// rbuf backs msgRows payloads across readFrame calls. Row frames
-	// dominate traffic and their payloads are fully decoded (with every
-	// string/bytes value copied out) before the next read on this conn,
-	// so reuse is safe there; every other tag gets a fresh buffer
-	// because its payload can outlive the next read (e.g. a response
-	// decoded after the connection went back to the pool).
+	// dominate traffic and their payloads are fully decoded (every
+	// string/bytes payload copied into the frame's string block) before
+	// the next read on this conn, so reuse is safe there; every other
+	// tag gets a fresh buffer because its payload can outlive the next
+	// read (e.g. a response decoded after the connection went back to
+	// the pool).
 	rbuf []byte
+	// strs is where the rows bodies read on this conn gather their
+	// strings (Decoder.rowBatch), reused like rbuf.
+	strs stringScratch
+}
+
+// decoder wraps a payload read on f, to be decoded with f's scratch.
+func (f *frameConn) decoder(payload []byte) *Decoder {
+	return &Decoder{buf: payload, strs: &f.strs}
 }
 
 func newFrameConn(rw net.Conn, send, recv SimLink) *frameConn {
