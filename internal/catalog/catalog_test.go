@@ -200,11 +200,15 @@ func TestConstMapping(t *testing.T) {
 	}
 }
 
-func TestSplitFilterTranslation(t *testing.T) {
+// TestConjunctTranslation: each conjunct of gender = 'male' AND
+// weight_kg > 80 AND site = 'A' translates per fragment on its own — the
+// value-mapped one through the map's inverse, the identity one as it is,
+// the unit-converted one onto the remote bound — and the constant-mapped
+// one has no remote form.
+func TestConjunctTranslation(t *testing.T) {
 	c, _, _ := newHospitalFixture(t)
 	tab, _ := c.Table("patients")
 	fragA, fragB := tab.Fragments[0], tab.Fragments[1]
-	// gender = 'male' AND weight_kg > 80 AND site = 'A'
 	pred, err := expr.Bind(expr.Conjoin([]expr.Expr{
 		expr.NewBinary(expr.OpEq, expr.NewColRef("", "gender"), expr.NewConst(types.NewString("male"))),
 		expr.NewBinary(expr.OpGt, expr.NewColRef("", "weight_kg"), expr.NewConst(types.NewFloat(80))),
@@ -213,37 +217,25 @@ func TestSplitFilterTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, residual := fragA.SplitFilter(pred)
-	// gender → sex = 'M' pushes (value map inverse); weight_kg identity
-	// pushes; site is const → residual.
-	if remote == nil || residual == nil {
-		t.Fatalf("split = %v | %v", remote, residual)
+	conj := expr.AppendConjuncts(nil, pred)
+	gender, weight, site := conj[0], conj[1], conj[2]
+	if rc, ok := fragA.TranslateConjunct(gender); !ok || rc.String() != "(sex = 'M')" {
+		t.Errorf("value-mapped pushdown = %v, %v", rc, ok)
 	}
-	rcs := expr.AppendConjuncts(nil, remote)
-	if len(rcs) != 2 {
-		t.Errorf("remote conjuncts = %v", rcs)
+	if _, ok := fragA.TranslateConjunct(weight); !ok {
+		t.Error("identity-mapped conjunct did not translate")
 	}
-	if got := rcs[0].String(); got != "(sex = 'M')" {
-		t.Errorf("value-mapped pushdown = %s", got)
+	if rc, ok := fragA.TranslateConjunct(site); ok {
+		t.Errorf("constant-mapped conjunct translated to %v", rc)
 	}
 	// Fragment B: weight_kg > 80 → weight_lbs > ~176.4.
-	remoteB, _ := fragB.SplitFilter(pred)
-	found := false
-	for _, rc := range expr.AppendConjuncts(nil, remoteB) {
-		b, ok := rc.(*expr.Binary)
-		if !ok {
-			continue
-		}
-		if col, ok := b.L.(*expr.ColRef); ok && col.Name == "weight_lbs" {
-			v := b.R.(*expr.Const).Val.Float()
-			if v < 176 || v > 177 {
-				t.Errorf("lbs bound = %v", v)
-			}
-			found = true
-		}
+	rc, ok := fragB.TranslateConjunct(weight)
+	b, _ := rc.(*expr.Binary)
+	if !ok || b == nil || b.L.(*expr.ColRef).Name != "weight_lbs" {
+		t.Fatalf("affine predicate did not push: %v, %v", rc, ok)
 	}
-	if !found {
-		t.Errorf("affine predicate did not push: %v", remoteB)
+	if v := b.R.(*expr.Const).Val.Float(); v < 176 || v > 177 {
+		t.Errorf("lbs bound = %v", v)
 	}
 }
 
@@ -262,8 +254,8 @@ func TestNegativeScaleFlipsComparison(t *testing.T) {
 	}
 	tab, _ := c.Table("g")
 	pred, _ := expr.Bind(expr.NewBinary(expr.OpGt, expr.NewColRef("", "v"), expr.NewConst(types.NewFloat(5))), tab.Schema)
-	remote, residual := tab.Fragments[0].SplitFilter(pred)
-	if residual != nil {
+	remote, ok := tab.Fragments[0].TranslateConjunct(pred)
+	if !ok {
 		t.Fatal("predicate should push fully")
 	}
 	b := remote.(*expr.Binary)

@@ -146,21 +146,6 @@ func (m *ColumnMapping) affineBound(op expr.BinOp, v types.Value) (types.Value, 
 	return types.NewFloat(c), op, steps > 0 && !math.IsNaN(c) && !math.IsInf(c, 0)
 }
 
-// SplitFilter partitions a bound global predicate's conjuncts into the
-// remote-translated pushable part and the global-side residual.
-func (f *Fragment) SplitFilter(pred expr.Expr) (remote expr.Expr, residual expr.Expr) {
-	var conj, pushedBuf, keptBuf [8]expr.Expr
-	pushed, kept := pushedBuf[:0], keptBuf[:0]
-	for _, c := range expr.AppendConjuncts(conj[:0], pred) {
-		if rc, ok := f.TranslateConjunct(c); ok {
-			pushed = append(pushed, rc)
-		} else {
-			kept = append(kept, c)
-		}
-	}
-	return expr.Conjoin(pushed), expr.Conjoin(kept)
-}
-
 // NeedsTranslation reports whether any of the given global columns has a
 // non-identity mapping (so row values must be converted).
 func (f *Fragment) NeedsTranslation(globalCols []int) bool {

@@ -492,8 +492,8 @@ func TestChaos2PCPrepareFault(t *testing.T) {
 }
 
 // TestChaos2PCCommitFault: once the commit decision is logged, a
-// participant whose commit acknowledgement keeps failing exhausts
-// CommitRetries and is surfaced as in-doubt — the engine must never
+// participant whose commit acknowledgement keeps failing exhausts the
+// coordinator's retries and is surfaced as in-doubt — the engine must never
 // report a clean commit.
 func TestChaos2PCCommitFault(t *testing.T) {
 	if testing.Short() {

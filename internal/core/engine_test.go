@@ -18,6 +18,7 @@ import (
 	"gis/internal/obs"
 	"gis/internal/plan"
 	"gis/internal/relstore"
+	"gis/internal/source"
 	"gis/internal/types"
 )
 
@@ -31,6 +32,13 @@ var ctx = context.Background()
 //	products   — kvstore "kv" keyed by sku (4 rows; keyed access only)
 //	suppliers  — filestore "files" CSV (3 rows; scan-only)
 func newTestEngine(t testing.TB) *Engine {
+	t.Helper()
+	return newTestEngineVia(t, func(s source.Source) source.Source { return s })
+}
+
+// newTestEngineVia is newTestEngine with every store reached through
+// wrap: the store itself, or one of wrapperClasses around it.
+func newTestEngineVia(t testing.TB, wrap func(source.Source) source.Source) *Engine {
 	t.Helper()
 	e := New()
 
@@ -104,22 +112,10 @@ func newTestEngine(t testing.TB) *Engine {
 	}
 
 	cat := e.Catalog()
-	for _, src := range []interface {
-		Name() string
-	}{ny, eu, kv, files} {
-		_ = src
-	}
-	if err := cat.AddSource(ny); err != nil {
-		t.Fatal(err)
-	}
-	if err := cat.AddSource(eu); err != nil {
-		t.Fatal(err)
-	}
-	if err := cat.AddSource(kv); err != nil {
-		t.Fatal(err)
-	}
-	if err := cat.AddSource(files); err != nil {
-		t.Fatal(err)
+	for _, src := range []source.Source{ny, eu, kv, files} {
+		if err := cat.AddSource(wrap(src)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	if err := cat.DefineTable("customers", types.NewSchema(

@@ -7,46 +7,46 @@ import (
 	"slices"
 
 	"gis/internal/catalog"
+	"gis/internal/exec"
 	"gis/internal/expr"
 	"gis/internal/obs"
+	"gis/internal/plan"
 	"gis/internal/source"
 	"gis/internal/sql"
 	"gis/internal/txn"
 	"gis/internal/types"
 )
 
-// execStmt routes a write statement.
+// writeStmt is what the write path reads of a statement.
+type writeStmt struct {
+	op    writeOp
+	table string
+	ins   *sql.InsertStmt  // INSERT
+	where expr.Expr        // UPDATE, DELETE
+	set   []sql.Assignment // UPDATE
+}
+
+// execStmt runs a write statement: buildWrites turns it into fragment
+// writes, and applyWrites commits them.
 func (e *Engine) execStmt(ctx context.Context, stmt sql.Statement) (int64, error) {
-	var name string
-	switch stmt.(type) {
-	case *sql.InsertStmt:
-		name = "insert"
-	case *sql.UpdateStmt:
-		name = "update"
-	case *sql.DeleteStmt:
-		name = "delete"
-	default:
-		// Non-writes fall through to the dispatch switch's error.
-	}
-	var span *obs.Span
-	if name != "" {
-		ctx, span = obs.StartSpan(ctx, obs.SpanWrite, name)
-		defer span.End()
-	}
-	var n int64
-	var err error
+	var w writeStmt
 	switch s := stmt.(type) {
 	case *sql.InsertStmt:
-		n, err = e.execInsert(ctx, s)
+		w = writeStmt{op: opInsert, table: s.Table, ins: s}
 	case *sql.UpdateStmt:
-		n, err = e.execUpdate(ctx, s)
+		w = writeStmt{op: opUpdate, table: s.Table, where: s.Where, set: s.Set}
 	case *sql.DeleteStmt:
-		n, err = e.execDelete(ctx, s)
-	case *sql.SelectStmt:
-		return 0, fmt.Errorf("core: Exec requires a write statement; use Query for SELECT")
+		w = writeStmt{op: opDelete, table: s.Table, where: s.Where}
 	default:
-		return 0, fmt.Errorf("core: unsupported statement %T", stmt)
+		return 0, fmt.Errorf("core: Exec runs INSERT, UPDATE and DELETE (use Query for SELECT), not %T", stmt)
 	}
+	ctx, span := obs.StartSpan(ctx, obs.SpanWrite, w.op.String())
+	defer span.End()
+	writes, moved, err := e.buildWrites(ctx, &w)
+	if err != nil {
+		return 0, err
+	}
+	n, err := e.applyWrites(ctx, writes, moved)
 	if err == nil {
 		span.SetInt("affected", n)
 	}
@@ -72,6 +72,8 @@ const (
 	opDelete
 )
 
+func (op writeOp) String() string { return [...]string{"insert", "update", "delete"}[op] }
+
 // apply performs the write through w: the source itself (autocommit) or
 // a transaction on it.
 func (fw *fragWrite) apply(ctx context.Context, w source.Writer) (int64, error) {
@@ -80,86 +82,142 @@ func (fw *fragWrite) apply(ctx context.Context, w source.Writer) (int64, error) 
 		return w.Insert(ctx, fw.frag.RemoteTable, fw.rows)
 	case opUpdate:
 		return w.Update(ctx, fw.frag.RemoteTable, fw.filter, fw.set)
-	case opDelete:
+	default:
 		return w.Delete(ctx, fw.frag.RemoteTable, fw.filter)
 	}
-	return 0, fmt.Errorf("core: unknown write operation %d", fw.op)
 }
 
-// execInsert evaluates the literal rows, routes each to the fragment
-// whose partition predicate accepts it, translates to the remote
-// representation, and writes — under 2PC when several sources are hit.
-func (e *Engine) execInsert(ctx context.Context, ins *sql.InsertStmt) (int64, error) {
-	tab, err := e.cat.Table(ins.Table)
+// setClause is one bound assignment to a global column: an UPDATE's SET,
+// or an INSERT's value for a column it names.
+type setClause struct {
+	col   int
+	value expr.Expr
+}
+
+// buildWrites is the write path's one builder. It returns the
+// statement's fragment writes in catalog order and, for an UPDATE that
+// moves rows between fragments (movesRows), the number of rows moved;
+// else -1.
+func (e *Engine) buildWrites(ctx context.Context, w *writeStmt) ([]fragWrite, int64, error) {
+	tab, err := e.cat.Table(w.table)
 	if err != nil {
-		return 0, err
+		return nil, -1, err
 	}
-	if len(tab.Fragments) == 0 {
-		return 0, fmt.Errorf("core: global table %q has no fragments", ins.Table)
+	if w.op == opInsert {
+		writes, err := insertWrites(tab, w.ins)
+		return writes, -1, err
 	}
-	// Resolve the column list.
-	colIdx := make([]int, 0, tab.Schema.Len())
-	if len(ins.Columns) == 0 {
-		for i := 0; i < tab.Schema.Len(); i++ {
-			colIdx = append(colIdx, i)
+	filter, err := e.bindWriteExpr(ctx, w.where, tab)
+	if err != nil {
+		return nil, -1, err
+	}
+	sets := make([]setClause, len(w.set))
+	for i, a := range w.set {
+		if err := ctx.Err(); err != nil {
+			return nil, -1, err
 		}
-	} else {
-		for _, name := range ins.Columns {
-			i, err := tab.Schema.IndexOf("", name)
-			if err != nil {
-				return 0, err
+		if sets[i].col, err = tab.Schema.IndexOf("", a.Column); err != nil {
+			return nil, -1, err
+		}
+		if sets[i].value, err = e.bindWriteExpr(ctx, a.Value, tab); err != nil {
+			return nil, -1, err
+		}
+	}
+	if movesRows(tab, sets) {
+		return e.moveWrites(ctx, tab, filter, sets)
+	}
+	writes, err := fragmentWrites(tab, w.op, filter, sets)
+	return writes, -1, err
+}
+
+// bindWriteExpr binds (and de-subqueries) a write statement's WHERE or
+// SET value over the global schema.
+func (e *Engine) bindWriteExpr(ctx context.Context, ex expr.Expr, tab *catalog.GlobalTable) (expr.Expr, error) {
+	if ex == nil {
+		return nil, nil
+	}
+	bound, err := expr.Bind(ex, tab.Schema)
+	if err == nil {
+		bound, err = e.substituteSubqueries(ctx, bound)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return expr.FoldConstants(bound), nil
+}
+
+// insertWrites evaluates an INSERT's literal rows — a column it does not
+// name is NULL — and routes each to its fragment.
+func insertWrites(tab *catalog.GlobalTable, ins *sql.InsertStmt) ([]fragWrite, error) {
+	if len(tab.Fragments) == 0 {
+		return nil, fmt.Errorf("core: global table %q has no fragments", ins.Table)
+	}
+	var err error
+	sets := make([]setClause, cmp.Or(len(ins.Columns), tab.Schema.Len()))
+	for i := range sets {
+		sets[i].col = i
+		if len(ins.Columns) > 0 {
+			if sets[i].col, err = tab.Schema.IndexOf("", ins.Columns[i]); err != nil {
+				return nil, err
 			}
-			colIdx = append(colIdx, i)
 		}
 	}
 	var writes []fragWrite
 	for ri, exprRow := range ins.Rows {
-		if len(exprRow) != len(colIdx) {
-			return 0, fmt.Errorf("core: INSERT row %d has %d values, expected %d", ri+1, len(exprRow), len(colIdx))
-		}
-		// Evaluate to a full global row (unnamed columns get NULL).
-		global := make(types.Row, tab.Schema.Len())
-		for i := range global {
-			global[i] = types.Null
+		if len(exprRow) != len(sets) {
+			return nil, fmt.Errorf("core: INSERT row %d has %d values, expected %d", ri+1, len(exprRow), len(sets))
 		}
 		for i, ex := range exprRow {
-			bound, err := expr.Bind(ex, &types.Schema{})
-			if err != nil {
-				return 0, fmt.Errorf("core: INSERT row %d: %w", ri+1, err)
+			if sets[i].value, err = expr.Bind(ex, &types.Schema{}); err != nil {
+				break
 			}
-			v, err := bound.Eval(nil)
-			if err != nil {
-				return 0, fmt.Errorf("core: INSERT row %d: %w", ri+1, err)
-			}
-			target := tab.Schema.Columns[colIdx[i]]
-			if !v.IsNull() && v.Kind() != target.Type {
-				v, err = v.Coerce(target.Type)
-				if err != nil {
-					return 0, fmt.Errorf("core: INSERT row %d column %s: %w", ri+1, target.Name, err)
-				}
-			}
-			global[colIdx[i]] = v
 		}
-		frag, err := routeRow(tab, global)
+		if err == nil {
+			writes, err = insertRow(writes, tab, nil, sets)
+		}
 		if err != nil {
-			return 0, fmt.Errorf("core: INSERT row %d: %w", ri+1, err)
+			return nil, fmt.Errorf("core: INSERT row %d: %w", ri+1, err)
 		}
-		remote, err := toRemoteRow(frag, tab, global)
-		if err != nil {
-			return 0, fmt.Errorf("core: INSERT row %d: %w", ri+1, err)
-		}
-		i := slices.IndexFunc(writes, func(w fragWrite) bool { return w.frag == frag })
-		if i < 0 {
-			i = len(writes)
-			writes = append(writes, fragWrite{frag: frag, op: opInsert})
-		}
-		writes[i].rows = append(writes[i].rows, remote)
 	}
-	// Catalog order, however the rows arrived.
-	slices.SortFunc(writes, func(a, b fragWrite) int {
-		return cmp.Compare(slices.Index(tab.Fragments, a.frag), slices.Index(tab.Fragments, b.frag))
+	return writes, nil
+}
+
+// insertRow is the write path's one row helper. It makes a global row:
+// base's values (NULLs where base is nil) except, at each clause's
+// column, the clause's value over base, each value coerced to its
+// column's type. It appends the row, in the remote layout, to the insert
+// among inserts — one a fragment, in catalog order — of the fragment
+// whose partition predicate accepts it.
+func insertRow(inserts []fragWrite, tab *catalog.GlobalTable, base types.Row, sets []setClause) ([]fragWrite, error) {
+	global := make(types.Row, tab.Schema.Len())
+	copy(global, base)
+	for _, sc := range sets {
+		col := tab.Schema.Columns[sc.col]
+		v, err := sc.value.Eval(base)
+		if err == nil {
+			v, err = source.CoerceForColumn(v, col.Type)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("column %s: %w", col.Name, err)
+		}
+		global[sc.col] = v
+	}
+	frag, err := routeRow(tab, global)
+	if err != nil {
+		return nil, err
+	}
+	remote, err := toRemoteRow(frag, tab, global)
+	if err != nil {
+		return nil, err
+	}
+	i, found := slices.BinarySearchFunc(inserts, slices.Index(tab.Fragments, frag), func(w fragWrite, at int) int {
+		return cmp.Compare(slices.Index(tab.Fragments, w.frag), at)
 	})
-	return e.applyWrites(ctx, writes)
+	if !found {
+		inserts = slices.Insert(inserts, i, fragWrite{frag: frag, op: opInsert})
+	}
+	inserts[i].rows = append(inserts[i].rows, remote)
+	return inserts, nil
 }
 
 // routeRow picks the single fragment whose partition predicate accepts
@@ -173,25 +231,22 @@ func routeRow(tab *catalog.GlobalTable, row types.Row) (*catalog.Fragment, error
 			continue
 		}
 		anyPredicate = true
-		ok, err := expr.EvalBool(f.Where, row)
-		if err != nil {
+		switch ok, err := expr.EvalBool(f.Where, row); {
+		case err != nil:
 			return nil, err
-		}
-		if ok {
-			if match != nil {
-				return nil, fmt.Errorf("row matches the partition predicates of both %s.%s and %s.%s",
-					match.Source, match.RemoteTable, f.Source, f.RemoteTable)
-			}
+		case ok && match != nil:
+			return nil, fmt.Errorf("row matches the partition predicates of both %s.%s and %s.%s",
+				match.Source, match.RemoteTable, f.Source, f.RemoteTable)
+		case ok:
 			match = f
 		}
 	}
-	if match != nil {
+	switch {
+	case match != nil:
 		return match, nil
-	}
-	if anyPredicate {
+	case anyPredicate:
 		return nil, fmt.Errorf("row matches no fragment's partition predicate")
-	}
-	if len(tab.Fragments) == 1 {
+	case len(tab.Fragments) == 1:
 		return tab.Fragments[0], nil
 	}
 	return nil, fmt.Errorf("table has %d fragments without partition predicates; INSERT target is ambiguous", len(tab.Fragments))
@@ -201,25 +256,17 @@ func routeRow(tab *catalog.GlobalTable, row types.Row) (*catalog.Fragment, error
 func toRemoteRow(frag *catalog.Fragment, tab *catalog.GlobalTable, global types.Row) (types.Row, error) {
 	info := frag.Info()
 	remote := make(types.Row, info.Schema.Len())
-	for i := range remote {
-		remote[i] = types.Null
-	}
 	for g, m := range frag.Columns {
 		gv := global[g]
 		if m.Const != nil {
-			// Constant-mapped columns are not stored; reject values that
-			// contradict the mapping (they would silently change on
-			// read-back).
+			// Not stored: a value other than the constant would read back changed.
 			if !gv.IsNull() && !gv.Equal(*m.Const) {
 				return nil, fmt.Errorf("column %s is fixed to %s by the fragment mapping; cannot store %s",
 					tab.Schema.Columns[g].Name, m.Const.String(), gv.String())
 			}
 			continue
 		}
-		if m.RemoteCol < 0 {
-			continue
-		}
-		if gv.IsNull() {
+		if m.RemoteCol < 0 || gv.IsNull() {
 			continue
 		}
 		rv, ok := m.ToRemote(gv)
@@ -227,123 +274,99 @@ func toRemoteRow(frag *catalog.Fragment, tab *catalog.GlobalTable, global types.
 			return nil, fmt.Errorf("column %s: value %s is not representable at %s.%s",
 				tab.Schema.Columns[g].Name, gv.String(), frag.Source, frag.RemoteTable)
 		}
-		// Coerce to the remote column type.
-		rt := info.Schema.Columns[m.RemoteCol].Type
-		if !rv.IsNull() && rv.Kind() != rt {
-			var err error
-			rv, err = rv.Coerce(rt)
-			if err != nil {
-				return nil, fmt.Errorf("column %s: %w", tab.Schema.Columns[g].Name, err)
-			}
+		rv, err := source.CoerceForColumn(rv, info.Schema.Columns[m.RemoteCol].Type)
+		if err != nil {
+			return nil, fmt.Errorf("column %s: %w", tab.Schema.Columns[g].Name, err)
 		}
 		remote[m.RemoteCol] = rv
 	}
 	return remote, nil
 }
 
-// execUpdate translates the statement per fragment and applies it.
-func (e *Engine) execUpdate(ctx context.Context, upd *sql.UpdateStmt) (int64, error) {
-	tab, err := e.cat.Table(upd.Table)
-	if err != nil {
-		return 0, err
-	}
-	filter, err := e.bindWriteFilter(ctx, upd.Where, tab)
-	if err != nil {
-		return 0, err
-	}
-	// Bind SET values over the global schema.
-	type setClause struct {
-		col   int
-		value expr.Expr
-	}
-	sets := make([]setClause, len(upd.Set))
-	for i, a := range upd.Set {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		col, err := tab.Schema.IndexOf("", a.Column)
-		if err != nil {
-			return 0, err
-		}
-		bound, err := expr.Bind(a.Value, tab.Schema)
-		if err != nil {
-			return 0, err
-		}
-		bound, err = e.substituteSubqueries(ctx, bound)
-		if err != nil {
-			return 0, err
-		}
-		sets[i] = setClause{col: col, value: expr.FoldConstants(bound)}
-	}
-
+// fragmentWrites is the one per-fragment loop of UPDATE and DELETE: for
+// each fragment the filter does not prune, every conjunct translated into
+// the remote representation — or the statement refused, naming the first
+// conjunct that has no exact remote form — and, for an UPDATE, the SET.
+func fragmentWrites(tab *catalog.GlobalTable, op writeOp, filter expr.Expr, sets []setClause) ([]fragWrite, error) {
 	var writes []fragWrite
 	for _, frag := range tab.Fragments {
 		if frag.PruneByPartition(filter) {
 			continue
 		}
-		remoteFilter, residual := frag.SplitFilter(filter)
-		if residual != nil {
-			return 0, fmt.Errorf("core: UPDATE predicate %s is not expressible at %s.%s",
-				residual, frag.Source, frag.RemoteTable)
-		}
-		rset := make([]source.SetClause, len(sets))
-		for i, sc := range sets {
-			m := frag.Columns[sc.col]
-			if m.Const != nil {
-				return 0, fmt.Errorf("core: column %s is constant-mapped at %s.%s and cannot be updated",
-					tab.Schema.Columns[sc.col].Name, frag.Source, frag.RemoteTable)
+		var buf [8]expr.Expr
+		conj := expr.AppendConjuncts(buf[:0], filter)
+		for i, c := range conj {
+			var ok bool
+			if conj[i], ok = frag.TranslateConjunct(c); !ok {
+				return nil, fmt.Errorf("core: WHERE predicate %s is not expressible at %s.%s", c, frag.Source, frag.RemoteTable)
 			}
-			rv, ok := frag.TranslateValue(sc.value, sc.col)
-			if !ok {
-				return 0, fmt.Errorf("core: UPDATE value %s is not translatable for %s.%s",
-					sc.value, frag.Source, frag.RemoteTable)
-			}
-			rset[i] = source.SetClause{Col: m.RemoteCol, Value: rv}
 		}
-		writes = append(writes, fragWrite{frag: frag, op: opUpdate, filter: remoteFilter, set: rset})
+		fw := fragWrite{frag: frag, op: op, filter: expr.Conjoin(conj)}
+		if op == opUpdate {
+			fw.set = make([]source.SetClause, len(sets))
+			for i, sc := range sets {
+				m := frag.Columns[sc.col]
+				if m.Const != nil {
+					return nil, fmt.Errorf("core: column %s is constant-mapped at %s.%s and cannot be updated",
+						tab.Schema.Columns[sc.col].Name, frag.Source, frag.RemoteTable)
+				}
+				rv, ok := frag.TranslateValue(sc.value, sc.col)
+				if !ok {
+					return nil, fmt.Errorf("core: UPDATE value %s is not translatable for %s.%s", sc.value, frag.Source, frag.RemoteTable)
+				}
+				fw.set[i] = source.SetClause{Col: m.RemoteCol, Value: rv}
+			}
+		}
+		writes = append(writes, fw)
 	}
-	return e.applyWrites(ctx, writes)
+	return writes, nil
 }
 
-// execDelete translates the statement per fragment and applies it.
-func (e *Engine) execDelete(ctx context.Context, del *sql.DeleteStmt) (int64, error) {
-	tab, err := e.cat.Table(del.Table)
-	if err != nil {
-		return 0, err
+// movesRows reports whether an UPDATE's SET writes a column that some
+// fragment's partition predicate reads, so that a row it writes may
+// belong to another fragment afterwards.
+func movesRows(tab *catalog.GlobalTable, sets []setClause) (moves bool) {
+	for _, f := range tab.Fragments {
+		expr.Columns(f.Where, func(col int) {
+			moves = moves || slices.ContainsFunc(sets, func(sc setClause) bool { return sc.col == col })
+		})
 	}
-	filter, err := e.bindWriteFilter(ctx, del.Where, tab)
-	if err != nil {
-		return 0, err
-	}
-	var writes []fragWrite
-	for _, frag := range tab.Fragments {
-		if frag.PruneByPartition(filter) {
-			continue
-		}
-		remoteFilter, residual := frag.SplitFilter(filter)
-		if residual != nil {
-			return 0, fmt.Errorf("core: DELETE predicate %s is not expressible at %s.%s",
-				residual, frag.Source, frag.RemoteTable)
-		}
-		writes = append(writes, fragWrite{frag: frag, op: opDelete, filter: remoteFilter})
-	}
-	return e.applyWrites(ctx, writes)
+	return moves
 }
 
-// bindWriteFilter binds (and de-subqueries) a write statement's WHERE.
-func (e *Engine) bindWriteFilter(ctx context.Context, where expr.Expr, tab *catalog.GlobalTable) (expr.Expr, error) {
-	if where == nil {
-		return nil, nil
-	}
-	bound, err := expr.Bind(where, tab.Schema)
+// moveWrites builds an UPDATE that moves rows: the statement's DELETE,
+// then the inserts of the new rows. It reads the rows the filter matches
+// through the read path and applies the SET to each at the mediator, and
+// returns the number of rows read.
+func (e *Engine) moveWrites(ctx context.Context, tab *catalog.GlobalTable, filter expr.Expr, sets []setClause) ([]fragWrite, int64, error) {
+	deletes, err := fragmentWrites(tab, opDelete, filter, nil)
 	if err != nil {
-		return nil, err
+		return nil, -1, err
 	}
-	bound, err = e.substituteSubqueries(ctx, bound)
+	p, err := plan.Optimize(ctx, &plan.GlobalScan{Table: tab, Filter: filter}, e.cat, e.opts)
 	if err != nil {
-		return nil, err
+		return nil, -1, err
 	}
-	return expr.FoldConstants(bound), nil
+	rows, err := exec.Collect(ctx, p)
+	if err != nil {
+		return nil, -1, err
+	}
+	var inserts []fragWrite
+	for _, old := range rows {
+		if inserts, err = insertRow(inserts, tab, old, sets); err != nil {
+			return nil, -1, fmt.Errorf("core: UPDATE of %s: %w", old, err)
+		}
+	}
+	return append(deletes, inserts...), int64(len(rows)), nil
+}
+
+// TxnRequiredError refuses a statement that must commit as one — it
+// writes several sources, or it moves rows, which a stop between delete
+// and insert would lose — at a fragment whose source has no transaction.
+type TxnRequiredError struct{ Source, RemoteTable string }
+
+func (e *TxnRequiredError) Error() string {
+	return fmt.Sprintf("core: the statement writes several sources or moves rows, and %s.%s offers no transaction", e.Source, e.RemoteTable)
 }
 
 // applyWrites performs the fragment writes of one statement, given in
@@ -353,36 +376,37 @@ func (e *Engine) bindWriteFilter(ctx context.Context, where expr.Expr, tab *cata
 // it is across them. One source that offers no transaction takes them
 // one autocommit call after another in catalog order: what a failure
 // leaves behind is then at least the same every time, which is all an
-// autonomous component without transactions allows. What a source
-// offers is what it advertises (writeFacets).
-func (e *Engine) applyWrites(ctx context.Context, writes []fragWrite) (int64, error) {
+// autonomous component without transactions allows. A move (moved ≥ 0)
+// always runs under the coordinator.
+func (e *Engine) applyWrites(ctx context.Context, writes []fragWrite, moved int64) (int64, error) {
 	if len(writes) == 0 {
 		return 0, nil
 	}
-	// Participants in name order, each one's writes still in catalog
-	// order. A participant's store is locked from its first write to
-	// commit, so two global updates that took theirs in different orders
-	// would each hold what the other waits for; one global order is the
-	// whole deadlock-avoidance argument. It also makes 2PC traces and the
-	// decision log repeatable.
+	// Participants in name order — one global order is the whole
+	// deadlock-avoidance argument, since a participant's store is locked
+	// from its first write to commit — each one's writes still in catalog
+	// order, a move's deletes before its inserts so that a row that stays
+	// in its fragment does not meet its own key.
 	slices.SortStableFunc(writes, func(a, b fragWrite) int { return cmp.Compare(a.frag.Source, b.frag.Source) })
-
-	if name := writes[0].frag.Source; name == writes[len(writes)-1].frag.Source {
-		src, err := e.cat.Source(name)
-		if err != nil {
-			return 0, err
-		}
-		w, t, err := writeFacets(src)
-		if err != nil {
-			return 0, err
-		}
-		if len(writes) == 1 || t == nil {
-			return applyAll(ctx, w, writes)
-		}
+	w, t, err := e.writeFacets(writes[0].frag.Source)
+	if err != nil {
+		return 0, err
 	}
-
+	oneSource := writes[0].frag.Source == writes[len(writes)-1].frag.Source
+	if moved < 0 && (len(writes) == 1 || oneSource && t == nil) {
+		return applyAll(ctx, w, writes)
+	}
 	g := e.coord.Begin()
-	total, err := e.enlistAndApply(ctx, g, writes)
+	total, err := e.enlistAndApply(ctx, g, writes, t)
+	// A move's inserts put back the rows it read, all or none: deletes
+	// that removed others mean a concurrent writer changed them in between,
+	// and committing would lose or duplicate a row.
+	if err == nil && moved >= 0 {
+		if deleted := total - moved; deleted != moved {
+			err = fmt.Errorf("core: UPDATE read %d rows to move and deleted %d: they changed in between", moved, deleted)
+		}
+		total = moved
+	}
 	if err != nil {
 		_ = g.Abort(ctx) // best-effort rollback; the original error wins
 		return 0, err
@@ -393,57 +417,53 @@ func (e *Engine) applyWrites(ctx context.Context, writes []fragWrite) (int64, er
 	return total, nil
 }
 
-// writeFacets returns the write facets src's capability vector says it
-// has: the autocommit writer, and the transactional facet or nil. The
-// vector decides and not the Go type, because a wire client and a
-// resilience guard implement every facet whatever they front; this is
-// the only reader of Capabilities.Write and .Txn. A source that does not
-// say Write is refused, and so is one that says more than it implements.
-func writeFacets(src source.Source) (source.Writer, source.Transactional, error) {
+// writeFacets returns the write facets the named source's capability
+// vector says it has: the autocommit writer, and the transactional facet
+// or nil. The vector decides and not the Go type, because a wire client
+// and a resilience guard implement every facet whatever they front; this
+// is the only reader of Capabilities.Write and .Txn. A source that says
+// Write and implements less, or does not say it, is refused.
+func (e *Engine) writeFacets(name string) (source.Writer, source.Transactional, error) {
+	src, err := e.cat.Source(name)
+	if err != nil {
+		return nil, nil, err
+	}
 	caps := src.Capabilities()
 	w, isWriter := src.(source.Writer)
 	t, isTxn := src.(source.Transactional)
 	switch {
 	case !caps.Write:
-		return nil, nil, fmt.Errorf("core: source %s is not writable", src.Name())
+		return nil, nil, fmt.Errorf("core: source %s is not writable", name)
 	case !isWriter, caps.Txn && !isTxn:
-		return nil, nil, fmt.Errorf("core: source %s advertises %s and implements less", src.Name(), caps)
+		return nil, nil, fmt.Errorf("core: source %s advertises %s and implements less", name, caps)
 	case !caps.Txn:
 		t = nil
 	}
 	return w, t, nil
 }
 
-// enlistAndApply takes writes' sources in turn: a transaction is begun
-// on the source, enlisted in g, and given that source's writes. On an
-// error the caller aborts g, and with it every transaction enlisted.
-func (e *Engine) enlistAndApply(ctx context.Context, g *txn.GlobalTx, writes []fragWrite) (int64, error) {
+// enlistAndApply takes writes' sources in turn, the first with t, the
+// transactional facet its caller looked up: a transaction is begun on
+// the source, enlisted in g, and given that source's writes; a source
+// without one refuses the statement. On an error the caller aborts g.
+func (e *Engine) enlistAndApply(ctx context.Context, g *txn.GlobalTx, writes []fragWrite, t source.Transactional) (int64, error) {
 	var total int64
-	for len(writes) > 0 {
-		name := writes[0].frag.Source
-		n := 1
-		for n < len(writes) && writes[n].frag.Source == name {
+	for {
+		frag, n := writes[0].frag, 1
+		for n < len(writes) && writes[n].frag.Source == frag.Source {
 			n++
 		}
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		src, err := e.cat.Source(name)
-		if err != nil {
-			return 0, err
-		}
-		_, t, err := writeFacets(src)
-		if err != nil {
-			return 0, err
-		}
 		if t == nil {
-			return 0, fmt.Errorf("core: source %s cannot participate in a multi-source write (no transaction support)", name)
+			return 0, &TxnRequiredError{frag.Source, frag.RemoteTable}
 		}
 		tx, err := t.BeginTx(ctx)
 		if err != nil {
 			return 0, err
 		}
-		if err := g.Enlist(name, tx); err != nil {
+		if err := g.Enlist(frag.Source, tx); err != nil {
 			_ = tx.Abort(ctx) // not enlisted, so not covered by the caller's abort
 			return 0, err
 		}
@@ -452,9 +472,13 @@ func (e *Engine) enlistAndApply(ctx context.Context, g *txn.GlobalTx, writes []f
 			return 0, err
 		}
 		total += affected
-		writes = writes[n:]
+		if writes = writes[n:]; len(writes) == 0 {
+			return total, nil
+		}
+		if _, t, err = e.writeFacets(writes[0].frag.Source); err != nil {
+			return 0, err
+		}
 	}
-	return total, nil
 }
 
 // applyAll performs one participant's writes in order through w and

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -197,6 +198,79 @@ func TestWriteErrorMessagesAreActionable(t *testing.T) {
 	_, err := e.Exec(ctx, "UPDATE items SET site = 'x'")
 	if err == nil || !strings.Contains(err.Error(), "constant-mapped") {
 		t.Errorf("error should explain the constant mapping: %v", err)
+	}
+}
+
+// TestUntranslatableConjunctIsNamed: a write's WHERE is translated
+// conjunct by conjunct, and one that has no exact remote form — equality
+// on a unit-converted column — refuses the statement by name, beside one
+// that translates.
+func TestUntranslatableConjunctIsNamed(t *testing.T) {
+	e, legacy := newMediatedEngine(t)
+	if _, err := e.Exec(ctx, "INSERT INTO items (id, status, weight_kg) VALUES (1, 'active', 20)"); err != nil {
+		t.Fatal(err)
+	}
+	before := remoteRows(t, legacy, "t")
+	for _, stmt := range []string{
+		"UPDATE items SET status = 'inactive' WHERE id = 1 AND weight_kg = 20",
+		"DELETE FROM items WHERE id = 1 AND weight_kg = 20",
+	} {
+		_, err := e.Exec(ctx, stmt)
+		if err == nil || !strings.Contains(err.Error(), "predicate (weight_kg = 20) is not expressible at legacy.t") {
+			t.Errorf("%s: %v; want the conjunct weight_kg = 20 named", stmt, err)
+		}
+	}
+	if after := remoteRows(t, legacy, "t"); after != before {
+		t.Errorf("a refused statement wrote: %s", after)
+	}
+}
+
+// TestMoveWithoutTransactionsIsRefused: a move over a source without
+// transactions could stop between a row's delete and its insert and lose
+// the row, so it is refused by a typed error that names the fragment —
+// even where the row stays in its fragment — and nothing is written.
+func TestMoveWithoutTransactionsIsRefused(t *testing.T) {
+	for _, c := range wrapperClasses {
+		t.Run(c.name, func(t *testing.T) {
+			st := kvstore.New("one")
+			e := twoFragmentsOneSource(t, st, c.wrap(t, st), func(name string, schema *types.Schema) error {
+				return st.CreateBucket(name, schema, 0)
+			})
+			before := remoteRows(t, st, "lo") + " | " + remoteRows(t, st, "hi")
+			for _, stmt := range []string{"UPDATE t SET id = 2 WHERE id = 150", "UPDATE t SET id = 2 WHERE id = 1"} {
+				_, err := e.Exec(ctx, stmt)
+				var refused *TxnRequiredError
+				if !errors.As(err, &refused) || refused.Source != "one" {
+					t.Errorf("%s: %v; want a TxnRequiredError for a move at one", stmt, err)
+				}
+			}
+			if after := remoteRows(t, st, "lo") + " | " + remoteRows(t, st, "hi"); after != before {
+				t.Errorf("a refused move wrote: %s; before %s", after, before)
+			}
+		})
+	}
+}
+
+// TestKVInsertIsAllOrNothing: a kvstore decides every row of an INSERT
+// before it stores any, so a batch whose second row repeats the first
+// one's key leaves the bucket as it was, in every wrapper class. Before,
+// the first row stayed behind.
+func TestKVInsertIsAllOrNothing(t *testing.T) {
+	for _, c := range wrapperClasses {
+		t.Run(c.name, func(t *testing.T) {
+			st := kvstore.New("one")
+			e := twoFragmentsOneSource(t, st, c.wrap(t, st), func(name string, schema *types.Schema) error {
+				return st.CreateBucket(name, schema, 0)
+			})
+			before := remoteRows(t, st, "lo")
+			_, err := e.Exec(ctx, "INSERT INTO t VALUES (2, 'b'), (2, 'c')")
+			if err == nil || !strings.Contains(err.Error(), "duplicate key 2") {
+				t.Fatalf("insert of one key twice: %v", err)
+			}
+			if after := remoteRows(t, st, "lo"); after != before {
+				t.Errorf("the refused INSERT left %s; want %s", after, before)
+			}
+		})
 	}
 }
 

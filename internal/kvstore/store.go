@@ -251,8 +251,10 @@ func tighterHi(a, b Bound) Bound {
 	return b
 }
 
-// Insert implements source.Writer. Inserting an existing key fails. A
-// row is stored as a copy, each value coerced to its column's type.
+// Insert implements source.Writer. A row is stored as a copy, each value
+// coerced to its column's type. Every row is decided before any is
+// stored, so a statement that fails leaves the bucket as it was: a value
+// its column cannot hold, a NULL key, a key the bucket or an earlier row has.
 func (s *Store) Insert(_ context.Context, table string, rows []types.Row) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -263,23 +265,26 @@ func (s *Store) Insert(_ context.Context, table string, rows []types.Row) (int64
 	if err := (&source.TableInfo{Schema: b.schema}).CheckWrite(table, nil, rows); err != nil {
 		return 0, fmt.Errorf("kvstore %s: %w", s.name, err)
 	}
-	var n int64
-	for _, r := range rows {
+	normal := make([]types.Row, len(rows))
+	taken := NewBTree() // the keys of the earlier rows
+	for i, r := range rows {
 		nr, err := source.NormalizeRow(b.schema, r)
 		if err != nil {
-			return n, fmt.Errorf("kvstore %s bucket %s: %w", s.name, table, err)
+			return 0, fmt.Errorf("kvstore %s bucket %s: %w", s.name, table, err)
 		}
 		k := nr[b.keyCol]
 		if k.IsNull() {
-			return n, fmt.Errorf("kvstore %s: NULL key", s.name)
+			return 0, fmt.Errorf("kvstore %s: NULL key", s.name)
 		}
-		if _, exists := b.tree.Get(k); exists {
-			return n, fmt.Errorf("kvstore %s: duplicate key %v", s.name, k)
+		if _, held := b.tree.Get(k); held || !taken.Put(k, nil) {
+			return 0, fmt.Errorf("kvstore %s: duplicate key %v", s.name, k)
 		}
-		b.tree.Put(k, nr)
-		n++
+		normal[i] = nr
 	}
-	return n, nil
+	for _, nr := range normal {
+		b.tree.Put(nr[b.keyCol], nr)
+	}
+	return int64(len(normal)), nil
 }
 
 // Update implements source.Writer. The filter is evaluated at the

@@ -461,6 +461,41 @@ func TestKVUpdateRefusesWhatInsertRefuses(t *testing.T) {
 	}
 }
 
+// TestKVInsertIsAllOrNothing: an INSERT decides every row before it
+// stores any, as an UPDATE does, so a batch that fails on its last row —
+// a key an earlier row of the batch takes, a key the bucket holds, a NULL
+// key, a value its column cannot hold — leaves the bucket as it was.
+// Before, the rows ahead of the failing one stayed behind.
+func TestKVInsertIsAllOrNothing(t *testing.T) {
+	schema := types.NewSchema(types.Column{Name: "id", Type: types.KindInt}, types.Column{Name: "v", Type: types.KindInt})
+	row := func(id, v types.Value) types.Row { return types.Row{id, v} }
+	one, two := types.NewInt(1), types.NewInt(2)
+	for name, c := range map[string]struct {
+		last types.Row
+		want string
+	}{
+		"the batch's own key":    {row(one, two), "duplicate key 1"},
+		"a key the bucket holds": {row(two, one), "duplicate key 2"},
+		"a NULL key":             {row(types.Null, one), "NULL key"},
+		"a STRING into INT":      {row(types.NewInt(3), types.NewString("x")), "coerce"},
+	} {
+		s := New("kv")
+		if err := s.CreateBucket("t", schema, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Insert(ctx, "t", []types.Row{row(two, two)}); err != nil {
+			t.Fatal(err)
+		}
+		n, err := s.Insert(ctx, "t", []types.Row{row(one, one), c.last})
+		if err == nil || !strings.Contains(err.Error(), c.want) || n != 0 {
+			t.Errorf("%s: %d rows, %v; want an error about %q", name, n, err, c.want)
+		}
+		if info, _ := s.TableInfo(ctx, "t"); info.RowCount != 1 {
+			t.Errorf("%s: the refused batch left %d rows; the bucket held 1", name, info.RowCount)
+		}
+	}
+}
+
 // BenchmarkScanAll is an unbounded scan of a 20 000-row bucket, by a
 // consumer that keeps its rows and by one that asks to be lent them:
 // the bucket lends nothing, its rows are the committed ones either way.

@@ -1,10 +1,9 @@
 // Package txn implements the mediator's atomic commitment protocol:
 // presumed-abort two-phase commit across autonomous participants, with a
-// decision log, bounded commit retries (participants must make Commit
-// idempotent), and a one-phase "unsafe" mode used as the experimental
-// baseline. Global updates in a federation need exactly this — the
-// component systems are autonomous, so the mediator can only coordinate,
-// never overrule.
+// decision log and bounded commit retries (participants must make Commit
+// idempotent), each round driven to every participant at once. Global
+// updates in a federation need exactly this — the component systems are
+// autonomous, so the mediator can only coordinate, never overrule.
 package txn
 
 import (
@@ -93,6 +92,10 @@ func (l *Log) Decisions() []Decision {
 // that has stopped answering is reported in-doubt after this long.
 const decisionDelivery = 10 * time.Second
 
+// commitRetries bounds the retry loop for a participant whose Commit
+// acknowledgement is lost.
+const commitRetries = 3
+
 // commitBackoff paces the commit-retry loop (jittered, context-
 // aware): retrying the instant an acknowledgement is lost mostly re-hits
 // the same partition.
@@ -104,22 +107,11 @@ type Coordinator struct {
 
 	mu     sync.Mutex
 	nextID uint64
-
-	// CommitRetries bounds the retry loop for participants whose Commit
-	// acknowledgement is lost. Default 3.
-	CommitRetries int
-	// Parallel drives prepare/commit rounds concurrently (the default);
-	// sequential mode exists for the T6 ablation.
-	Parallel bool
 }
 
 // NewCoordinator returns a coordinator with an empty decision log.
 func NewCoordinator() *Coordinator {
-	return &Coordinator{
-		log:           &Log{},
-		CommitRetries: 3,
-		Parallel:      true,
-	}
+	return &Coordinator{log: &Log{}}
 }
 
 // Log exposes the decision log (read-mostly; used by recovery tooling
@@ -166,16 +158,10 @@ func (g *GlobalTx) Enlist(name string, tx source.Tx) error {
 // Participants returns the enlisted participant names.
 func (g *GlobalTx) Participants() []string { return append([]string(nil), g.names...) }
 
-// fanOut runs fn over every participant, concurrently when the
-// coordinator is parallel, and collects the first error per participant.
-func (g *GlobalTx) fanOut(ctx context.Context, fn func(i int) error) []error {
+// fanOut runs fn over every participant concurrently and collects the
+// first error per participant.
+func (g *GlobalTx) fanOut(fn func(i int) error) []error {
 	errs := make([]error, len(g.txs))
-	if !g.coord.Parallel {
-		for i := range g.txs {
-			errs[i] = fn(i)
-		}
-		return errs
-	}
 	var wg sync.WaitGroup
 	for i := range g.txs {
 		wg.Add(1)
@@ -191,7 +177,7 @@ func (g *GlobalTx) fanOut(ctx context.Context, fn func(i int) error) []error {
 // Commit drives two-phase commit. On any prepare failure every
 // participant is aborted and the error is returned (presumed abort — no
 // decision needs logging for the abort path). After the commit decision
-// is logged, commit is retried per participant up to CommitRetries; a
+// is logged, commit is retried per participant up to commitRetries; a
 // participant that still fails leaves the transaction in-doubt on that
 // participant and the error reports it (the decision log resolves it).
 //
@@ -214,7 +200,7 @@ func (g *GlobalTx) Commit(ctx context.Context) error {
 	defer span.End()
 
 	// Phase 1: prepare (vote collection).
-	prepErrs := g.fanOut(ctx, func(i int) error {
+	prepErrs := g.fanOut(func(i int) error {
 		_, ps := obs.StartSpan(ctx, obs.SpanPrepare, g.names[i])
 		start := time.Now()
 		err := g.txs[i].Prepare(ctx)
@@ -234,7 +220,7 @@ func (g *GlobalTx) Commit(ctx context.Context) error {
 		}
 	}
 	if voteErr != nil {
-		g.fanOut(ctx, func(i int) error { return g.txs[i].Abort(ctx) })
+		g.fanOut(func(i int) error { return g.txs[i].Abort(ctx) })
 		g.state = StateAborted
 		mAborted.Inc()
 		span.SetAttr("outcome", "aborted")
@@ -248,12 +234,12 @@ func (g *GlobalTx) Commit(ctx context.Context) error {
 	defer cancel()
 
 	// Phase 2: commit with bounded retry (Commit must be idempotent).
-	commitErrs := g.fanOut(ctx, func(i int) error {
+	commitErrs := g.fanOut(func(i int) error {
 		_, cs := obs.StartSpan(ctx, obs.SpanCommit, g.names[i])
 		defer cs.End()
 		start := time.Now()
 		var err error
-		for attempt := 0; attempt <= g.coord.CommitRetries; attempt++ {
+		for attempt := 0; attempt <= commitRetries; attempt++ {
 			if attempt > 0 {
 				// The decision is already logged and irrevocable, so only
 				// the delivery bound stops the retry loop early — the
@@ -312,7 +298,7 @@ func (g *GlobalTx) Abort(ctx context.Context) error {
 	}
 	ctx, span := obs.StartSpan(ctx, obs.SpanAbort, "abort "+g.id)
 	defer span.End()
-	errs := g.fanOut(ctx, func(i int) error { return g.txs[i].Abort(ctx) })
+	errs := g.fanOut(func(i int) error { return g.txs[i].Abort(ctx) })
 	g.state = StateAborted
 	mAborted.Inc()
 	return errors.Join(errs...)

@@ -147,7 +147,6 @@ func (s *stubTx) Abort(context.Context) error {
 
 func TestCommitExhaustsRetriesLeavesInDoubt(t *testing.T) {
 	c := NewCoordinator()
-	c.CommitRetries = 2
 	g := c.Begin()
 	bad := &stubTx{commitErr: errors.New("network down")}
 	g.Enlist("bad", bad)
@@ -158,8 +157,8 @@ func TestCommitExhaustsRetriesLeavesInDoubt(t *testing.T) {
 	if g.State() != StateCommitted {
 		t.Errorf("decision is commit even when acks fail: %s", g.State())
 	}
-	if bad.commits != 3 { // initial + 2 retries
-		t.Errorf("commit attempts = %d, want 3", bad.commits)
+	if want := 1 + commitRetries; bad.commits != want {
+		t.Errorf("commit attempts = %d, want %d", bad.commits, want)
 	}
 	// The decision log resolves the in-doubt participant.
 	log := c.Log().Decisions()
@@ -169,9 +168,9 @@ func TestCommitExhaustsRetriesLeavesInDoubt(t *testing.T) {
 }
 
 // hurriedTx is a participant whose coordinator's caller runs out of
-// patience the moment the last vote is in: onPrepared cancels the
-// caller's context, and Commit does what a wire participant does with a
-// dead context — nothing.
+// patience the moment its vote is in: onPrepared cancels the caller's
+// context, and Commit does what a wire participant does with a dead
+// context — nothing.
 type hurriedTx struct {
 	stubTx
 	onPrepared func()
@@ -192,10 +191,11 @@ func (h *hurriedTx) Commit(ctx context.Context) error {
 // TestCommitRoundOutlivesCallerDeadline: the caller's context decides
 // whether a transaction commits only until the decision is logged.
 // After that, cutting the commit round short would leave one
-// participant committed and another holding its locks, undecided.
+// participant committed and another holding its locks, undecided. The
+// rounds run concurrently, so the caller gives up after the last vote or
+// between two; the commit round reaches both either way.
 func TestCommitRoundOutlivesCallerDeadline(t *testing.T) {
 	c := NewCoordinator()
-	c.Parallel = false
 	g := c.Begin()
 	cctx, cancel := context.WithCancel(ctx)
 	first, last := &hurriedTx{onPrepared: func() {}}, &hurriedTx{onPrepared: cancel}
@@ -214,7 +214,6 @@ func TestCommitRoundOutlivesCallerDeadline(t *testing.T) {
 
 func TestPrepareFailureAbortsEveryone(t *testing.T) {
 	c := NewCoordinator()
-	c.Parallel = false // deterministic order
 	g := c.Begin()
 	ok1, bad, ok2 := &stubTx{}, &stubTx{prepareErr: errors.New("no")}, &stubTx{}
 	g.Enlist("ok1", ok1)

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"slices"
+	"strings"
 	"testing"
 
 	"gis/internal/docstore"
@@ -135,7 +137,9 @@ func hostileWrites() []taggedWrite {
 // values rebound — into each kind of store, the scan-only one included
 // (it is refused). The stores are new each time: a write that lands
 // changes them. Whatever the bytes, and whatever errors come back: no
-// panic.
+// panic, and a write that fails changes nothing — the store holds the
+// rows it held before, which the mediator's statement-level atomicity
+// over a source without transactions rests on.
 func FuzzServeWrite(f *testing.F) {
 	tags := []byte{msgInsert, msgUpdate, msgDelete}
 	add := func(tag byte, req *writeReq) {
@@ -150,6 +154,9 @@ func FuzzServeWrite(f *testing.F) {
 	}
 	id := expr.NewBoundColRef(0, types.KindInt, "id")
 	add(msgInsert, &writeReq{Table: "t", Rows: []types.Row{{types.NewInt(4), types.NewString("c"), types.Null}}})
+	// The second row repeats the first one's key: the first must not stay.
+	add(msgInsert, &writeReq{Table: "t", Rows: []types.Row{
+		{types.NewInt(5), types.NewString("c"), types.Null}, {types.NewInt(5), types.NewString("d"), types.Null}}})
 	add(msgDelete, &writeReq{Table: "t", Filter: expr.NewBinary(expr.OpGe, id, expr.NewConst(types.NewInt(2)))})
 	for _, x := range sampleExprs() {
 		add(msgUpdate, &writeReq{Table: "t", Filter: x, Set: []source.SetClause{{Col: 1, Value: x}, {Col: 0, Value: id}}})
@@ -162,9 +169,32 @@ func FuzzServeWrite(f *testing.F) {
 			if err != nil {
 				return
 			}
-			_, _ = (&Server{src: st}).write(ctx, &connState{}, tag, &req)
+			before := storeRows(t, st)
+			if _, err := (&Server{src: st}).write(ctx, &connState{}, tag, &req); err != nil {
+				if after := storeRows(t, st); after != before {
+					t.Fatalf("%s: a write that failed (%v) changed the table:\nbefore %s\nafter  %s", st.Name(), err, before, after)
+				}
+			}
 		}
 	})
+}
+
+// storeRows renders every row of st's table t, sorted.
+func storeRows(t *testing.T, st source.Source) string {
+	it, err := st.Execute(ctx, source.NewScan("t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := source.Drain(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.String()
+	}
+	slices.Sort(out)
+	return strings.Join(out, " ")
 }
 
 // TestHostileWriteIsAnErrorNotACrash sends them over a real connection
