@@ -7,6 +7,7 @@ import (
 
 	"gis/internal/expr"
 	"gis/internal/relstore"
+	"gis/internal/sql"
 	"gis/internal/types"
 )
 
@@ -327,25 +328,39 @@ func TestPartitionPruning(t *testing.T) {
 	}
 	tab, _ := c.Table("g")
 	frag := tab.Fragments[0]
-	bind := func(e expr.Expr) expr.Expr {
-		b, err := expr.Bind(e, tab.Schema)
+	for _, p := range []struct {
+		filter string
+		prune  bool
+	}{
+		{"id = 500", true},               // disjoint equality
+		{"id >= 100", true},              // disjoint range
+		{"id < 50", false},               // overlapping range
+		{"id = 99", false},               // the boundary inside
+		{"100 <= id", true},              // either way round
+		{"id IN (100, 500, NULL)", true}, // no key inside
+		{"id IN (500, 99.0)", false},     // one key inside
+		{"id IN (NULL)", true},           // a NULL entry matches nothing
+		{"id = NULL", true},              // a comparison with NULL admits nothing
+		{"id < 600 AND id > NULL", true},
+		{"id > 5 AND id < 3", true}, // contradicts itself
+		{"id = 1 AND id = 2", true},
+		{"id > 5 AND id < 7", false},
+		{"id IN (1, 2) AND id IN (2, 3)", false},
+		{"id IN (1, 2) AND id IN (3, 4)", true},
+		{"id IN (1, 200) AND id > 50", true}, // the keys the range leaves
+		{"id <> 5", false},
+		{"id < 50 OR id > 500", false},
+	} {
+		e, err := sql.ParseExpr(p.filter)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b
-	}
-	// id = 500 contradicts id < 100 → prune.
-	if !frag.PruneByPartition(bind(expr.NewBinary(expr.OpEq, expr.NewColRef("", "id"), expr.NewConst(types.NewInt(500))))) {
-		t.Error("disjoint equality must prune")
-	}
-	if !frag.PruneByPartition(bind(expr.NewBinary(expr.OpGe, expr.NewColRef("", "id"), expr.NewConst(types.NewInt(100))))) {
-		t.Error("disjoint range must prune")
-	}
-	if frag.PruneByPartition(bind(expr.NewBinary(expr.OpLt, expr.NewColRef("", "id"), expr.NewConst(types.NewInt(50))))) {
-		t.Error("overlapping range must not prune")
-	}
-	if frag.PruneByPartition(bind(expr.NewBinary(expr.OpEq, expr.NewColRef("", "id"), expr.NewConst(types.NewInt(99))))) {
-		t.Error("boundary-inside equality must not prune")
+		if e, err = expr.Bind(e, tab.Schema); err != nil {
+			t.Fatal(err)
+		}
+		if got := frag.PruneByPartition(e); got != p.prune {
+			t.Errorf("id < 100, filtered by %s: pruned %v, want %v", p.filter, got, p.prune)
+		}
 	}
 	if frag.PruneByPartition(nil) {
 		t.Error("nil filter must not prune")

@@ -218,116 +218,24 @@ func (f *Fragment) TranslateInto(dst types.Row, globalSchema *types.Schema, glob
 }
 
 // PruneByPartition reports whether the fragment can be skipped entirely
-// for a query filter: true when the fragment's partition predicate and
-// the filter are provably disjoint. The check is conservative — it only
-// proves disjointness for single-column equality/range patterns.
+// for a query filter: true when, on some column its partition predicate
+// reads, the values the filter admits and the values the predicate
+// admits do not meet (expr.ColumnRange on each side). A conjunct that
+// constrains no single column to constants — a disjunction, a function
+// of the column — narrows nothing, so the check is conservative.
 func (f *Fragment) PruneByPartition(filter expr.Expr) bool {
 	if f.Where == nil || filter == nil {
 		return false
 	}
-	var conj, whereConj [8]expr.Expr
-	where := expr.AppendConjuncts(whereConj[:0], f.Where)
-	for _, fc := range expr.AppendConjuncts(conj[:0], filter) {
-		for _, pc := range where {
-			if contradicts(fc, pc) {
-				return true
-			}
+	pruned := false
+	expr.Columns(f.Where, func(c int) {
+		if !pruned {
+			where, _ := expr.ColumnRange(f.Where, c)
+			admitted, _ := expr.ColumnRange(filter, c)
+			pruned = where.Intersect(admitted).Empty()
 		}
-	}
-	return false
-}
-
-// contradicts proves that two comparisons over the same column cannot
-// both hold. It understands <col> cmp <const> shapes only.
-func contradicts(a, b expr.Expr) bool {
-	ca, va, opa, ok := colConstCmp(a)
-	if !ok {
-		return false
-	}
-	cb, vb, opb, ok := colConstCmp(b)
-	if !ok || ca != cb {
-		return false
-	}
-	// Evaluate interval intersection for the nine op pairs.
-	lowA, highA, okA := interval(opa, va)
-	lowB, highB, okB := interval(opb, vb)
-	if !okA || !okB {
-		return false
-	}
-	lo := maxBound(lowA, lowB)
-	hi := minBound(highA, highB)
-	if lo == nil || hi == nil {
-		return false
-	}
-	c := lo.v.Compare(hi.v)
-	if c > 0 {
-		return true
-	}
-	if c == 0 && (!lo.incl || !hi.incl) {
-		return true
-	}
-	return false
-}
-
-// colConstCmp is a column comparison an interval can be read from: not
-// <>, not against NULL.
-func colConstCmp(e expr.Expr) (col int, v types.Value, op expr.BinOp, ok bool) {
-	c, op, v, ok := expr.ColumnComparison(e)
-	if !ok || op == expr.OpNe || c.Index < 0 || v.IsNull() {
-		return 0, types.Null, 0, false
-	}
-	return c.Index, v, op, true
-}
-
-type bound struct {
-	v    types.Value
-	incl bool
-}
-
-// interval converts col OP v into [low, high] bounds (nil = open).
-func interval(op expr.BinOp, v types.Value) (low, high *bound, ok bool) {
-	switch op {
-	case expr.OpEq:
-		return &bound{v, true}, &bound{v, true}, true
-	case expr.OpLt:
-		return nil, &bound{v, false}, true
-	case expr.OpLe:
-		return nil, &bound{v, true}, true
-	case expr.OpGt:
-		return &bound{v, false}, nil, true
-	case expr.OpGe:
-		return &bound{v, true}, nil, true
-	default:
-		return nil, nil, false
-	}
-}
-
-func maxBound(a, b *bound) *bound {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	c := a.v.Compare(b.v)
-	if c > 0 || (c == 0 && !a.incl) {
-		return a
-	}
-	return b
-}
-
-func minBound(a, b *bound) *bound {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	c := a.v.Compare(b.v)
-	if c < 0 || (c == 0 && !a.incl) {
-		return a
-	}
-	return b
+	})
+	return pruned
 }
 
 // TranslateValue rewrites a global-space value expression (the right side

@@ -299,30 +299,6 @@ func IsConst(e Expr) bool {
 	return constant
 }
 
-// ColumnComparison recognises `column <cmp> constant`: a comparison with
-// a column reference on one side and a literal on the other. op reads
-// with the column on the left whichever way the operands arrived
-// (`5 < x` is x > 5). Every comparison is recognised, <> and a NULL
-// literal included; a caller that cannot use one says so itself.
-func ColumnComparison(e Expr) (col *ColRef, op BinOp, val types.Value, ok bool) {
-	b, isBin := e.(*Binary)
-	if !isBin || !b.Op.Comparison() {
-		return nil, 0, types.Null, false
-	}
-	op = b.Op
-	col, ok = b.L.(*ColRef)
-	con, isConst := b.R.(*Const)
-	if !ok || !isConst {
-		col, ok = b.R.(*ColRef)
-		con, isConst = b.L.(*Const)
-		op, _ = op.Commutes() // every comparison does
-	}
-	if !ok || !isConst {
-		return nil, 0, types.Null, false
-	}
-	return col, op, con.Val, true
-}
-
 // FoldConstants evaluates constant subtrees to literals. It is
 // conservative: a subtree that fails to evaluate (e.g. division by zero)
 // is left intact so the error surfaces at execution time. Fold also

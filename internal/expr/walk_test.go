@@ -181,47 +181,6 @@ func TestCommutes(t *testing.T) {
 	}
 }
 
-func TestColumnComparison(t *testing.T) {
-	x := NewBoundColRef(3, types.KindInt, "x")
-	five, null := NewConst(types.NewInt(5)), NewConst(types.Null)
-	cases := []struct {
-		e   Expr
-		op  BinOp  // as read with the column on the left
-		con *Const // nil: not recognised
-	}{
-		{NewBinary(OpEq, x, five), OpEq, five},
-		{NewBinary(OpNe, x, five), OpNe, five},
-		{NewBinary(OpLt, x, five), OpLt, five},
-		{NewBinary(OpLe, x, five), OpLe, five},
-		{NewBinary(OpGt, x, five), OpGt, five},
-		{NewBinary(OpGe, x, five), OpGe, five},
-		{NewBinary(OpEq, five, x), OpEq, five},
-		{NewBinary(OpNe, five, x), OpNe, five},
-		{NewBinary(OpLt, five, x), OpGt, five},
-		{NewBinary(OpLe, five, x), OpGe, five},
-		{NewBinary(OpGt, five, x), OpLt, five},
-		{NewBinary(OpGe, five, x), OpLe, five},
-		{NewBinary(OpEq, x, null), OpEq, null}, // refusing NULL is the caller's business
-		{NewBinary(OpAdd, x, five), 0, nil},
-		{NewBinary(OpLike, x, NewConst(types.NewString("a%"))), 0, nil},
-		{NewBinary(OpEq, x, x), 0, nil},
-		{NewBinary(OpEq, five, five), 0, nil},
-		{NewBinary(OpEq, NewBinary(OpAdd, x, five), five), 0, nil},
-		{x, 0, nil},
-	}
-	for _, c := range cases {
-		col, op, val, ok := ColumnComparison(c.e)
-		if ok != (c.con != nil) || op != c.op {
-			t.Errorf("ColumnComparison(%s) = %s, %v; want %s, %v", c.e, op, ok, c.op, c.con != nil)
-		} else if ok && (col != x || val.String() != c.con.Val.String()) {
-			t.Errorf("ColumnComparison(%s) = column %v, constant %s", c.e, col, val)
-		}
-		if n := testing.AllocsPerRun(100, func() { ColumnComparison(c.e) }); n != 0 {
-			t.Errorf("ColumnComparison(%s) allocates %.0f objects, want 0", c.e, n)
-		}
-	}
-}
-
 func TestExprEqual(t *testing.T) {
 	a := bin(OpGt, col("a"), intc(1))
 	b := bin(OpGt, col("a"), intc(1))

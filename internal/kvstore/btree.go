@@ -9,6 +9,7 @@ package kvstore
 import (
 	"sync/atomic"
 
+	"gis/internal/expr"
 	"gis/internal/types"
 )
 
@@ -297,41 +298,14 @@ func (t *BTree) mergeChildren(n *node, i int) {
 	n.children = append(n.children[:i+1], n.children[i+2:]...)
 }
 
-// Bound is one end of a range scan.
-type Bound struct {
-	Value types.Value
-	// Inclusive includes the bound value itself.
-	Inclusive bool
-	// Unbounded ignores Value (open end).
-	Unbounded bool
-}
-
-// excludesAbove reports whether k lies beyond b taken as a range's
-// upper end, excludesBelow whether it lies short of b taken as its lower.
-func (b Bound) excludesAbove(k types.Value) bool {
-	if b.Unbounded {
-		return false
-	}
-	c := k.Compare(b.Value)
-	return c > 0 || (c == 0 && !b.Inclusive)
-}
-
-func (b Bound) excludesBelow(k types.Value) bool {
-	if b.Unbounded {
-		return false
-	}
-	c := k.Compare(b.Value)
-	return c < 0 || (c == 0 && !b.Inclusive)
-}
-
 // Ascend visits entries with lo <= key <= hi (per bound flags) in key
 // order. fn returning false stops the scan.
-func (t *BTree) Ascend(lo, hi Bound, fn func(k types.Value, v types.Row) bool) {
+func (t *BTree) Ascend(lo, hi expr.Bound, fn func(k types.Value, v types.Row) bool) {
 	var c cursor
 	c.seek(t.root, lo)
 	for {
 		it, ok := c.next()
-		if !ok || hi.excludesAbove(it.key) || !fn(it.key, it.val) {
+		if !ok || hi.ExcludesAbove(it.key) || !fn(it.key, it.val) {
 			return
 		}
 	}
@@ -368,7 +342,7 @@ func (c *cursor) descend(n *node) {
 }
 
 // seek stacks the path to the first key under n that lo admits.
-func (c *cursor) seek(n *node, lo Bound) {
+func (c *cursor) seek(n *node, lo expr.Bound) {
 	if lo.Unbounded {
 		c.descend(n)
 		return
@@ -411,12 +385,3 @@ func (c *cursor) next() (item, bool) {
 	}
 	return item{}, false
 }
-
-// Unbounded is the open bound.
-var Unbounded = Bound{Unbounded: true}
-
-// Incl returns an inclusive bound at v.
-func Incl(v types.Value) Bound { return Bound{Value: v, Inclusive: true} }
-
-// Excl returns an exclusive bound at v.
-func Excl(v types.Value) Bound { return Bound{Value: v} }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"gis/internal/expr"
 	"gis/internal/types"
 )
 
@@ -75,7 +76,7 @@ func TestBTreeAscendRange(t *testing.T) {
 	for i := int64(0); i < 100; i++ {
 		tr.Put(types.NewInt(i*2), row(i*2)) // even keys 0..198
 	}
-	collect := func(lo, hi Bound) []int64 {
+	collect := func(lo, hi expr.Bound) []int64 {
 		var out []int64
 		tr.Ascend(lo, hi, func(k types.Value, _ types.Row) bool {
 			out = append(out, k.Int())
@@ -83,11 +84,11 @@ func TestBTreeAscendRange(t *testing.T) {
 		})
 		return out
 	}
-	all := collect(Unbounded, Unbounded)
+	all := collect(expr.Unbounded, expr.Unbounded)
 	if len(all) != 100 || !sort.SliceIsSorted(all, func(i, j int) bool { return all[i] < all[j] }) {
 		t.Fatalf("full scan = %v", all)
 	}
-	got := collect(Incl(types.NewInt(10)), Incl(types.NewInt(20)))
+	got := collect(expr.Incl(types.NewInt(10)), expr.Incl(types.NewInt(20)))
 	want := []int64{10, 12, 14, 16, 18, 20}
 	if len(got) != len(want) {
 		t.Fatalf("range [10,20] = %v", got)
@@ -97,22 +98,22 @@ func TestBTreeAscendRange(t *testing.T) {
 			t.Fatalf("range [10,20] = %v", got)
 		}
 	}
-	got = collect(Excl(types.NewInt(10)), Excl(types.NewInt(20)))
+	got = collect(expr.Excl(types.NewInt(10)), expr.Excl(types.NewInt(20)))
 	if len(got) != 4 || got[0] != 12 || got[3] != 18 {
 		t.Fatalf("range (10,20) = %v", got)
 	}
 	// Bounds between keys.
-	got = collect(Incl(types.NewInt(11)), Incl(types.NewInt(15)))
+	got = collect(expr.Incl(types.NewInt(11)), expr.Incl(types.NewInt(15)))
 	if len(got) != 2 || got[0] != 12 || got[1] != 14 {
 		t.Fatalf("range [11,15] = %v", got)
 	}
 	// Empty range.
-	if got = collect(Incl(types.NewInt(500)), Unbounded); len(got) != 0 {
+	if got = collect(expr.Incl(types.NewInt(500)), expr.Unbounded); len(got) != 0 {
 		t.Fatalf("past-end range = %v", got)
 	}
 	// Early stop.
 	count := 0
-	tr.Ascend(Unbounded, Unbounded, func(types.Value, types.Row) bool {
+	tr.Ascend(expr.Unbounded, expr.Unbounded, func(types.Value, types.Row) bool {
 		count++
 		return count < 5
 	})
@@ -128,7 +129,7 @@ func TestBTreeStringKeys(t *testing.T) {
 		tr.Put(types.NewString(w), types.Row{types.NewString(w)})
 	}
 	var got []string
-	tr.Ascend(Incl(types.NewString("banana")), Excl(types.NewString("fig")),
+	tr.Ascend(expr.Incl(types.NewString("banana")), expr.Excl(types.NewString("fig")),
 		func(k types.Value, _ types.Row) bool {
 			got = append(got, k.Str())
 			return true
@@ -181,7 +182,7 @@ func TestBTreeRandomizedAgainstMap(t *testing.T) {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	var got []int64
-	tr.Ascend(Unbounded, Unbounded, func(k types.Value, _ types.Row) bool {
+	tr.Ascend(expr.Unbounded, expr.Unbounded, func(k types.Value, _ types.Row) bool {
 		got = append(got, k.Int())
 		return true
 	})
@@ -211,7 +212,7 @@ func TestBTreeRandomRanges(t *testing.T) {
 		lo := int64(rng.Intn(10000))
 		hi := lo + int64(rng.Intn(3000))
 		loIncl, hiIncl := rng.Intn(2) == 0, rng.Intn(2) == 0
-		loB, hiB := Bound{Value: types.NewInt(lo), Inclusive: loIncl}, Bound{Value: types.NewInt(hi), Inclusive: hiIncl}
+		loB, hiB := expr.Bound{Value: types.NewInt(lo), Inclusive: loIncl}, expr.Bound{Value: types.NewInt(hi), Inclusive: hiIncl}
 		var want []int64
 		for _, k := range keys {
 			if (k > lo || (loIncl && k == lo)) && (k < hi || (hiIncl && k == hi)) {
@@ -263,7 +264,7 @@ func TestBTreeViewsSurviveWrites(t *testing.T) {
 		t.Helper()
 		from := int64(rng.Intn(3000)) - 500
 		var c cursor
-		c.seek(v.root, Incl(types.NewInt(from)))
+		c.seek(v.root, expr.Incl(types.NewInt(from)))
 		want := v.want
 		for len(want) > 0 && want[0] < from {
 			want = want[2:]

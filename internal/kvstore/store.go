@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 
 	"gis/internal/expr"
@@ -91,12 +90,13 @@ func (s *Store) Capabilities() source.Capabilities {
 	return source.Capabilities{Filter: source.FilterKey, Write: true}
 }
 
-// Execute implements source.Source. Per the capability contract the
-// filter contains only comparisons between the key column and constants
-// and IN lists of constants over it. Keys it names — by equality, or in
-// a list — are looked up one by one and their rows' headers copied; any
-// other query is a scan of a key range, the whole bucket with no filter
-// at all, and borrows the tree (BTree.view): Execute copies nothing, and
+// Execute implements source.Source. Per the capability contract every
+// conjunct of the filter constrains the key column to constants
+// (expr.ColumnConstraint), and Execute refuses any other; what they admit
+// together is one expr.Range. Keys it names — by equality, or in a list —
+// are looked up one by one and their rows' headers copied; any other
+// query is a scan of a key range, the whole bucket with no filter at
+// all, and borrows the tree (BTree.view): Execute copies nothing, and
 // Next walks, with the lock gone, the bucket as it was when Execute
 // returned. Writers pay for that, once a node; a lookup takes no view so
 // that a point read never makes the next write copy anything.
@@ -117,32 +117,29 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	if err := q.Check(caps, &source.TableInfo{Schema: b.schema}); err != nil {
 		return nil, fmt.Errorf("kvstore %s: %w", s.name, err)
 	}
-	lo, hi, keys, err := b.rangeFromFilter(q.Filter)
-	if err != nil {
-		return nil, fmt.Errorf("kvstore %s: %w", s.name, err)
+	r, other := expr.ColumnRange(q.Filter, b.keyCol)
+	if other != nil {
+		return nil, fmt.Errorf("kvstore %s: unsupported pushed predicate %s", s.name, other)
+	}
+	keys := r.Keys
+	if k, ok := r.Point(); ok {
+		keys = []types.Value{k}
 	}
 	if keys == nil {
-		it := &scanIter{hi: hi, limit: q.Limit}
-		it.at.seek(b.tree.view(), lo)
+		it := &scanIter{hi: r.Hi, limit: q.Limit}
+		it.at.seek(b.tree.view(), r.Lo)
 		return it, nil
 	}
 	// Keyed access (a pushed key = or key IN (...), or shipped join
-	// keys): one point lookup per distinct key, in key order as a range
-	// scan would answer, filtered by any accompanying range bounds. A
-	// list may name a key twice (1 and 1.0 are one key) and a NULL entry
-	// matches nothing.
-	slices.SortFunc(keys, types.Value.Compare)
-	keys = slices.CompactFunc(keys, func(a, b types.Value) bool { return a.Compare(b) == 0 })
+	// keys): one point lookup per key of the range, which are in key
+	// order as a range scan would answer, distinct and within its bounds.
 	var rows []types.Row
 	for _, k := range keys {
 		if q.Limit >= 0 && int64(len(rows)) >= q.Limit {
 			break
 		}
-		if k.IsNull() || lo.excludesBelow(k) || hi.excludesAbove(k) {
-			continue
-		}
-		if r, ok := b.tree.Get(k); ok {
-			rows = append(rows, r)
+		if row, ok := b.tree.Get(k); ok {
+			rows = append(rows, row)
 		}
 	}
 	return source.SliceIter(rows), nil
@@ -153,14 +150,14 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 // never written again: there is nothing for it to lend.
 type scanIter struct {
 	at    cursor
-	hi    Bound
+	hi    expr.Bound
 	limit int64 // rows still wanted; negative: all
 }
 
 // Next implements source.RowIter.
 func (it *scanIter) Next() (types.Row, error) {
 	if it.limit != 0 {
-		if e, ok := it.at.next(); ok && !it.hi.excludesAbove(e.key) {
+		if e, ok := it.at.next(); ok && !it.hi.ExcludesAbove(e.key) {
 			if it.limit > 0 {
 				it.limit--
 			}
@@ -175,80 +172,6 @@ func (it *scanIter) Next() (types.Row, error) {
 func (it *scanIter) Close() error {
 	it.limit = 0
 	return nil
-}
-
-// rangeFromFilter intersects the key column's inequalities into one scan
-// range, and its equalities and IN lists into one set of keys: nil when
-// the filter names no key, empty when it names keys no row can have.
-func (b *bucket) rangeFromFilter(filter expr.Expr) (Bound, Bound, []types.Value, error) {
-	lo, hi := Unbounded, Unbounded
-	var inKeys []types.Value
-	var conj [8]expr.Expr
-	for _, c := range expr.AppendConjuncts(conj[:0], filter) {
-		if in, ok := c.(*expr.InList); ok && !in.Negate {
-			col, colOK := in.E.(*expr.ColRef)
-			if !colOK || col.Index != b.keyCol {
-				return lo, hi, nil, fmt.Errorf("unsupported pushed predicate %s", c)
-			}
-			vals := make([]types.Value, 0, len(in.List))
-			for _, le := range in.List {
-				k, isConst := le.(*expr.Const)
-				if !isConst {
-					return lo, hi, nil, fmt.Errorf("unsupported pushed predicate %s", c)
-				}
-				vals = append(vals, k.Val)
-			}
-			inKeys = intersectValues(inKeys, vals)
-			continue
-		}
-		col, op, v, ok := expr.ColumnComparison(c)
-		if !ok || col.Index != b.keyCol {
-			return lo, hi, nil, fmt.Errorf("unsupported pushed predicate %s", c)
-		}
-		switch op {
-		case expr.OpEq:
-			inKeys = intersectValues(inKeys, []types.Value{v})
-		case expr.OpLt:
-			hi = tighterHi(hi, Excl(v))
-		case expr.OpLe:
-			hi = tighterHi(hi, Incl(v))
-		case expr.OpGt:
-			lo = tighterLo(lo, Excl(v))
-		case expr.OpGe:
-			lo = tighterLo(lo, Incl(v))
-		default:
-			return lo, hi, nil, fmt.Errorf("unsupported key comparison %s", op)
-		}
-	}
-	return lo, hi, inKeys, nil
-}
-
-func tighterLo(a, b Bound) Bound {
-	if a.Unbounded {
-		return b
-	}
-	if b.Unbounded {
-		return a
-	}
-	c := a.Value.Compare(b.Value)
-	if c > 0 || (c == 0 && !a.Inclusive) {
-		return a
-	}
-	return b
-}
-
-func tighterHi(a, b Bound) Bound {
-	if a.Unbounded {
-		return b
-	}
-	if b.Unbounded {
-		return a
-	}
-	c := a.Value.Compare(b.Value)
-	if c < 0 || (c == 0 && !a.Inclusive) {
-		return a
-	}
-	return b
 }
 
 // Insert implements source.Writer. A row is stored as a copy, each value
@@ -311,7 +234,7 @@ func (s *Store) Update(_ context.Context, table string, filter expr.Expr, set []
 	var updated []change
 	var evalErr error
 	var taken *BTree // the keys rows move to
-	b.tree.Ascend(Unbounded, Unbounded, func(k types.Value, r types.Row) bool {
+	b.tree.Ascend(expr.Unbounded, expr.Unbounded, func(k types.Value, r types.Row) bool {
 		if filter != nil {
 			ok, err := expr.EvalBool(filter, r)
 			if err != nil {
@@ -372,7 +295,7 @@ func (s *Store) Delete(_ context.Context, table string, filter expr.Expr) (int64
 	}
 	var keys []types.Value
 	var evalErr error
-	b.tree.Ascend(Unbounded, Unbounded, func(k types.Value, r types.Row) bool {
+	b.tree.Ascend(expr.Unbounded, expr.Unbounded, func(k types.Value, r types.Row) bool {
 		if filter != nil {
 			ok, err := expr.EvalBool(filter, r)
 			if err != nil {
@@ -393,25 +316,4 @@ func (s *Store) Delete(_ context.Context, table string, filter expr.Expr) (int64
 		b.tree.Delete(k)
 	}
 	return int64(len(keys)), nil
-}
-
-// intersectValues keeps the values present in both sets; a nil a is no
-// set yet, and the result is b.
-func intersectValues(a, b []types.Value) []types.Value {
-	if a == nil {
-		return b
-	}
-	var out []types.Value
-	for _, x := range a {
-		for _, y := range b {
-			if x.Equal(y) {
-				out = append(out, x)
-				break
-			}
-		}
-	}
-	if out == nil {
-		out = []types.Value{}
-	}
-	return out
 }

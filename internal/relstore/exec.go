@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"gis/internal/expr"
 	"gis/internal/source"
@@ -196,63 +197,42 @@ func (it *scanIter) Close() error {
 	return nil
 }
 
-// candidateRows returns row positions to test against the filter, using
-// a hash index when the filter contains an equality — or an IN list, as
-// shipped by the semijoin strategy — between an indexed column and
-// constants. The second result is false when no index applies and the
-// caller must scan every row.
+// candidateRows returns the positions of the rows a hash index says
+// can pass the filter, and false when no index applies and the caller
+// must scan every row. An index applies where the filter's range on its
+// column (expr.ColumnRange) names finitely many values — an equality, an
+// IN list as the semijoin strategy ships, or NULL, which names none —
+// and of those that do, the one naming the fewest is probed, the lowest
+// column on a tie. The caller filters what the probe returns.
 func (t *table) candidateRows(filter expr.Expr) ([]int, bool) {
-	var conj [8]expr.Expr
-	for _, c := range expr.AppendConjuncts(conj[:0], filter) {
-		switch n := c.(type) {
-		case *expr.Binary:
-			col, op, val, ok := expr.ColumnComparison(n)
-			if !ok || op != expr.OpEq || col.Index < 0 {
-				continue
-			}
-			idx, indexed := t.hashIdx[col.Index]
-			if !indexed {
-				continue
-			}
-			return idx[val.Hash(0)], true
-		case *expr.InList:
-			if n.Negate {
-				continue
-			}
-			col, colOK := n.E.(*expr.ColRef)
-			if !colOK || col.Index < 0 {
-				continue
-			}
-			idx, indexed := t.hashIdx[col.Index]
-			if !indexed {
-				continue
-			}
-			// Union the probed buckets, deduplicating positions
-			// (duplicate IN constants or hash collisions would
-			// otherwise emit rows twice).
-			var out []int
-			seen := map[int]struct{}{}
-			allConst := true
-			for _, le := range n.List {
-				k, isConst := le.(*expr.Const)
-				if !isConst {
-					allConst = false
-					break
-				}
-				for _, pos := range idx[k.Val.Hash(0)] {
-					if _, dup := seen[pos]; dup {
-						continue
-					}
-					seen[pos] = struct{}{}
-					out = append(out, pos)
-				}
-			}
-			if allConst {
-				return out, true
-			}
-		default:
-			// Other conjuncts cannot use the hash index.
+	col, n := -1, 0
+	var best expr.Range
+	for c := range t.hashIdx {
+		r, _ := expr.ColumnRange(filter, c)
+		k := len(r.Keys)
+		switch _, point := r.Point(); {
+		case point:
+			k = 1
+		case r.Keys == nil:
+			continue // an interval, which a hash index cannot walk
+		}
+		if col < 0 || k < n || (k == n && c < col) {
+			col, n, best = c, k, r
 		}
 	}
-	return nil, false
+	if col < 0 {
+		return nil, false
+	}
+	idx := t.hashIdx[col]
+	if v, ok := best.Point(); ok {
+		return idx[v.Hash(0)], true
+	}
+	// Two keys may share a bucket: positions are sorted and each kept
+	// once, which also yields the rows in the table's order.
+	out := make([]int, 0, len(best.Keys))
+	for _, k := range best.Keys {
+		out = append(out, idx[k.Hash(0)]...)
+	}
+	slices.Sort(out)
+	return slices.Compact(out), true
 }

@@ -25,39 +25,16 @@ func (c Capabilities) CanCompare(info *TableInfo, col int) bool {
 	}
 }
 
-// CanFilter reports whether the source evaluates conjunct conj itself.
-// No source is shipped a subquery (the planner removes them before
-// decomposition anyway — defensive).
+// CanFilter reports whether the source evaluates conjunct conj itself:
+// a constraint of a column to constants (expr.ColumnConstraint, the
+// recogniser a kvstore reads its key range with) is asked of CanCompare
+// for its column, any other shape for none. No source is shipped a
+// subquery (the planner removes them before decomposition anyway —
+// defensive).
 func (c Capabilities) CanFilter(info *TableInfo, conj expr.Expr) bool {
-	col, ok := constComparison(conj)
-	if !ok {
-		col = -1
+	col := -1
+	if ref, ok := expr.ColumnConstraint(conj); ok {
+		col = ref.Index
 	}
-	return c.CanCompare(info, col) && (ok || !expr.HasSubquery(conj))
-}
-
-// constComparison recognises a comparison between a column and a
-// constant, or a column IN a list of constants, and returns the column.
-func constComparison(conj expr.Expr) (int, bool) {
-	switch n := conj.(type) {
-	case *expr.Binary:
-		col, op, _, ok := expr.ColumnComparison(n)
-		if !ok || op == expr.OpNe {
-			return 0, false
-		}
-		return col.Index, true
-	case *expr.InList:
-		col, cok := n.E.(*expr.ColRef)
-		if !cok || n.Negate {
-			return 0, false
-		}
-		for _, e := range n.List {
-			if _, isConst := e.(*expr.Const); !isConst {
-				return 0, false
-			}
-		}
-		return col.Index, true
-	default:
-		return 0, false
-	}
+	return c.CanCompare(info, col) && (col >= 0 || !expr.HasSubquery(conj))
 }

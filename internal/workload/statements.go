@@ -161,7 +161,7 @@ func (g *eqGen) atom(t *eqTable, prefix string) string {
 	case 13:
 		return fmt.Sprintf("%s IS %sNULL", g.pick(key, amount, region), g.pick("", "NOT "))
 	case 14:
-		return g.pick(key+" = NULL", "1 = 1", "2 + 3 > 4", fmt.Sprintf("%s < 20 + 30", key))
+		return g.pick(key+" = NULL", key+" > NULL", "NULL <= "+key, "1 = 1", "2 + 3 > 4", fmt.Sprintf("%s < 20 + 30", key))
 	default:
 		return fmt.Sprintf("%s %% %d = %d", g.pick(key, fk), 2+g.r.Intn(5), g.r.Intn(2))
 	}

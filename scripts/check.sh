@@ -17,7 +17,8 @@
 #                   and `make overload` run those subsets on demand), the
 #                   seed corpora of the fuzz targets (wire FuzzDecoder,
 #                   FuzzServe and FuzzServeWrite, sql FuzzParse, filestore
-#                   FuzzScanRecords; `make fuzz` fuzzes each for 10 s) and
+#                   FuzzScanRecords, expr FuzzColumnRange; `make fuzz`
+#                   fuzzes each for 10 s) and
 #                   the concurrency tests no analyzer can stand in for:
 #                   workload TestConcurrentGlobalUpdates, wire
 #                   TestTwoTransactionsOneClient, TestCallObservesDeadline
