@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"gis/internal/expr"
 	"gis/internal/resilience"
@@ -138,18 +139,20 @@ type Fragment struct {
 
 	// info caches the remote table description.
 	info *source.TableInfo
-	// stats caches per-fragment optimizer statistics.
-	stats *stats.TableStats
+	// stats caches per-fragment optimizer statistics, in remote-column
+	// space: ANALYZE installs them while planners read them.
+	stats atomic.Pointer[stats.TableStats]
 }
 
 // Info returns the cached remote table description.
 func (f *Fragment) Info() *source.TableInfo { return f.info }
 
-// Stats returns the fragment's statistics (nil until analyzed).
-func (f *Fragment) Stats() *stats.TableStats { return f.stats }
+// Stats returns the fragment's statistics (nil until analyzed). They
+// are only to be read: fragments of one remote table share them.
+func (f *Fragment) Stats() *stats.TableStats { return f.stats.Load() }
 
 // SetStats installs fragment statistics (ANALYZE).
-func (f *Fragment) SetStats(ts *stats.TableStats) { f.stats = ts }
+func (f *Fragment) SetStats(ts *stats.TableStats) { f.stats.Store(ts) }
 
 // GlobalTable is one table of the global schema.
 type GlobalTable struct {
@@ -162,13 +165,15 @@ type GlobalTable struct {
 // The result is only to be read: for a table of one analyzed fragment it
 // is that fragment's own statistics, not a copy.
 func (g *GlobalTable) Stats() *stats.TableStats {
-	if len(g.Fragments) == 1 && g.Fragments[0].stats != nil {
-		return g.Fragments[0].stats
+	if len(g.Fragments) == 1 {
+		if ts := g.Fragments[0].Stats(); ts != nil {
+			return ts
+		}
 	}
 	var parts []*stats.TableStats
 	for _, f := range g.Fragments {
-		if f.stats != nil {
-			parts = append(parts, f.stats)
+		if ts := f.Stats(); ts != nil {
+			parts = append(parts, ts)
 		} else if f.info != nil && f.info.RowCount >= 0 {
 			parts = append(parts, stats.Unknown(g.Schema.Len(), f.info.RowCount))
 		}

@@ -7,10 +7,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -497,44 +499,75 @@ func (e *Engine) Exec(ctx context.Context, text string, params ...types.Value) (
 
 // Analyze collects optimizer statistics for every fragment of every
 // global table: from the source's stats provider when available, else by
-// scanning the remote table.
+// scanning the remote table (source.CollectStats). Statistics are in
+// remote-column space, so the fragments of one remote table share one
+// collection, made once. Each component system has one worker, which
+// collects its tables one after another, and the workers run at once:
+// no source is asked for two tables at a time. The statistics are
+// installed when every worker is done; a table that failed leaves its
+// fragments as they were, and the error names each such table in
+// catalog order.
 func (e *Engine) Analyze(ctx context.Context) error {
-	for _, name := range e.cat.Tables() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	type remoteTable struct {
+		src, table string
+		width      int
+		frags      []*catalog.Fragment
+		ts         *stats.TableStats
+		err        error
+	}
+	var all []*remoteTable
+	bySource := make(map[string][]*remoteTable)
+	seen := make(map[[2]string]*remoteTable)
+	names := e.cat.Tables()
+	slices.Sort(names)
+	for _, name := range names {
 		tab, err := e.cat.Table(name)
 		if err != nil {
 			return err
 		}
 		for _, frag := range tab.Fragments {
-			if err := ctx.Err(); err != nil {
-				return err
+			key := [2]string{frag.Source, frag.RemoteTable}
+			rt := seen[key]
+			if rt == nil {
+				rt = &remoteTable{src: frag.Source, table: frag.RemoteTable, width: frag.Info().Schema.Len()}
+				seen[key] = rt
+				all = append(all, rt)
+				bySource[rt.src] = append(bySource[rt.src], rt)
 			}
-			src, err := e.cat.Source(frag.Source)
-			if err != nil {
-				return err
-			}
-			if sp, ok := src.(source.StatsProvider); ok {
-				ts, err := sp.Stats(frag.RemoteTable)
-				if err == nil {
-					frag.SetStats(ts)
-					continue
-				}
-			}
-			// Fallback: full scan and collect at the mediator.
-			it, err := src.Execute(ctx, source.NewScan(frag.RemoteTable))
-			if err != nil {
-				return fmt.Errorf("core: analyze %s.%s: %w", frag.Source, frag.RemoteTable, err)
-			}
-			rows, err := source.Drain(it)
-			if err != nil {
-				return fmt.Errorf("core: analyze %s.%s: %w", frag.Source, frag.RemoteTable, err)
-			}
-			frag.SetStats(stats.Collect(rows, frag.Info().Schema.Len()))
+			rt.frags = append(rt.frags, frag)
 		}
 	}
-	return nil
+	var wg sync.WaitGroup
+	for name, tables := range bySource {
+		src, err := e.cat.Source(name)
+		if err != nil {
+			for _, rt := range tables {
+				rt.err = err
+			}
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, rt := range tables {
+				if rt.err = ctx.Err(); rt.err == nil {
+					rt.ts, rt.err = source.CollectStats(ctx, src, rt.table, rt.width)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var errs []error
+	for _, rt := range all {
+		if rt.err != nil {
+			errs = append(errs, fmt.Errorf("core: analyze %s.%s: %w", rt.src, rt.table, rt.err))
+			continue
+		}
+		for _, frag := range rt.frags {
+			frag.SetStats(rt.ts)
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // materializeSubqueries executes every uncorrelated subquery in the

@@ -409,10 +409,31 @@ type Transactional interface {
 }
 
 // StatsProvider is implemented by sources that can report optimizer
-// statistics (relstore, and what passes a relstore's on: the wire, the
-// resilience guard). Anyone else's are collected by a scan.
+// statistics (relstore, and what passes a source's on: the wire, the
+// resilience guard). Anyone else's are collected by a scan
+// (CollectStats).
 type StatsProvider interface {
 	Stats(table string) (*stats.TableStats, error)
+}
+
+// CollectStats returns the statistics of one of src's tables, width
+// columns wide: the source's own when it is a StatsProvider that
+// answers, else collected from a scan of the whole table.
+func CollectStats(ctx context.Context, src Source, table string, width int) (*stats.TableStats, error) {
+	if sp, ok := src.(StatsProvider); ok {
+		if ts, err := sp.Stats(table); err == nil {
+			return ts, nil
+		}
+	}
+	it, err := src.Execute(ctx, NewScan(table))
+	if err != nil {
+		return nil, err
+	}
+	rows, err := Drain(it)
+	if err != nil {
+		return nil, err
+	}
+	return stats.Collect(rows, width), nil
 }
 
 // ---- iterator helpers ----

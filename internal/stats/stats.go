@@ -7,7 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"gis/internal/expr"
 	"gis/internal/types"
@@ -62,66 +62,49 @@ func Unknown(columns int, assumedRows int64) *TableStats {
 	return &TableStats{RowCount: assumedRows, Columns: make([]ColumnStats, columns)}
 }
 
-// Collect computes full statistics from a materialized table scan.
+// Collect computes full statistics from a materialized table scan. Each
+// column's non-NULL values are copied into one scratch slice, reused
+// from column to column, and sorted once: Min and Max are its ends, NDV
+// is the number of runs of Equal values (a NaN, equal to nothing, is a
+// run of its own), and the histogram is cut from it.
 func Collect(rows []types.Row, width int) *TableStats {
 	ts := &TableStats{RowCount: int64(len(rows)), Columns: make([]ColumnStats, width)}
-	for c := 0; c < width; c++ {
-		var vals []types.Value
-		// The first value seen per hash is kept inline; only values that
-		// collide with a different one go to the overflow lists.
-		distinct := make(map[uint64]types.Value)
-		var collided map[uint64][]types.Value
+	vals := make([]types.Value, 0, len(rows))
+	for c := range ts.Columns {
 		cs := &ts.Columns[c]
+		vals = vals[:0]
 		for _, r := range rows {
-			if c >= len(r) {
-				continue
-			}
-			v := r[c]
-			if v.IsNull() {
-				cs.NullCount++
-				continue
-			}
-			vals = append(vals, v)
-			h := v.Hash(0)
-			first, seen := distinct[h]
 			switch {
-			case !seen:
-				distinct[h] = v
-				cs.NDV++
-			case first.Equal(v):
-			case !containsValue(collided[h], v):
-				if collided == nil {
-					collided = make(map[uint64][]types.Value)
-				}
-				collided[h] = append(collided[h], v)
-				cs.NDV++
+			case c >= len(r):
+			case r[c].IsNull():
+				cs.NullCount++
+			default:
+				vals = append(vals, r[c])
 			}
-			if cs.Min.IsNull() || v.Compare(cs.Min) < 0 {
-				cs.Min = v
-			}
-			if cs.Max.IsNull() || v.Compare(cs.Max) > 0 {
-				cs.Max = v
+		}
+		if len(vals) == 0 {
+			continue
+		}
+		slices.SortFunc(vals, types.Value.Compare)
+		cs.Min, cs.Max = vals[0], vals[len(vals)-1]
+		cs.NDV = 1
+		for i := 1; i < len(vals); i++ {
+			if !vals[i].Equal(vals[i-1]) {
+				cs.NDV++
 			}
 		}
 		if len(vals) >= 2 {
-			cs.Hist = BuildHistogram(vals, DefaultBuckets)
+			cs.Hist = cutHistogram(vals, DefaultBuckets)
 		}
 	}
 	return ts
 }
 
-func containsValue(vals []types.Value, v types.Value) bool {
-	for _, p := range vals {
-		if p.Equal(v) {
-			return true
-		}
-	}
-	return false
-}
-
 // Merge combines statistics of disjoint fragments of the same table
 // (horizontal partitions). NDV merging is approximate: it takes the max
-// (lower bound) plus half the remainder, a standard heuristic.
+// (lower bound) plus half the remainder, a standard heuristic. The
+// result copies the first part's Columns, not its histograms: the
+// merged columns have none, and the rest are shared, read-only.
 func Merge(parts ...*TableStats) *TableStats {
 	var out *TableStats
 	for _, p := range parts {
@@ -129,7 +112,7 @@ func Merge(parts ...*TableStats) *TableStats {
 			continue
 		}
 		if out == nil {
-			out = p.Clone()
+			out = &TableStats{RowCount: p.RowCount, Columns: slices.Clone(p.Columns)}
 			continue
 		}
 		out.RowCount += p.RowCount
@@ -170,32 +153,23 @@ type Histogram struct {
 	Total  int64
 }
 
-// BuildHistogram sorts a copy of vals and cuts it into ≤ buckets
-// equal-count runs.
-func BuildHistogram(vals []types.Value, buckets int) *Histogram {
-	if len(vals) == 0 || buckets < 1 {
+// cutHistogram cuts sorted, which is in ascending order, into at most
+// buckets runs of equal count (the first len%buckets one longer).
+func cutHistogram(sorted []types.Value, buckets int) *Histogram {
+	if len(sorted) == 0 || buckets < 1 {
 		return nil
 	}
-	sorted := append([]types.Value(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Compare(sorted[j]) < 0 })
-	if buckets > len(sorted) {
-		buckets = len(sorted)
-	}
-	h := &Histogram{Total: int64(len(sorted))}
-	per := len(sorted) / buckets
-	rem := len(sorted) % buckets
+	buckets = min(buckets, len(sorted))
+	h := &Histogram{Bounds: make([]types.Value, buckets), Counts: make([]int64, buckets), Total: int64(len(sorted))}
+	per, rem := len(sorted)/buckets, len(sorted)%buckets
 	idx := 0
-	for b := 0; b < buckets; b++ {
+	for b := range buckets {
 		n := per
 		if b < rem {
 			n++
 		}
-		if n == 0 {
-			continue
-		}
 		idx += n
-		h.Bounds = append(h.Bounds, sorted[idx-1])
-		h.Counts = append(h.Counts, int64(n))
+		h.Bounds[b], h.Counts[b] = sorted[idx-1], int64(n)
 	}
 	return h
 }

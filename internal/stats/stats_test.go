@@ -71,7 +71,7 @@ func TestHistogramFracLE(t *testing.T) {
 	for i := range vals {
 		vals[i] = types.NewInt(int64(i))
 	}
-	h := BuildHistogram(vals, 10)
+	h := cutHistogram(vals, 10)
 	if h.Total != 1000 || len(h.Bounds) != 10 {
 		t.Fatalf("hist = %+v", h)
 	}
@@ -94,10 +94,10 @@ func TestHistogramFracLE(t *testing.T) {
 }
 
 func TestBuildHistogramEdge(t *testing.T) {
-	if BuildHistogram(nil, 8) != nil {
+	if cutHistogram(nil, 8) != nil {
 		t.Error("empty histogram must be nil")
 	}
-	h := BuildHistogram([]types.Value{types.NewInt(5)}, 8)
+	h := cutHistogram([]types.Value{types.NewInt(5)}, 8)
 	if h == nil || h.Total != 1 || len(h.Bounds) != 1 {
 		t.Errorf("singleton hist = %+v", h)
 	}

@@ -351,7 +351,8 @@ func (c *Client) TableInfo(ctx context.Context, table string) (*source.TableInfo
 func (c *Client) Capabilities() source.Capabilities { return c.caps }
 
 // Stats implements source.StatsProvider: the statistics of the remote
-// source, which must be one itself.
+// table, collected where it lives — the served source's own, or a scan
+// there (Server.handleStats).
 func (c *Client) Stats(table string) (*stats.TableStats, error) {
 	var e Encoder
 	e.String(table)

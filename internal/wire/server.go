@@ -297,6 +297,8 @@ func (s *Server) handle(ctx context.Context, fc *frameConn, st *connState, tag b
 	switch {
 	case tag == msgExecute:
 		return s.handleExecute(ctx, fc, st, NewDecoder(payload))
+	case tag == msgStats:
+		return s.handleStats(ctx, fc, st, NewDecoder(payload))
 	case tag == msgBeginTx && st.tx != nil:
 		return reject(ctx, fc, errors.New("wire: begin with a transaction already open on this connection"))
 	}
@@ -333,21 +335,6 @@ func (s *Server) answer(ctx context.Context, st *connState, tag byte, d *Decoder
 		reply.Schema(info.Schema)
 		reply.IntSlice(info.KeyColumns)
 		reply.Varint(info.RowCount)
-
-	case msgStats:
-		table, err := d.String()
-		if err != nil {
-			return err
-		}
-		sp, ok := s.src.(source.StatsProvider)
-		if !ok {
-			return fmt.Errorf("source %s does not provide statistics", s.src.Name())
-		}
-		ts, err := sp.Stats(table)
-		if err != nil {
-			return err
-		}
-		encodeStats(reply, ts)
 
 	case msgBeginTx:
 		t, ok := s.src.(source.Transactional)
@@ -468,6 +455,37 @@ func (s *Server) handleExecute(ctx context.Context, fc *frameConn, st *connState
 		root.SetInt("parent_span", int64(h.ParentSpan))
 	}
 	return s.streamQuery(ctx, fc, q, root)
+}
+
+// handleStats serves one msgStats request: the statistics of the table
+// it names, collected here by the helper a mediator's ANALYZE uses
+// (source.CollectStats), so a source without statistics of its own is
+// scanned where it lives and not across the link. The collection runs
+// under admission control, as a sub-query does.
+func (s *Server) handleStats(ctx context.Context, fc *frameConn, st *connState, d *Decoder) error {
+	table, err := d.String()
+	if err != nil {
+		return sendErr(ctx, fc, err)
+	}
+	if s.admit != nil {
+		actx, sess, err := s.admit.Admit(ctx, st.tenant)
+		if err != nil {
+			return sendShed(ctx, fc, err)
+		}
+		defer sess.Release()
+		ctx = actx
+	}
+	info, err := s.src.TableInfo(ctx, table)
+	if err != nil {
+		return sendErr(ctx, fc, err)
+	}
+	ts, err := source.CollectStats(ctx, s.src, table, info.Schema.Len())
+	if err != nil {
+		return sendErr(ctx, fc, err)
+	}
+	var reply Encoder
+	encodeStats(&reply, ts)
+	return fc.writeFrame(ctx, msgOK, reply.Bytes())
 }
 
 // streamQuery binds and executes q, streaming row batches until EOF.
