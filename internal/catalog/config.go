@@ -74,11 +74,6 @@ func ParseConfig(data []byte) (*Config, error) {
 	return &c, nil
 }
 
-// MarshalConfig encodes a federation description as indented JSON.
-func MarshalConfig(c *Config) ([]byte, error) {
-	return json.MarshalIndent(c, "", "  ")
-}
-
 // Apply defines every table of the config on the catalog. Sources named
 // by the fragments must already be registered (the caller dials them).
 // ctx governs the remote metadata fetches behind each fragment mapping.
@@ -140,42 +135,4 @@ func (c *Catalog) Apply(ctx context.Context, cfg *Config, parsePred func(string)
 		}
 	}
 	return nil
-}
-
-// Export produces the Config describing the catalog's current tables
-// (sources are not exported — their addresses are not known here).
-func (c *Catalog) Export() (*Config, error) {
-	cfg := &Config{}
-	for _, name := range c.Tables() {
-		tab, err := c.Table(name)
-		if err != nil {
-			return nil, err
-		}
-		tc := TableConfig{Name: name}
-		for _, col := range tab.Schema.Columns {
-			tc.Columns = append(tc.Columns, ColumnConfig{Name: col.Name, Type: col.Type.String()})
-		}
-		for _, f := range tab.Fragments {
-			fc := FragmentConfig{Source: f.Source, RemoteTable: f.RemoteTable}
-			for _, m := range f.Columns {
-				mc := MappingConfig{
-					RemoteCol: m.RemoteCol,
-					Scale:     m.Scale,
-					Offset:    m.Offset,
-					ValueMap:  m.ValueMap,
-				}
-				if m.Const != nil {
-					s := m.Const.String()
-					mc.Const = &s
-				}
-				fc.Columns = append(fc.Columns, mc)
-			}
-			if f.Where != nil {
-				fc.Where = f.Where.String()
-			}
-			tc.Fragments = append(tc.Fragments, fc)
-		}
-		cfg.Tables = append(cfg.Tables, tc)
-	}
-	return cfg, nil
 }

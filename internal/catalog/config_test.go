@@ -86,35 +86,6 @@ func TestConfigApply(t *testing.T) {
 	}
 }
 
-func TestConfigExportRoundTrip(t *testing.T) {
-	c := newConfigFixture(t)
-	cfg, _ := ParseConfig([]byte(testConfig))
-	if err := c.Apply(context.Background(), cfg, sql.ParseExpr); err != nil {
-		t.Fatal(err)
-	}
-	out, err := c.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := MarshalConfig(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Re-apply the exported config onto a fresh catalog.
-	c2 := newConfigFixture(t)
-	cfg2, err := ParseConfig(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.Apply(context.Background(), cfg2, sql.ParseExpr); err != nil {
-		t.Fatalf("re-apply exported config: %v\n%s", err, data)
-	}
-	tab, _ := c2.Table("patients")
-	if tab.Schema.Len() != 4 || tab.Fragments[0].Columns[2].Scale != 0.453592 {
-		t.Errorf("round-tripped table = %+v", tab)
-	}
-}
-
 func TestConfigErrors(t *testing.T) {
 	c := newConfigFixture(t)
 	if _, err := ParseConfig([]byte("{bad json")); err == nil {

@@ -1,9 +1,9 @@
 // Overload chaos: many tenants drive a wire-attached federation past
 // its admission capacity while one slow consumer drags a stream out,
-// exercising quotas, typed shedding, credit-based backpressure, and the
-// engine's session accounting all at once. Lives in package core_test
-// because it builds fixtures through internal/workload (which imports
-// core).
+// exercising quotas, typed shedding, TCP backpressure on a result
+// stream, and the engine's session accounting all at once. Lives in
+// package core_test because it builds fixtures through internal/workload
+// (which imports core).
 package core_test
 
 import (
@@ -55,8 +55,8 @@ func TestChaosOverload(t *testing.T) {
 	}))
 
 	// One slow consumer holds a streaming result open for the whole
-	// storm: credit-based flow control must stall its producer instead
-	// of buffering the stream into server memory.
+	// storm: full socket buffers must stall its producer instead of the
+	// stream being buffered into server memory.
 	slowDone := make(chan error, 1)
 	go func() {
 		sctx := admission.WithTenant(ctx, "slowpoke")

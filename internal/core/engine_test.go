@@ -520,13 +520,25 @@ func TestMultiSourceWriteNeedsTxn(t *testing.T) {
 	wantRows(t, res, false, "(19)")
 }
 
+// refusing is a relstore whose transactions vote no.
+type refusing struct{ *relstore.Store }
+
+func (r refusing) BeginTx(ctx context.Context) (source.Tx, error) {
+	tx, err := r.Store.BeginTx(ctx)
+	return refusingTx{tx}, err
+}
+
+type refusingTx struct{ source.Tx }
+
+func (refusingTx) Prepare(context.Context) error { return errors.New("prepare refused") }
+
 func TestAbortOnVoteNoLeavesStoresConsistent(t *testing.T) {
-	e := newTestEngine(t)
-	euSrc, err := e.Catalog().Source("eu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	euSrc.(*relstore.Store).SetFailPolicy(relstore.FailPolicy{FailPrepare: true})
+	e := newTestEngineVia(t, func(s source.Source) source.Source {
+		if st, ok := s.(*relstore.Store); ok && st.Name() == "eu" {
+			return refusing{st}
+		}
+		return s
+	})
 	if _, err := e.Exec(ctx, "UPDATE orders SET qty = 0"); err == nil {
 		t.Fatal("2PC with failing participant must error")
 	}

@@ -672,8 +672,6 @@ func OV1Overload(ctx context.Context, sc Scale) (*Table, error) {
 	return t, nil
 }
 
-var _ = types.Null
-
 // Record is the machine-readable form of one experiment's measurement
 // series, emitted one JSON object per line by `gisbench -json`. The
 // schema is documented in EXPERIMENTS.md and guarded against drift by

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"strconv"
 	"time"
 )
@@ -11,34 +12,14 @@ import (
 // mediator reconstructs the snapshot as ended spans and attaches them
 // under the live ship span, producing one federation-wide tree.
 
-// kindNames maps the SpanKind wire/JSON names back to kinds for
-// reconstructing serialised subtrees. Kept next to SpanKind.String;
-// the spankind round-trip test guards the two against drift.
-var kindNames = map[string]SpanKind{
-	"query":     SpanQuery,
-	"parse":     SpanParse,
-	"resolve":   SpanResolve,
-	"optimize":  SpanOptimize,
-	"decompose": SpanDecompose,
-	"exec":      SpanExec,
-	"ship":      SpanShip,
-	"fetch":     SpanFetch,
-	"write":     SpanWrite,
-	"prepare":   SpanPrepare,
-	"commit":    SpanCommit,
-	"abort":     SpanAbort,
-	"retry":     SpanRetry,
-	"breaker":   SpanBreaker,
-	"remote":    SpanRemote,
-	"stream":    SpanStream,
-}
-
 // KindFromString parses a SpanKind name as produced by SpanKind.String.
 // Unknown names report false; callers stitching foreign subtrees fall
 // back to SpanRemote so an out-of-version peer still renders.
 func KindFromString(s string) (SpanKind, bool) {
-	k, ok := kindNames[s]
-	return k, ok
+	if k := slices.Index(kindNames[:], s); k >= 0 {
+		return SpanKind(k), true
+	}
+	return 0, false
 }
 
 // SpanFromData reconstructs a snapshot as an already-ended span

@@ -53,43 +53,32 @@ const (
 	SpanStream
 )
 
+// kindNames is each kind's name, indexed by kind: what String prints and
+// KindFromString reads back.
+var kindNames = [...]string{
+	SpanQuery:     "query",
+	SpanParse:     "parse",
+	SpanResolve:   "resolve",
+	SpanOptimize:  "optimize",
+	SpanDecompose: "decompose",
+	SpanExec:      "exec",
+	SpanShip:      "ship",
+	SpanFetch:     "fetch",
+	SpanWrite:     "write",
+	SpanPrepare:   "prepare",
+	SpanCommit:    "commit",
+	SpanAbort:     "abort",
+	SpanRetry:     "retry",
+	SpanBreaker:   "breaker",
+	SpanRemote:    "remote",
+	SpanStream:    "stream",
+}
+
 func (k SpanKind) String() string {
-	switch k {
-	case SpanQuery:
-		return "query"
-	case SpanParse:
-		return "parse"
-	case SpanResolve:
-		return "resolve"
-	case SpanOptimize:
-		return "optimize"
-	case SpanDecompose:
-		return "decompose"
-	case SpanExec:
-		return "exec"
-	case SpanShip:
-		return "ship"
-	case SpanFetch:
-		return "fetch"
-	case SpanWrite:
-		return "write"
-	case SpanPrepare:
-		return "prepare"
-	case SpanCommit:
-		return "commit"
-	case SpanAbort:
-		return "abort"
-	case SpanRetry:
-		return "retry"
-	case SpanBreaker:
-		return "breaker"
-	case SpanRemote:
-		return "remote"
-	case SpanStream:
-		return "stream"
-	default:
-		return fmt.Sprintf("SpanKind(%d)", uint8(k))
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("SpanKind(%d)", uint8(k))
 }
 
 // Attr is one key/value annotation on a span.

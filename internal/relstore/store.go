@@ -39,19 +39,6 @@ type Store struct {
 	// every write of a remote transaction).
 	catMu  sync.RWMutex
 	tables map[string]*table
-
-	// fail injects two-phase-commit failures for recovery tests.
-	fail FailPolicy
-}
-
-// FailPolicy injects failures into the transaction protocol.
-type FailPolicy struct {
-	// FailPrepare makes every Prepare vote abort.
-	FailPrepare bool
-	// FailCommitOnce makes the next Commit return an error once (the
-	// commit is still applied — simulating a lost ack, which 2PC must
-	// tolerate by retry/idempotence).
-	FailCommitOnce bool
 }
 
 type table struct {
@@ -78,8 +65,6 @@ type table struct {
 	live atomic.Int64
 	// hashIdx maps indexed column → value hash → row positions.
 	hashIdx map[int]map[uint64][]int
-	// statsCache is invalidated by writes.
-	statsCache *stats.TableStats
 }
 
 // chunkRows is how many rows a chunk holds: 4 080 B of row headers,
@@ -138,13 +123,6 @@ func (s *Store) ViewCopies() int64 {
 // New returns an empty store named name.
 func New(name string) *Store {
 	return &Store{name: name, tables: make(map[string]*table)}
-}
-
-// SetFailPolicy configures failure injection (tests only).
-func (s *Store) SetFailPolicy(p FailPolicy) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fail = p
 }
 
 // CreateTable registers a table. keyCols lists primary-key column
@@ -250,24 +228,25 @@ func (s *Store) Capabilities() source.Capabilities {
 	}
 }
 
-// Stats computes (and caches) optimizer statistics for a table.
+// Stats computes optimizer statistics for a table. It reads the table as
+// a full scan does: it borrows the chunks under the read lock
+// (table.view) and collects from them once the lock is gone, so no
+// writer waits out the sort.
 func (s *Store) Stats(name string) (*stats.TableStats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	t, err := s.lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	if t.statsCache == nil {
-		live := make([]types.Row, 0, t.live.Load())
-		for pos := 0; pos < t.n; pos++ {
-			if r := t.at(pos); r != nil {
-				live = append(live, r)
-			}
+	s.mu.RLock()
+	dir, n := t.view()
+	s.mu.RUnlock()
+	live := make([]types.Row, 0, n)
+	for pos := 0; pos < n; pos++ {
+		if r := dir[pos/chunkRows][pos%chunkRows]; r != nil {
+			live = append(live, r)
 		}
-		t.statsCache = stats.Collect(live, t.schema.Len())
 	}
-	return t.statsCache.Clone(), nil
+	return stats.Collect(live, t.schema.Len()), nil
 }
 
 // Insert implements source.Writer (autocommit).
@@ -325,7 +304,6 @@ func (t *table) insertLocked(r types.Row) int {
 		h := r[col].Hash(0)
 		idx[h] = append(idx[h], pos)
 	}
-	t.statsCache = nil
 	return pos
 }
 
@@ -338,7 +316,6 @@ func (t *table) deleteLocked(pos int) types.Row {
 	}
 	t.set(pos, nil)
 	t.live.Add(-1)
-	t.statsCache = nil
 	return old
 }
 
@@ -362,6 +339,5 @@ func (t *table) replaceLocked(pos int, r types.Row) types.Row {
 		}
 		idx[nh] = append(idx[nh], pos)
 	}
-	t.statsCache = nil
 	return old
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gis/internal/expr"
 	"gis/internal/source"
@@ -331,32 +332,68 @@ func TestUpdateRefusesDuplicateKey(t *testing.T) {
 	}
 }
 
-func TestFailureInjection(t *testing.T) {
+// TestCommitIsIdempotent: a coordinator whose commit acknowledgement was
+// lost commits again, and the second commit succeeds without applying
+// anything twice.
+func TestCommitIsIdempotent(t *testing.T) {
 	s := newTestStore(t)
-	s.SetFailPolicy(FailPolicy{FailPrepare: true})
 	tx, _ := s.BeginTx(ctx)
-	tx.Insert(ctx, "items", []types.Row{{types.NewInt(600), types.NewString("x"), types.NewFloat(1)}})
-	if err := tx.Prepare(ctx); err == nil {
-		t.Error("injected prepare failure missing")
-	}
-	tx.Abort(ctx)
-	s.SetFailPolicy(FailPolicy{FailCommitOnce: true})
-	tx2, _ := s.BeginTx(ctx)
-	tx2.Insert(ctx, "items", []types.Row{{types.NewInt(601), types.NewString("x"), types.NewFloat(1)}})
-	if err := tx2.Prepare(ctx); err != nil {
+	if _, err := tx.Insert(ctx, "items", []types.Row{{types.NewInt(601), types.NewString("x"), types.NewFloat(1)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx2.Commit(ctx); err == nil {
-		t.Error("injected commit ack loss missing")
+	if err := tx.Prepare(ctx); err != nil {
+		t.Fatal(err)
 	}
-	// Retry succeeds (idempotent commit) and the write is applied.
-	if err := tx2.Commit(ctx); err != nil {
-		t.Errorf("commit retry: %v", err)
+	for i := 0; i < 2; i++ {
+		if err := tx.Commit(ctx); err != nil {
+			t.Fatalf("commit %d: %v", i+1, err)
+		}
 	}
-	q := source.NewScan("items")
-	q.Filter = itemsPred(t, s, expr.NewBinary(expr.OpEq, expr.NewColRef("", "id"), expr.NewConst(types.NewInt(601))))
-	if rows := runQuery(t, s, q); len(rows) != 1 {
-		t.Error("commit with lost ack must still apply")
+	if info, _ := s.TableInfo(ctx, "items"); info.RowCount != 31 {
+		t.Errorf("rows after two commits of one insert = %d, want 31", info.RowCount)
+	}
+	if err := tx.Abort(ctx); err == nil {
+		t.Error("abort after commit must error")
+	}
+}
+
+// TestStatsDoesNotStallWriters: Stats sorts a borrowed view of the table
+// with no lock held, so an Insert issued while it runs returns first.
+func TestStatsDoesNotStallWriters(t *testing.T) {
+	const n, batch = 400_000, 10_000
+	s := New("big")
+	if err := s.CreateTable("t", types.NewSchema(
+		types.Column{Name: "a", Type: types.KindInt},
+		types.Column{Name: "b", Type: types.KindInt},
+		types.Column{Name: "v", Type: types.KindFloat},
+	)); err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < n; lo += batch {
+		rows := make([]types.Row, batch)
+		for i := range rows {
+			k := int64(lo + i)
+			rows[i] = types.Row{types.NewInt(k * 7919 % n), types.NewInt(k % 1000), types.NewFloat(float64(k) / 3)}
+		}
+		if _, err := s.Insert(ctx, "t", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	statsDone := make(chan time.Time, 1)
+	go func() {
+		if st, err := s.Stats("t"); err != nil || st.RowCount != n {
+			t.Errorf("stats: %v, %v", st, err)
+		}
+		statsDone <- time.Now()
+	}()
+	time.Sleep(5 * time.Millisecond)
+	start := time.Now()
+	if _, err := s.Insert(ctx, "t", []types.Row{{types.NewInt(-1), types.NewInt(0), types.NewFloat(0)}}); err != nil {
+		t.Fatal(err)
+	}
+	inserted := time.Now()
+	if done := <-statsDone; !inserted.Before(done) {
+		t.Errorf("an Insert issued beside Stats took %v and returned %v after it", inserted.Sub(start), inserted.Sub(done))
 	}
 }
 
@@ -372,7 +409,7 @@ func TestStatsCollectionAndInvalidation(t *testing.T) {
 	s.Delete(ctx, "items", itemsPred(t, s, expr.NewBinary(expr.OpLt, expr.NewColRef("", "id"), expr.NewConst(types.NewInt(10)))))
 	st, _ = s.Stats("items")
 	if st.RowCount != 20 {
-		t.Errorf("stats not invalidated: %d", st.RowCount)
+		t.Errorf("stats after deleting 10 of 30 rows count %d", st.RowCount)
 	}
 }
 

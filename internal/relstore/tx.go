@@ -189,10 +189,6 @@ func (tx *Tx) Prepare(context.Context) error {
 	if tx.state != txActive {
 		return fmt.Errorf("relstore %s: prepare in state %d", tx.s.name, tx.state)
 	}
-	failPrepare := tx.s.fail.FailPrepare
-	if failPrepare {
-		return fmt.Errorf("relstore %s: prepare refused (injected failure)", tx.s.name)
-	}
 	tx.state = txPrepared
 	return nil
 }
@@ -207,15 +203,6 @@ func (tx *Tx) Commit(context.Context) error {
 		return fmt.Errorf("relstore %s: commit after abort", tx.s.name)
 	default:
 		// Active or prepared: proceed with the commit below.
-	}
-	failOnce := tx.s.fail.FailCommitOnce
-	if failOnce {
-		tx.s.fail.FailCommitOnce = false
-		// The commit is applied — only the acknowledgement is lost.
-		tx.state = txCommitted
-		tx.undo = nil
-		tx.release()
-		return fmt.Errorf("relstore %s: commit ack lost (injected failure)", tx.s.name)
 	}
 	tx.state = txCommitted
 	tx.undo = nil
@@ -242,7 +229,6 @@ func (tx *Tx) Abort(context.Context) error {
 		case undoDelete:
 			u.t.set(u.pos, u.old)
 			u.t.live.Add(1)
-			u.t.statsCache = nil
 		case undoReplace:
 			u.t.replaceLocked(u.pos, u.old)
 		}

@@ -41,8 +41,8 @@ func rowCount(t *testing.T, s *relstore.Store) int64 {
 	return info.RowCount
 }
 
-// enlistWithWrite begins a participant tx on s and stages one insert.
-func enlistWithWrite(t *testing.T, g *GlobalTx, s *relstore.Store, id int64) {
+// staged begins a participant tx on s and stages one insert.
+func staged(t *testing.T, s *relstore.Store, id int64) source.Tx {
 	t.Helper()
 	tx, err := s.BeginTx(ctx)
 	if err != nil {
@@ -53,9 +53,39 @@ func enlistWithWrite(t *testing.T, g *GlobalTx, s *relstore.Store, id int64) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Enlist(s.Name(), tx); err != nil {
+	return tx
+}
+
+// enlistWithWrite enlists a participant tx on s with one insert staged.
+func enlistWithWrite(t *testing.T, g *GlobalTx, s *relstore.Store, id int64) {
+	t.Helper()
+	if err := g.Enlist(s.Name(), staged(t, s, id)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// faultyTx is a participant's transaction with a failure injected: its
+// vote is no, or its first commit is applied and then reported failed,
+// as when the acknowledgement is lost.
+type faultyTx struct {
+	source.Tx
+	voteNo, loseAck bool
+}
+
+func (f *faultyTx) Prepare(ctx context.Context) error {
+	if f.voteNo {
+		return errors.New("prepare refused (injected failure)")
+	}
+	return f.Tx.Prepare(ctx)
+}
+
+func (f *faultyTx) Commit(ctx context.Context) error {
+	err := f.Tx.Commit(ctx)
+	if err == nil && f.loseAck {
+		f.loseAck = false
+		return errors.New("commit ack lost (injected failure)")
+	}
+	return err
 }
 
 func TestTwoPhaseCommitSuccess(t *testing.T) {
@@ -81,11 +111,12 @@ func TestTwoPhaseCommitSuccess(t *testing.T) {
 
 func TestTwoPhaseCommitAbortOnVoteNo(t *testing.T) {
 	a, b := newStore(t, "A"), newStore(t, "B")
-	b.SetFailPolicy(relstore.FailPolicy{FailPrepare: true})
 	c := NewCoordinator()
 	g := c.Begin()
 	enlistWithWrite(t, g, a, 10)
-	enlistWithWrite(t, g, b, 10)
+	if err := g.Enlist(b.Name(), &faultyTx{Tx: staged(t, b, 10), voteNo: true}); err != nil {
+		t.Fatal(err)
+	}
 	err := g.Commit(ctx)
 	if err == nil {
 		t.Fatal("commit must fail when a participant votes no")
@@ -105,13 +136,18 @@ func TestTwoPhaseCommitAbortOnVoteNo(t *testing.T) {
 
 func TestTwoPhaseCommitRetriesLostAck(t *testing.T) {
 	a, b := newStore(t, "A"), newStore(t, "B")
-	b.SetFailPolicy(relstore.FailPolicy{FailCommitOnce: true})
 	c := NewCoordinator()
 	g := c.Begin()
 	enlistWithWrite(t, g, a, 10)
-	enlistWithWrite(t, g, b, 10)
+	lossy := &faultyTx{Tx: staged(t, b, 10), loseAck: true}
+	if err := g.Enlist(b.Name(), lossy); err != nil {
+		t.Fatal(err)
+	}
 	if err := g.Commit(ctx); err != nil {
 		t.Fatalf("lost ack must be absorbed by retry: %v", err)
+	}
+	if lossy.loseAck {
+		t.Error("the injected lost acknowledgement never happened")
 	}
 	if rowCount(t, a) != 2 || rowCount(t, b) != 2 {
 		t.Error("writes missing after retried commit")

@@ -147,6 +147,9 @@ func (c *Client) dial(ctx context.Context) (*frameConn, *helloReply, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wire: dial %s: %w", c.addr, ioErr(ctx, err))
 	}
+	if tc, ok := conn.(*net.TCPConn); ok {
+		_ = tc.SetReadBuffer(socketBuffer) // a kernel that refuses keeps its default: a larger bound, not a failure
+	}
 	fc := newFrameConn(conn, c.up, c.down)
 	fc.metrics = c.lm
 	fc.inj = c.inj
@@ -418,11 +421,6 @@ type streamIter struct {
 
 	// parent is the span a traced stream's remote subtree goes under.
 	parent *obs.Span
-
-	// pending counts msgRows frames consumed since the last credit
-	// grant. Granting at half the window keeps the server streaming
-	// while bounding its in-flight frames.
-	pending int
 }
 
 // Lend implements source.Lender.
@@ -497,15 +495,6 @@ func (it *streamIter) Next() (types.Row, error) {
 			it.slab = slab
 		}
 		it.pos = 0
-		if it.pending++; it.pending >= creditWindow/2 {
-			var ge Encoder
-			ge.Uvarint(uint64(it.pending))
-			if err := it.fc.writeFrame(it.ctx, msgCredit, ge.Bytes()); err != nil {
-				it.fail(err)
-				return nil, err
-			}
-			it.pending = 0
-		}
 		return it.Next()
 	default:
 		err := fmt.Errorf("wire: unexpected stream tag %d", tag)

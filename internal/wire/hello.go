@@ -32,15 +32,9 @@ import (
 // carries one conversation per connection — writes and 2PC messages
 // name no transaction — and the capability vector in the hello reply;
 // revision 4 opens msgExecute with one header and ends a result stream
-// with one frame, msgEnd carrying the footer (subquery.go).
-const helloVersion = 4
-
-// creditWindow is how many msgRows frames a result stream may have in
-// flight before the server needs a credit grant (see msgCredit). The
-// window trades stream throughput against peak per-stream buffering:
-// at 256 rows per frame, 32 frames keep ~8k rows in flight. The client
-// grants at half the window, which keeps the server streaming.
-const creditWindow = 32
+// with one frame, msgEnd carrying the footer (subquery.go); revision 5
+// has no credit grant: a result stream flows server → client only.
+const helloVersion = 5
 
 // hello is the decoded msgHello request.
 type hello struct {

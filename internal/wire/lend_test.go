@@ -230,8 +230,7 @@ func (discardConn) SetDeadline(time.Time) error { return nil }
 
 // The server's side of a shipped range — the store's Execute and
 // streamRows encoding what it is lent — allocates per statement, not per
-// row: the same over 2 048 rows and over 4 096 (under the credit window,
-// so no grant is awaited).
+// row: the same over 2 048 rows and over 4 096.
 func TestStreamRowsAllocsDoNotGrowWithRows(t *testing.T) {
 	const n = 2048
 	st, _ := startRelServer(t, 2*n)

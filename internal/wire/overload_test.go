@@ -21,50 +21,52 @@ import (
 	"gis/internal/types"
 )
 
-// --- handshake & credit flow ---------------------------------------
+// --- one-way result streams ----------------------------------------
 
-// creditCycleRows fills the credit window three times over, so a stream
-// of that many rows only completes if grants keep arriving.
-const creditCycleRows = 3 * creditWindow * rowBatchSize
+// longStreamRows is 96 frames of rows, several times what the socket
+// buffers hold, so a stream of that many only completes if the server
+// keeps writing as the consumer drains.
+const longStreamRows = 96 * rowBatchSize
 
-func TestCreditFlowStreamsCompletely(t *testing.T) {
-	_, cl := startRelServer(t, creditCycleRows)
+// TestStreamsCompleteRoundAfterRound: one pooled connection carries
+// three long streams in turn, each in protocol sync for the next.
+func TestStreamsCompleteRoundAfterRound(t *testing.T) {
+	_, cl := startRelServer(t, longStreamRows)
 	for round := 0; round < 3; round++ {
 		it, err := cl.Execute(ctx, source.NewScan("items"))
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		rows, err := source.Drain(it)
-		if err != nil || len(rows) != creditCycleRows {
+		if err != nil || len(rows) != longStreamRows {
 			t.Fatalf("round %d: %d rows, %v", round, len(rows), err)
 		}
 	}
 }
 
-func TestCreditFlowSlowConsumer(t *testing.T) {
-	_, cl := startRelServer(t, creditCycleRows)
+func TestSlowConsumerStreamsCompletely(t *testing.T) {
+	_, cl := startRelServer(t, longStreamRows)
 	it, err := cl.Execute(ctx, source.NewScan("items"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Consume with pauses: the server must stall on credits, not error.
+	// Consume with pauses: the server must stall in its writes, not error.
 	n := 0
 	for {
-		row, err := it.Next()
+		_, err := it.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatalf("row %d: %v", n, err)
 		}
-		_ = row
 		n++
-		if n%(creditWindow*rowBatchSize/2) == 0 {
+		if n%(16*rowBatchSize) == 0 {
 			time.Sleep(20 * time.Millisecond)
 		}
 	}
-	if n != creditCycleRows {
-		t.Fatalf("slow consumer got %d rows, want %d", n, creditCycleRows)
+	if n != longStreamRows {
+		t.Fatalf("slow consumer got %d rows, want %d", n, longStreamRows)
 	}
 }
 

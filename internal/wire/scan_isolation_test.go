@@ -19,7 +19,7 @@ import (
 // A scan reads the table as it stood when Execute returned, whatever is
 // written while it is being read (DESIGN.md "What a scan holds"). The
 // tests below hold every writing store to that, in process and behind a
-// wire server, whose stream stalls on its credit window with the scan
+// wire server, whose stream stalls on full socket buffers with the scan
 // half read while the writes go by on other connections.
 
 // scanTable is t(id INT key, grp INT, v FLOAT), as each store holds it;
@@ -79,9 +79,10 @@ var scanStores = []struct {
 	}},
 }
 
-// eachScanStore runs fn on every store of n rows, in process and served;
-// limit says whether src may be handed one.
-func eachScanStore(t *testing.T, n int, fn func(t *testing.T, limit bool, src source.Source)) {
+// eachScanStore runs fn on every store of n rows, in process and served
+// (srv is the server, nil in process); limit says whether src may be
+// handed one.
+func eachScanStore(t *testing.T, n int, fn func(t *testing.T, limit bool, src source.Source, srv *Server)) {
 	for _, st := range scanStores {
 		for _, served := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/%s", st.name, map[bool]string{false: "in_process", true: "wire"}[served]), func(t *testing.T) {
@@ -89,8 +90,9 @@ func eachScanStore(t *testing.T, n int, fn func(t *testing.T, limit bool, src so
 				if err != nil {
 					t.Fatal(err)
 				}
+				var srv *Server
 				if served {
-					srv, err := Serve(ctx, "127.0.0.1:0", src)
+					srv, err = Serve(ctx, "127.0.0.1:0", src)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -102,7 +104,7 @@ func eachScanStore(t *testing.T, n int, fn func(t *testing.T, limit bool, src so
 					defer cl.Close()
 					src = cl
 				}
-				fn(t, st.limit && (!served || src.Capabilities().Limit), src)
+				fn(t, st.limit && (!served || src.Capabilities().Limit), src, srv)
 			})
 		}
 	}
@@ -135,8 +137,8 @@ func sortedRows(rows []types.Row) []string {
 }
 
 func TestScanIsolation(t *testing.T) {
-	const n = 12000 // more than the 8 192 rows of a stream's credit window
-	eachScanStore(t, n, func(t *testing.T, _ bool, src source.Source) {
+	const n = 20000 // ≈ 300 KiB a stream, more than the socket buffers hold
+	eachScanStore(t, n, func(t *testing.T, _ bool, src source.Source, srv *Server) {
 		w := src.(source.Writer)
 		model := scanRows(0, n)
 		oracle := func(q *source.Query) []string {
@@ -178,6 +180,20 @@ func TestScanIsolation(t *testing.T) {
 		move := []source.SetClause{{Col: 1, Value: expr.NewConst(types.NewInt(77))}}
 		got, err := w.Insert(ctx, "t", scanRows(n, n+50))
 		must("insert", got, err, 50)
+		if srv != nil {
+			// The writes meet a scan half read: the server is still
+			// streaming the whole table to both its readers.
+			whole := source.NewScan("t").String()
+			streaming := 0
+			for _, q := range srv.Queries.Active() {
+				if q.SQL == whole {
+					streaming++
+				}
+			}
+			if streaming != 2 {
+				t.Errorf("%d whole-table streams in flight when the first write committed, want 2", streaming)
+			}
+		}
 		model = append(model, scanRows(n, n+50)...)
 		got, err = w.Update(ctx, "t", grpIs(2), bump)
 		must("update", got, err, (n+50)/10)
@@ -281,7 +297,7 @@ func TestRaceStressScansDuringWrites(t *testing.T) {
 		rounds   = 25
 		scanners = 4
 	)
-	eachScanStore(t, n, func(t *testing.T, limit bool, src source.Source) {
+	eachScanStore(t, n, func(t *testing.T, limit bool, src source.Source, _ *Server) {
 		w := src.(source.Writer)
 		setV := func(m int) []source.SetClause {
 			return []source.SetClause{{Col: 2, Value: expr.NewConst(types.NewFloat(float64(m)))}}

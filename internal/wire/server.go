@@ -179,6 +179,9 @@ func (s *Server) acceptLoop(ctx context.Context) {
 		if err != nil {
 			return
 		}
+		if tc, ok := conn.(*net.TCPConn); ok {
+			_ = tc.SetWriteBuffer(socketBuffer) // a kernel that refuses keeps its default: a larger bound, not a failure
+		}
 		busy := new(atomic.Bool)
 		s.mu.Lock()
 		if s.closed.Load() {
@@ -269,18 +272,12 @@ func reject(ctx context.Context, fc *frameConn, err error) error {
 }
 
 func (s *Server) handle(ctx context.Context, fc *frameConn, st *connState, tag byte, payload []byte) error {
-	// Handshake and flow-control frames bypass the fault injector: they
-	// are connection plumbing, not operations, and their arrival depends
-	// on pool reuse and batch timing — routing them through the injector
-	// would make seeded fault sequences non-reproducible.
-	switch tag {
-	case msgHello:
+	// The handshake bypasses the fault injector: it is connection
+	// plumbing, not an operation, and when it happens depends on pool
+	// reuse — routing it through the injector would make seeded fault
+	// sequences non-reproducible.
+	if tag == msgHello {
 		return s.handleHello(ctx, fc, st, payload)
-	case msgCredit:
-		// A stale grant from a stream that already ended; the credit it
-		// carries is void. Ignoring it here keeps pooled connections in
-		// protocol sync.
-		return nil
 	}
 	if !st.hello {
 		return reject(ctx, fc, fmt.Errorf("wire: request tag %d before hello", tag))
@@ -518,12 +515,11 @@ func (s *Server) streamQuery(ctx context.Context, fc *frameConn, q *source.Query
 // with msgEnd, whose payload is the finished subtree of root, the
 // sub-query's remote span (see footer; nil and empty when untraced).
 //
-// Each msgRows frame spends one credit of the stream's window; at zero
-// the server blocks reading msgCredit grants instead of buffering
-// ahead, so a slow consumer stalls this stream rather than ballooning
-// server memory. A context deadline (propagated or local) is reported
-// to the client as a clean in-stream error: the connection survives,
-// the stream does not.
+// A consumer that stops reading stalls the stream in its next frame
+// write once the socket buffers are full (socketBuffer), and that write
+// observes the stream context's deadline (frameConn.arm). A deadline
+// that fires between frames is reported to the client as a clean
+// in-stream error: the connection survives, the stream does not.
 //
 // A frame is cut at rowBatchSize rows, or before the row that would push
 // its payload past the peer's frame bound (fc.wlimit), which then starts
@@ -537,16 +533,6 @@ func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIte
 	source.Lend(it)
 	var e Encoder
 	batch, rows := 0, int64(0)
-	credit := creditWindow
-	sendBatch := func(n int) error {
-		if credit == 0 {
-			if err := awaitCredit(ctx, fc, &credit); err != nil {
-				return err
-			}
-		}
-		credit--
-		return fc.writeFrame(ctx, msgRows, e.endRows(0, n))
-	}
 	// cut sends a frame mid-stream. Mid-stream fault point: a transient
 	// injection aborts just this stream, a drop severs the connection
 	// with rows in flight.
@@ -557,7 +543,7 @@ func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIte
 			}
 			return err
 		}
-		return sendBatch(n)
+		return fc.writeFrame(ctx, msgRows, e.endRows(0, n))
 	}
 	for {
 		if err := ctx.Err(); err != nil {
@@ -613,7 +599,7 @@ func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIte
 		}
 	}
 	if batch > 0 {
-		if err := sendBatch(batch); err != nil {
+		if err := fc.writeFrame(ctx, msgRows, e.endRows(0, batch)); err != nil {
 			return err
 		}
 	}
@@ -621,32 +607,6 @@ func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIte
 	ssp.End()
 	root.End()
 	return fc.writeFrame(ctx, msgEnd, footer(root.Data(), fc.wlimit))
-}
-
-// awaitCredit blocks until the client grants more stream credit,
-// accumulating grants into credit. The read is bounded by the stream
-// context's deadline (readFrame arms it on the socket, so a blocked
-// read observes it); a client that abandons the stream closes its
-// connection, which surfaces here as a read error.
-func awaitCredit(ctx context.Context, fc *frameConn, credit *int) error {
-	for *credit == 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		tag, payload, err := fc.readFrame(ctx)
-		if err != nil {
-			return err
-		}
-		if tag != msgCredit {
-			return fmt.Errorf("wire: expected credit grant mid-stream, got tag %d", tag)
-		}
-		n, err := NewDecoder(payload).Uvarint()
-		if err != nil {
-			return err
-		}
-		*credit += int(n)
-	}
-	return nil
 }
 
 // write applies a decoded write request through the transaction open on

@@ -42,16 +42,18 @@ const (
 	// tenant and frame-size bound; the server answers msgOK with its own
 	// bound and the source's capability vector (see hello.go).
 	msgHello
-	// msgCredit is the client→server flow-control grant on a result
-	// stream: its payload is a uvarint count of additional msgRows
-	// frames the server may send. The server stops streaming when the
-	// window (creditWindow) is exhausted, so a slow consumer stalls the
-	// producer instead of ballooning server memory.
-	msgCredit
 )
 
 // rowBatchSize is how many rows travel per msgRows frame.
 const rowBatchSize = 256
+
+// socketBuffer is the kernel buffer on each end of a result stream's
+// path: the write buffer of every accepted connection and the read
+// buffer of every dialed one. After msgOK a stream flows server → client
+// only, and TCP's own backpressure is its flow control: a consumer that
+// stops reading stalls the server's next write once these two buffers
+// are full, so what it leaves in flight is bounded in bytes.
+const socketBuffer = 32 << 10
 
 // classOfTag maps request tags to fault-injection op classes, which
 // mirror retry semantics: reads are idempotent, writes and 2PC messages

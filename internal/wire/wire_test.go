@@ -19,6 +19,24 @@ var ctx = context.Background()
 // client (both cleaned up with the test).
 func startRelServer(t testing.TB, n int, opts ...Option) (*relstore.Store, *Client) {
 	t.Helper()
+	st := itemsStore(t, n)
+	srv, err := Serve(context.Background(), "127.0.0.1:0", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cl, err := DialContext(ctx, srv.Addr(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return st, cl
+}
+
+// itemsStore is a relstore holding items(id INT key, cat STRING, val
+// FLOAT) with n rows.
+func itemsStore(t testing.TB, n int) *relstore.Store {
+	t.Helper()
 	st := relstore.New("remote1")
 	schema := types.NewSchema(
 		types.Column{Name: "id", Type: types.KindInt},
@@ -39,17 +57,7 @@ func startRelServer(t testing.TB, n int, opts ...Option) (*relstore.Store, *Clie
 	if _, err := st.Insert(ctx, "items", rows); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve(context.Background(), "127.0.0.1:0", st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	cl, err := DialContext(ctx, srv.Addr(), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return st, cl
+	return st
 }
 
 func TestRemoteMetadata(t *testing.T) {
