@@ -1,7 +1,7 @@
 // Package admission is the mediator's overload-protection front end:
 // every top-level query passes through a Controller before planning.
 // The controller enforces a global in-flight cap with queue-with-
-// deadline semantics, weighted-fair per-tenant token buckets, and a
+// deadline semantics, per-tenant token buckets, and a
 // per-tenant memory quota over result-stream bytes. Over-limit queries
 // wait up to their deadline and are then shed with a typed
 // *OverloadError (errors.Is-matchable via ErrOverload, with a
@@ -38,9 +38,6 @@ type Config struct {
 	// max(1, TenantRate)). 0 = no per-tenant rate limit.
 	TenantRate  float64
 	TenantBurst float64
-	// Weights scales a tenant's rate and burst (weighted fairness);
-	// missing tenants weigh 1.
-	Weights map[string]float64
 	// MemQuota bounds the result-stream bytes a tenant's in-flight
 	// sessions may hold in aggregate. Exceeding it aborts the tenant's
 	// largest session (never the process). 0 = unlimited.
@@ -82,8 +79,6 @@ type tenantState struct {
 	name   string
 	tokens float64 // may go negative: reservations queue on the bucket
 	last   time.Time
-	rate   float64
-	burst  float64
 
 	bytes atomic.Int64
 	// holds counts the tenant's queries between Admit's look-up and
@@ -129,8 +124,9 @@ func New(cfg Config) *Controller {
 // idle reports whether forgetting t loses nothing: no query of the
 // tenant is admitted or on its way in, and its bucket has refilled — a
 // fresh bucket is a full one. Caller holds c.mu.
-func (t *tenantState) idle(now time.Time) bool {
-	return t.holds == 0 && (t.rate <= 0 || t.tokens+now.Sub(t.last).Seconds()*t.rate >= t.burst)
+func (c *Controller) idle(t *tenantState, now time.Time) bool {
+	rate := c.cfg.TenantRate
+	return t.holds == 0 && (rate <= 0 || t.tokens+now.Sub(t.last).Seconds()*rate >= c.cfg.TenantBurst)
 }
 
 // hold looks tenant name up for one query, making its state on first
@@ -143,15 +139,9 @@ func (t *tenantState) idle(now time.Time) bool {
 func (c *Controller) hold(name string, now time.Time) *tenantState {
 	t, ok := c.tenants[name]
 	if !ok {
-		w := 1.0
-		if cw, ok := c.cfg.Weights[name]; ok && cw > 0 {
-			w = cw
-		}
 		t = &tenantState{
 			name:     name,
-			rate:     c.cfg.TenantRate * w,
-			burst:    c.cfg.TenantBurst * w,
-			tokens:   c.cfg.TenantBurst * w,
+			tokens:   c.cfg.TenantBurst,
 			last:     now,
 			sessions: make(map[*Session]struct{}),
 		}
@@ -160,7 +150,7 @@ func (c *Controller) hold(name string, now time.Time) *tenantState {
 	t.holds++
 	seen := 0
 	for other, o := range c.tenants {
-		if o.idle(now) {
+		if c.idle(o, now) {
 			delete(c.tenants, other)
 		}
 		if seen++; seen == 2 {
@@ -175,20 +165,18 @@ func (c *Controller) hold(name string, now time.Time) *tenantState {
 // was available). Caller holds c.mu. The bucket may go negative — that
 // is the queue — but the caller sheds (and calls unreserve) when the
 // wait exceeds its deadline.
-func (t *tenantState) reserveToken(now time.Time) time.Duration {
-	if t.rate <= 0 {
+func (c *Controller) reserveToken(t *tenantState, now time.Time) time.Duration {
+	rate := c.cfg.TenantRate
+	if rate <= 0 {
 		return 0
 	}
-	t.tokens += now.Sub(t.last).Seconds() * t.rate
-	if t.tokens > t.burst {
-		t.tokens = t.burst
-	}
+	t.tokens = min(t.tokens+now.Sub(t.last).Seconds()*rate, c.cfg.TenantBurst)
 	t.last = now
 	t.tokens--
 	if t.tokens >= 0 {
 		return 0
 	}
-	return time.Duration(-t.tokens / t.rate * float64(time.Second))
+	return time.Duration(-t.tokens / rate * float64(time.Second))
 }
 
 // unreserve returns a reserved token after a shed decision.
@@ -218,10 +206,10 @@ func (c *Controller) Admit(ctx context.Context, tenant string) (context.Context,
 	}
 	degraded := c.cfg.Degraded != nil && c.cfg.Degraded()
 
-	// Per-tenant token bucket (weighted-fair rate limiting).
+	// Per-tenant token bucket.
 	c.mu.Lock()
 	t := c.hold(tenant, now)
-	wait := t.reserveToken(now)
+	wait := c.reserveToken(t, now)
 	if wait > 0 && (degraded || wait > maxWait) {
 		t.unreserve()
 		c.mu.Unlock()

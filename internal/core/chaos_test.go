@@ -24,25 +24,48 @@ import (
 
 // failSource answers metadata normally but fails every Execute: the
 // deterministic stand-in for a component system that is reachable but
-// cannot serve data.
+// cannot serve data. With rows set, a sub-query delivers them before it
+// fails; caps is what it advertises.
 type failSource struct {
 	name   string
 	tables []string
 	schema *types.Schema
 	err    error
+	rows   []types.Row
+	caps   source.Capabilities
 	execs  atomic.Int64
 }
 
 func (f *failSource) Name() string                             { return f.name }
-func (f *failSource) Capabilities() source.Capabilities        { return source.Capabilities{} }
+func (f *failSource) Capabilities() source.Capabilities        { return f.caps }
 func (f *failSource) Tables(context.Context) ([]string, error) { return f.tables, nil }
 func (f *failSource) TableInfo(_ context.Context, table string) (*source.TableInfo, error) {
 	return &source.TableInfo{Schema: f.schema, RowCount: -1}, nil
 }
 func (f *failSource) Execute(context.Context, *source.Query) (source.RowIter, error) {
 	f.execs.Add(1)
-	return nil, f.err
+	if f.rows == nil {
+		return nil, f.err
+	}
+	return &failingIter{rows: f.rows, err: f.err}, nil
 }
+
+// failingIter delivers its rows, then fails with err.
+type failingIter struct {
+	rows []types.Row
+	err  error
+}
+
+func (it *failingIter) Next() (types.Row, error) {
+	if len(it.rows) == 0 {
+		return nil, it.err
+	}
+	r := it.rows[0]
+	it.rows = it.rows[1:]
+	return r, nil
+}
+
+func (it *failingIter) Close() error { return nil }
 
 var eventsSchema = types.NewSchema(
 	types.Column{Name: "id", Type: types.KindInt},
@@ -91,8 +114,11 @@ func newDegradedUnion(t *testing.T, policy *resilience.Policy, partial bool) (*E
 }
 
 // TestPartialResultUnion pins the degradation contract without any
-// randomness: a failed non-essential union branch yields the healthy
-// branch's rows plus a typed PartialResultError naming the lost source.
+// randomness: a failed non-essential branch yields the healthy branch's
+// rows plus a typed PartialResultError naming the lost source — for a
+// union, and for a key-shipped join's right side, which is merged the
+// same way. The failing fragment delivers one row before it fails: the
+// row stays, and its outcome counts it.
 func TestPartialResultUnion(t *testing.T) {
 	for _, parallel := range []bool{true, false} {
 		name := "sequential"
@@ -100,26 +126,90 @@ func TestPartialResultUnion(t *testing.T) {
 			name = "parallel"
 		}
 		t.Run(name, func(t *testing.T) {
-			e, _ := newDegradedUnion(t, nil, true)
-			e.PlanOptions().ParallelFragments = parallel
-			res, err := e.Query(ctx, "SELECT id FROM events")
-			if err != nil {
-				t.Fatalf("degradable query failed hard: %v", err)
-			}
-			if len(res.Rows) != 3 {
-				t.Errorf("rows = %d, want 3 from the healthy fragment", len(res.Rows))
-			}
-			if res.Partial == nil {
-				t.Fatal("Result.Partial not set for a degraded query")
-			}
-			failed := res.Partial.Failed()
-			if len(failed) != 1 || failed[0].Source != "bad" || failed[0].Op != "union" {
-				t.Errorf("Failed = %+v, want one union failure on source bad", failed)
-			}
-			if res.Partial.AllFailed() {
-				t.Error("AllFailed despite a healthy branch")
+			for _, op := range []string{"union", "semijoin"} {
+				t.Run(op, func(t *testing.T) {
+					e, bad := newDegradedUnion(t, nil, true)
+					e.PlanOptions().ParallelFragments = parallel
+					bad.rows = []types.Row{{types.NewInt(4), types.NewFloat(4)}}
+					q := "SELECT id FROM events"
+					if op == "semijoin" {
+						// Keys are shipped only to a source that filters.
+						bad.caps = source.Capabilities{Filter: source.FilterFull}
+						crm, custs := relstore.New("crm"), types.NewSchema(types.Column{Name: "id", Type: types.KindInt})
+						if err := crm.CreateTable("custs", custs, 0); err != nil {
+							t.Fatal(err)
+						}
+						mustInsert(t, crm, "custs", []types.Row{{types.NewInt(1)}, {types.NewInt(2)}, {types.NewInt(3)}, {types.NewInt(4)}})
+						cat := e.Catalog()
+						if err := cat.AddSource(crm); err != nil {
+							t.Fatal(err)
+						}
+						if err := cat.DefineTable("custs", custs); err != nil {
+							t.Fatal(err)
+						}
+						if err := cat.MapSimple(ctx, "custs", "crm", "custs"); err != nil {
+							t.Fatal(err)
+						}
+						e.PlanOptions().ForceStrategy = plan.StrategySemiJoin
+						e.PlanOptions().JoinOrder = plan.OrderSyntactic
+						q = "SELECT e.id FROM custs c JOIN events e ON c.id = e.id"
+						if text, err := e.Explain(ctx, q); err != nil || !strings.Contains(text, "strategy=semijoin") {
+							t.Fatalf("the join does not ship keys (%v):\n%s", err, text)
+						}
+					}
+					res, err := e.Query(ctx, q)
+					if err != nil {
+						t.Fatalf("degradable query failed hard: %v", err)
+					}
+					if len(res.Rows) != 4 {
+						t.Errorf("rows = %d, want 3 from the healthy fragment and 1 from the failed one", len(res.Rows))
+					}
+					if res.Partial == nil {
+						t.Fatal("Result.Partial not set for a degraded query")
+					}
+					failed := res.Partial.Failed()
+					if len(failed) != 1 || failed[0].Source != "bad" || failed[0].Op != op || failed[0].Rows != 1 {
+						t.Errorf("Failed = %+v, want one %s failure on source bad that delivered 1 row", failed, op)
+					}
+					if res.Partial.AllFailed() {
+						t.Error("AllFailed despite a healthy branch")
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestStreamedPartialResultIsCounted: a degraded answer counts in
+// core.partial_queries and marks the statement's span whether it is
+// materialized or streamed.
+func TestStreamedPartialResultIsCounted(t *testing.T) {
+	e, _ := newDegradedUnion(t, nil, true)
+	counter := obs.Default().Counter("core.partial_queries")
+	for _, streamed := range []bool{false, true} {
+		before := counter.Value()
+		tr := obs.NewTrace("partial")
+		tctx := obs.WithTrace(ctx, tr)
+		if streamed {
+			_, it, err := e.QueryIter(tctx, "SELECT id FROM events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := source.Drain(it)
+			if err != nil || len(rows) != 3 {
+				t.Fatalf("streamed: %d rows, %v", len(rows), err)
+			}
+		} else if res, err := e.Query(tctx, "SELECT id FROM events"); err != nil || res.Partial == nil {
+			t.Fatalf("materialized: %v, result %+v", err, res)
+		}
+		if d := counter.Value() - before; d != 1 {
+			t.Errorf("streamed %v: core.partial_queries rose by %d, want 1", streamed, d)
+		}
+		if spans := tr.FindAll(obs.SpanQuery); len(spans) != 1 {
+			t.Errorf("streamed %v: %d query spans", streamed, len(spans))
+		} else if _, ok := spans[0].Attr("partial"); !ok {
+			t.Errorf("streamed %v: the query span does not say the answer is partial", streamed)
+		}
 	}
 }
 
@@ -388,7 +478,7 @@ func TestChaosParallelUnion(t *testing.T) {
 
 // TestChaosBindJoin drives the key-shipped join (the semijoin) under the same
 // seeded plan: a lost fragment degrades to the surviving fragment's
-// matches, atomically per fragment.
+// matches and what the lost one delivered before it failed.
 func TestChaosBindJoin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos stress test")

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -168,8 +169,8 @@ func (e *Engine) PlanOptions() *plan.Options { return e.opts }
 
 // Result is a materialized query result. Partial, set only when the
 // engine runs with partial results enabled, describes source branches
-// that failed and were degraded to empty contributions; it is nil for a
-// complete result.
+// that failed, with the rows each delivered before it did; it is nil for
+// a complete result.
 type Result struct {
 	Columns []string
 	Schema  *types.Schema
@@ -270,10 +271,7 @@ func (e *Engine) QueryIter(ctx context.Context, text string, params ...types.Val
 	if err != nil {
 		return nil, nil, err
 	}
-	var outc *resilience.Outcomes
-	if e.partial.Load() && resilience.OutcomesFrom(ctx) == nil {
-		ctx, outc = resilience.WithOutcomes(ctx)
-	}
+	ctx, outc := e.degradable(ctx)
 	_, pspan := obs.StartSpan(ctx, obs.SpanParse, "")
 	sel, err := sql.ParseSelect(text, params...)
 	pspan.End()
@@ -293,23 +291,21 @@ func (e *Engine) QueryIter(ctx context.Context, text string, params ...types.Val
 }
 
 // finishIter completes a streamed statement's instrumentation when the
-// consumer closes the stream, and carries the degradation collector for
-// streamed partial results.
+// consumer closes the stream, and judges a streamed partial result.
 type finishIter struct {
-	ctx  context.Context
-	in   source.RowIter
-	fn   func(error) error
-	outc *resilience.Outcomes
-	done bool
+	ctx     context.Context
+	in      source.RowIter
+	fn      func(error) error
+	outc    *resilience.Outcomes
+	verdict error
+	done    bool
 }
 
 func (f *finishIter) Next() (types.Row, error) {
 	r, err := f.in.Next()
 	if err == io.EOF {
-		// A stream where every fan-out branch degraded answered nothing;
-		// surface that as the failure it is rather than an empty result.
-		if pre := f.outc.Partial(); pre != nil && pre.AllFailed() {
-			return nil, pre
+		if verr := f.judge(); verr != nil {
+			return nil, verr
 		}
 	} else if err != nil {
 		// A memory-quota abort cancels the stream's context; surface the
@@ -319,27 +315,58 @@ func (f *finishIter) Next() (types.Row, error) {
 	return r, err
 }
 
+// judge judges the statement's outcomes the first time it is called: at
+// the end of the stream, or when the stream is closed before it.
+func (f *finishIter) judge() error {
+	if f.outc != nil {
+		_, f.verdict = judgePartial(f.ctx, f.outc)
+		f.outc = nil
+	}
+	return f.verdict
+}
+
 func (f *finishIter) Close() error {
 	err := f.in.Close()
 	if !f.done {
 		f.done = true
-		if pre := f.outc.Partial(); pre != nil {
-			obs.CurrentSpan(f.ctx).SetAttr("partial", pre.Error())
-		}
-		err = f.fn(err)
+		err = f.fn(cmp.Or(err, f.judge()))
 	}
 	return err
 }
 
-func (e *Engine) runSelect(ctx context.Context, sel *sql.SelectStmt) (*Result, error) {
-	// Arm the degradation collector once per top-level statement: nested
-	// runSelect calls (subqueries) find it already in the context and
-	// record into it, so a degraded subquery surfaces on the outer
-	// statement's result instead of vanishing with the inner one.
-	var outc *resilience.Outcomes
-	if e.partial.Load() && resilience.OutcomesFrom(ctx) == nil {
-		ctx, outc = resilience.WithOutcomes(ctx)
+// degradable arms the partial-result collector for a top-level SELECT
+// when the engine allows degradation. A nested statement (a subquery)
+// finds the outer one's collector in its context and records into it, so
+// a degraded subquery surfaces on the outer statement's result; it gets
+// a nil collector, and so judges nothing.
+func (e *Engine) degradable(ctx context.Context) (context.Context, *resilience.Outcomes) {
+	if !e.partial.Load() || resilience.OutcomesFrom(ctx) != nil {
+		return ctx, nil
 	}
+	return resilience.WithOutcomes(ctx)
+}
+
+// judgePartial is the one verdict on a statement's recorded outcomes,
+// materialized or streamed. When some source branch failed and another
+// answered, the answer is degraded: it returns the typed error to carry
+// beside the rows, marks the statement's span and counts it. When every
+// branch failed nothing answered, and the typed error is the statement's
+// error. A complete answer, or a nil collector, has neither.
+func judgePartial(ctx context.Context, outc *resilience.Outcomes) (partial *resilience.PartialResultError, err error) {
+	pre := outc.Partial()
+	if pre == nil {
+		return nil, nil
+	}
+	if pre.AllFailed() {
+		return nil, pre
+	}
+	mPartialQueries.Inc()
+	obs.CurrentSpan(ctx).SetAttr("partial", pre.Error())
+	return pre, nil
+}
+
+func (e *Engine) runSelect(ctx context.Context, sel *sql.SelectStmt) (*Result, error) {
+	ctx, outc := e.degradable(ctx)
 	p, err := e.planSelect(ctx, sel)
 	if err != nil {
 		return nil, err
@@ -353,17 +380,11 @@ func (e *Engine) runSelect(ctx context.Context, sel *sql.SelectStmt) (*Result, e
 	for i, c := range schema.Columns {
 		cols[i] = c.Name
 	}
-	res := &Result{Columns: cols, Schema: schema, Rows: rows}
-	if pre := outc.Partial(); pre != nil {
-		if pre.AllFailed() {
-			// Nothing answered: that is a failed query, not a result.
-			return nil, pre
-		}
-		mPartialQueries.Inc()
-		res.Partial = pre
-		obs.CurrentSpan(ctx).SetAttr("partial", pre.Error())
+	partial, err := judgePartial(ctx, outc)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &Result{Columns: cols, Schema: schema, Rows: rows, Partial: partial}, nil
 }
 
 // planSelect materializes subqueries and produces an optimized plan.

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 	"testing"
 
 	"gis/internal/catalog"
 	"gis/internal/expr"
 	"gis/internal/obs"
 	"gis/internal/plan"
+	"gis/internal/relstore"
 	"gis/internal/source"
 	"gis/internal/sql"
 	"gis/internal/types"
@@ -222,6 +224,57 @@ func BenchmarkUnion(b *testing.B) {
 			benchmarkCollect(b, &plan.Union{All: true, Parallel: parallel, Inputs: inputs}, 10000)
 		})
 	}
+}
+
+// BenchmarkKeyShippedJoin ships the 200 keys of a local table to a
+// four-fragment union of in-process relstores (1 000 rows each, the keys
+// spread over all four) and joins the 200 rows that come back: what is
+// measured is the left side's scan, the fan-out of the keys, the four
+// sub-queries and the join.
+func BenchmarkKeyShippedJoin(b *testing.B) {
+	must := func(err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	cat := catalog.New()
+	schema := types.NewSchema(intCol("id"), intCol("v"))
+	left := relstore.New("left")
+	must(left.CreateTable("keys", schema, 0))
+	keys := make([]types.Row, 200)
+	for i := range keys {
+		keys[i] = types.Row{types.NewInt(int64(i * 20)), types.NewInt(int64(i))}
+	}
+	_, err := left.Insert(context.Background(), "keys", keys)
+	must(err)
+	must(cat.AddSource(left))
+	must(cat.DefineTable("keys", schema))
+	must(cat.MapSimple(context.Background(), "keys", "left", "keys"))
+	must(cat.DefineTable("facts", schema))
+	for f := 0; f < 4; f++ {
+		st := relstore.New("f" + strconv.Itoa(f))
+		must(st.CreateTable("facts", schema, 0))
+		rows := make([]types.Row, 1000) // ids f, f+4, f+8, ...
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(int64(4*i + f)), types.NewInt(int64(i))}
+		}
+		_, err := st.Insert(context.Background(), "facts", rows)
+		must(err)
+		must(cat.AddSource(st))
+		must(cat.MapSimple(context.Background(), "facts", st.Name(), "facts"))
+	}
+	sel, err := sql.ParseSelect("SELECT k.v, f.v FROM keys k JOIN facts f ON k.id = f.id")
+	must(err)
+	logical, err := plan.NewBuilder(cat).BuildSelect(sel)
+	must(err)
+	opts := plan.DefaultOptions()
+	opts.ForceStrategy, opts.JoinOrder = plan.StrategySemiJoin, plan.OrderSyntactic
+	p, err := plan.Optimize(context.Background(), logical, cat, opts)
+	must(err)
+	if text := plan.Explain(p); !strings.Contains(text, "strategy=semijoin") || strings.Count(text, "FragScan f") != 4 {
+		b.Fatalf("not a key-shipped join over four fragments:\n%s", text)
+	}
+	benchmarkCollect(b, p, 200)
 }
 
 // refSource is the reference source: it holds rows, advertises caps,

@@ -173,7 +173,7 @@ func run(ctx context.Context, n plan.Node, lent bool) (source.RowIter, error) {
 		return &limitIter{in: in, remaining: t.N, offset: t.Offset}, nil
 
 	case *plan.Union:
-		return runUnion(ctx, t), nil
+		return runMerge(ctx, t.Inputs, nil, t.Parallel), nil
 
 	case *plan.Values:
 		// Every row is carved from one array cut to size, each with a
@@ -334,27 +334,32 @@ func (l *limitIter) Next() (types.Row, error) {
 
 func (l *limitIter) Close() error { return l.in.Close() }
 
-// ---- union ----
+// ---- union: the one merge ----
 
-// runUnion merges its inputs' rows through one channel, in which rows
-// wait: the inputs keep. With u.Parallel a goroutine runs each input and
-// rows arrive as they come (order across inputs is unspecified, as for
-// UNION ALL); without it one goroutine runs the inputs in plan order,
-// one open at a time, and rows arrive in that order.
-func runUnion(ctx context.Context, u *plan.Union) source.RowIter {
+// runMerge merges its inputs' rows through one channel, in which rows
+// wait: the inputs keep. It is exec's one fan-out: a union's, and a
+// key-shipped join's right side. keys is nil for a union; otherwise
+// every input is a fragment scan and keys[i] the predicate over its
+// remote table that ships a chunk of join keys to input i.
+//
+// Consecutive inputs over one node — a fragment's key chunks — are one
+// branch, run in turn. With parallel a goroutine runs each branch and
+// rows arrive as they come (order across branches is unspecified, as for
+// UNION ALL); without it one goroutine runs the branches in plan order,
+// one input open at a time, and rows arrive in that order.
+func runMerge(ctx context.Context, inputs []plan.Node, keys []expr.Expr, parallel bool) source.RowIter {
 	cctx, cancel := context.WithCancel(ctx)
 	// 64 rows let a fetcher run ahead of the consumer without a hand-off
-	// per row, and bound what the union holds for a consumer that stalls.
-	m := &mergeIter{ctx: cctx, cancel: cancel, outc: resilience.OutcomesFrom(ctx), ch: make(chan rowOrErr, 64)}
+	// per row, and bound what the merge holds for a consumer that stalls.
+	m := &mergeIter{ctx: cctx, cancel: cancel, outc: resilience.OutcomesFrom(ctx), inputs: inputs, keys: keys, ch: make(chan rowOrErr, 64)}
 	var wg sync.WaitGroup
-	if u.Parallel {
-		wg.Add(len(u.Inputs))
-		for i := range u.Inputs {
-			go m.fetch(&wg, u.Inputs[i:i+1])
+	for lo, hi := 0, 0; lo < len(inputs); lo = hi {
+		hi = len(inputs)
+		if parallel {
+			hi = m.branchEnd(lo)
 		}
-	} else {
 		wg.Add(1)
-		go m.fetch(&wg, u.Inputs)
+		go m.fetch(&wg, lo, hi)
 	}
 	go func() {
 		wg.Wait()
@@ -363,70 +368,96 @@ func runUnion(ctx context.Context, u *plan.Union) source.RowIter {
 	return m
 }
 
-// rowOrErr carries one row (or a terminal error) through a union's
-// merge channel.
+// rowOrErr carries one row (or a terminal error) through the merge
+// channel.
 type rowOrErr struct {
 	row types.Row
 	err error
 }
 
 type mergeIter struct {
-	// ctx is the union's own: it covers the query's deadline and an
-	// early Close or failure of the union.
+	// ctx is the merge's own: it covers the query's deadline and an
+	// early Close or failure of the merge.
 	ctx    context.Context
 	cancel context.CancelFunc
 	outc   *resilience.Outcomes
+	inputs []plan.Node
+	keys   []expr.Expr
 	ch     chan rowOrErr
 	failed bool
 }
 
-// fetch runs inputs one after another, until one fails the union.
-func (m *mergeIter) fetch(wg *sync.WaitGroup, inputs []plan.Node) {
+// branchEnd is the end of the branch that starts at input lo.
+func (m *mergeIter) branchEnd(lo int) int {
+	hi := lo + 1
+	for hi < len(m.inputs) && m.inputs[hi] == m.inputs[lo] {
+		hi++
+	}
+	return hi
+}
+
+// fetch runs the branches of inputs[lo:hi] one after another, each one's
+// inputs in turn until one fails. A failed branch is recorded as a
+// partial outcome when the engine armed a collector and the merge is
+// still live, and the rows it delivered stay (UNION ALL semantics make
+// that well-defined); otherwise its error fails the merge.
+func (m *mergeIter) fetch(wg *sync.WaitGroup, lo, hi int) {
 	defer wg.Done()
-	for _, n := range inputs {
-		if !m.input(n) {
+	for end := lo; lo < hi; lo = end {
+		end = m.branchEnd(lo)
+		var rows int64
+		var err error
+		for i := lo; i < end && err == nil; i++ {
+			err = m.input(i, &rows)
+		}
+		if err != nil && (m.outc == nil || m.ctx.Err() != nil) {
+			select {
+			case m.ch <- rowOrErr{err: err}:
+			case <-m.ctx.Done():
+			}
 			return
+		}
+		if m.outc != nil {
+			op := "union"
+			if m.keys != nil {
+				op = "semijoin"
+			}
+			m.outc.Record(resilience.SourceOutcome{Source: srcLabel(m.inputs[lo]), Op: op, Rows: rows, Err: err})
 		}
 	}
 }
 
-// input runs n and streams its rows into the channel; it reports whether
-// the union goes on. A failed input is recorded as a partial outcome
-// when the engine armed a collector and the union is still live, and
-// the rows it delivered stay (UNION ALL semantics make that
-// well-defined); otherwise its error fails the union.
-func (m *mergeIter) input(n plan.Node) bool {
-	var rows int64
-	it, err := Run(m.ctx, n)
-	if err == nil {
-		defer it.Close()
-		for {
-			r, nerr := it.Next()
-			if nerr != nil {
-				if nerr != io.EOF {
-					err = nerr
-				}
-				break
-			}
-			select {
-			case m.ch <- rowOrErr{row: r}:
-				rows++
-			case <-m.ctx.Done():
-				return false
-			}
-		}
+// input runs input i and streams its rows into the channel, counting
+// them into rows. A keyed input is its fragment scan with the keys
+// shipped, run as the scan alone: what a trace records of it is the
+// wire half, under the plan's FragScan.
+func (m *mergeIter) input(i int, rows *int64) error {
+	var it source.RowIter
+	var err error
+	if m.keys != nil {
+		it, err = runFragScan(m.ctx, m.inputs[i].(*plan.FragScan), m.keys[i], false)
+	} else {
+		it, err = Run(m.ctx, m.inputs[i])
 	}
-	if err != nil && (m.outc == nil || m.ctx.Err() != nil) {
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	for {
+		r, err := it.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
 		select {
-		case m.ch <- rowOrErr{err: err}:
+		case m.ch <- rowOrErr{row: r}:
+			*rows++
 		case <-m.ctx.Done():
+			return m.ctx.Err()
 		}
-		return false
 	}
-	if m.outc != nil {
-		m.outc.Record(resilience.SourceOutcome{Source: srcLabel(n), Op: "union", Rows: rows, Err: err})
-	}
-	return true
 }
 
 func (m *mergeIter) Next() (types.Row, error) {

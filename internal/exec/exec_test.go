@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,7 +14,6 @@ import (
 	"gis/internal/plan"
 	"gis/internal/relstore"
 	"gis/internal/source"
-	"gis/internal/sql"
 	"gis/internal/types"
 )
 
@@ -354,7 +354,8 @@ func (it *countedIter) Close() error {
 
 // TestUnionOpensItsInputsAsItFetches: a union of four fragments fetched
 // one after another has one of them open at a time and delivers in plan
-// order; fetched at once, it has all four open together.
+// order; fetched at once, it has all four open together. A key-shipped
+// join's right side is fetched the same way, as its union says.
 func TestUnionOpensItsInputsAsItFetches(t *testing.T) {
 	const frags, per = 4, 100 // more rows than the merge channel holds
 	schema := types.NewSchema(intCol("id"))
@@ -382,41 +383,56 @@ func TestUnionOpensItsInputsAsItFetches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, parallel := range []bool{false, true} {
-		sel, err := sql.ParseSelect("SELECT id FROM t")
-		if err != nil {
-			t.Fatal(err)
-		}
-		logical, err := plan.NewBuilder(cat).BuildSelect(sel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := plan.DefaultOptions()
-		opts.ParallelFragments = parallel
-		p, err := plan.Optimize(ctx, logical, cat, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Sequential, each stream waits a little for others it must not
-		// see; parallel, for the others it must.
-		c.peak, c.all, c.patience = 0, make(chan struct{}), 50*time.Millisecond
-		if parallel {
-			c.patience = 5 * time.Second
-		}
-		rows, err := Collect(ctx, p)
-		if err != nil || len(rows) != frags*per {
-			t.Fatalf("parallel %v: %d rows, %v\n%s", parallel, len(rows), err, plan.Explain(p))
-		}
-		want := 1
-		if parallel {
-			want = frags
-		}
-		if c.peak != want {
-			t.Errorf("parallel %v: %d streams open at once, want %d", parallel, c.peak, want)
-		}
-		for i, r := range rows {
-			if !parallel && r[0].Int() != int64(i) {
-				t.Fatalf("sequential union: row %d is %v", i, r)
+	// k: one key a fragment, on a source nobody counts.
+	keys := relstore.New("keys")
+	if err := keys.CreateTable("k", schema, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := keys.Insert(ctx, "k", []types.Row{{types.NewInt(0)}, {types.NewInt(per)}, {types.NewInt(2 * per)}, {types.NewInt(3 * per)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.AddSource(keys); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.DefineTable("k", schema); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.MapSimple(ctx, "k", "keys", "k"); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		sql  string
+		rows int
+	}{{"SELECT id FROM t", frags * per}, {"SELECT t.id FROM k JOIN t ON k.id = t.id", frags}} {
+		for _, parallel := range []bool{false, true} {
+			p := (&ownFed{cat: cat}).plan(t, q.sql, func(o *plan.Options) {
+				o.ParallelFragments = parallel
+				o.ForceStrategy, o.JoinOrder = plan.StrategySemiJoin, plan.OrderSyntactic
+			})
+			if strings.Contains(q.sql, "JOIN") && !strings.Contains(plan.Explain(p), "strategy=semijoin") {
+				t.Fatalf("the join does not ship keys:\n%s", plan.Explain(p))
+			}
+			// Sequential, each stream waits a little for others it must not
+			// see; parallel, for the others it must.
+			c.peak, c.all, c.patience = 0, make(chan struct{}), 50*time.Millisecond
+			if parallel {
+				c.patience = 5 * time.Second
+			}
+			rows, err := Collect(ctx, p)
+			if err != nil || len(rows) != q.rows {
+				t.Fatalf("%s, parallel %v: %d rows, %v\n%s", q.sql, parallel, len(rows), err, plan.Explain(p))
+			}
+			want := 1
+			if parallel {
+				want = frags
+			}
+			if c.peak != want {
+				t.Errorf("%s, parallel %v: %d streams open at once, want %d", q.sql, parallel, c.peak, want)
+			}
+			for i, r := range rows {
+				if !parallel && q.rows == frags*per && r[0].Int() != int64(i) {
+					t.Fatalf("sequential union: row %d is %v", i, r)
+				}
 			}
 		}
 	}

@@ -2,15 +2,13 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"sync"
+	"slices"
 
 	"gis/internal/catalog"
 	"gis/internal/expr"
 	"gis/internal/plan"
-	"gis/internal/resilience"
 	"gis/internal/source"
 	"gis/internal/types"
 )
@@ -281,8 +279,12 @@ func (h *joinIter) Close() error { return h.left.Close() }
 // runKeyShippedJoin implements the semijoin strategy: materialize the
 // left input, ship its distinct join-key values to the right side's
 // fragment scans as IN predicates (semiJoinKeyLimit to a sub-query), and
-// join the reduced right side at the mediator. Both sides are kept; the
-// joined rows are lent iff lent.
+// join the reduced right side at the mediator. A key goes only to the
+// fragments whose partition predicate admits it, and a fragment that
+// admits none is not asked. The right side arrives through the one
+// merge (runMerge), its fragments fetched at once or in plan order as
+// its union says. Both sides are kept; the joined rows are lent iff
+// lent.
 func runKeyShippedJoin(ctx context.Context, j *plan.Join, lent bool) (source.RowIter, error) {
 	leftRows, err := Collect(ctx, j.L)
 	if err != nil {
@@ -297,108 +299,49 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, lent bool) (source.Row
 			return source.SliceIter(nil), nil
 		}
 	}
-	// Distinct join keys of the (first) equi column.
-	keyCol := j.EquiL[0]
-	seen := make(map[uint64][]types.Value)
-	var keys []types.Value
+	// The distinct join keys of the (first) equi column, sorted.
+	keys := make([]types.Value, 0, len(leftRows))
 	for _, r := range leftRows {
-		v := r[keyCol]
-		if v.IsNull() {
-			continue
-		}
-		h := v.Hash(0)
-		dup := false
-		for _, p := range seen[h] {
-			if p.Equal(v) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			seen[h] = append(seen[h], v)
+		if v := r[j.EquiL[0]]; !v.IsNull() {
 			keys = append(keys, v)
 		}
 	}
+	slices.SortFunc(keys, types.Value.Compare)
+	keys = slices.CompactFunc(keys, types.Value.Equal)
 	scans := plan.FragScans(j.R)
 	if scans == nil {
 		return nil, fmt.Errorf("exec: %s strategy requires fragment scans on the right side", j.Strategy)
 	}
-	const op = "semijoin"
-	outc := resilience.OutcomesFrom(ctx)
-	// Ship the keys to every fragment concurrently (each fetch is an
-	// independent round trip to a different source). cctx lets the first
-	// failure cancel sibling fetches when no degradation is possible.
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	perScan := make([][]types.Row, len(scans))
-	errs := make([]error, len(scans))
-	var wg sync.WaitGroup
-	for si, fs := range scans {
+	// One merge input per fragment and chunk of the keys it admits.
+	inputs := make([]plan.Node, 0, len(scans))
+	preds := make([]expr.Expr, 0, len(scans))
+	admitted := make([]types.Value, 0, len(keys))
+	for _, fs := range scans {
 		mapping, ok := fs.CanBindOn(j.EquiR[0])
 		if !ok {
 			return nil, fmt.Errorf("exec: fragment %s.%s cannot accept join keys", fs.Frag.Source, fs.Frag.RemoteTable)
 		}
-		wg.Add(1)
-		go func(si int, fs *plan.FragScan, mapping *catalog.ColumnMapping) {
-			defer wg.Done()
-			rtype := fs.Frag.Info().Schema.Columns[mapping.RemoteCol].Type
-			fail := func(err error) {
-				errs[si] = err
-				if outc == nil {
-					cancel() // whole join fails anyway; stop the siblings
-				}
+		where, _ := expr.ColumnRange(fs.Frag.Where, fs.Cols[fs.Out[j.EquiR[0]]])
+		admitted = admitted[:0]
+		for _, k := range keys {
+			if where.Admits(k) {
+				admitted = append(admitted, k)
 			}
-			for start := 0; start < len(keys); start += semiJoinKeyLimit {
-				if err := cctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				pred, err := buildKeyPredicate(mapping, rtype, keys[start:min(start+semiJoinKeyLimit, len(keys))])
-				if err != nil {
-					fail(err)
-					return
-				}
-				it, err := runFragScan(cctx, fs, pred, false)
-				if err != nil {
-					fail(err)
-					return
-				}
-				rows, err := source.Drain(it)
-				if err != nil {
-					fail(err)
-					return
-				}
-				perScan[si] = append(perScan[si], rows...)
-			}
-		}(si, fs, mapping)
-	}
-	wg.Wait()
-	degrade := outc != nil && ctx.Err() == nil
-	var right []types.Row
-	var hardErr error
-	for si, fs := range scans {
-		if err := errs[si]; err != nil {
-			if degrade {
-				// A failed fragment contributes nothing: unlike the
-				// union, its partial rows never left this function, so
-				// dropping them keeps each fragment's contribution
-				// all-or-nothing.
-				outc.Record(resilience.SourceOutcome{Source: fs.Frag.Source, Op: op, Err: err})
-				continue
-			}
-			// Prefer the root cause over the cancellations it caused.
-			if hardErr == nil || errors.Is(hardErr, context.Canceled) {
-				hardErr = err
-			}
-			continue
 		}
-		if outc != nil {
-			outc.Record(resilience.SourceOutcome{Source: fs.Frag.Source, Op: op, Rows: int64(len(perScan[si]))})
+		rtype := fs.Frag.Info().Schema.Columns[mapping.RemoteCol].Type
+		for start := 0; start < len(admitted); start += semiJoinKeyLimit {
+			pred, err := buildKeyPredicate(mapping, rtype, admitted[start:min(start+semiJoinKeyLimit, len(admitted))])
+			if err != nil {
+				return nil, err
+			}
+			inputs = append(inputs, fs)
+			preds = append(preds, pred)
 		}
-		right = append(right, perScan[si]...)
 	}
-	if hardErr != nil {
-		return nil, hardErr
+	u, _ := j.R.(*plan.Union)
+	right, err := source.Drain(runMerge(ctx, inputs, preds, u != nil && u.Parallel))
+	if err != nil {
+		return nil, err
 	}
 	return joinRows(ctx, j, source.SliceIter(leftRows), right, lent), nil
 }

@@ -278,12 +278,20 @@ func (s countingSource) Execute(ctx context.Context, q *source.Query) (source.Ro
 // to each right fragment in as few sub-queries as semiJoinKeyLimit
 // allows — one for the 40 keys of a left side the default planner ships
 // (which used to go out 16 at a time, three sub-queries one after
-// another), three for 2 500, which the semijoin has to be forced on.
+// another), three for 2 500, which the semijoin has to be forced on —
+// and only to the fragments whose partition predicate admits them: with
+// the right side range-partitioned on the join key and every key in the
+// first partition, the second is not asked at all.
 func TestKeyShippedJoinSubQueriesPerFragment(t *testing.T) {
 	for _, c := range []struct {
-		keys, perFragment int64
-		force             plan.Strategy
-	}{{40, 1, plan.StrategyAuto}, {2500, 3, plan.StrategySemiJoin}} {
+		keys  int64
+		force plan.Strategy
+		// split, when set, range-partitions facts: ids below it at f0,
+		// the rest at f1, as the fragments' predicates say. Otherwise
+		// even ids are at f0 and odd ones at f1, and neither says so.
+		split int64
+		want  [2]int64
+	}{{40, plan.StrategyAuto, 0, [2]int64{1, 1}}, {2500, plan.StrategySemiJoin, 0, [2]int64{3, 3}}, {40, plan.StrategySemiJoin, 100, [2]int64{1, 0}}} {
 		cat := catalog.New()
 		must := func(err error) {
 			t.Helper()
@@ -304,36 +312,42 @@ func TestKeyShippedJoinSubQueriesPerFragment(t *testing.T) {
 		must(cat.DefineTable("keys", schema))
 		must(cat.MapSimple(ctx, "keys", "left", "keys"))
 
-		// facts: one row per key, even ids at f0 and odd ones at f1.
+		// facts: one row per key.
 		must(cat.DefineTable("facts", schema))
+		at := func(id int64) int64 { return id % 2 }
+		wheres := [2]expr.Expr{}
+		if c.split > 0 {
+			at = func(id int64) int64 { return min(id/c.split, 1) }
+			id, split := expr.NewColRef("", "id"), expr.NewConst(types.NewInt(c.split))
+			wheres = [2]expr.Expr{expr.NewBinary(expr.OpLt, id, split), expr.NewBinary(expr.OpGe, id, split)}
+		}
 		var executes [2]atomic.Int64
 		for i := range executes {
 			st := relstore.New("f" + string(rune('0'+i)))
 			must(st.CreateTable("facts", schema, 0))
 			for _, r := range rows {
-				if r[0].Int()%2 == int64(i) {
+				if at(r[0].Int()) == int64(i) {
 					_, err := st.Insert(ctx, "facts", []types.Row{r})
 					must(err)
 				}
 			}
 			must(cat.AddSource(countingSource{st, &executes[i]}))
-			must(cat.MapSimple(ctx, "facts", st.Name(), "facts"))
+			must(cat.MapFragment(ctx, "facts", &catalog.Fragment{Source: st.Name(), RemoteTable: "facts",
+				Columns: []catalog.ColumnMapping{{RemoteCol: 0}, {RemoteCol: 1}}, Where: wheres[i]}))
 		}
 
 		n := (&ownFed{cat: cat}).plan(t, "SELECT k.id, f.v FROM keys k JOIN facts f ON k.id = f.id",
 			func(o *plan.Options) { o.ForceStrategy = c.force })
-		if !strings.Contains(plan.Explain(n), "strategy=semijoin") {
-			t.Fatalf("%d keys: the plan does not ship keys:\n%s", c.keys, plan.Explain(n))
+		if text := plan.Explain(n); !strings.Contains(text, "strategy=semijoin") || strings.Count(text, "FragScan f") != 2 {
+			t.Fatalf("%d keys: the plan does not ship keys to both fragments:\n%s", c.keys, text)
 		}
 		got, err := Collect(ctx, n)
 		must(err)
 		if int64(len(got)) != c.keys {
 			t.Errorf("%d keys: %d rows joined", c.keys, len(got))
 		}
-		for i := range executes {
-			if e := executes[i].Load(); e != c.perFragment {
-				t.Errorf("%d keys: fragment f%d answered %d sub-queries, want %d", c.keys, i, e, c.perFragment)
-			}
+		if e := [2]int64{executes[0].Load(), executes[1].Load()}; e != c.want {
+			t.Errorf("%d keys, split %d: the fragments answered %v sub-queries, want %v", c.keys, c.split, e, c.want)
 		}
 	}
 }

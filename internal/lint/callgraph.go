@@ -39,8 +39,8 @@ type FuncNode struct {
 	Typ *ast.FuncType
 	// Pkg is the package the body lives in.
 	Pkg *Package
-	// Name is the qualified display name ("exec.runUnion",
-	// "wire.(*Client).Execute", "exec.runUnion$1").
+	// Name is the qualified display name ("exec.runMerge",
+	// "wire.(*Client).Execute", "exec.runMerge$1").
 	Name string
 	// Sites are the call sites inside Body (not inside nested literals).
 	Sites []*CallSite

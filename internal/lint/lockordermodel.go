@@ -11,8 +11,8 @@ import (
 )
 
 // The module-wide lock-order graph. The mediator layers coordinators over
-// autonomous components — parallel unions, semijoin fan-out, 2PC,
-// admission control — and every layer carries its own mutex. No per-site
+// autonomous components — the merge that fans out unions and key-shipped
+// joins, 2PC, admission control — and every layer carries its own mutex. No per-site
 // analyzer can see the hang that emerges from their composition:
 // goroutine 1 acquires catalog.mu then engine.mu, goroutine 2 acquires
 // them in the opposite order, and the federation stalls with no error,

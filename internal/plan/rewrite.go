@@ -132,13 +132,8 @@ func pushConjunct(c expr.Expr, node *Node) bool {
 		lw := t.L.Schema().Len()
 		side := sideOf(c, lw)
 		switch {
-		case side < 0 && t.Kind != JoinLeft: // left side only
-			if !pushConjunct(c, &t.L) {
-				t.L = &Filter{Pred: c, Input: t.L}
-			}
-			return true
-		case side < 0 && t.Kind == JoinLeft:
-			// Predicates on the preserved side still push.
+		case side < 0:
+			// Left side only: under a left join, the preserved side.
 			if !pushConjunct(c, &t.L) {
 				t.L = &Filter{Pred: c, Input: t.L}
 			}

@@ -67,8 +67,8 @@ func (e *PartialResultError) AllFailed() bool {
 
 // Outcomes collects per-source outcomes during a degradable query. Its
 // presence on the context is the signal that partial results are
-// allowed: exec's fan-out operators record failed branches here and
-// continue, instead of failing the query. A nil *Outcomes records
+// allowed: exec's merge, its one fan-out, records failed branches here
+// and continues, instead of failing the query. A nil *Outcomes records
 // nothing and disables degradation.
 type Outcomes struct {
 	mu   sync.Mutex
