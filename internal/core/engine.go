@@ -85,10 +85,6 @@ func (e *Engine) SetPartialResults(on bool) { e.partial.Store(on) }
 // hook is typically wired to the catalog health tracker's Degraded.
 func (e *Engine) SetAdmission(ctrl *admission.Controller) { e.admit.Store(ctrl) }
 
-// Admission returns the installed admission controller (nil when
-// admission control is off).
-func (e *Engine) Admission() *admission.Controller { return e.admit.Load() }
-
 // SetTracing toggles per-statement tracing. Off by default: with it off
 // the only per-query cost is the query-log bookkeeping.
 func (e *Engine) SetTracing(on bool) { e.tracing.Store(on) }

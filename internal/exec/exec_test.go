@@ -98,15 +98,6 @@ func TestHashJoinLeft(t *testing.T) {
 		"(2, b, NULL, NULL)", "(NULL, n, NULL, NULL)")
 }
 
-func TestHashJoinSemiAnti(t *testing.T) {
-	l, r := joinFixture()
-	got := collect(t, equiJoin(plan.JoinSemi, l, r))
-	wantSet(t, got, "(1, a)", "(3, c)")
-	l, r = joinFixture()
-	got = collect(t, equiJoin(plan.JoinAnti, l, r))
-	wantSet(t, got, "(2, b)", "(NULL, n)")
-}
-
 func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 	l, r := joinFixture()
 	got := collect(t, equiJoin(plan.JoinInner, l, r))
@@ -141,10 +132,11 @@ func TestNestedLoopNonEqui(t *testing.T) {
 	wantSet(t, got, "(1, 3)", "(1, 4)")
 }
 
+// A cross join is an inner join with no condition.
 func TestCrossJoin(t *testing.T) {
 	l := valuesNode(types.NewSchema(intCol("x")), []any{1}, []any{2})
 	r := valuesNode(types.NewSchema(strCol("y")), []any{"a"}, []any{"b"})
-	j := &plan.Join{Kind: plan.JoinCross, L: l, R: r}
+	j := &plan.Join{Kind: plan.JoinInner, L: l, R: r}
 	got := collect(t, j)
 	wantSet(t, got, "(1, a)", "(1, b)", "(2, a)", "(2, b)")
 }
@@ -502,10 +494,7 @@ func TestJoinsWithRejectingResidual(t *testing.T) {
 				want[plan.JoinInner] = append(want[plan.JoinInner], str(l[0], l[1], r[0], r[1]))
 			}
 		}
-		if matched {
-			want[plan.JoinSemi] = append(want[plan.JoinSemi], str(l...))
-		} else {
-			want[plan.JoinAnti] = append(want[plan.JoinAnti], str(l...))
+		if !matched {
 			want[plan.JoinLeft] = append(want[plan.JoinLeft], str(l[0], l[1], nil, nil))
 		}
 	}
@@ -519,7 +508,7 @@ func TestJoinsWithRejectingResidual(t *testing.T) {
 			expr.NewBinary(expr.OpNe, expr.NewBinary(expr.OpMod, sum, expr.NewConst(types.NewInt(3))), expr.NewConst(types.NewInt(0))))
 		return j
 	}
-	for _, kind := range []plan.JoinKind{plan.JoinInner, plan.JoinLeft, plan.JoinSemi, plan.JoinAnti} {
+	for _, kind := range []plan.JoinKind{plan.JoinInner, plan.JoinLeft} {
 		hash := mk(kind)
 		wantSet(t, collect(t, hash), want[kind]...)
 		nested := mk(kind)

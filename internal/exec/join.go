@@ -27,18 +27,14 @@ func runJoin(ctx context.Context, j *plan.Join, lent bool) (source.RowIter, erro
 }
 
 // runLocalJoin joins both inputs at the mediator: the right side
-// materialized — kept — and the left streamed against it. The left
-// input is not advanced while a left row's matches are emitted, so an
-// inner, left or cross join, which copies the left row into each row it
-// builds, asks for lent left rows; a semi or anti join hands the left
-// row itself on and asks for what its consumer asked.
+// materialized — kept — and the left streamed against it. A join copies
+// the left row into each row it builds, so it asks for lent left rows.
 func runLocalJoin(ctx context.Context, j *plan.Join, lent bool) (source.RowIter, error) {
 	right, err := Collect(ctx, j.R)
 	if err != nil {
 		return nil, err
 	}
-	passesLeft := j.Kind == plan.JoinSemi || j.Kind == plan.JoinAnti
-	left, err := runNode(ctx, j.L, lent || !passesLeft)
+	left, err := runNode(ctx, j.L, true)
 	if err != nil {
 		return nil, err
 	}
@@ -48,8 +44,8 @@ func runLocalJoin(ctx context.Context, j *plan.Join, lent bool) (source.RowIter,
 // joinRows joins a left stream with materialized right rows in the one
 // probe loop there is: a left row's candidates are its bucket of a hash
 // table built on the right when the join has equi keys, and every right
-// row when it has none (a non-equi or cross join — nested loops). The
-// rows it builds are lent iff lent.
+// row when it has none (a non-equi join or one with no condition —
+// nested loops). The rows it builds are lent iff lent.
 func joinRows(ctx context.Context, j *plan.Join, left source.RowIter, right []types.Row, lent bool) source.RowIter {
 	build := hashBuild{rows: right}
 	if len(j.EquiL) > 0 {
@@ -137,8 +133,7 @@ func keyEqual(l types.Row, lc []int, r types.Row, rc []int) bool {
 	return true
 }
 
-// joinedRow carves l followed by r. A row the join then does not emit
-// (the condition rejects it, or the join is semi/anti and emits l) is
+// joinedRow carves l followed by r. A row the condition rejects is
 // given back with Undo.
 func joinedRow(slab *types.RowSlab, l, r types.Row) types.Row {
 	out := slab.Next(len(l) + len(r))
@@ -155,8 +150,8 @@ func leftPadded(slab *types.RowSlab, l types.Row, rightWidth int) types.Row {
 	return out
 }
 
-// joinIter streams left rows against the kept right rows: every join
-// kind, hash or nested loops, runs through its Next.
+// joinIter streams left rows against the kept right rows: both join
+// kinds, hash or nested loops, run through its Next.
 type joinIter struct {
 	ctx        context.Context
 	j          *plan.Join
@@ -198,31 +193,15 @@ func (h *joinIter) Next() (types.Row, error) {
 				continue
 			}
 			h.matched = true
-			switch h.j.Kind {
-			case plan.JoinSemi:
-				h.slab.Undo(joined)
-				h.matches = nil // one match suffices
-				return h.cur, nil
-			case plan.JoinAnti:
-				h.slab.Undo(joined)
-				h.matches = nil // disqualified
-			default:
-				return joined, nil
-			}
+			return joined, nil
 		}
-		// Current left row exhausted: handle outer/anti fallout.
+		// Current left row exhausted: a left join pads an unmatched one,
+		// an inner join drops it.
 		if h.cur != nil {
-			cur, matched := h.cur, h.matched
+			cur := h.cur
 			h.cur = nil
-			if !matched {
-				switch h.j.Kind {
-				case plan.JoinLeft:
-					return leftPadded(&h.slab, cur, h.rightWidth), nil
-				case plan.JoinAnti:
-					return cur, nil
-				default:
-					// Inner/semi/cross: unmatched left rows vanish.
-				}
+			if !h.matched && h.j.Kind == plan.JoinLeft {
+				return leftPadded(&h.slab, cur, h.rightWidth), nil
 			}
 		}
 		// Advance to the next left row.
@@ -247,7 +226,8 @@ func (h *joinIter) Next() (types.Row, error) {
 // scratch buffer reused across probe rows (the previous row's matches
 // are fully consumed before the next probe). The condition, which
 // includes the equi predicates, is evaluated over each candidate either
-// way; a semi or anti join may have none, hence the key comparison here.
+// way; comparing keys first spares carving a row for a bucket's other
+// keys.
 func (h *joinIter) candidates(l types.Row) []types.Row {
 	b := &h.build
 	if len(h.j.EquiL) == 0 {
@@ -291,13 +271,7 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, lent bool) (source.Row
 		return nil, err
 	}
 	if len(leftRows) == 0 {
-		// Inner/semi joins produce nothing; left/anti keep left rows.
-		switch j.Kind {
-		case plan.JoinLeft, plan.JoinAnti:
-			return joinRows(ctx, j, source.SliceIter(leftRows), nil, lent), nil
-		default:
-			return source.SliceIter(nil), nil
-		}
+		return source.SliceIter(nil), nil
 	}
 	// The distinct join keys of the (first) equi column, sorted.
 	keys := make([]types.Value, 0, len(leftRows))

@@ -294,12 +294,12 @@ func TestRowOwnership(t *testing.T) {
 		}
 	}
 
-	// SQL writes no semi or anti join: build them over planned inputs —
-	// hash and nested-loop, the left side a lender (a file scan) and a
-	// keeper's choice what the join is asked.
+	// Both join kinds over planned inputs — hash and nested-loop, the
+	// left side a lender (a file scan) and a keeper's choice what the
+	// join is asked.
 	left := func() plan.Node { return f.plan(t, "SELECT cust_id, oid, amount FROM orders_file", nil) }
 	right := func() plan.Node { return f.plan(t, "SELECT id, name FROM customers WHERE id % 2 = 0", nil) }
-	for _, kind := range []plan.JoinKind{plan.JoinSemi, plan.JoinAnti, plan.JoinLeft, plan.JoinInner} {
+	for _, kind := range []plan.JoinKind{plan.JoinLeft, plan.JoinInner} {
 		for _, hash := range []bool{true, false} {
 			j := &plan.Join{Kind: kind, L: left(), R: right(),
 				Cond: expr.NewBinary(expr.OpEq, expr.NewBoundColRef(0, types.KindInt, "cust_id"), expr.NewBoundColRef(3, types.KindInt, "id"))}
@@ -308,7 +308,7 @@ func TestRowOwnership(t *testing.T) {
 			}
 			name := fmt.Sprintf("%s join (hash %v)", kind, hash)
 			rows := checkOwnership(t, name, j)
-			if want := map[plan.JoinKind]int{plan.JoinSemi: ownOrders / 2, plan.JoinAnti: ownOrders / 2, plan.JoinLeft: ownOrders, plan.JoinInner: ownOrders / 2}[kind]; len(rows) != want {
+			if want := map[plan.JoinKind]int{plan.JoinLeft: ownOrders, plan.JoinInner: ownOrders / 2}[kind]; len(rows) != want {
 				t.Errorf("%s: %d rows, want %d", name, len(rows), want)
 			}
 			// And under consumers of each kind: a fold, a keeper, a

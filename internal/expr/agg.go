@@ -16,9 +16,6 @@ type Accumulator interface {
 	Add(v types.Value) error
 	// Result returns the aggregate value for the group.
 	Result() types.Value
-	// Merge folds another accumulator of the same aggregate into this
-	// one (used for partial aggregation / combining per-source results).
-	Merge(other Accumulator) error
 }
 
 // NewAccumulator creates an accumulator for the given aggregate call.
@@ -59,15 +56,6 @@ func (a *countAcc) Add(v types.Value) error {
 
 func (a *countAcc) Result() types.Value { return types.NewInt(a.n) }
 
-func (a *countAcc) Merge(o Accumulator) error {
-	oa, ok := o.(*countAcc)
-	if !ok {
-		return fmt.Errorf("cannot merge %T into COUNT", o)
-	}
-	a.n += oa.n
-	return nil
-}
-
 type sumAcc struct {
 	sawAny   bool
 	isFloat  bool
@@ -105,17 +93,6 @@ func (a *sumAcc) Result() types.Value {
 	return types.NewInt(a.intSum)
 }
 
-func (a *sumAcc) Merge(o Accumulator) error {
-	oa, ok := o.(*sumAcc)
-	if !ok {
-		return fmt.Errorf("cannot merge %T into SUM", o)
-	}
-	if !oa.sawAny {
-		return nil
-	}
-	return a.Add(oa.Result())
-}
-
 type avgAcc struct {
 	n   int64
 	sum float64
@@ -140,16 +117,6 @@ func (a *avgAcc) Result() types.Value {
 	return types.NewFloat(a.sum / float64(a.n))
 }
 
-func (a *avgAcc) Merge(o Accumulator) error {
-	oa, ok := o.(*avgAcc)
-	if !ok {
-		return fmt.Errorf("cannot merge %T into AVG", o)
-	}
-	a.n += oa.n
-	a.sum += oa.sum
-	return nil
-}
-
 type minmaxAcc struct {
 	min bool
 	val types.Value // Null until the first non-null input
@@ -171,14 +138,6 @@ func (a *minmaxAcc) Add(v types.Value) error {
 }
 
 func (a *minmaxAcc) Result() types.Value { return a.val }
-
-func (a *minmaxAcc) Merge(o Accumulator) error {
-	oa, ok := o.(*minmaxAcc)
-	if !ok {
-		return fmt.Errorf("cannot merge %T into MIN/MAX", o)
-	}
-	return a.Add(oa.val)
-}
 
 // distinctAcc deduplicates inputs before forwarding to the inner
 // accumulator. Hash collisions are resolved by exact comparison.
@@ -202,21 +161,6 @@ func (a *distinctAcc) Add(v types.Value) error {
 }
 
 func (a *distinctAcc) Result() types.Value { return a.inner.Result() }
-
-func (a *distinctAcc) Merge(o Accumulator) error {
-	oa, ok := o.(*distinctAcc)
-	if !ok {
-		return fmt.Errorf("cannot merge %T into DISTINCT aggregate", o)
-	}
-	for _, vals := range oa.seen {
-		for _, v := range vals {
-			if err := a.Add(v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
 
 // AccSpec is what a GroupTable needs to know of one aggregate: the
 // arguments of NewAccumulator.

@@ -2,7 +2,6 @@ package expr
 
 import (
 	"testing"
-	"testing/quick"
 
 	"gis/internal/types"
 )
@@ -89,57 +88,6 @@ func TestDistinctAccumulator(t *testing.T) {
 	}
 }
 
-func TestAccumulatorMerge(t *testing.T) {
-	a := NewAccumulator(AggSum, false, false)
-	b := NewAccumulator(AggSum, false, false)
-	feed(t, a, types.NewInt(1), types.NewInt(2))
-	feed(t, b, types.NewInt(10))
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Result().Int() != 13 {
-		t.Errorf("merged SUM = %v", a.Result())
-	}
-	// Merging an empty accumulator is a no-op.
-	if err := a.Merge(NewAccumulator(AggSum, false, false)); err != nil {
-		t.Fatal(err)
-	}
-	if a.Result().Int() != 13 {
-		t.Error("merge with empty changed result")
-	}
-	// Count.
-	c1 := NewAccumulator(AggCount, true, false)
-	c2 := NewAccumulator(AggCount, true, false)
-	feed(t, c1, types.NewInt(0), types.NewInt(0))
-	feed(t, c2, types.NewInt(0))
-	c1.Merge(c2)
-	if c1.Result().Int() != 3 {
-		t.Errorf("merged COUNT = %v", c1.Result())
-	}
-	// Avg merges by partial sums, not average-of-averages.
-	v1 := NewAccumulator(AggAvg, false, false)
-	v2 := NewAccumulator(AggAvg, false, false)
-	feed(t, v1, types.NewInt(1), types.NewInt(2), types.NewInt(3))
-	feed(t, v2, types.NewInt(10))
-	v1.Merge(v2)
-	if got := v1.Result().Float(); got != 4.0 {
-		t.Errorf("merged AVG = %v, want 4", got)
-	}
-	// Distinct merge dedups across accumulators.
-	d1 := NewAccumulator(AggCount, false, true)
-	d2 := NewAccumulator(AggCount, false, true)
-	feed(t, d1, types.NewInt(1), types.NewInt(2))
-	feed(t, d2, types.NewInt(2), types.NewInt(3))
-	d1.Merge(d2)
-	if d1.Result().Int() != 3 {
-		t.Errorf("merged COUNT DISTINCT = %v, want 3", d1.Result())
-	}
-	// Type mismatch errors.
-	if err := NewAccumulator(AggMin, false, false).Merge(NewAccumulator(AggSum, false, false)); err == nil {
-		t.Error("mismatched merge must error")
-	}
-}
-
 func TestAggKindFromName(t *testing.T) {
 	for name, want := range map[string]AggKind{
 		"count": AggCount, "SUM": AggSum, "Min": AggMin, "max": AggMax, "avg": AggAvg,
@@ -171,41 +119,6 @@ func TestAggResultType(t *testing.T) {
 		if got := AggResultType(c.k, c.in); got != c.want {
 			t.Errorf("AggResultType(%s,%s) = %s, want %s", c.k, c.in, got, c.want)
 		}
-	}
-}
-
-// Property: SUM over ints equals the Go sum; merging a split equals the
-// whole (partial-aggregation correctness).
-func TestSumSplitMergeProperty(t *testing.T) {
-	f := func(xs []int32, split uint8) bool {
-		whole := NewAccumulator(AggSum, false, false)
-		left := NewAccumulator(AggSum, false, false)
-		right := NewAccumulator(AggSum, false, false)
-		cut := 0
-		if len(xs) > 0 {
-			cut = int(split) % (len(xs) + 1)
-		}
-		var want int64
-		for i, x := range xs {
-			v := types.NewInt(int64(x))
-			want += int64(x)
-			whole.Add(v)
-			if i < cut {
-				left.Add(v)
-			} else {
-				right.Add(v)
-			}
-		}
-		if err := left.Merge(right); err != nil {
-			return false
-		}
-		if len(xs) == 0 {
-			return whole.Result().IsNull() && left.Result().IsNull()
-		}
-		return whole.Result().Int() == want && left.Result().Int() == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

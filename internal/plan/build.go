@@ -217,16 +217,10 @@ func (b *Builder) buildFrom(t sql.TableExpr) (Node, error) {
 		if n.Kind == sql.JoinRight {
 			return buildRightJoin(l, r, cond), nil
 		}
-		var kind JoinKind
-		switch n.Kind {
-		case sql.JoinInner:
-			kind = JoinInner
-		case sql.JoinLeft:
+		// A comma or CROSS join is an inner join with no condition.
+		kind := JoinInner
+		if n.Kind == sql.JoinLeft {
 			kind = JoinLeft
-		case sql.JoinCross:
-			kind = JoinCross
-		default:
-			// JoinRight was rewritten above; nothing else exists.
 		}
 		return &Join{Kind: kind, L: l, R: r, Cond: cond}, nil
 

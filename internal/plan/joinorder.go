@@ -226,7 +226,7 @@ func orderGreedy(rels []RelInfo, preds []PredInfo) SearchResult {
 func chooseJoinOrder(n Node, algo JoinOrderAlgo) Node {
 	rewriteChildren(n, func(c Node) Node { return chooseJoinOrder(c, algo) })
 	j, ok := n.(*Join)
-	if !ok || (j.Kind != JoinInner && j.Kind != JoinCross) {
+	if !ok || j.Kind != JoinInner {
 		return n
 	}
 	rels, preds := flattenJoins(j)
@@ -265,14 +265,14 @@ type flatPred struct {
 	sel  float64
 }
 
-// flattenJoins linearizes a tree of inner/cross joins into relations and
+// flattenJoins linearizes a tree of inner joins into relations and
 // predicates over the original concatenated column space.
 func flattenJoins(j *Join) ([]flatRel, []flatPred) {
 	var rels []flatRel
 	var preds []flatPred
 	var walk func(n Node) int // returns width
 	walk = func(n Node) int {
-		if jn, ok := n.(*Join); ok && (jn.Kind == JoinInner || jn.Kind == JoinCross) {
+		if jn, ok := n.(*Join); ok && jn.Kind == JoinInner {
 			base := 0
 			if len(rels) > 0 {
 				last := rels[len(rels)-1]
@@ -393,11 +393,7 @@ func rebuildJoinTree(rels []flatRel, preds []flatPred, order []int) Node {
 				attached[pi] = true
 			}
 		}
-		kind := JoinInner
-		if len(conds) == 0 {
-			kind = JoinCross
-		}
-		cur = &Join{Kind: kind, Cond: expr.Conjoin(conds), L: cur, R: rels[r].node}
+		cur = &Join{Kind: JoinInner, Cond: expr.Conjoin(conds), L: cur, R: rels[r].node}
 	}
 	// Leftover predicates (should not happen) become a filter.
 	var leftover []expr.Expr

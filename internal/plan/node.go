@@ -162,16 +162,14 @@ func (p *Project) Describe() string {
 	return "Project " + strings.Join(parts, ", ")
 }
 
-// JoinKind enumerates logical join types.
+// JoinKind enumerates logical join types. A comma or CROSS join is an
+// inner join with no condition.
 type JoinKind uint8
 
 // Logical join kinds.
 const (
 	JoinInner JoinKind = iota
 	JoinLeft
-	JoinCross
-	JoinSemi // EXISTS / IN decorrelation
-	JoinAnti // NOT EXISTS / NOT IN
 )
 
 func (k JoinKind) String() string {
@@ -180,12 +178,6 @@ func (k JoinKind) String() string {
 		return "inner"
 	case JoinLeft:
 		return "left"
-	case JoinCross:
-		return "cross"
-	case JoinSemi:
-		return "semi"
-	case JoinAnti:
-		return "anti"
 	default:
 		return "JoinKind(" + strconv.Itoa(int(k)) + ")"
 	}
@@ -220,8 +212,8 @@ func (s Strategy) String() string {
 }
 
 // Join combines two inputs. Cond is bound over the concatenated schema
-// (left columns first). For semi/anti joins the output schema is the
-// left schema.
+// (left columns first), which is also the output schema; a nil Cond
+// pairs every left row with every right row.
 type Join struct {
 	Kind     JoinKind
 	Cond     expr.Expr
@@ -240,18 +232,12 @@ type Join struct {
 // Schema implements Node.
 func (j *Join) Schema() *types.Schema {
 	if j.schema == nil {
-		switch j.Kind {
-		case JoinSemi, JoinAnti:
-			j.schema = j.L.Schema()
-		case JoinLeft:
-			s := j.L.Schema().Concat(j.R.Schema())
+		j.schema = j.L.Schema().Concat(j.R.Schema())
+		if j.Kind == JoinLeft {
 			// Right side becomes nullable.
-			for i := j.L.Schema().Len(); i < s.Len(); i++ {
-				s.Columns[i].Nullable = true
+			for i := j.L.Schema().Len(); i < j.schema.Len(); i++ {
+				j.schema.Columns[i].Nullable = true
 			}
-			j.schema = s
-		default:
-			j.schema = j.L.Schema().Concat(j.R.Schema())
 		}
 	}
 	return j.schema
@@ -480,17 +466,14 @@ func EstimateRows(n Node) float64 {
 		return EstimateRows(t.Input)
 	case *Join:
 		l, r := EstimateRows(t.L), EstimateRows(t.R)
-		switch t.Kind {
-		case JoinCross:
+		switch {
+		case t.Cond == nil:
 			return l * r
-		case JoinSemi, JoinAnti:
-			return l * 0.5
+		case len(t.EquiL) > 0:
+			// Equi-join: containment estimate via child stats when
+			// available, else sqrt damping.
+			return joinCardinality(t, l, r)
 		default:
-			if len(t.EquiL) > 0 {
-				// Equi-join: containment estimate via child stats when
-				// available, else sqrt damping.
-				return joinCardinality(t, l, r)
-			}
 			return l * r * stats.DefaultSel
 		}
 	case *Aggregate:

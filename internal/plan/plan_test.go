@@ -213,6 +213,37 @@ func TestEquiKeysExtracted(t *testing.T) {
 	}
 }
 
+// TestCommaJoinPlansAsOn: a comma or CROSS join is an inner join with
+// no condition, and a WHERE conjunct over both of its sides becomes its
+// condition, so the SQL-89 spelling of a join plans exactly as JOIN …
+// ON does — hash keys, key shipping and join order included.
+func TestCommaJoinPlansAsOn(t *testing.T) {
+	cat := newBenchCatalog(t)
+	for _, c := range []struct{ name, on, comma string }{
+		{"fk_join_top5",
+			"SELECT c.name, o.oid, o.amount FROM customers c JOIN orders o ON c.id = o.cust_id WHERE c.id = ? ORDER BY o.amount DESC, o.oid LIMIT 5",
+			"SELECT c.name, o.oid, o.amount FROM customers c, orders o WHERE c.id = o.cust_id AND c.id = ? ORDER BY o.amount DESC, o.oid LIMIT 5"},
+		{"fragments on the left",
+			"SELECT e.oid, c.name FROM events e JOIN customers c ON e.cust_id = c.id WHERE e.oid < ?",
+			"SELECT e.oid, c.name FROM events e CROSS JOIN customers c WHERE e.cust_id = c.id AND e.oid < ?"},
+		{"three-table chain",
+			"SELECT c.name, o.oid, e.amount FROM customers c JOIN orders o ON c.id = o.cust_id JOIN events e ON o.cust_id = e.cust_id WHERE c.id < ?",
+			"SELECT c.name, o.oid, e.amount FROM customers c, orders o, events e WHERE c.id = o.cust_id AND o.cust_id = e.cust_id AND c.id < ?"},
+	} {
+		var explained [2]string
+		for i, text := range []string{c.on, c.comma} {
+			n, err := planOnce(cat, text, ints(3))
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			explained[i] = Explain(n)
+		}
+		if explained[0] != explained[1] {
+			t.Errorf("%s: the comma form plans differently\nON:\n%s\ncomma:\n%s", c.name, explained[0], explained[1])
+		}
+	}
+}
+
 func TestStrategyChoice(t *testing.T) {
 	cat := newPlanFixture(t)
 	// t2 (10 rows) joined against big (1000 rows, keyed): tiny left →

@@ -138,17 +138,8 @@ func prune(n Node, required []bool) (Node, []int) {
 				needR[idx-lw] = true
 			}
 		}
-		semi := t.Kind == JoinSemi || t.Kind == JoinAnti
 		for i, r := range required {
-			if !r {
-				continue
-			}
-			if semi {
-				// Output is the left schema only.
-				if i < lw {
-					needL[i] = true
-				}
-			} else {
+			if r {
 				mark(i)
 			}
 		}
@@ -157,8 +148,7 @@ func prune(n Node, required []bool) (Node, []int) {
 		r, rMap := prune(t.R, needR)
 		newLW := l.Schema().Len()
 		// The pruned concatenated schema: the condition is rebuilt over
-		// it, and it is the output of every join but a semi or anti join,
-		// whose output is its left input's.
+		// it, and it is the join's output.
 		both := make([]int, lw+rw)
 		copy(both, lMap)
 		for old, nw := range rMap {
@@ -171,9 +161,6 @@ func prune(n Node, required []bool) (Node, []int) {
 		t.L, t.R = l, r
 		t.EquiL, t.EquiR = nil, nil // re-extracted later
 		t.schema = nil
-		if semi {
-			return t, lMap
-		}
 		return t, both
 
 	case *Aggregate:

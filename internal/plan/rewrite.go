@@ -49,7 +49,8 @@ func foldConstants(n Node) Node {
 
 // pushDownFilters moves filter predicates as close to the scans as
 // possible: through projections (by substituting the projected
-// expressions), into both sides of joins, below sorts, into union arms,
+// expressions), into both sides of joins (and into an inner join's
+// condition when it reads both), below sorts, into union arms,
 // below aggregations (for group-key predicates, which is every predicate
 // over a DISTINCT), and finally into GlobalScan.Filter.
 func pushDownFilters(n Node) Node {
@@ -65,9 +66,14 @@ func pushDownFilters(n Node) Node {
 	case *Join:
 		t.L = pushDownFilters(t.L)
 		t.R = pushDownFilters(t.R)
-		// Inner-join ON conditions can push into the inputs too.
+		// An inner join's ON conjuncts sink as a WHERE conjunct above it
+		// would: one over a single side into that input, one over both
+		// back into the condition.
 		if t.Kind == JoinInner && t.Cond != nil {
-			t.Cond = pushJoinCond(t)
+			var self Node = t
+			cond := t.Cond
+			t.Cond = nil
+			t.Cond = expr.Conjoin([]expr.Expr{t.Cond, pushPred(cond, &self)})
 		}
 		return t
 	default:
@@ -130,23 +136,29 @@ func pushConjunct(c expr.Expr, node *Node) bool {
 
 	case *Join:
 		lw := t.L.Schema().Len()
-		side := sideOf(c, lw)
+		l, r := sidesOf(c, lw)
 		switch {
-		case side < 0:
+		case l && !r:
 			// Left side only: under a left join, the preserved side.
 			if !pushConjunct(c, &t.L) {
 				t.L = &Filter{Pred: c, Input: t.L}
 			}
 			return true
-		case side > 0 && t.Kind == JoinInner || side > 0 && t.Kind == JoinCross:
+		case r && !l && t.Kind == JoinInner:
 			shifted := expr.Shift(c, -lw)
 			if !pushConjunct(shifted, &t.R) {
 				t.R = &Filter{Pred: shifted, Input: t.R}
 			}
 			return true
+		case l && r && t.Kind == JoinInner:
+			// Both sides of an inner join: the conjunct is part of its
+			// condition, so FROM a, b WHERE a.x = b.y joins on a.x = b.y.
+			t.Cond = expr.Conjoin([]expr.Expr{t.Cond, c})
+			return true
 		default:
-			// References both sides (or right side of a left join,
-			// which must stay above to preserve NULL-extension).
+			// The right side of a left join, or both, must stay above to
+			// preserve NULL-extension; a conjunct over neither side stays
+			// where it is.
 			return false
 		}
 
@@ -193,52 +205,20 @@ func pushConjunct(c expr.Expr, node *Node) bool {
 	}
 }
 
-// sideOf classifies a predicate over a join's concatenated schema:
-// -1 = left only, +1 = right only, 0 = both (or neither).
-func sideOf(c expr.Expr, leftWidth int) int {
-	hasL, hasR := false, false
+// sidesOf reports which sides of a join's concatenated schema a
+// predicate reads.
+func sidesOf(c expr.Expr, leftWidth int) (left, right bool) {
 	expr.Columns(c, func(idx int) {
 		if idx < leftWidth {
-			hasL = true
+			left = true
 		} else {
-			hasR = true
+			right = true
 		}
 	})
-	switch {
-	case hasL && !hasR:
-		return -1
-	case hasR && !hasL:
-		return 1
-	default:
-		return 0
-	}
+	return left, right
 }
 
-// pushJoinCond sinks single-sided conjuncts of an inner join's ON
-// condition into the inputs, returning the remaining condition.
-func pushJoinCond(j *Join) expr.Expr {
-	lw := j.L.Schema().Len()
-	var conj, keptBuf [8]expr.Expr
-	kept := keptBuf[:0]
-	for _, c := range expr.AppendConjuncts(conj[:0], j.Cond) {
-		switch sideOf(c, lw) {
-		case -1:
-			if !pushConjunct(c, &j.L) {
-				j.L = &Filter{Pred: c, Input: j.L}
-			}
-		case 1:
-			shifted := expr.Shift(c, -lw)
-			if !pushConjunct(shifted, &j.R) {
-				j.R = &Filter{Pred: shifted, Input: j.R}
-			}
-		default:
-			kept = append(kept, c)
-		}
-	}
-	return expr.Conjoin(kept)
-}
-
-// extractEquiKeys finds equality conjuncts across each inner join and
+// extractEquiKeys finds equality conjuncts across each join and
 // records the key column positions for hash-join execution and for the
 // distributed strategy chooser.
 func extractEquiKeys(n Node) Node {
@@ -247,27 +227,25 @@ func extractEquiKeys(n Node) Node {
 		t.L = extractEquiKeys(t.L)
 		t.R = extractEquiKeys(t.R)
 		t.EquiL, t.EquiR = nil, nil
-		if t.Kind == JoinInner || t.Kind == JoinSemi || t.Kind == JoinAnti || t.Kind == JoinLeft {
-			lw := t.L.Schema().Len()
-			var conj [8]expr.Expr
-			for _, c := range expr.AppendConjuncts(conj[:0], t.Cond) {
-				b, ok := c.(*expr.Binary)
-				if !ok || b.Op != expr.OpEq {
-					continue
-				}
-				lc, lok := b.L.(*expr.ColRef)
-				rc, rok := b.R.(*expr.ColRef)
-				if !lok || !rok {
-					continue
-				}
-				switch {
-				case lc.Index < lw && rc.Index >= lw:
-					t.EquiL = append(t.EquiL, lc.Index)
-					t.EquiR = append(t.EquiR, rc.Index-lw)
-				case rc.Index < lw && lc.Index >= lw:
-					t.EquiL = append(t.EquiL, rc.Index)
-					t.EquiR = append(t.EquiR, lc.Index-lw)
-				}
+		lw := t.L.Schema().Len()
+		var conj [8]expr.Expr
+		for _, c := range expr.AppendConjuncts(conj[:0], t.Cond) {
+			b, ok := c.(*expr.Binary)
+			if !ok || b.Op != expr.OpEq {
+				continue
+			}
+			lc, lok := b.L.(*expr.ColRef)
+			rc, rok := b.R.(*expr.ColRef)
+			if !lok || !rok {
+				continue
+			}
+			switch {
+			case lc.Index < lw && rc.Index >= lw:
+				t.EquiL = append(t.EquiL, lc.Index)
+				t.EquiR = append(t.EquiR, rc.Index-lw)
+			case rc.Index < lw && lc.Index >= lw:
+				t.EquiL = append(t.EquiL, rc.Index)
+				t.EquiR = append(t.EquiR, lc.Index-lw)
 			}
 		}
 		return t

@@ -187,6 +187,12 @@ func TestInsertValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("uncoercible insert must error")
 	}
+	// NULL primary key, refused as kvstore refuses it.
+	if n, err := s.Insert(ctx, "items", []types.Row{
+		{types.Null, types.NewString("x"), types.NewFloat(1)},
+	}); err == nil || !strings.Contains(err.Error(), "NULL key") || n != 0 {
+		t.Errorf("NULL-key insert: %d rows, %v; want a NULL-key error", n, err)
+	}
 }
 
 func TestUpdateDelete(t *testing.T) {
@@ -319,6 +325,15 @@ func TestUpdateRefusesDuplicateKey(t *testing.T) {
 		if got := table(); got != before {
 			t.Errorf("a refused update left %s, the table was %s", got, before)
 		}
+	}
+	// UPDATE t SET id = NULL WHERE id = 7 is refused as kvstore refuses
+	// it.
+	n, err = s.Update(ctx, "t", expr.NewBinary(expr.OpEq, id, num(7)), []source.SetClause{{Col: 0, Value: expr.NewConst(types.Null)}})
+	if err == nil || !strings.Contains(err.Error(), "NULL key") || n != 0 {
+		t.Errorf("SET id = NULL: %d rows, %v; want a NULL-key error", n, err)
+	}
+	if got := table(); got != before {
+		t.Errorf("a refused update left %s, the table was %s", got, before)
 	}
 	// The row being replaced is not its own duplicate.
 	if n, err := s.Update(ctx, "t", nil, []source.SetClause{{Col: 0, Value: id}, {Col: 1, Value: num(5)}}); err != nil || n != 3 {

@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -88,7 +89,7 @@ func (tx *Tx) Insert(_ context.Context, tbl string, rows []types.Row) (int64, er
 		if err != nil {
 			return n, fmt.Errorf("relstore %s table %s: %w", tx.s.name, tbl, err)
 		}
-		if err := t.checkKeyUnique(nr, -1); err != nil {
+		if err := t.checkKey(nr, -1); err != nil {
 			return n, fmt.Errorf("relstore %s table %s: %w", tx.s.name, tbl, err)
 		}
 		pos := t.insertLocked(nr)
@@ -111,7 +112,8 @@ func (tx *Tx) Update(_ context.Context, tbl string, filter expr.Expr, set []sour
 	if err := (&source.TableInfo{Schema: t.schema}).CheckWrite(tbl, set, nil); err != nil {
 		return 0, fmt.Errorf("relstore %s: %w", tx.s.name, err)
 	}
-	// A SET of a key column can make the row another row's duplicate.
+	// A SET of a key column can make the row NULL-keyed or another
+	// row's duplicate.
 	setsKey := slices.ContainsFunc(set, func(sc source.SetClause) bool { return slices.Contains(t.key, sc.Col) })
 	var n int64
 	for pos := 0; pos < t.n; pos++ {
@@ -141,7 +143,7 @@ func (tx *Tx) Update(_ context.Context, tbl string, filter expr.Expr, set []sour
 			nr[sc.Col] = cv
 		}
 		if setsKey {
-			if err := t.checkKeyUnique(nr, pos); err != nil {
+			if err := t.checkKey(nr, pos); err != nil {
 				return n, fmt.Errorf("relstore %s table %s: %w", tx.s.name, tbl, err)
 			}
 		}
@@ -239,12 +241,17 @@ func (tx *Tx) Abort(context.Context) error {
 	return nil
 }
 
-// checkKeyUnique enforces primary-key uniqueness using the key hash
-// index when present: no row but the one at position self, which r is
-// about to replace (-1: r is new), may hold r's key.
-func (t *table) checkKeyUnique(r types.Row, self int) error {
+// checkKey enforces the primary key: r's key holds no NULL and, using
+// the key hash index when present, no row but the one at position self,
+// which r is about to replace (-1: r is new), holds r's key.
+func (t *table) checkKey(r types.Row, self int) error {
 	if len(t.key) == 0 {
 		return nil
+	}
+	for _, k := range t.key {
+		if r[k].IsNull() {
+			return errors.New("NULL key")
+		}
 	}
 	probe := t.key[0]
 	idx, ok := t.hashIdx[probe]

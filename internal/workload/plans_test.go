@@ -261,6 +261,14 @@ func planCorpus() []planCase {
 	} {
 		add("hetero", "mediated: "+m.name, m.sql)
 	}
+
+	// Joins written the SQL-89 way: a comma or CROSS join is an inner
+	// join with no condition, and the WHERE conjunct over both sides is
+	// its condition, so each plans as its JOIN … ON twin above — except
+	// with PushFilters off, where it stays a product under a filter.
+	add("twotable", "bench/fk_join_top5, comma form", "SELECT c.name, o.oid, o.amount FROM customers c, orders o WHERE c.id = o.cust_id AND c.id = ? ORDER BY o.amount DESC, o.oid LIMIT 5", intParams(7)...)
+	add("partitioned", "events: join, fragments on the left, CROSS JOIN form", "SELECT e.oid, c.name FROM events e CROSS JOIN customers c WHERE e.cust_id = c.id AND e.oid < 20")
+	add("capability", "three-way join, comma form", "SELECT c.name, k.amount, f.region FROM customers c, orders_kv k, orders_file f WHERE c.id = k.cust_id AND k.oid = f.oid AND c.id < 3")
 	return cs
 }
 

@@ -307,7 +307,9 @@ func (g *eqGen) next() eqQuery {
 }
 
 // join writes a two-table statement: t under alias o, its partner under
-// alias c, either side first, inner or left.
+// alias c, either side first, inner or left. An eighth of the inner joins
+// are written the SQL-89 way, FROM c, o WHERE c.x = o.y, and half of
+// those with one more conjunct over both aliases.
 func (g *eqGen) join(q *eqQuery) {
 	t, j := q.t, q.t.joins
 	on := j.on[g.r.Intn(len(j.on))]
@@ -315,11 +317,23 @@ func (g *eqGen) join(q *eqQuery) {
 	if g.chance(0.8) {
 		extra = append(extra, g.pick(j.filters...))
 	}
-	from := fmt.Sprintf(" FROM %s c %sJOIN %s o ON c.%s = o.%s", j.table, g.pick("", "", "LEFT "), t.name, on[1], on[0])
+	first, second := j.table+" c", t.name+" o"
+	cond := fmt.Sprintf("c.%s = o.%s", on[1], on[0])
+	kind := g.pick("", "", "LEFT ")
 	if g.chance(0.4) {
-		from = fmt.Sprintf(" FROM %s o %sJOIN %s c ON o.%s = c.%s", t.name, g.pick("", "", "LEFT "), j.table, on[0], on[1])
+		first, second = second, first
+		cond = fmt.Sprintf("o.%s = c.%s", on[0], on[1])
+		kind = g.pick("", "", "LEFT ")
 		if len(extra) == 0 || g.chance(0.5) {
 			extra = append(extra, fmt.Sprintf("o.%s < %d", t.key, 10+g.r.Intn(60)))
+		}
+	}
+	from := " FROM " + first + " " + kind + "JOIN " + second + " ON " + cond
+	if kind == "" && g.chance(0.125) {
+		from = " FROM " + first + ", " + second
+		extra = append([]string{cond}, extra...)
+		if g.chance(0.5) {
+			extra = append(extra, fmt.Sprintf(g.pick("(o.%s + c.%s) %% 3 <> 0", "o.%s >= c.%s", "(o.%s < 40 OR c.%s %% 5 = 0)"), t.key, j.key))
 		}
 	}
 	where := g.where(t, "o.", extra...)
