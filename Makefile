@@ -42,7 +42,7 @@ loc:
 	@sh scripts/loc.sh
 
 # After a change meant to move a plan: rewrite the golden file of
-# TestPlansGolden (227 statements under each optimizer variant) from the
+# TestPlansGolden (230 statements under each optimizer variant) from the
 # plans this build produces, then review its diff. A change meant to
 # move only how a fragment scan prints (its suffix, a pushed constant)
 # moves no other line:

@@ -318,12 +318,15 @@ func (c *Catalog) Tables() []string {
 
 // MapFragment validates and attaches a fragment to a global table,
 // fetching and caching the remote table description. info is fetched
-// from the live source, so the source must be registered first. The
-// fetch is a remote round-trip governed by ctx; it runs outside the
-// catalog lock so a slow or dead source cannot stall concurrent
-// catalog lookups. The fragment takes its partition predicate f.Where:
-// the tree is bound against the global table's schema in place, so one
-// tree may serve fragments of one table but not of two.
+// from the live source, so the source must be registered first. A
+// dialed source has it from the dial's describe — the hello reply
+// described the served tables, and the first ask for each is answered
+// from that — or else from one round trip governed by ctx; the fetch
+// runs outside the catalog lock so a slow or dead source cannot stall
+// concurrent catalog lookups. The fragment takes its partition
+// predicate f.Where: the tree is bound against the global table's
+// schema in place, so one tree may serve fragments of one table but not
+// of two.
 func (c *Catalog) MapFragment(ctx context.Context, table string, f *Fragment) error {
 	c.mu.RLock()
 	t, tableOK := c.tables[table]

@@ -64,6 +64,10 @@ type Client struct {
 	mu     sync.Mutex
 	pool   []*frameConn
 	closed bool
+	// described holds the table descriptions DialContext's hello reply
+	// carried that no TableInfo has taken and no write has made stale
+	// (see hello.go, Describe).
+	described map[string]*source.TableInfo
 
 	// lm counts this link's frames/bytes/round trips under
 	// wire.client.<name>.*; set once in DialContext after options resolve.
@@ -115,7 +119,8 @@ func WithMaxFrameBytes(n int) Option {
 // DialContext connects to a wire server, bounding the connect by ctx
 // and by the connect timeout (DefaultDialTimeout unless overridden). The
 // connection it opens proves the address and the protocol version,
-// brings the source's capabilities, and is the pool's first.
+// brings the source's capabilities and the descriptions of its tables,
+// seeds the link's round-trip estimate, and is the pool's first.
 func DialContext(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 	c := &Client{
 		addr:           addr,
@@ -129,16 +134,24 @@ func DialContext(ctx context.Context, addr string, opts ...Option) (*Client, err
 	c.lm = newLinkMetrics("client", c.name)
 	c.inj = c.plan.Link(c.name)
 	c.baseCtx = context.WithoutCancel(ctx)
-	fc, rep, err := c.dial(ctx)
+	fc, rep, err := c.dial(ctx, true)
 	if err != nil {
 		return nil, err
 	}
 	c.caps = rep.Caps
+	if len(rep.Tables) > 0 {
+		c.described = make(map[string]*source.TableInfo, len(rep.Tables))
+		for _, t := range rep.Tables {
+			c.described[t.Name] = t.Info
+		}
+	}
 	c.pool = append(c.pool, fc)
 	return c, nil
 }
 
-func (c *Client) dial(ctx context.Context) (*frameConn, *helloReply, error) {
+// dial opens a connection and greets the server on it, asking for the
+// served tables' descriptions when describe is set.
+func (c *Client) dial(ctx context.Context, describe bool) (*frameConn, *helloReply, error) {
 	if err := c.inj.Inject(ctx, faults.OpConnect); err != nil {
 		return nil, nil, fmt.Errorf("wire: dial %s: %w", c.addr, err)
 	}
@@ -155,7 +168,7 @@ func (c *Client) dial(ctx context.Context) (*frameConn, *helloReply, error) {
 	fc.inj = c.inj
 	fc.limit = c.maxFrameBytes
 	fc.rttEWMA = &c.rtt
-	rep, err := c.handshake(ctx, fc)
+	rep, err := c.handshake(ctx, fc, describe)
 	if err != nil {
 		c.discard(fc)
 		return nil, nil, fmt.Errorf("wire: dial %s: %w", c.addr, err)
@@ -167,15 +180,14 @@ func (c *Client) dial(ctx context.Context) (*frameConn, *helloReply, error) {
 // frame bound and returns its reply. The exchange bypasses the fault
 // injector deliberately: it is connection setup, not an operation in
 // the seeded fault sequence, so enabling it does not perturb fault-plan
-// decision streams. Anything but a well-formed msgOK (a server
-// rejecting the announced version, a reply cut short) fails the dial.
-func (c *Client) handshake(ctx context.Context, fc *frameConn) (*helloReply, error) {
+// decision streams. It is timed like any round trip, so the link's RTT
+// estimate has a sample before the first query ships a deadline.
+// Anything but a well-formed msgOK (a server rejecting the announced
+// version, a reply cut short) fails the dial.
+func (c *Client) handshake(ctx context.Context, fc *frameConn, describe bool) (*helloReply, error) {
 	var e Encoder
-	e.hello(&hello{Version: helloVersion, Tenant: c.tenant, MaxRead: c.maxFrameBytes})
-	if err := fc.writeFrame(ctx, msgHello, e.Bytes()); err != nil {
-		return nil, err
-	}
-	tag, resp, err := fc.readFrame(ctx)
+	e.hello(&hello{Version: helloVersion, Tenant: c.tenant, MaxRead: c.maxFrameBytes, Describe: describe})
+	tag, resp, err := fc.exchange(ctx, msgHello, e.Bytes())
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +219,7 @@ func (c *Client) getConn(ctx context.Context) (*frameConn, error) {
 		return fc, nil
 	}
 	c.mu.Unlock()
-	fc, _, err := c.dial(ctx)
+	fc, _, err := c.dial(ctx, false)
 	return fc, err
 }
 
@@ -330,29 +342,25 @@ func (c *Client) Tables(ctx context.Context) ([]string, error) {
 	return out, nil
 }
 
-// TableInfo implements source.Source.
+// TableInfo implements source.Source. The first ask for a table the
+// dial's hello reply described is answered from that reply, which is
+// then forgotten; every other ask is a round trip. So an answer is at
+// most as old as the dial, and only the first time.
 func (c *Client) TableInfo(ctx context.Context, table string) (*source.TableInfo, error) {
+	c.mu.Lock()
+	info, ok := c.described[table]
+	delete(c.described, table)
+	c.mu.Unlock()
+	if ok {
+		return info, nil
+	}
 	var e Encoder
 	e.String(table)
 	resp, err := c.call(ctx, msgTableInfo, e.Bytes())
 	if err != nil {
 		return nil, err
 	}
-	d := NewDecoder(resp)
-	info := &source.TableInfo{}
-	if info.Schema, err = d.Schema(); err != nil {
-		return nil, err
-	}
-	if info.KeyColumns, err = d.IntSlice(); err != nil {
-		return nil, err
-	}
-	if len(info.KeyColumns) == 0 {
-		info.KeyColumns = nil
-	}
-	if info.RowCount, err = d.Varint(); err != nil {
-		return nil, err
-	}
-	return info, nil
+	return NewDecoder(resp).tableInfo()
 }
 
 // Capabilities implements source.Source: the vector the served source
@@ -540,8 +548,13 @@ func (it *streamIter) Close() error {
 // write sends one write request — down tx's connection when it is a
 // step of that transaction, else as a conversation of its own, which is
 // all that tells the server an autocommit write from a transactional
-// one — and reads the affected-row count that answers it.
+// one — and reads the affected-row count that answers it. A table this
+// client writes is no longer answered from the dial's description, so
+// TableInfo after a write sees it.
 func (c *Client) write(ctx context.Context, tx *remoteTx, tag byte, req writeReq) (int64, error) {
+	c.mu.Lock()
+	delete(c.described, req.Table)
+	c.mu.Unlock()
 	e := newMessage()
 	if err := e.writeReq(tag, &req); err != nil {
 		return 0, err

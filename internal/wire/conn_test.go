@@ -175,7 +175,6 @@ func (s *stallingSource) TableInfo(ctx context.Context, table string) (*source.T
 // not the one the next call gets.
 func TestCallObservesDeadline(t *testing.T) {
 	src := &stallingSource{stall: 3 * time.Second}
-	src.stalls.Store(1)
 	srv, err := Serve(context.Background(), "127.0.0.1:0", src)
 	if err != nil {
 		t.Fatal(err)
@@ -186,6 +185,12 @@ func TestCallObservesDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
+	// The dial's hello described t: take that answer, so the next one is
+	// a round trip, and only then let the source stall.
+	if _, err := cl.TableInfo(ctx, "t"); err != nil {
+		t.Fatal(err)
+	}
+	src.stalls.Store(1)
 
 	dctx, cancel := context.WithTimeout(ctx, 200*time.Millisecond)
 	defer cancel()

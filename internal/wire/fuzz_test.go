@@ -185,9 +185,24 @@ func fuzzSeeds(t testing.TB) map[string][][]byte {
 		e.hello(&hello{Version: helloVersion, Tenant: "tenant-a", MaxRead: 1 << 20})
 		return nil
 	})
+	add("hello", func(e *Encoder) error {
+		e.hello(&hello{Version: helloVersion, MaxRead: 1 << 24, Describe: true})
+		return nil
+	})
 	add("helloReply", func(e *Encoder) error {
 		e.helloReply(&helloReply{MaxRead: 1 << 24,
 			Caps: source.Capabilities{Filter: source.FilterKey, Project: true, Limit: true, Txn: true}})
+		return nil
+	})
+	add("helloReply", func(e *Encoder) error {
+		keyed := types.NewSchema(
+			types.Column{Name: "id", Type: types.KindInt},
+			types.Column{Name: "note", Type: types.KindString, Nullable: true})
+		e.helloReply(&helloReply{MaxRead: 1 << 20, Caps: source.Capabilities{Filter: source.FilterFull, Write: true},
+			Tables: []describedTable{
+				{Name: "accounts", Info: &source.TableInfo{Schema: keyed, KeyColumns: []int{0}, RowCount: 1200}},
+				{Name: "log", Info: &source.TableInfo{Schema: types.NewSchema(types.Column{Table: "log", Name: "at", Type: types.KindTime}), RowCount: -1}},
+			}})
 		return nil
 	})
 	add("insert", func(e *Encoder) error {

@@ -38,7 +38,7 @@ func pipeClient(t *testing.T, src source.Source) *Client {
 	hctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	fc := newFrameConn(b, SimLink{}, SimLink{})
-	rep, err := cl.handshake(hctx, fc)
+	rep, err := cl.handshake(hctx, fc, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -329,9 +330,7 @@ func (s *Server) answer(ctx context.Context, st *connState, tag byte, d *Decoder
 		if err != nil {
 			return err
 		}
-		reply.Schema(info.Schema)
-		reply.IntSlice(info.KeyColumns)
-		reply.Varint(info.RowCount)
+		reply.tableInfo(info)
 
 	case msgBeginTx:
 		t, ok := s.src.(source.Transactional)
@@ -380,8 +379,9 @@ func (s *Server) answer(ctx context.Context, st *connState, tag byte, d *Decoder
 
 // handleHello answers the per-connection handshake: check the protocol
 // version, record the tenant, exchange frame-size bounds (each side
-// lowers its outbound bound to the peer's inbound one), and tell the
-// client what the served source can be asked.
+// lowers its outbound bound to the peer's inbound one), tell the client
+// what the served source can be asked and, when the hello asks, what
+// tables it serves.
 func (s *Server) handleHello(ctx context.Context, fc *frameConn, st *connState, payload []byte) error {
 	h, err := NewDecoder(payload).hello()
 	if err != nil {
@@ -395,9 +395,49 @@ func (s *Server) handleHello(ctx context.Context, fc *frameConn, st *connState, 
 	if h.MaxRead > 0 && h.MaxRead < fc.wlimit {
 		fc.wlimit = h.MaxRead
 	}
+	rep := helloReply{MaxRead: s.maxFrameBytes, Caps: s.src.Capabilities()}
+	if h.Describe {
+		rep.Tables = s.describe(ctx, &rep, fc.wlimit)
+	}
 	var e Encoder
-	e.helloReply(&helloReply{MaxRead: s.maxFrameBytes, Caps: s.src.Capabilities()})
+	e.helloReply(&rep)
 	return fc.writeFrame(ctx, msgOK, e.Bytes())
+}
+
+// describe is the export schema a hello reply of at most limit bytes
+// carries: each served table's description, in the order Tables lists
+// them, until the next would take the reply past limit. A table the
+// source cannot describe is left out, and so is every table when it
+// cannot list them, or once the server is closing; the client asks for
+// what is missing over the wire.
+func (s *Server) describe(ctx context.Context, rep *helloReply, limit int) []describedTable {
+	names, err := s.src.Tables(ctx)
+	if err != nil {
+		return nil
+	}
+	var e Encoder
+	e.helloHead(rep)
+	head, body := len(e.Bytes()), 0
+	var count [binary.MaxVarintLen64]byte
+	var out []describedTable
+	for _, name := range names {
+		if ctx.Err() != nil {
+			break
+		}
+		info, err := s.src.TableInfo(ctx, name)
+		if err != nil {
+			continue
+		}
+		t := describedTable{Name: name, Info: info}
+		e.Reset()
+		e.describedTable(t)
+		if head+binary.PutUvarint(count[:], uint64(len(out)+1))+body+len(e.Bytes()) > limit {
+			break
+		}
+		body += len(e.Bytes())
+		out = append(out, t)
+	}
+	return out
 }
 
 // sendShed reports an admission shed to the client. Typed overload

@@ -40,7 +40,8 @@ const (
 	// msgHello is the per-connection handshake, the first frame on
 	// every connection: the client announces its protocol version,
 	// tenant and frame-size bound; the server answers msgOK with its own
-	// bound and the source's capability vector (see hello.go).
+	// bound, the source's capability vector and, when the hello asks,
+	// its tables' descriptions (see hello.go).
 	msgHello
 )
 
@@ -293,6 +294,12 @@ func (f *frameConn) call(ctx context.Context, tag byte, payload []byte) (byte, [
 	if err := f.injure(ctx, classOfTag(tag)); err != nil {
 		return 0, nil, err
 	}
+	return f.exchange(ctx, tag, payload)
+}
+
+// exchange sends one request and reads its answer, folding the round
+// trip's time into the link's histogram and RTT estimate.
+func (f *frameConn) exchange(ctx context.Context, tag byte, payload []byte) (byte, []byte, error) {
 	start := time.Now()
 	if err := f.writeFrame(ctx, tag, payload); err != nil {
 		return 0, nil, err
