@@ -112,6 +112,7 @@ func (s *Store) Tables(context.Context) ([]string, error) {
 	for n := range s.collections {
 		out = append(out, n)
 	}
+	slices.Sort(out)
 	return out, nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -94,6 +95,7 @@ func (s *Store) Tables(context.Context) ([]string, error) {
 	for n := range s.tables {
 		out = append(out, n)
 	}
+	slices.Sort(out)
 	return out, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"gis/internal/expr"
@@ -67,6 +68,7 @@ func (s *Store) Tables(context.Context) ([]string, error) {
 	for n := range s.buckets {
 		out = append(out, n)
 	}
+	slices.Sort(out)
 	return out, nil
 }
 

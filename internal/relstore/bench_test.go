@@ -22,19 +22,36 @@ var benchRegions = []string{"north", "south", "east", "west", "mid", "nw", "se",
 // amount spread evenly over [0, 1000), eight regions.
 func benchOrders(tb testing.TB, n, fanout int) *Store {
 	tb.Helper()
+	s := emptyOrders(tb)
+	if _, err := s.Insert(ctx, "orders", benchRows(n, fanout)); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// emptyOrders is the orders table with its key and its index on
+// cust_id, and no rows.
+func emptyOrders(tb testing.TB) *Store {
+	tb.Helper()
 	s := New("bench")
-	schema := types.NewSchema(
-		types.Column{Name: "oid", Type: types.KindInt},
-		types.Column{Name: "cust_id", Type: types.KindInt},
-		types.Column{Name: "amount", Type: types.KindFloat},
-		types.Column{Name: "region", Type: types.KindString},
-	)
-	if err := s.CreateTable("orders", schema, 0); err != nil {
+	if err := s.CreateTable("orders", ordersSchema, 0); err != nil {
 		tb.Fatal(err)
 	}
 	if err := s.CreateIndex("orders", 1); err != nil {
 		tb.Fatal(err)
 	}
+	return s
+}
+
+var ordersSchema = types.NewSchema(
+	types.Column{Name: "oid", Type: types.KindInt},
+	types.Column{Name: "cust_id", Type: types.KindInt},
+	types.Column{Name: "amount", Type: types.KindFloat},
+	types.Column{Name: "region", Type: types.KindString},
+)
+
+// benchRows are the rows of benchOrders.
+func benchRows(n, fanout int) []types.Row {
 	rows := make([]types.Row, n)
 	for i := range rows {
 		rows[i] = types.Row{
@@ -44,10 +61,7 @@ func benchOrders(tb testing.TB, n, fanout int) *Store {
 			types.NewString(benchRegions[i%len(benchRegions)]),
 		}
 	}
-	if _, err := s.Insert(ctx, "orders", rows); err != nil {
-		tb.Fatal(err)
-	}
-	return s
+	return rows
 }
 
 var (
@@ -192,9 +206,9 @@ func openScan(tb testing.TB, s *Store, q *source.Query) {
 // benchWrite rewrites one row by primary key b.N times — update_2pc's
 // update_1p as the store sees it — each time after a full scan was
 // opened, read one row of and closed, or with no scan at all. The update
-// itself reads every row (writes do not use the index), so read B/op and
-// allocs/op: what a scan costs the write that follows it is one chunk
-// and the directory, whatever the table's size.
+// finds its row by the key's index, so read B/op and allocs/op: what a
+// scan costs the write that follows it is one chunk and the directory,
+// whatever the table's size.
 func benchWrite(b *testing.B, afterScan bool) {
 	full := source.NewScan("orders")
 	for _, n := range []int{1000, 100000} {
@@ -215,3 +229,18 @@ func benchWrite(b *testing.B, afterScan bool) {
 
 func BenchmarkWriteNoScan(b *testing.B)    { benchWrite(b, false) }
 func BenchmarkWriteAfterScan(b *testing.B) { benchWrite(b, true) }
+
+// BenchmarkLoadIndexed is a store's share of set-up: 10 000 rows
+// inserted into a table with a key and one secondary index, the shape
+// bench/fixture.go loads. Linking a row into an index allocates nothing
+// but the amortised growth of its chain array, so allocs/op are the
+// rows' own and the tables'.
+func BenchmarkLoadIndexed(b *testing.B) {
+	rows := benchRows(10000, 50)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := emptyOrders(b).Insert(ctx, "orders", rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -18,7 +18,7 @@ import (
 //
 //   - an aggregating query folds each passing row into its group as it
 //     is found, and an ordered one is drained and sorted, both here;
-//   - an index probe copies the headers of its bucket's rows;
+//   - an index probe copies the headers of the rows it names;
 //   - any other query is a scan of the whole table, and borrows it
 //     (table.view): nothing is copied, and the filter, the projection
 //     and the limit happen in Next, after the lock is gone. Writers pay
@@ -39,20 +39,21 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	if err := q.Check(s.Capabilities(), &source.TableInfo{Schema: t.schema}); err != nil {
 		return nil, fmt.Errorf("relstore %s: %w", s.name, err)
 	}
-	candidates, indexed := t.candidateRows(q.Filter)
 	if q.HasAggregation() {
-		rows, err := t.fold(q, candidates, indexed)
+		rows, err := t.fold(q)
 		if err != nil {
 			return nil, fmt.Errorf("relstore %s: %w", s.name, err)
 		}
 		return sortLimit(rows, q), nil
 	}
 	it := &scanIter{s: s, q: q, limit: q.Limit}
+	var buf [probeRows]int32
+	candidates, indexed := t.candidateRows(q.Filter, buf[:0])
 	switch {
 	case indexed:
 		it.cur = make([]types.Row, 0, len(candidates))
 		for _, pos := range candidates {
-			if r := t.at(pos); r != nil {
+			if r := t.at(int(pos)); r != nil {
 				it.cur = append(it.cur, r)
 			}
 		}
@@ -75,37 +76,16 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	return sortLimit(rows, q), nil
 }
 
-// fold groups and aggregates the rows of t that pass q's filter — of the
-// candidates, when an index gave them. Caller holds mu.
-func (t *table) fold(q *source.Query, candidates []int, indexed bool) ([]types.Row, error) {
+// fold groups and aggregates the rows of t that pass q's filter. Caller
+// holds mu.
+func (t *table) fold(q *source.Query) ([]types.Row, error) {
 	aggs := make([]expr.AccSpec, len(q.Aggs))
 	for i, a := range q.Aggs {
 		aggs[i] = expr.AccSpec{Kind: a.Kind, Star: a.Star, Distinct: a.Distinct}
 	}
 	groups := expr.NewGroupTable(len(q.GroupBy), aggs)
 	key := make(types.Row, len(q.GroupBy)) // scratch: the group key of the row in hand
-	n := t.n
-	if indexed {
-		n = len(candidates)
-	}
-	for i := 0; i < n; i++ {
-		pos := i
-		if indexed {
-			pos = candidates[i]
-		}
-		r := t.at(pos)
-		if r == nil {
-			continue
-		}
-		if q.Filter != nil {
-			ok, err := expr.EvalBool(q.Filter, r)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
+	err := t.match(q.Filter, func(_ int, r types.Row) error {
 		for j, g := range q.GroupBy {
 			key[j] = r[g]
 		}
@@ -115,11 +95,52 @@ func (t *table) fold(q *source.Query, candidates []int, indexed bool) ([]types.R
 				v = r[a.Col]
 			}
 			if err := acc.Add(v); err != nil {
-				return nil, err
+				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return groups.Rows(), nil
+}
+
+// match calls fn with each live row of t that passes filter, and its
+// position, in table order: of the rows an index probe names when one
+// applies (candidateRows), else of every row. The probe is complete
+// before the first call, so fn may relink the row it is given. Caller
+// holds mu.
+func (t *table) match(filter expr.Expr, fn func(pos int, r types.Row) error) error {
+	var buf [probeRows]int32
+	candidates, indexed := t.candidateRows(filter, buf[:0])
+	n := t.n
+	if indexed {
+		n = len(candidates)
+	}
+	for i := 0; i < n; i++ {
+		pos := i
+		if indexed {
+			pos = int(candidates[i])
+		}
+		r := t.at(pos)
+		if r == nil {
+			continue
+		}
+		if filter != nil {
+			ok, err := expr.EvalBool(filter, r)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				continue
+			}
+		}
+		if err := fn(pos, r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // sortLimit orders rows, which are this query's own, by q's ORDER BY,
@@ -197,18 +218,25 @@ func (it *scanIter) Close() error {
 	return nil
 }
 
-// candidateRows returns the positions of the rows a hash index says
-// can pass the filter, and false when no index applies and the caller
-// must scan every row. An index applies where the filter's range on its
-// column (expr.ColumnRange) names finitely many values — an equality, an
-// IN list as the semijoin strategy ships, or NULL, which names none —
-// and of those that do, the one naming the fewest is probed, the lowest
-// column on a tie. The caller filters what the probe returns.
-func (t *table) candidateRows(filter expr.Expr) ([]int, bool) {
-	col, n := -1, 0
-	var best expr.Range
-	for c := range t.hashIdx {
-		r, _ := expr.ColumnRange(filter, c)
+// probeRows is how many positions an index probe collects on its
+// caller's stack; a longer one allocates. point_remote's foreign-key
+// probe names 50.
+const probeRows = 128
+
+// candidateRows appends to buf the positions of the rows a hash index
+// says can pass the filter, in table order, and returns false when no
+// index applies and the caller must scan every row. An index applies
+// where the filter's range on its column (expr.ColumnRange) names
+// finitely many values — an equality, an IN list as the semijoin
+// strategy ships, or NULL, which names none — and of those that do, the
+// one naming the fewest is probed, the lowest column on a tie. The
+// caller filters what the probe returns.
+func (t *table) candidateRows(filter expr.Expr, buf []int32) ([]int32, bool) {
+	var best *hashIndex
+	var keys expr.Range
+	n := 0
+	for _, x := range t.indexes {
+		r, _ := expr.ColumnRange(filter, x.col)
 		k := len(r.Keys)
 		switch _, point := r.Point(); {
 		case point:
@@ -216,23 +244,22 @@ func (t *table) candidateRows(filter expr.Expr) ([]int, bool) {
 		case r.Keys == nil:
 			continue // an interval, which a hash index cannot walk
 		}
-		if col < 0 || k < n || (k == n && c < col) {
-			col, n, best = c, k, r
+		if best == nil || k < n || (k == n && x.col < best.col) {
+			best, n, keys = x, k, r
 		}
 	}
-	if col < 0 {
+	if best == nil {
 		return nil, false
 	}
-	idx := t.hashIdx[col]
-	if v, ok := best.Point(); ok {
-		return idx[v.Hash(0)], true
+	if v, ok := keys.Point(); ok {
+		buf = best.probe(v.Hash(0), buf)
+	} else {
+		for _, k := range keys.Keys {
+			buf = best.probe(k.Hash(0), buf)
+		}
 	}
-	// Two keys may share a bucket: positions are sorted and each kept
-	// once, which also yields the rows in the table's order.
-	out := make([]int, 0, len(best.Keys))
-	for _, k := range best.Keys {
-		out = append(out, idx[k.Hash(0)]...)
-	}
-	slices.Sort(out)
-	return slices.Compact(out), true
+	// A chain runs from the row linked last, and two keys may share one:
+	// positions are sorted and each kept once.
+	slices.Sort(buf)
+	return slices.Compact(buf), true
 }

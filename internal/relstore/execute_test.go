@@ -2,8 +2,10 @@ package relstore
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -598,3 +600,232 @@ func TestChunkBytes(t *testing.T) {
 }
 
 var chunkSink *chunk // makes TestChunkBytes' chunk escape
+
+// An index holds a row's position in next, 4 B, and a distinct value
+// in one map slot: an 8 B hash and a 4 B position padded to 16 B, with
+// a control byte beside it. Go's maps keep a table between 7/16 and 7/8
+// full, so a slot costs at most 17·16/7 ≈ 38.9 B an entry. next, grown
+// by append under the key, costs at most 5 B a row, and 4 B under the
+// secondary index, which sizes it once; the 2 000 customers' slots add
+// under 1 B a row. A slice per value cannot meet the ceiling: its slot
+// is 32 B, and the key's one-element slices alone add 8 B a row.
+func TestIndexBytesPerRow(t *testing.T) {
+	const n, fanout, ceiling = 100000, 50, 17.0*16/7 + 5 + 4 + 1
+	s := New("bench")
+	if err := s.CreateTable("orders", ordersSchema, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Insert(ctx, "orders", benchRows(n, fanout)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateIndex("orders", 1); err != nil {
+		t.Fatal(err)
+	}
+	tbl := s.tables["orders"]
+	var with, without runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&with)
+	tbl.indexes = nil
+	runtime.GC()
+	runtime.ReadMemStats(&without)
+	runtime.KeepAlive(s)
+	perRow := float64(int64(with.HeapAlloc)-int64(without.HeapAlloc)) / n
+	t.Logf("a key and a secondary index hold %.1f B a row", perRow)
+	if perRow > ceiling {
+		t.Errorf("a key and a secondary index hold %.1f B a row, want at most %.1f", perRow, ceiling)
+	}
+}
+
+// A table refuses the row whose position an int32 cannot hold.
+func TestInsertRefusedPastMaxRows(t *testing.T) {
+	s := emptyRefStore(t)
+	s.tables["ref"].n = maxRows // as if full: the refusal reads nothing else
+	row := types.Row{types.NewInt(1), types.NewString("a"), types.NewFloat(1), types.NewInt(1)}
+	if _, err := s.Insert(ctx, "ref", []types.Row{row}); err == nil || !strings.Contains(err.Error(), "full") {
+		t.Errorf("insert into a full table: %v, want it refused", err)
+	}
+}
+
+// TestIndexMatchesRebuild runs seeded INSERTs, UPDATEs — of the key and
+// of the indexed column too — and DELETEs, some in transactions that
+// abort, and after every statement holds each index to one rebuilt from
+// the live rows, and each probe to a filtered full scan.
+func TestIndexMatchesRebuild(t *testing.T) {
+	s := emptyRefStore(t)
+	tbl := s.tables["ref"]
+	rng := rand.New(rand.NewSource(7))
+	str, num := types.NewString, types.NewInt
+	const ids = 60 // inserts draw from few ids, so some collide
+	cat := func() types.Value {
+		if rng.Intn(8) == 0 {
+			return types.Null
+		}
+		return str(string(rune('a' + rng.Intn(4))))
+	}
+	filter := func() expr.Expr {
+		switch rng.Intn(5) {
+		case 0:
+			return refCmp(expr.OpEq, refCol(refID), num(int64(rng.Intn(ids))))
+		case 1:
+			return refCmp(expr.OpEq, refCol(refCat), cat())
+		case 2:
+			return refIn(refID, num(int64(rng.Intn(ids))), num(int64(rng.Intn(ids))), num(int64(rng.Intn(ids))))
+		case 3:
+			return refIn(refCat, cat(), cat())
+		default:
+			return refCmp(expr.OpLt, refCol(refN), num(int64(rng.Intn(8)))) // no index applies
+		}
+	}
+	statement := func(w source.Writer) error {
+		switch rng.Intn(5) {
+		case 0, 1:
+			rows := make([]types.Row, 1+rng.Intn(3))
+			for i := range rows {
+				rows[i] = types.Row{num(int64(rng.Intn(ids))), cat(), types.NewFloat(float64(rng.Intn(9))), num(int64(rng.Intn(10)))}
+			}
+			_, err := w.Insert(ctx, "ref", rows)
+			return err
+		case 2, 3:
+			set := [][]source.SetClause{
+				{{Col: refCat, Value: expr.NewConst(cat())}},
+				{{Col: refID, Value: expr.NewBinary(expr.OpAdd, refCol(refID), expr.NewConst(num(int64(1+rng.Intn(5)))))}},
+				{{Col: refID, Value: expr.NewConst(num(int64(ids + rng.Intn(ids))))}, {Col: refCat, Value: expr.NewConst(cat())}},
+				{{Col: refN, Value: expr.NewBinary(expr.OpAdd, refCol(refN), expr.NewConst(num(1)))}},
+			}[rng.Intn(4)]
+			_, err := w.Update(ctx, "ref", filter(), set)
+			return err
+		default:
+			f := filter()
+			if rng.Intn(8) > 0 { // most deletes take a row or none, so rows stay live
+				f = refCmp(expr.OpEq, refCol(refID), num(int64(rng.Intn(2*ids))))
+			}
+			_, err := w.Delete(ctx, "ref", f)
+			return err
+		}
+	}
+	probes := []expr.Expr{refIn(refCat, str("a"), str("d")), refIn(refID, num(3), num(ids+3), num(3))}
+	for c := range 4 {
+		probes = append(probes, refCmp(expr.OpEq, refCol(refCat), str(string(rune('a'+c)))))
+	}
+	for id := range 2 * ids {
+		probes = append(probes, refCmp(expr.OpEq, refCol(refID), num(int64(id))))
+	}
+	check := func(step int) {
+		t.Helper()
+		checkIndexes(t, step, tbl)
+		for _, f := range probes {
+			checkProbe(t, step, tbl, f)
+		}
+	}
+	statements, aborted := 0, 0
+	for step := 0; step < 400; step++ {
+		if rng.Intn(3) > 0 {
+			_ = statement(s) // autocommit: a statement that fails rolls back
+			statements++
+			check(step)
+			continue
+		}
+		tx, err := s.BeginTx(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		abort := rng.Intn(2) == 0
+		for k := 1 + rng.Intn(4); k > 0; k-- {
+			err := statement(tx)
+			statements++
+			check(step)
+			if err != nil {
+				abort = true
+				break
+			}
+		}
+		if abort {
+			if err := tx.Abort(ctx); err != nil {
+				t.Fatal(err)
+			}
+			aborted++
+		} else if err := tx.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+		check(step)
+	}
+	t.Logf("%d statements, %d transactions aborted, %d of %d rows live", statements, aborted, tbl.live.Load(), tbl.n)
+}
+
+// checkIndexes holds every index of tbl to the design: each position
+// linked once, a live row under its own value's hash, and the live
+// positions under each hash, in probe order, those of an index rebuilt
+// from the live rows.
+func checkIndexes(t *testing.T, step int, tbl *table) {
+	t.Helper()
+	for _, x := range tbl.indexes {
+		if len(x.next) != tbl.n {
+			t.Fatalf("step %d, index on %d: next holds %d positions, the table %d", step, x.col, len(x.next), tbl.n)
+		}
+		linked := make([]bool, tbl.n)
+		got := map[uint64][]int32{}
+		for h := range x.head {
+			for _, p := range x.probe(h, nil) {
+				if linked[p] {
+					t.Fatalf("step %d, index on %d: position %d linked twice", step, x.col, p)
+				}
+				linked[p] = true
+				if r := tbl.at(int(p)); r != nil {
+					if r[x.col].Hash(0) != h {
+						t.Fatalf("step %d, index on %d: row %d = %v linked under another value's hash", step, x.col, p, r)
+					}
+					got[h] = append(got[h], p)
+				}
+			}
+		}
+		if i := slices.Index(linked, false); i >= 0 {
+			t.Fatalf("step %d, index on %d: position %d not linked", step, x.col, i)
+		}
+		want := map[uint64][]int32{}
+		for pos := 0; pos < tbl.n; pos++ {
+			if r := tbl.at(pos); r != nil {
+				h := r[x.col].Hash(0)
+				want[h] = append(want[h], int32(pos))
+			}
+		}
+		for h := range got {
+			slices.Sort(got[h])
+		}
+		if !maps.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("step %d, index on %d: live positions %v, rebuilt %v", step, x.col, got, want)
+		}
+	}
+}
+
+// checkProbe holds what an index probe yields for filter f, filtered,
+// to what a filtered full scan yields: the same positions, in order.
+func checkProbe(t *testing.T, step int, tbl *table, f expr.Expr) {
+	t.Helper()
+	candidates, indexed := tbl.candidateRows(f, nil)
+	if !indexed {
+		t.Fatalf("step %d: no index applies to %s", step, f)
+	}
+	var got, want []int
+	for _, p := range candidates {
+		if r := tbl.at(int(p)); r != nil && evalTrue(t, f, r) {
+			got = append(got, int(p))
+		}
+	}
+	for pos := 0; pos < tbl.n; pos++ {
+		if r := tbl.at(pos); r != nil && evalTrue(t, f, r) {
+			want = append(want, pos)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("step %d: probe for %s yields %v, a full scan %v", step, f, got, want)
+	}
+}
+
+func evalTrue(t *testing.T, f expr.Expr, r types.Row) bool {
+	t.Helper()
+	ok, err := expr.EvalBool(f, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}

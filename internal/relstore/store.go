@@ -9,11 +9,17 @@
 // them with the lock gone, and the first write to a chunk a scan may
 // hold copies that chunk instead of changing it (table.own). A deleted
 // row leaves a tombstone, and its position is never used again.
+//
+// A hash index (hashIndex) threads a chain of row positions per value
+// hash through one int32 array, so a table holds at most maxRows rows.
+// A probe yields positions in table order, which a chain does not keep
+// once a write relinks a row: it sorts what it walked.
 package relstore
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -63,8 +69,80 @@ type table struct {
 	// live counts non-tombstone rows; written under mu, read by
 	// TableInfo without it.
 	live atomic.Int64
-	// hashIdx maps indexed column → value hash → row positions.
-	hashIdx map[int]map[uint64][]int
+	// indexes are the table's hash indexes, the key columns' first.
+	indexes []*hashIndex
+}
+
+// maxRows is how many rows a table holds: a position is an int32.
+const maxRows = math.MaxInt32
+
+// hashIndex is a hash index on column col: head maps a value's hash to
+// the position of the row last linked under it, and next[pos] to the
+// one linked before row pos under the same hash, or -1. Every position
+// is linked exactly once — a tombstone stays linked where its row was,
+// and probes skip it — so an index costs a table 4 B a row and a map
+// entry a distinct hash, and linking a row allocates nothing beyond
+// next's amortised growth.
+type hashIndex struct {
+	col  int
+	head map[uint64]int32
+	next []int32
+}
+
+// first returns the position last linked under hash h, or -1: a chain
+// is walked as for p := x.first(h); p >= 0; p = x.next[p].
+func (x *hashIndex) first(h uint64) int32 {
+	if p, ok := x.head[h]; ok {
+		return p
+	}
+	return -1
+}
+
+// link puts row pos at the head of hash h's chain. pos is either the
+// next position of the table or one unlink just took out.
+func (x *hashIndex) link(pos int, h uint64) {
+	prev := x.first(h)
+	x.head[h] = int32(pos)
+	if pos == len(x.next) {
+		x.next = append(x.next, prev)
+	} else {
+		x.next[pos] = prev
+	}
+}
+
+// unlink takes row pos out of hash h's chain.
+func (x *hashIndex) unlink(pos int, h uint64) {
+	p := x.head[h]
+	if int(p) == pos {
+		if x.next[pos] < 0 {
+			delete(x.head, h)
+		} else {
+			x.head[h] = x.next[pos]
+		}
+		return
+	}
+	for int(x.next[p]) != pos {
+		p = x.next[p]
+	}
+	x.next[p] = x.next[pos]
+}
+
+// probe appends the positions linked under hash h to buf.
+func (x *hashIndex) probe(h uint64, buf []int32) []int32 {
+	for p := x.first(h); p >= 0; p = x.next[p] {
+		buf = append(buf, p)
+	}
+	return buf
+}
+
+// index returns the hash index on column col, or nil.
+func (t *table) index(col int) *hashIndex {
+	for _, x := range t.indexes {
+		if x.col == col {
+			return x
+		}
+	}
+	return nil
 }
 
 // chunkRows is how many rows a chunk holds: 4 080 B of row headers,
@@ -138,13 +216,11 @@ func (s *Store) CreateTable(name string, schema *types.Schema, keyCols ...int) e
 			return fmt.Errorf("relstore %s: key column %d out of range for %q", s.name, k, name)
 		}
 	}
-	t := &table{
-		schema:  schema.Clone(),
-		key:     append([]int(nil), keyCols...),
-		hashIdx: make(map[int]map[uint64][]int),
-	}
+	t := &table{schema: schema.Clone(), key: append([]int(nil), keyCols...)}
 	for _, k := range keyCols {
-		t.hashIdx[k] = make(map[uint64][]int)
+		if t.index(k) == nil {
+			t.indexes = append(t.indexes, &hashIndex{col: k, head: make(map[uint64]int32)})
+		}
 	}
 	s.tables[name] = t
 	return nil
@@ -161,17 +237,20 @@ func (s *Store) CreateIndex(name string, col int) error {
 	if col < 0 || col >= t.schema.Len() {
 		return fmt.Errorf("relstore %s: index column %d out of range", s.name, col)
 	}
-	if _, dup := t.hashIdx[col]; dup {
+	if t.index(col) != nil {
 		return nil
 	}
-	idx := make(map[uint64][]int)
+	// A tombstone is linked under the hash of NULL, where a probe finds
+	// no row and moves on.
+	x := &hashIndex{col: col, head: make(map[uint64]int32), next: make([]int32, 0, t.n)}
 	for pos := 0; pos < t.n; pos++ {
+		v := types.Null
 		if r := t.at(pos); r != nil {
-			h := r[col].Hash(0)
-			idx[h] = append(idx[h], pos)
+			v = r[col]
 		}
+		x.link(pos, v.Hash(0))
 	}
-	t.hashIdx[col] = idx
+	t.indexes = append(t.indexes, x)
 	return nil
 }
 
@@ -198,6 +277,7 @@ func (s *Store) Tables(context.Context) ([]string, error) {
 	for n := range s.tables {
 		out = append(out, n)
 	}
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -291,7 +371,8 @@ func (s *Store) Delete(ctx context.Context, tbl string, filter expr.Expr) (int64
 	return n, tx.Commit(ctx)
 }
 
-// insertLocked appends a row and maintains indexes. Caller holds mu.
+// insertLocked appends a row and links it into every index. Caller
+// holds mu and has checked that the table holds fewer than maxRows.
 func (t *table) insertLocked(r types.Row) int {
 	pos := t.n
 	if pos == len(t.dir)*chunkRows {
@@ -300,15 +381,14 @@ func (t *table) insertLocked(r types.Row) int {
 	t.dir[pos/chunkRows][pos%chunkRows] = r
 	t.n++
 	t.live.Add(1)
-	for col, idx := range t.hashIdx {
-		h := r[col].Hash(0)
-		idx[h] = append(idx[h], pos)
+	for _, x := range t.indexes {
+		x.link(pos, r[x.col].Hash(0))
 	}
 	return pos
 }
 
-// deleteLocked tombstones row pos. Its index entries stay where they
-// are: they point at a nil row, which probes skip.
+// deleteLocked tombstones row pos. It stays linked where it is in
+// every index: a nil row, which probes skip.
 func (t *table) deleteLocked(pos int) types.Row {
 	old := t.at(pos)
 	if old == nil {
@@ -319,25 +399,16 @@ func (t *table) deleteLocked(pos int) types.Row {
 	return old
 }
 
-// replaceLocked overwrites row pos with r, keeping indexes consistent.
+// replaceLocked overwrites live row pos with r, and relinks it in every
+// index whose column's hash r changes.
 func (t *table) replaceLocked(pos int, r types.Row) types.Row {
 	old := t.at(pos)
 	t.set(pos, r)
-	for col, idx := range t.hashIdx {
-		oh := old[col].Hash(0)
-		nh := r[col].Hash(0)
-		if oh == nh {
-			continue
+	for _, x := range t.indexes {
+		if oh, nh := old[x.col].Hash(0), r[x.col].Hash(0); oh != nh {
+			x.unlink(pos, oh)
+			x.link(pos, nh)
 		}
-		bucket := idx[oh]
-		for i, p := range bucket {
-			if p == pos {
-				bucket[i] = bucket[len(bucket)-1]
-				idx[oh] = bucket[:len(bucket)-1]
-				break
-			}
-		}
-		idx[nh] = append(idx[nh], pos)
 	}
 	return old
 }

@@ -85,6 +85,9 @@ func (tx *Tx) Insert(_ context.Context, tbl string, rows []types.Row) (int64, er
 	}
 	var n int64
 	for _, r := range rows {
+		if t.n == maxRows {
+			return n, fmt.Errorf("relstore %s table %s: full at %d rows", tx.s.name, tbl, maxRows)
+		}
 		nr, err := source.NormalizeRow(t.schema, r)
 		if err != nil {
 			return n, fmt.Errorf("relstore %s table %s: %w", tx.s.name, tbl, err)
@@ -116,42 +119,30 @@ func (tx *Tx) Update(_ context.Context, tbl string, filter expr.Expr, set []sour
 	// row's duplicate.
 	setsKey := slices.ContainsFunc(set, func(sc source.SetClause) bool { return slices.Contains(t.key, sc.Col) })
 	var n int64
-	for pos := 0; pos < t.n; pos++ {
-		r := t.at(pos)
-		if r == nil {
-			continue
-		}
-		if filter != nil {
-			ok, err := expr.EvalBool(filter, r)
-			if err != nil {
-				return n, err
-			}
-			if !ok {
-				continue
-			}
-		}
+	err = t.match(filter, func(pos int, r types.Row) error {
 		nr := r.Clone()
 		for _, sc := range set {
 			v, err := sc.Value.Eval(r)
 			if err != nil {
-				return n, err
+				return err
 			}
 			cv, err := source.CoerceForColumn(v, t.schema.Columns[sc.Col].Type)
 			if err != nil {
-				return n, err
+				return err
 			}
 			nr[sc.Col] = cv
 		}
 		if setsKey {
 			if err := t.checkKey(nr, pos); err != nil {
-				return n, fmt.Errorf("relstore %s table %s: %w", tx.s.name, tbl, err)
+				return fmt.Errorf("relstore %s table %s: %w", tx.s.name, tbl, err)
 			}
 		}
 		old := t.replaceLocked(pos, nr)
 		tx.undo = append(tx.undo, undoRec{kind: undoReplace, t: t, pos: pos, old: old})
 		n++
-	}
-	return n, nil
+		return nil
+	})
+	return n, err
 }
 
 // Delete implements source.Writer within the transaction.
@@ -164,25 +155,13 @@ func (tx *Tx) Delete(_ context.Context, tbl string, filter expr.Expr) (int64, er
 		return 0, err
 	}
 	var n int64
-	for pos := 0; pos < t.n; pos++ {
-		r := t.at(pos)
-		if r == nil {
-			continue
-		}
-		if filter != nil {
-			ok, err := expr.EvalBool(filter, r)
-			if err != nil {
-				return n, err
-			}
-			if !ok {
-				continue
-			}
-		}
+	err = t.match(filter, func(pos int, _ types.Row) error {
 		old := t.deleteLocked(pos)
 		tx.undo = append(tx.undo, undoRec{kind: undoDelete, t: t, pos: pos, old: old})
 		n++
-	}
-	return n, nil
+		return nil
+	})
+	return n, err
 }
 
 // Prepare implements source.Tx: it votes on commit. After a successful
@@ -241,9 +220,10 @@ func (tx *Tx) Abort(context.Context) error {
 	return nil
 }
 
-// checkKey enforces the primary key: r's key holds no NULL and, using
-// the key hash index when present, no row but the one at position self,
-// which r is about to replace (-1: r is new), holds r's key.
+// checkKey enforces the primary key: r's key holds no NULL and no row
+// but the one at position self, which r is about to replace (-1: r is
+// new), holds r's key. It walks the chain of r's first key column in
+// place.
 func (t *table) checkKey(r types.Row, self int) error {
 	if len(t.key) == 0 {
 		return nil
@@ -253,14 +233,10 @@ func (t *table) checkKey(r types.Row, self int) error {
 			return errors.New("NULL key")
 		}
 	}
-	probe := t.key[0]
-	idx, ok := t.hashIdx[probe]
-	if !ok {
-		return nil
-	}
-	for _, pos := range idx[r[probe].Hash(0)] {
-		ex := t.at(pos)
-		if ex == nil || pos == self {
+	x := t.index(t.key[0])
+	for p := x.first(r[x.col].Hash(0)); p >= 0; p = x.next[p] {
+		ex := t.at(int(p))
+		if ex == nil || int(p) == self {
 			continue
 		}
 		same := true

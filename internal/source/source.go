@@ -313,7 +313,9 @@ func Lend(it RowIter) {
 type Source interface {
 	// Name identifies the source in the catalog and in EXPLAIN output.
 	Name() string
-	// Tables lists the tables the source exposes.
+	// Tables lists the tables the source exposes, sorted by name, so
+	// that whatever reads a prefix of the list (a dial's hello reply)
+	// reads the same one every time.
 	Tables(ctx context.Context) ([]string, error)
 	// TableInfo describes one table.
 	TableInfo(ctx context.Context, table string) (*TableInfo, error)

@@ -3,7 +3,9 @@ package wire
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +13,9 @@ import (
 	"time"
 
 	"gis/internal/catalog"
+	"gis/internal/docstore"
+	"gis/internal/filestore"
+	"gis/internal/kvstore"
 	"gis/internal/obs"
 	"gis/internal/relstore"
 	"gis/internal/source"
@@ -220,6 +225,90 @@ func TestHandshakeSeedsRTT(t *testing.T) {
 	}
 	if n := hist.Count() - before; n != 1 {
 		t.Errorf("the dial added %d samples to rtt_seconds, want 1", n)
+	}
+}
+
+// TestDialDescribesASortedPrefix: a served store of each kind with more
+// tables than a 256-byte hello reply holds, made in shuffled order,
+// describes the first of its names in sorted order on every dial, so
+// the round trips set-up spends on the rest do not vary from run to
+// run.
+func TestDialDescribesASortedPrefix(t *testing.T) {
+	const n, dials = 40, 5
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("t%02d", i)
+	}
+	order := rand.New(rand.NewSource(1)).Perm(n)
+	schema := types.NewSchema(types.Column{Name: "k", Type: types.KindInt})
+	stores := map[string]func(t *testing.T) source.Source{
+		"relstore": func(t *testing.T) source.Source {
+			st := relstore.New("many")
+			for _, i := range order {
+				if err := st.CreateTable(names[i], schema, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return st
+		},
+		"kvstore": func(t *testing.T) source.Source {
+			st := kvstore.New("many")
+			for _, i := range order {
+				if err := st.CreateBucket(names[i], schema, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return st
+		},
+		"docstore": func(t *testing.T) source.Source {
+			st := docstore.New("many")
+			for _, i := range order {
+				if err := st.CreateCollection(names[i], []docstore.FieldMap{{Column: schema.Columns[0], Path: "k"}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return st
+		},
+		"filestore": func(t *testing.T) source.Source {
+			st := filestore.New("many")
+			for _, i := range order {
+				if err := st.RegisterData(names[i], "k\n1\n", schema); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return st
+		},
+	}
+	for kind, build := range stores {
+		t.Run(kind, func(t *testing.T) {
+			srv, err := Serve(context.Background(), "127.0.0.1:0", build(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			var first []string
+			for d := 0; d < dials; d++ {
+				cl, err := DialContext(ctx, srv.Addr(), WithName("describe-prefix"), WithMaxFrameBytes(256))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []string
+				for name := range cl.described {
+					got = append(got, name)
+				}
+				slices.Sort(got)
+				cl.Close()
+				if len(got) == 0 || len(got) == n || !slices.Equal(got, names[:len(got)]) {
+					t.Fatalf("dial %d described %v: want a proper prefix of %v", d, got, names)
+				}
+				if d == 0 {
+					first = got
+				} else if !slices.Equal(got, first) {
+					t.Fatalf("dial %d described %v, the first %v", d, got, first)
+				}
+			}
+			t.Logf("%d of %d tables described on each of %d dials", len(first), n, dials)
+		})
 	}
 }
 
