@@ -67,7 +67,7 @@ func main() {
 	if *expList != "" {
 		ids = strings.Split(*expList, ",")
 	} else if !*quick && !*overload {
-		ids = []string{"T1", "T2", "F3", "T4", "F5", "T6", "F7", "T8", "F9"}
+		ids = experiments.IDs()
 	}
 
 	// The banner yields stdout to the JSON stream under -json.

@@ -80,15 +80,11 @@ func main() {
 	e.SetTracing(!*noTrace)
 	e.SetPartialResults(*partial)
 	if *resil {
-		p := resilience.DefaultPolicy()
-		p.MaxRetries = *retries
-		p.CallTimeout = *callTO
-		p.BreakerThreshold = *brkThresh
-		p.BreakerCooldown = *brkCool
-		if err := e.Catalog().SetResilience(p); err != nil {
-			fmt.Fprintf(os.Stderr, "gisql: %v\n", err)
-			os.Exit(1)
-		}
+		policy = resilience.DefaultPolicy()
+		policy.MaxRetries = *retries
+		policy.CallTimeout = *callTO
+		policy.BreakerThreshold = *brkThresh
+		policy.BreakerCooldown = *brkCool
 	}
 	if *faultPlan != "" {
 		fp, err := faults.ParsePlan(*faultPlan)
@@ -108,7 +104,7 @@ func main() {
 			DefaultDeadline: *deadline,
 			// Breaker-style shedding: when any source's breaker is open,
 			// over-limit statements are shed instead of queued.
-			Degraded: e.Catalog().Health().Degraded,
+			Degraded: degraded,
 		}))
 	}
 	if *queryLog != "" {
@@ -176,6 +172,35 @@ func main() {
 	repl(ctx, e)
 }
 
+// policy, set by -resilience, guards every source the shell registers;
+// guards are those sources, whose breakers the admission hook reads.
+var (
+	policy *resilience.Policy
+	guards []*resilience.Guarded
+)
+
+// guard wraps src under the -resilience policy, when there is one.
+func guard(src source.Source) source.Source {
+	if policy == nil {
+		return src
+	}
+	g := resilience.WrapSource(src, policy)
+	guards = append(guards, g)
+	return g
+}
+
+// degraded reports whether any guarded source's breaker is open: the
+// admission hook that sheds over-limit statements instead of queueing
+// them while part of the federation is failing.
+func degraded() bool {
+	for _, g := range guards {
+		if g.Breaker().State() == resilience.BreakerOpen {
+			return true
+		}
+	}
+	return false
+}
+
 // clientFaults, when set by -fault-plan, injects faults on every
 // client-side link; connectTimeout bounds the TCP dial; clientTenant is
 // announced in every connection handshake.
@@ -198,7 +223,7 @@ func dialOpts(name string) []wire.Option {
 }
 
 // dialSource connects one config-declared component system, applying
-// any simulated link parameters it specifies.
+// any simulated link parameters it specifies, and guards it.
 func dialSource(ctx context.Context, sc catalog.SourceConfig) (source.Source, error) {
 	opts := dialOpts(sc.Name)
 	if sc.LatencyMS > 0 || sc.BandwidthMBps > 0 {
@@ -207,7 +232,11 @@ func dialSource(ctx context.Context, sc catalog.SourceConfig) (source.Source, er
 			BytesPerSec: int64(sc.BandwidthMBps) << 20,
 		}))
 	}
-	return wire.DialContext(ctx, sc.Addr, opts...)
+	cl, err := wire.DialContext(ctx, sc.Addr, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return guard(cl), nil
 }
 
 // attachSource dials a gisd endpoint and imports every remote table into
@@ -223,14 +252,11 @@ func attachSource(ctx context.Context, e *core.Engine, def string) error {
 	if err != nil {
 		return err
 	}
-	if err := e.Catalog().AddSource(cl); err != nil {
-		return err
-	}
-	// Fetch metadata through the catalog's registered source, not the
-	// raw client: with -resilience the registered source retries
-	// transient failures, so setup survives an unreliable link.
-	src, err := e.Catalog().Source(cl.Name())
-	if err != nil {
+	// Metadata is fetched through the guard, not the raw client: with
+	// -resilience it retries transient failures, so setup survives an
+	// unreliable link.
+	src := guard(cl)
+	if err := e.Catalog().AddSource(src); err != nil {
 		return err
 	}
 	tables, err := src.Tables(ctx)
@@ -305,10 +331,10 @@ func buildDemo(ctx context.Context, e *core.Engine) error {
 		return err
 	}
 	cat := e.Catalog()
-	if err := cat.AddSource(ny); err != nil {
+	if err := cat.AddSource(guard(ny)); err != nil {
 		return err
 	}
-	if err := cat.AddSource(eu); err != nil {
+	if err := cat.AddSource(guard(eu)); err != nil {
 		return err
 	}
 	if err := cat.DefineTable("customers", custSchema); err != nil {
@@ -384,7 +410,11 @@ func command(ctx context.Context, e *core.Engine, line string) bool {
 			if err != nil {
 				continue
 			}
-			fmt.Printf("%s [%s] %s\n", s, src.Capabilities(), e.Catalog().Health().For(s).Describe())
+			if g, ok := src.(*resilience.Guarded); ok {
+				fmt.Printf("%s [%s] %s\n", s, src.Capabilities(), g.Breaker().Describe())
+			} else {
+				fmt.Printf("%s [%s]\n", s, src.Capabilities())
+			}
 		}
 	case strings.HasPrefix(line, "\\explain "):
 		out, err := e.Explain(ctx, strings.TrimPrefix(line, "\\explain "))

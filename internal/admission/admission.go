@@ -6,8 +6,9 @@
 // wait up to their deadline and are then shed with a typed
 // *OverloadError (errors.Is-matchable via ErrOverload, with a
 // retryable hint), so clients can tell transient pressure from hard
-// failure. When the resilience health tracker reports the federation
-// degraded, the controller stops queueing and sheds breaker-style.
+// failure. When the Degraded hook reports the federation degraded (a
+// source's breaker open), the controller stops queueing and sheds
+// breaker-style.
 package admission
 
 import (
@@ -45,9 +46,9 @@ type Config struct {
 	// DefaultDeadline is applied to queries whose context carries no
 	// deadline. 0 = none.
 	DefaultDeadline time.Duration
-	// Degraded, when set, reports that the federation's health tracker
-	// considers it degraded (some breaker open): over-limit queries are
-	// then shed immediately instead of queued.
+	// Degraded, when set, reports the federation degraded (some
+	// source's breaker open): over-limit queries are then shed
+	// immediately instead of queued.
 	Degraded func() bool
 }
 

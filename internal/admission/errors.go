@@ -27,8 +27,8 @@ const (
 	// ReasonTenantRate: the tenant's token bucket cannot supply a token
 	// within the query's deadline.
 	ReasonTenantRate Reason = "tenant_rate"
-	// ReasonDegraded: the resilience health tracker reports the
-	// federation degraded, so over-limit queries are shed immediately
+	// ReasonDegraded: the Degraded hook reports the federation
+	// degraded, so over-limit queries are shed immediately
 	// (breaker-style) instead of queueing.
 	ReasonDegraded Reason = "degraded"
 	// ReasonMemQuota: the tenant exceeded its memory quota and this

@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 
 	"gis/internal/expr"
-	"gis/internal/resilience"
 	"gis/internal/source"
 	"gis/internal/stats"
 	"gis/internal/types"
@@ -191,12 +190,6 @@ type Catalog struct {
 	sources map[string]source.Source
 	tables  map[string]*GlobalTable
 	views   map[string]string
-
-	// policy, when set, wraps newly added sources with the resilience
-	// layer; health tracks per-source breaker state either way, so the
-	// planner can always consult it.
-	policy *resilience.Policy
-	health *resilience.Tracker
 }
 
 // New returns an empty catalog.
@@ -204,36 +197,12 @@ func New() *Catalog {
 	return &Catalog{
 		sources: make(map[string]source.Source),
 		tables:  make(map[string]*GlobalTable),
-		health:  resilience.NewTracker(nil),
 	}
 }
 
-// SetResilience installs the per-source call policy: sources registered
-// afterwards are wrapped with resilience.WrapSource (breaker-gated,
-// retried reads; writes and 2PC forwarded untouched). It must run
-// before any source is added so no source escapes the policy.
-func (c *Catalog) SetResilience(p *resilience.Policy) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.sources) > 0 {
-		return fmt.Errorf("catalog: resilience policy must be set before sources are added")
-	}
-	c.policy = p
-	c.health = resilience.NewTracker(p)
-	return nil
-}
-
-// Health returns the per-source health tracker (never nil). The planner
-// consults it to order fan-out healthy-first; the shell shows it in
-// \sources.
-func (c *Catalog) Health() *resilience.Tracker {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.health
-}
-
-// AddSource registers a component system under its Name(), wrapping it
-// with the resilience policy when one is configured.
+// AddSource registers a component system under its Name(). A source
+// that should be retried and breaker-gated is registered wrapped
+// (resilience.WrapSource).
 func (c *Catalog) AddSource(src source.Source) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -243,9 +212,6 @@ func (c *Catalog) AddSource(src source.Source) error {
 	}
 	if _, dup := c.sources[name]; dup {
 		return fmt.Errorf("catalog: source %q already registered", name)
-	}
-	if c.policy != nil {
-		src = resilience.WrapSource(src, c.policy, c.health.For(name))
 	}
 	c.sources[name] = src
 	return nil

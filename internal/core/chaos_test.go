@@ -74,14 +74,9 @@ var eventsSchema = types.NewSchema(
 
 // newDegradedUnion maps "events" over one healthy relstore fragment and
 // one failing fragment.
-func newDegradedUnion(t *testing.T, policy *resilience.Policy, partial bool) (*Engine, *failSource) {
+func newDegradedUnion(t *testing.T, partial bool) (*Engine, *failSource) {
 	t.Helper()
 	e := New()
-	if policy != nil {
-		if err := e.Catalog().SetResilience(policy); err != nil {
-			t.Fatal(err)
-		}
-	}
 	e.SetPartialResults(partial)
 	ok := relstore.New("okstore")
 	if err := ok.CreateTable("events", eventsSchema, 0); err != nil {
@@ -128,7 +123,7 @@ func TestPartialResultUnion(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, op := range []string{"union", "semijoin"} {
 				t.Run(op, func(t *testing.T) {
-					e, bad := newDegradedUnion(t, nil, true)
+					e, bad := newDegradedUnion(t, true)
 					e.PlanOptions().ParallelFragments = parallel
 					bad.rows = []types.Row{{types.NewInt(4), types.NewFloat(4)}}
 					q := "SELECT id FROM events"
@@ -184,7 +179,7 @@ func TestPartialResultUnion(t *testing.T) {
 // core.partial_queries and marks the statement's span whether it is
 // materialized or streamed.
 func TestStreamedPartialResultIsCounted(t *testing.T) {
-	e, _ := newDegradedUnion(t, nil, true)
+	e, _ := newDegradedUnion(t, true)
 	counter := obs.Default().Counter("core.partial_queries")
 	for _, streamed := range []bool{false, true} {
 		before := counter.Value()
@@ -216,7 +211,7 @@ func TestStreamedPartialResultIsCounted(t *testing.T) {
 // TestPartialResultDisabledFailsHard: without opt-in, one dead fragment
 // fails the whole query — degradation must never be silent default.
 func TestPartialResultDisabledFailsHard(t *testing.T) {
-	e, _ := newDegradedUnion(t, nil, false)
+	e, _ := newDegradedUnion(t, false)
 	if _, err := e.Query(ctx, "SELECT id FROM events"); err == nil {
 		t.Fatal("query succeeded although degradation is disabled")
 	}
@@ -259,12 +254,10 @@ func TestPartialResultAllFailed(t *testing.T) {
 func TestChaosBreakerShedsLoad(t *testing.T) {
 	p := &resilience.Policy{MaxRetries: 0, BreakerThreshold: 2, BreakerCooldown: time.Hour}
 	e := New()
-	if err := e.Catalog().SetResilience(p); err != nil {
-		t.Fatal(err)
-	}
 	bad := &failSource{name: "bad", tables: []string{"events"}, schema: eventsSchema, err: errors.New("down")}
+	guarded := resilience.WrapSource(bad, p)
 	cat := e.Catalog()
-	if err := cat.AddSource(bad); err != nil {
+	if err := cat.AddSource(guarded); err != nil {
 		t.Fatal(err)
 	}
 	if err := cat.DefineTable("events", eventsSchema); err != nil {
@@ -289,8 +282,8 @@ func TestChaosBreakerShedsLoad(t *testing.T) {
 	if d := short.Value() - base; d < 6 {
 		t.Errorf("short-circuit counter rose by %d, want >= 6 shed calls", d)
 	}
-	if e.Catalog().Health().Healthy("bad") {
-		t.Error("health tracker still reports the tripped source healthy")
+	if st := guarded.Breaker().State(); st != resilience.BreakerOpen {
+		t.Errorf("the tripped source's breaker is %s, want open", st)
 	}
 }
 
@@ -303,8 +296,9 @@ var chaosOrderSchema = types.NewSchema(
 
 // newWireChaosEngine builds a two-site federation over real wire
 // connections with client-side fault injection: customers local,
-// orders partitioned across "ny" and "eu".
-func newWireChaosEngine(t *testing.T, planSpec string, policy *resilience.Policy, partial bool) *Engine {
+// orders partitioned across "ny" and "eu", every source guarded under
+// chaosPolicy.
+func newWireChaosEngine(t *testing.T, planSpec string, partial bool) *Engine {
 	t.Helper()
 	var fp *faults.Plan
 	if planSpec != "" {
@@ -314,11 +308,6 @@ func newWireChaosEngine(t *testing.T, planSpec string, policy *resilience.Policy
 		}
 	}
 	e := New()
-	if policy != nil {
-		if err := e.Catalog().SetResilience(policy); err != nil {
-			t.Fatal(err)
-		}
-	}
 	e.SetPartialResults(partial)
 
 	local := relstore.New("local")
@@ -366,7 +355,7 @@ func newWireChaosEngine(t *testing.T, planSpec string, policy *resilience.Policy
 
 	cat := e.Catalog()
 	for _, src := range []source.Source{local, ny, eu} {
-		if err := cat.AddSource(src); err != nil {
+		if err := cat.AddSource(resilience.WrapSource(src, chaosPolicy())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -467,7 +456,7 @@ func TestChaosParallelUnion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos stress test")
 	}
-	e := newWireChaosEngine(t, "seed=5;eu:err=0.25,drop=0.1,ops=read", chaosPolicy(), true)
+	e := newWireChaosEngine(t, "seed=5;eu:err=0.25,drop=0.1,ops=read", true)
 	e.PlanOptions().ParallelFragments = true
 	full, part, failed := runChaosQueries(t, e, "SELECT oid FROM orders", 6, "union")
 	if full+part == 0 {
@@ -483,7 +472,7 @@ func TestChaosBindJoin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos stress test")
 	}
-	e := newWireChaosEngine(t, "seed=17;eu:err=0.25,drop=0.1,ops=read", chaosPolicy(), true)
+	e := newWireChaosEngine(t, "seed=17;eu:err=0.25,drop=0.1,ops=read", true)
 	e.PlanOptions().ForceStrategy = plan.StrategySemiJoin
 	q := "SELECT c.name, o.oid FROM customers c JOIN orders o ON c.id = o.cust_id"
 	full, part, failed := runChaosQueries(t, e, q, 6, "semijoin")
@@ -504,9 +493,6 @@ func newTxnChaosEngine(t *testing.T, planSpec string) *Engine {
 		t.Fatal(err)
 	}
 	e := New()
-	if err := e.Catalog().SetResilience(chaosPolicy()); err != nil {
-		t.Fatal(err)
-	}
 	schema := types.NewSchema(
 		types.Column{Name: "id", Type: types.KindInt},
 		types.Column{Name: "balance", Type: types.KindFloat},
@@ -532,7 +518,7 @@ func newTxnChaosEngine(t *testing.T, planSpec string) *Engine {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { cl.Close() })
-		if err := cat.AddSource(cl); err != nil {
+		if err := cat.AddSource(resilience.WrapSource(cl, chaosPolicy())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -596,19 +582,6 @@ func TestChaos2PCCommitFault(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "did not acknowledge") || !strings.Contains(err.Error(), "eu") {
 		t.Errorf("err = %v, want an in-doubt verdict naming participant eu", err)
-	}
-}
-
-// TestSetResilienceAfterSources: the policy must cover every source, so
-// installing it late is an error.
-func TestSetResilienceAfterSources(t *testing.T) {
-	e := New()
-	st := relstore.New("ny")
-	if err := e.Catalog().AddSource(st); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Catalog().SetResilience(resilience.DefaultPolicy()); err == nil {
-		t.Fatal("SetResilience accepted a catalog with registered sources")
 	}
 }
 

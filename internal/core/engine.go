@@ -82,7 +82,8 @@ func (e *Engine) SetPartialResults(on bool) { e.partial.Store(on) }
 
 // SetAdmission installs (or, with nil, removes) the admission
 // controller gating top-level statements. The controller's Degraded
-// hook is typically wired to the catalog health tracker's Degraded.
+// hook is typically built from the breakers of the guarded sources
+// (resilience.Guarded.Breaker).
 func (e *Engine) SetAdmission(ctrl *admission.Controller) { e.admit.Store(ctrl) }
 
 // SetTracing toggles per-statement tracing. Off by default: with it off

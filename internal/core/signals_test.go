@@ -108,7 +108,7 @@ func TestEverySignalHasAReader(t *testing.T) {
 	if _, err := e.Query(late, "SELECT 1"); !errors.Is(err, admission.ErrOverload) {
 		t.Fatalf("a statement past its deadline = %v, want shed", err)
 	}
-	resilience.NewTracker(&resilience.Policy{BreakerThreshold: 1}).For("sigA")
+	resilience.NewBreaker("sigA", &resilience.Policy{BreakerThreshold: 1})
 
 	snap := obs.Default().Snapshot()
 	var names []string

@@ -348,8 +348,7 @@ var wrapperClasses = []struct {
 	{"in process", func(_ *testing.T, st source.Source) source.Source { return st }},
 	{"wire", overWire},
 	{"guarded", func(_ *testing.T, st source.Source) source.Source {
-		p := chaosPolicy()
-		return resilience.WrapSource(st, p, resilience.NewTracker(p).For(st.Name()))
+		return resilience.WrapSource(st, chaosPolicy())
 	}},
 }
 

@@ -8,7 +8,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -27,12 +26,6 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  string
-
-	// Allocation census accumulated by median() across every timed op,
-	// reported per-op by Record.
-	ops    uint64
-	allocs uint64
-	bytes  uint64
 }
 
 // String renders the table as aligned text.
@@ -70,18 +63,11 @@ func (t *Table) String() string {
 }
 
 // median runs fn once untimed (warm-up: connections, code paths), then
-// `reps` times timed, and returns the median duration. Heap traffic of
-// the timed reps accrues to the table's allocation census, surfaced as
-// allocs_per_op/bytes_per_op in the JSON record. The numbers come from
-// runtime.ReadMemStats deltas over the whole process, so they are
-// averages (not medians) and include any concurrent background
-// allocation — good enough to ratchet, not benchmark-grade.
-func (t *Table) median(reps int, fn func() error) (time.Duration, error) {
+// `reps` times timed, and returns the median duration.
+func median(reps int, fn func() error) (time.Duration, error) {
 	if err := fn(); err != nil {
 		return 0, err
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	times := make([]time.Duration, 0, reps)
 	for i := 0; i < reps; i++ {
 		d, err := workload.Timed(fn)
@@ -90,10 +76,6 @@ func (t *Table) median(reps int, fn func() error) (time.Duration, error) {
 		}
 		times = append(times, d)
 	}
-	runtime.ReadMemStats(&after)
-	t.ops += uint64(reps)
-	t.allocs += after.Mallocs - before.Mallocs
-	t.bytes += after.TotalAlloc - before.TotalAlloc
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 	return times[len(times)/2], nil
 }
@@ -165,12 +147,12 @@ func T1Pushdown(ctx context.Context, sc Scale) (*Table, error) {
 		bound := sel * 1000
 		q := "SELECT oid, amount FROM orders WHERE amount < ?"
 		f.Engine.PlanOptions().PushFilters = true
-		push, err := t.median(sc.Reps, queryOnce(ctx, f.Engine, q, types.NewFloat(bound)))
+		push, err := median(sc.Reps, queryOnce(ctx, f.Engine, q, types.NewFloat(bound)))
 		if err != nil {
 			return nil, err
 		}
 		f.Engine.PlanOptions().PushFilters = false
-		ship, err := t.median(sc.Reps, queryOnce(ctx, f.Engine, q, types.NewFloat(bound)))
+		ship, err := median(sc.Reps, queryOnce(ctx, f.Engine, q, types.NewFloat(bound)))
 		if err != nil {
 			return nil, err
 		}
@@ -207,7 +189,7 @@ func T2JoinStrategies(ctx context.Context, sc Scale) (*Table, error) {
 		times := map[plan.Strategy]time.Duration{}
 		for _, strat := range []plan.Strategy{plan.StrategyShipAll, plan.StrategySemiJoin} {
 			f.Engine.PlanOptions().ForceStrategy = strat
-			d, err := t.median(sc.Reps, queryOnce(ctx, f.Engine, q, types.NewInt(int64(limit))))
+			d, err := median(sc.Reps, queryOnce(ctx, f.Engine, q, types.NewInt(int64(limit))))
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", strat, err)
 			}
@@ -287,13 +269,13 @@ func T4FanOut(ctx context.Context, sc Scale) (*Table, error) {
 		}
 		q := "SELECT SUM(amount) FROM events"
 		f.Engine.PlanOptions().ParallelFragments = false
-		seq, err := t.median(sc.Reps, queryOnce(ctx, f.Engine, q))
+		seq, err := median(sc.Reps, queryOnce(ctx, f.Engine, q))
 		if err != nil {
 			f.Close()
 			return nil, err
 		}
 		f.Engine.PlanOptions().ParallelFragments = true
-		par, err := t.median(sc.Reps, queryOnce(ctx, f.Engine, q))
+		par, err := median(sc.Reps, queryOnce(ctx, f.Engine, q))
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -332,11 +314,11 @@ func F5Mediation(ctx context.Context, sc Scale) (*Table, error) {
 		{"sum", "SELECT SUM(cents) FROM orders_native", "SELECT SUM(amount) FROM orders_mediated"},
 	}
 	for _, c := range cases {
-		nat, err := t.median(sc.Reps, queryOnce(ctx, f.Engine, c.native))
+		nat, err := median(sc.Reps, queryOnce(ctx, f.Engine, c.native))
 		if err != nil {
 			return nil, err
 		}
-		med, err := t.median(sc.Reps, queryOnce(ctx, f.Engine, c.mediated))
+		med, err := median(sc.Reps, queryOnce(ctx, f.Engine, c.mediated))
 		if err != nil {
 			return nil, err
 		}
@@ -360,7 +342,7 @@ func T6Commit(ctx context.Context, sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		two, err := t.median(sc.Reps, func() error {
+		two, err := median(sc.Reps, func() error {
 			_, err := f.Engine.Exec(ctx, "UPDATE accounts SET balance = balance + 1")
 			return err
 		})
@@ -370,7 +352,7 @@ func T6Commit(ctx context.Context, sc Scale) (*Table, error) {
 		}
 		// Uncoordinated baseline: per-participant autocommit updates.
 		rowsPer := 50
-		uncoord, err := t.median(sc.Reps, func() error {
+		uncoord, err := median(sc.Reps, func() error {
 			for p := 0; p < n; p++ {
 				if err := ctx.Err(); err != nil {
 					return err
@@ -417,12 +399,12 @@ func F7SemijoinCrossover(ctx context.Context, sc Scale) (*Table, error) {
 		}
 		q := `SELECT COUNT(*) FROM customers c JOIN orders o ON c.id = o.cust_id WHERE c.id < ?`
 		f.Engine.PlanOptions().ForceStrategy = plan.StrategySemiJoin
-		semi, err := t.median(sc.Reps, queryOnce(ctx, f.Engine, q, types.NewInt(int64(limit))))
+		semi, err := median(sc.Reps, queryOnce(ctx, f.Engine, q, types.NewInt(int64(limit))))
 		if err != nil {
 			return nil, err
 		}
 		f.Engine.PlanOptions().ForceStrategy = plan.StrategyShipAll
-		ship, err := t.median(sc.Reps, queryOnce(ctx, f.Engine, q, types.NewInt(int64(limit))))
+		ship, err := median(sc.Reps, queryOnce(ctx, f.Engine, q, types.NewInt(int64(limit))))
 		if err != nil {
 			return nil, err
 		}
@@ -468,13 +450,13 @@ func T8Capability(ctx context.Context, sc Scale) (*Table, error) {
 		// this, and w.table ranges over the fixed literal list above.
 		aggQ := fmt.Sprintf("SELECT COUNT(*), SUM(amount) FROM %s WHERE region = 'north'", w.table)
 		//lint:ignore sqlship table name picks the wrapper under test; drawn from the literal list above, not runtime input
-		agg, err := t.median(sc.Reps, queryOnce(ctx, f.Engine, aggQ))
+		agg, err := median(sc.Reps, queryOnce(ctx, f.Engine, aggQ))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", w.table, err)
 		}
 		pointQ := fmt.Sprintf("SELECT amount FROM %s WHERE oid = ?", w.table)
 		//lint:ignore sqlship table name picks the wrapper under test; the key bound is ?-bound
-		point, err := t.median(sc.Reps, queryOnce(ctx, f.Engine, pointQ, types.NewInt(int64(rows/2))))
+		point, err := median(sc.Reps, queryOnce(ctx, f.Engine, pointQ, types.NewInt(int64(rows/2))))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", w.table, err)
 		}
@@ -519,7 +501,7 @@ func F9Ablation(ctx context.Context, sc Scale) (*Table, error) {
 		opts := plan.DefaultOptions()
 		m.tweak(opts)
 		*f.Engine.PlanOptions() = *opts
-		d, err := t.median(sc.Reps, queryOnce(ctx, f.Engine, q))
+		d, err := median(sc.Reps, queryOnce(ctx, f.Engine, q))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", m.name, err)
 		}
@@ -531,26 +513,37 @@ func F9Ablation(ctx context.Context, sc Scale) (*Table, error) {
 	return t, nil
 }
 
-// All runs every experiment at the given scale.
+// sweep is the default evaluation, in report order. OV1 is not part of
+// it: it runs only when asked for by id.
+var sweep = []struct {
+	id  string
+	run func(context.Context, Scale) (*Table, error)
+}{
+	{"T1", T1Pushdown},
+	{"T2", T2JoinStrategies},
+	{"F3", F3JoinOrder},
+	{"T4", T4FanOut},
+	{"F5", F5Mediation},
+	{"T6", T6Commit},
+	{"F7", F7SemijoinCrossover},
+	{"T8", T8Capability},
+	{"F9", F9Ablation},
+}
+
+// IDs lists the default sweep's experiment ids, in report order.
+func IDs() []string {
+	ids := make([]string, len(sweep))
+	for i, e := range sweep {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// All runs every experiment of the default sweep at the given scale.
 func All(ctx context.Context, sc Scale) ([]*Table, error) {
-	type exp struct {
-		id string
-		fn func(context.Context, Scale) (*Table, error)
-	}
-	exps := []exp{
-		{"T1", T1Pushdown},
-		{"T2", T2JoinStrategies},
-		{"F3", F3JoinOrder},
-		{"T4", T4FanOut},
-		{"F5", F5Mediation},
-		{"T6", T6Commit},
-		{"F7", F7SemijoinCrossover},
-		{"T8", T8Capability},
-		{"F9", F9Ablation},
-	}
 	var out []*Table
-	for _, e := range exps {
-		t, err := e.fn(ctx, sc)
+	for _, e := range sweep {
+		t, err := e.run(ctx, sc)
 		if err != nil {
 			return out, fmt.Errorf("experiment %s: %w", e.id, err)
 		}
@@ -559,32 +552,18 @@ func All(ctx context.Context, sc Scale) ([]*Table, error) {
 	return out, nil
 }
 
-// ByID runs one experiment.
+// ByID runs one experiment: one of the sweep's, or OV1.
 func ByID(ctx context.Context, id string, sc Scale) (*Table, error) {
-	switch strings.ToUpper(id) {
-	case "T1":
-		return T1Pushdown(ctx, sc)
-	case "T2":
-		return T2JoinStrategies(ctx, sc)
-	case "F3":
-		return F3JoinOrder(ctx, sc)
-	case "T4":
-		return T4FanOut(ctx, sc)
-	case "F5":
-		return F5Mediation(ctx, sc)
-	case "T6":
-		return T6Commit(ctx, sc)
-	case "F7":
-		return F7SemijoinCrossover(ctx, sc)
-	case "T8":
-		return T8Capability(ctx, sc)
-	case "F9":
-		return F9Ablation(ctx, sc)
-	case "OV1":
+	up := strings.ToUpper(id)
+	if up == "OV1" {
 		return OV1Overload(ctx, sc)
-	default:
-		return nil, fmt.Errorf("unknown experiment %q (T1,T2,F3,T4,F5,T6,F7,T8,F9,OV1)", id)
 	}
+	for _, e := range sweep {
+		if e.id == up {
+			return e.run(ctx, sc)
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q (%s,OV1)", id, strings.Join(IDs(), ","))
 }
 
 // OV1Overload measures admission control under sustained overload: N
@@ -675,8 +654,7 @@ func OV1Overload(ctx context.Context, sc Scale) (*Table, error) {
 // Record is the machine-readable form of one experiment's measurement
 // series, emitted one JSON object per line by `gisbench -json`. The
 // schema is documented in EXPERIMENTS.md and guarded against drift by
-// scripts/benchjson; BENCH_*.json trajectory files hold sequences of
-// these records.
+// scripts/benchjson.
 type Record struct {
 	// ID and Title identify the experiment (e.g. "T1").
 	ID    string `json:"id"`
@@ -693,11 +671,6 @@ type Record struct {
 	BandwidthMiBps int64   `json:"bandwidth_mibps"`
 	// ElapsedMS is the wall-clock cost of producing the series.
 	ElapsedMS float64 `json:"elapsed_ms"`
-	// AllocsPerOp / BytesPerOp average the heap traffic of the timed
-	// measurement ops (ReadMemStats deltas; zero when nothing was
-	// measured through median, e.g. planning-only experiments).
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
 	// At is the measurement timestamp in RFC 3339 format.
 	At string `json:"at"`
 }
@@ -715,15 +688,6 @@ func (t *Table) Record(sc Scale, elapsed time.Duration, at time.Time) Record {
 		LatencyMS:      float64(sc.Link.Latency) / float64(time.Millisecond),
 		BandwidthMiBps: sc.Link.BytesPerSec >> 20,
 		ElapsedMS:      float64(elapsed) / float64(time.Millisecond),
-		AllocsPerOp:    perOp(t.allocs, t.ops),
-		BytesPerOp:     perOp(t.bytes, t.ops),
 		At:             at.UTC().Format(time.RFC3339),
 	}
-}
-
-func perOp(total, ops uint64) float64 {
-	if ops == 0 {
-		return 0
-	}
-	return float64(total) / float64(ops)
 }

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 
 	"gis/internal/catalog"
 	"gis/internal/expr"
@@ -66,22 +65,7 @@ func decomposeScan(gs *GlobalScan, cat *catalog.Catalog, parallel bool) (Node, e
 	if len(scans) == 1 {
 		return scans[0], nil
 	}
-	orderByHealth(scans, cat)
 	return &Union{Inputs: scans, All: true, Parallel: parallel}, nil
-}
-
-// orderByHealth moves fragments on sources with an open breaker to the
-// back of the fan-out (stable, so the catalog's fragment order still
-// breaks ties). Healthy fragments start streaming first, and in the
-// sequential union a shedding source is only consulted after every
-// healthy one has delivered.
-func orderByHealth(scans []Node, cat *catalog.Catalog) {
-	h := cat.Health()
-	healthy := func(n Node) bool {
-		fs, ok := n.(*FragScan)
-		return !ok || h.Healthy(fs.Frag.Source)
-	}
-	sort.SliceStable(scans, func(i, j int) bool { return healthy(scans[i]) && !healthy(scans[j]) })
 }
 
 // buildFragScan constructs one fragment's scan. Each conjunct of the

@@ -50,8 +50,9 @@ func (e *BreakerOpenError) Error() string {
 // mShortCircuits counts the calls an open breaker refused.
 var mShortCircuits = obs.Default().Counter("resilience.breaker.short_circuits")
 
-// Breaker is one source's circuit breaker. A nil *Breaker always
-// allows (breaker disabled).
+// Breaker is one source's health, learned from the calls made to it:
+// the circuit breaker's state, the source's ok and fail totals and its
+// last error. The Guarded wrapper around the source keeps it.
 type Breaker struct {
 	source    string
 	threshold int
@@ -60,30 +61,27 @@ type Breaker struct {
 
 	mu       sync.Mutex
 	state    BreakerState
-	fails    int
+	fails    int // consecutive, toward threshold
 	openedAt time.Time
 	probing  bool
+	ok       int64
+	failed   int64
+	lastErr  error
 }
 
-// NewBreaker builds a breaker for source, or nil when the policy
-// disables breaking.
+// NewBreaker builds source's breaker under p. A policy with no
+// BreakerThreshold (or none at all) yields a breaker that never opens
+// but still counts outcomes.
 func NewBreaker(source string, p *Policy) *Breaker {
-	if p == nil || p.BreakerThreshold <= 0 {
-		return nil
+	b := &Breaker{source: source, stateG: obs.Default().Gauge("resilience.breaker.state." + source)}
+	if p != nil {
+		b.threshold, b.cooldown = p.BreakerThreshold, p.BreakerCooldown
 	}
-	return &Breaker{
-		source:    source,
-		threshold: p.BreakerThreshold,
-		cooldown:  p.BreakerCooldown,
-		stateG:    obs.Default().Gauge("resilience.breaker.state." + source),
-	}
+	return b
 }
 
 // State returns the current state (recomputing open→half-open expiry).
 func (b *Breaker) State() BreakerState {
-	if b == nil {
-		return BreakerClosed
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == BreakerOpen && time.Since(b.openedAt) >= b.cooldown {
@@ -98,9 +96,6 @@ func (b *Breaker) State() BreakerState {
 // rejected. Transitions are counted and, when ctx carries a trace,
 // recorded as breaker spans.
 func (b *Breaker) Allow(ctx context.Context) error {
-	if b == nil {
-		return nil
-	}
 	b.mu.Lock()
 	switch b.state {
 	case BreakerClosed:
@@ -126,42 +121,45 @@ func (b *Breaker) Allow(ctx context.Context) error {
 	return &BreakerOpenError{Source: b.source}
 }
 
-// Success reports a successful call, closing a half-open breaker.
-func (b *Breaker) Success(ctx context.Context) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.fails = 0
-	if b.state != BreakerClosed {
-		b.transition(ctx, BreakerClosed)
-	}
-	b.probing = false
-	b.mu.Unlock()
-}
-
-// Failure reports a failed call: a failed half-open probe re-opens the
-// breaker immediately; in the closed state the threshold of consecutive
+// Record reports one call's outcome. A call whose caller gave up
+// (ctx.Err() is set) is nobody's failure: it counts nothing, but gives
+// a half-open probe back so the next call may probe. Otherwise a
+// success closes the breaker; a failure re-opens a half-open breaker
+// at once, and in the closed state the threshold of consecutive
 // failures opens it.
-func (b *Breaker) Failure(ctx context.Context) {
-	if b == nil {
-		return
-	}
+func (b *Breaker) Record(ctx context.Context, err error) {
 	b.mu.Lock()
-	b.fails++
-	switch b.state {
-	case BreakerHalfOpen:
-		b.transition(ctx, BreakerOpen)
-		b.openedAt = time.Now()
-		b.probing = false
-	case BreakerClosed:
-		if b.fails >= b.threshold {
+	defer b.mu.Unlock()
+	b.probing = false
+	switch {
+	case ctx.Err() != nil:
+	case err == nil:
+		b.ok++
+		b.fails = 0
+		if b.state != BreakerClosed {
+			b.transition(ctx, BreakerClosed)
+		}
+	default:
+		b.failed++
+		b.lastErr = err
+		b.fails++
+		if b.state == BreakerHalfOpen || b.state == BreakerClosed && b.threshold > 0 && b.fails >= b.threshold {
 			b.transition(ctx, BreakerOpen)
 			b.openedAt = time.Now()
 		}
-	default:
 	}
-	b.mu.Unlock()
+}
+
+// Describe renders a one-line summary for gisql's \sources.
+func (b *Breaker) Describe() string {
+	st := b.State()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	s := fmt.Sprintf("breaker=%s ok=%d fail=%d", st, b.ok, b.failed)
+	if b.lastErr != nil {
+		s += fmt.Sprintf(" last-error=%q", b.lastErr.Error())
+	}
+	return s
 }
 
 // transition flips the state, updating the gauge and — when tracing —

@@ -2,9 +2,9 @@
 // systems that can be slow, flaky, or down: per-source call policies
 // (deadlines, bounded retries with jittered exponential backoff — for
 // idempotent reads only), circuit breakers (closed/open/half-open with
-// a single probe), a health tracker the planner consults, and typed
-// partial-result degradation for queries that can tolerate losing a
-// non-essential source.
+// a single probe) that are each source's health record, kept by the
+// wrapper that calls it, and typed partial-result degradation for
+// queries that can tolerate losing a non-essential source.
 //
 // The cardinal rule, enforced by the source wrapper and by tests: a
 // write or a 2PC prepare/commit/abort message is NEVER retried here.

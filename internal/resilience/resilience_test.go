@@ -25,7 +25,7 @@ func fastPolicy() *Policy {
 
 func TestRetryRecovers(t *testing.T) {
 	calls := 0
-	err := Retry(ctx, fastPolicy(), nil, "t", func(context.Context) error {
+	err := Retry(ctx, fastPolicy(), NewBreaker("t", nil), "t", func(context.Context) error {
 		calls++
 		if calls < 3 {
 			return errBoom
@@ -42,7 +42,7 @@ func TestRetryRecovers(t *testing.T) {
 
 func TestRetryExhaustsBudget(t *testing.T) {
 	calls := 0
-	err := Retry(ctx, fastPolicy(), nil, "t", func(context.Context) error {
+	err := Retry(ctx, fastPolicy(), NewBreaker("t", nil), "t", func(context.Context) error {
 		calls++
 		return errBoom
 	})
@@ -57,7 +57,7 @@ func TestRetryExhaustsBudget(t *testing.T) {
 func TestRetryStopsWhenCancelled(t *testing.T) {
 	cctx, cancel := context.WithCancel(ctx)
 	calls := 0
-	err := Retry(cctx, &Policy{MaxRetries: 100, BackoffBase: time.Millisecond}, nil, "t",
+	err := Retry(cctx, &Policy{MaxRetries: 100, BackoffBase: time.Millisecond}, NewBreaker("t", nil), "t",
 		func(context.Context) error {
 			calls++
 			cancel()
@@ -73,7 +73,7 @@ func TestRetryStopsWhenCancelled(t *testing.T) {
 
 func TestRetryNilPolicySingleAttempt(t *testing.T) {
 	calls := 0
-	err := Retry(ctx, nil, nil, "t", func(context.Context) error {
+	err := Retry(ctx, nil, NewBreaker("t", nil), "t", func(context.Context) error {
 		calls++
 		return errBoom
 	})
@@ -86,7 +86,7 @@ func TestRetryCallTimeoutBoundsAttempts(t *testing.T) {
 	p := &Policy{CallTimeout: 10 * time.Millisecond, MaxRetries: 1, BackoffBase: time.Microsecond}
 	calls := 0
 	start := time.Now()
-	err := Retry(ctx, p, nil, "t", func(actx context.Context) error {
+	err := Retry(ctx, p, NewBreaker("t", nil), "t", func(actx context.Context) error {
 		calls++
 		<-actx.Done() // a hung source: only the per-attempt deadline frees us
 		return actx.Err()
@@ -120,17 +120,14 @@ func TestBackoffJitterBounds(t *testing.T) {
 
 func TestBreakerLifecycle(t *testing.T) {
 	b := NewBreaker("s", &Policy{BreakerThreshold: 2, BreakerCooldown: 30 * time.Millisecond})
-	if b == nil {
-		t.Fatal("threshold 2 should enable the breaker")
-	}
 	if err := b.Allow(ctx); err != nil {
 		t.Fatalf("closed breaker rejected: %v", err)
 	}
-	b.Failure(ctx)
+	b.Record(ctx, errBoom)
 	if b.State() != BreakerClosed {
 		t.Fatalf("state after 1 failure = %v, want closed", b.State())
 	}
-	b.Failure(ctx)
+	b.Record(ctx, errBoom)
 	if b.State() != BreakerOpen {
 		t.Fatalf("state after threshold failures = %v, want open", b.State())
 	}
@@ -148,7 +145,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("second call during probe allowed (err=%v)", err)
 	}
 	// A failed probe re-opens immediately.
-	b.Failure(ctx)
+	b.Record(ctx, errBoom)
 	if b.State() != BreakerOpen {
 		t.Fatalf("state after failed probe = %v, want open", b.State())
 	}
@@ -157,7 +154,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if err := b.Allow(ctx); err != nil {
 		t.Fatalf("second probe rejected: %v", err)
 	}
-	b.Success(ctx)
+	b.Record(ctx, nil)
 	if b.State() != BreakerClosed {
 		t.Fatalf("state after successful probe = %v, want closed", b.State())
 	}
@@ -166,51 +163,44 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
-func TestBreakerDisabled(t *testing.T) {
-	if b := NewBreaker("s", nil); b != nil {
-		t.Error("nil policy built a breaker")
-	}
-	var b *Breaker
-	if err := b.Allow(ctx); err != nil {
-		t.Errorf("nil breaker rejected: %v", err)
-	}
-	b.Success(ctx)
-	b.Failure(ctx)
-	if b.State() != BreakerClosed {
-		t.Errorf("nil breaker state = %v", b.State())
+// TestBreakerNeverOpensWithoutThreshold: a policy with no threshold, or
+// none at all, keeps the breaker closed while it still counts.
+func TestBreakerNeverOpensWithoutThreshold(t *testing.T) {
+	for _, p := range []*Policy{nil, {MaxRetries: 2}} {
+		b := NewBreaker("s", p)
+		for i := 0; i < 10; i++ {
+			b.Record(ctx, errBoom)
+		}
+		if err := b.Allow(ctx); err != nil || b.State() != BreakerClosed {
+			t.Errorf("policy %+v: state %v, Allow = %v; want closed", p, b.State(), err)
+		}
+		if d := b.Describe(); !strings.Contains(d, "fail=10") {
+			t.Errorf("policy %+v: Describe() = %q, want ten failures counted", p, d)
+		}
 	}
 }
 
-func TestTracker(t *testing.T) {
-	tr := NewTracker(&Policy{BreakerThreshold: 1, BreakerCooldown: time.Hour})
-	h := tr.For("ny")
-	if h != tr.For("ny") {
-		t.Error("For returned distinct records for one source")
+// TestBreakerRecords: the breaker is the source's one health record. A
+// call whose caller gave up — ctx.Err() set, whatever the error says —
+// counts nothing; an error on a live context, a deadline among them,
+// is the source's failure.
+func TestBreakerRecords(t *testing.T) {
+	b := NewBreaker("ny", &Policy{BreakerThreshold: 2, BreakerCooldown: time.Hour})
+	b.Record(ctx, nil)
+	gone, cancel := context.WithCancel(ctx)
+	cancel()
+	b.Record(gone, errBoom)
+	b.Record(gone, nil)
+	if d := b.Describe(); d != "breaker=closed ok=1 fail=0" {
+		t.Errorf("Describe() = %q: a call its caller gave up on was counted", d)
 	}
-	if !tr.Healthy("ny") || !tr.Healthy("never-seen") {
-		t.Error("fresh and unknown sources must report healthy")
+	b.Record(ctx, errBoom)
+	b.Record(ctx, context.DeadlineExceeded)
+	if b.State() != BreakerOpen {
+		t.Errorf("state = %v after two failures, want open", b.State())
 	}
-	h.Failure(ctx, errBoom)
-	if tr.Healthy("ny") || h.Healthy() {
-		t.Error("open breaker still reports healthy")
-	}
-	if d := h.Describe(); !strings.Contains(d, errBoom.Error()) {
-		t.Errorf("Describe() = %q, want the last error in it", d)
-	}
-	tr.For("la")
-	if names := tr.Names(); len(names) != 2 || names[0] != "la" || names[1] != "ny" {
-		t.Errorf("Names = %v", names)
-	}
-	// Nil tracker and nil health are fully inert.
-	var nt *Tracker
-	if nt.For("x") != nil || !nt.Healthy("x") || nt.Names() != nil {
-		t.Error("nil tracker not inert")
-	}
-	var nh *SourceHealth
-	nh.Success(ctx)
-	nh.Failure(ctx, errBoom)
-	if !nh.Healthy() || nh.Describe() == "" {
-		t.Error("nil health not inert")
+	if d := b.Describe(); !strings.Contains(d, "ok=1 fail=2") || !strings.Contains(d, context.DeadlineExceeded.Error()) {
+		t.Errorf("Describe() = %q, want two failures and the last error", d)
 	}
 }
 

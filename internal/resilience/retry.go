@@ -9,20 +9,20 @@ import (
 
 // Retry runs one idempotent read under the policy: breaker-gated,
 // per-attempt CallTimeout, at most MaxRetries re-attempts with jittered
-// exponential backoff, consulting ctx.Err() between attempts. Outcomes
-// feed h's breaker. Retry must ONLY wrap idempotent reads — the source
-// wrapper routes writes and 2PC messages around it.
-func Retry(ctx context.Context, p *Policy, h *SourceHealth, name string, op func(context.Context) error) error {
+// exponential backoff, consulting ctx.Err() between attempts. Every
+// attempt's outcome is recorded on b. Retry must ONLY wrap idempotent
+// reads — the source wrapper routes writes and 2PC messages around it.
+func Retry(ctx context.Context, p *Policy, b *Breaker, name string, op func(context.Context) error) error {
 	timeout := time.Duration(0)
 	if p != nil {
 		timeout = p.CallTimeout
 	}
-	return retry(ctx, p, h, name, timeout, op)
+	return retry(ctx, p, b, name, timeout, op)
 }
 
 // retry is Retry with an explicit per-attempt timeout so streaming
 // calls (whose result outlives the call) can opt out of CallTimeout.
-func retry(ctx context.Context, p *Policy, h *SourceHealth, name string, timeout time.Duration, op func(context.Context) error) error {
+func retry(ctx context.Context, p *Policy, b *Breaker, name string, timeout time.Duration, op func(context.Context) error) error {
 	maxRetries := 0
 	if p != nil {
 		maxRetries = p.MaxRetries
@@ -32,7 +32,7 @@ func retry(ctx context.Context, p *Policy, h *SourceHealth, name string, timeout
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := h.Breaker().Allow(ctx); err != nil {
+		if err := b.Allow(ctx); err != nil {
 			// Shedding load: fail fast without touching the network. If
 			// an earlier attempt saw a real error, surface that one.
 			if lastErr != nil {
@@ -46,16 +46,15 @@ func retry(ctx context.Context, p *Policy, h *SourceHealth, name string, timeout
 		}
 		err := op(actx)
 		cancel()
+		b.Record(ctx, err)
 		if err == nil {
-			h.Success(ctx)
 			return nil
 		}
 		if ctx.Err() != nil {
-			// The query itself is cancelled or timed out: not the
-			// source's fault, and retrying a dead query is pointless.
+			// The query itself is cancelled or timed out: retrying a
+			// dead query is pointless.
 			return err
 		}
-		h.Failure(ctx, err)
 		lastErr = err
 		if attempt >= maxRetries {
 			return err

@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 
@@ -15,7 +14,7 @@ import (
 // WrapSource guards src with the per-source call policy. Idempotent
 // reads (Tables, TableInfo, Execute) are breaker-gated and retried with
 // backoff; writes and transaction control are forwarded exactly once —
-// their outcomes feed the health tracker, but they are never retried
+// their outcomes are recorded on the breaker, but they are never retried
 // and never rejected by the breaker (a global write in flight must
 // reach its participant or fail honestly, not be silently re-sent or
 // short-circuited halfway through a 2PC round).
@@ -23,19 +22,23 @@ import (
 // What src can be asked is what its capability vector says, which the
 // guard passes on unchanged; the guard itself has every facet, and
 // refuses by name the one src turns out not to implement.
-func WrapSource(src source.Source, p *Policy, h *SourceHealth) source.Source {
+func WrapSource(src source.Source, p *Policy) *Guarded {
 	w, _ := src.(source.Writer)
-	return &Guarded{src: src, p: p, onceWriter: onceWriter{w: w, h: h}}
+	return &Guarded{src: src, p: p, onceWriter: onceWriter{w: w, b: NewBreaker(src.Name(), p)}}
 }
 
 // Guarded is a wrapped source: its reads retried, its autocommit writes
-// (onceWriter, which also holds its health record) and BeginTx forwarded
+// (onceWriter, which also holds its breaker) and BeginTx forwarded
 // once.
 type Guarded struct {
 	src source.Source
 	p   *Policy
 	onceWriter
 }
+
+// Breaker returns the source's breaker: its health as the calls made
+// through this guard found it.
+func (g *Guarded) Breaker() *Breaker { return g.b }
 
 // Name implements source.Source.
 func (g *Guarded) Name() string { return g.src.Name() }
@@ -46,7 +49,7 @@ func (g *Guarded) Capabilities() source.Capabilities { return g.src.Capabilities
 // Tables implements source.Source with retry and breaker gating.
 func (g *Guarded) Tables(ctx context.Context) ([]string, error) {
 	var out []string
-	err := Retry(ctx, g.p, g.h, g.src.Name()+":tables", func(ctx context.Context) error {
+	err := Retry(ctx, g.p, g.b, g.src.Name()+":tables", func(ctx context.Context) error {
 		var err error
 		out, err = g.src.Tables(ctx)
 		return err
@@ -57,7 +60,7 @@ func (g *Guarded) Tables(ctx context.Context) ([]string, error) {
 // TableInfo implements source.Source with retry and breaker gating.
 func (g *Guarded) TableInfo(ctx context.Context, table string) (*source.TableInfo, error) {
 	var out *source.TableInfo
-	err := Retry(ctx, g.p, g.h, g.src.Name()+":tableinfo", func(ctx context.Context) error {
+	err := Retry(ctx, g.p, g.b, g.src.Name()+":tableinfo", func(ctx context.Context) error {
 		var err error
 		out, err = g.src.TableInfo(ctx, table)
 		return err
@@ -72,7 +75,7 @@ func (g *Guarded) TableInfo(ctx context.Context, table string) (*source.TableInf
 // upstream cannot be un-delivered.
 func (g *Guarded) Execute(ctx context.Context, q *source.Query) (source.RowIter, error) {
 	var it source.RowIter
-	err := retry(ctx, g.p, g.h, g.src.Name()+":execute", 0, func(ctx context.Context) error {
+	err := retry(ctx, g.p, g.b, g.src.Name()+":execute", 0, func(ctx context.Context) error {
 		var err error
 		it, err = g.src.Execute(ctx, q)
 		return err
@@ -80,7 +83,7 @@ func (g *Guarded) Execute(ctx context.Context, q *source.Query) (source.RowIter,
 	if err != nil {
 		return nil, err
 	}
-	return &healthIter{it: it, ctx: ctx, h: g.h}, nil
+	return &healthIter{it: it, ctx: ctx, b: g.b}, nil
 }
 
 // Stats forwards optimizer statistics when the underlying source
@@ -94,30 +97,18 @@ func (g *Guarded) Stats(table string) (*stats.TableStats, error) {
 	return sp.Stats(table)
 }
 
-// record feeds one unretried call's outcome into the health tracker.
-// Caller-side cancellation is nobody's failure.
-func (h *SourceHealth) record(ctx context.Context, err error) {
-	switch {
-	case err == nil:
-		h.Success(ctx)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-	default:
-		h.Failure(ctx, err)
-	}
-}
-
-// healthIter reports mid-stream failures to the health tracker.
+// healthIter records mid-stream failures on the breaker.
 type healthIter struct {
 	it  source.RowIter
 	ctx context.Context
-	h   *SourceHealth
+	b   *Breaker
 }
 
 // Next implements source.RowIter.
 func (i *healthIter) Next() (types.Row, error) {
 	row, err := i.it.Next()
 	if err != nil && err != io.EOF {
-		i.h.record(i.ctx, err)
+		i.b.Record(i.ctx, err)
 	}
 	return row, err
 }
@@ -130,16 +121,15 @@ func (i *healthIter) Close() error { return i.it.Close() }
 
 // onceWriter is a Writer facet behind the guard — a source's autocommit
 // one, or a transaction's: each write is forwarded exactly once, never
-// retried, and its outcome feeds the health tracker. w is nil for a
-// source without the facet, which is refused by name (the health record
-// is kept under the source's).
+// retried, and its outcome is recorded on the source's breaker. w is
+// nil for a source without the facet, which is refused by name.
 type onceWriter struct {
 	w source.Writer
-	h *SourceHealth
+	b *Breaker
 }
 
 func (o onceWriter) refusal() error {
-	return fmt.Errorf("resilience: source %s is not writable", o.h.Name())
+	return fmt.Errorf("resilience: source %s is not writable", o.b.source)
 }
 
 // Insert implements source.Writer (no retry).
@@ -148,7 +138,7 @@ func (o onceWriter) Insert(ctx context.Context, table string, rows []types.Row) 
 		return 0, o.refusal()
 	}
 	n, err := o.w.Insert(ctx, table, rows)
-	o.h.record(ctx, err)
+	o.b.Record(ctx, err)
 	return n, err
 }
 
@@ -158,7 +148,7 @@ func (o onceWriter) Update(ctx context.Context, table string, filter expr.Expr, 
 		return 0, o.refusal()
 	}
 	n, err := o.w.Update(ctx, table, filter, set)
-	o.h.record(ctx, err)
+	o.b.Record(ctx, err)
 	return n, err
 }
 
@@ -168,7 +158,7 @@ func (o onceWriter) Delete(ctx context.Context, table string, filter expr.Expr) 
 		return 0, o.refusal()
 	}
 	n, err := o.w.Delete(ctx, table, filter)
-	o.h.record(ctx, err)
+	o.b.Record(ctx, err)
 	return n, err
 }
 
@@ -179,11 +169,11 @@ func (g *Guarded) BeginTx(ctx context.Context) (source.Tx, error) {
 		return nil, fmt.Errorf("resilience: source %s is not transactional", g.src.Name())
 	}
 	tx, err := t.BeginTx(ctx)
-	g.h.record(ctx, err)
+	g.b.Record(ctx, err)
 	if err != nil {
 		return nil, err
 	}
-	return &guardedTx{onceWriter: onceWriter{w: tx, h: g.h}, tx: tx}, nil
+	return &guardedTx{onceWriter: onceWriter{w: tx, b: g.b}, tx: tx}, nil
 }
 
 // guardedTx forwards every transactional operation exactly once. 2PC
@@ -199,7 +189,7 @@ type guardedTx struct {
 // Prepare implements source.Tx (no retry: a 2PC vote is sent once).
 func (t *guardedTx) Prepare(ctx context.Context) error {
 	err := t.tx.Prepare(ctx)
-	t.h.record(ctx, err)
+	t.b.Record(ctx, err)
 	return err
 }
 
@@ -207,13 +197,13 @@ func (t *guardedTx) Prepare(ctx context.Context) error {
 // retries and in-doubt tracking).
 func (t *guardedTx) Commit(ctx context.Context) error {
 	err := t.tx.Commit(ctx)
-	t.h.record(ctx, err)
+	t.b.Record(ctx, err)
 	return err
 }
 
 // Abort implements source.Tx (no retry).
 func (t *guardedTx) Abort(ctx context.Context) error {
 	err := t.tx.Abort(ctx)
-	t.h.record(ctx, err)
+	t.b.Record(ctx, err)
 	return err
 }

@@ -149,9 +149,17 @@ func (r readOnlySource) Execute(ctx context.Context, q *source.Query) (source.Ro
 func wrapped(t *testing.T, fails map[string]int, p *Policy) (*fakeSource, source.Source) {
 	t.Helper()
 	f := newFakeSource("ny", fails)
-	tr := NewTracker(p)
-	return f, WrapSource(f, p, tr.For(f.name))
+	return f, WrapSource(f, p)
 }
+
+// stallSource's Tables runs stall: a hung call, or one whose caller
+// gives up.
+type stallSource struct {
+	readOnlySource
+	stall func(context.Context) error
+}
+
+func (s *stallSource) Tables(ctx context.Context) ([]string, error) { return nil, s.stall(ctx) }
 
 func TestWrapRetriesReads(t *testing.T) {
 	f, w := wrapped(t, map[string]int{"tables": 2, "tableinfo": 1, "execute": 2}, fastPolicy())
@@ -280,14 +288,8 @@ func TestWrapBreakerFailsFast(t *testing.T) {
 // one that does not.
 func TestWrapPreservesFacets(t *testing.T) {
 	p := fastPolicy()
-	tr := NewTracker(p)
-	type facets interface {
-		source.Source
-		source.Writer
-		source.Transactional
-	}
 	inner := readOnlySource{newFakeSource("ro", nil)}
-	ro := WrapSource(inner, p, tr.For("ro")).(facets)
+	ro := WrapSource(inner, p)
 	if ro.Capabilities() != inner.Capabilities() {
 		t.Errorf("read-only wrap advertises %s, the source %s", ro.Capabilities(), inner.Capabilities())
 	}
@@ -301,7 +303,7 @@ func TestWrapPreservesFacets(t *testing.T) {
 		}
 	}
 	f := newFakeSource("full", nil)
-	full := WrapSource(f, p, tr.For("full")).(facets)
+	full := WrapSource(f, p)
 	if full.Capabilities() != f.Capabilities() {
 		t.Errorf("full wrap advertises %s, the source %s", full.Capabilities(), f.Capabilities())
 	}
@@ -313,15 +315,61 @@ func TestWrapPreservesFacets(t *testing.T) {
 	}
 }
 
-func TestWrapHealthFeedsPlanner(t *testing.T) {
+// TestWrapRecordsOnBreaker: what the guard's calls find is its
+// breaker's to tell, and nothing else keeps it.
+func TestWrapRecordsOnBreaker(t *testing.T) {
 	p := &Policy{MaxRetries: 0, BreakerThreshold: 1, BreakerCooldown: time.Hour}
-	f := newFakeSource("ny", map[string]int{"tables": 1000})
-	tr := NewTracker(p)
-	w := WrapSource(f, p, tr.For(f.name))
-	if _, err := w.Tables(ctx); err == nil {
+	g := WrapSource(newFakeSource("ny", map[string]int{"tables": 1000}), p)
+	if _, err := g.Tables(ctx); err == nil {
 		t.Fatal("failing source reported success")
 	}
-	if tr.Healthy("ny") {
-		t.Error("tracker still healthy after the breaker opened")
+	if st := g.Breaker().State(); st != BreakerOpen {
+		t.Errorf("breaker is %s after the threshold failure, want open", st)
+	}
+	if d := g.Breaker().Describe(); !strings.Contains(d, "tables failed") {
+		t.Errorf("Describe() = %q, want the last error", d)
+	}
+}
+
+// TestCancelledProbeIsGivenBack: a half-open probe whose caller gives
+// up is neither a success nor a failure, and the next call probes
+// instead of being refused for good while the breaker says half-open.
+func TestCancelledProbeIsGivenBack(t *testing.T) {
+	p := &Policy{BreakerThreshold: 1, BreakerCooldown: 10 * time.Millisecond}
+	cctx, cancel := context.WithCancel(ctx)
+	s := &stallSource{readOnlySource: readOnlySource{newFakeSource("ny", nil)}}
+	s.stall = func(context.Context) error { cancel(); return context.Canceled }
+	g := WrapSource(s, p)
+	g.Breaker().Record(ctx, errBoom)
+	time.Sleep(20 * time.Millisecond)
+	if _, err := g.Tables(cctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("the cancelled probe = %v, want context.Canceled", err)
+	}
+	if d := g.Breaker().Describe(); !strings.HasPrefix(d, "breaker=half-open ok=0 fail=1 ") {
+		t.Errorf("Describe() = %q: the cancelled probe was counted", d)
+	}
+	s.stall = func(context.Context) error { return nil }
+	if _, err := g.Tables(ctx); err != nil {
+		t.Fatalf("the call after a cancelled probe = %v, want it let through as the probe", err)
+	}
+	if st := g.Breaker().State(); st != BreakerClosed {
+		t.Errorf("breaker is %s after a successful probe, want closed", st)
+	}
+}
+
+// TestCallTimeoutOpensBreaker: a per-attempt CallTimeout expiry is the
+// source's failure, not the caller giving up — a hung source trips the
+// breaker.
+func TestCallTimeoutOpensBreaker(t *testing.T) {
+	p := &Policy{CallTimeout: 5 * time.Millisecond, MaxRetries: 1, BackoffBase: time.Microsecond,
+		BreakerThreshold: 2, BreakerCooldown: time.Hour}
+	s := &stallSource{readOnlySource: readOnlySource{newFakeSource("ny", nil)}}
+	s.stall = func(actx context.Context) error { <-actx.Done(); return actx.Err() }
+	g := WrapSource(s, p)
+	if _, err := g.Tables(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("a hung source = %v, want its attempts' deadline", err)
+	}
+	if st := g.Breaker().State(); st != BreakerOpen {
+		t.Errorf("breaker is %s after two timed-out attempts, want open", st)
 	}
 }

@@ -60,17 +60,6 @@ func validate(rec experiments.Record) error {
 	if rec.ElapsedMS < 0 {
 		return fmt.Errorf("negative elapsed_ms %v", rec.ElapsedMS)
 	}
-	// Allocation census: zero is legal (planning-only experiments never
-	// route through median), negative or half-present is drift.
-	if rec.AllocsPerOp < 0 {
-		return fmt.Errorf("negative allocs_per_op %v", rec.AllocsPerOp)
-	}
-	if rec.BytesPerOp < 0 {
-		return fmt.Errorf("negative bytes_per_op %v", rec.BytesPerOp)
-	}
-	if rec.AllocsPerOp > 0 && rec.BytesPerOp == 0 {
-		return fmt.Errorf("allocs_per_op %v with zero bytes_per_op", rec.AllocsPerOp)
-	}
 	if rec.At == "" {
 		return fmt.Errorf("empty at timestamp")
 	}
