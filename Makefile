@@ -78,9 +78,11 @@ overload:
 # executed against each kind of store, FuzzServeWrite every insert,
 # update and delete that decodes, through Server.write into each — the
 # SQL lexer/parser and filestore's record scanner (against encoding/csv,
-# whole and in blocks) — and the one reader of constraints that is not a
-# byte-reader, expr's range algebra, against EvalBool of the conjunction
-# it folds (FuzzColumnRange). Their seed corpora run as
+# whole and in blocks), docstore's document codec (FuzzDocCodec: decode
+# of encode is the JSON document, and each compiled path reads what a
+# lookup in its maps reads) — and the one reader of constraints that is
+# not a byte-reader, expr's range algebra, against EvalBool of the
+# conjunction it folds (FuzzColumnRange). Their seed corpora run as
 # ordinary tests under `go test ./...`; a crash found here lands in the
 # package's testdata/fuzz and fails from then on.
 fuzz:
@@ -90,6 +92,7 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzServeWrite -fuzztime 10s
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/filestore -run '^$$' -fuzz FuzzScanRecords -fuzztime 10s
+	$(GO) test ./internal/docstore -run '^$$' -fuzz FuzzDocCodec -fuzztime 10s
 	$(GO) test ./internal/expr -run '^$$' -fuzz FuzzColumnRange -fuzztime 10s
 
 # Both benchmark harnesses: the per-layer rungs, then the repository

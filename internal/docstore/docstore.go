@@ -1,6 +1,7 @@
 // Package docstore implements a JSON-document component system. Each
-// collection stores schemaless documents; a wrapper mapping ("this path
-// is that column") projects documents onto a relational schema so the
+// collection stores schemaless documents, each encoded once into an
+// immutable string (codec.go); a wrapper mapping ("this path is that
+// column") projects documents onto a relational schema so the
 // mediator can query them. The wrapper pushes down filters and
 // projections (document databases evaluate per-document predicates) but
 // not joins, grouping, or sorting.
@@ -11,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -38,14 +38,16 @@ type Store struct {
 
 type collection struct {
 	fields []FieldMap
-	paths  [][]string // fields[i].Path split at the dots, once
+	paths  [][]uint64 // fields[i].Path as key indexes, compiled once
 	schema *types.Schema
-	// docs holds the committed documents. A document, and every object
-	// nested in it, is never written once it is here, and a position of
-	// docs is never written again: an insert appends, an update or a
-	// delete publishes a new slice. A scan therefore borrows docs[:n:n]
-	// under the read lock and reads it with the lock gone.
-	docs []map[string]any
+	keys   keyTable
+	enc    encoder
+	// docs holds the committed documents, each encoded in one string
+	// (codec.go), which nothing can write. A position of docs is never
+	// written again either: an insert appends, an update or a delete
+	// publishes a new slice. A scan therefore borrows docs[:n:n] under
+	// the read lock and reads it with the lock gone.
+	docs []string
 }
 
 // New returns an empty document store.
@@ -63,20 +65,24 @@ func (s *Store) CreateCollection(name string, fields []FieldMap) error {
 	if len(fields) == 0 {
 		return fmt.Errorf("docstore %s: collection %q needs at least one field", s.name, name)
 	}
+	c := &collection{
+		fields: append([]FieldMap(nil), fields...),
+		paths:  make([][]uint64, len(fields)),
+		keys:   keyTable{index: map[string]uint64{}},
+	}
+	c.enc.keys = &c.keys
 	cols := make([]types.Column, len(fields))
-	paths := make([][]string, len(fields))
 	for i, f := range fields {
 		if f.Path == "" {
 			return fmt.Errorf("docstore %s: field %q has empty path", s.name, f.Column.Name)
 		}
 		cols[i] = f.Column
-		paths[i] = strings.Split(f.Path, ".")
+		for _, part := range strings.Split(f.Path, ".") {
+			c.paths[i] = append(c.paths[i], c.keys.intern(part))
+		}
 	}
-	s.collections[name] = &collection{
-		fields: append([]FieldMap(nil), fields...),
-		paths:  paths,
-		schema: &types.Schema{Columns: cols},
-	}
+	c.schema = &types.Schema{Columns: cols}
+	s.collections[name] = c
 	return nil
 }
 
@@ -89,7 +95,10 @@ func (s *Store) InsertJSON(name string, doc string) error {
 	return s.InsertDoc(name, m)
 }
 
-// InsertDoc stores one already-decoded document.
+// InsertDoc stores one already-decoded document: its encoding, so the
+// caller may go on to change doc. It holds what encoding/json decodes
+// into an any — nil, bool, float64, json.Number, string, []any and
+// map[string]any — and a document with anything else is refused.
 func (s *Store) InsertDoc(name string, doc map[string]any) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -97,7 +106,11 @@ func (s *Store) InsertDoc(name string, doc map[string]any) error {
 	if !ok {
 		return fmt.Errorf("docstore %s: unknown collection %q", s.name, name)
 	}
-	c.docs = append(c.docs, doc)
+	enc, err := c.enc.encode(doc)
+	if err != nil {
+		return fmt.Errorf("docstore %s: %w", s.name, err)
+	}
+	c.docs = append(c.docs, enc)
 	return nil
 }
 
@@ -165,7 +178,7 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 type scanIter struct {
 	store   string
 	c       *collection // fields, paths: fixed when it was created
-	docs    []map[string]any
+	docs    []string
 	filter  expr.Expr
 	cols    []int // nil: every field
 	need    []bool
@@ -231,103 +244,44 @@ func (c *collection) fieldsRead(cols []int, exprs ...expr.Expr) []bool {
 }
 
 // extract projects the fields marked in need from one document onto
-// row (as wide as the collection's schema), coercing JSON values to the
+// row (as wide as the collection's schema), coercing the values to the
 // declared column types. Missing paths yield NULL.
-func (c *collection) extract(row types.Row, doc map[string]any, need []bool) error {
+func (c *collection) extract(row types.Row, doc string, need []bool) error {
 	for i, path := range c.paths {
 		if !need[i] {
 			continue
 		}
-		raw, found := lookupPath(doc, path)
-		if !found || raw == nil {
-			row[i] = types.Null
-			continue
+		v, err := field(doc, path)
+		if err == nil {
+			v, err = v.Coerce(c.fields[i].Column.Type)
 		}
-		f := &c.fields[i]
-		v, err := fromJSON(raw)
 		if err != nil {
+			f := &c.fields[i]
 			return fmt.Errorf("field %s (path %s): %w", f.Column.Name, f.Path, err)
 		}
-		cv, err := v.Coerce(f.Column.Type)
-		if err != nil {
-			return fmt.Errorf("field %s (path %s): %w", f.Column.Name, f.Path, err)
-		}
-		row[i] = cv
+		row[i] = v
 	}
 	return nil
 }
 
-// lookupPath walks a path through nested JSON objects.
-func lookupPath(doc map[string]any, path []string) (any, bool) {
-	cur := any(doc)
-	for _, part := range path {
-		m, ok := cur.(map[string]any)
-		if !ok {
-			return nil, false
-		}
-		cur, ok = m[part]
-		if !ok {
-			return nil, false
-		}
-	}
-	return cur, true
-}
-
-// fromJSON converts a decoded JSON scalar to a Value.
-func fromJSON(raw any) (types.Value, error) {
-	switch v := raw.(type) {
-	case bool:
-		return types.NewBool(v), nil
-	case float64:
-		// encoding/json decodes every number as float64; keep integral
-		// values as INT so key joins behave.
-		if v == float64(int64(v)) {
-			return types.NewInt(int64(v)), nil
-		}
-		return types.NewFloat(v), nil
-	case string:
-		return types.NewString(v), nil
-	case json.Number:
-		if i, err := v.Int64(); err == nil {
-			return types.NewInt(i), nil
-		}
-		f, err := v.Float64()
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewFloat(f), nil
-	default:
-		return types.Null, fmt.Errorf("unsupported JSON value %T (objects/arrays must be mapped by path)", raw)
-	}
-}
-
-// setPath writes v at a path of doc, which the caller has made or
-// copied. It creates the objects on the way that are missing and copies
-// those that are there, so that nothing a committed document shares
-// with doc is written.
-func setPath(doc map[string]any, path []string, v any) error {
+// setPath writes v at field i's path of doc, a decoded document the
+// caller owns, and creates the objects on the way that are missing.
+func (c *collection) setPath(doc map[string]any, i int, v any) error {
+	path := c.paths[i]
 	cur := doc
-	for i, part := range path[:len(path)-1] {
-		var child map[string]any
-		if next, ok := cur[part]; ok {
-			if child, ok = next.(map[string]any); !ok {
-				return fmt.Errorf("path %s collides with a scalar at %s", strings.Join(path, "."), path[i])
-			}
+	for _, k := range path[:len(path)-1] {
+		part := c.keys.names[k]
+		next, ok := cur[part]
+		if !ok {
+			next = map[string]any{}
+			cur[part] = next
 		}
-		child = cloneObject(child)
-		cur[part] = child
-		cur = child
+		if cur, ok = next.(map[string]any); !ok {
+			return fmt.Errorf("path %s collides with a scalar at %s", c.fields[i].Path, part)
+		}
 	}
-	cur[path[len(path)-1]] = v
+	cur[c.keys.names[path[len(path)-1]]] = v
 	return nil
-}
-
-// cloneObject returns a copy of m, sharing its values, to write to.
-func cloneObject(m map[string]any) map[string]any {
-	if m == nil {
-		return map[string]any{}
-	}
-	return maps.Clone(m)
 }
 
 // toJSON converts a value to its JSON representation.
@@ -367,23 +321,27 @@ func (s *Store) Insert(_ context.Context, name string, rows []types.Row) (int64,
 			if r[i].IsNull() {
 				continue
 			}
-			if err := setPath(doc, c.paths[i], toJSON(r[i])); err != nil {
+			if err := c.setPath(doc, i, toJSON(r[i])); err != nil {
 				return n, fmt.Errorf("docstore %s: %w", s.name, err)
 			}
 		}
-		c.docs = append(c.docs, doc)
+		enc, err := c.enc.encode(doc)
+		if err != nil {
+			return n, fmt.Errorf("docstore %s: %w", s.name, err)
+		}
+		c.docs = append(c.docs, enc)
 		n++
 	}
 	return n, nil
 }
 
-// Update implements source.Writer: documents whose extracted row matches
-// the filter get the mapped paths of the SET clauses rewritten — in a
-// copy, which shares with the document all but the objects along those
-// paths. The copies take the documents' places in a new slice, and that
-// is published only when every one is made: a filter, a SET expression
-// or a path that fails leaves the collection as it was, and a scan that
-// holds the old slice goes on reading the old documents.
+// Update implements source.Writer: a document whose extracted row
+// matches the filter is decoded, gets the mapped paths of the SET clauses
+// rewritten, and is encoded again. The new documents take the old ones'
+// places in a new slice, and that is published only when every one is
+// made: a filter, a SET expression or a path that fails leaves the
+// collection as it was, and a scan that holds the old slice goes on
+// reading the old documents.
 func (s *Store) Update(_ context.Context, name string, filter expr.Expr, set []source.SetClause) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -410,15 +368,18 @@ func (s *Store) Update(_ context.Context, name string, filter expr.Expr, set []s
 		if !match {
 			continue
 		}
-		docs[i] = cloneObject(doc)
+		m := c.keys.decode(doc)
 		for _, sc := range set {
 			v, err := sc.Value.Eval(scratch)
 			if err != nil {
 				return 0, err
 			}
-			if err := setPath(docs[i], c.paths[sc.Col], toJSON(v)); err != nil {
+			if err := c.setPath(m, sc.Col, toJSON(v)); err != nil {
 				return 0, fmt.Errorf("docstore %s: %w", s.name, err)
 			}
+		}
+		if docs[i], err = c.enc.encode(m); err != nil {
+			return 0, fmt.Errorf("docstore %s: %w", s.name, err)
 		}
 		n++
 	}
@@ -437,7 +398,7 @@ func (s *Store) Delete(_ context.Context, name string, filter expr.Expr) (int64,
 	}
 	need := c.fieldsRead([]int{}, filter)
 	scratch := make(types.Row, len(c.fields))
-	kept := make([]map[string]any, 0, len(c.docs))
+	kept := make([]string, 0, len(c.docs))
 	for _, doc := range c.docs {
 		match, err := c.matches(scratch, doc, need, filter)
 		if err != nil {
@@ -454,7 +415,7 @@ func (s *Store) Delete(_ context.Context, name string, filter expr.Expr) (int64,
 
 // matches extracts doc's needed fields into scratch and evaluates the
 // filter (nil matches everything) over it.
-func (c *collection) matches(scratch types.Row, doc map[string]any, need []bool, filter expr.Expr) (bool, error) {
+func (c *collection) matches(scratch types.Row, doc string, need []bool, filter expr.Expr) (bool, error) {
 	if err := c.extract(scratch, doc, need); err != nil {
 		return false, err
 	}
