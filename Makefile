@@ -41,17 +41,18 @@ check:
 loc:
 	@sh scripts/loc.sh
 
-# After a change meant to move a plan: rewrite the golden file of
-# TestPlansGolden (230 statements under each optimizer variant) from the
-# plans this build produces, then review its diff. A change meant to
-# move only how a fragment scan prints (its suffix, a pushed constant)
-# moves no other line:
+# After a change meant to move a plan or an estimate: rewrite the golden
+# files of TestPlansGolden (230 statements under each optimizer variant)
+# and TestEstimatesGolden (the planner's estimate error over the same
+# statements, per operator kind) from what this build produces, then
+# review their diffs. A change meant to move only how a fragment scan
+# prints (its suffix, a pushed constant) moves no other plan line:
 #   git diff -U0 internal/workload/testdata/plans.golden | grep '^[-+]' | grep -v FragScan
 # prints the two header lines and nothing else — unless two variants of
 # a statement stopped or started printing alike, which adds or removes a
 # "-- variant" block.
 golden:
-	$(GO) test ./internal/workload -run TestPlansGolden -update
+	$(GO) test ./internal/workload -run 'TestPlansGolden|TestEstimatesGolden' -update
 
 # Seeded fault-injection stress tests: wire, union, semijoin, 2PC
 # (see DESIGN.md "Resilience & fault model"). What faults do not cover —

@@ -12,7 +12,7 @@ import (
 	"gis/internal/types"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/plans.golden from the plans this build produces")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/plans.golden and testdata/estimates.golden from what this build produces")
 
 // planVariant is one optimizer configuration: the defaults, or the
 // defaults with a single switch moved (experiment F9's ablations, the
@@ -319,8 +319,14 @@ func renderPlans(t *testing.T) string {
 // `go test ./internal/workload -run TestPlansGolden -update` and reviews
 // the diff.
 func TestPlansGolden(t *testing.T) {
-	const path = "testdata/plans.golden"
-	got := renderPlans(t)
+	matchGolden(t, "testdata/plans.golden", renderPlans(t))
+}
+
+// matchGolden compares got with the golden file at path, or under
+// -update rewrites the file from it. A mismatch names the first line
+// that differs and the "== " header above it.
+func matchGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -344,8 +350,8 @@ func TestPlansGolden(t *testing.T) {
 			header = wl[i]
 		}
 		if gl[i] != wl[i] {
-			t.Fatalf("plans differ from %s at line %d, under %q:\n got: %s\nwant: %s", path, i+1, header, gl[i], wl[i])
+			t.Fatalf("%s differs at line %d, under %q:\n got: %s\nwant: %s", path, i+1, header, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("plans differ from %s in length: got %d lines, want %d", path, len(gl), len(wl))
+	t.Fatalf("%s differs in length: got %d lines, want %d", path, len(gl), len(wl))
 }
