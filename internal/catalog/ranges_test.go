@@ -11,6 +11,7 @@ import (
 	"gis/internal/kvstore"
 	"gis/internal/relstore"
 	"gis/internal/source"
+	"gis/internal/stats"
 	"gis/internal/types"
 )
 
@@ -79,7 +80,7 @@ func (g *rangeGen) filter() []expr.Expr {
 	return conj
 }
 
-// TestColumnRangeReadersAgree: the three readers of what a filter says
+// TestColumnRangeReadersAgree: the four readers of what a filter says
 // about a column agree with their definitions, over drawn filters on a
 // key k of ten rows.
 //   - A kvstore answers what the reference evaluator does over its
@@ -89,6 +90,8 @@ func (g *rangeGen) filter() []expr.Expr {
 //     evaluator does over its table (which repeats a key and holds a NULL).
 //   - PruneByPartition is sound: when it prunes a fragment, no row of the
 //     domain passes both the filter and the fragment's predicate.
+//   - The estimator prices a filter at 0 exactly when the range it admits
+//     of k, or of v, is empty.
 func TestColumnRangeReadersAgree(t *testing.T) {
 	ctx := context.Background()
 	schema := types.NewSchema(types.Column{Name: "k", Type: types.KindInt}, types.Column{Name: "v", Type: types.KindInt})
@@ -143,6 +146,8 @@ func TestColumnRangeReadersAgree(t *testing.T) {
 	}
 	domain = append(domain, types.Null)
 
+	ts := stats.Collect(relRows, 2)
+
 	g := &rangeGen{r: rand.New(rand.NewSource(32))}
 	pruned := 0
 	for i := 0; i < 3000 && !t.Failed(); i++ {
@@ -165,6 +170,12 @@ func TestColumnRangeReadersAgree(t *testing.T) {
 			t.Errorf("WHERE %s: the relstore fails: %v", filter, err)
 		} else if diff != "" {
 			t.Errorf("WHERE %s: the relstore %s", filter, diff)
+		}
+
+		kr, _ := expr.ColumnRange(filter, 0)
+		vr, _ := expr.ColumnRange(filter, 1)
+		if est := stats.Selectivity(filter, ts); (est == 0) != (kr.Empty() || vr.Empty()) {
+			t.Errorf("WHERE %s: the estimator prices it at %v, the range of k is %+v, of v %+v", filter, est, kr, vr)
 		}
 
 		frag := &Fragment{Where: expr.Conjoin([]expr.Expr{g.constraint(), g.constraint()}[:1+g.r.Intn(2)])}

@@ -8,8 +8,9 @@ import (
 
 // What a filter says about one column is worked out here, once, for every
 // reader: partition pruning (catalog), the kvstore's key range and the
-// relstore's index probe, and the capability check that decides what a
-// FilterKey source is shipped (source.CanFilter). ColumnConstraint
+// relstore's index probe, the capability check that decides what a
+// FilterKey source is shipped (source.CanFilter), and the planner's
+// estimate of the rows that pass (stats.Selectivity). ColumnConstraint
 // recognises a conjunct that constrains one column to constants;
 // ColumnRange folds a filter's such conjuncts on a column into a Range.
 //

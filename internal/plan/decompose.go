@@ -161,11 +161,7 @@ func chooseStrategies(n Node, forced Strategy) Node {
 		return j
 	}
 	estL, estR := EstimateRows(j.L), EstimateRows(j.R)
-	estJoin := EstimateRows(j)
-	matchedR := estJoin
-	if matchedR > estR {
-		matchedR = estR
-	}
+	matchedR := min(EstimateRows(j), estR)
 	if estL <= fewKeys || estL+matchedR < semiJoinGain*(estL+estR) {
 		j.Strategy = StrategySemiJoin
 	} else {

@@ -3,6 +3,7 @@ package plan
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"gis/internal/expr"
 )
@@ -175,10 +176,7 @@ func orderDP(rels []RelInfo, preds []PredInfo) SearchResult {
 		order = append(order, i)
 		s &^= 1 << uint(i)
 	}
-	// Reverse into join order.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
+	slices.Reverse(order) // into join order
 	return SearchResult{Order: order, Cost: cost[full], Considered: considered}
 }
 
@@ -238,31 +236,40 @@ func chooseJoinOrder(n Node, algo JoinOrderAlgo) Node {
 	for i := range rels {
 		rels[i].node = chooseJoinOrder(rels[i].node, algo)
 	}
+	res := searchOrder(rels, preds, algo)
+	return rebuildJoinTree(rels, preds, res.Order)
+}
+
+// searchOrder runs OrderSearch over a flattened chain, each relation at
+// its row estimate and each predicate between two at joinSel: the
+// numbers EstimateRows reads off the joins rebuildJoinTree builds.
+func searchOrder(rels []flatRel, preds []flatPred, algo JoinOrderAlgo) SearchResult {
 	infos := make([]RelInfo, len(rels))
-	for i, r := range rels {
-		infos[i] = RelInfo{Rows: EstimateRows(r.node)}
+	for i := range rels {
+		rels[i].rows = EstimateRows(rels[i].node)
+		infos[i] = RelInfo{Rows: rels[i].rows}
 	}
 	var pinfos []PredInfo
 	for _, p := range preds {
 		if len(p.rels) == 2 {
-			pinfos = append(pinfos, PredInfo{A: p.rels[0], B: p.rels[1], Sel: p.sel})
+			pinfos = append(pinfos, PredInfo{A: p.rels[0], B: p.rels[1], Sel: joinSel(p.e, rels)})
 		}
 	}
-	res := OrderSearch(infos, pinfos, algo)
-	return rebuildJoinTree(rels, preds, res.Order)
+	return OrderSearch(infos, pinfos, algo)
 }
 
-// flatRel is one leaf of a flattened join chain.
+// flatRel is one relation under a join: a leaf of a flattened join
+// chain, or one side of a single join (EstimateRows).
 type flatRel struct {
 	node   Node
-	offset int // column offset in the original concatenated schema
+	offset int     // column offset in the original concatenated schema
+	rows   float64 // EstimateRows(node)
 }
 
 // flatPred is one conjunct with the relations it touches.
 type flatPred struct {
 	e    expr.Expr // bound over the original concatenated schema
 	rels []int
-	sel  float64
 }
 
 // flattenJoins linearizes a tree of inner joins into relations and
@@ -270,33 +277,24 @@ type flatPred struct {
 func flattenJoins(j *Join) ([]flatRel, []flatPred) {
 	var rels []flatRel
 	var preds []flatPred
-	var walk func(n Node) int // returns width
-	walk = func(n Node) int {
-		if jn, ok := n.(*Join); ok && jn.Kind == JoinInner {
-			base := 0
-			if len(rels) > 0 {
-				last := rels[len(rels)-1]
-				base = last.offset + last.node.Schema().Len()
-			}
-			lw := walk(jn.L)
-			rw := walk(jn.R)
-			if jn.Cond != nil {
-				var conj [8]expr.Expr
-				for _, c := range expr.AppendConjuncts(conj[:0], jn.Cond) {
-					// The condition is bound over this join's local
-					// concatenated schema; shift to the global space.
-					preds = append(preds, flatPred{e: expr.Shift(c, base)})
-				}
-			}
-			return lw + rw
+	width := 0 // of the relations collected so far
+	var walk func(n Node)
+	walk = func(n Node) {
+		jn, ok := n.(*Join)
+		if !ok || jn.Kind != JoinInner {
+			rels = append(rels, flatRel{node: n, offset: width})
+			width += n.Schema().Len()
+			return
 		}
-		off := 0
-		if len(rels) > 0 {
-			last := rels[len(rels)-1]
-			off = last.offset + last.node.Schema().Len()
+		base := width
+		walk(jn.L)
+		walk(jn.R)
+		var conj [8]expr.Expr
+		for _, c := range expr.AppendConjuncts(conj[:0], jn.Cond) {
+			// The condition is bound over this join's local
+			// concatenated schema; shift to the global space.
+			preds = append(preds, flatPred{e: expr.Shift(c, base)})
 		}
-		rels = append(rels, flatRel{node: n, offset: off})
-		return n.Schema().Len()
 	}
 	walk(j)
 	// Annotate predicates with the relations they reference.
@@ -309,7 +307,6 @@ func flattenJoins(j *Join) ([]flatRel, []flatPred) {
 				preds[i].rels = append(preds[i].rels, r)
 			}
 		}
-		preds[i].sel = predSelectivity(preds[i].e, rels)
 	}
 	return rels, preds
 }
@@ -321,32 +318,6 @@ func relOf(rels []flatRel, col int) int {
 		}
 	}
 	return 0
-}
-
-// predSelectivity estimates a join predicate's selectivity: equi joins
-// via NDV when scans expose statistics, defaults otherwise.
-func predSelectivity(e expr.Expr, rels []flatRel) float64 {
-	b, ok := e.(*expr.Binary)
-	if !ok {
-		return 1.0 / 3
-	}
-	if b.Op != expr.OpEq {
-		return 1.0 / 3
-	}
-	lc, lok := b.L.(*expr.ColRef)
-	rc, rok := b.R.(*expr.ColRef)
-	if !lok || !rok {
-		return 0.1
-	}
-	ndv := func(c *expr.ColRef) float64 {
-		ri := relOf(rels, c.Index)
-		return childColumnNDV(rels[ri].node, c.Index-rels[ri].offset)
-	}
-	m := math.Max(ndv(lc), ndv(rc))
-	if m < 1 {
-		return 0.01
-	}
-	return 1 / m
 }
 
 // rebuildJoinTree constructs a left-deep join tree in the given order,

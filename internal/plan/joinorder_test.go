@@ -1,8 +1,11 @@
 package plan
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+
+	"gis/internal/sql"
 )
 
 // chainGraph builds R0 - R1 - ... - Rn-1 with the given sizes.
@@ -126,5 +129,64 @@ func TestConnectedAvoidsCrossProducts(t *testing.T) {
 	validPerm(t, res.Order, 4)
 	if res.Cost <= 0 {
 		t.Errorf("cost = %g", res.Cost)
+	}
+}
+
+// TestJoinReadingsAgree: the join-order search and the row estimate
+// price a join alike. Over a chain of two binary equi conjuncts on scans
+// with statistics, the C_out cost OrderSearch reports for the order it
+// chose is the sum of EstimateRows over the joins of the tree
+// rebuildJoinTree builds in that order.
+func TestJoinReadingsAgree(t *testing.T) {
+	cat := newBenchCatalog(t)
+	sel, err := sql.ParseSelect("SELECT c.name, o.amount, e.region FROM customers c " +
+		"JOIN orders o ON c.id = o.cust_id JOIN events e ON o.oid = e.oid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	logical, err := NewBuilder(cat).BuildSelect(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rels, preds := flattenJoins(findJoin(logical))
+	if len(rels) != 3 || len(preds) != 2 {
+		t.Fatalf("flattened into %d relations and %d predicates, want 3 and 2", len(rels), len(preds))
+	}
+	var joins func(Node) float64
+	joins = func(n Node) float64 {
+		var sum float64
+		if j, ok := n.(*Join); ok {
+			sum = EstimateRows(j)
+		}
+		for _, c := range n.Children() {
+			sum += joins(c)
+		}
+		return sum
+	}
+	for _, algo := range []JoinOrderAlgo{OrderDP, OrderGreedy, OrderSyntactic} {
+		res := searchOrder(rels, preds, algo)
+		got := joins(rebuildJoinTree(rels, preds, res.Order))
+		t.Logf("%-9s order %v: cost %g, joins estimated at %g rows", algo, res.Order, res.Cost, got)
+		if res.Cost <= 0 || math.Abs(got-res.Cost) > 1e-9*res.Cost {
+			t.Errorf("%s order %v: the search costs it %g, EstimateRows sums its joins to %g", algo, res.Order, res.Cost, got)
+		}
+	}
+}
+
+// TestEstimateRowsAllocatesNothing: pricing a two-scan equi join, and the
+// range filter on one of its scans, allocates nothing; the executor
+// asks it of every traced join.
+func TestEstimateRowsAllocatesNothing(t *testing.T) {
+	cat := newBenchCatalog(t)
+	n, err := planOnce(cat, "SELECT c.name, o.oid FROM customers c JOIN orders o ON c.id = o.cust_id WHERE c.id >= 2 AND c.id < 10", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := findJoin(n)
+	if j == nil || findFragScan(j.L) == nil || findFragScan(j.R) == nil {
+		t.Fatalf("want a join of two fragment scans:\n%s", Explain(n))
+	}
+	if got := testing.AllocsPerRun(100, func() { EstimateRows(j) }); got != 0 {
+		t.Errorf("EstimateRows of\n%s allocates %v objects", Explain(j), got)
 	}
 }

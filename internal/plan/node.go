@@ -452,10 +452,7 @@ func EstimateRows(n Node) float64 {
 		} else if t.Frag.Info() != nil && t.Frag.Info().RowCount > 0 {
 			base = float64(t.Frag.Info().RowCount)
 		}
-		sel := 1.0
-		if t.Query.Filter != nil {
-			sel *= stats.Selectivity(t.Query.Filter, fs)
-		}
+		sel := stats.Selectivity(t.Query.Filter, fs)
 		if t.GlobalResidual != nil {
 			sel *= stats.DefaultSel
 		}
@@ -466,34 +463,17 @@ func EstimateRows(n Node) float64 {
 		return EstimateRows(t.Input)
 	case *Join:
 		l, r := EstimateRows(t.L), EstimateRows(t.R)
-		switch {
-		case t.Cond == nil:
-			return l * r
-		case len(t.EquiL) > 0:
-			// Equi-join: containment estimate via child stats when
-			// available, else sqrt damping.
-			return joinCardinality(t, l, r)
-		default:
-			return l * r * stats.DefaultSel
-		}
+		sides := [2]flatRel{{node: t.L, rows: l}, {node: t.R, offset: t.L.Schema().Len(), rows: r}}
+		return l * r * condSel(t.Cond, sides[:])
 	case *Aggregate:
-		in := EstimateRows(t.Input)
 		if len(t.GroupBy) == 0 {
 			return 1
 		}
-		g := in / 10
-		if g < 1 {
-			g = 1
-		}
-		return g
+		return max(EstimateRows(t.Input)/10, 1)
 	case *Sort:
 		return EstimateRows(t.Input)
 	case *Limit:
-		in := EstimateRows(t.Input)
-		if float64(t.N) < in {
-			return float64(t.N)
-		}
-		return in
+		return min(float64(t.N), EstimateRows(t.Input))
 	case *Union:
 		var sum float64
 		for _, c := range t.Inputs {
@@ -507,24 +487,52 @@ func EstimateRows(n Node) float64 {
 	}
 }
 
-func joinCardinality(j *Join, l, r float64) float64 {
-	lNDV := childColumnNDV(j.L, j.EquiL[0])
-	rNDV := childColumnNDV(j.R, j.EquiR[0])
-	ndv := lNDV
-	if rNDV > ndv {
-		ndv = rNDV
+// condSel prices an inner join's condition over rels, the relations
+// whose concatenated columns it is bound over: the product of joinSel
+// over its conjuncts, walked in place.
+func condSel(e expr.Expr, rels []flatRel) float64 {
+	if e == nil {
+		return 1
 	}
-	if ndv < 1 {
-		// Unknown: assume keys on the larger side.
-		ndv = l
-		if r > l {
-			ndv = r
-		}
-		if ndv < 1 {
-			ndv = 1
-		}
+	if b, ok := e.(*expr.Binary); ok && b.Op == expr.OpAnd {
+		return condSel(b.L, rels) * condSel(b.R, rels)
 	}
-	return l * r / ndv
+	return joinSel(e, rels)
+}
+
+// joinSel prices one conjunct of an inner join's condition, for the row
+// estimate and the join-order search alike. An equality of two columns
+// keeps 1/max(NDV) of the pairs, a column's NDV being no more than its
+// relation's row estimate, and that when unknown; any other conjunct
+// keeps DefaultSel.
+func joinSel(e expr.Expr, rels []flatRel) float64 {
+	l, r, ok := columnEquality(e)
+	if !ok {
+		return stats.DefaultSel
+	}
+	return 1 / max(columnNDV(rels, l.Index), columnNDV(rels, r.Index), 1)
+}
+
+// columnEquality recognises `column = column`.
+func columnEquality(e expr.Expr) (l, r *expr.ColRef, ok bool) {
+	b, ok := e.(*expr.Binary)
+	if !ok || b.Op != expr.OpEq {
+		return nil, nil, false
+	}
+	l, lok := b.L.(*expr.ColRef)
+	r, rok := b.R.(*expr.ColRef)
+	return l, r, lok && rok
+}
+
+// columnNDV is the NDV of column col of rels' concatenated columns: a
+// relation estimated at fewer rows than its column has values holds at
+// most that many of them.
+func columnNDV(rels []flatRel, col int) float64 {
+	r := rels[relOf(rels, col)]
+	if ndv := childColumnNDV(r.node, col-r.offset); ndv > 0 && ndv < r.rows {
+		return ndv
+	}
+	return r.rows
 }
 
 // childColumnNDV digs the NDV of a column out of scan statistics; 0 when
@@ -551,17 +559,22 @@ func childColumnNDV(n Node, col int) float64 {
 			return float64(fs.Columns[m.RemoteCol].NDV)
 		}
 	case *Union:
-		// Fragments of one table: distinct values may overlap; the max
-		// is a safe lower bound.
-		var best float64
+		// Fragments of one table: distinct values may overlap. They
+		// combine by stats.Merge's rule, so a table's NDV reads alike
+		// before decomposition (GlobalTable.Stats) and after.
+		var ndv float64
 		for _, in := range t.Inputs {
-			if v := childColumnNDV(in, col); v > best {
-				best = v
-			}
+			v := childColumnNDV(in, col)
+			ndv = max(ndv, v) + min(ndv, v)/2
 		}
-		return best
+		return ndv
 	case *Filter:
 		return childColumnNDV(t.Input, col)
+	case *Join:
+		if lw := t.L.Schema().Len(); col >= lw {
+			return childColumnNDV(t.R, col-lw)
+		}
+		return childColumnNDV(t.L, col)
 	case *Project:
 		if col < len(t.Exprs) {
 			if c, ok := t.Exprs[col].(*expr.ColRef); ok {
@@ -569,7 +582,7 @@ func childColumnNDV(n Node, col int) float64 {
 			}
 		}
 	default:
-		// Joins, aggregates, sorts, ...: no per-column NDV to report.
+		// Aggregates, sorts, ...: no per-column NDV to report.
 	}
 	return 0
 }

@@ -230,16 +230,9 @@ func extractEquiKeys(n Node) Node {
 		lw := t.L.Schema().Len()
 		var conj [8]expr.Expr
 		for _, c := range expr.AppendConjuncts(conj[:0], t.Cond) {
-			b, ok := c.(*expr.Binary)
-			if !ok || b.Op != expr.OpEq {
-				continue
-			}
-			lc, lok := b.L.(*expr.ColRef)
-			rc, rok := b.R.(*expr.ColRef)
-			if !lok || !rok {
-				continue
-			}
+			lc, rc, ok := columnEquality(c)
 			switch {
+			case !ok:
 			case lc.Index < lw && rc.Index >= lw:
 				t.EquiL = append(t.EquiL, lc.Index)
 				t.EquiR = append(t.EquiR, rc.Index-lw)

@@ -36,26 +36,6 @@ type TableStats struct {
 	Columns  []ColumnStats
 }
 
-// Clone deep-copies the stats.
-func (t *TableStats) Clone() *TableStats {
-	if t == nil {
-		return nil
-	}
-	out := &TableStats{RowCount: t.RowCount, Columns: make([]ColumnStats, len(t.Columns))}
-	copy(out.Columns, t.Columns)
-	for i := range out.Columns {
-		if h := out.Columns[i].Hist; h != nil {
-			nh := &Histogram{
-				Bounds: append([]types.Value(nil), h.Bounds...),
-				Counts: append([]int64(nil), h.Counts...),
-				Total:  h.Total,
-			}
-			out.Columns[i].Hist = nh
-		}
-	}
-	return out
-}
-
 // Unknown returns placeholder stats for a table of assumed size when no
 // statistics have been collected.
 func Unknown(columns int, assumedRows int64) *TableStats {
@@ -122,12 +102,7 @@ func Merge(parts ...*TableStats) *TableStats {
 			}
 			a, b := &out.Columns[i], p.Columns[i]
 			a.NullCount += b.NullCount
-			maxNDV := a.NDV
-			minNDV := b.NDV
-			if b.NDV > maxNDV {
-				maxNDV, minNDV = b.NDV, a.NDV
-			}
-			a.NDV = maxNDV + minNDV/2
+			a.NDV = max(a.NDV, b.NDV) + min(a.NDV, b.NDV)/2
 			if a.Min.IsNull() || (!b.Min.IsNull() && b.Min.Compare(a.Min) < 0) {
 				a.Min = b.Min
 			}
@@ -174,63 +149,78 @@ func cutHistogram(sorted []types.Value, buckets int) *Histogram {
 	return h
 }
 
-// FracLE estimates the fraction of values ≤ v.
-func (h *Histogram) FracLE(v types.Value) float64 {
-	if h == nil || h.Total == 0 {
-		return 0.5
-	}
-	var acc int64
-	for i, bound := range h.Bounds {
-		if v.Compare(bound) >= 0 {
-			acc += h.Counts[i]
-			continue
-		}
-		// v falls inside bucket i: assume half the bucket qualifies.
-		acc += h.Counts[i] / 2
-		break
-	}
-	f := float64(acc) / float64(h.Total)
-	if f > 1 {
-		f = 1
-	}
-	return f
-}
-
 // Default selectivities for predicates the estimator cannot analyze.
 const (
-	DefaultEqSel    = 0.1
-	DefaultRangeSel = 1.0 / 3.0
-	DefaultLikeSel  = 0.25
-	DefaultSel      = 1.0 / 3.0
+	DefaultEqSel   = 0.1
+	DefaultLikeSel = 0.25
+	DefaultSel     = 1.0 / 3.0
 )
 
 // Selectivity estimates the fraction of rows satisfying pred over a table
 // with the given stats. pred must be bound against the table's schema;
-// column references index ts.Columns.
+// column references index ts.Columns. The conjuncts that constrain a
+// column to constants (expr.ColumnConstraint) are read together, as the
+// one expr.ColumnRange of that column, and priced by rangeSel; every
+// other conjunct is priced on its own, and the parts multiply.
 func Selectivity(pred expr.Expr, ts *TableStats) float64 {
-	if pred == nil {
-		return 1
+	f, _ := selectivity(pred, pred, ts, 0)
+	return f
+}
+
+// selectivity prices the conjuncts of e, a part of filter. seen has bit c
+// set once column c's range has been priced; a column outside the mask
+// is priced conjunct by conjunct.
+func selectivity(filter, e expr.Expr, ts *TableStats, seen uint64) (float64, uint64) {
+	if b, ok := e.(*expr.Binary); ok && b.Op == expr.OpAnd {
+		var l, r float64
+		l, seen = selectivity(filter, b.L, ts, seen)
+		r, seen = selectivity(filter, b.R, ts, seen)
+		return l * r, seen
 	}
-	switch n := pred.(type) {
+	col, ok := expr.ColumnConstraint(e)
+	if !ok {
+		return conjunctSel(e, ts), seen
+	}
+	c := col.Index
+	switch {
+	case uint(c) >= 64:
+		filter = e
+	case seen&(1<<c) != 0:
+		return 1, seen
+	default:
+		seen |= 1 << c
+	}
+	r, _ := expr.ColumnRange(filter, c)
+	return rangeSel(r, columnStats(ts, c)), seen
+}
+
+// conjunctSel prices a conjunct that constrains no column to constants.
+func conjunctSel(e expr.Expr, ts *TableStats) float64 {
+	switch n := e.(type) {
+	case nil:
+		return 1
 	case *expr.Const:
-		if n.Val.Kind() == types.KindBool {
-			if n.Val.Bool() {
-				return 1
-			}
-			return 0
+		switch {
+		case n.Val.Kind() != types.KindBool:
+			return DefaultSel
+		case n.Val.Bool():
+			return 1
 		}
-		return DefaultSel
+		return 0
 	case *expr.Binary:
 		switch {
-		case n.Op == expr.OpAnd:
-			return clamp(Selectivity(n.L, ts) * Selectivity(n.R, ts))
 		case n.Op == expr.OpOr:
 			a, b := Selectivity(n.L, ts), Selectivity(n.R, ts)
 			return clamp(a + b - a*b)
-		case n.Op.Comparison():
-			return comparisonSelectivity(n, ts)
 		case n.Op == expr.OpLike:
 			return DefaultLikeSel
+		case n.Op == expr.OpEq:
+			return DefaultEqSel
+		case n.Op == expr.OpNe:
+			if col, _, _, ok := expr.ColumnComparison(n); ok {
+				return 1 - eqSel(columnStats(ts, col.Index))
+			}
+			return 1 - DefaultEqSel
 		}
 		return DefaultSel
 	case *expr.Unary:
@@ -249,65 +239,100 @@ func Selectivity(pred expr.Expr, ts *TableStats) float64 {
 		}
 		return clamp(f)
 	case *expr.InList:
-		// Each element behaves like an equality; union them.
-		per := comparisonSelectivity(&expr.Binary{Op: expr.OpEq, L: n.E, R: expr.NewConst(types.Null)}, ts)
-		f := clamp(per * float64(len(n.List)))
-		if n.Negate {
-			f = 1 - f
+		if !n.Negate {
+			return DefaultSel
 		}
-		return clamp(f)
+		// NOT IN admits what IN does not.
+		return clamp(1 - Selectivity(&expr.InList{E: n.E, List: n.List}, ts))
 	default:
 		return DefaultSel
 	}
 }
 
-func comparisonSelectivity(b *expr.Binary, ts *TableStats) float64 {
-	col, op, val, ok := expr.ColumnComparison(b)
-	if !ok || ts == nil || col.Index < 0 || col.Index >= len(ts.Columns) {
-		if b.Op == expr.OpEq {
-			return DefaultEqSel
-		}
-		return DefaultRangeSel
+// columnStats returns column c's statistics, zero when there are none.
+func columnStats(ts *TableStats, c int) ColumnStats {
+	if ts == nil || c < 0 || c >= len(ts.Columns) {
+		return ColumnStats{}
 	}
-	cs := &ts.Columns[col.Index]
-	switch op {
-	case expr.OpEq:
-		if cs.NDV > 0 {
-			return clamp(1 / float64(cs.NDV))
-		}
-		return DefaultEqSel
-	case expr.OpNe:
-		if cs.NDV > 0 {
-			return clamp(1 - 1/float64(cs.NDV))
-		}
-		return 1 - DefaultEqSel
-	case expr.OpLe, expr.OpLt:
-		return clamp(fracBelow(cs, val))
-	case expr.OpGe, expr.OpGt:
-		return clamp(1 - fracBelow(cs, val))
-	default:
-		// Non-comparison operators reach the generic fallback below.
-	}
-	return DefaultRangeSel
+	return ts.Columns[c]
 }
 
-// fracBelow estimates P(col <= v) from histogram or min/max interpolation.
-func fracBelow(cs *ColumnStats, v types.Value) float64 {
-	if cs.Hist != nil {
-		return cs.Hist.FracLE(v)
+// rangeSel prices the values r admits of a column: each of its keys, or
+// the one value its ends meet at, is one distinct value of the column;
+// an interval is the share of values between its ends, and no less than
+// one distinct value, as if a constant it names were one of the column's
+// values (as an equality's is).
+func rangeSel(r expr.Range, cs ColumnStats) float64 {
+	if r.Empty() {
+		return 0
 	}
-	if cs.Min.IsNull() || cs.Max.IsNull() || !v.Kind().Numeric() ||
-		!cs.Min.Kind().Numeric() || !cs.Max.Kind().Numeric() {
-		return DefaultRangeSel
+	if r.Keys != nil {
+		return clamp(float64(len(r.Keys)) * eqSel(cs))
 	}
-	lo, hi, x := cs.Min.AsFloat(), cs.Max.AsFloat(), v.AsFloat()
-	if hi <= lo {
-		if x >= hi {
+	if _, ok := r.Point(); ok {
+		return eqSel(cs)
+	}
+	lo, hi, loOK, hiOK := 0.0, 1.0, true, true
+	if !r.Lo.Unbounded {
+		lo, loOK = fracBelow(cs, r.Lo.Value)
+	}
+	if !r.Hi.Unbounded {
+		hi, hiOK = fracBelow(cs, r.Hi.Value)
+	}
+	if !loOK || !hiOK {
+		return DefaultSel
+	}
+	return clamp(max(hi-lo, eqSel(cs)))
+}
+
+// eqSel is the share of one distinct value of a column.
+func eqSel(cs ColumnStats) float64 {
+	if cs.NDV > 0 {
+		return 1 / float64(cs.NDV)
+	}
+	return DefaultEqSel
+}
+
+// fracBelow estimates P(col <= v): the histogram's buckets at or below
+// v, and the share of the bucket v falls in that within puts below it,
+// the bucket running from the bound before (the column's Min, for the
+// first) to its own. Without a histogram the column is one bucket, Min
+// to Max, of numbers. false when the statistics cannot place v.
+func fracBelow(cs ColumnStats, v types.Value) (float64, bool) {
+	h := cs.Hist
+	if h == nil || h.Total == 0 {
+		if !cs.Min.Kind().Numeric() || !cs.Max.Kind().Numeric() || !v.Kind().Numeric() {
+			return 0, false
+		}
+		return within(cs.Min, cs.Max, v), true
+	}
+	acc, lo := 0.0, cs.Min
+	for i, hi := range h.Bounds {
+		if v.Compare(hi) >= 0 {
+			acc += float64(h.Counts[i])
+			lo = hi
+			continue
+		}
+		acc += float64(h.Counts[i]) * within(lo, hi, v)
+		break
+	}
+	return clamp(acc / float64(h.Total)), true
+}
+
+// within is the share of the values from lo to hi that are at most v:
+// interpolated when all three are numbers, else half.
+func within(lo, hi, v types.Value) float64 {
+	if !lo.Kind().Numeric() || !hi.Kind().Numeric() || !v.Kind().Numeric() {
+		return 0.5
+	}
+	l, h, x := lo.AsFloat(), hi.AsFloat(), v.AsFloat()
+	if h <= l {
+		if x >= h {
 			return 1
 		}
 		return 0
 	}
-	return clamp((x - lo) / (hi - lo))
+	return clamp((x - l) / (h - l))
 }
 
 func clamp(f float64) float64 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gis/internal/expr"
+	"gis/internal/sql"
 	"gis/internal/types"
 )
 
@@ -75,6 +76,7 @@ func TestHistogramFracLE(t *testing.T) {
 	if h.Total != 1000 || len(h.Bounds) != 10 {
 		t.Fatalf("hist = %+v", h)
 	}
+	cs := ColumnStats{Min: vals[0], Max: vals[len(vals)-1], Hist: h}
 	cases := []struct {
 		v    int64
 		want float64
@@ -86,9 +88,9 @@ func TestHistogramFracLE(t *testing.T) {
 		{5000, 1.0, 0.001},
 	}
 	for _, c := range cases {
-		got := h.FracLE(types.NewInt(c.v))
-		if math.Abs(got-c.want) > c.tol {
-			t.Errorf("FracLE(%d) = %v, want ~%v", c.v, got, c.want)
+		got, ok := fracBelow(cs, types.NewInt(c.v))
+		if !ok || math.Abs(got-c.want) > c.tol {
+			t.Errorf("fracBelow(%d) = %v, %v, want ~%v", c.v, got, ok, c.want)
 		}
 	}
 }
@@ -117,17 +119,53 @@ func TestSelectivityEquality(t *testing.T) {
 	}
 }
 
+// TestSelectivityRange prices what a filter admits of a column, read
+// through expr.ColumnRange, against the share of rows that pass: ids
+// 0..n-1, and a table with no statistics.
 func TestSelectivityRange(t *testing.T) {
-	ts := Collect(mkRows(100), 3)
-	p := bindPred(t, expr.NewBinary(expr.OpLt, expr.NewColRef("", "id"), expr.NewConst(types.NewInt(25))))
-	got := Selectivity(p, ts)
-	if math.Abs(got-0.25) > 0.06 {
-		t.Errorf("range selectivity = %v, want ~0.25", got)
+	collected := map[int]*TableStats{100: Collect(mkRows(100), 3), 1000: Collect(mkRows(1000), 3)}
+	for _, c := range []struct {
+		filter string
+		rows   int // 0: Unknown(3, 1000)
+		want   float64
+		tol    float64
+	}{
+		{"id < 25", 100, 0.25, 0.06},
+		{"id >= 75", 100, 0.25, 0.06},
+		{"id BETWEEN 100 AND 130", 1000, 0.031, 0.01},
+		{"id >= 100 AND id < 200", 1000, 0.100, 0.01},
+		{"id > 500 AND id < 100", 1000, 0, 0},
+		{"id > NULL", 1000, 0, 0},
+		{"id IN (3, 3, 17, 4.0, NULL)", 1000, 3.0 / 1000, 0},
+		{"id >= 100 AND id < 110", 1000, 0.010, 0.002},
+		{"id = 7 AND id IN (7, 8)", 1000, 1.0 / 1000, 0},
+		{"id >= 100 AND id < 200", 0, DefaultSel, 0},
+	} {
+		ts := collected[c.rows]
+		if c.rows == 0 {
+			ts = Unknown(3, 1000)
+		}
+		e, err := sql.ParseExpr(c.filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Selectivity(bindPred(t, e), ts); math.Abs(got-c.want) > c.tol || (c.want > 0) != (got > 0) {
+			t.Errorf("%s over %s: selectivity %v, want %v ± %v", c.filter, ts, got, c.want, c.tol)
+		}
 	}
-	p = bindPred(t, expr.NewBinary(expr.OpGe, expr.NewColRef("", "id"), expr.NewConst(types.NewInt(75))))
-	got = Selectivity(p, ts)
-	if math.Abs(got-0.25) > 0.06 {
-		t.Errorf("range selectivity = %v, want ~0.25", got)
+}
+
+// TestSelectivityAllocatesNothing: pricing a conjunction of comparisons
+// folds each column's range in place.
+func TestSelectivityAllocatesNothing(t *testing.T) {
+	ts := Collect(mkRows(1000), 3)
+	e, err := sql.ParseExpr("id >= 100 AND cat = 'a' AND id < 200 AND val > 3.5 AND id <> 150")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := bindPred(t, e)
+	if got := testing.AllocsPerRun(100, func() { Selectivity(pred, ts) }); got != 0 {
+		t.Errorf("Selectivity(%s) allocates %v objects", pred, got)
 	}
 }
 
@@ -239,16 +277,25 @@ func TestMergeFragments(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	a := Collect(mkRows(10), 3)
-	c := a.Clone()
-	c.RowCount = 999
-	c.Columns[0].NDV = 1
-	if a.RowCount != 10 || a.Columns[0].NDV != 10 {
-		t.Error("Clone shares state")
+// TestSelectivityWideTable: a column past the 64 a filter's walk keeps
+// track of is priced conjunct by conjunct, not skipped.
+func TestSelectivityWideTable(t *testing.T) {
+	const width, col = 70, 66
+	rows := make([]types.Row, 100)
+	for i := range rows {
+		rows[i] = make(types.Row, width)
+		rows[i][col] = types.NewInt(int64(i))
 	}
-	var nilStats *TableStats
-	if nilStats.Clone() != nil {
-		t.Error("nil Clone must be nil")
+	ts := Collect(rows, width)
+	c := expr.NewBoundColRef(col, types.KindInt, "c")
+	eq := expr.NewBinary(expr.OpEq, c, expr.NewConst(types.NewInt(5)))
+	if got := Selectivity(eq, ts); got != 0.01 {
+		t.Errorf("c = 5: %v, want 0.01", got)
+	}
+	between := expr.NewBinary(expr.OpAnd,
+		expr.NewBinary(expr.OpGe, c, expr.NewConst(types.NewInt(10))),
+		expr.NewBinary(expr.OpLt, c, expr.NewConst(types.NewInt(20))))
+	if got := Selectivity(between, ts); got <= 0 || got > 0.25 {
+		t.Errorf("c >= 10 AND c < 20: %v, want in (0, 0.25]", got)
 	}
 }
