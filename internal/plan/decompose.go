@@ -161,7 +161,11 @@ func chooseStrategies(n Node, forced Strategy) Node {
 		return j
 	}
 	estL, estR := EstimateRows(j.L), EstimateRows(j.R)
-	matchedR := min(EstimateRows(j), estR)
+	estJoin := EstimateRows(j)
+	matchedR := estJoin
+	if matchedR > estR {
+		matchedR = estR
+	}
 	if estL <= fewKeys || estL+matchedR < semiJoinGain*(estL+estR) {
 		j.Strategy = StrategySemiJoin
 	} else {

@@ -3,7 +3,6 @@ package plan
 import (
 	"math"
 	"math/bits"
-	"slices"
 
 	"gis/internal/expr"
 )
@@ -176,7 +175,10 @@ func orderDP(rels []RelInfo, preds []PredInfo) SearchResult {
 		order = append(order, i)
 		s &^= 1 << uint(i)
 	}
-	slices.Reverse(order) // into join order
+	// Reverse into join order.
+	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
+		order[i], order[j] = order[j], order[i]
+	}
 	return SearchResult{Order: order, Cost: cost[full], Considered: considered}
 }
 

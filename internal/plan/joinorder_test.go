@@ -136,22 +136,11 @@ func TestConnectedAvoidsCrossProducts(t *testing.T) {
 // price a join alike. Over a chain of two binary equi conjuncts on scans
 // with statistics, the C_out cost OrderSearch reports for the order it
 // chose is the sum of EstimateRows over the joins of the tree
-// rebuildJoinTree builds in that order.
+// rebuildJoinTree builds in that order. The filter on customers makes a
+// join of it with orders estimated at fewer rows than orders.oid has
+// values; both readings take a column's NDV from the scan that holds it.
 func TestJoinReadingsAgree(t *testing.T) {
 	cat := newBenchCatalog(t)
-	sel, err := sql.ParseSelect("SELECT c.name, o.amount, e.region FROM customers c " +
-		"JOIN orders o ON c.id = o.cust_id JOIN events e ON o.oid = e.oid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	logical, err := NewBuilder(cat).BuildSelect(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rels, preds := flattenJoins(findJoin(logical))
-	if len(rels) != 3 || len(preds) != 2 {
-		t.Fatalf("flattened into %d relations and %d predicates, want 3 and 2", len(rels), len(preds))
-	}
 	var joins func(Node) float64
 	joins = func(n Node) float64 {
 		var sum float64
@@ -163,12 +152,27 @@ func TestJoinReadingsAgree(t *testing.T) {
 		}
 		return sum
 	}
-	for _, algo := range []JoinOrderAlgo{OrderDP, OrderGreedy, OrderSyntactic} {
-		res := searchOrder(rels, preds, algo)
-		got := joins(rebuildJoinTree(rels, preds, res.Order))
-		t.Logf("%-9s order %v: cost %g, joins estimated at %g rows", algo, res.Order, res.Cost, got)
-		if res.Cost <= 0 || math.Abs(got-res.Cost) > 1e-9*res.Cost {
-			t.Errorf("%s order %v: the search costs it %g, EstimateRows sums its joins to %g", algo, res.Order, res.Cost, got)
+	for _, where := range []string{"", " WHERE c.id < 2"} {
+		sel, err := sql.ParseSelect("SELECT c.name, o.amount, e.region FROM customers c " +
+			"JOIN orders o ON c.id = o.cust_id JOIN events e ON o.oid = e.oid" + where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logical, err := NewBuilder(cat).BuildSelect(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels, preds := flattenJoins(findJoin(pushDownFilters(logical)))
+		if len(rels) != 3 || len(preds) != 2 {
+			t.Fatalf("flattened into %d relations and %d predicates, want 3 and 2", len(rels), len(preds))
+		}
+		for _, algo := range []JoinOrderAlgo{OrderDP, OrderGreedy, OrderSyntactic} {
+			res := searchOrder(rels, preds, algo)
+			got := joins(rebuildJoinTree(rels, preds, res.Order))
+			t.Logf("%q %-9s order %v: cost %g, joins estimated at %g rows", where, algo, res.Order, res.Cost, got)
+			if res.Cost <= 0 || math.Abs(got-res.Cost) > 1e-9*res.Cost {
+				t.Errorf("%q %s order %v: the search costs it %g, EstimateRows sums its joins to %g", where, algo, res.Order, res.Cost, got)
+			}
 		}
 	}
 }

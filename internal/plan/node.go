@@ -7,6 +7,7 @@
 package plan
 
 import (
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -466,14 +467,23 @@ func EstimateRows(n Node) float64 {
 		sides := [2]flatRel{{node: t.L, rows: l}, {node: t.R, offset: t.L.Schema().Len(), rows: r}}
 		return l * r * condSel(t.Cond, sides[:])
 	case *Aggregate:
+		in := EstimateRows(t.Input)
 		if len(t.GroupBy) == 0 {
 			return 1
 		}
-		return max(EstimateRows(t.Input)/10, 1)
+		g := in / 10
+		if g < 1 {
+			g = 1
+		}
+		return g
 	case *Sort:
 		return EstimateRows(t.Input)
 	case *Limit:
-		return min(float64(t.N), EstimateRows(t.Input))
+		in := EstimateRows(t.Input)
+		if float64(t.N) < in {
+			return float64(t.N)
+		}
+		return in
 	case *Union:
 		var sum float64
 		for _, c := range t.Inputs {
@@ -524,15 +534,29 @@ func columnEquality(e expr.Expr) (l, r *expr.ColRef, ok bool) {
 	return l, r, lok && rok
 }
 
-// columnNDV is the NDV of column col of rels' concatenated columns: a
-// relation estimated at fewer rows than its column has values holds at
-// most that many of them.
+// columnNDV is the NDV of column col of rels' concatenated columns, read
+// on the relation under any joins that holds the column: no more than
+// that relation's row estimate, and that estimate when unknown. The
+// join-order search, whose relations are the leaves of a join chain, and
+// EstimateRows, whose are a join's two sides, thus read one number.
 func columnNDV(rels []flatRel, col int) float64 {
 	r := rels[relOf(rels, col)]
-	if ndv := childColumnNDV(r.node, col-r.offset); ndv > 0 && ndv < r.rows {
+	n, col := r.node, col-r.offset
+	for j, ok := n.(*Join); ok; j, ok = n.(*Join) {
+		if lw := j.L.Schema().Len(); col >= lw {
+			n, col = j.R, col-lw
+		} else {
+			n = j.L
+		}
+	}
+	rows := r.rows
+	if n != r.node {
+		rows = EstimateRows(n)
+	}
+	if ndv := childColumnNDV(n, col); ndv > 0 && ndv < rows {
 		return ndv
 	}
-	return r.rows
+	return rows
 }
 
 // childColumnNDV digs the NDV of a column out of scan statistics; 0 when
@@ -560,21 +584,17 @@ func childColumnNDV(n Node, col int) float64 {
 		}
 	case *Union:
 		// Fragments of one table: distinct values may overlap. They
-		// combine by stats.Merge's rule, so a table's NDV reads alike
-		// before decomposition (GlobalTable.Stats) and after.
+		// combine by stats.Merge's rule, the larger plus half the
+		// smaller rounded down, the rule a table's own statistics
+		// (GlobalTable.Stats) are merged from its fragments' by.
 		var ndv float64
 		for _, in := range t.Inputs {
 			v := childColumnNDV(in, col)
-			ndv = max(ndv, v) + min(ndv, v)/2
+			ndv = max(ndv, v) + math.Floor(min(ndv, v)/2)
 		}
 		return ndv
 	case *Filter:
 		return childColumnNDV(t.Input, col)
-	case *Join:
-		if lw := t.L.Schema().Len(); col >= lw {
-			return childColumnNDV(t.R, col-lw)
-		}
-		return childColumnNDV(t.L, col)
 	case *Project:
 		if col < len(t.Exprs) {
 			if c, ok := t.Exprs[col].(*expr.ColRef); ok {
@@ -582,7 +602,7 @@ func childColumnNDV(n Node, col int) float64 {
 			}
 		}
 	default:
-		// Aggregates, sorts, ...: no per-column NDV to report.
+		// Joins, aggregates, sorts, ...: no per-column NDV to report.
 	}
 	return 0
 }

@@ -1,7 +1,7 @@
 // Package stats implements table and column statistics — row counts,
 // distinct-value estimates, min/max, null fractions, and equi-depth
-// histograms — plus the selectivity and join-cardinality estimators the
-// cost-based optimizer is built on.
+// histograms — plus the selectivity estimator the cost-based optimizer
+// prices a scan's filter with.
 package stats
 
 import (
@@ -102,7 +102,12 @@ func Merge(parts ...*TableStats) *TableStats {
 			}
 			a, b := &out.Columns[i], p.Columns[i]
 			a.NullCount += b.NullCount
-			a.NDV = max(a.NDV, b.NDV) + min(a.NDV, b.NDV)/2
+			maxNDV := a.NDV
+			minNDV := b.NDV
+			if b.NDV > maxNDV {
+				maxNDV, minNDV = b.NDV, a.NDV
+			}
+			a.NDV = maxNDV + minNDV/2
 			if a.Min.IsNull() || (!b.Min.IsNull() && b.Min.Compare(a.Min) < 0) {
 				a.Min = b.Min
 			}
@@ -200,13 +205,13 @@ func conjunctSel(e expr.Expr, ts *TableStats) float64 {
 	case nil:
 		return 1
 	case *expr.Const:
-		switch {
-		case n.Val.Kind() != types.KindBool:
-			return DefaultSel
-		case n.Val.Bool():
-			return 1
+		if n.Val.Kind() == types.KindBool {
+			if n.Val.Bool() {
+				return 1
+			}
+			return 0
 		}
-		return 0
+		return DefaultSel
 	case *expr.Binary:
 		switch {
 		case n.Op == expr.OpOr:
