@@ -88,38 +88,38 @@ func (m *ColumnMapping) ToGlobal(v types.Value) (types.Value, error) {
 	return v, nil
 }
 
-// ToRemote converts a global constant to the remote representation, for
-// predicate pushdown. ok is false when the mapping is not invertible.
+// ToRemote converts a global value to the remote representation, in the
+// remote column's kind — the one inverse of ToGlobal, read by pushdown,
+// key shipping and writes. ok is false when there is none to be had. On
+// a column where InvertsExactly holds, false means that no remote value
+// reads as v; elsewhere it means only that this one is not found (an
+// affine column's inverse is the nearest, rounded).
 func (m *ColumnMapping) ToRemote(v types.Value) (types.Value, bool) {
 	if m.Const != nil {
 		return types.Null, false
 	}
-	if v.IsNull() {
+	switch {
+	case v.IsNull():
 		return v, true
-	}
-	if m.hasAffine() {
+	case m.hasAffine():
 		if !v.Kind().Numeric() {
 			return types.Null, false
 		}
-		return types.NewFloat((v.AsFloat() - m.Offset) / m.Scale), true
-	}
-	if m.ValueMap != nil {
+		v = types.NewFloat((v.AsFloat() - m.Offset) / m.Scale)
+	case m.ValueMap != nil:
 		if m.inverse == nil || v.Kind() != types.KindString {
 			return types.Null, false
 		}
 		if r, ok := m.inverse[v.Str()]; ok {
-			return types.NewString(r), true
-		}
-		// Not a mapped code: passes through unchanged (values outside
-		// the map are identical in both representations).
-		if _, isRemoteCode := m.ValueMap[v.Str()]; isRemoteCode {
-			// The global constant collides with a remote code; pushing
-			// it down would match the wrong rows.
+			v = types.NewString(r)
+		} else if _, isRemoteCode := m.ValueMap[v.Str()]; isRemoteCode {
+			// Not a mapped value, and the remote value spelled alike
+			// reads as another; values outside the map pass through.
 			return types.Null, false
 		}
-		return v, true
 	}
-	return v, true
+	rv, err := source.CoerceForColumn(v, m.remoteKind)
+	return rv, err == nil
 }
 
 // Fragment maps one remote table onto a global table.
@@ -389,25 +389,13 @@ func (c *Catalog) MapSimple(ctx context.Context, table, sourceName, remoteTable 
 	return c.MapFragment(ctx, table, &Fragment{Source: sourceName, RemoteTable: remoteTable, Columns: cols})
 }
 
-// Invertible reports whether global constants can be translated back to
-// the remote representation (required to push join keys down).
-func (m *ColumnMapping) Invertible() bool {
-	if m.Const != nil || m.RemoteCol < 0 {
-		return false
-	}
-	if m.ValueMap != nil {
-		return m.inverse != nil
-	}
-	return true
-}
-
 // InvertsExactly reports whether a global value translates back to the
 // very remote value it came from — what an equality on shipped join keys
 // needs. An affine conversion inverts only up to floating-point
 // rounding, and a coercion need not invert at all ('042' and '42' are
 // one INT).
 func (m *ColumnMapping) InvertsExactly() bool {
-	return m.Invertible() && !m.hasAffine() && !m.retyped()
+	return m.Const == nil && (m.ValueMap == nil || m.inverse != nil) && !m.hasAffine() && !m.retyped()
 }
 
 // DefineView registers a named global view: a SELECT statement expanded

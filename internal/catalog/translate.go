@@ -57,9 +57,10 @@ func (f *Fragment) translateIdentity(c expr.Expr) (expr.Expr, bool) {
 // translateComparison handles <col> cmp <const> over a transformed
 // column, and only where the source's comparison accepts exactly the
 // rows the global one does:
-//   - a value map inverts the constant of = and <> (ToRemote says when
-//     it cannot); codes need not sort as what they stand for, so an
-//     ordering comparison stays;
+//   - a value map inverts the constant of = and <> through ToRemote;
+//     where it has no remote form, no remote row reads as it, so = is
+//     FALSE and <> stays; codes need not sort as what they stand for,
+//     so an ordering comparison stays;
 //   - an affine conversion takes <, <=, > and >= with the boundary found
 //     by affineBound; = and <> stay, since the inverse is rounded and no
 //     remote constant need map onto the global one;
@@ -73,19 +74,24 @@ func (f *Fragment) translateComparison(c expr.Expr) (expr.Expr, bool) {
 		return nil, false
 	}
 	m := &f.Columns[col.Index]
-	var rv types.Value
+	rv := val
 	switch {
-	case m.Const != nil:
+	case m.Const != nil,
+		m.ValueMap != nil && op != expr.OpEq && op != expr.OpNe,
+		m.retyped() && !(m.remoteKind.Numeric() && m.globalKind.Numeric()):
 		return nil, false
 	case m.hasAffine():
 		if rv, op, ok = m.affineBound(op, val); !ok {
 			return nil, false
 		}
-	case m.ValueMap != nil && op != expr.OpEq && op != expr.OpNe,
-		m.retyped() && !(m.remoteKind.Numeric() && m.globalKind.Numeric()):
-		return nil, false
+	case m.retyped():
+		// INT and FLOAT compare as numbers: the constant goes as written.
 	default:
 		if rv, ok = m.ToRemote(val); !ok {
+			if op == expr.OpEq && m.InvertsExactly() {
+				// No remote row reads as val: the conjunct selects none.
+				return expr.NewConst(types.NewBool(false)), true
+			}
 			return nil, false
 		}
 	}
@@ -245,9 +251,6 @@ func (f *Fragment) PruneByPartition(filter expr.Expr) bool {
 // columns — and the target — are identity-mapped.
 func (f *Fragment) TranslateValue(e expr.Expr, targetCol int) (expr.Expr, bool) {
 	m := f.Columns[targetCol]
-	if !m.Invertible() {
-		return nil, false
-	}
 	if c, ok := e.(*expr.Const); ok {
 		rv, ok := m.ToRemote(c.Val)
 		if !ok {

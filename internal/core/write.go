@@ -254,8 +254,7 @@ func routeRow(tab *catalog.GlobalTable, row types.Row) (*catalog.Fragment, error
 
 // toRemoteRow converts a global row into the fragment's remote layout.
 func toRemoteRow(frag *catalog.Fragment, tab *catalog.GlobalTable, global types.Row) (types.Row, error) {
-	info := frag.Info()
-	remote := make(types.Row, info.Schema.Len())
+	remote := make(types.Row, frag.Info().Schema.Len())
 	for g, m := range frag.Columns {
 		gv := global[g]
 		if m.Const != nil {
@@ -273,10 +272,6 @@ func toRemoteRow(frag *catalog.Fragment, tab *catalog.GlobalTable, global types.
 		if !ok {
 			return nil, fmt.Errorf("column %s: value %s is not representable at %s.%s",
 				tab.Schema.Columns[g].Name, gv.String(), frag.Source, frag.RemoteTable)
-		}
-		rv, err := source.CoerceForColumn(rv, info.Schema.Columns[m.RemoteCol].Type)
-		if err != nil {
-			return nil, fmt.Errorf("column %s: %w", tab.Schema.Columns[g].Name, err)
 		}
 		remote[m.RemoteCol] = rv
 	}

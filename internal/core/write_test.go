@@ -225,6 +225,33 @@ func TestUntranslatableConjunctIsNamed(t *testing.T) {
 	}
 }
 
+// TestWriteWhereNoRemoteValueMatches: 'A' is a remote code, so no remote
+// row reads as the global value 'A' — status = 'A' selects nothing at the
+// source, and a write under it affects 0 rows where it was refused as
+// not expressible. Storing 'A' is still refused: it would read back as
+// 'active'.
+func TestWriteWhereNoRemoteValueMatches(t *testing.T) {
+	e, legacy := newMediatedEngine(t)
+	if _, err := e.Exec(ctx, "INSERT INTO items (id, status, weight_kg) VALUES (1, 'active', 20)"); err != nil {
+		t.Fatal(err)
+	}
+	before := remoteRows(t, legacy, "t")
+	for _, stmt := range []string{
+		"DELETE FROM items WHERE status = 'A'",
+		"UPDATE items SET status = 'inactive' WHERE status = 'A'",
+	} {
+		if n, err := e.Exec(ctx, stmt); n != 0 || err != nil {
+			t.Errorf("%s = %d, %v; want 0 rows", stmt, n, err)
+		}
+	}
+	if _, err := e.Exec(ctx, "INSERT INTO items (id, status, weight_kg) VALUES (2, 'A', 20)"); err == nil {
+		t.Error("INSERT of status 'A' was accepted")
+	}
+	if after := remoteRows(t, legacy, "t"); after != before {
+		t.Errorf("remote rows %s, were %s", after, before)
+	}
+}
+
 // TestMoveWithoutTransactionsIsRefused: a move over a source without
 // transactions could stop between a row's delete and its insert and lose
 // the row, so it is refused by a typed error that names the fragment —

@@ -6,7 +6,6 @@ import (
 	"io"
 	"slices"
 
-	"gis/internal/catalog"
 	"gis/internal/expr"
 	"gis/internal/plan"
 	"gis/internal/source"
@@ -260,11 +259,12 @@ func (h *joinIter) Close() error { return h.left.Close() }
 // left input, ship its distinct join-key values to the right side's
 // fragment scans as IN predicates (semiJoinKeyLimit to a sub-query), and
 // join the reduced right side at the mediator. A key goes only to the
-// fragments whose partition predicate admits it, and a fragment that
-// admits none is not asked. The right side arrives through the one
-// merge (runMerge), its fragments fetched at once or in plan order as
-// its union says. Both sides are kept; the joined rows are lent iff
-// lent.
+// fragments whose partition predicate admits it, as ColumnMapping.ToRemote
+// gives it; one it has no remote form for matches no row there and is
+// dropped, and a fragment left with no keys is not asked. The right side
+// arrives through the one merge (runMerge), its fragments fetched at once
+// or in plan order as its union says. Both sides are kept; the joined
+// rows are lent iff lent.
 func runKeyShippedJoin(ctx context.Context, j *plan.Join, lent bool) (source.RowIter, error) {
 	leftRows, err := Collect(ctx, j.L)
 	if err != nil {
@@ -298,18 +298,14 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, lent bool) (source.Row
 		where, _ := expr.ColumnRange(fs.Frag.Where, fs.Cols[fs.Out[j.EquiR[0]]])
 		admitted = admitted[:0]
 		for _, k := range keys {
-			if where.Admits(k) {
-				admitted = append(admitted, k)
+			if rv, ok := mapping.ToRemote(k); ok && where.Admits(k) {
+				admitted = append(admitted, rv)
 			}
 		}
 		rtype := fs.Frag.Info().Schema.Columns[mapping.RemoteCol].Type
 		for start := 0; start < len(admitted); start += semiJoinKeyLimit {
-			pred, err := buildKeyPredicate(mapping, rtype, admitted[start:min(start+semiJoinKeyLimit, len(admitted))])
-			if err != nil {
-				return nil, err
-			}
 			inputs = append(inputs, fs)
-			preds = append(preds, pred)
+			preds = append(preds, keyPredicate(mapping.RemoteCol, rtype, admitted[start:min(start+semiJoinKeyLimit, len(admitted))]))
 		}
 	}
 	u, _ := j.R.(*plan.Union)
@@ -320,32 +316,16 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, lent bool) (source.Row
 	return joinRows(ctx, j, source.SliceIter(leftRows), right, lent), nil
 }
 
-// buildKeyPredicate translates global key values to the remote
-// representation and builds the IN (or =) predicate to ship.
-func buildKeyPredicate(m *catalog.ColumnMapping, rtype types.Kind, keys []types.Value) (expr.Expr, error) {
-	ref := expr.NewBoundColRef(m.RemoteCol, rtype, "")
+// keyPredicate is the predicate a chunk of remote key values ships as:
+// col = k for one, col IN (…) for more.
+func keyPredicate(col int, kind types.Kind, keys []types.Value) expr.Expr {
+	ref := expr.NewBoundColRef(col, kind, "")
 	if len(keys) == 1 {
-		rv, ok := m.ToRemote(keys[0])
-		if !ok {
-			return nil, fmt.Errorf("exec: join key %v is not translatable to the remote representation", keys[0])
-		}
-		rv, err := source.CoerceForColumn(rv, rtype)
-		if err != nil {
-			return nil, err
-		}
-		return expr.NewBinary(expr.OpEq, ref, expr.NewConst(rv)), nil
+		return expr.NewBinary(expr.OpEq, ref, expr.NewConst(keys[0]))
 	}
 	list := make([]expr.Expr, len(keys))
 	for i, k := range keys {
-		rv, ok := m.ToRemote(k)
-		if !ok {
-			return nil, fmt.Errorf("exec: join key %v is not translatable to the remote representation", k)
-		}
-		rv, err := source.CoerceForColumn(rv, rtype)
-		if err != nil {
-			return nil, err
-		}
-		list[i] = expr.NewConst(rv)
+		list[i] = expr.NewConst(k)
 	}
-	return &expr.InList{E: ref, List: list}, nil
+	return &expr.InList{E: ref, List: list}
 }

@@ -377,7 +377,7 @@ func (v Value) Coerce(to Kind) (Value, error) {
 		switch v.kind {
 		case KindFloat:
 			f := v.Float()
-			if f != math.Trunc(f) || math.IsNaN(f) || math.IsInf(f, 0) {
+			if f != math.Trunc(f) || !(f >= math.MinInt64 && f < -math.MinInt64) {
 				return Null, fmt.Errorf("cannot coerce %v to INT without loss", f)
 			}
 			return NewInt(int64(f)), nil

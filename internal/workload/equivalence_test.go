@@ -205,6 +205,15 @@ func TestPlanEquivalenceCases(t *testing.T) {
 		// ×0.01 ÷0.01 (3 of 26 rows here). Such a key now ships all.
 		{"join key on a unit-converted column",
 			eqQuery{t: mediated, ordered: true, sql: "SELECT c.oid, o.oid FROM orders_mediated c JOIN orders_mediated o ON c.amount = o.amount WHERE c.oid < 25 ORDER BY c.oid, o.oid"}},
+		// A shipped key with no remote form failed the statement: a code
+		// of the value map ('N' is a remote code, so no remote row reads
+		// as the global 'N'), and a FLOAT that no INT equals (six of
+		// these cents are not integral). Such a key now matches nothing
+		// on that fragment and is not sent.
+		{"join on a value-mapped key",
+			eqQuery{t: mediated, sql: "SELECT n.oid, m.oid FROM orders_native n JOIN orders_mediated m ON n.rg = m.region WHERE n.oid < 3 AND m.oid < 3"}},
+		{"join of non-integral FLOATs with an INT key",
+			eqQuery{t: mediated, sql: "SELECT n.oid, m.oid FROM orders_native n JOIN orders_mediated m ON n.cents = m.oid WHERE n.oid < 110"}},
 		// An aggregation with no keys and no aggregates was "pushed" as a
 		// plain scan marked final: one row per table row came back.
 		{"aggregation with neither keys nor aggregates",
