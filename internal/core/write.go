@@ -87,13 +87,6 @@ func (fw *fragWrite) apply(ctx context.Context, w source.Writer) (int64, error) 
 	}
 }
 
-// setClause is one bound assignment to a global column: an UPDATE's SET,
-// or an INSERT's value for a column it names.
-type setClause struct {
-	col   int
-	value expr.Expr
-}
-
 // buildWrites is the write path's one builder. It returns the
 // statement's fragment writes in catalog order and, for an UPDATE that
 // moves rows between fragments (movesRows), the number of rows moved;
@@ -111,15 +104,15 @@ func (e *Engine) buildWrites(ctx context.Context, w *writeStmt) ([]fragWrite, in
 	if err != nil {
 		return nil, -1, err
 	}
-	sets := make([]setClause, len(w.set))
+	sets := make([]source.SetClause, len(w.set))
 	for i, a := range w.set {
 		if err := ctx.Err(); err != nil {
 			return nil, -1, err
 		}
-		if sets[i].col, err = tab.Schema.IndexOf("", a.Column); err != nil {
+		if sets[i].Col, err = tab.Schema.IndexOf("", a.Column); err != nil {
 			return nil, -1, err
 		}
-		if sets[i].value, err = e.bindWriteExpr(ctx, a.Value, tab); err != nil {
+		if sets[i].Value, err = e.bindWriteExpr(ctx, a.Value, tab); err != nil {
 			return nil, -1, err
 		}
 	}
@@ -153,11 +146,11 @@ func insertWrites(tab *catalog.GlobalTable, ins *sql.InsertStmt) ([]fragWrite, e
 		return nil, fmt.Errorf("core: global table %q has no fragments", ins.Table)
 	}
 	var err error
-	sets := make([]setClause, cmp.Or(len(ins.Columns), tab.Schema.Len()))
+	sets := make([]source.SetClause, cmp.Or(len(ins.Columns), tab.Schema.Len()))
 	for i := range sets {
-		sets[i].col = i
+		sets[i].Col = i
 		if len(ins.Columns) > 0 {
-			if sets[i].col, err = tab.Schema.IndexOf("", ins.Columns[i]); err != nil {
+			if sets[i].Col, err = tab.Schema.IndexOf("", ins.Columns[i]); err != nil {
 				return nil, err
 			}
 		}
@@ -168,7 +161,7 @@ func insertWrites(tab *catalog.GlobalTable, ins *sql.InsertStmt) ([]fragWrite, e
 			return nil, fmt.Errorf("core: INSERT row %d has %d values, expected %d", ri+1, len(exprRow), len(sets))
 		}
 		for i, ex := range exprRow {
-			if sets[i].value, err = expr.Bind(ex, &types.Schema{}); err != nil {
+			if sets[i].Value, err = expr.Bind(ex, &types.Schema{}); err != nil {
 				break
 			}
 		}
@@ -182,25 +175,14 @@ func insertWrites(tab *catalog.GlobalTable, ins *sql.InsertStmt) ([]fragWrite, e
 	return writes, nil
 }
 
-// insertRow is the write path's one row helper. It makes a global row:
-// base's values (NULLs where base is nil) except, at each clause's
-// column, the clause's value over base, each value coerced to its
-// column's type. It appends the row, in the remote layout, to the insert
-// among inserts — one a fragment, in catalog order — of the fragment
-// whose partition predicate accepts it.
-func insertRow(inserts []fragWrite, tab *catalog.GlobalTable, base types.Row, sets []setClause) ([]fragWrite, error) {
-	global := make(types.Row, tab.Schema.Len())
-	copy(global, base)
-	for _, sc := range sets {
-		col := tab.Schema.Columns[sc.col]
-		v, err := sc.value.Eval(base)
-		if err == nil {
-			v, err = source.CoerceForColumn(v, col.Type)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("column %s: %w", col.Name, err)
-		}
-		global[sc.col] = v
+// insertRow is the write path's one row helper. It makes a global row of
+// base and the clauses (source.SetRow) and appends it, in the remote
+// layout, to the insert among inserts — one a fragment, in catalog order
+// — of the fragment whose partition predicate accepts it.
+func insertRow(inserts []fragWrite, tab *catalog.GlobalTable, base types.Row, sets []source.SetClause) ([]fragWrite, error) {
+	global, err := source.SetRow(tab.Schema, base, sets)
+	if err != nil {
+		return nil, err
 	}
 	frag, err := routeRow(tab, global)
 	if err != nil {
@@ -282,7 +264,7 @@ func toRemoteRow(frag *catalog.Fragment, tab *catalog.GlobalTable, global types.
 // each fragment the filter does not prune, every conjunct translated into
 // the remote representation — or the statement refused, naming the first
 // conjunct that has no exact remote form — and, for an UPDATE, the SET.
-func fragmentWrites(tab *catalog.GlobalTable, op writeOp, filter expr.Expr, sets []setClause) ([]fragWrite, error) {
+func fragmentWrites(tab *catalog.GlobalTable, op writeOp, filter expr.Expr, sets []source.SetClause) ([]fragWrite, error) {
 	var writes []fragWrite
 	for _, frag := range tab.Fragments {
 		if frag.PruneByPartition(filter) {
@@ -300,14 +282,14 @@ func fragmentWrites(tab *catalog.GlobalTable, op writeOp, filter expr.Expr, sets
 		if op == opUpdate {
 			fw.set = make([]source.SetClause, len(sets))
 			for i, sc := range sets {
-				m := frag.Columns[sc.col]
+				m := frag.Columns[sc.Col]
 				if m.Const != nil {
 					return nil, fmt.Errorf("core: column %s is constant-mapped at %s.%s and cannot be updated",
-						tab.Schema.Columns[sc.col].Name, frag.Source, frag.RemoteTable)
+						tab.Schema.Columns[sc.Col].Name, frag.Source, frag.RemoteTable)
 				}
-				rv, ok := frag.TranslateValue(sc.value, sc.col)
+				rv, ok := frag.TranslateValue(sc.Value, sc.Col)
 				if !ok {
-					return nil, fmt.Errorf("core: UPDATE value %s is not translatable for %s.%s", sc.value, frag.Source, frag.RemoteTable)
+					return nil, fmt.Errorf("core: UPDATE value %s is not translatable for %s.%s", sc.Value, frag.Source, frag.RemoteTable)
 				}
 				fw.set[i] = source.SetClause{Col: m.RemoteCol, Value: rv}
 			}
@@ -320,10 +302,10 @@ func fragmentWrites(tab *catalog.GlobalTable, op writeOp, filter expr.Expr, sets
 // movesRows reports whether an UPDATE's SET writes a column that some
 // fragment's partition predicate reads, so that a row it writes may
 // belong to another fragment afterwards.
-func movesRows(tab *catalog.GlobalTable, sets []setClause) (moves bool) {
+func movesRows(tab *catalog.GlobalTable, sets []source.SetClause) (moves bool) {
 	for _, f := range tab.Fragments {
 		expr.Columns(f.Where, func(col int) {
-			moves = moves || slices.ContainsFunc(sets, func(sc setClause) bool { return sc.col == col })
+			moves = moves || slices.ContainsFunc(sets, func(sc source.SetClause) bool { return sc.Col == col })
 		})
 	}
 	return moves
@@ -333,7 +315,7 @@ func movesRows(tab *catalog.GlobalTable, sets []setClause) (moves bool) {
 // then the inserts of the new rows. It reads the rows the filter matches
 // through the read path and applies the SET to each at the mediator, and
 // returns the number of rows read.
-func (e *Engine) moveWrites(ctx context.Context, tab *catalog.GlobalTable, filter expr.Expr, sets []setClause) ([]fragWrite, int64, error) {
+func (e *Engine) moveWrites(ctx context.Context, tab *catalog.GlobalTable, filter expr.Expr, sets []source.SetClause) ([]fragWrite, int64, error) {
 	deletes, err := fragmentWrites(tab, opDelete, filter, nil)
 	if err != nil {
 		return nil, -1, err

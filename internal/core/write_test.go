@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
 	"gis/internal/catalog"
+	"gis/internal/docstore"
 	"gis/internal/expr"
 	"gis/internal/kvstore"
 	"gis/internal/relstore"
@@ -497,6 +499,87 @@ func TestWriteFacetsFollowTheCapabilityVector(t *testing.T) {
 		}
 		if after := remoteRows(t, st, "lo") + remoteRows(t, st, "hi"); after != before {
 			t.Errorf("%s: the refused statement wrote: %s", c.name, after)
+		}
+	}
+}
+
+// TestWrapperWritesAgree maps one global table g(id INT, n INT) onto a
+// relstore, a kvstore and a docstore in turn, each reached through every
+// wrapper class, and runs the same statements against each: a statement
+// reads back the same rows whichever wrapper carried it, or every
+// wrapper refused it and the rows are as they were. Before one rule made
+// a written row, the docstore stored the string an UPDATE's SET made
+// for an INT column, and no SELECT of g ran again.
+func TestWrapperWritesAgree(t *testing.T) {
+	schema := types.NewSchema(
+		types.Column{Name: "id", Type: types.KindInt},
+		types.Column{Name: "n", Type: types.KindInt, Nullable: true},
+	)
+	stores := []struct {
+		kind string
+		make func() (source.Source, error)
+	}{
+		{"relstore", func() (source.Source, error) {
+			st := relstore.New("s")
+			return st, st.CreateTable("g", schema, 0)
+		}},
+		{"kvstore", func() (source.Source, error) {
+			st := kvstore.New("s")
+			return st, st.CreateBucket("g", schema, 0)
+		}},
+		{"docstore", func() (source.Source, error) {
+			st := docstore.New("s")
+			return st, st.CreateCollection("g", []docstore.FieldMap{
+				{Column: schema.Columns[0], Path: "id"}, {Column: schema.Columns[1], Path: "n"}})
+		}},
+	}
+	cases := []struct{ stmt, want string }{
+		{"INSERT INTO g VALUES (1, 10), (2, '7')", "2 rows: (1, 10) (2, 7)"},
+		{"INSERT INTO g VALUES (3, 'abc')", "refused: (1, 10) (2, 7)"},
+		{"UPDATE g SET n = CAST(id AS STRING) || 'x' WHERE id = 1", "refused: (1, 10) (2, 7)"},
+		{"UPDATE g SET n = n + 1 WHERE id = 2", "1 rows: (1, 10) (2, 8)"},
+		{"DELETE FROM g WHERE id = 1", "1 rows: (2, 8)"},
+	}
+	readBack := func(e *Engine) string {
+		res, err := e.Query(ctx, "SELECT id, n FROM g ORDER BY id")
+		if err != nil {
+			return "SELECT: " + err.Error()
+		}
+		out := make([]string, len(res.Rows))
+		for i, r := range res.Rows {
+			out[i] = r.String()
+		}
+		return strings.Join(out, " ")
+	}
+	for _, s := range stores {
+		for _, c := range wrapperClasses {
+			t.Run(s.kind+"/"+c.name, func(t *testing.T) {
+				st, err := s.make()
+				if err != nil {
+					t.Fatal(err)
+				}
+				src := c.wrap(t, st)
+				e := New()
+				if err := e.Catalog().AddSource(src); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Catalog().DefineTable("g", schema); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Catalog().MapSimple(ctx, "g", src.Name(), "g"); err != nil {
+					t.Fatal(err)
+				}
+				for _, tc := range cases {
+					n, err := e.Exec(ctx, tc.stmt)
+					got := fmt.Sprintf("%d rows: %s", n, readBack(e))
+					if err != nil {
+						got = "refused: " + readBack(e)
+					}
+					if got != tc.want {
+						t.Errorf("%s: %s (%v); want %s", tc.stmt, got, err, tc.want)
+					}
+				}
+			})
 		}
 	}
 }

@@ -302,8 +302,9 @@ func toJSON(v types.Value) any {
 	}
 }
 
-// Insert implements source.Writer: each row becomes one document with
-// the mapped paths set.
+// Insert implements source.Writer: each row, normalized, becomes one
+// document with the mapped paths set. Every document is made before any
+// is stored, so a statement that fails leaves the collection as it was.
 func (s *Store) Insert(_ context.Context, name string, rows []types.Row) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -314,33 +315,33 @@ func (s *Store) Insert(_ context.Context, name string, rows []types.Row) (int64,
 	if err := (&source.TableInfo{Schema: c.schema}).CheckWrite(name, nil, rows); err != nil {
 		return 0, fmt.Errorf("docstore %s: %w", s.name, err)
 	}
-	var n int64
-	for _, r := range rows {
+	docs := make([]string, len(rows))
+	for n, r := range rows {
+		nr, err := source.NormalizeRow(c.schema, r)
 		doc := map[string]any{}
-		for i := range c.fields {
-			if r[i].IsNull() {
-				continue
-			}
-			if err := c.setPath(doc, i, toJSON(r[i])); err != nil {
-				return n, fmt.Errorf("docstore %s: %w", s.name, err)
+		for i := 0; err == nil && i < len(nr); i++ {
+			if !nr[i].IsNull() {
+				err = c.setPath(doc, i, toJSON(nr[i]))
 			}
 		}
-		enc, err := c.enc.encode(doc)
+		if err == nil {
+			docs[n], err = c.enc.encode(doc)
+		}
 		if err != nil {
-			return n, fmt.Errorf("docstore %s: %w", s.name, err)
+			return 0, fmt.Errorf("docstore %s: %w", s.name, err)
 		}
-		c.docs = append(c.docs, enc)
-		n++
 	}
-	return n, nil
+	c.docs = append(c.docs, docs...)
+	return int64(len(docs)), nil
 }
 
 // Update implements source.Writer: a document whose extracted row
 // matches the filter is decoded, gets the mapped paths of the SET clauses
-// rewritten, and is encoded again. The new documents take the old ones'
-// places in a new slice, and that is published only when every one is
-// made: a filter, a SET expression or a path that fails leaves the
-// collection as it was, and a scan that holds the old slice goes on
+// rewritten from source.SetRow's row over the fields the statement reads,
+// and is encoded again. The new documents take the old ones' places in a
+// new slice, and that is published only when every one is made: a
+// filter, a SET value its column cannot hold or a path that fails leaves
+// the collection as it was, and a scan that holds the old slice goes on
 // reading the old documents.
 func (s *Store) Update(_ context.Context, name string, filter expr.Expr, set []source.SetClause) (int64, error) {
 	s.mu.Lock()
@@ -368,13 +369,13 @@ func (s *Store) Update(_ context.Context, name string, filter expr.Expr, set []s
 		if !match {
 			continue
 		}
+		nr, err := source.SetRow(c.schema, scratch, set)
+		if err != nil {
+			return 0, fmt.Errorf("docstore %s: %w", s.name, err)
+		}
 		m := c.keys.decode(doc)
 		for _, sc := range set {
-			v, err := sc.Value.Eval(scratch)
-			if err != nil {
-				return 0, err
-			}
-			if err := c.setPath(m, sc.Col, toJSON(v)); err != nil {
+			if err := c.setPath(m, sc.Col, toJSON(nr[sc.Col])); err != nil {
 				return 0, fmt.Errorf("docstore %s: %w", s.name, err)
 			}
 		}

@@ -273,6 +273,33 @@ func TestFailedUpdateLeavesCollectionUnchanged(t *testing.T) {
 	wantDocs(t, s, 1.0, 13.0)
 }
 
+// An INSERT stores all of its rows or none: the second row below sets a
+// and then a.b, which needs a to be an object, so the first row, which
+// encodes, is not stored either. A value is stored as the kind its
+// column declares — "7" as 7 — or refused.
+func TestFailedInsertLeavesCollectionUnchanged(t *testing.T) {
+	s := New("d")
+	fm := []FieldMap{
+		{Column: types.Column{Name: "a", Type: types.KindInt, Nullable: true}, Path: "a"},
+		{Column: types.Column{Name: "ab", Type: types.KindInt, Nullable: true}, Path: "a.b"},
+	}
+	if err := s.CreateCollection("c", fm); err != nil {
+		t.Fatal(err)
+	}
+	n, err := s.Insert(ctx, "c", []types.Row{{types.Null, types.NewInt(1)}, {types.NewInt(5), types.NewInt(2)}})
+	if err == nil || !strings.Contains(err.Error(), "collides with a scalar") || n != 0 {
+		t.Fatalf("insert = %d, %v; want 0 and the second row's collision", n, err)
+	}
+	wantDocs(t, s)
+	if n, err := s.Insert(ctx, "c", []types.Row{{types.NewString("7"), types.Null}}); err != nil || n != 1 {
+		t.Fatalf("insert of \"7\" into an INT = %d, %v; want 1", n, err)
+	}
+	if n, err := s.Insert(ctx, "c", []types.Row{{types.NewString("abc"), types.Null}}); err == nil || n != 0 {
+		t.Fatalf("insert of \"abc\" into an INT = %d, %v; want it refused", n, err)
+	}
+	wantDocs(t, s, 7.0)
+}
+
 // An UPDATE whose SET cannot be written to one of the documents it hits
 // — the third has a scalar where the path needs an object — changes
 // none of them; one that can rewrites the paths it sets and keeps the

@@ -247,17 +247,10 @@ func (s *Store) Update(_ context.Context, table string, filter expr.Expr, set []
 				return true
 			}
 		}
-		nr := r.Clone()
-		for _, sc := range set {
-			v, err := sc.Value.Eval(r)
-			if err == nil {
-				v, err = source.CoerceForColumn(v, b.schema.Columns[sc.Col].Type)
-			}
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			nr[sc.Col] = v
+		nr, err := source.SetRow(b.schema, r, set)
+		if err != nil {
+			evalErr = fmt.Errorf("kvstore %s bucket %s: %w", s.name, table, err)
+			return false
 		}
 		if nk := nr[b.keyCol]; !nk.Equal(k) {
 			if taken == nil {

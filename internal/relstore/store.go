@@ -329,46 +329,30 @@ func (s *Store) Stats(name string) (*stats.TableStats, error) {
 	return stats.Collect(live, t.schema.Len()), nil
 }
 
-// Insert implements source.Writer (autocommit).
-func (s *Store) Insert(ctx context.Context, tbl string, rows []types.Row) (int64, error) {
-	tx, err := s.BeginTx(ctx)
-	if err != nil {
-		return 0, err
-	}
-	n, err := tx.Insert(ctx, tbl, rows)
+// autocommit runs one write as a transaction of its own.
+func (s *Store) autocommit(ctx context.Context, write func(*Tx) (int64, error)) (int64, error) {
+	tx := &Tx{s: s}
+	n, err := write(tx)
 	if err != nil {
 		_ = tx.Abort(ctx) // best-effort rollback; the original error wins
 		return 0, err
 	}
 	return n, tx.Commit(ctx)
+}
+
+// Insert implements source.Writer (autocommit).
+func (s *Store) Insert(ctx context.Context, tbl string, rows []types.Row) (int64, error) {
+	return s.autocommit(ctx, func(tx *Tx) (int64, error) { return tx.Insert(ctx, tbl, rows) })
 }
 
 // Update implements source.Writer (autocommit).
 func (s *Store) Update(ctx context.Context, tbl string, filter expr.Expr, set []source.SetClause) (int64, error) {
-	tx, err := s.BeginTx(ctx)
-	if err != nil {
-		return 0, err
-	}
-	n, err := tx.Update(ctx, tbl, filter, set)
-	if err != nil {
-		_ = tx.Abort(ctx) // best-effort rollback; the original error wins
-		return 0, err
-	}
-	return n, tx.Commit(ctx)
+	return s.autocommit(ctx, func(tx *Tx) (int64, error) { return tx.Update(ctx, tbl, filter, set) })
 }
 
 // Delete implements source.Writer (autocommit).
 func (s *Store) Delete(ctx context.Context, tbl string, filter expr.Expr) (int64, error) {
-	tx, err := s.BeginTx(ctx)
-	if err != nil {
-		return 0, err
-	}
-	n, err := tx.Delete(ctx, tbl, filter)
-	if err != nil {
-		_ = tx.Abort(ctx) // best-effort rollback; the original error wins
-		return 0, err
-	}
-	return n, tx.Commit(ctx)
+	return s.autocommit(ctx, func(tx *Tx) (int64, error) { return tx.Delete(ctx, tbl, filter) })
 }
 
 // insertLocked appends a row and links it into every index. Caller

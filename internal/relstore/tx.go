@@ -120,22 +120,12 @@ func (tx *Tx) Update(_ context.Context, tbl string, filter expr.Expr, set []sour
 	setsKey := slices.ContainsFunc(set, func(sc source.SetClause) bool { return slices.Contains(t.key, sc.Col) })
 	var n int64
 	err = t.match(filter, func(pos int, r types.Row) error {
-		nr := r.Clone()
-		for _, sc := range set {
-			v, err := sc.Value.Eval(r)
-			if err != nil {
-				return err
-			}
-			cv, err := source.CoerceForColumn(v, t.schema.Columns[sc.Col].Type)
-			if err != nil {
-				return err
-			}
-			nr[sc.Col] = cv
+		nr, err := source.SetRow(t.schema, r, set)
+		if err == nil && setsKey {
+			err = t.checkKey(nr, pos)
 		}
-		if setsKey {
-			if err := t.checkKey(nr, pos); err != nil {
-				return fmt.Errorf("relstore %s table %s: %w", tx.s.name, tbl, err)
-			}
+		if err != nil {
+			return fmt.Errorf("relstore %s table %s: %w", tx.s.name, tbl, err)
 		}
 		old := t.replaceLocked(pos, nr)
 		tx.undo = append(tx.undo, undoRec{kind: undoReplace, t: t, pos: pos, old: old})

@@ -384,6 +384,27 @@ func NormalizeRow(schema *types.Schema, r types.Row) (types.Row, error) {
 	return out, nil
 }
 
+// SetRow is the one rule that makes a written row, the mediator's and
+// every store's: a new row as wide as schema holding base's values (NULLs
+// where base is nil) except, at each clause's column (within schema:
+// CheckWrite), the clause's value over base coerced to the column's type.
+func SetRow(schema *types.Schema, base types.Row, set []SetClause) (types.Row, error) {
+	out := make(types.Row, schema.Len())
+	copy(out, base)
+	for _, sc := range set {
+		col := schema.Columns[sc.Col]
+		v, err := sc.Value.Eval(base)
+		if err == nil {
+			v, err = CoerceForColumn(v, col.Type)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("column %s: %w", col.Name, err)
+		}
+		out[sc.Col] = v
+	}
+	return out, nil
+}
+
 // Writer is implemented by sources that accept updates.
 type Writer interface {
 	Insert(ctx context.Context, table string, rows []types.Row) (int64, error)

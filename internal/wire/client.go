@@ -555,17 +555,16 @@ func (c *Client) write(ctx context.Context, tx *remoteTx, tag byte, req writeReq
 	c.mu.Lock()
 	delete(c.described, req.Table)
 	c.mu.Unlock()
+	req.Begin = tx != nil && tx.fc == nil
 	e := newMessage()
 	if err := e.writeReq(tag, &req); err != nil {
 		return 0, err
 	}
-	var resp []byte
-	var err error
+	call := c.call
 	if tx != nil {
-		resp, err = tx.step(ctx, tag, e.Bytes())
-	} else {
-		resp, err = c.call(ctx, tag, e.Bytes())
+		call = tx.step
 	}
+	resp, err := call(ctx, tag, e.Bytes())
 	if err != nil {
 		return 0, err
 	}
@@ -589,40 +588,48 @@ func (c *Client) Delete(ctx context.Context, table string, filter expr.Expr) (in
 
 // ---- transactions ----
 
-// BeginTx implements source.Transactional.
-func (c *Client) BeginTx(ctx context.Context) (source.Tx, error) {
-	fc, _, err := c.roundTrip(ctx, nil, msgBeginTx, nil)
-	if err != nil {
-		c.putConn(fc) // refused, not broken
-		return nil, err
-	}
-	return &remoteTx{c: c, fc: fc}, nil
+// BeginTx implements source.Transactional. It sends nothing.
+func (c *Client) BeginTx(context.Context) (source.Tx, error) {
+	return &remoteTx{c: c}, nil
 }
 
-// remoteTx is a transaction conversation. It owns the connection its
-// msgBeginTx ran on — the server keeps the open transaction in that
+// remoteTx is a transaction conversation. Its first write borrows a
+// connection and opens the transaction on it (writeReq.Begin); from then
+// it owns that connection — the server keeps the open transaction in the
 // connection's state, so the connection is the transaction's name —
 // until Commit is acknowledged or Abort returns. Closing the connection
 // is an abort: the server rolls back what a peer leaves open.
 type remoteTx struct {
 	c *Client
-	// fc is nil once the transaction is over or its connection is lost.
-	fc *frameConn
+	// fc is nil before the first write, and once over is set: the
+	// transaction committed, aborted or lost — for good, or a later write
+	// would open another and commit only the writes after the loss.
+	fc   *frameConn
+	over bool
 }
 
 var errTxOver = errors.New("wire: transaction is over or its connection was lost")
 
-// step runs one request of the transaction. After a transport error the
-// connection is gone and the participant has rolled back, so every
-// later step fails here instead of reaching a server that no longer
-// knows the transaction.
+// step runs one request of the transaction; Prepare and Commit of one
+// that never wrote do nothing. After a transport error the connection is
+// gone and the participant has rolled back, so every later step fails
+// here instead of reaching a server that no longer knows the transaction.
 func (t *remoteTx) step(ctx context.Context, tag byte, payload []byte) ([]byte, error) {
-	if t.fc == nil {
+	switch {
+	case t.over:
 		return nil, errTxOver
+	case t.fc == nil && (tag == msgPrepare || tag == msgCommit):
+		return nil, nil
 	}
-	var resp []byte
-	var err error
-	t.fc, resp, err = t.c.roundTrip(ctx, t.fc, tag, payload)
+	fc, resp, err := t.c.roundTrip(ctx, t.fc, tag, payload)
+	switch {
+	case fc == nil: // lost: the server rolls back what it held
+		t.over = true
+	case t.fc == nil && err != nil: // a refused first write: the server opened nothing
+		t.c.putConn(fc)
+	default:
+		t.fc = fc
+	}
 	return resp, err
 }
 
@@ -654,7 +661,7 @@ func (t *remoteTx) Commit(ctx context.Context) error {
 	_, err := t.step(ctx, msgCommit, nil)
 	if err == nil {
 		t.c.putConn(t.fc)
-		t.fc = nil
+		t.fc, t.over = nil, true
 	}
 	return err
 }
@@ -666,17 +673,16 @@ func (t *remoteTx) Commit(ctx context.Context) error {
 // answer, so a coordinator that ran out of time still releases the
 // participant's locks.
 func (t *remoteTx) Abort(ctx context.Context) error {
-	if t.fc == nil {
-		return nil // over, or rolled back when its connection closed
+	fc := t.fc
+	t.fc, t.over = nil, true
+	if fc == nil {
+		return nil // never written, over, or rolled back when its connection closed
 	}
-	_, err := t.step(ctx, msgAbort, nil)
-	if fc := t.fc; fc != nil {
-		t.fc = nil
-		if err == nil {
-			t.c.putConn(fc)
-		} else {
-			t.c.discard(fc)
-		}
+	fc, _, err := t.c.roundTrip(ctx, fc, msgAbort, nil)
+	if err == nil {
+		t.c.putConn(fc)
+	} else if fc != nil {
+		t.c.discard(fc)
 	}
 	return err
 }

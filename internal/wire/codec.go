@@ -857,11 +857,12 @@ func (d *Decoder) Query() (*source.Query, error) {
 
 // ---- write requests ----
 
-// writeReq is the body of the three write requests: msgInsert carries
-// (Table, Rows), msgDelete (Table, Filter), msgUpdate (Table, Filter,
-// Set). None names a transaction: a write runs inside the one open on
-// the connection that carries it, or autocommits when there is none.
+// writeReq is the body of the three write requests: Begin, Table, then
+// msgInsert's Rows, msgDelete's Filter or msgUpdate's Filter and Set.
+// None names a transaction: a write runs inside the one open on the
+// connection that carries it (Begin opens it), or autocommits.
 type writeReq struct {
+	Begin  bool
 	Table  string
 	Rows   []types.Row
 	Filter expr.Expr
@@ -869,6 +870,7 @@ type writeReq struct {
 }
 
 func (e *Encoder) writeReq(tag byte, w *writeReq) error {
+	e.Bool(w.Begin)
 	e.String(w.Table)
 	if tag == msgInsert {
 		mark := e.beginRows()
@@ -896,6 +898,9 @@ func (e *Encoder) writeReq(tag byte, w *writeReq) error {
 // is checked against the bytes left (each costs at least one) before
 // anything is made for it.
 func (d *Decoder) writeReq(tag byte) (w writeReq, err error) {
+	if w.Begin, err = d.Bool(); err != nil {
+		return w, err
+	}
 	if w.Table, err = d.String(); err != nil {
 		return w, err
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gis/internal/relstore"
 	"gis/internal/source"
 	"gis/internal/types"
 )
@@ -103,9 +104,11 @@ func TestTwoTransactionsOneClient(t *testing.T) {
 
 // TestAbandonedTransactionReleasesLock: a coordinator whose context is
 // done cannot send an abort, so it closes the transaction's connection,
-// and the server rolls back what a closed connection leaves open.
+// and the server rolls back what a closed connection leaves open. The
+// transaction stays lost: a later write fails rather than open another
+// one on a fresh connection.
 func TestAbandonedTransactionReleasesLock(t *testing.T) {
-	st, cl := startRelServer(t, 10)
+	st, srv, cl := servedItems(t)
 	tx, err := cl.BeginTx(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -121,6 +124,10 @@ func TestAbandonedTransactionReleasesLock(t *testing.T) {
 	if err := tx.Prepare(ctx); err == nil {
 		t.Error("prepare after the transaction's connection is gone must fail")
 	}
+	if _, err := tx.Insert(ctx, "items", itemRow(102)); !errors.Is(err, errTxOver) {
+		t.Errorf("write after the transaction's connection is gone = %v, want errTxOver", err)
+	}
+	holdsNoTransaction(t, srv)
 	within(t, 5*time.Second, "a write after the abandoned transaction", func() {
 		if _, err := cl.Insert(ctx, "items", itemRow(101)); err != nil {
 			t.Errorf("autocommit insert: %v", err)
@@ -131,22 +138,103 @@ func TestAbandonedTransactionReleasesLock(t *testing.T) {
 	}
 }
 
-// TestSecondBeginOnConnectionRejected: the connection is the
-// transaction's name, so it can name only one.
-func TestSecondBeginOnConnectionRejected(t *testing.T) {
-	_, cl := startRelServer(t, 10)
-	fc := greetedConn(t, cl)
-	tag, payload, err := fc.call(ctx, msgBeginTx, nil)
-	if err == nil {
-		_, err = checkResp(tag, payload)
-	}
+// TestRefusedFirstWriteOpensNothing: the server rolls back what a first
+// write it refuses began, so it holds no transaction, and the client's
+// stays unopened, its connection back in the pool: the next write opens
+// it.
+func TestRefusedFirstWriteOpensNothing(t *testing.T) {
+	st, srv, cl := servedItems(t)
+	tx, err := cl.BeginTx(ctx)
 	if err != nil {
-		t.Fatalf("first begin: %v", err)
-	}
-	if err := fc.writeFrame(ctx, msgBeginTx, nil); err != nil {
 		t.Fatal(err)
 	}
-	expectRejected(t, fc, "already open")
+	if _, err := tx.Insert(ctx, "items", itemRow(1)); err == nil || !strings.Contains(err.Error(), "duplicate key") {
+		t.Fatalf("first write of a held key = %v, want it refused", err)
+	}
+	holdsNoTransaction(t, srv)
+	if len(cl.pool) != 1 {
+		t.Errorf("%d pooled connections after the refused first write, want the one it ran on", len(cl.pool))
+	}
+	if _, err := tx.Insert(ctx, "items", itemRow(100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Prepare(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if info, _ := st.TableInfo(ctx, "items"); info.RowCount != 11 {
+		t.Errorf("rows = %d, want 11: the second write's", info.RowCount)
+	}
+}
+
+// servedItems serves itemsStore's ten rows and dials the server, which
+// it returns too, for holdsNoTransaction.
+func servedItems(t *testing.T) (*relstore.Store, *Server, *Client) {
+	st := itemsStore(t, 10)
+	srv, err := Serve(context.Background(), "127.0.0.1:0", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cl, err := DialContext(ctx, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return st, srv, cl
+}
+
+// holdsNoTransaction waits until no connection of srv holds an open
+// transaction: a connection's busy flag is set while it does.
+func holdsNoTransaction(t *testing.T, srv *Server) {
+	t.Helper()
+	within(t, 5*time.Second, "the server letting go of every transaction", func() {
+		for held := true; held; time.Sleep(time.Millisecond) {
+			srv.mu.Lock()
+			held = false
+			for _, busy := range srv.conns {
+				held = held || busy.Load()
+			}
+			srv.mu.Unlock()
+		}
+	})
+}
+
+// TestSecondBeginOnConnectionRejected: the connection is the
+// transaction's name, so it can name only one. A second write with
+// Begin set is answered msgErr and applies nothing; the connection
+// survives, and the first transaction commits on it.
+func TestSecondBeginOnConnectionRejected(t *testing.T) {
+	st, cl := startRelServer(t, 10)
+	fc := greetedConn(t, cl)
+	send := func(tag byte, req *writeReq) error {
+		var e Encoder
+		if req != nil {
+			if err := e.writeReq(tag, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rt, payload, err := fc.call(ctx, tag, e.Bytes())
+		if err != nil {
+			t.Fatalf("tag %d: no answer: %v", tag, err)
+		}
+		_, err = checkResp(rt, payload)
+		return err
+	}
+	if err := send(msgInsert, &writeReq{Begin: true, Table: "items", Rows: itemRow(100)}); err != nil {
+		t.Fatalf("first begin: %v", err)
+	}
+	if err := send(msgInsert, &writeReq{Begin: true, Table: "items", Rows: itemRow(101)}); err == nil || !strings.Contains(err.Error(), "already open") {
+		t.Fatalf("second begin = %v, want msgErr saying a transaction is already open", err)
+	}
+	if err := send(msgCommit, nil); err != nil {
+		t.Fatalf("commit of the first transaction: %v", err)
+	}
+	if info, _ := st.TableInfo(ctx, "items"); info.RowCount != 11 {
+		t.Errorf("rows = %d, want 11: the first transaction's row, not the refused begin's", info.RowCount)
+	}
 }
 
 // stallingSource answers TableInfo only after stall, for the first

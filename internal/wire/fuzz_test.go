@@ -208,8 +208,11 @@ func fuzzSeeds(t testing.TB) map[string][][]byte {
 	add("insert", func(e *Encoder) error {
 		return e.writeReq(msgInsert, &writeReq{Table: "accounts", Rows: []types.Row{sampleValues(), {types.NewInt(1)}, {}}})
 	})
+	add("insert", func(e *Encoder) error {
+		return e.writeReq(msgInsert, &writeReq{Begin: true, Table: "accounts", Rows: []types.Row{{types.NewInt(2)}}})
+	})
 	seeds["insert"] = append(seeds["insert"],
-		[]byte{0x01, 't', 0xff, 0xff, 0xff, 0xff, 0x0f}) // table "t", 2^32-1 rows, no bytes
+		[]byte{0x00, 0x01, 't', 0xff, 0xff, 0xff, 0xff, 0x0f}) // no begin, table "t", 2^32-1 rows, no bytes
 	for _, x := range sampleExprs() {
 		add("update", func(e *Encoder) error {
 			return e.writeReq(msgUpdate, &writeReq{Table: "accounts", Filter: x,
@@ -218,7 +221,7 @@ func fuzzSeeds(t testing.TB) map[string][][]byte {
 		add("delete", func(e *Encoder) error { return e.writeReq(msgDelete, &writeReq{Table: "accounts", Filter: x}) })
 	}
 	seeds["update"] = append(seeds["update"],
-		[]byte{0x01, 't', 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f}) // table "t", no filter, 2^32-1 SET clauses
+		[]byte{0x00, 0x01, 't', 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f}) // no begin, table "t", no filter, 2^32-1 SET clauses
 	seeds["footer"] = append(seeds["footer"], nil) // an untraced stream's
 	add("footer", func(e *Encoder) error {
 		e.Span(&obs.SpanData{Kind: "remote", Name: "src", Start: time.UnixMicro(1700000000000000), DurationUS: 1234,

@@ -47,8 +47,9 @@ import (
 // with one frame, msgEnd carrying the footer (subquery.go); revision 5
 // has no credit grant: a result stream flows server → client only;
 // revision 6 lets a hello ask for the served tables' descriptions and
-// carries them in the reply.
-const helloVersion = 6
+// carries them in the reply; revision 7 has no msgBeginTx: a write
+// request's Begin bit opens the connection's transaction.
+const helloVersion = 7
 
 // hello is the decoded msgHello request.
 type hello struct {

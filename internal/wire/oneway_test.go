@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -144,29 +145,31 @@ func TestStalledConsumerHoldsABoundedStream(t *testing.T) {
 }
 
 // TestRetiredGrantTagIsAnError: tag 17 was the credit grant a client sent
-// back mid-stream before helloVersion 5. A server answers it as any
-// unknown request, with msgErr, and the connection serves the next one.
+// back mid-stream before helloVersion 5, and tag 4 was msgBeginTx before
+// helloVersion 7. A server answers each as any unknown request, with
+// msgErr, and the connection serves the next one.
 func TestRetiredGrantTagIsAnError(t *testing.T) {
 	_, cl := startRelServer(t, 10)
 	fc := greetedConn(t, cl)
 	dctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	const retiredGrant = 17
-	tag, payload, err := fc.call(dctx, retiredGrant, []byte{16})
-	if err != nil {
-		t.Fatalf("tag 17: no answer: %v", err)
-	}
-	if _, err := checkResp(tag, payload); tag != msgErr || err == nil || !strings.Contains(err.Error(), "unknown message tag 17") {
-		t.Errorf("tag 17: answer tag %d, %v; want msgErr naming the tag", tag, err)
-	}
-	tag, payload, err = fc.call(dctx, msgTables, nil)
-	if err == nil {
-		payload, err = checkResp(tag, payload)
-	}
-	if err != nil {
-		t.Fatalf("the request after tag 17: %v", err)
-	}
-	if names, err := NewDecoder(payload).count(); err != nil || names != 1 {
-		t.Errorf("the request after tag 17: %d tables, %v; want 1", names, err)
+	for _, retired := range []byte{17, 4} {
+		tag, payload, err := fc.call(dctx, retired, []byte{16})
+		if err != nil {
+			t.Fatalf("tag %d: no answer: %v", retired, err)
+		}
+		if _, err := checkResp(tag, payload); tag != msgErr || err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown message tag %d", retired)) {
+			t.Errorf("tag %d: answer tag %d, %v; want msgErr naming the tag", retired, tag, err)
+		}
+		tag, payload, err = fc.call(dctx, msgTables, nil)
+		if err == nil {
+			payload, err = checkResp(tag, payload)
+		}
+		if err != nil {
+			t.Fatalf("the request after tag %d: %v", retired, err)
+		}
+		if names, err := NewDecoder(payload).count(); err != nil || names != 1 {
+			t.Errorf("the request after tag %d: %d tables, %v; want 1", retired, names, err)
+		}
 	}
 }

@@ -136,10 +136,13 @@ func hostileWrites() []taggedWrite {
 // Server.write — the SET list checked against the table, filter and
 // values rebound — into each kind of store, the scan-only one included
 // (it is refused). The stores are new each time: a write that lands
-// changes them. Whatever the bytes, and whatever errors come back: no
-// panic, and a write that fails changes nothing — the store holds the
-// rows it held before, which the mediator's statement-level atomicity
-// over a source without transactions rests on.
+// changes them. What a Begin write opened is aborted, as serveConn does
+// when the connection closes. Whatever the bytes, and whatever errors
+// come back: no panic; a write that fails, or that a transaction's abort
+// undid, changes nothing — the store holds the rows it held before,
+// which the mediator's statement-level atomicity over a source without
+// transactions rests on; and a write that lands leaves a table that
+// scans, every value the kind its column declares.
 func FuzzServeWrite(f *testing.F) {
 	tags := []byte{msgInsert, msgUpdate, msgDelete}
 	add := func(tag byte, req *writeReq) {
@@ -158,6 +161,11 @@ func FuzzServeWrite(f *testing.F) {
 	add(msgInsert, &writeReq{Table: "t", Rows: []types.Row{
 		{types.NewInt(5), types.NewString("c"), types.Null}, {types.NewInt(5), types.NewString("d"), types.Null}}})
 	add(msgDelete, &writeReq{Table: "t", Filter: expr.NewBinary(expr.OpGe, id, expr.NewConst(types.NewInt(2)))})
+	add(msgInsert, &writeReq{Begin: true, Table: "t", Rows: []types.Row{{types.NewInt(6), types.NewString("e"), types.Null}}})
+	// A STRING into the INT column: one that converts, one that does not.
+	add(msgInsert, &writeReq{Table: "t", Rows: []types.Row{{types.NewString("7"), types.NewString("f"), types.Null}}})
+	add(msgUpdate, &writeReq{Table: "t", Filter: expr.NewBinary(expr.OpEq, id, expr.NewConst(types.NewInt(1))),
+		Set: []source.SetClause{{Col: 0, Value: expr.NewConst(types.NewString("1x"))}}})
 	for _, x := range sampleExprs() {
 		add(msgUpdate, &writeReq{Table: "t", Filter: x, Set: []source.SetClause{{Col: 1, Value: x}, {Col: 0, Value: id}}})
 	}
@@ -170,10 +178,13 @@ func FuzzServeWrite(f *testing.F) {
 				return
 			}
 			before := storeRows(t, st)
-			if _, err := (&Server{src: st}).write(ctx, &connState{}, tag, &req); err != nil {
-				if after := storeRows(t, st); after != before {
-					t.Fatalf("%s: a write that failed (%v) changed the table:\nbefore %s\nafter  %s", st.Name(), err, before, after)
-				}
+			conn := &connState{}
+			_, err = (&Server{src: st}).write(ctx, conn, tag, &req)
+			if conn.tx != nil {
+				_ = conn.tx.Abort(ctx)
+			}
+			if after := storeRows(t, st); (err != nil || req.Begin) && after != before {
+				t.Fatalf("%s: a write that failed (%v) or was aborted changed the table:\nbefore %s\nafter  %s", st.Name(), err, before, after)
 			}
 		}
 	})
@@ -187,7 +198,7 @@ func storeRows(t *testing.T, st source.Source) string {
 	}
 	rows, err := source.Drain(it)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: table t does not scan: %v", st.Name(), err)
 	}
 	out := make([]string, len(rows))
 	for i, r := range rows {

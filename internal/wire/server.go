@@ -297,8 +297,6 @@ func (s *Server) handle(ctx context.Context, fc *frameConn, st *connState, tag b
 		return s.handleExecute(ctx, fc, st, NewDecoder(payload))
 	case tag == msgStats:
 		return s.handleStats(ctx, fc, st, NewDecoder(payload))
-	case tag == msgBeginTx && st.tx != nil:
-		return reject(ctx, fc, errors.New("wire: begin with a transaction already open on this connection"))
 	}
 	var reply Encoder
 	if err := s.answer(ctx, st, tag, fc.decoder(payload), &reply); err != nil {
@@ -331,17 +329,6 @@ func (s *Server) answer(ctx context.Context, st *connState, tag byte, d *Decoder
 			return err
 		}
 		reply.tableInfo(info)
-
-	case msgBeginTx:
-		t, ok := s.src.(source.Transactional)
-		if !ok {
-			return fmt.Errorf("source %s is not transactional", s.src.Name())
-		}
-		tx, err := t.BeginTx(ctx)
-		if err != nil {
-			return err
-		}
-		st.tx = tx
 
 	case msgInsert, msgUpdate, msgDelete:
 		w, err := d.writeReq(tag)
@@ -650,12 +637,31 @@ func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIte
 }
 
 // write applies a decoded write request through the transaction open on
-// this connection, else through the source's autocommit facet, and
+// this connection — Begin opens it first, and a Begin write that fails
+// opens nothing — else through the source's autocommit facet, and
 // returns the affected-row count. The decoder has no schema, so a SET
 // list is checked against the table first (TableInfo.CheckWrite; a store
 // checks an INSERT's rows itself) and shipped expressions are re-bound
 // against its schema (expr.BindPositions).
-func (s *Server) write(ctx context.Context, st *connState, tag byte, req *writeReq) (int64, error) {
+func (s *Server) write(ctx context.Context, st *connState, tag byte, req *writeReq) (n int64, err error) {
+	if req.Begin {
+		t, ok := s.src.(source.Transactional)
+		switch {
+		case st.tx != nil:
+			return 0, errors.New("wire: begin with a transaction already open on this connection")
+		case !ok:
+			return 0, fmt.Errorf("source %s is not transactional", s.src.Name())
+		}
+		if st.tx, err = t.BeginTx(ctx); err != nil {
+			return 0, err
+		}
+		defer func() {
+			if err != nil {
+				_ = st.tx.Abort(ctx) // the write's error is the answer
+				st.tx = nil
+			}
+		}()
+	}
 	var w source.Writer = st.tx
 	if st.tx == nil {
 		sw, ok := s.src.(source.Writer)

@@ -21,7 +21,7 @@ const (
 	msgTables byte = iota + 1
 	msgTableInfo
 	msgExecute
-	msgBeginTx
+	_ // 4 was msgBeginTx: a transaction opens with its first write (writeReq.Begin)
 	msgInsert
 	msgUpdate
 	msgDelete
@@ -61,7 +61,7 @@ const socketBuffer = 32 << 10
 // are not. Response tags (and anything unknown) classify as reads.
 func classOfTag(tag byte) faults.OpClass {
 	switch tag {
-	case msgInsert, msgUpdate, msgDelete, msgBeginTx:
+	case msgInsert, msgUpdate, msgDelete:
 		return faults.OpWrite
 	case msgPrepare:
 		return faults.OpPrepare

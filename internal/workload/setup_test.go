@@ -88,3 +88,30 @@ func TestSetUpFrames(t *testing.T) {
 		t.Fatalf("the federation set up in %d frames answers %v, %v; want %d joined rows", total, res, err, parts*rowsPer)
 	}
 }
+
+// TestGlobalUpdateFrames counts what a global UPDATE over two dialed
+// participants sends: for each, its write — which opens the participant's
+// transaction — prepare and commit, each answered. Twelve frames in all;
+// a begin of its own was four more.
+func TestGlobalUpdateFrames(t *testing.T) {
+	f, err := TxnStores(ctx, 2, 10, true, Link{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	frames := func() (n int64) {
+		for name := range f.Stores {
+			for _, dir := range []string{"out", "in"} {
+				n += obs.Default().Counter("wire.client." + name + ".frames_" + dir).Value()
+			}
+		}
+		return n
+	}
+	before := frames()
+	if n, err := f.Engine.Exec(ctx, "UPDATE accounts SET balance = balance - 1 WHERE id >= 5 AND id < 15"); err != nil || n != 10 {
+		t.Fatalf("update = %d, %v; want 10 rows", n, err)
+	}
+	if got := frames() - before; got != 12 {
+		t.Errorf("a two-participant UPDATE moved %d client frames, want 12: write, prepare and commit, each answered, at each", got)
+	}
+}
