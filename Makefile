@@ -81,10 +81,12 @@ overload:
 # SQL lexer/parser and filestore's record scanner (against encoding/csv,
 # whole and in blocks), docstore's document codec (FuzzDocCodec: decode
 # of encode is the JSON document, and each compiled path reads what a
-# lookup in its maps reads) — and two that are not byte-readers: expr's
+# lookup in its maps reads) — and three that are not byte-readers: expr's
 # range algebra, against EvalBool of the conjunction it folds
-# (FuzzColumnRange), and catalog's one inverse of a mapped column, against
-# what every candidate remote value reads as (FuzzToRemote). Their seed
+# (FuzzColumnRange), catalog's one inverse of a mapped column, against
+# what every candidate remote value reads as (FuzzToRemote), and types'
+# hash chain, whose link, unlink, grow and probe operations are decoded
+# from bytes and held to a map of each hash's positions (FuzzHashChain). Their seed
 # corpora run as ordinary tests under `go test ./...`; a crash found here
 # lands in the package's testdata/fuzz and fails from then on.
 fuzz:
@@ -97,6 +99,7 @@ fuzz:
 	$(GO) test ./internal/docstore -run '^$$' -fuzz FuzzDocCodec -fuzztime 10s
 	$(GO) test ./internal/expr -run '^$$' -fuzz FuzzColumnRange -fuzztime 10s
 	$(GO) test ./internal/catalog -run '^$$' -fuzz FuzzToRemote -fuzztime 10s
+	$(GO) test ./internal/types -run '^$$' -fuzz FuzzHashChain -fuzztime 10s
 
 # Both benchmark harnesses: the per-layer rungs, then the repository
 # benchmark. The T1-F9 experiment shapes are `go run ./cmd/gisbench`.

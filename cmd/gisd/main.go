@@ -64,7 +64,6 @@ func main() {
 
 		maxInflight  = flag.Int("max-inflight", 0, "admission: max concurrently executing sub-queries (0 = unlimited)")
 		tenantRate   = flag.Float64("tenant-rate", 0, "admission: per-tenant sustained sub-queries/sec (0 = unlimited)")
-		tenantQuota  = flag.Int64("tenant-quota", 0, "admission: per-tenant result-stream memory quota in bytes (0 = unlimited)")
 		maxFrame     = flag.Int("max-frame-bytes", 0, "reject wire frames larger than this (0 = protocol default 16MiB)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "on SIGTERM, let in-flight sub-queries finish up to this long before closing")
 
@@ -101,15 +100,14 @@ func main() {
 		srvOpts = append(srvOpts, wire.WithServerFaults(fp))
 		log.Printf("gisd: fault injection armed: %s", *faultPlan)
 	}
-	if *maxInflight > 0 || *tenantRate > 0 || *tenantQuota > 0 {
+	if *maxInflight > 0 || *tenantRate > 0 {
 		ctrl := admission.New(admission.Config{
 			MaxInFlight: *maxInflight,
 			TenantRate:  *tenantRate,
-			MemQuota:    *tenantQuota,
 		})
 		srvOpts = append(srvOpts, wire.WithAdmission(ctrl))
-		log.Printf("gisd: admission control armed: max-inflight=%d tenant-rate=%.1f tenant-quota=%d",
-			*maxInflight, *tenantRate, *tenantQuota)
+		log.Printf("gisd: admission control armed: max-inflight=%d tenant-rate=%.1f",
+			*maxInflight, *tenantRate)
 	}
 	if *maxFrame > 0 {
 		srvOpts = append(srvOpts, wire.WithServerMaxFrameBytes(*maxFrame))

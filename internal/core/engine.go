@@ -169,48 +169,43 @@ func (e *Engine) PlanOptions() *plan.Options { return e.opts }
 // that failed, with the rows each delivered before it did; it is nil for
 // a complete result.
 type Result struct {
-	Columns []string
 	Schema  *types.Schema
 	Rows    []types.Row
 	Partial *resilience.PartialResultError
 }
 
-// String renders the result as an aligned text table.
+// String renders the result as an aligned text table: the column names,
+// a rule, and a line a row.
 func (r *Result) String() string {
+	lines := make([][]string, 2, 2+len(r.Rows))
+	widths := make([]int, r.Schema.Len())
+	for _, c := range r.Schema.Columns {
+		lines[0] = append(lines[0], c.Name)
+	}
+	for _, row := range r.Rows {
+		line := make([]string, len(row))
+		for i, v := range row {
+			line[i] = v.String()
+		}
+		lines = append(lines, line)
+	}
+	for _, line := range lines {
+		for i, s := range line {
+			widths[i] = max(widths[i], len(s))
+		}
+	}
+	for _, w := range widths {
+		lines[1] = append(lines[1], strings.Repeat("-", w))
+	}
 	var b strings.Builder
-	widths := make([]int, len(r.Columns))
-	for i, c := range r.Columns {
-		widths[i] = len(c)
-	}
-	cells := make([][]string, len(r.Rows))
-	for ri, row := range r.Rows {
-		cells[ri] = make([]string, len(row))
-		for ci, v := range row {
-			s := v.String()
-			cells[ri][ci] = s
-			if ci < len(widths) && len(s) > widths[ci] {
-				widths[ci] = len(s)
-			}
+	for n, line := range lines {
+		sep := " | "
+		if n == 1 {
+			sep = "-+-"
 		}
-	}
-	for i, c := range r.Columns {
-		if i > 0 {
-			b.WriteString(" | ")
-		}
-		writePadded(&b, c, widths[i])
-	}
-	b.WriteByte('\n')
-	for i := range r.Columns {
-		if i > 0 {
-			b.WriteString("-+-")
-		}
-		b.WriteString(strings.Repeat("-", widths[i]))
-	}
-	b.WriteByte('\n')
-	for _, row := range cells {
-		for i, s := range row {
+		for i, s := range line {
 			if i > 0 {
-				b.WriteString(" | ")
+				b.WriteString(sep)
 			}
 			writePadded(&b, s, widths[i])
 		}
@@ -372,16 +367,11 @@ func (e *Engine) runSelect(ctx context.Context, sel *sql.SelectStmt) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	schema := p.Schema()
-	cols := make([]string, schema.Len())
-	for i, c := range schema.Columns {
-		cols[i] = c.Name
-	}
 	partial, err := judgePartial(ctx, outc)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Columns: cols, Schema: schema, Rows: rows, Partial: partial}, nil
+	return &Result{Schema: p.Schema(), Rows: rows, Partial: partial}, nil
 }
 
 // planSelect materializes subqueries and produces an optimized plan.
@@ -468,9 +458,8 @@ func (e *Engine) Run(ctx context.Context, text string, params ...types.Value) (r
 			rows = append(rows, types.Row{types.NewString(line)})
 		}
 		return &Result{
-			Columns: []string{"plan"},
-			Schema:  types.NewSchema(types.Column{Name: "plan", Type: types.KindString}),
-			Rows:    rows,
+			Schema: types.NewSchema(types.Column{Name: "plan", Type: types.KindString}),
+			Rows:   rows,
 		}, nil
 	default:
 		n, err := e.execStmt(ctx, stmt)
@@ -478,9 +467,8 @@ func (e *Engine) Run(ctx context.Context, text string, params ...types.Value) (r
 			return nil, err
 		}
 		return &Result{
-			Columns: []string{"affected"},
-			Schema:  types.NewSchema(types.Column{Name: "affected", Type: types.KindInt}),
-			Rows:    []types.Row{{types.NewInt(n)}},
+			Schema: types.NewSchema(types.Column{Name: "affected", Type: types.KindInt}),
+			Rows:   []types.Row{{types.NewInt(n)}},
 		}, nil
 	}
 }
@@ -667,18 +655,15 @@ func (e *Engine) substituteSubqueries(ctx context.Context, ex expr.Expr) (expr.E
 			// planned, shipped and probed. NULL is a value here and is
 			// kept, once — it decides NOT IN.
 			var list []expr.Expr
-			seen := map[uint64][]types.Value{}
+			var seen types.ValueSet
 			for _, r := range res.Rows {
 				if len(r) != 1 {
 					firstErr = fmt.Errorf("core: IN subquery must return one column, got %d", len(r))
 					return n
 				}
-				h := r[0].Hash(0)
-				if slices.ContainsFunc(seen[h], r[0].Equal) {
-					continue
+				if seen.Add(r[0]) {
+					list = append(list, expr.NewConst(r[0]))
 				}
-				seen[h] = append(seen[h], r[0])
-				list = append(list, expr.NewConst(r[0]))
 			}
 			if len(list) == 0 {
 				// x IN (empty) is FALSE; NOT IN (empty) is TRUE.

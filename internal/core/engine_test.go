@@ -227,12 +227,22 @@ func query(t *testing.T, e *Engine, q string, params ...types.Value) *Result {
 func TestSelectStar(t *testing.T) {
 	e := newTestEngine(t)
 	res := query(t, e, "SELECT * FROM customers")
-	if len(res.Rows) != 4 || len(res.Columns) != 4 {
-		t.Fatalf("rows=%d cols=%v", len(res.Rows), res.Columns)
+	cols := columnNames(res)
+	if len(res.Rows) != 4 || len(cols) != 4 {
+		t.Fatalf("rows=%d cols=%v", len(res.Rows), cols)
 	}
-	if res.Columns[0] != "id" || res.Columns[3] != "balance" {
-		t.Errorf("columns = %v", res.Columns)
+	if cols[0] != "id" || cols[3] != "balance" {
+		t.Errorf("columns = %v", cols)
 	}
+}
+
+// columnNames lists the names of a result's columns.
+func columnNames(res *Result) []string {
+	out := make([]string, res.Schema.Len())
+	for i, c := range res.Schema.Columns {
+		out[i] = c.Name
+	}
+	return out
 }
 
 func TestFilterAndProjection(t *testing.T) {
@@ -241,8 +251,8 @@ func TestFilterAndProjection(t *testing.T) {
 	wantRows(t, res, false, "(alice)", "(carol)")
 	res = query(t, e, "SELECT name, balance * 2 AS dbl FROM customers WHERE balance >= 200")
 	wantRows(t, res, false, "(bob, 400)", "(carol, 600)")
-	if res.Columns[1] != "dbl" {
-		t.Errorf("alias lost: %v", res.Columns)
+	if cols := columnNames(res); cols[1] != "dbl" {
+		t.Errorf("alias lost: %v", cols)
 	}
 }
 

@@ -136,7 +136,7 @@ func TestFloatLiteralKeepsItsKind(t *testing.T) {
 			} {
 				got := "error"
 				if res, err := e.Query(ctx, q); err == nil && strings.HasPrefix(want, "columns") {
-					got = "columns " + strings.Join(res.Columns, ", ")
+					got = "columns " + strings.Join(columnNames(res), ", ")
 				} else if err == nil {
 					got = strings.Join(rowsAsStrings(res), " ")
 				}

@@ -45,47 +45,22 @@ func runLocalJoin(ctx context.Context, j *plan.Join, lent bool) (source.RowIter,
 // table built on the right when the join has equi keys, and every right
 // row when it has none (a non-equi join or one with no condition —
 // nested loops). The rows it builds are lent iff lent.
+//
+// The hash table is a types.HashChain of the right rows' positions,
+// sized for every row: one allocation that never grows. Linked last row
+// first, a bucket yields matches in the order the rows came in.
 func joinRows(ctx context.Context, j *plan.Join, left source.RowIter, right []types.Row, lent bool) source.RowIter {
-	build := hashBuild{rows: right}
-	if len(j.EquiL) > 0 {
-		build = newHashBuild(right, j.EquiR)
-	}
-	return &joinIter{
-		ctx: ctx, j: j, left: left, build: build, slab: slabFor(lent),
+	it := &joinIter{
+		ctx: ctx, j: j, left: left, right: right, slab: slabFor(lent),
 		rightWidth: widthOfRight(j, right),
 	}
-}
-
-// hashBuild is a hash join's build side: the rows as they arrived and
-// two arrays of positions over them — head, the first row of each
-// bucket, and next, the row after each row in its bucket — instead of a
-// slice per distinct key. Positions are stored plus one, so a zeroed
-// array is an empty table. A bucket is a hash's low bits and may hold
-// several keys; the probe compares keys, and walks a bucket in arrival
-// order, so matches come out in the order the rows came in. (int32: the
-// rows are materialized before the table is built, a long way short of
-// 2^31 of them.) A join without equi keys has the rows and no table.
-type hashBuild struct {
-	rows []types.Row
-	head []int32 // len is a power of two, at least len(rows)
-	next []int32
-}
-
-func newHashBuild(rows []types.Row, cols []int) hashBuild {
-	size := 1
-	for size < len(rows) {
-		size *= 2
+	if len(j.EquiL) > 0 {
+		it.chain = types.NewHashChain(len(right))
+		for i := len(right) - 1; i >= 0; i-- {
+			it.chain.Link(i, keyHash(right[i], j.EquiR), nil)
+		}
 	}
-	// One allocation backs both arrays.
-	pos := make([]int32, size+len(rows))
-	b := hashBuild{rows: rows, head: pos[:size], next: pos[size:]}
-	// Last row first, each put at the head of its bucket: the chains
-	// run in arrival order.
-	for i := len(rows) - 1; i >= 0; i-- {
-		slot := &b.head[keyHash(rows[i], cols)&uint64(size-1)]
-		b.next[i], *slot = *slot, int32(i+1)
-	}
-	return b
+	return it
 }
 
 func widthOfRight(j *plan.Join, right []types.Row) int {
@@ -95,10 +70,8 @@ func widthOfRight(j *plan.Join, right []types.Row) int {
 	return j.R.Schema().Len()
 }
 
-// keyHash hashes r's key columns in place, matching what
-// keyOf(r, cols).Hash() used to produce. Build and probe sides both run
-// once per row, so materializing the projected key was one Row
-// allocation per row on the join hot path.
+// keyHash hashes r's key columns in place, as the Row of them would
+// hash, without building that row.
 func keyHash(r types.Row, cols []int) uint64 {
 	var h uint64 = 14695981039346656037
 	for _, c := range cols {
@@ -155,7 +128,8 @@ type joinIter struct {
 	ctx        context.Context
 	j          *plan.Join
 	left       source.RowIter
-	build      hashBuild
+	right      []types.Row
+	chain      types.HashChain // without equi keys, none
 	rightWidth int
 
 	// Iteration state: the current left row's candidates still to be
@@ -228,16 +202,15 @@ func (h *joinIter) Next() (types.Row, error) {
 // way; comparing keys first spares carving a row for a bucket's other
 // keys.
 func (h *joinIter) candidates(l types.Row) []types.Row {
-	b := &h.build
 	if len(h.j.EquiL) == 0 {
-		return b.rows
+		return h.right
 	}
 	if keyHasNull(l, h.j.EquiL) {
 		return nil
 	}
 	out := h.matchBuf[:0]
-	for i := b.head[keyHash(l, h.j.EquiL)&uint64(len(b.head)-1)]; i != 0; i = b.next[i-1] {
-		if r := b.rows[i-1]; !keyHasNull(r, h.j.EquiR) && keyEqual(l, h.j.EquiL, r, h.j.EquiR) {
+	for p := h.chain.First(keyHash(l, h.j.EquiL)); p >= 0; p = h.chain.Next(p) {
+		if r := h.right[p]; !keyHasNull(r, h.j.EquiR) && keyEqual(l, h.j.EquiL, r, h.j.EquiR) {
 			out = append(out, r)
 		}
 	}

@@ -37,7 +37,7 @@ func NewAccumulator(kind AggKind, star, distinct bool) Accumulator {
 		panic("unknown aggregate kind " + strconv.Itoa(int(kind)))
 	}
 	if distinct {
-		return &distinctAcc{seen: make(map[uint64][]types.Value), inner: inner}
+		return &distinctAcc{inner: inner}
 	}
 	return inner
 }
@@ -139,24 +139,17 @@ func (a *minmaxAcc) Add(v types.Value) error {
 
 func (a *minmaxAcc) Result() types.Value { return a.val }
 
-// distinctAcc deduplicates inputs before forwarding to the inner
-// accumulator. Hash collisions are resolved by exact comparison.
+// distinctAcc forwards each distinct non-NULL input to the inner
+// accumulator once.
 type distinctAcc struct {
-	seen  map[uint64][]types.Value
+	seen  types.ValueSet
 	inner Accumulator
 }
 
 func (a *distinctAcc) Add(v types.Value) error {
-	if v.IsNull() {
+	if v.IsNull() || !a.seen.Add(v) {
 		return nil
 	}
-	h := v.Hash(0)
-	for _, prev := range a.seen[h] {
-		if prev.Equal(v) {
-			return nil
-		}
-	}
-	a.seen[h] = append(a.seen[h], v)
 	return a.inner.Add(v)
 }
 
@@ -178,25 +171,19 @@ type AccSpec struct {
 type GroupTable struct {
 	keyWidth int
 	aggs     []AccSpec
-	// heads maps a key hash to the last group started under it;
-	// group.sameHash chains the ones before.
-	heads       map[uint64]*group
-	first, last *group // the first-seen order, chained by group.after
-	n           int
-}
-
-// group owns its output row from the start: the key is row[:keyWidth],
-// and Rows writes the aggregate results behind it.
-type group struct {
-	row             types.Row
-	accs            []Accumulator
-	sameHash, after *group
+	// rows[i] is group i's output row from the start: the key is
+	// rows[i][:keyWidth], and Rows writes the aggregate results behind
+	// it. Its accumulators are accs[i*len(aggs):][:len(aggs)], and chain
+	// links i under its key's hash.
+	rows  []types.Row
+	accs  []Accumulator
+	chain types.HashChain
 }
 
 // NewGroupTable returns an empty table for keys of keyWidth values.
 // aggs is retained, not copied.
 func NewGroupTable(keyWidth int, aggs []AccSpec) *GroupTable {
-	return &GroupTable{keyWidth: keyWidth, aggs: aggs, heads: make(map[uint64]*group)}
+	return &GroupTable{keyWidth: keyWidth, aggs: aggs}
 }
 
 // Group returns the accumulators of key's group, one per aggregate in
@@ -204,52 +191,43 @@ func NewGroupTable(keyWidth int, aggs []AccSpec) *GroupTable {
 // only read.
 func (t *GroupTable) Group(key types.Row) []Accumulator {
 	h := key.Hash()
-	head := t.heads[h]
-	for g := head; g != nil; g = g.sameHash {
-		if g.row[:t.keyWidth].Equal(key) {
-			return g.accs
+	for i := t.chain.First(h); i >= 0; i = t.chain.Next(i) {
+		if t.rows[i][:t.keyWidth].Equal(key) {
+			return t.accsOf(i)
 		}
 	}
-	g := t.newGroup(key)
-	g.sameHash, t.heads[h] = head, g
-	if t.last == nil {
-		t.first = g
-	} else {
-		t.last.after = g
+	i := len(t.rows)
+	t.chain.Link(i, h, func(i int) uint64 { return t.rows[i][:t.keyWidth].Hash() })
+	t.rows = append(t.rows, make(types.Row, t.keyWidth+len(t.aggs)))
+	copy(t.rows[i], key)
+	t.accs = append(t.accs, make([]Accumulator, len(t.aggs))...)
+	for j, a := range t.aggs {
+		t.accs[i*len(t.aggs)+j] = NewAccumulator(a.Kind, a.Star, a.Distinct)
 	}
-	t.last = g
-	t.n++
-	return g.accs
+	return t.accsOf(i)
 }
 
-func (t *GroupTable) newGroup(key types.Row) *group {
-	g := &group{row: make(types.Row, t.keyWidth+len(t.aggs)), accs: make([]Accumulator, len(t.aggs))}
-	copy(g.row, key)
-	for i, a := range t.aggs {
-		g.accs[i] = NewAccumulator(a.Kind, a.Star, a.Distinct)
-	}
-	return g
+func (t *GroupTable) accsOf(i int) []Accumulator {
+	return t.accs[i*len(t.aggs):][:len(t.aggs)]
 }
 
 // Len is the number of groups started.
-func (t *GroupTable) Len() int { return t.n }
+func (t *GroupTable) Len() int { return len(t.rows) }
 
 // Rows returns one row per group in first-seen order: the key followed
 // by the aggregate results. A global aggregation (keyWidth 0) that saw
-// no input yields the one row of empty-input results. The rows are the
-// table's own; adding to a group afterwards and calling Rows again
-// overwrites their results.
+// no input starts its one group here, of empty-input results. The slice
+// and its rows are the table's own: adding to a group afterwards and
+// calling Rows again overwrites their results, and a caller that
+// reorders the slice is done with the table.
 func (t *GroupTable) Rows() []types.Row {
-	first, n := t.first, t.n
-	if n == 0 && t.keyWidth == 0 {
-		first, n = t.newGroup(nil), 1
+	if len(t.rows) == 0 && t.keyWidth == 0 {
+		t.Group(nil)
 	}
-	out := make([]types.Row, 0, n)
-	for g := first; g != nil; g = g.after {
-		for j, acc := range g.accs {
-			g.row[t.keyWidth+j] = acc.Result()
+	for i, row := range t.rows {
+		for j, acc := range t.accsOf(i) {
+			row[t.keyWidth+j] = acc.Result()
 		}
-		out = append(out, g.row)
 	}
-	return out
+	return t.rows
 }

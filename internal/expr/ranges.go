@@ -262,12 +262,15 @@ func (r Range) Admits(v types.Value) bool {
 	return found
 }
 
-// Point returns the one value of a range without keys whose ends meet:
-// what an equality admits, which a reader that looks values up one by
-// one looks up as it would Keys.
-func (r Range) Point() (types.Value, bool) {
-	if r.Keys != nil || r.Lo.Unbounded || r.Hi.Unbounded || !r.Lo.Inclusive || !r.Hi.Inclusive || r.Lo.Value.Compare(r.Hi.Value) != 0 {
-		return types.Null, false
+// Points returns the values a reader that looks values up one by one
+// looks up: the range's Keys, or the one value its ends meet at — what
+// an equality admits — appended to buf. It is nil for any other range.
+func (r Range) Points(buf []types.Value) []types.Value {
+	if r.Keys != nil {
+		return r.Keys
 	}
-	return r.Lo.Value, true
+	if r.Lo.Unbounded || r.Hi.Unbounded || !r.Lo.Inclusive || !r.Hi.Inclusive || r.Lo.Value.Compare(r.Hi.Value) != 0 {
+		return nil
+	}
+	return append(buf, r.Lo.Value)
 }

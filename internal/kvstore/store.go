@@ -123,10 +123,8 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	if other != nil {
 		return nil, fmt.Errorf("kvstore %s: unsupported pushed predicate %s", s.name, other)
 	}
-	keys := r.Keys
-	if k, ok := r.Point(); ok {
-		keys = []types.Value{k}
-	}
+	var one [1]types.Value
+	keys := r.Points(one[:0])
 	if keys == nil {
 		it := &scanIter{hi: r.Hi, limit: q.Limit}
 		it.at.seek(b.tree.view(), r.Lo)
@@ -234,23 +232,11 @@ func (s *Store) Update(_ context.Context, table string, filter expr.Expr, set []
 		row    types.Row
 	}
 	var updated []change
-	var evalErr error
 	var taken *BTree // the keys rows move to
-	b.tree.Ascend(expr.Unbounded, expr.Unbounded, func(k types.Value, r types.Row) bool {
-		if filter != nil {
-			ok, err := expr.EvalBool(filter, r)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
-		}
+	err = b.match(filter, func(k types.Value, r types.Row) error {
 		nr, err := source.SetRow(b.schema, r, set)
 		if err != nil {
-			evalErr = fmt.Errorf("kvstore %s bucket %s: %w", s.name, table, err)
-			return false
+			return fmt.Errorf("kvstore %s bucket %s: %w", s.name, table, err)
 		}
 		if nk := nr[b.keyCol]; !nk.Equal(k) {
 			if taken == nil {
@@ -259,16 +245,16 @@ func (s *Store) Update(_ context.Context, table string, filter expr.Expr, set []
 			_, held := b.tree.Get(nk)
 			switch {
 			case nk.IsNull():
-				evalErr = fmt.Errorf("kvstore %s: NULL key", s.name)
+				return fmt.Errorf("kvstore %s: NULL key", s.name)
 			case held || !taken.Put(nk, nil):
-				evalErr = fmt.Errorf("kvstore %s: duplicate key %v", s.name, nk)
+				return fmt.Errorf("kvstore %s: duplicate key %v", s.name, nk)
 			}
 		}
 		updated = append(updated, change{oldKey: k, row: nr})
-		return evalErr == nil
+		return nil
 	})
-	if evalErr != nil {
-		return 0, evalErr
+	if err != nil {
+		return 0, err
 	}
 	for _, ch := range updated {
 		// A key-column update moves the entry.
@@ -289,26 +275,45 @@ func (s *Store) Delete(_ context.Context, table string, filter expr.Expr) (int64
 		return 0, err
 	}
 	var keys []types.Value
-	var evalErr error
-	b.tree.Ascend(expr.Unbounded, expr.Unbounded, func(k types.Value, r types.Row) bool {
-		if filter != nil {
-			ok, err := expr.EvalBool(filter, r)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
-		}
+	err = b.match(filter, func(k types.Value, _ types.Row) error {
 		keys = append(keys, k)
-		return true
+		return nil
 	})
-	if evalErr != nil {
-		return 0, evalErr
+	if err != nil {
+		return 0, err
 	}
 	for _, k := range keys {
 		b.tree.Delete(k)
 	}
 	return int64(len(keys)), nil
+}
+
+// match calls fn, in key order until it errs, with each entry of b that
+// passes filter: as Execute does, it looks up the keys the filter's
+// range on the key column names, or walks that range, and it evaluates
+// the whole filter over each row found. Caller holds mu.
+func (b *bucket) match(filter expr.Expr, fn func(k types.Value, r types.Row) error) error {
+	var err error
+	visit := func(k types.Value, r types.Row) bool {
+		ok := filter == nil
+		if !ok {
+			ok, err = expr.EvalBool(filter, r)
+		}
+		if ok && err == nil {
+			err = fn(k, r)
+		}
+		return err == nil
+	}
+	rg, _ := expr.ColumnRange(filter, b.keyCol)
+	var one [1]types.Value
+	keys := rg.Points(one[:0])
+	if keys == nil {
+		b.tree.Ascend(rg.Lo, rg.Hi, visit)
+	}
+	for _, k := range keys {
+		if r, ok := b.tree.Get(k); ok && !visit(r[b.keyCol], r) {
+			break
+		}
+	}
+	return err
 }

@@ -565,3 +565,73 @@ func scanAll(tb testing.TB, s *Store, q *source.Query) int {
 		}
 	}
 }
+
+// TestKVWritesReadTheKeyRange: an UPDATE or a DELETE finds its rows
+// through the filter's key range, as Execute does, and evaluates the rest
+// of the filter over those rows only — here a conjunct ahead of the key's
+// that counts how often it is evaluated.
+func TestKVWritesReadTheKeyRange(t *testing.T) {
+	s := New("kv")
+	schema := types.NewSchema(
+		types.Column{Name: "id", Type: types.KindInt},
+		types.Column{Name: "name", Type: types.KindString},
+	)
+	if err := s.CreateBucket("users", schema, 0); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]types.Row, 10000)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewString("u")}
+	}
+	if _, err := s.Insert(ctx, "users", rows); err != nil {
+		t.Fatal(err)
+	}
+	id, num := expr.NewColRef("", "id"), func(i int64) expr.Expr { return expr.NewConst(types.NewInt(i)) }
+	renamed, err := expr.Bind(expr.NewConst(types.NewString("renamed")), schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		key  expr.Expr
+		want int
+	}{
+		{expr.NewBinary(expr.OpEq, id, num(4321)), 1},
+		{&expr.InList{E: id, List: []expr.Expr{num(7), num(8), num(9), num(20000)}}, 3},
+		{expr.NewBinary(expr.OpAnd, expr.NewBinary(expr.OpGe, id, num(100)), expr.NewBinary(expr.OpLt, id, num(110))), 10},
+	} {
+		bound, err := expr.Bind(c.key, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, write := range []string{"UPDATE", "DELETE"} {
+			counted := &evalCounter{}
+			filter := expr.NewBinary(expr.OpAnd, counted, bound)
+			var n int64
+			if write == "UPDATE" {
+				n, err = s.Update(ctx, "users", filter, []source.SetClause{{Col: 1, Value: renamed}})
+			} else {
+				n, err = s.Delete(ctx, "users", filter)
+			}
+			if err != nil || n != int64(c.want) || counted.n != c.want {
+				t.Errorf("%s WHERE %s: %d rows, %v, the residual evaluated %d times; want %d rows, as many evaluations",
+					write, filter, n, err, counted.n, c.want)
+			}
+		}
+	}
+	if info, _ := s.TableInfo(ctx, "users"); info.RowCount != 10000-14 {
+		t.Errorf("%d rows left, want %d", info.RowCount, 10000-14)
+	}
+}
+
+// evalCounter is a conjunct that is always true and counts how often it
+// is evaluated.
+type evalCounter struct{ n int }
+
+func (c *evalCounter) ResultType() types.Kind { return types.KindBool }
+
+func (c *evalCounter) Eval(types.Row) (types.Value, error) {
+	c.n++
+	return types.NewBool(true), nil
+}
+
+func (c *evalCounter) String() string { return "counted()" }

@@ -146,18 +146,15 @@ func (l *StructuredLog) buildRecord(sql string, start time.Time, d time.Duration
 	return rec
 }
 
-// phaseBreakdown sums the root's direct children by phase name —
-// parse/resolve/optimize/decompose plus the top-level exec subtree.
+// phaseBreakdown sums the root's direct children by kind: a
+// statement's parse, resolve, optimize, exec or write, a served
+// sub-query's parse, exec and stream. Retry and breaker markers have no
+// width and are not phases.
 func phaseBreakdown(root *Span) map[string]int64 {
 	out := map[string]int64{}
 	for _, c := range root.Children() {
-		switch c.Kind() {
-		case SpanParse, SpanResolve, SpanOptimize, SpanDecompose, SpanExec,
-			SpanWrite, SpanPrepare, SpanCommit, SpanAbort:
-			out[c.Kind().String()] += c.Duration().Microseconds()
-		default:
-			// Retry/breaker markers and nested detail spans are not
-			// top-level phases.
+		if k := c.Kind(); k != SpanRetry && k != SpanBreaker {
+			out[k.String()] += c.Duration().Microseconds()
 		}
 	}
 	if len(out) == 0 {

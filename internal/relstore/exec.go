@@ -51,11 +51,9 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	candidates, indexed := t.candidateRows(q.Filter, buf[:0])
 	switch {
 	case indexed:
-		it.cur = make([]types.Row, 0, len(candidates))
-		for _, pos := range candidates {
-			if r := t.at(int(pos)); r != nil {
-				it.cur = append(it.cur, r)
-			}
+		it.cur = make([]types.Row, len(candidates))
+		for i, pos := range candidates {
+			it.cur[i] = t.at(int(pos))
 		}
 	case len(q.OrderBy) > 0:
 		// Drained below, under the lock: there is nothing to borrow.
@@ -229,36 +227,35 @@ const probeRows = 128
 // where the filter's range on its column (expr.ColumnRange) names
 // finitely many values — an equality, an IN list as the semijoin
 // strategy ships, or NULL, which names none — and of those that do, the
-// one naming the fewest is probed, the lowest column on a tie. The
-// caller filters what the probe returns.
+// one naming the fewest is probed, the lowest column on a tie: a key's
+// bucket, keeping the rows whose value compares equal to it. The caller
+// filters what the probe returns.
 func (t *table) candidateRows(filter expr.Expr, buf []int32) ([]int32, bool) {
 	var best *hashIndex
 	var keys expr.Range
+	var one [1]types.Value
 	n := 0
 	for _, x := range t.indexes {
 		r, _ := expr.ColumnRange(filter, x.col)
-		k := len(r.Keys)
-		switch _, point := r.Point(); {
-		case point:
-			k = 1
-		case r.Keys == nil:
+		k := r.Points(one[:0])
+		if k == nil {
 			continue // an interval, which a hash index cannot walk
 		}
-		if best == nil || k < n || (k == n && x.col < best.col) {
-			best, n, keys = x, k, r
+		if best == nil || len(k) < n || (len(k) == n && x.col < best.col) {
+			best, n, keys = x, len(k), r
 		}
 	}
 	if best == nil {
 		return nil, false
 	}
-	if v, ok := keys.Point(); ok {
-		buf = best.probe(v.Hash(0), buf)
-	} else {
-		for _, k := range keys.Keys {
-			buf = best.probe(k.Hash(0), buf)
+	for _, k := range keys.Points(one[:0]) {
+		for p := best.First(k.Hash(0)); p >= 0; p = best.Next(p) {
+			if t.at(p)[best.col].Compare(k) == 0 {
+				buf = append(buf, int32(p))
+			}
 		}
 	}
-	// A chain runs from the row linked last, and two keys may share one:
+	// A bucket runs from the row linked last, and two keys may share one:
 	// positions are sorted and each kept once.
 	slices.Sort(buf)
 	return slices.Compact(buf), true

@@ -601,14 +601,14 @@ func TestChunkBytes(t *testing.T) {
 
 var chunkSink *chunk // makes TestChunkBytes' chunk escape
 
-// An index holds a row's position in next, 4 B, and a distinct value
-// in one map slot: an 8 B hash and a 4 B position padded to 16 B, with
-// a control byte beside it. Go's maps keep a table between 7/16 and 7/8
-// full, so a slot costs at most 17·16/7 ≈ 38.9 B an entry. next, grown
-// by append under the key, costs at most 5 B a row, and 4 B under the
-// secondary index, which sizes it once; the 2 000 customers' slots add
-// under 1 B a row. A slice per value cannot meet the ceiling: its slot
-// is 32 B, and the key's one-element slices alone add 8 B a row.
+// The ceiling is the one the map-headed index met: a distinct value in
+// one map slot, at most 17·16/7 ≈ 38.9 B an entry in a table kept
+// between 7/16 and 7/8 full, next at 5 B a row under the key and 4 B
+// under the secondary index, and under 1 B a row for the 2 000
+// customers' slots. A chain holds a row in head and next, one int32
+// each, with up to twice as many heads as positions: 8–16 B a row an
+// index. A slice per value cannot meet the ceiling: its slot is 32 B,
+// and the key's one-element slices alone add 8 B a row.
 func TestIndexBytesPerRow(t *testing.T) {
 	const n, fanout, ceiling = 100000, 50, 17.0*16/7 + 5 + 4 + 1
 	s := New("bench")
@@ -752,40 +752,40 @@ func TestIndexMatchesRebuild(t *testing.T) {
 	t.Logf("%d statements, %d transactions aborted, %d of %d rows live", statements, aborted, tbl.live.Load(), tbl.n)
 }
 
-// checkIndexes holds every index of tbl to the design: each position
-// linked once, a live row under its own value's hash, and the live
-// positions under each hash, in probe order, those of an index rebuilt
-// from the live rows.
+// checkIndexes holds every index of tbl to the design: each live
+// position linked once, under its own value's bucket, no tombstone
+// linked, and the live positions under each hash, in probe order, those
+// of an index rebuilt from the live rows.
 func checkIndexes(t *testing.T, step int, tbl *table) {
 	t.Helper()
 	for _, x := range tbl.indexes {
-		if len(x.next) != tbl.n {
-			t.Fatalf("step %d, index on %d: next holds %d positions, the table %d", step, x.col, len(x.next), tbl.n)
-		}
 		linked := make([]bool, tbl.n)
-		got := map[uint64][]int32{}
-		for h := range x.head {
-			for _, p := range x.probe(h, nil) {
+		got := map[uint64][]int{}
+		for b := 0; b < x.Buckets(); b++ {
+			for p := x.First(uint64(b)); p >= 0; p = x.Next(p) {
 				if linked[p] {
 					t.Fatalf("step %d, index on %d: position %d linked twice", step, x.col, p)
 				}
 				linked[p] = true
-				if r := tbl.at(int(p)); r != nil {
-					if r[x.col].Hash(0) != h {
-						t.Fatalf("step %d, index on %d: row %d = %v linked under another value's hash", step, x.col, p, r)
-					}
-					got[h] = append(got[h], p)
+				r := tbl.at(p)
+				if r == nil {
+					t.Fatalf("step %d, index on %d: tombstone %d linked", step, x.col, p)
 				}
+				h := r[x.col].Hash(0)
+				if int(h&uint64(x.Buckets()-1)) != b {
+					t.Fatalf("step %d, index on %d: row %d = %v linked under another value's bucket", step, x.col, p, r)
+				}
+				got[h] = append(got[h], p)
 			}
 		}
-		if i := slices.Index(linked, false); i >= 0 {
-			t.Fatalf("step %d, index on %d: position %d not linked", step, x.col, i)
-		}
-		want := map[uint64][]int32{}
+		want := map[uint64][]int{}
 		for pos := 0; pos < tbl.n; pos++ {
 			if r := tbl.at(pos); r != nil {
+				if !linked[pos] {
+					t.Fatalf("step %d, index on %d: position %d not linked", step, x.col, pos)
+				}
 				h := r[x.col].Hash(0)
-				want[h] = append(want[h], int32(pos))
+				want[h] = append(want[h], pos)
 			}
 		}
 		for h := range got {

@@ -10,10 +10,10 @@
 // hold copies that chunk instead of changing it (table.own). A deleted
 // row leaves a tombstone, and its position is never used again.
 //
-// A hash index (hashIndex) threads a chain of row positions per value
-// hash through one int32 array, so a table holds at most maxRows rows.
-// A probe yields positions in table order, which a chain does not keep
-// once a write relinks a row: it sorts what it walked.
+// A hash index (hashIndex) is a types.HashChain of the live rows'
+// positions, so a table holds at most maxRows rows. A probe yields
+// positions in table order, which a chain does not keep once a write
+// relinks a row: it sorts what it walked.
 package relstore
 
 import (
@@ -76,64 +76,21 @@ type table struct {
 // maxRows is how many rows a table holds: a position is an int32.
 const maxRows = math.MaxInt32
 
-// hashIndex is a hash index on column col: head maps a value's hash to
-// the position of the row last linked under it, and next[pos] to the
-// one linked before row pos under the same hash, or -1. Every position
-// is linked exactly once — a tombstone stays linked where its row was,
-// and probes skip it — so an index costs a table 4 B a row and a map
-// entry a distinct hash, and linking a row allocates nothing beyond
-// next's amortised growth.
+// hashIndex is a hash index on column col: a chain of the live rows'
+// positions under their values' hashes, about 8–16 B a row. A delete
+// unlinks its row and an abort's undo links it again, so no tombstone is
+// linked and growth rehashes live rows only.
 type hashIndex struct {
-	col  int
-	head map[uint64]int32
-	next []int32
+	t   *table
+	col int
+	types.HashChain
 }
 
-// first returns the position last linked under hash h, or -1: a chain
-// is walked as for p := x.first(h); p >= 0; p = x.next[p].
-func (x *hashIndex) first(h uint64) int32 {
-	if p, ok := x.head[h]; ok {
-		return p
-	}
-	return -1
-}
+// link links live row pos, which holds r, under r's value of col.
+func (x *hashIndex) link(pos int, r types.Row) { x.Link(pos, r[x.col].Hash(0), x.rehash) }
 
-// link puts row pos at the head of hash h's chain. pos is either the
-// next position of the table or one unlink just took out.
-func (x *hashIndex) link(pos int, h uint64) {
-	prev := x.first(h)
-	x.head[h] = int32(pos)
-	if pos == len(x.next) {
-		x.next = append(x.next, prev)
-	} else {
-		x.next[pos] = prev
-	}
-}
-
-// unlink takes row pos out of hash h's chain.
-func (x *hashIndex) unlink(pos int, h uint64) {
-	p := x.head[h]
-	if int(p) == pos {
-		if x.next[pos] < 0 {
-			delete(x.head, h)
-		} else {
-			x.head[h] = x.next[pos]
-		}
-		return
-	}
-	for int(x.next[p]) != pos {
-		p = x.next[p]
-	}
-	x.next[p] = x.next[pos]
-}
-
-// probe appends the positions linked under hash h to buf.
-func (x *hashIndex) probe(h uint64, buf []int32) []int32 {
-	for p := x.first(h); p >= 0; p = x.next[p] {
-		buf = append(buf, p)
-	}
-	return buf
-}
+// rehash is the hash live row p is linked under.
+func (x *hashIndex) rehash(p int) uint64 { return x.t.at(p)[x.col].Hash(0) }
 
 // index returns the hash index on column col, or nil.
 func (t *table) index(col int) *hashIndex {
@@ -219,7 +176,7 @@ func (s *Store) CreateTable(name string, schema *types.Schema, keyCols ...int) e
 	t := &table{schema: schema.Clone(), key: append([]int(nil), keyCols...)}
 	for _, k := range keyCols {
 		if t.index(k) == nil {
-			t.indexes = append(t.indexes, &hashIndex{col: k, head: make(map[uint64]int32)})
+			t.indexes = append(t.indexes, &hashIndex{t: t, col: k})
 		}
 	}
 	s.tables[name] = t
@@ -240,15 +197,11 @@ func (s *Store) CreateIndex(name string, col int) error {
 	if t.index(col) != nil {
 		return nil
 	}
-	// A tombstone is linked under the hash of NULL, where a probe finds
-	// no row and moves on.
-	x := &hashIndex{col: col, head: make(map[uint64]int32), next: make([]int32, 0, t.n)}
+	x := &hashIndex{t: t, col: col, HashChain: types.NewHashChain(t.n)}
 	for pos := 0; pos < t.n; pos++ {
-		v := types.Null
 		if r := t.at(pos); r != nil {
-			v = r[col]
+			x.link(pos, r)
 		}
-		x.link(pos, v.Hash(0))
 	}
 	t.indexes = append(t.indexes, x)
 	return nil
@@ -364,23 +317,31 @@ func (t *table) insertLocked(r types.Row) int {
 	}
 	t.dir[pos/chunkRows][pos%chunkRows] = r
 	t.n++
-	t.live.Add(1)
-	for _, x := range t.indexes {
-		x.link(pos, r[x.col].Hash(0))
-	}
+	t.linkLocked(pos, r)
 	return pos
 }
 
-// deleteLocked tombstones row pos. It stays linked where it is in
-// every index: a nil row, which probes skip.
+// deleteLocked unlinks row pos from every index and tombstones it.
 func (t *table) deleteLocked(pos int) types.Row {
 	old := t.at(pos)
 	if old == nil {
 		return nil
 	}
+	for _, x := range t.indexes {
+		x.Unlink(pos, old[x.col].Hash(0))
+	}
 	t.set(pos, nil)
 	t.live.Add(-1)
 	return old
+}
+
+// linkLocked counts r, just put at pos, live and links it into every
+// index.
+func (t *table) linkLocked(pos int, r types.Row) {
+	t.live.Add(1)
+	for _, x := range t.indexes {
+		x.link(pos, r)
+	}
 }
 
 // replaceLocked overwrites live row pos with r, and relinks it in every
@@ -389,9 +350,9 @@ func (t *table) replaceLocked(pos int, r types.Row) types.Row {
 	old := t.at(pos)
 	t.set(pos, r)
 	for _, x := range t.indexes {
-		if oh, nh := old[x.col].Hash(0), r[x.col].Hash(0); oh != nh {
-			x.unlink(pos, oh)
-			x.link(pos, nh)
+		if oh := old[x.col].Hash(0); oh != r[x.col].Hash(0) {
+			x.Unlink(pos, oh)
+			x.link(pos, r)
 		}
 	}
 	return old

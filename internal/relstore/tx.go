@@ -83,6 +83,9 @@ func (tx *Tx) Insert(_ context.Context, tbl string, rows []types.Row) (int64, er
 	if err := (&source.TableInfo{Schema: t.schema}).CheckWrite(tbl, nil, rows); err != nil {
 		return 0, fmt.Errorf("relstore %s: %w", tx.s.name, err)
 	}
+	for _, x := range t.indexes {
+		x.Reserve(int(t.live.Load())+len(rows), x.rehash)
+	}
 	var n int64
 	for _, r := range rows {
 		if t.n == maxRows {
@@ -199,7 +202,7 @@ func (tx *Tx) Abort(context.Context) error {
 			u.t.deleteLocked(u.pos)
 		case undoDelete:
 			u.t.set(u.pos, u.old)
-			u.t.live.Add(1)
+			u.t.linkLocked(u.pos, u.old)
 		case undoReplace:
 			u.t.replaceLocked(u.pos, u.old)
 		}
@@ -212,8 +215,8 @@ func (tx *Tx) Abort(context.Context) error {
 
 // checkKey enforces the primary key: r's key holds no NULL and no row
 // but the one at position self, which r is about to replace (-1: r is
-// new), holds r's key. It walks the chain of r's first key column in
-// place.
+// new), holds r's key. It compares r with the rows in the bucket of its
+// first key column's hash, in place.
 func (t *table) checkKey(r types.Row, self int) error {
 	if len(t.key) == 0 {
 		return nil
@@ -224,19 +227,9 @@ func (t *table) checkKey(r types.Row, self int) error {
 		}
 	}
 	x := t.index(t.key[0])
-	for p := x.first(r[x.col].Hash(0)); p >= 0; p = x.next[p] {
-		ex := t.at(int(p))
-		if ex == nil || int(p) == self {
-			continue
-		}
-		same := true
-		for _, k := range t.key {
-			if !ex[k].Equal(r[k]) {
-				same = false
-				break
-			}
-		}
-		if same {
+	for p := x.First(r[x.col].Hash(0)); p >= 0; p = x.Next(p) {
+		ex := t.at(p)
+		if p != self && !slices.ContainsFunc(t.key, func(k int) bool { return !ex[k].Equal(r[k]) }) {
 			return fmt.Errorf("duplicate key %v", keyOf(r, t.key))
 		}
 	}

@@ -271,11 +271,9 @@ func rangeSel(r expr.Range, cs ColumnStats) float64 {
 	if r.Empty() {
 		return 0
 	}
-	if r.Keys != nil {
-		return clamp(float64(len(r.Keys)) * eqSel(cs))
-	}
-	if _, ok := r.Point(); ok {
-		return eqSel(cs)
+	var one [1]types.Value
+	if keys := r.Points(one[:0]); keys != nil {
+		return clamp(float64(len(keys)) * eqSel(cs))
 	}
 	lo, hi, loOK, hiOK := 0.0, 1.0, true, true
 	if !r.Lo.Unbounded {

@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -83,6 +84,47 @@ func TestTraceTrailerStitch(t *testing.T) {
 		t.Error("ship span missing remote_us (WAN split input)")
 	}
 	scan(t, cl, ctx, 600)
+}
+
+// TestServedSubQueryLogsItsPhases: gisd -query-log's record of a traced
+// sub-query sums every phase under its remote span, the stream that
+// carried its rows included.
+func TestServedSubQueryLogsItsPhases(t *testing.T) {
+	srv, err := Serve(context.Background(), "127.0.0.1:0", itemsStore(t, 600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	logged := make(lineChan, 4)
+	srv.Queries.SetStructured(obs.NewStructuredLog(logged, 1, nil))
+	cl, err := DialContext(ctx, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	runTracedScan(t, cl, 600)
+	var rec obs.QueryLogRecord
+	select {
+	case line := <-logged:
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("record %s: %v", line, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the served sub-query logged no record")
+	}
+	for _, phase := range []string{"parse", "exec", "stream"} {
+		if _, ok := rec.PhasesUS[phase]; !ok {
+			t.Errorf("phases_us = %v, want %s", rec.PhasesUS, phase)
+		}
+	}
+}
+
+// lineChan is a writer that hands each write to whoever reads it.
+type lineChan chan []byte
+
+func (c lineChan) Write(p []byte) (int, error) {
+	c <- append([]byte(nil), p...)
+	return len(p), nil
 }
 
 // scan drains a full-table scan of n rows under sctx.

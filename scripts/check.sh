@@ -18,8 +18,8 @@
 #                   seed corpora of the fuzz targets (wire FuzzDecoder,
 #                   FuzzStream, FuzzServe and FuzzServeWrite, sql FuzzParse, filestore
 #                   FuzzScanRecords, docstore FuzzDocCodec, expr
-#                   FuzzColumnRange, catalog FuzzToRemote; `make fuzz`
-#                   fuzzes each for 10 s) and
+#                   FuzzColumnRange, catalog FuzzToRemote, types
+#                   FuzzHashChain; `make fuzz` fuzzes each for 10 s) and
 #                   the concurrency tests no analyzer can stand in for:
 #                   workload TestConcurrentGlobalUpdates, wire
 #                   TestTwoTransactionsOneClient, TestCallObservesDeadline
