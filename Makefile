@@ -64,11 +64,13 @@ chaos:
 	$(GO) test -race -run TestChaos ./...
 
 # Overload robustness: the multi-tenant admission chaos suite (memory
-# ceiling, fair shedding, goroutine-leak checks under -race) plus a
-# quick OV1 overload bench, JSON schema-validated (see DESIGN.md
+# ceiling, fair shedding, goroutine-leak checks under -race), the memory
+# quota's tests (one statement's account: what is held is charged, the
+# grower alone is refused with a typed error, every holder gives back)
+# plus a quick OV1 overload bench, JSON schema-validated (see DESIGN.md
 # "Admission, quotas & backpressure").
 overload:
-	$(GO) test -race -run TestChaosOverload -count=1 ./internal/core
+	$(GO) test -race -run 'TestChaosOverload|TestQuota|TestMemQuota|TestHoldersGiveBack' -count=1 ./internal/core ./internal/exec ./internal/admission
 	$(GO) run ./cmd/gisbench -overload -tenants 8 -scale 0.05 -reps 1 -latency 200us -json | $(GO) run ./scripts/benchjson
 
 # Ten seconds of coverage-guided fuzzing per byte-reader: the wire

@@ -71,7 +71,7 @@ func main() {
 		deadline    = flag.Duration("deadline", 0, "default per-statement deadline, propagated to remote fragments (0 = none)")
 		maxInflight = flag.Int("max-inflight", 0, "admission: max concurrently executing statements (0 = unlimited)")
 		tenantRate  = flag.Float64("tenant-rate", 0, "admission: per-tenant sustained statements/sec (0 = unlimited)")
-		tenantQuota = flag.Int64("tenant-quota", 0, "admission: per-tenant result-stream memory quota in bytes (0 = unlimited)")
+		memQuota    = flag.Int64("mem-quota", 0, "bytes one statement may hold at the mediator (0 = unlimited)")
 	)
 	flag.Var(&sources, "source", "component system: name=host:port (repeatable)")
 	flag.Parse()
@@ -96,11 +96,11 @@ func main() {
 	}
 	connectTimeout = *dialTO
 	clientTenant = *tenant
-	if *maxInflight > 0 || *tenantRate > 0 || *tenantQuota > 0 || *deadline > 0 {
+	if *maxInflight > 0 || *tenantRate > 0 || *memQuota > 0 || *deadline > 0 {
 		e.SetAdmission(admission.New(admission.Config{
 			MaxInFlight:     *maxInflight,
 			TenantRate:      *tenantRate,
-			MemQuota:        *tenantQuota,
+			MemQuota:        *memQuota,
 			DefaultDeadline: *deadline,
 			// Breaker-style shedding: when any source's breaker is open,
 			// over-limit statements are shed instead of queued.

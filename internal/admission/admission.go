@@ -1,8 +1,8 @@
 // Package admission is the mediator's overload-protection front end:
 // every top-level query passes through a Controller before planning.
 // The controller enforces a global in-flight cap with queue-with-
-// deadline semantics, per-tenant token buckets, and a
-// per-tenant memory quota over result-stream bytes. Over-limit queries
+// deadline semantics, per-tenant token buckets, and a memory quota on
+// the bytes one statement holds at the mediator. Over-limit queries
 // wait up to their deadline and are then shed with a typed
 // *OverloadError (errors.Is-matchable via ErrOverload, with a
 // retryable hint), so clients can tell transient pressure from hard
@@ -39,9 +39,11 @@ type Config struct {
 	// max(1, TenantRate)). 0 = no per-tenant rate limit.
 	TenantRate  float64
 	TenantBurst float64
-	// MemQuota bounds the result-stream bytes a tenant's in-flight
-	// sessions may hold in aggregate. Exceeding it aborts the tenant's
-	// largest session (never the process). 0 = unlimited.
+	// MemQuota bounds the bytes one admitted statement may hold at the
+	// mediator: the rows its kept inputs, hash tables, group tables and
+	// top-k heaps have charged to its Session (Grow). The Grow that
+	// would pass it is refused with a typed, non-retryable mem_quota
+	// error; no other statement is touched. 0 = unlimited.
 	MemQuota int64
 	// DefaultDeadline is applied to queries whose context carries no
 	// deadline. 0 = none.
@@ -71,23 +73,15 @@ type Controller struct {
 	hQueueWait *obs.Histogram
 }
 
-// tenantState is one tenant's bucket and memory account. The bucket is
-// mutated under Controller.mu (once per query); the byte account uses
-// atomics because it is touched per row batch. A tenant's name is
-// whatever a peer sent, so its state lives only while something would be
-// lost without it (idle).
+// tenantState is one tenant's bucket, mutated under Controller.mu (once
+// per query). A tenant's name is whatever a peer sent, so its state
+// lives only while something would be lost without it (idle).
 type tenantState struct {
-	name   string
 	tokens float64 // may go negative: reservations queue on the bucket
 	last   time.Time
-
-	bytes atomic.Int64
 	// holds counts the tenant's queries between Admit's look-up and
-	// their shedding or Release; sessions are the admitted ones among
-	// them, kept only under a memory quota (abortWorst's candidates).
-	// Both guarded by Controller.mu.
-	holds    int
-	sessions map[*Session]struct{}
+	// their shedding or Release.
+	holds int
 }
 
 // New builds a controller from cfg.
@@ -140,12 +134,7 @@ func (c *Controller) idle(t *tenantState, now time.Time) bool {
 func (c *Controller) hold(name string, now time.Time) *tenantState {
 	t, ok := c.tenants[name]
 	if !ok {
-		t = &tenantState{
-			name:     name,
-			tokens:   c.cfg.TenantBurst,
-			last:     now,
-			sessions: make(map[*Session]struct{}),
-		}
+		t = &tenantState{tokens: c.cfg.TenantBurst, last: now}
 		c.tenants[name] = t
 	}
 	t.holds++
@@ -186,10 +175,10 @@ func (t *tenantState) unreserve() { t.tokens++ }
 // Admit gates one query for the given tenant ("" is the anonymous
 // tenant, which shares one bucket). On success it returns the context the
 // query MUST run under — the session itself, which carries the default
-// deadline and, under a memory quota, the controller's abort lever — and
-// the session to Release when the query finishes: one object, without a
-// quota or a default deadline. On overload it returns a typed
-// *OverloadError matching ErrOverload.
+// deadline and the statement's memory account — and the session to
+// Release when the query finishes: one object, without a default
+// deadline. On overload it returns a typed *OverloadError matching
+// ErrOverload.
 func (c *Controller) Admit(ctx context.Context, tenant string) (context.Context, *Session, error) {
 	if c == nil {
 		return ctx, nil, nil
@@ -269,17 +258,10 @@ func (c *Controller) Admit(ctx context.Context, tenant string) (context.Context,
 	}
 
 	// Admitted: the session wraps the caller's context, under the default
-	// deadline when one applies and under the abort lever — registered
-	// for abortWorst to pull — only when a memory quota can pull it.
+	// deadline when one applies.
 	s := &Session{Context: ctx, c: c, t: t, tenant: tenant}
 	if c.cfg.DefaultDeadline > 0 && !hasDeadline {
 		s.Context, s.cancelTimeout = context.WithTimeout(s.Context, c.cfg.DefaultDeadline)
-	}
-	if c.cfg.MemQuota > 0 {
-		s.Context, s.cancel = context.WithCancelCause(s.Context)
-		c.mu.Lock()
-		t.sessions[s] = struct{}{}
-		c.mu.Unlock()
 	}
 	c.mAdmitted.Inc()
 	c.gInflight.Add(1)
@@ -313,22 +295,22 @@ func (c *Controller) refuse(t *tenantState, tenant string, reason Reason, retrya
 
 // Session is one admitted query: the context it runs under (SessionFrom
 // finds the session in it and in every context derived from it), and its
-// handle on the controller, which accounts result-stream bytes against
-// the tenant's memory quota and releases the in-flight slot when the
-// query finishes.
+// handle on the controller, which keeps the statement's memory account
+// and releases the in-flight slot when the query finishes.
 type Session struct {
-	context.Context // the caller's, or it under the default deadline and the abort lever
+	context.Context // the caller's, or it under the default deadline
 
 	c      *Controller
 	t      *tenantState
 	tenant string
 
-	cancel        context.CancelCauseFunc // the abort lever; nil without a MemQuota
-	cancelTimeout context.CancelFunc      // DefaultDeadline timer, if armed
+	cancelTimeout context.CancelFunc // DefaultDeadline timer, if armed
 
-	bytes    atomic.Int64
+	// held is the statement's memory account: what its holders have
+	// grown by and not yet shrunk. Holders may grow at once (a parallel
+	// union's branches), so it is atomic.
+	held     atomic.Int64
 	released atomic.Bool
-	aborted  atomic.Pointer[OverloadError]
 }
 
 // Value implements context.Context: the session answers for itself and
@@ -348,111 +330,45 @@ func (s *Session) Tenant() string {
 	return s.tenant
 }
 
-// Metered reports whether the bytes a query fetches count against a
-// quota: AddBytes is worth calling, and the sizes it is given worth
+// Metered reports whether the statement has a memory quota: Grow and
+// Shrink are worth calling, and the sizes they are given worth
 // computing, only then.
 func (s *Session) Metered() bool { return s != nil && s.c.cfg.MemQuota > 0 }
 
-// AddBytes accounts n bytes of result-stream data against the tenant's
-// memory quota. When the quota is exceeded the tenant's largest session
-// is aborted (its context is cancelled and its subsequent AddBytes
-// calls return the overload error); other sessions continue. A nil
-// session accounts nothing.
-func (s *Session) AddBytes(n int64) error {
-	if s == nil {
-		return nil
-	}
-	if e := s.aborted.Load(); e != nil {
-		return e
-	}
-	s.bytes.Add(n)
-	total := s.t.bytes.Add(n)
-	if q := s.c.cfg.MemQuota; q > 0 && total > q {
-		s.c.abortWorst(s.t)
-		if e := s.aborted.Load(); e != nil {
-			return e
+// Grow charges n bytes the statement has come to hold at the mediator.
+// When that would pass the memory quota it charges nothing and returns
+// the typed, non-retryable mem_quota error, which the holder returns as
+// its own: the statement fails, and no other is touched. Call it only on
+// a metered session.
+func (s *Session) Grow(n int64) error {
+	for held := s.held.Load(); held+n <= s.c.cfg.MemQuota; held = s.held.Load() {
+		if s.held.CompareAndSwap(held, held+n) {
+			return nil
 		}
 	}
-	return nil
+	s.c.mMemAborts.Inc()
+	s.c.mShed.Inc()
+	return &OverloadError{Tenant: s.tenant, Reason: ReasonMemQuota, Retryable: false}
 }
 
-// Bytes returns the session's accounted result-stream bytes.
-func (s *Session) Bytes() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.bytes.Load()
-}
+// Shrink gives back n bytes a holder grew by and no longer holds.
+func (s *Session) Shrink(n int64) { s.held.Add(-n) }
 
-// Aborted returns the overload error that aborted this session, or nil.
-// Engines use it to surface a typed ErrOverload instead of the bare
-// context.Canceled the abort provoked. (Err is the context's.)
-func (s *Session) Aborted() error {
-	if s == nil {
-		return nil
-	}
-	if e := s.aborted.Load(); e != nil {
-		return e
-	}
-	return nil
-}
-
-// Release returns the session's in-flight slot and removes its bytes
-// from the tenant account. Idempotent.
+// Release returns the session's in-flight slot; the memory account ends
+// with the session. Idempotent.
 func (s *Session) Release() {
 	if s == nil || !s.released.CompareAndSwap(false, true) {
 		return
 	}
-	s.t.bytes.Add(-s.bytes.Load())
 	s.c.mu.Lock()
-	delete(s.t.sessions, s)
 	s.t.holds--
 	s.c.mu.Unlock()
 	if s.c.slots != nil {
 		<-s.c.slots
 	}
 	s.c.gInflight.Add(-1)
-	if s.cancel != nil {
-		s.cancel(nil)
-	}
 	if s.cancelTimeout != nil {
 		s.cancelTimeout()
-	}
-}
-
-// abortWorst aborts the tenant's largest un-aborted session: it stores
-// the typed error on the victim and cancels the victim's context, so
-// the query fails with ErrOverload while the process (and the tenant's
-// other sessions) survive. Re-checks the quota under the lock so
-// concurrent AddBytes calls abort at most one victim per overrun.
-func (c *Controller) abortWorst(t *tenantState) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t.bytes.Load() <= c.cfg.MemQuota {
-		return
-	}
-	var worst *Session
-	var worstBytes int64
-	for s := range t.sessions {
-		if s.aborted.Load() != nil {
-			continue
-		}
-		if b := s.bytes.Load(); worst == nil || b > worstBytes {
-			worst, worstBytes = s, b
-		}
-	}
-	if worst == nil {
-		return
-	}
-	e := &OverloadError{Tenant: t.name, Reason: ReasonMemQuota, Retryable: false}
-	if worst.aborted.CompareAndSwap(nil, e) {
-		// Remove the victim's bytes from the account immediately so the
-		// surviving sessions stop tripping the quota while the victim
-		// unwinds; Release subtracts only what accrued afterwards.
-		t.bytes.Add(-worst.bytes.Swap(0))
-		worst.cancel(e)
-		c.mMemAborts.Inc()
-		c.mShed.Inc()
 	}
 }
 

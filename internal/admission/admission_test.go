@@ -43,7 +43,7 @@ func TestNilControllerAdmits(t *testing.T) {
 		t.Fatalf("nil controller = %v, %v, %v", actx, s, err)
 	}
 	s.Release() // nil-safe
-	if s.AddBytes(1) != nil || s.Aborted() != nil || s.Bytes() != 0 || s.Tenant() != "" {
+	if s.Metered() || s.Tenant() != "" {
 		t.Error("nil session accessors must be inert")
 	}
 }
@@ -173,51 +173,54 @@ func TestDegradedShedsImmediately(t *testing.T) {
 	}
 }
 
-func TestMemQuotaAbortsWorstSession(t *testing.T) {
+// A memory quota bounds one statement: the Grow that would pass it is
+// refused with the typed, non-retryable mem_quota error and charges
+// nothing, Shrink gives bytes back, a second session of the same tenant
+// has an account of its own, and the account ends with Release. Nothing
+// is cancelled.
+func TestMemQuotaRefusesTheGrower(t *testing.T) {
 	c := New(Config{MemQuota: 1000})
 	ctx1, s1 := mustAdmit(t, c, bg, "a")
-	defer s1.Release()
 	ctx2, s2 := mustAdmit(t, c, bg, "a")
 	defer s2.Release()
+	if !s1.Metered() {
+		t.Fatal("a session under a memory quota must be metered")
+	}
 
-	if err := s1.AddBytes(600); err != nil {
-		t.Fatalf("s1 under quota: %v", err)
+	if err := s1.Grow(600); err != nil {
+		t.Fatalf("s1 under its quota: %v", err)
 	}
-	// s2's charge blows the tenant quota; s2 is the larger offender.
-	err := s2.AddBytes(900)
+	err := s1.Grow(500)
 	var oe *OverloadError
-	if !errors.As(err, &oe) || oe.Reason != ReasonMemQuota || oe.Retryable {
-		t.Fatalf("quota abort = %v, want non-retryable mem_quota", err)
+	if !errors.As(err, &oe) || !errors.Is(err, ErrOverload) || oe.Reason != ReasonMemQuota || oe.Retryable || oe.Tenant != "a" {
+		t.Fatalf("a Grow past the quota = %v, want a non-retryable mem_quota overload for a", err)
 	}
-	select {
-	case <-ctx2.Done():
-		if cause := context.Cause(ctx2); !errors.Is(cause, ErrOverload) {
-			t.Errorf("victim cause = %v, want overload", cause)
-		}
-	default:
-		t.Error("victim context must be cancelled")
-	}
-	// The survivor keeps running and the tenant account was repaired.
 	if ctx1.Err() != nil {
-		t.Error("survivor context must stay live")
+		t.Errorf("a refused Grow cancelled its statement: %v", ctx1.Err())
 	}
-	if err := s1.AddBytes(100); err != nil {
-		t.Errorf("survivor AddBytes after abort = %v", err)
+	// The refused Grow charged nothing: 400 still fit, and no more.
+	if err := s1.Grow(400); err != nil {
+		t.Errorf("s1 after a refusal, back to its quota: %v", err)
 	}
-	// ResolveErr maps the bare cancellation back to the typed abort.
-	if got := ResolveErr(ctx2, context.Canceled); !errors.Is(got, ErrOverload) {
-		t.Errorf("ResolveErr on victim = %v, want typed overload", got)
+	if err := s1.Grow(1); !errors.Is(err, ErrOverload) {
+		t.Errorf("s1 one byte past its quota: %v, want refused", err)
 	}
-	// ...but leaves foreign errors and healthy sessions alone.
-	sentinel := errors.New("boom")
-	if got := ResolveErr(ctx2, sentinel); got != sentinel {
-		t.Errorf("ResolveErr must pass through foreign errors, got %v", got)
+	s1.Shrink(600)
+	if err := s1.Grow(600); err != nil {
+		t.Errorf("s1 after Shrink gave 600 back: %v", err)
 	}
-	if got := ResolveErr(ctx1, context.Canceled); got != context.Canceled {
-		t.Errorf("ResolveErr on healthy session = %v, want passthrough", got)
+
+	// The tenant's other session is untouched, and has all of its own.
+	if err := s2.Grow(1000); err != nil || ctx2.Err() != nil {
+		t.Errorf("s2 beside a full s1: %v (context %v)", err, ctx2.Err())
 	}
-	if got := ResolveErr(bg, context.Canceled); got != context.Canceled {
-		t.Errorf("ResolveErr without session = %v, want passthrough", got)
+
+	// Release ends the account: a new statement of the tenant starts empty.
+	s1.Release()
+	_, s3 := mustAdmit(t, c, bg, "a")
+	defer s3.Release()
+	if err := s3.Grow(1000); err != nil {
+		t.Errorf("a new session after s1's Release: %v", err)
 	}
 }
 

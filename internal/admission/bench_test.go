@@ -4,9 +4,9 @@ import "testing"
 
 // BenchmarkAdmitRelease is admission's rung: one Admit and its Release on
 // a controller that never queues or sheds (MaxInFlight 64, as the
-// benchmark installs it) — unmetered, and under a memory quota, which
-// arms the abort lever and registers the session. Read B/op and
-// allocs/op.
+// benchmark installs it) — unmetered, and under a memory quota, whose
+// account is a field of the session: both make the session and nothing
+// else. Read B/op and allocs/op.
 func BenchmarkAdmitRelease(b *testing.B) {
 	for _, c := range []struct {
 		name string

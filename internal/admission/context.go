@@ -20,8 +20,7 @@ func TenantFrom(ctx context.Context) string {
 }
 
 // SessionFrom returns the admitted session governing ctx, or nil. The
-// executor uses it to account result-stream bytes against the tenant's
-// memory quota.
+// executor charges what a statement holds to its memory account.
 func SessionFrom(ctx context.Context) *Session {
 	s, _ := ctx.Value(sessionKey{}).(*Session)
 	return s

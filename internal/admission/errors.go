@@ -1,7 +1,6 @@
 package admission
 
 import (
-	"context"
 	"errors"
 	"strconv"
 	"strings"
@@ -31,8 +30,9 @@ const (
 	// degraded, so over-limit queries are shed immediately
 	// (breaker-style) instead of queueing.
 	ReasonDegraded Reason = "degraded"
-	// ReasonMemQuota: the tenant exceeded its memory quota and this
-	// session was the largest offender, so it was aborted.
+	// ReasonMemQuota: the statement would have held more at the
+	// mediator than its memory quota allows, so the holder that grew
+	// past it refused.
 	ReasonMemQuota Reason = "mem_quota"
 )
 
@@ -106,29 +106,6 @@ func ParseWireError(s string) (*OverloadError, bool) {
 		}
 	}
 	return e, true
-}
-
-// ResolveErr maps the bare context cancellation a session abort
-// provokes back to the typed overload error. A memory-quota abort
-// cancels the victim's context, so the executor usually surfaces
-// context.Canceled; the typed cause lives on the session. Every other
-// error (including a real caller cancellation) passes through.
-func ResolveErr(ctx context.Context, err error) error {
-	if err == nil {
-		return nil
-	}
-	s := SessionFrom(ctx)
-	if s == nil {
-		return err
-	}
-	ae := s.Aborted()
-	if ae == nil {
-		return err
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, ErrOverload) {
-		return ae
-	}
-	return err
 }
 
 // shedError builds the typed error for one shed decision.

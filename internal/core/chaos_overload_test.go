@@ -1,9 +1,12 @@
 // Overload chaos: many tenants drive a wire-attached federation past
 // its admission capacity while one slow consumer drags a stream out,
-// exercising quotas, typed shedding, TCP backpressure on a result
-// stream, and the engine's session accounting all at once. Lives in
-// package core_test because it builds fixtures through internal/workload
-// (which imports core).
+// exercising rate quotas, typed shedding and TCP backpressure on a
+// result stream all at once. The memory quota is one account per
+// statement, charged for what the mediator holds: a storm statement
+// holds its few groups and the slow stream one row at a time, so none
+// comes near it (a statement that did would fail alone, typed:
+// TestQuotaErrorIsTyped). Lives in package core_test because it builds
+// fixtures through internal/workload (which imports core).
 package core_test
 
 import (

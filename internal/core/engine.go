@@ -104,8 +104,7 @@ func (e *Engine) Queries() *obs.QueryLog { return e.qlog }
 // rooted at a query span. A shed statement returns the typed overload
 // error immediately, before any planning work. On success the returned
 // context must be used for the statement; finish must be called exactly
-// once with the statement's outcome and returns that outcome with a
-// session abort mapped back to its typed ErrOverload. A statement whose
+// once with the statement's outcome and returns it. A statement whose
 // context already carries a session or a trace (the caller's own) keeps
 // them: it is not admitted twice, its spans attach under the caller's
 // root, and lastTrace is not published.
@@ -135,9 +134,7 @@ func (e *Engine) instrument(ctx context.Context, text string, measure bool) (con
 	if tr != nil {
 		ctx, root = obs.StartSpan(ctx, obs.SpanQuery, text)
 	}
-	sctx := ctx
 	return ctx, func(err error) error {
-		err = admission.ResolveErr(sctx, err)
 		if err != nil {
 			root.SetAttr("error", err.Error())
 		}
@@ -299,10 +296,6 @@ func (f *finishIter) Next() (types.Row, error) {
 		if verr := f.judge(); verr != nil {
 			return nil, verr
 		}
-	} else if err != nil {
-		// A memory-quota abort cancels the stream's context; surface the
-		// typed overload error instead of the bare cancellation.
-		err = admission.ResolveErr(f.ctx, err)
 	}
 	return r, err
 }

@@ -115,7 +115,7 @@ func benchmarkJoin(b *testing.B, j *plan.Join, left, right []types.Row, want int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := joinRows(context.Background(), j, source.SliceIter(left), right, false)
+		it := joinRows(context.Background(), j, source.SliceIter(left), right, account{}, false)
 		var err error
 		n := 0
 		for ; err == nil; n++ {
@@ -444,7 +444,7 @@ func TestOperatorAllocsDoNotGrowPerRow(t *testing.T) {
 
 	right, j := benchJoinSide(1000), benchJoin()
 	probe := func(n int) {
-		drain(joinRows(ctx, j, source.SliceIter(rows[:n]), right, false), n/2)
+		drain(joinRows(ctx, j, source.SliceIter(rows[:n]), right, account{}, false), n/2)
 	}
 	checkSlope(t, "hash-join probe", n, probe)
 
@@ -460,7 +460,7 @@ func TestOperatorAllocsDoNotGrowPerRow(t *testing.T) {
 				}
 			}
 		}
-		drain(joinRows(ctx, j, source.SliceIter(rows[:n]), right, false), want)
+		drain(joinRows(ctx, j, source.SliceIter(rows[:n]), right, account{}, false), want)
 	}
 	checkSlope(t, "non-equi probe", n, nonEqui)
 

@@ -7,6 +7,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -14,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"gis/internal/admission"
 	"gis/internal/expr"
 	"gis/internal/obs"
 	"gis/internal/plan"
@@ -214,13 +216,96 @@ func slabFor(lent bool) (s types.RowSlab) {
 	return s
 }
 
-// Collect runs the plan and materializes every row: it keeps them.
+// Collect runs the plan and materializes every row: it keeps them, and
+// they stay charged to the statement's memory quota until it ends.
 func Collect(ctx context.Context, n plan.Node) ([]types.Row, error) {
+	acct := accountOn(ctx)
+	return acct.collect(ctx, n)
+}
+
+// ---- what the mediator holds ----
+
+// account is what one holder of rows at the mediator has charged to its
+// statement's memory quota (DESIGN.md "What the memory quota charges"):
+// Collect's kept rows, a join's kept sides, a group table's groups, a
+// top-k heap. The holder grows it as it keeps rows and closes it when it
+// lets them go, or fails. A statement without a quota has no session to
+// charge: sess is nil, and no row is sized.
+type account struct {
+	sess *admission.Session
+	held int64
+}
+
+// accountOn opens a holder's account on ctx's statement.
+func accountOn(ctx context.Context) account {
+	if s := admission.SessionFrom(ctx); s.Metered() {
+		return account{sess: s}
+	}
+	return account{}
+}
+
+// grow charges r, which the holder has come to keep. Past the quota it
+// charges nothing and returns the statement's typed mem_quota error.
+func (a *account) grow(r types.Row) error {
+	if a.sess == nil {
+		return nil
+	}
+	n := int64(r.EstimatedSize())
+	if err := a.sess.Grow(n); err != nil {
+		return err
+	}
+	a.held += n
+	return nil
+}
+
+// shrink gives r's charge back: the holder let r go.
+func (a *account) shrink(r types.Row) {
+	if a.sess != nil {
+		n := int64(r.EstimatedSize())
+		a.sess.Shrink(n)
+		a.held -= n
+	}
+}
+
+// close gives back everything the holder charged.
+func (a *account) close() {
+	if a.sess != nil {
+		a.sess.Shrink(a.held)
+		a.held = 0
+	}
+}
+
+// closeOnError closes a if *err is set: a holder that fails lets go.
+func (a *account) closeOnError(err *error) {
+	if *err != nil {
+		a.close()
+	}
+}
+
+// collect runs n and keeps every row, charged to a.
+func (a *account) collect(ctx context.Context, n plan.Node) ([]types.Row, error) {
 	it, err := Run(ctx, n)
 	if err != nil {
 		return nil, err
 	}
-	return source.Drain(it)
+	return a.drain(it)
+}
+
+// drain keeps every row of it, charged to a.
+func (a *account) drain(it source.RowIter) ([]types.Row, error) {
+	if a.sess == nil {
+		return source.Drain(it)
+	}
+	return source.DrainEach(it, a.grow)
+}
+
+// rows streams rows the holder kept; closing the stream closes a.
+func (a *account) rows(rows []types.Row) source.RowIter {
+	if a.sess == nil {
+		return source.SliceIter(rows)
+	}
+	sess, held := a.sess, a.held
+	return source.HeldIter(rows, func() { sess.Shrink(held) })
 }
 
 // ---- filter ----
@@ -398,9 +483,11 @@ func (m *mergeIter) branchEnd(lo int) int {
 
 // fetch runs the branches of inputs[lo:hi] one after another, each one's
 // inputs in turn until one fails. A failed branch is recorded as a
-// partial outcome when the engine armed a collector and the merge is
-// still live, and the rows it delivered stay (UNION ALL semantics make
-// that well-defined); otherwise its error fails the merge.
+// partial outcome when the engine armed a collector, the merge is still
+// live and the failure is a source's — not the statement's memory quota
+// refusing a holder — and the rows it delivered stay (UNION ALL
+// semantics make that well-defined); otherwise its error fails the
+// merge.
 func (m *mergeIter) fetch(wg *sync.WaitGroup, lo, hi int) {
 	defer wg.Done()
 	for end := lo; lo < hi; lo = end {
@@ -410,7 +497,7 @@ func (m *mergeIter) fetch(wg *sync.WaitGroup, lo, hi int) {
 		for i := lo; i < end && err == nil; i++ {
 			err = m.input(i, &rows)
 		}
-		if err != nil && (m.outc == nil || m.ctx.Err() != nil) {
+		if err != nil && (m.outc == nil || m.ctx.Err() != nil || overQuota(err)) {
 			select {
 			case m.ch <- rowOrErr{err: err}:
 			case <-m.ctx.Done():
@@ -425,6 +512,13 @@ func (m *mergeIter) fetch(wg *sync.WaitGroup, lo, hi int) {
 			m.outc.Record(resilience.SourceOutcome{Source: srcLabel(m.inputs[lo]), Op: op, Rows: rows, Err: err})
 		}
 	}
+}
+
+// overQuota reports whether err is the statement's own memory quota
+// refusing a holder.
+func overQuota(err error) bool {
+	var oe *admission.OverloadError
+	return errors.As(err, &oe) && oe.Reason == admission.ReasonMemQuota
 }
 
 // input runs input i and streams its rows into the channel, counting
@@ -522,11 +616,15 @@ func compareKeys(s *plan.Sort, a, b types.Row) int {
 // of the row they push out, once s.Top are held — only when they sort
 // before the last one it holds, which is the root of a max-heap ordered
 // as the result is. What it holds grows as rows arrive and is never
-// sized from s.Top, which is as large as OFFSET makes it.
-func runSort(ctx context.Context, s *plan.Sort) (source.RowIter, error) {
+// sized from s.Top, which is as large as OFFSET makes it. Either way
+// what it holds is charged to the statement's quota until its output is
+// closed.
+func runSort(ctx context.Context, s *plan.Sort) (_ source.RowIter, err error) {
 	nk := len(s.Keys)
+	acct := accountOn(ctx)
+	defer acct.closeOnError(&err)
 	if s.Top <= 0 {
-		rows, err := Collect(ctx, s.Input)
+		rows, err := acct.collect(ctx, s.Input)
 		if err != nil {
 			return nil, err
 		}
@@ -554,7 +652,7 @@ func runSort(ctx context.Context, s *plan.Sort) (source.RowIter, error) {
 		for i, j := range idx {
 			out[i] = rows[j]
 		}
-		return source.SliceIter(out), nil
+		return acct.rows(out), nil
 	}
 
 	in, err := runNode(ctx, s.Input, true)
@@ -601,11 +699,15 @@ func runSort(ctx context.Context, s *plan.Sort) (source.RowIter, error) {
 			top = append(top, h)
 		case compareKeys(s, key, top[0].row[:nk]) < 0:
 			h = held{top[0].row, seq} // the root is pushed out: h takes its storage
+			acct.shrink(h.row)
 		default:
 			continue
 		}
 		copy(h.row, key)
 		copy(h.row[nk:], r)
+		if err := acct.grow(h.row); err != nil {
+			return nil, err
+		}
 		// Sift h up from the new leaf, or down from the root.
 		for i > 0 && before(top[(i-1)/2], h) < 0 {
 			top[i] = top[(i-1)/2]
@@ -628,20 +730,23 @@ func runSort(ctx context.Context, s *plan.Sort) (source.RowIter, error) {
 	for i, h := range top {
 		out[i] = h.row[nk:]
 	}
-	return source.SliceIter(out), nil
+	return acct.rows(out), nil
 }
 
 // ---- aggregate ----
 
 // runAggregate folds each input row into its group before it asks for
 // the next, so it asks for lent rows; the group rows it returns are its
-// own, one per group.
-func runAggregate(ctx context.Context, a *plan.Aggregate) (source.RowIter, error) {
+// own, one per group. A group's key is charged to the statement's quota
+// when the group starts, until the output is closed.
+func runAggregate(ctx context.Context, a *plan.Aggregate) (_ source.RowIter, err error) {
 	in, err := runNode(ctx, a.Input, true)
 	if err != nil {
 		return nil, err
 	}
 	defer in.Close()
+	acct := accountOn(ctx)
+	defer acct.closeOnError(&err)
 	aggs := make([]expr.AccSpec, len(a.Aggs))
 	for i, ag := range a.Aggs {
 		aggs[i] = expr.AccSpec{Kind: ag.Kind, Star: ag.Arg == nil, Distinct: ag.Distinct}
@@ -666,7 +771,14 @@ func runAggregate(ctx context.Context, a *plan.Aggregate) (source.RowIter, error
 				return nil, err
 			}
 		}
-		for i, acc := range groups.Group(key) {
+		n := groups.Len()
+		accs := groups.Group(key)
+		if groups.Len() > n {
+			if err := acct.grow(key); err != nil {
+				return nil, err
+			}
+		}
+		for i, acc := range accs {
 			v := types.NewInt(1)
 			if arg := a.Aggs[i].Arg; arg != nil {
 				if v, err = arg.Eval(r); err != nil {
@@ -678,5 +790,5 @@ func runAggregate(ctx context.Context, a *plan.Aggregate) (source.RowIter, error
 			}
 		}
 	}
-	return source.SliceIter(groups.Rows()), nil
+	return acct.rows(groups.Rows()), nil
 }

@@ -3,10 +3,8 @@ package exec
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
-	"gis/internal/admission"
 	"gis/internal/expr"
 	"gis/internal/obs"
 	"gis/internal/plan"
@@ -47,11 +45,6 @@ func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.
 		ship.End()
 		return nil, fmt.Errorf("exec: fragment %s.%s: %w", fs.Frag.Source, fs.Frag.RemoteTable, err)
 	}
-	// The tenant's byte quota is charged only where there is one.
-	sess := admission.SessionFrom(ctx)
-	if !sess.Metered() {
-		sess = nil
-	}
 	// The source's rows are the scan's when its query aggregates, and
 	// when every fetched column is a plain copy sitting where the output
 	// wants it and nothing is kept to filter.
@@ -83,10 +76,10 @@ func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.
 		}
 		it = wire
 	}
-	if !builds && sess == nil {
+	if !builds {
 		return it, nil
 	}
-	f := &fragIter{ctx: ctx, fs: fs, in: it, builds: builds, pos: pos, slab: slabFor(lent), sess: sess}
+	f := &fragIter{ctx: ctx, fs: fs, in: it, pos: pos, slab: slabFor(lent)}
 	if cut {
 		f.scratch = make(types.Row, len(fs.Cols))
 	}
@@ -107,11 +100,6 @@ func identityProjection(out []int, width int) bool {
 	return true
 }
 
-// acctFlushBytes batches quota accounting: the tenant account lags the
-// true stream size by at most this much per fragment, in exchange for
-// one atomic update per chunk instead of two per row.
-const acctFlushBytes = 32 << 10
-
 // fragIter is the mediator's half of a fragment scan. Of each row the
 // source returns it fills the fetched layout — every column read at its
 // position in the source's row or taken from the fragment's constants,
@@ -119,17 +107,12 @@ const acctFlushBytes = 32 << 10
 // kind — evaluates the filter the source was not asked, and emits the
 // output columns. A row is built once, in the storage it is emitted in;
 // one the filter rejects gives that storage back. A scan with none of
-// this to do (builds false) hands the source's rows on.
-//
-// It also charges what the source returned to the tenant's byte quota,
-// when the session has one (sess is nil otherwise, and nobody pays
-// Row.EstimatedSize per row).
+// this to do hands the source's rows on without one.
 type fragIter struct {
 	ctx context.Context
 	fs  *plan.FragScan
 	in  source.RowIter
 
-	builds bool
 	// pos[i] is where fetched column i sits in the source's row,
 	// negative for a constant of the fragment.
 	pos []int
@@ -138,9 +121,6 @@ type fragIter struct {
 	// projected out of it.
 	scratch types.Row
 	slab    types.RowSlab
-
-	sess *admission.Session
-	acct int64
 }
 
 func (f *fragIter) Next() (types.Row, error) {
@@ -150,23 +130,7 @@ func (f *fragIter) Next() (types.Row, error) {
 		}
 		r, err := f.in.Next()
 		if err != nil {
-			if err == io.EOF {
-				_ = f.settle() // the stream is over; nothing to abort
-			}
 			return nil, err
-		}
-		if f.sess != nil {
-			if f.acct += int64(r.EstimatedSize()); f.acct >= acctFlushBytes {
-				// An error here says the tenant blew its memory quota
-				// and this session was (or already had been) chosen as
-				// the victim.
-				if err := f.settle(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if !f.builds {
-			return r, nil
 		}
 		row, cut := f.scratch, f.scratch != nil
 		if !cut {
@@ -198,18 +162,4 @@ func (f *fragIter) Next() (types.Row, error) {
 	}
 }
 
-// settle charges what has accrued since the last charge.
-func (f *fragIter) settle() error {
-	charge := f.acct
-	f.acct = 0
-	if charge == 0 {
-		return nil
-	}
-	return f.sess.AddBytes(charge)
-}
-
-func (f *fragIter) Close() error {
-	err := f.in.Close()
-	_ = f.settle() // the stream is over; nothing to abort
-	return err
-}
+func (f *fragIter) Close() error { return f.in.Close() }

@@ -26,10 +26,13 @@ func runJoin(ctx context.Context, j *plan.Join, lent bool) (source.RowIter, erro
 }
 
 // runLocalJoin joins both inputs at the mediator: the right side
-// materialized — kept — and the left streamed against it. A join copies
-// the left row into each row it builds, so it asks for lent left rows.
-func runLocalJoin(ctx context.Context, j *plan.Join, lent bool) (source.RowIter, error) {
-	right, err := Collect(ctx, j.R)
+// materialized — kept, and charged to the statement's quota until the
+// join closes — and the left streamed against it. A join copies the left
+// row into each row it builds, so it asks for lent left rows.
+func runLocalJoin(ctx context.Context, j *plan.Join, lent bool) (_ source.RowIter, err error) {
+	acct := accountOn(ctx)
+	defer acct.closeOnError(&err)
+	right, err := acct.collect(ctx, j.R)
 	if err != nil {
 		return nil, err
 	}
@@ -37,21 +40,22 @@ func runLocalJoin(ctx context.Context, j *plan.Join, lent bool) (source.RowIter,
 	if err != nil {
 		return nil, err
 	}
-	return joinRows(ctx, j, left, right, lent), nil
+	return joinRows(ctx, j, left, right, acct, lent), nil
 }
 
 // joinRows joins a left stream with materialized right rows in the one
 // probe loop there is: a left row's candidates are its bucket of a hash
 // table built on the right when the join has equi keys, and every right
 // row when it has none (a non-equi join or one with no condition —
-// nested loops). The rows it builds are lent iff lent.
+// nested loops). The rows it builds are lent iff lent. acct is what the
+// kept rows are charged; the join closes it when it closes.
 //
 // The hash table is a types.HashChain of the right rows' positions,
 // sized for every row: one allocation that never grows. Linked last row
 // first, a bucket yields matches in the order the rows came in.
-func joinRows(ctx context.Context, j *plan.Join, left source.RowIter, right []types.Row, lent bool) source.RowIter {
+func joinRows(ctx context.Context, j *plan.Join, left source.RowIter, right []types.Row, acct account, lent bool) source.RowIter {
 	it := &joinIter{
-		ctx: ctx, j: j, left: left, right: right, slab: slabFor(lent),
+		ctx: ctx, j: j, left: left, right: right, acct: acct, slab: slabFor(lent),
 		rightWidth: widthOfRight(j, right),
 	}
 	if len(j.EquiL) > 0 {
@@ -131,6 +135,7 @@ type joinIter struct {
 	right      []types.Row
 	chain      types.HashChain // without equi keys, none
 	rightWidth int
+	acct       account
 
 	// Iteration state: the current left row's candidates still to be
 	// tried. matchBuf backs a bucket's key-equal rows and is reused
@@ -226,7 +231,10 @@ func (h *joinIter) condHolds(joined types.Row) (bool, error) {
 	return expr.EvalBool(h.j.Cond, joined)
 }
 
-func (h *joinIter) Close() error { return h.left.Close() }
+func (h *joinIter) Close() error {
+	h.acct.close()
+	return h.left.Close()
+}
 
 // runKeyShippedJoin implements the semijoin strategy: materialize the
 // left input, ship its distinct join-key values to the right side's
@@ -236,10 +244,13 @@ func (h *joinIter) Close() error { return h.left.Close() }
 // gives it; one it has no remote form for matches no row there and is
 // dropped, and a fragment left with no keys is not asked. The right side
 // arrives through the one merge (runMerge), its fragments fetched at once
-// or in plan order as its union says. Both sides are kept; the joined
-// rows are lent iff lent.
-func runKeyShippedJoin(ctx context.Context, j *plan.Join, lent bool) (source.RowIter, error) {
-	leftRows, err := Collect(ctx, j.L)
+// or in plan order as its union says. Both sides are kept, charged to
+// the statement's quota until the join closes; the joined rows are lent
+// iff lent.
+func runKeyShippedJoin(ctx context.Context, j *plan.Join, lent bool) (_ source.RowIter, err error) {
+	acct := accountOn(ctx)
+	defer acct.closeOnError(&err)
+	leftRows, err := acct.collect(ctx, j.L)
 	if err != nil {
 		return nil, err
 	}
@@ -282,11 +293,11 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, lent bool) (source.Row
 		}
 	}
 	u, _ := j.R.(*plan.Union)
-	right, err := source.Drain(runMerge(ctx, inputs, preds, u != nil && u.Parallel))
+	right, err := acct.drain(runMerge(ctx, inputs, preds, u != nil && u.Parallel))
 	if err != nil {
 		return nil, err
 	}
-	return joinRows(ctx, j, source.SliceIter(leftRows), right, lent), nil
+	return joinRows(ctx, j, source.SliceIter(leftRows), right, acct, lent), nil
 }
 
 // keyPredicate is the predicate a chunk of remote key values ships as:

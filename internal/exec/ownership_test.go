@@ -370,7 +370,7 @@ func TestHashBuildKeepsArrivalOrder(t *testing.T) {
 	schema := types.NewSchema(intCol("k"), intCol("v"))
 	j := equiJoin(plan.JoinInner, &plan.Values{Out: schema}, &plan.Values{Out: schema})
 	left := []types.Row{{types.NewInt(3), types.NewInt(-1)}, {types.NewInt(7), types.NewInt(-2)}, {types.NewInt(0), types.NewInt(-3)}}
-	got, err := source.DrainOwned(joinRows(ctx, j, source.SliceIter(left), right, false))
+	got, err := source.DrainOwned(joinRows(ctx, j, source.SliceIter(left), right, account{}, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestHashBuildKeepsArrivalOrder(t *testing.T) {
 			t.Fatalf("row %d = %v, want %v: build rows must match in arrival order", i, got[i], want[i])
 		}
 	}
-	if rows, err := source.Drain(joinRows(ctx, j, source.SliceIter(left), nil, false)); err != nil || len(rows) != 0 {
+	if rows, err := source.Drain(joinRows(ctx, j, source.SliceIter(left), nil, account{}, false)); err != nil || len(rows) != 0 {
 		t.Errorf("an empty build side: %d rows, %v", len(rows), err)
 	}
 }

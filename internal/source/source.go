@@ -465,21 +465,33 @@ func CollectStats(ctx context.Context, src Source, table string, width int) (*st
 // copied; callers must not mutate it while iterating.
 func SliceIter(rows []types.Row) RowIter { return &sliceIter{rows: rows} }
 
+// HeldIter is SliceIter over rows a holder keeps for the iterator:
+// release, which lets them go, runs at the first Close.
+func HeldIter(rows []types.Row, release func()) RowIter {
+	return &sliceIter{rows: rows, release: release}
+}
+
 type sliceIter struct {
-	rows []types.Row
-	pos  int
+	rows    []types.Row // the ones not yet returned
+	release func()
 }
 
 func (s *sliceIter) Next() (types.Row, error) {
-	if s.pos >= len(s.rows) {
+	if len(s.rows) == 0 {
 		return nil, io.EOF
 	}
-	r := s.rows[s.pos]
-	s.pos++
+	r := s.rows[0]
+	s.rows = s.rows[1:]
 	return r, nil
 }
 
-func (s *sliceIter) Close() error { return nil }
+func (s *sliceIter) Close() error {
+	if s.release != nil {
+		s.release()
+		s.release = nil
+	}
+	return nil
+}
 
 // drainChunk is the size past which Drain stops growing its result by
 // append: a doubling copies every header about twice over and leaves
@@ -491,12 +503,20 @@ const drainChunk = 1024
 // rows, so it never asks the iterator to lend. A result of up to
 // drainChunk rows is built by append; a longer one sets each full chunk
 // aside and is gathered once, at its exact size, when the stream ends.
-func Drain(it RowIter) ([]types.Row, error) {
+func Drain(it RowIter) ([]types.Row, error) { return DrainEach(it, nil) }
+
+// DrainEach is Drain that hands each row to keep, when keep is not nil,
+// before it keeps the row; an error from keep ends the drain with the
+// rows kept so far.
+func DrainEach(it RowIter, keep func(types.Row) error) ([]types.Row, error) {
 	defer it.Close()
 	var out []types.Row
 	var full [][]types.Row
 	for {
 		r, err := it.Next()
+		if err == nil && keep != nil {
+			err = keep(r)
+		}
 		if err == nil {
 			if len(out) == cap(out) && len(out) >= drainChunk {
 				full = append(full, out)

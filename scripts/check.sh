@@ -14,7 +14,12 @@
 #   5. go test -race -timeout 100s ./... — the full suite, which includes
 #                   the analyzer fixtures, the race-stress, seeded-chaos
 #                   and overload tests (`make lint-fixtures`, `make chaos`
-#                   and `make overload` run those subsets on demand), the
+#                   and `make overload` run those subsets on demand;
+#                   overload is core TestChaosOverload beside the memory
+#                   quota's core TestQuotaChargesWhatIsHeld and
+#                   TestQuotaErrorIsTyped, admission
+#                   TestMemQuotaRefusesTheGrower and exec
+#                   TestHoldersGiveBackWhatTheyCharged), the
 #                   seed corpora of the fuzz targets (wire FuzzDecoder,
 #                   FuzzStream, FuzzServe and FuzzServeWrite, sql FuzzParse, filestore
 #                   FuzzScanRecords, docstore FuzzDocCodec, expr
