@@ -260,44 +260,40 @@ func (c *Client) Name() string { return c.name }
 
 // roundTrip performs one request/response of a conversation. A nil fc
 // starts the conversation: a connection is borrowed. When the peer
-// answered — msgOK, or a msgErr, which leaves the protocol state as
-// clean — the connection comes back with the answer, the caller's to
-// keep for the next step or to put back; after a transport error, or an
-// answer that is neither, its state is unknown (what else the peer has
-// queued on it would be read as the next request's answer), so it has
-// been closed and nil comes back.
-func (c *Client) roundTrip(ctx context.Context, fc *frameConn, tag byte, payload []byte) (*frameConn, []byte, error) {
+// answered — msgOK, a msgErr, or the first frame of msgExecute's answer —
+// the connection comes back with the answer, the caller's to keep for the
+// next step or to put back; after a transport error, or any other answer,
+// its state is unknown (what else the peer has queued on it would be read
+// as the next request's answer), so it has been closed and nil comes back.
+func (c *Client) roundTrip(ctx context.Context, fc *frameConn, tag byte, payload []byte) (*frameConn, byte, []byte, error) {
 	if err := ctx.Err(); err != nil {
-		return fc, nil, err
+		return fc, 0, nil, err
 	}
 	if fc == nil {
 		var err error
 		if fc, err = c.getConn(ctx); err != nil {
-			return nil, nil, err
+			return nil, 0, nil, err
 		}
 	}
 	respTag, resp, err := fc.call(ctx, tag, payload)
-	if err != nil {
-		c.discard(fc)
-		// A peer that hangs up instead of answering leaves no answer: a
-		// bare io.EOF would read as an empty result to a caller that
-		// treats it as a stream's end.
-		if errors.Is(err, io.EOF) {
-			err = fmt.Errorf("wire: connection closed before the answer: %w", io.ErrUnexpectedEOF)
-		}
-		return nil, nil, err
+	switch {
+	case err != nil:
+		err = severed(err)
+	case respTag == msgOK || respTag == msgErr:
+		resp, err = checkResp(respTag, resp)
+		return fc, respTag, resp, err
+	case tag == msgExecute && (respTag == msgRows || respTag == msgEnd):
+		return fc, respTag, resp, nil
+	default:
+		err = fmt.Errorf("wire: unexpected response tag %d", respTag)
 	}
-	if respTag != msgOK && respTag != msgErr {
-		c.discard(fc)
-		fc = nil
-	}
-	resp, err = checkResp(respTag, resp)
-	return fc, resp, err
+	c.discard(fc)
+	return nil, respTag, nil, err
 }
 
 // call is the conversation of one request and its answer.
 func (c *Client) call(ctx context.Context, tag byte, payload []byte) ([]byte, error) {
-	fc, resp, err := c.roundTrip(ctx, nil, tag, payload)
+	fc, _, resp, err := c.roundTrip(ctx, nil, tag, payload)
 	c.putConn(fc)
 	return resp, err
 }
@@ -404,31 +400,36 @@ func (c *Client) Execute(ctx context.Context, q *source.Query) (source.RowIter, 
 	if err := e.Query(q); err != nil {
 		return nil, err
 	}
-	fc, _, err := c.roundTrip(ctx, nil, msgExecute, e.Bytes())
+	fc, tag, payload, err := c.roundTrip(ctx, nil, msgExecute, e.Bytes())
 	if err != nil {
 		c.putConn(fc) // refused, not broken
 		return nil, err
 	}
-	return &streamIter{ctx: ctx, c: c, fc: fc, parent: parent}, nil
+	it := &streamIter{ctx: ctx, c: c, fc: fc, parent: parent}
+	if err := it.take(tag, payload); err != nil {
+		it.fail(err)
+		return nil, err
+	}
+	return it, nil
 }
 
 func (c *Client) discard(fc *frameConn) {
 	_ = fc.rw.Close() // the conn is being thrown away; nothing to report
 }
 
-// streamIter reads msgRows batches until msgEnd, whose footer — when
-// this stream carried a trace — is the remote subtree it stitches under
-// the parent span.
+// streamIter reads a sub-query's answer: msgRows batches, then msgEnd
+// with the last rows and — when this stream carried a trace — the footer,
+// the remote subtree it stitches under the parent span.
 type streamIter struct {
 	ctx   context.Context
 	c     *Client
-	fc    *frameConn
+	fc    *frameConn // nil once the stream is over
 	batch []types.Row
 	pos   int
-	done  bool
 	// lent: the consumer is done with a frame's rows before the next
 	// frame is read, so each frame is decoded over slab, the storage of
-	// the one before. Otherwise every frame gets a slab of its own.
+	// the one before (kept from the first, which Execute decodes before
+	// Lend is called). Otherwise every frame gets a slab of its own.
 	lent bool
 	slab []types.Value
 	err  error
@@ -446,7 +447,7 @@ func (it *streamIter) Next() (types.Row, error) {
 		return nil, it.err
 	}
 	for it.pos == len(it.batch) {
-		if it.done {
+		if it.fc == nil {
 			return nil, io.EOF
 		}
 		if err := it.readFrame(); err != nil {
@@ -459,86 +460,91 @@ func (it *streamIter) Next() (types.Row, error) {
 	return r, nil
 }
 
-// readFrame reads the stream's next frame: a batch of rows, or the end
-// of the stream, which sets done. A frame of no rows is a protocol error:
-// a peer could otherwise keep the reader busy forever delivering
-// nothing.
+// readFrame reads the stream's next frame, behind the client's
+// mid-stream fault point (injected drops sever the stream here,
+// modelling a source dying while rows are in flight).
 func (it *streamIter) readFrame() error {
 	if err := it.ctx.Err(); err != nil {
 		return err
 	}
-	// Mid-stream fault point: injected drops sever the stream here,
-	// modelling a source dying while rows are in flight.
 	if err := it.fc.injure(it.ctx, faults.OpRead); err != nil {
 		return err
 	}
 	tag, payload, err := it.fc.readFrame(it.ctx)
 	if err != nil {
-		// Only msgEnd terminates a stream. A transport EOF here means
-		// the connection died with rows in flight; surfacing it as a
-		// plain io.EOF would let Drain mistake truncation for a clean
-		// end of stream.
-		if errors.Is(err, io.EOF) {
-			err = fmt.Errorf("wire: result stream severed mid-flight: %w", io.ErrUnexpectedEOF)
-		}
-		return err
+		return severed(err)
 	}
+	return it.take(tag, payload)
+}
+
+// severed names a peer that hung up before its answer was whole: a bare
+// io.EOF would read as an empty result, or a stream's clean end.
+func severed(err error) error {
+	if errors.Is(err, io.EOF) {
+		return fmt.Errorf("wire: connection closed before the answer was whole: %w", io.ErrUnexpectedEOF)
+	}
+	return err
+}
+
+// take reads one frame of the answer: a batch of rows, or the last rows
+// and the footer. A whole msgEnd or msgErr ends the stream with the
+// connection in sync, and it goes back to the pool. A msgRows of no rows
+// is a protocol error — a peer could otherwise keep the reader busy
+// forever delivering nothing — and so are a rows body that does not
+// decode and a tag out of place, which cost the connection (fail).
+func (it *streamIter) take(tag byte, payload []byte) (err error) {
 	switch tag {
-	case msgEnd:
-		it.done = true
+	case msgRows, msgEnd:
+		// The slot array is reused: the previous batch is fully consumed
+		// (pos == len) before a new frame is read, and handed-out rows
+		// live in their frame's slab, not in the slots.
+		var reuse []types.Value
+		if it.lent {
+			reuse = it.slab
+		}
+		d := it.fc.decoder(payload)
+		if it.batch, it.slab, err = d.rowBatch(it.batch, reuse); err != nil {
+			return err
+		}
+		it.pos = 0
+		if tag == msgRows {
+			if len(it.batch) == 0 {
+				return errors.New("wire: empty rows frame")
+			}
+			return nil
+		}
 		// A footer that does not decode costs the remote half of the
-		// trace and nothing else: the frame was read whole, so the stream
-		// has ended and the connection is in protocol sync either way.
-		if it.parent != nil && len(payload) > 0 {
-			if data, err := NewDecoder(payload).Span(); err == nil {
+		// trace and nothing else: the frame was read whole.
+		if it.parent != nil && d.Remaining() > 0 {
+			if data, err := d.Span(); err == nil {
 				it.parent.AttachData(data)
 				// The remote-compute share of the ship span; whatever else
 				// the span took is the WAN share.
 				it.parent.SetRemoteUS(data.DurationUS)
 			}
 		}
-		it.c.putConn(it.fc)
-		it.fc = nil
-		return nil
 	case msgErr:
-		_, err := checkResp(tag, payload)
-		return err
-	case msgRows:
-		// The slot array is reused: the previous batch is fully consumed
-		// (pos == len) before a new msgRows frame is read, and handed-out
-		// rows live in their frame's slab, not in the slots.
-		var slab []types.Value
-		if it.batch, slab, err = it.fc.decoder(payload).rowBatch(it.batch, it.slab); err != nil {
-			return err
-		}
-		if len(it.batch) == 0 {
-			return errors.New("wire: empty rows frame")
-		}
-		if it.lent {
-			it.slab = slab
-		}
-		it.pos = 0
-		return nil
+		_, err = checkResp(tag, payload)
 	default:
 		return fmt.Errorf("wire: unexpected stream tag %d", tag)
 	}
+	it.c.putConn(it.fc)
+	it.fc = nil
+	return err
 }
 
 func (it *streamIter) fail(err error) {
 	it.err = err
+	_ = it.Close() // Close reports nothing
+}
+
+// Close implements source.RowIter. Closing a stream before its msgEnd
+// has been read discards the connection (the protocol has no cancel
+// message); one whose last frame has been read has given it back.
+func (it *streamIter) Close() error {
 	if it.fc != nil {
 		it.c.discard(it.fc)
 		it.fc = nil
-	}
-}
-
-// Close implements source.RowIter. Closing an undrained stream discards
-// the connection (the protocol has no cancel message).
-func (it *streamIter) Close() error {
-	if it.fc != nil && !it.done {
-		it.c.discard(it.fc)
-		it.fc = nil
-		it.done = true
 	}
 	return nil
 }
@@ -621,7 +627,7 @@ func (t *remoteTx) step(ctx context.Context, tag byte, payload []byte) ([]byte, 
 	case t.fc == nil && (tag == msgPrepare || tag == msgCommit):
 		return nil, nil
 	}
-	fc, resp, err := t.c.roundTrip(ctx, t.fc, tag, payload)
+	fc, _, resp, err := t.c.roundTrip(ctx, t.fc, tag, payload)
 	switch {
 	case fc == nil: // lost: the server rolls back what it held
 		t.over = true
@@ -678,7 +684,7 @@ func (t *remoteTx) Abort(ctx context.Context) error {
 	if fc == nil {
 		return nil // never written, over, or rolled back when its connection closed
 	}
-	fc, _, err := t.c.roundTrip(ctx, fc, msgAbort, nil)
+	fc, _, _, err := t.c.roundTrip(ctx, fc, msgAbort, nil)
 	if err == nil {
 		t.c.putConn(fc)
 	} else if fc != nil {

@@ -74,13 +74,19 @@ var fuzzBodies = []fuzzBody{
 	{"insert", fuzzWriteReq(msgInsert)},
 	{"update", fuzzWriteReq(msgUpdate)},
 	{"delete", fuzzWriteReq(msgDelete)},
-	// A msgEnd payload, as the client reads it: empty, or a span subtree.
-	{"footer", func(d *Decoder) (func(*Encoder) error, error) {
-		if d.Remaining() == 0 {
-			return func(*Encoder) error { return nil }, nil
+	// A msgEnd payload, as the client reads it: the last rows, then a
+	// span subtree or nothing.
+	{"msgEnd", func(d *Decoder) (func(*Encoder) error, error) {
+		rows, _, err := d.rowBatch(nil, nil)
+		if err != nil || d.Remaining() == 0 {
+			return encodeFrame(rows), err
 		}
 		sp, err := d.Span()
-		return func(e *Encoder) error { e.Span(sp); return nil }, err
+		return func(e *Encoder) error {
+			err := encodeFrame(rows)(e)
+			e.Span(sp)
+			return err
+		}, err
 	}},
 	// A msgErr payload, which may carry a typed overload error.
 	{"OverloadError", func(d *Decoder) (func(*Encoder) error, error) {
@@ -222,8 +228,10 @@ func fuzzSeeds(t testing.TB) map[string][][]byte {
 	}
 	seeds["update"] = append(seeds["update"],
 		[]byte{0x00, 0x01, 't', 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f}) // no begin, table "t", no filter, 2^32-1 SET clauses
-	seeds["footer"] = append(seeds["footer"], nil) // an untraced stream's
-	add("footer", func(e *Encoder) error {
+	seeds["msgEnd"] = append(seeds["msgEnd"], frameOf(nil), // an untraced stream with no rows left
+		frameOf([]types.Row{sampleValues(), {types.NewInt(1)}})) // its last rows
+	add("msgEnd", func(e *Encoder) error {
+		e.buf = append(e.buf, frameOf([]types.Row{{types.NewInt(7), types.NewString("x")}})...)
 		e.Span(&obs.SpanData{Kind: "remote", Name: "src", Start: time.UnixMicro(1700000000000000), DurationUS: 1234,
 			Attrs: []obs.Attr{{Key: "rows", Value: "3"}},
 			Children: []*obs.SpanData{

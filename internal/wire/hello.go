@@ -23,14 +23,11 @@ package wire
 // other TableInfo, and any after the client has written the table,
 // goes over the wire. Connections the pool dials later do not ask.
 //
-// Deadlines: Client.Execute sends the query's remaining time budget
-// (µs, uvarint, 0 = none) in the msgExecute header (subquery.go),
-// decremented by the link's observed one-way latency (half the RTT
-// EWMA, whose first sample is the dial's hello) so the server-side
-// deadline never outlives the client's. The
-// server enforces the budget with context.WithTimeout around the
-// fragment's execution, so a propagated deadline cancels the component
-// store's work mid-scan.
+// Deadlines: the msgExecute header carries the query's remaining time
+// (executeBudget), which the server enforces with context.WithTimeout
+// around the fragment's execution. The RTT estimate it is decremented by
+// is sampled by every request's wait for its answer's first frame, the
+// dial's hello first; a sub-query's includes its first batch.
 
 import (
 	"context"
@@ -48,8 +45,9 @@ import (
 // has no credit grant: a result stream flows server → client only;
 // revision 6 lets a hello ask for the served tables' descriptions and
 // carries them in the reply; revision 7 has no msgBeginTx: a write
-// request's Begin bit opens the connection's transaction.
-const helloVersion = 7
+// request's Begin bit opens the connection's transaction; revision 8
+// answers msgExecute without msgOK, msgEnd carrying the last rows.
+const helloVersion = 8
 
 // hello is the decoded msgHello request.
 type hello struct {

@@ -14,8 +14,8 @@ import (
 	"gis/internal/source"
 )
 
-// A result stream flows one way: after msgOK the server writes and the
-// client reads, and nothing goes back until msgEnd. TCP's backpressure is
+// A result stream flows one way: after msgExecute the server writes and
+// the client reads, and nothing goes back until msgEnd. TCP's backpressure is
 // the stream's flow control, bounded by socketBuffer.
 
 // pipeClient serves src on one end of a synchronous in-memory pipe and

@@ -256,10 +256,29 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn, busy *atomic.Bool
 	}
 }
 
+// sendErr answers with msgErr. A typed overload error (an admission
+// shed) travels in its marked string form, so the client can rebuild
+// the reason and the retryable hint.
 func sendErr(ctx context.Context, fc *frameConn, err error) error {
+	msg := err.Error()
+	var oe *admission.OverloadError
+	if errors.As(err, &oe) {
+		msg = oe.MarshalWire()
+	}
 	var e Encoder
-	e.String(err.Error())
+	e.String(msg)
 	return fc.writeFrame(ctx, msgErr, e.Bytes())
+}
+
+// reportInjected ends a conversation that failed at a fault point or in
+// a frame write: a transient injection is answered msgErr, which keeps
+// the connection in sync; a drop or a transport error is returned, and
+// the connection closed.
+func reportInjected(ctx context.Context, fc *frameConn, err error) error {
+	if errors.Is(err, faults.ErrInjected) {
+		return sendErr(ctx, fc, err)
+	}
+	return err
 }
 
 // reject answers a handshake violation with msgErr and returns err, so
@@ -283,20 +302,13 @@ func (s *Server) handle(ctx context.Context, fc *frameConn, st *connState, tag b
 	if !st.hello {
 		return reject(ctx, fc, fmt.Errorf("wire: request tag %d before hello", tag))
 	}
-	// Server-side fault point: transient injections are reported to the
-	// client as protocol errors (the conn survives); drops and
-	// partitions kill the connection like a crashed component system.
+	// Server-side fault point: a drop kills the connection like a crashed
+	// component system.
 	if err := fc.injure(ctx, classOfTag(tag)); err != nil {
-		if errors.Is(err, faults.ErrInjected) {
-			return sendErr(ctx, fc, err)
-		}
-		return err
+		return reportInjected(ctx, fc, err)
 	}
-	switch {
-	case tag == msgExecute:
+	if tag == msgExecute {
 		return s.handleExecute(ctx, fc, st, NewDecoder(payload))
-	case tag == msgStats:
-		return s.handleStats(ctx, fc, st, NewDecoder(payload))
 	}
 	var reply Encoder
 	if err := s.answer(ctx, st, tag, fc.decoder(payload), &reply); err != nil {
@@ -329,6 +341,30 @@ func (s *Server) answer(ctx context.Context, st *connState, tag byte, d *Decoder
 			return err
 		}
 		reply.tableInfo(info)
+
+	case msgStats:
+		// The statistics of the table it names, collected here by the
+		// helper a mediator's ANALYZE uses, so a source without statistics
+		// of its own is scanned where it lives and not across the link —
+		// under admission control, as a sub-query is.
+		table, err := d.String()
+		if err != nil {
+			return err
+		}
+		ctx, sess, err := s.admit.Admit(ctx, st.tenant) // a nil controller admits
+		if err != nil {
+			return err
+		}
+		defer sess.Release()
+		info, err := s.src.TableInfo(ctx, table)
+		if err != nil {
+			return err
+		}
+		ts, err := source.CollectStats(ctx, s.src, table, info.Schema.Len())
+		if err != nil {
+			return err
+		}
+		encodeStats(reply, ts)
 
 	case msgInsert, msgUpdate, msgDelete:
 		w, err := d.writeReq(tag)
@@ -427,19 +463,6 @@ func (s *Server) describe(ctx context.Context, rep *helloReply, limit int) []des
 	return out
 }
 
-// sendShed reports an admission shed to the client. Typed overload
-// errors travel in marked string form so the client can reconstruct the
-// reason and retryable hint; anything else degrades to a plain error.
-func sendShed(ctx context.Context, fc *frameConn, err error) error {
-	var oe *admission.OverloadError
-	if errors.As(err, &oe) {
-		var e Encoder
-		e.String(oe.MarshalWire())
-		return fc.writeFrame(ctx, msgErr, e.Bytes())
-	}
-	return sendErr(ctx, fc, err)
-}
-
 // handleExecute serves one msgExecute request: decode the header and the
 // query; enforce the header's budget as a context deadline; pass
 // admission control; run the fragment — under a server-local trace when
@@ -462,14 +485,11 @@ func (s *Server) handleExecute(ctx context.Context, fc *frameConn, st *connState
 		ctx, cancel = context.WithTimeout(ctx, h.Budget)
 		defer cancel()
 	}
-	if s.admit != nil {
-		actx, sess, err := s.admit.Admit(ctx, st.tenant)
-		if err != nil {
-			return sendShed(ctx, fc, err)
-		}
-		defer sess.Release()
-		ctx = actx
+	ctx, sess, err := s.admit.Admit(ctx, st.tenant) // a nil controller admits
+	if err != nil {
+		return sendErr(ctx, fc, err)
 	}
+	defer sess.Release()
 	var root *obs.Span
 	if h.TraceID != "" {
 		ctx = obs.WithTrace(ctx, obs.NewTraceWithID(h.TraceID, q.String()))
@@ -479,37 +499,6 @@ func (s *Server) handleExecute(ctx context.Context, fc *frameConn, st *connState
 		root.SetInt("parent_span", int64(h.ParentSpan))
 	}
 	return s.streamQuery(ctx, fc, q, root)
-}
-
-// handleStats serves one msgStats request: the statistics of the table
-// it names, collected here by the helper a mediator's ANALYZE uses
-// (source.CollectStats), so a source without statistics of its own is
-// scanned where it lives and not across the link. The collection runs
-// under admission control, as a sub-query does.
-func (s *Server) handleStats(ctx context.Context, fc *frameConn, st *connState, d *Decoder) error {
-	table, err := d.String()
-	if err != nil {
-		return sendErr(ctx, fc, err)
-	}
-	if s.admit != nil {
-		actx, sess, err := s.admit.Admit(ctx, st.tenant)
-		if err != nil {
-			return sendShed(ctx, fc, err)
-		}
-		defer sess.Release()
-		ctx = actx
-	}
-	info, err := s.src.TableInfo(ctx, table)
-	if err != nil {
-		return sendErr(ctx, fc, err)
-	}
-	ts, err := source.CollectStats(ctx, s.src, table, info.Schema.Len())
-	if err != nil {
-		return sendErr(ctx, fc, err)
-	}
-	var reply Encoder
-	encodeStats(&reply, ts)
-	return fc.writeFrame(ctx, msgOK, reply.Bytes())
 }
 
 // streamQuery binds and executes q, streaming row batches until EOF.
@@ -532,15 +521,17 @@ func (s *Server) streamQuery(ctx context.Context, fc *frameConn, q *source.Query
 	}
 	defer it.Close()
 	defer func() { s.Queries.Finish(qid, nil, obs.TraceFrom(ctx)) }()
-	if err := fc.writeFrame(ctx, msgOK, nil); err != nil {
-		return err
-	}
 	return s.streamRows(ctx, fc, it, root)
 }
 
-// streamRows drains it into msgRows batches and terminates the stream
-// with msgEnd, whose payload is the finished subtree of root, the
-// sub-query's remote span (see footer; nil and empty when untraced).
+// noRows is the msgEnd payload of an untraced stream of no rows.
+var noRows = []byte{0}
+
+// streamRows drains it into msgRows frames and ends the stream with
+// msgEnd: the last rows, then the footer, the finished subtree of root,
+// the sub-query's remote span (see footer; none when untraced). A footer
+// that does not fit beside the last rows sends them as a msgRows of
+// their own.
 //
 // A consumer that stops reading stalls the stream in its next frame
 // write once the socket buffers are full (socketBuffer), and that write
@@ -560,17 +551,24 @@ func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIte
 	source.Lend(it)
 	var e Encoder
 	batch, rows := 0, int64(0)
-	// cut sends a frame mid-stream. Mid-stream fault point: a transient
-	// injection aborts just this stream, a drop severs the connection
-	// with rows in flight.
-	cut := func(n int) error {
+	// begin starts the first frame's rows body: an empty stream has none.
+	begin := func() {
+		if e.buf == nil {
+			e = newMessage()
+			e.beginRows()
+		}
+	}
+	// cut sends the rows so far in a msgRows frame, behind the mid-stream
+	// fault point, and starts the next; on an error, see reportInjected.
+	cut := func() error {
 		if err := fc.injure(ctx, faults.OpRead); err != nil {
-			if errors.Is(err, faults.ErrInjected) {
-				return sendErr(ctx, fc, err)
-			}
 			return err
 		}
-		return fc.writeFrame(ctx, msgRows, e.endRows(0, n))
+		err := fc.writeFrame(ctx, msgRows, e.endRows(0, batch))
+		e.Reset()
+		e.beginRows()
+		batch = 0
+		return err
 	}
 	for {
 		if err := ctx.Err(); err != nil {
@@ -591,25 +589,16 @@ func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIte
 			}
 			return sendErr(ctx, fc, err)
 		}
-		if batch == 0 {
-			if rows == 0 {
-				e = newMessage() // at the first row: an empty stream encodes nothing
-			}
-			e.Reset()
-			e.beginRows()
-		}
+		begin()
 		at := len(e.buf)
 		e.Row(row)
 		if batch > 0 && e.rowsLen(batch+1) > fc.wlimit {
 			// The row would push the frame past the peer's bound: send
 			// the frame without it, and start the next one with it.
 			e.buf = e.buf[:at]
-			if err := cut(batch); err != nil {
-				return err
+			if err := cut(); err != nil {
+				return reportInjected(ctx, fc, err)
 			}
-			batch = 0
-			e.Reset()
-			e.beginRows()
 			at = len(e.buf)
 			e.Row(row)
 		}
@@ -619,21 +608,29 @@ func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIte
 		batch++
 		rows++
 		if batch == rowBatchSize {
-			if err := cut(batch); err != nil {
-				return err
+			if err := cut(); err != nil {
+				return reportInjected(ctx, fc, err)
 			}
-			batch = 0
-		}
-	}
-	if batch > 0 {
-		if err := fc.writeFrame(ctx, msgRows, e.endRows(0, batch)); err != nil {
-			return err
 		}
 	}
 	ssp.SetInt("rows", rows)
 	ssp.End()
 	root.End()
-	return fc.writeFrame(ctx, msgEnd, footer(root.Data(), fc.wlimit))
+	data := root.Data()
+	if e.buf == nil && data == nil {
+		return fc.writeFrame(ctx, msgEnd, noRows)
+	}
+	begin()
+	for {
+		at := len(e.buf)
+		if e.footer(data, fc.wlimit-1); e.rowsLen(batch) <= fc.wlimit {
+			return fc.writeFrame(ctx, msgEnd, e.endRows(0, batch))
+		}
+		e.buf = e.buf[:at]
+		if err := cut(); err != nil {
+			return reportInjected(ctx, fc, err)
+		}
+	}
 }
 
 // write applies a decoded write request through the transaction open on

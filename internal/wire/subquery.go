@@ -1,19 +1,21 @@
 package wire
 
 // The header and the footer of a sub-query's conversation, which is
-// msgExecute (header, query) → msgOK, msgRows…, msgEnd (footer).
+// msgExecute (header, query) → msgRows × k, msgEnd (last rows, footer),
+// where each msgRows is a full batch and msgEnd's rows body the 0 to 255
+// rows left; a msgErr may end it at any frame.
 //
 // Header: what the mediator says about the sub-query besides the query —
 // the trace it runs under, when it is traced (trace id, the span the
 // remote subtree belongs under), and the time it has left.
 //
 // Footer: what the component system says about the sub-query besides
-// its rows. It is msgEnd's payload: for a traced sub-query the finished
-// span subtree of the server's side (rooted at a SpanRemote), empty
-// otherwise. It ends the stream whatever it holds: a client stitches a
-// footer that decodes under its ship span and ignores one that does not,
-// and the connection is in protocol sync either way, because the frame
-// was read whole. See DESIGN.md "Distributed tracing & plan telemetry".
+// its rows: for a traced sub-query the finished span subtree of the
+// server's side (rooted at a SpanRemote), nothing otherwise. A client
+// stitches a footer that decodes under its ship span and ignores one
+// that does not; the connection is in protocol sync either way, because
+// the frame was read whole. See DESIGN.md "Distributed tracing & plan
+// telemetry".
 
 import (
 	"time"
@@ -54,26 +56,25 @@ func (d *Decoder) execHeader() (h execHeader, err error) {
 	return h, err
 }
 
-// footer encodes a traced sub-query's finished remote subtree as the
-// msgEnd payload (none: an untraced sub-query, an empty footer). The
-// payload has to fit the peer's frame bound: a subtree that does not is
-// capped to half as many spans until it does, and one whose root alone
-// is too large is not sent — the stream ends with an empty footer, never
-// with an error on the footer's account.
-func footer(data *obs.SpanData, limit int) []byte {
+// footer appends a traced sub-query's finished remote subtree to a
+// msgEnd payload, behind its rows (none: an untraced sub-query, no
+// footer), in at most limit bytes: a subtree that does not fit is capped
+// to half as many spans until it does, and one whose root alone is too
+// large is not sent — the stream ends without a footer, never with an
+// error on the footer's account.
+func (e *Encoder) footer(data *obs.SpanData, limit int) {
 	if data == nil {
-		return nil
+		return
 	}
-	e := newMessage()
+	at := len(e.buf)
 	e.Span(data)
-	for n := obs.CountSpanData(data) / 2; len(e.Bytes()) > limit; n /= 2 {
+	for n := obs.CountSpanData(data) / 2; len(e.buf)-at > limit; n /= 2 {
+		e.buf = e.buf[:at]
 		if n == 0 {
-			return nil
+			return
 		}
-		e.Reset()
 		e.Span(obs.CapSpanData(data, n))
 	}
-	return e.Bytes()
 }
 
 // Span encodes a span snapshot subtree: kind and name, start (µs since

@@ -140,8 +140,8 @@ func scan(t *testing.T, cl *Client, sctx context.Context, n int) {
 }
 
 // TestTraceUntracedRequestCompat pins the wire format contract from the
-// outside: a request whose header names no trace is answered msgOK, the
-// rows, and a msgEnd with nothing in it.
+// outside: a request whose header names no trace is answered by one
+// msgEnd, the rows and nothing after them.
 func TestTraceUntracedRequestCompat(t *testing.T) {
 	_, cl := startRelServer(t, 50)
 	fc := greetedConn(t, cl)
@@ -153,20 +153,22 @@ func TestTraceUntracedRequestCompat(t *testing.T) {
 	if err := fc.writeFrame(ctx, msgExecute, e.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []byte{msgOK, msgRows, msgEnd} {
-		tag, payload, err := fc.readFrame(ctx)
-		if err != nil || tag != want {
-			t.Fatalf("frame = tag %d, %v; want tag %d", tag, err, want)
-		}
-		if tag == msgEnd && len(payload) != 0 {
-			t.Errorf("untraced msgEnd carries % x, want an empty footer", payload)
-		}
+	tag, payload, err := fc.readFrame(ctx)
+	if err != nil || tag != msgEnd {
+		t.Fatalf("frame = tag %d, %v; want tag %d", tag, err, msgEnd)
+	}
+	d := NewDecoder(payload)
+	if rows, _, err := d.rowBatch(nil, nil); err != nil || len(rows) != 50 {
+		t.Fatalf("msgEnd carries %d rows, %v; want all 50", len(rows), err)
+	}
+	if d.Remaining() != 0 {
+		t.Errorf("untraced msgEnd carries % x after its rows, want no footer", payload[d.pos:])
 	}
 }
 
-// TestTracedStreamCostsTheSameFrames: the footer rides in msgEnd, so a
-// traced sub-query is msgExecute → msgOK, msgRows × ⌈rows/256⌉, msgEnd
-// like an untraced one, and nothing after it.
+// TestTracedStreamCostsTheSameFrames: the footer rides in msgEnd behind
+// the last rows, so a traced sub-query is msgExecute → msgRows × ⌊rows/256⌋,
+// msgEnd like an untraced one, and nothing after it.
 func TestTracedStreamCostsTheSameFrames(t *testing.T) {
 	_, cl := startRelServer(t, 600, WithName("framecount"))
 	in := obs.Default().Counter("wire.client.framecount.frames_in")
@@ -182,17 +184,18 @@ func TestTracedStreamCostsTheSameFrames(t *testing.T) {
 			t.Error("the traced scan stitched no remote subtree")
 		}
 	})
-	if ui != 5 || uo != 1 {
-		t.Errorf("untraced scan of 600 rows: %d frames in, %d out; want 5 (msgOK, 3 × msgRows, msgEnd) and 1", ui, uo)
+	if ui != 3 || uo != 1 {
+		t.Errorf("untraced scan of 600 rows: %d frames in, %d out; want 3 (2 × msgRows, msgEnd with 88 rows) and 1", ui, uo)
 	}
 	if ti != ui || to != uo {
 		t.Errorf("traced scan: %d frames in, %d out; untraced: %d, %d", ti, to, ui, uo)
 	}
 }
 
-// shortFooter is a connection on which every non-empty msgEnd arrives
-// with its payload cut in half — by a middlebox that rewrites the length
-// too, so the frame is whole and only its content is wrong.
+// shortFooter is a connection on which every msgEnd with a footer
+// arrives with the footer cut in half — by a middlebox that rewrites the
+// length too, so the frame is whole, its rows are intact and only the
+// footer is wrong.
 type shortFooter struct {
 	net.Conn
 	buf []byte // of the frame being handed out
@@ -209,7 +212,11 @@ func (c *shortFooter) Read(p []byte) (int, error) {
 			return 0, err
 		}
 		if hdr[4] == msgEnd {
-			payload = payload[:len(payload)/2]
+			d := NewDecoder(payload)
+			if _, _, err := d.rowBatch(nil, nil); err != nil {
+				return 0, err
+			}
+			payload = payload[:d.pos+d.Remaining()/2]
 			binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
 		}
 		c.buf = append(hdr[:], payload...)
@@ -288,6 +295,37 @@ func TestFooterFitsThePeersFrameBound(t *testing.T) {
 	// Its root alone — kind, name, times, trace id — is over 64 bytes.
 	if remote := remoteChild(runTracedScan(t, dial(64), 3)); remote != nil {
 		t.Errorf("a 64-byte bound let through a subtree of %d spans", obs.CountSpanData(remote.Data()))
+	}
+}
+
+// TestFooterBesideTheLastRows: a footer that fits the peer's frame bound
+// alone but not beside the last rows does not displace them — they go in
+// a msgRows of their own, and msgEnd carries the footer alone.
+func TestFooterBesideTheLastRows(t *testing.T) {
+	const n = 200 // some 3.4 KB of rows, under the 4 KiB bound with no footer
+	srv, err := Serve(ctx, "127.0.0.1:0", &chattySource{Store: itemsStore(t, n), pages: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cl, err := DialContext(ctx, srv.Addr(), WithMaxFrameBytes(4096), WithName("beside"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	in := obs.Default().Counter("wire.client.beside.frames_in")
+	before := in.Value()
+	scan(t, cl, ctx, n)
+	if got := in.Value() - before; got != 1 {
+		t.Fatalf("an untraced scan of %d rows took %d frames, want 1", n, got)
+	}
+	before = in.Value()
+	remote := remoteChild(runTracedScan(t, cl, n))
+	if got := in.Value() - before; got != 2 {
+		t.Errorf("a traced scan whose footer does not fit beside its rows took %d frames, want 2", got)
+	}
+	if remote == nil || len(remote.Children()) == 0 {
+		t.Errorf("the footer sent alone stitched %v, want a capped remote subtree", remote)
 	}
 }
 

@@ -32,10 +32,9 @@ const (
 	// Responses.
 	msgOK   // payload depends on the request
 	msgErr  // payload: error string
-	msgRows // payload: row batch (streamed after msgExecute's msgOK)
-	// msgEnd ends a row stream. Its payload is the sub-query's footer: the
-	// component system's finished span subtree when the request carried a
-	// trace, empty otherwise (see subquery.go).
+	msgRows // payload: a full row batch of a sub-query's answer
+	// msgEnd ends a sub-query's answer: the last rows, in the msgRows
+	// body, then the footer (see subquery.go).
 	msgEnd
 	// msgHello is the per-connection handshake, the first frame on
 	// every connection: the client announces its protocol version,
@@ -50,8 +49,8 @@ const rowBatchSize = 256
 
 // socketBuffer is the kernel buffer on each end of a result stream's
 // path: the write buffer of every accepted connection and the read
-// buffer of every dialed one. After msgOK a stream flows server → client
-// only, and TCP's own backpressure is its flow control: a consumer that
+// buffer of every dialed one. After msgExecute a stream flows server →
+// client only, and TCP's own backpressure is its flow control: a consumer that
 // stops reading stalls the server's next write once these two buffers
 // are full, so what it leaves in flight is bounded in bytes.
 const socketBuffer = 32 << 10
@@ -158,13 +157,12 @@ type frameConn struct {
 	// decrement propagated deadlines by WAN latency).
 	rttEWMA *atomic.Int64
 	hdr     [5]byte
-	// rbuf backs msgRows payloads across readFrame calls. Row frames
-	// dominate traffic and their payloads are fully decoded (every
-	// string/bytes payload copied into the frame's string block) before
-	// the next read on this conn, so reuse is safe there; every other
-	// tag gets a fresh buffer because its payload can outlive the next
-	// read (e.g. a response decoded after the connection went back to
-	// the pool).
+	// rbuf backs msgRows and msgEnd payloads across readFrame calls: a
+	// stream decodes each whole (strings copied into the frame's string
+	// block, the footer into its spans) before its next read on this
+	// conn. Every other tag gets a fresh buffer, because its payload can
+	// outlive the next read (a response decoded after the connection
+	// went back to the pool).
 	rbuf []byte
 	// strs is where the rows bodies read on this conn gather their
 	// strings (Decoder.rowBatch), reused like rbuf.
@@ -267,7 +265,7 @@ func (f *frameConn) readFrame(ctx context.Context) (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("wire: inbound frame of %d bytes over %d-byte bound: %w", n, f.limit, ErrFrameTooLarge)
 	}
 	var payload []byte
-	if hdr[4] == msgRows {
+	if hdr[4] == msgRows || hdr[4] == msgEnd {
 		if cap(f.rbuf) < int(n) {
 			f.rbuf = make([]byte, n)
 		}

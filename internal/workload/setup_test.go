@@ -9,6 +9,7 @@ import (
 	"gis/internal/expr"
 	"gis/internal/obs"
 	"gis/internal/relstore"
+	"gis/internal/source"
 	"gis/internal/types"
 )
 
@@ -113,5 +114,48 @@ func TestGlobalUpdateFrames(t *testing.T) {
 	}
 	if got := frames() - before; got != 12 {
 		t.Errorf("a two-participant UPDATE moved %d client frames, want 12: write, prepare and commit, each answered, at each", got)
+	}
+}
+
+// TestSubQueryFrames counts what a sub-query over a dialed source sends
+// and receives: one msgExecute, answered by a msgRows frame per full
+// batch of 256 rows and one msgEnd carrying the rest. So a sub-query
+// whose answer fits one frame costs one round trip of two frames.
+func TestSubQueryFrames(t *testing.T) {
+	const name = "subquery_frames"
+	st := relstore.New(name)
+	if err := st.CreateTable("events", ordersSchema(), 0); err != nil {
+		t.Fatal(err)
+	}
+	rows := GenOrders(600, 20, 1)
+	for i := range rows {
+		rows[i][0] = types.NewInt(int64(i))
+	}
+	if _, err := st.Insert(ctx, "events", rows); err != nil {
+		t.Fatal(err)
+	}
+	f := &Fixture{Engine: core.New(), Stores: map[string]*relstore.Store{}}
+	defer f.Close()
+	src, err := f.attach(ctx, st, true, Link{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := obs.Default().Counter("wire.client." + name + ".frames_in")
+	out := obs.Default().Counter("wire.client." + name + ".frames_out")
+	for _, c := range []struct{ rows, in int64 }{{0, 1}, {10, 1}, {256, 2}, {600, 3}} {
+		q := source.NewScan("events")
+		q.Filter = expr.NewBinary(expr.OpLt, expr.NewBoundColRef(0, types.KindInt, "oid"), expr.NewConst(types.NewInt(c.rows)))
+		i, o := in.Value(), out.Value()
+		it, err := src.Execute(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := source.Drain(it)
+		if err != nil || int64(len(got)) != c.rows {
+			t.Fatalf("a sub-query of %d rows returned %d, %v", c.rows, len(got), err)
+		}
+		if gin, gout := in.Value()-i, out.Value()-o; gin != c.in || gout != 1 {
+			t.Errorf("a sub-query of %d rows received %d frames and sent %d, want %d and 1", c.rows, gin, gout, c.in)
+		}
 	}
 }

@@ -33,7 +33,10 @@
 #                   connections and transactions"), and wire
 #                   TestRaceStressScansDuringWrites (scans of every store
 #                   read while writes commit; DESIGN.md "What a scan
-#                   holds"). A hang is how a
+#                   holds"), and the frame ledger (`make frames` runs it
+#                   on demand: workload TestSetUpFrames,
+#                   TestGlobalUpdateFrames and TestSubQueryFrames, and
+#                   wire's tests of a result stream's end). A hang is how a
 #                   re-acquired mutex, a Wait that misses its Done or a
 #                   lock cycle shows, so the timeout is part of the gate:
 #                   well over three times the slowest package (workload, 27 s)
