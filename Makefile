@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures fmt vet check loc golden chaos overload frames fuzz bench rungs bench-e2e
+.PHONY: build test race lint lint-fixtures fmt vet check loc layout golden chaos overload frames fuzz bench rungs bench-e2e
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,15 @@ check:
 # `Next() (types.Row, error)` method).
 loc:
 	@sh scripts/loc.sh
+
+# What the stores hold, in bytes, against the allocator's size classes:
+# relstore's rows (at most 48 B a row of the orders table), its chunk
+# vectors (each full vector fills its size class to within one row) and
+# its indexes, docstore's documents and types.RowSlab's chunks.
+layout:
+	$(GO) test -count=1 -run 'TestRowBytesPerRow|TestChunkBytes|TestIndexBytesPerRow' -v ./internal/relstore
+	$(GO) test -count=1 -run 'TestDocBytesPerDocument' -v ./internal/docstore
+	$(GO) test -count=1 -run 'TestRowSlabBytes' -v ./internal/types
 
 # After a change meant to move a plan or an estimate: rewrite the golden
 # files of TestPlansGolden (230 statements under each optimizer variant)
@@ -94,12 +103,14 @@ frames:
 # SQL lexer/parser and filestore's record scanner (against encoding/csv,
 # whole and in blocks), docstore's document codec (FuzzDocCodec: decode
 # of encode is the JSON document, and each compiled path reads what a
-# lookup in its maps reads) — and three that are not byte-readers: expr's
+# lookup in its maps reads) — and four that are not byte-readers: expr's
 # range algebra, against EvalBool of the conjunction it folds
 # (FuzzColumnRange), catalog's one inverse of a mapped column, against
-# what every candidate remote value reads as (FuzzToRemote), and types'
+# what every candidate remote value reads as (FuzzToRemote), types'
 # hash chain, whose link, unlink, grow and probe operations are decoded
-# from bytes and held to a map of each hash's positions (FuzzHashChain). Their seed
+# from bytes and held to a map of each hash's positions (FuzzHashChain),
+# and types' column vector, whose appends, sets and clones are decoded
+# from bytes and held to a []Value model bit for bit (FuzzVector). Their seed
 # corpora run as ordinary tests under `go test ./...`; a crash found here
 # lands in the package's testdata/fuzz and fails from then on.
 fuzz:
@@ -113,6 +124,7 @@ fuzz:
 	$(GO) test ./internal/expr -run '^$$' -fuzz FuzzColumnRange -fuzztime 10s
 	$(GO) test ./internal/catalog -run '^$$' -fuzz FuzzToRemote -fuzztime 10s
 	$(GO) test ./internal/types -run '^$$' -fuzz FuzzHashChain -fuzztime 10s
+	$(GO) test ./internal/types -run '^$$' -fuzz FuzzVector -fuzztime 10s
 
 # Both benchmark harnesses: the per-layer rungs, then the repository
 # benchmark. The T1-F9 experiment shapes are `go run ./cmd/gisbench`.

@@ -18,7 +18,8 @@ import (
 //
 //   - an aggregating query folds each passing row into its group as it
 //     is found, and an ordered one is drained and sorted, both here;
-//   - an index probe copies the headers of the rows it names;
+//   - an index probe copies the positions it names, and is counted open
+//     until it is read to its end or closed (Tx.table);
 //   - any other query is a scan of the whole table, and borrows it
 //     (table.view): nothing is copied, and the filter, the projection
 //     and the limit happen in Next, after the lock is gone. Writers pay
@@ -46,20 +47,22 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 		}
 		return sortLimit(rows, q), nil
 	}
-	it := &scanIter{s: s, q: q, limit: q.Limit}
+	it := &scanIter{s: s, q: q, t: t, limit: q.Limit, width: int32(len(q.Columns))}
+	if q.Columns == nil {
+		it.width = int32(t.schema.Len())
+	}
 	var buf [probeRows]int32
 	candidates, indexed := t.candidateRows(q.Filter, buf[:0])
 	switch {
 	case indexed:
-		it.cur = make([]types.Row, len(candidates))
-		for i, pos := range candidates {
-			it.cur[i] = t.at(int(pos))
-		}
+		it.dir, it.probe, it.probing = t.dir, append(make([]int32, 0, len(candidates)), candidates...), true
+		t.probing.Add(1)
 	case len(q.OrderBy) > 0:
 		// Drained below, under the lock: there is nothing to borrow.
-		it.dir, it.n = t.dir, t.n
+		it.dir, it.n = t.dir, int32(t.n)
 	default:
-		it.dir, it.n = t.view()
+		dir, n := t.view()
+		it.dir, it.n = dir, int32(n)
 	}
 	if len(q.OrderBy) == 0 {
 		return it, nil
@@ -74,7 +77,55 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	return sortLimit(rows, q), nil
 }
 
-// fold groups and aggregates the rows of t that pass q's filter. Caller
+// filterWidth is how wide a row the filter reads must be.
+func filterWidth(filter expr.Expr) (w int) {
+	expr.Columns(filter, func(c int) { w = max(w, c+1) })
+	return w
+}
+
+// cursor walks the live rows of a version of a table: at the positions
+// an index probe names, or every one below n.
+type cursor struct {
+	dir     []*chunk
+	probe   []int32 // nil: a scan
+	next, n int32   // a scan's next position, and its end
+}
+
+// advance returns the next row that passes filter, its position and
+// chunk, or a nil chunk at the end. The filter reads row, into which the
+// row in hand's first filterWidth columns are decoded.
+func (cu *cursor) advance(filter expr.Expr, row types.Row) (int, *chunk, error) {
+	for {
+		var pos int
+		switch {
+		case len(cu.probe) > 0:
+			pos, cu.probe = int(cu.probe[0]), cu.probe[1:]
+		case cu.probe == nil && cu.next < cu.n:
+			pos = int(cu.next)
+			cu.next++
+		default:
+			return 0, nil, nil
+		}
+		c, k := cu.dir[pos/chunkRows], pos%chunkRows
+		if !c.isLive(k) {
+			continue
+		}
+		if filter != nil {
+			c.decode(k, row)
+			ok, err := expr.EvalBool(filter, row)
+			if err != nil {
+				return 0, nil, err
+			}
+			if !ok {
+				continue
+			}
+		}
+		return pos, c, nil
+	}
+}
+
+// fold groups and aggregates the rows of t that pass q's filter, reading
+// each one's grouping and aggregated columns from its vectors. Caller
 // holds mu.
 func (t *table) fold(q *source.Query) ([]types.Row, error) {
 	aggs := make([]expr.AccSpec, len(q.Aggs))
@@ -82,15 +133,19 @@ func (t *table) fold(q *source.Query) ([]types.Row, error) {
 		aggs[i] = expr.AccSpec{Kind: a.Kind, Star: a.Star, Distinct: a.Distinct}
 	}
 	groups := expr.NewGroupTable(len(q.GroupBy), aggs)
-	key := make(types.Row, len(q.GroupBy)) // scratch: the group key of the row in hand
-	err := t.match(q.Filter, func(_ int, r types.Row) error {
+	// Scratch, in one allocation: what the filter reads, then the group
+	// key of the row in hand.
+	w := filterWidth(q.Filter)
+	scratch := make(types.Row, w+len(q.GroupBy))
+	key := scratch[w:]
+	err := t.match(q.Filter, scratch[:w:w], func(pos int, c *chunk) error {
 		for j, g := range q.GroupBy {
-			key[j] = r[g]
+			key[j] = c.cols[g].At(pos % chunkRows)
 		}
 		for j, acc := range groups.Group(key) {
 			v := types.NewInt(1)
 			if a := q.Aggs[j]; !a.Star {
-				v = r[a.Col]
+				v = c.cols[a.Col].At(pos % chunkRows)
 			}
 			if err := acc.Add(v); err != nil {
 				return err
@@ -104,41 +159,28 @@ func (t *table) fold(q *source.Query) ([]types.Row, error) {
 	return groups.Rows(), nil
 }
 
-// match calls fn with each live row of t that passes filter, and its
-// position, in table order: of the rows an index probe names when one
-// applies (candidateRows), else of every row. The probe is complete
-// before the first call, so fn may relink the row it is given. Caller
-// holds mu.
-func (t *table) match(filter expr.Expr, fn func(pos int, r types.Row) error) error {
+// match calls fn with each live row of t that passes filter, its
+// position and chunk, in table order: of the rows an index probe names
+// when one applies (candidateRows), else of every row. The filter reads
+// row, filterWidth wide. The probe is complete before the first call,
+// so fn may write and relink the row it is given; the rows after it are
+// read from the version the walk began on, which holds them as they are.
+// Caller holds mu.
+func (t *table) match(filter expr.Expr, row types.Row, fn func(pos int, c *chunk) error) error {
 	var buf [probeRows]int32
-	candidates, indexed := t.candidateRows(filter, buf[:0])
-	n := t.n
-	if indexed {
-		n = len(candidates)
+	cu := cursor{dir: t.dir, n: int32(t.n)}
+	if candidates, indexed := t.candidateRows(filter, buf[:0]); indexed {
+		cu.probe = candidates
 	}
-	for i := 0; i < n; i++ {
-		pos := i
-		if indexed {
-			pos = int(candidates[i])
+	for {
+		pos, c, err := cu.advance(filter, row)
+		if c == nil || err != nil {
+			return err
 		}
-		r := t.at(pos)
-		if r == nil {
-			continue
-		}
-		if filter != nil {
-			ok, err := expr.EvalBool(filter, r)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-		}
-		if err := fn(pos, r); err != nil {
+		if err := fn(pos, c); err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
 // sortLimit orders rows, which are this query's own, by q's ORDER BY,
@@ -153,66 +195,73 @@ func sortLimit(rows []types.Row, q *source.Query) source.RowIter {
 	return source.SliceIter(rows)
 }
 
-// scanIter streams the rows of a table — the chunks a view lent, or the
-// rows an index probe copied — that pass the filter, projected, up to
-// the limit. An unprojected row is the committed row itself, which is
-// never written again. A projected one is built here: kept (the
-// default), in a slab's chunks; lent, in one row every Next rewrites.
+// scanIter streams the rows of a table — of the chunks a view lent, or
+// at the positions an index probe copied — that pass the filter,
+// projected, up to the limit. Its cursor decodes what the filter reads
+// into a scratch row; a row that passes is decoded, its projection, into
+// the row handed out: kept (the default), a slab's; lent, one row every
+// Next rewrites, made in one allocation with the scratch.
 type scanIter struct {
-	s     *Store
-	q     *source.Query // its Filter and Columns, which Execute checked
-	cur   []types.Row   // what is left of the chunk being read
-	dir   []*chunk      // the chunks after it,
-	n     int           // and how many rows of them are the view's
-	limit int64         // rows still wanted; negative: all
-	slab  types.RowSlab
+	cursor
+	s       *Store
+	q       *source.Query // its Filter and Columns, which Execute checked
+	t       *table
+	limit   int64 // rows still wanted; negative: all
+	width   int32 // of the rows handed out
+	probing bool  // counted in t.probing
+	lent    bool
+	row     types.Row // what the filter reads
+	out     types.Row // lent: the row handed out
+	slab    types.RowSlab
 }
 
 // Lend implements source.Lender.
-func (it *scanIter) Lend() { it.slab.Lend() }
+func (it *scanIter) Lend() { it.lent = true }
 
 // Next implements source.RowIter.
 func (it *scanIter) Next() (types.Row, error) {
-	for it.limit != 0 {
-		if len(it.cur) == 0 {
-			if it.n == 0 {
-				break
-			}
-			k := min(it.n, chunkRows)
-			it.cur, it.dir, it.n = it.dir[0][:k], it.dir[1:], it.n-k
+	if it.row == nil {
+		w, n := filterWidth(it.q.Filter), 0
+		if it.lent {
+			n = int(it.width)
 		}
-		r := it.cur[0]
-		it.cur = it.cur[1:]
-		if r == nil {
-			continue
-		}
-		if it.q.Filter != nil {
-			ok, err := expr.EvalBool(it.q.Filter, r)
-			if err != nil {
-				return nil, fmt.Errorf("relstore %s: %w", it.s.name, err)
-			}
-			if !ok {
-				continue
-			}
-		}
-		if it.limit > 0 {
-			it.limit--
-		}
-		if it.q.Columns == nil {
-			return r, nil
-		}
-		out := it.slab.Next(len(it.q.Columns))
-		for j, c := range it.q.Columns {
-			out[j] = r[c]
-		}
-		return out, nil
+		buf := make(types.Row, w+n)
+		it.row, it.out = buf[:w:w], buf[w:]
 	}
+	if it.limit != 0 {
+		pos, c, err := it.advance(it.q.Filter, it.row)
+		if err != nil {
+			return nil, fmt.Errorf("relstore %s: %w", it.s.name, err)
+		}
+		if c != nil {
+			if it.limit > 0 {
+				it.limit--
+			}
+			out, k := it.out, pos%chunkRows
+			if !it.lent {
+				out = it.slab.Next(int(it.width))
+			}
+			if it.q.Columns == nil {
+				c.decode(k, out)
+			}
+			for j, col := range it.q.Columns {
+				out[j] = c.cols[col].At(k)
+			}
+			return out, nil
+		}
+	}
+	_ = it.Close()
 	return nil, io.EOF
 }
 
-// Close implements source.RowIter.
+// Close implements source.RowIter: no further row is read, and a probe
+// is no longer counted open. Next closes at the end of the rows.
 func (it *scanIter) Close() error {
 	it.limit = 0
+	if it.probing {
+		it.probing = false
+		it.t.probing.Add(-1)
+	}
 	return nil
 }
 
@@ -250,7 +299,7 @@ func (t *table) candidateRows(filter expr.Expr, buf []int32) ([]int32, bool) {
 	}
 	for _, k := range keys.Points(one[:0]) {
 		for p := best.First(k.Hash(0)); p >= 0; p = best.Next(p) {
-			if t.at(p)[best.col].Compare(k) == 0 {
+			if t.value(p, best.col).Compare(k) == 0 {
 				buf = append(buf, int32(p))
 			}
 		}

@@ -3,13 +3,15 @@ package relstore
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
-	"unsafe"
+	"time"
 
 	"gis/internal/expr"
 	"gis/internal/source"
@@ -62,9 +64,20 @@ func tableRows(s *Store, name string) []types.Row {
 	t := s.tables[name]
 	rows := make([]types.Row, t.n)
 	for pos := range rows {
-		rows[pos] = t.at(pos)
+		rows[pos] = rowAt(t, pos)
 	}
 	return rows
+}
+
+// rowAt decodes row pos of t, nil for a tombstone.
+func rowAt(t *table, pos int) types.Row {
+	c, k := t.dir[pos/chunkRows], pos%chunkRows
+	if !c.isLive(k) {
+		return nil
+	}
+	r := make(types.Row, t.schema.Len())
+	c.decode(k, r)
+	return r
 }
 
 // Columns of the reference table.
@@ -476,6 +489,89 @@ func TestExecuteResultSurvivesConcurrentUpdate(t *testing.T) {
 	wg.Wait()
 }
 
+// An index probe reads its rows' values after the lock, without a view:
+// while probes of one bucket are read row by row, kept and lent, a
+// writer rewrites that bucket's rows again and again, and every probe
+// reads one committed version — each row's val and n written by the
+// same statement, and all of a probe's rows by one statement. The writer
+// also appends rows with a NULL, whose bit may share a bitmap word with
+// the rows a full scan, read beside the probes, holds. Run under -race.
+func TestProbesSurviveConcurrentWrites(t *testing.T) {
+	s := newRefStore(t, 4, 600)
+	bucket := refCmp(expr.OpEq, refCol(refCat), types.NewString("b"))
+	write := func(x int64) error {
+		set := []source.SetClause{{Col: refVal, Value: expr.NewConst(types.NewFloat(float64(x)))}, {Col: refN, Value: expr.NewConst(types.NewInt(x))}}
+		_, err := s.Update(ctx, "ref", bucket, set)
+		return err
+	}
+	if err := write(0); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for x := int64(1); ; x++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := write(x); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := s.Insert(ctx, "ref", []types.Row{{types.NewInt(1000 + x), types.NewString("z"), types.Null, types.NewInt(0)}}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if i%4 == 2 {
+			if _, err := executeAs(s, source.NewScan("ref"), true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q := &source.Query{Table: "ref", Filter: bucket, Columns: []int{refN, refVal}, Limit: -1}
+		if i%3 == 0 {
+			q.Filter = expr.NewBinary(expr.OpAnd, bucket, refIn(refCat, types.NewString("b"), types.NewString("c")))
+		}
+		it, err := s.Execute(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			source.Lend(it)
+		}
+		var first types.Value
+		for k := 0; ; k++ {
+			r, err := it.Next()
+			if err != nil {
+				break
+			}
+			runtime.Gosched()
+			if r[1].Float() != float64(r[0].Int()) {
+				t.Fatalf("probe %d, row %d: n %v and val %v from two statements", i, k, r[0], r[1])
+			}
+			if k == 0 {
+				first = r[0]
+			} else if !r[0].Equal(first) {
+				t.Fatalf("probe %d, row %d: n %v, row 0 had %v: rows of two versions", i, k, r[0], first)
+			}
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if p := s.tables["ref"].probing.Load(); p != 0 {
+		t.Errorf("%d probes still counted open after every one was closed", p)
+	}
+}
+
 // A fold's allocations are per group, not per row.
 func TestExecuteAllocsDoNotGrowWithRows(t *testing.T) {
 	const n = 2048
@@ -540,20 +636,24 @@ func updateOne(tb testing.TB, s *Store, where expr.Expr) {
 }
 
 // A write pays for a scan only when there is one: with no view taken
-// since the chunk it writes to was made, an update allocates what it
-// did before chunks could be borrowed (updateAllocs, measured at the
-// commit before this one) and copies nothing; after a full scan it
-// copies that chunk and the directory, once, whatever the table's
-// size — and an index probe, an aggregate and a pushed ORDER BY take no
-// view at all.
+// since the chunk it writes to was made, an update allocates
+// updateAllocs objects and copies nothing; after a full scan it copies,
+// once, whatever the table's size, the chunk's header, the array of its
+// vector headers, the vector of each column it sets and the directory —
+// and an index probe, an aggregate and a pushed ORDER BY take no view at
+// all. What it copies is checked vector by vector (checkCopied): an
+// UPDATE of amount copies amount's vector and nothing of oid, cust_id
+// or region; a DELETE copies the header, which holds the live bitmap,
+// and nothing else.
 func TestWriteCopiesOnlyWhenViewed(t *testing.T) {
-	const updateAllocs = 3 // the transaction, its undo log, the new row
+	const updateAllocs = 4 // the transaction, its undo log, the new row, the row match decodes into
 	full := source.NewScan("orders")
 	probe := &source.Query{Table: "orders", Filter: benchCmp(expr.OpEq, benchCust, types.NewInt(3)), Limit: -1}
 	ordered := &source.Query{Table: "orders", OrderBy: []source.OrderSpec{{Col: 2}}, Limit: 3}
 	var viewed [2]float64
 	for i, n := range []int{1000, 100000} {
 		s := benchOrders(t, n, 50)
+		tbl := s.tables["orders"]
 		one := benchCmp(expr.OpEq, benchOid, types.NewInt(int64(n/2)))
 		next := benchCmp(expr.OpEq, benchOid, types.NewInt(int64(n/2+1))) // in one's chunk
 		if got := testing.AllocsPerRun(20, func() { updateOne(t, s, one) }); got != updateAllocs {
@@ -575,31 +675,207 @@ func TestWriteCopiesOnlyWhenViewed(t *testing.T) {
 		if c := s.ViewCopies(); c != 21 {
 			t.Errorf("%d rows: %d chunks copied by 21 updates that each followed a scan, and 21 that did not", n, c)
 		}
+
+		c := n / 2 / chunkRows
+		openScan(t, s, full)
+		before := tbl.dir[c]
+		updateOne(t, s, one)
+		checkCopied(t, fmt.Sprintf("%d rows, UPDATE of amount", n), before, tbl.dir[c], 2)
+		openScan(t, s, full)
+		before = tbl.dir[c]
+		if k, err := s.Delete(ctx, "orders", next); err != nil || k != 1 {
+			t.Fatalf("delete: %d rows, %v", k, err)
+		}
+		checkCopied(t, fmt.Sprintf("%d rows, DELETE", n), before, tbl.dir[c], liveBits)
 	}
-	// The scan's iterator, two updates, the chunk and the directory.
-	if want := float64(1 + 2*updateAllocs + 2); viewed[0] != want || viewed[1] != want {
+	// The scan's iterator and the row it read, two updates, the chunk's
+	// header, its vector headers, amount's vector and the directory.
+	if want := float64(2 + 2*updateAllocs + 4); viewed[0] != want || viewed[1] != want {
 		t.Errorf("a scan and two updates allocate %v objects over 1 000 rows and %v over 100 000, want %v", viewed[0], viewed[1], want)
 	}
 }
 
-// The allocator rounds a chunk up to nothing: 170 row headers and its
-// own 8-byte header are the 4 KiB size class. If this fails after a
-// toolchain bump, re-derive chunkRows.
-func TestChunkBytes(t *testing.T) {
-	const mallocHeader, class = 8, 4096
-	if got := unsafe.Sizeof(chunk{}) + mallocHeader; got > class || got+unsafe.Sizeof(types.Row{}) <= class {
-		t.Errorf("a chunk takes %d B with its header: want the most rows that fit %d B", got, class)
+// checkCopied holds a write after a scan to what it copies of chunk
+// before, which a view holds, to make after: the header always, and of
+// the vectors only part's — column part's values, or none for liveBits,
+// when the array of vector headers is not copied either.
+func checkCopied(t *testing.T, name string, before, after *chunk, part int) {
+	t.Helper()
+	if before == after {
+		t.Errorf("%s: the chunk's header was written in place", name)
+		return
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	chunkSink = new(chunk)
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got != class {
-		t.Errorf("new(chunk) allocates %d B, want %d", got, class)
+	if shared := &before.cols[0] == &after.cols[0]; shared != (part == liveBits) {
+		t.Errorf("%s: the array of vector headers shared: %v", name, shared)
+	}
+	for col := range before.cols {
+		was, is := arrays(before.cols[col]), arrays(after.cols[col])
+		for j := range was {
+			if was[j] == 0 {
+				continue
+			}
+			if copied := was[j] != is[j]; copied != (col == part) {
+				t.Errorf("%s: column %d's array %d copied: %v", name, col, j, copied)
+			}
+		}
 	}
 }
 
-var chunkSink *chunk // makes TestChunkBytes' chunk escape
+// arrays returns the address of the array each of v's slices holds, 0
+// for one with no room: what a copy of v does not share with it.
+func arrays(v types.Vector) []uintptr {
+	rv := reflect.ValueOf(v)
+	var out []uintptr
+	for i := range rv.NumField() {
+		if f := rv.Field(i); f.Kind() == reflect.Slice {
+			out = append(out, f.Pointer()*uintptr(min(f.Cap(), 1)))
+		}
+	}
+	return out
+}
+
+// An UPDATE and a DELETE rolled back while a scan holds their chunks:
+// the scan reads the version it borrowed, and the table reads as before,
+// bit for bit — a NaN's payload, −0, a TIME's nanoseconds, BYTES, NULLs.
+func TestAbortWhileScanned(t *testing.T) {
+	s := New("db")
+	schema := types.NewSchema(
+		types.Column{Name: "id", Type: types.KindInt},
+		types.Column{Name: "f", Type: types.KindFloat, Nullable: true},
+		types.Column{Name: "at", Type: types.KindTime, Nullable: true},
+		types.Column{Name: "b", Type: types.KindBytes, Nullable: true},
+	)
+	if err := s.CreateTable("t", schema, 0); err != nil {
+		t.Fatal(err)
+	}
+	const n = chunkRows + 40
+	nan := types.NewFloat(math.Float64frombits(0x7ff8_0000_dead_beef))
+	rows := make([]types.Row, n)
+	for i := range rows {
+		f := []types.Value{nan, types.NewFloat(math.Copysign(0, -1)), types.Null, types.NewFloat(float64(i) / 3)}[i%4]
+		at := types.NewTime(time.Unix(int64(i)*86400, int64(i)*7919+1))
+		if i%5 == 0 {
+			at = types.Null
+		}
+		rows[i] = types.Row{types.NewInt(int64(i)), f, at, types.NewBytes([]byte{byte(i), 0, byte(i >> 8)})}
+	}
+	if _, err := s.Insert(ctx, "t", rows); err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b types.Value) bool {
+		if a.Kind() == types.KindFloat && b.Kind() == types.KindFloat {
+			return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+		}
+		return a.Kind() == b.Kind() && a.Equal(b)
+	}
+	identical := func(got, want []types.Row) bool {
+		return slices.EqualFunc(got, want, func(a, b types.Row) bool { return slices.EqualFunc(a, b, same) })
+	}
+	id := expr.NewBoundColRef(0, types.KindInt, "id")
+	for _, lent := range []bool{false, true} {
+		scan, err := s.Execute(ctx, source.NewScan("t"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lent {
+			source.Lend(scan)
+		}
+		tx, _ := s.BeginTx(ctx)
+		set := []source.SetClause{
+			{Col: 1, Value: expr.NewConst(types.NewFloat(1))},
+			{Col: 2, Value: expr.NewConst(types.Null)},
+			{Col: 3, Value: expr.NewConst(types.NewBytes([]byte("new")))},
+		}
+		if k, err := tx.Update(ctx, "t", expr.NewBinary(expr.OpLt, id, expr.NewConst(types.NewInt(n-10))), set); err != nil || k != n-10 {
+			t.Fatalf("update: %d rows, %v", k, err)
+		}
+		if k, err := tx.Delete(ctx, "t", expr.NewBinary(expr.OpGe, id, expr.NewConst(types.NewInt(100)))); err != nil || k != n-100 {
+			t.Fatalf("delete: %d rows, %v", k, err)
+		}
+		drain := source.DrainOwned
+		if lent {
+			drain = source.DrainCopies
+		}
+		if got, err := drain(scan); err != nil || !identical(got, rows) {
+			t.Errorf("lent %v: the scan opened before the writes read %d rows, %v, not the version it borrowed", lent, len(got), err)
+		}
+		if err := tx.Abort(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := runQuery(t, s, source.NewScan("t")); !identical(got, rows) {
+			t.Errorf("lent %v: after the abort the table reads %v, want %v", lent, got[:3], rows[:3])
+		}
+	}
+}
+
+// A chunk's vectors, full, fill their allocator size classes to within
+// one row, kind by kind: chunkRows words are 2 040 B of the 2 KiB class,
+// chunkRows string headers and the 8-byte malloc header a pointer-bearing
+// object carries are 4 088 B of 4 KiB, and TIME adds chunkRows 4-byte
+// nanoseconds, 1 020 B of 1 KiB. If this fails after a toolchain bump,
+// re-derive chunkRows.
+func TestChunkBytes(t *testing.T) {
+	for _, c := range []struct {
+		kind          types.Kind
+		perRow, class uint64
+	}{
+		{types.KindInt, 8, 2048},
+		{types.KindFloat, 8, 2048},
+		{types.KindBool, 8, 2048},
+		{types.KindString, 16, 4096},
+		{types.KindBytes, 16, 4096},
+		{types.KindTime, 12, 2048 + 1024},
+	} {
+		v := types.NewVector(c.kind)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		v.Grow(chunkRows)
+		runtime.ReadMemStats(&after)
+		vectorSink = v
+		got := after.TotalAlloc - before.TotalAlloc
+		if used := c.perRow * chunkRows; got != c.class || got-used > c.perRow {
+			t.Errorf("%s: a vector of %d rows takes %d B of %d B, want %d B at %d B a row, within a row of it",
+				c.kind, chunkRows, used, got, c.class, c.perRow)
+		}
+	}
+}
+
+var vectorSink types.Vector // makes TestChunkBytes' vectors escape
+
+// The rows of the orders table, indexes dropped — three numbers and one
+// of four shared region strings a row — hold 40 B a row of values in
+// their vectors, and each chunk's live bitmap, header and stamps add
+// about 2 B: at most 48 B a row, where a row of Values takes 152 B (a
+// 24 B slice header and 4 × 32 B).
+func TestRowBytesPerRow(t *testing.T) {
+	const n, ceiling = 100000, 48
+	s := New("bench")
+	if err := s.CreateTable("orders", ordersSchema, 0); err != nil {
+		t.Fatal(err)
+	}
+	rows := benchRows(n, 50)
+	for i, r := range rows {
+		r[3] = types.NewString(benchRegions[i%4])
+	}
+	if _, err := s.Insert(ctx, "orders", rows); err != nil {
+		t.Fatal(err)
+	}
+	rows = nil
+	tbl := s.tables["orders"]
+	tbl.indexes = nil
+	var with, without runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&with)
+	tbl.dir, tbl.stamps = nil, nil
+	runtime.GC()
+	runtime.ReadMemStats(&without)
+	runtime.KeepAlive(s)
+	perRow := float64(int64(with.HeapAlloc)-int64(without.HeapAlloc)) / n
+	t.Logf("the rows hold %.1f B a row", perRow)
+	if perRow > ceiling {
+		t.Errorf("the rows hold %.1f B a row, want at most %d", perRow, ceiling)
+	}
+}
 
 // The ceiling is the one the map-headed index met: a distinct value in
 // one map slot, at most 17·16/7 ≈ 38.9 B an entry in a table kept
@@ -767,7 +1043,7 @@ func checkIndexes(t *testing.T, step int, tbl *table) {
 					t.Fatalf("step %d, index on %d: position %d linked twice", step, x.col, p)
 				}
 				linked[p] = true
-				r := tbl.at(p)
+				r := rowAt(tbl, p)
 				if r == nil {
 					t.Fatalf("step %d, index on %d: tombstone %d linked", step, x.col, p)
 				}
@@ -780,7 +1056,7 @@ func checkIndexes(t *testing.T, step int, tbl *table) {
 		}
 		want := map[uint64][]int{}
 		for pos := 0; pos < tbl.n; pos++ {
-			if r := tbl.at(pos); r != nil {
+			if r := rowAt(tbl, pos); r != nil {
 				if !linked[pos] {
 					t.Fatalf("step %d, index on %d: position %d not linked", step, x.col, pos)
 				}
@@ -807,12 +1083,12 @@ func checkProbe(t *testing.T, step int, tbl *table, f expr.Expr) {
 	}
 	var got, want []int
 	for _, p := range candidates {
-		if r := tbl.at(int(p)); r != nil && evalTrue(t, f, r) {
+		if r := rowAt(tbl, int(p)); r != nil && evalTrue(t, f, r) {
 			got = append(got, int(p))
 		}
 	}
 	for pos := 0; pos < tbl.n; pos++ {
-		if r := tbl.at(pos); r != nil && evalTrue(t, f, r) {
+		if r := rowAt(tbl, pos); r != nil && evalTrue(t, f, r) {
 			want = append(want, pos)
 		}
 	}

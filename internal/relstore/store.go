@@ -7,8 +7,9 @@
 // in place; a reader takes the lock only to open its query. A full scan
 // then borrows the table's chunks as they stand (table.view) and reads
 // them with the lock gone, and the first write to a chunk a scan may
-// hold copies that chunk instead of changing it (table.own). A deleted
-// row leaves a tombstone, and its position is never used again.
+// hold copies what it changes instead (table.own). A chunk keeps its rows
+// as one types.Vector a column. A deleted row leaves a tombstone, and
+// its position is never used again.
 //
 // A hash index (hashIndex) is a types.HashChain of the live rows'
 // positions, so a table holds at most maxRows rows. A probe yields
@@ -52,20 +53,22 @@ type table struct {
 	// key columns (for TableInfo and fast point access).
 	key []int
 	// dir lists the chunks that hold the committed data: row pos, of n,
-	// is dir[pos/chunkRows][pos%chunkRows]. A row is replaced, never
-	// mutated; a nil row is the tombstone a delete leaves, which scans
-	// skip and nothing reclaims.
+	// is row pos%chunkRows of chunk dir[pos/chunkRows]. A delete clears
+	// the row's live bit, and nothing reclaims its position.
 	dir []*chunk
 	n   int
-	// views counts the scans that borrowed dir (view). stamps[i] is its
-	// reading when chunk i was made or last copied, dirStamp likewise
-	// for dir's own array: equal to views, no scan can hold the thing
-	// and a writer changes it in place; behind, own copies it first.
-	// copied counts those chunk copies.
+	// views counts the scans that borrowed dir (view). stamps holds a
+	// chunk's 2 + width readings of it, one a part (own), in dir's order:
+	// each taken when the part was made or last copied, dirStamp likewise
+	// for dir's own array. Equal to views, no scan can hold the thing and
+	// a writer changes it in place; behind, own copies it first. copied
+	// counts the chunk headers so copied.
 	views    atomic.Uint64
 	stamps   []uint64
 	dirStamp uint64
 	copied   atomic.Int64
+	// probing counts the index probes still being read (Tx.table).
+	probing atomic.Int64
 	// live counts non-tombstone rows; written under mu, read by
 	// TableInfo without it.
 	live atomic.Int64
@@ -86,11 +89,11 @@ type hashIndex struct {
 	types.HashChain
 }
 
-// link links live row pos, which holds r, under r's value of col.
-func (x *hashIndex) link(pos int, r types.Row) { x.Link(pos, r[x.col].Hash(0), x.rehash) }
+// link links live row pos under its value of col.
+func (x *hashIndex) link(pos int) { x.Link(pos, x.rehash(pos), x.rehash) }
 
-// rehash is the hash live row p is linked under.
-func (x *hashIndex) rehash(p int) uint64 { return x.t.at(p)[x.col].Hash(0) }
+// rehash is the hash live row p is linked under: its column's value's.
+func (x *hashIndex) rehash(p int) uint64 { return x.t.value(p, x.col).Hash(0) }
 
 // index returns the hash index on column col, or nil.
 func (t *table) index(col int) *hashIndex {
@@ -102,17 +105,36 @@ func (t *table) index(col int) *hashIndex {
 	return nil
 }
 
-// chunkRows is how many rows a chunk holds: 4 080 B of row headers,
-// which with the allocator's 8-byte header is the 4 KiB size class to
-// the byte (TestChunkBytes). A chunk is what the first write after a
-// scan copies and what a table's last one leaves unused at most; the
-// directory, which that write may copy too, is 8 B a chunk.
-const chunkRows = 170
+// chunkRows is how many rows a chunk holds: a full vector fills its
+// allocator size class to within one row (TestChunkBytes) — 2 040 B of
+// words in 2 KiB, 4 080 B of strings and the 8 B malloc header in 4 KiB.
+const chunkRows = 255
 
-type chunk [chunkRows]types.Row
+// chunk is up to chunkRows rows as one vector per column, and a bitmap
+// of the rows that are live. The last chunk's vectors grow as rows are
+// appended (insertLocked), so a small table pays for its rows.
+type chunk struct {
+	cols []types.Vector
+	live [(chunkRows + 63) / 64]uint64
+}
 
-// at returns row pos, nil for a tombstone.
-func (t *table) at(pos int) types.Row { return t.dir[pos/chunkRows][pos%chunkRows] }
+// isLive reports whether row k of the chunk is live.
+func (c *chunk) isLive(k int) bool { return c.live[k>>6]&(1<<(k&63)) != 0 }
+
+// flipLive makes row k live, or a tombstone, when it is not.
+func (c *chunk) flipLive(k int) { c.live[k>>6] ^= 1 << (k & 63) }
+
+// decode puts row k's values of the first len(row) columns into row.
+func (c *chunk) decode(k int, row types.Row) {
+	for j := range row {
+		row[j] = c.cols[j].At(k)
+	}
+}
+
+// value returns row pos's value of column col.
+func (t *table) value(pos, col int) types.Value {
+	return t.dir[pos/chunkRows].cols[col].At(pos % chunkRows)
+}
 
 // view lends the table as it stands to a scan that reads it after the
 // lock is gone: the chunks of its n rows. It costs one count, which
@@ -122,26 +144,41 @@ func (t *table) view() ([]*chunk, int) {
 	return t.dir[:len(t.dir):len(t.dir)], t.n
 }
 
-// own returns the chunk of row pos for a writer to change: the chunk
-// itself when no view was taken since it was made, else a copy, put in
-// its place in a directory that is likewise copied once if a view may
-// hold it. A slot past every view's n — an insert's — needs no own.
-func (t *table) own(pos int) *chunk {
-	i, v := pos/chunkRows, t.views.Load()
-	if t.stamps[i] != v {
+// The parts of a chunk own names besides column c's vector, which is c:
+// the header, which holds the live bitmap, and the array of vector
+// headers, which an append changes.
+const (
+	liveBits = -2
+	vectors  = -1
+)
+
+// own returns chunk i for a writer to change a part of in place. What a
+// view may hold of it is copied first: the header — into a directory
+// itself copied once if a view may hold it — then the vector headers,
+// then column part's values. An append needs no copy of the values: it
+// writes past every view's n.
+func (t *table) own(i, part int) *chunk {
+	c := t.dir[i]
+	v, st := t.views.Load(), t.stamps[i*(2+len(c.cols)):]
+	if st[0] != v {
 		if t.dirStamp != v {
 			t.dir, t.dirStamp = slices.Clone(t.dir), v
 		}
-		c := *t.dir[i]
-		t.dir[i], t.stamps[i] = &c, v
+		cp := *c
+		c, t.dir[i], st[0] = &cp, &cp, v
 		t.copied.Add(1)
 	}
-	return t.dir[i]
+	if part == liveBits {
+		return c
+	}
+	if st[1] != v {
+		c.cols, st[1] = slices.Clone(c.cols), v
+	}
+	if part >= 0 && st[2+part] != v {
+		c.cols[part], st[2+part] = c.cols[part].Clone(), v
+	}
+	return c
 }
-
-// set puts r, or a tombstone, at the position of a row some scan may
-// be reading.
-func (t *table) set(pos int, r types.Row) { t.own(pos)[pos%chunkRows] = r }
 
 // ViewCopies reports how many chunks the store's writers have copied
 // because a scan had borrowed them.
@@ -199,8 +236,8 @@ func (s *Store) CreateIndex(name string, col int) error {
 	}
 	x := &hashIndex{t: t, col: col, HashChain: types.NewHashChain(t.n)}
 	for pos := 0; pos < t.n; pos++ {
-		if r := t.at(pos); r != nil {
-			x.link(pos, r)
+		if t.dir[pos/chunkRows].isLive(pos % chunkRows) {
+			x.link(pos)
 		}
 	}
 	t.indexes = append(t.indexes, x)
@@ -264,7 +301,8 @@ func (s *Store) Capabilities() source.Capabilities {
 // Stats computes optimizer statistics for a table. It reads the table as
 // a full scan does: it borrows the chunks under the read lock
 // (table.view) and collects from them once the lock is gone, so no
-// writer waits out the sort.
+// writer waits out the sort. A column's live values are gathered from
+// its vectors into one scratch slice, reused from column to column.
 func (s *Store) Stats(name string) (*stats.TableStats, error) {
 	t, err := s.lookup(name)
 	if err != nil {
@@ -273,13 +311,24 @@ func (s *Store) Stats(name string) (*stats.TableStats, error) {
 	s.mu.RLock()
 	dir, n := t.view()
 	s.mu.RUnlock()
-	live := make([]types.Row, 0, n)
-	for pos := 0; pos < n; pos++ {
-		if r := dir[pos/chunkRows][pos%chunkRows]; r != nil {
-			live = append(live, r)
+	ts := &stats.TableStats{Columns: make([]stats.ColumnStats, t.schema.Len())}
+	vals := make([]types.Value, 0, n)
+	for col := range ts.Columns {
+		vals, nulls := vals[:0], int64(0)
+		for cu := (cursor{dir: dir, n: int32(n)}); ; {
+			pos, c, _ := cu.advance(nil, nil)
+			if c == nil {
+				break
+			}
+			if v := c.cols[col].At(pos % chunkRows); v.IsNull() {
+				nulls++
+			} else {
+				vals = append(vals, v)
+			}
 		}
+		ts.RowCount, ts.Columns[col] = int64(len(vals))+nulls, stats.CollectColumn(vals, nulls)
 	}
-	return stats.Collect(live, t.schema.Len()), nil
+	return ts, nil
 }
 
 // autocommit runs one write as a transaction of its own.
@@ -308,52 +357,76 @@ func (s *Store) Delete(ctx context.Context, tbl string, filter expr.Expr) (int64
 	return s.autocommit(ctx, func(tx *Tx) (int64, error) { return tx.Delete(ctx, tbl, filter) })
 }
 
-// insertLocked appends a row and links it into every index. Caller
-// holds mu and has checked that the table holds fewer than maxRows.
+// insertLocked appends r, whose values are of its columns' kinds, and
+// links it into every index. Caller holds mu and has checked that the
+// table holds fewer than maxRows.
 func (t *table) insertLocked(r types.Row) int {
 	pos := t.n
-	if pos == len(t.dir)*chunkRows {
-		t.dir, t.stamps = append(t.dir, new(chunk)), append(t.stamps, t.views.Load())
+	i, k := pos/chunkRows, pos%chunkRows
+	if i == len(t.dir) {
+		cols := make([]types.Vector, len(r))
+		for j, col := range t.schema.Columns {
+			cols[j] = types.NewVector(col.Type)
+		}
+		t.dir = append(t.dir, &chunk{cols: cols})
+		for range 2 + len(cols) {
+			t.stamps = append(t.stamps, t.views.Load())
+		}
 	}
-	t.dir[pos/chunkRows][pos%chunkRows] = r
+	c := t.own(i, vectors)
+	for j, v := range r {
+		if v.IsNull() {
+			c = t.own(i, j) // a NULL's bit may share a word with a viewed row's
+		}
+		if vec := &c.cols[j]; vec.Len() == vec.Cap() {
+			vec.Grow(min(max(2*k, 8), chunkRows) - k)
+		}
+		c.cols[j].Append(v)
+	}
+	c.flipLive(k)
 	t.n++
-	t.linkLocked(pos, r)
+	t.linkLocked(pos)
 	return pos
 }
 
-// deleteLocked unlinks row pos from every index and tombstones it.
-func (t *table) deleteLocked(pos int) types.Row {
-	old := t.at(pos)
-	if old == nil {
-		return nil
+// setLiveLocked makes live row pos a tombstone, unlinked from every
+// index, or — live — makes a tombstone the row its values still are.
+func (t *table) setLiveLocked(pos int, live bool) {
+	t.own(pos/chunkRows, liveBits).flipLive(pos % chunkRows)
+	if live {
+		t.linkLocked(pos)
+		return
 	}
 	for _, x := range t.indexes {
-		x.Unlink(pos, old[x.col].Hash(0))
+		x.Unlink(pos, x.rehash(pos))
 	}
-	t.set(pos, nil)
 	t.live.Add(-1)
-	return old
 }
 
-// linkLocked counts r, just put at pos, live and links it into every
-// index.
-func (t *table) linkLocked(pos int, r types.Row) {
+// linkLocked counts live row pos and links it into every index.
+func (t *table) linkLocked(pos int) {
 	t.live.Add(1)
 	for _, x := range t.indexes {
-		x.link(pos, r)
+		x.link(pos)
 	}
 }
 
-// replaceLocked overwrites live row pos with r, and relinks it in every
-// index whose column's hash r changes.
-func (t *table) replaceLocked(pos int, r types.Row) types.Row {
-	old := t.at(pos)
-	t.set(pos, r)
+// replaceLocked writes r over live row pos, relinking it in every index
+// whose column's hash that changes. Only the values r changes, bit for
+// bit, are written, so no other column's vector is copied.
+func (t *table) replaceLocked(pos int, r types.Row) {
 	for _, x := range t.indexes {
-		if oh := old[x.col].Hash(0); oh != r[x.col].Hash(0) {
+		if oh, nh := x.rehash(pos), r[x.col].Hash(0); oh != nh {
+			// Unlinked, the row is not among those a growing chain
+			// rehashes: it may be linked before it is written.
 			x.Unlink(pos, oh)
-			x.link(pos, r)
+			x.Link(pos, nh, x.rehash)
 		}
 	}
-	return old
+	i, k := pos/chunkRows, pos%chunkRows
+	for col, v := range r {
+		if !t.dir[i].cols[col].Holds(k, v) {
+			t.own(i, col).cols[col].Set(k, v)
+		}
+	}
 }

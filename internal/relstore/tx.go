@@ -39,6 +39,9 @@ const (
 	undoReplace
 )
 
+// undoRec is one write to take back. A replace keeps the row it
+// overwrote; a delete and an insert need nothing, since a row's values
+// stay where they are when its live bit is cleared.
 type undoRec struct {
 	kind undoKind
 	t    *table
@@ -63,6 +66,21 @@ func (tx *Tx) ensureLocked() error {
 	return nil
 }
 
+// table starts a write statement on tbl: it takes the store lock, held
+// from the transaction's first write, and finds the table. An index
+// probe still being read holds chunks without a view, so while one is
+// open the write takes a view for it (table.own copies what it holds).
+func (tx *Tx) table(tbl string) (*table, error) {
+	if err := tx.ensureLocked(); err != nil {
+		return nil, err
+	}
+	t, err := tx.s.lookup(tbl)
+	if err == nil && t.probing.Load() != 0 {
+		t.views.Add(1)
+	}
+	return t, err
+}
+
 // release drops the store lock if held.
 func (tx *Tx) release() {
 	if tx.locked {
@@ -71,12 +89,10 @@ func (tx *Tx) release() {
 	}
 }
 
-// Insert implements source.Writer within the transaction.
+// Insert implements source.Writer within the transaction. Each row is
+// coerced into one scratch row, key-checked and appended to the vectors.
 func (tx *Tx) Insert(_ context.Context, tbl string, rows []types.Row) (int64, error) {
-	if err := tx.ensureLocked(); err != nil {
-		return 0, err
-	}
-	t, err := tx.s.lookup(tbl)
+	t, err := tx.table(tbl)
 	if err != nil {
 		return 0, err
 	}
@@ -86,14 +102,17 @@ func (tx *Tx) Insert(_ context.Context, tbl string, rows []types.Row) (int64, er
 	for _, x := range t.indexes {
 		x.Reserve(int(t.live.Load())+len(rows), x.rehash)
 	}
+	nr := make(types.Row, t.schema.Len())
 	var n int64
 	for _, r := range rows {
 		if t.n == maxRows {
 			return n, fmt.Errorf("relstore %s table %s: full at %d rows", tx.s.name, tbl, maxRows)
 		}
-		nr, err := source.NormalizeRow(t.schema, r)
-		if err != nil {
-			return n, fmt.Errorf("relstore %s table %s: %w", tx.s.name, tbl, err)
+		for i, v := range r {
+			col := t.schema.Columns[i]
+			if nr[i], err = source.CoerceForColumn(v, col.Type); err != nil {
+				return n, fmt.Errorf("relstore %s table %s: column %s: %w", tx.s.name, tbl, col.Name, err)
+			}
 		}
 		if err := t.checkKey(nr, -1); err != nil {
 			return n, fmt.Errorf("relstore %s table %s: %w", tx.s.name, tbl, err)
@@ -106,12 +125,10 @@ func (tx *Tx) Insert(_ context.Context, tbl string, rows []types.Row) (int64, er
 }
 
 // Update implements source.Writer within the transaction. filter is
-// bound over the table schema; nil matches every row.
+// bound over the table schema; nil matches every row. SetRow's new row
+// is written into the vectors, then keeps the old values for the undo.
 func (tx *Tx) Update(_ context.Context, tbl string, filter expr.Expr, set []source.SetClause) (int64, error) {
-	if err := tx.ensureLocked(); err != nil {
-		return 0, err
-	}
-	t, err := tx.s.lookup(tbl)
+	t, err := tx.table(tbl)
 	if err != nil {
 		return 0, err
 	}
@@ -122,7 +139,9 @@ func (tx *Tx) Update(_ context.Context, tbl string, filter expr.Expr, set []sour
 	// row's duplicate.
 	setsKey := slices.ContainsFunc(set, func(sc source.SetClause) bool { return slices.Contains(t.key, sc.Col) })
 	var n int64
-	err = t.match(filter, func(pos int, r types.Row) error {
+	r := make(types.Row, t.schema.Len()) // the row in hand
+	err = t.match(filter, r[:filterWidth(filter)], func(pos int, c *chunk) error {
+		c.decode(pos%chunkRows, r)
 		nr, err := source.SetRow(t.schema, r, set)
 		if err == nil && setsKey {
 			err = t.checkKey(nr, pos)
@@ -130,8 +149,9 @@ func (tx *Tx) Update(_ context.Context, tbl string, filter expr.Expr, set []sour
 		if err != nil {
 			return fmt.Errorf("relstore %s table %s: %w", tx.s.name, tbl, err)
 		}
-		old := t.replaceLocked(pos, nr)
-		tx.undo = append(tx.undo, undoRec{kind: undoReplace, t: t, pos: pos, old: old})
+		t.replaceLocked(pos, nr)
+		copy(nr, r)
+		tx.undo = append(tx.undo, undoRec{kind: undoReplace, t: t, pos: pos, old: nr})
 		n++
 		return nil
 	})
@@ -140,17 +160,14 @@ func (tx *Tx) Update(_ context.Context, tbl string, filter expr.Expr, set []sour
 
 // Delete implements source.Writer within the transaction.
 func (tx *Tx) Delete(_ context.Context, tbl string, filter expr.Expr) (int64, error) {
-	if err := tx.ensureLocked(); err != nil {
-		return 0, err
-	}
-	t, err := tx.s.lookup(tbl)
+	t, err := tx.table(tbl)
 	if err != nil {
 		return 0, err
 	}
 	var n int64
-	err = t.match(filter, func(pos int, _ types.Row) error {
-		old := t.deleteLocked(pos)
-		tx.undo = append(tx.undo, undoRec{kind: undoDelete, t: t, pos: pos, old: old})
+	err = t.match(filter, make(types.Row, filterWidth(filter)), func(pos int, _ *chunk) error {
+		t.setLiveLocked(pos, false)
+		tx.undo = append(tx.undo, undoRec{kind: undoDelete, t: t, pos: pos})
 		n++
 		return nil
 	})
@@ -199,10 +216,9 @@ func (tx *Tx) Abort(context.Context) error {
 		u := tx.undo[i]
 		switch u.kind {
 		case undoInsert:
-			u.t.deleteLocked(u.pos)
+			u.t.setLiveLocked(u.pos, false)
 		case undoDelete:
-			u.t.set(u.pos, u.old)
-			u.t.linkLocked(u.pos, u.old)
+			u.t.setLiveLocked(u.pos, true)
 		case undoReplace:
 			u.t.replaceLocked(u.pos, u.old)
 		}
@@ -216,7 +232,7 @@ func (tx *Tx) Abort(context.Context) error {
 // checkKey enforces the primary key: r's key holds no NULL and no row
 // but the one at position self, which r is about to replace (-1: r is
 // new), holds r's key. It compares r with the rows in the bucket of its
-// first key column's hash, in place.
+// first key column's hash, a key column at a time.
 func (t *table) checkKey(r types.Row, self int) error {
 	if len(t.key) == 0 {
 		return nil
@@ -228,8 +244,7 @@ func (t *table) checkKey(r types.Row, self int) error {
 	}
 	x := t.index(t.key[0])
 	for p := x.First(r[x.col].Hash(0)); p >= 0; p = x.Next(p) {
-		ex := t.at(p)
-		if p != self && !slices.ContainsFunc(t.key, func(k int) bool { return !ex[k].Equal(r[k]) }) {
+		if p != self && !slices.ContainsFunc(t.key, func(k int) bool { return !t.value(p, k).Equal(r[k]) }) {
 			return fmt.Errorf("duplicate key %v", keyOf(r, t.key))
 		}
 	}

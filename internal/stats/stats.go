@@ -42,42 +42,50 @@ func Unknown(columns int, assumedRows int64) *TableStats {
 	return &TableStats{RowCount: assumedRows, Columns: make([]ColumnStats, columns)}
 }
 
-// Collect computes full statistics from a materialized table scan. Each
-// column's non-NULL values are copied into one scratch slice, reused
-// from column to column, and sorted once: Min and Max are its ends, NDV
-// is the number of runs of Equal values (a NaN, equal to nothing, is a
-// run of its own), and the histogram is cut from it.
+// Collect computes full statistics from a materialized table scan, a
+// column at a time (CollectColumn): each column's non-NULL values are
+// copied into one scratch slice, reused from column to column.
 func Collect(rows []types.Row, width int) *TableStats {
 	ts := &TableStats{RowCount: int64(len(rows)), Columns: make([]ColumnStats, width)}
 	vals := make([]types.Value, 0, len(rows))
 	for c := range ts.Columns {
-		cs := &ts.Columns[c]
 		vals = vals[:0]
+		var nulls int64
 		for _, r := range rows {
 			switch {
 			case c >= len(r):
 			case r[c].IsNull():
-				cs.NullCount++
+				nulls++
 			default:
 				vals = append(vals, r[c])
 			}
 		}
-		if len(vals) == 0 {
-			continue
-		}
-		slices.SortFunc(vals, types.Value.Compare)
-		cs.Min, cs.Max = vals[0], vals[len(vals)-1]
-		cs.NDV = 1
-		for i := 1; i < len(vals); i++ {
-			if !vals[i].Equal(vals[i-1]) {
-				cs.NDV++
-			}
-		}
-		if len(vals) >= 2 {
-			cs.Hist = cutHistogram(vals, DefaultBuckets)
-		}
+		ts.Columns[c] = CollectColumn(vals, nulls)
 	}
 	return ts
+}
+
+// CollectColumn summarizes one column from its non-NULL values, which
+// it sorts in place, and its count of NULLs: Min and Max are the sorted
+// values' ends, NDV is the number of runs of Equal values (a NaN, equal
+// to nothing, is a run of its own), and the histogram is cut from them.
+func CollectColumn(vals []types.Value, nulls int64) ColumnStats {
+	cs := ColumnStats{NullCount: nulls}
+	if len(vals) == 0 {
+		return cs
+	}
+	slices.SortFunc(vals, types.Value.Compare)
+	cs.Min, cs.Max = vals[0], vals[len(vals)-1]
+	cs.NDV = 1
+	for i := 1; i < len(vals); i++ {
+		if !vals[i].Equal(vals[i-1]) {
+			cs.NDV++
+		}
+	}
+	if len(vals) >= 2 {
+		cs.Hist = cutHistogram(vals, DefaultBuckets)
+	}
+	return cs
 }
 
 // Merge combines statistics of disjoint fragments of the same table

@@ -24,7 +24,11 @@
 #                   FuzzStream, FuzzServe and FuzzServeWrite, sql FuzzParse, filestore
 #                   FuzzScanRecords, docstore FuzzDocCodec, expr
 #                   FuzzColumnRange, catalog FuzzToRemote, types
-#                   FuzzHashChain; `make fuzz` fuzzes each for 10 s) and
+#                   FuzzHashChain and FuzzVector; `make fuzz` fuzzes
+#                   each for 10 s), the layout tests (`make layout` runs
+#                   them on demand: relstore TestRowBytesPerRow,
+#                   TestChunkBytes and TestIndexBytesPerRow, docstore
+#                   TestDocBytesPerDocument, types TestRowSlabBytes) and
 #                   the concurrency tests no analyzer can stand in for:
 #                   workload TestConcurrentGlobalUpdates, wire
 #                   TestTwoTransactionsOneClient, TestCallObservesDeadline
