@@ -50,18 +50,21 @@ layout:
 	$(GO) test -count=1 -run 'TestDocBytesPerDocument' -v ./internal/docstore
 	$(GO) test -count=1 -run 'TestRowSlabBytes' -v ./internal/types
 
-# After a change meant to move a plan or an estimate: rewrite the golden
-# files of TestPlansGolden (230 statements under each optimizer variant)
-# and TestEstimatesGolden (the planner's estimate error over the same
-# statements, per operator kind) from what this build produces, then
-# review their diffs. A change meant to move only how a fragment scan
+# After a change meant to move a plan, an estimate or a parsed tree:
+# rewrite the golden files of TestPlansGolden (230 statements under each
+# optimizer variant), TestEstimatesGolden (the planner's estimate error
+# over the same statements, per operator kind) and TestParsedGolden (the
+# printed form or the error of each fuzz seed, plan statement and
+# equivalence statement) from what this build produces, then review
+# their diffs. A parser change meant to move no tree shows no diff in
+# parsed.golden. A change meant to move only how a fragment scan
 # prints (its suffix, a pushed constant) moves no other plan line:
 #   git diff -U0 internal/workload/testdata/plans.golden | grep '^[-+]' | grep -v FragScan
 # prints the two header lines and nothing else — unless two variants of
 # a statement stopped or started printing alike, which adds or removes a
 # "-- variant" block.
 golden:
-	$(GO) test ./internal/workload -run 'TestPlansGolden|TestEstimatesGolden' -update
+	$(GO) test ./internal/workload -run 'TestPlansGolden|TestEstimatesGolden|TestParsedGolden' -update
 
 # Seeded fault-injection stress tests: wire, union, semijoin, 2PC
 # (see DESIGN.md "Resilience & fault model"). What faults do not cover —

@@ -12,7 +12,7 @@ import (
 	"gis/internal/types"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/plans.golden and testdata/estimates.golden from what this build produces")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/plans.golden, estimates.golden and parsed.golden from what this build produces")
 
 // planVariant is one optimizer configuration: the defaults, or the
 // defaults with a single switch moved (experiment F9's ablations, the
