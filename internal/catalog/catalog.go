@@ -118,7 +118,7 @@ func (m *ColumnMapping) ToRemote(v types.Value) (types.Value, bool) {
 			return types.Null, false
 		}
 	}
-	rv, err := source.CoerceForColumn(v, m.remoteKind)
+	rv, err := v.Coerce(m.remoteKind)
 	return rv, err == nil
 }
 

@@ -702,11 +702,14 @@ func (e *Engine) ApplyConfig(ctx context.Context, data []byte, dial func(context
 // CreateView registers a named view after validating that its body
 // parses and plans against the current catalog. Views expand wherever
 // their name appears in FROM; expression subqueries inside view bodies
-// are not supported.
+// are not supported, and a body that holds one is refused.
 func (e *Engine) CreateView(name, selectSQL string) error {
 	sel, err := sql.ParseSelect(selectSQL)
 	if err != nil {
 		return fmt.Errorf("core: view %s: %w", name, err)
+	}
+	if holdsSubquery(sel) {
+		return fmt.Errorf("core: view %s: a view body may not hold an IN, EXISTS or scalar subquery", name)
 	}
 	// Validate by planning the body before defining the name (this also
 	// rejects self-reference: the name does not resolve yet).
@@ -714,6 +717,35 @@ func (e *Engine) CreateView(name, selectSQL string) error {
 		return fmt.Errorf("core: view %s does not plan: %w", name, err)
 	}
 	return e.cat.DefineView(name, selectSQL)
+}
+
+// holdsSubquery reports whether an expression of sel, or of a statement
+// in its FROM or UNION, holds an expression subquery.
+func holdsSubquery(sel *sql.SelectStmt) bool {
+	var from func(sql.TableExpr) bool
+	from = func(t sql.TableExpr) bool {
+		switch n := t.(type) {
+		case *sql.SubqueryTable:
+			return holdsSubquery(n.Select)
+		case *sql.JoinExpr:
+			return expr.HasSubquery(n.On) || from(n.L) || from(n.R)
+		default: // a table, or no FROM
+			return false
+		}
+	}
+	for cur := sel; cur != nil; cur = cur.Union {
+		exprs := append([]expr.Expr{cur.Where, cur.Having}, cur.GroupBy...)
+		for _, it := range cur.Items {
+			exprs = append(exprs, it.Expr)
+		}
+		for _, o := range cur.OrderBy {
+			exprs = append(exprs, o.Expr)
+		}
+		if slices.ContainsFunc(exprs, expr.HasSubquery) || from(cur.From) {
+			return true
+		}
+	}
+	return false
 }
 
 // ExplainAnalyze plans AND executes a SELECT, returning the plan

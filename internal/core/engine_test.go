@@ -796,6 +796,17 @@ func TestViews(t *testing.T) {
 	if err := e.CreateView("selfref", "SELECT * FROM selfref"); err == nil {
 		t.Error("self-referencing view must error")
 	}
+	// An expression subquery, in the body or in a derived table of it, is
+	// refused by rule, not as a planner error.
+	for _, body := range []string{
+		"SELECT id FROM customers WHERE id IN (SELECT cust_id FROM orders)",
+		"SELECT * FROM (SELECT id FROM customers WHERE EXISTS (SELECT 1 FROM orders)) d",
+	} {
+		err := e.CreateView("subq", body)
+		if err == nil || !strings.Contains(err.Error(), "may not hold an IN, EXISTS or scalar subquery") {
+			t.Errorf("view %q: err = %v, want the subquery rule", body, err)
+		}
+	}
 	// Filter pushdown reaches through views into the source query.
 	plan, err := e.Explain(ctx, "SELECT name FROM east_customers WHERE id = 1")
 	if err != nil {

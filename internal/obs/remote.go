@@ -13,8 +13,9 @@ import (
 // under the live ship span, producing one federation-wide tree.
 
 // KindFromString parses a SpanKind name as produced by SpanKind.String.
-// Unknown names report false; callers stitching foreign subtrees fall
-// back to SpanRemote so an out-of-version peer still renders.
+// Unknown names report false, and SpanFromData reads them as SpanRemote.
+// A peer of another helloVersion is refused at the hello, so only a
+// malformed footer carries one.
 func KindFromString(s string) (SpanKind, bool) {
 	if k := slices.Index(kindNames[:], s); k >= 0 {
 		return SpanKind(k), true

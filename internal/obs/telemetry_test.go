@@ -145,7 +145,7 @@ func TestSpanFromDataAttach(t *testing.T) {
 	if len(sub) != 2 {
 		t.Fatalf("remote children = %d", len(sub))
 	}
-	// Unknown kinds from an out-of-version peer degrade to SpanRemote.
+	// Unknown kinds (only a malformed footer has one) degrade to SpanRemote.
 	if sub[1].Kind() != SpanRemote {
 		t.Errorf("unknown kind mapped to %v, want remote", sub[1].Kind())
 	}

@@ -110,7 +110,7 @@ func (tx *Tx) Insert(_ context.Context, tbl string, rows []types.Row) (int64, er
 		}
 		for i, v := range r {
 			col := t.schema.Columns[i]
-			if nr[i], err = source.CoerceForColumn(v, col.Type); err != nil {
+			if nr[i], err = v.Coerce(col.Type); err != nil {
 				return n, fmt.Errorf("relstore %s table %s: column %s: %w", tx.s.name, tbl, col.Name, err)
 			}
 		}

@@ -41,23 +41,43 @@ func (p *Parser) ascend(depth int) { p.depth = depth }
 // Parse parses a single statement (an optional trailing semicolon is
 // allowed). Positional ? parameters are substituted from params in order.
 func Parse(src string, params ...types.Value) (Statement, error) {
+	stmt, _, err := parse(src, params, false)
+	return stmt, err
+}
+
+// ParseExpr parses a bare SQL expression (e.g. a partition predicate in
+// a catalog config file).
+func ParseExpr(src string) (expr.Expr, error) {
+	_, e, err := parse(src, nil, true)
+	return e, err
+}
+
+// parse reads src whole: as one statement, or, when bare, as one
+// expression with no trailing semicolon. Every parameter must be used.
+func parse(src string, params []types.Value, bare bool) (Statement, expr.Expr, error) {
 	toks, err := Tokenize(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p := &Parser{toks: toks, params: params}
-	stmt, err := p.parseStatement()
-	if err != nil {
-		return nil, err
+	var stmt Statement
+	var e expr.Expr
+	after := "end of statement"
+	if bare {
+		e, err = p.parseExpr()
+		after = "expression"
+	} else if stmt, err = p.parseStatement(); err == nil {
+		p.acceptOp(";")
 	}
-	p.acceptOp(";")
-	if !p.atEOF() {
-		return nil, p.errorf("unexpected %s after end of statement", p.peek())
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case !p.atEOF():
+		return nil, nil, p.errorf("unexpected %s after %s", p.peek(), after)
+	case p.nparam < len(params):
+		return nil, nil, fmt.Errorf("statement uses %d parameters but %d were supplied", p.nparam, len(params))
 	}
-	if p.nparam < len(params) {
-		return nil, fmt.Errorf("statement uses %d parameters but %d were supplied", p.nparam, len(params))
-	}
-	return stmt, nil
+	return stmt, e, nil
 }
 
 // ParseSelect parses src and requires it to be a SELECT.
@@ -106,10 +126,15 @@ func (p *Parser) errorf(format string, args ...any) error {
 	return fmt.Errorf("parse error at %s: %s", loc, fmt.Sprintf(format, args...))
 }
 
+// atKeyword reports whether kw is next.
+func (p *Parser) atKeyword(kw string) bool {
+	t := p.peek()
+	return t.Kind == TokKeyword && t.Text == kw
+}
+
 // acceptKeyword consumes kw if it is next and reports whether it did.
 func (p *Parser) acceptKeyword(kw string) bool {
-	t := p.peek()
-	if t.Kind == TokKeyword && t.Text == kw {
+	if p.atKeyword(kw) {
 		p.pos++
 		return true
 	}
@@ -146,6 +171,43 @@ func (p *Parser) expectIdent() (string, error) {
 	}
 	p.pos++
 	return t.Text, nil
+}
+
+// parseList reads one or more comma-separated items.
+func parseList[T any](p *Parser, item func() (T, error)) ([]T, error) {
+	var out []T
+	for {
+		v, err := item()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+		if !p.acceptOp(",") {
+			return out, nil
+		}
+	}
+}
+
+// parseSubquery reads the rest of a parenthesised SELECT whose "(" has
+// been read: the statement and its ")".
+func (p *Parser) parseSubquery() (*SelectStmt, error) {
+	sub, err := p.parseSelect()
+	if err == nil {
+		err = p.expectOp(")")
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sub, nil
+}
+
+// parseAlias reads an optional "[AS] name"; after AS, or when required,
+// the name must follow.
+func (p *Parser) parseAlias(required bool) (string, error) {
+	if p.acceptKeyword("AS") || required || p.peek().Kind == TokIdent {
+		return p.expectIdent()
+	}
+	return "", nil
 }
 
 func (p *Parser) parseStatement() (Statement, error) {
@@ -201,38 +263,33 @@ func (p *Parser) parseSelect() (*SelectStmt, error) {
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
 		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			item := OrderItem{Expr: e}
-			if p.acceptKeyword("DESC") {
-				item.Desc = true
-			} else {
-				p.acceptKeyword("ASC")
-			}
-			head.OrderBy = append(head.OrderBy, item)
-			if !p.acceptOp(",") {
-				break
-			}
+		if head.OrderBy, err = parseList(p, p.parseOrderItem); err != nil {
+			return nil, err
 		}
 	}
 	if p.acceptKeyword("LIMIT") {
-		n, err := p.parseIntLiteral()
-		if err != nil {
+		if head.Limit, err = p.parseIntLiteral(); err != nil {
 			return nil, err
 		}
-		head.Limit = n
 	}
 	if p.acceptKeyword("OFFSET") {
-		n, err := p.parseIntLiteral()
-		if err != nil {
+		if head.Offset, err = p.parseIntLiteral(); err != nil {
 			return nil, err
 		}
-		head.Offset = n
 	}
 	return head, nil
+}
+
+func (p *Parser) parseOrderItem() (OrderItem, error) {
+	e, err := p.parseExpr()
+	if err != nil {
+		return OrderItem{}, err
+	}
+	desc := p.acceptKeyword("DESC")
+	if !desc {
+		p.acceptKeyword("ASC")
+	}
+	return OrderItem{Expr: e, Desc: desc}, nil
 }
 
 func (p *Parser) parseIntLiteral() (int64, error) {
@@ -260,51 +317,32 @@ func (p *Parser) parseSelectCore() (*SelectStmt, error) {
 	} else {
 		p.acceptKeyword("ALL")
 	}
-	for {
-		item, err := p.parseSelectItem()
-		if err != nil {
-			return nil, err
-		}
-		sel.Items = append(sel.Items, item)
-		if !p.acceptOp(",") {
-			break
-		}
+	var err error
+	if sel.Items, err = parseList(p, p.parseSelectItem); err != nil {
+		return nil, err
 	}
 	if p.acceptKeyword("FROM") {
-		from, err := p.parseFrom()
-		if err != nil {
+		if sel.From, err = p.parseFrom(); err != nil {
 			return nil, err
 		}
-		sel.From = from
 	}
 	if p.acceptKeyword("WHERE") {
-		w, err := p.parseExpr()
-		if err != nil {
+		if sel.Where, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		sel.Where = w
 	}
 	if p.acceptKeyword("GROUP") {
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
 		}
-		for {
-			g, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			sel.GroupBy = append(sel.GroupBy, g)
-			if !p.acceptOp(",") {
-				break
-			}
+		if sel.GroupBy, err = parseList(p, p.parseExpr); err != nil {
+			return nil, err
 		}
 	}
 	if p.acceptKeyword("HAVING") {
-		h, err := p.parseExpr()
-		if err != nil {
+		if sel.Having, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		sel.Having = h
 	}
 	return sel, nil
 }
@@ -317,25 +355,18 @@ func (p *Parser) parseSelectItem() (SelectItem, error) {
 	if p.peek().Kind == TokIdent && p.peekAt(1).Kind == TokOp && p.peekAt(1).Text == "." &&
 		p.peekAt(2).Kind == TokOp && p.peekAt(2).Text == "*" {
 		table := p.next().Text
-		p.next() // .
-		p.next() // *
+		p.pos += 2 // . *
 		return SelectItem{Star: true, StarTable: table}, nil
 	}
 	e, err := p.parseExpr()
 	if err != nil {
 		return SelectItem{}, err
 	}
-	item := SelectItem{Expr: e}
-	if p.acceptKeyword("AS") {
-		alias, err := p.expectIdent()
-		if err != nil {
-			return SelectItem{}, err
-		}
-		item.Alias = alias
-	} else if p.peek().Kind == TokIdent {
-		item.Alias = p.next().Text
+	alias, err := p.parseAlias(false)
+	if err != nil {
+		return SelectItem{}, err
 	}
-	return item, nil
+	return SelectItem{Expr: e, Alias: alias}, nil
 }
 
 // parseFrom parses a FROM clause: table items combined left-associatively
@@ -355,59 +386,51 @@ func (p *Parser) parseFrom() (TableExpr, error) {
 	return left, nil
 }
 
+// joinOps are the join operators by their first keyword. Each but JOIN
+// itself goes on to JOIN, past an optional OUTER where outer is set.
+var joinOps = map[string]struct {
+	kind  JoinKind
+	outer bool
+}{
+	"JOIN":  {JoinInner, false},
+	"INNER": {JoinInner, false},
+	"LEFT":  {JoinLeft, true},
+	"RIGHT": {JoinRight, true},
+	"CROSS": {JoinCross, false},
+}
+
 func (p *Parser) parseJoinChain() (TableExpr, error) {
 	left, err := p.parseTablePrimary()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		var kind JoinKind
-		switch {
-		case p.acceptKeyword("JOIN"):
-			kind = JoinInner
-		case p.peek().Kind == TokKeyword && p.peek().Text == "INNER":
-			p.pos++
-			if err := p.expectKeyword("JOIN"); err != nil {
-				return nil, err
-			}
-			kind = JoinInner
-		case p.peek().Kind == TokKeyword && p.peek().Text == "LEFT":
-			p.pos++
-			p.acceptKeyword("OUTER")
-			if err := p.expectKeyword("JOIN"); err != nil {
-				return nil, err
-			}
-			kind = JoinLeft
-		case p.peek().Kind == TokKeyword && p.peek().Text == "RIGHT":
-			p.pos++
-			p.acceptKeyword("OUTER")
-			if err := p.expectKeyword("JOIN"); err != nil {
-				return nil, err
-			}
-			kind = JoinRight
-		case p.peek().Kind == TokKeyword && p.peek().Text == "CROSS":
-			p.pos++
-			if err := p.expectKeyword("JOIN"); err != nil {
-				return nil, err
-			}
-			kind = JoinCross
-		default:
+		t := p.peek()
+		op, ok := joinOps[t.Text]
+		if t.Kind != TokKeyword || !ok {
 			return left, nil
+		}
+		p.pos++
+		if t.Text != "JOIN" {
+			if op.outer {
+				p.acceptKeyword("OUTER")
+			}
+			if err := p.expectKeyword("JOIN"); err != nil {
+				return nil, err
+			}
 		}
 		right, err := p.parseTablePrimary()
 		if err != nil {
 			return nil, err
 		}
-		join := &JoinExpr{Kind: kind, L: left, R: right}
-		if kind != JoinCross {
+		join := &JoinExpr{Kind: op.kind, L: left, R: right}
+		if op.kind != JoinCross {
 			if err := p.expectKeyword("ON"); err != nil {
 				return nil, err
 			}
-			on, err := p.parseExpr()
-			if err != nil {
+			if join.On, err = p.parseExpr(); err != nil {
 				return nil, err
 			}
-			join.On = on
 		}
 		left = join
 	}
@@ -420,26 +443,22 @@ func (p *Parser) parseTablePrimary() (TableExpr, error) {
 			return nil, err
 		}
 		// Derived table or parenthesized join.
-		if p.peek().Kind == TokKeyword && p.peek().Text == "SELECT" {
-			sub, err := p.parseSelect()
+		if p.atKeyword("SELECT") {
+			sub, err := p.parseSubquery()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			p.acceptKeyword("AS")
-			alias, err := p.expectIdent()
+			alias, err := p.parseAlias(true)
 			if err != nil {
 				return nil, fmt.Errorf("derived table requires an alias: %w", err)
 			}
 			return &SubqueryTable{Select: sub, Alias: alias}, nil
 		}
 		inner, err := p.parseFrom()
-		if err != nil {
-			return nil, err
+		if err == nil {
+			err = p.expectOp(")")
 		}
-		if err := p.expectOp(")"); err != nil {
+		if err != nil {
 			return nil, err
 		}
 		return inner, nil
@@ -448,17 +467,11 @@ func (p *Parser) parseTablePrimary() (TableExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref := &TableRef{Name: name}
-	if p.acceptKeyword("AS") {
-		alias, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		ref.Alias = alias
-	} else if p.peek().Kind == TokIdent {
-		ref.Alias = p.next().Text
+	alias, err := p.parseAlias(false)
+	if err != nil {
+		return nil, err
 	}
-	return ref, nil
+	return &TableRef{Name: name, Alias: alias}, nil
 }
 
 func (p *Parser) parseInsert() (Statement, error) {
@@ -474,15 +487,8 @@ func (p *Parser) parseInsert() (Statement, error) {
 	}
 	ins := &InsertStmt{Table: table}
 	if p.acceptOp("(") {
-		for {
-			col, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			ins.Columns = append(ins.Columns, col)
-			if !p.acceptOp(",") {
-				break
-			}
+		if ins.Columns, err = parseList(p, p.expectIdent); err != nil {
+			return nil, err
 		}
 		if err := p.expectOp(")"); err != nil {
 			return nil, err
@@ -491,30 +497,25 @@ func (p *Parser) parseInsert() (Statement, error) {
 	if err := p.expectKeyword("VALUES"); err != nil {
 		return nil, err
 	}
-	for {
-		if err := p.expectOp("("); err != nil {
-			return nil, err
-		}
-		var row []expr.Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if !p.acceptOp(",") {
-				break
-			}
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		ins.Rows = append(ins.Rows, row)
-		if !p.acceptOp(",") {
-			break
-		}
+	if ins.Rows, err = parseList(p, p.parseRow); err != nil {
+		return nil, err
 	}
 	return ins, nil
+}
+
+// parseRow reads one parenthesised row of VALUES.
+func (p *Parser) parseRow() ([]expr.Expr, error) {
+	if err := p.expectOp("("); err != nil {
+		return nil, err
+	}
+	row, err := parseList(p, p.parseExpr)
+	if err == nil {
+		err = p.expectOp(")")
+	}
+	if err != nil {
+		return nil, err
+	}
+	return row, nil
 }
 
 func (p *Parser) parseUpdate() (Statement, error) {
@@ -529,31 +530,30 @@ func (p *Parser) parseUpdate() (Statement, error) {
 		return nil, err
 	}
 	upd := &UpdateStmt{Table: table}
-	for {
-		col, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp("="); err != nil {
-			return nil, err
-		}
-		val, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		upd.Set = append(upd.Set, Assignment{Column: col, Value: val})
-		if !p.acceptOp(",") {
-			break
-		}
+	if upd.Set, err = parseList(p, p.parseAssignment); err != nil {
+		return nil, err
 	}
 	if p.acceptKeyword("WHERE") {
-		w, err := p.parseExpr()
-		if err != nil {
+		if upd.Where, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		upd.Where = w
 	}
 	return upd, nil
+}
+
+func (p *Parser) parseAssignment() (Assignment, error) {
+	col, err := p.expectIdent()
+	if err != nil {
+		return Assignment{}, err
+	}
+	if err := p.expectOp("="); err != nil {
+		return Assignment{}, err
+	}
+	val, err := p.parseExpr()
+	if err != nil {
+		return Assignment{}, err
+	}
+	return Assignment{Column: col, Value: val}, nil
 }
 
 func (p *Parser) parseDelete() (Statement, error) {
@@ -569,58 +569,94 @@ func (p *Parser) parseDelete() (Statement, error) {
 	}
 	del := &DeleteStmt{Table: table}
 	if p.acceptKeyword("WHERE") {
-		w, err := p.parseExpr()
-		if err != nil {
+		if del.Where, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		del.Where = w
 	}
 	return del, nil
 }
 
-// ---- expression parsing (precedence climbing) ----
+// ---- expressions: one loop over a precedence table ----
+//
+// Operators bind loosest first: OR, AND, NOT, the predicates, + - ||,
+// * / %, then the signs. The four binary levels are one left-deep loop,
+// parseBinary, over binaryLevels; NOT, the predicates and the signs are
+// the special levels parseNot, parsePredicate and parseUnary.
 
-func (p *Parser) parseExpr() (expr.Expr, error) { return p.parseOr() }
-
-func (p *Parser) parseOr() (expr.Expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	defer p.ascend(p.depth)
-	for p.acceptKeyword("OR") {
-		if err := p.deeper(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = expr.NewBinary(expr.OpOr, left, right)
-	}
-	return left, nil
+// binaryOp is an operator token and the node it makes.
+type binaryOp struct {
+	kind TokenKind
+	text string
+	op   expr.BinOp
 }
 
-func (p *Parser) parseAnd() (expr.Expr, error) {
-	left, err := p.parseNot()
+const (
+	orLevel = iota
+	andLevel
+	addLevel
+	mulLevel
+)
+
+// binaryLevels holds each binary level's operators, loosest first.
+var binaryLevels = [...][]binaryOp{
+	orLevel:  {{TokKeyword, "OR", expr.OpOr}},
+	andLevel: {{TokKeyword, "AND", expr.OpAnd}},
+	addLevel: {{TokOp, "+", expr.OpAdd}, {TokOp, "-", expr.OpSub}, {TokOp, "||", expr.OpConcat}},
+	mulLevel: {{TokOp, "*", expr.OpMul}, {TokOp, "/", expr.OpDiv}, {TokOp, "%", expr.OpMod}},
+}
+
+var comparisonOps = []binaryOp{
+	{TokOp, "=", expr.OpEq}, {TokOp, "<>", expr.OpNe}, {TokOp, "<", expr.OpLt},
+	{TokOp, "<=", expr.OpLe}, {TokOp, ">", expr.OpGt}, {TokOp, ">=", expr.OpGe},
+}
+
+// matchOp reports which of ops t is.
+func matchOp(ops []binaryOp, t Token) (expr.BinOp, bool) {
+	for _, o := range ops {
+		if t.Kind == o.kind && t.Text == o.text {
+			return o.op, true
+		}
+	}
+	return 0, false
+}
+
+func (p *Parser) parseExpr() (expr.Expr, error) { return p.parseBinary(orLevel) }
+
+// parseBinary reads a left-deep chain of level's operators; each further
+// operand is one level deeper in the tree.
+func (p *Parser) parseBinary(level int) (expr.Expr, error) {
+	left, err := p.parseOperand(level)
 	if err != nil {
 		return nil, err
 	}
 	defer p.ascend(p.depth)
 	for {
-		// Stop at the AND of a BETWEEN; parsePredicate consumes those
-		// before we ever get here, so a bare AND keyword is logical.
-		if !p.acceptKeyword("AND") {
+		op, ok := matchOp(binaryLevels[level], p.peek())
+		if !ok {
 			return left, nil
 		}
+		p.pos++
 		if err := p.deeper(); err != nil {
 			return nil, err
 		}
-		right, err := p.parseNot()
+		right, err := p.parseOperand(level)
 		if err != nil {
 			return nil, err
 		}
-		left = expr.NewBinary(expr.OpAnd, left, right)
+		left = expr.NewBinary(op, left, right)
+	}
+}
+
+// parseOperand reads an operand of level's operators: the next tighter
+// level.
+func (p *Parser) parseOperand(level int) (expr.Expr, error) {
+	switch level {
+	case andLevel:
+		return p.parseNot()
+	case mulLevel:
+		return p.parseUnary()
+	default:
+		return p.parseBinary(level + 1)
 	}
 }
 
@@ -639,13 +675,11 @@ func (p *Parser) parseNot() (expr.Expr, error) {
 	return p.parsePredicate()
 }
 
-var comparisonOps = map[string]expr.BinOp{
-	"=": expr.OpEq, "<>": expr.OpNe, "<": expr.OpLt,
-	"<=": expr.OpLe, ">": expr.OpGt, ">=": expr.OpGe,
-}
-
+// parsePredicate reads an additive operand and the predicates after it,
+// each wrapping what is read so far: a comparison, IS [NOT] NULL, or
+// [NOT] LIKE, IN or BETWEEN, where NOT is a flag of the form it precedes.
 func (p *Parser) parsePredicate() (expr.Expr, error) {
-	left, err := p.parseAdditive()
+	left, err := p.parseBinary(addLevel)
 	if err != nil {
 		return nil, err
 	}
@@ -656,104 +690,65 @@ func (p *Parser) parsePredicate() (expr.Expr, error) {
 		if err := p.deeper(); err != nil {
 			return nil, err
 		}
-		t := p.peek()
-		if t.Kind == TokOp {
-			if op, ok := comparisonOps[t.Text]; ok {
-				p.pos++
-				right, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				left = expr.NewBinary(op, left, right)
-				continue
+		if op, ok := matchOp(comparisonOps, p.peek()); ok {
+			p.pos++
+			right, err := p.parseBinary(addLevel)
+			if err != nil {
+				return nil, err
 			}
+			left = expr.NewBinary(op, left, right)
+			continue
 		}
-		if t.Kind == TokKeyword {
-			switch t.Text {
-			case "IS":
-				p.pos++
-				negate := p.acceptKeyword("NOT")
-				if err := p.expectKeyword("NULL"); err != nil {
-					return nil, err
-				}
-				left = &expr.IsNull{E: left, Negate: negate}
-				continue
-			case "LIKE":
-				p.pos++
-				right, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				left = expr.NewBinary(expr.OpLike, left, right)
-				continue
-			case "IN":
-				p.pos++
-				e, err := p.parseInRHS(left, false)
-				if err != nil {
-					return nil, err
-				}
-				left = e
-				continue
-			case "BETWEEN":
-				p.pos++
-				lo, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				if err := p.expectKeyword("AND"); err != nil {
-					return nil, err
-				}
-				hi, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				left = expr.NewBinary(expr.OpAnd,
-					expr.NewBinary(expr.OpGe, left, lo),
-					expr.NewBinary(expr.OpLe, left, hi))
-				continue
-			case "NOT":
-				// x NOT LIKE / NOT IN / NOT BETWEEN
-				if nt := p.peekAt(1); nt.Kind == TokKeyword {
-					switch nt.Text {
-					case "LIKE":
-						p.pos += 2
-						right, err := p.parseAdditive()
-						if err != nil {
-							return nil, err
-						}
-						left = expr.NewUnary(expr.OpNot, expr.NewBinary(expr.OpLike, left, right))
-						continue
-					case "IN":
-						p.pos += 2
-						e, err := p.parseInRHS(left, true)
-						if err != nil {
-							return nil, err
-						}
-						left = e
-						continue
-					case "BETWEEN":
-						p.pos += 2
-						lo, err := p.parseAdditive()
-						if err != nil {
-							return nil, err
-						}
-						if err := p.expectKeyword("AND"); err != nil {
-							return nil, err
-						}
-						hi, err := p.parseAdditive()
-						if err != nil {
-							return nil, err
-						}
-						left = expr.NewUnary(expr.OpNot, expr.NewBinary(expr.OpAnd,
-							expr.NewBinary(expr.OpGe, left, lo),
-							expr.NewBinary(expr.OpLe, left, hi)))
-						continue
-					}
-				}
-				return left, nil
+		if p.acceptKeyword("IS") {
+			negate := p.acceptKeyword("NOT")
+			if err := p.expectKeyword("NULL"); err != nil {
+				return nil, err
 			}
+			left = &expr.IsNull{E: left, Negate: negate}
+			continue
 		}
-		return left, nil
+		form, skip := p.peek(), 1
+		negate := p.atKeyword("NOT")
+		if negate {
+			form, skip = p.peekAt(1), 2
+		}
+		if form.Kind != TokKeyword || form.Text != "LIKE" && form.Text != "IN" && form.Text != "BETWEEN" {
+			return left, nil
+		}
+		p.pos += skip
+		var e expr.Expr
+		switch form.Text {
+		case "IN": // [NOT] IN carries its own Negate
+			if left, err = p.parseInRHS(left, negate); err != nil {
+				return nil, err
+			}
+			continue
+		case "LIKE":
+			right, err := p.parseBinary(addLevel)
+			if err != nil {
+				return nil, err
+			}
+			e = expr.NewBinary(expr.OpLike, left, right)
+		default: // BETWEEN lo AND hi: the AND is the form's, not logical
+			lo, err := p.parseBinary(addLevel)
+			if err == nil {
+				err = p.expectKeyword("AND")
+			}
+			if err != nil {
+				return nil, err
+			}
+			hi, err := p.parseBinary(addLevel)
+			if err != nil {
+				return nil, err
+			}
+			e = expr.NewBinary(expr.OpAnd,
+				expr.NewBinary(expr.OpGe, left, lo),
+				expr.NewBinary(expr.OpLe, left, hi))
+		}
+		if negate {
+			e = expr.NewUnary(expr.OpNot, e)
+		}
+		left = e
 	}
 }
 
@@ -763,99 +758,21 @@ func (p *Parser) parseInRHS(operand expr.Expr, negate bool) (expr.Expr, error) {
 	if err := p.expectOp("("); err != nil {
 		return nil, err
 	}
-	if p.peek().Kind == TokKeyword && p.peek().Text == "SELECT" {
-		sub, err := p.parseSelect()
+	if p.atKeyword("SELECT") {
+		sub, err := p.parseSubquery()
 		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp(")"); err != nil {
 			return nil, err
 		}
 		return &expr.Subquery{Stmt: sub, Mode: expr.SubIn, Operand: operand, Negate: negate}, nil
 	}
-	var list []expr.Expr
-	for {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		list = append(list, e)
-		if !p.acceptOp(",") {
-			break
-		}
+	list, err := parseList(p, p.parseExpr)
+	if err == nil {
+		err = p.expectOp(")")
 	}
-	if err := p.expectOp(")"); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return &expr.InList{E: operand, List: list, Negate: negate}, nil
-}
-
-func (p *Parser) parseAdditive() (expr.Expr, error) {
-	left, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	defer p.ascend(p.depth)
-	for {
-		t := p.peek()
-		if t.Kind != TokOp {
-			return left, nil
-		}
-		var op expr.BinOp
-		switch t.Text {
-		case "+":
-			op = expr.OpAdd
-		case "-":
-			op = expr.OpSub
-		case "||":
-			op = expr.OpConcat
-		default:
-			return left, nil
-		}
-		p.pos++
-		if err := p.deeper(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		left = expr.NewBinary(op, left, right)
-	}
-}
-
-func (p *Parser) parseMultiplicative() (expr.Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	defer p.ascend(p.depth)
-	for {
-		t := p.peek()
-		if t.Kind != TokOp {
-			return left, nil
-		}
-		var op expr.BinOp
-		switch t.Text {
-		case "*":
-			op = expr.OpMul
-		case "/":
-			op = expr.OpDiv
-		case "%":
-			op = expr.OpMod
-		default:
-			return left, nil
-		}
-		p.pos++
-		if err := p.deeper(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = expr.NewBinary(op, left, right)
-	}
 }
 
 // parseUnary is on every path back into parseExpr — a parenthesis, a
@@ -866,30 +783,44 @@ func (p *Parser) parseUnary() (expr.Expr, error) {
 	if err := p.deeper(); err != nil {
 		return nil, err
 	}
-	if p.acceptOp("-") {
-		inner, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		// Fold negative literals immediately so "-3" is a Const.
-		if c, ok := inner.(*expr.Const); ok {
-			switch c.Val.Kind() {
-			case types.KindInt:
-				return expr.NewConst(types.NewInt(-c.Val.Int())), nil
-			case types.KindFloat:
-				// 0 - f, not -f: SQL has no negative zero, and "-0"
-				// would not print as it parses.
-				return expr.NewConst(types.NewFloat(0 - c.Val.Float())), nil
-			default:
-				// Non-numeric literal: leave the unary for the binder.
-			}
-		}
-		return expr.NewUnary(expr.OpNeg, inner), nil
-	}
 	if p.acceptOp("+") {
 		return p.parseUnary()
 	}
-	return p.parsePrimary()
+	if !p.acceptOp("-") {
+		return p.parsePrimary()
+	}
+	// Fold negative literals immediately so "-3" is a Const. An integer
+	// literal is read with its sign, at the level its own parseUnary
+	// would take, so that the least INT, whose magnitude is no INT, can
+	// be written.
+	if t := p.peek(); t.Kind == TokInt {
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
+		p.pos++
+		n, err := strconv.ParseUint(t.Text, 10, 64)
+		if err != nil || n > 1<<63 {
+			return nil, p.errorf("bad integer literal %q", t.Text)
+		}
+		return expr.NewConst(types.NewInt(-int64(n))), nil
+	}
+	inner, err := p.parseUnary()
+	if err != nil {
+		return nil, err
+	}
+	if c, ok := inner.(*expr.Const); ok {
+		switch c.Val.Kind() {
+		case types.KindInt:
+			return expr.NewConst(types.NewInt(-c.Val.Int())), nil
+		case types.KindFloat:
+			// 0 - f, not -f: SQL has no negative zero, and "-0"
+			// would not print as it parses.
+			return expr.NewConst(types.NewFloat(0 - c.Val.Float())), nil
+		default:
+			// Non-numeric literal: leave the unary for the binder.
+		}
+	}
+	return expr.NewUnary(expr.OpNeg, inner), nil
 }
 
 func (p *Parser) parsePrimary() (expr.Expr, error) {
@@ -944,11 +875,8 @@ func (p *Parser) parsePrimary() (expr.Expr, error) {
 			if err := p.expectOp("("); err != nil {
 				return nil, err
 			}
-			sub, err := p.parseSelect()
+			sub, err := p.parseSubquery()
 			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp(")"); err != nil {
 				return nil, err
 			}
 			return &expr.Subquery{Stmt: sub, Mode: expr.SubExists}, nil
@@ -974,21 +902,18 @@ func (p *Parser) parsePrimary() (expr.Expr, error) {
 		if t.Text == "(" {
 			p.pos++
 			// Scalar subquery?
-			if p.peek().Kind == TokKeyword && p.peek().Text == "SELECT" {
-				sub, err := p.parseSelect()
+			if p.atKeyword("SELECT") {
+				sub, err := p.parseSubquery()
 				if err != nil {
-					return nil, err
-				}
-				if err := p.expectOp(")"); err != nil {
 					return nil, err
 				}
 				return &expr.Subquery{Stmt: sub, Mode: expr.SubScalar}, nil
 			}
 			inner, err := p.parseExpr()
-			if err != nil {
-				return nil, err
+			if err == nil {
+				err = p.expectOp(")")
 			}
-			if err := p.expectOp(")"); err != nil {
+			if err != nil {
 				return nil, err
 			}
 			return inner, nil
@@ -1016,27 +941,21 @@ func (p *Parser) parseCall() (expr.Expr, error) {
 			return &expr.AggCall{Kind: expr.AggCount}, nil
 		}
 		arg, err := p.parseExpr()
-		if err != nil {
-			return nil, err
+		if err == nil {
+			err = p.expectOp(")")
 		}
-		if err := p.expectOp(")"); err != nil {
+		if err != nil {
 			return nil, err
 		}
 		return &expr.AggCall{Kind: kind, Arg: arg, Distinct: distinct}, nil
 	}
 	var args []expr.Expr
 	if !p.acceptOp(")") {
-		for {
-			a, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, a)
-			if !p.acceptOp(",") {
-				break
-			}
+		var err error
+		if args, err = parseList(p, p.parseExpr); err == nil {
+			err = p.expectOp(")")
 		}
-		if err := p.expectOp(")"); err != nil {
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -1048,7 +967,7 @@ func (p *Parser) parseCase() (expr.Expr, error) {
 		return nil, err
 	}
 	c := &expr.Case{}
-	if !(p.peek().Kind == TokKeyword && p.peek().Text == "WHEN") {
+	if !p.atKeyword("WHEN") {
 		op, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -1057,10 +976,10 @@ func (p *Parser) parseCase() (expr.Expr, error) {
 	}
 	for p.acceptKeyword("WHEN") {
 		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
+		if err == nil {
+			err = p.expectKeyword("THEN")
 		}
-		if err := p.expectKeyword("THEN"); err != nil {
+		if err != nil {
 			return nil, err
 		}
 		then, err := p.parseExpr()
@@ -1093,10 +1012,10 @@ func (p *Parser) parseCast() (expr.Expr, error) {
 		return nil, err
 	}
 	inner, err := p.parseExpr()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = p.expectKeyword("AS")
 	}
-	if err := p.expectKeyword("AS"); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	typeName, err := p.expectIdent()
@@ -1111,22 +1030,4 @@ func (p *Parser) parseCast() (expr.Expr, error) {
 		return nil, err
 	}
 	return &expr.Cast{E: inner, To: kind}, nil
-}
-
-// ParseExpr parses a bare SQL expression (e.g. a partition predicate in
-// a catalog config file).
-func ParseExpr(src string) (expr.Expr, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.atEOF() {
-		return nil, p.errorf("unexpected %s after expression", p.peek())
-	}
-	return e, nil
 }

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -86,6 +87,17 @@ func TestParseLiterals(t *testing.T) {
 	sel = roundTrip(t, "SELECT -3, -2.5", "SELECT -3, -2.5").(*SelectStmt)
 	if c := sel.Items[0].Expr.(*expr.Const); c.Val.Int() != -3 {
 		t.Errorf("negative literal = %v", c.Val)
+	}
+	// The least INT: a negated literal's magnitude may be one past the
+	// largest INT, and no other's may.
+	sel = roundTrip(t, "SELECT -9223372036854775808", "").(*SelectStmt)
+	if c := sel.Items[0].Expr.(*expr.Const); c.Val.Int() != math.MinInt64 {
+		t.Errorf("least INT = %v", c.Val)
+	}
+	for _, src := range []string{"SELECT -9223372036854775809", "SELECT 9223372036854775808", "SELECT 1 - 9223372036854775808"} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "bad integer literal") {
+			t.Errorf("Parse(%q): err = %v, want a bad integer literal", src, err)
+		}
 	}
 }
 
