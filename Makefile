@@ -44,9 +44,11 @@ loc:
 # What the stores hold, in bytes, against the allocator's size classes:
 # relstore's rows (at most 48 B a row of the orders table), its chunk
 # vectors (each full vector fills its size class to within one row) and
-# its indexes, docstore's documents and types.RowSlab's chunks.
+# its indexes, kvstore's buckets (at most 64 B an orders row loaded in
+# key order), docstore's documents and types.RowSlab's chunks.
 layout:
 	$(GO) test -count=1 -run 'TestRowBytesPerRow|TestChunkBytes|TestIndexBytesPerRow' -v ./internal/relstore
+	$(GO) test -count=1 -run 'TestBucketBytesPerRow' -v ./internal/kvstore
 	$(GO) test -count=1 -run 'TestDocBytesPerDocument' -v ./internal/docstore
 	$(GO) test -count=1 -run 'TestRowSlabBytes' -v ./internal/types
 
@@ -112,8 +114,11 @@ frames:
 # what every candidate remote value reads as (FuzzToRemote), types'
 # hash chain, whose link, unlink, grow and probe operations are decoded
 # from bytes and held to a map of each hash's positions (FuzzHashChain),
-# and types' column vector, whose appends, sets and clones are decoded
-# from bytes and held to a []Value model bit for bit (FuzzVector). Their seed
+# types' column vector, whose appends, sets, clones, inserts and removes
+# are decoded from bytes and held to a []Value model bit for bit
+# (FuzzVector), and kvstore's B+-tree, whose puts, deletes, lookups,
+# views and range scans are held to a sorted slice, each view to the
+# slice as it stood when the view was taken (FuzzBTree). Their seed
 # corpora run as ordinary tests under `go test ./...`; a crash found here
 # lands in the package's testdata/fuzz and fails from then on.
 fuzz:
@@ -128,6 +133,7 @@ fuzz:
 	$(GO) test ./internal/catalog -run '^$$' -fuzz FuzzToRemote -fuzztime 10s
 	$(GO) test ./internal/types -run '^$$' -fuzz FuzzHashChain -fuzztime 10s
 	$(GO) test ./internal/types -run '^$$' -fuzz FuzzVector -fuzztime 10s
+	$(GO) test ./internal/kvstore -run '^$$' -fuzz FuzzBTree -fuzztime 10s
 
 # Both benchmark harnesses: the per-layer rungs, then the repository
 # benchmark. The T1-F9 experiment shapes are `go run ./cmd/gisbench`.

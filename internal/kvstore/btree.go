@@ -1,5 +1,5 @@
 // Package kvstore implements an ordered key-value component system: a
-// from-scratch in-memory B-tree keyed by values of the global type
+// from-scratch in-memory B+-tree keyed by values of the global type
 // system, wrapped as a weak source that supports only keyed access
 // (equality and range predicates on the key column). It models the
 // keyed-record stores (IMS/VSAM-era systems) the paper's component
@@ -7,302 +7,338 @@
 package kvstore
 
 import (
+	"slices"
+	"sort"
 	"sync/atomic"
 
 	"gis/internal/expr"
 	"gis/internal/types"
 )
 
-// degree is the minimum branching factor of the B-tree: every node other
-// than the root holds between degree-1 and 2*degree-1 items.
-const degree = 16
+// leafRows is how many rows a leaf holds: a full vector fills its
+// allocator size class to within one row, as a relstore chunk's does —
+// 2 040 B of words in 2 KiB, 4 080 B of strings in 4 KiB.
+const leafRows = 255
 
-type item struct {
-	key types.Value
-	val types.Row
-}
+// maxKids is how many children an internal node holds. A node other
+// than the root holds at least half as many children, or rows.
+const maxKids = 64
 
+// node is a leaf, which holds up to leafRows rows in key order as one
+// vector per column, or an internal node, which holds children and the
+// separators between them: every key under kids[i] is below seps[i],
+// and every key under kids[i+1] is seps[i] or above.
 type node struct {
-	items    []item
-	children []*node // nil for leaves
-	// stamp is BTree.views when the node was made: a view taken since
-	// may hold it, and then a writer changes a copy (BTree.own).
-	stamp uint64
+	cols []types.Vector // a leaf's; nil in an internal node
+	seps []types.Value
+	kids []*node
+	// stamp is BTree.views when the node's header, and a leaf's array of
+	// vector headers, was made; colStamps[j] likewise for column j's
+	// values. A view taken since may hold the thing, and then a writer
+	// changes a copy (BTree.own, BTree.ownCol).
+	stamp     uint64
+	colStamps []uint64
 }
 
-func (n *node) leaf() bool { return len(n.children) == 0 }
+func (n *node) leaf() bool { return n.cols != nil }
 
-// find returns the index of the first item with key >= k and whether the
-// item at that index equals k.
-func (n *node) find(k types.Value) (int, bool) {
-	lo, hi := 0, len(n.items)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.items[mid].key.Compare(k) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// size is the number of a leaf's rows or an internal node's children.
+func (n *node) size() int {
+	if n.leaf() {
+		return n.cols[0].Len()
 	}
-	if lo < len(n.items) && n.items[lo].key.Compare(k) == 0 {
-		return lo, true
-	}
-	return lo, false
+	return len(n.kids)
 }
 
-// BTree is an ordered map from types.Value keys to rows. Duplicate keys
-// are not allowed; Put replaces. The zero value is not usable — call
-// NewBTree.
+// child returns the index of the child whose keys k falls among: the
+// number of separators at or below k.
+func (n *node) child(k types.Value) int {
+	return sort.Search(len(n.seps), func(i int) bool { return n.seps[i].Compare(k) > 0 })
+}
+
+// search returns the position of the first row of a leaf whose key, in
+// column key, is k or above, and whether it is k.
+func (n *node) search(key int, k types.Value) (int, bool) {
+	keys := &n.cols[key]
+	i := sort.Search(keys.Len(), func(i int) bool { return keys.At(i).Compare(k) >= 0 })
+	return i, i < keys.Len() && keys.At(i).Compare(k) == 0
+}
+
+// decode puts row i of a leaf into row, and returns row.
+func (n *node) decode(i int, row types.Row) types.Row {
+	for j := range row {
+		row[j] = n.cols[j].At(i)
+	}
+	return row
+}
+
+// BTree is an ordered map from types.Value keys to rows, which are kept
+// as columns: a row's key is one of its columns. Duplicate keys are not
+// allowed; Put replaces.
 //
 // One writer at a time changes the tree, in place. A reader that wants
 // the tree as it stands beyond the lock that excludes the writer takes
 // a view: the root, and a count. From then on a node made before the
 // count is one the view may be walking, so Put and Delete copy such a
-// node before they change it, from the root down the one path they
-// descend, and leave the view its own. With no view taken since a node
-// was made, a write allocates what it always did.
+// node's header before they change it, from the root down the path they
+// descend, and of a leaf only the vectors they change, and leave the
+// view its own. With no view taken since a node was made, a write
+// allocates nothing for it.
 type BTree struct {
-	root *node
-	size int
+	root   *node
+	schema *types.Schema
+	key    int
+	size   int
 	// views counts the views taken.
 	views atomic.Uint64
 }
 
-// NewBTree returns an empty tree.
-func NewBTree() *BTree { return &BTree{root: &node{}} }
+// NewBTree returns an empty tree of rows of schema, keyed by column key.
+func NewBTree(schema *types.Schema, key int) *BTree {
+	t := &BTree{schema: schema, key: key}
+	t.root = t.newLeaf(0)
+	return t
+}
+
+// newLeaf returns an empty leaf with room for n rows.
+func (t *BTree) newLeaf(n int) *node {
+	v := t.views.Load()
+	w := t.schema.Len()
+	l := &node{cols: make([]types.Vector, w), stamp: v, colStamps: make([]uint64, w)}
+	for j, c := range t.schema.Columns {
+		l.cols[j], l.colStamps[j] = types.NewVector(c.Type), v
+		l.cols[j].Grow(n)
+	}
+	return l
+}
 
 // Len returns the number of entries.
 func (t *BTree) Len() int { return t.size }
 
+// treeView is the tree as it stood when it was taken.
+type treeView struct {
+	root *node
+	key  int
+}
+
 // view returns the tree as it stands, for a cursor to walk while
 // writers go on. Readers may take views concurrently; a writer may not
 // be running.
-func (t *BTree) view() *node {
+func (t *BTree) view() treeView {
 	t.views.Add(1)
-	return t.root
+	return treeView{t.root, t.key}
 }
 
 // own returns n for a writer to change: n itself when no view was taken
-// since it was made, else a copy, which the caller puts in n's place in
-// a parent it already owns.
+// since its header was made, else a copy of the header, which the
+// caller puts in n's place in a parent it already owns. The copy shares
+// n's vectors until ownCol, and its stamps, which only the writer reads.
 func (t *BTree) own(n *node) *node {
 	v := t.views.Load()
 	if n.stamp == v {
 		return n
 	}
-	c := &node{items: append(make([]item, 0, 2*degree-1), n.items...), stamp: v}
-	if !n.leaf() {
-		c.children = append(make([]*node, 0, 2*degree), n.children...)
+	c := *n
+	c.stamp, c.cols, c.seps, c.kids = v, slices.Clone(n.cols), slices.Clone(n.seps), slices.Clone(n.kids)
+	return &c
+}
+
+// ownKid makes child i of n, which the caller owns, the writer's own.
+func (t *BTree) ownKid(n *node, i int) *node {
+	n.kids[i] = t.own(n.kids[i])
+	return n.kids[i]
+}
+
+// ownCol returns column j of leaf l, which the caller owns, for the
+// writer to change, with room for n more values: a copy if a view may
+// hold its values. A vector grows to twice its rows, at most leafRows.
+func (t *BTree) ownCol(l *node, j, n int) *types.Vector {
+	c := &l.cols[j]
+	if v := t.views.Load(); l.colStamps[j] != v {
+		*c, l.colStamps[j] = c.Clone(), v
+	}
+	if need := c.Len() + n; need > c.Cap() {
+		c.Grow(min(max(need, 2*c.Len()), leafRows) - c.Len())
 	}
 	return c
 }
 
-// ownChild makes child i of n, which the caller owns, the writer's own.
-func (t *BTree) ownChild(n *node, i int) *node {
-	n.children[i] = t.own(n.children[i])
-	return n.children[i]
-}
-
-// Get returns the row stored under k.
-func (t *BTree) Get(k types.Value) (types.Row, bool) {
-	n := t.root
-	for {
-		i, eq := n.find(k)
-		if eq {
-			return n.items[i].val, true
-		}
-		if n.leaf() {
-			return nil, false
-		}
-		n = n.children[i]
+// value is column j of the row Put stores as v under k.
+func (t *BTree) value(k types.Value, v types.Row, j int) types.Value {
+	if j == t.key {
+		return k
 	}
+	return v[j]
 }
 
-// Put inserts or replaces the entry for k. It reports whether a new key
-// was inserted (false means replaced).
+// lookup returns the leaf and the position of the row stored under k.
+func (t *BTree) lookup(k types.Value) (*node, int, bool) {
+	n := t.root
+	for !n.leaf() {
+		n = n.kids[n.child(k)]
+	}
+	i, ok := n.search(t.key, k)
+	return n, i, ok
+}
+
+// Put stores v under k, and reports whether k is new (false means
+// replaced). The row stored is v with k as its key column, which v may
+// leave off when it is the last.
 func (t *BTree) Put(k types.Value, v types.Row) bool {
 	t.root = t.own(t.root)
-	if len(t.root.items) == 2*degree-1 {
-		t.root = &node{children: []*node{t.root}, stamp: t.root.stamp}
-		t.splitChild(t.root, 0)
+	inserted, sep, right := t.put(t.root, k, v, true)
+	if right != nil {
+		t.root = &node{seps: []types.Value{sep}, kids: []*node{t.root, right}, stamp: t.views.Load()}
 	}
-	inserted := t.insert(t.root, k, v)
 	if inserted {
 		t.size++
 	}
 	return inserted
 }
 
-// splitChild splits the full child at index i of n, lifting its median
-// item. The caller owns n.
-func (t *BTree) splitChild(n *node, i int) {
-	child := t.ownChild(n, i)
-	mid := degree - 1
-	median := child.items[mid]
-	right := &node{
-		items: append([]item(nil), child.items[mid+1:]...),
-		stamp: child.stamp,
+// put stores v under k below n, which the caller owns and which is the
+// tree's last node at its depth when rightmost is set. When n overflows
+// it splits, and put returns the node split off its right and the
+// separator that goes before it.
+func (t *BTree) put(n *node, k types.Value, v types.Row, rightmost bool) (inserted bool, sep types.Value, right *node) {
+	if !n.leaf() {
+		i := n.child(k)
+		inserted, sep, right = t.put(t.ownKid(n, i), k, v, rightmost && i == len(n.kids)-1)
+		if right == nil {
+			return inserted, sep, nil
+		}
+		n.seps, n.kids = slices.Insert(n.seps, i, sep), slices.Insert(n.kids, i+1, right)
+		if len(n.kids) <= maxKids {
+			return inserted, sep, nil
+		}
+		h := len(n.kids) / 2
+		sep, right = n.seps[h-1], &node{seps: slices.Clone(n.seps[h:]), kids: slices.Clone(n.kids[h:]), stamp: n.stamp}
+		n.seps, n.kids = slices.Delete(n.seps, h-1, len(n.seps)), slices.Delete(n.kids, h, len(n.kids))
+		return inserted, sep, right
 	}
-	if !child.leaf() {
-		right.children = append([]*node(nil), child.children[mid+1:]...)
-		child.children = child.children[:mid+1]
-	}
-	child.items = child.items[:mid]
-
-	n.items = append(n.items, item{})
-	copy(n.items[i+1:], n.items[i:])
-	n.items[i] = median
-	n.children = append(n.children, nil)
-	copy(n.children[i+2:], n.children[i+1:])
-	n.children[i+1] = right
-}
-
-// insert puts k under n, which the caller owns.
-func (t *BTree) insert(n *node, k types.Value, v types.Row) bool {
-	i, eq := n.find(k)
+	i, eq := n.search(t.key, k)
 	if eq {
-		n.items[i].val = v
-		return false
+		for j := range n.cols {
+			if x := t.value(k, v, j); !n.cols[j].Holds(i, x) {
+				t.ownCol(n, j, 0).Set(i, x)
+			}
+		}
+		return false, sep, nil
 	}
-	if n.leaf() {
-		n.items = append(n.items, item{})
-		copy(n.items[i+1:], n.items[i:])
-		n.items[i] = item{key: k, val: v}
-		return true
-	}
-	if len(n.children[i].items) == 2*degree-1 {
-		t.splitChild(n, i)
-		switch c := k.Compare(n.items[i].key); {
-		case c == 0:
-			n.items[i].val = v
-			return false
-		case c > 0:
-			i++
+	at := n
+	if rows := n.size(); rows == leafRows {
+		// An ascending load leaves its leaves full: the key past the
+		// tree's last starts a leaf of its own.
+		h := rows / 2
+		if rightmost && i == rows {
+			h = rows
+		}
+		right = t.newLeaf(leafRows)
+		for j := range n.cols {
+			c, r := t.ownCol(n, j, 0), &right.cols[j]
+			for p := h; p < rows; p++ {
+				r.Append(c.At(p))
+			}
+			for p := rows - 1; p >= h; p-- {
+				c.Remove(p)
+			}
+		}
+		if i > h || h == rows {
+			at, i = right, i-h
 		}
 	}
-	return t.insert(t.ownChild(n, i), k, v)
+	for j := range at.cols {
+		t.ownCol(at, j, 1).Insert(i, t.value(k, v, j))
+	}
+	if right != nil {
+		sep = right.cols[t.key].At(0)
+	}
+	return true, sep, right
 }
 
 // Delete removes the entry for k and reports whether it existed.
 func (t *BTree) Delete(k types.Value) bool {
-	if t.size == 0 {
+	if _, _, ok := t.lookup(k); !ok {
 		return false
 	}
 	t.root = t.own(t.root)
-	deleted := t.delete(t.root, k)
-	if len(t.root.items) == 0 && !t.root.leaf() {
-		t.root = t.root.children[0]
+	t.delete(t.root, k)
+	if !t.root.leaf() && len(t.root.kids) == 1 {
+		t.root = t.root.kids[0]
 	}
-	if deleted {
-		t.size--
-	}
-	return deleted
+	t.size--
+	return true
 }
 
-// delete removes k from under n, which the caller owns.
-func (t *BTree) delete(n *node, k types.Value) bool {
-	i, eq := n.find(k)
+// delete removes k, which the tree holds, from below n, which the caller
+// owns, and leaves every child of n at least half full.
+func (t *BTree) delete(n *node, k types.Value) {
 	if n.leaf() {
-		if !eq {
-			return false
-		}
-		n.items = append(n.items[:i], n.items[i+1:]...)
-		return true
-	}
-	if eq {
-		// Replace with predecessor from the left child, then delete it.
-		if len(n.children[i].items) >= degree {
-			left := t.ownChild(n, i)
-			pred := left.maxItem()
-			n.items[i] = pred
-			return t.delete(left, pred.key)
-		}
-		if len(n.children[i+1].items) >= degree {
-			right := t.ownChild(n, i+1)
-			succ := right.minItem()
-			n.items[i] = succ
-			return t.delete(right, succ.key)
-		}
-		// Merge left + median + right, then recurse.
-		t.mergeChildren(n, i)
-		return t.delete(n.children[i], k)
-	}
-	if len(n.children[i].items) < degree {
-		t.fill(n, i)
-		// fill may have merged child i with a sibling; recompute.
-		i, _ = n.find(k)
-		if i > len(n.children)-1 {
-			i = len(n.children) - 1
-		}
-	}
-	return t.delete(t.ownChild(n, i), k)
-}
-
-func (n *node) maxItem() item {
-	for !n.leaf() {
-		n = n.children[len(n.children)-1]
-	}
-	return n.items[len(n.items)-1]
-}
-
-func (n *node) minItem() item {
-	for !n.leaf() {
-		n = n.children[0]
-	}
-	return n.items[0]
-}
-
-// fill ensures child i of n, which the caller owns, has at least degree
-// items by borrowing from a sibling or merging.
-func (t *BTree) fill(n *node, i int) {
-	if i > 0 && len(n.children[i-1].items) >= degree {
-		// Borrow from left sibling through the separator.
-		child, left := t.ownChild(n, i), t.ownChild(n, i-1)
-		child.items = append([]item{n.items[i-1]}, child.items...)
-		n.items[i-1] = left.items[len(left.items)-1]
-		left.items = left.items[:len(left.items)-1]
-		if !left.leaf() {
-			moved := left.children[len(left.children)-1]
-			left.children = left.children[:len(left.children)-1]
-			child.children = append([]*node{moved}, child.children...)
+		i, _ := n.search(t.key, k)
+		for j := range n.cols {
+			t.ownCol(n, j, 0).Remove(i)
 		}
 		return
 	}
-	if i < len(n.children)-1 && len(n.children[i+1].items) >= degree {
-		child, right := t.ownChild(n, i), t.ownChild(n, i+1)
-		child.items = append(child.items, n.items[i])
-		n.items[i] = right.items[0]
-		right.items = right.items[1:]
-		if !right.leaf() {
-			moved := right.children[0]
-			right.children = right.children[1:]
-			child.children = append(child.children, moved)
-		}
+	i := n.child(k)
+	c := t.ownKid(n, i)
+	t.delete(c, k)
+	limit := maxKids
+	if c.leaf() {
+		limit = leafRows
+	}
+	if c.size() >= limit/2 {
 		return
 	}
-	if i < len(n.children)-1 {
-		t.mergeChildren(n, i)
-	} else {
-		t.mergeChildren(n, i-1)
+	// Merge c with a sibling, or move one entry across from it.
+	if i == len(n.kids)-1 {
+		i--
 	}
-}
-
-// mergeChildren merges child i, separator i, and child i+1 of n, which
-// the caller owns, into child i.
-func (t *BTree) mergeChildren(n *node, i int) {
-	left, right := t.ownChild(n, i), n.children[i+1]
-	left.items = append(left.items, n.items[i])
-	left.items = append(left.items, right.items...)
-	left.children = append(left.children, right.children...)
-	n.items = append(n.items[:i], n.items[i+1:]...)
-	n.children = append(n.children[:i+1], n.children[i+2:]...)
+	a, b := t.ownKid(n, i), n.kids[i+1]
+	if a.size()+b.size() > limit {
+		b = t.ownKid(n, i+1)
+	}
+	switch {
+	case a.size()+b.size() <= limit && a.leaf():
+		for j := range a.cols {
+			d, s := t.ownCol(a, j, b.size()), &b.cols[j]
+			for p := 0; p < s.Len(); p++ {
+				d.Append(s.At(p))
+			}
+		}
+	case a.size()+b.size() <= limit:
+		a.seps = append(append(a.seps, n.seps[i]), b.seps...)
+		a.kids = append(a.kids, b.kids...)
+	case a.leaf():
+		from, to, p, q := a, b, a.size()-1, 0
+		if a.size() < b.size() {
+			from, to, p, q = b, a, 0, a.size()
+		}
+		for j := range from.cols {
+			t.ownCol(to, j, 1).Insert(q, from.cols[j].At(p))
+			t.ownCol(from, j, 0).Remove(p)
+		}
+		n.seps[i] = b.cols[t.key].At(0)
+		return
+	case a.size() < b.size():
+		a.seps, a.kids, n.seps[i] = append(a.seps, n.seps[i]), append(a.kids, b.kids[0]), b.seps[0]
+		b.seps, b.kids = slices.Delete(b.seps, 0, 1), slices.Delete(b.kids, 0, 1)
+		return
+	default:
+		last := len(a.seps) - 1
+		b.seps, b.kids, n.seps[i] = slices.Insert(b.seps, 0, n.seps[i]), slices.Insert(b.kids, 0, a.kids[last+1]), a.seps[last]
+		a.seps, a.kids = slices.Delete(a.seps, last, last+1), slices.Delete(a.kids, last+1, last+2)
+		return
+	}
+	n.seps, n.kids = slices.Delete(n.seps, i, i+1), slices.Delete(n.kids, i+1, i+2)
 }
 
 // Ascend visits entries with lo <= key <= hi (per bound flags) in key
-// order. fn returning false stops the scan.
+// order. fn returning false stops the scan. The row fn is handed is
+// rewritten for the next entry: fn copies what it keeps.
 func (t *BTree) Ascend(lo, hi expr.Bound, fn func(k types.Value, v types.Row) bool) {
 	var c cursor
-	c.seek(t.root, lo)
+	c.seek(treeView{t.root, t.key}, lo)
 	for {
 		it, ok := c.next()
 		if !ok || hi.ExcludesAbove(it.key) || !fn(it.key, it.val) {
@@ -312,21 +348,29 @@ func (t *BTree) Ascend(lo, hi expr.Bound, fn func(k types.Value, v types.Row) bo
 }
 
 // maxHeight bounds a cursor's stack. A tree of height h holds at least
-// 2*degree^(h-1) - 1 keys: sixteen levels are more than memory has.
+// 2*(maxKids/2)^(h-2) leaves: sixteen levels are more than memory has.
 const maxHeight = 16
 
 // cursor walks a tree in key order with a stack in place of recursion,
 // so that a walk can stop at an entry and go on from it later. It starts
-// from a node and reads nodes, never the BTree, and so walks a view
+// from a view and reads nodes, never the BTree, and so walks a view
 // while writers change the tree.
-// A frame (n, i) says item i of n is the next of n's own to visit, and
-// what lies under child i is already on the stack above, or done.
+// A frame (n, i) of an internal node says child i is the one being
+// walked; the top frame, a leaf's, says row i is the next to visit.
 type cursor struct {
 	stack [maxHeight]struct {
 		n *node
 		i int
 	}
 	depth int
+	key   int
+	row   types.Row // next's
+}
+
+// item is an entry as next reads it.
+type item struct {
+	key types.Value
+	val types.Row
 }
 
 func (c *cursor) push(n *node, i int) {
@@ -334,54 +378,63 @@ func (c *cursor) push(n *node, i int) {
 	c.depth++
 }
 
-// descend stacks the path to the smallest key under n.
-func (c *cursor) descend(n *node) {
-	for c.push(n, 0); !n.leaf(); c.push(n, 0) {
-		n = n.children[0]
-	}
-}
-
-// seek stacks the path to the first key under n that lo admits.
-func (c *cursor) seek(n *node, lo expr.Bound) {
-	if lo.Unbounded {
-		c.descend(n)
-		return
-	}
-	for {
-		// The first item >= lo; what lies under the child before it is
-		// smaller than it, and may or may not reach lo.
-		i, eq := n.find(lo.Value)
-		if eq && !lo.Inclusive {
-			i++
+// seek stacks the path to the first key of v that lo admits.
+func (c *cursor) seek(v treeView, lo expr.Bound) {
+	c.key = v.key
+	for n := v.root; ; {
+		if n.leaf() {
+			i, eq := 0, false
+			if !lo.Unbounded {
+				i, eq = n.search(c.key, lo.Value)
+			}
+			if eq && !lo.Inclusive {
+				i++
+			}
+			c.push(n, i)
+			return
+		}
+		i := 0
+		if !lo.Unbounded {
+			i = n.child(lo.Value)
 		}
 		c.push(n, i)
-		switch {
-		case n.leaf():
-			return
-		case eq && lo.Inclusive:
-			return
-		case eq:
-			c.descend(n.children[i])
-			return
-		}
-		n = n.children[i]
+		n = n.kids[i]
 	}
 }
 
-// next returns the entry the cursor is at and moves past it.
-func (c *cursor) next() (item, bool) {
+// step returns the leaf and the position of the entry the cursor is at
+// and moves past it.
+func (c *cursor) step() (*node, int, bool) {
 	for c.depth > 0 {
 		f := &c.stack[c.depth-1]
-		if f.i == len(f.n.items) {
+		switch {
+		case f.n.leaf() && f.i < f.n.size():
+			f.i++
+			return f.n, f.i - 1, true
+		case !f.n.leaf() && f.i+1 < len(f.n.kids):
+			f.i++
+			for n := f.n.kids[f.i]; ; n = n.kids[0] {
+				c.push(n, 0)
+				if n.leaf() {
+					break
+				}
+			}
+		default:
 			c.depth--
-			continue
 		}
-		it := f.n.items[f.i]
-		f.i++
-		if !f.n.leaf() {
-			c.descend(f.n.children[f.i])
-		}
-		return it, true
 	}
-	return item{}, false
+	return nil, 0, false
+}
+
+// next returns the entry the cursor is at, its row decoded into one the
+// cursor rewrites each call, and moves past it.
+func (c *cursor) next() (item, bool) {
+	l, i, ok := c.step()
+	if !ok {
+		return item{}, false
+	}
+	if c.row == nil {
+		c.row = make(types.Row, len(l.cols))
+	}
+	return item{l.cols[c.key].At(i), l.decode(i, c.row)}, true
 }

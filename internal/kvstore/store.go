@@ -45,7 +45,8 @@ func (s *Store) CreateBucket(name string, schema *types.Schema, keyCol int) erro
 	if keyCol < 0 || keyCol >= schema.Len() {
 		return fmt.Errorf("kvstore %s: key column %d out of range", s.name, keyCol)
 	}
-	s.buckets[name] = &bucket{schema: schema.Clone(), keyCol: keyCol, tree: NewBTree()}
+	schema = schema.Clone()
+	s.buckets[name] = &bucket{schema: schema, keyCol: keyCol, tree: NewBTree(schema, keyCol)}
 	return nil
 }
 
@@ -96,10 +97,10 @@ func (s *Store) Capabilities() source.Capabilities {
 // conjunct of the filter constrains the key column to constants
 // (expr.ColumnConstraint), and Execute refuses any other; what they admit
 // together is one expr.Range. Keys it names — by equality, or in a list —
-// are looked up one by one and their rows' headers copied; any other
-// query is a scan of a key range, the whole bucket with no filter at
-// all, and borrows the tree (BTree.view): Execute copies nothing, and
-// Next walks, with the lock gone, the bucket as it was when Execute
+// are looked up one by one and their rows decoded into one slab; any
+// other query is a scan of a key range, the whole bucket with no filter
+// at all, and borrows the tree (BTree.view): Execute copies nothing, and
+// Next decodes, with the lock gone, the bucket as it was when Execute
 // returned. Writers pay for that, once a node; a lookup takes no view so
 // that a point read never makes the next write copy anything.
 func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, error) {
@@ -134,34 +135,39 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	// keys): one point lookup per key of the range, which are in key
 	// order as a range scan would answer, distinct and within its bounds.
 	var rows []types.Row
+	var slab types.RowSlab
 	for _, k := range keys {
 		if q.Limit >= 0 && int64(len(rows)) >= q.Limit {
 			break
 		}
-		if row, ok := b.tree.Get(k); ok {
-			rows = append(rows, row)
+		if l, i, ok := b.tree.lookup(k); ok {
+			rows = append(rows, l.decode(i, slab.Next(b.schema.Len())))
 		}
 	}
 	return source.SliceIter(rows), nil
 }
 
-// scanIter streams a key range of a view of a bucket, up to a limit.
-// Its rows are the committed rows themselves, which are replaced and
-// never written again: there is nothing for it to lend.
+// scanIter streams a key range of a view of a bucket, up to a limit. It
+// decodes each row into one from its slab: kept (the default), a row
+// of a chunk; lent, the one row every Next rewrites.
 type scanIter struct {
 	at    cursor
 	hi    expr.Bound
 	limit int64 // rows still wanted; negative: all
+	slab  types.RowSlab
 }
+
+// Lend implements source.Lender.
+func (it *scanIter) Lend() { it.slab.Lend() }
 
 // Next implements source.RowIter.
 func (it *scanIter) Next() (types.Row, error) {
 	if it.limit != 0 {
-		if e, ok := it.at.next(); ok && !it.hi.ExcludesAbove(e.key) {
+		if l, i, ok := it.at.step(); ok && !it.hi.ExcludesAbove(l.cols[it.at.key].At(i)) {
 			if it.limit > 0 {
 				it.limit--
 			}
-			return e.val, nil
+			return l.decode(i, it.slab.Next(len(l.cols))), nil
 		}
 		it.limit = 0
 	}
@@ -189,7 +195,7 @@ func (s *Store) Insert(_ context.Context, table string, rows []types.Row) (int64
 		return 0, fmt.Errorf("kvstore %s: %w", s.name, err)
 	}
 	normal := make([]types.Row, len(rows))
-	taken := NewBTree() // the keys of the earlier rows
+	var taken types.ValueSet // the keys of the earlier rows
 	for i, r := range rows {
 		nr, err := source.NormalizeRow(b.schema, r)
 		if err != nil {
@@ -199,7 +205,7 @@ func (s *Store) Insert(_ context.Context, table string, rows []types.Row) (int64
 		if k.IsNull() {
 			return 0, fmt.Errorf("kvstore %s: NULL key", s.name)
 		}
-		if _, held := b.tree.Get(k); held || !taken.Put(k, nil) {
+		if _, _, held := b.tree.lookup(k); held || !taken.Add(k) {
 			return 0, fmt.Errorf("kvstore %s: duplicate key %v", s.name, k)
 		}
 		normal[i] = nr
@@ -232,21 +238,18 @@ func (s *Store) Update(_ context.Context, table string, filter expr.Expr, set []
 		row    types.Row
 	}
 	var updated []change
-	var taken *BTree // the keys rows move to
+	var taken types.ValueSet // the keys rows move to
 	err = b.match(filter, func(k types.Value, r types.Row) error {
 		nr, err := source.SetRow(b.schema, r, set)
 		if err != nil {
 			return fmt.Errorf("kvstore %s bucket %s: %w", s.name, table, err)
 		}
 		if nk := nr[b.keyCol]; !nk.Equal(k) {
-			if taken == nil {
-				taken = NewBTree()
-			}
-			_, held := b.tree.Get(nk)
+			_, _, held := b.tree.lookup(nk)
 			switch {
 			case nk.IsNull():
 				return fmt.Errorf("kvstore %s: NULL key", s.name)
-			case held || !taken.Put(nk, nil):
+			case held || !taken.Add(nk):
 				return fmt.Errorf("kvstore %s: duplicate key %v", s.name, nk)
 			}
 		}
@@ -291,7 +294,8 @@ func (s *Store) Delete(_ context.Context, table string, filter expr.Expr) (int64
 // match calls fn, in key order until it errs, with each entry of b that
 // passes filter: as Execute does, it looks up the keys the filter's
 // range on the key column names, or walks that range, and it evaluates
-// the whole filter over each row found. Caller holds mu.
+// the whole filter over each row found, decoded into a scratch row that
+// fn copies what it keeps of. Caller holds mu.
 func (b *bucket) match(filter expr.Expr, fn func(k types.Value, r types.Row) error) error {
 	var err error
 	visit := func(k types.Value, r types.Row) bool {
@@ -309,9 +313,11 @@ func (b *bucket) match(filter expr.Expr, fn func(k types.Value, r types.Row) err
 	keys := rg.Points(one[:0])
 	if keys == nil {
 		b.tree.Ascend(rg.Lo, rg.Hi, visit)
+		return err
 	}
+	r := make(types.Row, b.schema.Len())
 	for _, k := range keys {
-		if r, ok := b.tree.Get(k); ok && !visit(r[b.keyCol], r) {
+		if l, i, ok := b.tree.lookup(k); ok && !visit(l.cols[b.keyCol].At(i), l.decode(i, r)) {
 			break
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -276,7 +278,7 @@ func benchBucket(tb testing.TB, n int) *Store {
 }
 
 // A scan borrows the tree: whole or to a limit it allocates its
-// iterator and nothing else.
+// iterator and the rows it hands out, which a RowSlab carves.
 func TestKVScanAllAllocatesItsResultOnce(t *testing.T) {
 	s := benchBucket(t, 5000)
 	for _, limit := range []int64{-1, 7} {
@@ -291,14 +293,20 @@ func TestKVScanAllAllocatesItsResultOnce(t *testing.T) {
 				t.Fatalf("limit %d: %d rows", limit, n)
 			}
 		})
-		if allocs > 1 {
-			t.Errorf("limit %d: %v allocations", limit, allocs)
+		carved := testing.AllocsPerRun(10, func() {
+			var slab types.RowSlab
+			for range want {
+				slab.Next(3)
+			}
+		})
+		if allocs != 1+carved {
+			t.Errorf("limit %d: %v allocations, want the iterator and a slab's %v", limit, allocs, carved)
 		}
 	}
 }
 
-// The same objects and the same bytes over 2 048 rows and over 4 096,
-// asked to lend or not: the rows are the committed ones.
+// The same objects and the same bytes over 2 048 rows and over 4 096:
+// the iterator and the one row it lends.
 func TestLentScanAllocsDoNotGrowPerRow(t *testing.T) {
 	full := source.NewScan("orders")
 	measure := func(s *Store, want int) (objects, bytes uint64) {
@@ -319,8 +327,8 @@ func TestLentScanAllocsDoNotGrowPerRow(t *testing.T) {
 	}
 	objA, bytesA := measure(benchBucket(t, 2048), 2048)
 	objB, bytesB := measure(benchBucket(t, 4096), 4096)
-	if objA != objB || bytesA != bytesB || objA != 1 {
-		t.Errorf("%v objects and %d B over 2 048 rows, %v and %d B over 4 096; want the iterator", objA, bytesA, objB, bytesB)
+	if objA != objB || bytesA != bytesB || objA != 2 {
+		t.Errorf("%v objects and %d B over 2 048 rows, %v and %d B over 4 096; want the iterator and its row", objA, bytesA, objB, bytesB)
 	}
 }
 
@@ -355,12 +363,12 @@ func openScan(tb testing.TB, s *Store, q *source.Query) {
 }
 
 // A write pays for a scan only when there is one: with no view taken
-// an update allocates what it did before the tree could be borrowed
-// (updateAllocs, measured at the commit before this one), so copies no
-// node; after a scan it copies the nodes from the root to the entry,
-// once, whatever the bucket's size — and a lookup takes no view.
+// an update allocates its rows and its list of changes (updateAllocs),
+// so copies nothing; after a scan it copies the nodes from the root to
+// the entry, and of the leaf the one vector it changes, once, whatever
+// the bucket's size — and a lookup takes no view.
 func TestWriteCopiesOnlyWhenViewed(t *testing.T) {
-	const updateAllocs = 2 // the new row, the list of changes
+	const updateAllocs = 3 // the scratch row, the new row, the list of changes
 	full := source.NewScan("orders")
 	for _, n := range []int{1000, 100000} {
 		s := benchBucket(t, n)
@@ -375,17 +383,19 @@ func TestWriteCopiesOnlyWhenViewed(t *testing.T) {
 			t.Errorf("%d rows: a lookup allocates %v objects, a lookup and an update %v: the update copied for it", n, alone, got)
 		}
 		height := 1
-		for nd := tree.root; !nd.leaf(); nd = nd.children[0] {
+		for nd := tree.root; !nd.leaf(); nd = nd.kids[0] {
 			height++
 		}
-		// Every first update follows a new scan, and so copies again:
-		// a node and its items, and the children of all but the leaf.
+		// Every first update follows a new scan (its iterator and a
+		// row), and so copies again: an internal node, its separators
+		// and its children; the leaf, its vector headers and the vector
+		// of the column it changes.
 		got := testing.AllocsPerRun(20, func() {
 			openScan(t, s, full)
 			updateOne(t, s, one)
 			updateOne(t, s, next) // the path is the writer's own now
 		})
-		if want := float64(1 + 2*updateAllocs + 3*height - 1); got > want {
+		if want := float64(2 + 2*updateAllocs + 3*(height-1) + 3); got > want {
 			t.Errorf("%d rows: a scan and two updates allocate %v objects, want %v at most for a tree %d high", n, got, want, height)
 		}
 	}
@@ -635,3 +645,56 @@ func (c *evalCounter) Eval(types.Row) (types.Value, error) {
 }
 
 func (c *evalCounter) String() string { return "counted()" }
+
+// TestBucketBytesPerRow: what a bucket of 20 000 orders rows (oid INT
+// key, cust_id INT, amount FLOAT, region STRING) holds, a row, loaded in
+// key order as the benchmark's fixture loads it, and shuffled. In order,
+// every leaf but the last is full: 40 B of payload a row, and the leaf's
+// headers and separator over 255 rows. Shuffled, a leaf split in two
+// fills from half, and its vectors have room for a full leaf. Its
+// ceiling is 10% above what it measured when leaves became columns.
+func TestBucketBytesPerRow(t *testing.T) {
+	const n = 20000
+	schema := types.NewSchema(
+		types.Column{Name: "oid", Type: types.KindInt},
+		types.Column{Name: "cust_id", Type: types.KindInt},
+		types.Column{Name: "amount", Type: types.KindFloat},
+		types.Column{Name: "region", Type: types.KindString},
+	)
+	regions := []string{"north", "south", "east", "west"}
+	for _, c := range []struct {
+		name     string
+		shuffled bool
+		ceiling  float64
+	}{{"in key order", false, 64}, {"shuffled", true, 68}} {
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 400)),
+				types.NewFloat(float64(i*7919%1000) + 0.5), types.NewString(regions[i%len(regions)])}
+		}
+		if c.shuffled {
+			rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		}
+		s := New("kv")
+		if err := s.CreateBucket("orders", schema, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Insert(ctx, "orders", rows); err != nil {
+			t.Fatal(err)
+		}
+		rows = nil
+		b := s.buckets["orders"]
+		var with, without runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&with)
+		b.tree = nil
+		runtime.GC()
+		runtime.ReadMemStats(&without)
+		runtime.KeepAlive(s)
+		perRow := float64(int64(with.HeapAlloc)-int64(without.HeapAlloc)) / n
+		t.Logf("%s: the bucket holds %.1f B a row", c.name, perRow)
+		if perRow > c.ceiling {
+			t.Errorf("%s: the bucket holds %.1f B a row, want at most %.1f", c.name, perRow, c.ceiling)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package types
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Vector is one column of one kind held as its payloads alone (DESIGN.md
 // "The relstore pass"): a word a value for BOOL, INT, FLOAT bits and TIME
@@ -92,6 +95,45 @@ func (v *Vector) Set(i int, x Value) {
 		v.nulls[w] |= bit
 	case w < len(v.nulls) && v.nulls[w]&bit != 0:
 		v.nulls[w] &^= bit
+	}
+}
+
+// Insert puts x at i, moving values i and on up one.
+func (v *Vector) Insert(i int, x Value) {
+	if v.strings() {
+		v.strs = slices.Insert(v.strs, i, "")
+	} else if v.words = slices.Insert(v.words, i, 0); v.kind == KindTime {
+		v.nsec = slices.Insert(v.nsec, i, 0)
+	}
+	v.moveNulls(i, true)
+	v.Set(i, x)
+}
+
+// Remove takes value i out, moving values past it down one. The room
+// it leaves is zeroed, so it holds no string.
+func (v *Vector) Remove(i int) {
+	if v.strings() {
+		v.strs = slices.Delete(v.strs, i, i+1)
+	} else if v.words = slices.Delete(v.words, i, i+1); v.kind == KindTime {
+		v.nsec = slices.Delete(v.nsec, i, i+1)
+	}
+	v.moveNulls(i, false)
+}
+
+// moveNulls moves the NULL bits of values i and on up one, leaving bit
+// i clear, or drops bit i and moves those past it down one.
+func (v *Vector) moveNulls(i int, up bool) {
+	below, carry := uint64(1)<<(i&63)-1, uint64(0) // below: the bits of word i>>6 that stay
+	for w := i >> 6; w < len(v.nulls); w, below = w+1, 0 {
+		x := v.nulls[w]
+		if up {
+			v.nulls[w], carry = x&below|(x&^below)<<1|carry, x>>63
+		} else if v.nulls[w] = x&below | (x>>1)&^below; w+1 < len(v.nulls) {
+			v.nulls[w] |= v.nulls[w+1] << 63
+		}
+	}
+	if carry != 0 {
+		v.nulls = append(v.nulls, carry)
 	}
 }
 

@@ -3,6 +3,7 @@ package types
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -41,6 +42,11 @@ func checkVector(t *testing.T, name string, v *Vector, model []Value) {
 	for i, want := range model {
 		if got := v.At(i); !same(got, want) || !v.Holds(i, want) {
 			t.Fatalf("%s: value %d = %#v, want %#v", name, i, got, want)
+		}
+	}
+	for i := len(model); i < 64*len(v.nulls); i++ {
+		if v.nulls[i>>6]&(1<<(i&63)) != 0 {
+			t.Fatalf("%s: NULL bit %d is set past the end, %d", name, i, len(model))
 		}
 	}
 }
@@ -90,11 +96,19 @@ func TestVectorRoundTrip(t *testing.T) {
 }
 
 // FuzzVector decodes from its input a kind and a sequence of appends,
-// sets and clones over the vectors of that kind it has made, and holds
-// every vector after every operation to a []Value model of it, FLOAT by
-// its bits. A clone is a new vector with a copy of its original's model,
-// so a write to either that reaches the other fails.
+// sets, clones, inserts and removes over the vectors of that kind it has
+// made, and holds every vector after every operation to a []Value model
+// of it, FLOAT by its bits. A clone is a new vector with a copy of its
+// original's model, so a write to either that reaches the other fails.
 func FuzzVector(f *testing.F) {
+	// Seventy NULLs, then a value inserted and removed at the front and
+	// a NULL at 63: the bitmap's bits move across its word boundary.
+	cross := []byte{byte(KindInt)}
+	for range 70 {
+		cross = append(cross, 0, 0, 0)
+	}
+	cross = append(cross, 3, 0, 0, 1, 7, 0, 0, 0, 0, 0, 0, 0, 3, 0, 63, 0, 4, 0, 0, 4, 0, 64, 2, 0, 4, 1, 5)
+	f.Add(cross)
 	f.Add([]byte{3, 0, 1, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 2, 0, 1, 0, 0, 0})
 	f.Add([]byte{6, 0, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 9, 9, 2, 0, 1, 1, 0, 0})
 	f.Add([]byte("\x04append set clone; strings of every length and NULLs between them"))
@@ -145,7 +159,7 @@ func FuzzVector(f *testing.F) {
 		}
 		vecs, models := []*Vector{{kind: kind}}, [][]Value{nil}
 		for steps := 0; len(in) > 0 && steps < 200; steps++ {
-			op, at := next()%3, int(next())%len(vecs)
+			op, at := next()%5, int(next())%len(vecs)
 			v := vecs[at]
 			switch op {
 			case 0:
@@ -162,6 +176,17 @@ func FuzzVector(f *testing.F) {
 			case 2:
 				c := v.Clone()
 				vecs, models = append(vecs, &c), append(models, append([]Value(nil), models[at]...))
+			case 3:
+				i, x := int(next())%(v.Len()+1), value()
+				v.Insert(i, x)
+				models[at] = slices.Insert(models[at], i, x)
+			case 4:
+				if v.Len() == 0 {
+					continue
+				}
+				i := int(next()) % v.Len()
+				v.Remove(i)
+				models[at] = slices.Delete(models[at], i, i+1)
 			}
 			for j, v := range vecs {
 				checkVector(t, "vector "+string(rune('a'+j%26)), v, models[j])

@@ -24,11 +24,13 @@
 #                   FuzzStream, FuzzServe and FuzzServeWrite, sql FuzzParse, filestore
 #                   FuzzScanRecords, docstore FuzzDocCodec, expr
 #                   FuzzColumnRange, catalog FuzzToRemote, types
-#                   FuzzHashChain and FuzzVector; `make fuzz` fuzzes
-#                   each for 10 s), the layout tests (`make layout` runs
-#                   them on demand: relstore TestRowBytesPerRow,
-#                   TestChunkBytes and TestIndexBytesPerRow, docstore
-#                   TestDocBytesPerDocument, types TestRowSlabBytes) and
+#                   FuzzHashChain and FuzzVector, kvstore FuzzBTree;
+#                   `make fuzz` fuzzes each for 10 s), the layout tests
+#                   (`make layout` runs them on demand: relstore
+#                   TestRowBytesPerRow, TestChunkBytes and
+#                   TestIndexBytesPerRow, kvstore TestBucketBytesPerRow,
+#                   docstore TestDocBytesPerDocument, types
+#                   TestRowSlabBytes) and
 #                   the concurrency tests no analyzer can stand in for:
 #                   workload TestConcurrentGlobalUpdates, wire
 #                   TestTwoTransactionsOneClient, TestCallObservesDeadline
