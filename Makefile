@@ -118,7 +118,10 @@ frames:
 # are decoded from bytes and held to a []Value model bit for bit
 # (FuzzVector), and kvstore's B+-tree, whose puts, deletes, lookups,
 # views and range scans are held to a sorted slice, each view to the
-# slice as it stood when the view was taken (FuzzBTree). Their seed
+# slice as it stood when the view was taken (FuzzBTree), and relstore's
+# table, whose inserts, key and non-key updates, deletes and aborted
+# transactions are held to a []Row model, each scan and index probe to
+# the model as it stood when it was opened (FuzzTable). Their seed
 # corpora run as ordinary tests under `go test ./...`; a crash found here
 # lands in the package's testdata/fuzz and fails from then on.
 fuzz:
@@ -134,6 +137,7 @@ fuzz:
 	$(GO) test ./internal/types -run '^$$' -fuzz FuzzHashChain -fuzztime 10s
 	$(GO) test ./internal/types -run '^$$' -fuzz FuzzVector -fuzztime 10s
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz FuzzBTree -fuzztime 10s
+	$(GO) test ./internal/relstore -run '^$$' -fuzz FuzzTable -fuzztime 10s
 
 # Both benchmark harnesses: the per-layer rungs, then the repository
 # benchmark. The T1-F9 experiment shapes are `go run ./cmd/gisbench`.

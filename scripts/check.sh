@@ -24,7 +24,8 @@
 #                   FuzzStream, FuzzServe and FuzzServeWrite, sql FuzzParse, filestore
 #                   FuzzScanRecords, docstore FuzzDocCodec, expr
 #                   FuzzColumnRange, catalog FuzzToRemote, types
-#                   FuzzHashChain and FuzzVector, kvstore FuzzBTree;
+#                   FuzzHashChain and FuzzVector, kvstore FuzzBTree,
+#                   relstore FuzzTable;
 #                   `make fuzz` fuzzes each for 10 s), the layout tests
 #                   (`make layout` runs them on demand: relstore
 #                   TestRowBytesPerRow, TestChunkBytes and
