@@ -42,15 +42,16 @@ loc:
 	@sh scripts/loc.sh
 
 # What the stores hold, in bytes, against the allocator's size classes:
-# relstore's rows (at most 48 B a row of the orders table), its chunk
-# vectors (each full vector fills its size class to within one row) and
-# its indexes, kvstore's buckets (at most 64 B an orders row loaded in
-# key order), docstore's documents and types.RowSlab's chunks.
+# relstore's rows (at most 48 B a row of the orders table) and its
+# indexes, kvstore's buckets (at most 64 B an orders row loaded in key
+# order), docstore's documents, and of types the vectors of a full
+# chunk (each fills its size class to within one row) and RowSlab's
+# chunks.
 layout:
-	$(GO) test -count=1 -run 'TestRowBytesPerRow|TestChunkBytes|TestIndexBytesPerRow' -v ./internal/relstore
+	$(GO) test -count=1 -run 'TestRowBytesPerRow|TestIndexBytesPerRow' -v ./internal/relstore
 	$(GO) test -count=1 -run 'TestBucketBytesPerRow' -v ./internal/kvstore
 	$(GO) test -count=1 -run 'TestDocBytesPerDocument' -v ./internal/docstore
-	$(GO) test -count=1 -run 'TestRowSlabBytes' -v ./internal/types
+	$(GO) test -count=1 -run 'TestChunkBytes|TestRowSlabBytes' -v ./internal/types
 
 # After a change meant to move a plan, an estimate or a parsed tree:
 # rewrite the golden files of TestPlansGolden (230 statements under each

@@ -15,37 +15,26 @@ import (
 	"gis/internal/types"
 )
 
-// leafRows is how many rows a leaf holds: a full vector fills its
-// allocator size class to within one row, as a relstore chunk's does —
-// 2 040 B of words in 2 KiB, 4 080 B of strings in 4 KiB.
-const leafRows = 255
-
 // maxKids is how many children an internal node holds. A node other
 // than the root holds at least half as many children, or rows.
 const maxKids = 64
 
-// node is a leaf, which holds up to leafRows rows in key order as one
-// vector per column, or an internal node, which holds children and the
-// separators between them: every key under kids[i] is below seps[i],
-// and every key under kids[i+1] is seps[i] or above.
+// node is a leaf, a types.Chunk of rows in key order, or an internal
+// node, whose chunk holds no rows, only its stamps, and which holds
+// children and the separators between them: every key under kids[i] is
+// below seps[i], and every key under kids[i+1] is seps[i] or above.
 type node struct {
-	cols []types.Vector // a leaf's; nil in an internal node
+	types.Chunk
 	seps []types.Value
 	kids []*node
-	// stamp is BTree.views when the node's header, and a leaf's array of
-	// vector headers, was made; colStamps[j] likewise for column j's
-	// values. A view taken since may hold the thing, and then a writer
-	// changes a copy (BTree.own, BTree.ownCol).
-	stamp     uint64
-	colStamps []uint64
 }
 
-func (n *node) leaf() bool { return n.cols != nil }
+func (n *node) leaf() bool { return n.kids == nil }
 
 // size is the number of a leaf's rows or an internal node's children.
 func (n *node) size() int {
 	if n.leaf() {
-		return n.cols[0].Len()
+		return n.Len()
 	}
 	return len(n.kids)
 }
@@ -59,17 +48,9 @@ func (n *node) child(k types.Value) int {
 // search returns the position of the first row of a leaf whose key, in
 // column key, is k or above, and whether it is k.
 func (n *node) search(key int, k types.Value) (int, bool) {
-	keys := &n.cols[key]
+	keys := &n.Cols[key]
 	i := sort.Search(keys.Len(), func(i int) bool { return keys.At(i).Compare(k) >= 0 })
 	return i, i < keys.Len() && keys.At(i).Compare(k) == 0
-}
-
-// decode puts row i of a leaf into row, and returns row.
-func (n *node) decode(i int, row types.Row) types.Row {
-	for j := range row {
-		row[j] = n.cols[j].At(i)
-	}
-	return row
 }
 
 // BTree is an ordered map from types.Value keys to rows, which are kept
@@ -77,13 +58,9 @@ func (n *node) decode(i int, row types.Row) types.Row {
 // allowed; Put replaces.
 //
 // One writer at a time changes the tree, in place. A reader that wants
-// the tree as it stands beyond the lock that excludes the writer takes
-// a view: the root, and a count. From then on a node made before the
-// count is one the view may be walking, so Put and Delete copy such a
-// node's header before they change it, from the root down the path they
-// descend, and of a leaf only the vectors they change, and leave the
-// view its own. With no view taken since a node was made, a write
-// allocates nothing for it.
+// the tree as it stands beyond the writer's lock takes a view: the root,
+// and a count, by which Put and Delete copy what the view may hold on
+// the path they descend (own, and of a leaf types.Chunk's stamp rule).
 type BTree struct {
 	root   *node
 	schema *types.Schema
@@ -96,20 +73,13 @@ type BTree struct {
 // NewBTree returns an empty tree of rows of schema, keyed by column key.
 func NewBTree(schema *types.Schema, key int) *BTree {
 	t := &BTree{schema: schema, key: key}
-	t.root = t.newLeaf(0)
+	t.root = t.newNode(schema.Columns)
 	return t
 }
 
-// newLeaf returns an empty leaf with room for n rows.
-func (t *BTree) newLeaf(n int) *node {
-	v := t.views.Load()
-	w := t.schema.Len()
-	l := &node{cols: make([]types.Vector, w), stamp: v, colStamps: make([]uint64, w)}
-	for j, c := range t.schema.Columns {
-		l.cols[j], l.colStamps[j] = types.NewVector(c.Type), v
-		l.cols[j].Grow(n)
-	}
-	return l
+// newNode returns an empty leaf of cols, or with none an internal node.
+func (t *BTree) newNode(cols []types.Column) *node {
+	return &node{Chunk: types.NewChunk(cols, t.views.Load())}
 }
 
 // Len returns the number of entries.
@@ -129,17 +99,26 @@ func (t *BTree) view() treeView {
 	return treeView{t.root, t.key}
 }
 
-// own returns n for a writer to change: n itself when no view was taken
-// since its header was made, else a copy of the header, which the
-// caller puts in n's place in a parent it already owns. The copy shares
-// n's vectors until ownCol, and its stamps, which only the writer reads.
+// leaves appends the leaves under n to out, in key order.
+func leaves(n *node, out []*types.Chunk) []*types.Chunk {
+	if n.leaf() {
+		return append(out, &n.Chunk)
+	}
+	for _, k := range n.kids {
+		out = leaves(k, out)
+	}
+	return out
+}
+
+// own returns n for a writer to change: n, or when a view may hold its
+// header (types.Chunk.Claim) a copy of it, its separators and children,
+// which the caller puts in n's place in a parent it already owns.
 func (t *BTree) own(n *node) *node {
-	v := t.views.Load()
-	if n.stamp == v {
+	if !n.Claim(t.views.Load()) {
 		return n
 	}
 	c := *n
-	c.stamp, c.cols, c.seps, c.kids = v, slices.Clone(n.cols), slices.Clone(n.seps), slices.Clone(n.kids)
+	c.seps, c.kids = slices.Clone(n.seps), slices.Clone(n.kids)
 	return &c
 }
 
@@ -149,19 +128,9 @@ func (t *BTree) ownKid(n *node, i int) *node {
 	return n.kids[i]
 }
 
-// ownCol returns column j of leaf l, which the caller owns, for the
-// writer to change, with room for n more values: a copy if a view may
-// hold its values. A vector grows to twice its rows, at most leafRows.
-func (t *BTree) ownCol(l *node, j, n int) *types.Vector {
-	c := &l.cols[j]
-	if v := t.views.Load(); l.colStamps[j] != v {
-		*c, l.colStamps[j] = c.Clone(), v
-	}
-	if need := c.Len() + n; need > c.Cap() {
-		c.Grow(min(max(need, 2*c.Len()), leafRows) - c.Len())
-	}
-	return c
-}
+// col returns column j of leaf l, which the caller owns, for the writer
+// to change, with room for n more values (types.Chunk.Own).
+func (t *BTree) col(l *node, j, n int) *types.Vector { return l.Own(t.views.Load(), j, n, false) }
 
 // value is column j of the row Put stores as v under k.
 func (t *BTree) value(k types.Value, v types.Row, j int) types.Value {
@@ -188,7 +157,9 @@ func (t *BTree) Put(k types.Value, v types.Row) bool {
 	t.root = t.own(t.root)
 	inserted, sep, right := t.put(t.root, k, v, true)
 	if right != nil {
-		t.root = &node{seps: []types.Value{sep}, kids: []*node{t.root, right}, stamp: t.views.Load()}
+		root := t.newNode(nil)
+		root.seps, root.kids = []types.Value{sep}, []*node{t.root, right}
+		t.root = root
 	}
 	if inserted {
 		t.size++
@@ -212,30 +183,31 @@ func (t *BTree) put(n *node, k types.Value, v types.Row, rightmost bool) (insert
 			return inserted, sep, nil
 		}
 		h := len(n.kids) / 2
-		sep, right = n.seps[h-1], &node{seps: slices.Clone(n.seps[h:]), kids: slices.Clone(n.kids[h:]), stamp: n.stamp}
+		sep, right = n.seps[h-1], t.newNode(nil)
+		right.seps, right.kids = slices.Clone(n.seps[h:]), slices.Clone(n.kids[h:])
 		n.seps, n.kids = slices.Delete(n.seps, h-1, len(n.seps)), slices.Delete(n.kids, h, len(n.kids))
 		return inserted, sep, right
 	}
 	i, eq := n.search(t.key, k)
 	if eq {
-		for j := range n.cols {
-			if x := t.value(k, v, j); !n.cols[j].Holds(i, x) {
-				t.ownCol(n, j, 0).Set(i, x)
+		for j := range n.Cols {
+			if x := t.value(k, v, j); !n.Cols[j].Holds(i, x) {
+				t.col(n, j, 0).Set(i, x)
 			}
 		}
 		return false, sep, nil
 	}
 	at := n
-	if rows := n.size(); rows == leafRows {
+	if rows := n.size(); rows == types.ChunkRows {
 		// An ascending load leaves its leaves full: the key past the
 		// tree's last starts a leaf of its own.
 		h := rows / 2
 		if rightmost && i == rows {
 			h = rows
 		}
-		right = t.newLeaf(leafRows)
-		for j := range n.cols {
-			c, r := t.ownCol(n, j, 0), &right.cols[j]
+		right = t.newNode(t.schema.Columns)
+		for j := range n.Cols {
+			c, r := t.col(n, j, 0), t.col(right, j, rows-h)
 			for p := h; p < rows; p++ {
 				r.Append(c.At(p))
 			}
@@ -247,11 +219,11 @@ func (t *BTree) put(n *node, k types.Value, v types.Row, rightmost bool) (insert
 			at, i = right, i-h
 		}
 	}
-	for j := range at.cols {
-		t.ownCol(at, j, 1).Insert(i, t.value(k, v, j))
+	for j := range at.Cols {
+		t.col(at, j, 1).Insert(i, t.value(k, v, j))
 	}
 	if right != nil {
-		sep = right.cols[t.key].At(0)
+		sep = right.Cols[t.key].At(0)
 	}
 	return true, sep, right
 }
@@ -275,8 +247,8 @@ func (t *BTree) Delete(k types.Value) bool {
 func (t *BTree) delete(n *node, k types.Value) {
 	if n.leaf() {
 		i, _ := n.search(t.key, k)
-		for j := range n.cols {
-			t.ownCol(n, j, 0).Remove(i)
+		for j := range n.Cols {
+			t.col(n, j, 0).Remove(i)
 		}
 		return
 	}
@@ -285,7 +257,7 @@ func (t *BTree) delete(n *node, k types.Value) {
 	t.delete(c, k)
 	limit := maxKids
 	if c.leaf() {
-		limit = leafRows
+		limit = types.ChunkRows
 	}
 	if c.size() >= limit/2 {
 		return
@@ -300,8 +272,8 @@ func (t *BTree) delete(n *node, k types.Value) {
 	}
 	switch {
 	case a.size()+b.size() <= limit && a.leaf():
-		for j := range a.cols {
-			d, s := t.ownCol(a, j, b.size()), &b.cols[j]
+		for j := range a.Cols {
+			d, s := t.col(a, j, b.size()), &b.Cols[j]
 			for p := 0; p < s.Len(); p++ {
 				d.Append(s.At(p))
 			}
@@ -314,11 +286,11 @@ func (t *BTree) delete(n *node, k types.Value) {
 		if a.size() < b.size() {
 			from, to, p, q = b, a, 0, a.size()
 		}
-		for j := range from.cols {
-			t.ownCol(to, j, 1).Insert(q, from.cols[j].At(p))
-			t.ownCol(from, j, 0).Remove(p)
+		for j := range from.Cols {
+			t.col(to, j, 1).Insert(q, from.Cols[j].At(p))
+			t.col(from, j, 0).Remove(p)
 		}
-		n.seps[i] = b.cols[t.key].At(0)
+		n.seps[i] = b.Cols[t.key].At(0)
 		return
 	case a.size() < b.size():
 		a.seps, a.kids, n.seps[i] = append(a.seps, n.seps[i]), append(a.kids, b.kids[0]), b.seps[0]
@@ -331,20 +303,6 @@ func (t *BTree) delete(n *node, k types.Value) {
 		return
 	}
 	n.seps, n.kids = slices.Delete(n.seps, i, i+1), slices.Delete(n.kids, i+1, i+2)
-}
-
-// Ascend visits entries with lo <= key <= hi (per bound flags) in key
-// order. fn returning false stops the scan. The row fn is handed is
-// rewritten for the next entry: fn copies what it keeps.
-func (t *BTree) Ascend(lo, hi expr.Bound, fn func(k types.Value, v types.Row) bool) {
-	var c cursor
-	c.seek(treeView{t.root, t.key}, lo)
-	for {
-		it, ok := c.next()
-		if !ok || hi.ExcludesAbove(it.key) || !fn(it.key, it.val) {
-			return
-		}
-	}
 }
 
 // maxHeight bounds a cursor's stack. A tree of height h holds at least
@@ -364,13 +322,6 @@ type cursor struct {
 	}
 	depth int
 	key   int
-	row   types.Row // next's
-}
-
-// item is an entry as next reads it.
-type item struct {
-	key types.Value
-	val types.Row
 }
 
 func (c *cursor) push(n *node, i int) {
@@ -424,17 +375,4 @@ func (c *cursor) step() (*node, int, bool) {
 		}
 	}
 	return nil, 0, false
-}
-
-// next returns the entry the cursor is at, its row decoded into one the
-// cursor rewrites each call, and moves past it.
-func (c *cursor) next() (item, bool) {
-	l, i, ok := c.step()
-	if !ok {
-		return item{}, false
-	}
-	if c.row == nil {
-		c.row = make(types.Row, len(l.cols))
-	}
-	return item{l.cols[c.key].At(i), l.decode(i, c.row)}, true
 }

@@ -26,7 +26,36 @@ func (t *BTree) Get(k types.Value) (types.Row, bool) {
 	if !ok {
 		return nil, false
 	}
-	return l.decode(i, make(types.Row, t.schema.Len())), true
+	return l.Decode(i, make(types.Row, t.schema.Len())), true
+}
+
+// Ascend visits entries with lo <= key <= hi (per bound flags) in key
+// order, until fn returns false.
+func (t *BTree) Ascend(lo, hi expr.Bound, fn func(k types.Value, v types.Row) bool) {
+	var c cursor
+	c.seek(treeView{t.root, t.key}, lo)
+	for {
+		it, ok := c.next()
+		if !ok || hi.ExcludesAbove(it.key) || !fn(it.key, it.val) {
+			return
+		}
+	}
+}
+
+// item is an entry as next reads it.
+type item struct {
+	key types.Value
+	val types.Row
+}
+
+// next returns the entry the cursor is at, its row decoded, and moves
+// past it.
+func (c *cursor) next() (item, bool) {
+	l, i, ok := c.step()
+	if !ok {
+		return item{}, false
+	}
+	return item{l.Cols[c.key].At(i), l.Decode(i, make(types.Row, len(l.Cols)))}, true
 }
 
 func TestBTreePutGet(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 
 	"gis/internal/expr"
 	"gis/internal/source"
+	"gis/internal/stats"
 	"gis/internal/types"
 )
 
@@ -93,16 +94,27 @@ func (s *Store) Capabilities() source.Capabilities {
 	return source.Capabilities{Filter: source.FilterKey, Write: true}
 }
 
+// Stats implements source.StatsProvider. It takes a view under the read
+// lock, as a scan does, and collects from its leaves with the lock gone.
+func (s *Store) Stats(name string) (*stats.TableStats, error) {
+	s.mu.RLock()
+	b, err := s.bucketLocked(name)
+	if err != nil {
+		s.mu.RUnlock()
+		return nil, err
+	}
+	v := b.tree.view()
+	s.mu.RUnlock()
+	return stats.CollectChunks(leaves(v.root, nil), b.schema.Len()), nil
+}
+
 // Execute implements source.Source. Per the capability contract every
 // conjunct of the filter constrains the key column to constants
 // (expr.ColumnConstraint), and Execute refuses any other; what they admit
 // together is one expr.Range. Keys it names — by equality, or in a list —
-// are looked up one by one and their rows decoded into one slab; any
-// other query is a scan of a key range, the whole bucket with no filter
-// at all, and borrows the tree (BTree.view): Execute copies nothing, and
-// Next decodes, with the lock gone, the bucket as it was when Execute
-// returned. Writers pay for that, once a node; a lookup takes no view so
-// that a point read never makes the next write copy anything.
+// are looked up one by one and their rows decoded into one slab, with no
+// view taken; any other query is a scan of a key range, which borrows
+// the tree (BTree.view) and reads it in Next, with the lock gone.
 func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -141,15 +153,14 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 			break
 		}
 		if l, i, ok := b.tree.lookup(k); ok {
-			rows = append(rows, l.decode(i, slab.Next(b.schema.Len())))
+			rows = append(rows, l.Emit(i, nil, nil, &slab))
 		}
 	}
 	return source.SliceIter(rows), nil
 }
 
-// scanIter streams a key range of a view of a bucket, up to a limit. It
-// decodes each row into one from its slab: kept (the default), a row
-// of a chunk; lent, the one row every Next rewrites.
+// scanIter streams a key range of a view of a bucket, up to a limit,
+// each row emitted into its slab (types.Chunk.Emit).
 type scanIter struct {
 	at    cursor
 	hi    expr.Bound
@@ -163,11 +174,11 @@ func (it *scanIter) Lend() { it.slab.Lend() }
 // Next implements source.RowIter.
 func (it *scanIter) Next() (types.Row, error) {
 	if it.limit != 0 {
-		if l, i, ok := it.at.step(); ok && !it.hi.ExcludesAbove(l.cols[it.at.key].At(i)) {
+		if l, i, ok := it.at.step(); ok && !it.hi.ExcludesAbove(l.Cols[it.at.key].At(i)) {
 			if it.limit > 0 {
 				it.limit--
 			}
-			return l.decode(i, it.slab.Next(len(l.cols))), nil
+			return l.Emit(i, nil, nil, &it.slab), nil
 		}
 		it.limit = 0
 	}
@@ -295,31 +306,36 @@ func (s *Store) Delete(_ context.Context, table string, filter expr.Expr) (int64
 // passes filter: as Execute does, it looks up the keys the filter's
 // range on the key column names, or walks that range, and it evaluates
 // the whole filter over each row found, decoded into a scratch row that
-// fn copies what it keeps of. Caller holds mu.
+// fn copies what it keeps of. Caller holds mu, and takes no view.
 func (b *bucket) match(filter expr.Expr, fn func(k types.Value, r types.Row) error) error {
-	var err error
-	visit := func(k types.Value, r types.Row) bool {
-		ok := filter == nil
-		if !ok {
-			ok, err = expr.EvalBool(filter, r)
+	r := make(types.Row, b.schema.Len())
+	visit := func(l *node, i int) error {
+		l.Decode(i, r)
+		if filter != nil {
+			if ok, err := expr.EvalBool(filter, r); err != nil || !ok {
+				return err
+			}
 		}
-		if ok && err == nil {
-			err = fn(k, r)
-		}
-		return err == nil
+		return fn(l.Cols[b.keyCol].At(i), r)
 	}
 	rg, _ := expr.ColumnRange(filter, b.keyCol)
 	var one [1]types.Value
-	keys := rg.Points(one[:0])
-	if keys == nil {
-		b.tree.Ascend(rg.Lo, rg.Hi, visit)
-		return err
+	if keys := rg.Points(one[:0]); keys != nil {
+		for _, k := range keys {
+			if l, i, ok := b.tree.lookup(k); ok {
+				if err := visit(l, i); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	}
-	r := make(types.Row, b.schema.Len())
-	for _, k := range keys {
-		if l, i, ok := b.tree.lookup(k); ok && !visit(l.cols[b.keyCol].At(i), l.decode(i, r)) {
-			break
+	var c cursor
+	c.seek(treeView{b.tree.root, b.keyCol}, rg.Lo)
+	for l, i, ok := c.step(); ok && !rg.Hi.ExcludesAbove(l.Cols[b.keyCol].At(i)); l, i, ok = c.step() {
+		if err := visit(l, i); err != nil {
+			return err
 		}
 	}
-	return err
+	return nil
 }

@@ -4,13 +4,16 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"gis/internal/expr"
 	"gis/internal/source"
+	"gis/internal/stats"
 	"gis/internal/types"
 )
 
@@ -695,6 +698,117 @@ func TestBucketBytesPerRow(t *testing.T) {
 		t.Logf("%s: the bucket holds %.1f B a row", c.name, perRow)
 		if perRow > c.ceiling {
 			t.Errorf("%s: the bucket holds %.1f B a row, want at most %.1f", c.name, perRow, c.ceiling)
+		}
+	}
+}
+
+// BenchmarkStats is Engine.Analyze's ask of one bucket: the statistics
+// of a 20 000-row orders bucket holding relstore BenchmarkStats' rows
+// (oid key, cust_id, amount, region), as source.CollectStats gathers
+// them.
+func BenchmarkStats(b *testing.B) {
+	const n = 20000
+	schema := types.NewSchema(
+		types.Column{Name: "oid", Type: types.KindInt},
+		types.Column{Name: "cust_id", Type: types.KindInt},
+		types.Column{Name: "amount", Type: types.KindFloat},
+		types.Column{Name: "region", Type: types.KindString},
+	)
+	regions := []string{"north", "south", "east", "west", "mid", "nw", "se", "sw"}
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % (n / 50))),
+			types.NewFloat(float64(i*7919%1000) + 0.5), types.NewString(regions[i%len(regions)])}
+	}
+	s := New("kv")
+	if err := s.CreateBucket("orders", schema, 0); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Insert(ctx, "orders", rows); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ts, err := source.CollectStats(ctx, s, "orders", schema.Len()); err != nil || ts.RowCount != n {
+			b.Fatalf("%v, %v", ts, err)
+		}
+	}
+}
+
+// Stats reads what a drained full scan reads, to the bit: over NULLs, −0
+// beside 0, and leaves split by a shuffled load and merged by deletes.
+func TestStatsEqualADrainedScan(t *testing.T) {
+	schema := types.NewSchema(
+		types.Column{Name: "id", Type: types.KindInt},
+		types.Column{Name: "f", Type: types.KindFloat, Nullable: true},
+		types.Column{Name: "s", Type: types.KindString, Nullable: true},
+	)
+	rows := func(keys []int) []types.Row {
+		out := make([]types.Row, len(keys))
+		for i, k := range keys {
+			f, s := types.NewFloat(float64(k%13)/4), types.NewString(strings.Repeat("x", k%5))
+			switch {
+			case k%7 == 0:
+				f = types.Null
+			case k%11 == 0:
+				f = types.NewFloat(math.Copysign(0, -1))
+			}
+			if k%3 == 0 {
+				s = types.Null
+			}
+			out[i] = types.Row{types.NewInt(int64(k)), f, s}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range []struct {
+		name  string
+		write func(s *Store) error
+	}{
+		{"empty", func(*Store) error { return nil }},
+		{"NULLs in key order", func(s *Store) error {
+			keys := make([]int, 600)
+			for i := range keys {
+				keys[i] = i
+			}
+			_, err := s.Insert(ctx, "t", rows(keys))
+			return err
+		}},
+		{"split and merged", func(s *Store) error {
+			keys := rng.Perm(3000)
+			if _, err := s.Insert(ctx, "t", rows(keys)); err != nil {
+				return err
+			}
+			for _, k := range keys[:2000] {
+				if _, err := s.Delete(ctx, "t", idIs(k)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		s := New("kv")
+		if err := s.CreateBucket("t", schema, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.write(s); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got, err := s.Stats("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		it, err := s.Execute(ctx, source.NewScan("t"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		drained, err := source.Drain(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := stats.Collect(drained, schema.Len()); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Stats reads\n%v\na drained scan\n%v", c.name, got, want)
 		}
 	}
 }

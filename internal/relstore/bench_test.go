@@ -244,3 +244,17 @@ func BenchmarkLoadIndexed(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStats is Engine.Analyze's ask of one table: the statistics of
+// the 20 000-row orders table, as source.CollectStats gathers them.
+// kvstore's BenchmarkStats reads the same rows.
+func BenchmarkStats(b *testing.B) {
+	s := benchOrders(b, 20000, 50)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ts, err := source.CollectStats(ctx, s, "orders", ordersSchema.Len()); err != nil || ts.RowCount != 20000 {
+			b.Fatalf("%v, %v", ts, err)
+		}
+	}
+}

@@ -21,10 +21,9 @@ import (
 //   - an index probe copies the positions it names, and is counted open
 //     until it is read to its end or closed (Tx.table);
 //   - any other query is a scan of the whole table, and borrows it
-//     (table.view): nothing is copied, and the filter, the projection
-//     and the limit happen in Next, after the lock is gone. Writers pay
-//     for that, once a chunk (table.own); a probe takes no view so that
-//     a point read never makes the next write copy anything.
+//     (table.view): the filter, the projection and the limit happen in
+//     Next, after the lock is gone. A probe takes no view, so that a
+//     point read never makes the next write copy anything.
 //
 // Either way the rows are those committed when Execute returned.
 func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, error) {
@@ -86,7 +85,7 @@ func filterWidth(filter expr.Expr) (w int) {
 // cursor walks the live rows of a version of a table: at the positions
 // an index probe names, or every one below n.
 type cursor struct {
-	dir     []*chunk
+	dir     []*types.Chunk
 	probe   []int32 // nil: a scan
 	next, n int32   // a scan's next position, and its end
 }
@@ -94,7 +93,7 @@ type cursor struct {
 // advance returns the next row that passes filter, its position and
 // chunk, or a nil chunk at the end. The filter reads row, into which the
 // row in hand's first filterWidth columns are decoded.
-func (cu *cursor) advance(filter expr.Expr, row types.Row) (int, *chunk, error) {
+func (cu *cursor) advance(filter expr.Expr, row types.Row) (int, *types.Chunk, error) {
 	for {
 		var pos int
 		switch {
@@ -106,12 +105,12 @@ func (cu *cursor) advance(filter expr.Expr, row types.Row) (int, *chunk, error) 
 		default:
 			return 0, nil, nil
 		}
-		c, k := cu.dir[pos/chunkRows], pos%chunkRows
-		if !c.isLive(k) {
+		c, k := cu.dir[pos/types.ChunkRows], pos%types.ChunkRows
+		if !c.Live(k) {
 			continue
 		}
 		if filter != nil {
-			c.decode(k, row)
+			c.Decode(k, row)
 			ok, err := expr.EvalBool(filter, row)
 			if err != nil {
 				return 0, nil, err
@@ -138,14 +137,14 @@ func (t *table) fold(q *source.Query) ([]types.Row, error) {
 	w := filterWidth(q.Filter)
 	scratch := make(types.Row, w+len(q.GroupBy))
 	key := scratch[w:]
-	err := t.match(q.Filter, scratch[:w:w], func(pos int, c *chunk) error {
+	err := t.match(q.Filter, scratch[:w:w], func(pos int, c *types.Chunk) error {
 		for j, g := range q.GroupBy {
-			key[j] = c.cols[g].At(pos % chunkRows)
+			key[j] = c.Cols[g].At(pos % types.ChunkRows)
 		}
 		for j, acc := range groups.Group(key) {
 			v := types.NewInt(1)
 			if a := q.Aggs[j]; !a.Star {
-				v = c.cols[a.Col].At(pos % chunkRows)
+				v = c.Cols[a.Col].At(pos % types.ChunkRows)
 			}
 			if err := acc.Add(v); err != nil {
 				return err
@@ -166,7 +165,7 @@ func (t *table) fold(q *source.Query) ([]types.Row, error) {
 // so fn may write and relink the row it is given; the rows after it are
 // read from the version the walk began on, which holds them as they are.
 // Caller holds mu.
-func (t *table) match(filter expr.Expr, row types.Row, fn func(pos int, c *chunk) error) error {
+func (t *table) match(filter expr.Expr, row types.Row, fn func(pos int, c *types.Chunk) error) error {
 	var buf [probeRows]int32
 	cu := cursor{dir: t.dir, n: int32(t.n)}
 	if candidates, indexed := t.candidateRows(filter, buf[:0]); indexed {
@@ -198,9 +197,8 @@ func sortLimit(rows []types.Row, q *source.Query) source.RowIter {
 // scanIter streams the rows of a table — of the chunks a view lent, or
 // at the positions an index probe copied — that pass the filter,
 // projected, up to the limit. Its cursor decodes what the filter reads
-// into a scratch row; a row that passes is decoded, its projection, into
-// the row handed out: kept (the default), a slab's; lent, one row every
-// Next rewrites, made in one allocation with the scratch.
+// into a scratch row; a row that passes is emitted (types.Chunk.Emit)
+// into a slab's row, or lent, into one made with the scratch.
 type scanIter struct {
 	cursor
 	s       *Store
@@ -226,7 +224,10 @@ func (it *scanIter) Next() (types.Row, error) {
 			n = int(it.width)
 		}
 		buf := make(types.Row, w+n)
-		it.row, it.out = buf[:w:w], buf[w:]
+		it.row = buf[:w:w]
+		if it.lent {
+			it.out = buf[w:]
+		}
 	}
 	if it.limit != 0 {
 		pos, c, err := it.advance(it.q.Filter, it.row)
@@ -237,17 +238,7 @@ func (it *scanIter) Next() (types.Row, error) {
 			if it.limit > 0 {
 				it.limit--
 			}
-			out, k := it.out, pos%chunkRows
-			if !it.lent {
-				out = it.slab.Next(int(it.width))
-			}
-			if it.q.Columns == nil {
-				c.decode(k, out)
-			}
-			for j, col := range it.q.Columns {
-				out[j] = c.cols[col].At(k)
-			}
-			return out, nil
+			return c.Emit(pos%types.ChunkRows, it.q.Columns, it.out, &it.slab), nil
 		}
 	}
 	_ = it.Close()

@@ -71,13 +71,11 @@ func tableRows(s *Store, name string) []types.Row {
 
 // rowAt decodes row pos of t, nil for a tombstone.
 func rowAt(t *table, pos int) types.Row {
-	c, k := t.dir[pos/chunkRows], pos%chunkRows
-	if !c.isLive(k) {
+	c, k := t.dir[pos/types.ChunkRows], pos%types.ChunkRows
+	if !c.Live(k) {
 		return nil
 	}
-	r := make(types.Row, t.schema.Len())
-	c.decode(k, r)
-	return r
+	return c.Decode(k, make(types.Row, t.schema.Len()))
 }
 
 // Columns of the reference table.
@@ -339,7 +337,8 @@ func TestExecuteMatchesReference(t *testing.T) {
 // chunk, with the first, the last, every and every other candidate
 // passing.
 func TestExecuteAtChunkEdges(t *testing.T) {
-	for _, n := range []int{0, 1, chunkRows - 4, chunkRows - 3, chunkRows - 2, chunkRows, 2*chunkRows - 3, 3*chunkRows + 7} {
+	const rows = types.ChunkRows
+	for _, n := range []int{0, 1, rows - 4, rows - 3, rows - 2, rows, 2*rows - 3, 3*rows + 7} {
 		s := emptyRefStore(t)
 		// n rows of cat 'x' are the index's candidates; three others
 		// make the table a little longer than the bucket.
@@ -676,7 +675,7 @@ func TestWriteCopiesOnlyWhenViewed(t *testing.T) {
 			t.Errorf("%d rows: %d chunks copied by 21 updates that each followed a scan, and 21 that did not", n, c)
 		}
 
-		c := n / 2 / chunkRows
+		c := n / 2 / types.ChunkRows
 		openScan(t, s, full)
 		before := tbl.dir[c]
 		updateOne(t, s, one)
@@ -686,7 +685,7 @@ func TestWriteCopiesOnlyWhenViewed(t *testing.T) {
 		if k, err := s.Delete(ctx, "orders", next); err != nil || k != 1 {
 			t.Fatalf("delete: %d rows, %v", k, err)
 		}
-		checkCopied(t, fmt.Sprintf("%d rows, DELETE", n), before, tbl.dir[c], liveBits)
+		checkCopied(t, fmt.Sprintf("%d rows, DELETE", n), before, tbl.dir[c], headerOnly)
 	}
 	// The scan's iterator and the row it read, two updates, the chunk's
 	// header, its vector headers, amount's vector and the directory.
@@ -695,21 +694,24 @@ func TestWriteCopiesOnlyWhenViewed(t *testing.T) {
 	}
 }
 
+// headerOnly is checkCopied's part for a write of the tombstones alone.
+const headerOnly = -1
+
 // checkCopied holds a write after a scan to what it copies of chunk
 // before, which a view holds, to make after: the header always, and of
-// the vectors only part's — column part's values, or none for liveBits,
-// when the array of vector headers is not copied either.
-func checkCopied(t *testing.T, name string, before, after *chunk, part int) {
+// the vectors only part's — column part's values, or none for
+// headerOnly, when the array of vector headers is not copied either.
+func checkCopied(t *testing.T, name string, before, after *types.Chunk, part int) {
 	t.Helper()
 	if before == after {
 		t.Errorf("%s: the chunk's header was written in place", name)
 		return
 	}
-	if shared := &before.cols[0] == &after.cols[0]; shared != (part == liveBits) {
+	if shared := &before.Cols[0] == &after.Cols[0]; shared != (part == headerOnly) {
 		t.Errorf("%s: the array of vector headers shared: %v", name, shared)
 	}
-	for col := range before.cols {
-		was, is := arrays(before.cols[col]), arrays(after.cols[col])
+	for col := range before.Cols {
+		was, is := arrays(before.Cols[col]), arrays(after.Cols[col])
 		for j := range was {
 			if was[j] == 0 {
 				continue
@@ -748,7 +750,7 @@ func TestAbortWhileScanned(t *testing.T) {
 	if err := s.CreateTable("t", schema, 0); err != nil {
 		t.Fatal(err)
 	}
-	const n = chunkRows + 40
+	const n = types.ChunkRows + 40
 	nan := types.NewFloat(math.Float64frombits(0x7ff8_0000_dead_beef))
 	rows := make([]types.Row, n)
 	for i := range rows {
@@ -808,40 +810,6 @@ func TestAbortWhileScanned(t *testing.T) {
 	}
 }
 
-// A chunk's vectors, full, fill their allocator size classes to within
-// one row, kind by kind: chunkRows words are 2 040 B of the 2 KiB class,
-// chunkRows string headers and the 8-byte malloc header a pointer-bearing
-// object carries are 4 088 B of 4 KiB, and TIME adds chunkRows 4-byte
-// nanoseconds, 1 020 B of 1 KiB. If this fails after a toolchain bump,
-// re-derive chunkRows.
-func TestChunkBytes(t *testing.T) {
-	for _, c := range []struct {
-		kind          types.Kind
-		perRow, class uint64
-	}{
-		{types.KindInt, 8, 2048},
-		{types.KindFloat, 8, 2048},
-		{types.KindBool, 8, 2048},
-		{types.KindString, 16, 4096},
-		{types.KindBytes, 16, 4096},
-		{types.KindTime, 12, 2048 + 1024},
-	} {
-		v := types.NewVector(c.kind)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		v.Grow(chunkRows)
-		runtime.ReadMemStats(&after)
-		vectorSink = v
-		got := after.TotalAlloc - before.TotalAlloc
-		if used := c.perRow * chunkRows; got != c.class || got-used > c.perRow {
-			t.Errorf("%s: a vector of %d rows takes %d B of %d B, want %d B at %d B a row, within a row of it",
-				c.kind, chunkRows, used, got, c.class, c.perRow)
-		}
-	}
-}
-
-var vectorSink types.Vector // makes TestChunkBytes' vectors escape
-
 // The rows of the orders table, indexes dropped — three numbers and one
 // of four shared region strings a row — hold 40 B a row of values in
 // their vectors, and each chunk's live bitmap, header and stamps add
@@ -866,7 +834,7 @@ func TestRowBytesPerRow(t *testing.T) {
 	var with, without runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&with)
-	tbl.dir, tbl.stamps = nil, nil
+	tbl.dir = nil
 	runtime.GC()
 	runtime.ReadMemStats(&without)
 	runtime.KeepAlive(s)

@@ -5,11 +5,9 @@
 // participation. Writers are serialized by a store-level lock (strict
 // two-phase locking at store granularity) and change the committed data
 // in place; a reader takes the lock only to open its query. A full scan
-// then borrows the table's chunks as they stand (table.view) and reads
-// them with the lock gone, and the first write to a chunk a scan may
-// hold copies what it changes instead (table.own). A chunk keeps its rows
-// as one types.Vector a column. A deleted row leaves a tombstone, and
-// its position is never used again.
+// then borrows the table's chunks (types.Chunk, table.view) and reads
+// them with the lock gone. A deleted row leaves a tombstone, and its
+// position is never used again.
 //
 // A hash index (hashIndex) is a types.HashChain of the live rows'
 // positions, so a table holds at most maxRows rows. A probe yields
@@ -53,18 +51,13 @@ type table struct {
 	// key columns (for TableInfo and fast point access).
 	key []int
 	// dir lists the chunks that hold the committed data: row pos, of n,
-	// is row pos%chunkRows of chunk dir[pos/chunkRows]. A delete clears
-	// the row's live bit, and nothing reclaims its position.
-	dir []*chunk
+	// is row pos%ChunkRows of chunk dir[pos/ChunkRows].
+	dir []*types.Chunk
 	n   int
-	// views counts the scans that borrowed dir (view). stamps holds a
-	// chunk's 2 + width readings of it, one a part (own), in dir's order:
-	// each taken when the part was made or last copied, dirStamp likewise
-	// for dir's own array. Equal to views, no scan can hold the thing and
-	// a writer changes it in place; behind, own copies it first. copied
-	// counts the chunk headers so copied.
+	// views counts the scans that borrowed dir (view), dirStamp is its
+	// count when dir's array was made or last copied, and copied counts
+	// the chunk headers copied because a view may have held them (own).
 	views    atomic.Uint64
-	stamps   []uint64
 	dirStamp uint64
 	copied   atomic.Int64
 	// probing counts the index probes still being read (Tx.table).
@@ -105,79 +98,32 @@ func (t *table) index(col int) *hashIndex {
 	return nil
 }
 
-// chunkRows is how many rows a chunk holds: a full vector fills its
-// allocator size class to within one row (TestChunkBytes) — 2 040 B of
-// words in 2 KiB, 4 080 B of strings and the 8 B malloc header in 4 KiB.
-const chunkRows = 255
-
-// chunk is up to chunkRows rows as one vector per column, and a bitmap
-// of the rows that are live. The last chunk's vectors grow as rows are
-// appended (insertLocked), so a small table pays for its rows.
-type chunk struct {
-	cols []types.Vector
-	live [(chunkRows + 63) / 64]uint64
-}
-
-// isLive reports whether row k of the chunk is live.
-func (c *chunk) isLive(k int) bool { return c.live[k>>6]&(1<<(k&63)) != 0 }
-
-// flipLive makes row k live, or a tombstone, when it is not.
-func (c *chunk) flipLive(k int) { c.live[k>>6] ^= 1 << (k & 63) }
-
-// decode puts row k's values of the first len(row) columns into row.
-func (c *chunk) decode(k int, row types.Row) {
-	for j := range row {
-		row[j] = c.cols[j].At(k)
-	}
-}
-
 // value returns row pos's value of column col.
 func (t *table) value(pos, col int) types.Value {
-	return t.dir[pos/chunkRows].cols[col].At(pos % chunkRows)
+	return t.dir[pos/types.ChunkRows].Cols[col].At(pos % types.ChunkRows)
 }
 
-// view lends the table as it stands to a scan that reads it after the
-// lock is gone: the chunks of its n rows. It costs one count, which
-// tells the next write to each of them that it is no longer alone.
-func (t *table) view() ([]*chunk, int) {
+// view lends the chunks of the table's n rows to a scan that reads them
+// after the lock is gone, for one count, which the next writes read.
+func (t *table) view() ([]*types.Chunk, int) {
 	t.views.Add(1)
 	return t.dir[:len(t.dir):len(t.dir)], t.n
 }
 
-// The parts of a chunk own names besides column c's vector, which is c:
-// the header, which holds the live bitmap, and the array of vector
-// headers, which an append changes.
-const (
-	liveBits = -2
-	vectors  = -1
-)
-
-// own returns chunk i for a writer to change a part of in place. What a
-// view may hold of it is copied first: the header — into a directory
-// itself copied once if a view may hold it — then the vector headers,
-// then column part's values. An append needs no copy of the values: it
-// writes past every view's n.
-func (t *table) own(i, part int) *chunk {
-	c := t.dir[i]
-	v, st := t.views.Load(), t.stamps[i*(2+len(c.cols)):]
-	if st[0] != v {
+// own returns chunk i for the writer to change, and the count of views
+// to own its vectors by (types.Chunk.Own): its header is copied first,
+// into a directory itself copied if need be, when a view may hold it.
+func (t *table) own(i int) (*types.Chunk, uint64) {
+	c, v := t.dir[i], t.views.Load()
+	if c.Claim(v) {
 		if t.dirStamp != v {
 			t.dir, t.dirStamp = slices.Clone(t.dir), v
 		}
 		cp := *c
-		c, t.dir[i], st[0] = &cp, &cp, v
+		c, t.dir[i] = &cp, &cp
 		t.copied.Add(1)
 	}
-	if part == liveBits {
-		return c
-	}
-	if st[1] != v {
-		c.cols, st[1] = slices.Clone(c.cols), v
-	}
-	if part >= 0 && st[2+part] != v {
-		c.cols[part], st[2+part] = c.cols[part].Clone(), v
-	}
-	return c
+	return c, v
 }
 
 // ViewCopies reports how many chunks the store's writers have copied
@@ -236,7 +182,7 @@ func (s *Store) CreateIndex(name string, col int) error {
 	}
 	x := &hashIndex{t: t, col: col, HashChain: types.NewHashChain(t.n)}
 	for pos := 0; pos < t.n; pos++ {
-		if t.dir[pos/chunkRows].isLive(pos % chunkRows) {
+		if t.dir[pos/types.ChunkRows].Live(pos % types.ChunkRows) {
 			x.link(pos)
 		}
 	}
@@ -298,37 +244,18 @@ func (s *Store) Capabilities() source.Capabilities {
 	}
 }
 
-// Stats computes optimizer statistics for a table. It reads the table as
-// a full scan does: it borrows the chunks under the read lock
-// (table.view) and collects from them once the lock is gone, so no
-// writer waits out the sort. A column's live values are gathered from
-// its vectors into one scratch slice, reused from column to column.
+// Stats implements source.StatsProvider. It borrows the chunks under the
+// read lock, as a full scan does, and collects from them once the lock
+// is gone (stats.CollectChunks), so no writer waits out the sort.
 func (s *Store) Stats(name string) (*stats.TableStats, error) {
 	t, err := s.lookup(name)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.RLock()
-	dir, n := t.view()
+	dir, _ := t.view()
 	s.mu.RUnlock()
-	ts := &stats.TableStats{Columns: make([]stats.ColumnStats, t.schema.Len())}
-	vals := make([]types.Value, 0, n)
-	for col := range ts.Columns {
-		vals, nulls := vals[:0], int64(0)
-		for cu := (cursor{dir: dir, n: int32(n)}); ; {
-			pos, c, _ := cu.advance(nil, nil)
-			if c == nil {
-				break
-			}
-			if v := c.cols[col].At(pos % chunkRows); v.IsNull() {
-				nulls++
-			} else {
-				vals = append(vals, v)
-			}
-		}
-		ts.RowCount, ts.Columns[col] = int64(len(vals))+nulls, stats.CollectColumn(vals, nulls)
-	}
-	return ts, nil
+	return stats.CollectChunks(dir, t.schema.Len()), nil
 }
 
 // autocommit runs one write as a transaction of its own.
@@ -361,29 +288,13 @@ func (s *Store) Delete(ctx context.Context, tbl string, filter expr.Expr) (int64
 // links it into every index. Caller holds mu and has checked that the
 // table holds fewer than maxRows.
 func (t *table) insertLocked(r types.Row) int {
-	pos := t.n
-	i, k := pos/chunkRows, pos%chunkRows
+	pos, i := t.n, t.n/types.ChunkRows
 	if i == len(t.dir) {
-		cols := make([]types.Vector, len(r))
-		for j, col := range t.schema.Columns {
-			cols[j] = types.NewVector(col.Type)
-		}
-		t.dir = append(t.dir, &chunk{cols: cols})
-		for range 2 + len(cols) {
-			t.stamps = append(t.stamps, t.views.Load())
-		}
+		c := types.NewChunk(t.schema.Columns, t.views.Load())
+		t.dir = append(t.dir, &c)
 	}
-	c := t.own(i, vectors)
-	for j, v := range r {
-		if v.IsNull() {
-			c = t.own(i, j) // a NULL's bit may share a word with a viewed row's
-		}
-		if vec := &c.cols[j]; vec.Len() == vec.Cap() {
-			vec.Grow(min(max(2*k, 8), chunkRows) - k)
-		}
-		c.cols[j].Append(v)
-	}
-	c.flipLive(k)
+	c, v := t.own(i)
+	c.Append(v, r)
 	t.n++
 	t.linkLocked(pos)
 	return pos
@@ -392,7 +303,8 @@ func (t *table) insertLocked(r types.Row) int {
 // setLiveLocked makes live row pos a tombstone, unlinked from every
 // index, or — live — makes a tombstone the row its values still are.
 func (t *table) setLiveLocked(pos int, live bool) {
-	t.own(pos/chunkRows, liveBits).flipLive(pos % chunkRows)
+	c, _ := t.own(pos / types.ChunkRows)
+	c.SetLive(pos%types.ChunkRows, live)
 	if live {
 		t.linkLocked(pos)
 		return
@@ -423,10 +335,11 @@ func (t *table) replaceLocked(pos int, r types.Row) {
 			x.Link(pos, nh, x.rehash)
 		}
 	}
-	i, k := pos/chunkRows, pos%chunkRows
-	for col, v := range r {
-		if !t.dir[i].cols[col].Holds(k, v) {
-			t.own(i, col).cols[col].Set(k, v)
+	i, k := pos/types.ChunkRows, pos%types.ChunkRows
+	for col, x := range r {
+		if !t.dir[i].Cols[col].Holds(k, x) {
+			c, v := t.own(i)
+			c.Own(v, col, 0, false).Set(k, x)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package relstore
 import (
 	"context"
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"gis/internal/expr"
 	"gis/internal/source"
+	"gis/internal/stats"
 	"gis/internal/types"
 )
 
@@ -425,6 +428,75 @@ func TestStatsCollectionAndInvalidation(t *testing.T) {
 	st, _ = s.Stats("items")
 	if st.RowCount != 20 {
 		t.Errorf("stats after deleting 10 of 30 rows count %d", st.RowCount)
+	}
+}
+
+// Stats reads what a drained full scan reads, to the bit: over NULLs,
+// −0 beside 0, rows across chunks, and the tombstones a DELETE and an
+// aborted INSERT leave.
+func TestStatsEqualADrainedScan(t *testing.T) {
+	schema := types.NewSchema(
+		types.Column{Name: "id", Type: types.KindInt},
+		types.Column{Name: "f", Type: types.KindFloat, Nullable: true},
+		types.Column{Name: "s", Type: types.KindString, Nullable: true},
+	)
+	rows := func(lo, n int) []types.Row {
+		out := make([]types.Row, n)
+		for i := range out {
+			k := lo + i
+			f, s := types.NewFloat(float64(k%13)/4), types.NewString(strings.Repeat("x", k%5))
+			switch {
+			case k%7 == 0:
+				f = types.Null
+			case k%11 == 0:
+				f = types.NewFloat(math.Copysign(0, -1))
+			}
+			if k%3 == 0 {
+				s = types.Null
+			}
+			out[i] = types.Row{types.NewInt(int64(k)), f, s}
+		}
+		return out
+	}
+	id := expr.NewBoundColRef(0, types.KindInt, "id")
+	for _, c := range []struct {
+		name  string
+		write func(s *Store) error
+	}{
+		{"empty", func(*Store) error { return nil }},
+		{"NULLs in one chunk", func(s *Store) error {
+			_, err := s.Insert(ctx, "t", rows(0, 100))
+			return err
+		}},
+		{"tombstones across chunks", func(s *Store) error {
+			if _, err := s.Insert(ctx, "t", rows(0, 600)); err != nil {
+				return err
+			}
+			if _, err := s.Delete(ctx, "t", expr.NewBinary(expr.OpOr, expr.NewBinary(expr.OpLt, id, expr.NewConst(types.NewInt(40))),
+				expr.NewBinary(expr.OpGe, id, expr.NewConst(types.NewInt(250))))); err != nil {
+				return err
+			}
+			tx, _ := s.BeginTx(ctx)
+			if _, err := tx.(*Tx).Insert(ctx, "t", rows(600, 50)); err != nil {
+				return err
+			}
+			return tx.Abort(ctx)
+		}},
+	} {
+		s := New("db")
+		if err := s.CreateTable("t", schema, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.write(s); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got, err := s.Stats("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := stats.Collect(runQuery(t, s, source.NewScan("t")), schema.Len()); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Stats reads\n%v\na drained scan\n%v", c.name, got, want)
+		}
 	}
 }
 

@@ -140,8 +140,8 @@ func (tx *Tx) Update(_ context.Context, tbl string, filter expr.Expr, set []sour
 	setsKey := slices.ContainsFunc(set, func(sc source.SetClause) bool { return slices.Contains(t.key, sc.Col) })
 	var n int64
 	r := make(types.Row, t.schema.Len()) // the row in hand
-	err = t.match(filter, r[:filterWidth(filter)], func(pos int, c *chunk) error {
-		c.decode(pos%chunkRows, r)
+	err = t.match(filter, r[:filterWidth(filter)], func(pos int, c *types.Chunk) error {
+		c.Decode(pos%types.ChunkRows, r)
 		nr, err := source.SetRow(t.schema, r, set)
 		if err == nil && setsKey {
 			err = t.checkKey(nr, pos)
@@ -165,7 +165,7 @@ func (tx *Tx) Delete(_ context.Context, tbl string, filter expr.Expr) (int64, er
 		return 0, err
 	}
 	var n int64
-	err = t.match(filter, make(types.Row, filterWidth(filter)), func(pos int, _ *chunk) error {
+	err = t.match(filter, make(types.Row, filterWidth(filter)), func(pos int, _ *types.Chunk) error {
 		t.setLiveLocked(pos, false)
 		tx.undo = append(tx.undo, undoRec{kind: undoDelete, t: t, pos: pos})
 		n++

@@ -421,8 +421,8 @@ type Transactional interface {
 }
 
 // StatsProvider is implemented by sources that can report optimizer
-// statistics (relstore, and what passes a source's on: the wire, the
-// resilience guard). Anyone else's are collected by a scan
+// statistics (relstore, kvstore, and what passes a source's on: the
+// wire, the resilience guard). Anyone else's are collected by a scan
 // (CollectStats).
 type StatsProvider interface {
 	Stats(table string) (*stats.TableStats, error)

@@ -65,6 +65,30 @@ func Collect(rows []types.Row, width int) *TableStats {
 	return ts
 }
 
+// CollectChunks computes what Collect does from the live rows of chunks,
+// in order, a column at a time: each column's non-NULL values are
+// gathered from its vectors into one scratch slice, reused.
+func CollectChunks(chunks []*types.Chunk, width int) *TableStats {
+	ts := &TableStats{Columns: make([]ColumnStats, width)}
+	vals := make([]types.Value, 0, len(chunks)*types.ChunkRows)
+	for c := range ts.Columns {
+		vals, nulls := vals[:0], int64(0)
+		for _, ch := range chunks {
+			for k := range ch.Len() {
+				switch v := ch.Cols[c].At(k); {
+				case !ch.Live(k):
+				case v.IsNull():
+					nulls++
+				default:
+					vals = append(vals, v)
+				}
+			}
+		}
+		ts.RowCount, ts.Columns[c] = int64(len(vals))+nulls, CollectColumn(vals, nulls)
+	}
+	return ts
+}
+
 // CollectColumn summarizes one column from its non-NULL values, which
 // it sorts in place, and its count of NULLs: Min and Max are the sorted
 // values' ends, NDV is the number of runs of Equal values (a NaN, equal

@@ -73,7 +73,7 @@ func (s *RowSlab) Next(w int) Row {
 	}
 	if s.off+w > len(s.chunk) {
 		// One chunk per up to 127 rows, not one per row.
-		s.chunk, s.off = make([]Value, w*chunkRows(s.rows, w)), 0
+		s.chunk, s.off = make([]Value, w*slabRows(s.rows, w)), 0
 	}
 	row := s.chunk[s.off : s.off+w : s.off+w]
 	s.off += w
@@ -81,13 +81,13 @@ func (s *RowSlab) Next(w int) Row {
 	return row
 }
 
-// chunkRows sizes the next chunk of a stream that has carved rows rows
+// slabRows sizes the next chunk of a stream that has carved rows rows
 // of width w: the tail share of them, in one of the two shapes that
 // waste nothing to size-class rounding. A headerless chunk (2–16 rows,
 // fewer the wider they are) serves until the share reaches a full chunk
 // (63–127 rows of up to 16 columns, what fits 32 KiB of wider ones; at
 // about 2 000–4 000 rows carved).
-func chunkRows(rows, w int) int {
+func slabRows(rows, w int) int {
 	rowBytes := w * valueBytes
 	n := rows / slabTailShare
 	if n*rowBytes > maxHeaderless {

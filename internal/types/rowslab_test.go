@@ -222,7 +222,7 @@ func allocatedBytes(f func()) uint64 {
 	return least
 }
 
-// TestRowSlabBytes pins what the chunk sizes in chunkRows are chosen
+// TestRowSlabBytes pins what the chunk sizes in slabRows are chosen
 // for: a short, a middling and a long stream carved from a slab each
 // allocate within 3% of the bytes that one make per row does (the worst
 // length, one row into the first full chunk, pays under 5%). It fails if

@@ -28,9 +28,9 @@
 #                   relstore FuzzTable;
 #                   `make fuzz` fuzzes each for 10 s), the layout tests
 #                   (`make layout` runs them on demand: relstore
-#                   TestRowBytesPerRow, TestChunkBytes and
-#                   TestIndexBytesPerRow, kvstore TestBucketBytesPerRow,
-#                   docstore TestDocBytesPerDocument, types
+#                   TestRowBytesPerRow and TestIndexBytesPerRow, kvstore
+#                   TestBucketBytesPerRow, docstore
+#                   TestDocBytesPerDocument, types TestChunkBytes and
 #                   TestRowSlabBytes) and
 #                   the concurrency tests no analyzer can stand in for:
 #                   workload TestConcurrentGlobalUpdates, wire
