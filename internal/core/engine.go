@@ -226,19 +226,29 @@ func (e *Engine) Query(ctx context.Context, text string, params ...types.Value) 
 		return nil, err
 	}
 	defer func() { err = finish(err) }()
-	sel, ok := stmt.(*sql.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("core: Query requires a SELECT; use Exec for %T", stmt)
+	sel, err := queried(stmt)
+	if err != nil {
+		return nil, err
 	}
 	return e.runSelect(ctx, sel)
 }
 
-// begin is how every entry point that returns with its statement done
-// opens: instrument — so nothing is planned, and no subquery run for the
-// plan, outside admission, the query log and the trace — then parse under
-// a parse span. A statement that is shed or does not parse is already
-// finished when begin returns its error; otherwise the caller defers
-// finish, as instrument asks.
+// queried returns the SELECT that Query and QueryIter run: stmt itself.
+func queried(stmt sql.Statement) (*sql.SelectStmt, error) {
+	sel, ok := stmt.(*sql.SelectStmt)
+	if !ok {
+		return nil, fmt.Errorf("core: Query requires a SELECT; use Exec for %T", stmt)
+	}
+	return sel, nil
+}
+
+// begin is how every entry point opens: instrument — so nothing is
+// planned, and no subquery run for the plan, outside admission, the
+// query log and the trace — then parse under a parse span. A statement
+// that is shed or does not parse is already finished when begin returns
+// its error; otherwise the caller defers finish, as instrument asks, or
+// hands it to what completes the statement later (QueryIter's
+// finishIter).
 func (e *Engine) begin(ctx context.Context, text string, measure bool, params []types.Value) (context.Context, sql.Statement, func(error) error, error) {
 	ctx, finish, err := e.instrument(ctx, text, measure)
 	if err != nil {
@@ -256,22 +266,20 @@ func (e *Engine) begin(ctx context.Context, text string, measure bool, params []
 // QueryIter plans and executes a SELECT, streaming rows. The returned
 // schema describes the stream.
 func (e *Engine) QueryIter(ctx context.Context, text string, params ...types.Value) (*types.Schema, source.RowIter, error) {
-	ctx, finish, err := e.instrument(ctx, text, false)
+	ctx, stmt, finish, err := e.begin(ctx, text, false, params)
 	if err != nil {
 		return nil, nil, err
 	}
 	ctx, outc := e.degradable(ctx)
-	_, pspan := obs.StartSpan(ctx, obs.SpanParse, "")
-	sel, err := sql.ParseSelect(text, params...)
-	pspan.End()
-	if err != nil {
-		return nil, nil, finish(err)
+	var p plan.Node
+	var it source.RowIter
+	sel, err := queried(stmt)
+	if err == nil {
+		p, err = e.planSelect(ctx, sel)
 	}
-	p, err := e.planSelect(ctx, sel)
-	if err != nil {
-		return nil, nil, finish(err)
+	if err == nil {
+		it, err = exec.Run(ctx, p)
 	}
-	it, err := exec.Run(ctx, p)
 	if err != nil {
 		return nil, nil, finish(err)
 	}
@@ -386,8 +394,20 @@ func (e *Engine) planSelect(ctx context.Context, sel *sql.SelectStmt) (plan.Node
 }
 
 // Explain returns the optimized plan of a statement as indented text.
-func (e *Engine) Explain(ctx context.Context, text string, params ...types.Value) (out string, err error) {
-	ctx, stmt, finish, err := e.begin(ctx, text, false, params)
+func (e *Engine) Explain(ctx context.Context, text string, params ...types.Value) (string, error) {
+	return e.explain(ctx, text, false, params)
+}
+
+// ExplainAnalyze plans AND executes a SELECT, returning the plan
+// annotated with each operator's measured row count and inclusive time,
+// followed by the total.
+func (e *Engine) ExplainAnalyze(ctx context.Context, text string, params ...types.Value) (string, error) {
+	return e.explain(ctx, text, true, params)
+}
+
+// explain is Explain, or with analyze ExplainAnalyze.
+func (e *Engine) explain(ctx context.Context, text string, analyze bool, params []types.Value) (out string, err error) {
+	ctx, stmt, finish, err := e.begin(ctx, text, analyze, params)
 	if err != nil {
 		return "", err
 	}
@@ -396,7 +416,7 @@ func (e *Engine) Explain(ctx context.Context, text string, params ...types.Value
 	if err != nil {
 		return "", err
 	}
-	return e.explainSelect(ctx, sel)
+	return e.explainSelect(ctx, sel, analyze)
 }
 
 // explained returns the SELECT an EXPLAIN [ANALYZE] is about: stmt
@@ -412,12 +432,31 @@ func explained(stmt sql.Statement) (*sql.SelectStmt, error) {
 	return sel, nil
 }
 
-func (e *Engine) explainSelect(ctx context.Context, sel *sql.SelectStmt) (string, error) {
+// explainSelect plans sel and prints the plan. With analyze it runs the
+// plan too, and annotates it from the operators' records, which are kept
+// on ctx's trace. ExplainAnalyze has instrument attach one; Run learns
+// that a statement is an EXPLAIN ANALYZE only by parsing it, after
+// instrument, and may arrive without: the records then go on a trace of
+// this call's own.
+func (e *Engine) explainSelect(ctx context.Context, sel *sql.SelectStmt, analyze bool) (string, error) {
+	if analyze && !obs.Enabled(ctx) {
+		ctx = obs.WithTrace(ctx, obs.NewTrace(""))
+	}
 	p, err := e.planSelect(ctx, sel)
 	if err != nil {
 		return "", err
 	}
-	return plan.Explain(p), nil
+	if !analyze {
+		return plan.Explain(p), nil
+	}
+	start := time.Now()
+	rows, err := exec.Collect(ctx, p)
+	if err != nil {
+		return "", err
+	}
+	out := plan.ExplainFunc(p, exec.Annotate(obs.TraceFrom(ctx)))
+	out += fmt.Sprintf("total: %d row(s) in %s\n", len(rows), time.Since(start).Round(time.Microsecond))
+	return out, nil
 }
 
 // Run executes any statement: SELECT returns a Result; INSERT, UPDATE
@@ -438,11 +477,7 @@ func (e *Engine) Run(ctx context.Context, text string, params ...types.Value) (r
 		if err != nil {
 			return nil, err
 		}
-		explain := e.explainSelect
-		if s.Analyze {
-			explain = e.analyzeSelect
-		}
-		out, err := explain(ctx, sel)
+		out, err := e.explainSelect(ctx, sel, s.Analyze)
 		if err != nil {
 			return nil, err
 		}
@@ -551,63 +586,18 @@ func (e *Engine) Analyze(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
-// materializeSubqueries executes every uncorrelated subquery in the
-// statement and substitutes its result: EXISTS → boolean constant,
-// scalar → value constant, IN → literal list. Correlated subqueries are
-// rejected (binding the inner query against the global schema alone
-// fails, surfacing a clear error).
-func (e *Engine) materializeSubqueries(ctx context.Context, sel *sql.SelectStmt) error {
-	for cur := sel; cur != nil; cur = cur.Union {
-		if err := ctx.Err(); err != nil {
-			return err
+// materializeSubqueries runs every uncorrelated subquery in a SELECT's or
+// a write's clauses (the slots of sql.VisitExprs) and substitutes its
+// result: EXISTS → boolean constant, scalar → value constant, IN →
+// literal list. A correlated one fails: its inner query does not bind
+// against the global schema alone.
+func (e *Engine) materializeSubqueries(ctx context.Context, stmt sql.Statement) error {
+	return sql.VisitExprs(stmt, func(slot *expr.Expr) (err error) {
+		if expr.HasSubquery(*slot) {
+			*slot, err = e.substituteSubqueries(ctx, *slot)
 		}
-		// Derived tables first (they may contain subqueries).
-		if cur.From != nil {
-			if err := e.materializeFromSubqueries(ctx, cur.From); err != nil {
-				return err
-			}
-		}
-		var err error
-		if cur.Where != nil {
-			cur.Where, err = e.substituteSubqueries(ctx, cur.Where)
-			if err != nil {
-				return err
-			}
-		}
-		if cur.Having != nil {
-			cur.Having, err = e.substituteSubqueries(ctx, cur.Having)
-			if err != nil {
-				return err
-			}
-		}
-		for i := range cur.Items {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if cur.Items[i].Expr == nil {
-				continue
-			}
-			cur.Items[i].Expr, err = e.substituteSubqueries(ctx, cur.Items[i].Expr)
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (e *Engine) materializeFromSubqueries(ctx context.Context, t sql.TableExpr) error {
-	switch n := t.(type) {
-	case *sql.SubqueryTable:
-		return e.materializeSubqueries(ctx, n.Select)
-	case *sql.JoinExpr:
-		if err := e.materializeFromSubqueries(ctx, n.L); err != nil {
-			return err
-		}
-		return e.materializeFromSubqueries(ctx, n.R)
-	default:
-		return nil
-	}
+		return err
+	})
 }
 
 func (e *Engine) substituteSubqueries(ctx context.Context, ex expr.Expr) (expr.Expr, error) {
@@ -708,8 +698,13 @@ func (e *Engine) CreateView(name, selectSQL string) error {
 	if err != nil {
 		return fmt.Errorf("core: view %s: %w", name, err)
 	}
-	if holdsSubquery(sel) {
-		return fmt.Errorf("core: view %s: a view body may not hold an IN, EXISTS or scalar subquery", name)
+	if err := sql.VisitExprs(sel, func(slot *expr.Expr) error {
+		if expr.HasSubquery(*slot) {
+			return fmt.Errorf("core: view %s: a view body may not hold an IN, EXISTS or scalar subquery", name)
+		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	// Validate by planning the body before defining the name (this also
 	// rejects self-reference: the name does not resolve yet).
@@ -717,72 +712,4 @@ func (e *Engine) CreateView(name, selectSQL string) error {
 		return fmt.Errorf("core: view %s does not plan: %w", name, err)
 	}
 	return e.cat.DefineView(name, selectSQL)
-}
-
-// holdsSubquery reports whether an expression of sel, or of a statement
-// in its FROM or UNION, holds an expression subquery.
-func holdsSubquery(sel *sql.SelectStmt) bool {
-	var from func(sql.TableExpr) bool
-	from = func(t sql.TableExpr) bool {
-		switch n := t.(type) {
-		case *sql.SubqueryTable:
-			return holdsSubquery(n.Select)
-		case *sql.JoinExpr:
-			return expr.HasSubquery(n.On) || from(n.L) || from(n.R)
-		default: // a table, or no FROM
-			return false
-		}
-	}
-	for cur := sel; cur != nil; cur = cur.Union {
-		exprs := append([]expr.Expr{cur.Where, cur.Having}, cur.GroupBy...)
-		for _, it := range cur.Items {
-			exprs = append(exprs, it.Expr)
-		}
-		for _, o := range cur.OrderBy {
-			exprs = append(exprs, o.Expr)
-		}
-		if slices.ContainsFunc(exprs, expr.HasSubquery) || from(cur.From) {
-			return true
-		}
-	}
-	return false
-}
-
-// ExplainAnalyze plans AND executes a SELECT, returning the plan
-// annotated with each operator's measured row count and inclusive time,
-// followed by the total.
-func (e *Engine) ExplainAnalyze(ctx context.Context, text string, params ...types.Value) (out string, err error) {
-	ctx, stmt, finish, err := e.begin(ctx, text, true, params)
-	if err != nil {
-		return "", err
-	}
-	defer func() { err = finish(err) }()
-	sel, err := explained(stmt)
-	if err != nil {
-		return "", err
-	}
-	return e.analyzeSelect(ctx, sel)
-}
-
-// analyzeSelect plans and runs sel and annotates the plan from the
-// operators' records, which are kept on ctx's trace. ExplainAnalyze has
-// instrument attach one; Run learns that a statement is an EXPLAIN
-// ANALYZE only by parsing it, after instrument, and may arrive without:
-// the records then go on a trace of this call's own.
-func (e *Engine) analyzeSelect(ctx context.Context, sel *sql.SelectStmt) (string, error) {
-	if !obs.Enabled(ctx) {
-		ctx = obs.WithTrace(ctx, obs.NewTrace(""))
-	}
-	p, err := e.planSelect(ctx, sel)
-	if err != nil {
-		return "", err
-	}
-	start := time.Now()
-	rows, err := exec.Collect(ctx, p)
-	if err != nil {
-		return "", err
-	}
-	out := plan.ExplainFunc(p, exec.Annotate(obs.TraceFrom(ctx)))
-	out += fmt.Sprintf("total: %d row(s) in %s\n", len(rows), time.Since(start).Round(time.Microsecond))
-	return out, nil
 }

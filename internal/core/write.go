@@ -26,9 +26,13 @@ type writeStmt struct {
 	set   []sql.Assignment // UPDATE
 }
 
-// execStmt runs a write statement: buildWrites turns it into fragment
-// writes, and applyWrites commits them.
+// execStmt runs a write statement: its subqueries are materialized, as
+// a SELECT's are, buildWrites turns it into fragment writes, and
+// applyWrites commits them.
 func (e *Engine) execStmt(ctx context.Context, stmt sql.Statement) (int64, error) {
+	if err := e.materializeSubqueries(ctx, stmt); err != nil {
+		return 0, err
+	}
 	var w writeStmt
 	switch s := stmt.(type) {
 	case *sql.InsertStmt:
@@ -100,7 +104,7 @@ func (e *Engine) buildWrites(ctx context.Context, w *writeStmt) ([]fragWrite, in
 		writes, err := insertWrites(tab, w.ins)
 		return writes, -1, err
 	}
-	filter, err := e.bindWriteExpr(ctx, w.where, tab)
+	filter, err := bindWriteExpr(w.where, tab)
 	if err != nil {
 		return nil, -1, err
 	}
@@ -112,7 +116,7 @@ func (e *Engine) buildWrites(ctx context.Context, w *writeStmt) ([]fragWrite, in
 		if sets[i].Col, err = tab.Schema.IndexOf("", a.Column); err != nil {
 			return nil, -1, err
 		}
-		if sets[i].Value, err = e.bindWriteExpr(ctx, a.Value, tab); err != nil {
+		if sets[i].Value, err = bindWriteExpr(a.Value, tab); err != nil {
 			return nil, -1, err
 		}
 	}
@@ -123,16 +127,13 @@ func (e *Engine) buildWrites(ctx context.Context, w *writeStmt) ([]fragWrite, in
 	return writes, -1, err
 }
 
-// bindWriteExpr binds (and de-subqueries) a write statement's WHERE or
-// SET value over the global schema.
-func (e *Engine) bindWriteExpr(ctx context.Context, ex expr.Expr, tab *catalog.GlobalTable) (expr.Expr, error) {
+// bindWriteExpr binds a write statement's WHERE or SET value over the
+// global schema.
+func bindWriteExpr(ex expr.Expr, tab *catalog.GlobalTable) (expr.Expr, error) {
 	if ex == nil {
 		return nil, nil
 	}
 	bound, err := expr.Bind(ex, tab.Schema)
-	if err == nil {
-		bound, err = e.substituteSubqueries(ctx, bound)
-	}
 	if err != nil {
 		return nil, err
 	}

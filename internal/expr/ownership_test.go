@@ -72,64 +72,23 @@ func TestParsedTreesAreOwned(t *testing.T) {
 	}
 }
 
-// eachExpr calls fn with every expression of stmt and of each statement
-// nested in it (UNION arms, derived tables, subqueries, EXPLAIN's).
+// eachExpr calls fn with every expression of stmt — each slot
+// sql.VisitExprs hands that holds one — and of each statement nested in
+// one of them.
 func eachExpr(stmt sql.Statement, fn func(expr.Expr)) {
-	root := func(e expr.Expr) {
-		if e == nil {
-			return
+	_ = sql.VisitExprs(stmt, func(slot *expr.Expr) error {
+		if *slot == nil {
+			return nil
 		}
-		fn(e)
-		expr.Walk(e, func(n expr.Expr) bool {
+		fn(*slot)
+		expr.Walk(*slot, func(n expr.Expr) bool {
 			if sq, ok := n.(*expr.Subquery); ok {
 				eachExpr(sq.Stmt.(sql.Statement), fn)
 			}
 			return true
 		})
-	}
-	var from func(sql.TableExpr)
-	from = func(te sql.TableExpr) {
-		switch f := te.(type) {
-		case *sql.SubqueryTable:
-			eachExpr(f.Select, fn)
-		case *sql.JoinExpr:
-			from(f.L)
-			from(f.R)
-			root(f.On)
-		}
-	}
-	switch s := stmt.(type) {
-	case *sql.SelectStmt:
-		for sel := s; sel != nil; sel = sel.Union {
-			for _, it := range sel.Items {
-				root(it.Expr)
-			}
-			from(sel.From)
-			root(sel.Where)
-			for _, g := range sel.GroupBy {
-				root(g)
-			}
-			root(sel.Having)
-			for _, o := range sel.OrderBy {
-				root(o.Expr)
-			}
-		}
-	case *sql.InsertStmt:
-		for _, row := range s.Rows {
-			for _, e := range row {
-				root(e)
-			}
-		}
-	case *sql.UpdateStmt:
-		for _, a := range s.Set {
-			root(a.Value)
-		}
-		root(s.Where)
-	case *sql.DeleteStmt:
-		root(s.Where)
-	case *sql.ExplainStmt:
-		eachExpr(s.Stmt, fn)
-	}
+		return nil
+	})
 }
 
 // schemaOf lays out one column per distinct (qualifier, name) the

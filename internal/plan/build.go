@@ -246,12 +246,7 @@ func buildRightJoin(l, r Node, cond expr.Expr) Node {
 	exprs := make([]expr.Expr, lw+rw)
 	names := make([]string, lw+rw)
 	for orig := 0; orig < lw+rw; orig++ {
-		pos := remap[orig]
-		c := out.Columns[pos]
-		ref := expr.NewBoundColRef(pos, c.Type, c.Name)
-		ref.Table = c.Table
-		exprs[orig] = ref
-		names[orig] = c.Name
+		exprs[orig], names[orig] = outputRef(out, remap[orig]), out.Columns[remap[orig]].Name
 	}
 	return &Project{Exprs: exprs, Names: names, Input: j}
 }
@@ -442,65 +437,68 @@ func (b *Builder) buildAggregate(input Node, groupBy []expr.Expr, items []expr.E
 	return agg, newItems, newHaving, nil
 }
 
-// buildSort plans ORDER BY over the result of node. Keys that don't bind
-// against the output schema are bound against the input of the topmost
-// projection, with hidden columns appended for the sort and dropped
-// afterwards.
+// buildSort plans ORDER BY over node's output, resolving each key once,
+// by the first rule that applies: a Positional key is an output column's
+// position, from 1; a key that binds over the output columns and
+// aggregates nothing, or that prints as an output column is named (an
+// unaliased select item is named as written), is an expression over
+// them; any other is a hidden column over the input of the select list's
+// projection — a UNION or DISTINCT has none — dropped after the Sort.
 func (b *Builder) buildSort(node Node, order []sql.OrderItem) (Node, error) {
-	outSchema := node.Schema()
-	keys := make([]SortKey, 0, len(order))
-	allBound := true
-	for _, o := range order {
-		bound, err := expr.Bind(o.Expr, outSchema)
-		if err != nil {
-			allBound = false
-			break
+	out := node.Schema()
+	keys := make([]SortKey, len(order))
+	var hidden *Project // node with the hidden columns, once a key needs one
+	for i, o := range order {
+		keys[i].Desc = o.Desc
+		j := -1
+		if c, ok := o.Expr.(*expr.Const); ok && o.Positional {
+			if j = int(c.Val.Int()) - 1; j < 0 || j >= out.Len() {
+				return nil, fmt.Errorf("ORDER BY position %s is not in the select list of %d columns", c, out.Len())
+			}
+		} else if bound, err := expr.Bind(o.Expr, out); err == nil && !expr.HasAggregate(bound) {
+			keys[i].E = bound
+			continue
+		} else if _, isRef := o.Expr.(*expr.ColRef); !isRef {
+			printed := o.Expr.String()
+			j = slices.IndexFunc(out.Columns, func(c types.Column) bool { return c.Name == printed })
 		}
-		keys = append(keys, SortKey{E: bound, Desc: o.Desc})
-	}
-	if allBound {
-		return &Sort{Keys: keys, Input: node}, nil
-	}
-	// Hidden-column path: only available when the top node is a Project.
-	proj, ok := node.(*Project)
-	if !ok {
-		return nil, fmt.Errorf("ORDER BY expression does not reference the select list")
-	}
-	inSchema := proj.Input.Schema()
-	visible := len(proj.Exprs)
-	extended := &Project{
-		Exprs: append([]expr.Expr(nil), proj.Exprs...),
-		Names: append([]string(nil), proj.Names...),
-		Input: proj.Input,
-	}
-	keys = keys[:0]
-	for _, o := range order {
-		if bound, err := expr.Bind(o.Expr, outSchema); err == nil {
-			keys = append(keys, SortKey{E: bound, Desc: o.Desc})
+		if j >= 0 {
+			keys[i].E = outputRef(out, j)
 			continue
 		}
-		bound, err := expr.Bind(o.Expr, inSchema)
+		proj, isProj := node.(*Project)
+		if expr.HasAggregate(o.Expr) {
+			return nil, fmt.Errorf("ORDER BY %s: the select list does not compute this aggregate", o.Expr)
+		} else if !isProj {
+			return nil, fmt.Errorf("ORDER BY %s does not name an output column", o.Expr)
+		}
+		bound, err := expr.Bind(o.Expr, proj.Input.Schema())
 		if err != nil {
 			return nil, fmt.Errorf("cannot resolve ORDER BY expression %s: %w", o.Expr, err)
 		}
-		pos := len(extended.Exprs)
-		extended.Exprs = append(extended.Exprs, bound)
-		extended.Names = append(extended.Names, fmt.Sprintf("__sort%d", pos))
-		keys = append(keys, SortKey{
-			E:    expr.NewBoundColRef(pos, bound.ResultType(), ""),
-			Desc: o.Desc,
-		})
+		if hidden == nil {
+			hidden = &Project{Exprs: slices.Clone(proj.Exprs), Names: slices.Clone(proj.Names), Input: proj.Input}
+		}
+		hidden.Exprs = append(hidden.Exprs, bound)
+		hidden.Names = append(hidden.Names, fmt.Sprintf("__sort%d", len(hidden.Names)))
+		keys[i].E = expr.NewBoundColRef(len(hidden.Exprs)-1, bound.ResultType(), "")
 	}
-	sorted := &Sort{Keys: keys, Input: extended}
+	if hidden == nil {
+		return &Sort{Keys: keys, Input: node}, nil
+	}
 	// Final projection drops the hidden sort columns.
-	finalExprs := make([]expr.Expr, visible)
-	finalNames := make([]string, visible)
-	for i := 0; i < visible; i++ {
-		c := extended.Schema().Columns[i]
-		ref := expr.NewBoundColRef(i, c.Type, c.Name)
-		ref.Table = c.Table
-		finalExprs[i] = ref
-		finalNames[i] = c.Name
+	final := &Project{Exprs: make([]expr.Expr, out.Len()), Names: make([]string, out.Len()), Input: &Sort{Keys: keys, Input: hidden}}
+	for i, c := range out.Columns {
+		final.Exprs[i], final.Names[i] = outputRef(out, i), c.Name
 	}
-	return &Project{Exprs: finalExprs, Names: finalNames, Input: sorted}, nil
+	return final, nil
+}
+
+// outputRef references column i of the output schema out, under its
+// name and table.
+func outputRef(out *types.Schema, i int) *expr.ColRef {
+	c := out.Columns[i]
+	ref := expr.NewBoundColRef(i, c.Type, c.Name)
+	ref.Table = c.Table
+	return ref
 }

@@ -37,10 +37,11 @@ func (s SelectItem) String() string {
 	return s.Expr.String()
 }
 
-// OrderItem is one ORDER BY key.
+// OrderItem is one ORDER BY key. Positional: it is an integer literal as
+// written (no parameter), an output column's position from 1.
 type OrderItem struct {
-	Expr expr.Expr
-	Desc bool
+	Expr             expr.Expr
+	Desc, Positional bool
 }
 
 func (o OrderItem) String() string {
@@ -309,4 +310,75 @@ func (s *ExplainStmt) String() string {
 		return "EXPLAIN ANALYZE " + s.Stmt.String()
 	}
 	return "EXPLAIN " + s.Stmt.String()
+}
+
+// VisitExprs hands fn the address of every expression slot of stmt, nil
+// ones too, in print order: a SELECT's items, ONs, WHERE, GROUP BY keys
+// and HAVING (of derived tables and UNION arms too), then ORDER BY keys;
+// INSERT values; UPDATE SET values and WHERE; DELETE WHERE; an EXPLAIN's
+// statement's. It skips subqueries' statements; fn's first error ends it.
+func VisitExprs(stmt Statement, fn func(*expr.Expr) error) (err error) {
+	visitor{fn: fn, err: &err}.stmt(stmt)
+	return err
+}
+
+// visitor is VisitExprs' walk: after fn's first error it calls fn no
+// more. The error is not kept beside fn, or fn would escape through it.
+type visitor struct {
+	fn  func(*expr.Expr) error
+	err *error
+}
+
+func (v visitor) slot(p *expr.Expr) {
+	if *v.err == nil {
+		*v.err = v.fn(p)
+	}
+}
+
+func (v visitor) stmt(stmt Statement) {
+	switch s := stmt.(type) {
+	case *SelectStmt:
+		for i := range s.Items {
+			v.slot(&s.Items[i].Expr)
+		}
+		v.from(s.From)
+		v.slot(&s.Where)
+		for i := range s.GroupBy {
+			v.slot(&s.GroupBy[i])
+		}
+		v.slot(&s.Having)
+		if s.Union != nil {
+			v.stmt(s.Union)
+		}
+		for i := range s.OrderBy {
+			v.slot(&s.OrderBy[i].Expr)
+		}
+	case *InsertStmt:
+		for _, row := range s.Rows {
+			for i := range row {
+				v.slot(&row[i])
+			}
+		}
+	case *UpdateStmt:
+		for i := range s.Set {
+			v.slot(&s.Set[i].Value)
+		}
+		v.slot(&s.Where)
+	case *DeleteStmt:
+		v.slot(&s.Where)
+	case *ExplainStmt:
+		v.stmt(s.Stmt)
+	}
+}
+
+func (v visitor) from(t TableExpr) {
+	switch n := t.(type) {
+	case *TableRef:
+	case *SubqueryTable:
+		v.stmt(n.Select)
+	case *JoinExpr:
+		v.from(n.L)
+		v.from(n.R)
+		v.slot(&n.On)
+	}
 }

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,7 +14,8 @@ import (
 // text: a statement or a clean error, never a panic; a statement's
 // printed form is a fixed point — it parses, to a statement that prints
 // the same (the printed form is what a view stores, what EXPLAIN shows
-// and what the query log fingerprints); and no node of the statement is
+// and what the query log fingerprints); VisitExprs hands every
+// expression slot of it (checkSlots); and no node of the statement is
 // reachable from two of its expressions, which Bind, binding each in
 // place against its own schema, relies on. The seed corpus is
 // testdata/parse_seeds.txt.
@@ -52,6 +54,7 @@ func FuzzParse(f *testing.F) {
 		if reprinted := again.String(); reprinted != printed {
 			t.Fatalf("%q prints as %q, which prints as %q", text, printed, reprinted)
 		}
+		checkSlots(t, text, stmt)
 		owner, i := map[expr.Expr]int{}, 0
 		eachExpr(stmt, func(e expr.Expr) {
 			i++
@@ -66,63 +69,63 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// eachExpr calls fn with every expression of stmt — select items, WHERE,
-// GROUP BY keys, HAVING, ORDER BY keys, each ON, INSERT and SET values —
-// and of each statement nested in it.
+// eachExpr calls fn with every expression of stmt — each slot VisitExprs
+// hands that holds one — and of each statement nested in one of them.
 func eachExpr(stmt Statement, fn func(expr.Expr)) {
-	root := func(e expr.Expr) {
-		if e == nil {
-			return
+	_ = VisitExprs(stmt, func(slot *expr.Expr) error {
+		if *slot == nil {
+			return nil
 		}
-		fn(e)
-		expr.Walk(e, func(n expr.Expr) bool {
+		fn(*slot)
+		expr.Walk(*slot, func(n expr.Expr) bool {
 			if sq, ok := n.(*expr.Subquery); ok {
 				eachExpr(sq.Stmt.(Statement), fn)
 			}
 			return true
 		})
+		return nil
+	})
+}
+
+// checkSlots holds VisitExprs to a reflection oracle: the address of every
+// expr.Expr field reachable from stmt through the statement's structs,
+// pointers, interfaces and slices — empty or not, and without looking
+// inside an expression, so without entering a subquery — must be handed
+// to the callback once, and nothing else. A new clause in the AST that
+// the walk does not know fails here.
+func checkSlots(t *testing.T, text string, stmt Statement) {
+	want := map[*expr.Expr]bool{}
+	var find func(v reflect.Value)
+	find = func(v reflect.Value) {
+		switch {
+		case v.Type() == reflect.TypeFor[expr.Expr]():
+			want[v.Addr().Interface().(*expr.Expr)] = true
+		case v.Kind() == reflect.Pointer || v.Kind() == reflect.Interface:
+			if !v.IsNil() {
+				find(v.Elem())
+			}
+		case v.Kind() == reflect.Struct:
+			for i := range v.NumField() {
+				find(v.Field(i))
+			}
+		case v.Kind() == reflect.Slice:
+			for i := range v.Len() {
+				find(v.Index(i))
+			}
+		}
 	}
-	var from func(TableExpr)
-	from = func(te TableExpr) {
-		switch f := te.(type) {
-		case *SubqueryTable:
-			eachExpr(f.Select, fn)
-		case *JoinExpr:
-			from(f.L)
-			from(f.R)
-			root(f.On)
+	find(reflect.ValueOf(stmt))
+	got := map[*expr.Expr]bool{}
+	_ = VisitExprs(stmt, func(slot *expr.Expr) error {
+		if got[slot] || !want[slot] {
+			t.Fatalf("%q: VisitExprs hands a slot holding %v that is not the statement's, or twice", text, *slot)
 		}
-	}
-	switch s := stmt.(type) {
-	case *SelectStmt:
-		for sel := s; sel != nil; sel = sel.Union {
-			for _, it := range sel.Items {
-				root(it.Expr)
-			}
-			from(sel.From)
-			root(sel.Where)
-			for _, g := range sel.GroupBy {
-				root(g)
-			}
-			root(sel.Having)
-			for _, o := range sel.OrderBy {
-				root(o.Expr)
-			}
+		got[slot] = true
+		return nil
+	})
+	for slot := range want {
+		if !got[slot] {
+			t.Fatalf("%q: VisitExprs does not hand the slot holding %v", text, *slot)
 		}
-	case *InsertStmt:
-		for _, row := range s.Rows {
-			for _, e := range row {
-				root(e)
-			}
-		}
-	case *UpdateStmt:
-		for _, a := range s.Set {
-			root(a.Value)
-		}
-		root(s.Where)
-	case *DeleteStmt:
-		root(s.Where)
-	case *ExplainStmt:
-		eachExpr(s.Stmt, fn)
 	}
 }

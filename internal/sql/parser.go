@@ -280,16 +280,17 @@ func (p *Parser) parseSelect() (*SelectStmt, error) {
 	return head, nil
 }
 
-func (p *Parser) parseOrderItem() (OrderItem, error) {
-	e, err := p.parseExpr()
-	if err != nil {
-		return OrderItem{}, err
+func (p *Parser) parseOrderItem() (o OrderItem, err error) {
+	params := p.nparam
+	if o.Expr, err = p.parseExpr(); err != nil {
+		return o, err
 	}
-	desc := p.acceptKeyword("DESC")
-	if !desc {
+	c, isConst := o.Expr.(*expr.Const)
+	o.Positional = isConst && c.Val.Kind() == types.KindInt && p.nparam == params
+	if o.Desc = p.acceptKeyword("DESC"); !o.Desc {
 		p.acceptKeyword("ASC")
 	}
-	return OrderItem{Expr: e, Desc: desc}, nil
+	return o, nil
 }
 
 func (p *Parser) parseIntLiteral() (int64, error) {
