@@ -4,7 +4,6 @@
 //
 //	iterclose    exec/source iterators closed or handed off on every path
 //	errdrop      no silently discarded error results
-//	valuecompare no raw ==/!= on types.Value or Value-bearing structs
 //	exhaustive   switches over plan/expr/kind vocabularies stay complete
 //	spanfinish   obs spans reach End on every path out of the starter
 //	ctxflow      no context.Background/TODO outside main; contexts flow

@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
+	"maps"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -216,7 +217,7 @@ func TestAnalyzeIsDeterministic(t *testing.T) {
 		if err := e.Analyze(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if got := snapshot(); !reflect.DeepEqual(got, want) {
+		if got := snapshot(); !maps.EqualFunc(got, want, func(a, b []*stats.TableStats) bool { return slices.EqualFunc(a, b, stats.Identical) }) {
 			t.Fatalf("run %d installed other statistics", run)
 		}
 	}

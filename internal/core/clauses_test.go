@@ -71,9 +71,12 @@ func TestSubqueryInEveryClause(t *testing.T) {
 // parameter's or a subquery's integer is a value, the same on every row),
 // a key printed as an unaliased select item is that item's column, and
 // any other key is an expression, over the output columns or else hidden
-// over the select list's input. A position out of range and an aggregate the select list
-// does not compute are refused when the statement is planned; a UNION or
-// a DISTINCT takes output keys only.
+// over the select list's input, where an aggregate is the column the
+// select list computes it in, aliased or not (and an aggregate of a
+// grouped column reads the group's rows, not its key). A position out of
+// range and an aggregate the select list does not compute are refused
+// when the statement is planned; a UNION or a DISTINCT takes output keys
+// only.
 func TestOrderByResolution(t *testing.T) {
 	e := newTestEngine(t)
 	for _, c := range []struct {
@@ -88,6 +91,9 @@ func TestOrderByResolution(t *testing.T) {
 		{"SELECT region, MAX(balance) FROM customers GROUP BY region ORDER BY MAX(balance) DESC", nil, []string{"(east, 300)", "(west, 200)"}},
 		{"SELECT UPPER(region), COUNT(*) FROM customers GROUP BY UPPER(region) ORDER BY UPPER(region)", nil, []string{"(EAST, 2)", "(WEST, 2)"}},
 		{"SELECT region, COUNT(*) FROM customers GROUP BY region ORDER BY COUNT(*) DESC, 1", nil, []string{"(east, 2)", "(west, 2)"}},
+		{"SELECT region, SUM(balance) AS s FROM customers GROUP BY region ORDER BY SUM(balance)", nil, []string{"(west, 250)", "(east, 400)"}},
+		{"SELECT region, SUM(balance) AS s FROM customers GROUP BY region ORDER BY s", nil, []string{"(west, 250)", "(east, 400)"}},
+		{"SELECT region, COUNT(region), MAX(region) FROM customers GROUP BY region HAVING COUNT(region) > 1 ORDER BY COUNT(region), 1", nil, []string{"(east, 2, east)", "(west, 2, west)"}},
 		{"SELECT name FROM customers ORDER BY balance DESC", nil, []string{"(carol)", "(bob)", "(alice)", "(dave)"}},
 		{"SELECT name FROM customers WHERE id < 3 UNION SELECT sname FROM suppliers ORDER BY 1", nil, []string{"(acme)", "(alice)", "(bob)", "(globex)", "(initech)"}},
 		{"SELECT DISTINCT region FROM customers ORDER BY 1 DESC", nil, []string{"(west)", "(east)"}},

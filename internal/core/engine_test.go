@@ -563,9 +563,10 @@ func TestErrorPaths(t *testing.T) {
 		"SELECT nope FROM customers",
 		"SELECT * FROM nonexistent",
 		"SELECT name FROM customers WHERE region = 5",
-		"SELECT region, SUM(balance) FROM customers",              // bare col without GROUP BY
-		"SELECT name FROM customers GROUP BY region",              // name not grouped
-		"SELECT * FROM customers UNION SELECT sid FROM suppliers", // arity
+		"SELECT region, SUM(balance) FROM customers",                        // bare col without GROUP BY
+		"SELECT name FROM customers GROUP BY region",                        // name not grouped
+		"SELECT region, SUM(COUNT(balance)) FROM customers GROUP BY region", // nested aggregate
+		"SELECT * FROM customers UNION SELECT sid FROM suppliers",           // arity
 	}
 	for _, q := range bad {
 		if _, err := e.Query(ctx, q); err == nil {

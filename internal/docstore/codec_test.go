@@ -108,7 +108,7 @@ func FuzzDocCodec(f *testing.F) {
 		for i, fm := range c.fields {
 			got, gerr := field(stored, c.paths[i])
 			want, werr := referenceField(doc, fm.Path)
-			if got != want || (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+			if !types.Identical(got, want) || (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
 				t.Fatalf("%s: path %s reads %v, %v; the maps read %v, %v", in, fm.Path, got, gerr, want, werr)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -374,7 +375,8 @@ func TestUpdateWritesCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := append([]types.Row{first}, rest...); !reflect.DeepEqual(got, old) {
+	identical := func(a, b types.Row) bool { return slices.EqualFunc(a, b, types.Identical) }
+	if got := append([]types.Row{first}, rest...); !slices.EqualFunc(got, old, identical) {
 		t.Errorf("a scan opened before the update read %v, the documents were %v", got, old)
 	}
 	want := `[{"cust":{"id":100,"tier":"gold"},"oid":1},{"cust":{"id":200},"oid":2},{"cust":5,"oid":3},{"cust":{"id":400},"note":{"k":[1,2]},"oid":4}]`

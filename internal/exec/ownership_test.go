@@ -350,7 +350,7 @@ func TestKeptRowsSurviveLaterWrites(t *testing.T) {
 				t.Fatalf("%s: delete = %d, %v", table, n, err)
 			}
 			for i, r := range rows {
-				if !slices.Equal(r, copies[i]) {
+				if !slices.EqualFunc(r, copies[i], types.Identical) {
 					t.Fatalf("%s: row %d was delivered as %v and reads %v after later writes", text, i, copies[i], r)
 				}
 			}

@@ -79,7 +79,7 @@ func TestTopKMatchesFullSort(t *testing.T) {
 					t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
 				}
 				for i := range got {
-					if !got[i].Equal(want[i]) || got[i][2] != want[i][2] {
+					if !got[i].Equal(want[i]) || !types.Identical(got[i][2], want[i][2]) {
 						t.Fatalf("%s: row %d = %v, want %v\n got %v\nwant %v", what, i, got[i], want[i], got, want)
 					}
 				}

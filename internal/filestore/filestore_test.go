@@ -399,7 +399,7 @@ func TestDiskScanAcrossBlocks(t *testing.T) {
 	}
 	disk, mem := scan("disk"), scan("mem")
 	for i := range disk {
-		if !slices.Equal(disk[i], mem[i]) {
+		if !slices.EqualFunc(disk[i], mem[i], types.Identical) {
 			t.Fatalf("row %d = %v on disk, %v in memory", i, disk[i], mem[i])
 		}
 	}

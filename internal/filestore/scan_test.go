@@ -183,7 +183,7 @@ func checkScans(t *testing.T, data string, comma rune) {
 				if cols != nil {
 					w = types.Row{w[2], w[0]}
 				}
-				if !slices.Equal(r, w) {
+				if !slices.EqualFunc(r, w, types.Identical) {
 					t.Fatalf("%s: row %d = %v, want %v", what, i, r, w)
 				}
 			}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -807,7 +806,7 @@ func TestStatsEqualADrainedScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := stats.Collect(drained, schema.Len()); !reflect.DeepEqual(got, want) {
+		if want := stats.Collect(drained, schema.Len()); !stats.Identical(got, want) {
 			t.Errorf("%s: Stats reads\n%v\na drained scan\n%v", c.name, got, want)
 		}
 	}

@@ -54,7 +54,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		IterClose(),
 		ErrDrop(),
-		ValueCompare(),
 		Exhaustive(),
 		SpanFinish(),
 		CtxFlow(),

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -324,7 +325,6 @@ func (b *Builder) buildAggregate(input Node, groupBy []expr.Expr, items []expr.E
 	agg := &Aggregate{Input: input}
 
 	// Bind group-by expressions.
-	groupKeys := make([]string, 0, len(groupBy))
 	for _, g := range groupBy {
 		bound, err := expr.Bind(g, inSchema)
 		if err != nil {
@@ -334,24 +334,22 @@ func (b *Builder) buildAggregate(input Node, groupBy []expr.Expr, items []expr.E
 			return nil, nil, nil, fmt.Errorf("aggregates are not allowed in GROUP BY")
 		}
 		agg.GroupBy = append(agg.GroupBy, bound)
-		groupKeys = append(groupKeys, bound.String())
 	}
 
 	// Collect distinct aggregate calls from items and having.
-	aggIndex := map[string]int{} // AggCall.String() → output position
+	nested := false
 	collect := func(e expr.Expr) {
 		expr.Walk(e, func(n expr.Expr) bool {
-			if ac, ok := n.(*expr.AggCall); ok {
-				key := ac.String()
-				if _, seen := aggIndex[key]; !seen {
-					aggIndex[key] = len(agg.GroupBy) + len(agg.Aggs)
-					agg.Aggs = append(agg.Aggs, AggItem{
-						Kind: ac.Kind, Arg: ac.Arg, Distinct: ac.Distinct, Name: key,
-					})
-				}
-				return false
+			ac, ok := n.(*expr.AggCall)
+			if !ok {
+				return true
 			}
-			return true
+			nested = nested || expr.HasAggregate(ac.Arg)
+			key := ac.String()
+			if !slices.ContainsFunc(agg.Aggs, func(a AggItem) bool { return a.Name == key }) {
+				agg.Aggs = append(agg.Aggs, AggItem{Kind: ac.Kind, Arg: ac.Arg, Distinct: ac.Distinct, Name: key})
+			}
+			return false
 		})
 	}
 	for _, e := range items {
@@ -360,67 +358,13 @@ func (b *Builder) buildAggregate(input Node, groupBy []expr.Expr, items []expr.E
 	if having != nil {
 		collect(having)
 	}
-
-	outSchema := agg.Schema()
-
-	// rewrite replaces group expressions and aggregate calls with
-	// references into the aggregate output; any column reference left
-	// over is not functionally determined by the grouping → error.
-	// Rewritten references are tagged with a sentinel qualifier so the
-	// stray check cannot confuse them with surviving input references;
-	// the tag is stripped before returning.
-	const aggMark = "\x00agg"
-	groupMatches := func(n expr.Expr, i int) bool {
-		if c, ok := n.(*expr.ColRef); ok {
-			if g, ok := agg.GroupBy[i].(*expr.ColRef); ok {
-				return c.Index == g.Index
-			}
-			return false
-		}
-		return n.String() == groupKeys[i]
-	}
-	rewrite := func(e expr.Expr) (expr.Expr, error) {
-		r := expr.Transform(e, func(n expr.Expr) expr.Expr {
-			if ac, ok := n.(*expr.AggCall); ok {
-				pos := aggIndex[ac.String()]
-				ref := expr.NewBoundColRef(pos, outSchema.Columns[pos].Type, outSchema.Columns[pos].Name)
-				ref.Table = aggMark
-				return ref
-			}
-			for i := range groupKeys {
-				if groupMatches(n, i) {
-					ref := expr.NewBoundColRef(i, outSchema.Columns[i].Type, outSchema.Columns[i].Name)
-					ref.Table = aggMark
-					return ref
-				}
-			}
-			return n
-		})
-		var stray expr.Expr
-		expr.Walk(r, func(n expr.Expr) bool {
-			if c, ok := n.(*expr.ColRef); ok && c.Table != aggMark {
-				stray = c
-				return false
-			}
-			return true
-		})
-		if stray != nil {
-			return nil, fmt.Errorf("column %s must appear in GROUP BY or inside an aggregate", stray)
-		}
-		r = expr.Transform(r, func(n expr.Expr) expr.Expr {
-			if c, ok := n.(*expr.ColRef); ok && c.Table == aggMark {
-				cp := *c
-				cp.Table = ""
-				return &cp
-			}
-			return n
-		})
-		return r, nil
+	if nested {
+		return nil, nil, nil, fmt.Errorf("aggregate calls cannot be nested")
 	}
 
 	newItems := make([]expr.Expr, len(items))
 	for i, e := range items {
-		r, err := rewrite(e)
+		r, err := overAggregate(agg, e)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -429,12 +373,79 @@ func (b *Builder) buildAggregate(input Node, groupBy []expr.Expr, items []expr.E
 	var newHaving expr.Expr
 	if having != nil {
 		var err error
-		newHaving, err = rewrite(having)
+		newHaving, err = overAggregate(agg, having)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 	}
 	return agg, newItems, newHaving, nil
+}
+
+// errUncomputed: an expression over an Aggregate's output holds an
+// aggregate call the Aggregate does not compute.
+var errUncomputed = errors.New("the select list does not compute this aggregate")
+
+// overAggregate rewrites e, bound over agg's input, over agg's output:
+// each aggregate call and each group expression becomes a reference to
+// its column. A call is matched before its argument, which may be a
+// group expression too. A column reference left over is not determined
+// by the grouping, and is an error, as is a call agg does not compute
+// (errUncomputed). Rewritten references carry a sentinel qualifier
+// until the check is done, so that it cannot take them for references
+// to agg's input.
+func overAggregate(agg *Aggregate, e expr.Expr) (expr.Expr, error) {
+	const aggMark = "\x00agg"
+	out := agg.Schema()
+	ref := func(i int) expr.Expr {
+		r := expr.NewBoundColRef(i, out.Columns[i].Type, out.Columns[i].Name)
+		r.Table = aggMark
+		return r
+	}
+	uncomputed := false
+	r := expr.Transform(e, func(n expr.Expr) expr.Expr {
+		if ac, ok := n.(*expr.AggCall); ok {
+			name := ac.String()
+			if j := slices.IndexFunc(agg.Aggs, func(a AggItem) bool { return a.Name == name }); j >= 0 {
+				return ref(len(agg.GroupBy) + j)
+			}
+			uncomputed = true
+		}
+		return n
+	})
+	if uncomputed {
+		return nil, errUncomputed
+	}
+	// A group column matches a column reference by position, a group
+	// expression any other node by its printed form.
+	r = expr.Transform(r, func(n expr.Expr) expr.Expr {
+		c, isRef := n.(*expr.ColRef)
+		for i, g := range agg.GroupBy {
+			gc, isCol := g.(*expr.ColRef)
+			if isRef && isCol && c.Table != aggMark && gc.Index == c.Index || !isRef && !isCol && n.String() == g.String() {
+				return ref(i)
+			}
+		}
+		return n
+	})
+	var stray expr.Expr
+	expr.Walk(r, func(n expr.Expr) bool {
+		if c, ok := n.(*expr.ColRef); ok && c.Table != aggMark {
+			stray = c
+			return false
+		}
+		return true
+	})
+	if stray != nil {
+		return nil, fmt.Errorf("column %s must appear in GROUP BY or inside an aggregate", stray)
+	}
+	return expr.Transform(r, func(n expr.Expr) expr.Expr {
+		if c, ok := n.(*expr.ColRef); ok && c.Table == aggMark {
+			cp := *c
+			cp.Table = ""
+			return &cp
+		}
+		return n
+	}), nil
 }
 
 // buildSort plans ORDER BY over node's output, resolving each key once,
@@ -443,7 +454,8 @@ func (b *Builder) buildAggregate(input Node, groupBy []expr.Expr, items []expr.E
 // aggregates nothing, or that prints as an output column is named (an
 // unaliased select item is named as written), is an expression over
 // them; any other is a hidden column over the input of the select list's
-// projection — a UNION or DISTINCT has none — dropped after the Sort.
+// projection — a UNION or DISTINCT has none — dropped after the Sort,
+// its aggregates read from the Aggregate's columns that compute them.
 func (b *Builder) buildSort(node Node, order []sql.OrderItem) (Node, error) {
 	out := node.Schema()
 	keys := make([]SortKey, len(order))
@@ -467,12 +479,29 @@ func (b *Builder) buildSort(node Node, order []sql.OrderItem) (Node, error) {
 			continue
 		}
 		proj, isProj := node.(*Project)
-		if expr.HasAggregate(o.Expr) {
-			return nil, fmt.Errorf("ORDER BY %s: the select list does not compute this aggregate", o.Expr)
+		var agg *Aggregate // the select list's, under its HAVING filter
+		if isProj {
+			in := proj.Input
+			if f, ok := in.(*Filter); ok {
+				in = f.Input
+			}
+			agg, _ = in.(*Aggregate)
+		}
+		hasAgg := expr.HasAggregate(o.Expr)
+		if hasAgg && agg == nil {
+			return nil, fmt.Errorf("ORDER BY %s: %w", o.Expr, errUncomputed)
 		} else if !isProj {
 			return nil, fmt.Errorf("ORDER BY %s does not name an output column", o.Expr)
 		}
-		bound, err := expr.Bind(o.Expr, proj.Input.Schema())
+		var bound expr.Expr
+		var err error
+		if hasAgg {
+			if bound, err = expr.Bind(o.Expr, agg.Input.Schema()); err == nil {
+				bound, err = overAggregate(agg, bound)
+			}
+		} else {
+			bound, err = expr.Bind(o.Expr, proj.Input.Schema())
+		}
 		if err != nil {
 			return nil, fmt.Errorf("cannot resolve ORDER BY expression %s: %w", o.Expr, err)
 		}

@@ -813,8 +813,8 @@ func TestAbortWhileScanned(t *testing.T) {
 // The rows of the orders table, indexes dropped — three numbers and one
 // of four shared region strings a row — hold 40 B a row of values in
 // their vectors, and each chunk's live bitmap, header and stamps add
-// about 2 B: at most 48 B a row, where a row of Values takes 152 B (a
-// 24 B slice header and 4 × 32 B).
+// about 2 B: at most 48 B a row, where a row of Values takes 120 B (a
+// 24 B slice header and 4 × 24 B).
 func TestRowBytesPerRow(t *testing.T) {
 	const n, ceiling = 100000, 48
 	s := New("bench")

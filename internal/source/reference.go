@@ -147,7 +147,7 @@ func DrainOwned(it RowIter) ([]types.Row, error) {
 		return rows, err
 	}
 	for i, r := range rows {
-		if !slices.Equal(r, c.copies[i]) {
+		if !slices.EqualFunc(r, c.copies[i], types.Identical) {
 			return rows, fmt.Errorf("source: row %d of %d was delivered as %v and reads %v at the end of the stream: a kept row was lent", i, len(rows), c.copies[i], r)
 		}
 	}

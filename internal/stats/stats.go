@@ -380,6 +380,21 @@ func clamp(f float64) float64 {
 	return f
 }
 
+// Identical reports whether a and b are the same statistics to the bit:
+// counts, bounds and histograms, a value as types.Identical compares it.
+func Identical(a, b *TableStats) bool {
+	return a.RowCount == b.RowCount && slices.EqualFunc(a.Columns, b.Columns, identicalColumn)
+}
+
+func identicalColumn(x, y ColumnStats) bool {
+	if x.NDV != y.NDV || x.NullCount != y.NullCount || !types.Identical(x.Min, y.Min) ||
+		!types.Identical(x.Max, y.Max) || (x.Hist == nil) != (y.Hist == nil) {
+		return false
+	}
+	return x.Hist == nil || x.Hist.Total == y.Hist.Total && slices.Equal(x.Hist.Counts, y.Hist.Counts) &&
+		slices.EqualFunc(x.Hist.Bounds, y.Hist.Bounds, types.Identical)
+}
+
 // String renders table stats compactly.
 func (t *TableStats) String() string {
 	if t == nil {

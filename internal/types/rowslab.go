@@ -2,25 +2,20 @@ package types
 
 import "unsafe"
 
-// The allocator facts RowSlab's chunk sizes are cut to (runtime/malloc.go
-// and sizeclasses.go; TestRowSlabBytes pins their consequence). Every
-// multiple of 32 B up to 512 B is its own size class. A pointer-bearing
-// object over 512 B carries an 8-byte malloc header and the classes
-// above it lie up to an eighth apart, so a chunk of n rows there wastes
-// 3–19% — unless it is cut to end a header short of a power of two,
-// which always is a class, and is long enough that the one row and the
-// header it leaves unused are under 2% of it. 32 KiB is the largest
-// class; one byte more is a page-rounded large object.
+// RowSlab's chunk sizes (DESIGN.md "Row slabs"; TestRowSlabBytes pins
+// their consequence). A chunk is asked of the allocator by its rows and
+// takes whatever its size class has room for, so rounding wastes at most
+// the part of a row that does not fit. 32 KiB, malloc header included,
+// is the largest class; one byte more is a page-rounded large object.
 const (
 	valueBytes     = int(unsafe.Sizeof(Value{}))
 	mallocHeader   = 8
-	maxHeaderless  = 512
 	maxSmallObject = 32 << 10
-	// slabFullRows is how many rows the power-of-two class of a full
-	// chunk has room for before the header is taken out of it.
-	slabFullRows = 64
+	// slabFullRows is the most rows a chunk is asked for, so a stream
+	// of thousands of rows pays for at most a few dozen it does not use.
+	slabFullRows = 48
 	// slabTailShare bounds what a stream that ends early has paid for
-	// and not used: a chunk holds at most 1/32 of the rows carved before
+	// and not used: a chunk holds about 1/32 of the rows carved before
 	// it. It also means the first 64 rows of any stream are allocated
 	// one by one, exactly as make(Row, w) would.
 	slabTailShare = 32
@@ -72,8 +67,7 @@ func (s *RowSlab) Next(w int) Row {
 		return s.chunk[:w:w]
 	}
 	if s.off+w > len(s.chunk) {
-		// One chunk per up to 127 rows, not one per row.
-		s.chunk, s.off = make([]Value, w*slabRows(s.rows, w)), 0
+		s.chunk, s.off = newChunk(w, slabRows(s.rows, w)), 0
 	}
 	row := s.chunk[s.off : s.off+w : s.off+w]
 	s.off += w
@@ -82,25 +76,25 @@ func (s *RowSlab) Next(w int) Row {
 }
 
 // slabRows sizes the next chunk of a stream that has carved rows rows
-// of width w: the tail share of them, in one of the two shapes that
-// waste nothing to size-class rounding. A headerless chunk (2–16 rows,
-// fewer the wider they are) serves until the share reaches a full chunk
-// (63–127 rows of up to 16 columns, what fits 32 KiB of wider ones; at
-// about 2 000–4 000 rows carved).
+// of width w: the tail share of them, at least one row, and at most a
+// full chunk's or what fits the largest size class.
 func slabRows(rows, w int) int {
-	rowBytes := w * valueBytes
-	n := rows / slabTailShare
-	if n*rowBytes > maxHeaderless {
-		class := 2 * maxHeaderless
-		for class < slabFullRows*rowBytes && class < maxSmallObject {
-			class *= 2
-		}
-		if full := (class - mallocHeader) / rowBytes; n >= full && full > 0 {
-			return full
-		}
-		n = maxHeaderless / rowBytes
+	return max(1, min(rows/slabTailShare, slabFullRows, (maxSmallObject-mallocHeader)/(w*valueBytes)))
+}
+
+// zeros is what a chunk is appended from. append, like slices.Grow,
+// rounds the chunk's capacity up to its size class; unlike slices.Grow,
+// it allocates nothing else when the race detector is on.
+var zeros [(maxSmallObject - mallocHeader) / valueBytes]Value
+
+// newChunk returns room for n rows of width w, and for as many more as
+// the size class the allocator rounds it up to holds.
+func newChunk(w, n int) []Value {
+	if w*n > len(zeros) {
+		return make([]Value, w) // one row wider than the largest class
 	}
-	return max(n, 1)
+	c := append([]Value(nil), zeros[:w*n]...)
+	return c[:cap(c)-cap(c)%w]
 }
 
 // Undo takes back row, which must be the row the last Next returned and

@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Kind enumerates the data types of the global type system.
@@ -83,13 +84,49 @@ func (k Kind) Numeric() bool { return k == KindInt || k == KindFloat }
 // NULL. Values are immutable by convention; Bytes payloads must not be
 // mutated after construction.
 //
-// The layout is a tagged union in 32 bytes (DESIGN.md "Value layout"):
-// only one payload is ever live, so the scalar kinds share one word.
+// The layout is a tagged union in 24 bytes (DESIGN.md "Value layout"):
+// only one payload is ever live, so the scalar kinds and a string's
+// length share one word. A Value is not comparable: == would compare a
+// string's address, not its bytes. Equal compares values, Identical
+// bits.
 type Value struct {
+	head
+	n uint64         // BOOL 0/1, INT bits, FLOAT bits, TIME unix seconds; STRING and BYTES: the length
+	p unsafe.Pointer // STRING and BYTES: the first byte; nil for every other kind
+}
+
+// head is a Value's first word. It holds the zero-size field that makes
+// Value incomparable, so that Value keeps three fields: a struct of more
+// than four is not kept in registers, and every Value would go through
+// memory.
+type head struct {
+	_    [0]func()
 	kind Kind
 	nsec uint32 // TIME: nanoseconds within the second, [0, 1e9)
-	n    uint64 // BOOL 0/1, INT bits, FLOAT bits, TIME unix seconds
-	s    string // STRING, and BYTES (keeps Value free of slices)
+}
+
+// word returns a value of kind k whose payload is the word n.
+func word(k Kind, n uint64) Value { return Value{head: head{kind: k}, n: n} }
+
+// stringValue returns a STRING or BYTES value holding s.
+func stringValue(k Kind, s string) Value {
+	return Value{head: head{kind: k}, n: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
+
+// str returns the STRING or BYTES payload, and "" for every other kind,
+// whose p is nil.
+func (v Value) str() string {
+	if v.p == nil {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), v.n)
+}
+
+// Identical reports whether a and b are the same value bit for bit: the
+// kind, the word, the nanoseconds and a string's bytes. It is what a
+// store must hand back of what it was given; Equal is what SQL means.
+func Identical(a, b Value) bool {
+	return a.kind == b.kind && a.n == b.n && a.nsec == b.nsec && a.str() == b.str()
 }
 
 // Null is the NULL value.
@@ -98,27 +135,27 @@ var Null = Value{}
 // NewBool returns a BOOL value.
 func NewBool(b bool) Value {
 	if b {
-		return Value{kind: KindBool, n: 1}
+		return word(KindBool, 1)
 	}
-	return Value{kind: KindBool}
+	return word(KindBool, 0)
 }
 
 // NewInt returns an INT value.
-func NewInt(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
+func NewInt(i int64) Value { return word(KindInt, uint64(i)) }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
+func NewFloat(f float64) Value { return word(KindFloat, math.Float64bits(f)) }
 
 // NewString returns a STRING value.
-func NewString(s string) Value { return Value{kind: KindString, s: s} }
+func NewString(s string) Value { return stringValue(KindString, s) }
 
 // NewBytes returns a BYTES value. The slice is copied.
-func NewBytes(b []byte) Value { return Value{kind: KindBytes, s: string(b)} }
+func NewBytes(b []byte) Value { return stringValue(KindBytes, string(b)) }
 
 // NewBytesOf returns a BYTES value whose payload is s's bytes. Nothing is
 // copied: a decoder that already holds the payload as a string hands it
 // over as it is.
-func NewBytesOf(s string) Value { return Value{kind: KindBytes, s: s} }
+func NewBytesOf(s string) Value { return stringValue(KindBytes, s) }
 
 // NewTime returns a TIME value. Only the instant is kept — as unix
 // seconds plus nanoseconds, which covers every time.Time — so the
@@ -126,7 +163,7 @@ func NewBytesOf(s string) Value { return Value{kind: KindBytes, s: s} }
 func NewTime(t time.Time) Value { return newUnixTime(t.Unix(), uint32(t.Nanosecond())) }
 
 func newUnixTime(sec int64, nsec uint32) Value {
-	return Value{kind: KindTime, nsec: nsec, n: uint64(sec)}
+	return Value{head: head{kind: KindTime, nsec: nsec}, n: uint64(sec)}
 }
 
 // Kind returns the value's kind. NULL values have KindNull.
@@ -145,10 +182,10 @@ func (v Value) Int() int64 { return int64(v.n) }
 func (v Value) Float() float64 { return math.Float64frombits(v.n) }
 
 // Str returns the STRING payload; it must only be called when Kind()==KindString.
-func (v Value) Str() string { return v.s }
+func (v Value) Str() string { return v.str() }
 
 // Bytes returns a copy of the BYTES payload.
-func (v Value) Bytes() []byte { return []byte(v.s) }
+func (v Value) Bytes() []byte { return []byte(v.str()) }
 
 // Time returns the TIME payload, in UTC; it must only be called when
 // Kind()==KindTime.
@@ -178,9 +215,9 @@ func (v Value) String() string {
 	case KindFloat:
 		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
-		return v.s
+		return v.str()
 	case KindBytes:
-		return fmt.Sprintf("x'%x'", v.s)
+		return fmt.Sprintf("x'%x'", v.str())
 	case KindTime:
 		return v.Time().Format(time.RFC3339Nano)
 	default:
@@ -194,7 +231,7 @@ func (v Value) String() string {
 func (v Value) SQL() string {
 	switch v.kind {
 	case KindString:
-		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
+		return "'" + strings.ReplaceAll(v.str(), "'", "''") + "'"
 	case KindTime:
 		return "'" + v.String() + "'"
 	case KindFloat:
@@ -229,7 +266,7 @@ func (v Value) Equal(o Value) bool {
 	case KindFloat:
 		return v.Float() == o.Float()
 	case KindString, KindBytes:
-		return v.s == o.s
+		return v.str() == o.str()
 	case KindTime:
 		return v.n == o.n && v.nsec == o.nsec
 	}
@@ -267,7 +304,7 @@ func (v Value) Compare(o Value) int {
 	case KindFloat:
 		return compareFloat(v.Float(), o.Float())
 	case KindString, KindBytes:
-		return strings.Compare(v.s, o.s)
+		return strings.Compare(v.str(), o.str())
 	case KindTime:
 		if c := compareInt(int64(v.n), int64(o.n)); c != 0 {
 			return c
@@ -338,8 +375,9 @@ func (v Value) Hash(seed uint64) uint64 {
 		}
 	case KindString, KindBytes:
 		h = fnvByte(h, byte(v.kind))
-		for i := 0; i < len(v.s); i++ {
-			h = fnvByte(h, v.s[i])
+		s := v.str()
+		for i := 0; i < len(s); i++ {
+			h = fnvByte(h, s[i])
 		}
 	case KindTime:
 		h = fnvByte(h, 6)
@@ -365,9 +403,9 @@ func (v Value) Coerce(to Kind) (Value, error) {
 		case KindInt:
 			return NewBool(v.n != 0), nil
 		case KindString:
-			b, err := strconv.ParseBool(strings.ToLower(v.s))
+			b, err := strconv.ParseBool(strings.ToLower(v.str()))
 			if err != nil {
-				return Null, fmt.Errorf("cannot coerce %q to BOOL", v.s)
+				return Null, fmt.Errorf("cannot coerce %q to BOOL", v.str())
 			}
 			return NewBool(b), nil
 		default:
@@ -384,9 +422,9 @@ func (v Value) Coerce(to Kind) (Value, error) {
 		case KindBool:
 			return NewInt(int64(v.n)), nil
 		case KindString:
-			i, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
+			i, err := strconv.ParseInt(strings.TrimSpace(v.str()), 10, 64)
 			if err != nil {
-				return Null, fmt.Errorf("cannot coerce %q to INT", v.s)
+				return Null, fmt.Errorf("cannot coerce %q to INT", v.str())
 			}
 			return NewInt(i), nil
 		case KindTime:
@@ -399,9 +437,9 @@ func (v Value) Coerce(to Kind) (Value, error) {
 		case KindInt:
 			return NewFloat(float64(v.Int())), nil
 		case KindString:
-			f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
+			f, err := strconv.ParseFloat(strings.TrimSpace(v.str()), 64)
 			if err != nil {
-				return Null, fmt.Errorf("cannot coerce %q to FLOAT", v.s)
+				return Null, fmt.Errorf("cannot coerce %q to FLOAT", v.str())
 			}
 			return NewFloat(f), nil
 		default:
@@ -411,12 +449,12 @@ func (v Value) Coerce(to Kind) (Value, error) {
 		return NewString(v.String()), nil
 	case KindBytes:
 		if v.kind == KindString {
-			return NewBytesOf(v.s), nil
+			return NewBytesOf(v.str()), nil
 		}
 	case KindTime:
 		switch v.kind {
 		case KindString:
-			t, err := ParseTime(v.s)
+			t, err := ParseTime(v.str())
 			if err != nil {
 				return Null, err
 			}
@@ -463,7 +501,7 @@ func (v Value) EstimatedSize() int {
 	case KindInt, KindFloat:
 		return 9
 	case KindString, KindBytes:
-		return 3 + len(v.s)
+		return 3 + int(v.n)
 	case KindTime:
 		return 13
 	default:

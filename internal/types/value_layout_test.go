@@ -2,6 +2,7 @@ package types
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -124,8 +125,16 @@ func TestTimeRoundTrip(t *testing.T) {
 }
 
 func TestValueSize(t *testing.T) {
-	if sz := unsafe.Sizeof(Value{}); sz > 32 {
-		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want <= 32", sz)
+	if sz := unsafe.Sizeof(Value{}); sz != 24 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 24", sz)
+	}
+}
+
+// TestValueIsNotComparable: == on two Values would compare a string's
+// address, not its bytes, so the compiler must refuse it.
+func TestValueIsNotComparable(t *testing.T) {
+	if reflect.TypeOf(Value{}).Comparable() {
+		t.Fatal("types.Value is comparable")
 	}
 }
 

@@ -52,18 +52,17 @@ func (v *Vector) At(i int) Value {
 	}
 	switch v.kind {
 	case KindString, KindBytes:
-		return Value{kind: v.kind, s: v.strs[i]}
+		return stringValue(v.kind, v.strs[i])
 	case KindTime:
-		return Value{kind: KindTime, n: v.words[i], nsec: v.nsec[i]}
+		return newUnixTime(int64(v.words[i]), v.nsec[i])
 	default:
-		return Value{kind: v.kind, n: v.words[i]}
+		return word(v.kind, v.words[i])
 	}
 }
 
 // Holds reports whether value i is x, bit for bit.
 func (v *Vector) Holds(i int, x Value) bool {
-	y := v.At(i)
-	return y.kind == x.kind && y.n == x.n && y.nsec == x.nsec && y.s == x.s
+	return Identical(v.At(i), x)
 }
 
 // Append adds x at the end.
@@ -83,7 +82,7 @@ func (v *Vector) Set(i int, x Value) {
 		panic(fmt.Sprintf("types: a %s value in a %s vector", x.kind, v.kind))
 	}
 	if v.strings() {
-		v.strs[i] = x.s
+		v.strs[i] = x.str()
 	} else if v.words[i] = x.n; v.kind == KindTime {
 		v.nsec[i] = x.nsec
 	}

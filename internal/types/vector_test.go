@@ -9,12 +9,6 @@ import (
 	"time"
 )
 
-// same reports whether a and b are the same value bit for bit: what a
-// vector must hand back of what it was given.
-func same(a, b Value) bool {
-	return a.kind == b.kind && a.n == b.n && a.nsec == b.nsec && a.s == b.s
-}
-
 // vectorCorpus is, per kind, the values a vector of it must keep: the
 // edges of each payload, NULLs among them.
 func vectorCorpus() map[Kind][]Value {
@@ -40,7 +34,7 @@ func checkVector(t *testing.T, name string, v *Vector, model []Value) {
 		t.Fatalf("%s: %d values, want %d", name, v.Len(), len(model))
 	}
 	for i, want := range model {
-		if got := v.At(i); !same(got, want) || !v.Holds(i, want) {
+		if got := v.At(i); !Identical(got, want) || !v.Holds(i, want) {
 			t.Fatalf("%s: value %d = %#v, want %#v", name, i, got, want)
 		}
 	}
@@ -113,10 +107,15 @@ func FuzzVector(f *testing.F) {
 	f.Add([]byte{6, 0, 7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 9, 9, 2, 0, 1, 1, 0, 0})
 	f.Add([]byte("\x04append set clone; strings of every length and NULLs between them"))
 	f.Add([]byte{1, 0, 5, 0, 1, 0, 0, 2, 0, 1, 1, 1, 0})
+	// Strings next to each other in the block, empty ones, and a last
+	// one, empty or not, that ends where the block does.
+	f.Add([]byte("\x04\x00\x00\x01\x03abc\x00\x00\x01\x00\x03\x00\x00\x01\x02de\x01\x00\x01\x01\x03fgh\x00\x00\x01\x04ijkl\x00\x00\x01\x00"))
+	f.Add([]byte("\x05\x00\x00\x01\x02\x00\xff\x00\x00\x01\x00\x02\x00\x00\x01\x01\x01z"))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) == 0 {
 			return
 		}
+		block := string(in)
 		kind := Kind(in[0] % 7)
 		in = in[1:]
 		next := func() byte {
@@ -126,6 +125,19 @@ func FuzzVector(f *testing.F) {
 			b := in[0]
 			in = in[1:]
 			return b
+		}
+		// text takes the next n bytes as a string cut from block, as
+		// wire's decoder cuts a frame's strings from one block; past the
+		// end of the input it reads zeros, as next does.
+		text := func(n int) string {
+			at := len(block) - len(in)
+			if n > len(in) {
+				s := block[at:] + strings.Repeat("\x00", n-len(in))
+				in = nil
+				return s
+			}
+			in = in[n:]
+			return block[at : at+n]
 		}
 		word := func() uint64 {
 			var b [8]byte
@@ -148,14 +160,11 @@ func FuzzVector(f *testing.F) {
 			case KindTime:
 				return newUnixTime(int64(word()), uint32(word()%1e9))
 			}
-			s := make([]byte, next()%40)
-			for i := range s {
-				s[i] = next()
-			}
+			s := text(int(next() % 40))
 			if kind == KindBytes {
-				return NewBytes(s)
+				return NewBytesOf(s)
 			}
-			return NewString(string(s))
+			return NewString(s)
 		}
 		vecs, models := []*Vector{{kind: kind}}, [][]Value{nil}
 		for steps := 0; len(in) > 0 && steps < 200; steps++ {

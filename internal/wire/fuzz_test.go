@@ -267,7 +267,7 @@ func FuzzDecoder(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		encode, err := body.decode(NewDecoder(data))
 		runtime.ReadMemStats(&after)
-		// The widest thing a byte can stand for is a 32-byte NULL Value
+		// The widest thing a byte can stand for is a 24-byte NULL Value
 		// or a tree node of a few words; the slack covers the runtime's
 		// own background allocation.
 		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(512*len(data)+1<<16); got > bound {

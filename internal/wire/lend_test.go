@@ -97,7 +97,7 @@ func TestLentStreamEqualsKept(t *testing.T) {
 		t.Fatalf("kept stream: %d rows, %v", len(want), err)
 	}
 	for i, r := range want {
-		if exp := src.row(make(types.Row, 3+src.wide[i]), i); !slices.Equal(r, exp) {
+		if exp := src.row(make(types.Row, 3+src.wide[i]), i); !slices.EqualFunc(r, exp, types.Identical) {
 			t.Fatalf("kept stream: row %d = %v, want %v", i, r, exp)
 		}
 	}
@@ -112,7 +112,7 @@ func TestLentStreamEqualsKept(t *testing.T) {
 		t.Fatalf("lent stream: %d rows, %v", len(got), err)
 	}
 	for i := range got {
-		if !slices.Equal(got[i], want[i]) {
+		if !slices.EqualFunc(got[i], want[i], types.Identical) {
 			t.Fatalf("lent stream: row %d = %v, kept stream has %v", i, got[i], want[i])
 		}
 	}
@@ -155,7 +155,7 @@ func TestLentRelstoreStreamEqualsKept(t *testing.T) {
 			t.Fatalf("lent %v: %d rows, %v; want %d", lent, len(got), err, len(want))
 		}
 		for i := range got {
-			if !slices.Equal(got[i], want[i]) {
+			if !slices.EqualFunc(got[i], want[i], types.Identical) {
 				t.Fatalf("lent %v: row %d = %v, the store has %v", lent, i, got[i], want[i])
 			}
 		}
