@@ -152,50 +152,6 @@ func (m *ColumnMapping) affineBound(op expr.BinOp, v types.Value) (types.Value, 
 	return types.NewFloat(c), op, steps > 0 && !math.IsNaN(c) && !math.IsInf(c, 0)
 }
 
-// NeedsTranslation reports whether any of the given global columns has a
-// non-identity mapping (so row values must be converted).
-func (f *Fragment) NeedsTranslation(globalCols []int) bool {
-	for _, g := range globalCols {
-		if !f.Columns[g].Identity() {
-			return true
-		}
-	}
-	return false
-}
-
-// RemoteCols maps the requested global columns to remote positions.
-// Constant-mapped columns contribute no remote column.
-func (f *Fragment) RemoteCols(globalCols []int) []int {
-	remote := make([]int, 0, len(globalCols))
-	for _, g := range globalCols {
-		if rc := f.Columns[g].RemoteCol; rc >= 0 {
-			remote = append(remote, rc)
-		}
-	}
-	return remote
-}
-
-// RowPositions says where each of globalCols sits in a row the source
-// returns: in the projection RemoteCols(globalCols) when the source was
-// asked for it, in the whole remote row otherwise; -1 for a constant of
-// the fragment.
-func (f *Fragment) RowPositions(globalCols []int, projected bool) []int {
-	pos := make([]int, len(globalCols))
-	next := 0
-	for i, g := range globalCols {
-		switch rc := f.Columns[g].RemoteCol; {
-		case rc < 0:
-			pos[i] = -1
-		case projected:
-			pos[i] = next
-			next++
-		default:
-			pos[i] = rc
-		}
-	}
-	return pos
-}
-
 // TranslateInto converts a source's row into the global representation
 // of globalCols, coercing to the global column types. pos[i] is where
 // globalCols[i] sits in remoteRow, negative for a constant of the

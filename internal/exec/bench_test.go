@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -482,7 +483,17 @@ func TestOperatorAllocsDoNotGrowPerRow(t *testing.T) {
 		}
 		drain(it, 10)
 	}
-	if a, b := testing.AllocsPerRun(5, func() { topK(n) }), testing.AllocsPerRun(5, func() { topK(2 * n) }); a != b {
+	// Under -race a run now and then makes a stray allocation, which can
+	// only add to the count: each size is held to the fewest of several
+	// samples.
+	fewest := func(n int) float64 {
+		least := math.Inf(1)
+		for range 5 {
+			least = min(least, testing.AllocsPerRun(5, func() { topK(n) }))
+		}
+		return least
+	}
+	if a, b := fewest(n), fewest(2*n); a != b {
 		t.Errorf("limit→sort: %v allocations over %d rows, %v over %d", a, n, b, 2*n)
 	}
 

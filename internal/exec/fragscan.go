@@ -18,12 +18,14 @@ import (
 // remote table schema injected by the semijoin strategy; it must satisfy
 // the source's capabilities.
 //
+// What the mediator does is the plan's to say: a scan with positions
+// (FragScan.Pos) builds its rows, one with an Out projects them, and
+// one with neither hands the source's rows on.
+//
 // lent is what the scan's consumer said (runNode). A scan that builds
 // its rows is done with the source's row once it has, so it asks the
 // source for lent rows and lends its own iff its consumer asked; one
-// that hands the source's rows on — nothing to translate, filter or
-// project, or a pushed aggregation, whose output is final — asks the
-// source what it was asked.
+// that hands the source's rows on asks the source what it was asked.
 func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.Expr, lent bool) (source.RowIter, error) {
 	q := fs.Query
 	if extraRemoteFilter != nil {
@@ -45,23 +47,7 @@ func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.
 		ship.End()
 		return nil, fmt.Errorf("exec: fragment %s.%s: %w", fs.Frag.Source, fs.Frag.RemoteTable, err)
 	}
-	// The source's rows are the scan's when its query aggregates, and
-	// when every fetched column is a plain copy sitting where the output
-	// wants it and nothing is kept to filter.
-	var (
-		pos         []int
-		cut, builds bool
-	)
-	if !q.HasAggregation() {
-		pos = fs.Frag.RowPositions(fs.Cols, q.Columns != nil)
-		cut = !identityProjection(fs.Out, len(fs.Cols))
-		width := len(q.Columns)
-		if q.Columns == nil {
-			width = fs.Frag.Info().Schema.Len()
-		}
-		builds = cut || fs.GlobalResidual != nil || fs.Frag.NeedsTranslation(fs.Cols) || !identityProjection(pos, width)
-	}
-	if builds || lent {
+	if fs.Pos != nil || lent {
 		source.Lend(it)
 	}
 	if ship != nil {
@@ -76,28 +62,14 @@ func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.
 		}
 		it = wire
 	}
-	if !builds {
+	if fs.Pos == nil {
 		return it, nil
 	}
-	f := &fragIter{ctx: ctx, fs: fs, in: it, pos: pos, slab: slabFor(lent)}
-	if cut {
+	f := &fragIter{ctx: ctx, fs: fs, in: it, slab: slabFor(lent)}
+	if fs.Out != nil {
 		f.scratch = make(types.Row, len(fs.Cols))
 	}
 	return f, nil
-}
-
-// identityProjection reports whether out keeps a row of the given width
-// as it is: column i at position i, every column.
-func identityProjection(out []int, width int) bool {
-	if len(out) != width {
-		return false
-	}
-	for i, c := range out {
-		if c != i {
-			return false
-		}
-	}
-	return true
 }
 
 // fragIter is the mediator's half of a fragment scan. Of each row the
@@ -113,12 +85,8 @@ type fragIter struct {
 	fs  *plan.FragScan
 	in  source.RowIter
 
-	// pos[i] is where fetched column i sits in the source's row,
-	// negative for a constant of the fragment.
-	pos []int
-	// scratch is set when Out is not the whole fetched layout in place:
-	// every row is translated into it, and the ones that pass are
-	// projected out of it.
+	// scratch is set when the scan has an Out: every row is translated
+	// into it, and the ones that pass are projected out of it.
 	scratch types.Row
 	slab    types.RowSlab
 }
@@ -134,9 +102,9 @@ func (f *fragIter) Next() (types.Row, error) {
 		}
 		row, cut := f.scratch, f.scratch != nil
 		if !cut {
-			row = f.slab.Next(len(f.pos))
+			row = f.slab.Next(len(f.fs.Pos))
 		}
-		if err := f.fs.Frag.TranslateInto(row, f.fs.GlobalSchema, f.fs.Cols, f.pos, r); err != nil {
+		if err := f.fs.Frag.TranslateInto(row, f.fs.GlobalSchema, f.fs.Cols, f.fs.Pos, r); err != nil {
 			return nil, err
 		}
 		if f.fs.GlobalResidual != nil {

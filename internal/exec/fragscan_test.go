@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -98,7 +100,10 @@ func newScanFed(t testing.TB, caps source.Capabilities, n int) *scanFed {
 	for i := range all {
 		all[i] = i
 	}
-	pos := frag.RowPositions(all, false)
+	pos := make([]int, len(all)) // whole remote rows: each column at its remote position
+	for i, m := range frag.Columns {
+		pos[i] = m.RemoteCol
+	}
 	f.translated = make([]types.Row, n)
 	for i, r := range f.remote {
 		f.translated[i] = make(types.Row, len(all))
@@ -356,6 +361,78 @@ func TestRejectedRowsCostNoAllocation(t *testing.T) {
 		}
 		if kept := allocs(n, site("hq"), false, cols, n); kept <= none || kept > none+n/4 {
 			t.Errorf("cols %v: a kept scan of %d rows makes %v allocations, a lent one %v: the difference should be the slab chunks of the rows kept", cols, n, kept, none)
+		}
+	}
+}
+
+// heldSource answers every query with the one iterator it holds, rewound
+// over its rows: its Execute allocates nothing.
+type heldSource struct {
+	*refSource
+	it heldIter
+}
+
+func (s *heldSource) Execute(context.Context, *source.Query) (source.RowIter, error) {
+	s.it.next = 0
+	return &s.it, nil
+}
+
+type heldIter struct {
+	rows []types.Row
+	next int
+}
+
+func (it *heldIter) Next() (types.Row, error) {
+	if it.next == len(it.rows) {
+		return nil, io.EOF
+	}
+	it.next++
+	return it.rows[it.next-1], nil
+}
+
+func (it *heldIter) Close() error { return nil }
+
+// A scan whose source's rows are its own — every column a plain copy in
+// place, nothing kept to filter — is planned without positions and
+// hands the source's iterator on: executing it allocates nothing of its
+// own, whatever its consumer said.
+func TestPassThroughScanAllocatesNothing(t *testing.T) {
+	schema := types.NewSchema(intCol("k"), intCol("v"))
+	rows := []types.Row{{types.NewInt(1), types.NewInt(10)}, {types.NewInt(2), types.NewInt(20)}}
+	src := &heldSource{refSource: &refSource{info: &source.TableInfo{Schema: schema, RowCount: 2}}, it: heldIter{rows: rows}}
+	cat := catalog.New()
+	for _, err := range []error{cat.AddSource(src), cat.DefineTable("readings", schema), cat.MapSimple(ctx, "readings", "ref", "readings")} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab, err := cat.Table("readings")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := plan.Optimize(ctx, &plan.GlobalScan{Table: tab}, cat, nil)
+	fs, ok := n.(*plan.FragScan)
+	if err != nil || !ok || fs.Pos != nil || fs.Out != nil {
+		t.Fatalf("want a scan that hands the source's rows on, planned %s (%v)", plan.Explain(n), err)
+	}
+	for _, lent := range []bool{false, true} {
+		allocs := testing.AllocsPerRun(20, func() {
+			it, err := runFragScan(ctx, fs, nil, lent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for ; ; n++ {
+				if _, err := it.Next(); err != nil {
+					break
+				}
+			}
+			if it.Close(); n != len(rows) {
+				t.Fatalf("%d rows, want %d", n, len(rows))
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("lent %v: a pass-through scan execution allocates %v objects, want 0", lent, allocs)
 		}
 	}
 }

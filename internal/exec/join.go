@@ -12,10 +12,6 @@ import (
 	"gis/internal/types"
 )
 
-// semiJoinKeyLimit chunks IN-lists shipped by the semijoin strategy so a
-// single remote query stays bounded.
-const semiJoinKeyLimit = 1000
-
 // runJoin dispatches on the join's distributed strategy. lent is what
 // the join's consumer said (runNode).
 func runJoin(ctx context.Context, j *plan.Join, lent bool) (source.RowIter, error) {
@@ -238,15 +234,13 @@ func (h *joinIter) Close() error {
 
 // runKeyShippedJoin implements the semijoin strategy: materialize the
 // left input, ship its distinct join-key values to the right side's
-// fragment scans as IN predicates (semiJoinKeyLimit to a sub-query), and
-// join the reduced right side at the mediator. A key goes only to the
-// fragments whose partition predicate admits it, as ColumnMapping.ToRemote
-// gives it; one it has no remote form for matches no row there and is
-// dropped, and a fragment left with no keys is not asked. The right side
-// arrives through the one merge (runMerge), its fragments fetched at once
-// or in plan order as its union says. Both sides are kept, charged to
-// the statement's quota until the join closes; the joined rows are lent
-// iff lent.
+// fragment scans, and join the reduced right side at the mediator. Which
+// keys go to which fragment, and in how many sub-queries, is the plan's
+// to say (FragScan.AppendKeyFilters); a fragment it gives none is not
+// asked. The right side arrives through the one merge (runMerge), its
+// fragments fetched at once or in plan order as its union says. Both
+// sides are kept, charged to the statement's quota until the join
+// closes; the joined rows are lent iff lent.
 func runKeyShippedJoin(ctx context.Context, j *plan.Join, lent bool) (_ source.RowIter, err error) {
 	acct := accountOn(ctx)
 	defer acct.closeOnError(&err)
@@ -270,26 +264,15 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, lent bool) (_ source.R
 	if scans == nil {
 		return nil, fmt.Errorf("exec: %s strategy requires fragment scans on the right side", j.Strategy)
 	}
-	// One merge input per fragment and chunk of the keys it admits.
+	// One merge input per fragment and sub-query of its keys.
 	inputs := make([]plan.Node, 0, len(scans))
 	preds := make([]expr.Expr, 0, len(scans))
-	admitted := make([]types.Value, 0, len(keys))
 	for _, fs := range scans {
-		mapping, ok := fs.CanBindOn(j.EquiR[0])
-		if !ok {
-			return nil, fmt.Errorf("exec: fragment %s.%s cannot accept join keys", fs.Frag.Source, fs.Frag.RemoteTable)
+		if preds, err = fs.AppendKeyFilters(preds, j.EquiR[0], keys); err != nil {
+			return nil, err
 		}
-		where, _ := expr.ColumnRange(fs.Frag.Where, fs.Cols[fs.Out[j.EquiR[0]]])
-		admitted = admitted[:0]
-		for _, k := range keys {
-			if rv, ok := mapping.ToRemote(k); ok && where.Admits(k) {
-				admitted = append(admitted, rv)
-			}
-		}
-		rtype := fs.Frag.Info().Schema.Columns[mapping.RemoteCol].Type
-		for start := 0; start < len(admitted); start += semiJoinKeyLimit {
+		for len(inputs) < len(preds) {
 			inputs = append(inputs, fs)
-			preds = append(preds, keyPredicate(mapping.RemoteCol, rtype, admitted[start:min(start+semiJoinKeyLimit, len(admitted))]))
 		}
 	}
 	u, _ := j.R.(*plan.Union)
@@ -298,18 +281,4 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, lent bool) (_ source.R
 		return nil, err
 	}
 	return joinRows(ctx, j, source.SliceIter(leftRows), right, acct, lent), nil
-}
-
-// keyPredicate is the predicate a chunk of remote key values ships as:
-// col = k for one, col IN (…) for more.
-func keyPredicate(col int, kind types.Kind, keys []types.Value) expr.Expr {
-	ref := expr.NewBoundColRef(col, kind, "")
-	if len(keys) == 1 {
-		return expr.NewBinary(expr.OpEq, ref, expr.NewConst(keys[0]))
-	}
-	list := make([]expr.Expr, len(keys))
-	for i, k := range keys {
-		list[i] = expr.NewConst(k)
-	}
-	return &expr.InList{E: ref, List: list}
 }

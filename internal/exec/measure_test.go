@@ -275,7 +275,7 @@ func (s countingSource) Execute(ctx context.Context, q *source.Query) (source.Ro
 }
 
 // TestKeyShippedJoinSubQueriesPerFragment: the keys of the left side go
-// to each right fragment in as few sub-queries as semiJoinKeyLimit
+// to each right fragment in as few sub-queries as plan's semiJoinKeyLimit
 // allows — one for the 40 keys of a left side the default planner ships
 // (which used to go out 16 at a time, three sub-queries one after
 // another), three for 2 500, which the semijoin has to be forced on —

@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"gis/internal/catalog"
-	"gis/internal/expr"
-	"gis/internal/source"
-	"gis/internal/types"
 )
 
 // decompose replaces every GlobalScan with per-fragment FragScans
@@ -68,68 +65,6 @@ func decomposeScan(gs *GlobalScan, cat *catalog.Catalog, parallel bool) (Node, e
 	return &Union{Inputs: scans, All: true, Parallel: parallel}, nil
 }
 
-// buildFragScan constructs one fragment's scan. Each conjunct of the
-// filter is decided once: it goes to the source iff it translates into
-// the source's representation and the source evaluates the translation;
-// otherwise it stays with the mediator as the query wrote it, to be
-// evaluated over translated rows — which is what the predicate means.
-// The projection goes to a source that projects; one that does not
-// returns whole rows and the scan reads what it needs by position.
-func buildFragScan(cat *catalog.Catalog, tab *catalog.GlobalTable, frag *catalog.Fragment,
-	requested []int, filter expr.Expr, outSchema *types.Schema) (*FragScan, error) {
-
-	src, err := cat.Source(frag.Source)
-	if err != nil {
-		return nil, err
-	}
-	caps, info := src.Capabilities(), frag.Info()
-	var conj, pushedBuf, keptBuf [8]expr.Expr
-	pushed, kept := pushedBuf[:0], keptBuf[:0]
-	for _, c := range expr.AppendConjuncts(conj[:0], filter) {
-		if rc, ok := frag.TranslateConjunct(c); ok && caps.CanFilter(info, rc) {
-			pushed = append(pushed, rc)
-		} else {
-			kept = append(kept, c)
-		}
-	}
-	residual := expr.Conjoin(kept)
-
-	// Fetched columns: requested plus whatever the kept filter reads,
-	// which is remapped onto that layout.
-	fetch, pos := expr.ColumnLayout(tab.Schema.Len(), requested, residual)
-	q := &source.Query{Table: frag.RemoteTable, Filter: expr.Conjoin(pushed), Limit: -1}
-	if caps.Project {
-		q.Columns = frag.RemoteCols(fetch)
-	}
-
-	// Output projection within the fetched layout.
-	out := make([]int, len(requested))
-	for i, c := range requested {
-		out[i] = pos[c]
-	}
-
-	return &FragScan{
-		Src:            src,
-		Frag:           frag,
-		Query:          q,
-		Cols:           fetch,
-		GlobalResidual: expr.Remap(residual, pos),
-		Out:            out,
-		GlobalSchema:   tab.Schema,
-		OutSchema:      outSchema,
-	}, nil
-}
-
-// The two constants of the strategy choice: a left input estimated at
-// fewKeys rows or fewer ships its keys whatever the estimates say (one
-// small IN list per right fragment); above it, the semijoin must be
-// estimated to move less than semiJoinGain of the rows that shipping
-// both sides whole would.
-const (
-	fewKeys      = 64
-	semiJoinGain = 0.8
-)
-
 // chooseStrategies assigns a distributed execution strategy to every
 // auto-strategy join whose right side is remote. forced overrides the
 // cost decision when not StrategyAuto.
@@ -151,7 +86,7 @@ func chooseStrategies(n Node, forced Strategy) Node {
 	// The right side must accept the join key remotely on every
 	// fragment for the semijoin to be legal.
 	for _, fs := range rights {
-		if _, ok := fs.CanBindOn(j.EquiR[0]); !ok {
+		if _, ok := fs.canBindOn(j.EquiR[0]); !ok {
 			j.Strategy = StrategyShipAll
 			return j
 		}

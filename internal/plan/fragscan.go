@@ -1,6 +1,9 @@
 package plan
 
 import (
+	"fmt"
+	"slices"
+
 	"gis/internal/catalog"
 	"gis/internal/expr"
 	"gis/internal/source"
@@ -10,17 +13,16 @@ import (
 // FragScan executes one fragment's share of a global scan: ship Query
 // to the fragment's source; translate each row to the global
 // representation of the fetched columns (Cols); filter it by
-// GlobalResidual; project it to Out. Decomposition produces these. A
-// scan whose Query aggregates has none of the mediator half: the
-// source's rows are its output as they come.
+// GlobalResidual; project it to Out. Decomposition produces these.
 //
-// This file and buildFragScan are also the one place that decides what
-// a fragment's source is asked to do. buildFragScan settles the filter,
-// conjunct by conjunct, and the projection when the scan is built; the
+// This file is also the one place that decides what a fragment's
+// source is asked to do and what the mediator does with the answer.
+// buildFragScan settles the filter, conjunct by conjunct, the
+// projection and the mediator's half when the scan is built; the
 // methods below answer, from the source's advertised capabilities and
 // the state of the scan, whether aggregation, an ordering, a limit or a
-// shipped join key may follow. The rewrite rules state only algebra and
-// ask here.
+// shipped join key may follow, and which keys each fragment is shipped.
+// The rewrite rules state only algebra and ask here; exec runs it.
 type FragScan struct {
 	Src   source.Source
 	Frag  *catalog.Fragment
@@ -36,8 +38,13 @@ type FragScan struct {
 	// layout.
 	GlobalResidual expr.Expr
 	// Out projects the fetched layout to the node's output (positions
-	// into Cols).
+	// into Cols); nil when the output is the fetched layout as it is.
 	Out []int
+	// Pos says where each fetched column sits in a row the source
+	// returns, negative for a constant of the fragment; nil when the
+	// source's rows are the scan's as they come (also when Query
+	// aggregates) and the mediator builds none.
+	Pos []int
 	// GlobalSchema is the full global table schema (for translation).
 	GlobalSchema *types.Schema
 	// OutSchema is the produced schema.
@@ -57,6 +64,79 @@ func (s *FragScan) Describe() string {
 		out += " globalFilter=" + s.GlobalResidual.String()
 	}
 	return out
+}
+
+// buildFragScan constructs one fragment's scan. Each conjunct of the
+// filter is decided once: it goes to the source iff it translates into
+// the source's representation and the source evaluates the translation;
+// otherwise it stays with the mediator as the query wrote it, to be
+// evaluated over translated rows — which is what the predicate means.
+// The projection goes to a source that projects; one that does not
+// returns whole rows and the scan reads what it needs by position.
+func buildFragScan(cat *catalog.Catalog, tab *catalog.GlobalTable, frag *catalog.Fragment,
+	requested []int, filter expr.Expr, outSchema *types.Schema) (*FragScan, error) {
+
+	src, err := cat.Source(frag.Source)
+	if err != nil {
+		return nil, err
+	}
+	caps, info := src.Capabilities(), frag.Info()
+	var conj, pushedBuf, keptBuf [8]expr.Expr
+	pushed, kept := pushedBuf[:0], keptBuf[:0]
+	for _, c := range expr.AppendConjuncts(conj[:0], filter) {
+		if rc, ok := frag.TranslateConjunct(c); ok && caps.CanFilter(info, rc) {
+			pushed = append(pushed, rc)
+		} else {
+			kept = append(kept, c)
+		}
+	}
+	residual := expr.Conjoin(kept)
+
+	// Fetched columns: requested plus whatever the kept filter reads,
+	// which is remapped onto that layout.
+	fetch, pos := expr.ColumnLayout(tab.Schema.Len(), requested, residual)
+	fs := &FragScan{
+		Src:            src,
+		Frag:           frag,
+		Query:          &source.Query{Table: frag.RemoteTable, Filter: expr.Conjoin(pushed), Limit: -1},
+		Cols:           fetch,
+		GlobalResidual: expr.Remap(residual, pos),
+		GlobalSchema:   tab.Schema,
+		OutSchema:      outSchema,
+	}
+	if !slices.Equal(requested, fetch) {
+		fs.Out = make([]int, len(requested))
+		for i, c := range requested {
+			fs.Out[i] = pos[c]
+		}
+	}
+
+	// Where each fetched column sits in a row the source returns: in the
+	// projection it is asked for when it projects, at its remote
+	// position in the whole row when not, -1 for a constant of the
+	// fragment. The layout's map is spent, and its storage holds them.
+	// The source's rows are the scan's as they come when each fetched
+	// column is a plain copy sitting where the output wants it and
+	// nothing is kept to filter; otherwise the mediator builds them.
+	if caps.Project {
+		fs.Query.Columns = make([]int, 0, len(fetch))
+	}
+	rowPos := pos[:0]
+	builds := residual != nil || fs.Out != nil || !caps.Project && len(fetch) != info.Schema.Len()
+	for i, g := range fetch {
+		m := &frag.Columns[g]
+		p := m.RemoteCol
+		if p >= 0 && caps.Project {
+			p = len(fs.Query.Columns)
+			fs.Query.Columns = append(fs.Query.Columns, m.RemoteCol)
+		}
+		builds = builds || p != i || !m.Identity()
+		rowPos = append(rowPos, p)
+	}
+	if builds {
+		fs.Pos = rowPos
+	}
+	return fs, nil
 }
 
 // FragScans returns the scans n is made of when n is a fragment scan or
@@ -85,14 +165,27 @@ func FragScans(n Node) []*FragScan {
 	}
 }
 
+// globalCol resolves an output column to the global column behind it;
+// -1 when the scan has no such column (an aggregating scan has none at
+// all).
+func (s *FragScan) globalCol(outCol int) int {
+	switch {
+	case s.Out != nil && outCol >= 0 && outCol < len(s.Out):
+		return s.Cols[s.Out[outCol]]
+	case s.Out == nil && outCol >= 0 && outCol < len(s.Cols):
+		return s.Cols[outCol]
+	}
+	return -1
+}
+
 // mapping resolves an output column to the fragment's mapping of the
-// global column behind it; nil when the scan has no such column (an
-// aggregating scan has none at all).
+// global column behind it; nil when the scan has no such column.
 func (s *FragScan) mapping(outCol int) *catalog.ColumnMapping {
-	if outCol < 0 || outCol >= len(s.Out) {
+	g := s.globalCol(outCol)
+	if g < 0 {
 		return nil
 	}
-	return &s.Frag.Columns[s.Cols[s.Out[outCol]]]
+	return &s.Frag.Columns[g]
 }
 
 // identityCol resolves an output column to the remote column it is a
@@ -148,18 +241,73 @@ func (s *FragScan) aggregated(groupBy []int, aggs []source.AggSpec, out *types.S
 	}
 }
 
-// CanBindOn reports whether the scan's source can evaluate an equality
+// canBindOn reports whether the scan's source can evaluate an equality
 // or IN-list predicate on the given output column against shipped join
 // keys, and returns the column's mapping (its RemoteCol is the column
 // the predicate names; the keys go through its ToRemote). The key must
 // translate back to the very remote value it came from, since the
 // source compares for equality: a unit-converted column inverts only up
-// to floating-point rounding, so it does not qualify. Used by the
-// semijoin strategy chooser and by the executor shipping the keys.
-func (s *FragScan) CanBindOn(outCol int) (*catalog.ColumnMapping, bool) {
+// to floating-point rounding, so it does not qualify.
+func (s *FragScan) canBindOn(outCol int) (*catalog.ColumnMapping, bool) {
 	m := s.mapping(outCol)
 	if m == nil || !m.InvertsExactly() || !s.Src.Capabilities().CanCompare(s.Frag.Info(), m.RemoteCol) {
 		return nil, false
 	}
 	return m, true
+}
+
+// The constants of the semijoin. A left input estimated at fewKeys rows
+// or fewer ships its keys whatever the estimates say (one small IN list
+// per right fragment); above it, the semijoin must be estimated to move
+// less than semiJoinGain of the rows that shipping both sides whole
+// would (chooseStrategies). The keys go semiJoinKeyLimit to a
+// sub-query, so that a single remote query stays bounded.
+const (
+	fewKeys          = 64
+	semiJoinGain     = 0.8
+	semiJoinKeyLimit = 1000
+)
+
+// AppendKeyFilters appends to preds the remote predicates that ship the
+// semijoin's keys (distinct, sorted) on output column col to the scan,
+// one per sub-query of at most semiJoinKeyLimit keys: col = k for one
+// key, col IN (…) for more. A key goes only where the fragment's
+// partition predicate admits it, as ColumnMapping.ToRemote gives it;
+// one it has no remote form for matches no row there and is dropped.
+// A fragment given no key is not to be asked.
+func (s *FragScan) AppendKeyFilters(preds []expr.Expr, col int, keys []types.Value) ([]expr.Expr, error) {
+	m, ok := s.canBindOn(col)
+	if !ok {
+		return preds, fmt.Errorf("plan: fragment %s.%s cannot accept join keys", s.Frag.Source, s.Frag.RemoteTable)
+	}
+	where, _ := expr.ColumnRange(s.Frag.Where, s.globalCol(col))
+	// Counted first, the constants of every sub-query are one array.
+	n := 0
+	for _, k := range keys {
+		if _, ok := m.ToRemote(k); ok && where.Admits(k) {
+			n++
+		}
+	}
+	consts := make([]expr.Const, 0, n)
+	for _, k := range keys {
+		if rv, ok := m.ToRemote(k); ok && where.Admits(k) {
+			consts = append(consts, expr.Const{Val: rv})
+		}
+	}
+	rtype := s.Frag.Info().Schema.Columns[m.RemoteCol].Type
+	for len(consts) > 0 {
+		chunk := consts[:min(len(consts), semiJoinKeyLimit)]
+		consts = consts[len(chunk):]
+		ref := expr.NewBoundColRef(m.RemoteCol, rtype, "")
+		if len(chunk) == 1 {
+			preds = append(preds, expr.NewBinary(expr.OpEq, ref, &chunk[0]))
+			continue
+		}
+		list := make([]expr.Expr, len(chunk))
+		for i := range chunk {
+			list[i] = &chunk[i]
+		}
+		preds = append(preds, &expr.InList{E: ref, List: list})
+	}
+	return preds, nil
 }

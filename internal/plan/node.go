@@ -457,7 +457,16 @@ func EstimateRows(n Node) float64 {
 		if t.GlobalResidual != nil {
 			sel *= stats.DefaultSel
 		}
-		return base * sel
+		// What the source is asked to do past the filter is priced as
+		// the operator it stands for.
+		rows := base * sel
+		if t.Query.HasAggregation() {
+			rows = aggregateRows(rows, len(t.Query.GroupBy) > 0)
+		}
+		if t.Query.Limit >= 0 {
+			rows = limitRows(t.Query.Limit, rows)
+		}
+		return rows
 	case *Filter:
 		return EstimateRows(t.Input) * stats.DefaultSel
 	case *Project:
@@ -468,22 +477,16 @@ func EstimateRows(n Node) float64 {
 		return l * r * condSel(t.Cond, sides[:])
 	case *Aggregate:
 		in := EstimateRows(t.Input)
-		if len(t.GroupBy) == 0 {
-			return 1
+		if scans := FragScans(t.Input); len(t.GroupBy) > 0 && len(scans) > 0 && scans[0].Query.HasAggregation() {
+			// The final half of a split aggregation merges the groups
+			// its fragments formed, which are priced already.
+			return in
 		}
-		g := in / 10
-		if g < 1 {
-			g = 1
-		}
-		return g
+		return aggregateRows(in, len(t.GroupBy) > 0)
 	case *Sort:
 		return EstimateRows(t.Input)
 	case *Limit:
-		in := EstimateRows(t.Input)
-		if float64(t.N) < in {
-			return float64(t.N)
-		}
-		return in
+		return limitRows(t.N, EstimateRows(t.Input))
 	case *Union:
 		var sum float64
 		for _, c := range t.Inputs {
@@ -496,6 +499,18 @@ func EstimateRows(n Node) float64 {
 		return 1000
 	}
 }
+
+// aggregateRows prices an aggregation of in rows: one row without
+// grouping, a tenth of the input (at least one) with it.
+func aggregateRows(in float64, grouped bool) float64 {
+	if !grouped {
+		return 1
+	}
+	return max(in/10, 1)
+}
+
+// limitRows prices a limit of n over in rows.
+func limitRows(n int64, in float64) float64 { return min(float64(n), in) }
 
 // condSel prices an inner join's condition over rels, the relations
 // whose concatenated columns it is bound over: the product of joinSel

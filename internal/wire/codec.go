@@ -454,21 +454,12 @@ func (d *Decoder) Row() (types.Row, error) {
 		return nil, err
 	}
 	r := make(types.Row, n)
-	if err := d.values(r); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// values fills dst with the next len(dst) values.
-func (d *Decoder) values(dst []types.Value) error {
-	for i := range dst {
-		var err error
-		if dst[i], err = d.Value(); err != nil {
-			return err
+	for i := range r {
+		if r[i], err = d.Value(); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return r, nil
 }
 
 // rowBatch reads a rows body — a row count, then that many rows: a
@@ -528,7 +519,7 @@ func (d *Decoder) rowBatch(batch []types.Row, slab []types.Value) ([]types.Row, 
 	return batch, slab, nil
 }
 
-// frameValues fills row i of a frame as values does, except that a
+// frameValues fills row i of a frame as Row does, except that a
 // STRING or BYTES payload is not copied out on its own: its bytes are
 // appended to strs and its slot is noted.
 func (d *Decoder) frameValues(row types.Row, i int, strs *stringScratch) error {
