@@ -3,8 +3,9 @@
 // representations (sex codes vs words), units (pounds vs kilograms), and
 // a site attribute that exists in neither system. The mediator presents
 // one clean global `patients` table, pushes predicates through the
-// mappings (inverting the value map and the unit conversion), and
-// de-duplicates patients registered at both sites.
+// mappings (inverting the value map and the unit conversion),
+// de-duplicates patients registered at both sites, and routes, prunes
+// and moves rows by the site each fragment stands for.
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 
 	"gis"
 	"gis/internal/relstore"
+	"gis/internal/source"
 	"gis/internal/types"
 )
 
@@ -115,6 +117,36 @@ func main() {
 		FROM patients GROUP BY site ORDER BY site`)
 	must(err)
 	fmt.Print(res)
+
+	// site is a constant of each fragment: every row hospB holds reads
+	// 'B'. A filter on it is decided when the query is planned, so
+	// hospA is not asked at all, and hospB is asked for everything.
+	fmt.Println("\nPatients at site B (EXPLAIN: hospA is pruned):")
+	out, err = e.Explain(ctx, "SELECT id, weight_kg FROM patients WHERE site = 'B'")
+	must(err)
+	fmt.Print(out)
+
+	// A written row goes to the one fragment that can hold it, site
+	// included: a new patient at B is stored by hospB, in pounds, and
+	// moving patient 3 to B deletes it at A and inserts it at B under one
+	// global transaction (two-phase commit).
+	mustN(e.Exec(ctx, "INSERT INTO patients VALUES (8, 'female', 68, 'B')"))
+	mustN(e.Exec(ctx, "UPDATE patients SET site = 'B' WHERE id = 3"))
+	fmt.Println("\nSite B after INSERT … site 'B' and moving patient 3 there:")
+	res, err = e.Query(ctx, "SELECT id, weight_kg, site FROM patients WHERE site = 'B' ORDER BY id")
+	must(err)
+	fmt.Print(res)
+	it, err := hospB.Execute(ctx, source.NewScan("people"))
+	must(err)
+	rows, err := source.Drain(it)
+	must(err)
+	fmt.Println("stored at hospB as (weight_lbs, person_id, gender):")
+	for _, r := range rows {
+		fmt.Println(" ", r)
+	}
+	for _, d := range e.Coordinator().Log().Decisions() {
+		fmt.Printf("global transaction %s: commit=%v, participants %v\n", d.TxID, d.Commit, d.Participants)
+	}
 }
 
 func must(err error) {

@@ -131,9 +131,7 @@ type Fragment struct {
 	// Columns has one mapping per global column.
 	Columns []ColumnMapping
 	// Where optionally describes which global rows live in this
-	// fragment (bound over the global schema). The planner prunes
-	// fragments whose predicate contradicts the query filter and
-	// re-checks rows at the mediator when sources overlap.
+	// fragment (bound over the global schema); Split and Holds read it.
 	Where expr.Expr
 
 	// info caches the remote table description.

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"gis/internal/expr"
@@ -185,7 +186,8 @@ func TestConstMapping(t *testing.T) {
 // weight_kg > 80 AND site = 'A' translates per fragment on its own — the
 // value-mapped one through the map's inverse, the identity one as it is,
 // the unit-converted one onto the remote bound — and the constant-mapped
-// one has no remote form.
+// one is decided by the fragment's constant: dropped at A, whose every
+// row reads site 'A', and pruning B, none of whose rows do.
 func TestConjunctTranslation(t *testing.T) {
 	c, _, _ := newHospitalFixture(t)
 	tab, _ := c.Table("patients")
@@ -200,17 +202,21 @@ func TestConjunctTranslation(t *testing.T) {
 	}
 	conj := expr.AppendConjuncts(nil, pred)
 	gender, weight, site := conj[0], conj[1], conj[2]
-	if rc, ok := fragA.TranslateConjunct(gender); !ok || rc.String() != "(sex = 'M')" {
+	if rc, ok := fragA.translateConjunct(gender); !ok || rc.String() != "(sex = 'M')" {
 		t.Errorf("value-mapped pushdown = %v, %v", rc, ok)
 	}
-	if _, ok := fragA.TranslateConjunct(weight); !ok {
+	if _, ok := fragA.translateConjunct(weight); !ok {
 		t.Error("identity-mapped conjunct did not translate")
 	}
-	if rc, ok := fragA.TranslateConjunct(site); ok {
-		t.Errorf("constant-mapped conjunct translated to %v", rc)
+	all := func(expr.Expr) bool { return true }
+	if pushed, kept, pruned := fragA.Split(site, all); pushed != nil || kept != nil || pruned {
+		t.Errorf("site = 'A' at A: pushed %v, kept %v, pruned %v; want it dropped", pushed, kept, pruned)
+	}
+	if _, _, pruned := fragB.Split(pred, all); !pruned {
+		t.Errorf("%s did not prune B", pred)
 	}
 	// Fragment B: weight_kg > 80 → weight_lbs > ~176.4.
-	rc, ok := fragB.TranslateConjunct(weight)
+	rc, ok := fragB.translateConjunct(weight)
 	b, _ := rc.(*expr.Binary)
 	if !ok || b == nil || b.L.(*expr.ColRef).Name != "weight_lbs" {
 		t.Fatalf("affine predicate did not push: %v, %v", rc, ok)
@@ -235,7 +241,7 @@ func TestNegativeScaleFlipsComparison(t *testing.T) {
 	}
 	tab, _ := c.Table("g")
 	pred, _ := expr.Bind(expr.NewBinary(expr.OpGt, expr.NewColRef("", "v"), expr.NewConst(types.NewFloat(5))), tab.Schema)
-	remote, ok := tab.Fragments[0].TranslateConjunct(pred)
+	remote, ok := tab.Fragments[0].translateConjunct(pred)
 	if !ok {
 		t.Fatal("predicate should push fully")
 	}
@@ -336,11 +342,11 @@ func TestPartitionPruning(t *testing.T) {
 		if e, err = expr.Bind(e, tab.Schema); err != nil {
 			t.Fatal(err)
 		}
-		if got := frag.PruneByPartition(e); got != p.prune {
+		if _, _, got := frag.Split(e, func(expr.Expr) bool { return true }); got != p.prune {
 			t.Errorf("id < 100, filtered by %s: pruned %v, want %v", p.filter, got, p.prune)
 		}
 	}
-	if frag.PruneByPartition(nil) {
+	if _, _, pruned := frag.Split(nil, nil); pruned {
 		t.Error("nil filter must not prune")
 	}
 }
@@ -435,7 +441,7 @@ func TestAffineComparisonTranslatesExactly(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				remote, ok := f.TranslateConjunct(global)
+				remote, ok := f.translateConjunct(global)
 				if op == expr.OpEq || op == expr.OpNe {
 					if ok {
 						t.Fatalf("scale %v: %s was translated to %s", m.Scale, global, remote)
@@ -468,7 +474,7 @@ func TestAffineComparisonTranslatesExactly(t *testing.T) {
 	// the inverse and the conjunct is kept rather than searched for.
 	f, schema := mappedColumn(t, types.KindFloat, types.KindFloat, ColumnMapping{Scale: 1e-30, Offset: 1})
 	global, _ := expr.Bind(expr.NewBinary(expr.OpLe, expr.NewColRef("", "g"), expr.NewConst(types.NewFloat(1))), schema)
-	if remote, ok := f.TranslateConjunct(global); ok {
+	if remote, ok := f.translateConjunct(global); ok {
 		t.Errorf("%s translated to %s", global, remote)
 	}
 }
@@ -489,7 +495,7 @@ func TestRetypedColumnIsNotIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if remote, ok := f.TranslateConjunct(global); ok {
+		if remote, ok := f.translateConjunct(global); ok {
 			t.Errorf("%s translated to %s", global, remote)
 		}
 	}
@@ -506,7 +512,7 @@ func TestRetypedColumnIsNotIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, ok := f.TranslateConjunct(global)
+	remote, ok := f.translateConjunct(global)
 	if !ok || remote.String() != "(r < 3.5)" {
 		t.Errorf("%s translated to %v, %v", global, remote, ok)
 	}
@@ -554,5 +560,146 @@ func BenchmarkTranslateInto(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestSplitAgreesWithTheFilter: Fragment.Split over a fragment with every
+// kind of mapping — g(id identity, status through a value map, kg
+// through an affine conversion, num retyped from INT to FLOAT, site the
+// constant 'x') holding id < 5 — against the filter it splits, over
+// every remote row of a small domain. Where it prunes the fragment, no
+// row the fragment holds passes the filter; where it does not, the
+// pushed translation over the remote row, ANDed with the kept conjuncts
+// over the translated row, is the filter over the translated row. The
+// source is drawn to accept or refuse each translation.
+func TestSplitAgreesWithTheFilter(t *testing.T) {
+	st := relstore.New("s")
+	if err := st.CreateTable("r", types.NewSchema(
+		types.Column{Name: "a", Type: types.KindInt},
+		types.Column{Name: "code", Type: types.KindString},
+		types.Column{Name: "lbs", Type: types.KindFloat},
+		types.Column{Name: "n", Type: types.KindInt},
+	), 0); err != nil {
+		t.Fatal(err)
+	}
+	c := New()
+	if err := c.AddSource(st); err != nil {
+		t.Fatal(err)
+	}
+	schema := types.NewSchema(
+		types.Column{Name: "id", Type: types.KindInt},
+		types.Column{Name: "status", Type: types.KindString},
+		types.Column{Name: "kg", Type: types.KindFloat},
+		types.Column{Name: "num", Type: types.KindFloat},
+		types.Column{Name: "site", Type: types.KindString},
+	)
+	if err := c.DefineTable("g", schema); err != nil {
+		t.Fatal(err)
+	}
+	site := types.NewString("x")
+	f := &Fragment{Source: "s", RemoteTable: "r",
+		Columns: []ColumnMapping{
+			{RemoteCol: 0},
+			{RemoteCol: 1, ValueMap: map[string]string{"A": "active", "I": "inactive"}},
+			{RemoteCol: 2, Scale: 0.5},
+			{RemoteCol: 3},
+			{RemoteCol: -1, Const: &site},
+		},
+		Where: expr.NewBinary(expr.OpLt, expr.NewColRef("", "id"), expr.NewConst(types.NewInt(5))),
+	}
+	if err := c.MapFragment(context.Background(), "g", f); err != nil {
+		t.Fatal(err)
+	}
+
+	str, num := types.NewString, func(v float64) types.Value { return types.NewFloat(v) }
+	var remote []types.Row
+	for _, a := range []types.Value{types.NewInt(1), types.NewInt(3), types.NewInt(6), types.Null} {
+		for _, code := range []types.Value{str("A"), str("I"), str("X"), types.Null} {
+			for _, lbs := range []types.Value{num(2), num(3), num(10), types.Null} {
+				for _, n := range []types.Value{types.NewInt(1), types.NewInt(4), types.Null} {
+					remote = append(remote, types.Row{a, code, lbs, n})
+				}
+			}
+		}
+	}
+	cols, pos := []int{0, 1, 2, 3, 4}, []int{0, 1, 2, 3, -1}
+	global := make([]types.Row, len(remote))
+	for i, r := range remote {
+		global[i] = make(types.Row, len(cols))
+		if err := f.TranslateInto(global[i], schema, cols, pos, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	values := [][]types.Value{
+		{types.NewInt(0), types.NewInt(1), types.NewInt(3), types.NewInt(5), types.NewInt(7), types.Null},
+		{str("active"), str("inactive"), str("A"), str("X"), types.Null},
+		{num(1), num(1.5), num(2), num(5), types.Null},
+		{num(1), num(2.5), num(4), types.Null},
+		{str("x"), str("y"), types.Null},
+	}
+	ops := []expr.BinOp{expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe}
+	r := rand.New(rand.NewSource(55))
+	conjunct := func() expr.Expr {
+		col := r.Intn(len(values))
+		ref := expr.NewColRef("", schema.Columns[col].Name)
+		val := expr.NewConst(values[col][r.Intn(len(values[col]))])
+		switch r.Intn(8) {
+		case 0:
+			return &expr.IsNull{E: ref, Negate: r.Intn(2) == 0}
+		case 1:
+			other := expr.NewBinary(expr.OpEq, expr.NewColRef("", "id"), expr.NewConst(types.NewInt(int64(r.Intn(7)))))
+			s := expr.NewConst(values[4][r.Intn(len(values[4]))])
+			return expr.NewBinary(expr.OpOr, expr.NewBinary(expr.OpEq, expr.NewColRef("", "site"), s), other)
+		case 2:
+			return &expr.InList{E: ref, List: []expr.Expr{val, expr.NewConst(values[col][r.Intn(len(values[col]))])}}
+		}
+		return expr.NewBinary(ops[r.Intn(len(ops))], ref, val)
+	}
+
+	var pruned, pushed, kept int
+	for i := 0; i < 2000 && !t.Failed(); i++ {
+		conj := make([]expr.Expr, 1+r.Intn(3))
+		for j := range conj {
+			conj[j] = conjunct()
+		}
+		filter, err := expr.Bind(expr.Conjoin(conj), schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, k, isPruned := f.Split(filter, func(expr.Expr) bool { return r.Intn(4) > 0 })
+		if isPruned {
+			pruned++
+		}
+		pushed += len(expr.AppendConjuncts(nil, p))
+		kept += len(expr.AppendConjuncts(nil, k))
+		for j := range remote {
+			want, err := expr.EvalBool(filter, global[j])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if isPruned {
+				if held, _ := f.Holds(global[j]); held && want {
+					t.Errorf("WHERE %s pruned the fragment, which holds %s, read as %s", filter, remote[j], global[j])
+				}
+				continue
+			}
+			got, gerr := p == nil, error(nil)
+			if !got {
+				got, gerr = expr.EvalBool(p, remote[j])
+			}
+			if k != nil && got && gerr == nil {
+				got, gerr = expr.EvalBool(k, global[j])
+			}
+			if gerr != nil || got != want {
+				t.Errorf("WHERE %s split as %v at the source, %v kept: remote row %s (read as %s) passes %v, %v; want %v",
+					filter, p, k, remote[j], global[j], got, gerr, want)
+				break
+			}
+		}
+	}
+	t.Logf("2 000 filters: %d pruned the fragment, %d conjuncts pushed, %d kept", pruned, pushed, kept)
+	if pruned < 100 || pushed < 100 || kept < 100 {
+		t.Errorf("%d pruned, %d pushed, %d kept: the draw says little", pruned, pushed, kept)
 	}
 }

@@ -88,8 +88,9 @@ func (g *rangeGen) filter() []expr.Expr {
 //     FilterKey, accepts each conjunct: it is shipped what it evaluates.
 //   - A relstore probing its index on k answers what the reference
 //     evaluator does over its table (which repeats a key and holds a NULL).
-//   - PruneByPartition is sound: when it prunes a fragment, no row of the
-//     domain passes both the filter and the fragment's predicate.
+//   - Fragment.Split's partition test is sound: when it prunes a
+//     fragment, no row of the domain passes both the filter and the
+//     fragment's predicate.
 //   - The estimator prices a filter at 0 exactly when the range it admits
 //     of k, or of v, is empty.
 func TestColumnRangeReadersAgree(t *testing.T) {
@@ -179,7 +180,7 @@ func TestColumnRangeReadersAgree(t *testing.T) {
 		}
 
 		frag := &Fragment{Where: expr.Conjoin([]expr.Expr{g.constraint(), g.constraint()}[:1+g.r.Intn(2)])}
-		if !frag.PruneByPartition(filter) {
+		if _, _, pruned := frag.Split(filter, func(expr.Expr) bool { return true }); !pruned {
 			continue
 		}
 		pruned++

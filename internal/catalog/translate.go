@@ -8,17 +8,88 @@ import (
 	"gis/internal/types"
 )
 
-// TranslateConjunct rewrites one conjunct of a global-schema predicate
-// into the fragment's remote schema for pushdown: a predicate that holds
-// of a remote row exactly when the conjunct holds of its translation. ok
-// is false when there is none to be had (the conjunct then stays at the
-// mediator):
-//   - references a constant-mapped or transformed column in a shape
-//     other than <col> cmp <const>,
-//   - needs a mapping inverted that does not invert, or not exactly
+// Split decides what the fragment does with a global filter, bound over
+// the global schema, for a read's scan and a write's WHERE alike. Each
+// conjunct is folded with the fragment's constants in place of its
+// constant-mapped columns, which read as the constant on every row the
+// fragment holds: one that folds to TRUE is dropped, one that folds to
+// FALSE or NULL prunes the fragment. So does a column its partition
+// predicate reads on which the values the predicate admits and those the
+// filter admits do not meet (expr.ColumnRange). pruned then reports that
+// no row the fragment holds passes the filter. Otherwise a conjunct goes
+// into pushed, in the remote representation, when it has an exact
+// remote translation (translateConjunct) and push accepts that, and
+// into kept, over the global schema, when not.
+func (f *Fragment) Split(filter expr.Expr, push func(remote expr.Expr) bool) (pushed, kept expr.Expr, pruned bool) {
+	expr.Columns(f.Where, func(c int) {
+		if !pruned && filter != nil {
+			where, _ := expr.ColumnRange(f.Where, c)
+			admitted, _ := expr.ColumnRange(filter, c)
+			pruned = where.Intersect(admitted).Empty()
+		}
+	})
+	var conj, pushedBuf, keptBuf [8]expr.Expr
+	p, k := pushedBuf[:0], keptBuf[:0]
+	for _, c := range expr.AppendConjuncts(conj[:0], filter) {
+		if pruned {
+			break
+		}
+		if fc := expr.Transform(c, func(n expr.Expr) expr.Expr {
+			if col, ok := n.(*expr.ColRef); ok && col.Index >= 0 && col.Index < len(f.Columns) && f.Columns[col.Index].Const != nil {
+				return expr.NewConst(*f.Columns[col.Index].Const)
+			}
+			return n
+		}); fc != c {
+			c = expr.FoldConstants(fc)
+		}
+		if v, ok := c.(*expr.Const); ok {
+			pruned = v.Val.Kind() != types.KindBool || !v.Val.Bool()
+		} else if rc, ok := f.translateConjunct(c); ok && push(rc) {
+			p = append(p, rc)
+		} else {
+			k = append(k, c)
+		}
+	}
+	if pruned {
+		return nil, nil, true
+	}
+	return expr.Conjoin(p), expr.Conjoin(k), false
+}
+
+// Holds reports whether the global row is the fragment's to hold: its
+// partition predicate holds of it, and each constant-mapped column is
+// NULL or the constant, as it reads back. Written rows are routed by it.
+func (f *Fragment) Holds(row types.Row) (bool, error) {
+	for g := range f.Columns {
+		if c := f.Columns[g].Const; c != nil && !row[g].IsNull() && !row[g].Equal(*c) {
+			return false, nil
+		}
+	}
+	if f.Where == nil {
+		return true, nil
+	}
+	return expr.EvalBool(f.Where, row)
+}
+
+// Decides reports whether Holds reads global column col: the partition
+// predicate reads it, or it is constant-mapped. Writing such a column may
+// move a row to another fragment.
+func (f *Fragment) Decides(col int) bool {
+	decides := f.Columns[col].Const != nil
+	expr.Columns(f.Where, func(c int) { decides = decides || c == col })
+	return decides
+}
+
+// translateConjunct rewrites one conjunct of a global-schema predicate
+// into the fragment's remote schema: a predicate that holds of a remote
+// row exactly when the conjunct holds of its translation. ok is false
+// when there is none to be had:
+//   - it references a transformed column in a shape other than
+//     <col> cmp <const>,
+//   - it needs a mapping inverted that does not invert, or not exactly
 //     (translateComparison),
-//   - contains a subquery.
-func (f *Fragment) TranslateConjunct(c expr.Expr) (expr.Expr, bool) {
+//   - it contains a subquery.
+func (f *Fragment) translateConjunct(c expr.Expr) (expr.Expr, bool) {
 	if c == nil || expr.HasSubquery(c) {
 		return nil, false
 	}
@@ -76,8 +147,7 @@ func (f *Fragment) translateComparison(c expr.Expr) (expr.Expr, bool) {
 	m := &f.Columns[col.Index]
 	rv := val
 	switch {
-	case m.Const != nil,
-		m.ValueMap != nil && op != expr.OpEq && op != expr.OpNe,
+	case m.ValueMap != nil && op != expr.OpEq && op != expr.OpNe,
 		m.retyped() && !(m.remoteKind.Numeric() && m.globalKind.Numeric()):
 		return nil, false
 	case m.hasAffine():
@@ -177,27 +247,6 @@ func (f *Fragment) TranslateInto(dst types.Row, globalSchema *types.Schema, glob
 		dst[i] = gv
 	}
 	return nil
-}
-
-// PruneByPartition reports whether the fragment can be skipped entirely
-// for a query filter: true when, on some column its partition predicate
-// reads, the values the filter admits and the values the predicate
-// admits do not meet (expr.ColumnRange on each side). A conjunct that
-// constrains no single column to constants — a disjunction, a function
-// of the column — narrows nothing, so the check is conservative.
-func (f *Fragment) PruneByPartition(filter expr.Expr) bool {
-	if f.Where == nil || filter == nil {
-		return false
-	}
-	pruned := false
-	expr.Columns(f.Where, func(c int) {
-		if !pruned {
-			where, _ := expr.ColumnRange(f.Where, c)
-			admitted, _ := expr.ColumnRange(filter, c)
-			pruned = where.Intersect(admitted).Empty()
-		}
-	})
-	return pruned
 }
 
 // TranslateValue rewrites a global-space value expression (the right side

@@ -179,15 +179,26 @@ func insertWrites(tab *catalog.GlobalTable, ins *sql.InsertStmt) ([]fragWrite, e
 // insertRow is the write path's one row helper. It makes a global row of
 // base and the clauses (source.SetRow) and appends it, in the remote
 // layout, to the insert among inserts — one a fragment, in catalog order
-// — of the fragment whose partition predicate accepts it.
+// — of the one fragment that holds it (catalog.Fragment.Holds).
 func insertRow(inserts []fragWrite, tab *catalog.GlobalTable, base types.Row, sets []source.SetClause) ([]fragWrite, error) {
 	global, err := source.SetRow(tab.Schema, base, sets)
 	if err != nil {
 		return nil, err
 	}
-	frag, err := routeRow(tab, global)
-	if err != nil {
-		return nil, err
+	var frag *catalog.Fragment
+	for _, f := range tab.Fragments {
+		switch ok, err := f.Holds(global); {
+		case err != nil:
+			return nil, err
+		case ok && frag != nil:
+			return nil, fmt.Errorf("both %s.%s and %s.%s may hold the row; INSERT target is ambiguous",
+				frag.Source, frag.RemoteTable, f.Source, f.RemoteTable)
+		case ok:
+			frag = f
+		}
+	}
+	if frag == nil {
+		return nil, fmt.Errorf("no fragment holds the row: each one's partition predicate or constant-mapped columns refuse it")
 	}
 	remote, err := toRemoteRow(frag, tab, global)
 	if err != nil {
@@ -203,51 +214,12 @@ func insertRow(inserts []fragWrite, tab *catalog.GlobalTable, base types.Row, se
 	return inserts, nil
 }
 
-// routeRow picks the single fragment whose partition predicate accepts
-// the row. Tables without partition predicates must have exactly one
-// fragment to accept inserts.
-func routeRow(tab *catalog.GlobalTable, row types.Row) (*catalog.Fragment, error) {
-	var match *catalog.Fragment
-	anyPredicate := false
-	for _, f := range tab.Fragments {
-		if f.Where == nil {
-			continue
-		}
-		anyPredicate = true
-		switch ok, err := expr.EvalBool(f.Where, row); {
-		case err != nil:
-			return nil, err
-		case ok && match != nil:
-			return nil, fmt.Errorf("row matches the partition predicates of both %s.%s and %s.%s",
-				match.Source, match.RemoteTable, f.Source, f.RemoteTable)
-		case ok:
-			match = f
-		}
-	}
-	switch {
-	case match != nil:
-		return match, nil
-	case anyPredicate:
-		return nil, fmt.Errorf("row matches no fragment's partition predicate")
-	case len(tab.Fragments) == 1:
-		return tab.Fragments[0], nil
-	}
-	return nil, fmt.Errorf("table has %d fragments without partition predicates; INSERT target is ambiguous", len(tab.Fragments))
-}
-
-// toRemoteRow converts a global row into the fragment's remote layout.
+// toRemoteRow converts a global row the fragment holds into its remote
+// layout.
 func toRemoteRow(frag *catalog.Fragment, tab *catalog.GlobalTable, global types.Row) (types.Row, error) {
 	remote := make(types.Row, frag.Info().Schema.Len())
 	for g, m := range frag.Columns {
 		gv := global[g]
-		if m.Const != nil {
-			// Not stored: a value other than the constant would read back changed.
-			if !gv.IsNull() && !gv.Equal(*m.Const) {
-				return nil, fmt.Errorf("column %s is fixed to %s by the fragment mapping; cannot store %s",
-					tab.Schema.Columns[g].Name, m.Const.String(), gv.String())
-			}
-			continue
-		}
 		if m.RemoteCol < 0 || gv.IsNull() {
 			continue
 		}
@@ -261,38 +233,29 @@ func toRemoteRow(frag *catalog.Fragment, tab *catalog.GlobalTable, global types.
 	return remote, nil
 }
 
-// fragmentWrites is the one per-fragment loop of UPDATE and DELETE: for
-// each fragment the filter does not prune, every conjunct translated into
-// the remote representation — or the statement refused, naming the first
-// conjunct that has no exact remote form — and, for an UPDATE, the SET.
+// fragmentWrites builds the fragment writes of an UPDATE or DELETE: for
+// each fragment the filter does not prune (catalog.Fragment.Split), the
+// filter in the remote representation — or the statement refused,
+// naming what has no exact remote form — and, for an UPDATE, the SET.
 func fragmentWrites(tab *catalog.GlobalTable, op writeOp, filter expr.Expr, sets []source.SetClause) ([]fragWrite, error) {
 	var writes []fragWrite
 	for _, frag := range tab.Fragments {
-		if frag.PruneByPartition(filter) {
+		remote, kept, pruned := frag.Split(filter, func(expr.Expr) bool { return true })
+		switch {
+		case pruned:
 			continue
+		case kept != nil:
+			return nil, fmt.Errorf("core: WHERE predicate %s is not expressible at %s.%s", kept, frag.Source, frag.RemoteTable)
 		}
-		var buf [8]expr.Expr
-		conj := expr.AppendConjuncts(buf[:0], filter)
-		for i, c := range conj {
-			var ok bool
-			if conj[i], ok = frag.TranslateConjunct(c); !ok {
-				return nil, fmt.Errorf("core: WHERE predicate %s is not expressible at %s.%s", c, frag.Source, frag.RemoteTable)
-			}
-		}
-		fw := fragWrite{frag: frag, op: op, filter: expr.Conjoin(conj)}
+		fw := fragWrite{frag: frag, op: op, filter: remote}
 		if op == opUpdate {
 			fw.set = make([]source.SetClause, len(sets))
 			for i, sc := range sets {
-				m := frag.Columns[sc.Col]
-				if m.Const != nil {
-					return nil, fmt.Errorf("core: column %s is constant-mapped at %s.%s and cannot be updated",
-						tab.Schema.Columns[sc.Col].Name, frag.Source, frag.RemoteTable)
-				}
 				rv, ok := frag.TranslateValue(sc.Value, sc.Col)
 				if !ok {
 					return nil, fmt.Errorf("core: UPDATE value %s is not translatable for %s.%s", sc.Value, frag.Source, frag.RemoteTable)
 				}
-				fw.set[i] = source.SetClause{Col: m.RemoteCol, Value: rv}
+				fw.set[i] = source.SetClause{Col: frag.Columns[sc.Col].RemoteCol, Value: rv}
 			}
 		}
 		writes = append(writes, fw)
@@ -300,16 +263,13 @@ func fragmentWrites(tab *catalog.GlobalTable, op writeOp, filter expr.Expr, sets
 	return writes, nil
 }
 
-// movesRows reports whether an UPDATE's SET writes a column that some
-// fragment's partition predicate reads, so that a row it writes may
-// belong to another fragment afterwards.
-func movesRows(tab *catalog.GlobalTable, sets []source.SetClause) (moves bool) {
-	for _, f := range tab.Fragments {
-		expr.Columns(f.Where, func(col int) {
-			moves = moves || slices.ContainsFunc(sets, func(sc source.SetClause) bool { return sc.Col == col })
-		})
-	}
-	return moves
+// movesRows reports whether an UPDATE's SET writes a column that decides
+// which fragment holds a row (catalog.Fragment.Decides), so that a row it
+// writes may belong to another fragment afterwards.
+func movesRows(tab *catalog.GlobalTable, sets []source.SetClause) bool {
+	return slices.ContainsFunc(sets, func(sc source.SetClause) bool {
+		return slices.ContainsFunc(tab.Fragments, func(f *catalog.Fragment) bool { return f.Decides(sc.Col) })
+	})
 }
 
 // moveWrites builds an UPDATE that moves rows: the statement's DELETE,

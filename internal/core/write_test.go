@@ -25,6 +25,13 @@ import (
 // Remote:  legacy.t(id INT, st STRING codes A/I, lbs FLOAT)
 func newMediatedEngine(t *testing.T) (*Engine, *relstore.Store) {
 	t.Helper()
+	return newMediatedEngineVia(t, func(st source.Source) source.Source { return st })
+}
+
+// newMediatedEngineVia is newMediatedEngine with the store reached as
+// wrap makes it.
+func newMediatedEngineVia(t *testing.T, wrap func(source.Source) source.Source) (*Engine, *relstore.Store) {
+	t.Helper()
 	legacy := relstore.New("legacy")
 	if err := legacy.CreateTable("t", types.NewSchema(
 		types.Column{Name: "id", Type: types.KindInt},
@@ -34,7 +41,7 @@ func newMediatedEngine(t *testing.T) (*Engine, *relstore.Store) {
 		t.Fatal(err)
 	}
 	e := New()
-	if err := e.Catalog().AddSource(legacy); err != nil {
+	if err := e.Catalog().AddSource(wrap(legacy)); err != nil {
 		t.Fatal(err)
 	}
 	global := types.NewSchema(
@@ -113,6 +120,142 @@ func TestInsertConflictingConstRejected(t *testing.T) {
 	// Matching or NULL const value is fine.
 	if _, err := e.Exec(ctx, "INSERT INTO items (id, status, weight_kg, site) VALUES (2, 'active', 1, 'legacy')"); err != nil {
 		t.Errorf("matching constant rejected: %v", err)
+	}
+}
+
+// addHospitals maps patients(id INT, gender STRING, weight_kg FLOAT,
+// site STRING) onto two stores reached as wrap makes them, each holding
+// the site as a constant of its fragment: hospA.pat(pid, sex codes M/F,
+// kg), site 'A', with patients 1–3, and hospB.people(weight_lbs,
+// person_id, gender), site 'B', with patient 4.
+func addHospitals(t *testing.T, e *Engine, wrap func(source.Source) source.Source) (hospA, hospB *relstore.Store) {
+	t.Helper()
+	hospA, hospB = relstore.New("hospA"), relstore.New("hospB")
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(hospA.CreateTable("pat", types.NewSchema(
+		types.Column{Name: "pid", Type: types.KindInt},
+		types.Column{Name: "sex", Type: types.KindString},
+		types.Column{Name: "kg", Type: types.KindFloat},
+	), 0))
+	must(hospB.CreateTable("people", types.NewSchema(
+		types.Column{Name: "weight_lbs", Type: types.KindFloat},
+		types.Column{Name: "person_id", Type: types.KindInt},
+		types.Column{Name: "gender", Type: types.KindString},
+	), 1))
+	_, err := hospA.Insert(ctx, "pat", []types.Row{
+		{types.NewInt(1), types.NewString("F"), types.NewFloat(61)},
+		{types.NewInt(2), types.NewString("M"), types.NewFloat(83)},
+		{types.NewInt(3), types.NewString("F"), types.NewFloat(55)},
+	})
+	must(err)
+	_, err = hospB.Insert(ctx, "people", []types.Row{{types.NewFloat(134.5), types.NewInt(4), types.NewString("female")}})
+	must(err)
+	cat := e.Catalog()
+	must(cat.AddSource(wrap(hospA)))
+	must(cat.AddSource(wrap(hospB)))
+	must(cat.DefineTable("patients", types.NewSchema(
+		types.Column{Name: "id", Type: types.KindInt},
+		types.Column{Name: "gender", Type: types.KindString},
+		types.Column{Name: "weight_kg", Type: types.KindFloat},
+		types.Column{Name: "site", Type: types.KindString},
+	)))
+	siteA, siteB := types.NewString("A"), types.NewString("B")
+	must(cat.MapFragment(ctx, "patients", &catalog.Fragment{Source: "hospA", RemoteTable: "pat",
+		Columns: []catalog.ColumnMapping{
+			{RemoteCol: 0},
+			{RemoteCol: 1, ValueMap: map[string]string{"M": "male", "F": "female"}},
+			{RemoteCol: 2},
+			{RemoteCol: -1, Const: &siteA},
+		}}))
+	must(cat.MapFragment(ctx, "patients", &catalog.Fragment{Source: "hospB", RemoteTable: "people",
+		Columns: []catalog.ColumnMapping{
+			{RemoteCol: 1},
+			{RemoteCol: 2},
+			{RemoteCol: 0, Scale: 0.453592},
+			{RemoteCol: -1, Const: &siteB},
+		}}))
+	return hospA, hospB
+}
+
+// TestConstantColumnIsWhatTheFragmentHolds: a constant-mapped column is
+// part of what a fragment holds, in every wrapper class. A conjunct over
+// it is decided at planning — the fragment is pruned or the conjunct
+// dropped — so a write's WHERE may name it; an INSERT is routed by it;
+// and an UPDATE of it moves the row to the fragment that holds the new
+// value, under one global transaction. Before, the DELETE was refused as
+// not expressible, the INSERT was ambiguous, the UPDATE was refused and
+// the reads shipped every row to the mediator's filter.
+func TestConstantColumnIsWhatTheFragmentHolds(t *testing.T) {
+	for _, c := range wrapperClasses {
+		t.Run(c.name, func(t *testing.T) {
+			wrap := func(st source.Source) source.Source { return c.wrap(t, st) }
+			e, legacy := newMediatedEngineVia(t, wrap)
+			hospA, hospB := addHospitals(t, e, wrap)
+			for _, stmt := range []string{
+				"INSERT INTO items (id, status, weight_kg) VALUES (1, 'active', 10)",
+				"INSERT INTO items (id, status, weight_kg, site) VALUES (2, 'inactive', 20, 'legacy')",
+			} {
+				if _, err := e.Exec(ctx, stmt); err != nil {
+					t.Fatalf("%s: %v", stmt, err)
+				}
+			}
+
+			for _, p := range []struct{ q, has, hasNot string }{
+				{"SELECT id FROM items WHERE site = 'elsewhere'", "Values", "FragScan"},
+				{"SELECT id FROM items WHERE site = 'legacy' AND id = 1", "where (id = 1)", "site"},
+				{"SELECT id FROM patients WHERE site = 'B'", "FragScan hospB.people", "hospA"},
+				{"SELECT id FROM patients WHERE site = 'A' OR id = 4", "Union", "Filter"},
+			} {
+				out, err := e.Explain(ctx, p.q)
+				if err != nil || !strings.Contains(out, p.has) || strings.Contains(out, p.hasNot) {
+					t.Errorf("EXPLAIN %s (%v) wants %q and no %q:\n%s", p.q, err, p.has, p.hasNot, out)
+				}
+			}
+			wantRows(t, query(t, e, "SELECT id FROM patients WHERE site = 'A' OR id = 4"), false, "(1)", "(2)", "(3)", "(4)")
+
+			for _, w := range []struct {
+				stmt string
+				n    int64
+			}{
+				{"DELETE FROM items WHERE site = 'elsewhere'", 0},
+				{"DELETE FROM items WHERE site = 'legacy' AND id = 1", 1},
+				{"UPDATE items SET status = 'active' WHERE site = 'legacy'", 1},
+				{"INSERT INTO patients VALUES (5, 'male', 90.7184, 'B')", 1},
+				{"UPDATE patients SET site = 'B' WHERE id = 3", 1},
+			} {
+				if n, err := e.Exec(ctx, w.stmt); err != nil || n != w.n {
+					t.Fatalf("%s: %d rows, %v; want %d", w.stmt, n, err, w.n)
+				}
+			}
+			// Patient 3 moved with its weight, and patient 5 is stored in
+			// pounds: 90.7184 kg is 200 lb.
+			for _, r := range []struct {
+				st          source.Source
+				table, want string
+			}{
+				{legacy, "t", "(2, A, 44.09248840367555)"},
+				{hospA, "pat", "(1, F, 61) (2, M, 83)"},
+				{hospB, "people", "(121.25434311010777, 3, female) (134.5, 4, female) (200, 5, male)"},
+			} {
+				if got := remoteRows(t, r.st, r.table); got != r.want {
+					t.Errorf("%s.%s holds %s; want %s", r.st.Name(), r.table, got, r.want)
+				}
+			}
+			wantRows(t, query(t, e, "SELECT id, gender, site FROM patients WHERE id IN (3, 5)"), false, "(3, female, B)", "(5, male, B)")
+			log := e.Coordinator().Log().Decisions()
+			if len(log) != 1 || !log[0].Commit || !slices.Equal(log[0].Participants, []string{"hospA", "hospB"}) {
+				t.Errorf("coordinator decisions %+v; want one commit of hospA and hospB", log)
+			}
+
+			if _, err := e.Exec(ctx, "INSERT INTO patients VALUES (6, 'male', 70, NULL)"); err == nil || !strings.Contains(err.Error(), "ambiguous") {
+				t.Errorf("a patient of no site: %v; want the INSERT ambiguous", err)
+			}
+		})
 	}
 }
 
@@ -195,8 +338,14 @@ func TestInsertParamsAndMultiRow(t *testing.T) {
 	wantRows(t, res, false, "(fred)", "(greg)")
 }
 
+// TestWriteErrorMessagesAreActionable: an UPDATE that writes a
+// constant-mapped column moves its rows, and one whose row no fragment
+// holds any more names the constant as a reason.
 func TestWriteErrorMessagesAreActionable(t *testing.T) {
 	e, _ := newMediatedEngine(t)
+	if _, err := e.Exec(ctx, "INSERT INTO items (id, status, weight_kg) VALUES (1, 'active', 10)"); err != nil {
+		t.Fatal(err)
+	}
 	_, err := e.Exec(ctx, "UPDATE items SET site = 'x'")
 	if err == nil || !strings.Contains(err.Error(), "constant-mapped") {
 		t.Errorf("error should explain the constant mapping: %v", err)

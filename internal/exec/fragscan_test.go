@@ -112,9 +112,9 @@ func newScanFed(t testing.TB, caps source.Capabilities, n int) *scanFed {
 	return f
 }
 
-// scan plans the scan of cols filtered by pred (unbound, over the global
+// plan plans the scan of cols filtered by pred (unbound, over the global
 // table's names; nil for none).
-func (f *scanFed) scan(t testing.TB, cols []int, pred expr.Expr) (*plan.FragScan, expr.Expr) {
+func (f *scanFed) plan(t testing.TB, cols []int, pred expr.Expr) (plan.Node, expr.Expr) {
 	t.Helper()
 	var bound expr.Expr
 	if pred != nil {
@@ -127,6 +127,13 @@ func (f *scanFed) scan(t testing.TB, cols []int, pred expr.Expr) (*plan.FragScan
 	if err != nil {
 		t.Fatalf("%s: %v", pred, err)
 	}
+	return n, bound
+}
+
+// scan is plan where the plan must be a fragment scan.
+func (f *scanFed) scan(t testing.TB, cols []int, pred expr.Expr) (*plan.FragScan, expr.Expr) {
+	t.Helper()
+	n, bound := f.plan(t, cols, pred)
 	fs, ok := n.(*plan.FragScan)
 	if !ok {
 		t.Fatalf("%s: planned as\n%s", pred, plan.Explain(n))
@@ -136,13 +143,22 @@ func (f *scanFed) scan(t testing.TB, cols []int, pred expr.Expr) (*plan.FragScan
 
 // check runs the scan of cols filtered by pred for a consumer that keeps
 // its rows and for one that is lent them, and wants from both the rows
-// of the definition, each value of its column's kind.
+// of the definition, each value of its column's kind. A fragment pruned
+// at planning (an empty Values) must be one the definition takes no
+// row of.
 func (f *scanFed) check(t *testing.T, cols []int, pred expr.Expr) {
 	t.Helper()
-	fs, bound := f.scan(t, cols, pred)
+	n, bound := f.plan(t, cols, pred)
 	want, err := source.ApplyResidual(f.translated, &source.Query{Columns: cols, Filter: bound, Limit: -1})
 	if err != nil {
-		t.Fatalf("%s: the definition: %v", fs.Describe(), err)
+		t.Fatalf("%s: the definition: %v", plan.Explain(n), err)
+	}
+	fs, ok := n.(*plan.FragScan)
+	if !ok {
+		if v, pruned := n.(*plan.Values); !pruned || len(v.Rows) > 0 || len(want) > 0 {
+			t.Fatalf("cols %v where %v: planned as\n%sthe definition has %d rows", cols, pred, plan.Explain(n), len(want))
+		}
+		return
 	}
 	for _, lent := range []bool{false, true} {
 		it, err := runFragScan(ctx, fs, nil, lent)
@@ -276,9 +292,10 @@ func TestFragScanIsItsDefinition(t *testing.T) {
 }
 
 // TestConjunctsAreDecidedOnce pins the rule itself on one statement: a
-// conjunct goes to the source iff it translates and the source evaluates
-// the translation, and otherwise stays as written; the projection goes
-// iff the source projects.
+// conjunct the fragment's constant makes TRUE is dropped, another goes
+// to the source iff it translates and the source evaluates the
+// translation, and otherwise stays as written; the projection goes iff
+// the source projects.
 func TestConjunctsAreDecidedOnce(t *testing.T) {
 	col := func(name string) expr.Expr { return expr.NewColRef("", name) }
 	pred := expr.Conjoin([]expr.Expr{
@@ -288,18 +305,19 @@ func TestConjunctsAreDecidedOnce(t *testing.T) {
 		expr.NewBinary(expr.OpEq, col("region"), expr.NewConst(types.NewString("north"))), // inverts
 		expr.NewBinary(expr.OpGe, col("region"), expr.NewConst(types.NewString("north"))), // codes sort otherwise
 		expr.NewBinary(expr.OpEq, col("grade"), expr.NewConst(types.NewString("low"))),    // does not
-		expr.NewBinary(expr.OpEq, col("site"), expr.NewConst(types.NewString("hq"))),      // no remote column
+		expr.NewBinary(expr.OpEq, col("site"), expr.NewConst(types.NewString("hq"))),      // the fragment's constant: dropped
 		expr.NewBinary(expr.OpGt, col("n"), expr.NewConst(types.NewString("1"))),          // orders as text
 		expr.NewBinary(expr.OpLt, col("f"), expr.NewConst(types.NewFloat(8.5))),           // a number either side
 	})
-	kept := "((((usd = 0.14) AND (region >= 'north')) AND (grade = 'low')) AND (site = 'hq')) AND (n > '1'))"
+	kept := "(((usd = 0.14) AND (region >= 'north')) AND (grade = 'low')) AND (n > '1'))"
+	all := "((((((((k < 90) AND (usd >= 0.07)) AND (usd = 0.14)) AND (region = 'north')) AND (region >= 'north')) AND (grade = 'low')) AND (n > '1')) AND (f < 8.5))"
 	for _, c := range []struct {
 		caps source.Capabilities
 		want string
 	}{
-		{source.Capabilities{}, "[scan readings] globalFilter=" + pred.String()},
-		{source.Capabilities{Project: true}, "[scan readings cols[6 0 1 2 5 4]] globalFilter=" + pred.String()},
-		{source.Capabilities{Filter: source.FilterKey}, "[scan readings where (k < 90)] globalFilter=((((((((usd >= 0.07) AND (usd = 0.14)) AND (region = 'north')) AND (region >= 'north')) AND (grade = 'low')) AND (site = 'hq')) AND (n > '1')) AND (f < 8.5))"},
+		{source.Capabilities{}, "[scan readings] globalFilter=" + all},
+		{source.Capabilities{Project: true}, "[scan readings cols[6 0 1 2 5 4]] globalFilter=" + all},
+		{source.Capabilities{Filter: source.FilterKey}, "[scan readings where (k < 90)] globalFilter=(((((((usd >= 0.07) AND (usd = 0.14)) AND (region = 'north')) AND (region >= 'north')) AND (grade = 'low')) AND (n > '1')) AND (f < 8.5))"},
 		{source.Capabilities{Filter: source.FilterFull}, "[scan readings where ((((k < 90) AND (cents >= 7.0)) AND (code = '1')) AND (i < 8.5))] globalFilter=(" + kept},
 		{source.Capabilities{Filter: source.FilterFull, Project: true}, "[scan readings where ((((k < 90) AND (cents >= 7.0)) AND (code = '1')) AND (i < 8.5)) cols[6 1 2 5]] globalFilter=(" + kept},
 	} {
@@ -318,8 +336,13 @@ func TestConjunctsAreDecidedOnce(t *testing.T) {
 // keeps them allocates that plus the rows kept and nothing per row
 // rejected.
 func TestRejectedRowsCostNoAllocation(t *testing.T) {
-	site := func(s string) expr.Expr {
-		return expr.NewBinary(expr.OpEq, expr.NewColRef("", "site"), expr.NewConst(types.NewString(s)))
+	// k >= 0 passes every row, k < 0 none; the source filters nothing.
+	key := func(pass bool) expr.Expr {
+		op := expr.OpLt
+		if pass {
+			op = expr.OpGe
+		}
+		return expr.NewBinary(op, expr.NewColRef("", "k"), expr.NewConst(types.NewInt(0)))
 	}
 	allocs := func(n int, pred expr.Expr, lent bool, cols []int, rows int) float64 {
 		fs, _ := newScanFed(t, source.Capabilities{}, n).scan(t, cols, pred)
@@ -342,24 +365,24 @@ func TestRejectedRowsCostNoAllocation(t *testing.T) {
 	}
 	// In place (the fetched layout is the output) and cut (the filter's
 	// column is fetched and not returned).
-	for _, cols := range [][]int{{gUsd, gSite}, {gRegion, gUsd}} {
+	for _, cols := range [][]int{{gK, gSite}, {gRegion, gUsd}} {
 		const n = 2048
-		none := allocs(n, site("hq"), true, cols, n)
+		none := allocs(n, key(true), true, cols, n)
 		for _, c := range []struct {
 			what string
 			got  float64
 		}{
-			{"lent, every row rejected", allocs(n, site("elsewhere"), true, cols, 0)},
-			{"lent, twice the rows, every row rejected", allocs(2*n, site("elsewhere"), true, cols, 0)},
-			{"lent, twice the rows, none rejected", allocs(2*n, site("hq"), true, cols, 2*n)},
-			{"kept, every row rejected", allocs(n, site("elsewhere"), false, cols, 0)},
-			{"kept, twice the rows, every row rejected", allocs(2*n, site("elsewhere"), false, cols, 0)},
+			{"lent, every row rejected", allocs(n, key(false), true, cols, 0)},
+			{"lent, twice the rows, every row rejected", allocs(2*n, key(false), true, cols, 0)},
+			{"lent, twice the rows, none rejected", allocs(2*n, key(true), true, cols, 2*n)},
+			{"kept, every row rejected", allocs(n, key(false), false, cols, 0)},
+			{"kept, twice the rows, every row rejected", allocs(2*n, key(false), false, cols, 0)},
 		} {
 			if c.got > none {
 				t.Errorf("cols %v, %s: %v allocations, a lent scan that rejects none of %d rows makes %v", cols, c.what, c.got, n, none)
 			}
 		}
-		if kept := allocs(n, site("hq"), false, cols, n); kept <= none || kept > none+n/4 {
+		if kept := allocs(n, key(true), false, cols, n); kept <= none || kept > none+n/4 {
 			t.Errorf("cols %v: a kept scan of %d rows makes %v allocations, a lent one %v: the difference should be the slab chunks of the rows kept", cols, n, kept, none)
 		}
 	}

@@ -7,9 +7,9 @@ import (
 )
 
 // decompose replaces every GlobalScan with per-fragment FragScans
-// (unioned when the table has several fragments), translating and
-// splitting the scan's filter per fragment capability, and pruning
-// fragments whose partition predicate contradicts the filter.
+// (unioned when the table has several fragments), splitting the scan's
+// filter per fragment (catalog.Fragment.Split) and leaving out the
+// fragments that hold no row it passes.
 func decompose(n Node, cat *catalog.Catalog, parallel bool) (Node, error) {
 	if gs, ok := n.(*GlobalScan); ok {
 		return decomposeScan(gs, cat, parallel)
@@ -46,14 +46,13 @@ func decomposeScan(gs *GlobalScan, cat *catalog.Catalog, parallel bool) (Node, e
 
 	var scans []Node
 	for _, frag := range tab.Fragments {
-		if frag.PruneByPartition(gs.Filter) {
-			continue
-		}
 		fs, err := buildFragScan(cat, tab, frag, requested, gs.Filter, outSchema)
 		if err != nil {
 			return nil, err
 		}
-		scans = append(scans, fs)
+		if fs != nil {
+			scans = append(scans, fs)
+		}
 	}
 	if len(scans) == 0 {
 		// Every fragment pruned: an empty relation of the right shape.

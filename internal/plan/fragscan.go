@@ -17,7 +17,7 @@ import (
 //
 // This file is also the one place that decides what a fragment's
 // source is asked to do and what the mediator does with the answer.
-// buildFragScan settles the filter, conjunct by conjunct, the
+// buildFragScan settles the filter (as the catalog splits it), the
 // projection and the mediator's half when the scan is built; the
 // methods below answer, from the source's advertised capabilities and
 // the state of the scan, whether aggregation, an ordering, a limit or a
@@ -34,8 +34,9 @@ type FragScan struct {
 	Cols []int
 	// GlobalResidual is what the source was not asked to filter: the
 	// conjuncts that do not translate into its representation or that it
-	// does not evaluate, as the query wrote them, bound over the fetched
-	// layout.
+	// does not evaluate, as the query wrote them but for the fragment's
+	// constants folded in (catalog.Fragment.Split), bound over the
+	// fetched layout.
 	GlobalResidual expr.Expr
 	// Out projects the fetched layout to the node's output (positions
 	// into Cols); nil when the output is the fetched layout as it is.
@@ -66,13 +67,11 @@ func (s *FragScan) Describe() string {
 	return out
 }
 
-// buildFragScan constructs one fragment's scan. Each conjunct of the
-// filter is decided once: it goes to the source iff it translates into
-// the source's representation and the source evaluates the translation;
-// otherwise it stays with the mediator as the query wrote it, to be
-// evaluated over translated rows — which is what the predicate means.
-// The projection goes to a source that projects; one that does not
-// returns whole rows and the scan reads what it needs by position.
+// buildFragScan constructs one fragment's scan; nil when the fragment
+// holds no row the filter passes. A conjunct goes to the source iff
+// catalog.Fragment.Split translates it and the source evaluates the
+// translation, and the projection iff the source projects; one that
+// does not returns whole rows the scan reads by position.
 func buildFragScan(cat *catalog.Catalog, tab *catalog.GlobalTable, frag *catalog.Fragment,
 	requested []int, filter expr.Expr, outSchema *types.Schema) (*FragScan, error) {
 
@@ -81,16 +80,10 @@ func buildFragScan(cat *catalog.Catalog, tab *catalog.GlobalTable, frag *catalog
 		return nil, err
 	}
 	caps, info := src.Capabilities(), frag.Info()
-	var conj, pushedBuf, keptBuf [8]expr.Expr
-	pushed, kept := pushedBuf[:0], keptBuf[:0]
-	for _, c := range expr.AppendConjuncts(conj[:0], filter) {
-		if rc, ok := frag.TranslateConjunct(c); ok && caps.CanFilter(info, rc) {
-			pushed = append(pushed, rc)
-		} else {
-			kept = append(kept, c)
-		}
+	pushed, residual, pruned := frag.Split(filter, func(rc expr.Expr) bool { return caps.CanFilter(info, rc) })
+	if pruned {
+		return nil, nil
 	}
-	residual := expr.Conjoin(kept)
 
 	// Fetched columns: requested plus whatever the kept filter reads,
 	// which is remapped onto that layout.
@@ -98,7 +91,7 @@ func buildFragScan(cat *catalog.Catalog, tab *catalog.GlobalTable, frag *catalog
 	fs := &FragScan{
 		Src:            src,
 		Frag:           frag,
-		Query:          &source.Query{Table: frag.RemoteTable, Filter: expr.Conjoin(pushed), Limit: -1},
+		Query:          &source.Query{Table: frag.RemoteTable, Filter: pushed, Limit: -1},
 		Cols:           fetch,
 		GlobalResidual: expr.Remap(residual, pos),
 		GlobalSchema:   tab.Schema,

@@ -50,7 +50,9 @@
 #                   instead of Go's ten minutes a package
 #   6. gisbench   — the OV1 overload bench and the quick bench as JSON,
 #                   schema-validated by scripts/benchjson
-#   7. query log  — demo-federation query with -query-log-sample 1,
+#   7. examples   — examples/quickstart, hospitals and supplychain each
+#                   run to the end and exit 0 (about a second each)
+#   8. query log  — demo-federation query with -query-log-sample 1,
 #                   lines schema-validated by scripts/querylogjson
 set -eu
 
@@ -92,6 +94,11 @@ go run ./cmd/gisbench -overload -tenants 8 -scale 0.05 -reps 1 -latency 200us -j
 
 step 'gisbench -json -quick'
 go run ./cmd/gisbench -json -quick | go run ./scripts/benchjson
+
+step examples
+for ex in quickstart hospitals supplychain; do
+    go run "./examples/$ex" >/dev/null
+done
 
 step 'query-log schema'
 # Run a demo-federation query with every statement sampled into the
