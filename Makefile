@@ -46,12 +46,14 @@ loc:
 # indexes, kvstore's buckets (at most 64 B an orders row loaded in key
 # order), docstore's documents, and of types the vectors of a full
 # chunk (each fills its size class to within one row) and RowSlab's
-# chunks.
+# chunks; and the row headers exec.Collect keeps a result in (at most
+# 1.15 a row when the estimate is right).
 layout:
 	$(GO) test -count=1 -run 'TestRowBytesPerRow|TestIndexBytesPerRow' -v ./internal/relstore
 	$(GO) test -count=1 -run 'TestBucketBytesPerRow' -v ./internal/kvstore
 	$(GO) test -count=1 -run 'TestDocBytesPerDocument' -v ./internal/docstore
 	$(GO) test -count=1 -run 'TestChunkBytes|TestRowSlabBytes' -v ./internal/types
+	$(GO) test -count=1 -run 'TestCollectHeaderBytes' -v ./internal/exec
 
 # After a change meant to move a plan, an estimate or a parsed tree:
 # rewrite the golden files of TestPlansGolden (230 statements under each

@@ -13,7 +13,9 @@ import (
 // conjunct is folded with the fragment's constants in place of its
 // constant-mapped columns, which read as the constant on every row the
 // fragment holds: one that folds to TRUE is dropped, one that folds to
-// FALSE or NULL prunes the fragment. So does a column its partition
+// FALSE or NULL prunes the fragment, and so does one whose exact remote
+// translation is FALSE (a value-mapped column compared with a value no
+// code stands for). So does a column its partition
 // predicate reads on which the values the predicate admits and those the
 // filter admits do not meet (expr.ColumnRange). pruned then reports that
 // no row the fragment holds passes the filter. Otherwise a conjunct goes
@@ -44,7 +46,9 @@ func (f *Fragment) Split(filter expr.Expr, push func(remote expr.Expr) bool) (pu
 		}
 		if v, ok := c.(*expr.Const); ok {
 			pruned = v.Val.Kind() != types.KindBool || !v.Val.Bool()
-		} else if rc, ok := f.translateConjunct(c); ok && push(rc) {
+		} else if rc, ok := f.translateConjunct(c); ok && isFalse(rc) {
+			pruned = true
+		} else if ok && push(rc) {
 			p = append(p, rc)
 		} else {
 			k = append(k, c)
@@ -54,6 +58,13 @@ func (f *Fragment) Split(filter expr.Expr, push func(remote expr.Expr) bool) (pu
 		return nil, nil, true
 	}
 	return expr.Conjoin(p), expr.Conjoin(k), false
+}
+
+// isFalse reports whether a translated conjunct is the constant FALSE:
+// no remote row reads as what it asks for.
+func isFalse(e expr.Expr) bool {
+	v, ok := e.(*expr.Const)
+	return ok && v.Val.Kind() == types.KindBool && !v.Val.Bool()
 }
 
 // Holds reports whether the global row is the fragment's to hold: its

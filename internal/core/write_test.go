@@ -182,6 +182,78 @@ func addHospitals(t *testing.T, e *Engine, wrap func(source.Source) source.Sourc
 	return hospA, hospB
 }
 
+// callCounter is a relstore that counts the calls that reach it: each
+// sub-query (Execute) and each autocommit or transactional write.
+type callCounter struct {
+	*relstore.Store
+	calls int
+}
+
+func (c *callCounter) Execute(ctx context.Context, q *source.Query) (source.RowIter, error) {
+	c.calls++
+	return c.Store.Execute(ctx, q)
+}
+
+func (c *callCounter) Update(ctx context.Context, table string, filter expr.Expr, set []source.SetClause) (int64, error) {
+	c.calls++
+	return c.Store.Update(ctx, table, filter, set)
+}
+
+func (c *callCounter) Delete(ctx context.Context, table string, filter expr.Expr) (int64, error) {
+	c.calls++
+	return c.Store.Delete(ctx, table, filter)
+}
+
+func (c *callCounter) BeginTx(ctx context.Context) (source.Tx, error) {
+	c.calls++
+	return c.Store.BeginTx(ctx)
+}
+
+// TestFalseTranslationPrunes: a conjunct over a value-mapped column whose
+// constant no remote code stands for selects no row the fragment holds,
+// so the fragment is pruned — the read sends no sub-query and the write
+// no DELETE or UPDATE — where it used to be pushed as `where false`. A
+// constant that has a code is asked as before.
+func TestFalseTranslationPrunes(t *testing.T) {
+	var counter *callCounter
+	e, _ := newMediatedEngineVia(t, func(st source.Source) source.Source {
+		counter = &callCounter{Store: st.(*relstore.Store)}
+		return counter
+	})
+	if _, err := e.Exec(ctx, "INSERT INTO items (id, status, weight_kg) VALUES (1, 'active', 10)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		stmt  string
+		rows  int64
+		calls int
+	}{
+		{"SELECT id FROM items WHERE status = 'A'", 0, 0},
+		{"DELETE FROM items WHERE status = 'A'", 0, 0},
+		{"UPDATE items SET weight_kg = 1 WHERE status = 'A'", 0, 0},
+		{"SELECT id FROM items WHERE status = 'active'", 1, 1},
+		{"UPDATE items SET weight_kg = 1 WHERE status = 'active'", 1, 1},
+	} {
+		counter.calls = 0
+		var n int64
+		var err error
+		if strings.HasPrefix(c.stmt, "SELECT") {
+			var res *Result
+			if res, err = e.Query(ctx, c.stmt); err == nil {
+				n = int64(len(res.Rows))
+			}
+		} else {
+			n, err = e.Exec(ctx, c.stmt)
+		}
+		if err != nil || n != c.rows || counter.calls != c.calls {
+			t.Errorf("%s: %d rows, %d source calls, %v; want %d rows, %d calls", c.stmt, n, counter.calls, err, c.rows, c.calls)
+		}
+	}
+	if out, err := e.Explain(ctx, "SELECT id FROM items WHERE status = 'A'"); err != nil || strings.Contains(out, "FragScan") {
+		t.Errorf("EXPLAIN (%v) still scans the fragment:\n%s", err, out)
+	}
+}
+
 // TestConstantColumnIsWhatTheFragmentHolds: a constant-mapped column is
 // part of what a fragment holds, in every wrapper class. A conjunct over
 // it is decided at planning — the fragment is pruned or the conjunct

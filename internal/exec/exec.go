@@ -282,21 +282,40 @@ func (a *account) closeOnError(err *error) {
 	}
 }
 
-// collect runs n and keeps every row, charged to a.
+// collect runs n and keeps every row, charged to a, in a slice sized
+// from n's estimate.
 func (a *account) collect(ctx context.Context, n plan.Node) ([]types.Row, error) {
 	it, err := Run(ctx, n)
 	if err != nil {
 		return nil, err
 	}
-	return a.drain(it)
+	return a.drain(it, rowsHint(n))
 }
 
-// drain keeps every row of it, charged to a.
-func (a *account) drain(it source.RowIter) ([]types.Row, error) {
-	if a.sess == nil {
-		return source.Drain(it)
+// maxRowsHint caps the room an estimate sets aside for a result: an
+// over-estimate holds at most this many unused row headers, and a longer
+// result goes on in chunks as an unsized drain does.
+const maxRowsHint = 1 << 14
+
+// rowsHint is the room to keep n's rows in: its estimate and a
+// sixteenth more, so that an estimate a little short still fits. (An
+// eighth more would put a right estimate of a few thousand rows a page
+// past the result: the heap rounds a large slice up to whole pages.)
+func rowsHint(n plan.Node) int {
+	est := plan.EstimateRows(n)
+	if !(est >= 0) {
+		return 0
 	}
-	return source.DrainEach(it, a.grow)
+	return int(min(est+est/16+1, maxRowsHint))
+}
+
+// drain keeps every row of it, charged to a, starting with room for
+// hint rows.
+func (a *account) drain(it source.RowIter, hint int) ([]types.Row, error) {
+	if a.sess == nil {
+		return source.DrainEach(it, hint, nil)
+	}
+	return source.DrainEach(it, hint, a.grow)
 }
 
 // rows streams rows the holder kept; closing the stream closes a.

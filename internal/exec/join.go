@@ -276,7 +276,7 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, lent bool) (_ source.R
 		}
 	}
 	u, _ := j.R.(*plan.Union)
-	right, err := acct.drain(runMerge(ctx, inputs, preds, u != nil && u.Parallel))
+	right, err := acct.drain(runMerge(ctx, inputs, preds, u != nil && u.Parallel), 0)
 	if err != nil {
 		return nil, err
 	}

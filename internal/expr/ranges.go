@@ -77,35 +77,48 @@ func ColumnConstraint(e Expr) (*ColRef, bool) {
 // A nil filter admits every value. Comparisons fold without allocating;
 // an IN list's keys are sorted into a slice of their own.
 func ColumnRange(filter Expr, col int) (r Range, other Expr) {
-	r = Range{Lo: Unbounded, Hi: Unbounded}
-	foldRange(filter, col, &r, &other)
-	return r, other
+	return ColumnRangeIn(filter, col, nil)
+}
+
+// ColumnRangeIn is ColumnRange that sorts the keys of the first IN list
+// on col into buf's storage when they fit, so that a caller that reads
+// the range and lets it go — the estimator — allocates nothing.
+func ColumnRangeIn(filter Expr, col int, buf []types.Value) (r Range, other Expr) {
+	return foldRange(filter, col, Range{Lo: Unbounded, Hi: Unbounded}, nil, buf)
 }
 
 // foldRange walks the conjuncts of e in order, without collecting them.
-func foldRange(e Expr, col int, r *Range, other *Expr) {
+// It takes and returns the range and other rather than writing through
+// pointers, so that buf does not escape.
+func foldRange(e Expr, col int, r Range, other Expr, buf []types.Value) (Range, Expr) {
 	if e == nil {
-		return
+		return r, other
 	}
 	if b, ok := e.(*Binary); ok && b.Op == OpAnd {
-		foldRange(b.L, col, r, other)
-		foldRange(b.R, col, r, other)
-		return
+		r, other = foldRange(b.L, col, r, other, buf)
+		return foldRange(b.R, col, r, other, buf)
 	}
 	if c, ok := ColumnConstraint(e); !ok || c.Index != col {
-		if *other == nil {
-			*other = e
+		if other == nil {
+			other = e
 		}
-		return
+		return r, other
 	}
-	*r = r.Intersect(constraintRange(e))
+	if r.Keys != nil {
+		buf = nil // it holds the keys r has
+	}
+	return r.Intersect(constraintRange(e, buf)), other
 }
 
 // constraintRange is the Range a conjunct ColumnConstraint recognised
-// admits, and the one place NULL is decided.
-func constraintRange(e Expr) Range {
+// admits, and the one place NULL is decided. An IN list's keys go into
+// buf when it has room.
+func constraintRange(e Expr, buf []types.Value) Range {
 	if in, ok := e.(*InList); ok {
-		keys := make([]types.Value, 0, len(in.List))
+		keys := buf[:0]
+		if cap(keys) < len(in.List) {
+			keys = make([]types.Value, 0, len(in.List))
+		}
 		for _, el := range in.List {
 			if v := el.(*Const).Val; !v.IsNull() {
 				keys = append(keys, v)
@@ -269,8 +282,15 @@ func (r Range) Points(buf []types.Value) []types.Value {
 	if r.Keys != nil {
 		return r.Keys
 	}
-	if r.Lo.Unbounded || r.Hi.Unbounded || !r.Lo.Inclusive || !r.Hi.Inclusive || r.Lo.Value.Compare(r.Hi.Value) != 0 {
+	if !r.Point() {
 		return nil
 	}
 	return append(buf, r.Lo.Value)
+}
+
+// Point reports whether the range, having no Keys, is the one value its
+// ends meet at. Unlike Points it keeps nothing of r, so a caller that
+// only counts the values does not move r's Keys to the heap.
+func (r Range) Point() bool {
+	return r.Keys == nil && !r.Lo.Unbounded && !r.Hi.Unbounded && r.Lo.Inclusive && r.Hi.Inclusive && r.Lo.Value.Compare(r.Hi.Value) == 0
 }

@@ -176,21 +176,3 @@ func TestJoinReadingsAgree(t *testing.T) {
 		}
 	}
 }
-
-// TestEstimateRowsAllocatesNothing: pricing a two-scan equi join, and the
-// range filter on one of its scans, allocates nothing; the executor
-// asks it of every traced join.
-func TestEstimateRowsAllocatesNothing(t *testing.T) {
-	cat := newBenchCatalog(t)
-	n, err := planOnce(cat, "SELECT c.name, o.oid FROM customers c JOIN orders o ON c.id = o.cust_id WHERE c.id >= 2 AND c.id < 10", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := findJoin(n)
-	if j == nil || findFragScan(j.L) == nil || findFragScan(j.R) == nil {
-		t.Fatalf("want a join of two fragment scans:\n%s", Explain(n))
-	}
-	if got := testing.AllocsPerRun(100, func() { EstimateRows(j) }); got != 0 {
-		t.Errorf("EstimateRows of\n%s allocates %v objects", Explain(j), got)
-	}
-}

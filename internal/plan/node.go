@@ -461,7 +461,7 @@ func EstimateRows(n Node) float64 {
 		// the operator it stands for.
 		rows := base * sel
 		if t.Query.HasAggregation() {
-			rows = aggregateRows(rows, len(t.Query.GroupBy) > 0)
+			rows = aggregateRows(rows, len(t.Query.GroupBy) > 0, remoteGroups(t.Query.GroupBy, fs))
 		}
 		if t.Query.Limit >= 0 {
 			rows = limitRows(t.Query.Limit, rows)
@@ -477,12 +477,12 @@ func EstimateRows(n Node) float64 {
 		return l * r * condSel(t.Cond, sides[:])
 	case *Aggregate:
 		in := EstimateRows(t.Input)
-		if scans := FragScans(t.Input); len(t.GroupBy) > 0 && len(scans) > 0 && scans[0].Query.HasAggregation() {
+		if len(t.GroupBy) > 0 && aggregatingScans(t.Input) {
 			// The final half of a split aggregation merges the groups
 			// its fragments formed, which are priced already.
 			return in
 		}
-		return aggregateRows(in, len(t.GroupBy) > 0)
+		return aggregateRows(in, len(t.GroupBy) > 0, groups(t.GroupBy, t.Input))
 	case *Sort:
 		return EstimateRows(t.Input)
 	case *Limit:
@@ -500,13 +500,68 @@ func EstimateRows(n Node) float64 {
 	}
 }
 
-// aggregateRows prices an aggregation of in rows: one row without
-// grouping, a tenth of the input (at least one) with it.
-func aggregateRows(in float64, grouped bool) float64 {
-	if !grouped {
+// aggregateRows prices an aggregation of in rows whose group keys take
+// ndv distinct combinations: one row without grouping; with it, no more
+// groups than rows nor than combinations, and a tenth of the input when
+// ndv is unknown (0); at least one.
+func aggregateRows(in float64, grouped bool, ndv float64) float64 {
+	switch {
+	case !grouped:
 		return 1
+	case ndv > 0:
+		return max(min(in, ndv), 1)
+	default:
+		return max(in/10, 1)
 	}
-	return max(in/10, 1)
+}
+
+// groups is the number of distinct combinations keys take over n's rows:
+// the product of their columns' NDV (columnNDV's reading, through any
+// joins); 0 when a key is not a column or its NDV is unknown.
+func groups(keys []expr.Expr, n Node) float64 {
+	ndv := 1.0
+	for _, k := range keys {
+		c, ok := k.(*expr.ColRef)
+		if !ok {
+			return 0
+		}
+		leaf, col := underJoins(n, c.Index)
+		v := childColumnNDV(leaf, col)
+		if v <= 0 {
+			return 0
+		}
+		ndv *= v
+	}
+	return ndv
+}
+
+// remoteGroups is groups for an aggregation pushed to a fragment, whose
+// keys are remote columns read on the fragment's statistics fs.
+func remoteGroups(keys []int, fs *stats.TableStats) float64 {
+	ndv := 1.0
+	for _, k := range keys {
+		if fs == nil || k < 0 || k >= len(fs.Columns) || fs.Columns[k].NDV <= 0 {
+			return 0
+		}
+		ndv *= float64(fs.Columns[k].NDV)
+	}
+	return ndv
+}
+
+// aggregatingScans reports whether n is fragment scans, alone or under
+// a union of all, that ask their sources to aggregate: the input of the
+// final half of a split aggregation.
+func aggregatingScans(n Node) bool {
+	if u, ok := n.(*Union); ok && u.All && len(u.Inputs) > 0 {
+		for _, in := range u.Inputs {
+			if _, ok := in.(*FragScan); !ok {
+				return false
+			}
+		}
+		n = u.Inputs[0]
+	}
+	fs, ok := n.(*FragScan)
+	return ok && fs.Query.HasAggregation()
 }
 
 // limitRows prices a limit of n over in rows.
@@ -556,14 +611,7 @@ func columnEquality(e expr.Expr) (l, r *expr.ColRef, ok bool) {
 // EstimateRows, whose are a join's two sides, thus read one number.
 func columnNDV(rels []flatRel, col int) float64 {
 	r := rels[relOf(rels, col)]
-	n, col := r.node, col-r.offset
-	for j, ok := n.(*Join); ok; j, ok = n.(*Join) {
-		if lw := j.L.Schema().Len(); col >= lw {
-			n, col = j.R, col-lw
-		} else {
-			n = j.L
-		}
-	}
+	n, col := underJoins(r.node, col-r.offset)
 	rows := r.rows
 	if n != r.node {
 		rows = EstimateRows(n)
@@ -572,6 +620,19 @@ func columnNDV(rels []flatRel, col int) float64 {
 		return ndv
 	}
 	return rows
+}
+
+// underJoins resolves column col of n to the relation under any joins
+// that holds it, and its position there.
+func underJoins(n Node, col int) (Node, int) {
+	for j, ok := n.(*Join); ok; j, ok = n.(*Join) {
+		if lw := j.L.Schema().Len(); col >= lw {
+			n, col = j.R, col-lw
+		} else {
+			n = j.L
+		}
+	}
+	return n, col
 }
 
 // childColumnNDV digs the NDV of a column out of scan statistics; 0 when
@@ -591,8 +652,12 @@ func childColumnNDV(n Node, col int) float64 {
 			return float64(ts.Columns[actual].NDV)
 		}
 	case *FragScan:
-		// Output col → remote col → remote-space fragment statistics.
+		// Output col → remote col → remote-space fragment statistics; a
+		// constant-mapped column has the one value.
 		m := t.mapping(col)
+		if m != nil && m.Const != nil {
+			return 1
+		}
 		fs := t.Frag.Stats()
 		if m != nil && m.RemoteCol >= 0 && fs != nil && m.RemoteCol < len(fs.Columns) && fs.Columns[m.RemoteCol].NDV > 0 {
 			return float64(fs.Columns[m.RemoteCol].NDV)

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -297,6 +298,72 @@ func TestEstimateRowsSanity(t *testing.T) {
 	if EstimateRows(limited) > 3.01 {
 		t.Errorf("limit estimate = %g", EstimateRows(limited))
 	}
+}
+
+// TestGroupEstimateReadsNDV: a grouping is priced at the number of
+// distinct combinations its keys take, the product of their columns'
+// NDV, and no more than its input — read on the scan statistics whether
+// the source groups (a pushed aggregation) or the mediator does, through
+// a join, and 1 for a column the fragment maps to a constant. A key that
+// is not a column keeps a tenth of the input.
+func TestGroupEstimateReadsNDV(t *testing.T) {
+	cat := newBenchCatalog(t)
+	site := types.NewString("hq")
+	if err := cat.DefineTable("sited", types.NewSchema(
+		types.Column{Name: "oid", Type: types.KindInt},
+		types.Column{Name: "site", Type: types.KindString},
+	)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.MapFragment(context.Background(), "sited", &catalog.Fragment{Source: "src_o", RemoteTable: "orders",
+		Columns: []catalog.ColumnMapping{{RemoteCol: 0}, {RemoteCol: -1, Const: &site}}}); err != nil {
+		t.Fatal(err)
+	}
+	const join = "FROM customers c JOIN orders o ON c.id = o.cust_id "
+	for _, c := range []struct {
+		name, sql string
+		want      float64 // 0: a tenth of the grouping's input, -1: its input
+	}{
+		{"pushed, NDV 4", "SELECT region, COUNT(*) FROM orders GROUP BY region", 4},
+		{"under a join, NDV 4", "SELECT o.region, COUNT(*) " + join + "GROUP BY o.region", 4},
+		{"under a join, NDV 40", "SELECT o.cust_id, COUNT(*) " + join + "GROUP BY o.cust_id", 40},
+		{"two columns, 40 × 4", "SELECT o.cust_id, o.region, COUNT(*) " + join + "GROUP BY o.cust_id, o.region", 160},
+		{"no more than its input", "SELECT o.oid, COUNT(*) " + join + "WHERE c.id = 3 GROUP BY o.oid", -1},
+		{"constant-mapped", "SELECT site, COUNT(*) FROM sited GROUP BY site", 1},
+		{"an expression", "SELECT oid % 7, COUNT(*) FROM orders GROUP BY oid % 7", 0},
+	} {
+		p := planQuery(t, cat, c.sql, nil)
+		var grouping Node
+		want := c.want
+		if a := findAggregate(p); a != nil {
+			grouping = a
+			switch want {
+			case 0:
+				want = EstimateRows(a.Input) / 10
+			case -1:
+				want = EstimateRows(a.Input)
+			}
+		} else if fs := findFragScan(p); fs != nil && len(fs.Query.GroupBy) > 0 && want > 0 {
+			grouping = fs
+		} else {
+			t.Fatalf("%s: no grouping to read in\n%s", c.name, Explain(p))
+		}
+		if got := EstimateRows(grouping); math.Abs(got-want) > 1e-9 || want < 1 {
+			t.Errorf("%s: grouping estimated at %g rows, want %g:\n%s", c.name, got, want, Explain(p))
+		}
+	}
+}
+
+func findAggregate(n Node) *Aggregate {
+	if a, ok := n.(*Aggregate); ok {
+		return a
+	}
+	for _, c := range n.Children() {
+		if a := findAggregate(c); a != nil {
+			return a
+		}
+	}
+	return nil
 }
 
 func TestExplainIndentation(t *testing.T) {

@@ -119,6 +119,56 @@ func TestDrainAllocations(t *testing.T) {
 	sinkDrained = nil
 }
 
+// A hint that is right is the result's one allocation, cut to the hint;
+// any other hint — one short, none, ten times too many — returns what
+// Drain does, and an error from keep returns the rows kept before it.
+func TestDrainHint(t *testing.T) {
+	for _, n := range []int{1, 10, drainChunk - 1, drainChunk, drainChunk + 1, 4000} {
+		rows := countedRows(n)
+		var got []types.Row
+		// Two objects: the iterator, and the result.
+		objects, _ := allocated(func() { got, _ = DrainEach(SliceIter(rows), n, nil) })
+		if objects != 2 || len(got) != n || cap(got) != n {
+			t.Errorf("%d rows, hint %d: %d allocations, len %d, cap %d; want 2, %d, %d", n, n, objects, len(got), cap(got), n, n)
+		}
+		want, err := Drain(SliceIter(rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, hint := range []int{n - 1, 0, 10 * n} {
+			got, err := DrainEach(SliceIter(rows), hint, nil)
+			if err != nil || !sameRows(got, want) {
+				t.Errorf("%d rows, hint %d: got %d rows, %v; Drain returns %d", n, hint, len(got), err, len(want))
+			}
+		}
+		boom := errors.New("boom")
+		kept := 0
+		got, err = DrainEach(SliceIter(rows), n, func(types.Row) error {
+			if kept == n/2 {
+				return boom
+			}
+			kept++
+			return nil
+		})
+		if err != boom || !sameRows(got, want[:n/2]) {
+			t.Errorf("%d rows, keep fails after %d: got %d rows, %v", n, n/2, len(got), err)
+		}
+	}
+}
+
+// sameRows reports whether a and b are the same rows in the same order.
+func sameRows(a, b []types.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // lendSpy records that it was asked to lend.
 type lendSpy struct {
 	RowIter

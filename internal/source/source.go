@@ -492,14 +492,20 @@ const drainChunk = 1024
 // rows, so it never asks the iterator to lend. A result of up to
 // drainChunk rows is built by append; a longer one sets each full chunk
 // aside and is gathered once, at its exact size, when the stream ends.
-func Drain(it RowIter) ([]types.Row, error) { return DrainEach(it, nil) }
+func Drain(it RowIter) ([]types.Row, error) { return DrainEach(it, 0, nil) }
 
-// DrainEach is Drain that hands each row to keep, when keep is not nil,
-// before it keeps the row; an error from keep ends the drain with the
-// rows kept so far.
-func DrainEach(it RowIter, keep func(types.Row) error) ([]types.Row, error) {
+// DrainEach is Drain that starts with room for hint rows, and hands each
+// row to keep, when keep is not nil, before it keeps the row; an error
+// from keep ends the drain with the rows kept so far. A result that fits
+// the hint is that one slice. One that outgrows it goes on as Drain
+// does: the full slice is set aside as a chunk, the next chunk is
+// drainChunk rows, and the chunks are gathered when the stream ends.
+func DrainEach(it RowIter, hint int, keep func(types.Row) error) ([]types.Row, error) {
 	defer it.Close()
 	var out []types.Row
+	if hint > 0 {
+		out = make([]types.Row, 0, hint)
+	}
 	var full [][]types.Row
 	for {
 		r, err := it.Next()
@@ -509,7 +515,7 @@ func DrainEach(it RowIter, keep func(types.Row) error) ([]types.Row, error) {
 		if err == nil {
 			if len(out) == cap(out) && len(out) >= drainChunk {
 				full = append(full, out)
-				out = make([]types.Row, 0, len(out))
+				out = make([]types.Row, 0, drainChunk)
 			}
 			out = append(out, r)
 			continue

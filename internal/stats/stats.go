@@ -227,7 +227,8 @@ func selectivity(filter, e expr.Expr, ts *TableStats, seen uint64) (float64, uin
 	default:
 		seen |= 1 << c
 	}
-	r, _ := expr.ColumnRange(filter, c)
+	var buf [16]types.Value
+	r, _ := expr.ColumnRangeIn(filter, c, buf[:0])
 	return rangeSel(r, columnStats(ts, c)), seen
 }
 
@@ -303,9 +304,11 @@ func rangeSel(r expr.Range, cs ColumnStats) float64 {
 	if r.Empty() {
 		return 0
 	}
-	var one [1]types.Value
-	if keys := r.Points(one[:0]); keys != nil {
-		return clamp(float64(len(keys)) * eqSel(cs))
+	switch {
+	case r.Keys != nil:
+		return clamp(float64(len(r.Keys)) * eqSel(cs))
+	case r.Point():
+		return clamp(eqSel(cs))
 	}
 	lo, hi, loOK, hiOK := 0.0, 1.0, true, true
 	if !r.Lo.Unbounded {

@@ -304,7 +304,17 @@ func (v Value) Compare(o Value) int {
 	case KindFloat:
 		return compareFloat(v.Float(), o.Float())
 	case KindString, KindBytes:
-		return strings.Compare(v.str(), o.str())
+		// The operators, not strings.Compare: the compiler knows they
+		// keep neither operand, so comparing a Value does not move it,
+		// or whatever holds it, to the heap.
+		a, b := v.str(), o.str()
+		switch {
+		case a == b:
+			return 0
+		case a < b:
+			return -1
+		}
+		return 1
 	case KindTime:
 		if c := compareInt(int64(v.n), int64(o.n)); c != 0 {
 			return c
