@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"gis/internal/relstore"
+	"gis/internal/source"
 	"gis/internal/types"
 )
 
@@ -116,6 +118,38 @@ func TestOrderByResolution(t *testing.T) {
 		// Explain plans and runs nothing: the error is the planner's.
 		if _, err := e.Explain(ctx, c.sql); err == nil || !strings.Contains(err.Error(), c.err) {
 			t.Errorf("%s: err = %v, want %q", c.sql, err, c.err)
+		}
+	}
+}
+
+// TestLimitZeroAsksNoSource: LIMIT 0 returns no row whatever its input
+// and offset, so it sends no sub-query; a limit of one row past the same
+// offset still reads the fragment.
+func TestLimitZeroAsksNoSource(t *testing.T) {
+	var counter *callCounter
+	e, _ := newMediatedEngineVia(t, func(st source.Source) source.Source {
+		counter = &callCounter{Store: st.(*relstore.Store)}
+		return counter
+	})
+	if _, err := e.Exec(ctx, "INSERT INTO items (id, status, weight_kg) VALUES (1, 'active', 1), (2, 'active', 2), (3, 'inactive', 3), (4, 'active', 4), (5, 'active', 5)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql         string
+		rows, calls int
+	}{
+		{"SELECT id FROM items LIMIT 0 OFFSET 3", 0, 0},
+		{"SELECT id FROM items LIMIT 0", 0, 0},
+		{"SELECT id FROM items ORDER BY id LIMIT 1 OFFSET 3", 1, 1},
+	} {
+		counter.calls = 0
+		res, err := e.Query(ctx, c.sql)
+		if err != nil || len(res.Rows) != c.rows || counter.calls != c.calls {
+			n := -1
+			if res != nil {
+				n = len(res.Rows)
+			}
+			t.Errorf("%s: %d rows, %d source calls, %v; want %d rows, %d calls", c.sql, n, counter.calls, err, c.rows, c.calls)
 		}
 	}
 }

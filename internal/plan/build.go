@@ -66,7 +66,12 @@ func (b *Builder) BuildSelect(sel *sql.SelectStmt) (Node, error) {
 			return nil, err
 		}
 	}
-	if sel.Limit >= 0 || sel.Offset > 0 {
+	switch {
+	case sel.Limit == 0:
+		// No row is asked for, so no source is: an empty relation of the
+		// right shape, as a scan whose every fragment is pruned plans.
+		node = &Values{Out: node.Schema()}
+	case sel.Limit > 0 || sel.Offset > 0:
 		n := sel.Limit
 		if n < 0 {
 			n = int64(1) << 62

@@ -7,7 +7,6 @@
 package plan
 
 import (
-	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -461,7 +460,7 @@ func EstimateRows(n Node) float64 {
 		// the operator it stands for.
 		rows := base * sel
 		if t.Query.HasAggregation() {
-			rows = aggregateRows(rows, len(t.Query.GroupBy) > 0, remoteGroups(t.Query.GroupBy, fs))
+			rows = aggregateRows(rows, t, len(t.Query.GroupBy))
 		}
 		if t.Query.Limit >= 0 {
 			rows = limitRows(t.Query.Limit, rows)
@@ -476,13 +475,7 @@ func EstimateRows(n Node) float64 {
 		sides := [2]flatRel{{node: t.L, rows: l}, {node: t.R, offset: t.L.Schema().Len(), rows: r}}
 		return l * r * condSel(t.Cond, sides[:])
 	case *Aggregate:
-		in := EstimateRows(t.Input)
-		if len(t.GroupBy) > 0 && aggregatingScans(t.Input) {
-			// The final half of a split aggregation merges the groups
-			// its fragments formed, which are priced already.
-			return in
-		}
-		return aggregateRows(in, len(t.GroupBy) > 0, groups(t.GroupBy, t.Input))
+		return aggregateRows(EstimateRows(t.Input), t, len(t.GroupBy))
 	case *Sort:
 		return EstimateRows(t.Input)
 	case *Limit:
@@ -500,68 +493,21 @@ func EstimateRows(n Node) float64 {
 	}
 }
 
-// aggregateRows prices an aggregation of in rows whose group keys take
-// ndv distinct combinations: one row without grouping; with it, no more
-// groups than rows nor than combinations, and a tenth of the input when
-// ndv is unknown (0); at least one.
-func aggregateRows(in float64, grouped bool, ndv float64) float64 {
-	switch {
-	case !grouped:
-		return 1
-	case ndv > 0:
-		return max(min(in, ndv), 1)
-	default:
-		return max(in/10, 1)
-	}
-}
-
-// groups is the number of distinct combinations keys take over n's rows:
-// the product of their columns' NDV (columnNDV's reading, through any
-// joins); 0 when a key is not a column or its NDV is unknown.
-func groups(keys []expr.Expr, n Node) float64 {
-	ndv := 1.0
-	for _, k := range keys {
-		c, ok := k.(*expr.ColRef)
-		if !ok {
-			return 0
-		}
-		leaf, col := underJoins(n, c.Index)
-		v := childColumnNDV(leaf, col)
+// aggregateRows prices grouping n of in rows by k keys: n is an
+// Aggregate or an aggregating FragScan, whose first k output columns are
+// its keys. That is as many groups as the keys take combinations, the
+// product of their ndv, but no more than in; a tenth of in when a key's
+// NDV is unknown (not a column, say); one row without keys; at least one.
+func aggregateRows(in float64, n Node, k int) float64 {
+	groups := 1.0
+	for col := range k {
+		v := ndv(n, col)
 		if v <= 0 {
-			return 0
+			return max(in/10, 1)
 		}
-		ndv *= v
+		groups *= v
 	}
-	return ndv
-}
-
-// remoteGroups is groups for an aggregation pushed to a fragment, whose
-// keys are remote columns read on the fragment's statistics fs.
-func remoteGroups(keys []int, fs *stats.TableStats) float64 {
-	ndv := 1.0
-	for _, k := range keys {
-		if fs == nil || k < 0 || k >= len(fs.Columns) || fs.Columns[k].NDV <= 0 {
-			return 0
-		}
-		ndv *= float64(fs.Columns[k].NDV)
-	}
-	return ndv
-}
-
-// aggregatingScans reports whether n is fragment scans, alone or under
-// a union of all, that ask their sources to aggregate: the input of the
-// final half of a split aggregation.
-func aggregatingScans(n Node) bool {
-	if u, ok := n.(*Union); ok && u.All && len(u.Inputs) > 0 {
-		for _, in := range u.Inputs {
-			if _, ok := in.(*FragScan); !ok {
-				return false
-			}
-		}
-		n = u.Inputs[0]
-	}
-	fs, ok := n.(*FragScan)
-	return ok && fs.Query.HasAggregation()
+	return max(min(in, groups), 1)
 }
 
 // limitRows prices a limit of n over in rows.
@@ -616,8 +562,8 @@ func columnNDV(rels []flatRel, col int) float64 {
 	if n != r.node {
 		rows = EstimateRows(n)
 	}
-	if ndv := childColumnNDV(n, col); ndv > 0 && ndv < rows {
-		return ndv
+	if v := ndv(n, col); v > 0 && v < rows {
+		return v
 	}
 	return rows
 }
@@ -635,56 +581,103 @@ func underJoins(n Node, col int) (Node, int) {
 	return n, col
 }
 
-// childColumnNDV digs the NDV of a column out of scan statistics; 0 when
-// unknown.
-func childColumnNDV(n Node, col int) float64 {
+// ndv is the number of distinct values column col of n's output takes,
+// read on the statistics of the scans it comes from; 0 when unknown. It
+// is not capped at n's rows: its readers cap it.
+func ndv(n Node, col int) float64 {
 	switch t := n.(type) {
 	case *GlobalScan:
-		ts := t.Table.Stats()
-		actual := col
 		if t.Cols != nil {
-			if col >= len(t.Cols) {
+			col = t.Cols[col]
+		}
+		return statsNDV(t.Table.Stats(), col)
+	case *FragScan:
+		// An aggregating scan's output column i is group key i, remote
+		// column GroupBy[i] (past them, aggregates); any other's is
+		// translated from its remote column, and a constant-mapped
+		// column has the one value.
+		if t.Query.HasAggregation() {
+			if col >= len(t.Query.GroupBy) {
 				return 0
 			}
-			actual = t.Cols[col]
+			return statsNDV(t.Frag.Stats(), t.Query.GroupBy[col])
 		}
-		if ts != nil && actual < len(ts.Columns) && ts.Columns[actual].NDV > 0 {
-			return float64(ts.Columns[actual].NDV)
-		}
-	case *FragScan:
-		// Output col → remote col → remote-space fragment statistics; a
-		// constant-mapped column has the one value.
-		m := t.mapping(col)
-		if m != nil && m.Const != nil {
+		switch m := t.mapping(col); {
+		case m == nil:
+			return 0
+		case m.Const != nil:
 			return 1
-		}
-		fs := t.Frag.Stats()
-		if m != nil && m.RemoteCol >= 0 && fs != nil && m.RemoteCol < len(fs.Columns) && fs.Columns[m.RemoteCol].NDV > 0 {
-			return float64(fs.Columns[m.RemoteCol].NDV)
+		default:
+			return statsNDV(t.Frag.Stats(), m.RemoteCol)
 		}
 	case *Union:
-		// Fragments of one table: distinct values may overlap. They
-		// combine by stats.Merge's rule, the larger plus half the
-		// smaller rounded down, the rule a table's own statistics
-		// (GlobalTable.Stats) are merged from its fragments' by.
-		var ndv float64
-		for _, in := range t.Inputs {
-			v := childColumnNDV(in, col)
-			ndv = max(ndv, v) + math.Floor(min(ndv, v)/2)
+		// Fragments of one table: their distinct values may overlap, so
+		// they combine by stats.MergeNDV, the rule a table's statistics
+		// are merged from its fragments' by — unless every input maps
+		// the column to a constant, when they are the constants.
+		if k := distinctConsts(t.Inputs, col); k > 0 {
+			return k
 		}
-		return ndv
+		var v int64
+		for _, in := range t.Inputs {
+			v = stats.MergeNDV(v, int64(ndv(in, col)))
+		}
+		return float64(v)
+	case *Join:
+		return ndv(underJoins(t, col))
 	case *Filter:
-		return childColumnNDV(t.Input, col)
+		return ndv(t.Input, col)
+	case *Sort:
+		return ndv(t.Input, col)
+	case *Limit:
+		return ndv(t.Input, col)
 	case *Project:
-		if col < len(t.Exprs) {
-			if c, ok := t.Exprs[col].(*expr.ColRef); ok {
-				return childColumnNDV(t.Input, c.Index)
+		if c, ok := t.Exprs[col].(*expr.ColRef); ok {
+			return ndv(t.Input, c.Index)
+		}
+	case *Aggregate:
+		if col < len(t.GroupBy) {
+			if c, ok := t.GroupBy[col].(*expr.ColRef); ok {
+				return ndv(t.Input, c.Index)
 			}
 		}
 	default:
-		// Joins, aggregates, sorts, ...: no per-column NDV to report.
+		// Values: no statistics.
 	}
 	return 0
+}
+
+// statsNDV is column col's NDV in ts; 0 when unknown.
+func statsNDV(ts *stats.TableStats, col int) float64 {
+	if ts == nil || col < 0 || col >= len(ts.Columns) {
+		return 0
+	}
+	return float64(ts.Columns[col].NDV)
+}
+
+// distinctConsts is the number of distinct constants the fragment scans
+// ins map column col to; 0 unless each of them maps it to one.
+func distinctConsts(ins []Node, col int) float64 {
+	var k float64
+	for i, in := range ins {
+		c := fragConst(in, col)
+		if c == nil {
+			return 0
+		}
+		if !slices.ContainsFunc(ins[:i], func(p Node) bool { return fragConst(p, col).Equal(*c) }) {
+			k++
+		}
+	}
+	return k
+}
+
+// fragConst is the constant fragment scan n maps column col to; nil when
+// it maps none or n is no fragment scan.
+func fragConst(n Node, col int) *types.Value {
+	if fs, ok := n.(*FragScan); ok && fs.mapping(col) != nil {
+		return fs.mapping(col).Const
+	}
+	return nil
 }
 
 // ExplainFunc renders the plan with a per-node annotation (used by

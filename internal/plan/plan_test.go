@@ -11,6 +11,7 @@ import (
 	"gis/internal/kvstore"
 	"gis/internal/relstore"
 	"gis/internal/sql"
+	"gis/internal/stats"
 	"gis/internal/types"
 )
 
@@ -304,8 +305,12 @@ func TestEstimateRowsSanity(t *testing.T) {
 // distinct combinations its keys take, the product of their columns'
 // NDV, and no more than its input — read on the scan statistics whether
 // the source groups (a pushed aggregation) or the mediator does, through
-// a join, and 1 for a column the fragment maps to a constant. A key that
-// is not a column keeps a tenth of the input.
+// a join, and 1 for a column the fragment maps to a constant. The final
+// half of a split aggregation reads its keys through the union of
+// partial groupings, as the fragments' NDV merged; a union of fragments
+// that each map a column to a constant holds as many values as there are
+// distinct constants. A key that is not a column keeps a tenth of the
+// input. None of it allocates.
 func TestGroupEstimateReadsNDV(t *testing.T) {
 	cat := newBenchCatalog(t)
 	site := types.NewString("hq")
@@ -319,10 +324,23 @@ func TestGroupEstimateReadsNDV(t *testing.T) {
 		Columns: []catalog.ColumnMapping{{RemoteCol: 0}, {RemoteCol: -1, Const: &site}}}); err != nil {
 		t.Fatal(err)
 	}
+	if err := cat.DefineTable("sites", types.NewSchema(
+		types.Column{Name: "oid", Type: types.KindInt},
+		types.Column{Name: "site", Type: types.KindString},
+	)); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range []string{"s0", "s1", "s2", "s1"} {
+		c := types.NewString(s)
+		if err := cat.MapFragment(context.Background(), "sites", &catalog.Fragment{Source: fmt.Sprintf("wan_e%d", i), RemoteTable: "events",
+			Columns: []catalog.ColumnMapping{{RemoteCol: 0}, {RemoteCol: -1, Const: &c}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	const join = "FROM customers c JOIN orders o ON c.id = o.cust_id "
 	for _, c := range []struct {
 		name, sql string
-		want      float64 // 0: a tenth of the grouping's input, -1: its input
+		want      float64 // 0: a tenth of the grouping's input, -1: its input, -2: split
 	}{
 		{"pushed, NDV 4", "SELECT region, COUNT(*) FROM orders GROUP BY region", 4},
 		{"under a join, NDV 4", "SELECT o.region, COUNT(*) " + join + "GROUP BY o.region", 4},
@@ -330,6 +348,9 @@ func TestGroupEstimateReadsNDV(t *testing.T) {
 		{"two columns, 40 × 4", "SELECT o.cust_id, o.region, COUNT(*) " + join + "GROUP BY o.cust_id, o.region", 160},
 		{"no more than its input", "SELECT o.oid, COUNT(*) " + join + "WHERE c.id = 3 GROUP BY o.oid", -1},
 		{"constant-mapped", "SELECT site, COUNT(*) FROM sited GROUP BY site", 1},
+		{"three constants over four fragments", "SELECT site, COUNT(*) FROM sites GROUP BY site", 3},
+		{"split, NDV 4 in each of 8 fragments", "SELECT region, COUNT(*) FROM events GROUP BY region", -2},
+		{"split, NDV 40 in each of 8 fragments", "SELECT cust_id, SUM(amount) FROM events GROUP BY cust_id", -2},
 		{"an expression", "SELECT oid % 7, COUNT(*) FROM orders GROUP BY oid % 7", 0},
 	} {
 		p := planQuery(t, cat, c.sql, nil)
@@ -342,6 +363,17 @@ func TestGroupEstimateReadsNDV(t *testing.T) {
 				want = EstimateRows(a.Input) / 10
 			case -1:
 				want = EstimateRows(a.Input)
+			case -2:
+				// No more groups than the fragments formed, nor than
+				// the values their statistics merge to.
+				var merged int64
+				for _, fs := range FragScans(a.Input) {
+					if len(fs.Query.GroupBy) != 1 {
+						t.Fatalf("%s: want a union of partial groupings by one key:\n%s", c.name, Explain(p))
+					}
+					merged = stats.MergeNDV(merged, fs.Frag.Stats().Columns[fs.Query.GroupBy[0]].NDV)
+				}
+				want = min(EstimateRows(a.Input), float64(merged))
 			}
 		} else if fs := findFragScan(p); fs != nil && len(fs.Query.GroupBy) > 0 && want > 0 {
 			grouping = fs
@@ -350,6 +382,9 @@ func TestGroupEstimateReadsNDV(t *testing.T) {
 		}
 		if got := EstimateRows(grouping); math.Abs(got-want) > 1e-9 || want < 1 {
 			t.Errorf("%s: grouping estimated at %g rows, want %g:\n%s", c.name, got, want, Explain(p))
+		}
+		if allocs := testing.AllocsPerRun(10, func() { EstimateRows(grouping) }); allocs != 0 {
+			t.Errorf("%s: EstimateRows allocates %.0f objects", c.name, allocs)
 		}
 	}
 }

@@ -112,9 +112,13 @@ func CollectColumn(vals []types.Value, nulls int64) ColumnStats {
 	return cs
 }
 
+// MergeNDV is the NDV of a column over two disjoint fragments whose NDVs
+// are a and b. Their values may overlap, so it is approximate: the
+// larger (a lower bound) plus half the smaller, a standard heuristic.
+func MergeNDV(a, b int64) int64 { return max(a, b) + min(a, b)/2 }
+
 // Merge combines statistics of disjoint fragments of the same table
-// (horizontal partitions). NDV merging is approximate: it takes the max
-// (lower bound) plus half the remainder, a standard heuristic. The
+// (horizontal partitions); a column's NDV merges by MergeNDV. The
 // result copies the first part's Columns, not its histograms: the
 // merged columns have none, and the rest are shared, read-only.
 func Merge(parts ...*TableStats) *TableStats {
@@ -134,12 +138,7 @@ func Merge(parts ...*TableStats) *TableStats {
 			}
 			a, b := &out.Columns[i], p.Columns[i]
 			a.NullCount += b.NullCount
-			maxNDV := a.NDV
-			minNDV := b.NDV
-			if b.NDV > maxNDV {
-				maxNDV, minNDV = b.NDV, a.NDV
-			}
-			a.NDV = maxNDV + minNDV/2
+			a.NDV = MergeNDV(a.NDV, b.NDV)
 			if a.Min.IsNull() || (!b.Min.IsNull() && b.Min.Compare(a.Min) < 0) {
 				a.Min = b.Min
 			}

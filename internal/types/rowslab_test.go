@@ -225,34 +225,50 @@ func allocatedBytes(f func()) uint64 {
 // TestRowSlabBytes pins what the chunk sizes in slabRows are chosen
 // for: a short, a middling and a long stream carved from a slab each
 // allocate within 3% of the bytes that one make per row does (the worst
-// length, one row into the first full chunk, pays under 5%). It fails if
-// a Go release moves the size classes or the malloc header the sizes
-// are cut to.
+// length, one row into the first full chunk, pays under 5%). A stream of
+// 100 to 1 000 rows pays more — its chunks hold few rows, and the part of
+// a row that does not fit the size class, plus the malloc header, is a
+// large share of each — and is held to what it pays, rounded up to a half
+// percent, so that it gets no worse. It fails if a Go release moves the
+// size classes or the malloc header the sizes are cut to.
 func TestRowSlabBytes(t *testing.T) {
+	type stream struct {
+		w, n int
+		over float64 // the most it may allocate over one make per row, in %
+	}
+	var streams []stream
 	for _, w := range []int{4, 8} {
 		for _, n := range []int{1, 10, 50, 4000, 20000} {
-			sinkRows = make([]Row, n)
-			perRow := func() {
-				for i := range sinkRows {
-					sinkRows[i] = make(Row, w)
-				}
+			streams = append(streams, stream{w, n, 3})
+		}
+	}
+	streams = append(streams,
+		stream{4, 100, 2.5}, stream{4, 300, 4.5}, stream{4, 1000, 6},
+		stream{8, 100, 3}, stream{8, 300, 8.5}, stream{8, 1000, 5},
+		stream{16, 100, 8.5}, stream{16, 300, 11}, stream{16, 1000, 7})
+	for _, c := range streams {
+		w, n := c.w, c.n
+		sinkRows = make([]Row, n)
+		perRow := func() {
+			for i := range sinkRows {
+				sinkRows[i] = make(Row, w)
 			}
-			carved := func() {
-				var s RowSlab
-				for i := range sinkRows {
-					sinkRows[i] = s.Next(w)
-				}
+		}
+		carved := func() {
+			var s RowSlab
+			for i := range sinkRows {
+				sinkRows[i] = s.Next(w)
 			}
-			want, got := allocatedBytes(perRow), allocatedBytes(carved)
-			if over := float64(got)/float64(want) - 1; over > 0.03 || over < -0.03 {
-				t.Errorf("%d rows of width %d: slab allocates %d B, one make per row %d B (%+.1f%%)", n, w, got, want, 100*over)
-			}
-			if n <= 2*slabTailShare && got != want {
-				t.Errorf("%d rows of width %d: slab allocates %d B, want exactly the %d B of one make per row", n, w, got, want)
-			}
-			if objects := testing.AllocsPerRun(5, carved); n >= 4000 && objects > float64(n)/3 {
-				t.Errorf("%d rows of width %d: %v allocations, want under a third of one per row", n, w, objects)
-			}
+		}
+		want, got := allocatedBytes(perRow), allocatedBytes(carved)
+		if over := 100 * (float64(got)/float64(want) - 1); over > c.over || over < -3 {
+			t.Errorf("%d rows of width %d: slab allocates %d B, one make per row %d B (%+.1f%%, want at most %+.1f%%)", n, w, got, want, over, c.over)
+		}
+		if n <= 2*slabTailShare && got != want {
+			t.Errorf("%d rows of width %d: slab allocates %d B, want exactly the %d B of one make per row", n, w, got, want)
+		}
+		if objects := testing.AllocsPerRun(5, carved); n >= 4000 && objects > float64(n)/3 {
+			t.Errorf("%d rows of width %d: %v allocations, want under a third of one per row", n, w, objects)
 		}
 	}
 	sinkRows = nil

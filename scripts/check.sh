@@ -2,8 +2,9 @@
 # check.sh — the full verification gate, run from the repo root (or any
 # subdirectory: it cd's to the module root first). Fails fast on the
 # first broken step, and prints each step's wall time as it ends and, at
-# the end, the total and the size of the code it passed (`make loc`;
-# reported, not gated):
+# the end, the total, the size of the code it passed (`make loc`) and the
+# planner's p90 q-error per operator kind as estimates.golden has it
+# (both reported, not gated):
 #
 #   1. gofmt      — no unformatted files
 #   2. go vet     — stdlib static checks
@@ -112,4 +113,5 @@ go run ./cmd/gisql -demo -query-log "$qlog" -query-log-sample 1 \
 go run ./scripts/querylogjson < "$qlog"
 
 step ''
-echo "check: all gates passed in $(($(date +%s) - t0)) s; $(sh scripts/loc.sh | awk 'END { print $1 }') non-test lines of Go (make loc)"
+p90=$(awk '!/^#/ && $1 != "operator" && NF == 5 { printf "%s%s %s", sep, $1, $4; sep = ", " }' internal/workload/testdata/estimates.golden)
+echo "check: all gates passed in $(($(date +%s) - t0)) s; $(sh scripts/loc.sh | awk 'END { print $1 }') non-test lines of Go (make loc); estimate q-error p90 by operator: $p90 (estimates.golden)"
