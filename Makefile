@@ -56,7 +56,7 @@ layout:
 	$(GO) test -count=1 -run 'TestCollectHeaderBytes' -v ./internal/exec
 
 # After a change meant to move a plan, an estimate or a parsed tree:
-# rewrite the golden files of TestPlansGolden (230 statements under each
+# rewrite the golden files of TestPlansGolden (231 statements under each
 # optimizer variant), TestEstimatesGolden (the planner's estimate error
 # over the same statements, per operator kind) and TestParsedGolden (the
 # printed form or the error of each fuzz seed, plan statement and

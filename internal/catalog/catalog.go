@@ -158,29 +158,6 @@ type GlobalTable struct {
 	Fragments []*Fragment
 }
 
-// Stats merges the fragments' statistics; nil when none were analyzed.
-// The result is only to be read: for a table of one analyzed fragment it
-// is that fragment's own statistics, not a copy.
-func (g *GlobalTable) Stats() *stats.TableStats {
-	if len(g.Fragments) == 1 {
-		if ts := g.Fragments[0].Stats(); ts != nil {
-			return ts
-		}
-	}
-	var parts []*stats.TableStats
-	for _, f := range g.Fragments {
-		if ts := f.Stats(); ts != nil {
-			parts = append(parts, ts)
-		} else if f.info != nil && f.info.RowCount >= 0 {
-			parts = append(parts, stats.Unknown(g.Schema.Len(), f.info.RowCount))
-		}
-	}
-	if len(parts) == 0 {
-		return nil
-	}
-	return stats.Merge(parts...)
-}
-
 // Catalog is the mediator's registry of sources and global tables.
 // Methods are safe for concurrent use.
 type Catalog struct {

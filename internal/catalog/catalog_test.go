@@ -372,24 +372,6 @@ func TestMapSimple(t *testing.T) {
 	}
 }
 
-func TestGlobalTableStats(t *testing.T) {
-	c, hospA, _ := newHospitalFixture(t)
-	tab, _ := c.Table("patients")
-	if tab.Stats() == nil {
-		// Both fragments report RowCount 0 → Unknown stats merge.
-		t.Log("stats nil before analyze (fragments empty)")
-	}
-	// Install explicit stats on one fragment.
-	ts, err := hospA.Stats("pat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab.Fragments[0].SetStats(ts)
-	if tab.Stats() == nil {
-		t.Error("stats must merge when a fragment is analyzed")
-	}
-}
-
 // mappedColumn maps one global column g of kind global over the only
 // column of a remote table, of kind remote, through m.
 func mappedColumn(t testing.TB, remote, global types.Kind, m ColumnMapping) (*Fragment, *types.Schema) {

@@ -90,8 +90,8 @@ func statementEngine(t *testing.T) *Engine {
 // end — parse, bind, plan, admit, ship, the component's decode and
 // re-bind, the reply — for point_remote's four shapes and update_2pc's
 // five templates (texts and parameter kinds as bench/gen.go has them)
-// under ceilings 10% above what they measure — 65 / 94 / 192 / 91 and
-// 29 / 24 / 38 / 170 / 269 — so that a regression of the fixed cost
+// under ceilings 10% above what they measure — 60 / 91 / 174 / 80 and
+// 28 / 25 / 39 / 168 / 249 — so that a regression of the fixed cost
 // fails here before it shows as allocs_per_query. Materializing each
 // template's subqueries, of which it has none, allocates nothing.
 // TestPlanAllocations (plan) holds the planning part alone.
@@ -108,15 +108,15 @@ func TestStatementAllocations(t *testing.T) {
 		ceiling float64
 	}{
 		{"pk_lookup", "SELECT oid, cust_id, amount, region FROM orders WHERE oid = ?",
-			func() []types.Value { return ints(17) }, false, 72},
+			func() []types.Value { return ints(17) }, false, 66},
 		{"fk_agg", "SELECT COUNT(*), SUM(amount) FROM orders WHERE cust_id = ?",
-			func() []types.Value { return ints(3) }, false, 104},
+			func() []types.Value { return ints(3) }, false, 100},
 		{"fk_join_top5", "SELECT c.name, o.oid, o.amount FROM customers c JOIN orders o ON c.id = o.cust_id WHERE c.id = ? ORDER BY o.amount DESC, o.oid LIMIT 5",
-			func() []types.Value { return ints(3) }, false, 212},
+			func() []types.Value { return ints(3) }, false, 191},
 		{"in_list", "SELECT oid, amount FROM orders WHERE oid IN (?, ?, ?, ?, ?, ?, ?, ?)",
-			func() []types.Value { return ints(1, 2, 3, 5, 8, 13, 21, 34) }, false, 101},
+			func() []types.Value { return ints(1, 2, 3, 5, 8, 13, 21, 34) }, false, 88},
 		{"insert_routed", "INSERT INTO accounts (id, balance) VALUES (?, ?)",
-			func() []types.Value { inserted++; return []types.Value{types.NewInt(inserted), types.NewFloat(25.5)} }, true, 32},
+			func() []types.Value { inserted++; return []types.Value{types.NewInt(inserted), types.NewFloat(25.5)} }, true, 31},
 		{"delete_pk", "DELETE FROM accounts WHERE id = ?",
 			func() []types.Value { deleted++; return ints(deleted) }, true, 27},
 		{"update_1p", "UPDATE accounts SET balance = balance + ? WHERE id = ?",
@@ -124,9 +124,9 @@ func TestStatementAllocations(t *testing.T) {
 		{"update_2pc", "UPDATE accounts SET balance = CASE WHEN id < ? THEN balance - ? ELSE balance + ? END WHERE id >= ? AND id < ?",
 			func() []types.Value {
 				return []types.Value{types.NewInt(1_000_000), types.NewFloat(1.5), types.NewFloat(1.5), types.NewInt(999_998), types.NewInt(1_000_002)}
-			}, true, 187},
+			}, true, 185},
 		{"sum_check", "SELECT SUM(balance), COUNT(*) FROM accounts",
-			func() []types.Value { return nil }, false, 296},
+			func() []types.Value { return nil }, false, 274},
 	} {
 		// The parameters of every run are drawn before it is measured, as
 		// the benchmark's generator draws them outside the engine.

@@ -1,5 +1,5 @@
 // Package filestore implements the weakest component system in the
-// federation: delimited text files (CSV/TSV) exposed as scan-only tables.
+// federation: comma-separated text files exposed as scan-only tables.
 // The wrapper can skip columns while parsing (projection pushdown) but
 // evaluates no predicates — the mediator compensates for everything else.
 // It models the flat-file systems an early global information system had
@@ -33,53 +33,36 @@ type fileTable struct {
 	// path is read per query when set; otherwise data holds the raw
 	// file contents (in-memory registration, used heavily by tests and
 	// workload generators).
-	path      string
-	data      string
-	comma     string // one rune
-	hasHeader bool
+	path string
+	data string
 	// rowCount is -1 until the first full scan. Concurrent scans each
 	// store it at EOF while TableInfo reads it.
 	rowCount atomic.Int64
 }
-
-// Option configures a registered file.
-type Option func(*fileTable)
-
-// WithDelimiter sets the field delimiter (default ',').
-func WithDelimiter(r rune) Option { return func(t *fileTable) { t.comma = string(r) } }
-
-// WithHeader marks the first record as a header line to skip.
-func WithHeader() Option { return func(t *fileTable) { t.hasHeader = true } }
 
 // New returns an empty file store.
 func New(name string) *Store {
 	return &Store{name: name, tables: make(map[string]*fileTable)}
 }
 
-// RegisterFile exposes the delimited file at path as table name.
-func (s *Store) RegisterFile(name, path string, schema *types.Schema, opts ...Option) error {
-	return s.register(name, &fileTable{schema: schema.Clone(), path: path}, opts)
+// RegisterFile exposes the comma-separated file at path, which has no
+// header record, as table name.
+func (s *Store) RegisterFile(name, path string, schema *types.Schema) error {
+	return s.register(name, &fileTable{schema: schema.Clone(), path: path})
 }
 
-// RegisterData exposes in-memory delimited text as table name.
-func (s *Store) RegisterData(name, data string, schema *types.Schema, opts ...Option) error {
-	return s.register(name, &fileTable{schema: schema.Clone(), data: data}, opts)
+// RegisterData exposes in-memory comma-separated text as table name.
+func (s *Store) RegisterData(name, data string, schema *types.Schema) error {
+	return s.register(name, &fileTable{schema: schema.Clone(), data: data})
 }
 
-func (s *Store) register(name string, t *fileTable, opts []Option) error {
+func (s *Store) register(name string, t *fileTable) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.tables[name]; dup {
 		return fmt.Errorf("filestore %s: table %q already exists", s.name, name)
 	}
-	t.comma = ","
 	t.rowCount.Store(-1)
-	for _, o := range opts {
-		o(t)
-	}
-	if !validDelimiter(t.comma) {
-		return fmt.Errorf("filestore %s: table %q: no scan can split fields at %q", s.name, name, t.comma)
-	}
 	s.tables[name] = t
 	return nil
 }
@@ -127,7 +110,7 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 		return nil, fmt.Errorf("filestore %s: %w", s.name, err)
 	}
 	it := &csvIter{ctx: ctx, store: s.name, t: t, cols: q.Columns}
-	it.recs = records{text: t.data, last: true, comma: t.comma, fields: make([]string, 0, t.schema.Len())}
+	it.recs = records{text: t.data, last: true, fields: make([]string, 0, t.schema.Len())}
 	if t.path != "" {
 		f, err := os.Open(t.path)
 		if err != nil {
@@ -135,16 +118,6 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 		}
 		it.file = f
 		it.recs.in, it.recs.block, it.recs.last = f, blockBytes, false
-	}
-	if t.hasHeader {
-		hdr, err := it.recs.next()
-		if err == nil && len(hdr) != t.schema.Len() {
-			err = fmt.Errorf("%d fields, want %d", len(hdr), t.schema.Len())
-		}
-		if err != nil && err != io.EOF {
-			_ = it.Close() // the header error wins
-			return nil, fmt.Errorf("filestore %s: header: %w", s.name, err)
-		}
 	}
 	return it, nil
 }

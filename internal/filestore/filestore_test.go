@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"unicode/utf8"
 
 	"gis/internal/source"
 	"gis/internal/types"
@@ -99,11 +98,11 @@ func TestFileScanLent(t *testing.T) {
 func TestFileScanFromDisk(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.csv")
-	if err := os.WriteFile(path, []byte("sku\tdesc\tprice\n7\tseven\t7.7\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("7,seven,7.7\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s := New("files2")
-	if err := s.RegisterFile("p", path, fileSchema, WithDelimiter('\t'), WithHeader()); err != nil {
+	if err := s.RegisterFile("p", path, fileSchema); err != nil {
 		t.Fatal(err)
 	}
 	it, err := s.Execute(ctx, source.NewScan("p"))
@@ -278,81 +277,6 @@ func TestScanRowsSurviveTheStream(t *testing.T) {
 			}
 			if len(r) != len(want) || !r.Equal(want) {
 				t.Fatalf("columns %v: row %d = %v, want %v", cols, i, r, want)
-			}
-		}
-	}
-}
-
-// A delimiter no scan could split at is refused when the table is
-// registered, not by every scan's first record; one of several bytes
-// splits like any other, quoted or not.
-func TestDelimiters(t *testing.T) {
-	s := New("files")
-	for _, r := range []rune{'"', '\n', '\r', 0, utf8.RuneError, -1, utf8.MaxRune + 1} {
-		if err := s.RegisterData("bad", csvData, fileSchema, WithDelimiter(r)); err == nil {
-			t.Errorf("a table split at %q registered", r)
-		}
-	}
-	if names, _ := s.Tables(ctx); len(names) != 0 {
-		t.Errorf("refused tables are listed: %v", names)
-	}
-	for i, r := range []rune{'→', '§', ';', ' '} {
-		d := string(r)
-		name := fmt.Sprintf("t%d", i)
-		// The second record's middle field holds the first byte of '→'.
-		data := "1" + d + "\"a" + d + "\"\"b\"\"\"" + d + "9.5\r\n2" + d + "wid\xe2get" + d + "\n"
-		if err := s.RegisterData(name, data, fileSchema, WithDelimiter(r)); err != nil {
-			t.Fatal(err)
-		}
-		it, err := s.Execute(ctx, source.NewScan(name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := source.DrainOwned(it)
-		if err != nil || len(rows) != 2 || rows[0][1].Str() != "a"+d+`"b"` || rows[0][2].Float() != 9.5 ||
-			rows[1][1].Str() != "wid\xe2get" || !rows[1][2].IsNull() {
-			t.Errorf("split at %q: %v, %v", r, rows, err)
-		}
-	}
-}
-
-// A header is one record, whatever it says, and an empty file has none
-// to skip.
-func TestHeader(t *testing.T) {
-	dir := t.TempDir()
-	s := New("files")
-	for name, c := range map[string]struct {
-		data string
-		rows int
-		fail bool
-	}{
-		"empty":      {"", 0, false},
-		"headeronly": {"sku,desc,price", 0, false},
-		"quoted":     {"\"sku\nno\",desc,price\r\n1,a,2\n", 1, false},
-		"short":      {"sku,desc\n1,a,2\n", 0, true},
-		"barequote":  {"s\"ku,desc,price\n1,a,2\n", 0, true},
-	} {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(c.data), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RegisterFile(name, path, fileSchema, WithHeader()); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RegisterData(name+"_mem", c.data, fileSchema, WithHeader()); err != nil {
-			t.Fatal(err)
-		}
-		for _, table := range []string{name, name + "_mem"} {
-			it, err := s.Execute(ctx, source.NewScan(table))
-			if err != nil {
-				if !c.fail {
-					t.Errorf("%s: %v", table, err)
-				}
-				continue
-			}
-			rows, err := source.DrainOwned(it)
-			if c.fail || err != nil || len(rows) != c.rows {
-				t.Errorf("%s: %d rows, %v; want %d, fail %v", table, len(rows), err, c.rows, c.fail)
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"strings"
-	"unicode/utf8"
 )
 
 // blockBytes is how much of an on-disk file one read brings in.
@@ -19,21 +18,12 @@ var (
 	errOpenQuote = errors.New(`unterminated quoted field`)
 )
 
-// validDelimiter reports whether comma, the string of one rune, can
-// separate fields: it must be told from the quote and the record
-// separator, and be a rune text can hold (string(r) of one that is not
-// is U+FFFD).
-func validDelimiter(comma string) bool {
-	r, _ := utf8.DecodeRuneInString(comma)
-	return r != 0 && r != '"' && r != '\r' && r != '\n' && r != utf8.RuneError
-}
-
-// records splits delimited text into records, RFC 4180 as encoding/csv
-// reads it with only Comma set: "\n" or "\r\n" ends a record and a lone
-// "\r" before the end of input is dropped; empty lines are skipped; a
-// field that opens with a quote runs to the quote no quote follows, may
-// span lines (its "\r\n" read as "\n") and hold "" for a quote, and only
-// the delimiter or the end of the record may follow it; a quote anywhere
+// records splits comma-separated text into records, RFC 4180 as
+// encoding/csv reads it: "\n" or "\r\n" ends a record and a lone "\r"
+// before the end of input is dropped; empty lines are skipped; a field
+// that opens with a quote runs to the quote no quote follows, may span
+// lines (its "\r\n" read as "\n") and hold "" for a quote, and only a
+// comma or the end of the record may follow it; a quote anywhere
 // in a field that did not open with one is an error. Nothing counts the
 // fields: that is the caller's schema to do.
 //
@@ -44,9 +34,8 @@ func validDelimiter(comma string) bool {
 // quoted field that holds "" or "\r\n" is built.
 type records struct {
 	text   string
-	pos    int  // text[pos:] is not split yet
-	last   bool // text ends the input
-	comma  string
+	pos    int      // text[pos:] is not split yet
+	last   bool     // text ends the input
 	fields []string // of the record split last, overwritten by the next
 
 	// An on-disk file: buf[:n] is what was read and not yet given up, and
@@ -112,7 +101,7 @@ func (s *records) fill() error {
 // whole input, and returns where the next record starts. io.EOF: only
 // empty lines were left.
 func (s *records) split() (end int, err error) {
-	t, p, comma := s.text, s.pos, s.comma
+	t, p := s.text, s.pos
 	for p < len(t) {
 		if t[p] == '\n' {
 			p++
@@ -135,10 +124,10 @@ func (s *records) split() (end int, err error) {
 			s.fields = append(s.fields, field)
 			p = after
 			switch rest := t[p:]; {
-			case strings.HasPrefix(rest, comma):
-				p += len(comma)
 			case rest == "" || rest == "\r":
 				return len(t), nil
+			case rest[0] == ',':
+				p++
 			case rest[0] == '\n':
 				return p + 1, nil
 			case strings.HasPrefix(rest, "\r\n"):
@@ -152,13 +141,13 @@ func (s *records) split() (end int, err error) {
 				if t[p] == '"' {
 					return 0, errBareQuote
 				}
-				if t[p] == comma[0] && strings.HasPrefix(t[p:], comma) {
+				if t[p] == ',' {
 					break
 				}
 			}
 			if p < len(t) && t[p] != '\n' {
 				s.fields = append(s.fields, t[start:p])
-				p += len(comma)
+				p++
 			} else {
 				end = min(p+1, len(t))
 				if p > start && t[p-1] == '\r' {
@@ -169,7 +158,7 @@ func (s *records) split() (end int, err error) {
 			}
 		}
 		if p == len(t) {
-			// The delimiter was the last thing in the input.
+			// The comma was the last thing in the input.
 			s.fields = append(s.fields, "")
 			return p, nil
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gis/internal/catalog"
+	"gis/internal/expr"
 )
 
 // decompose replaces every GlobalScan with per-fragment FragScans
@@ -64,13 +65,18 @@ func decomposeScan(gs *GlobalScan, cat *catalog.Catalog, parallel bool) (Node, e
 	return &Union{Inputs: scans, All: true, Parallel: parallel}, nil
 }
 
-// chooseStrategies assigns a distributed execution strategy to every
-// auto-strategy join whose right side is remote. forced overrides the
-// cost decision when not StrategyAuto.
+// chooseStrategies records every join's equi keys and assigns a
+// distributed execution strategy to every auto-strategy join whose right
+// side is remote. forced overrides the cost decision when not
+// StrategyAuto.
 func chooseStrategies(n Node, forced Strategy) Node {
 	rewriteChildren(n, func(c Node) Node { return chooseStrategies(c, forced) })
 	j, ok := n.(*Join)
-	if !ok || j.Strategy != StrategyAuto {
+	if !ok {
+		return n
+	}
+	j.setEquiKeys()
+	if j.Strategy != StrategyAuto {
 		return n
 	}
 	if len(j.EquiL) == 0 {
@@ -106,4 +112,24 @@ func chooseStrategies(n Node, forced Strategy) Node {
 		j.Strategy = StrategyShipAll
 	}
 	return j
+}
+
+// setEquiKeys finds the equality conjuncts of j's condition that compare
+// a column of each side, and records their positions for the hash join
+// and for the strategy chooser.
+func (j *Join) setEquiKeys() {
+	lw := j.L.Schema().Len()
+	var conj [8]expr.Expr
+	for _, c := range expr.AppendConjuncts(conj[:0], j.Cond) {
+		lc, rc, ok := columnEquality(c)
+		switch {
+		case !ok:
+		case lc.Index < lw && rc.Index >= lw:
+			j.EquiL = append(j.EquiL, lc.Index)
+			j.EquiR = append(j.EquiR, rc.Index-lw)
+		case rc.Index < lw && lc.Index >= lw:
+			j.EquiL = append(j.EquiL, rc.Index)
+			j.EquiR = append(j.EquiR, lc.Index-lw)
+		}
+	}
 }

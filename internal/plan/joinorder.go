@@ -221,20 +221,53 @@ func orderGreedy(rels []RelInfo, preds []PredInfo) SearchResult {
 
 // ---- plan-tree integration ----
 
-// chooseJoinOrder finds maximal inner-join chains in the plan and
-// reorders them with the configured algorithm.
+// chooseJoinOrder reorders each maximal chain of three inner joined
+// relations or more with the configured algorithm. It runs over the
+// decomposed plan, so the search prices fragment scans and their unions
+// as EstimateRows does everywhere else. A chain is flattened once, at its
+// root, and the relations it collects are searched in turn; a reordered
+// chain directly under a Project has the new column order read through
+// that Project's expressions, any other is wrapped in a Project that
+// restores the order it had.
 func chooseJoinOrder(n Node, algo JoinOrderAlgo) Node {
+	if algo == OrderSyntactic {
+		return n
+	}
+	switch t := n.(type) {
+	case *Project:
+		if j, ok := t.Input.(*Join); ok && chainLen(j) >= 3 {
+			var remap []int
+			t.Input, remap = reorderChain(j, algo)
+			for i, e := range t.Exprs {
+				t.Exprs[i] = expr.Remap(e, remap)
+			}
+			return t
+		}
+	case *Join:
+		if chainLen(t) >= 3 {
+			return restoreOrder(reorderChain(t, algo))
+		}
+	default:
+		// No chain is rooted here; one may be below.
+	}
 	rewriteChildren(n, func(c Node) Node { return chooseJoinOrder(c, algo) })
-	j, ok := n.(*Join)
-	if !ok || j.Kind != JoinInner {
-		return n
+	return n
+}
+
+// chainLen counts the relations of the inner-join chain rooted at n: 1
+// when n is no inner join.
+func chainLen(n Node) int {
+	if j, ok := n.(*Join); ok && j.Kind == JoinInner {
+		return chainLen(j.L) + chainLen(j.R)
 	}
+	return 1
+}
+
+// reorderChain searches the order of the chain rooted at j, after the
+// chains below its relations, and rebuilds it in that order; remap takes
+// a column of j's output to its position in the rebuilt chain's.
+func reorderChain(j *Join, algo JoinOrderAlgo) (Node, []int) {
 	rels, preds := flattenJoins(j)
-	if len(rels) < 3 || algo == OrderSyntactic {
-		return n
-	}
-	// Recurse into the collected relations themselves (they may contain
-	// nested join chains below barriers).
 	for i := range rels {
 		rels[i].node = chooseJoinOrder(rels[i].node, algo)
 	}
@@ -324,9 +357,9 @@ func relOf(rels []flatRel, col int) int {
 
 // rebuildJoinTree constructs a left-deep join tree in the given order,
 // attaching every predicate at the lowest join where its inputs are
-// available, and restores the original output column order with a final
-// projection.
-func rebuildJoinTree(rels []flatRel, preds []flatPred, order []int) Node {
+// available. remap takes each column of the original concatenated
+// schema to its position in the tree's output.
+func rebuildJoinTree(rels []flatRel, preds []flatPred, order []int) (Node, []int) {
 	// Column remapping: original global index → new global index.
 	newOffsets := make([]int, len(rels))
 	total := 0
@@ -368,19 +401,14 @@ func rebuildJoinTree(rels []flatRel, preds []flatPred, order []int) Node {
 		}
 		cur = &Join{Kind: JoinInner, Cond: expr.Conjoin(conds), L: cur, R: rels[r].node}
 	}
-	// Leftover predicates (should not happen) become a filter.
-	var leftover []expr.Expr
-	for pi, p := range preds {
-		if !attached[pi] {
-			leftover = append(leftover, expr.Remap(p.e, remap))
-		}
-	}
-	if len(leftover) > 0 {
-		cur = &Filter{Pred: expr.Conjoin(leftover), Input: cur}
-	}
-	// Restore original column order.
-	exprs := make([]expr.Expr, total)
-	names := make([]string, total)
+	return cur, remap
+}
+
+// restoreOrder projects the rebuilt chain cur back to the column order
+// it had, remap taking each original column to its position in cur.
+func restoreOrder(cur Node, remap []int) Node {
+	exprs := make([]expr.Expr, len(remap))
+	names := make([]string, len(remap))
 	outSchema := cur.Schema()
 	for orig, nw := range remap {
 		col := outSchema.Columns[nw]

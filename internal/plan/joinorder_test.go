@@ -1,11 +1,15 @@
 package plan
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"gis/internal/catalog"
 	"gis/internal/sql"
+	"gis/internal/types"
 )
 
 // chainGraph builds R0 - R1 - ... - Rn-1 with the given sizes.
@@ -133,12 +137,14 @@ func TestConnectedAvoidsCrossProducts(t *testing.T) {
 }
 
 // TestJoinReadingsAgree: the join-order search and the row estimate
-// price a join alike. Over a chain of two binary equi conjuncts on scans
-// with statistics, the C_out cost OrderSearch reports for the order it
-// chose is the sum of EstimateRows over the joins of the tree
-// rebuildJoinTree builds in that order. The filter on customers makes a
-// join of it with orders estimated at fewer rows than orders.oid has
-// values; both readings take a column's NDV from the scan that holds it.
+// price a join alike. Over a chain of two binary equi conjuncts on the
+// fragment scans the search reads — filters pushed, columns pruned,
+// scans decomposed, as Optimize hands it the plan — the C_out cost
+// OrderSearch reports for the order it chose is the sum of EstimateRows
+// over the joins of the tree rebuildJoinTree builds in that order. The
+// filter on customers makes a join of it with orders estimated at fewer
+// rows than orders.oid has values; both readings take a column's NDV
+// from the scan that holds it.
 func TestJoinReadingsAgree(t *testing.T) {
 	cat := newBenchCatalog(t)
 	var joins func(Node) float64
@@ -162,17 +168,116 @@ func TestJoinReadingsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rels, preds := flattenJoins(findJoin(pushDownFilters(logical)))
+		decomposed, err := decompose(pruneColumns(pushDownFilters(logical)), cat, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels, preds := flattenJoins(findJoin(decomposed))
 		if len(rels) != 3 || len(preds) != 2 {
 			t.Fatalf("flattened into %d relations and %d predicates, want 3 and 2", len(rels), len(preds))
 		}
 		for _, algo := range []JoinOrderAlgo{OrderDP, OrderGreedy, OrderSyntactic} {
 			res := searchOrder(rels, preds, algo)
-			got := joins(rebuildJoinTree(rels, preds, res.Order))
+			tree, _ := rebuildJoinTree(rels, preds, res.Order)
+			got := joins(tree)
 			t.Logf("%q %-9s order %v: cost %g, joins estimated at %g rows", where, algo, res.Order, res.Cost, got)
 			if res.Cost <= 0 || math.Abs(got-res.Cost) > 1e-9*res.Cost {
 				t.Errorf("%q %s order %v: the search costs it %g, EstimateRows sums its joins to %g", where, algo, res.Order, res.Cost, got)
 			}
 		}
+	}
+}
+
+// TestJoinOrderReadsFragmentEstimates: the search prices each relation
+// at the estimate of the fragment scan it is decomposed into. Global
+// r(c, a) maps a onto remote column 0 of rel.t1 and c onto remote column
+// 2, so r.a = 5 keeps one of t1's 100 rows; read with global column
+// positions, t1's statistics would price it at 1/NDV of remote column 1
+// (3 values), a third of the table, and DP would join r last. With the
+// scan priced at its one row, r is joined first.
+func TestJoinOrderReadsFragmentEstimates(t *testing.T) {
+	cat := newPlanFixture(t)
+	ctx := context.Background()
+	if err := cat.DefineTable("r", types.NewSchema(
+		types.Column{Name: "c", Type: types.KindFloat},
+		types.Column{Name: "a", Type: types.KindInt},
+	)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.MapFragment(ctx, "r", &catalog.Fragment{Source: "rel", RemoteTable: "t1",
+		Columns: []catalog.ColumnMapping{{RemoteCol: 2}, {RemoteCol: 0}}}); err != nil {
+		t.Fatal(err)
+	}
+	t1, _ := cat.Table("t1")
+	r, _ := cat.Table("r")
+	r.Fragments[0].SetStats(t1.Fragments[0].Stats())
+
+	const q = "SELECT r.c, t2.d, big.v FROM big JOIN t2 ON big.k = t2.d JOIN r ON r.a = t2.a WHERE r.a = 5"
+	isR := func(n Node) bool { fs, ok := n.(*FragScan); return ok && fs.Query.Table == "t1" }
+
+	// The rows the search reads for r are its fragment scan's estimate.
+	sel, err := sql.ParseSelect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logical, err := NewBuilder(cat).BuildSelect(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decomposed, err := decompose(pruneColumns(pushDownFilters(logical)), cat, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rels, preds := flattenJoins(findJoin(decomposed))
+	res := searchOrder(rels, preds, OrderDP)
+	i := slices.IndexFunc(rels, func(rel flatRel) bool { return isR(rel.node) })
+	if i < 0 {
+		t.Fatalf("no fragment scan of r among the chain's relations:\n%s", Explain(decomposed))
+	}
+	if est := EstimateRows(rels[i].node); rels[i].rows != est || est != 1 {
+		t.Errorf("the search reads r at %g rows, its fragment scan is estimated at %g, want 1", rels[i].rows, est)
+	}
+	if !slices.Contains(res.Order[:2], i) {
+		t.Errorf("DP order %v joins r (relation %d) after the lowest join", res.Order, i)
+	}
+
+	// And the optimized plan joins it first.
+	p := planQuery(t, cat, q, nil)
+	lowest := findJoin(p)
+	for l, ok := lowest.L.(*Join); ok; l, ok = lowest.L.(*Join) {
+		lowest = l
+	}
+	if !isR(lowest.L) && !isR(lowest.R) {
+		t.Errorf("r's fragment scan is not in the lowest join:\n%s", Explain(p))
+	}
+	if s := p.Schema(); s.Len() != 3 || s.Columns[0].Name != "c" || s.Columns[1].Name != "d" || s.Columns[2].Name != "v" {
+		t.Errorf("output schema = %v", s)
+	}
+}
+
+// TestJoinChainIsSearchedWhole: a chain of four inner joined relations
+// is flattened once, at its root, and searched as one: the plan under the
+// select list's Project is one left-deep chain of three joins, with no
+// Project between them that a search of the lower three alone would
+// have left there.
+func TestJoinChainIsSearchedWhole(t *testing.T) {
+	cat := newPlanFixture(t)
+	p := planQuery(t, cat, "SELECT t1.b, t2.d, big.v, x.c FROM t1 JOIN t2 ON t1.a = t2.a "+
+		"JOIN big ON t2.a = big.k JOIN t1 x ON x.a = big.k", nil)
+	proj, ok := p.(*Project)
+	if !ok {
+		t.Fatalf("want the select list's Project on top:\n%s", Explain(p))
+	}
+	j, ok := proj.Input.(*Join)
+	if !ok || chainLen(j) != 4 {
+		t.Fatalf("want one chain of four relations under the Project:\n%s", Explain(p))
+	}
+	for ; ok; j, ok = j.L.(*Join) {
+		if _, nested := j.R.(*Join); nested {
+			t.Fatalf("the chain is not left-deep:\n%s", Explain(p))
+		}
+	}
+	if s := p.Schema(); s.Len() != 4 || s.Columns[0].Name != "b" || s.Columns[3].Name != "c" {
+		t.Errorf("output schema = %v", s)
 	}
 }

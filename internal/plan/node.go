@@ -437,13 +437,6 @@ func Explain(n Node) string { return ExplainFunc(n, nil) }
 // EstimateRows estimates the node's output cardinality.
 func EstimateRows(n Node) float64 {
 	switch t := n.(type) {
-	case *GlobalScan:
-		ts := t.Table.Stats()
-		base := 1000.0
-		if ts != nil && ts.RowCount > 0 {
-			base = float64(ts.RowCount)
-		}
-		return base * stats.Selectivity(t.Filter, ts)
 	case *FragScan:
 		fs := t.Frag.Stats()
 		base := 1000.0
@@ -586,11 +579,6 @@ func underJoins(n Node, col int) (Node, int) {
 // is not capped at n's rows: its readers cap it.
 func ndv(n Node, col int) float64 {
 	switch t := n.(type) {
-	case *GlobalScan:
-		if t.Cols != nil {
-			col = t.Cols[col]
-		}
-		return statsNDV(t.Table.Stats(), col)
 	case *FragScan:
 		// An aggregating scan's output column i is group key i, remote
 		// column GroupBy[i] (past them, aggregates); any other's is
@@ -612,9 +600,8 @@ func ndv(n Node, col int) float64 {
 		}
 	case *Union:
 		// Fragments of one table: their distinct values may overlap, so
-		// they combine by stats.MergeNDV, the rule a table's statistics
-		// are merged from its fragments' by — unless every input maps
-		// the column to a constant, when they are the constants.
+		// they combine by stats.MergeNDV — unless every input maps the
+		// column to a constant, when they are the constants.
 		if k := distinctConsts(t.Inputs, col); k > 0 {
 			return k
 		}

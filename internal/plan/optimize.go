@@ -48,7 +48,11 @@ func DefaultOptions() *Options {
 }
 
 // Optimize runs the rewrite pipeline and decomposes the plan against the
-// catalog, producing an executable plan. ctx only carries observability
+// catalog, producing an executable plan: constants fold, filters sink
+// into the scans, columns are pruned, the scans are decomposed into
+// fragment scans, and then the passes that price the plan — join order,
+// join strategy, aggregate and top-k pushdown — read the estimates of
+// what each fragment's source is asked. ctx only carries observability
 // state (the decompose phase gets its own trace span); cancellation is
 // not checked — optimization is CPU-bound and short.
 func Optimize(ctx context.Context, n Node, cat *catalog.Catalog, opts *Options) (Node, error) {
@@ -61,22 +65,16 @@ func Optimize(ctx context.Context, n Node, cat *catalog.Catalog, opts *Options) 
 	if opts.PushFilters {
 		n = pushDownFilters(n)
 	}
-	n = chooseJoinOrder(n, opts.JoinOrder)
-	if opts.PushFilters {
-		// Reordering re-attaches predicates at joins; push the
-		// single-sided ones back into the scans.
-		n = pushDownFilters(n)
-	}
 	if opts.PruneColumns {
 		n = pruneColumns(n)
 	}
-	n = extractEquiKeys(n)
 	_, dspan := obs.StartSpan(ctx, obs.SpanDecompose, "")
 	n, err := decompose(n, cat, opts.ParallelFragments)
 	dspan.End()
 	if err != nil {
 		return nil, err
 	}
+	n = chooseJoinOrder(n, opts.JoinOrder)
 	n = chooseStrategies(n, opts.ForceStrategy)
 	if opts.PushAggregates {
 		n = pushAggregates(n)

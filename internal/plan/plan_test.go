@@ -278,8 +278,8 @@ func TestStrategyFallsBackWithoutEquiKeys(t *testing.T) {
 
 func TestJoinReorderProducesProjection(t *testing.T) {
 	cat := newPlanFixture(t)
-	// Three relations trigger the reorder path; output order must be
-	// preserved via a restoring projection regardless of chosen order.
+	// Three relations trigger the reorder path; the output order must
+	// be the select list's whatever order the search chose.
 	p := planQuery(t, cat,
 		"SELECT t1.a, t2.d, big.v FROM t1 JOIN t2 ON t1.a = t2.a JOIN big ON t2.a = big.k", nil)
 	s := p.Schema()

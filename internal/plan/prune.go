@@ -159,7 +159,6 @@ func prune(n Node, required []bool) (Node, []int) {
 		}
 		t.Cond = expr.Remap(t.Cond, both)
 		t.L, t.R = l, r
-		t.EquiL, t.EquiR = nil, nil // re-extracted later
 		t.schema = nil
 		return t, both
 

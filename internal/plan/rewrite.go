@@ -218,36 +218,6 @@ func sidesOf(c expr.Expr, leftWidth int) (left, right bool) {
 	return left, right
 }
 
-// extractEquiKeys finds equality conjuncts across each join and
-// records the key column positions for hash-join execution and for the
-// distributed strategy chooser.
-func extractEquiKeys(n Node) Node {
-	switch t := n.(type) {
-	case *Join:
-		t.L = extractEquiKeys(t.L)
-		t.R = extractEquiKeys(t.R)
-		t.EquiL, t.EquiR = nil, nil
-		lw := t.L.Schema().Len()
-		var conj [8]expr.Expr
-		for _, c := range expr.AppendConjuncts(conj[:0], t.Cond) {
-			lc, rc, ok := columnEquality(c)
-			switch {
-			case !ok:
-			case lc.Index < lw && rc.Index >= lw:
-				t.EquiL = append(t.EquiL, lc.Index)
-				t.EquiR = append(t.EquiR, rc.Index-lw)
-			case rc.Index < lw && lc.Index >= lw:
-				t.EquiL = append(t.EquiL, rc.Index)
-				t.EquiR = append(t.EquiR, lc.Index-lw)
-			}
-		}
-		return t
-	default:
-		rewriteChildren(n, extractEquiKeys)
-		return n
-	}
-}
-
 // rewriteChildren applies fn to each child of n in place.
 func rewriteChildren(n Node, fn func(Node) Node) {
 	switch t := n.(type) {

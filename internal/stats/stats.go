@@ -36,12 +36,6 @@ type TableStats struct {
 	Columns  []ColumnStats
 }
 
-// Unknown returns placeholder stats for a table of assumed size when no
-// statistics have been collected.
-func Unknown(columns int, assumedRows int64) *TableStats {
-	return &TableStats{RowCount: assumedRows, Columns: make([]ColumnStats, columns)}
-}
-
 // Collect computes full statistics from a materialized table scan, a
 // column at a time (CollectColumn): each column's non-NULL values are
 // copied into one scratch slice, reused from column to column.
@@ -116,45 +110,6 @@ func CollectColumn(vals []types.Value, nulls int64) ColumnStats {
 // are a and b. Their values may overlap, so it is approximate: the
 // larger (a lower bound) plus half the smaller, a standard heuristic.
 func MergeNDV(a, b int64) int64 { return max(a, b) + min(a, b)/2 }
-
-// Merge combines statistics of disjoint fragments of the same table
-// (horizontal partitions); a column's NDV merges by MergeNDV. The
-// result copies the first part's Columns, not its histograms: the
-// merged columns have none, and the rest are shared, read-only.
-func Merge(parts ...*TableStats) *TableStats {
-	var out *TableStats
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if out == nil {
-			out = &TableStats{RowCount: p.RowCount, Columns: slices.Clone(p.Columns)}
-			continue
-		}
-		out.RowCount += p.RowCount
-		for i := range out.Columns {
-			if i >= len(p.Columns) {
-				break
-			}
-			a, b := &out.Columns[i], p.Columns[i]
-			a.NullCount += b.NullCount
-			a.NDV = MergeNDV(a.NDV, b.NDV)
-			if a.Min.IsNull() || (!b.Min.IsNull() && b.Min.Compare(a.Min) < 0) {
-				a.Min = b.Min
-			}
-			if a.Max.IsNull() || (!b.Max.IsNull() && b.Max.Compare(a.Max) > 0) {
-				a.Max = b.Max
-			}
-			// Histograms of fragments are not merged (bounds differ);
-			// estimation falls back to min/max interpolation.
-			a.Hist = nil
-		}
-	}
-	if out == nil {
-		return &TableStats{}
-	}
-	return out
-}
 
 // Histogram is an equi-depth histogram: Bounds[i] is the upper bound of
 // bucket i (inclusive); Counts[i] is the number of values in it.

@@ -258,6 +258,7 @@ func planCorpus() []planCase {
 		{"join on identity keys", "SELECT n.oid, m.amount FROM orders_native n JOIN orders_mediated m ON n.oid = m.oid WHERE n.oid < 10"},
 		{"join on a unit-converted key", "SELECT n.oid, m.oid FROM orders_native n JOIN orders_mediated m ON n.cents = m.amount WHERE n.oid < 10"},
 		{"join on a value-mapped key", "SELECT n.oid, m.oid FROM orders_native n JOIN orders_mediated m ON n.rg = m.region WHERE n.oid < 3 AND m.oid < 3"},
+		{"three-way join, filter on a value-mapped column", "SELECT n.oid, m.amount, x.oid FROM orders_native n JOIN orders_mediated m ON n.oid = m.oid JOIN orders_native x ON m.cust_id = x.cust_id WHERE m.region = 'north' AND n.oid < 100"},
 	} {
 		add("hetero", "mediated: "+m.name, m.sql)
 	}
