@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures fmt vet check loc layout golden chaos overload frames fuzz bench rungs bench-e2e
+.PHONY: build test race lint lint-fixtures fmt vet check loc layout golden equivalence chaos overload frames fuzz bench rungs bench-e2e
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,14 @@ layout:
 # "-- variant" block.
 golden:
 	$(GO) test ./internal/workload -run 'TestPlansGolden|TestEstimatesGolden|TestParsedGolden' -update
+
+# The quick loop after a planner change, beside `make golden`: every
+# seeded equivalence statement (the single-table and two-table stream
+# and the stream of three-relation join chains) and every shrunk case
+# must return the same rows under each optimizer variant and from each
+# wrapper class.
+equivalence:
+	$(GO) test ./internal/workload -run 'TestPlanEquivalence|TestPlanEquivalenceCases' -count=1
 
 # Seeded fault-injection stress tests: wire, union, semijoin, 2PC
 # (see DESIGN.md "Resilience & fault model"). What faults do not cover —

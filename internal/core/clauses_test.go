@@ -123,8 +123,9 @@ func TestOrderByResolution(t *testing.T) {
 }
 
 // TestLimitZeroAsksNoSource: LIMIT 0 returns no row whatever its input
-// and offset, so it sends no sub-query; a limit of one row past the same
-// offset still reads the fragment.
+// and offset, so it sends no sub-query, not even for a subquery of its
+// WHERE; a limit of one row past the same offset still reads the
+// fragment.
 func TestLimitZeroAsksNoSource(t *testing.T) {
 	var counter *callCounter
 	e, _ := newMediatedEngineVia(t, func(st source.Source) source.Source {
@@ -141,6 +142,7 @@ func TestLimitZeroAsksNoSource(t *testing.T) {
 		{"SELECT id FROM items LIMIT 0 OFFSET 3", 0, 0},
 		{"SELECT id FROM items LIMIT 0", 0, 0},
 		{"SELECT id FROM items ORDER BY id LIMIT 1 OFFSET 3", 1, 1},
+		{"SELECT id FROM items WHERE id IN (SELECT id FROM items WHERE weight_kg > 1) LIMIT 0", 0, 0},
 	} {
 		counter.calls = 0
 		res, err := e.Query(ctx, c.sql)

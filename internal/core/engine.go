@@ -590,17 +590,23 @@ func (e *Engine) Analyze(ctx context.Context) error {
 // a write's clauses (the slots of sql.VisitExprs) and substitutes its
 // result: EXISTS → boolean constant, scalar → value constant, IN →
 // literal list. A correlated one fails: its inner query does not bind
-// against the global schema alone.
+// against the global schema alone. A SELECT whose LIMIT is 0 returns no
+// row whatever its subqueries answer, so none is run: each reads as one
+// that returned no row.
 func (e *Engine) materializeSubqueries(ctx context.Context, stmt sql.Statement) error {
+	sel, ok := stmt.(*sql.SelectStmt)
+	run := !ok || sel.Limit != 0
 	return sql.VisitExprs(stmt, func(slot *expr.Expr) (err error) {
 		if expr.HasSubquery(*slot) {
-			*slot, err = e.substituteSubqueries(ctx, *slot)
+			*slot, err = e.substituteSubqueries(ctx, *slot, run)
 		}
 		return err
 	})
 }
 
-func (e *Engine) substituteSubqueries(ctx context.Context, ex expr.Expr) (expr.Expr, error) {
+// substituteSubqueries replaces each subquery in ex by its result, or
+// without run by the result of one that returned no row.
+func (e *Engine) substituteSubqueries(ctx context.Context, ex expr.Expr, run bool) (expr.Expr, error) {
 	var firstErr error
 	out := expr.Transform(ex, func(n expr.Expr) expr.Expr {
 		sub, ok := n.(*expr.Subquery)
@@ -612,34 +618,38 @@ func (e *Engine) substituteSubqueries(ctx context.Context, ex expr.Expr) (expr.E
 			firstErr = fmt.Errorf("core: malformed subquery node")
 			return n
 		}
-		res, err := e.runSelect(ctx, inner)
-		if err != nil {
-			firstErr = fmt.Errorf("core: subquery: %w", err)
-			return n
+		var rows []types.Row
+		if run {
+			res, err := e.runSelect(ctx, inner)
+			if err != nil {
+				firstErr = fmt.Errorf("core: subquery: %w", err)
+				return n
+			}
+			rows = res.Rows
 		}
 		switch sub.Mode {
 		case expr.SubExists:
-			return expr.NewConst(types.NewBool((len(res.Rows) > 0) != sub.Negate))
+			return expr.NewConst(types.NewBool((len(rows) > 0) != sub.Negate))
 		case expr.SubScalar:
-			if len(res.Rows) > 1 {
-				firstErr = fmt.Errorf("core: scalar subquery returned %d rows", len(res.Rows))
+			if len(rows) > 1 {
+				firstErr = fmt.Errorf("core: scalar subquery returned %d rows", len(rows))
 				return n
 			}
-			if len(res.Rows) == 0 {
+			if len(rows) == 0 {
 				return expr.NewConst(types.Null)
 			}
-			if len(res.Rows[0]) != 1 {
-				firstErr = fmt.Errorf("core: scalar subquery returned %d columns", len(res.Rows[0]))
+			if len(rows[0]) != 1 {
+				firstErr = fmt.Errorf("core: scalar subquery returned %d columns", len(rows[0]))
 				return n
 			}
-			return expr.NewConst(res.Rows[0][0])
+			return expr.NewConst(rows[0][0])
 		case expr.SubIn:
 			// One literal per distinct value, not per row: the list is
 			// planned, shipped and probed. NULL is a value here and is
 			// kept, once — it decides NOT IN.
 			var list []expr.Expr
 			var seen types.ValueSet
-			for _, r := range res.Rows {
+			for _, r := range rows {
 				if len(r) != 1 {
 					firstErr = fmt.Errorf("core: IN subquery must return one column, got %d", len(r))
 					return n

@@ -18,9 +18,7 @@ func srcLabel(n plan.Node) string {
 			seen[fs.Frag.Source] = true
 			names = append(names, fs.Frag.Source)
 		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
+		plan.EachInput(n, func(in *plan.Node) { walk(*in) })
 	}
 	walk(n)
 	if len(names) == 0 {

@@ -216,12 +216,9 @@ func unordered(n plan.Node) bool {
 	if u, ok := n.(*plan.Union); ok && u.Parallel {
 		return true
 	}
-	for _, c := range n.Children() {
-		if unordered(c) {
-			return true
-		}
-	}
-	return false
+	found := false
+	plan.EachInput(n, func(in *plan.Node) { found = found || unordered(*in) })
+	return found
 }
 
 func TestRowOwnership(t *testing.T) {

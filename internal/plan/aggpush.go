@@ -20,7 +20,7 @@ import (
 // identity-mapped columns, and every scan accepts an aggregate.
 // DISTINCT aggregates never push (distinctness is global).
 func pushAggregates(n Node) Node {
-	rewriteChildren(n, pushAggregates)
+	EachInput(n, func(in *Node) { *in = pushAggregates(*in) })
 	agg, ok := n.(*Aggregate)
 	if !ok || len(agg.GroupBy)+len(agg.Aggs) == 0 {
 		// An aggregation with neither keys nor aggregates (SELECT 1 FROM

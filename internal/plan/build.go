@@ -247,14 +247,18 @@ func buildRightJoin(l, r Node, cond expr.Expr) Node {
 	for i := 0; i < rw; i++ {
 		remap[lw+i] = i
 	}
-	j := &Join{Kind: JoinLeft, L: r, R: l, Cond: expr.Remap(cond, remap)}
-	out := j.Schema() // (B ++ A)
-	exprs := make([]expr.Expr, lw+rw)
-	names := make([]string, lw+rw)
-	for orig := 0; orig < lw+rw; orig++ {
-		exprs[orig], names[orig] = outputRef(out, remap[orig]), out.Columns[remap[orig]].Name
+	return columnsAt(&Join{Kind: JoinLeft, L: r, R: l, Cond: expr.Remap(cond, remap)}, remap)
+}
+
+// columnsAt projects n so that its column m[i] is at position i.
+func columnsAt(n Node, m []int) *Project {
+	out := n.Schema()
+	exprs := make([]expr.Expr, len(m))
+	names := make([]string, len(m))
+	for i, c := range m {
+		exprs[i], names[i] = outputRef(out, c), out.Columns[c].Name
 	}
-	return &Project{Exprs: exprs, Names: names, Input: j}
+	return &Project{Exprs: exprs, Names: names, Input: n}
 }
 
 // buildView parses and plans a view body, guarding against recursion.

@@ -16,15 +16,10 @@ func decompose(n Node, cat *catalog.Catalog, parallel bool) (Node, error) {
 		return decomposeScan(gs, cat, parallel)
 	}
 	var err error
-	rewriteChildren(n, func(c Node) Node {
-		if err != nil {
-			return c
+	EachInput(n, func(in *Node) {
+		if err == nil {
+			*in, err = decompose(*in, cat, parallel)
 		}
-		var out Node
-		if out, err = decompose(c, cat, parallel); err != nil {
-			return c
-		}
-		return out
 	})
 	return n, err
 }
@@ -70,7 +65,7 @@ func decomposeScan(gs *GlobalScan, cat *catalog.Catalog, parallel bool) (Node, e
 // side is remote. forced overrides the cost decision when not
 // StrategyAuto.
 func chooseStrategies(n Node, forced Strategy) Node {
-	rewriteChildren(n, func(c Node) Node { return chooseStrategies(c, forced) })
+	EachInput(n, func(in *Node) { *in = chooseStrategies(*in, forced) })
 	j, ok := n.(*Join)
 	if !ok {
 		return n

@@ -55,9 +55,6 @@ type FragScan struct {
 // Schema implements Node.
 func (s *FragScan) Schema() *types.Schema { return s.OutSchema }
 
-// Children implements Node.
-func (s *FragScan) Children() []Node { return nil }
-
 // Describe implements Node.
 func (s *FragScan) Describe() string {
 	out := "FragScan " + s.Frag.Source + "." + s.Frag.RemoteTable + " [" + s.Query.String() + "]"

@@ -221,37 +221,63 @@ func orderGreedy(rels []RelInfo, preds []PredInfo) SearchResult {
 
 // ---- plan-tree integration ----
 
-// chooseJoinOrder reorders each maximal chain of three inner joined
+// orderJoins reorders each maximal chain of three inner joined
 // relations or more with the configured algorithm. It runs over the
 // decomposed plan, so the search prices fragment scans and their unions
-// as EstimateRows does everywhere else. A chain is flattened once, at its
-// root, and the relations it collects are searched in turn; a reordered
-// chain directly under a Project has the new column order read through
-// that Project's expressions, any other is wrapped in a Project that
-// restores the order it had.
-func chooseJoinOrder(n Node, algo JoinOrderAlgo) Node {
+// as EstimateRows does everywhere else.
+func orderJoins(n Node, algo JoinOrderAlgo) Node {
 	if algo == OrderSyntactic {
 		return n
 	}
-	switch t := n.(type) {
-	case *Project:
-		if j, ok := t.Input.(*Join); ok && chainLen(j) >= 3 {
-			var remap []int
-			t.Input, remap = reorderChain(j, algo)
-			for i, e := range t.Exprs {
-				t.Exprs[i] = expr.Remap(e, remap)
-			}
-			return t
-		}
-	case *Join:
-		if chainLen(t) >= 3 {
-			return restoreOrder(reorderChain(t, algo))
-		}
-	default:
-		// No chain is rooted here; one may be below.
+	return inOrder(chooseJoinOrder(n, algo))
+}
+
+// chooseJoinOrder reorders the chains in n and returns it, with where
+// each of n's output columns went, as prune does; nil when none moved. A
+// chain is flattened once, at its root, and the relations it collects
+// are searched in turn. A node over inputs whose columns moved reads
+// them where they are: a Project or Aggregate remaps its expressions and
+// its output stands, a Filter, Sort or Limit remaps its own and passes
+// the mapping on, and so does a join, for the concatenation of its
+// inputs'. A Union's arms and the plan's root are put back in order.
+func chooseJoinOrder(n Node, algo JoinOrderAlgo) (Node, []int) {
+	if j, ok := n.(*Join); ok && chainLen(j) >= 3 {
+		return reorderChain(j, algo)
 	}
-	rewriteChildren(n, func(c Node) Node { return chooseJoinOrder(c, algo) })
-	return n
+	var m []int
+	off := 0
+	EachInput(n, func(in *Node) {
+		var im []int
+		*in, im = chooseJoinOrder(*in, algo)
+		if _, union := n.(*Union); union {
+			*in, im = inOrder(*in, im), nil
+		}
+		w := (*in).Schema().Len()
+		m = appendMapping(m, im, off, off, w)
+		off += w
+	})
+	if m == nil {
+		return n, nil
+	}
+	eachExpr(n, func(e *expr.Expr) { *e = expr.Remap(*e, m) })
+	switch t := n.(type) {
+	case *Project, *Aggregate:
+		return n, nil
+	case *Join:
+		t.schema = nil
+	default:
+		// Filter, Sort and Limit: their rows are their input's.
+	}
+	return n, m
+}
+
+// inOrder puts the columns of n, which m took elsewhere, back where they
+// were; n itself when m is nil.
+func inOrder(n Node, m []int) Node {
+	if m == nil {
+		return n
+	}
+	return columnsAt(n, m)
 }
 
 // chainLen counts the relations of the inner-join chain rooted at n: 1
@@ -264,15 +290,39 @@ func chainLen(n Node) int {
 }
 
 // reorderChain searches the order of the chain rooted at j, after the
-// chains below its relations, and rebuilds it in that order; remap takes
-// a column of j's output to its position in the rebuilt chain's.
+// chains below its relations, and rebuilds it in that order. It returns
+// the rebuilt chain and where each column of j's output went in it; nil
+// when none moved.
 func reorderChain(j *Join, algo JoinOrderAlgo) (Node, []int) {
 	rels, preds := flattenJoins(j)
+	// moved takes a column of the chain to where a reordering inside
+	// its relation took it.
+	var moved []int
 	for i := range rels {
-		rels[i].node = chooseJoinOrder(rels[i].node, algo)
+		var m []int
+		rels[i].node, m = chooseJoinOrder(rels[i].node, algo)
+		w := rels[i].node.Schema().Len()
+		moved = appendMapping(moved, m, rels[i].offset, rels[i].offset, w)
+	}
+	if moved != nil {
+		for i := range preds {
+			preds[i].e = expr.Remap(preds[i].e, moved)
+		}
 	}
 	res := searchOrder(rels, preds, algo)
-	return rebuildJoinTree(rels, preds, res.Order)
+	tree, remap := rebuildJoinTree(rels, preds, res.Order)
+	if moved != nil {
+		for i, c := range moved {
+			moved[i] = remap[c]
+		}
+		remap = moved
+	}
+	for i, c := range remap {
+		if c != i {
+			return tree, remap
+		}
+	}
+	return tree, nil
 }
 
 // searchOrder runs OrderSearch over a flattened chain, each relation at
@@ -402,20 +452,4 @@ func rebuildJoinTree(rels []flatRel, preds []flatPred, order []int) (Node, []int
 		cur = &Join{Kind: JoinInner, Cond: expr.Conjoin(conds), L: cur, R: rels[r].node}
 	}
 	return cur, remap
-}
-
-// restoreOrder projects the rebuilt chain cur back to the column order
-// it had, remap taking each original column to its position in cur.
-func restoreOrder(cur Node, remap []int) Node {
-	exprs := make([]expr.Expr, len(remap))
-	names := make([]string, len(remap))
-	outSchema := cur.Schema()
-	for orig, nw := range remap {
-		col := outSchema.Columns[nw]
-		ref := expr.NewBoundColRef(nw, col.Type, col.Name)
-		ref.Table = col.Table
-		exprs[orig] = ref
-		names[orig] = col.Name
-	}
-	return &Project{Exprs: exprs, Names: names, Input: cur}
 }

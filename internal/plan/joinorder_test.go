@@ -153,9 +153,7 @@ func TestJoinReadingsAgree(t *testing.T) {
 		if j, ok := n.(*Join); ok {
 			sum = EstimateRows(j)
 		}
-		for _, c := range n.Children() {
-			sum += joins(c)
-		}
+		EachInput(n, func(in *Node) { sum += joins(*in) })
 		return sum
 	}
 	for _, where := range []string{"", " WHERE c.id < 2"} {

@@ -18,11 +18,11 @@ import (
 )
 
 // Node is a logical (and, after decomposition, physical) plan operator.
+// Its inputs are reached through EachInput, its expressions through
+// eachExpr.
 type Node interface {
 	// Schema describes the rows the node produces.
 	Schema() *types.Schema
-	// Children returns input operators.
-	Children() []Node
 	// Describe renders one line for EXPLAIN output.
 	Describe() string
 }
@@ -70,9 +70,6 @@ func (s *GlobalScan) Schema() *types.Schema {
 	return s.schema
 }
 
-// Children implements Node.
-func (s *GlobalScan) Children() []Node { return nil }
-
 // Describe implements Node.
 func (s *GlobalScan) Describe() string {
 	out := "GlobalScan " + s.Table.Name
@@ -108,9 +105,6 @@ type Filter struct {
 
 // Schema implements Node.
 func (f *Filter) Schema() *types.Schema { return f.Input.Schema() }
-
-// Children implements Node.
-func (f *Filter) Children() []Node { return []Node{f.Input} }
 
 // Describe implements Node.
 func (f *Filter) Describe() string { return "Filter " + f.Pred.String() }
@@ -149,9 +143,6 @@ func (p *Project) Schema() *types.Schema {
 	}
 	return p.schema
 }
-
-// Children implements Node.
-func (p *Project) Children() []Node { return []Node{p.Input} }
 
 // Describe implements Node.
 func (p *Project) Describe() string {
@@ -243,9 +234,6 @@ func (j *Join) Schema() *types.Schema {
 	return j.schema
 }
 
-// Children implements Node.
-func (j *Join) Children() []Node { return []Node{j.L, j.R} }
-
 // Describe implements Node.
 func (j *Join) Describe() string {
 	out := "Join " + j.Kind.String()
@@ -308,9 +296,6 @@ func (a *Aggregate) Schema() *types.Schema {
 	return a.schema
 }
 
-// Children implements Node.
-func (a *Aggregate) Children() []Node { return []Node{a.Input} }
-
 // Describe implements Node.
 func (a *Aggregate) Describe() string {
 	var parts []string
@@ -347,9 +332,6 @@ type Sort struct {
 // Schema implements Node.
 func (s *Sort) Schema() *types.Schema { return s.Input.Schema() }
 
-// Children implements Node.
-func (s *Sort) Children() []Node { return []Node{s.Input} }
-
 // Describe implements Node.
 func (s *Sort) Describe() string {
 	parts := make([]string, len(s.Keys))
@@ -376,9 +358,6 @@ type Limit struct {
 // Schema implements Node.
 func (l *Limit) Schema() *types.Schema { return l.Input.Schema() }
 
-// Children implements Node.
-func (l *Limit) Children() []Node { return []Node{l.Input} }
-
 // Describe implements Node.
 func (l *Limit) Describe() string {
 	if l.Offset > 0 {
@@ -401,9 +380,6 @@ type Union struct {
 // Schema implements Node.
 func (u *Union) Schema() *types.Schema { return u.Inputs[0].Schema() }
 
-// Children implements Node.
-func (u *Union) Children() []Node { return u.Inputs }
-
 // Describe implements Node.
 func (u *Union) Describe() string {
 	out := "Union"
@@ -424,9 +400,6 @@ type Values struct {
 
 // Schema implements Node.
 func (v *Values) Schema() *types.Schema { return v.Out }
-
-// Children implements Node.
-func (v *Values) Children() []Node { return nil }
 
 // Describe implements Node.
 func (v *Values) Describe() string { return "Values " + strconv.Itoa(len(v.Rows)) + " row(s)" }
@@ -681,9 +654,7 @@ func ExplainFunc(n Node, annotate func(Node) string) string {
 			b.WriteString(annotate(n))
 		}
 		b.WriteByte('\n')
-		for _, c := range n.Children() {
-			walk(c, depth+1)
-		}
+		EachInput(n, func(in *Node) { walk(*in, depth+1) })
 	}
 	walk(n, 0)
 	return b.String()

@@ -74,7 +74,7 @@ func Optimize(ctx context.Context, n Node, cat *catalog.Catalog, opts *Options) 
 	if err != nil {
 		return nil, err
 	}
-	n = chooseJoinOrder(n, opts.JoinOrder)
+	n = orderJoins(n, opts.JoinOrder)
 	n = chooseStrategies(n, opts.ForceStrategy)
 	if opts.PushAggregates {
 		n = pushAggregates(n)

@@ -179,28 +179,29 @@ func TestProjectionPruned(t *testing.T) {
 	}
 }
 
-func findFragScan(n Node) *FragScan {
-	if fs, ok := n.(*FragScan); ok {
-		return fs
+// first is the first node of type T in n's tree, in pre-order.
+func first[T Node](n Node) (T, bool) {
+	if t, ok := n.(T); ok {
+		return t, true
 	}
-	for _, c := range n.Children() {
-		if fs := findFragScan(c); fs != nil {
-			return fs
+	var found T
+	ok := false
+	EachInput(n, func(in *Node) {
+		if !ok {
+			found, ok = first[T](*in)
 		}
-	}
-	return nil
+	})
+	return found, ok
+}
+
+func findFragScan(n Node) *FragScan {
+	found, _ := first[*FragScan](n)
+	return found
 }
 
 func findJoin(n Node) *Join {
-	if j, ok := n.(*Join); ok {
-		return j
-	}
-	for _, c := range n.Children() {
-		if j := findJoin(c); j != nil {
-			return j
-		}
-	}
-	return nil
+	found, _ := first[*Join](n)
+	return found
 }
 
 func TestEquiKeysExtracted(t *testing.T) {
@@ -390,15 +391,8 @@ func TestGroupEstimateReadsNDV(t *testing.T) {
 }
 
 func findAggregate(n Node) *Aggregate {
-	if a, ok := n.(*Aggregate); ok {
-		return a
-	}
-	for _, c := range n.Children() {
-		if a := findAggregate(c); a != nil {
-			return a
-		}
-	}
-	return nil
+	found, _ := first[*Aggregate](n)
+	return found
 }
 
 func TestExplainIndentation(t *testing.T) {
@@ -561,9 +555,7 @@ func TestLimitBoundsTheSortBelowIt(t *testing.T) {
 			if s, ok := n.(*Sort); ok {
 				found = s
 			}
-			for _, ch := range n.Children() {
-				walk(ch)
-			}
+			EachInput(n, func(in *Node) { walk(*in) })
 		}
 		walk(p)
 		if found == nil || found.Top != c.top {
@@ -671,13 +663,6 @@ func TestUnionAllFragmentsParallelFlag(t *testing.T) {
 }
 
 func findUnion(n Node) *Union {
-	if u, ok := n.(*Union); ok {
-		return u
-	}
-	for _, c := range n.Children() {
-		if u := findUnion(c); u != nil {
-			return u
-		}
-	}
-	return nil
+	found, _ := first[*Union](n)
+	return found
 }

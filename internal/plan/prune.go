@@ -31,6 +31,33 @@ func identityMapping(width int) []int {
 	return m
 }
 
+// appendMapping extends m, which says where each of the first off
+// columns of a concatenation went (nil: each stayed), by im, which says
+// where each of the next w went in their input (nil: each stayed), that
+// input's columns now starting at position at; -1 is a column gone. It
+// is nil while every column stayed.
+func appendMapping(m, im []int, off, at, w int) []int {
+	if m == nil {
+		switch {
+		case off == 0 && at == 0:
+			return im
+		case im == nil && off == at:
+			return nil
+		}
+		m = identityMapping(off)
+	}
+	for c := range w {
+		if im != nil {
+			c = im[c]
+		}
+		if c >= 0 {
+			c += at
+		}
+		m = append(m, c)
+	}
+	return m
+}
+
 // markColumns marks in need the columns e reads.
 func markColumns(need []bool, e expr.Expr) {
 	expr.Columns(e, func(c int) {
@@ -41,17 +68,23 @@ func markColumns(need []bool, e expr.Expr) {
 }
 
 // prune rewrites n so it produces (at least) the required columns.
-// mapping is as long as n was wide: mapping[old] is the column's new
+// required is as long as n is wide, and prune may mark more columns in
+// it. mapping is as long as n was wide: mapping[old] is the column's new
 // position, -1 when it is gone.
 func prune(n Node, required []bool) (Node, []int) {
+	// need is what n's inputs must produce, over their concatenated
+	// columns: for a node rows pass through, what is required of n.
+	// mapping is n's own, nil when its rows are its inputs' rows.
+	need := required
+	var mapping []int
 	switch t := n.(type) {
 	case *Project:
 		// Keep only required expressions — one at least, to preserve
 		// row counts.
-		mapping := make([]int, len(t.Exprs))
+		mapping = make([]int, len(t.Exprs))
 		kept := 0
 		for i := range mapping {
-			if i < len(required) && !required[i] {
+			if !required[i] {
 				mapping[i] = -1
 				continue
 			}
@@ -64,34 +97,40 @@ func prune(n Node, required []bool) (Node, []int) {
 		// A projection that loses nothing stays the node it is, and its
 		// schema stands: remapping below moves positions, not names or
 		// types.
-		out := t
 		if kept < len(t.Exprs) {
-			out = &Project{Exprs: make([]expr.Expr, kept), Names: make([]string, kept)}
+			out := &Project{Exprs: make([]expr.Expr, kept), Names: make([]string, kept), Input: t.Input}
 			for i, m := range mapping {
 				if m >= 0 {
 					out.Exprs[m], out.Names[m] = t.Exprs[i], t.Names[i]
 				}
 			}
+			n = out
 		}
-		needIn := make([]bool, t.Input.Schema().Len())
-		for _, e := range out.Exprs {
-			markColumns(needIn, e)
-		}
-		input, inMap := prune(t.Input, needIn)
-		out.Input = input
-		for i, e := range out.Exprs {
-			out.Exprs[i] = expr.Remap(e, inMap)
-		}
-		return out, mapping
+		need = make([]bool, t.Input.Schema().Len())
 
-	case *Filter:
-		need := make([]bool, t.Input.Schema().Len())
-		copy(need, required)
-		markColumns(need, t.Pred)
-		input, inMap := prune(t.Input, need)
-		t.Input = input
-		t.Pred = expr.Remap(t.Pred, inMap)
-		return t, inMap
+	case *Aggregate:
+		// Group keys always survive; unused aggregates are dropped.
+		nGroup := len(t.GroupBy)
+		mapping = make([]int, nGroup+len(t.Aggs))
+		for i := 0; i < nGroup; i++ {
+			mapping[i] = i
+		}
+		kept := t.Aggs[:0]
+		for i, a := range t.Aggs {
+			pos := nGroup + i
+			if !required[pos] && len(t.Aggs) > 1 {
+				mapping[pos] = -1
+				continue
+			}
+			mapping[pos] = nGroup + len(kept)
+			kept = append(kept, a)
+		}
+		t.Aggs = kept
+		t.schema = nil
+		need = make([]bool, t.Input.Schema().Len())
+
+	case *Filter, *Sort, *Limit, *Join:
+		// Rows pass through: the inputs keep what is required of n.
 
 	case *GlobalScan:
 		// Translate required output positions into full-schema columns.
@@ -108,7 +147,7 @@ func prune(n Node, required []bool) (Node, []int) {
 		cols := make([]int, 0, width)
 		mapping := make([]int, width)
 		for i := range mapping {
-			if i >= len(required) || !required[i] {
+			if !required[i] {
 				mapping[i] = -1
 				continue
 			}
@@ -126,96 +165,6 @@ func prune(n Node, required []bool) (Node, []int) {
 		}
 		return t, mapping
 
-	case *Join:
-		lw := t.L.Schema().Len()
-		rw := t.R.Schema().Len()
-		needL := make([]bool, lw)
-		needR := make([]bool, rw)
-		mark := func(idx int) {
-			if idx < lw {
-				needL[idx] = true
-			} else if idx-lw < rw {
-				needR[idx-lw] = true
-			}
-		}
-		for i, r := range required {
-			if r {
-				mark(i)
-			}
-		}
-		expr.Columns(t.Cond, mark)
-		l, lMap := prune(t.L, needL)
-		r, rMap := prune(t.R, needR)
-		newLW := l.Schema().Len()
-		// The pruned concatenated schema: the condition is rebuilt over
-		// it, and it is the join's output.
-		both := make([]int, lw+rw)
-		copy(both, lMap)
-		for old, nw := range rMap {
-			if nw >= 0 {
-				nw += newLW
-			}
-			both[lw+old] = nw
-		}
-		t.Cond = expr.Remap(t.Cond, both)
-		t.L, t.R = l, r
-		t.schema = nil
-		return t, both
-
-	case *Aggregate:
-		// Group keys always survive; unused aggregates are dropped.
-		nGroup := len(t.GroupBy)
-		mapping := make([]int, nGroup+len(t.Aggs))
-		for i := 0; i < nGroup; i++ {
-			mapping[i] = i
-		}
-		kept := t.Aggs[:0]
-		for i, a := range t.Aggs {
-			pos := nGroup + i
-			if pos < len(required) && !required[pos] && len(t.Aggs) > 1 {
-				mapping[pos] = -1
-				continue
-			}
-			mapping[pos] = nGroup + len(kept)
-			kept = append(kept, a)
-		}
-		t.Aggs = kept
-		needIn := make([]bool, t.Input.Schema().Len())
-		for _, g := range t.GroupBy {
-			markColumns(needIn, g)
-		}
-		for _, a := range t.Aggs {
-			markColumns(needIn, a.Arg)
-		}
-		input, inMap := prune(t.Input, needIn)
-		t.Input = input
-		for i := range t.GroupBy {
-			t.GroupBy[i] = expr.Remap(t.GroupBy[i], inMap)
-		}
-		for i := range t.Aggs {
-			t.Aggs[i].Arg = expr.Remap(t.Aggs[i].Arg, inMap)
-		}
-		t.schema = nil
-		return t, mapping
-
-	case *Sort:
-		need := make([]bool, t.Input.Schema().Len())
-		copy(need, required)
-		for _, k := range t.Keys {
-			markColumns(need, k.E)
-		}
-		input, inMap := prune(t.Input, need)
-		t.Input = input
-		for i := range t.Keys {
-			t.Keys[i].E = expr.Remap(t.Keys[i].E, inMap)
-		}
-		return t, inMap
-
-	case *Limit:
-		input, inMap := prune(t.Input, required)
-		t.Input = input
-		return t, inMap
-
 	case *Union:
 		// Arms must stay position-compatible; require everything.
 		for i := range t.Inputs {
@@ -226,4 +175,24 @@ func prune(n Node, required []bool) (Node, []int) {
 	default:
 		return n, identityMapping(n.Schema().Len())
 	}
+	eachExpr(n, func(e *expr.Expr) { markColumns(need, *e) })
+	// Each input is pruned to its share of need; inMap takes a column of
+	// their concatenation to its position in the pruned one.
+	var inMap []int
+	off, at := 0, 0
+	EachInput(n, func(in *Node) {
+		w := (*in).Schema().Len()
+		var m []int
+		*in, m = prune(*in, need[off:off+w])
+		inMap = appendMapping(inMap, m, off, at, w)
+		off, at = off+w, at+(*in).Schema().Len()
+	})
+	eachExpr(n, func(e *expr.Expr) { *e = expr.Remap(*e, inMap) })
+	if j, ok := n.(*Join); ok {
+		j.schema = nil
+	}
+	if mapping == nil {
+		return n, inMap
+	}
+	return n, mapping
 }

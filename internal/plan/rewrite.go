@@ -7,44 +7,15 @@ import (
 
 // foldConstants folds constant sub-expressions throughout the plan.
 func foldConstants(n Node) Node {
-	switch t := n.(type) {
-	case *Filter:
-		t.Input = foldConstants(t.Input)
-		t.Pred = expr.FoldConstants(t.Pred)
-		// A filter reduced to TRUE disappears.
-		if c, ok := t.Pred.(*expr.Const); ok && c.Val.Kind() == types.KindBool && c.Val.Bool() {
-			return t.Input
+	EachInput(n, func(in *Node) { *in = foldConstants(*in) })
+	eachExpr(n, func(e *expr.Expr) { *e = expr.FoldConstants(*e) })
+	// A filter reduced to TRUE disappears.
+	if f, ok := n.(*Filter); ok {
+		if c, ok := f.Pred.(*expr.Const); ok && c.Val.Kind() == types.KindBool && c.Val.Bool() {
+			return f.Input
 		}
-		return t
-	case *Project:
-		t.Input = foldConstants(t.Input)
-		for i := range t.Exprs {
-			t.Exprs[i] = expr.FoldConstants(t.Exprs[i])
-		}
-		return t
-	case *Join:
-		t.L = foldConstants(t.L)
-		t.R = foldConstants(t.R)
-		if t.Cond != nil {
-			t.Cond = expr.FoldConstants(t.Cond)
-		}
-		return t
-	case *Aggregate:
-		t.Input = foldConstants(t.Input)
-		for i := range t.GroupBy {
-			t.GroupBy[i] = expr.FoldConstants(t.GroupBy[i])
-		}
-		for i := range t.Aggs {
-			if t.Aggs[i].Arg != nil {
-				t.Aggs[i].Arg = expr.FoldConstants(t.Aggs[i].Arg)
-			}
-		}
-		return t
-	default:
-		// Sort, Limit and Union hold no expression to fold.
-		rewriteChildren(n, foldConstants)
-		return n
 	}
+	return n
 }
 
 // pushDownFilters moves filter predicates as close to the scans as
@@ -78,7 +49,7 @@ func pushDownFilters(n Node) Node {
 		return t
 	default:
 		// No filter of their own to sink: only their inputs change.
-		rewriteChildren(n, pushDownFilters)
+		EachInput(n, func(in *Node) { *in = pushDownFilters(*in) })
 		return n
 	}
 }
@@ -218,27 +189,61 @@ func sidesOf(c expr.Expr, leftWidth int) (left, right bool) {
 	return left, right
 }
 
-// rewriteChildren applies fn to each child of n in place.
-func rewriteChildren(n Node, fn func(Node) Node) {
+// EachInput calls f with each input slot of n, in the order its output
+// concatenates them (a Join's left, then its right; a Union's arms), so
+// f can read an input or replace it. It and eachExpr are the one
+// statement of what a node holds: every pass walks a plan through them.
+func EachInput(n Node, f func(*Node)) {
 	switch t := n.(type) {
 	case *Filter:
-		t.Input = fn(t.Input)
+		f(&t.Input)
 	case *Project:
-		t.Input = fn(t.Input)
+		f(&t.Input)
+	case *Join:
+		f(&t.L)
+		f(&t.R)
 	case *Aggregate:
-		t.Input = fn(t.Input)
+		f(&t.Input)
 	case *Sort:
-		t.Input = fn(t.Input)
+		f(&t.Input)
 	case *Limit:
-		t.Input = fn(t.Input)
+		f(&t.Input)
 	case *Union:
 		for i := range t.Inputs {
-			t.Inputs[i] = fn(t.Inputs[i])
+			f(&t.Inputs[i])
+		}
+	default:
+		// GlobalScan, FragScan and Values are leaves.
+	}
+}
+
+// eachExpr calls f with each expression slot of n bound over its
+// inputs' concatenated columns, nil ones (a Join without a condition,
+// COUNT(*)'s argument) included, so f can read or replace it.
+func eachExpr(n Node, f func(*expr.Expr)) {
+	switch t := n.(type) {
+	case *Filter:
+		f(&t.Pred)
+	case *Project:
+		for i := range t.Exprs {
+			f(&t.Exprs[i])
 		}
 	case *Join:
-		t.L = fn(t.L)
-		t.R = fn(t.R)
+		f(&t.Cond)
+	case *Aggregate:
+		for i := range t.GroupBy {
+			f(&t.GroupBy[i])
+		}
+		for i := range t.Aggs {
+			f(&t.Aggs[i].Arg)
+		}
+	case *Sort:
+		for i := range t.Keys {
+			f(&t.Keys[i].E)
+		}
 	default:
-		// GlobalScan, FragScan, and Values are leaves.
+		// Limit and Union read no expression; a GlobalScan's filter is
+		// bound over its table and a FragScan's residual over the
+		// columns it fetches, not over an input, and Values has none.
 	}
 }

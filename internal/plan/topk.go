@@ -25,7 +25,7 @@ import (
 // Both see through pass-through projections (hidden ORDER BY columns).
 // Sort keys must be bare identity-mapped columns.
 func pushTopK(n Node) Node {
-	rewriteChildren(n, pushTopK)
+	EachInput(n, func(in *Node) { *in = pushTopK(*in) })
 	switch t := n.(type) {
 	case *Sort:
 		term, translate := throughProjections(t.Input)

@@ -171,15 +171,22 @@ func checkEquivalent(t *testing.T, fixtures map[string]*Fixture, q eqQuery) {
 	}
 }
 
+// TestPlanEquivalence draws 1 200 statements of one table or two, then
+// 300 chains of three joined relations, which only the join order search
+// reorders (150 and 40 under -short).
 func TestPlanEquivalence(t *testing.T) {
 	fixtures := testFixtures(t)
 	g := &eqGen{r: rand.New(rand.NewSource(equivalenceSeed))}
-	n := 1200
+	n, chains := 1200, 300
 	if testing.Short() {
-		n = 150
+		n, chains = 150, 40
 	}
 	for i := 0; i < n && !t.Failed(); i++ {
 		checkEquivalent(t, fixtures, g.next())
+	}
+	g = &eqGen{r: rand.New(rand.NewSource(chainSeed))}
+	for i := 0; i < chains && !t.Failed(); i++ {
+		checkEquivalent(t, fixtures, g.chain())
 	}
 }
 

@@ -32,7 +32,10 @@
 #                   TestRowBytesPerRow and TestIndexBytesPerRow, kvstore
 #                   TestBucketBytesPerRow, docstore
 #                   TestDocBytesPerDocument, types TestChunkBytes and
-#                   TestRowSlabBytes) and
+#                   TestRowSlabBytes), the plan equivalence tests
+#                   (`make equivalence` runs workload TestPlanEquivalence
+#                   and TestPlanEquivalenceCases on demand, the quick loop
+#                   after a planner change beside `make golden`) and
 #                   the concurrency tests no analyzer can stand in for:
 #                   workload TestConcurrentGlobalUpdates, wire
 #                   TestTwoTransactionsOneClient, TestCallObservesDeadline
