@@ -90,8 +90,8 @@ func statementEngine(t *testing.T) *Engine {
 // end — parse, bind, plan, admit, ship, the component's decode and
 // re-bind, the reply — for point_remote's four shapes and update_2pc's
 // five templates (texts and parameter kinds as bench/gen.go has them)
-// under ceilings 10% above what they measure — 60 / 91 / 174 / 80 and
-// 28 / 25 / 39 / 168 / 249 — so that a regression of the fixed cost
+// under ceilings 10% above what they measure — 60 / 87 / 172 / 80 and
+// 28 / 25 / 39 / 168 / 217 — so that a regression of the fixed cost
 // fails here before it shows as allocs_per_query. Materializing each
 // template's subqueries, of which it has none, allocates nothing.
 // TestPlanAllocations (plan) holds the planning part alone.
@@ -110,7 +110,7 @@ func TestStatementAllocations(t *testing.T) {
 		{"pk_lookup", "SELECT oid, cust_id, amount, region FROM orders WHERE oid = ?",
 			func() []types.Value { return ints(17) }, false, 66},
 		{"fk_agg", "SELECT COUNT(*), SUM(amount) FROM orders WHERE cust_id = ?",
-			func() []types.Value { return ints(3) }, false, 100},
+			func() []types.Value { return ints(3) }, false, 96},
 		{"fk_join_top5", "SELECT c.name, o.oid, o.amount FROM customers c JOIN orders o ON c.id = o.cust_id WHERE c.id = ? ORDER BY o.amount DESC, o.oid LIMIT 5",
 			func() []types.Value { return ints(3) }, false, 191},
 		{"in_list", "SELECT oid, amount FROM orders WHERE oid IN (?, ?, ?, ?, ?, ?, ?, ?)",
@@ -126,7 +126,7 @@ func TestStatementAllocations(t *testing.T) {
 				return []types.Value{types.NewInt(1_000_000), types.NewFloat(1.5), types.NewFloat(1.5), types.NewInt(999_998), types.NewInt(1_000_002)}
 			}, true, 185},
 		{"sum_check", "SELECT SUM(balance), COUNT(*) FROM accounts",
-			func() []types.Value { return nil }, false, 274},
+			func() []types.Value { return nil }, false, 239},
 	} {
 		// The parameters of every run are drawn before it is measured, as
 		// the benchmark's generator draws them outside the engine.

@@ -791,20 +791,20 @@ func runAggregate(ctx context.Context, a *plan.Aggregate) (_ source.RowIter, err
 			}
 		}
 		n := groups.Len()
-		accs := groups.Group(key)
-		if groups.Len() > n {
+		g := groups.Group(key)
+		if g == n {
 			if err := acct.grow(key); err != nil {
 				return nil, err
 			}
 		}
-		for i, acc := range accs {
-			v := types.NewInt(1)
-			if arg := a.Aggs[i].Arg; arg != nil {
-				if v, err = arg.Eval(r); err != nil {
+		for j, ag := range a.Aggs {
+			var v types.Value
+			if ag.Arg != nil {
+				if v, err = ag.Arg.Eval(r); err != nil {
 					return nil, err
 				}
 			}
-			if err := acc.Add(v); err != nil {
+			if err := groups.Fold(g, j, v); err != nil {
 				return nil, err
 			}
 		}

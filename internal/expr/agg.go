@@ -2,161 +2,12 @@ package expr
 
 import (
 	"fmt"
-	"strconv"
 
 	"gis/internal/types"
 )
 
-// Accumulator is the running state of one aggregate function over one
-// group. Accumulators are created per group by NewAccumulator and fed
-// with Add; Result finalizes the value.
-type Accumulator interface {
-	// Add folds one input value into the accumulator. For COUNT(*) the
-	// value is ignored (but still counted).
-	Add(v types.Value) error
-	// Result returns the aggregate value for the group.
-	Result() types.Value
-}
-
-// NewAccumulator creates an accumulator for the given aggregate call.
-// star indicates COUNT(*) (count every row including NULLs).
-func NewAccumulator(kind AggKind, star, distinct bool) Accumulator {
-	var inner Accumulator
-	switch kind {
-	case AggCount:
-		inner = &countAcc{star: star}
-	case AggSum:
-		inner = &sumAcc{}
-	case AggAvg:
-		inner = &avgAcc{}
-	case AggMin:
-		inner = &minmaxAcc{min: true}
-	case AggMax:
-		inner = &minmaxAcc{min: false}
-	default:
-		panic("unknown aggregate kind " + strconv.Itoa(int(kind)))
-	}
-	if distinct {
-		return &distinctAcc{inner: inner}
-	}
-	return inner
-}
-
-type countAcc struct {
-	star bool
-	n    int64
-}
-
-func (a *countAcc) Add(v types.Value) error {
-	if a.star || !v.IsNull() {
-		a.n++
-	}
-	return nil
-}
-
-func (a *countAcc) Result() types.Value { return types.NewInt(a.n) }
-
-type sumAcc struct {
-	sawAny   bool
-	isFloat  bool
-	intSum   int64
-	floatSum float64
-}
-
-func (a *sumAcc) Add(v types.Value) error {
-	if v.IsNull() {
-		return nil
-	}
-	if !v.Kind().Numeric() {
-		return fmt.Errorf("SUM over non-numeric value %s", v.Kind())
-	}
-	a.sawAny = true
-	if v.Kind() == types.KindFloat && !a.isFloat {
-		a.isFloat = true
-		a.floatSum = float64(a.intSum)
-	}
-	if a.isFloat {
-		a.floatSum += v.AsFloat()
-	} else {
-		a.intSum += v.Int()
-	}
-	return nil
-}
-
-func (a *sumAcc) Result() types.Value {
-	if !a.sawAny {
-		return types.Null
-	}
-	if a.isFloat {
-		return types.NewFloat(a.floatSum)
-	}
-	return types.NewInt(a.intSum)
-}
-
-type avgAcc struct {
-	n   int64
-	sum float64
-}
-
-func (a *avgAcc) Add(v types.Value) error {
-	if v.IsNull() {
-		return nil
-	}
-	if !v.Kind().Numeric() {
-		return fmt.Errorf("AVG over non-numeric value %s", v.Kind())
-	}
-	a.n++
-	a.sum += v.AsFloat()
-	return nil
-}
-
-func (a *avgAcc) Result() types.Value {
-	if a.n == 0 {
-		return types.Null
-	}
-	return types.NewFloat(a.sum / float64(a.n))
-}
-
-type minmaxAcc struct {
-	min bool
-	val types.Value // Null until the first non-null input
-}
-
-func (a *minmaxAcc) Add(v types.Value) error {
-	if v.IsNull() {
-		return nil
-	}
-	if a.val.IsNull() {
-		a.val = v
-		return nil
-	}
-	c := v.Compare(a.val)
-	if (a.min && c < 0) || (!a.min && c > 0) {
-		a.val = v
-	}
-	return nil
-}
-
-func (a *minmaxAcc) Result() types.Value { return a.val }
-
-// distinctAcc forwards each distinct non-NULL input to the inner
-// accumulator once.
-type distinctAcc struct {
-	seen  types.ValueSet
-	inner Accumulator
-}
-
-func (a *distinctAcc) Add(v types.Value) error {
-	if v.IsNull() || !a.seen.Add(v) {
-		return nil
-	}
-	return a.inner.Add(v)
-}
-
-func (a *distinctAcc) Result() types.Value { return a.inner.Result() }
-
-// AccSpec is what a GroupTable needs to know of one aggregate: the
-// arguments of NewAccumulator.
+// AccSpec is what a GroupTable needs to know of one aggregate. Star is
+// COUNT(*), which counts every row, NULLs included.
 type AccSpec struct {
 	Kind     AggKind
 	Star     bool
@@ -164,70 +15,151 @@ type AccSpec struct {
 }
 
 // GroupTable is the state of a grouped aggregation: the groups seen so
-// far, in first-seen order, each with one Accumulator per aggregate.
-// The caller computes a row's group key into a scratch row it reuses,
-// asks for the group and feeds the accumulators; the key is copied only
-// when it starts a group.
+// far, in first-seen order. Group g's output row is vals[g*w:][:w], its
+// key followed by one slot per aggregate, and each slot holds its
+// aggregate's running state from the start: COUNT's an INT from 0,
+// SUM's, MIN's, MAX's and AVG's NULL until the first input, AVG's the
+// sum until Rows divides it. The caller computes a row's group key into
+// a scratch row it reuses, asks for the group and folds the row's inputs
+// into it; the key is copied only when it starts a group. A table
+// without keys has its one group from the start and no hash chain.
 type GroupTable struct {
-	keyWidth int
-	aggs     []AccSpec
-	// rows[i] is group i's output row from the start: the key is
-	// rows[i][:keyWidth], and Rows writes the aggregate results behind
-	// it. Its accumulators are accs[i*len(aggs):][:len(aggs)], and chain
-	// links i under its key's hash.
-	rows  []types.Row
-	accs  []Accumulator
-	chain types.HashChain
+	keyWidth, w, n int
+	aggs           []AccSpec
+	vals           []types.Value
+	// AVG's input count and DISTINCT's inputs so far, for aggregate j of
+	// group g at g*len(aggs)+j; each is kept only when an aggregate
+	// needs it.
+	avg, distinct bool
+	counts        []int64
+	seen          []types.ValueSet
+	chain         types.HashChain // links group g under its key's hash
 }
 
-// NewGroupTable returns an empty table for keys of keyWidth values.
-// aggs is retained, not copied.
-func NewGroupTable(keyWidth int, aggs []AccSpec) *GroupTable {
-	return &GroupTable{keyWidth: keyWidth, aggs: aggs}
+// NewGroupTable returns a table for keys of keyWidth values, with no
+// group unless keyWidth is 0. aggs is retained, not copied.
+func NewGroupTable(keyWidth int, aggs []AccSpec) GroupTable {
+	t := GroupTable{keyWidth: keyWidth, w: keyWidth + len(aggs), aggs: aggs}
+	for _, a := range aggs {
+		t.avg = t.avg || a.Kind == AggAvg
+		t.distinct = t.distinct || a.Distinct
+	}
+	if keyWidth == 0 {
+		t.start(nil)
+	}
+	return t
 }
 
-// Group returns the accumulators of key's group, one per aggregate in
-// order, starting the group if key (NULL equal to NULL) is new. key is
-// only read.
-func (t *GroupTable) Group(key types.Row) []Accumulator {
-	h := key.Hash()
-	for i := t.chain.First(h); i >= 0; i = t.chain.Next(i) {
-		if t.rows[i][:t.keyWidth].Equal(key) {
-			return t.accsOf(i)
+// start appends key's group, each aggregate in its starting state, and
+// returns its number.
+func (t *GroupTable) start(key types.Row) int {
+	g := t.n
+	t.n++
+	t.vals = extend(t.vals, t.w)
+	copy(t.vals[g*t.w:], key)
+	for j, a := range t.aggs {
+		if a.Kind == AggCount {
+			t.vals[g*t.w+t.keyWidth+j] = types.NewInt(0)
 		}
 	}
-	i := len(t.rows)
-	t.chain.Link(i, h, func(i int) uint64 { return t.rows[i][:t.keyWidth].Hash() })
-	t.rows = append(t.rows, make(types.Row, t.keyWidth+len(t.aggs)))
-	copy(t.rows[i], key)
-	t.accs = append(t.accs, make([]Accumulator, len(t.aggs))...)
-	for j, a := range t.aggs {
-		t.accs[i*len(t.aggs)+j] = NewAccumulator(a.Kind, a.Star, a.Distinct)
+	if t.avg {
+		t.counts = extend(t.counts, len(t.aggs))
 	}
-	return t.accsOf(i)
+	if t.distinct {
+		t.seen = extend(t.seen, len(t.aggs))
+	}
+	return g
 }
 
-func (t *GroupTable) accsOf(i int) []Accumulator {
-	return t.accs[i*len(t.aggs):][:len(t.aggs)]
+// extend returns s longer by n zero elements, in a new array of twice
+// the capacity when they do not fit. It stands for
+// append(s, make([]T, n)...), which allocates the zeros on every call
+// when the race detector is on.
+func extend[T any](s []T, n int) []T {
+	if len(s)+n > cap(s) {
+		s = append(make([]T, 0, max(len(s)+n, 2*cap(s))), s...)
+	}
+	s = s[:len(s)+n]
+	clear(s[len(s)-n:])
+	return s
+}
+
+func (t *GroupTable) key(g int) types.Row { return t.vals[g*t.w:][:t.keyWidth] }
+
+// Group returns the number of key's group, starting it if key (NULL
+// equal to NULL) is new: groups are numbered 0, 1, 2, … as they start.
+// key is only read.
+func (t *GroupTable) Group(key types.Row) int {
+	if t.keyWidth == 0 {
+		return 0
+	}
+	h := key.Hash()
+	for g := t.chain.First(h); g >= 0; g = t.chain.Next(g) {
+		if t.key(g).Equal(key) {
+			return g
+		}
+	}
+	t.chain.Link(t.n, h, func(g int) uint64 { return t.key(g).Hash() })
+	return t.start(key)
+}
+
+// Fold folds v into aggregate j of group g. COUNT(*) counts v whatever
+// it is; every other aggregate skips a NULL and, under DISTINCT, a value
+// equal to one it folded before. SUM stays an INT until a FLOAT arrives.
+func (t *GroupTable) Fold(g, j int, v types.Value) error {
+	a := t.aggs[j]
+	if !a.Star && v.IsNull() || a.Distinct && !t.seen[g*len(t.aggs)+j].Add(v) {
+		return nil
+	}
+	s := &t.vals[g*t.w+t.keyWidth+j]
+	switch a.Kind {
+	case AggCount:
+		*s = types.NewInt(s.Int() + 1)
+	case AggSum, AggAvg:
+		if !v.Kind().Numeric() {
+			return fmt.Errorf("%s over non-numeric value %s", a.Kind, v.Kind())
+		}
+		sum := *s
+		if sum.IsNull() {
+			sum = types.NewInt(0)
+		}
+		if a.Kind == AggSum && sum.Kind() == types.KindInt && v.Kind() == types.KindInt {
+			*s = types.NewInt(sum.Int() + v.Int())
+		} else {
+			*s = types.NewFloat(sum.AsFloat() + v.AsFloat())
+		}
+		if a.Kind == AggAvg {
+			t.counts[g*len(t.aggs)+j]++
+		}
+	case AggMin, AggMax:
+		if s.IsNull() {
+			*s = v
+		} else if c := v.Compare(*s); c < 0 && a.Kind == AggMin || c > 0 && a.Kind == AggMax {
+			*s = v
+		}
+	}
+	return nil
 }
 
 // Len is the number of groups started.
-func (t *GroupTable) Len() int { return len(t.rows) }
+func (t *GroupTable) Len() int { return t.n }
 
-// Rows returns one row per group in first-seen order: the key followed
-// by the aggregate results. A global aggregation (keyWidth 0) that saw
-// no input starts its one group here, of empty-input results. The slice
-// and its rows are the table's own: adding to a group afterwards and
-// calling Rows again overwrites their results, and a caller that
-// reorders the slice is done with the table.
+// Rows ends the table: it returns one row per group in first-seen
+// order, the key followed by the aggregate results, each row a slice of
+// the table's values. A table without keys that saw no input returns
+// one row of empty-input results.
 func (t *GroupTable) Rows() []types.Row {
-	if len(t.rows) == 0 && t.keyWidth == 0 {
-		t.Group(nil)
-	}
-	for i, row := range t.rows {
-		for j, acc := range t.accsOf(i) {
-			row[t.keyWidth+j] = acc.Result()
+	rows := make([]types.Row, t.n)
+	for g := range rows {
+		rows[g] = t.vals[g*t.w:][:t.w:t.w]
+		if !t.avg {
+			continue
+		}
+		for j, n := range t.counts[g*len(t.aggs):][:len(t.aggs)] {
+			if s := &rows[g][t.keyWidth+j]; n > 0 {
+				*s = types.NewFloat(s.Float() / float64(n))
+			}
 		}
 	}
-	return t.rows
+	return rows
 }

@@ -141,12 +141,13 @@ func (t *table) fold(q *source.Query) ([]types.Row, error) {
 		for j, g := range q.GroupBy {
 			key[j] = c.Cols[g].At(pos % types.ChunkRows)
 		}
-		for j, acc := range groups.Group(key) {
-			v := types.NewInt(1)
-			if a := q.Aggs[j]; !a.Star {
+		g := groups.Group(key)
+		for j, a := range q.Aggs {
+			var v types.Value
+			if !a.Star {
 				v = c.Cols[a.Col].At(pos % types.ChunkRows)
 			}
-			if err := acc.Add(v); err != nil {
+			if err := groups.Fold(g, j, v); err != nil {
 				return err
 			}
 		}

@@ -74,13 +74,16 @@ func SortRows(rows []types.Row, keys []OrderSpec) {
 	})
 }
 
-// aggregateRows evaluates grouping+aggregates over materialized rows.
+// aggregateRows groups rows by the columns groupBy names, in first-seen
+// order, and computes each aggregate of a group from the group's rows
+// once all are read. It is the plain definition the stores' folds are
+// checked against, and shares no code with them.
 func aggregateRows(rows []types.Row, groupBy []int, aggs []AggSpec) ([]types.Row, error) {
 	type group struct {
 		key  types.Row
-		accs []expr.Accumulator
+		rows []types.Row
 	}
-	groups := make(map[uint64][]*group)
+	byHash := make(map[uint64][]*group)
 	var order []*group
 	for _, r := range rows {
 		key := make(types.Row, len(groupBy))
@@ -89,49 +92,106 @@ func aggregateRows(rows []types.Row, groupBy []int, aggs []AggSpec) ([]types.Row
 		}
 		h := key.Hash()
 		var grp *group
-		for _, g := range groups[h] {
-			if g.key.Equal(key) {
-				grp = g
-				break
-			}
-		}
-		if grp == nil {
-			grp = &group{key: key, accs: make([]expr.Accumulator, len(aggs))}
-			for i, a := range aggs {
-				grp.accs[i] = expr.NewAccumulator(a.Kind, a.Star, a.Distinct)
-			}
-			groups[h] = append(groups[h], grp)
+		if i := slices.IndexFunc(byHash[h], func(g *group) bool { return g.key.Equal(key) }); i >= 0 {
+			grp = byHash[h][i]
+		} else {
+			grp = &group{key: key}
+			byHash[h] = append(byHash[h], grp)
 			order = append(order, grp)
 		}
-		for i, a := range aggs {
-			v := types.NewInt(1)
-			if !a.Star {
-				v = r[a.Col]
-			}
-			if err := grp.accs[i].Add(v); err != nil {
-				return nil, err
-			}
-		}
+		grp.rows = append(grp.rows, r)
 	}
 	// Global aggregation over zero rows yields one row of empty-input
 	// aggregate values.
 	if len(order) == 0 && len(groupBy) == 0 {
-		out := make(types.Row, len(aggs))
-		for i, a := range aggs {
-			out[i] = expr.NewAccumulator(a.Kind, a.Star, a.Distinct).Result()
-		}
-		return []types.Row{out}, nil
+		order = append(order, &group{})
 	}
-	result := make([]types.Row, 0, len(order))
-	for _, g := range order {
-		row := make(types.Row, 0, len(groupBy)+len(aggs))
-		row = append(row, g.key...)
-		for _, acc := range g.accs {
-			row = append(row, acc.Result())
+	result := make([]types.Row, len(order))
+	for i, g := range order {
+		row := append(make(types.Row, 0, len(groupBy)+len(aggs)), g.key...)
+		for _, a := range aggs {
+			v, err := aggregate(a, g.rows)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, v)
 		}
-		result = append(result, row)
+		result[i] = row
 	}
 	return result, nil
+}
+
+// aggregate computes a over one group's rows. COUNT(*) counts them all;
+// every other aggregate reads column a.Col, skips NULL and, under
+// DISTINCT, a value equal to an earlier one.
+func aggregate(a AggSpec, rows []types.Row) (types.Value, error) {
+	if a.Star {
+		return types.NewInt(int64(len(rows))), nil
+	}
+	var in []types.Value
+	seen := make(map[uint64][]types.Value)
+	for _, r := range rows {
+		v := r[a.Col]
+		if v.IsNull() {
+			continue
+		}
+		if a.Distinct {
+			h := v.Hash(0)
+			if slices.ContainsFunc(seen[h], v.Equal) {
+				continue
+			}
+			seen[h] = append(seen[h], v)
+		}
+		in = append(in, v)
+	}
+	switch a.Kind {
+	case expr.AggCount:
+		return types.NewInt(int64(len(in))), nil
+	case expr.AggMin, expr.AggMax:
+		best := types.Null
+		for _, v := range in {
+			if best.IsNull() {
+				best = v
+			} else if c := v.Compare(best); c < 0 && a.Kind == expr.AggMin || c > 0 && a.Kind == expr.AggMax {
+				best = v
+			}
+		}
+		return best, nil
+	case expr.AggSum, expr.AggAvg:
+		return sum(a.Kind, in)
+	}
+	return types.Null, fmt.Errorf("unknown aggregate kind %d", a.Kind)
+}
+
+// sum computes SUM or AVG over the non-NULL inputs of a group: SUM adds
+// INTs as INTs until the first FLOAT, and from there as floats; AVG
+// adds as floats.
+func sum(kind expr.AggKind, in []types.Value) (types.Value, error) {
+	var isum int64
+	var fsum float64
+	isFloat := kind == expr.AggAvg
+	for _, v := range in {
+		if !v.Kind().Numeric() {
+			return types.Null, fmt.Errorf("%s over non-numeric value %s", kind, v.Kind())
+		}
+		if !isFloat && v.Kind() == types.KindFloat {
+			isFloat, fsum = true, float64(isum)
+		}
+		if isFloat {
+			fsum += v.AsFloat()
+		} else {
+			isum += v.Int()
+		}
+	}
+	switch {
+	case len(in) == 0:
+		return types.Null, nil
+	case kind == expr.AggAvg:
+		return types.NewFloat(fsum / float64(len(in))), nil
+	case isFloat:
+		return types.NewFloat(fsum), nil
+	}
+	return types.NewInt(isum), nil
 }
 
 // DrainOwned is the reference keeper: Drain, with the ownership rule of

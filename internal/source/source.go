@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strconv"
 
 	"gis/internal/expr"
 	"gis/internal/stats"
@@ -102,14 +103,17 @@ type AggSpec struct {
 }
 
 func (a AggSpec) String() string {
-	arg := "*"
-	if !a.Star {
-		arg = fmt.Sprintf("$%d", a.Col)
-	}
+	b := append(make([]byte, 0, 24), a.Kind.String()...)
+	b = append(b, '(')
 	if a.Distinct {
-		arg = "DISTINCT " + arg
+		b = append(b, "DISTINCT "...)
 	}
-	return fmt.Sprintf("%s(%s)", a.Kind, arg)
+	if a.Star {
+		b = append(b, '*')
+	} else {
+		b = strconv.AppendInt(append(b, '$'), int64(a.Col), 10)
+	}
+	return string(append(b, ')'))
 }
 
 // OrderSpec is one sort key over a query's output columns.

@@ -171,22 +171,33 @@ func checkEquivalent(t *testing.T, fixtures map[string]*Fixture, q eqQuery) {
 	}
 }
 
-// TestPlanEquivalence draws 1 200 statements of one table or two, then
+// TestPlanEquivalence draws 1 200 statements of one table or two, and
 // 300 chains of three joined relations, which only the join order search
-// reorders (150 and 40 under -short).
+// reorders (150 and 40 under -short). The two streams run side by side,
+// each on fixtures of its own: a variant is an engine setting, and the
+// statements write nothing.
 func TestPlanEquivalence(t *testing.T) {
-	fixtures := testFixtures(t)
-	g := &eqGen{r: rand.New(rand.NewSource(equivalenceSeed))}
 	n, chains := 1200, 300
 	if testing.Short() {
 		n, chains = 150, 40
 	}
-	for i := 0; i < n && !t.Failed(); i++ {
-		checkEquivalent(t, fixtures, g.next())
-	}
-	g = &eqGen{r: rand.New(rand.NewSource(chainSeed))}
-	for i := 0; i < chains && !t.Failed(); i++ {
-		checkEquivalent(t, fixtures, g.chain())
+	for _, s := range []struct {
+		name string
+		seed int64
+		n    int
+		next func(*eqGen) eqQuery
+	}{
+		{"statements", equivalenceSeed, n, (*eqGen).next},
+		{"chains", chainSeed, chains, (*eqGen).chain},
+	} {
+		t.Run(s.name, func(t *testing.T) {
+			t.Parallel()
+			fixtures := testFixtures(t)
+			g := &eqGen{r: rand.New(rand.NewSource(s.seed))}
+			for i := 0; i < s.n && !t.Failed(); i++ {
+				checkEquivalent(t, fixtures, s.next(g))
+			}
+		})
 	}
 }
 
