@@ -89,11 +89,13 @@ func statementEngine(t *testing.T) *Engine {
 // TestStatementAllocations holds the fixed cost of a statement end to
 // end — parse, bind, plan, admit, ship, the component's decode and
 // re-bind, the reply — for point_remote's four shapes and update_2pc's
-// five templates (texts and parameter kinds as bench/gen.go has them)
-// under ceilings 10% above what they measure — 60 / 87 / 172 / 80 and
-// 28 / 25 / 39 / 168 / 217 — so that a regression of the fixed cost
-// fails here before it shows as allocs_per_query. Materializing each
-// template's subqueries, of which it has none, allocates nothing.
+// five templates (texts and parameter kinds as bench/gen.go has them),
+// and a derived table read through its alias, under ceilings 10% above
+// what they measured — 60 / 87 / 172 / 80, 28 / 25 / 39 / 168 / 217
+// and 91 (88 once a derived table's Projects compose into one) — so
+// that a regression of the fixed cost fails here before it shows as
+// allocs_per_query. Materializing each template's subqueries, of which
+// it has none, allocates nothing.
 // TestPlanAllocations (plan) holds the planning part alone.
 func TestStatementAllocations(t *testing.T) {
 	e := statementEngine(t)
@@ -127,6 +129,8 @@ func TestStatementAllocations(t *testing.T) {
 			}, true, 185},
 		{"sum_check", "SELECT SUM(balance), COUNT(*) FROM accounts",
 			func() []types.Value { return nil }, false, 239},
+		{"derived", "SELECT q.oid FROM (SELECT * FROM orders WHERE oid < ?) q",
+			func() []types.Value { return ints(5) }, false, 100},
 	} {
 		// The parameters of every run are drawn before it is measured, as
 		// the benchmark's generator draws them outside the engine.

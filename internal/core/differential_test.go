@@ -13,49 +13,73 @@ import (
 // TestDifferentialSingleTable fuzzes single-table queries against a
 // naive reference evaluation over the materialized global table: the
 // whole pipeline (parse → optimize → decompose → pushdown → compensate →
-// translate) must agree with direct filtering.
+// translate) must agree with direct filtering. Each predicate is also
+// asked of a derived table that renames every column and computes one,
+// written over its alias, and of a view over orders: the Projects they
+// stack compose into one, and must return the same rows.
 func TestDifferentialSingleTable(t *testing.T) {
 	e := newTestEngine(t)
+	if err := e.CreateView("orders_view", "SELECT oid, cust_id, sku, qty FROM orders"); err != nil {
+		t.Fatal(err)
+	}
 	// Materialize the reference copy of the multi-fragment orders table.
 	ref := query(t, e, "SELECT * FROM orders")
 	schema := ref.Schema
 
 	rng := rand.New(rand.NewSource(99))
 	cols := []string{"oid", "cust_id", "sku", "qty"}
+	renamed := map[string]string{"oid": "d.o", "cust_id": "d.c", "sku": "d.s", "qty": "d.q"}
+	const derived = "SELECT d.o, d.c, d.s, d.q2 - d.q FROM " +
+		"(SELECT oid AS o, cust_id AS c, sku AS s, qty AS q, qty * 2 AS q2 FROM orders) d WHERE "
 
-	randPred := func() (string, expr.Expr) {
-		var sqlParts []string
+	// randPred returns a predicate as text with each column named by
+	// name, and as a tree over the bare column names.
+	randPred := func() (func(name func(string) string) string, expr.Expr) {
+		type atom struct {
+			col, op string
+			val     int64
+		}
+		var atoms []atom
+		var ands []bool
 		var exprs []expr.Expr
 		n := 1 + rng.Intn(3)
 		for i := 0; i < n; i++ {
-			col := cols[rng.Intn(len(cols))]
-			op := []string{"=", "<", ">", "<=", ">=", "<>"}[rng.Intn(6)]
-			val := int64(rng.Intn(600))
-			sqlParts = append(sqlParts, fmt.Sprintf("%s %s %d", col, op, val))
+			a := atom{cols[rng.Intn(len(cols))], []string{"=", "<", ">", "<=", ">=", "<>"}[rng.Intn(6)], int64(rng.Intn(600))}
+			atoms = append(atoms, a)
 			opMap := map[string]expr.BinOp{
 				"=": expr.OpEq, "<": expr.OpLt, ">": expr.OpGt,
 				"<=": expr.OpLe, ">=": expr.OpGe, "<>": expr.OpNe,
 			}
-			exprs = append(exprs, expr.NewBinary(opMap[op],
-				expr.NewColRef("", col), expr.NewConst(types.NewInt(val))))
+			exprs = append(exprs, expr.NewBinary(opMap[a.op],
+				expr.NewColRef("", a.col), expr.NewConst(types.NewInt(a.val))))
 		}
-		sqlText := sqlParts[0]
 		tree := exprs[0]
 		for i := 1; i < len(exprs); i++ {
 			conj := rng.Intn(2) == 0
+			ands = append(ands, conj)
 			if conj {
-				sqlText = fmt.Sprintf("(%s) AND (%s)", sqlText, sqlParts[i])
 				tree = expr.NewBinary(expr.OpAnd, tree, exprs[i])
 			} else {
-				sqlText = fmt.Sprintf("(%s) OR (%s)", sqlText, sqlParts[i])
 				tree = expr.NewBinary(expr.OpOr, tree, exprs[i])
 			}
 		}
-		return sqlText, tree
+		text := func(name func(string) string) string {
+			part := func(a atom) string { return fmt.Sprintf("%s %s %d", name(a.col), a.op, a.val) }
+			out := part(atoms[0])
+			for i, conj := range ands {
+				join := "OR"
+				if conj {
+					join = "AND"
+				}
+				out = fmt.Sprintf("(%s) %s (%s)", out, join, part(atoms[i+1]))
+			}
+			return out
+		}
+		return text, tree
 	}
 
 	for trial := 0; trial < 200; trial++ {
-		sqlPred, predTree := randPred()
+		predText, predTree := randPred()
 		bound, err := expr.Bind(predTree, schema)
 		if err != nil {
 			t.Fatalf("trial %d bind: %v", trial, err)
@@ -71,11 +95,18 @@ func TestDifferentialSingleTable(t *testing.T) {
 				want = append(want, r.String())
 			}
 		}
-		got := rowsAsStrings(query(t, e, "SELECT * FROM orders WHERE "+sqlPred))
-		sort.Strings(got)
 		sort.Strings(want)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("trial %d: WHERE %s\n got %v\nwant %v", trial, sqlPred, got, want)
+		sqlPred := predText(func(c string) string { return c })
+		for _, q := range []string{
+			"SELECT * FROM orders WHERE " + sqlPred,
+			derived + predText(func(c string) string { return renamed[c] }),
+			"SELECT * FROM orders_view WHERE " + sqlPred,
+		} {
+			got := rowsAsStrings(query(t, e, q))
+			sort.Strings(got)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trial %d: %s\n got %v\nwant %v", trial, q, got, want)
+			}
 		}
 	}
 }

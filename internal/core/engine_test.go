@@ -818,6 +818,29 @@ func TestViews(t *testing.T) {
 	}
 }
 
+// TestDerivedTablePlansOneProject: a derived table or a view adds no
+// operator of its own. The select list over it, its alias and its own
+// select list compose into one Project over the scan, whose rows pass
+// one projection at the mediator, not three.
+func TestDerivedTablePlansOneProject(t *testing.T) {
+	e := newTestEngine(t)
+	if err := e.CreateView("small_orders", "SELECT * FROM orders WHERE oid < 5"); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT q.oid FROM (SELECT * FROM orders WHERE oid < 5) q",
+		"SELECT v.oid FROM small_orders v",
+	} {
+		out, err := e.Explain(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(out, "Project "); n != 1 {
+			t.Errorf("%s plans %d Projects, want 1:\n%s", q, n, out)
+		}
+	}
+}
+
 func TestVerticalIntegrationViaView(t *testing.T) {
 	// The classic vertical-partition pattern: two sources each hold some
 	// columns of a logical entity; a view joins them on the key and

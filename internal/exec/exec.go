@@ -386,10 +386,10 @@ func (p *projectIter) Next() (types.Row, error) {
 
 func (p *projectIter) Close() error { return p.in.Close() }
 
-// identityProject reports whether p emits its input rows unchanged:
-// column i at position i, for every column of the input. The planner
-// keeps such a node (it carries the output names), the executor need
-// not run it.
+// identityProject reports whether p emits its input rows unchanged, as
+// the select list over a scan does (kept for the result's names). After
+// optimization no Project's input is a Project, except where composing
+// would evaluate a computed column twice.
 func identityProject(p *plan.Project) bool {
 	if len(p.Exprs) != p.Input.Schema().Len() {
 		return false

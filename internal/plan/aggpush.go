@@ -62,18 +62,11 @@ func remoteAggColumns(agg *Aggregate, fs *FragScan) (cols aggColumns, ok bool) {
 	if !fs.acceptsAggregate() {
 		return cols, false
 	}
-	remoteOf := func(e expr.Expr) (int, bool) {
-		ref, isCol := e.(*expr.ColRef)
-		if !isCol {
-			return -1, false
-		}
-		return fs.identityCol(ref.Index)
-	}
 	if len(agg.GroupBy) > 0 {
 		cols.group = make([]int, 0, len(agg.GroupBy))
 	}
 	for _, g := range agg.GroupBy {
-		rc, ok := remoteOf(g)
+		rc, ok := fs.identityCol(g)
 		if !ok {
 			return cols, false
 		}
@@ -86,7 +79,7 @@ func remoteAggColumns(agg *Aggregate, fs *FragScan) (cols aggColumns, ok bool) {
 		}
 		rc := -1
 		if a.Arg != nil {
-			if rc, ok = remoteOf(a.Arg); !ok {
+			if rc, ok = fs.identityCol(a.Arg); !ok {
 				return cols, false
 			}
 		}
@@ -211,10 +204,9 @@ func pushPartialAggregate(agg *Aggregate, scans []*FragScan, cols []aggColumns, 
 	outSchema := agg.Schema()
 	proj := &Project{Input: final}
 	for i := 0; i < nGroup; i++ {
-		c := finalSchema.Columns[i]
-		ref := expr.NewBoundColRef(i, c.Type, outSchema.Columns[i].Name)
-		proj.Exprs = append(proj.Exprs, ref)
-		proj.Names = append(proj.Names, outSchema.Columns[i].Name)
+		name := outSchema.Columns[i].Name
+		proj.Exprs = append(proj.Exprs, expr.NewBoundColRef(i, finalSchema.Columns[i].Type, name))
+		proj.Names = append(proj.Names, name)
 	}
 	for i, sp := range specs {
 		name := outSchema.Columns[nGroup+i].Name

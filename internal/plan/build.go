@@ -250,13 +250,16 @@ func buildRightJoin(l, r Node, cond expr.Expr) Node {
 	return columnsAt(&Join{Kind: JoinLeft, L: r, R: l, Cond: expr.Remap(cond, remap)}, remap)
 }
 
-// columnsAt projects n so that its column m[i] is at position i.
+// columnsAt projects n so that its column m[i] is at position i: every
+// pass-through Project, its references carved from one array.
 func columnsAt(n Node, m []int) *Project {
 	out := n.Schema()
 	exprs := make([]expr.Expr, len(m))
 	names := make([]string, len(m))
+	refs := make([]expr.ColRef, len(m))
 	for i, c := range m {
-		exprs[i], names[i] = outputRef(out, c), out.Columns[c].Name
+		refs[i] = outputRef(out, c)
+		exprs[i], names[i] = &refs[i], out.Columns[c].Name
 	}
 	return &Project{Exprs: exprs, Names: names, Input: n}
 }
@@ -284,16 +287,11 @@ func (b *Builder) buildView(name, viewSQL, alias string) (Node, error) {
 // qualify re-qualifies a node's output columns under an alias via a
 // pass-through projection (derived tables and view references).
 func qualify(inner Node, alias string) Node {
-	schema := inner.Schema()
-	exprs := make([]expr.Expr, schema.Len())
-	names := make([]string, schema.Len())
-	for i, c := range schema.Columns {
-		ref := expr.NewBoundColRef(i, c.Type, c.Name)
-		ref.Table = alias
-		exprs[i] = ref
-		names[i] = c.Name
+	p := columnsAt(inner, identityMapping(inner.Schema().Len()))
+	for _, e := range p.Exprs {
+		e.(*expr.ColRef).Table = alias
 	}
-	return &Project{Exprs: exprs, Names: names, Input: inner}
+	return p
 }
 
 // expandStars replaces * and t.* items with explicit column references.
@@ -484,7 +482,8 @@ func (b *Builder) buildSort(node Node, order []sql.OrderItem) (Node, error) {
 			j = slices.IndexFunc(out.Columns, func(c types.Column) bool { return c.Name == printed })
 		}
 		if j >= 0 {
-			keys[i].E = outputRef(out, j)
+			ref := outputRef(out, j)
+			keys[i].E = &ref
 			continue
 		}
 		proj, isProj := node.(*Project)
@@ -525,18 +524,12 @@ func (b *Builder) buildSort(node Node, order []sql.OrderItem) (Node, error) {
 		return &Sort{Keys: keys, Input: node}, nil
 	}
 	// Final projection drops the hidden sort columns.
-	final := &Project{Exprs: make([]expr.Expr, out.Len()), Names: make([]string, out.Len()), Input: &Sort{Keys: keys, Input: hidden}}
-	for i, c := range out.Columns {
-		final.Exprs[i], final.Names[i] = outputRef(out, i), c.Name
-	}
-	return final, nil
+	return columnsAt(&Sort{Keys: keys, Input: hidden}, identityMapping(out.Len())), nil
 }
 
 // outputRef references column i of the output schema out, under its
 // name and table.
-func outputRef(out *types.Schema, i int) *expr.ColRef {
+func outputRef(out *types.Schema, i int) expr.ColRef {
 	c := out.Columns[i]
-	ref := expr.NewBoundColRef(i, c.Type, c.Name)
-	ref.Table = c.Table
-	return ref
+	return expr.ColRef{Table: c.Table, Name: c.Name, Index: i, Type: c.Type}
 }

@@ -33,10 +33,7 @@ func decomposeScan(gs *GlobalScan, cat *catalog.Catalog, parallel bool) (Node, e
 	// Requested output columns over the full global schema.
 	requested := gs.Cols
 	if requested == nil {
-		requested = make([]int, tab.Schema.Len())
-		for i := range requested {
-			requested[i] = i
-		}
+		requested = identityMapping(tab.Schema.Len())
 	}
 	outSchema := gs.Schema()
 

@@ -178,11 +178,16 @@ func (s *FragScan) mapping(outCol int) *catalog.ColumnMapping {
 	return &s.Frag.Columns[g]
 }
 
-// identityCol resolves an output column to the remote column it is a
-// plain copy of. Only such a column can be grouped, aggregated or
-// ordered by at the source, which works in its own representation.
-func (s *FragScan) identityCol(outCol int) (int, bool) {
-	m := s.mapping(outCol)
+// identityCol resolves e, a bare reference to an output column, to the
+// remote column it is a plain copy of. Only such a column can be
+// grouped, aggregated or ordered by at the source, which works in its
+// own representation.
+func (s *FragScan) identityCol(e expr.Expr) (int, bool) {
+	ref, isCol := e.(*expr.ColRef)
+	if !isCol {
+		return -1, false
+	}
+	m := s.mapping(ref.Index)
 	if m == nil || !m.Identity() {
 		return -1, false
 	}

@@ -82,10 +82,7 @@ func OrderSearch(rels []RelInfo, preds []PredInfo, algo JoinOrderAlgo) SearchRes
 	case OrderGreedy:
 		res = orderGreedy(rels, preds)
 	default:
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
+		order := identityMapping(n)
 		res = SearchResult{Order: order, Cost: orderCost(rels, preds, order), Considered: 1}
 	}
 	return res

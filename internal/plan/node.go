@@ -123,25 +123,31 @@ func (p *Project) Schema() *types.Schema {
 	if p.schema == nil {
 		cols := make([]types.Column, len(p.Exprs))
 		for i, e := range p.Exprs {
-			name := p.Names[i]
-			table := ""
-			if c, ok := e.(*expr.ColRef); ok {
-				if name == "" {
-					name = c.Name
-				}
-				table = c.Table
-				if table == "" && c.Index >= 0 && c.Index < p.Input.Schema().Len() {
-					table = p.Input.Schema().Columns[c.Index].Table
-				}
-			}
-			if name == "" {
-				name = e.String()
-			}
-			cols[i] = types.Column{Table: table, Name: name, Type: e.ResultType(), Nullable: true}
+			cols[i] = exprColumn(e, p.Names[i], p.Input)
 		}
 		p.schema = &types.Schema{Columns: cols}
 	}
 	return p.schema
+}
+
+// exprColumn describes the column e computes over in's rows: named name,
+// else as the column e references, else as e prints, and of the table
+// of the column it references.
+func exprColumn(e expr.Expr, name string, in Node) types.Column {
+	table := ""
+	if c, ok := e.(*expr.ColRef); ok {
+		if name == "" {
+			name = c.Name
+		}
+		table = c.Table
+		if table == "" && c.Index >= 0 && c.Index < in.Schema().Len() {
+			table = in.Schema().Columns[c.Index].Table
+		}
+	}
+	if name == "" {
+		name = e.String()
+	}
+	return types.Column{Table: table, Name: name, Type: e.ResultType(), Nullable: true}
 }
 
 // Describe implements Node.
@@ -269,16 +275,7 @@ func (a *Aggregate) Schema() *types.Schema {
 	if a.schema == nil {
 		cols := make([]types.Column, 0, len(a.GroupBy)+len(a.Aggs))
 		for _, g := range a.GroupBy {
-			name := g.String()
-			table := ""
-			if c, ok := g.(*expr.ColRef); ok {
-				name = c.Name
-				table = c.Table
-				if table == "" && c.Index >= 0 && c.Index < a.Input.Schema().Len() {
-					table = a.Input.Schema().Columns[c.Index].Table
-				}
-			}
-			cols = append(cols, types.Column{Table: table, Name: name, Type: g.ResultType(), Nullable: true})
+			cols = append(cols, exprColumn(g, "", a.Input))
 		}
 		for _, ag := range a.Aggs {
 			in := types.KindInt

@@ -51,10 +51,10 @@ func DefaultOptions() *Options {
 // catalog, producing an executable plan: constants fold, filters sink
 // into the scans, columns are pruned, the scans are decomposed into
 // fragment scans, and then the passes that price the plan — join order,
-// join strategy, aggregate and top-k pushdown — read the estimates of
-// what each fragment's source is asked. ctx only carries observability
-// state (the decompose phase gets its own trace span); cancellation is
-// not checked — optimization is CPU-bound and short.
+// join strategy, aggregate pushdown, Project composition, top-k pushdown
+// — read the estimates of what each fragment's source is asked. ctx only
+// carries observability state (the decompose phase gets its own trace
+// span); cancellation is not checked — optimization is CPU-bound and short.
 func Optimize(ctx context.Context, n Node, cat *catalog.Catalog, opts *Options) (Node, error) {
 	if opts == nil {
 		opts = DefaultOptions()
@@ -79,6 +79,7 @@ func Optimize(ctx context.Context, n Node, cat *catalog.Catalog, opts *Options) 
 	if opts.PushAggregates {
 		n = pushAggregates(n)
 	}
+	n = composeProjects(n)
 	if opts.PushTopK {
 		n = pushTopK(n)
 	}

@@ -90,15 +90,8 @@ func pushConjunct(c expr.Expr, node *Node) bool {
 		return true
 
 	case *Project:
-		// Substitute projected expressions for references; only safe
-		// when every referenced projection is deterministic (all our
-		// expressions are pure).
-		subst := expr.Transform(c, func(n expr.Expr) expr.Expr {
-			if ref, ok := n.(*expr.ColRef); ok && ref.Index >= 0 && ref.Index < len(t.Exprs) {
-				return t.Exprs[ref.Index]
-			}
-			return n
-		})
+		// Read through the projection: every expression is pure.
+		subst := throughProject(c, t)
 		if !pushConjunct(subst, &t.Input) {
 			// Wrap the input in a filter below the projection.
 			t.Input = &Filter{Pred: subst, Input: t.Input}
@@ -174,6 +167,64 @@ func pushConjunct(c expr.Expr, node *Node) bool {
 		// Limit, FragScan, Values: a filter cannot pass.
 		return false
 	}
+}
+
+// throughProject rewrites e, bound over p's output, over p's input: a
+// column becomes the expression p computes for it, shared, not copied.
+// It is the one way to read a column through a Project.
+func throughProject(e expr.Expr, p *Project) expr.Expr {
+	return expr.Transform(e, func(n expr.Expr) expr.Expr {
+		if ref, ok := n.(*expr.ColRef); ok && ref.Index >= 0 && ref.Index < len(p.Exprs) {
+			return p.Exprs[ref.Index]
+		}
+		return n
+	})
+}
+
+// composeProjects makes each Project over a Project one node, bottom-up.
+func composeProjects(n Node) Node {
+	EachInput(n, func(in *Node) { *in = composeProjects(*in) })
+	if p, ok := n.(*Project); ok {
+		composeProject(p)
+	}
+	return n
+}
+
+// composeProject folds the Projects under p into p while it may: p reads
+// their expressions (throughProject) and input, keeping its names and
+// schema. It stops where p reads twice a column the inner Project
+// computes (neither a column nor a constant): a row would compute it
+// twice. With its schema known, over bare columns it allocates nothing.
+func composeProject(p *Project) {
+	for in, ok := p.Input.(*Project); ok && !readsTwice(p, in); in, ok = p.Input.(*Project) {
+		p.Schema() // cached from p's own expressions before they change
+		for i, e := range p.Exprs {
+			p.Exprs[i] = throughProject(e, in)
+		}
+		p.Input = in.Input
+	}
+}
+
+// readsTwice reports whether p reads a column that in computes more
+// than once.
+func readsTwice(p, in *Project) bool {
+	for j, e := range in.Exprs {
+		if _, col := e.(*expr.ColRef); col || expr.IsConst(e) {
+			continue
+		}
+		uses := 0
+		for _, o := range p.Exprs {
+			expr.Columns(o, func(c int) {
+				if c == j {
+					uses++
+				}
+			})
+		}
+		if uses > 1 {
+			return true
+		}
+	}
+	return false
 }
 
 // sidesOf reports which sides of a join's concatenated schema a

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"gis/internal/expr"
@@ -80,5 +81,66 @@ func slots(v reflect.Value, kind string, ins *[]*Node, exprs *[]*expr.Expr) {
 				slots(el, kind, ins, exprs)
 			}
 		}
+	}
+}
+
+// TestComposeProjects: a Project over a Project is one node after
+// optimization, named and typed as the outer one was, unless that would
+// compute an inner column twice a row; composing Projects of bare
+// columns allocates nothing.
+func TestComposeProjects(t *testing.T) {
+	cat := newBenchCatalog(t)
+	for _, c := range []struct {
+		sql  string
+		want string // the plan's Projects, top-down
+	}{
+		{"SELECT q.id, q.amount FROM (SELECT oid AS id, amount FROM orders) q", "Project oid, amount\n"},
+		{"SELECT x + 1 FROM (SELECT oid * 2 AS x FROM orders) q", "Project ((oid * 2) + 1)\n"},
+		// x is read twice: composing would compute oid * 2 twice a row.
+		{"SELECT x, x + 1 FROM (SELECT oid * 2 AS x FROM orders) q", "Project x, (x + 1)\n  Project (oid * 2)\n"},
+	} {
+		n, err := planOnce(cat, c.sql, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		var got strings.Builder
+		for _, line := range strings.SplitAfter(Explain(n), "\n") {
+			if strings.HasPrefix(strings.TrimLeft(line, " "), "Project ") {
+				got.WriteString(line)
+			}
+		}
+		if got.String() != c.want {
+			t.Errorf("%s plans\n%swant\n%s", c.sql, Explain(n), c.want)
+		}
+	}
+
+	n, err := planOnce(cat, "SELECT q.id AS k, q.amount FROM (SELECT oid AS id, amount FROM orders) q", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Schema().String(); got != "(q.k INT, q.amount FLOAT)" {
+		t.Errorf("composed schema %s", got)
+	}
+
+	// Composed before anything asked its schema, a Project still names
+	// its columns as it did over the inner one.
+	in := &Values{Out: types.NewSchema(types.Column{Name: "a", Type: types.KindInt}, types.Column{Name: "b", Type: types.KindInt})}
+	a, b := expr.NewBoundColRef(0, types.KindInt, "a"), expr.NewBoundColRef(1, types.KindInt, "b")
+	inner := &Project{Exprs: []expr.Expr{b, expr.NewBinary(expr.OpAdd, a, b)}, Names: []string{"b", "s"}, Input: in}
+	over := func() *Project {
+		return &Project{Exprs: []expr.Expr{expr.NewBoundColRef(1, types.KindInt, "s"), expr.NewBoundColRef(0, types.KindInt, "b")}, Names: []string{"", ""}, Input: inner}
+	}
+	want, outer := over().Schema().String(), over()
+	if composeProject(outer); outer.Schema().String() != want {
+		t.Errorf("composed schema %s, want %s", outer.Schema(), want)
+	}
+	refs := []expr.Expr{over().Exprs[0], over().Exprs[1]}
+	allocs := testing.AllocsPerRun(50, func() {
+		copy(outer.Exprs, refs)
+		outer.Input = inner
+		composeProject(outer)
+	})
+	if allocs != 0 || outer.Input != in || outer.Exprs[0] != inner.Exprs[1] || outer.Exprs[1] != inner.Exprs[0] {
+		t.Errorf("composing bare columns: %v allocations, %s", allocs, Explain(outer))
 	}
 }

@@ -3,7 +3,6 @@ package plan
 import (
 	"slices"
 
-	"gis/internal/expr"
 	"gis/internal/source"
 )
 
@@ -22,24 +21,28 @@ import (
 //     (any subset of the right size is a valid unordered LIMIT result;
 //     over a single scan the Sort rule just ordered, it is the top-N).
 //
-// Both see through pass-through projections (hidden ORDER BY columns).
+// Both see through one projection: after optimization no Project's
+// input is a Project, except where composing would evaluate a computed
+// column twice, and a Sort pushed away here leaves its two composed.
 // Sort keys must be bare identity-mapped columns.
 func pushTopK(n Node) Node {
 	EachInput(n, func(in *Node) { *in = pushTopK(*in) })
 	switch t := n.(type) {
+	case *Project:
+		composeProject(t)
 	case *Sort:
-		term, translate := throughProjections(t.Input)
-		if fs, ok := term.(*FragScan); ok && pushOrderLimit([]*FragScan{fs}, t.Keys, translate, -1, true) {
+		via, term := underProject(t.Input)
+		if fs, ok := term.(*FragScan); ok && pushOrderLimit([]*FragScan{fs}, t.Keys, via, -1, true) {
 			return t.Input
 		}
 	case *Limit:
 		if shipN := t.N + t.Offset; shipN >= 0 {
-			if s := sortBelowProjections(t.Input); s != nil {
+			_, term := underProject(t.Input)
+			if s, ok := term.(*Sort); ok {
 				s.Top = shipN
-				term, translate := throughProjections(s.Input)
-				pushOrderLimit(FragScans(term), s.Keys, translate, shipN, true)
+				via, term := underProject(s.Input)
+				pushOrderLimit(FragScans(term), s.Keys, via, shipN, true)
 			} else {
-				term, _ := throughProjections(t.Input)
 				pushOrderLimit(FragScans(term), nil, nil, shipN, false)
 			}
 		}
@@ -49,20 +52,28 @@ func pushTopK(n Node) Node {
 	return n
 }
 
+// underProject returns n's Project (nil when n is none) and its input.
+func underProject(n Node) (*Project, Node) {
+	if p, ok := n.(*Project); ok {
+		return p, p.Input
+	}
+	return nil, n
+}
+
 // pushOrderLimit asks the sources of scans to order their rows by keys
 // (nil: no ordering asked) and to stop after limit rows (negative: no
-// limit asked). translate maps a key's column to a column of the scans.
+// limit asked). The keys are over via's output (nil: over the scans').
 // With allOrNothing a scan that cannot take the request leaves every
 // scan as it was; without, each scan decides for itself. It reports
 // whether every scan took the request.
-func pushOrderLimit(scans []*FragScan, keys []SortKey, translate func(int) int, limit int64, allOrNothing bool) bool {
+func pushOrderLimit(scans []*FragScan, keys []SortKey, via *Project, limit int64, allOrNothing bool) bool {
 	type request struct {
 		fs    *FragScan
 		specs []source.OrderSpec
 	}
 	var taken []request
 	for _, fs := range scans {
-		specs, ok := remoteOrderSpec(fs, keys, translate)
+		specs, ok := remoteOrderSpec(fs, keys, via)
 		if ok && (limit < 0 || fs.acceptsLimit()) {
 			if taken == nil {
 				taken = make([]request, 0, len(scans))
@@ -89,57 +100,13 @@ func setOrderLimit(fs *FragScan, specs []source.OrderSpec, limit int64) {
 	}
 }
 
-// throughProjections walks a chain of pass-through projections and
-// returns the terminal node plus a translator mapping an output column
-// of the chain to a column of the terminal node (-1 when not a bare
-// column path).
-func throughProjections(n Node) (Node, func(int) int) {
-	var layers []*Project
-	cur := n
-	for {
-		p, ok := cur.(*Project)
-		if !ok {
-			break
-		}
-		layers = append(layers, p)
-		cur = p.Input
-	}
-	translate := func(col int) int {
-		for _, p := range layers {
-			if col < 0 || col >= len(p.Exprs) {
-				return -1
-			}
-			ref, ok := p.Exprs[col].(*expr.ColRef)
-			if !ok || ref.Index < 0 {
-				return -1
-			}
-			col = ref.Index
-		}
-		return col
-	}
-	return cur, translate
-}
-
-// sortBelowProjections finds a Sort under a chain of projections.
-func sortBelowProjections(n Node) *Sort {
-	for {
-		p, ok := n.(*Project)
-		if !ok {
-			break
-		}
-		n = p.Input
-	}
-	s, _ := n.(*Sort)
-	return s
-}
-
 // remoteOrderSpec resolves sort keys for a scan that accepts an ordering
 // to positions in the output of its pushed query; ok=false when it does
 // not, or a key is not a bare identity-mapped column the query ships.
 // No keys need no acceptance and resolve to nil. (The mediator-side
 // projection Out may reorder columns; order is preserved row-wise either
 // way, so only the key's position in the source's output matters.)
-func remoteOrderSpec(fs *FragScan, keys []SortKey, translate func(int) int) ([]source.OrderSpec, bool) {
+func remoteOrderSpec(fs *FragScan, keys []SortKey, via *Project) ([]source.OrderSpec, bool) {
 	if keys == nil {
 		return nil, true
 	}
@@ -148,11 +115,11 @@ func remoteOrderSpec(fs *FragScan, keys []SortKey, translate func(int) int) ([]s
 	}
 	specs := make([]source.OrderSpec, 0, len(keys))
 	for _, k := range keys {
-		ref, isCol := k.E.(*expr.ColRef)
-		if !isCol {
-			return nil, false
+		e := k.E
+		if via != nil {
+			e = throughProject(e, via)
 		}
-		remote, ok := fs.identityCol(translate(ref.Index))
+		remote, ok := fs.identityCol(e)
 		if !ok {
 			return nil, false
 		}

@@ -63,7 +63,10 @@ var eqChains = []*eqChain{
 // an eighth of the time, in the comma form over derived tables small
 // enough for their product; under a Project, a GROUP BY or an ORDER BY
 // with a LIMIT, and a third of the time with a fourth relation LEFT
-// JOINed after the first relation or after the chain.
+// JOINed after the first relation or after the chain. A quarter of the
+// chains written with JOIN read one relation through a derived table or
+// a view (testFixtures' v_ views), whose Projects compose with the
+// select list's.
 func (g *eqGen) chain() eqQuery {
 	ch := eqChains[g.r.Intn(len(eqChains))]
 	t, j := ch.t, ch.t.joins
@@ -90,6 +93,11 @@ func (g *eqGen) chain() eqQuery {
 		extra = append(extra, g.pick(j.filters...))
 	}
 	comma := g.chance(0.125)
+	rel := map[string]string{"c": table["c"], "o": table["o"], "p": table["p"]}
+	if !comma && g.chance(0.25) {
+		a := g.pick(aliases...)
+		rel[a] = g.pick("(SELECT * FROM "+table[a]+")", "v_"+table[a])
+	}
 	items := make([]string, 3)
 	for i, a := range aliases {
 		switch {
@@ -97,7 +105,7 @@ func (g *eqGen) chain() eqQuery {
 			// Every relation joins on its key, cut to a few dozen rows.
 			items[i] = fmt.Sprintf("(SELECT * FROM %s WHERE %s < %d) %s", table[a], key[a], 10+g.r.Intn(30), a)
 		case i == 0:
-			items[i] = table[a] + " " + a
+			items[i] = rel[a] + " " + a
 		default:
 			edge := a
 			if a == mid {
@@ -107,7 +115,7 @@ func (g *eqGen) chain() eqQuery {
 			if edge == "p" {
 				cond = pj
 			}
-			items[i] = "JOIN " + table[a] + " " + a + " ON " + cond
+			items[i] = "JOIN " + rel[a] + " " + a + " ON " + cond
 		}
 	}
 	if comma {

@@ -67,6 +67,8 @@ func addCustomers(t testing.TB, f *Fixture, n int) {
 // testFixtures builds the five in-process federations the plan corpus
 // and the equivalence generator run over, keyed by the name a case uses.
 // The two whose order tables have nothing to join get a customers table.
+// Each global table t is also the view v_t, SELECT * FROM t, which the
+// chain stream reads some of its relations through.
 func testFixtures(t testing.TB) map[string]*Fixture {
 	t.Helper()
 	out := map[string]*Fixture{}
@@ -88,6 +90,11 @@ func testFixtures(t testing.TB) map[string]*Fixture {
 		t.Cleanup(f.Close)
 		if m.customers > 0 {
 			addCustomers(t, f, m.customers)
+		}
+		for _, name := range f.Engine.Catalog().Tables() {
+			if err := f.Engine.CreateView("v_"+name, "SELECT * FROM "+name); err != nil {
+				t.Fatalf("%s fixture: %v", m.name, err)
+			}
 		}
 		out[m.name] = f
 	}
@@ -321,6 +328,32 @@ func renderPlans(t *testing.T) string {
 // the diff.
 func TestPlansGolden(t *testing.T) {
 	matchGolden(t, "testdata/plans.golden", renderPlans(t))
+}
+
+// TestNoProjectReadsAProject walks the plan of every corpus statement
+// under every variant: after optimization no Project's input is a
+// Project (the planner composes them). The one stack it keeps, where
+// composing would compute a column twice a row, is plan
+// TestComposeProjects' case; the corpus holds none.
+func TestNoProjectReadsAProject(t *testing.T) {
+	header, block := "", ""
+	lines := strings.Split(renderPlans(t), "\n")
+	for i := 1; i < len(lines); i++ {
+		line, above := lines[i], lines[i-1]
+		switch {
+		case strings.HasPrefix(line, "== "):
+			header = line
+		case strings.HasPrefix(line, "-- "):
+			block = line
+		default:
+			// EXPLAIN prints a node's input on the next line, two spaces
+			// further in.
+			child, parent := strings.TrimLeft(line, " "), strings.TrimLeft(above, " ")
+			if strings.HasPrefix(child, "Project ") && strings.HasPrefix(parent, "Project ") && len(line)-len(child) == len(above)-len(parent)+2 {
+				t.Errorf("%s %s: a Project reads a Project:\n%s\n%s", header, block, above, line)
+			}
+		}
+	}
 }
 
 // matchGolden compares got with the golden file at path, or under

@@ -50,7 +50,8 @@
 #                   wire's tests of a result stream's end). A hang is how a
 #                   re-acquired mutex, a Wait that misses its Done or a
 #                   lock cycle shows, so the timeout is part of the gate:
-#                   well over three times the slowest package (workload, 27 s)
+#                   about twice the slowest package (workload, 47-52 s
+#                   under -race on 2 CPUs, 49-52 s within this step)
 #                   instead of Go's ten minutes a package
 #   6. gisbench   — the OV1 overload bench and the quick bench as JSON,
 #                   schema-validated by scripts/benchjson
