@@ -46,14 +46,17 @@ loc:
 # indexes, kvstore's buckets (at most 64 B an orders row loaded in key
 # order), docstore's documents, and of types the vectors of a full
 # chunk (each fills its size class to within one row) and RowSlab's
-# chunks; and the row headers exec.Collect keeps a result in (at most
-# 1.15 a row when the estimate is right).
+# chunks and reserved blocks; the row headers exec.Collect keeps a result
+# in (at most 1.15 a row when the estimate is right); and the objects a
+# kept result costs when the stage that builds it is told how many rows
+# it keeps (one block: the same at 1 000 rows and 4 000, within 2), and
+# the bytes when the estimate is ten times too many (the block's cap).
 layout:
 	$(GO) test -count=1 -run 'TestRowBytesPerRow|TestIndexBytesPerRow' -v ./internal/relstore
 	$(GO) test -count=1 -run 'TestBucketBytesPerRow' -v ./internal/kvstore
 	$(GO) test -count=1 -run 'TestDocBytesPerDocument' -v ./internal/docstore
 	$(GO) test -count=1 -run 'TestChunkBytes|TestRowSlabBytes' -v ./internal/types
-	$(GO) test -count=1 -run 'TestCollectHeaderBytes' -v ./internal/exec
+	$(GO) test -count=1 -run 'TestCollectHeaderBytes|TestKeptOutputIsOneBlock|TestKeptStoreScanIsOneBlock|TestKeptEstimateOffTenfold' -v ./internal/exec
 
 # After a change meant to move a plan, an estimate or a parsed tree:
 # rewrite the golden files of TestPlansGolden (231 statements under each

@@ -13,12 +13,13 @@ import (
 
 // statementEngine lays point_remote's and update_2pc's federations out as
 // bench/fixture.go does, smaller: customers on src_c and orders (primary
-// key oid, index on cust_id, fifty orders a customer) on src_o, accounts
+// key oid, index on cust_id, fifty orders a customer, 4 000 in all, as
+// many as a ship_remote range) on src_o, accounts
 // range-partitioned on id over bank0…bank3, every store behind wire.Serve
 // on loopback, and a non-binding admission controller on the path.
 func statementEngine(t *testing.T) *Engine {
 	t.Helper()
-	const customers, orders, parts, span = 40, 2000, 4, 1_000_000
+	const customers, orders, parts, span = 80, 4000, 4, 1_000_000
 	e := New()
 	e.SetAdmission(admission.New(admission.Config{MaxInFlight: 64}))
 	cat := e.Catalog()
@@ -90,12 +91,14 @@ func statementEngine(t *testing.T) *Engine {
 // end — parse, bind, plan, admit, ship, the component's decode and
 // re-bind, the reply — for point_remote's four shapes and update_2pc's
 // five templates (texts and parameter kinds as bench/gen.go has them),
-// and a derived table read through its alias, under ceilings 10% above
-// what they measured — 60 / 87 / 172 / 80, 28 / 25 / 39 / 168 / 217
-// and 91 (88 once a derived table's Projects compose into one) — so
-// that a regression of the fixed cost fails here before it shows as
-// allocs_per_query. Materializing each template's subqueries, of which
-// it has none, allocates nothing.
+// a derived table read through its alias, and ship_remote's ship_join
+// over a 4 000-row range, under ceilings 10% above what they measured —
+// 60 / 87 / 166 / 80, 28 / 25 / 39 / 168 / 217, 91 (88 once a derived
+// table's Projects compose into one) and 148 (365 while the joined rows
+// the result keeps were cut in chunks of 48) — so that a regression of
+// the fixed cost, or a kept result no longer carved from one block,
+// fails here before it shows as allocs_per_query. Materializing each
+// template's subqueries, of which it has none, allocates nothing.
 // TestPlanAllocations (plan) holds the planning part alone.
 func TestStatementAllocations(t *testing.T) {
 	e := statementEngine(t)
@@ -114,7 +117,7 @@ func TestStatementAllocations(t *testing.T) {
 		{"fk_agg", "SELECT COUNT(*), SUM(amount) FROM orders WHERE cust_id = ?",
 			func() []types.Value { return ints(3) }, false, 96},
 		{"fk_join_top5", "SELECT c.name, o.oid, o.amount FROM customers c JOIN orders o ON c.id = o.cust_id WHERE c.id = ? ORDER BY o.amount DESC, o.oid LIMIT 5",
-			func() []types.Value { return ints(3) }, false, 191},
+			func() []types.Value { return ints(3) }, false, 183},
 		{"in_list", "SELECT oid, amount FROM orders WHERE oid IN (?, ?, ?, ?, ?, ?, ?, ?)",
 			func() []types.Value { return ints(1, 2, 3, 5, 8, 13, 21, 34) }, false, 88},
 		{"insert_routed", "INSERT INTO accounts (id, balance) VALUES (?, ?)",
@@ -131,6 +134,8 @@ func TestStatementAllocations(t *testing.T) {
 			func() []types.Value { return nil }, false, 239},
 		{"derived", "SELECT q.oid FROM (SELECT * FROM orders WHERE oid < ?) q",
 			func() []types.Value { return ints(5) }, false, 100},
+		{"ship_join", "SELECT o.oid, c.name, o.amount FROM orders o JOIN customers c ON o.cust_id = c.id WHERE o.oid >= ? AND o.oid < ?",
+			func() []types.Value { return ints(0, 4000) }, false, 163},
 	} {
 		// The parameters of every run are drawn before it is measured, as
 		// the benchmark's generator draws them outside the engine.

@@ -763,6 +763,37 @@ func TestTopKWithOffsetAcrossFragments(t *testing.T) {
 	wantRows(t, res, true, "(12)", "(100)")
 }
 
+// TestTopKSeesThroughAProjectStack: a select list that reads a derived
+// table's computed column twice does not compose with the derived
+// table's Project, and the top-k still ships through the two of them
+// when its key passes through both. A key the inner Project computes
+// stays at the mediator.
+func TestTopKSeesThroughAProjectStack(t *testing.T) {
+	e := newTestEngine(t)
+	const q = "SELECT oid, x, x + 1 FROM (SELECT oid, oid * 2 AS x FROM orders) q ORDER BY %s LIMIT 3"
+	for _, c := range []struct {
+		key    string
+		pushed bool
+		want   []string
+	}{
+		{"oid", true, []string{"(10, 20, 21)", "(11, 22, 23)", "(12, 24, 25)"}},
+		{"x DESC", false, []string{"(102, 204, 205)", "(101, 202, 203)", "(100, 200, 201)"}},
+	} {
+		sql := fmt.Sprintf(q, c.key)
+		out, err := e.Explain(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(out, "Project "); n != 2 {
+			t.Fatalf("%s plans %d Projects, want the stack of 2:\n%s", sql, n, out)
+		}
+		if got := strings.Contains(out, "order[{0 false}] limit 3"); got != c.pushed {
+			t.Errorf("%s: top-k shipped %v, want %v:\n%s", sql, got, c.pushed, out)
+		}
+		wantRows(t, query(t, e, sql), true, c.want...)
+	}
+}
+
 func TestViews(t *testing.T) {
 	e := newTestEngine(t)
 	err := e.CreateView("east_customers",

@@ -189,6 +189,15 @@ type scanIter struct {
 // Lend implements source.Lender.
 func (it *scanIter) Lend() { it.slab.Lend() }
 
+// Keep implements source.Keeper: the kept rows are carved from one block.
+func (it *scanIter) Keep(n int) {
+	w := len(it.scratch)
+	if it.cols != nil {
+		w = len(it.cols)
+	}
+	it.slab.Reserve(n, w)
+}
+
 // Next implements source.RowIter.
 func (it *scanIter) Next() (types.Row, error) {
 	for len(it.docs) > 0 {

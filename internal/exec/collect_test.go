@@ -29,20 +29,10 @@ func (s *sliceSource) Execute(context.Context, *source.Query) (source.RowIter, e
 	return source.SliceIter(s.rows), nil
 }
 
-// TestCollectHeaderBytes: Collect keeps a result the plan estimates
-// about right in one slice sized from the estimate — a 4 000-row scan
-// estimated at 4 001 rows costs at most 1.15 row headers a row (1.11),
-// where growing the slice as rows arrive cost 2.5. make layout prints
-// the figure.
-func TestCollectHeaderBytes(t *testing.T) {
-	const n, est = 4000, 4001
-	schema := types.NewSchema(intCol("k"))
-	rows := make([]types.Row, n)
-	flat := make([]types.Value, n)
-	for i := range rows {
-		flat[i] = types.NewInt(int64(i))
-		rows[i] = flat[i : i+1 : i+1]
-	}
+// heldScan is the fragment scan of a table of rows served as they are,
+// estimated at est rows.
+func heldScan(t *testing.T, schema *types.Schema, rows []types.Row, est int64) plan.Node {
+	t.Helper()
 	cat := catalog.New()
 	src := &sliceSource{info: &source.TableInfo{Schema: schema, RowCount: est}, rows: rows}
 	if err := cat.AddSource(src); err != nil {
@@ -62,9 +52,27 @@ func TestCollectHeaderBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.(*plan.FragScan); !ok || plan.EstimateRows(p) != est {
+	if _, ok := p.(*plan.FragScan); !ok || plan.EstimateRows(p) != float64(est) {
 		t.Fatalf("want a fragment scan estimated at %d rows:\n%s", est, plan.Explain(p))
 	}
+	return p
+}
+
+// TestCollectHeaderBytes: Collect keeps a result the plan estimates
+// about right in one slice sized from the estimate — a 4 000-row scan
+// estimated at 4 001 rows costs at most 1.15 row headers a row (1.11),
+// where growing the slice as rows arrive cost 2.5. make layout prints
+// the figure.
+func TestCollectHeaderBytes(t *testing.T) {
+	const n, est = 4000, 4001
+	schema := types.NewSchema(intCol("k"))
+	rows := make([]types.Row, n)
+	flat := make([]types.Value, n)
+	for i := range rows {
+		flat[i] = types.NewInt(int64(i))
+		rows[i] = flat[i : i+1 : i+1]
+	}
+	p := heldScan(t, schema, rows, est)
 	// The least of five runs: whatever else the runtime allocates
 	// meanwhile only adds.
 	bytes := ^uint64(0)

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -108,6 +109,9 @@ func (o *opIter) Next() (types.Row, error) {
 	}
 	return r, err
 }
+
+// Keep implements source.Keeper: the rows are the operator's.
+func (o *opIter) Keep(n int) { source.Keep(o.in, n) }
 
 // Close times the teardown as well: discarding an undrained remote
 // cursor can dominate a LIMIT query's cost.
@@ -283,26 +287,39 @@ func (a *account) closeOnError(err *error) {
 }
 
 // collect runs n and keeps every row, charged to a, in a slice sized
-// from n's estimate.
+// from n's estimate, and tells the stage that builds the rows how many
+// it keeps (source.Keep): they are carved from one block of that size.
 func (a *account) collect(ctx context.Context, n plan.Node) ([]types.Row, error) {
 	it, err := Run(ctx, n)
 	if err != nil {
 		return nil, err
 	}
-	return a.drain(it, rowsHint(n))
+	est := plan.EstimateRows(n)
+	source.Keep(it, keptRows(est))
+	return a.drain(it, rowsHint(est))
 }
 
 // maxRowsHint caps the room an estimate sets aside for a result: an
 // over-estimate holds at most this many unused row headers, and a longer
-// result goes on in chunks as an unsized drain does.
+// result goes on in chunks as an unsized drain does. It caps the rows a
+// builder is told it keeps the same way.
 const maxRowsHint = 1 << 14
 
-// rowsHint is the room to keep n's rows in: its estimate and a
+// keptRows is the row count an estimate tells a builder: the estimate
+// rounded up, at most maxRowsHint. A block is not given slack as the
+// headers are: a row of the block left unused is all of its columns.
+func keptRows(est float64) int {
+	if !(est >= 0) {
+		return 0
+	}
+	return int(min(math.Ceil(est), maxRowsHint))
+}
+
+// rowsHint is the room to keep an estimate's rows in: the estimate and a
 // sixteenth more, so that an estimate a little short still fits. (An
 // eighth more would put a right estimate of a few thousand rows a page
 // past the result: the heap rounds a large slice up to whole pages.)
-func rowsHint(n plan.Node) int {
-	est := plan.EstimateRows(n)
+func rowsHint(est float64) int {
 	if !(est >= 0) {
 		return 0
 	}
@@ -354,6 +371,9 @@ func (f *filterIter) Next() (types.Row, error) {
 	}
 }
 
+// Keep implements source.Keeper: the rows are the input's.
+func (f *filterIter) Keep(n int) { source.Keep(f.in, n) }
+
 func (f *filterIter) Close() error { return f.in.Close() }
 
 // ---- project ----
@@ -383,6 +403,9 @@ func (p *projectIter) Next() (types.Row, error) {
 	}
 	return out, nil
 }
+
+// Keep implements source.Keeper: the rows are carved from one block.
+func (p *projectIter) Keep(n int) { p.slab.Reserve(n, len(p.exprs)) }
 
 func (p *projectIter) Close() error { return p.in.Close() }
 
@@ -434,6 +457,17 @@ func (l *limitIter) Next() (types.Row, error) {
 	}
 	l.remaining--
 	return r, nil
+}
+
+// Keep implements source.Keeper: the input's rows. A limit's estimate
+// is at most its limit: at the limit the input carves the offset's rows
+// as well, short of it the input ends first. (An offset so large that
+// the sum overflows tells nothing.)
+func (l *limitIter) Keep(n int) {
+	if int64(n) >= l.remaining {
+		n = int(l.remaining + l.offset)
+	}
+	source.Keep(l.in, n)
 }
 
 func (l *limitIter) Close() error { return l.in.Close() }
@@ -635,9 +669,10 @@ func compareKeys(s *plan.Sort, a, b types.Row) int {
 // of the row they push out, once s.Top are held — only when they sort
 // before the last one it holds, which is the root of a max-heap ordered
 // as the result is. What it holds grows as rows arrive and is never
-// sized from s.Top, which is as large as OFFSET makes it. Either way
-// what it holds is charged to the statement's quota until its output is
-// closed.
+// sized from s.Top alone, which is as large as OFFSET makes it: the
+// rows it copies are one block of s.Top rows or of its input's
+// estimate, the fewer (types.RowSlab.Reserve). Either way what it holds
+// is charged to the statement's quota until its output is closed.
 func runSort(ctx context.Context, s *plan.Sort) (_ source.RowIter, err error) {
 	nk := len(s.Keys)
 	acct := accountOn(ctx)
@@ -690,6 +725,9 @@ func runSort(ctx context.Context, s *plan.Sort) (_ source.RowIter, err error) {
 		slab types.RowSlab
 		key  = make(types.Row, nk)
 	)
+	// The heap carves no more rows than it holds, nor than its input has.
+	carved := min(s.Top, int64(keptRows(plan.EstimateRows(s.Input))))
+	slab.Reserve(int(carved), nk+s.Input.Schema().Len())
 	before := func(a, b held) int {
 		if c := compareKeys(s, a.row[:nk], b.row[:nk]); c != 0 {
 			return c

@@ -130,4 +130,15 @@ func (f *fragIter) Next() (types.Row, error) {
 	}
 }
 
+// Keep implements source.Keeper: the scan's rows are carved from one
+// block (one its filter rejects gives its storage back); the source's,
+// which it asked for lent, are not kept.
+func (f *fragIter) Keep(n int) {
+	w := len(f.fs.Pos)
+	if f.fs.Out != nil {
+		w = len(f.fs.Out)
+	}
+	f.slab.Reserve(n, w)
+}
+
 func (f *fragIter) Close() error { return f.in.Close() }

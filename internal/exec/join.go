@@ -227,6 +227,10 @@ func (h *joinIter) condHolds(joined types.Row) (bool, error) {
 	return expr.EvalBool(h.j.Cond, joined)
 }
 
+// Keep implements source.Keeper: the joined rows are carved from one
+// block (a row the condition rejects is given back into it).
+func (h *joinIter) Keep(n int) { h.slab.Reserve(n, h.j.L.Schema().Len()+h.rightWidth) }
+
 func (h *joinIter) Close() error {
 	h.acct.close()
 	return h.left.Close()

@@ -168,9 +168,10 @@ func (f *ownFed) plan(t *testing.T, text string, tweak func(*plan.Options)) plan
 }
 
 // checkOwnership runs n three ways — Collect, a keeper under the
-// oracle, a lent consumer copying at delivery — and wants the same rows
-// from each: in order, unless n merges parallel branches. It returns
-// them.
+// oracle told how many rows it keeps (source.Keep, so the rows it holds
+// share a block), a lent consumer copying at delivery — and wants the
+// same rows from each: in order, unless n merges parallel branches. It
+// returns them.
 func checkOwnership(t *testing.T, name string, n plan.Node) []types.Row {
 	t.Helper()
 	want, err := Collect(ctx, n)
@@ -193,7 +194,9 @@ func checkOwnership(t *testing.T, name string, n plan.Node) []types.Row {
 			t.Fatalf("%s: %v", name, err)
 		}
 		drain, how := source.DrainOwned, "a consumer that keeps its rows"
-		if lent {
+		if !lent {
+			source.Keep(it, keptRows(plan.EstimateRows(n)))
+		} else {
 			drain, how = source.DrainCopies, "a consumer that was lent its rows"
 		}
 		got, err := drain(it)

@@ -138,6 +138,15 @@ type csvIter struct {
 // and a scan allocates nothing else per record.
 func (it *csvIter) Lend() { it.slab.Lend() }
 
+// Keep implements source.Keeper: the kept rows are carved from one block.
+func (it *csvIter) Keep(n int) {
+	w := it.t.schema.Len()
+	if it.cols != nil {
+		w = len(it.cols)
+	}
+	it.slab.Reserve(n, w)
+}
+
 // Next implements source.RowIter.
 func (it *csvIter) Next() (types.Row, error) {
 	if it.done {

@@ -3,6 +3,7 @@ package plan
 import (
 	"slices"
 
+	"gis/internal/expr"
 	"gis/internal/source"
 )
 
@@ -21,9 +22,7 @@ import (
 //     (any subset of the right size is a valid unordered LIMIT result;
 //     over a single scan the Sort rule just ordered, it is the top-N).
 //
-// Both see through one projection: after optimization no Project's
-// input is a Project, except where composing would evaluate a computed
-// column twice, and a Sort pushed away here leaves its two composed.
+// Both see through the projection over their input (underProject).
 // Sort keys must be bare identity-mapped columns.
 func pushTopK(n Node) Node {
 	EachInput(n, func(in *Node) { *in = pushTopK(*in) })
@@ -52,12 +51,31 @@ func pushTopK(n Node) Node {
 	return n
 }
 
-// underProject returns n's Project (nil when n is none) and its input.
+// underProject returns n's Project (nil when n is none) and the node
+// under it. After optimization no Project's input is a Project, except
+// where composing would evaluate a computed column twice (composeProject):
+// under such a stack of two, the node is the inner Project's input, and
+// a key is read through both (throughVia). A Sort pushed away here
+// leaves its two Projects composed, where they may be.
 func underProject(n Node) (*Project, Node) {
-	if p, ok := n.(*Project); ok {
-		return p, p.Input
+	p, ok := n.(*Project)
+	if !ok {
+		return nil, n
 	}
-	return nil, n
+	if in, ok := p.Input.(*Project); ok {
+		return p, in.Input
+	}
+	return p, p.Input
+}
+
+// throughVia rewrites e, over via's output, over the node underProject
+// found under via.
+func throughVia(e expr.Expr, via *Project) expr.Expr {
+	e = throughProject(e, via)
+	if in, ok := via.Input.(*Project); ok {
+		e = throughProject(e, in)
+	}
+	return e
 }
 
 // pushOrderLimit asks the sources of scans to order their rows by keys
@@ -117,7 +135,7 @@ func remoteOrderSpec(fs *FragScan, keys []SortKey, via *Project) ([]source.Order
 	for _, k := range keys {
 		e := k.E
 		if via != nil {
-			e = throughProject(e, via)
+			e = throughVia(e, via)
 		}
 		remote, ok := fs.identityCol(e)
 		if !ok {

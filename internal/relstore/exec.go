@@ -217,6 +217,9 @@ type scanIter struct {
 // Lend implements source.Lender.
 func (it *scanIter) Lend() { it.lent = true }
 
+// Keep implements source.Keeper: the kept rows are carved from one block.
+func (it *scanIter) Keep(n int) { it.slab.Reserve(n, int(it.width)) }
+
 // Next implements source.RowIter.
 func (it *scanIter) Next() (types.Row, error) {
 	if it.row == nil {

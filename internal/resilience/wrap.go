@@ -116,6 +116,9 @@ func (i *healthIter) Next() (types.Row, error) {
 // Lend implements source.Lender: the rows are the inner iterator's.
 func (i *healthIter) Lend() { source.Lend(i.it) }
 
+// Keep implements source.Keeper: the rows are the inner iterator's.
+func (i *healthIter) Keep(n int) { source.Keep(i.it, n) }
+
 // Close implements source.RowIter.
 func (i *healthIter) Close() error { return i.it.Close() }
 

@@ -26,7 +26,7 @@ type fakeSource struct {
 func newFakeSource(name string, fails map[string]int) *fakeSource {
 	f := &fakeSource{name: name, calls: map[string]*atomic.Int64{}, fails: fails}
 	for _, m := range []string{
-		"tables", "tableinfo", "execute", "lend",
+		"tables", "tableinfo", "execute", "lend", "keep",
 		"insert", "update", "delete",
 		"begin", "txinsert", "prepare", "commit", "abort",
 	} {
@@ -72,13 +72,15 @@ func (f *fakeSource) Execute(ctx context.Context, q *source.Query) (source.RowIt
 	return &fakeIter{source.SliceIter([]types.Row{{types.NewInt(1)}}), f}, nil
 }
 
-// fakeIter counts the requests to lend that reach it.
+// fakeIter counts the requests to lend, and the rows told kept, that
+// reach it.
 type fakeIter struct {
 	source.RowIter
 	f *fakeSource
 }
 
-func (i *fakeIter) Lend() { i.f.calls["lend"].Add(1) }
+func (i *fakeIter) Lend()      { i.f.calls["lend"].Add(1) }
+func (i *fakeIter) Keep(n int) { i.f.calls["keep"].Add(int64(n)) }
 
 func (f *fakeSource) Insert(ctx context.Context, table string, rows []types.Row) (int64, error) {
 	if err := f.step("insert"); err != nil {
@@ -183,7 +185,8 @@ func TestWrapRetriesReads(t *testing.T) {
 }
 
 // The guarded stream only watches rows go by: a consumer's request to
-// be lent them is the inner iterator's to answer.
+// be lent them, or its word that it keeps n of them, is the inner
+// iterator's to answer.
 func TestWrapForwardsLend(t *testing.T) {
 	f, w := wrapped(t, nil, fastPolicy())
 	it, err := w.Execute(ctx, source.NewScan("t"))
@@ -200,6 +203,15 @@ func TestWrapForwardsLend(t *testing.T) {
 	}
 	if rows, err := source.DrainCopies(it); err != nil || len(rows) != 1 {
 		t.Errorf("%d rows, %v", len(rows), err)
+	}
+	kept, err := w.Execute(ctx, source.NewScan("t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kept.Close()
+	source.Keep(kept, 7)
+	if n := f.count("keep"); n != 7 {
+		t.Errorf("Keep(7) reached the inner iterator as %d, want 7", n)
 	}
 }
 

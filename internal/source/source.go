@@ -312,6 +312,27 @@ func Lend(it RowIter) {
 	}
 }
 
+// Keeper is implemented by a RowIter that allocates the rows it hands
+// out and can carve them from one block when it knows how many there
+// will be (types.RowSlab.Reserve). Keep, called before the first Next,
+// says the consumer keeps every row and expects about n of them — the
+// plan's estimate. An iterator that only passes rows on forwards Keep to
+// its input, as it forwards Lend; one that builds its rows from lent
+// ones keeps the hint for itself.
+type Keeper interface {
+	Keep(n int)
+}
+
+// Keep tells it that about n of its rows will be kept, if it can use
+// that. An iterator that cannot carves its rows as a stream of unknown
+// length does, which costs allocations and is never wrong; one told too
+// many leaves part of its block unused (at most types.MaxReserveBytes).
+func Keep(it RowIter, n int) {
+	if k, ok := it.(Keeper); ok && n > 0 {
+		k.Keep(n)
+	}
+}
+
 // Source adapts one component information system to the common model.
 // Implementations must be safe for concurrent use.
 type Source interface {

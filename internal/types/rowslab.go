@@ -16,9 +16,12 @@ const (
 	slabFullRows = 48
 	// slabTailShare bounds what a stream that ends early has paid for
 	// and not used: a chunk holds about 1/32 of the rows carved before
-	// it. It also means the first 64 rows of any stream are allocated
-	// one by one, exactly as make(Row, w) would.
+	// it. It also means the first 64 rows of a stream nobody sized are
+	// allocated one by one, exactly as make(Row, w) would.
 	slabTailShare = 32
+	// MaxReserveBytes caps the block a reservation asks for (Reserve):
+	// an over-estimate leaves at most this much of it unused.
+	MaxReserveBytes = 1 << 20
 )
 
 // RowSlab hands out rows for an iterator that would otherwise make one
@@ -29,24 +32,39 @@ const (
 // copies instead of reaching its neighbour. Chunks are never reused, so
 // a row the consumer retains (a hash-join build side, Drain, a sort, a
 // top-k heap) stays valid for as long as it is held and pins only its
-// own chunk.
+// own chunk. A consumer that knows how many rows it will keep says so
+// (Reserve), and they are carved from one chunk of that size.
 //
 // Lending (after Lend): every Next hands out the same storage again,
 // zeroed, so a stream of one width allocates one row however long it
 // is. It is for a producer whose consumer is done with a row before it
 // asks for the next (DESIGN.md "Who keeps a row").
 type RowSlab struct {
-	chunk []Value
-	off   int // chunk[off:] is not handed out yet
-	rows  int // rows carved so far
-	lent  bool
+	chunk    []Value
+	off      int // chunk[off:] is not handed out yet
+	rows     int // rows carved so far
+	reserved int // values the next chunk holds at least (Reserve)
+	lent     bool
 }
 
 // Lend switches the slab to lending. Rows already carved stay valid:
 // the chunk they were cut from is not handed out again.
 func (s *RowSlab) Lend() {
 	if !s.lent {
-		s.lent, s.chunk, s.off = true, nil, 0
+		s.lent, s.chunk, s.off, s.reserved = true, nil, 0, 0
+	}
+}
+
+// Reserve says the next n rows carved are of width w and kept: the next
+// chunk the slab cuts, when the first of them is carved, is one block of
+// n such rows, at most MaxReserveBytes, whatever the tail rule would
+// have asked. Past the block the tail rule resumes, counting its rows as
+// carved. A stream that ends before carving a row allocates nothing; one
+// that ends short of n leaves the rest of the block unused, and a row
+// kept from the block keeps all of it. A lending slab ignores it.
+func (s *RowSlab) Reserve(n, w int) {
+	if !s.lent && n > 0 && w > 0 {
+		s.reserved = min(n, MaxReserveBytes/(w*valueBytes)) * w
 	}
 }
 
@@ -67,7 +85,8 @@ func (s *RowSlab) Next(w int) Row {
 		return s.chunk[:w:w]
 	}
 	if s.off+w > len(s.chunk) {
-		s.chunk, s.off = newChunk(w, slabRows(s.rows, w)), 0
+		s.chunk, s.off = newChunk(w, max(slabRows(s.rows, w), s.reserved/w)), 0
+		s.reserved = 0
 	}
 	row := s.chunk[s.off : s.off+w : s.off+w]
 	s.off += w
@@ -88,10 +107,12 @@ func slabRows(rows, w int) int {
 var zeros [(maxSmallObject - mallocHeader) / valueBytes]Value
 
 // newChunk returns room for n rows of width w, and for as many more as
-// the size class the allocator rounds it up to holds.
+// the size class the allocator rounds it up to holds. Past the largest
+// class — a reserved block, or one row wider than the class — it is
+// exactly n rows: the allocator rounds it up to whole pages.
 func newChunk(w, n int) []Value {
 	if w*n > len(zeros) {
-		return make([]Value, w) // one row wider than the largest class
+		return make([]Value, w*n)
 	}
 	c := append([]Value(nil), zeros[:w*n]...)
 	return c[:cap(c)-cap(c)%w]

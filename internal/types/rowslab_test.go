@@ -272,6 +272,142 @@ func TestRowSlabBytes(t *testing.T) {
 		}
 	}
 	sinkRows = nil
+	t.Run("reserved", testReservedBlock)
+	t.Run("over-estimate", testReserveCap)
+}
+
+// testReservedBlock: n rows reserved (Reserve) are one object, of the
+// bytes one make of n rows' values allocates — the allocator's rounding
+// of n×w×24 B, to a size class or to whole pages — each row cut with
+// cap == len. Past the block the tail rule resumes with the block's rows
+// counted, Undo works inside it, and a lending slab ignores it.
+func testReservedBlock(t *testing.T) {
+	for _, w := range []int{1, 3, 4, 8, 16} {
+		for _, n := range []int{1, 10, 100, 1000, 4000} {
+			if n*w*valueBytes > MaxReserveBytes {
+				continue // testReserveCap's
+			}
+			sinkRows = make([]Row, n)
+			carved := func() {
+				var s RowSlab
+				s.Reserve(n, w)
+				for i := range sinkRows {
+					sinkRows[i] = s.Next(w)
+				}
+			}
+			if objects := testing.AllocsPerRun(5, carved); objects != 1 {
+				t.Errorf("%d reserved rows of width %d: %v allocations, want 1", n, w, objects)
+			}
+			block := allocatedBytes(func() { sinkRow = make(Row, n*w) })
+			if got := allocatedBytes(carved); got != block || got < uint64(n*w*valueBytes) {
+				t.Errorf("%d reserved rows of width %d: %d B, want the %d B one make of %d values allocates", n, w, got, block, n*w)
+			}
+			var s RowSlab
+			s.Reserve(n, w)
+			for i := range sinkRows {
+				r := s.Next(w)
+				if len(r) != w || cap(r) != w {
+					t.Fatalf("%d reserved rows of width %d: row %d has len %d cap %d", n, w, i, len(r), cap(r))
+				}
+				if i%7 == 3 { // taken back and carved again, in place
+					s.Undo(r)
+					if again := s.Next(w); &again[0] != &r[0] {
+						t.Fatalf("%d reserved rows of width %d: Next after Undo of row %d moved", n, w, i)
+					}
+				}
+			}
+			// The block's rounding may hold a few rows more; the chunk
+			// after it is the tail rule's.
+			for block := &s.chunk[0]; &s.chunk[0] == block; {
+				s.Next(w)
+			}
+			if want := len(newChunk(w, slabRows(s.rows-1, w))); len(s.chunk) != want || s.rows <= n {
+				t.Errorf("%d reserved rows of width %d: the chunk cut after %d rows holds %d values, want the tail rule's %d", n, w, s.rows-1, len(s.chunk), want)
+			}
+		}
+	}
+	undone := func() {
+		var s RowSlab
+		s.Reserve(100, 3)
+		for i := range 100 {
+			s.Undo(s.Next(3))
+			sinkRows[i] = s.Next(3)
+		}
+	}
+	if objects := testing.AllocsPerRun(5, undone); objects != 1 {
+		t.Errorf("100 reserved rows, each carved after an Undo: %v allocations, want 1", objects)
+	}
+	for _, order := range []string{"Lend, Reserve", "Reserve, Lend"} {
+		lent := func() {
+			var s RowSlab
+			if order == "Lend, Reserve" {
+				s.Lend()
+				s.Reserve(1000, 4)
+			} else {
+				s.Reserve(1000, 4)
+				s.Lend()
+			}
+			for range 1000 {
+				sinkRow = s.Next(4)
+			}
+		}
+		if got := allocatedBytes(lent); got != uint64(4*valueBytes) {
+			t.Errorf("%s, 1 000 lent rows of width 4: %d B, want one row's %d B", order, got, 4*valueBytes)
+		}
+	}
+	if got := allocatedBytes(func() { var s RowSlab; s.Reserve(4000, 4) }); got != 0 {
+		t.Errorf("a reservation with no row carved allocates %d B, want 0", got)
+	}
+	sinkRows = nil
+}
+
+// testReserveCap: an estimate ten times the rows a stream carves pays for
+// the block it asked for, and never more than MaxReserveBytes. A stream
+// longer than the capped block, or than a short estimate, goes on by the
+// tail rule, every row intact.
+func testReserveCap(t *testing.T) {
+	for _, c := range []struct{ n, w int }{{100, 4}, {1000, 4}, {1000, 16}, {4000, 8}} {
+		sinkRows = make([]Row, c.n)
+		carved := func() {
+			var s RowSlab
+			s.Reserve(10*c.n, c.w)
+			for i := range sinkRows {
+				sinkRows[i] = s.Next(c.w)
+			}
+		}
+		rows := min(10*c.n, MaxReserveBytes/(c.w*valueBytes))
+		want := allocatedBytes(func() { sinkRow = make(Row, rows*c.w) })
+		got := allocatedBytes(carved)
+		if got != want || got > MaxReserveBytes {
+			t.Errorf("%d rows of width %d reserved as %d: %d B, want the %d B block of %d rows, at most %d B", c.n, c.w, 10*c.n, got, want, rows, MaxReserveBytes)
+		}
+	}
+	var s RowSlab
+	s.Reserve(1<<20, 16)
+	var kept []Row
+	for i := range 5000 {
+		r := s.Next(16)
+		r[0] = NewInt(int64(i))
+		kept = append(kept, r)
+	}
+	short := RowSlab{}
+	short.Reserve(19, 3)
+	for i := range 80 {
+		r := short.Next(3)
+		r[0], r[1], r[2] = NewInt(int64(i)), NewString("short"), NewInt(int64(-i))
+		kept = append(kept, r)
+	}
+	for i, r := range kept {
+		if j := i % 5000; i >= 5000 {
+			j = i - 5000
+			if r[0].Int() != int64(j) || r[1].Str() != "short" || r[2].Int() != int64(-j) {
+				t.Fatalf("row %d of 80 reserved as 19 = %v", j, r)
+			}
+		} else if r[0].Int() != int64(j) {
+			t.Fatalf("row %d of 5 000 reserved as 1M = %v", j, r)
+		}
+	}
+	sinkRows = nil
 }
 
 // BenchmarkRowSlab carves 4 000 4-column rows, a shipped range's worth;

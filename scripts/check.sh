@@ -32,7 +32,11 @@
 #                   TestRowBytesPerRow and TestIndexBytesPerRow, kvstore
 #                   TestBucketBytesPerRow, docstore
 #                   TestDocBytesPerDocument, types TestChunkBytes and
-#                   TestRowSlabBytes), the plan equivalence tests
+#                   TestRowSlabBytes with its reserved-block cases, exec
+#                   TestCollectHeaderBytes, and the kept results carved
+#                   from one block: exec TestKeptOutputIsOneBlock,
+#                   TestKeptStoreScanIsOneBlock and
+#                   TestKeptEstimateOffTenfold), the plan equivalence tests
 #                   (`make equivalence` runs workload TestPlanEquivalence
 #                   and TestPlanEquivalenceCases on demand, the quick loop
 #                   after a planner change beside `make golden`) and
