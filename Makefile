@@ -101,13 +101,15 @@ overload:
 	$(GO) test -race -run 'TestChaosOverload|TestQuota|TestMemQuota|TestHoldersGiveBack' -count=1 ./internal/core ./internal/exec ./internal/admission
 	$(GO) run ./cmd/gisbench -overload -tenants 8 -scale 0.05 -reps 1 -latency 200us -json | $(GO) run ./scripts/benchjson
 
-# The frame ledger: what set-up, a global update and a sub-query of 0,
-# 10, 256 and 600 rows cost in client frames (4 per dialed source; 12;
-# 1, 1, 2 and 3 in and 1 out), then the result stream's end under the
-# race detector — the last rows ride in msgEnd, a whole msgErr keeps the
-# connection, a traced stream costs the frames an untraced one does, and
-# FuzzStream's seed corpus (see DESIGN.md "Wire connections and
-# transactions").
+# The frame ledger: what set-up, a global update, a sub-query of 0, 10,
+# 256 and 600 rows and a scaled SUM over the 600 cost in client frames
+# (4 per dialed source; 12; 1, 1, 2 and 3 in and 1 out; 1 in, the
+# msgEnd, and 1 out: the source folds what shipped as 3 frames of rows
+# before aggregates pushed through the mapping), then the result
+# stream's end under the race detector — the last rows ride in msgEnd, a
+# whole msgErr keeps the connection, a traced stream costs the frames an
+# untraced one does, and FuzzStream's seed corpus (see DESIGN.md "Wire
+# connections and transactions").
 frames:
 	$(GO) test -count=1 -run 'SetUpFrames|GlobalUpdateFrames|SubQueryFrames' ./internal/workload
 	$(GO) test -race -count=1 -run 'LastRowsEnd|EmptyRowsFrame|TracedStreamCosts|UndecodableFooter|FuzzStream' ./internal/wire

@@ -52,12 +52,24 @@ type ColumnMapping struct {
 // no transformation: the source's value is the global value, kind and
 // all.
 func (m *ColumnMapping) Identity() bool {
-	return m.RemoteCol >= 0 && m.Scale == 0 && m.ValueMap == nil && m.Const == nil && !m.retyped()
+	return m.RemoteCol >= 0 && m.Scale == 0 && m.ValueMap == nil && m.Const == nil && !m.Retyped()
 }
 
-// retyped reports whether the column's remote kind is not its global
-// kind.
-func (m *ColumnMapping) retyped() bool { return m.remoteKind != m.globalKind }
+// Retyped reports whether the column's remote kind is not its global
+// kind: its values are coerced on their way up (a remote INT read as a
+// global FLOAT, say).
+func (m *ColumnMapping) Retyped() bool { return m.remoteKind != m.globalKind }
+
+// Injective reports whether distinct remote values read as distinct
+// global values, so that grouping by the remote column groups by the
+// global one. A plain copy does and a constant is one value. A value map
+// does when no two codes stand for one value, as ToRemote takes it:
+// an unmapped remote value spelled as a mapped one ({"N": "north"} and a
+// remote "north") is taken not to occur. An affine conversion rounds and
+// a coercion identifies ('042' and '42' are one INT), so neither does.
+func (m *ColumnMapping) Injective() bool {
+	return m.Identity() || m.Const != nil || m.inverse != nil
+}
 
 // hasAffine reports whether an affine conversion applies.
 func (m *ColumnMapping) hasAffine() bool { return m.Scale != 0 }
@@ -370,7 +382,7 @@ func (c *Catalog) MapSimple(ctx context.Context, table, sourceName, remoteTable 
 // rounding, and a coercion need not invert at all ('042' and '42' are
 // one INT).
 func (m *ColumnMapping) InvertsExactly() bool {
-	return m.Const == nil && (m.ValueMap == nil || m.inverse != nil) && !m.hasAffine() && !m.retyped()
+	return m.Const == nil && (m.ValueMap == nil || m.inverse != nil) && !m.hasAffine() && !m.Retyped()
 }
 
 // DefineView registers a named global view: a SELECT statement expanded

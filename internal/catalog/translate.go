@@ -159,13 +159,13 @@ func (f *Fragment) translateComparison(c expr.Expr) (expr.Expr, bool) {
 	rv := val
 	switch {
 	case m.ValueMap != nil && op != expr.OpEq && op != expr.OpNe,
-		m.retyped() && !(m.remoteKind.Numeric() && m.globalKind.Numeric()):
+		m.Retyped() && !(m.remoteKind.Numeric() && m.globalKind.Numeric()):
 		return nil, false
 	case m.hasAffine():
 		if rv, op, ok = m.affineBound(op, val); !ok {
 			return nil, false
 		}
-	case m.retyped():
+	case m.Retyped():
 		// INT and FLOAT compare as numbers: the constant goes as written.
 	default:
 		if rv, ok = m.ToRemote(val); !ok {

@@ -68,6 +68,14 @@ func statementEngine(t *testing.T) *Engine {
 	check(cat.MapSimple(ctx, "customers", "src_c", "customers"))
 	check(cat.DefineTable("orders", orderSchema))
 	check(cat.MapSimple(ctx, "orders", "src_o", "orders"))
+	centsSchema := types.NewSchema(
+		types.Column{Name: "oid", Type: types.KindInt},
+		types.Column{Name: "cust_id", Type: types.KindInt},
+		types.Column{Name: "amount_cents", Type: types.KindFloat},
+	)
+	check(cat.DefineTable("orders_cents", centsSchema))
+	check(cat.MapFragment(ctx, "orders_cents", &catalog.Fragment{Source: "src_o", RemoteTable: "orders",
+		Columns: []catalog.ColumnMapping{{RemoteCol: 0}, {RemoteCol: 1}, {RemoteCol: 2, Scale: 100}}}))
 
 	check(cat.DefineTable("accounts", acctSchema))
 	for p := int64(0); p < parts; p++ {
@@ -92,10 +100,12 @@ func statementEngine(t *testing.T) *Engine {
 // re-bind, the reply — for point_remote's four shapes and update_2pc's
 // five templates (texts and parameter kinds as bench/gen.go has them),
 // a derived table read through its alias, and ship_remote's ship_join
-// over a 4 000-row range, under ceilings 10% above what they measured —
-// 60 / 87 / 166 / 80, 28 / 25 / 39 / 168 / 217, 91 (88 once a derived
-// table's Projects compose into one) and 148 (365 while the joined rows
-// the result keeps were cut in chunks of 48) — so that a regression of
+// and ship_sum_scaled over a 4 000-row range, under ceilings 10% above
+// what they measured — 60 / 87 / 166 / 80, 28 / 25 / 39 / 168 / 217, 91
+// (88 once a derived table's Projects compose into one), 148 (365 while
+// the joined rows the result keeps were cut in chunks of 48) and 97
+// (121 while the affine mapping kept the SUM from its source, which
+// shipped all 4 000 rows) — so that a regression of
 // the fixed cost, or a kept result no longer carved from one block,
 // fails here before it shows as allocs_per_query. Materializing each
 // template's subqueries, of which it has none, allocates nothing.
@@ -136,6 +146,8 @@ func TestStatementAllocations(t *testing.T) {
 			func() []types.Value { return ints(5) }, false, 100},
 		{"ship_join", "SELECT o.oid, c.name, o.amount FROM orders o JOIN customers c ON o.cust_id = c.id WHERE o.oid >= ? AND o.oid < ?",
 			func() []types.Value { return ints(0, 4000) }, false, 163},
+		{"sum_scaled", "SELECT COUNT(*), SUM(amount_cents) FROM orders_cents WHERE oid >= ? AND oid < ?",
+			func() []types.Value { return ints(0, 4000) }, false, 107},
 	} {
 		// The parameters of every run are drawn before it is measured, as
 		// the benchmark's generator draws them outside the engine.

@@ -27,9 +27,9 @@ import (
 // source for lent rows and lends its own iff its consumer asked; one
 // that hands the source's rows on asks the source what it was asked.
 func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.Expr, lent bool) (source.RowIter, error) {
-	q := fs.Query
+	q := &fs.Query
 	if extraRemoteFilter != nil {
-		cp := *fs.Query
+		cp := fs.Query
 		cp.Filter = expr.Conjoin([]expr.Expr{cp.Filter, extraRemoteFilter})
 		q = &cp
 	}
@@ -76,8 +76,9 @@ func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.
 // source returns it fills the fetched layout — every column read at its
 // position in the source's row or taken from the fragment's constants,
 // translated to the global representation and coerced to the global
-// kind — evaluates the filter the source was not asked, and emits the
-// output columns. A row is built once, in the storage it is emitted in;
+// kind, and an aggregating scan's aggregates mapped up after its keys —
+// evaluates the filter the source was not asked, and emits the output
+// columns. A row is built once, in the storage it is emitted in;
 // one the filter rejects gives that storage back. A scan with none of
 // this to do hands the source's rows on without one.
 type fragIter struct {
@@ -102,10 +103,13 @@ func (f *fragIter) Next() (types.Row, error) {
 		}
 		row, cut := f.scratch, f.scratch != nil
 		if !cut {
-			row = f.slab.Next(len(f.fs.Pos))
+			row = f.slab.Next(len(f.fs.Pos) + len(f.fs.Aggs))
 		}
 		if err := f.fs.Frag.TranslateInto(row, f.fs.GlobalSchema, f.fs.Cols, f.fs.Pos, r); err != nil {
 			return nil, err
+		}
+		for i, a := range f.fs.Aggs {
+			row[len(f.fs.Pos)+i] = a.Value(r)
 		}
 		if f.fs.GlobalResidual != nil {
 			ok, err := expr.EvalBool(f.fs.GlobalResidual, row)
@@ -134,7 +138,7 @@ func (f *fragIter) Next() (types.Row, error) {
 // block (one its filter rejects gives its storage back); the source's,
 // which it asked for lent, are not kept.
 func (f *fragIter) Keep(n int) {
-	w := len(f.fs.Pos)
+	w := len(f.fs.Pos) + len(f.fs.Aggs)
 	if f.fs.Out != nil {
 		w = len(f.fs.Out)
 	}

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"gis/internal/catalog"
@@ -11,16 +12,20 @@ import (
 	"gis/internal/types"
 )
 
-// planShapes are the four point_remote statements and wan_fanout's
-// eight-fragment GROUP BY, texts and parameter kinds as bench/gen.go has
-// them, so this rung and the benchmark's probe can be read against each
-// other — and fk_join_top5 written the SQL-89 way, FROM a, b WHERE, held
-// to the ON form's ceiling.
+// planShapes are the four point_remote statements, wan_fanout's
+// eight-fragment GROUP BY, ship_remote's ship_sum_scaled and
+// hetero_local's mediated_sum, texts and parameter kinds as bench/gen.go
+// has them, so this rung and the benchmark's probe can be read against
+// each other — and fk_join_top5 written the SQL-89 way, FROM a, b WHERE,
+// held to the ON form's ceiling. The two last push their aggregate
+// through the column mapping (DESIGN.md "An aggregate pushes through the
+// mapping"); fk_agg and fan_agg8, whose columns are plain copies, keep
+// the ceilings they had before it did.
 var planShapes = []struct {
 	name    string
 	sql     string
 	params  []types.Value
-	ceiling float64 // allocations of parse + build + optimize: 10% above 36 / 62 / 78 / 78 / 47 / 246
+	ceiling float64 // allocations of parse + build + optimize: 10% above 36 / 62 / 78 / 78 / 47 / 246 / 67 / 83
 }{
 	{"pk_lookup", "SELECT oid, cust_id, amount, region FROM orders WHERE oid = ?", ints(17), 40},
 	{"fk_agg", "SELECT COUNT(*), SUM(amount) FROM orders WHERE cust_id = ?", ints(3), 68},
@@ -28,6 +33,8 @@ var planShapes = []struct {
 	{"fk_join_top5_comma", "SELECT c.name, o.oid, o.amount FROM customers c, orders o WHERE c.id = o.cust_id AND c.id = ? ORDER BY o.amount DESC, o.oid LIMIT 5", ints(3), 86},
 	{"in_list", "SELECT oid, amount FROM orders WHERE oid IN (?, ?, ?, ?, ?, ?, ?, ?)", ints(1, 2, 3, 5, 8, 13, 21, 34), 52},
 	{"fan_agg8", "SELECT region, COUNT(*), SUM(amount) FROM events WHERE amount < ? GROUP BY region", []types.Value{types.NewFloat(250)}, 271},
+	{"sum_scaled", "SELECT COUNT(*), SUM(amount_cents) FROM orders_cents WHERE oid >= ? AND oid < ?", ints(100, 300), 74},
+	{"mediated_sum", "SELECT region, site, COUNT(*), SUM(amount_cents) FROM orders_mediated WHERE oid >= ? AND oid < ? GROUP BY region, site", ints(100, 300), 91},
 }
 
 func ints(vs ...int64) []types.Value {
@@ -92,6 +99,26 @@ func newBenchCatalog(t testing.TB) *catalog.Catalog {
 	check(cat.MapSimple(ctx, "customers", "src_c", "customers"))
 	check(cat.DefineTable("orders", orders))
 	check(cat.MapSimple(ctx, "orders", "src_o", "orders"))
+
+	// orders_cents and orders_mediated view src_o's orders as
+	// buildTwoTable's orders_cents and buildHetero's orders_mediated do.
+	cents := types.NewSchema(
+		types.Column{Name: "oid", Type: types.KindInt},
+		types.Column{Name: "cust_id", Type: types.KindInt},
+		types.Column{Name: "amount_cents", Type: types.KindFloat},
+	)
+	check(cat.DefineTable("orders_cents", cents))
+	check(cat.MapFragment(ctx, "orders_cents", &catalog.Fragment{Source: "src_o", RemoteTable: "orders",
+		Columns: []catalog.ColumnMapping{{RemoteCol: 0}, {RemoteCol: 1}, {RemoteCol: 2, Scale: 100}}}))
+	mediated := types.NewSchema(append(slices.Clone(cents.Columns),
+		types.Column{Name: "region", Type: types.KindString},
+		types.Column{Name: "site", Type: types.KindString})...)
+	check(cat.DefineTable("orders_mediated", mediated))
+	site := types.NewString("h_rel")
+	check(cat.MapFragment(ctx, "orders_mediated", &catalog.Fragment{Source: "src_o", RemoteTable: "orders",
+		Columns: []catalog.ColumnMapping{{RemoteCol: 0}, {RemoteCol: 1}, {RemoteCol: 2, Scale: 100},
+			{RemoteCol: 3, ValueMap: map[string]string{"north": "N", "south": "S", "east": "E", "west": "W"}},
+			{RemoteCol: -1, Const: &site}}}))
 
 	check(cat.DefineTable("events", orders))
 	const parts, per = 8, 50

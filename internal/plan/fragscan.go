@@ -26,7 +26,7 @@ import (
 type FragScan struct {
 	Src   source.Source
 	Frag  *catalog.Fragment
-	Query *source.Query
+	Query source.Query
 	// Cols are the fetched global columns, in ascending order: the
 	// requested ones and those only GlobalResidual reads. The source is
 	// asked for the remote columns behind them when it projects
@@ -43,9 +43,14 @@ type FragScan struct {
 	Out []int
 	// Pos says where each fetched column sits in a row the source
 	// returns, negative for a constant of the fragment; nil when the
-	// source's rows are the scan's as they come (also when Query
-	// aggregates) and the mediator builds none.
+	// source's rows are the scan's as they come and the mediator builds
+	// none. Of a scan whose Query aggregates, Cols and Pos are its group
+	// keys (a constant key is not asked for), and a row it builds has
+	// them followed by Aggs' columns.
 	Pos []int
+	// Aggs maps each aggregate an aggregating scan's source returns up
+	// to the global representation; set with Pos.
+	Aggs []AggUp
 	// GlobalSchema is the full global table schema (for translation).
 	GlobalSchema *types.Schema
 	// OutSchema is the produced schema.
@@ -88,7 +93,7 @@ func buildFragScan(cat *catalog.Catalog, tab *catalog.GlobalTable, frag *catalog
 	fs := &FragScan{
 		Src:            src,
 		Frag:           frag,
-		Query:          &source.Query{Table: frag.RemoteTable, Filter: pushed, Limit: -1},
+		Query:          source.Query{Table: frag.RemoteTable, Filter: pushed, Limit: -1},
 		Cols:           fetch,
 		GlobalResidual: expr.Remap(residual, pos),
 		GlobalSchema:   tab.Schema,
@@ -178,16 +183,24 @@ func (s *FragScan) mapping(outCol int) *catalog.ColumnMapping {
 	return &s.Frag.Columns[g]
 }
 
+// column resolves e, a bare reference to an output column, to the
+// fragment's mapping of the global column behind it, and that column;
+// nil when e is no such reference.
+func (s *FragScan) column(e expr.Expr) (*catalog.ColumnMapping, int) {
+	if ref, ok := e.(*expr.ColRef); ok {
+		if g := s.globalCol(ref.Index); g >= 0 {
+			return &s.Frag.Columns[g], g
+		}
+	}
+	return nil, -1
+}
+
 // identityCol resolves e, a bare reference to an output column, to the
 // remote column it is a plain copy of. Only such a column can be
-// grouped, aggregated or ordered by at the source, which works in its
-// own representation.
+// ordered by at the source, which sorts in its own representation; an
+// aggregate resolves its columns by column and maps its answer up.
 func (s *FragScan) identityCol(e expr.Expr) (int, bool) {
-	ref, isCol := e.(*expr.ColRef)
-	if !isCol {
-		return -1, false
-	}
-	m := s.mapping(ref.Index)
+	m, _ := s.column(e)
 	if m == nil || !m.Identity() {
 		return -1, false
 	}
@@ -223,17 +236,44 @@ func (s *FragScan) acceptsLimit() bool {
 	return s.pristine() && s.Src.Capabilities().Limit
 }
 
-// aggregated returns the scan that asks the source for the aggregation
-// instead of the rows: groupBy and aggs name remote columns, out is the
-// schema of what comes back. The filter stays; the projection and any
-// ordering are moot.
-func (s *FragScan) aggregated(groupBy []int, aggs []source.AggSpec, out *types.Schema) *FragScan {
-	return &FragScan{
-		Src: s.Src, Frag: s.Frag,
-		Query:        &source.Query{Table: s.Query.Table, Filter: s.Query.Filter, GroupBy: groupBy, Aggs: aggs, Limit: -1},
-		GlobalSchema: s.GlobalSchema,
-		OutSchema:    out,
+// aggregate asks the source for the aggregation instead of the rows:
+// groupBy and aggs name remote columns. The filter stays; the
+// projection and any ordering are moot. What the mediator does with the
+// answer (Cols, Pos, Aggs, OutSchema) is the caller's to set.
+func (s *FragScan) aggregate(groupBy []int, aggs []source.AggSpec) {
+	s.Query = source.Query{Table: s.Query.Table, Filter: s.Query.Filter, GroupBy: groupBy, Aggs: aggs, Limit: -1}
+	s.Out = nil
+}
+
+// keys is how many group keys lead an aggregating scan's output.
+func (s *FragScan) keys() int {
+	if s.Pos != nil {
+		return len(s.Pos)
 	}
+	return len(s.Query.GroupBy)
+}
+
+// AggUp maps one aggregate a source returns up to the global
+// representation: the value at Col of the source's row, times Scale and
+// plus Offset once, or, where Cnt is not negative, Offset times the
+// count at Cnt (Scale·SUM(x) + Offset·COUNT(x) is the SUM of x's global
+// values). A Scale of 0 passes the value as it is, and NULL stays NULL.
+type AggUp struct {
+	Col, Cnt      int
+	Scale, Offset float64
+}
+
+// Value is the global value of the aggregate in the source's row r.
+func (a AggUp) Value(r types.Row) types.Value {
+	v := r[a.Col]
+	if a.Scale == 0 || v.IsNull() {
+		return v
+	}
+	offset := a.Offset
+	if a.Cnt >= 0 {
+		offset *= r[a.Cnt].AsFloat()
+	}
+	return types.NewFloat(v.AsFloat()*a.Scale + offset)
 }
 
 // canBindOn reports whether the scan's source can evaluate an equality

@@ -423,7 +423,7 @@ func EstimateRows(n Node) float64 {
 		// the operator it stands for.
 		rows := base * sel
 		if t.Query.HasAggregation() {
-			rows = aggregateRows(rows, t, len(t.Query.GroupBy))
+			rows = aggregateRows(rows, t, t.keys())
 		}
 		if t.Query.Limit >= 0 {
 			rows = limitRows(t.Query.Limit, rows)
@@ -550,11 +550,12 @@ func underJoins(n Node, col int) (Node, int) {
 func ndv(n Node, col int) float64 {
 	switch t := n.(type) {
 	case *FragScan:
-		// An aggregating scan's output column i is group key i, remote
-		// column GroupBy[i] (past them, aggregates); any other's is
-		// translated from its remote column, and a constant-mapped
-		// column has the one value.
-		if t.Query.HasAggregation() {
+		// An aggregating scan whose source's rows come as they are has
+		// group key i, remote column GroupBy[i], as output column i
+		// (past them, aggregates); any other column is translated from
+		// its remote column, and a constant-mapped column has the one
+		// value.
+		if t.Query.HasAggregation() && t.Pos == nil {
 			if col >= len(t.Query.GroupBy) {
 				return 0
 			}

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"context"
+	"net"
 	"testing"
 	"testing/quick"
 	"time"
@@ -313,7 +315,7 @@ func TestRowRoundTripProperty(t *testing.T) {
 }
 
 func TestSimLinkDelay(t *testing.T) {
-	l := SimLink{Latency: 10 * time.Millisecond}
+	l := &link{SimLink: SimLink{Latency: 10 * time.Millisecond}}
 	start := time.Now()
 	if err := l.delay(ctx, 100); err != nil {
 		t.Fatal(err)
@@ -322,7 +324,7 @@ func TestSimLinkDelay(t *testing.T) {
 		t.Errorf("latency not applied: %v", d)
 	}
 	// Bandwidth: 1 KiB at 1 MiB/s ≈ 1ms.
-	l = SimLink{BytesPerSec: 1 << 20}
+	l = &link{SimLink: SimLink{BytesPerSec: 1 << 20}}
 	start = time.Now()
 	if err := l.delay(ctx, 1<<10); err != nil {
 		t.Fatal(err)
@@ -331,7 +333,7 @@ func TestSimLinkDelay(t *testing.T) {
 		t.Errorf("bandwidth not applied: %v", d)
 	}
 	// Zero link must not sleep measurably.
-	l = SimLink{}
+	l = &link{}
 	start = time.Now()
 	if err := l.delay(ctx, 1<<20); err != nil {
 		t.Fatal(err)
@@ -340,7 +342,7 @@ func TestSimLinkDelay(t *testing.T) {
 		t.Errorf("zero link slept: %v", d)
 	}
 	// A cancelled context stops the sleep immediately.
-	l = SimLink{Latency: 5 * time.Second}
+	l = &link{SimLink: SimLink{Latency: 5 * time.Second}}
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
 	start = time.Now()
@@ -351,3 +353,49 @@ func TestSimLinkDelay(t *testing.T) {
 		t.Errorf("cancelled delay still slept %v", d)
 	}
 }
+
+// A link sleeps on one timer: a cancelled sleep leaves it stopped and
+// drained, so the next frame sleeps its whole latency again, and a
+// delayed frame exchange, once the timers are made, allocates nothing.
+func TestSimLinkReusesItsTimer(t *testing.T) {
+	l := &link{SimLink: SimLink{Latency: 20 * time.Millisecond}}
+	for i := 0; i < 3; i++ {
+		cctx, cancel := context.WithTimeout(ctx, time.Millisecond)
+		if err := l.delay(cctx, 100); err == nil {
+			t.Error("delay outlived its context")
+		}
+		cancel()
+		start := time.Now()
+		if err := l.delay(ctx, 100); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d < 20*time.Millisecond {
+			t.Errorf("a delay after a cancelled one slept %v, want 20ms", d)
+		}
+	}
+
+	fc := newFrameConn(&loopConn{}, SimLink{Latency: time.Microsecond}, SimLink{Latency: time.Microsecond})
+	payload := make([]byte, 64)
+	exchange := func() {
+		if err := fc.writeFrame(ctx, msgRows, payload); err != nil {
+			t.Fatal(err)
+		}
+		if tag, got, err := fc.readFrame(ctx); err != nil || tag != msgRows || len(got) != len(payload) {
+			t.Fatalf("read tag %d, %d bytes, %v", tag, len(got), err)
+		}
+	}
+	exchange()
+	if n := testing.AllocsPerRun(100, exchange); n != 0 {
+		t.Errorf("a delayed frame exchange allocates %v objects, want 0", n)
+	}
+}
+
+// loopConn is a connection that reads back what was written to it.
+type loopConn struct {
+	net.Conn
+	buf bytes.Buffer
+}
+
+func (c *loopConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
+func (c *loopConn) Read(p []byte) (int, error)  { return c.buf.Read(p) }
+func (c *loopConn) SetDeadline(time.Time) error { return nil }

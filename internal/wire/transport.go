@@ -82,10 +82,18 @@ type SimLink struct {
 	BytesPerSec int64
 }
 
+// link is one direction of a frameConn's simulated link and the one
+// timer its frames sleep on, made by the first frame that sleeps and
+// reset for each after: a direction moves one frame at a time.
+type link struct {
+	SimLink
+	timer *time.Timer
+}
+
 // delay sleeps for the simulated transfer time of n bytes. The sleep is
 // context-aware: a cancelled query stops paying simulated RTT
 // immediately instead of serving out the remaining link time.
-func (l SimLink) delay(ctx context.Context, n int) error {
+func (l *link) delay(ctx context.Context, n int) error {
 	if l.Latency == 0 && l.BytesPerSec == 0 {
 		return nil
 	}
@@ -96,12 +104,21 @@ func (l SimLink) delay(ctx context.Context, n int) error {
 	if d <= 0 {
 		return nil
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	if l.timer == nil {
+		l.timer = time.NewTimer(d)
+	} else {
+		l.timer.Reset(d) // stopped and drained, or fired and received
+	}
 	select {
-	case <-t.C:
+	case <-l.timer.C:
 		return nil
 	case <-ctx.Done():
+		// go.mod's 1.22 keeps the timer channel of before Go 1.23: a
+		// timer that fired before Stop has its tick buffered, and the
+		// next Reset would not discard it.
+		if !l.timer.Stop() {
+			<-l.timer.C
+		}
 		return ctx.Err()
 	}
 }
@@ -143,7 +160,7 @@ type frameConn struct {
 	// armed is the deadline currently set on rw (zero: none).
 	armed time.Time
 	// send/recv simulate the uplink and downlink.
-	send, recv SimLink
+	send, recv link
 	// metrics, when set, counts frames/bytes per direction.
 	metrics *linkMetrics
 	// inj, when set, injects faults per operation (see injure).
@@ -156,7 +173,9 @@ type frameConn struct {
 	// average of observed round-trip nanoseconds (the client uses it to
 	// decrement propagated deadlines by WAN latency).
 	rttEWMA *atomic.Int64
-	hdr     [5]byte
+	// hdr and rhdr hold the header of the frame being written and of
+	// the one being read.
+	hdr, rhdr [5]byte
 	// rbuf backs msgRows and msgEnd payloads across readFrame calls: a
 	// stream decodes each whole (strings copied into the frame's string
 	// block, the footer into its spans) before its next read on this
@@ -175,7 +194,7 @@ func (f *frameConn) decoder(payload []byte) *Decoder {
 }
 
 func newFrameConn(rw net.Conn, send, recv SimLink) *frameConn {
-	return &frameConn{rw: rw, send: send, recv: recv, limit: maxFrame, wlimit: maxFrame}
+	return &frameConn{rw: rw, send: link{SimLink: send}, recv: link{SimLink: recv}, limit: maxFrame, wlimit: maxFrame}
 }
 
 // arm makes the socket observe ctx's deadline, so a read or write that
@@ -256,7 +275,7 @@ func (f *frameConn) writeFrame(ctx context.Context, tag byte, payload []byte) er
 // readFrame receives one frame, applying downlink simulation.
 func (f *frameConn) readFrame(ctx context.Context) (byte, []byte, error) {
 	f.arm(ctx)
-	var hdr [5]byte
+	hdr := &f.rhdr
 	if _, err := io.ReadFull(f.rw, hdr[:]); err != nil {
 		return 0, nil, ioErr(ctx, err)
 	}

@@ -158,4 +158,29 @@ func TestSubQueryFrames(t *testing.T) {
 			t.Errorf("a sub-query of %d rows received %d frames and sent %d, want %d and 1", c.rows, gin, gout, c.in)
 		}
 	}
+
+	// A SUM through an affine mapping is folded by the source: the
+	// answer to the statement over all 600 rows is one msgEnd, where
+	// shipping the rows took three frames.
+	cents := types.NewSchema(
+		types.Column{Name: "oid", Type: types.KindInt},
+		types.Column{Name: "cust_id", Type: types.KindInt},
+		types.Column{Name: "amount_cents", Type: types.KindFloat},
+	)
+	cat := f.Engine.Catalog()
+	if err := cat.DefineTable("events_cents", cents); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.MapFragment(ctx, "events_cents", &catalog.Fragment{Source: name, RemoteTable: "events",
+		Columns: []catalog.ColumnMapping{{RemoteCol: 0}, {RemoteCol: 1}, {RemoteCol: 2, Scale: 100}}}); err != nil {
+		t.Fatal(err)
+	}
+	i, o := in.Value(), out.Value()
+	res, err := f.Engine.Query(ctx, "SELECT COUNT(*), SUM(amount_cents) FROM events_cents")
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Int() != 600 {
+		t.Fatalf("scaled SUM: %v, %v", res, err)
+	}
+	if gin, gout := in.Value()-i, out.Value()-o; gin != 1 || gout != 1 {
+		t.Errorf("a scaled SUM over 600 rows received %d frames and sent %d, want 1 and 1", gin, gout)
+	}
 }

@@ -50,8 +50,9 @@
 #                   read while writes commit; DESIGN.md "What a scan
 #                   holds"), and the frame ledger (`make frames` runs it
 #                   on demand: workload TestSetUpFrames,
-#                   TestGlobalUpdateFrames and TestSubQueryFrames, and
-#                   wire's tests of a result stream's end). A hang is how a
+#                   TestGlobalUpdateFrames and TestSubQueryFrames — a
+#                   scaled SUM over its 600 rows among them, one msgEnd
+#                   in — and wire's tests of a result stream's end). A hang is how a
 #                   re-acquired mutex, a Wait that misses its Done or a
 #                   lock cycle shows, so the timeout is part of the gate:
 #                   about twice the slowest package (workload, 47-52 s
