@@ -49,8 +49,9 @@ loc:
 # chunks and reserved blocks; the row headers exec.Collect keeps a result
 # in (at most 1.15 a row when the estimate is right); and the objects a
 # kept result costs when the stage that builds it is told how many rows
-# it keeps (one block: the same at 1 000 rows and 4 000, within 2), and
-# the bytes when the estimate is ten times too many (the block's cap).
+# it keeps (source.Use: one block, the same at 1 000 rows and 4 000,
+# within 2, traced or not), and the bytes when the estimate is ten times
+# too many (the block's cap).
 layout:
 	$(GO) test -count=1 -run 'TestRowBytesPerRow|TestIndexBytesPerRow' -v ./internal/relstore
 	$(GO) test -count=1 -run 'TestBucketBytesPerRow' -v ./internal/kvstore

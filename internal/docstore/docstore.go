@@ -186,17 +186,9 @@ type scanIter struct {
 	slab    types.RowSlab
 }
 
-// Lend implements source.Lender.
-func (it *scanIter) Lend() { it.slab.Lend() }
-
-// Keep implements source.Keeper: the kept rows are carved from one block.
-func (it *scanIter) Keep(n int) {
-	w := len(it.scratch)
-	if it.cols != nil {
-		w = len(it.cols)
-	}
-	it.slab.Reserve(n, w)
-}
+// Use implements source.Hinted: one row lent, or the kept rows carved
+// from one block.
+func (it *scanIter) Use(n int) { it.slab.Use(n) }
 
 // Next implements source.RowIter.
 func (it *scanIter) Next() (types.Row, error) {

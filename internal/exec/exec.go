@@ -26,29 +26,21 @@ import (
 )
 
 // Run executes an optimized plan and streams its result rows, which are
-// the caller's to keep. Under a traced context (obs.Enabled: interactive
-// tracing, a query-log sample, EXPLAIN ANALYZE) every operator execution
-// gets an exec span and the measuring wrapper; untraced, the operator's
-// own iterator is returned.
+// the caller's to keep unless it tells the stream otherwise (source.Use,
+// before the first Next: DESIGN.md "Who keeps a row"). An operator that
+// builds or folds its output from its input tells the input it opens
+// source.Lent; one that passes rows through forwards what it is told.
+// Under a traced context (obs.Enabled: interactive tracing, a query-log
+// sample, EXPLAIN ANALYZE) every operator execution gets an exec span
+// and the measuring wrapper; untraced, the operator's own iterator is
+// returned.
 func Run(ctx context.Context, n plan.Node) (source.RowIter, error) {
-	return runNode(ctx, n, false)
-}
-
-// runNode is Run for a consumer inside the executor, which says whether
-// it keeps the rows it is handed. lent is the one fact that decides
-// where a row is allocated (DESIGN.md "Who keeps a row"): true means the
-// consumer is done with each row before it asks for the next, so the
-// stage that builds the row may hand out the same storage again. An
-// operator that builds its output from its input asks its input for
-// lent rows and lends its own iff told to; one that passes rows through
-// forwards what it was told; one that keeps rows asks for kept ones.
-func runNode(ctx context.Context, n plan.Node, lent bool) (source.RowIter, error) {
 	if !obs.Enabled(ctx) {
-		return run(ctx, n, lent)
+		return run(ctx, n)
 	}
 	ctx, span := obs.StartSpan(ctx, obs.SpanExec, opLabel(n))
 	start := time.Now()
-	it, err := run(ctx, n, lent)
+	it, err := run(ctx, n)
 	if err != nil {
 		span.End()
 		return nil, err
@@ -110,8 +102,8 @@ func (o *opIter) Next() (types.Row, error) {
 	return r, err
 }
 
-// Keep implements source.Keeper: the rows are the operator's.
-func (o *opIter) Keep(n int) { source.Keep(o.in, n) }
+// Use implements source.Hinted: the rows are the operator's.
+func (o *opIter) Use(n int) { source.Use(o.in, n) }
 
 // Close times the teardown as well: discarding an undrained remote
 // cursor can dominate a LIMIT query's cost.
@@ -138,13 +130,13 @@ func (o *opIter) finish() {
 	o.span.End()
 }
 
-func run(ctx context.Context, n plan.Node, lent bool) (source.RowIter, error) {
+func run(ctx context.Context, n plan.Node) (source.RowIter, error) {
 	switch t := n.(type) {
 	case *plan.FragScan:
-		return runFragScan(ctx, t, nil, lent)
+		return runFragScan(ctx, t, nil)
 
 	case *plan.Filter:
-		in, err := runNode(ctx, t.Input, lent)
+		in, err := Run(ctx, t.Input)
 		if err != nil {
 			return nil, err
 		}
@@ -154,16 +146,17 @@ func run(ctx context.Context, n plan.Node, lent bool) (source.RowIter, error) {
 		if identityProject(t) {
 			// The input's rows are already the output's; rows are
 			// read-only downstream, so no copy is owed.
-			return runNode(ctx, t.Input, lent)
+			return Run(ctx, t.Input)
 		}
-		in, err := runNode(ctx, t.Input, true)
+		in, err := Run(ctx, t.Input)
 		if err != nil {
 			return nil, err
 		}
-		return &projectIter{ctx: ctx, in: in, exprs: t.Exprs, slab: slabFor(lent)}, nil
+		source.Use(in, source.Lent)
+		return &projectIter{ctx: ctx, in: in, exprs: t.Exprs}, nil
 
 	case *plan.Join:
-		return runJoin(ctx, t, lent)
+		return runJoin(ctx, t)
 
 	case *plan.Aggregate:
 		return runAggregate(ctx, t)
@@ -172,7 +165,7 @@ func run(ctx context.Context, n plan.Node, lent bool) (source.RowIter, error) {
 		return runSort(ctx, t)
 
 	case *plan.Limit:
-		in, err := runNode(ctx, t.Input, lent)
+		in, err := Run(ctx, t.Input)
 		if err != nil {
 			return nil, err
 		}
@@ -210,14 +203,6 @@ func run(ctx context.Context, n plan.Node, lent bool) (source.RowIter, error) {
 	default:
 		return nil, fmt.Errorf("exec: unsupported plan node %T", n)
 	}
-}
-
-// slabFor is the slab of a stage that builds rows and was told lent.
-func slabFor(lent bool) (s types.RowSlab) {
-	if lent {
-		s.Lend()
-	}
-	return s
 }
 
 // Collect runs the plan and materializes every row: it keeps them, and
@@ -288,14 +273,14 @@ func (a *account) closeOnError(err *error) {
 
 // collect runs n and keeps every row, charged to a, in a slice sized
 // from n's estimate, and tells the stage that builds the rows how many
-// it keeps (source.Keep): they are carved from one block of that size.
+// it keeps (source.Use): they are carved from one block of that size.
 func (a *account) collect(ctx context.Context, n plan.Node) ([]types.Row, error) {
 	it, err := Run(ctx, n)
 	if err != nil {
 		return nil, err
 	}
 	est := plan.EstimateRows(n)
-	source.Keep(it, keptRows(est))
+	source.Use(it, keptRows(est))
 	return a.drain(it, rowsHint(est))
 }
 
@@ -371,8 +356,8 @@ func (f *filterIter) Next() (types.Row, error) {
 	}
 }
 
-// Keep implements source.Keeper: the rows are the input's.
-func (f *filterIter) Keep(n int) { source.Keep(f.in, n) }
+// Use implements source.Hinted: the rows are the input's.
+func (f *filterIter) Use(n int) { source.Use(f.in, n) }
 
 func (f *filterIter) Close() error { return f.in.Close() }
 
@@ -404,8 +389,9 @@ func (p *projectIter) Next() (types.Row, error) {
 	return out, nil
 }
 
-// Keep implements source.Keeper: the rows are carved from one block.
-func (p *projectIter) Keep(n int) { p.slab.Reserve(n, len(p.exprs)) }
+// Use implements source.Hinted: one row lent, or the kept rows carved
+// from one block.
+func (p *projectIter) Use(n int) { p.slab.Use(n) }
 
 func (p *projectIter) Close() error { return p.in.Close() }
 
@@ -459,15 +445,15 @@ func (l *limitIter) Next() (types.Row, error) {
 	return r, nil
 }
 
-// Keep implements source.Keeper: the input's rows. A limit's estimate
-// is at most its limit: at the limit the input carves the offset's rows
-// as well, short of it the input ends first. (An offset so large that
-// the sum overflows tells nothing.)
-func (l *limitIter) Keep(n int) {
-	if int64(n) >= l.remaining {
-		n = int(l.remaining + l.offset)
+// Use implements source.Hinted: the rows are the input's. Lent passes
+// unchanged; a kept count is at most the limit's: at the limit the
+// input carves the offset's rows as well, short of it the input ends
+// first. (An offset so large that the sum overflows tells nothing.)
+func (l *limitIter) Use(n int) {
+	if n > 0 && int64(n) >= l.remaining {
+		n = max(0, int(l.remaining+l.offset))
 	}
-	source.Keep(l.in, n)
+	source.Use(l.in, n)
 }
 
 func (l *limitIter) Close() error { return l.in.Close() }
@@ -582,7 +568,7 @@ func (m *mergeIter) input(i int, rows *int64) error {
 	var it source.RowIter
 	var err error
 	if m.keys != nil {
-		it, err = runFragScan(m.ctx, m.inputs[i].(*plan.FragScan), m.keys[i], false)
+		it, err = runFragScan(m.ctx, m.inputs[i].(*plan.FragScan), m.keys[i])
 	} else {
 		it, err = Run(m.ctx, m.inputs[i])
 	}
@@ -671,7 +657,7 @@ func compareKeys(s *plan.Sort, a, b types.Row) int {
 // as the result is. What it holds grows as rows arrive and is never
 // sized from s.Top alone, which is as large as OFFSET makes it: the
 // rows it copies are one block of s.Top rows or of its input's
-// estimate, the fewer (types.RowSlab.Reserve). Either way what it holds
+// estimate, the fewer (types.RowSlab.Use). Either way what it holds
 // is charged to the statement's quota until its output is closed.
 func runSort(ctx context.Context, s *plan.Sort) (_ source.RowIter, err error) {
 	nk := len(s.Keys)
@@ -709,11 +695,12 @@ func runSort(ctx context.Context, s *plan.Sort) (_ source.RowIter, err error) {
 		return acct.rows(out), nil
 	}
 
-	in, err := runNode(ctx, s.Input, true)
+	in, err := Run(ctx, s.Input)
 	if err != nil {
 		return nil, err
 	}
 	defer in.Close()
+	source.Use(in, source.Lent)
 	// A held row is its key tuple and the input row behind it, in one
 	// carved row; seq is its place in the input.
 	type held struct {
@@ -727,7 +714,7 @@ func runSort(ctx context.Context, s *plan.Sort) (_ source.RowIter, err error) {
 	)
 	// The heap carves no more rows than it holds, nor than its input has.
 	carved := min(s.Top, int64(keptRows(plan.EstimateRows(s.Input))))
-	slab.Reserve(int(carved), nk+s.Input.Schema().Len())
+	slab.Use(int(carved))
 	before := func(a, b held) int {
 		if c := compareKeys(s, a.row[:nk], b.row[:nk]); c != 0 {
 			return c
@@ -793,15 +780,16 @@ func runSort(ctx context.Context, s *plan.Sort) (_ source.RowIter, err error) {
 // ---- aggregate ----
 
 // runAggregate folds each input row into its group before it asks for
-// the next, so it asks for lent rows; the group rows it returns are its
-// own, one per group. A group's key is charged to the statement's quota
-// when the group starts, until the output is closed.
+// the next, so it tells its input Lent; the group rows it returns are
+// its own, one per group. A group's key is charged to the statement's
+// quota when the group starts, until the output is closed.
 func runAggregate(ctx context.Context, a *plan.Aggregate) (_ source.RowIter, err error) {
-	in, err := runNode(ctx, a.Input, true)
+	in, err := Run(ctx, a.Input)
 	if err != nil {
 		return nil, err
 	}
 	defer in.Close()
+	source.Use(in, source.Lent)
 	acct := accountOn(ctx)
 	defer acct.closeOnError(&err)
 	aggs := make([]expr.AccSpec, len(a.Aggs))

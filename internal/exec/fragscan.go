@@ -22,11 +22,11 @@ import (
 // (FragScan.Pos) builds its rows, one with an Out projects them, and
 // one with neither hands the source's rows on.
 //
-// lent is what the scan's consumer said (runNode). A scan that builds
-// its rows is done with the source's row once it has, so it asks the
-// source for lent rows and lends its own iff its consumer asked; one
-// that hands the source's rows on asks the source what it was asked.
-func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.Expr, lent bool) (source.RowIter, error) {
+// A scan that builds its rows is done with the source's row once it
+// has, so it tells the source Lent and keeps what its own consumer
+// tells it (fragIter.Use); one that hands the source's rows on is the
+// source's iterator, which its consumer tells directly.
+func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.Expr) (source.RowIter, error) {
 	q := &fs.Query
 	if extraRemoteFilter != nil {
 		cp := fs.Query
@@ -47,8 +47,8 @@ func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.
 		ship.End()
 		return nil, fmt.Errorf("exec: fragment %s.%s: %w", fs.Frag.Source, fs.Frag.RemoteTable, err)
 	}
-	if fs.Pos != nil || lent {
-		source.Lend(it)
+	if fs.Pos != nil {
+		source.Use(it, source.Lent)
 	}
 	if ship != nil {
 		_, fetch := obs.StartSpan(ctx, obs.SpanFetch, fs.Frag.Source)
@@ -65,7 +65,7 @@ func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.
 	if fs.Pos == nil {
 		return it, nil
 	}
-	f := &fragIter{ctx: ctx, fs: fs, in: it, slab: slabFor(lent)}
+	f := &fragIter{ctx: ctx, fs: fs, in: it}
 	if fs.Out != nil {
 		f.scratch = make(types.Row, len(fs.Cols))
 	}
@@ -134,15 +134,9 @@ func (f *fragIter) Next() (types.Row, error) {
 	}
 }
 
-// Keep implements source.Keeper: the scan's rows are carved from one
-// block (one its filter rejects gives its storage back); the source's,
-// which it asked for lent, are not kept.
-func (f *fragIter) Keep(n int) {
-	w := len(f.fs.Pos) + len(f.fs.Aggs)
-	if f.fs.Out != nil {
-		w = len(f.fs.Out)
-	}
-	f.slab.Reserve(n, w)
-}
+// Use implements source.Hinted: the scan's rows are one row lent, or
+// carved from one block (one its filter rejects gives its storage back);
+// the source's, which it told Lent, are not kept.
+func (f *fragIter) Use(n int) { f.slab.Use(n) }
 
 func (f *fragIter) Close() error { return f.in.Close() }

@@ -161,10 +161,11 @@ func (f *scanFed) check(t *testing.T, cols []int, pred expr.Expr) {
 		return
 	}
 	for _, lent := range []bool{false, true} {
-		it, err := runFragScan(ctx, fs, nil, lent)
+		it, err := runFragScan(ctx, fs, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", fs.Describe(), err)
 		}
+		lendIf(it, lent)
 		drain := source.DrainOwned
 		if lent {
 			drain = source.DrainCopies
@@ -347,10 +348,11 @@ func TestRejectedRowsCostNoAllocation(t *testing.T) {
 	allocs := func(n int, pred expr.Expr, lent bool, cols []int, rows int) float64 {
 		fs, _ := newScanFed(t, source.Capabilities{}, n).scan(t, cols, pred)
 		return testing.AllocsPerRun(5, func() {
-			it, err := runFragScan(ctx, fs, nil, lent)
+			it, err := runFragScan(ctx, fs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			lendIf(it, lent)
 			got := 0
 			for {
 				if _, err := it.Next(); err != nil {
@@ -440,10 +442,11 @@ func TestPassThroughScanAllocatesNothing(t *testing.T) {
 	}
 	for _, lent := range []bool{false, true} {
 		allocs := testing.AllocsPerRun(20, func() {
-			it, err := runFragScan(ctx, fs, nil, lent)
+			it, err := runFragScan(ctx, fs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			lendIf(it, lent)
 			n := 0
 			for ; ; n++ {
 				if _, err := it.Next(); err != nil {
@@ -614,5 +617,13 @@ func TestRetypedColumnIsCoerced(t *testing.T) {
 				t.Errorf("%s: n came up as %s %v", c.sql, r[0].Kind(), r[0])
 			}
 		}
+	}
+}
+
+// lendIf tells it Lent when lent, as a consumer inside exec that builds
+// or folds does.
+func lendIf(it source.RowIter, lent bool) {
+	if lent {
+		source.Use(it, source.Lent)
 	}
 }

@@ -12,48 +12,46 @@ import (
 	"gis/internal/types"
 )
 
-// runJoin dispatches on the join's distributed strategy. lent is what
-// the join's consumer said (runNode).
-func runJoin(ctx context.Context, j *plan.Join, lent bool) (source.RowIter, error) {
+// runJoin dispatches on the join's distributed strategy.
+func runJoin(ctx context.Context, j *plan.Join) (source.RowIter, error) {
 	if j.Strategy == plan.StrategySemiJoin {
-		return runKeyShippedJoin(ctx, j, lent)
+		return runKeyShippedJoin(ctx, j)
 	}
-	return runLocalJoin(ctx, j, lent)
+	return runLocalJoin(ctx, j)
 }
 
 // runLocalJoin joins both inputs at the mediator: the right side
 // materialized — kept, and charged to the statement's quota until the
 // join closes — and the left streamed against it. A join copies the left
-// row into each row it builds, so it asks for lent left rows.
-func runLocalJoin(ctx context.Context, j *plan.Join, lent bool) (_ source.RowIter, err error) {
+// row into each row it builds, so it tells its left input Lent.
+func runLocalJoin(ctx context.Context, j *plan.Join) (_ source.RowIter, err error) {
 	acct := accountOn(ctx)
 	defer acct.closeOnError(&err)
 	right, err := acct.collect(ctx, j.R)
 	if err != nil {
 		return nil, err
 	}
-	left, err := runNode(ctx, j.L, true)
+	left, err := Run(ctx, j.L)
 	if err != nil {
 		return nil, err
 	}
-	return joinRows(ctx, j, left, right, acct, lent), nil
+	source.Use(left, source.Lent)
+	return joinRows(ctx, j, left, right, acct), nil
 }
 
 // joinRows joins a left stream with materialized right rows in the one
 // probe loop there is: a left row's candidates are its bucket of a hash
 // table built on the right when the join has equi keys, and every right
 // row when it has none (a non-equi join or one with no condition —
-// nested loops). The rows it builds are lent iff lent. acct is what the
-// kept rows are charged; the join closes it when it closes.
+// nested loops). The rows it builds are lent or kept as its consumer
+// tells it (joinIter.Use). acct is what the kept rows are charged; the
+// join closes it when it closes.
 //
 // The hash table is a types.HashChain of the right rows' positions,
 // sized for every row: one allocation that never grows. Linked last row
 // first, a bucket yields matches in the order the rows came in.
-func joinRows(ctx context.Context, j *plan.Join, left source.RowIter, right []types.Row, acct account, lent bool) source.RowIter {
-	it := &joinIter{
-		ctx: ctx, j: j, left: left, right: right, acct: acct, slab: slabFor(lent),
-		rightWidth: widthOfRight(j, right),
-	}
+func joinRows(ctx context.Context, j *plan.Join, left source.RowIter, right []types.Row, acct account) source.RowIter {
+	it := &joinIter{ctx: ctx, j: j, left: left, right: right, acct: acct, rightWidth: widthOfRight(j, right)}
 	if len(j.EquiL) > 0 {
 		it.chain = types.NewHashChain(len(right))
 		for i := len(right) - 1; i >= 0; i-- {
@@ -227,9 +225,10 @@ func (h *joinIter) condHolds(joined types.Row) (bool, error) {
 	return expr.EvalBool(h.j.Cond, joined)
 }
 
-// Keep implements source.Keeper: the joined rows are carved from one
-// block (a row the condition rejects is given back into it).
-func (h *joinIter) Keep(n int) { h.slab.Reserve(n, h.j.L.Schema().Len()+h.rightWidth) }
+// Use implements source.Hinted: the joined rows are one row lent, or
+// carved from one block (a row the condition rejects is given back into
+// it).
+func (h *joinIter) Use(n int) { h.slab.Use(n) }
 
 func (h *joinIter) Close() error {
 	h.acct.close()
@@ -244,8 +243,8 @@ func (h *joinIter) Close() error {
 // asked. The right side arrives through the one merge (runMerge), its
 // fragments fetched at once or in plan order as its union says. Both
 // sides are kept, charged to the statement's quota until the join
-// closes; the joined rows are lent iff lent.
-func runKeyShippedJoin(ctx context.Context, j *plan.Join, lent bool) (_ source.RowIter, err error) {
+// closes; the joined rows are lent or kept as the join's consumer says.
+func runKeyShippedJoin(ctx context.Context, j *plan.Join) (_ source.RowIter, err error) {
 	acct := accountOn(ctx)
 	defer acct.closeOnError(&err)
 	leftRows, err := acct.collect(ctx, j.L)
@@ -284,5 +283,5 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join, lent bool) (_ source.R
 	if err != nil {
 		return nil, err
 	}
-	return joinRows(ctx, j, source.SliceIter(leftRows), right, acct, lent), nil
+	return joinRows(ctx, j, source.SliceIter(leftRows), right, acct), nil
 }

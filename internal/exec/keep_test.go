@@ -12,6 +12,7 @@ import (
 	"gis/internal/expr"
 	"gis/internal/filestore"
 	"gis/internal/kvstore"
+	"gis/internal/obs"
 	"gis/internal/plan"
 	"gis/internal/relstore"
 	"gis/internal/source"
@@ -41,12 +42,13 @@ func timesTen(in plan.Node, w int) *plan.Project {
 }
 
 // TestKeptOutputIsOneBlock: Collect tells the stage that builds the rows
-// it keeps how many the plan estimates (source.Keep), and that stage
+// it keeps how many the plan estimates (source.Use), and that stage
 // carves them from one block: a Project's or a Join's kept rows, and a
 // Project's under a Limit, which forwards the count, estimated exactly,
-// cost the same objects at 4 000 rows as at 1 000,
-// within 2, where a stream of unknown length is cut into a chunk per 48
-// rows past its first 64. make layout prints the counts.
+// cost the same objects at 4 000 rows as at 1 000, within 2, where a
+// stream of unknown length is cut into a chunk per 48 rows past its
+// first 64 — traced too, where the count crosses every operator's
+// measuring wrapper. make layout prints the counts.
 func TestKeptOutputIsOneBlock(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -57,21 +59,27 @@ func TestKeptOutputIsOneBlock(t *testing.T) {
 		// A limit passes the count on to the Project under it.
 		{"limit", func(n int) plan.Node { return &plan.Limit{N: int64(n), Input: timesTen(keyedValues(n+5), 2)} }},
 	} {
-		var objects [2]float64
-		for i, n := range []int{1000, 4000} {
-			p := c.build(n)
-			if est := plan.EstimateRows(p); est != float64(n) {
-				t.Fatalf("%s of %d rows is estimated at %v, want exactly", c.name, n, est)
-			}
-			objects[i] = testing.AllocsPerRun(5, func() {
-				if rows, err := Collect(ctx, p); err != nil || len(rows) != n {
-					t.Fatalf("%s: %d rows, %v; want %d", c.name, len(rows), err, n)
+		for _, traced := range []bool{false, true} {
+			var objects [2]float64
+			for i, n := range []int{1000, 4000} {
+				p := c.build(n)
+				if est := plan.EstimateRows(p); est != float64(n) {
+					t.Fatalf("%s of %d rows is estimated at %v, want exactly", c.name, n, est)
 				}
-			})
-		}
-		t.Logf("%-7s kept: %.0f objects at 1 000 rows, %.0f at 4 000", c.name, objects[0], objects[1])
-		if math.Abs(objects[1]-objects[0]) > 2 {
-			t.Errorf("%s: keeping 1 000 rows costs %.0f objects and 4 000 rows %.0f; want the same within 2", c.name, objects[0], objects[1])
+				objects[i] = testing.AllocsPerRun(5, func() {
+					ctx := ctx
+					if traced {
+						ctx = obs.WithTrace(ctx, obs.NewTrace("q"))
+					}
+					if rows, err := Collect(ctx, p); err != nil || len(rows) != n {
+						t.Fatalf("%s: %d rows, %v; want %d", c.name, len(rows), err, n)
+					}
+				})
+			}
+			t.Logf("%-7s kept (traced %-5v): %.0f objects at 1 000 rows, %.0f at 4 000", c.name, traced, objects[0], objects[1])
+			if math.Abs(objects[1]-objects[0]) > 2 {
+				t.Errorf("%s (traced %v): keeping 1 000 rows costs %.0f objects and 4 000 rows %.0f; want the same within 2", c.name, traced, objects[0], objects[1])
+			}
 		}
 	}
 }
@@ -156,7 +164,7 @@ func keptStores(t *testing.T, n int) []source.Source {
 }
 
 // TestKeptStoreScanIsOneBlock: a store's scan told how many rows its
-// consumer keeps (source.Keep) carves them from one block, as Collect's
+// consumer keeps (source.Use) carves them from one block, as Collect's
 // stages do: keeping 4 000 rows costs the objects 1 000 do, within 2.
 func TestKeptStoreScanIsOneBlock(t *testing.T) {
 	var objects [2][]float64
@@ -168,7 +176,7 @@ func TestKeptStoreScanIsOneBlock(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				source.Keep(it, n)
+				source.Use(it, n)
 				for j := range kept {
 					if kept[j], err = it.Next(); err != nil {
 						t.Fatalf("%s: row %d: %v", src.Name(), j, err)

@@ -168,7 +168,7 @@ func (f *ownFed) plan(t *testing.T, text string, tweak func(*plan.Options)) plan
 }
 
 // checkOwnership runs n three ways — Collect, a keeper under the
-// oracle told how many rows it keeps (source.Keep, so the rows it holds
+// oracle told how many rows it keeps (source.Use, so the rows it holds
 // share a block), a lent consumer copying at delivery — and wants the
 // same rows from each: in order, unless n merges parallel branches. It
 // returns them.
@@ -189,14 +189,15 @@ func checkOwnership(t *testing.T, name string, n plan.Node) []types.Row {
 		return out
 	}
 	for _, lent := range []bool{false, true} {
-		it, err := runNode(ctx, n, lent)
+		it, err := Run(ctx, n)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		drain, how := source.DrainOwned, "a consumer that keeps its rows"
 		if !lent {
-			source.Keep(it, keptRows(plan.EstimateRows(n)))
+			source.Use(it, keptRows(plan.EstimateRows(n)))
 		} else {
+			source.Use(it, source.Lent)
 			drain, how = source.DrainCopies, "a consumer that was lent its rows"
 		}
 		got, err := drain(it)
@@ -330,7 +331,7 @@ func TestKeptRowsSurviveLaterWrites(t *testing.T) {
 	oid := expr.NewBoundColRef(0, types.KindInt, "oid")
 	for table, w := range f.orders {
 		for _, text := range []string{"SELECT * FROM " + table, "SELECT cents, oid FROM " + table + " WHERE oid >= 10"} {
-			it, err := runNode(ctx, f.plan(t, text, nil), false)
+			it, err := Run(ctx, f.plan(t, text, nil))
 			if err != nil {
 				t.Fatalf("%s: %v", text, err)
 			}
@@ -370,7 +371,7 @@ func TestHashBuildKeepsArrivalOrder(t *testing.T) {
 	schema := types.NewSchema(intCol("k"), intCol("v"))
 	j := equiJoin(plan.JoinInner, &plan.Values{Out: schema}, &plan.Values{Out: schema})
 	left := []types.Row{{types.NewInt(3), types.NewInt(-1)}, {types.NewInt(7), types.NewInt(-2)}, {types.NewInt(0), types.NewInt(-3)}}
-	got, err := source.DrainOwned(joinRows(ctx, j, source.SliceIter(left), right, account{}, false))
+	got, err := source.DrainOwned(joinRows(ctx, j, source.SliceIter(left), right, account{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +391,7 @@ func TestHashBuildKeepsArrivalOrder(t *testing.T) {
 			t.Fatalf("row %d = %v, want %v: build rows must match in arrival order", i, got[i], want[i])
 		}
 	}
-	if rows, err := source.Drain(joinRows(ctx, j, source.SliceIter(left), nil, account{}, false)); err != nil || len(rows) != 0 {
+	if rows, err := source.Drain(joinRows(ctx, j, source.SliceIter(left), nil, account{})); err != nil || len(rows) != 0 {
 		t.Errorf("an empty build side: %d rows, %v", len(rows), err)
 	}
 }

@@ -134,18 +134,10 @@ type csvIter struct {
 	done  bool
 }
 
-// Lend implements source.Lender: every record is parsed into one row,
-// and a scan allocates nothing else per record.
-func (it *csvIter) Lend() { it.slab.Lend() }
-
-// Keep implements source.Keeper: the kept rows are carved from one block.
-func (it *csvIter) Keep(n int) {
-	w := it.t.schema.Len()
-	if it.cols != nil {
-		w = len(it.cols)
-	}
-	it.slab.Reserve(n, w)
-}
+// Use implements source.Hinted: lent, every record is parsed into one
+// row, and a scan allocates nothing else per record; kept, the rows are
+// carved from one block.
+func (it *csvIter) Use(n int) { it.slab.Use(n) }
 
 // Next implements source.RowIter.
 func (it *csvIter) Next() (types.Row, error) {

@@ -72,7 +72,7 @@ func TestFileScanLent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		source.Lend(lent)
+		source.Use(lent, source.Lent)
 		var first *types.Value
 		for i := 0; ; i++ {
 			r, err := lent.Next()
@@ -347,7 +347,7 @@ func TestLentScanAllocsDoNotGrowPerRow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			source.Lend(it)
+			source.Use(it, source.Lent)
 			rows := 0
 			for ; err == nil; rows++ {
 				_, err = it.Next()
@@ -405,7 +405,7 @@ func BenchmarkScanProject(b *testing.B) {
 					b.Fatal(err)
 				}
 				if c.lent {
-					source.Lend(it)
+					source.Use(it, source.Lent)
 				}
 				n := 0
 				for ; err == nil; n++ {

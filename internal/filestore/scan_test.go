@@ -154,7 +154,7 @@ func scanRows(data string, cols []int, lent bool) ([]types.Row, error) {
 		return nil, err
 	}
 	if lent {
-		source.Lend(it)
+		source.Use(it, source.Lent)
 		return source.DrainCopies(it)
 	}
 	return source.DrainOwned(it)

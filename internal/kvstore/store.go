@@ -139,7 +139,7 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 	var one [1]types.Value
 	keys := r.Points(one[:0])
 	if keys == nil {
-		it := &scanIter{hi: r.Hi, limit: q.Limit, width: b.schema.Len()}
+		it := &scanIter{hi: r.Hi, limit: q.Limit}
 		it.at.seek(b.tree.view(), r.Lo)
 		return it, nil
 	}
@@ -165,15 +165,12 @@ type scanIter struct {
 	at    cursor
 	hi    expr.Bound
 	limit int64 // rows still wanted; negative: all
-	width int   // of a row: every column of the bucket
 	slab  types.RowSlab
 }
 
-// Lend implements source.Lender.
-func (it *scanIter) Lend() { it.slab.Lend() }
-
-// Keep implements source.Keeper: the kept rows are carved from one block.
-func (it *scanIter) Keep(n int) { it.slab.Reserve(n, it.width) }
+// Use implements source.Hinted: one row lent, or the kept rows carved
+// from one block.
+func (it *scanIter) Use(n int) { it.slab.Use(n) }
 
 // Next implements source.RowIter.
 func (it *scanIter) Next() (types.Row, error) {

@@ -317,7 +317,7 @@ func TestLentScanAllocsDoNotGrowPerRow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			source.Lend(it)
+			source.Use(it, source.Lent)
 			n := 0
 			for ; err == nil; n++ {
 				_, err = it.Next()
@@ -523,7 +523,7 @@ func BenchmarkScanAll(b *testing.B) {
 					b.Fatal(err)
 				}
 				if lent {
-					source.Lend(it)
+					source.Use(it, source.Lent)
 				}
 				n := 0
 				for ; err == nil; n++ {

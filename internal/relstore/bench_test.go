@@ -87,7 +87,7 @@ func execCountAs(tb testing.TB, s *Store, q *source.Query, lent bool) int {
 		tb.Fatal(err)
 	}
 	if lent {
-		source.Lend(it)
+		source.Use(it, source.Lent)
 	}
 	n := 0
 	for ; err == nil; n++ {

@@ -214,11 +214,13 @@ type scanIter struct {
 	slab    types.RowSlab
 }
 
-// Lend implements source.Lender.
-func (it *scanIter) Lend() { it.lent = true }
-
-// Keep implements source.Keeper: the kept rows are carved from one block.
-func (it *scanIter) Keep(n int) { it.slab.Reserve(n, int(it.width)) }
+// Use implements source.Hinted: lent, the row handed out shares one
+// allocation with the filter's scratch; kept, the rows are carved from
+// one block.
+func (it *scanIter) Use(n int) {
+	it.lent = n == source.Lent
+	it.slab.Use(n)
+}
 
 // Next implements source.RowIter.
 func (it *scanIter) Next() (types.Row, error) {

@@ -199,7 +199,7 @@ func executeAs(s *Store, q *source.Query, lent bool) ([]types.Row, error) {
 		return nil, err
 	}
 	if lent {
-		source.Lend(it)
+		source.Use(it, source.Lent)
 		return source.DrainCopies(it)
 	}
 	return source.DrainOwned(it)
@@ -439,7 +439,7 @@ func TestExecuteResultSurvivesConcurrentUpdate(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i >= len(queries)/2 {
-			source.Lend(it)
+			source.Use(it, source.Lent)
 		}
 		its = append(its, it)
 		rows, err := referenceExecute(s, q)
@@ -542,7 +542,7 @@ func TestProbesSurviveConcurrentWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%2 == 1 {
-			source.Lend(it)
+			source.Use(it, source.Lent)
 		}
 		var first types.Value
 		for k := 0; ; k++ {
@@ -780,7 +780,7 @@ func TestAbortWhileScanned(t *testing.T) {
 			t.Fatal(err)
 		}
 		if lent {
-			source.Lend(scan)
+			source.Use(scan, source.Lent)
 		}
 		tx, _ := s.BeginTx(ctx)
 		set := []source.SetClause{

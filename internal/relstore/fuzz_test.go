@@ -94,7 +94,7 @@ func FuzzTable(f *testing.F) {
 				t.Fatal(err)
 			}
 			if lent {
-				source.Lend(it)
+				source.Use(it, source.Lent)
 			}
 			readers = append(readers, &reader{it: it, want: want, lent: lent})
 		}

@@ -113,11 +113,8 @@ func (i *healthIter) Next() (types.Row, error) {
 	return row, err
 }
 
-// Lend implements source.Lender: the rows are the inner iterator's.
-func (i *healthIter) Lend() { source.Lend(i.it) }
-
-// Keep implements source.Keeper: the rows are the inner iterator's.
-func (i *healthIter) Keep(n int) { source.Keep(i.it, n) }
+// Use implements source.Hinted: the rows are the inner iterator's.
+func (i *healthIter) Use(n int) { source.Use(i.it, n) }
 
 // Close implements source.RowIter.
 func (i *healthIter) Close() error { return i.it.Close() }

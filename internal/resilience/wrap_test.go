@@ -26,7 +26,7 @@ type fakeSource struct {
 func newFakeSource(name string, fails map[string]int) *fakeSource {
 	f := &fakeSource{name: name, calls: map[string]*atomic.Int64{}, fails: fails}
 	for _, m := range []string{
-		"tables", "tableinfo", "execute", "lend", "keep",
+		"tables", "tableinfo", "execute", "use", "hint",
 		"insert", "update", "delete",
 		"begin", "txinsert", "prepare", "commit", "abort",
 	} {
@@ -72,15 +72,16 @@ func (f *fakeSource) Execute(ctx context.Context, q *source.Query) (source.RowIt
 	return &fakeIter{source.SliceIter([]types.Row{{types.NewInt(1)}}), f}, nil
 }
 
-// fakeIter counts the requests to lend, and the rows told kept, that
-// reach it.
+// fakeIter counts the hints (source.Use) that reach it, and sums them.
 type fakeIter struct {
 	source.RowIter
 	f *fakeSource
 }
 
-func (i *fakeIter) Lend()      { i.f.calls["lend"].Add(1) }
-func (i *fakeIter) Keep(n int) { i.f.calls["keep"].Add(int64(n)) }
+func (i *fakeIter) Use(n int) {
+	i.f.calls["use"].Add(1)
+	i.f.calls["hint"].Add(int64(n))
+}
 
 func (f *fakeSource) Insert(ctx context.Context, table string, rows []types.Row) (int64, error) {
 	if err := f.step("insert"); err != nil {
@@ -184,34 +185,43 @@ func TestWrapRetriesReads(t *testing.T) {
 	}
 }
 
-// The guarded stream only watches rows go by: a consumer's request to
-// be lent them, or its word that it keeps n of them, is the inner
-// iterator's to answer.
+// source.Use hands a consumer's hint — Lent, or the rows it keeps — to
+// an iterator that takes hints, bare or behind the guarded stream, which
+// only watches rows go by and forwards it. 0 says nothing and reaches
+// nothing; Drain, which keeps its rows unsized, says nothing either. An
+// iterator that takes no hints, bare or guarded, is left alone.
 func TestWrapForwardsLend(t *testing.T) {
-	f, w := wrapped(t, nil, fastPolicy())
-	it, err := w.Execute(ctx, source.NewScan("t"))
-	if err != nil {
-		t.Fatal(err)
+	for _, n := range []int{source.Lent, 7, 0} {
+		for _, guarded := range []bool{false, true} {
+			f, w := wrapped(t, nil, fastPolicy())
+			src := source.Source(f)
+			if guarded {
+				src = w
+			}
+			it, err := src.Execute(ctx, source.NewScan("t"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			source.Use(it, n)
+			want := int64(1)
+			if n == 0 {
+				want = 0
+			}
+			drain := source.Drain
+			if n == source.Lent {
+				drain = source.DrainCopies
+			}
+			if rows, err := drain(it); err != nil || len(rows) != 1 {
+				t.Errorf("Use(%d), guarded %v: %d rows, %v", n, guarded, len(rows), err)
+			}
+			if uses, sum := f.count("use"), f.count("hint"); uses != want || sum != want*int64(n) {
+				t.Errorf("Use(%d), guarded %v: %d hints reached the inner iterator, summing %d; want %d", n, guarded, uses, sum, want)
+			}
+			it.Close()
+		}
 	}
-	defer it.Close()
-	if n := f.count("lend"); n != 0 {
-		t.Fatalf("%d requests to lend before any was made", n)
-	}
-	source.Lend(it)
-	if n := f.count("lend"); n != 1 {
-		t.Errorf("Lend reached the inner iterator %d times, want 1", n)
-	}
-	if rows, err := source.DrainCopies(it); err != nil || len(rows) != 1 {
-		t.Errorf("%d rows, %v", len(rows), err)
-	}
-	kept, err := w.Execute(ctx, source.NewScan("t"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer kept.Close()
-	source.Keep(kept, 7)
-	if n := f.count("keep"); n != 7 {
-		t.Errorf("Keep(7) reached the inner iterator as %d, want 7", n)
+	for _, it := range []source.RowIter{source.SliceIter(nil), &healthIter{it: source.SliceIter(nil)}} {
+		source.Use(it, source.Lent) // takes no hint: nothing to do
 	}
 }
 

@@ -169,26 +169,30 @@ func sameRows(a, b []types.Row) bool {
 	return true
 }
 
-// lendSpy records that it was asked to lend.
-type lendSpy struct {
+// useSpy records the hint it was told.
+type useSpy struct {
 	RowIter
-	asked bool
+	told []int
 }
 
-func (l *lendSpy) Lend() { l.asked = true }
+func (u *useSpy) Use(n int) { u.told = append(u.told, n) }
 
-// Lend reaches an iterator that can lend and is harmless on one that
-// cannot; Drain keeps its rows and never asks.
+// Use reaches an iterator that takes hints and is harmless on one that
+// does not; 0 reaches nothing, and Drain keeps its rows and never asks.
 func TestLend(t *testing.T) {
-	spy := &lendSpy{RowIter: SliceIter(countedRows(3))}
-	if _, err := Drain(spy); err != nil || spy.asked {
-		t.Fatalf("Drain asked its input to lend (%v), err %v", spy.asked, err)
+	spy := &useSpy{RowIter: SliceIter(countedRows(3))}
+	if _, err := Drain(spy); err != nil || len(spy.told) != 0 {
+		t.Fatalf("Drain told its input %v, err %v", spy.told, err)
 	}
-	Lend(spy)
-	if !spy.asked {
-		t.Error("Lend did not reach a Lender")
+	Use(spy, 0)
+	if len(spy.told) != 0 {
+		t.Fatalf("Use(0) reached the iterator: %v", spy.told)
 	}
-	Lend(SliceIter(nil)) // not a Lender: nothing to do
+	Use(spy, Lent)
+	if len(spy.told) != 1 || spy.told[0] != Lent {
+		t.Errorf("Use(Lent) reached the iterator as %v, want [%d]", spy.told, Lent)
+	}
+	Use(SliceIter(nil), Lent) // takes no hint: nothing to do
 }
 
 // BenchmarkDrain drains a point lookup's, a fan-out branch's and a

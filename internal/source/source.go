@@ -284,52 +284,40 @@ func (q *Query) String() string {
 //
 // A row is the consumer's to keep: it stays valid, and is never written
 // again, for as long as the consumer holds it. The one exception is an
-// iterator the consumer has asked to lend (Lender): its rows are valid
-// only until the next Next or Close. Rows are read-only either way.
+// iterator the consumer has told Lent (Use): its rows are valid only
+// until the next Next or Close. Rows are read-only either way.
 type RowIter interface {
 	Next() (types.Row, error)
 	Close() error
 }
 
-// Lender is implemented by a RowIter that allocates the rows it hands
-// out and can reuse one row's storage for the next instead. Lend, called
-// before the first Next, says the consumer is done with each row — has
-// folded, copied or encoded it — before it asks for the next; a consumer
-// that keeps rows (Drain, a sort, a join's build side) never calls it.
-// Values copied out of a lent row stay valid: they own what they point
-// to. An iterator that only passes rows on forwards Lend to its input.
-type Lender interface {
-	Lend()
+// Lent is the hint (Use) of a consumer that is done with each row — has
+// folded, copied or encoded it — before it asks for the next.
+const Lent = -1
+
+// Hinted is implemented by a RowIter that allocates the rows it hands
+// out and can allocate them better when told how they are used. Use,
+// called at most once and before the first Next, says it: n is Lent, or
+// n > 0 says the consumer keeps every row and expects about n of them —
+// the plan's estimate — so a builder carves them from one block
+// (types.RowSlab.Use). A consumer that keeps rows and knows no count (a
+// merge, Drain) says nothing. An iterator that only passes rows on
+// forwards the hint to its input; one that builds its rows from its
+// input's keeps the hint for itself, and tells its input Lent.
+type Hinted interface {
+	Use(n int)
 }
 
-// Lend asks it to lend its rows if it can. An iterator that cannot —
+// Use tells it how its rows are used (Hinted), if it can use that; 0
+// says nothing and reaches nothing. An iterator that takes no hint —
 // one that hands out rows it did not allocate, or a wrapper that does
-// not forward the request — keeps handing out rows that stay valid,
-// which costs allocations and is never wrong.
-func Lend(it RowIter) {
-	if l, ok := it.(Lender); ok {
-		l.Lend()
-	}
-}
-
-// Keeper is implemented by a RowIter that allocates the rows it hands
-// out and can carve them from one block when it knows how many there
-// will be (types.RowSlab.Reserve). Keep, called before the first Next,
-// says the consumer keeps every row and expects about n of them — the
-// plan's estimate. An iterator that only passes rows on forwards Keep to
-// its input, as it forwards Lend; one that builds its rows from lent
-// ones keeps the hint for itself.
-type Keeper interface {
-	Keep(n int)
-}
-
-// Keep tells it that about n of its rows will be kept, if it can use
-// that. An iterator that cannot carves its rows as a stream of unknown
-// length does, which costs allocations and is never wrong; one told too
-// many leaves part of its block unused (at most types.MaxReserveBytes).
-func Keep(it RowIter, n int) {
-	if k, ok := it.(Keeper); ok && n > 0 {
-		k.Keep(n)
+// not forward it — hands out rows that stay valid, which costs
+// allocations and is never wrong; one told too many leaves part of its
+// block unused (at most types.MaxReserveBytes). Values copied out of a
+// lent row stay valid: they own what they point to.
+func Use(it RowIter, n int) {
+	if h, ok := it.(Hinted); ok && n != 0 {
+		h.Use(n)
 	}
 }
 

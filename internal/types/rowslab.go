@@ -19,7 +19,7 @@ const (
 	// it. It also means the first 64 rows of a stream nobody sized are
 	// allocated one by one, exactly as make(Row, w) would.
 	slabTailShare = 32
-	// MaxReserveBytes caps the block a reservation asks for (Reserve):
+	// MaxReserveBytes caps the block a reservation asks for (Use):
 	// an over-estimate leaves at most this much of it unused.
 	MaxReserveBytes = 1 << 20
 )
@@ -33,38 +33,38 @@ const (
 // a row the consumer retains (a hash-join build side, Drain, a sort, a
 // top-k heap) stays valid for as long as it is held and pins only its
 // own chunk. A consumer that knows how many rows it will keep says so
-// (Reserve), and they are carved from one chunk of that size.
+// (Use), and they are carved from one chunk of that size.
 //
-// Lending (after Lend): every Next hands out the same storage again,
-// zeroed, so a stream of one width allocates one row however long it
-// is. It is for a producer whose consumer is done with a row before it
-// asks for the next (DESIGN.md "Who keeps a row").
+// Lending (Use of a negative n): every Next hands out the same storage
+// again, zeroed, so a stream of one width allocates one row however
+// long it is. It is for a producer whose consumer is done with a row
+// before it asks for the next (DESIGN.md "Who keeps a row").
 type RowSlab struct {
 	chunk    []Value
 	off      int // chunk[off:] is not handed out yet
 	rows     int // rows carved so far
-	reserved int // values the next chunk holds at least (Reserve)
+	reserved int // rows the next chunk holds at least (Use)
 	lent     bool
 }
 
-// Lend switches the slab to lending. Rows already carved stay valid:
-// the chunk they were cut from is not handed out again.
-func (s *RowSlab) Lend() {
-	if !s.lent {
+// Use is the hint source.Use passes on to the slab of an iterator that
+// builds its rows. A negative n (source.Lent) switches the slab to
+// lending; rows already carved stay valid, as the chunk they were cut
+// from is not handed out again. n > 0 says the next n rows carved are
+// kept: the next chunk the slab cuts, when the first of them is carved,
+// is one block of n rows of that row's width, at most MaxReserveBytes,
+// whatever the tail rule would have asked. Past the block the tail rule
+// resumes, counting its rows as carved. A stream that ends before
+// carving a row allocates nothing; one that ends short of n leaves the
+// rest of the block unused, and a row kept from the block keeps all of
+// it. A lending slab ignores a count, and 0 says nothing.
+func (s *RowSlab) Use(n int) {
+	switch {
+	case s.lent:
+	case n < 0:
 		s.lent, s.chunk, s.off, s.reserved = true, nil, 0, 0
-	}
-}
-
-// Reserve says the next n rows carved are of width w and kept: the next
-// chunk the slab cuts, when the first of them is carved, is one block of
-// n such rows, at most MaxReserveBytes, whatever the tail rule would
-// have asked. Past the block the tail rule resumes, counting its rows as
-// carved. A stream that ends before carving a row allocates nothing; one
-// that ends short of n leaves the rest of the block unused, and a row
-// kept from the block keeps all of it. A lending slab ignores it.
-func (s *RowSlab) Reserve(n, w int) {
-	if !s.lent && n > 0 && w > 0 {
-		s.reserved = min(n, MaxReserveBytes/(w*valueBytes)) * w
+	case n > 0:
+		s.reserved = n
 	}
 }
 
@@ -85,7 +85,7 @@ func (s *RowSlab) Next(w int) Row {
 		return s.chunk[:w:w]
 	}
 	if s.off+w > len(s.chunk) {
-		s.chunk, s.off = newChunk(w, max(slabRows(s.rows, w), s.reserved/w)), 0
+		s.chunk, s.off = newChunk(w, max(slabRows(s.rows, w), min(s.reserved, MaxReserveBytes/(w*valueBytes)))), 0
 		s.reserved = 0
 	}
 	row := s.chunk[s.off : s.off+w : s.off+w]

@@ -132,11 +132,15 @@ func TestRowSlabWidths(t *testing.T) {
 	}
 }
 
+// lent is the hint of a consumer that keeps no row (source.Lent, which
+// this package cannot import): any negative count.
+const lent = -1
+
 // A lending slab hands out one row's storage again and again: zeroed
 // every time, regrown only for a wider row, Undo a no-op.
 func TestRowSlabLend(t *testing.T) {
 	var s RowSlab
-	s.Lend()
+	s.Use(lent)
 	first := s.Next(3)
 	for i := 0; i < 1000; i++ {
 		r := s.Next(3)
@@ -175,7 +179,7 @@ func TestRowSlabLend(t *testing.T) {
 
 	if got := testing.AllocsPerRun(5, func() {
 		var s RowSlab
-		s.Lend()
+		s.Use(lent)
 		for i := 0; i < 1000; i++ {
 			sinkRow = s.Next(4)
 		}
@@ -184,7 +188,8 @@ func TestRowSlabLend(t *testing.T) {
 	}
 }
 
-// Rows carved before Lend were the consumer's to keep, and stay so.
+// Rows carved before the slab lends were the consumer's to keep, and
+// stay so.
 func TestRowSlabLendLeavesKeptRowsAlone(t *testing.T) {
 	var s RowSlab
 	var kept []Row
@@ -193,7 +198,7 @@ func TestRowSlabLendLeavesKeptRowsAlone(t *testing.T) {
 		r[0], r[1] = NewInt(int64(i)), NewString("kept")
 		kept = append(kept, r)
 	}
-	s.Lend()
+	s.Use(lent)
 	for i := 0; i < 100; i++ {
 		r := s.Next(2)
 		r[0], r[1] = NewInt(-1), NewString("lent")
@@ -276,7 +281,7 @@ func TestRowSlabBytes(t *testing.T) {
 	t.Run("over-estimate", testReserveCap)
 }
 
-// testReservedBlock: n rows reserved (Reserve) are one object, of the
+// testReservedBlock: n rows reserved (Use) are one object, of the
 // bytes one make of n rows' values allocates — the allocator's rounding
 // of n×w×24 B, to a size class or to whole pages — each row cut with
 // cap == len. Past the block the tail rule resumes with the block's rows
@@ -290,7 +295,7 @@ func testReservedBlock(t *testing.T) {
 			sinkRows = make([]Row, n)
 			carved := func() {
 				var s RowSlab
-				s.Reserve(n, w)
+				s.Use(n)
 				for i := range sinkRows {
 					sinkRows[i] = s.Next(w)
 				}
@@ -303,7 +308,7 @@ func testReservedBlock(t *testing.T) {
 				t.Errorf("%d reserved rows of width %d: %d B, want the %d B one make of %d values allocates", n, w, got, block, n*w)
 			}
 			var s RowSlab
-			s.Reserve(n, w)
+			s.Use(n)
 			for i := range sinkRows {
 				r := s.Next(w)
 				if len(r) != w || cap(r) != w {
@@ -328,7 +333,7 @@ func testReservedBlock(t *testing.T) {
 	}
 	undone := func() {
 		var s RowSlab
-		s.Reserve(100, 3)
+		s.Use(100)
 		for i := range 100 {
 			s.Undo(s.Next(3))
 			sinkRows[i] = s.Next(3)
@@ -337,25 +342,25 @@ func testReservedBlock(t *testing.T) {
 	if objects := testing.AllocsPerRun(5, undone); objects != 1 {
 		t.Errorf("100 reserved rows, each carved after an Undo: %v allocations, want 1", objects)
 	}
-	for _, order := range []string{"Lend, Reserve", "Reserve, Lend"} {
-		lent := func() {
+	for _, order := range []string{"Lent, 1000", "1000, Lent"} {
+		carve := func() {
 			var s RowSlab
-			if order == "Lend, Reserve" {
-				s.Lend()
-				s.Reserve(1000, 4)
+			if order == "Lent, 1000" {
+				s.Use(lent)
+				s.Use(1000)
 			} else {
-				s.Reserve(1000, 4)
-				s.Lend()
+				s.Use(1000)
+				s.Use(lent)
 			}
 			for range 1000 {
 				sinkRow = s.Next(4)
 			}
 		}
-		if got := allocatedBytes(lent); got != uint64(4*valueBytes) {
+		if got := allocatedBytes(carve); got != uint64(4*valueBytes) {
 			t.Errorf("%s, 1 000 lent rows of width 4: %d B, want one row's %d B", order, got, 4*valueBytes)
 		}
 	}
-	if got := allocatedBytes(func() { var s RowSlab; s.Reserve(4000, 4) }); got != 0 {
+	if got := allocatedBytes(func() { var s RowSlab; s.Use(4000) }); got != 0 {
 		t.Errorf("a reservation with no row carved allocates %d B, want 0", got)
 	}
 	sinkRows = nil
@@ -370,7 +375,7 @@ func testReserveCap(t *testing.T) {
 		sinkRows = make([]Row, c.n)
 		carved := func() {
 			var s RowSlab
-			s.Reserve(10*c.n, c.w)
+			s.Use(10 * c.n)
 			for i := range sinkRows {
 				sinkRows[i] = s.Next(c.w)
 			}
@@ -383,7 +388,7 @@ func testReserveCap(t *testing.T) {
 		}
 	}
 	var s RowSlab
-	s.Reserve(1<<20, 16)
+	s.Use(1 << 20)
 	var kept []Row
 	for i := range 5000 {
 		r := s.Next(16)
@@ -391,7 +396,7 @@ func testReserveCap(t *testing.T) {
 		kept = append(kept, r)
 	}
 	short := RowSlab{}
-	short.Reserve(19, 3)
+	short.Use(19)
 	for i := range 80 {
 		r := short.Next(3)
 		r[0], r[1], r[2] = NewInt(int64(i)), NewString("short"), NewInt(int64(-i))

@@ -103,7 +103,7 @@ func BenchmarkStreamRange(b *testing.B) {
 						b.Fatal(err)
 					}
 					if lent {
-						source.Lend(it)
+						source.Use(it, source.Lent)
 					}
 					rows := 0
 					for ; err == nil; rows++ {

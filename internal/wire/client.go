@@ -429,7 +429,7 @@ type streamIter struct {
 	// lent: the consumer is done with a frame's rows before the next
 	// frame is read, so each frame is decoded over slab, the storage of
 	// the one before (kept from the first, which Execute decodes before
-	// Lend is called). Otherwise every frame gets a slab of its own.
+	// Use is called). Otherwise every frame gets a slab of its own.
 	lent bool
 	slab []types.Value
 	err  error
@@ -438,8 +438,9 @@ type streamIter struct {
 	parent *obs.Span
 }
 
-// Lend implements source.Lender.
-func (it *streamIter) Lend() { it.lent = true }
+// Use implements source.Hinted. A kept count tells it nothing: a
+// frame's rows are one exact slab already.
+func (it *streamIter) Use(n int) { it.lent = n == source.Lent }
 
 // Next implements source.RowIter.
 func (it *streamIter) Next() (types.Row, error) {

@@ -22,7 +22,7 @@ import (
 type raggedSource struct {
 	n    int
 	wide map[int]int
-	// lent counts the streams that were asked to lend.
+	// lent counts the streams that were told Lent.
 	lent chan struct{}
 }
 
@@ -53,9 +53,11 @@ type raggedIter struct {
 	i    int
 }
 
-func (it *raggedIter) Lend() {
-	it.slab.Lend()
-	it.src.lent <- struct{}{}
+func (it *raggedIter) Use(n int) {
+	it.slab.Use(n)
+	if n == source.Lent {
+		it.src.lent <- struct{}{}
+	}
 }
 
 func (it *raggedIter) Next() (types.Row, error) {
@@ -106,7 +108,7 @@ func TestLentStreamEqualsKept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	source.Lend(lent)
+	source.Use(lent, source.Lent)
 	got, err := source.DrainCopies(lent)
 	if err != nil || len(got) != n {
 		t.Fatalf("lent stream: %d rows, %v", len(got), err)
@@ -147,7 +149,7 @@ func TestLentRelstoreStreamEqualsKept(t *testing.T) {
 		}
 		drain := source.DrainOwned
 		if lent {
-			source.Lend(it)
+			source.Use(it, source.Lent)
 			drain = source.DrainCopies
 		}
 		got, err := drain(it)
@@ -198,7 +200,7 @@ func TestLentStringsOutliveTheirFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	source.Lend(it)
+	source.Use(it, source.Lent)
 	var saved []types.Value
 	for i := 0; ; i++ {
 		r, err := it.Next()

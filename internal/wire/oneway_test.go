@@ -110,7 +110,7 @@ func TestStalledConsumerHoldsABoundedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	source.Lend(it)
+	source.Use(it, source.Lent)
 	if _, err := it.Next(); err != nil {
 		t.Fatal(err)
 	}

@@ -162,7 +162,7 @@ func TestScanIsolation(t *testing.T) {
 					t.Fatal(err)
 				}
 				if lent {
-					source.Lend(it)
+					source.Use(it, source.Lent)
 				}
 				scans = append(scans, open{q, it, lent, oracle(q)})
 			}
@@ -338,7 +338,7 @@ func TestRaceStressScansDuringWrites(t *testing.T) {
 						return
 					}
 					if rng.Intn(2) == 0 {
-						source.Lend(it)
+						source.Use(it, source.Lent)
 					}
 					var ids []int
 					m := -1

@@ -543,12 +543,12 @@ var noRows = []byte{0}
 // its payload past the peer's frame bound (fc.wlimit), which then starts
 // the next frame; a single row wider than the bound fails the stream with
 // msgErr. A row is encoded before the next is asked for, so the source is
-// asked to lend its rows: re-encoding the row that did not fit reads it
+// told Lent: re-encoding the row that did not fit reads it
 // before the next Next.
 func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIter, root *obs.Span) error {
 	_, ssp := obs.StartSpan(ctx, obs.SpanStream, "rows")
 	defer ssp.End()
-	source.Lend(it)
+	source.Use(it, source.Lent)
 	var e Encoder
 	batch, rows := 0, int64(0)
 	// begin starts the first frame's rows body: an empty stream has none.

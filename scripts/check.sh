@@ -34,7 +34,8 @@
 #                   TestDocBytesPerDocument, types TestChunkBytes and
 #                   TestRowSlabBytes with its reserved-block cases, exec
 #                   TestCollectHeaderBytes, and the kept results carved
-#                   from one block: exec TestKeptOutputIsOneBlock,
+#                   from one block when told their count (source.Use):
+#                   exec TestKeptOutputIsOneBlock,
 #                   TestKeptStoreScanIsOneBlock and
 #                   TestKeptEstimateOffTenfold), the plan equivalence tests
 #                   (`make equivalence` runs workload TestPlanEquivalence
