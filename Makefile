@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures fmt vet check loc layout golden equivalence chaos overload frames fuzz bench rungs bench-e2e
+.PHONY: build test race lint lint-fixtures fmt vet check loc layout allocs golden equivalence chaos overload frames fuzz bench rungs bench-e2e
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,18 @@ layout:
 	$(GO) test -count=1 -run 'TestDocBytesPerDocument' -v ./internal/docstore
 	$(GO) test -count=1 -run 'TestChunkBytes|TestRowSlabBytes' -v ./internal/types
 	$(GO) test -count=1 -run 'TestCollectHeaderBytes|TestKeptOutputIsOneBlock|TestKeptStoreScanIsOneBlock|TestKeptEstimateOffTenfold' -v ./internal/exec
+
+# The quick loop for a change meant to move allocs_per_query, each
+# figure printed beside its ceiling: planning the benchmark's shapes
+# (plan TestPlanAllocations), at most one object more a fragment that
+# maps like the one before it (TestPlanAllocsPerAlikeFragment, and
+# TestKeyQueryAllocsPerAlikeFragment for the keys a semijoin ships),
+# whole statements (core TestStatementAllocations) and a kept result
+# carved from one block (exec TestKeptOutputIsOneBlock).
+allocs:
+	$(GO) test -count=1 -run 'TestPlanAllocations|TestPlanAllocsPerAlikeFragment|TestKeyQueryAllocsPerAlikeFragment' -v ./internal/plan
+	$(GO) test -count=1 -run 'TestStatementAllocations' -v ./internal/core
+	$(GO) test -count=1 -run 'TestKeptOutputIsOneBlock' -v ./internal/exec
 
 # After a change meant to move a plan, an estimate or a parsed tree:
 # rewrite the golden files of TestPlansGolden (231 statements under each

@@ -13,6 +13,8 @@ package catalog
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -148,6 +150,9 @@ type Fragment struct {
 
 	// info caches the remote table description.
 	info *source.TableInfo
+	// class is shared by the fragments of a table that map alike
+	// (MapsLike); 0 for a fragment no catalog has mapped.
+	class int
 	// stats caches per-fragment optimizer statistics, in remote-column
 	// space: ANALYZE installs them while planners read them.
 	stats atomic.Pointer[stats.TableStats]
@@ -155,6 +160,24 @@ type Fragment struct {
 
 // Info returns the cached remote table description.
 func (f *Fragment) Info() *source.TableInfo { return f.info }
+
+// MapsLike reports whether g maps its remote table onto the global table
+// as f does: the same column mappings (remote column, conversion,
+// constant, value map) over remote tables of one schema and key columns.
+// A filter then splits alike over both but for their partition
+// predicates (Excludes), and a row of either translates alike; their
+// sources, tables' names, partition predicates and statistics may differ.
+// It is decided once, when the fragments are mapped.
+func (f *Fragment) MapsLike(g *Fragment) bool { return f.class != 0 && f.class == g.class }
+
+// mapsAlike is MapsLike worked out, for a fragment being mapped onto
+// the table g is mapped onto.
+func (f *Fragment) mapsAlike(g *Fragment) bool {
+	return slices.EqualFunc(f.Columns, g.Columns, func(a, b ColumnMapping) bool {
+		return a.RemoteCol == b.RemoteCol && a.Scale == b.Scale && a.Offset == b.Offset && maps.Equal(a.ValueMap, b.ValueMap) &&
+			(a.Const == nil) == (b.Const == nil) && (a.Const == nil || types.Identical(*a.Const, *b.Const))
+	}) && slices.Equal(f.info.Schema.Columns, g.info.Schema.Columns) && slices.Equal(f.info.KeyColumns, g.info.KeyColumns)
+}
 
 // Stats returns the fragment's statistics (nil until analyzed). They
 // are only to be read: fragments of one remote table share them.
@@ -358,6 +381,13 @@ func (c *Catalog) MapFragment(ctx context.Context, table string, f *Fragment) er
 	f.info = info
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	f.class = len(t.Fragments) + 1
+	for _, g := range t.Fragments {
+		if f.mapsAlike(g) {
+			f.class = g.class
+			break
+		}
+	}
 	t.Fragments = append(t.Fragments, f)
 	return nil
 }

@@ -3,6 +3,7 @@ package catalog
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gis/internal/expr"
@@ -345,9 +346,94 @@ func TestPartitionPruning(t *testing.T) {
 		if _, _, got := frag.Split(e, func(expr.Expr) bool { return true }); got != p.prune {
 			t.Errorf("id < 100, filtered by %s: pruned %v, want %v", p.filter, got, p.prune)
 		}
+		if got := frag.Excludes(e); got != p.prune {
+			t.Errorf("id < 100, filtered by %s: excluded %v, want %v", p.filter, got, p.prune)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { frag.Excludes(e) }); allocs != 0 && strings.Count(p.filter, "IN") < 2 {
+			t.Errorf("id < 100, filtered by %s: Excludes allocates %.0f objects", p.filter, allocs)
+		}
 	}
 	if _, _, pruned := frag.Split(nil, nil); pruned {
 		t.Error("nil filter must not prune")
+	}
+}
+
+// TestMapsLike maps one table over fragments that differ in one thing
+// each from the first: those whose column mappings, remote schema and
+// key columns are the first's map like it, whatever their source, table
+// name and partition predicate; each of the others maps like none. A
+// fragment no catalog mapped maps like none either.
+func TestMapsLike(t *testing.T) {
+	ctx := context.Background()
+	remote := types.NewSchema(
+		types.Column{Name: "a", Type: types.KindInt},
+		types.Column{Name: "b", Type: types.KindString},
+		types.Column{Name: "c", Type: types.KindFloat},
+	)
+	swapped := types.NewSchema(remote.Columns[1], remote.Columns[0], remote.Columns[2])
+	c := New()
+	for _, st := range []struct {
+		name   string
+		schema *types.Schema
+		key    int
+	}{{"s0", remote, 0}, {"s1", remote, 0}, {"s2", swapped, 1}, {"s3", remote, 1}} {
+		store := relstore.New(st.name)
+		if err := store.CreateTable("t", st.schema, st.key); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AddSource(store); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.DefineTable("g", types.NewSchema(append(remote.Columns[:3:3], types.Column{Name: "site", Type: types.KindString})...)); err != nil {
+		t.Fatal(err)
+	}
+	mapping := func(site string, edit func([]ColumnMapping)) []ColumnMapping {
+		v := types.NewString(site)
+		cols := []ColumnMapping{{RemoteCol: 0}, {RemoteCol: 1}, {RemoteCol: 2}, {RemoteCol: -1, Const: &v}}
+		if edit != nil {
+			edit(cols)
+		}
+		return cols
+	}
+	below, err := sql.ParseExpr("a < 10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frags := []struct {
+		what string
+		frag *Fragment
+		like bool
+	}{
+		{"the first", &Fragment{Source: "s0", RemoteTable: "t", Columns: mapping("one", nil), Where: below}, true},
+		{"another source, no partition predicate", &Fragment{Source: "s1", RemoteTable: "t", Columns: mapping("one", nil)}, true},
+		{"another constant", &Fragment{Source: "s0", RemoteTable: "t", Columns: mapping("two", nil)}, false},
+		{"the remote columns the other way round", &Fragment{Source: "s2", RemoteTable: "t",
+			Columns: mapping("one", func(m []ColumnMapping) { m[0].RemoteCol, m[1].RemoteCol = 1, 0 })}, false},
+		{"a value map", &Fragment{Source: "s0", RemoteTable: "t",
+			Columns: mapping("one", func(m []ColumnMapping) { m[1].ValueMap = map[string]string{"N": "north"} })}, false},
+		{"a unit conversion", &Fragment{Source: "s0", RemoteTable: "t",
+			Columns: mapping("one", func(m []ColumnMapping) { m[2].Scale = 100 })}, false},
+		{"another key column", &Fragment{Source: "s3", RemoteTable: "t", Columns: mapping("one", nil)}, false},
+	}
+	for _, f := range frags {
+		if err := c.MapFragment(ctx, "g", f.frag); err != nil {
+			t.Fatalf("%s: %v", f.what, err)
+		}
+	}
+	for i, f := range frags {
+		if got := frags[0].frag.MapsLike(f.frag); got != f.like {
+			t.Errorf("%s: maps like the first %v, want %v", f.what, got, f.like)
+		}
+		for j, g := range frags[2:] {
+			if got := g.frag.MapsLike(f.frag); got != (i == j+2) {
+				t.Errorf("%s maps like %s: %v", g.what, f.what, got)
+			}
+		}
+	}
+	unmapped := &Fragment{Source: "s0", RemoteTable: "t", Columns: mapping("one", nil)}
+	if unmapped.MapsLike(unmapped) {
+		t.Error("a fragment no catalog mapped maps like itself")
 	}
 }
 

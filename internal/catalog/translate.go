@@ -15,21 +15,15 @@ import (
 // fragment holds: one that folds to TRUE is dropped, one that folds to
 // FALSE or NULL prunes the fragment, and so does one whose exact remote
 // translation is FALSE (a value-mapped column compared with a value no
-// code stands for). So does a column its partition
-// predicate reads on which the values the predicate admits and those the
-// filter admits do not meet (expr.ColumnRange). pruned then reports that
-// no row the fragment holds passes the filter. Otherwise a conjunct goes
-// into pushed, in the remote representation, when it has an exact
-// remote translation (translateConjunct) and push accepts that, and
-// into kept, over the global schema, when not.
+// code stands for). So does a partition predicate the filter Excludes.
+// pruned then reports that no row the fragment holds passes the filter.
+// Otherwise a conjunct goes into pushed, in the remote representation,
+// when it has an exact remote translation (translateConjunct) and push
+// accepts that, and into kept, over the global schema, when not. All but
+// Excludes reads only the mapping: over a fragment that MapsLike this
+// one, and push answering alike, the filter splits alike.
 func (f *Fragment) Split(filter expr.Expr, push func(remote expr.Expr) bool) (pushed, kept expr.Expr, pruned bool) {
-	expr.Columns(f.Where, func(c int) {
-		if !pruned && filter != nil {
-			where, _ := expr.ColumnRange(f.Where, c)
-			admitted, _ := expr.ColumnRange(filter, c)
-			pruned = where.Intersect(admitted).Empty()
-		}
-	})
+	pruned = f.Excludes(filter)
 	var conj, pushedBuf, keptBuf [8]expr.Expr
 	p, k := pushedBuf[:0], keptBuf[:0]
 	for _, c := range expr.AppendConjuncts(conj[:0], filter) {
@@ -58,6 +52,27 @@ func (f *Fragment) Split(filter expr.Expr, push func(remote expr.Expr) bool) (pu
 		return nil, nil, true
 	}
 	return expr.Conjoin(p), expr.Conjoin(k), false
+}
+
+// Excludes reports whether the fragment's partition predicate and the
+// filter admit no common value of a column the predicate reads
+// (expr.ColumnRange): no row the fragment holds passes the filter. It
+// allocates only where IN lists meet: two on the column, or one of more
+// than eight keys.
+func (f *Fragment) Excludes(filter expr.Expr) bool {
+	if filter == nil {
+		return false
+	}
+	excluded := false
+	expr.Columns(f.Where, func(c int) {
+		if !excluded {
+			var whereBuf, filterBuf [8]types.Value
+			where, _ := expr.ColumnRangeIn(f.Where, c, whereBuf[:0])
+			admitted, _ := expr.ColumnRangeIn(filter, c, filterBuf[:0])
+			excluded = where.Intersect(admitted).Empty()
+		}
+	})
+	return excluded
 }
 
 // isFalse reports whether a translated conjunct is the constant FALSE:

@@ -101,6 +101,43 @@ func mappedAggEngine(t *testing.T) (*Engine, [2][]types.Row) {
 	return e, want
 }
 
+// TestFragmentsWithOtherConstantsSplitAlone: g's two fragments differ
+// only in their site constant, so they do not map alike, and each splits
+// a filter on site for itself — the one whose constant it names drops
+// the conjunct, the other is not asked — where a plan that gave the
+// second the first's translation would scan it unfiltered.
+func TestFragmentsWithOtherConstantsSplitAlone(t *testing.T) {
+	e, rows := mappedAggEngine(t)
+	tab, err := e.Catalog().Table("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Fragments[0].MapsLike(tab.Fragments[1]) {
+		t.Error("fragments with different constants map alike")
+	}
+	for f, site := range []string{"a1", "a2"} {
+		q := "SELECT k, usd, site FROM g WHERE site = '" + site + "'"
+		explain, err := e.Explain(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Count(explain, "FragScan ") != 1 || !strings.Contains(explain, "FragScan "+site+".t [scan t cols") {
+			t.Errorf("%s: want the one fragment scanned, without the filter:\n%s", site, explain)
+		}
+		res, err := e.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]types.Row, len(rows[f]))
+		for i, r := range rows[f] {
+			want[i] = types.Row{r[mK], r[mUsd], r[mSite]}
+		}
+		if err := sameRows(res.Rows, want); err != nil {
+			t.Errorf("%s: %v", site, err)
+		}
+	}
+}
+
 // TestAggregateThroughMapping runs each trap of aggregating through a
 // column mapping three ways — pushed to the sources, with
 // PushAggregates off, and as source.ApplyResidual folds the rows the

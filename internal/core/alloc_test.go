@@ -101,7 +101,8 @@ func statementEngine(t *testing.T) *Engine {
 // five templates (texts and parameter kinds as bench/gen.go has them),
 // a derived table read through its alias, and ship_remote's ship_join
 // and ship_sum_scaled over a 4 000-row range, under ceilings 10% above
-// what they measured — 60 / 87 / 166 / 80, 28 / 25 / 39 / 168 / 217, 91
+// what they measured — 60 / 87 / 166 / 80, 28 / 25 / 39 / 168 / 155
+// (217 while each of sum_check's four fragments was planned alone), 91
 // (88 once a derived table's Projects compose into one), 148 (365 while
 // the joined rows the result keeps were cut in chunks of 48) and 97
 // (121 while the affine mapping kept the SUM from its source, which
@@ -141,7 +142,7 @@ func TestStatementAllocations(t *testing.T) {
 				return []types.Value{types.NewInt(1_000_000), types.NewFloat(1.5), types.NewFloat(1.5), types.NewInt(999_998), types.NewInt(1_000_002)}
 			}, true, 185},
 		{"sum_check", "SELECT SUM(balance), COUNT(*) FROM accounts",
-			func() []types.Value { return nil }, false, 239},
+			func() []types.Value { return nil }, false, 171},
 		{"derived", "SELECT q.oid FROM (SELECT * FROM orders WHERE oid < ?) q",
 			func() []types.Value { return ints(5) }, false, 100},
 		{"ship_join", "SELECT o.oid, c.name, o.amount FROM orders o JOIN customers c ON o.cust_id = c.id WHERE o.oid >= ? AND o.oid < ?",

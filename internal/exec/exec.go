@@ -462,20 +462,21 @@ func (l *limitIter) Close() error { return l.in.Close() }
 
 // runMerge merges its inputs' rows through one channel, in which rows
 // wait: the inputs keep. It is exec's one fan-out: a union's, and a
-// key-shipped join's right side. keys is nil for a union; otherwise
-// every input is a fragment scan and keys[i] the predicate over its
-// remote table that ships a chunk of join keys to input i.
+// key-shipped join's right side. queries is nil for a union; otherwise
+// every input is a fragment scan and queries[i] what input i's source
+// is asked in place of its scan's query: that query with a chunk of
+// join keys shipped.
 //
 // Consecutive inputs over one node — a fragment's key chunks — are one
 // branch, run in turn. With parallel a goroutine runs each branch and
 // rows arrive as they come (order across branches is unspecified, as for
 // UNION ALL); without it one goroutine runs the branches in plan order,
 // one input open at a time, and rows arrive in that order.
-func runMerge(ctx context.Context, inputs []plan.Node, keys []expr.Expr, parallel bool) source.RowIter {
+func runMerge(ctx context.Context, inputs []plan.Node, queries []*source.Query, parallel bool) source.RowIter {
 	cctx, cancel := context.WithCancel(ctx)
 	// 64 rows let a fetcher run ahead of the consumer without a hand-off
 	// per row, and bound what the merge holds for a consumer that stalls.
-	m := &mergeIter{ctx: cctx, cancel: cancel, outc: resilience.OutcomesFrom(ctx), inputs: inputs, keys: keys, ch: make(chan rowOrErr, 64)}
+	m := &mergeIter{ctx: cctx, cancel: cancel, outc: resilience.OutcomesFrom(ctx), inputs: inputs, queries: queries, ch: make(chan rowOrErr, 64)}
 	var wg sync.WaitGroup
 	for lo, hi := 0, 0; lo < len(inputs); lo = hi {
 		hi = len(inputs)
@@ -502,13 +503,13 @@ type rowOrErr struct {
 type mergeIter struct {
 	// ctx is the merge's own: it covers the query's deadline and an
 	// early Close or failure of the merge.
-	ctx    context.Context
-	cancel context.CancelFunc
-	outc   *resilience.Outcomes
-	inputs []plan.Node
-	keys   []expr.Expr
-	ch     chan rowOrErr
-	failed bool
+	ctx     context.Context
+	cancel  context.CancelFunc
+	outc    *resilience.Outcomes
+	inputs  []plan.Node
+	queries []*source.Query
+	ch      chan rowOrErr
+	failed  bool
 }
 
 // branchEnd is the end of the branch that starts at input lo.
@@ -545,7 +546,7 @@ func (m *mergeIter) fetch(wg *sync.WaitGroup, lo, hi int) {
 		}
 		if m.outc != nil {
 			op := "union"
-			if m.keys != nil {
+			if m.queries != nil {
 				op = "semijoin"
 			}
 			m.outc.Record(resilience.SourceOutcome{Source: srcLabel(m.inputs[lo]), Op: op, Rows: rows, Err: err})
@@ -567,8 +568,8 @@ func overQuota(err error) bool {
 func (m *mergeIter) input(i int, rows *int64) error {
 	var it source.RowIter
 	var err error
-	if m.keys != nil {
-		it, err = runFragScan(m.ctx, m.inputs[i].(*plan.FragScan), m.keys[i])
+	if m.queries != nil {
+		it, err = runFragScan(m.ctx, m.inputs[i].(*plan.FragScan), m.queries[i])
 	} else {
 		it, err = Run(m.ctx, m.inputs[i])
 	}

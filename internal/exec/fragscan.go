@@ -12,11 +12,10 @@ import (
 	"gis/internal/types"
 )
 
-// runFragScan executes one fragment scan: ship the (possibly augmented)
-// query, and do the mediator's half — translate, filter, project — over
-// what comes back. extraRemoteFilter is an additional predicate over the
-// remote table schema injected by the semijoin strategy; it must satisfy
-// the source's capabilities.
+// runFragScan executes one fragment scan: ship the query, and do the
+// mediator's half — translate, filter, project — over what comes back.
+// keyed, when not nil, is asked in place of the scan's query: the query
+// with a semijoin's keys shipped (plan.KeyQueries).
 //
 // What the mediator does is the plan's to say: a scan with positions
 // (FragScan.Pos) builds its rows, one with an Out projects them, and
@@ -26,12 +25,10 @@ import (
 // has, so it tells the source Lent and keeps what its own consumer
 // tells it (fragIter.Use); one that hands the source's rows on is the
 // source's iterator, which its consumer tells directly.
-func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.Expr) (source.RowIter, error) {
-	q := &fs.Query
-	if extraRemoteFilter != nil {
-		cp := fs.Query
-		cp.Filter = expr.Conjoin([]expr.Expr{cp.Filter, extraRemoteFilter})
-		q = &cp
+func runFragScan(ctx context.Context, fs *plan.FragScan, keyed *source.Query) (source.RowIter, error) {
+	q := keyed
+	if q == nil {
+		q = &fs.Query
 	}
 	var ship *obs.Span
 	var shipStart time.Time
@@ -54,7 +51,7 @@ func runFragScan(ctx context.Context, fs *plan.FragScan, extraRemoteFilter expr.
 		_, fetch := obs.StartSpan(ctx, obs.SpanFetch, fs.Frag.Source)
 		// One wrapper per traced scan execution, not per row.
 		wire := &opIter{in: it, span: ship, fetch: fetch, st: obs.OpStats{Op: fs, Open: time.Since(shipStart)}}
-		if extraRemoteFilter == nil {
+		if keyed == nil {
 			// A semijoin-augmented scan shows no estimate: the
 			// planner estimated the original predicate, not the
 			// key-bound one.

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"slices"
 
@@ -239,7 +238,7 @@ func (h *joinIter) Close() error {
 // left input, ship its distinct join-key values to the right side's
 // fragment scans, and join the reduced right side at the mediator. Which
 // keys go to which fragment, and in how many sub-queries, is the plan's
-// to say (FragScan.AppendKeyFilters); a fragment it gives none is not
+// to say (plan.KeyQueries); a fragment it gives none is not
 // asked. The right side arrives through the one merge (runMerge), its
 // fragments fetched at once or in plan order as its union says. Both
 // sides are kept, charged to the statement's quota until the join
@@ -263,23 +262,13 @@ func runKeyShippedJoin(ctx context.Context, j *plan.Join) (_ source.RowIter, err
 	}
 	slices.SortFunc(keys, types.Value.Compare)
 	keys = slices.CompactFunc(keys, types.Value.Equal)
-	scans := plan.FragScans(j.R)
-	if scans == nil {
-		return nil, fmt.Errorf("exec: %s strategy requires fragment scans on the right side", j.Strategy)
-	}
 	// One merge input per fragment and sub-query of its keys.
-	inputs := make([]plan.Node, 0, len(scans))
-	preds := make([]expr.Expr, 0, len(scans))
-	for _, fs := range scans {
-		if preds, err = fs.AppendKeyFilters(preds, j.EquiR[0], keys); err != nil {
-			return nil, err
-		}
-		for len(inputs) < len(preds) {
-			inputs = append(inputs, fs)
-		}
+	inputs, queries, err := plan.KeyQueries(j.R, j.EquiR[0], keys)
+	if err != nil {
+		return nil, err
 	}
 	u, _ := j.R.(*plan.Union)
-	right, err := acct.drain(runMerge(ctx, inputs, preds, u != nil && u.Parallel), 0)
+	right, err := acct.drain(runMerge(ctx, inputs, queries, u != nil && u.Parallel), 0)
 	if err != nil {
 		return nil, err
 	}

@@ -138,7 +138,11 @@ func pushAggregate(agg *Aggregate, scans []*FragScan) Node {
 		scans[0].OutSchema = agg.Schema()
 		return scans[0]
 	}
-	for _, fs := range scans {
+	for i, fs := range scans {
+		if i > 0 && fs.like == scans[i-1] {
+			fs.follow(scans[i-1])
+			continue
+		}
 		partialScan(agg, fs, partials)
 		fs.OutSchema = partialSchema(fs, len(partials))
 	}

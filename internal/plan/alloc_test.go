@@ -12,29 +12,34 @@ import (
 	"gis/internal/types"
 )
 
-// planShapes are the four point_remote statements, wan_fanout's
-// eight-fragment GROUP BY, ship_remote's ship_sum_scaled and
-// hetero_local's mediated_sum, texts and parameter kinds as bench/gen.go
-// has them, so this rung and the benchmark's probe can be read against
-// each other — and fk_join_top5 written the SQL-89 way, FROM a, b WHERE,
-// held to the ON form's ceiling. The two last push their aggregate
-// through the column mapping (DESIGN.md "An aggregate pushes through the
-// mapping"); fk_agg and fan_agg8, whose columns are plain copies, keep
-// the ceilings they had before it did.
+// planShapes are the four point_remote statements, wan_fanout's three
+// over events' eight fragments (fan_agg8's GROUP BY, semijoin_sel's
+// shipped keys and range_pruned's one fragment left of eight),
+// ship_remote's ship_sum_scaled and hetero_local's mediated_sum, texts
+// and parameter kinds as bench/gen.go has them, so this rung and the
+// benchmark's probe can be read against each other — and fk_join_top5
+// written the SQL-89 way, FROM a, b WHERE, held to the ON form's
+// ceiling. sum_scaled and mediated_sum push their aggregate through the
+// column mapping (DESIGN.md "An aggregate pushes through the mapping");
+// wan_fanout's fragments map alike and are planned as one (DESIGN.md
+// "Fragments that map alike"). Each ceiling is 10% above what the shape
+// measures.
 var planShapes = []struct {
 	name    string
 	sql     string
 	params  []types.Value
-	ceiling float64 // allocations of parse + build + optimize: 10% above 36 / 62 / 78 / 78 / 47 / 246 / 67 / 83
+	ceiling float64 // allocations of parse + build + optimize: 10% above 34 / 57 / 72 / 72 / 45 / 96 / 66 / 82 / 76 / 43
 }{
-	{"pk_lookup", "SELECT oid, cust_id, amount, region FROM orders WHERE oid = ?", ints(17), 40},
-	{"fk_agg", "SELECT COUNT(*), SUM(amount) FROM orders WHERE cust_id = ?", ints(3), 68},
-	{"fk_join_top5", "SELECT c.name, o.oid, o.amount FROM customers c JOIN orders o ON c.id = o.cust_id WHERE c.id = ? ORDER BY o.amount DESC, o.oid LIMIT 5", ints(3), 86},
-	{"fk_join_top5_comma", "SELECT c.name, o.oid, o.amount FROM customers c, orders o WHERE c.id = o.cust_id AND c.id = ? ORDER BY o.amount DESC, o.oid LIMIT 5", ints(3), 86},
-	{"in_list", "SELECT oid, amount FROM orders WHERE oid IN (?, ?, ?, ?, ?, ?, ?, ?)", ints(1, 2, 3, 5, 8, 13, 21, 34), 52},
-	{"fan_agg8", "SELECT region, COUNT(*), SUM(amount) FROM events WHERE amount < ? GROUP BY region", []types.Value{types.NewFloat(250)}, 271},
-	{"sum_scaled", "SELECT COUNT(*), SUM(amount_cents) FROM orders_cents WHERE oid >= ? AND oid < ?", ints(100, 300), 74},
+	{"pk_lookup", "SELECT oid, cust_id, amount, region FROM orders WHERE oid = ?", ints(17), 38},
+	{"fk_agg", "SELECT COUNT(*), SUM(amount) FROM orders WHERE cust_id = ?", ints(3), 63},
+	{"fk_join_top5", "SELECT c.name, o.oid, o.amount FROM customers c JOIN orders o ON c.id = o.cust_id WHERE c.id = ? ORDER BY o.amount DESC, o.oid LIMIT 5", ints(3), 80},
+	{"fk_join_top5_comma", "SELECT c.name, o.oid, o.amount FROM customers c, orders o WHERE c.id = o.cust_id AND c.id = ? ORDER BY o.amount DESC, o.oid LIMIT 5", ints(3), 80},
+	{"in_list", "SELECT oid, amount FROM orders WHERE oid IN (?, ?, ?, ?, ?, ?, ?, ?)", ints(1, 2, 3, 5, 8, 13, 21, 34), 50},
+	{"fan_agg8", "SELECT region, COUNT(*), SUM(amount) FROM events WHERE amount < ? GROUP BY region", []types.Value{types.NewFloat(250)}, 106},
+	{"sum_scaled", "SELECT COUNT(*), SUM(amount_cents) FROM orders_cents WHERE oid >= ? AND oid < ?", ints(100, 300), 73},
 	{"mediated_sum", "SELECT region, site, COUNT(*), SUM(amount_cents) FROM orders_mediated WHERE oid >= ? AND oid < ? GROUP BY region, site", ints(100, 300), 91},
+	{"semijoin_sel", "SELECT c.name, e.oid, e.amount FROM customers c JOIN events e ON c.id = e.cust_id WHERE c.id >= ? AND c.id < ?", ints(3, 7), 84},
+	{"range_pruned", "SELECT oid, cust_id, amount FROM events WHERE oid >= ? AND oid < ?", ints(120, 140), 48},
 }
 
 func ints(vs ...int64) []types.Value {
@@ -51,6 +56,13 @@ func ints(vs ...int64) []types.Value {
 // range-partitioned on oid over eight more, as buildFanout has it. The
 // stores are in-process: a plan does not depend on the wire.
 func newBenchCatalog(t testing.TB) *catalog.Catalog {
+	t.Helper()
+	return newFanoutCatalog(t, 8)
+}
+
+// newFanoutCatalog is newBenchCatalog with events range-partitioned over
+// parts fragments, each on its own relstore and mapped alike.
+func newFanoutCatalog(t testing.TB, parts int) *catalog.Catalog {
 	t.Helper()
 	ctx := context.Background()
 	orders := types.NewSchema(
@@ -121,7 +133,7 @@ func newBenchCatalog(t testing.TB) *catalog.Catalog {
 			{RemoteCol: -1, Const: &site}}}))
 
 	check(cat.DefineTable("events", orders))
-	const parts, per = 8, 50
+	const per = 50
 	for p := 0; p < parts; p++ {
 		name := fmt.Sprintf("wan_e%d", p)
 		lo, hi := p*per, (p+1)*per
@@ -170,8 +182,11 @@ func TestPlanAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
-		if u := findUnion(n); s.name == "fan_agg8" && (u == nil || len(FragScans(u)) != 8) {
+		if u := findUnion(n); (s.name == "fan_agg8" || s.name == "semijoin_sel") && (u == nil || len(FragScans(u)) != 8) {
 			t.Fatalf("%s: want a union of 8 fragment scans:\n%s", s.name, Explain(n))
+		}
+		if s.name == "range_pruned" && (findUnion(n) != nil || findFragScan(n) == nil) {
+			t.Fatalf("%s: want one fragment scan left:\n%s", s.name, Explain(n))
 		}
 		got := testing.AllocsPerRun(50, func() {
 			if _, err := planOnce(cat, s.sql, s.params); err != nil {
@@ -235,5 +250,91 @@ func BenchmarkPlan(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// fanoutShapes are wan_fanout's three shapes over events, with filters
+// that prune no fragment: what planning them allocates grows with the
+// fragments they read unless alike fragments share one translation.
+var fanoutShapes = []struct {
+	name   string
+	sql    string
+	params []types.Value
+}{
+	{"group_by", "SELECT region, COUNT(*), SUM(amount) FROM events WHERE amount < ? GROUP BY region", []types.Value{types.NewFloat(250)}},
+	{"filtered_scan", "SELECT oid, cust_id, amount FROM events WHERE amount < ?", []types.Value{types.NewFloat(250)}},
+	{"semijoin", "SELECT c.name, e.oid, e.amount FROM customers c JOIN events e ON c.id = e.cust_id WHERE c.id >= ? AND c.id < ?", ints(3, 7)},
+}
+
+// TestPlanAllocsPerAlikeFragment plans each of fanoutShapes over 1, 2, 8
+// and 16 fragments that map alike (DESIGN.md "Fragments that map
+// alike"): each fragment past the second adds at most one object. (The
+// second adds the union, and a GROUP BY's final aggregate.)
+func TestPlanAllocsPerAlikeFragment(t *testing.T) {
+	counts := []int{1, 2, 8, 16}
+	cats := make([]*catalog.Catalog, len(counts))
+	for i, parts := range counts {
+		cats[i] = newFanoutCatalog(t, parts)
+	}
+	for _, s := range fanoutShapes {
+		got := make([]float64, len(counts))
+		for i, cat := range cats {
+			n, err := planOnce(cat, s.sql, s.params)
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			if u := findUnion(n); counts[i] > 1 && (u == nil || len(FragScans(u)) != counts[i]) {
+				t.Fatalf("%s: want a union of %d fragment scans:\n%s", s.name, counts[i], Explain(n))
+			}
+			got[i] = testing.AllocsPerRun(50, func() {
+				if _, err := planOnce(cat, s.sql, s.params); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		t.Logf("%-14s %v allocations over %v fragments", s.name, got, counts)
+		for i := 2; i < len(counts); i++ {
+			if grown := got[i] - got[1]; grown > float64(counts[i]-counts[1]) {
+				t.Errorf("%s: %d fragments allocate %.0f objects more than 2, want at most one a fragment", s.name, counts[i], grown)
+			}
+		}
+	}
+}
+
+// TestKeyQueryAllocsPerAlikeFragment holds what a semijoin asks its
+// right side to one translation of the keys: over fragments that map
+// alike and admit the same keys, KeyQueries allocates as much for 16 as
+// for 2.
+func TestKeyQueryAllocsPerAlikeFragment(t *testing.T) {
+	keys := ints(3, 4, 5, 6)
+	var got []float64
+	for _, parts := range []int{2, 16} {
+		cat := newFanoutCatalog(t, parts)
+		n, err := planOnce(cat, fanoutShapes[2].sql, fanoutShapes[2].params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := findJoin(n)
+		if j == nil || j.Strategy != StrategySemiJoin || len(FragScans(j.R)) != parts {
+			t.Fatalf("%d fragments: want keys shipped to each:\n%s", parts, Explain(n))
+		}
+		ins, qs, err := KeyQueries(j.R, j.EquiR[0], keys)
+		if err != nil || len(ins) != parts || len(qs) != parts {
+			t.Fatalf("%d fragments: %d inputs, %d sub-queries (%v)", parts, len(ins), len(qs), err)
+		}
+		for i, q := range qs {
+			if q.String() != qs[0].String() {
+				t.Errorf("%d fragments: sub-query %d is %s, the first %s", parts, i, q, qs[0])
+			}
+		}
+		got = append(got, testing.AllocsPerRun(50, func() {
+			if _, _, err := KeyQueries(j.R, j.EquiR[0], keys); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	t.Logf("KeyQueries allocates %v over 2 and 16 fragments", got)
+	if got[1] != got[0] {
+		t.Errorf("KeyQueries allocates %.0f objects over 16 alike fragments, %.0f over 2", got[1], got[0])
 	}
 }

@@ -24,7 +24,12 @@ func decompose(n Node, cat *catalog.Catalog, parallel bool) (Node, error) {
 	return n, err
 }
 
-// decomposeScan builds the fragment plan for one global scan.
+// decomposeScan builds the fragment plan for one global scan. Its scans
+// are carved from one block, sized for the fragments whose partition
+// predicate the filter does not exclude, and the mapping is the unit of
+// work: a fragment that maps like the one scanned before it, from a
+// source as capable, shares that scan's translation (FragScan.follow)
+// and pays only its Excludes.
 func decomposeScan(gs *GlobalScan, cat *catalog.Catalog, parallel bool) (Node, error) {
 	tab := gs.Table
 	if len(tab.Fragments) == 0 {
@@ -37,22 +42,44 @@ func decomposeScan(gs *GlobalScan, cat *catalog.Catalog, parallel bool) (Node, e
 	}
 	outSchema := gs.Schema()
 
-	var scans []Node
+	live := 0
 	for _, frag := range tab.Fragments {
-		fs, err := buildFragScan(cat, tab, frag, requested, gs.Filter, outSchema)
+		if !frag.Excludes(gs.Filter) {
+			live++
+		}
+	}
+	block := make([]FragScan, live)
+	var scans []Node
+	if live > 1 {
+		scans = make([]Node, 0, live)
+	}
+	n := 0
+	for _, frag := range tab.Fragments {
+		if frag.Excludes(gs.Filter) {
+			continue
+		}
+		src, err := cat.Source(frag.Source)
 		if err != nil {
 			return nil, err
 		}
-		if fs != nil {
+		fs := &block[n]
+		if prev := n - 1; prev >= 0 && block[prev].Frag.MapsLike(frag) && block[prev].Src.Capabilities() == src.Capabilities() {
+			fs.Src, fs.Frag = src, frag
+			fs.follow(&block[prev])
+		} else if !buildFragScan(fs, tab, src, frag, requested, gs.Filter, outSchema) {
+			continue
+		}
+		n++
+		if scans != nil {
 			scans = append(scans, fs)
 		}
 	}
-	if len(scans) == 0 {
+	switch n {
+	case 0:
 		// Every fragment pruned: an empty relation of the right shape.
 		return &Values{Out: outSchema}, nil
-	}
-	if len(scans) == 1 {
-		return scans[0], nil
+	case 1:
+		return &block[0], nil
 	}
 	return &Union{Inputs: scans, All: true, Parallel: parallel}, nil
 }

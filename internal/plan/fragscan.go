@@ -55,6 +55,11 @@ type FragScan struct {
 	GlobalSchema *types.Schema
 	// OutSchema is the produced schema.
 	OutSchema *types.Schema
+
+	// like is the scan before this one in its union when this one
+	// follows it (follow): every field but Src, Frag and Query.Table is
+	// like's. nil when the scan has its own.
+	like *FragScan
 }
 
 // Schema implements Node.
@@ -69,28 +74,25 @@ func (s *FragScan) Describe() string {
 	return out
 }
 
-// buildFragScan constructs one fragment's scan; nil when the fragment
-// holds no row the filter passes. A conjunct goes to the source iff
-// catalog.Fragment.Split translates it and the source evaluates the
-// translation, and the projection iff the source projects; one that
-// does not returns whole rows the scan reads by position.
-func buildFragScan(cat *catalog.Catalog, tab *catalog.GlobalTable, frag *catalog.Fragment,
-	requested []int, filter expr.Expr, outSchema *types.Schema) (*FragScan, error) {
+// buildFragScan makes s the scan of frag from src, and reports false,
+// leaving s as it is, when the fragment holds no row the filter passes. A
+// conjunct goes to the source iff catalog.Fragment.Split translates it
+// and the source evaluates the translation, and the projection iff the
+// source projects; one that does not returns whole rows the scan reads
+// by position.
+func buildFragScan(s *FragScan, tab *catalog.GlobalTable, src source.Source, frag *catalog.Fragment,
+	requested []int, filter expr.Expr, outSchema *types.Schema) bool {
 
-	src, err := cat.Source(frag.Source)
-	if err != nil {
-		return nil, err
-	}
 	caps, info := src.Capabilities(), frag.Info()
 	pushed, residual, pruned := frag.Split(filter, func(rc expr.Expr) bool { return caps.CanFilter(info, rc) })
 	if pruned {
-		return nil, nil
+		return false
 	}
 
 	// Fetched columns: requested plus whatever the kept filter reads,
 	// which is remapped onto that layout.
 	fetch, pos := expr.ColumnLayout(tab.Schema.Len(), requested, residual)
-	fs := &FragScan{
+	*s = FragScan{
 		Src:            src,
 		Frag:           frag,
 		Query:          source.Query{Table: frag.RemoteTable, Filter: pushed, Limit: -1},
@@ -100,9 +102,9 @@ func buildFragScan(cat *catalog.Catalog, tab *catalog.GlobalTable, frag *catalog
 		OutSchema:      outSchema,
 	}
 	if !slices.Equal(requested, fetch) {
-		fs.Out = make([]int, len(requested))
+		s.Out = make([]int, len(requested))
 		for i, c := range requested {
-			fs.Out[i] = pos[c]
+			s.Out[i] = pos[c]
 		}
 	}
 
@@ -114,24 +116,38 @@ func buildFragScan(cat *catalog.Catalog, tab *catalog.GlobalTable, frag *catalog
 	// column is a plain copy sitting where the output wants it and
 	// nothing is kept to filter; otherwise the mediator builds them.
 	if caps.Project {
-		fs.Query.Columns = make([]int, 0, len(fetch))
+		s.Query.Columns = make([]int, 0, len(fetch))
 	}
 	rowPos := pos[:0]
-	builds := residual != nil || fs.Out != nil || !caps.Project && len(fetch) != info.Schema.Len()
+	builds := residual != nil || s.Out != nil || !caps.Project && len(fetch) != info.Schema.Len()
 	for i, g := range fetch {
 		m := &frag.Columns[g]
 		p := m.RemoteCol
 		if p >= 0 && caps.Project {
-			p = len(fs.Query.Columns)
-			fs.Query.Columns = append(fs.Query.Columns, m.RemoteCol)
+			p = len(s.Query.Columns)
+			s.Query.Columns = append(s.Query.Columns, m.RemoteCol)
 		}
 		builds = builds || p != i || !m.Identity()
 		rowPos = append(rowPos, p)
 	}
 	if builds {
-		fs.Pos = rowPos
+		s.Pos = rowPos
 	}
-	return fs, nil
+	return true
+}
+
+// follow makes s, whose Src and Frag are set, prev's twin: its fragment
+// maps like prev's and its source is as capable, so the plan asks it
+// what prev is asked and does with the answer what prev does. It shares
+// prev's query, layout and partial aggregate — which is why no rewrite
+// writes into a FragScan's slices, expressions or schemas, but replaces
+// the fields it changes — and keeps its own source, fragment, table
+// name and record under EXPLAIN ANALYZE. A rewrite that changes prev
+// has s follow it again (s.like).
+func (s *FragScan) follow(prev *FragScan) {
+	src, frag := s.Src, s.Frag
+	*s = *prev
+	s.Src, s.Frag, s.Query.Table, s.like = src, frag, frag.RemoteTable, prev
 }
 
 // FragScans returns the scans n is made of when n is a fragment scan or
@@ -303,20 +319,65 @@ const (
 	semiJoinKeyLimit = 1000
 )
 
-// AppendKeyFilters appends to preds the remote predicates that ship the
-// semijoin's keys (distinct, sorted) on output column col to the scan,
-// one per sub-query of at most semiJoinKeyLimit keys: col = k for one
-// key, col IN (…) for more. A key goes only where the fragment's
-// partition predicate admits it, as ColumnMapping.ToRemote gives it;
-// one it has no remote form for matches no row there and is dropped.
-// A fragment given no key is not to be asked.
-func (s *FragScan) AppendKeyFilters(preds []expr.Expr, col int, keys []types.Value) ([]expr.Expr, error) {
-	m, ok := s.canBindOn(col)
-	if !ok {
-		return preds, fmt.Errorf("plan: fragment %s.%s cannot accept join keys", s.Frag.Source, s.Frag.RemoteTable)
+// KeyQueries says what each fragment of right, a fragment scan or a
+// union of them, is asked when a semijoin ships its keys (distinct,
+// sorted) on output column col: one merge input and sub-query per
+// semiJoinKeyLimit keys a fragment is sent, its scan's query with
+// col = k for one key, col IN (…) for more, ANDed to its filter. A key
+// goes only where the fragment's partition predicate admits it, as
+// ColumnMapping.ToRemote gives it; one it has no remote form for matches
+// no row there and is dropped. A fragment given no key is not to be
+// asked. A scan that follows the one before it (FragScan.follow) and
+// whose partition predicate admits the same keys is asked that one's
+// sub-queries, on its own table.
+func KeyQueries(right Node, col int, keys []types.Value) (ins []Node, qs []*source.Query, err error) {
+	scans := FragScans(right)
+	if scans == nil {
+		return nil, nil, fmt.Errorf("plan: a semijoin's right side is not fragment scans")
 	}
-	where, _ := expr.ColumnRange(s.Frag.Where, s.globalCol(col))
-	// Counted first, the constants of every sub-query are one array.
+	ins, qs = make([]Node, 0, len(scans)), make([]*source.Query, 0, len(scans))
+	var prevWhere expr.Range
+	from := 0 // where the previous scan's sub-queries start
+	for i, s := range scans {
+		m, ok := s.canBindOn(col)
+		if !ok {
+			return nil, nil, fmt.Errorf("plan: fragment %s.%s cannot accept join keys", s.Frag.Source, s.Frag.RemoteTable)
+		}
+		where, _ := expr.ColumnRange(s.Frag.Where, s.globalCol(col))
+		start := len(qs)
+		if i > 0 && s.like == scans[i-1] && admitAlike(where, prevWhere, keys) {
+			for _, q := range qs[from:start] {
+				if q.Table != s.Query.Table {
+					cp := *q
+					cp.Table, q = s.Query.Table, &cp
+				}
+				qs = append(qs, q)
+			}
+		} else {
+			qs = s.appendKeyQueries(qs, m, where, keys)
+		}
+		for len(ins) < len(qs) {
+			ins = append(ins, s)
+		}
+		from, prevWhere = start, where
+	}
+	return ins, qs, nil
+}
+
+// admitAlike reports whether a and b admit the same of keys.
+func admitAlike(a, b expr.Range, keys []types.Value) bool {
+	for _, k := range keys {
+		if a.Admits(k) != b.Admits(k) {
+			return false
+		}
+	}
+	return true
+}
+
+// appendKeyQueries appends the sub-queries that ship the keys where
+// admits to the scan's column mapped by m. Counted first, the constants
+// of every sub-query are one array, and the sub-queries one more.
+func (s *FragScan) appendKeyQueries(qs []*source.Query, m *catalog.ColumnMapping, where expr.Range, keys []types.Value) []*source.Query {
 	n := 0
 	for _, k := range keys {
 		if _, ok := m.ToRemote(k); ok && where.Admits(k) {
@@ -330,19 +391,25 @@ func (s *FragScan) AppendKeyFilters(preds []expr.Expr, col int, keys []types.Val
 		}
 	}
 	rtype := s.Frag.Info().Schema.Columns[m.RemoteCol].Type
+	block := make([]source.Query, 0, (n+semiJoinKeyLimit-1)/semiJoinKeyLimit)
 	for len(consts) > 0 {
 		chunk := consts[:min(len(consts), semiJoinKeyLimit)]
 		consts = consts[len(chunk):]
+		var pred expr.Expr
 		ref := expr.NewBoundColRef(m.RemoteCol, rtype, "")
 		if len(chunk) == 1 {
-			preds = append(preds, expr.NewBinary(expr.OpEq, ref, &chunk[0]))
-			continue
+			pred = expr.NewBinary(expr.OpEq, ref, &chunk[0])
+		} else {
+			list := make([]expr.Expr, len(chunk))
+			for i := range chunk {
+				list[i] = &chunk[i]
+			}
+			pred = &expr.InList{E: ref, List: list}
 		}
-		list := make([]expr.Expr, len(chunk))
-		for i := range chunk {
-			list[i] = &chunk[i]
-		}
-		preds = append(preds, &expr.InList{E: ref, List: list})
+		block = append(block, s.Query)
+		q := &block[len(block)-1]
+		q.Filter = expr.Conjoin([]expr.Expr{q.Filter, pred})
+		qs = append(qs, q)
 	}
-	return preds, nil
+	return qs
 }

@@ -7,6 +7,7 @@
 package plan
 
 import (
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -572,13 +573,17 @@ func ndv(n Node, col int) float64 {
 	case *Union:
 		// Fragments of one table: their distinct values may overlap, so
 		// they combine by stats.MergeNDV — unless every input maps the
-		// column to a constant, when they are the constants.
+		// column to a constant, when they are the constants — and an
+		// INT column takes no more values than its span holds.
 		if k := distinctConsts(t.Inputs, col); k > 0 {
 			return k
 		}
 		var v int64
 		for _, in := range t.Inputs {
 			v = stats.MergeNDV(v, int64(ndv(in, col)))
+		}
+		if span, ok := intSpan(t.Inputs, col); ok {
+			return min(float64(v), span)
 		}
 		return float64(v)
 	case *Join:
@@ -603,6 +608,31 @@ func ndv(n Node, col int) float64 {
 		// Values: no statistics.
 	}
 	return 0
+}
+
+// intSpan is how many INT values lie between the least and the greatest
+// value of column col in the fragment scans ins, as their statistics
+// have them: an upper bound on the column's NDV over their union. false
+// unless each of them is a scan that does not aggregate, maps the column
+// as a plain copy and knows its INT Min and Max.
+func intSpan(ins []Node, col int) (float64, bool) {
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, in := range ins {
+		fs, ok := in.(*FragScan)
+		if !ok || fs.Query.HasAggregation() {
+			return 0, false
+		}
+		m, ts := fs.mapping(col), fs.Frag.Stats()
+		if m == nil || !m.Identity() || ts == nil || m.RemoteCol >= len(ts.Columns) {
+			return 0, false
+		}
+		cs := ts.Columns[m.RemoteCol]
+		if cs.Min.Kind() != types.KindInt || cs.Max.Kind() != types.KindInt {
+			return 0, false
+		}
+		lo, hi = min(lo, cs.Min.Int()), max(hi, cs.Max.Int())
+	}
+	return float64(hi) - float64(lo) + 1, true
 }
 
 // statsNDV is column col's NDV in ts; 0 when unknown.

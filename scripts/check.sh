@@ -37,7 +37,13 @@
 #                   from one block when told their count (source.Use):
 #                   exec TestKeptOutputIsOneBlock,
 #                   TestKeptStoreScanIsOneBlock and
-#                   TestKeptEstimateOffTenfold), the plan equivalence tests
+#                   TestKeptEstimateOffTenfold), the allocation ceilings
+#                   (`make allocs` runs them verbosely on demand, the
+#                   quick loop for a change meant to move
+#                   allocs_per_query: plan TestPlanAllocations and
+#                   TestPlanAllocsPerAlikeFragment, core
+#                   TestStatementAllocations and exec
+#                   TestKeptOutputIsOneBlock), the plan equivalence tests
 #                   (`make equivalence` runs workload TestPlanEquivalence
 #                   and TestPlanEquivalenceCases on demand, the quick loop
 #                   after a planner change beside `make golden`) and
