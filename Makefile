@@ -64,12 +64,15 @@ layout:
 # (plan TestPlanAllocations), at most one object more a fragment that
 # maps like the one before it (TestPlanAllocsPerAlikeFragment, and
 # TestKeyQueryAllocsPerAlikeFragment for the keys a semijoin ships),
-# whole statements (core TestStatementAllocations) and a kept result
-# carved from one block (exec TestKeptOutputIsOneBlock).
+# whole statements (core TestStatementAllocations), a kept result
+# carved from one block (exec TestKeptOutputIsOneBlock) and the serving
+# side of a point sub-query on a warmed connection (wire
+# TestServedSubQueryAllocs, TestRebindBuildsTheFilterOnce).
 allocs:
 	$(GO) test -count=1 -run 'TestPlanAllocations|TestPlanAllocsPerAlikeFragment|TestKeyQueryAllocsPerAlikeFragment' -v ./internal/plan
 	$(GO) test -count=1 -run 'TestStatementAllocations' -v ./internal/core
 	$(GO) test -count=1 -run 'TestKeptOutputIsOneBlock' -v ./internal/exec
+	$(GO) test -count=1 -run 'TestServedSubQueryAllocs|TestRebindBuildsTheFilterOnce' -v ./internal/wire
 
 # After a change meant to move a plan, an estimate or a parsed tree:
 # rewrite the golden files of TestPlansGolden (231 statements under each

@@ -120,6 +120,8 @@ func (l *QueryLog) Begin(sql string) int64 { return l.begin(sql, nil) }
 // BeginLazy is Begin for a caller that has no text at hand, only what
 // prints it: text.String() is called if and when the text is read, from
 // whichever goroutine reads it, so text must not change until Finish.
+// Nothing reads it once Finish has returned (Active renders under the
+// log's lock), so the caller may then reuse what prints it.
 func (l *QueryLog) BeginLazy(text fmt.Stringer) int64 { return l.begin("", text) }
 
 func (l *QueryLog) begin(sql string, text fmt.Stringer) int64 {
@@ -198,21 +200,18 @@ func (l *QueryLog) Finish(id int64, err error, tr *Trace) {
 	}
 }
 
-// Active returns the in-flight queries, oldest first.
+// Active returns the in-flight queries, oldest first. Each text is
+// rendered under the log's lock, so none is read after its Finish.
 func (l *QueryLog) Active() []ActiveQuery {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
-	held := make([]inFlight, 0, len(l.active))
+	out := make([]ActiveQuery, 0, len(l.active))
 	for _, q := range l.active {
-		held = append(held, q)
+		out = append(out, q.rendered())
 	}
 	l.mu.Unlock()
-	out := make([]ActiveQuery, len(held))
-	for i, q := range held {
-		out[i] = q.rendered()
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -118,3 +118,22 @@ func BenchmarkStreamRange(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServeSubQuery is what a component server spends on a point
+// sub-query on a warmed connection — decode, bind, execute against a
+// relstore, stream the answer — for the two shapes of
+// TestServedSubQueryAllocs. The client is scripted and reads the answer
+// undecoded, so allocs/op is the serving side's alone.
+func BenchmarkServeSubQuery(b *testing.B) {
+	_, cl := startRelServer(b, 100)
+	fc := greetedConn(b, cl)
+	for _, c := range servedShapes() {
+		serve := serveRaw(b, fc, c.q, c.rows)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+		})
+	}
+}

@@ -25,11 +25,12 @@ type Encoder struct {
 	buf []byte
 }
 
-// messageRoom is the capacity an encoder of per-statement messages — a
-// sub-query, a write, the first frame of a reply — starts from. It holds
-// a point statement's request or answer, so such a message is allocated
-// once instead of reaching its size by five or six doublings from nil,
-// and it is small enough that a larger message loses nothing by it.
+// messageRoom is the capacity an encoder of a client's per-statement
+// messages — a sub-query, a write — starts from. It holds a point
+// statement's request, so such a message is allocated once instead of
+// reaching its size by five or six doublings from nil, and it is small
+// enough that a larger message loses nothing by it. A server answers in
+// its connection's encoder (connState.reply).
 const messageRoom = 256
 
 // newMessage returns an encoder with messageRoom to start from.
@@ -287,6 +288,26 @@ type Decoder struct {
 	// (frameConn.decoder), reused frame after frame, or nil for one of
 	// the frame's own.
 	strs *stringScratch
+	// arena is where Query, Expr and writeReq carve what they decode: a
+	// served connection's, or one of the decoder's own (nodes).
+	arena *decodeArena
+	// tables are the tables a served connection has bound against
+	// (connState.request), read by tableName.
+	tables []boundTable
+	// keep is set while a write's SET values are read: a store may keep
+	// what they evaluate to, so their strings are copied out each on its
+	// own (Value), not placed in the request's string block, which one
+	// kept value would keep alive whole.
+	keep bool
+}
+
+// nodes returns the arena d decodes a request into, making d one of its
+// own when it has none.
+func (d *Decoder) nodes() *decodeArena {
+	if d.arena == nil {
+		d.arena = new(decodeArena)
+	}
+	return d.arena
 }
 
 // maxNesting bounds how deep an expression or span tree a payload may
@@ -608,13 +629,20 @@ func (d *Decoder) Schema() (*types.Schema, error) {
 	return s, nil
 }
 
-// IntSlice reads a varint-coded []int.
+// IntSlice reads a varint-coded []int: from d's arena when it has one,
+// else a slice of its own (a described table's key columns, which a
+// client keeps).
 func (d *Decoder) IntSlice() ([]int, error) {
 	n, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, n)
+	var out []int
+	if d.arena != nil {
+		out = d.arena.ints.take(n)
+	} else {
+		out = make([]int, n)
+	}
 	for i := range out {
 		v, err := d.Varint()
 		if err != nil {
@@ -627,6 +655,52 @@ func (d *Decoder) IntSlice() ([]int, error) {
 
 // Expr reads an expression tree.
 func (d *Decoder) Expr() (expr.Expr, error) {
+	x, err := d.expr()
+	if err == nil {
+		d.arena.place()
+	}
+	return x, err
+}
+
+// constant reads a constant into v, as Value does, except that a
+// STRING or BYTES payload waits for the request's string block
+// (decodeArena.place) instead of being copied out on its own, unless d
+// keeps it.
+func (d *Decoder) constant(v *types.Value) (err error) {
+	if !d.keep && d.Remaining() > 0 {
+		if k := types.Kind(d.buf[d.pos]); k == types.KindString || k == types.KindBytes {
+			d.pos++
+			b, err := d.payload()
+			if err == nil {
+				d.nodes().note(nil, v, k, b)
+			}
+			return err
+		}
+	}
+	*v, err = d.Value()
+	return err
+}
+
+// tableName reads a table name. One among d's tables is that table's
+// name, not a new string, and its description is left for the request's
+// binding (decodeArena.bound).
+func (d *Decoder) tableName() (string, error) {
+	b, err := d.payload()
+	if err != nil {
+		return "", err
+	}
+	for _, t := range d.tables {
+		if t.name == string(b) {
+			d.nodes().bound = t.info
+			return t.name, nil
+		}
+	}
+	return string(b), nil
+}
+
+// expr reads an expression tree into d's arena; its strings are placed
+// by whoever reads the request it belongs to.
+func (d *Decoder) expr() (expr.Expr, error) {
 	if err := d.descend(); err != nil {
 		return nil, err
 	}
@@ -647,116 +721,135 @@ func (d *Decoder) Expr() (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		name, err := d.String()
+		name, err := d.payload()
 		if err != nil {
 			return nil, err
 		}
-		return &expr.ColRef{Index: int(idx), Type: types.Kind(kt), Name: name}, nil
+		n := d.nodes().colRefs.one()
+		n.Index, n.Type = int(idx), types.Kind(kt)
+		if len(name) > 0 {
+			d.arena.note(&n.Name, nil, 0, name)
+		}
+		return n, nil
 	case exTagConst:
-		v, err := d.Value()
-		if err != nil {
+		n := d.nodes().consts.one()
+		if err := d.constant(&n.Val); err != nil {
 			return nil, err
 		}
-		return expr.NewConst(v), nil
+		return n, nil
 	case exTagBinary:
 		op, err := d.Byte()
 		if err != nil {
 			return nil, err
 		}
-		l, err := d.Expr()
+		l, err := d.expr()
 		if err != nil {
 			return nil, err
 		}
-		r, err := d.Expr()
+		r, err := d.expr()
 		if err != nil {
 			return nil, err
 		}
-		return expr.NewBinary(expr.BinOp(op), l, r), nil
+		n := d.nodes().binaries.one()
+		n.Op, n.L, n.R = expr.BinOp(op), l, r
+		return n, nil
 	case exTagUnary:
 		op, err := d.Byte()
 		if err != nil {
 			return nil, err
 		}
-		inner, err := d.Expr()
+		inner, err := d.expr()
 		if err != nil {
 			return nil, err
 		}
-		return expr.NewUnary(expr.UnOp(op), inner), nil
+		n := d.nodes().unaries.one()
+		n.Op, n.E = expr.UnOp(op), inner
+		return n, nil
 	case exTagIsNull:
 		neg, err := d.Bool()
 		if err != nil {
 			return nil, err
 		}
-		inner, err := d.Expr()
+		inner, err := d.expr()
 		if err != nil {
 			return nil, err
 		}
-		return &expr.IsNull{E: inner, Negate: neg}, nil
+		n := d.nodes().isNulls.one()
+		n.E, n.Negate = inner, neg
+		return n, nil
 	case exTagInList:
 		neg, err := d.Bool()
 		if err != nil {
 			return nil, err
 		}
-		operand, err := d.Expr()
+		operand, err := d.expr()
 		if err != nil {
 			return nil, err
 		}
-		n, err := d.count()
+		k, err := d.count()
 		if err != nil {
 			return nil, err
 		}
-		list := make([]expr.Expr, n)
+		list := d.nodes().exprs.take(k)
 		for i := range list {
-			if list[i], err = d.Expr(); err != nil {
+			if list[i], err = d.expr(); err != nil {
 				return nil, err
 			}
 		}
-		return &expr.InList{E: operand, List: list, Negate: neg}, nil
+		n := d.nodes().inLists.one()
+		n.E, n.List, n.Negate = operand, list, neg
+		return n, nil
 	case exTagCase:
-		operand, err := d.Expr()
+		operand, err := d.expr()
 		if err != nil {
 			return nil, err
 		}
-		n, err := d.count()
+		k, err := d.count()
 		if err != nil {
 			return nil, err
 		}
-		whens := make([]expr.When, n)
+		whens := d.nodes().whens.take(k)
 		for i := range whens {
-			if whens[i].Cond, err = d.Expr(); err != nil {
+			if whens[i].Cond, err = d.expr(); err != nil {
 				return nil, err
 			}
-			if whens[i].Then, err = d.Expr(); err != nil {
+			if whens[i].Then, err = d.expr(); err != nil {
 				return nil, err
 			}
 		}
-		els, err := d.Expr()
+		els, err := d.expr()
 		if err != nil {
 			return nil, err
 		}
-		return &expr.Case{Operand: operand, Whens: whens, Else: els}, nil
+		n := d.nodes().cases.one()
+		n.Operand, n.Whens, n.Else = operand, whens, els
+		return n, nil
 	case exTagCast:
 		kt, err := d.Byte()
 		if err != nil {
 			return nil, err
 		}
-		inner, err := d.Expr()
+		inner, err := d.expr()
 		if err != nil {
 			return nil, err
 		}
-		return &expr.Cast{E: inner, To: types.Kind(kt)}, nil
+		n := d.nodes().casts.one()
+		n.E, n.To = inner, types.Kind(kt)
+		return n, nil
 	case exTagCall:
+		// A function call is rare in a shipped filter: its node and its
+		// name come from the heap, its arguments from the arena.
 		name, err := d.String()
 		if err != nil {
 			return nil, err
 		}
-		n, err := d.count()
+		k, err := d.count()
 		if err != nil {
 			return nil, err
 		}
-		args := make([]expr.Expr, n)
+		args := d.nodes().exprs.take(k)
 		for i := range args {
-			if args[i], err = d.Expr(); err != nil {
+			if args[i], err = d.expr(); err != nil {
 				return nil, err
 			}
 		}
@@ -768,9 +861,9 @@ func (d *Decoder) Expr() (expr.Expr, error) {
 
 // Query reads a source.Query.
 func (d *Decoder) Query() (*source.Query, error) {
-	q := &source.Query{}
+	q := d.nodes().queries.one()
 	var err error
-	if q.Table, err = d.String(); err != nil {
+	if q.Table, err = d.tableName(); err != nil {
 		return nil, err
 	}
 	hasCols, err := d.Bool()
@@ -785,7 +878,7 @@ func (d *Decoder) Query() (*source.Query, error) {
 			q.Columns = []int{}
 		}
 	}
-	if q.Filter, err = d.Expr(); err != nil {
+	if q.Filter, err = d.expr(); err != nil {
 		return nil, err
 	}
 	if q.GroupBy, err = d.IntSlice(); err != nil {
@@ -795,7 +888,7 @@ func (d *Decoder) Query() (*source.Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	q.Aggs = make([]source.AggSpec, nAggs)
+	q.Aggs = d.arena.aggs.take(nAggs)
 	for i := range q.Aggs {
 		kind, err := d.Byte()
 		if err != nil {
@@ -822,7 +915,7 @@ func (d *Decoder) Query() (*source.Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	q.OrderBy = make([]source.OrderSpec, nOrd)
+	q.OrderBy = d.arena.orders.take(nOrd)
 	for i := range q.OrderBy {
 		col, err := d.Varint()
 		if err != nil {
@@ -843,6 +936,7 @@ func (d *Decoder) Query() (*source.Query, error) {
 	if len(q.GroupBy) == 0 {
 		q.GroupBy = nil
 	}
+	d.arena.place()
 	return q, nil
 }
 
@@ -885,37 +979,44 @@ func (e *Encoder) writeReq(tag byte, w *writeReq) error {
 }
 
 // writeReq decodes the body of write request tag. An INSERT's rows are a
-// rows body, read as a result frame is (rowBatch); the SET-clause count
-// is checked against the bytes left (each costs at least one) before
-// anything is made for it.
+// rows body, read as a result frame is (rowBatch), into a slab of their
+// own even over an arena, because a store may keep them, and so are a SET
+// value's strings (keep); the SET-clause count is checked against the
+// bytes left (each costs at least one) before anything is made for it.
 func (d *Decoder) writeReq(tag byte) (w writeReq, err error) {
 	if w.Begin, err = d.Bool(); err != nil {
 		return w, err
 	}
-	if w.Table, err = d.String(); err != nil {
+	if w.Table, err = d.tableName(); err != nil {
 		return w, err
 	}
 	if tag == msgInsert {
 		w.Rows, _, err = d.rowBatch(nil, nil)
 		return w, err
 	}
-	if w.Filter, err = d.Expr(); err != nil || tag == msgDelete {
+	if w.Filter, err = d.expr(); err != nil {
 		return w, err
 	}
-	n, err := d.count()
-	if err != nil {
-		return w, err
-	}
-	w.Set = make([]source.SetClause, n)
-	for i := range w.Set {
-		col, err := d.Varint()
+	if tag == msgUpdate {
+		n, err := d.count()
 		if err != nil {
 			return w, err
 		}
-		w.Set[i].Col = int(col)
-		if w.Set[i].Value, err = d.Expr(); err != nil {
-			return w, err
+		w.Set = d.nodes().sets.take(n)
+		for i := range w.Set {
+			col, err := d.Varint()
+			if err != nil {
+				return w, err
+			}
+			w.Set[i].Col = int(col)
+			d.keep = true
+			w.Set[i].Value, err = d.expr()
+			d.keep = false
+			if err != nil {
+				return w, err
+			}
 		}
 	}
+	d.arena.place()
 	return w, nil
 }

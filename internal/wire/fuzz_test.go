@@ -116,6 +116,28 @@ var fuzzBodies = []fuzzBody{
 			return rows, err
 		})
 	}},
+	// Two sub-queries, one after the other, as a served connection
+	// decodes them: each into its arena, reset in between, so the second
+	// is carved from what the first took. The first is encoded before the
+	// reset; the second must not read anything the first left there.
+	{"two queries over one arena", func(d *Decoder) (func(*Encoder) error, error) {
+		var a decodeArena
+		d.arena = &a
+		q, err := d.Query()
+		if err != nil {
+			return nil, err
+		}
+		var first Encoder
+		if err := first.Query(q); err != nil {
+			return nil, err
+		}
+		a.reset()
+		q, err = d.Query()
+		return func(e *Encoder) error {
+			e.buf = append(e.buf, first.Bytes()...)
+			return e.Query(q)
+		}, err
+	}},
 }
 
 // scribbled decodes a frame with decode from a copy of what is left of
@@ -177,6 +199,26 @@ func fuzzSeeds(t testing.TB) map[string][][]byte {
 	}
 	seeds["Expr"] = append(seeds["Expr"], nestedNots(maxNesting+1), nestedNots(64))
 	seeds["Value"] = append(seeds["Value"], hostileBytesLength)
+	// A short query, then a longer one with a tree of every node kind
+	// (Case, Call and InList among them), then the two the other way
+	// round.
+	tree := &source.Query{Table: "accounts", Columns: []int{0, 1}, Limit: 5,
+		Filter: expr.NewBinary(expr.OpAnd,
+			&expr.InList{E: expr.NewBoundColRef(0, types.KindInt, "x"), List: []expr.Expr{
+				expr.NewConst(types.NewString("k1")), expr.NewConst(types.NewBytes([]byte{0, 1})), expr.NewConst(types.Null)}},
+			&expr.Case{Operand: expr.NewCall("ABS", expr.NewBoundColRef(2, types.KindInt, "y")),
+				Whens: []expr.When{{Cond: expr.NewConst(types.NewInt(1)), Then: &expr.Cast{E: expr.NewConst(types.NewString("one")), To: types.KindString}}},
+				Else:  &expr.IsNull{E: expr.NewUnary(expr.OpNeg, expr.NewBoundColRef(1, types.KindFloat, "z"))}}),
+		GroupBy: []int{1}, Aggs: []source.AggSpec{{Kind: expr.AggSum, Col: 2}}, OrderBy: []source.OrderSpec{{Col: 0, Desc: true}}}
+	for _, pair := range [][2]*source.Query{{source.NewScan("t"), tree}, {tree, source.NewScan("t")}} {
+		add("two queries over one arena", func(e *Encoder) error {
+			if err := e.Query(pair[0]); err != nil {
+				return err
+			}
+			return e.Query(pair[1])
+		})
+	}
+	add("Expr", func(e *Encoder) error { return e.Expr(tree.Filter) })
 	for i, q := range sampleQueries() {
 		add("Execute", func(e *Encoder) error {
 			h := execHeader{Budget: time.Duration(i) * time.Second}

@@ -237,7 +237,7 @@ func TestStreamRowsAllocsDoNotGrowWithRows(t *testing.T) {
 	const n = 2048
 	st, _ := startRelServer(t, 2*n)
 	fc := newFrameConn(discardConn{}, SimLink{}, SimLink{})
-	srv := &Server{}
+	srv, reply := &Server{}, &Encoder{}
 	at := func(rows int) float64 {
 		q := &source.Query{Table: "items", Columns: []int{0, 2}, Limit: -1,
 			Filter: expr.NewBinary(expr.OpLt, expr.NewBoundColRef(0, types.KindInt, "id"), expr.NewConst(types.NewInt(int64(rows))))}
@@ -246,7 +246,8 @@ func TestStreamRowsAllocsDoNotGrowWithRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := srv.streamRows(ctx, fc, it, nil); err != nil {
+			reply.Reset()
+			if err := srv.streamRows(ctx, fc, reply, it, nil); err != nil {
 				t.Fatalf("streamRows: %v", err)
 			}
 		})

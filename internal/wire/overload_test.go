@@ -74,7 +74,7 @@ func TestSlowConsumerStreamsCompletely(t *testing.T) {
 
 // rawConn opens a bare framed connection to cl's server, bypassing the
 // client's own handshake.
-func rawConn(t *testing.T, cl *Client) *frameConn {
+func rawConn(t testing.TB, cl *Client) *frameConn {
 	t.Helper()
 	conn, err := net.Dial("tcp", cl.addr)
 	if err != nil {
@@ -86,7 +86,7 @@ func rawConn(t *testing.T, cl *Client) *frameConn {
 
 // greetedConn is a rawConn that has said hello, so a handler is serving
 // it and it is idle.
-func greetedConn(t *testing.T, cl *Client) *frameConn {
+func greetedConn(t testing.TB, cl *Client) *frameConn {
 	t.Helper()
 	fc := rawConn(t, cl)
 	var e Encoder

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -68,6 +69,9 @@ func fuzzStores(t testing.TB) []source.Source {
 // against the table and the source's capabilities, its filter rebound —
 // and one that passes is executed and drained, against each kind of
 // store. Whatever the bytes, and whatever errors come back: no panic.
+// Each store decodes the bytes twice through one arena, as a connection
+// decodes one request after another, reset in between: the second
+// decode, carved from what the first took, prints as the first did.
 func FuzzServe(f *testing.F) {
 	stores := fuzzStores(f)
 	for _, q := range append(sampleQueries(), hostileQueries()...) {
@@ -80,11 +84,17 @@ func FuzzServe(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, st := range stores {
 			// Decoded once a store: binding rewrites the filter.
-			q, err := NewDecoder(data).Query()
+			conn := &connState{}
+			q, err := conn.request(&Decoder{buf: data}).Query()
 			if err != nil {
 				return
 			}
-			if err := (&Server{src: st}).bindQuery(ctx, q); err != nil {
+			first := q.String()
+			conn.endRequest()
+			if q, err = conn.request(&Decoder{buf: data}).Query(); err != nil || q.String() != first {
+				t.Fatalf("decoded again over the same arena: %v, %v; first %v", q, err, first)
+			}
+			if err := (&Server{src: st}).bindQuery(ctx, conn, q); err != nil {
 				continue
 			}
 			if it, err := st.Execute(ctx, q); err == nil {
@@ -142,7 +152,9 @@ func hostileWrites() []taggedWrite {
 // undid, changes nothing — the store holds the rows it held before,
 // which the mediator's statement-level atomicity over a source without
 // transactions rests on; and a write that lands leaves a table that
-// scans, every value the kind its column declares.
+// scans, every value the kind its column declares. Each request is
+// decoded twice through one arena, reset in between, as FuzzServe does,
+// and the second decode must print as the first.
 func FuzzServeWrite(f *testing.F) {
 	tags := []byte{msgInsert, msgUpdate, msgDelete}
 	add := func(tag byte, req *writeReq) {
@@ -173,12 +185,17 @@ func FuzzServeWrite(f *testing.F) {
 		tag := tags[int(kind)%len(tags)]
 		for _, st := range fuzzStores(t) {
 			// Decoded once a store: binding rewrites the expressions.
-			req, err := NewDecoder(data).writeReq(tag)
+			conn := &connState{}
+			req, err := conn.request(&Decoder{buf: data}).writeReq(tag)
 			if err != nil {
 				return
 			}
+			first := fmt.Sprint(req)
+			conn.endRequest()
+			if req, err = conn.request(&Decoder{buf: data}).writeReq(tag); err != nil || fmt.Sprint(req) != first {
+				t.Fatalf("decoded again over the same arena: %v, %v; first %s", req, err, first)
+			}
 			before := storeRows(t, st)
-			conn := &connState{}
 			_, err = (&Server{src: st}).write(ctx, conn, tag, &req)
 			if conn.tx != nil {
 				_ = conn.tx.Abort(ctx)

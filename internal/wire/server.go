@@ -211,14 +211,56 @@ func (s *Server) acceptLoop(ctx context.Context) {
 }
 
 // connState is what a connection's requests share: the handshake's
-// outcome (hello is set once the connection has been greeted) and the
-// open transaction, if any. A connection carries one conversation, so
-// there is at most one, and the writes and 2PC messages that arrive
-// while it is open are its steps — nothing on the wire names it.
+// outcome (hello is set once the connection has been greeted), the open
+// transaction, if any, and the storage a request is decoded and answered
+// in. A connection carries one conversation, so there is at most one
+// transaction, and the writes and 2PC messages that arrive while it is
+// open are its steps — nothing on the wire names it.
 type connState struct {
 	tx     source.Tx
 	hello  bool
 	tenant string
+	// arena holds what the request being served decoded: made by the
+	// connection's first sub-query or write, reset as each ends (see
+	// decodeArena). Set-up asks no sub-query, so it makes none.
+	arena *decodeArena
+	// tables are the tables the connection has bound against, each
+	// described once (Server.tableInfo).
+	tables []boundTable
+	// reply is the encoder a sub-query's answer is cut into frames in,
+	// the same bytes stream after stream.
+	reply Encoder
+}
+
+// boundTable is a table a connection has bound against: its name and
+// its description as the source gave it the first time.
+type boundTable struct {
+	name string
+	info *source.TableInfo
+}
+
+// request readies d to decode a sub-query or a write into the
+// connection's arena, reading a table name it has bound against as that
+// table (Decoder.tableName). The caller ends the request (endRequest).
+func (st *connState) request(d *Decoder) *Decoder {
+	if st.arena == nil {
+		st.arena = new(decodeArena)
+	}
+	d.arena, d.tables = st.arena, st.tables
+	return d
+}
+
+// endRequest lets go of what the request just served decoded and was
+// answered in: the arena is reset, and a reply encoder that a wide frame
+// grew past keptFrameBytes is dropped, so an idle connection keeps at
+// most keptBytes of a slab and keptFrameBytes of reply.
+func (st *connState) endRequest() {
+	if st.arena != nil {
+		st.arena.reset()
+	}
+	if cap(st.reply.buf) > keptFrameBytes {
+		st.reply.buf = nil
+	}
 }
 
 func (s *Server) serveConn(ctx context.Context, conn net.Conn, busy *atomic.Bool) error {
@@ -226,6 +268,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn, busy *atomic.Bool
 	fc.metrics = s.lm
 	fc.inj = s.inj
 	fc.limit = s.maxFrameBytes
+	fc.served = true
 	st := &connState{}
 	defer func() {
 		// A connection that closes with a transaction open is how a peer
@@ -307,11 +350,17 @@ func (s *Server) handle(ctx context.Context, fc *frameConn, st *connState, tag b
 	if err := fc.injure(ctx, classOfTag(tag)); err != nil {
 		return reportInjected(ctx, fc, err)
 	}
+	// A sub-query or a write decodes into the connection's arena.
+	d := fc.decoder(payload)
+	if tag == msgExecute || classOfTag(tag) == faults.OpWrite {
+		st.request(d)
+		defer st.endRequest()
+	}
 	if tag == msgExecute {
-		return s.handleExecute(ctx, fc, st, NewDecoder(payload))
+		return s.handleExecute(ctx, fc, st, d)
 	}
 	var reply Encoder
-	if err := s.answer(ctx, st, tag, fc.decoder(payload), &reply); err != nil {
+	if err := s.answer(ctx, st, tag, d, &reply); err != nil {
 		return sendErr(ctx, fc, err)
 	}
 	return fc.writeFrame(ctx, msgOK, reply.Bytes())
@@ -498,15 +547,15 @@ func (s *Server) handleExecute(ctx context.Context, fc *frameConn, st *connState
 		root.SetAttr("trace_id", h.TraceID)
 		root.SetInt("parent_span", int64(h.ParentSpan))
 	}
-	return s.streamQuery(ctx, fc, q, root)
+	return s.streamQuery(ctx, fc, st, q, root)
 }
 
 // streamQuery binds and executes q, streaming row batches until EOF.
 // Under a traced context it records the remote parse/exec/stream child
 // spans of root, the sub-query's remote span (nil when untraced).
-func (s *Server) streamQuery(ctx context.Context, fc *frameConn, q *source.Query, root *obs.Span) error {
+func (s *Server) streamQuery(ctx context.Context, fc *frameConn, st *connState, q *source.Query, root *obs.Span) error {
 	pctx, psp := obs.StartSpan(ctx, obs.SpanParse, "rebind")
-	err := s.bindQuery(pctx, q)
+	err := s.bindQuery(pctx, st, q)
 	psp.End()
 	if err != nil {
 		return sendErr(ctx, fc, err)
@@ -521,7 +570,8 @@ func (s *Server) streamQuery(ctx context.Context, fc *frameConn, q *source.Query
 	}
 	defer it.Close()
 	defer func() { s.Queries.Finish(qid, nil, obs.TraceFrom(ctx)) }()
-	return s.streamRows(ctx, fc, it, root)
+	st.reply.Reset()
+	return s.streamRows(ctx, fc, &st.reply, it, root)
 }
 
 // noRows is the msgEnd payload of an untraced stream of no rows.
@@ -544,18 +594,17 @@ var noRows = []byte{0}
 // the next frame; a single row wider than the bound fails the stream with
 // msgErr. A row is encoded before the next is asked for, so the source is
 // told Lent: re-encoding the row that did not fit reads it
-// before the next Next.
-func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIter, root *obs.Span) error {
+// before the next Next. The frames are encoded in e, which is empty.
+func (s *Server) streamRows(ctx context.Context, fc *frameConn, e *Encoder, it source.RowIter, root *obs.Span) error {
 	_, ssp := obs.StartSpan(ctx, obs.SpanStream, "rows")
 	defer ssp.End()
 	source.Use(it, source.Lent)
-	var e Encoder
-	batch, rows := 0, int64(0)
+	batch, rows, begun := 0, int64(0), false
 	// begin starts the first frame's rows body: an empty stream has none.
 	begin := func() {
-		if e.buf == nil {
-			e = newMessage()
+		if !begun {
 			e.beginRows()
+			begun = true
 		}
 	}
 	// cut sends the rows so far in a msgRows frame, behind the mid-stream
@@ -617,7 +666,7 @@ func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIte
 	ssp.End()
 	root.End()
 	data := root.Data()
-	if e.buf == nil && data == nil {
+	if !begun && data == nil {
 		return fc.writeFrame(ctx, msgEnd, noRows)
 	}
 	begin()
@@ -670,7 +719,7 @@ func (s *Server) write(ctx context.Context, st *connState, tag byte, req *writeR
 	if tag == msgInsert {
 		return w.Insert(ctx, req.Table, req.Rows)
 	}
-	info, err := s.src.TableInfo(ctx, req.Table)
+	info, err := s.tableInfo(ctx, st, req.Table)
 	if err != nil {
 		return 0, err
 	}
@@ -696,9 +745,10 @@ func (s *Server) write(ctx context.Context, st *connState, tag byte, req *writeR
 // here, against the table it names and what the source can be asked
 // (source.Query.Check), and the filter is re-bound against the table's
 // schema, which restores function references and operator types and
-// refuses a reference out of range.
-func (s *Server) bindQuery(ctx context.Context, q *source.Query) error {
-	info, err := s.src.TableInfo(ctx, q.Table)
+// refuses a reference out of range. The table is described as
+// tableInfo describes it for st.
+func (s *Server) bindQuery(ctx context.Context, st *connState, q *source.Query) error {
+	info, err := s.tableInfo(ctx, st, q.Table)
 	if err != nil {
 		return err
 	}
@@ -707,6 +757,24 @@ func (s *Server) bindQuery(ctx context.Context, q *source.Query) error {
 	}
 	q.Filter, err = expr.BindPositions(q.Filter, info.Schema)
 	return err
+}
+
+// tableInfo describes the table a request names, for binding: for a
+// connection that has bound against it, as the source described it then
+// (the request's decoder found it, decodeArena.bound), and from the
+// source otherwise — and without a connection, always. A store never
+// drops or redefines a table it holds, and binding reads only what the
+// definition fixes — the schema and the key columns, not the row count,
+// which msgTableInfo asks afresh.
+func (s *Server) tableInfo(ctx context.Context, st *connState, name string) (*source.TableInfo, error) {
+	if st != nil && st.arena != nil && st.arena.bound != nil {
+		return st.arena.bound, nil
+	}
+	info, err := s.src.TableInfo(ctx, name)
+	if err == nil && st != nil {
+		st.tables = append(st.tables, boundTable{name: name, info: info})
+	}
+	return info, err
 }
 
 // encodeStats serializes table statistics (histograms travel too).

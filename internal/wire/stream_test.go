@@ -266,7 +266,7 @@ func TestInjectedFaultEndsTheStream(t *testing.T) {
 	fc.inj = plan.Link("pipe")
 	served := make(chan error, 1)
 	go func() {
-		served <- (&Server{}).streamRows(ctx, fc, it, nil)
+		served <- (&Server{}).streamRows(ctx, fc, new(Encoder), it, nil)
 		a.Close()
 	}()
 	dctx, cancel := context.WithTimeout(ctx, 5*time.Second)

@@ -47,6 +47,12 @@ const (
 // rowBatchSize is how many rows travel per msgRows frame.
 const rowBatchSize = 256
 
+// keptFrameBytes bounds the frame buffers a served connection keeps
+// between requests (frameConn.rbuf, connState.reply): a request or a
+// frame larger than this is read or encoded in a buffer that goes with
+// it, so an idle connection does not pin the largest it ever carried.
+const keptFrameBytes = 64 << 10
+
 // socketBuffer is the kernel buffer on each end of a result stream's
 // path: the write buffer of every accepted connection and the read
 // buffer of every dialed one. After msgExecute a stream flows server →
@@ -176,13 +182,19 @@ type frameConn struct {
 	// hdr and rhdr hold the header of the frame being written and of
 	// the one being read.
 	hdr, rhdr [5]byte
-	// rbuf backs msgRows and msgEnd payloads across readFrame calls: a
-	// stream decodes each whole (strings copied into the frame's string
-	// block, the footer into its spans) before its next read on this
-	// conn. Every other tag gets a fresh buffer, because its payload can
-	// outlive the next read (a response decoded after the connection
-	// went back to the pool).
+	// rbuf backs payloads across readFrame calls. A client reads msgRows
+	// and msgEnd into it: a stream decodes each whole (strings copied into
+	// the frame's string block, the footer into its spans) before its next
+	// read on this conn. Every other tag a client reads gets a fresh
+	// buffer, because its payload can outlive the next read (a response
+	// decoded after the connection went back to the pool). A server
+	// (served) reads every request of up to keptFrameBytes into it: it has
+	// answered a request before it reads the next, and nothing a request
+	// decodes points into its payload — bytes and strings are copied out
+	// (Decoder.Value, rowBatch, decodeArena.place).
 	rbuf []byte
+	// served is set on a server's end of a connection.
+	served bool
 	// strs is where the rows bodies read on this conn gather their
 	// strings (Decoder.rowBatch), reused like rbuf.
 	strs stringScratch
@@ -284,7 +296,7 @@ func (f *frameConn) readFrame(ctx context.Context) (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("wire: inbound frame of %d bytes over %d-byte bound: %w", n, f.limit, ErrFrameTooLarge)
 	}
 	var payload []byte
-	if hdr[4] == msgRows || hdr[4] == msgEnd {
+	if hdr[4] == msgRows || hdr[4] == msgEnd || f.served && n <= keptFrameBytes {
 		if cap(f.rbuf) < int(n) {
 			f.rbuf = make([]byte, n)
 		}

@@ -42,8 +42,11 @@
 #                   quick loop for a change meant to move
 #                   allocs_per_query: plan TestPlanAllocations and
 #                   TestPlanAllocsPerAlikeFragment, core
-#                   TestStatementAllocations and exec
-#                   TestKeptOutputIsOneBlock), the plan equivalence tests
+#                   TestStatementAllocations, exec
+#                   TestKeptOutputIsOneBlock and wire
+#                   TestServedSubQueryAllocs, the serving side of a
+#                   point sub-query on a warmed connection), the plan
+#                   equivalence tests
 #                   (`make equivalence` runs workload TestPlanEquivalence
 #                   and TestPlanEquivalenceCases on demand, the quick loop
 #                   after a planner change beside `make golden`) and
