@@ -60,7 +60,8 @@ layout:
 	$(GO) test -count=1 -run 'TestCollectHeaderBytes|TestKeptOutputIsOneBlock|TestKeptStoreScanIsOneBlock|TestKeptEstimateOffTenfold' -v ./internal/exec
 
 # The quick loop for a change meant to move allocs_per_query, each
-# figure printed beside its ceiling: planning the benchmark's shapes
+# figure printed beside its ceiling: parsing point_remote's statements
+# (sql TestParseAllocations), planning the benchmark's shapes
 # (plan TestPlanAllocations), at most one object more a fragment that
 # maps like the one before it (TestPlanAllocsPerAlikeFragment, and
 # TestKeyQueryAllocsPerAlikeFragment for the keys a semijoin ships),
@@ -69,6 +70,7 @@ layout:
 # side of a point sub-query on a warmed connection (wire
 # TestServedSubQueryAllocs, TestRebindBuildsTheFilterOnce).
 allocs:
+	$(GO) test -count=1 -run 'TestParseAllocations' -v ./internal/sql
 	$(GO) test -count=1 -run 'TestPlanAllocations|TestPlanAllocsPerAlikeFragment|TestKeyQueryAllocsPerAlikeFragment' -v ./internal/plan
 	$(GO) test -count=1 -run 'TestStatementAllocations' -v ./internal/core
 	$(GO) test -count=1 -run 'TestKeptOutputIsOneBlock' -v ./internal/exec

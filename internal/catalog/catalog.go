@@ -150,6 +150,10 @@ type Fragment struct {
 
 	// info caches the remote table description.
 	info *source.TableInfo
+	// remote holds, at each identity-mapped global column's position,
+	// the reference to its remote column that a translated filter reads
+	// (RemoteRef); built by MapFragment and never written.
+	remote []expr.ColRef
 	// class is shared by the fragments of a table that map alike
 	// (MapsLike); 0 for a fragment no catalog has mapped.
 	class int
@@ -160,6 +164,17 @@ type Fragment struct {
 
 // Info returns the cached remote table description.
 func (f *Fragment) Info() *source.TableInfo { return f.info }
+
+// RemoteRef is the reference to the remote column behind global column
+// g, as a filter translated into the fragment's schema reads it, where g
+// is identity-mapped; nil where it is not. Every filter translated over
+// the fragment shares it, so it is only to be read.
+func (f *Fragment) RemoteRef(g int) *expr.ColRef {
+	if g < 0 || g >= len(f.remote) || !f.Columns[g].Identity() {
+		return nil
+	}
+	return &f.remote[g]
+}
 
 // MapsLike reports whether g maps its remote table onto the global table
 // as f does: the same column mappings (remote column, conversion,
@@ -188,8 +203,13 @@ func (f *Fragment) SetStats(ts *stats.TableStats) { f.stats.Store(ts) }
 
 // GlobalTable is one table of the global schema.
 type GlobalTable struct {
-	Name      string
-	Schema    *types.Schema
+	Name   string
+	Schema *types.Schema
+	// Own is Schema with every column qualified by the table's name: the
+	// shape of a scan of every column under the table's own name, which
+	// each such scan shares. Like Schema it is built by DefineTable and
+	// never written; a holder that renames a column copies it first.
+	Own       *types.Schema
 	Fragments []*Fragment
 }
 
@@ -262,11 +282,11 @@ func (c *Catalog) DefineTable(name string, schema *types.Schema) error {
 	if schema.Len() == 0 {
 		return fmt.Errorf("catalog: global table %q needs columns", name)
 	}
-	sc := schema.Clone()
+	sc, own := schema.Clone(), schema.Clone()
 	for i := range sc.Columns {
-		sc.Columns[i].Table = ""
+		sc.Columns[i].Table, own.Columns[i].Table = "", name
 	}
-	c.tables[name] = &GlobalTable{Name: name, Schema: sc}
+	c.tables[name] = &GlobalTable{Name: name, Schema: sc, Own: own}
 	return nil
 }
 
@@ -379,6 +399,13 @@ func (c *Catalog) MapFragment(ctx context.Context, table string, f *Fragment) er
 		}
 	}
 	f.info = info
+	f.remote = make([]expr.ColRef, len(f.Columns))
+	for g := range f.Columns {
+		if m := &f.Columns[g]; m.Identity() {
+			rcol := info.Schema.Columns[m.RemoteCol]
+			f.remote[g] = expr.ColRef{Name: rcol.Name, Index: m.RemoteCol, Type: rcol.Type}
+		}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	f.class = len(t.Fragments) + 1

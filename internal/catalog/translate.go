@@ -128,6 +128,12 @@ func (f *Fragment) translateConjunct(c expr.Expr) (expr.Expr, bool) {
 	return f.translateComparison(c)
 }
 
+// translateIdentity rewrites c, every column of which is identity-mapped,
+// into the remote schema: each reference becomes the fragment's own
+// reference to the remote column (RemoteRef), and a reference that already
+// reads as that one — the same position, name and type, unqualified — is
+// kept, so that a conjunct the mapping leaves as it is comes back as it
+// went in, and nothing is built for it.
 func (f *Fragment) translateIdentity(c expr.Expr) (expr.Expr, bool) {
 	allIdentity := true
 	expr.Walk(c, func(n expr.Expr) bool {
@@ -144,9 +150,10 @@ func (f *Fragment) translateIdentity(c expr.Expr) (expr.Expr, bool) {
 		if !ok || col.Index < 0 {
 			return n
 		}
-		m := f.Columns[col.Index]
-		rcol := f.info.Schema.Columns[m.RemoteCol]
-		return expr.NewBoundColRef(m.RemoteCol, rcol.Type, rcol.Name)
+		if ref := f.RemoteRef(col.Index); *col != *ref {
+			return ref
+		}
+		return n
 	})
 	return out, true
 }

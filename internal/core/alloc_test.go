@@ -101,12 +101,11 @@ func statementEngine(t *testing.T) *Engine {
 // five templates (texts and parameter kinds as bench/gen.go has them),
 // a derived table read through its alias, and ship_remote's ship_join
 // and ship_sum_scaled over a 4 000-row range, under ceilings 10% above
-// what they measured — 60 / 87 / 166 / 80, 28 / 25 / 39 / 168 / 155
-// (217 while each of sum_check's four fragments was planned alone), 91
-// (88 once a derived table's Projects compose into one), 148 (365 while
-// the joined rows the result keeps were cut in chunks of 48) and 97
-// (121 while the affine mapping kept the SUM from its source, which
-// shipped all 4 000 rows) — so that a regression of
+// what they measure — 34 / 61 / 122 / 37, 23 / 15 / 22 / 80 / 123, 66,
+// 82 and 70 (47 / 71 / 138 / 59, 25 / 17 / 26 / 104 / 131, 76, 97 and
+// 82 while each statement rebuilt its tables' schemas and layouts, the
+// parser grew its lists by append and a served probe was three objects)
+// — so that a regression of
 // the fixed cost, or a kept result no longer carved from one block,
 // fails here before it shows as allocs_per_query. Materializing each
 // template's subqueries, of which it has none, allocates nothing.
@@ -124,31 +123,31 @@ func TestStatementAllocations(t *testing.T) {
 		ceiling float64
 	}{
 		{"pk_lookup", "SELECT oid, cust_id, amount, region FROM orders WHERE oid = ?",
-			func() []types.Value { return ints(17) }, false, 66},
+			func() []types.Value { return ints(17) }, false, 38},
 		{"fk_agg", "SELECT COUNT(*), SUM(amount) FROM orders WHERE cust_id = ?",
-			func() []types.Value { return ints(3) }, false, 96},
+			func() []types.Value { return ints(3) }, false, 68},
 		{"fk_join_top5", "SELECT c.name, o.oid, o.amount FROM customers c JOIN orders o ON c.id = o.cust_id WHERE c.id = ? ORDER BY o.amount DESC, o.oid LIMIT 5",
-			func() []types.Value { return ints(3) }, false, 183},
+			func() []types.Value { return ints(3) }, false, 135},
 		{"in_list", "SELECT oid, amount FROM orders WHERE oid IN (?, ?, ?, ?, ?, ?, ?, ?)",
-			func() []types.Value { return ints(1, 2, 3, 5, 8, 13, 21, 34) }, false, 88},
+			func() []types.Value { return ints(1, 2, 3, 5, 8, 13, 21, 34) }, false, 41},
 		{"insert_routed", "INSERT INTO accounts (id, balance) VALUES (?, ?)",
-			func() []types.Value { inserted++; return []types.Value{types.NewInt(inserted), types.NewFloat(25.5)} }, true, 31},
+			func() []types.Value { inserted++; return []types.Value{types.NewInt(inserted), types.NewFloat(25.5)} }, true, 26},
 		{"delete_pk", "DELETE FROM accounts WHERE id = ?",
-			func() []types.Value { deleted++; return ints(deleted) }, true, 27},
+			func() []types.Value { deleted++; return ints(deleted) }, true, 17},
 		{"update_1p", "UPDATE accounts SET balance = balance + ? WHERE id = ?",
-			func() []types.Value { return []types.Value{types.NewFloat(2.25), types.NewInt(3)} }, true, 42},
+			func() []types.Value { return []types.Value{types.NewFloat(2.25), types.NewInt(3)} }, true, 25},
 		{"update_2pc", "UPDATE accounts SET balance = CASE WHEN id < ? THEN balance - ? ELSE balance + ? END WHERE id >= ? AND id < ?",
 			func() []types.Value {
 				return []types.Value{types.NewInt(1_000_000), types.NewFloat(1.5), types.NewFloat(1.5), types.NewInt(999_998), types.NewInt(1_000_002)}
-			}, true, 185},
+			}, true, 88},
 		{"sum_check", "SELECT SUM(balance), COUNT(*) FROM accounts",
-			func() []types.Value { return nil }, false, 171},
+			func() []types.Value { return nil }, false, 136},
 		{"derived", "SELECT q.oid FROM (SELECT * FROM orders WHERE oid < ?) q",
-			func() []types.Value { return ints(5) }, false, 100},
+			func() []types.Value { return ints(5) }, false, 73},
 		{"ship_join", "SELECT o.oid, c.name, o.amount FROM orders o JOIN customers c ON o.cust_id = c.id WHERE o.oid >= ? AND o.oid < ?",
-			func() []types.Value { return ints(0, 4000) }, false, 163},
+			func() []types.Value { return ints(0, 4000) }, false, 91},
 		{"sum_scaled", "SELECT COUNT(*), SUM(amount_cents) FROM orders_cents WHERE oid >= ? AND oid < ?",
-			func() []types.Value { return ints(0, 4000) }, false, 107},
+			func() []types.Value { return ints(0, 4000) }, false, 77},
 	} {
 		// The parameters of every run are drawn before it is measured, as
 		// the benchmark's generator draws them outside the engine.

@@ -178,27 +178,71 @@ func Columns(e Expr, fn func(index int)) {
 }
 
 // ColumnLayout lays out, in ascending order, the columns a consumer is
-// handed when it asked for cols and its filter e reads some more: list
-// holds them, and pos[c] is where column c sits in list, -1 when it does
-// not. width is the number of columns there are to choose from.
-func ColumnLayout(width int, cols []int, e Expr) (list, pos []int) {
+// handed when it asked for cols and its filter e reads some more. It
+// fills pos, one entry for each column there is to choose from, with
+// where column c sits in the layout, -1 where it does not, and returns
+// the layout: cols itself when that is it (cols ascending, each once, and
+// e reading no other column), else written into buf, which has room for
+// cols and the others e reads (OtherColumns).
+func ColumnLayout(cols []int, e Expr, pos, buf []int) []int {
 	const absent, present = -1, 0
-	pos = make([]int, width)
 	for i := range pos {
 		pos[i] = absent
 	}
 	for _, c := range cols {
 		pos[c] = present
 	}
-	Columns(e, func(c int) { pos[c] = present })
-	list = make([]int, 0, width)
+	more := false
+	Columns(e, func(c int) {
+		if pos[c] == absent {
+			pos[c], more = present, true
+		}
+	})
+	if !more && Ascending(cols) {
+		for i, c := range cols {
+			pos[c] = i
+		}
+		return cols
+	}
+	list := buf[:0]
 	for c, p := range pos {
 		if p == present {
 			pos[c] = len(list)
 			list = append(list, c)
 		}
 	}
-	return list, pos
+	return list
+}
+
+// Ascending reports whether each of cols is greater than the one before.
+func Ascending(cols []int) bool {
+	for i := 1; i < len(cols); i++ {
+		if cols[i] <= cols[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// OtherColumns counts the columns e reads that in does not hold: the
+// ones ColumnLayout adds to those asked for. A column past the first 256
+// that e reads more than once is counted each time, so the count is an
+// upper bound where it is not exact.
+func OtherColumns(e Expr, in func(c int) bool) int {
+	var seen [4]uint64
+	n := 0
+	Columns(e, func(c int) {
+		if c < 256 {
+			if seen[c/64]&(1<<(c%64)) != 0 {
+				return
+			}
+			seen[c/64] |= 1 << (c % 64)
+		}
+		if !in(c) {
+			n++
+		}
+	})
+	return n
 }
 
 // HasAggregate reports whether the tree contains an AggCall.

@@ -15,13 +15,14 @@ import (
 // Builder turns SQL ASTs into logical plans against a catalog.
 type Builder struct {
 	cat *catalog.Catalog
-	// viewsInProgress detects recursive view definitions.
+	// viewsInProgress detects recursive view definitions; made by the
+	// first view a statement reads.
 	viewsInProgress map[string]bool
 }
 
 // NewBuilder returns a Builder over cat.
 func NewBuilder(cat *catalog.Catalog) *Builder {
-	return &Builder{cat: cat, viewsInProgress: make(map[string]bool)}
+	return &Builder{cat: cat}
 }
 
 // BuildSelect plans a full SELECT statement (including UNION chains).
@@ -270,6 +271,9 @@ func columnsAt(n Node, m []int) *Project {
 func (b *Builder) buildView(name, viewSQL, alias string) (Node, error) {
 	if b.viewsInProgress[name] {
 		return nil, fmt.Errorf("view %q is recursive", name)
+	}
+	if b.viewsInProgress == nil {
+		b.viewsInProgress = make(map[string]bool)
 	}
 	b.viewsInProgress[name] = true
 	defer delete(b.viewsInProgress, name)

@@ -66,7 +66,7 @@ func decomposeScan(gs *GlobalScan, cat *catalog.Catalog, parallel bool) (Node, e
 		if prev := n - 1; prev >= 0 && block[prev].Frag.MapsLike(frag) && block[prev].Src.Capabilities() == src.Capabilities() {
 			fs.Src, fs.Frag = src, frag
 			fs.follow(&block[prev])
-		} else if !buildFragScan(fs, tab, src, frag, requested, gs.Filter, outSchema) {
+		} else if !buildFragScan(fs, gs, src, frag, requested) {
 			continue
 		}
 		n++

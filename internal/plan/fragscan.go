@@ -74,24 +74,36 @@ func (s *FragScan) Describe() string {
 	return out
 }
 
-// buildFragScan makes s the scan of frag from src, and reports false,
-// leaving s as it is, when the fragment holds no row the filter passes. A
-// conjunct goes to the source iff catalog.Fragment.Split translates it
-// and the source evaluates the translation, and the projection iff the
-// source projects; one that does not returns whole rows the scan reads
-// by position.
-func buildFragScan(s *FragScan, tab *catalog.GlobalTable, src source.Source, frag *catalog.Fragment,
-	requested []int, filter expr.Expr, outSchema *types.Schema) bool {
-
+// buildFragScan makes s the scan of frag from src for gs, whose
+// requested columns over the full global schema are requested, and
+// reports false, leaving s as it is, when the fragment holds no row the
+// filter passes. A conjunct goes to the source iff catalog.Fragment.Split
+// translates it and the source evaluates the translation, and the
+// projection iff the source projects; one that does not returns whole
+// rows the scan reads by position.
+func buildFragScan(s *FragScan, gs *GlobalScan, src source.Source, frag *catalog.Fragment, requested []int) bool {
+	tab := gs.Table
 	caps, info := src.Capabilities(), frag.Info()
-	pushed, residual, pruned := frag.Split(filter, func(rc expr.Expr) bool { return caps.CanFilter(info, rc) })
+	pushed, residual, pruned := frag.Split(gs.Filter, func(rc expr.Expr) bool { return caps.CanFilter(info, rc) })
 	if pruned {
 		return false
 	}
 
 	// Fetched columns: requested plus whatever the kept filter reads,
-	// which is remapped onto that layout.
-	fetch, pos := expr.ColumnLayout(tab.Schema.Len(), requested, residual)
+	// which is remapped onto that layout. The integer layout — where each
+	// global column is fetched, what is fetched, the projection out of it
+	// and the columns the source is asked for — is carved from the block
+	// pruning set aside, or else from one of its own.
+	fetched := len(requested) + expr.OtherColumns(residual, func(c int) bool { return slices.Contains(requested, c) })
+	width := tab.Schema.Len()
+	block := gs.layout
+	if n := layoutInts(width, len(requested), fetched, expr.Ascending(requested), caps.Project); len(block) >= n {
+		gs.layout = nil
+	} else {
+		block = make([]int, n)
+	}
+	pos, block := block[:width:width], block[width:]
+	fetch := expr.ColumnLayout(requested, residual, pos, block)
 	*s = FragScan{
 		Src:            src,
 		Frag:           frag,
@@ -99,10 +111,11 @@ func buildFragScan(s *FragScan, tab *catalog.GlobalTable, src source.Source, fra
 		Cols:           fetch,
 		GlobalResidual: expr.Remap(residual, pos),
 		GlobalSchema:   tab.Schema,
-		OutSchema:      outSchema,
+		OutSchema:      gs.Schema(),
 	}
 	if !slices.Equal(requested, fetch) {
-		s.Out = make([]int, len(requested))
+		block = block[len(fetch):]
+		s.Out, block = block[:len(requested):len(requested)], block[len(requested):]
 		for i, c := range requested {
 			s.Out[i] = pos[c]
 		}
@@ -116,7 +129,7 @@ func buildFragScan(s *FragScan, tab *catalog.GlobalTable, src source.Source, fra
 	// column is a plain copy sitting where the output wants it and
 	// nothing is kept to filter; otherwise the mediator builds them.
 	if caps.Project {
-		s.Query.Columns = make([]int, 0, len(fetch))
+		s.Query.Columns = block[:0:len(fetch)]
 	}
 	rowPos := pos[:0]
 	builds := residual != nil || s.Out != nil || !caps.Project && len(fetch) != info.Schema.Len()
@@ -134,6 +147,24 @@ func buildFragScan(s *FragScan, tab *catalog.GlobalTable, src source.Source, fra
 		s.Pos = rowPos
 	}
 	return true
+}
+
+// layoutInts is how many ints a fragment scan's integer layout takes, of
+// a table width columns wide, for requested columns — ascending when
+// ordered — of which at most fetched are fetched: where each global
+// column is fetched (then where each fetched one sits in a source's row),
+// the fetched columns and the projection to the requested ones unless
+// those are the fetched ones, and the columns the source is asked for
+// when it projects.
+func layoutInts(width, requested, fetched int, ordered, project bool) int {
+	n := width
+	if fetched > requested || !ordered {
+		n += fetched + requested
+	}
+	if project {
+		n += fetched
+	}
+	return n
 }
 
 // follow makes s, whose Src and Frag are set, prev's twin: its fragment

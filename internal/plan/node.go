@@ -41,6 +41,10 @@ type GlobalScan struct {
 	schema *types.Schema
 	// Alias qualifies output columns (FROM t AS x).
 	Alias string
+	// layout is where the integer layout of the scan's first fragment
+	// scan is carved from (buildFragScan): the rest of the block pruning
+	// cut Cols from, sized for it; nil when there is none to carve.
+	layout []int
 }
 
 // NewGlobalScan builds a scan of every column of table.
@@ -48,10 +52,25 @@ func NewGlobalScan(t *catalog.GlobalTable, alias string) *GlobalScan {
 	return &GlobalScan{Table: t, Alias: alias}
 }
 
-// Schema implements Node.
+// Schema implements Node. A scan of every column, unaliased or under the
+// table's own name, produces the table's own schema, which the catalog
+// built once and every such scan shares; only a real alias or a pruned
+// scan builds its own.
 func (s *GlobalScan) Schema() *types.Schema {
-	if s.schema == nil {
-		base := s.Table.Schema.Columns
+	if s.schema != nil {
+		return s.schema
+	}
+	base := s.Table.Schema.Columns
+	every := len(s.Cols) == len(base) || s.Cols == nil
+	for i := 0; every && i < len(s.Cols); i++ {
+		every = s.Cols[i] == i
+	}
+	switch {
+	case every && s.Alias == "":
+		s.schema = s.Table.Schema
+	case every && s.Alias == s.Table.Name:
+		s.schema = s.Table.Own
+	default:
 		var cols []types.Column
 		if s.Cols == nil {
 			cols = slices.Clone(base)

@@ -133,37 +133,7 @@ func prune(n Node, required []bool) (Node, []int) {
 		// Rows pass through: the inputs keep what is required of n.
 
 	case *GlobalScan:
-		// Translate required output positions into full-schema columns.
-		full := func(i int) int {
-			if t.Cols != nil {
-				return t.Cols[i]
-			}
-			return i
-		}
-		width := len(t.Cols)
-		if t.Cols == nil {
-			width = t.Table.Schema.Len()
-		}
-		cols := make([]int, 0, width)
-		mapping := make([]int, width)
-		for i := range mapping {
-			if !required[i] {
-				mapping[i] = -1
-				continue
-			}
-			mapping[i] = len(cols)
-			cols = append(cols, full(i))
-		}
-		if len(cols) == 0 && width > 0 {
-			// Keep one column so the scan still yields rows.
-			cols = append(cols, full(0))
-			mapping[0] = 0
-		}
-		t.Cols = cols
-		if len(cols) < width {
-			t.invalidate()
-		}
-		return t, mapping
+		return t.prune(required)
 
 	case *Union:
 		// Arms must stay position-compatible; require everything.
@@ -195,4 +165,59 @@ func prune(n Node, required []bool) (Node, []int) {
 		return n, inMap
 	}
 	return n, mapping
+}
+
+// prune keeps the scan's required columns, and one at least, so that the
+// scan still yields rows. Their positions and the scan's mapping are
+// carved from one block, which is sized to hold, past them, the integer
+// layout of the scan's first fragment scan (layoutInts): no fragment
+// fetches more than the kept columns and the others the filter reads.
+func (s *GlobalScan) prune(required []bool) (Node, []int) {
+	width := len(s.Cols)
+	if s.Cols == nil {
+		width = s.Table.Schema.Len()
+	}
+	full := func(i int) int {
+		if s.Cols != nil {
+			return s.Cols[i]
+		}
+		return i
+	}
+	kept := 0
+	for i := range width {
+		if required[i] {
+			kept++
+		}
+	}
+	first := kept == 0 && width > 0 // the one column kept though none is required
+	if first {
+		kept = 1
+	}
+	keeps := func(i int) bool { return required[i] || first && i == 0 }
+	fetched := kept + expr.OtherColumns(s.Filter, func(c int) bool {
+		if s.Cols == nil {
+			return c < width && keeps(c)
+		}
+		for i, sc := range s.Cols {
+			if sc == c && keeps(i) {
+				return true
+			}
+		}
+		return false
+	})
+	block := make([]int, width+kept+layoutInts(s.Table.Schema.Len(), kept, fetched, expr.Ascending(s.Cols), true))
+	mapping, cols := block[:width:width], block[width:width:width+kept]
+	for i := range mapping {
+		if !keeps(i) {
+			mapping[i] = -1
+			continue
+		}
+		mapping[i] = len(cols)
+		cols = append(cols, full(i))
+	}
+	s.Cols, s.layout = cols, block[width+kept:]
+	if len(cols) < width {
+		s.invalidate()
+	}
+	return s, mapping
 }

@@ -46,15 +46,19 @@ func (s *Store) Execute(ctx context.Context, q *source.Query) (source.RowIter, e
 		}
 		return sortLimit(rows, q), nil
 	}
-	it := &scanIter{s: s, q: q, t: t, limit: q.Limit, width: int32(len(q.Columns))}
-	if q.Columns == nil {
-		it.width = int32(t.schema.Len())
-	}
+	it := &scanIter{s: s, q: q, t: t, limit: q.Limit, w: int32(filterWidth(q.Filter))}
 	var buf [probeRows]int32
-	candidates, indexed := t.candidateRows(q.Filter, buf[:0])
+	candidates, indexed, exact := t.candidateRows(q.Filter, buf[:0])
 	switch {
 	case indexed:
-		it.dir, it.probe, it.probing = t.dir, append(make([]int32, 0, len(candidates)), candidates...), true
+		probe := it.probed[:0]
+		if len(candidates) > len(it.probed) {
+			probe = make([]int32, 0, len(candidates))
+		}
+		it.dir, it.probe, it.probing = t.dir, append(probe, candidates...), true
+		if exact {
+			it.exact, it.w = true, 0
+		}
 		t.probing.Add(1)
 	case len(q.OrderBy) > 0:
 		// Drained below, under the lock: there is nothing to borrow.
@@ -169,7 +173,7 @@ func (t *table) fold(q *source.Query) ([]types.Row, error) {
 func (t *table) match(filter expr.Expr, row types.Row, fn func(pos int, c *types.Chunk) error) error {
 	var buf [probeRows]int32
 	cu := cursor{dir: t.dir, n: int32(t.n)}
-	if candidates, indexed := t.candidateRows(filter, buf[:0]); indexed {
+	if candidates, indexed, _ := t.candidateRows(filter, buf[:0]); indexed {
 		cu.probe = candidates
 	}
 	for {
@@ -199,20 +203,35 @@ func sortLimit(rows []types.Row, q *source.Query) source.RowIter {
 // at the positions an index probe copied — that pass the filter,
 // projected, up to the limit. Its cursor decodes what the filter reads
 // into a scratch row; a row that passes is emitted (types.Chunk.Emit)
-// into a slab's row, or lent, into one made with the scratch.
+// into a slab's row, or lent, into one made with the scratch. A probe of
+// a few positions and a narrow scratch are held in the iterator itself,
+// so that a point read is one object.
 type scanIter struct {
 	cursor
 	s       *Store
 	q       *source.Query // its Filter and Columns, which Execute checked
 	t       *table
 	limit   int64 // rows still wanted; negative: all
-	width   int32 // of the rows handed out
+	w       int32 // how wide a row the filter reads; 0 when exact
 	probing bool  // counted in t.probing
 	lent    bool
-	row     types.Row // what the filter reads
-	out     types.Row // lent: the row handed out
+	exact   bool      // the probe alone decides the filter, which is not evaluated again
+	buf     types.Row // the filter's row, w wide; lent, the row handed out follows it
 	slab    types.RowSlab
+	cells   [narrowRow]types.Value // buf, when it is narrow
+	probed  [inlineProbe]int32     // a short probe's positions
 }
+
+// narrowRow is how many values a scan's scratch may be and still be kept
+// in its iterator, and inlineProbe how many positions a probe may name:
+// point_remote's key lookup is lent four values by one position. The
+// iterator holding both (288 B) takes fewer bytes than a served key
+// lookup's iterator, row and copied probe took as three objects; a scan
+// that is kept its rows, and reads no filter, carries them unused.
+const (
+	narrowRow   = 4
+	inlineProbe = 4
+)
 
 // Use implements source.Hinted: lent, the row handed out shares one
 // allocation with the filter's scratch; kept, the rows are carved from
@@ -224,19 +243,26 @@ func (it *scanIter) Use(n int) {
 
 // Next implements source.RowIter.
 func (it *scanIter) Next() (types.Row, error) {
-	if it.row == nil {
-		w, n := filterWidth(it.q.Filter), 0
+	if it.buf == nil {
+		n := int(it.w)
 		if it.lent {
-			n = int(it.width)
+			n += len(it.q.Columns)
+			if it.q.Columns == nil {
+				n += it.t.schema.Len()
+			}
 		}
-		buf := make(types.Row, w+n)
-		it.row = buf[:w:w]
-		if it.lent {
-			it.out = buf[w:]
+		if n <= len(it.cells) {
+			it.buf = it.cells[:n:n]
+		} else {
+			it.buf = make(types.Row, n)
 		}
 	}
 	if it.limit != 0 {
-		pos, c, err := it.advance(it.q.Filter, it.row)
+		filter := it.q.Filter
+		if it.exact {
+			filter = nil
+		}
+		pos, c, err := it.advance(filter, it.buf[:it.w:it.w])
 		if err != nil {
 			return nil, fmt.Errorf("relstore %s: %w", it.s.name, err)
 		}
@@ -244,7 +270,11 @@ func (it *scanIter) Next() (types.Row, error) {
 			if it.limit > 0 {
 				it.limit--
 			}
-			return c.Emit(pos%types.ChunkRows, it.q.Columns, it.out, &it.slab), nil
+			var out types.Row
+			if it.lent {
+				out = it.buf[it.w:]
+			}
+			return c.Emit(pos%types.ChunkRows, it.q.Columns, out, &it.slab), nil
 		}
 	}
 	_ = it.Close()
@@ -275,8 +305,11 @@ const probeRows = 128
 // strategy ships, or NULL, which names none — and of those that do, the
 // one naming the fewest is probed, the lowest column on a tie: a key's
 // bucket, keeping the rows whose value compares equal to it. The caller
-// filters what the probe returns.
-func (t *table) candidateRows(filter expr.Expr, buf []int32) ([]int32, bool) {
+// filters what the probe returns, unless exact: the filter is one
+// conjunct, col = constant or col IN (constants), on the probed column,
+// which passes a row exactly when its value compares equal to a non-NULL
+// constant — the rows the probe keeps.
+func (t *table) candidateRows(filter expr.Expr, buf []int32) (rows []int32, indexed, exact bool) {
 	var best *hashIndex
 	var keys expr.Range
 	var one [1]types.Value
@@ -292,8 +325,10 @@ func (t *table) candidateRows(filter expr.Expr, buf []int32) ([]int32, bool) {
 		}
 	}
 	if best == nil {
-		return nil, false
+		return nil, false, false
 	}
+	col, ok := expr.ColumnConstraint(filter)
+	exact = ok && col.Index == best.col
 	for _, k := range keys.Points(one[:0]) {
 		for p := best.First(k.Hash(0)); p >= 0; p = best.Next(p) {
 			if t.value(p, best.col).Compare(k) == 0 {
@@ -304,5 +339,5 @@ func (t *table) candidateRows(filter expr.Expr, buf []int32) ([]int32, bool) {
 	// A bucket runs from the row linked last, and two keys may share one:
 	// positions are sorted and each kept once.
 	slices.Sort(buf)
-	return slices.Compact(buf), true
+	return slices.Compact(buf), true, exact
 }

@@ -332,6 +332,64 @@ func TestExecuteMatchesReference(t *testing.T) {
 	t.Logf("%d queries", cases)
 }
 
+// TestExactProbeIsTheFilter: where the index probe alone decides the
+// filter — col = constant or col IN (constants), on the probed column —
+// the rows it names are not filtered again, so they must be the rows
+// that evaluating the filter over every row passes: NULL and repeated
+// keys in the list, NULL in the column, a key of the other numeric kind
+// and a list long enough for the filter to hash its constants included,
+// read kept and lent.
+func TestExactProbeIsTheFilter(t *testing.T) {
+	s := newRefStore(t, 2, 300)
+	str, num := types.NewString, types.NewInt
+	cats := []types.Value{str("c"), types.Null, str("a"), str("c"), str("zz"), str("b"), types.Null, str("a"), str("q")}
+	for _, c := range []struct {
+		name          string
+		filter        expr.Expr
+		probed, exact bool
+	}{
+		{"id = 42", refCmp(expr.OpEq, refCol(refID), num(42)), true, true},
+		{"42 = id", expr.NewBinary(expr.OpEq, expr.NewConst(num(42)), refCol(refID)), true, true},
+		{"id = 4.0", refCmp(expr.OpEq, refCol(refID), types.NewFloat(4)), true, true},
+		{"id IN with NULL and duplicates", refIn(refID, num(77), types.Null, num(3), num(77), num(13), types.NewFloat(4), num(9999)), true, true},
+		{"cat IN with NULL and duplicates", refIn(refCat, cats[:4]...), true, true},
+		{"cat IN, nine with NULL and duplicates", refIn(refCat, cats...), true, true},
+		{"cat IN (NULL)", refIn(refCat, types.Null), true, true},
+		{"cat = NULL", refCmp(expr.OpEq, refCol(refCat), types.Null), true, true},
+		{"cat = 'a' AND n < 12", expr.NewBinary(expr.OpAnd,
+			refCmp(expr.OpEq, refCol(refCat), str("a")), refCmp(expr.OpLt, refCol(refN), num(12))), true, false},
+		{"cat NOT IN", &expr.InList{E: refCol(refCat), List: []expr.Expr{expr.NewConst(str("a"))}, Negate: true}, false, false},
+	} {
+		_, probed, exact := s.tables["ref"].candidateRows(c.filter, nil)
+		if probed != c.probed || exact != c.exact {
+			t.Errorf("%s: probed %v, exact %v; want %v, %v", c.name, probed, exact, c.probed, c.exact)
+		}
+		for _, cols := range [][]int{nil, {refN, refCat}} {
+			q := &source.Query{Table: "ref", Filter: c.filter, Columns: cols, Limit: -1}
+			want, err := referenceExecute(s, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, lent := range []bool{false, true} {
+				got, err := executeAs(s, q, lent)
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				sortRows(got)
+				sortRows(want)
+				if len(got) != len(want) || !slices.EqualFunc(got, want, types.Row.Equal) {
+					t.Errorf("%s, columns %v, lent %v: %d rows %v, evaluated %d rows %v", c.name, cols, lent, len(got), got, len(want), want)
+				}
+			}
+		}
+	}
+}
+
+// sortRows orders rows by how they print.
+func sortRows(rows []types.Row) {
+	slices.SortFunc(rows, func(a, b types.Row) int { return strings.Compare(a.String(), b.String()) })
+}
+
 // A scan walks the table a chunk at a time and an index probe copies
 // its bucket's rows: table sizes and index buckets on either side of a
 // chunk, with the first, the last, every and every other candidate
@@ -1041,17 +1099,18 @@ func checkIndexes(t *testing.T, step int, tbl *table) {
 	}
 }
 
-// checkProbe holds what an index probe yields for filter f, filtered,
-// to what a filtered full scan yields: the same positions, in order.
+// checkProbe holds what an index probe yields for filter f, filtered —
+// unless the probe says it decides f exactly — to what a filtered full
+// scan yields: the same positions, in order.
 func checkProbe(t *testing.T, step int, tbl *table, f expr.Expr) {
 	t.Helper()
-	candidates, indexed := tbl.candidateRows(f, nil)
+	candidates, indexed, exact := tbl.candidateRows(f, nil)
 	if !indexed {
 		t.Fatalf("step %d: no index applies to %s", step, f)
 	}
 	var got, want []int
 	for _, p := range candidates {
-		if r := rowAt(tbl, int(p)); r != nil && evalTrue(t, f, r) {
+		if r := rowAt(tbl, int(p)); r != nil && (exact || evalTrue(t, f, r)) {
 			got = append(got, int(p))
 		}
 	}

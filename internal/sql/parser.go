@@ -173,16 +173,30 @@ func (p *Parser) expectIdent() (string, error) {
 	return t.Text, nil
 }
 
-// parseList reads one or more comma-separated items.
+// listBuf is how many items a list collects on the parser's stack before
+// it grows on the heap.
+const listBuf = 8
+
+// parseList reads one or more comma-separated items. They are collected
+// on the stack and copied out once, at the list's length.
 func parseList[T any](p *Parser, item func() (T, error)) ([]T, error) {
-	var out []T
+	var buf [listBuf]T
+	out, err := collectList(p, item, buf[:0])
+	if err != nil {
+		return nil, err
+	}
+	return append(make([]T, 0, len(out)), out...), nil
+}
+
+// collectList appends one or more comma-separated items to out, which
+// grows on the heap past its capacity.
+func collectList[T any](p *Parser, item func() (T, error), out []T) ([]T, error) {
 	for {
 		v, err := item()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, v)
-		if !p.acceptOp(",") {
+		if out = append(out, v); !p.acceptOp(",") {
 			return out, nil
 		}
 	}
@@ -766,14 +780,52 @@ func (p *Parser) parseInRHS(operand expr.Expr, negate bool) (expr.Expr, error) {
 		}
 		return &expr.Subquery{Stmt: sub, Mode: expr.SubIn, Operand: operand, Negate: negate}, nil
 	}
-	list, err := parseList(p, p.parseExpr)
+	// An element that is one literal or parameter is read as its value
+	// (inElem.e nil), collected on the stack as parseList collects, and
+	// the list's constants are carved from one block.
+	var buf [listBuf]inElem
+	list, err := collectList(p, p.parseInElem, buf[:0])
 	if err == nil {
 		err = p.expectOp(")")
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &expr.InList{E: operand, List: list, Negate: negate}, nil
+	consts := 0
+	for _, el := range list {
+		if el.e == nil {
+			consts++
+		}
+	}
+	block := make([]expr.Const, 0, consts)
+	exprs := make([]expr.Expr, len(list))
+	for i, el := range list {
+		if exprs[i] = el.e; el.e == nil {
+			block = append(block, expr.Const{Val: el.v})
+			exprs[i] = &block[len(block)-1]
+		}
+	}
+	return &expr.InList{E: operand, List: exprs, Negate: negate}, nil
+}
+
+// inElem is one element of an IN list as read: an expression, or, where
+// e is nil, the value of a literal or parameter.
+type inElem struct {
+	e expr.Expr
+	v types.Value
+}
+
+// parseInElem reads one element of an IN list: a literal or parameter
+// that the element is all of as its value, anything else as parseExpr
+// does.
+func (p *Parser) parseInElem() (inElem, error) {
+	if next := p.peekAt(1); next.Kind == TokOp && (next.Text == "," || next.Text == ")") {
+		if v, ok, err := p.literalValue(); ok {
+			return inElem{v: v}, err
+		}
+	}
+	e, err := p.parseExpr()
+	return inElem{e: e}, err
 }
 
 // parseUnary is on every path back into parseExpr — a parenthesis, a
@@ -824,49 +876,53 @@ func (p *Parser) parseUnary() (expr.Expr, error) {
 	return expr.NewUnary(expr.OpNeg, inner), nil
 }
 
+// literalValue reads the literal or parameter that is next, if one is,
+// as its value: ok reports whether one was. An error is reported, as
+// parsePrimary reports it, past the token that caused it.
+func (p *Parser) literalValue() (v types.Value, ok bool, err error) {
+	t := p.peek()
+	switch {
+	case t.Kind == TokInt:
+		n, perr := strconv.ParseInt(t.Text, 10, 64)
+		if p.pos++; perr != nil {
+			return v, true, p.errorf("bad integer literal %q", t.Text)
+		}
+		return types.NewInt(n), true, nil
+	case t.Kind == TokFloat:
+		f, perr := strconv.ParseFloat(t.Text, 64)
+		if p.pos++; perr != nil {
+			return v, true, p.errorf("bad float literal %q", t.Text)
+		}
+		return types.NewFloat(f), true, nil
+	case t.Kind == TokString:
+		p.pos++
+		return types.NewString(t.Text), true, nil
+	case t.Kind == TokParam:
+		if p.pos++; p.nparam >= len(p.params) {
+			return v, true, p.errorf("missing value for parameter %d", p.nparam+1)
+		}
+		p.nparam++
+		return p.params[p.nparam-1], true, nil
+	case t.Kind == TokKeyword && (t.Text == "NULL" || t.Text == "TRUE" || t.Text == "FALSE"):
+		p.pos++
+		if t.Text == "NULL" {
+			return types.Null, true, nil
+		}
+		return types.NewBool(t.Text == "TRUE"), true, nil
+	}
+	return v, false, nil
+}
+
 func (p *Parser) parsePrimary() (expr.Expr, error) {
+	if v, ok, err := p.literalValue(); err != nil {
+		return nil, err
+	} else if ok {
+		return expr.NewConst(v), nil
+	}
 	t := p.peek()
 	switch t.Kind {
-	case TokInt:
-		p.pos++
-		n, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
-			return nil, p.errorf("bad integer literal %q", t.Text)
-		}
-		return expr.NewConst(types.NewInt(n)), nil
-
-	case TokFloat:
-		p.pos++
-		f, err := strconv.ParseFloat(t.Text, 64)
-		if err != nil {
-			return nil, p.errorf("bad float literal %q", t.Text)
-		}
-		return expr.NewConst(types.NewFloat(f)), nil
-
-	case TokString:
-		p.pos++
-		return expr.NewConst(types.NewString(t.Text)), nil
-
-	case TokParam:
-		p.pos++
-		if p.nparam >= len(p.params) {
-			return nil, p.errorf("missing value for parameter %d", p.nparam+1)
-		}
-		v := p.params[p.nparam]
-		p.nparam++
-		return expr.NewConst(v), nil
-
 	case TokKeyword:
 		switch t.Text {
-		case "NULL":
-			p.pos++
-			return expr.NewConst(types.Null), nil
-		case "TRUE":
-			p.pos++
-			return expr.NewConst(types.NewBool(true)), nil
-		case "FALSE":
-			p.pos++
-			return expr.NewConst(types.NewBool(false)), nil
 		case "CASE":
 			return p.parseCase()
 		case "CAST":

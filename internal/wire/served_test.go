@@ -89,11 +89,13 @@ func serveSource(t *testing.T, src source.Source) (*Server, *Client) {
 // serve a point sub-query on a warmed connection: decode, bind, execute
 // against a relstore and stream the answer. A scripted client writes the
 // frames and reads the answer undecoded, so every object counted is the
-// serving side's.
+// serving side's. Each ceiling is 10% above what it measures, 2 and 4:
+// the pk lookup's probe and row are held in its scan, and neither probe
+// evaluates the filter its index decides (4 and 6 while they did not).
 func TestServedSubQueryAllocs(t *testing.T) {
 	_, cl := startRelServer(t, 100)
 	fc := greetedConn(t, cl)
-	ceiling := map[string]float64{"pk_lookup": 5, "in_list8": 8}
+	ceiling := map[string]float64{"pk_lookup": 3, "in_list8": 5}
 	for _, c := range servedShapes() {
 		serve := serveRaw(t, fc, c.q, c.rows)
 		serve() // warms the connection

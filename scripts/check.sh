@@ -40,7 +40,8 @@
 #                   TestKeptEstimateOffTenfold), the allocation ceilings
 #                   (`make allocs` runs them verbosely on demand, the
 #                   quick loop for a change meant to move
-#                   allocs_per_query: plan TestPlanAllocations and
+#                   allocs_per_query: sql TestParseAllocations, plan
+#                   TestPlanAllocations and
 #                   TestPlanAllocsPerAlikeFragment, core
 #                   TestStatementAllocations, exec
 #                   TestKeptOutputIsOneBlock and wire
