@@ -65,13 +65,16 @@ layout:
 # (plan TestPlanAllocations), at most one object more a fragment that
 # maps like the one before it (TestPlanAllocsPerAlikeFragment, and
 # TestKeyQueryAllocsPerAlikeFragment for the keys a semijoin ships),
-# whole statements (core TestStatementAllocations), a kept result
-# carved from one block (exec TestKeptOutputIsOneBlock) and the serving
-# side of a point sub-query on a warmed connection (wire
-# TestServedSubQueryAllocs, TestRebindBuildsTheFilterOnce).
+# rebinding a kept plan (plan TestRebindCopiesOnlyThePath: one object a
+# node on the path to a parameter), whole statements on a first call,
+# which misses the statement cache, and warmed, which hits it (core
+# TestStatementAllocations), a kept result carved from one block (exec
+# TestKeptOutputIsOneBlock) and the serving side of a point sub-query on
+# a warmed connection (wire TestServedSubQueryAllocs,
+# TestRebindBuildsTheFilterOnce).
 allocs:
 	$(GO) test -count=1 -run 'TestParseAllocations' -v ./internal/sql
-	$(GO) test -count=1 -run 'TestPlanAllocations|TestPlanAllocsPerAlikeFragment|TestKeyQueryAllocsPerAlikeFragment' -v ./internal/plan
+	$(GO) test -count=1 -run 'TestPlanAllocations|TestPlanAllocsPerAlikeFragment|TestKeyQueryAllocsPerAlikeFragment|TestRebindCopiesOnlyThePath' -v ./internal/plan
 	$(GO) test -count=1 -run 'TestStatementAllocations' -v ./internal/core
 	$(GO) test -count=1 -run 'TestKeptOutputIsOneBlock' -v ./internal/exec
 	$(GO) test -count=1 -run 'TestServedSubQueryAllocs|TestRebindBuildsTheFilterOnce' -v ./internal/wire

@@ -220,7 +220,18 @@ type Catalog struct {
 	sources map[string]source.Source
 	tables  map[string]*GlobalTable
 	views   map[string]string
+	// gen counts the changes a plan may read: every registration below,
+	// and each Bump.
+	gen atomic.Uint64
 }
+
+// Generation is how many times the catalog has changed: a plan made
+// while it read g stands while it still reads g.
+func (c *Catalog) Generation() uint64 { return c.gen.Load() }
+
+// Bump counts a change the catalog's mutators do not make: statistics
+// installed on its fragments (Fragment.SetStats), which estimates read.
+func (c *Catalog) Bump() { c.gen.Add(1) }
 
 // New returns an empty catalog.
 func New() *Catalog {
@@ -244,6 +255,7 @@ func (c *Catalog) AddSource(src source.Source) error {
 		return fmt.Errorf("catalog: source %q already registered", name)
 	}
 	c.sources[name] = src
+	c.Bump()
 	return nil
 }
 
@@ -287,6 +299,7 @@ func (c *Catalog) DefineTable(name string, schema *types.Schema) error {
 		sc.Columns[i].Table, own.Columns[i].Table = "", name
 	}
 	c.tables[name] = &GlobalTable{Name: name, Schema: sc, Own: own}
+	c.Bump()
 	return nil
 }
 
@@ -416,6 +429,7 @@ func (c *Catalog) MapFragment(ctx context.Context, table string, f *Fragment) er
 		}
 	}
 	t.Fragments = append(t.Fragments, f)
+	c.Bump()
 	return nil
 }
 
@@ -460,6 +474,7 @@ func (c *Catalog) DefineView(name, selectSQL string) error {
 		c.views = make(map[string]string)
 	}
 	c.views[name] = selectSQL
+	c.Bump()
 	return nil
 }
 

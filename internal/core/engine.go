@@ -57,6 +57,8 @@ type Engine struct {
 	// carries an admitted session (sub-statements, or queries the wire
 	// server admitted) pass through untouched.
 	admit atomic.Pointer[admission.Controller]
+	// stmts keeps the plans of SELECT texts run again (cache.go).
+	stmts stmtCache
 }
 
 // mPartialQueries counts top-level SELECTs that completed degraded.
@@ -221,16 +223,12 @@ func writePadded(b *strings.Builder, s string, width int) {
 
 // Query parses, plans, and executes a SELECT, materializing the result.
 func (e *Engine) Query(ctx context.Context, text string, params ...types.Value) (res *Result, err error) {
-	ctx, stmt, finish, err := e.begin(ctx, text, false, params)
+	ctx, st, finish, err := e.begin(ctx, text, false, params, true)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { err = finish(err) }()
-	sel, err := queried(stmt)
-	if err != nil {
-		return nil, err
-	}
-	return e.runSelect(ctx, sel)
+	return e.collect(ctx, st)
 }
 
 // queried returns the SELECT that Query and QueryIter run: stmt itself.
@@ -242,41 +240,69 @@ func queried(stmt sql.Statement) (*sql.SelectStmt, error) {
 	return sel, nil
 }
 
+// statement is what begin hands an entry point: the statement as parsed,
+// or, on a statement cache hit, none and the cached plan with the call's
+// parameters bound into it (hit). fill is set when cache was asked and
+// holds nothing current for text: planning the SELECT fills it and keeps
+// it under text.
+type statement struct {
+	stmt sql.Statement
+	hit  plan.Node
+	fill *template
+	text string
+}
+
 // begin is how every entry point opens: instrument — so nothing is
 // planned, and no subquery run for the plan, outside admission, the
-// query log and the trace — then parse under a parse span. A statement
-// that is shed or does not parse is already finished when begin returns
-// its error; otherwise the caller defers finish, as instrument asks, or
-// hands it to what completes the statement later (QueryIter's
-// finishIter).
-func (e *Engine) begin(ctx context.Context, text string, measure bool, params []types.Value) (context.Context, sql.Statement, func(error) error, error) {
+// query log and the trace — then parse under a parse span. With cache,
+// a text the statement cache holds a plan for, under the catalog's
+// generation and the engine's options, whose parameters fit it, is not
+// parsed: its plan is rebound under a parse span named "cached". A
+// statement that is shed or does not parse is already finished when
+// begin returns its error; otherwise the caller defers finish, as
+// instrument asks, or hands it to what completes the statement later
+// (QueryIter's finishIter).
+func (e *Engine) begin(ctx context.Context, text string, measure bool, params []types.Value, cache bool) (context.Context, statement, func(error) error, error) {
 	ctx, finish, err := e.instrument(ctx, text, measure)
 	if err != nil {
-		return ctx, nil, nil, err
+		return ctx, statement{}, nil, err
+	}
+	st := statement{text: text}
+	if cache {
+		gen := e.cat.Generation()
+		switch t := e.stmts.get(text, gen, e.opts); {
+		case t == nil:
+			st.fill = &template{gen: gen, opts: *e.opts}
+		case t.plan != nil && t.params.Fits(params):
+			_, span := obs.StartSpan(ctx, obs.SpanParse, "cached")
+			st.hit = plan.Rebind(t.plan, &t.params, params)
+			span.End()
+			return ctx, st, finish, nil
+		}
 	}
 	_, span := obs.StartSpan(ctx, obs.SpanParse, "")
-	stmt, err := sql.Parse(text, params...)
+	if st.fill != nil {
+		st.stmt, st.fill.params.Slots, err = sql.ParseSlots(text, st.fill.slots[:0], params...)
+	} else {
+		st.stmt, err = sql.Parse(text, params...)
+	}
 	span.End()
 	if err != nil {
-		return ctx, nil, nil, finish(err)
+		return ctx, statement{}, nil, finish(err)
 	}
-	return ctx, stmt, finish, nil
+	return ctx, st, finish, nil
 }
 
 // QueryIter plans and executes a SELECT, streaming rows. The returned
 // schema describes the stream.
 func (e *Engine) QueryIter(ctx context.Context, text string, params ...types.Value) (*types.Schema, source.RowIter, error) {
-	ctx, stmt, finish, err := e.begin(ctx, text, false, params)
+	ctx, st, finish, err := e.begin(ctx, text, false, params, true)
 	if err != nil {
 		return nil, nil, err
 	}
 	ctx, outc := e.degradable(ctx)
-	var p plan.Node
 	var it source.RowIter
-	sel, err := queried(stmt)
-	if err == nil {
-		p, err = e.planSelect(ctx, sel)
-	}
+	p, shared, err := e.selectPlan(ctx, st)
 	if err == nil {
 		it, err = exec.Run(ctx, p)
 	}
@@ -284,7 +310,16 @@ func (e *Engine) QueryIter(ctx context.Context, text string, params ...types.Val
 		return nil, nil, finish(err)
 	}
 	// The statement is live until the stream is closed.
-	return p.Schema(), &finishIter{ctx: ctx, in: it, fn: finish, outc: outc}, nil
+	return schemaOf(p, shared), &finishIter{ctx: ctx, in: it, fn: finish, outc: outc}, nil
+}
+
+// schemaOf is p's schema as a statement hands it to its caller: a copy
+// when p is the statement cache's, so that the caller may write it.
+func schemaOf(p plan.Node, shared bool) *types.Schema {
+	if shared {
+		return p.Schema().Clone()
+	}
+	return p.Schema()
 }
 
 // finishIter completes a streamed statement's instrumentation when the
@@ -358,9 +393,10 @@ func judgePartial(ctx context.Context, outc *resilience.Outcomes) (partial *resi
 	return pre, nil
 }
 
-func (e *Engine) runSelect(ctx context.Context, sel *sql.SelectStmt) (*Result, error) {
+// collect runs a SELECT statement, materializing its result.
+func (e *Engine) collect(ctx context.Context, st statement) (*Result, error) {
 	ctx, outc := e.degradable(ctx)
-	p, err := e.planSelect(ctx, sel)
+	p, shared, err := e.selectPlan(ctx, st)
 	if err != nil {
 		return nil, err
 	}
@@ -372,25 +408,56 @@ func (e *Engine) runSelect(ctx context.Context, sel *sql.SelectStmt) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Schema: p.Schema(), Rows: rows, Partial: partial}, nil
+	return &Result{Schema: schemaOf(p, shared), Rows: rows, Partial: partial}, nil
+}
+
+// selectPlan is the plan a SELECT statement runs: the one its cache hit
+// rebound, or its statement planned. shared reports that the plan is the
+// statement cache's, which nothing may write.
+func (e *Engine) selectPlan(ctx context.Context, st statement) (p plan.Node, shared bool, err error) {
+	if st.hit != nil {
+		return st.hit, true, nil
+	}
+	sel, err := queried(st.stmt)
+	if err != nil {
+		return nil, false, err
+	}
+	return e.planSelect(ctx, sel, st.fill, st.text)
 }
 
 // planSelect materializes subqueries and produces an optimized plan.
-func (e *Engine) planSelect(ctx context.Context, sel *sql.SelectStmt) (plan.Node, error) {
+// With fill, it plans under fill's options and keeps fill under text in
+// the statement cache: with the plan, and shared set, when no parameter
+// value could have changed it (a statement holding a subquery has its
+// rows for constants), without when it is planned on every call.
+func (e *Engine) planSelect(ctx context.Context, sel *sql.SelectStmt, fill *template, text string) (p plan.Node, shared bool, err error) {
+	reusable := fill != nil && !holdsSubquery(sel)
 	rctx, rspan := obs.StartSpan(ctx, obs.SpanResolve, "")
-	err := e.materializeSubqueries(rctx, sel)
+	err = e.materializeSubqueries(rctx, sel)
 	var logical plan.Node
 	if err == nil {
 		logical, err = plan.NewBuilder(e.cat).BuildSelect(sel)
 	}
 	rspan.End()
 	if err != nil {
-		return nil, err
+		return nil, false, err
+	}
+	opts := e.opts
+	if fill != nil {
+		reusable = reusable && plan.ValueFree(logical, &fill.params)
+		opts = &fill.opts
 	}
 	octx, ospan := obs.StartSpan(ctx, obs.SpanOptimize, "")
-	n, err := plan.Optimize(octx, logical, e.cat, e.opts)
+	p, err = plan.Optimize(octx, logical, e.cat, opts)
 	ospan.End()
-	return n, err
+	if err != nil || fill == nil {
+		return p, false, err
+	}
+	if reusable {
+		fill.plan = p
+	}
+	e.stmts.put(text, fill)
+	return p, reusable, nil
 }
 
 // Explain returns the optimized plan of a statement as indented text.
@@ -407,12 +474,12 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, text string, params ...type
 
 // explain is Explain, or with analyze ExplainAnalyze.
 func (e *Engine) explain(ctx context.Context, text string, analyze bool, params []types.Value) (out string, err error) {
-	ctx, stmt, finish, err := e.begin(ctx, text, analyze, params)
+	ctx, st, finish, err := e.begin(ctx, text, analyze, params, false)
 	if err != nil {
 		return "", err
 	}
 	defer func() { err = finish(err) }()
-	sel, err := explained(stmt)
+	sel, err := explained(st.stmt)
 	if err != nil {
 		return "", err
 	}
@@ -442,7 +509,7 @@ func (e *Engine) explainSelect(ctx context.Context, sel *sql.SelectStmt, analyze
 	if analyze && !obs.Enabled(ctx) {
 		ctx = obs.WithTrace(ctx, obs.NewTrace(""))
 	}
-	p, err := e.planSelect(ctx, sel)
+	p, _, err := e.planSelect(ctx, sel, nil, "")
 	if err != nil {
 		return "", err
 	}
@@ -462,14 +529,14 @@ func (e *Engine) explainSelect(ctx context.Context, sel *sql.SelectStmt, analyze
 // Run executes any statement: SELECT returns a Result; INSERT, UPDATE
 // and DELETE return the affected-row count in a single-column Result.
 func (e *Engine) Run(ctx context.Context, text string, params ...types.Value) (res *Result, err error) {
-	ctx, stmt, finish, err := e.begin(ctx, text, false, params)
+	ctx, st, finish, err := e.begin(ctx, text, false, params, true)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { err = finish(err) }()
-	switch s := stmt.(type) {
-	case *sql.SelectStmt:
-		return e.runSelect(ctx, s)
+	switch s := st.stmt.(type) {
+	case nil, *sql.SelectStmt: // nil: a statement cache hit, a SELECT's
+		return e.collect(ctx, st)
 	case *sql.ExplainStmt:
 		// The statement as it was parsed, parameters bound: printing it
 		// and parsing the text again would lose both.
@@ -490,7 +557,7 @@ func (e *Engine) Run(ctx context.Context, text string, params ...types.Value) (r
 			Rows:   rows,
 		}, nil
 	default:
-		n, err := e.execStmt(ctx, stmt)
+		n, err := e.execStmt(ctx, s)
 		if err != nil {
 			return nil, err
 		}
@@ -505,12 +572,12 @@ func (e *Engine) Run(ctx context.Context, text string, params ...types.Value) (r
 // number of affected rows. Writes spanning several sources run under
 // two-phase commit.
 func (e *Engine) Exec(ctx context.Context, text string, params ...types.Value) (n int64, err error) {
-	ctx, stmt, finish, err := e.begin(ctx, text, false, params)
+	ctx, st, finish, err := e.begin(ctx, text, false, params, false)
 	if err != nil {
 		return 0, err
 	}
 	defer func() { err = finish(err) }()
-	return e.execStmt(ctx, stmt)
+	return e.execStmt(ctx, st.stmt)
 }
 
 // Analyze collects optimizer statistics for every fragment of every
@@ -522,7 +589,8 @@ func (e *Engine) Exec(ctx context.Context, text string, params ...types.Value) (
 // no source is asked for two tables at a time. The statistics are
 // installed when every worker is done; a table that failed leaves its
 // fragments as they were, and the error names each such table in
-// catalog order.
+// catalog order. Installing them counts as a change of the catalog
+// (Catalog.Bump).
 func (e *Engine) Analyze(ctx context.Context) error {
 	type remoteTable struct {
 		src, table string
@@ -583,6 +651,8 @@ func (e *Engine) Analyze(ctx context.Context) error {
 			frag.SetStats(rt.ts)
 		}
 	}
+	// Estimates read the statistics: a plan kept from before is stale.
+	e.cat.Bump()
 	return errors.Join(errs...)
 }
 
@@ -620,7 +690,7 @@ func (e *Engine) substituteSubqueries(ctx context.Context, ex expr.Expr, run boo
 		}
 		var rows []types.Row
 		if run {
-			res, err := e.runSelect(ctx, inner)
+			res, err := e.collect(ctx, statement{stmt: inner})
 			if err != nil {
 				firstErr = fmt.Errorf("core: subquery: %w", err)
 				return n

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"sync"
@@ -213,37 +214,55 @@ func TestPlanningWritesNoSharedState(t *testing.T) {
 // TestPointShapesShareTheCatalogConcurrently runs point_remote's four
 // statements from two callers at once on one engine whose stores are in
 // process, so that the scans of both share their tables' schemas and
-// their fragments' remote references: under -race, a write to either
-// would be a reported race, and each answer must be the one a lone run
-// gives.
+// their fragments' remote references, and the statement cache's plans
+// (DESIGN.md "The statement cache"): under -race, a write to any of them
+// would be a reported race. Each caller draws new values in each round,
+// and each answer must be the one a lone run of another engine gives.
 func TestPointShapesShareTheCatalogConcurrently(t *testing.T) {
-	e := sharedEngine(t)
+	e, lone := sharedEngine(t), sharedEngine(t)
 	shapes := sharedShapes[:4]
-	want := make([]string, len(shapes))
-	for i, s := range shapes {
-		res, err := e.Query(ctx, s.sql, s.params...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = fmt.Sprint(res.Schema.Columns, res.Rows)
-	}
 	const callers, rounds = 2, 40
+	type call struct {
+		params []types.Value
+		want   string
+	}
+	rng := rand.New(rand.NewSource(61))
+	calls := make([][]call, callers)
+	for c := range calls {
+		for r := 0; r < rounds; r++ {
+			for _, s := range shapes {
+				params := make([]types.Value, len(s.params))
+				for i := range params {
+					// Keys of orders (oid) and of customers (cust_id, id),
+					// some of them absent.
+					params[i] = types.NewInt(int64(rng.Intn(420)))
+					if s.name != "pk_lookup" && s.name != "in_list" {
+						params[i] = types.NewInt(int64(rng.Intn(44)))
+					}
+				}
+				res, err := lone.Query(ctx, s.sql, params...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				calls[c] = append(calls[c], call{params, fmt.Sprint(res.Schema.Columns, res.Rows)})
+			}
+		}
+	}
 	var wg sync.WaitGroup
 	for c := 0; c < callers; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				for i, s := range shapes {
-					res, err := e.Query(context.Background(), s.sql, s.params...)
-					if err != nil {
-						t.Errorf("%s: %v", s.name, err)
-						return
-					}
-					if got := fmt.Sprint(res.Schema.Columns, res.Rows); got != want[i] {
-						t.Errorf("%s: %s, alone %s", s.name, got, want[i])
-						return
-					}
+			for i, call := range calls[c] {
+				s := shapes[i%len(shapes)]
+				res, err := e.Query(context.Background(), s.sql, call.params...)
+				if err != nil {
+					t.Errorf("%s: %v", s.name, err)
+					return
+				}
+				if got := fmt.Sprint(res.Schema.Columns, res.Rows); got != call.want {
+					t.Errorf("%s%v: %s, alone %s", s.name, call.params, got, call.want)
+					return
 				}
 			}
 		}()

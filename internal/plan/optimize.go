@@ -52,7 +52,9 @@ func DefaultOptions() *Options {
 // into the scans, columns are pruned, the scans are decomposed into
 // fragment scans, and then the passes that price the plan — join order,
 // join strategy, aggregate pushdown, Project composition, top-k pushdown
-// — read the estimates of what each fragment's source is asked. ctx only
+// — read the estimates of what each fragment's source is asked. Every
+// node's schema is stored before the plan is returned (settle), so that
+// the plan is only read from then on and may run twice at once. ctx only
 // carries observability state (the decompose phase gets its own trace
 // span); cancellation is not checked — optimization is CPU-bound and short.
 func Optimize(ctx context.Context, n Node, cat *catalog.Catalog, opts *Options) (Node, error) {
@@ -83,5 +85,6 @@ func Optimize(ctx context.Context, n Node, cat *catalog.Catalog, opts *Options) 
 	if opts.PushTopK {
 		n = pushTopK(n)
 	}
+	settle(n)
 	return n, nil
 }

@@ -297,6 +297,10 @@ func (it *scanIter) Close() error {
 // probe names 50.
 const probeRows = 128
 
+// probeKeys is how many keys candidateRows reads an index's range into
+// on its stack; a longer IN list allocates. point_remote's names 8.
+const probeKeys = 16
+
 // candidateRows appends to buf the positions of the rows a hash index
 // says can pass the filter, in table order, and returns false when no
 // index applies and the caller must scan every row. An index applies
@@ -310,18 +314,22 @@ const probeRows = 128
 // which passes a row exactly when its value compares equal to a non-NULL
 // constant — the rows the probe keeps.
 func (t *table) candidateRows(filter expr.Expr, buf []int32) (rows []int32, indexed, exact bool) {
+	// Each index's range is read into scratch, which the best one's is
+	// read into again to probe: up to probeKeys keys, neither allocates.
+	var scratch [probeKeys]types.Value
 	var best *hashIndex
-	var keys expr.Range
-	var one [1]types.Value
 	n := 0
 	for _, x := range t.indexes {
-		r, _ := expr.ColumnRange(filter, x.col)
-		k := r.Points(one[:0])
-		if k == nil {
-			continue // an interval, which a hash index cannot walk
+		r, _ := expr.ColumnRangeIn(filter, x.col, scratch[:0])
+		k := len(r.Keys)
+		if r.Keys == nil {
+			if !r.Point() {
+				continue // an interval, which a hash index cannot walk
+			}
+			k = 1
 		}
-		if best == nil || len(k) < n || (len(k) == n && x.col < best.col) {
-			best, n, keys = x, len(k), r
+		if best == nil || k < n || (k == n && x.col < best.col) {
+			best, n = x, k
 		}
 	}
 	if best == nil {
@@ -329,7 +337,14 @@ func (t *table) candidateRows(filter expr.Expr, buf []int32) (rows []int32, inde
 	}
 	col, ok := expr.ColumnConstraint(filter)
 	exact = ok && col.Index == best.col
-	for _, k := range keys.Points(one[:0]) {
+	r, _ := expr.ColumnRangeIn(filter, best.col, scratch[:0])
+	keys := r.Keys
+	var one [1]types.Value
+	if keys == nil {
+		one[0] = r.Lo.Value
+		keys = one[:]
+	}
+	for _, k := range keys {
 		for p := best.First(k.Hash(0)); p >= 0; p = best.Next(p) {
 			if t.value(p, best.col).Compare(k) == 0 {
 				buf = append(buf, int32(p))

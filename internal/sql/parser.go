@@ -15,6 +15,9 @@ type Parser struct {
 	pos    int
 	params []types.Value
 	nparam int
+	// slots, when not nil, is as long as params: slots[i] is the
+	// constant parameter i was read into (ParseSlots).
+	slots []*expr.Const
 	// depth is how deep in the statement's tree the parser stands.
 	depth int
 }
@@ -41,25 +44,39 @@ func (p *Parser) ascend(depth int) { p.depth = depth }
 // Parse parses a single statement (an optional trailing semicolon is
 // allowed). Positional ? parameters are substituted from params in order.
 func Parse(src string, params ...types.Value) (Statement, error) {
-	stmt, _, err := parse(src, params, false)
+	stmt, _, err := parse(src, params, nil, false)
 	return stmt, err
+}
+
+// ParseSlots is Parse that also reports which constants came from
+// parameters: slots[i] is the constant parameter i was read into. One
+// that folds into a constant of its own (-?) is not in the tree. slots is
+// carved from buf when it has room.
+func ParseSlots(src string, buf []*expr.Const, params ...types.Value) (stmt Statement, slots []*expr.Const, err error) {
+	if cap(buf) < len(params) {
+		buf = make([]*expr.Const, len(params))
+	}
+	slots = buf[:len(params)]
+	clear(slots)
+	stmt, _, err = parse(src, params, slots, false)
+	return stmt, slots, err
 }
 
 // ParseExpr parses a bare SQL expression (e.g. a partition predicate in
 // a catalog config file).
 func ParseExpr(src string) (expr.Expr, error) {
-	_, e, err := parse(src, nil, true)
+	_, e, err := parse(src, nil, nil, true)
 	return e, err
 }
 
 // parse reads src whole: as one statement, or, when bare, as one
 // expression with no trailing semicolon. Every parameter must be used.
-func parse(src string, params []types.Value, bare bool) (Statement, expr.Expr, error) {
+func parse(src string, params []types.Value, slots []*expr.Const, bare bool) (Statement, expr.Expr, error) {
 	toks, err := Tokenize(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	p := &Parser{toks: toks, params: params}
+	p := &Parser{toks: toks, params: params, slots: slots}
 	var stmt Statement
 	var e expr.Expr
 	after := "end of statement"
@@ -803,16 +820,28 @@ func (p *Parser) parseInRHS(operand expr.Expr, negate bool) (expr.Expr, error) {
 		if exprs[i] = el.e; el.e == nil {
 			block = append(block, expr.Const{Val: el.v})
 			exprs[i] = &block[len(block)-1]
+			if el.param > 0 {
+				p.slot(el.param-1, &block[len(block)-1])
+			}
 		}
 	}
 	return &expr.InList{E: operand, List: exprs, Negate: negate}, nil
 }
 
 // inElem is one element of an IN list as read: an expression, or, where
-// e is nil, the value of a literal or parameter.
+// e is nil, the value of a literal or parameter — parameter param-1 when
+// param is not 0.
 type inElem struct {
-	e expr.Expr
-	v types.Value
+	e     expr.Expr
+	v     types.Value
+	param int
+}
+
+// slot records that parameter i was read into c.
+func (p *Parser) slot(i int, c *expr.Const) {
+	if p.slots != nil {
+		p.slots[i] = c
+	}
 }
 
 // parseInElem reads one element of an IN list: a literal or parameter
@@ -820,8 +849,13 @@ type inElem struct {
 // does.
 func (p *Parser) parseInElem() (inElem, error) {
 	if next := p.peekAt(1); next.Kind == TokOp && (next.Text == "," || next.Text == ")") {
+		n := p.nparam
 		if v, ok, err := p.literalValue(); ok {
-			return inElem{v: v}, err
+			el := inElem{v: v}
+			if p.nparam > n {
+				el.param = p.nparam
+			}
+			return el, err
 		}
 	}
 	e, err := p.parseExpr()
@@ -914,10 +948,15 @@ func (p *Parser) literalValue() (v types.Value, ok bool, err error) {
 }
 
 func (p *Parser) parsePrimary() (expr.Expr, error) {
+	n := p.nparam
 	if v, ok, err := p.literalValue(); err != nil {
 		return nil, err
 	} else if ok {
-		return expr.NewConst(v), nil
+		c := expr.NewConst(v)
+		if p.nparam > n {
+			p.slot(n, c)
+		}
+		return c, nil
 	}
 	t := p.peek()
 	switch t.Kind {

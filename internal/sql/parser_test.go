@@ -2,6 +2,7 @@ package sql
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -440,5 +441,34 @@ func TestDepthBound(t *testing.T) {
 	wide := "SELECT 1 FROM t WHERE a IN (1" + strings.Repeat(", 1", 5*maxDepth) + ")" + strings.Repeat(" AND a = 1", maxDepth/2)
 	if _, err := Parse(wide); err != nil {
 		t.Errorf("a wide statement inside the bound: %v", err)
+	}
+}
+
+// TestParseSlots finds each parameter's constant where the tree holds
+// it — a comparison's operand, an IN list's element among literals — and
+// a negated parameter's outside the tree, which holds its negation.
+func TestParseSlots(t *testing.T) {
+	stmt, slots, err := ParseSlots("SELECT a FROM t WHERE a = ? AND b IN (?, 3, ?) AND c = -?", nil,
+		types.NewInt(1), types.NewInt(2), types.NewInt(4), types.NewInt(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []*expr.Const
+	_ = VisitExprs(stmt, func(slot *expr.Expr) error {
+		expr.Walk(*slot, func(n expr.Expr) bool {
+			if c, ok := n.(*expr.Const); ok {
+				held = append(held, c)
+			}
+			return true
+		})
+		return nil
+	})
+	for i, want := range []int64{1, 2, 4, 5} {
+		if slots[i] == nil || slots[i].Val.Int() != want {
+			t.Fatalf("slot %d: %v, want the constant %d", i, slots[i], want)
+		}
+		if in := slices.Contains(held, slots[i]); in != (i < 3) {
+			t.Errorf("slot %d in the tree: %v, want %v", i, in, i < 3)
+		}
 	}
 }

@@ -103,7 +103,13 @@ var (
 	}
 )
 
-type eqGen struct{ r *rand.Rand }
+// eqGen draws statements from r. With points, three atoms in four are
+// an equality or an IN list of distinct keys, the conjuncts a plan that
+// is bound again may hold (TestPlanEquivalence's parameters).
+type eqGen struct {
+	r      *rand.Rand
+	points bool
+}
 
 func (g *eqGen) pick(ss ...string) string { return ss[g.r.Intn(len(ss))] }
 func (g *eqGen) chance(p float64) bool    { return g.r.Float64() < p }
@@ -135,6 +141,22 @@ func (g *eqGen) intList(n int) string {
 // atom writes one predicate over t's columns, qualified by prefix.
 func (g *eqGen) atom(t *eqTable, prefix string) string {
 	key, fk, amount, region := prefix+t.key, prefix+t.fk, prefix+t.amount, prefix+t.region
+	if g.points && g.chance(0.75) {
+		switch g.r.Intn(4) {
+		case 0:
+			return fmt.Sprintf("%s = %d", key, g.r.Intn(t.nKeys))
+		case 1:
+			return fmt.Sprintf("%s = %d", fk, g.r.Intn(1000))
+		case 2:
+			return fmt.Sprintf("%s = '%s'", region, g.pick(t.regions...))
+		default:
+			keys := make([]string, 2+g.r.Intn(4))
+			for i, k := range g.r.Perm(t.nKeys)[:len(keys)] {
+				keys[i] = strconv.Itoa(k)
+			}
+			return fmt.Sprintf("%s IN (%s)", key, strings.Join(keys, ", "))
+		}
+	}
 	cmp := func() string { return g.pick("=", "<", "<=", ">", ">=", "<>") }
 	switch g.r.Intn(16) {
 	case 0, 1:
@@ -173,10 +195,12 @@ func (g *eqGen) where(t *eqTable, prefix string, extra ...string) string {
 	conj := append([]string(nil), extra...)
 	for n := g.r.Intn(4); n > 0; n-- {
 		a := g.atom(t, prefix)
-		if g.chance(0.2) {
+		// With points, no disjunction or negation: neither is a conjunct
+		// a kept plan may bind again.
+		if !g.points && g.chance(0.2) {
 			a = "(" + a + " OR " + g.atom(t, prefix) + ")"
 		}
-		if g.chance(0.1) {
+		if !g.points && g.chance(0.1) {
 			a = "NOT (" + a + ")"
 		}
 		conj = append(conj, a)

@@ -42,11 +42,20 @@
 #                   quick loop for a change meant to move
 #                   allocs_per_query: sql TestParseAllocations, plan
 #                   TestPlanAllocations and
-#                   TestPlanAllocsPerAlikeFragment, core
-#                   TestStatementAllocations, exec
-#                   TestKeptOutputIsOneBlock and wire
+#                   TestPlanAllocsPerAlikeFragment and
+#                   TestRebindCopiesOnlyThePath, core
+#                   TestStatementAllocations, a first call that misses
+#                   the statement cache and a warmed one that hits it,
+#                   exec TestKeptOutputIsOneBlock and wire
 #                   TestServedSubQueryAllocs, the serving side of a
-#                   point sub-query on a warmed connection), the plan
+#                   point sub-query on a warmed connection), the
+#                   statement cache's rule and invalidation (plan
+#                   TestValueFree, core
+#                   TestStatementCacheFollowsTheCatalog and
+#                   TestCacheHitIsAStatement, and
+#                   TestPointShapesShareTheCatalogConcurrently, two
+#                   callers drawing new values on one engine's kept
+#                   plans, a race only -race reports), the plan
 #                   equivalence tests
 #                   (`make equivalence` runs workload TestPlanEquivalence
 #                   and TestPlanEquivalenceCases on demand, the quick loop
@@ -66,9 +75,11 @@
 #                   in — and wire's tests of a result stream's end). A hang is how a
 #                   re-acquired mutex, a Wait that misses its Done or a
 #                   lock cycle shows, so the timeout is part of the gate:
-#                   about twice the slowest package (workload, 47-52 s
-#                   under -race on 2 CPUs, 49-52 s within this step)
-#                   instead of Go's ten minutes a package
+#                   well above the slowest package (workload, 49 s
+#                   under -race on 2 CPUs alone, 62 s within this step,
+#                   since TestPlanEquivalence runs its parameters
+#                   stream; 31 s and 49-52 s before) instead of Go's ten
+#                   minutes a package
 #   6. gisbench   — the OV1 overload bench and the quick bench as JSON,
 #                   schema-validated by scripts/benchjson
 #   7. examples   — examples/quickstart, hospitals and supplychain each
