@@ -66,15 +66,18 @@ layout:
 # maps like the one before it (TestPlanAllocsPerAlikeFragment, and
 # TestKeyQueryAllocsPerAlikeFragment for the keys a semijoin ships),
 # rebinding a kept plan (plan TestRebindCopiesOnlyThePath: one object a
-# node on the path to a parameter), whole statements on a first call,
-# which misses the statement cache, and warmed, which hits it (core
-# TestStatementAllocations), a kept result carved from one block (exec
+# node on the path to a parameter; TestRecheckAllocatesNothing: the
+# fragments and join strategy re-derived for the values allocate
+# nothing), whole statements on a first call, which misses the
+# statement cache, and warmed, which hits it or, for values a bank away,
+# is planned afresh (core TestStatementAllocations), a kept result
+# carved from one block (exec
 # TestKeptOutputIsOneBlock) and the serving side of a point sub-query on
 # a warmed connection (wire TestServedSubQueryAllocs,
 # TestRebindBuildsTheFilterOnce).
 allocs:
 	$(GO) test -count=1 -run 'TestParseAllocations' -v ./internal/sql
-	$(GO) test -count=1 -run 'TestPlanAllocations|TestPlanAllocsPerAlikeFragment|TestKeyQueryAllocsPerAlikeFragment|TestRebindCopiesOnlyThePath' -v ./internal/plan
+	$(GO) test -count=1 -run 'TestPlanAllocations|TestPlanAllocsPerAlikeFragment|TestKeyQueryAllocsPerAlikeFragment|TestRebindCopiesOnlyThePath|TestRecheckAllocatesNothing' -v ./internal/plan
 	$(GO) test -count=1 -run 'TestStatementAllocations' -v ./internal/core
 	$(GO) test -count=1 -run 'TestKeptOutputIsOneBlock' -v ./internal/exec
 	$(GO) test -count=1 -run 'TestServedSubQueryAllocs|TestRebindBuildsTheFilterOnce' -v ./internal/wire

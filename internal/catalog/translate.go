@@ -60,6 +60,12 @@ func (f *Fragment) Split(filter expr.Expr, push func(remote expr.Expr) bool) (pu
 // allocates only where IN lists meet: two on the column, or one of more
 // than eight keys.
 func (f *Fragment) Excludes(filter expr.Expr) bool {
+	return f.ExcludesBound(filter, expr.Binding{})
+}
+
+// ExcludesBound is Excludes of filter with b's values bound into it
+// (expr.Binding), which it reads without building the bound filter.
+func (f *Fragment) ExcludesBound(filter expr.Expr, b expr.Binding) bool {
 	if filter == nil {
 		return false
 	}
@@ -68,7 +74,7 @@ func (f *Fragment) Excludes(filter expr.Expr) bool {
 		if !excluded {
 			var whereBuf, filterBuf [8]types.Value
 			where, _ := expr.ColumnRangeIn(f.Where, c, whereBuf[:0])
-			admitted, _ := expr.ColumnRangeIn(filter, c, filterBuf[:0])
+			admitted := expr.ColumnRangeBound(filter, c, filterBuf[:0], b)
 			excluded = where.Intersect(admitted).Empty()
 		}
 	})

@@ -11,6 +11,13 @@ import (
 	"gis/internal/types"
 )
 
+// bankSpan is how many account ids each bank of statementEngine's
+// accounts holds: bank p holds p·bankSpan up to (p+1)·bankSpan.
+const bankSpan = 1_000_000
+
+// rangePruned is wan_fanout's range_pruned over the accounts banks.
+const rangePruned = "SELECT id, balance FROM accounts WHERE id >= ? AND id < ?"
+
 // statementEngine lays point_remote's and update_2pc's federations out as
 // bench/fixture.go does, smaller: customers on src_c and orders (primary
 // key oid, index on cust_id, fifty orders a customer, 4 000 in all, as
@@ -19,7 +26,7 @@ import (
 // on loopback, and a non-binding admission controller on the path.
 func statementEngine(t *testing.T) *Engine {
 	t.Helper()
-	const customers, orders, parts, span = 80, 4000, 4, 1_000_000
+	const customers, orders, parts, span = 80, 4000, 4, bankSpan
 	e := New()
 	e.SetAdmission(admission.New(admission.Config{MaxInFlight: 64}))
 	cat := e.Catalog()
@@ -99,20 +106,26 @@ func statementEngine(t *testing.T) *Engine {
 // end — parse, bind, plan, admit, ship, the component's decode and
 // re-bind, the reply — for point_remote's four shapes and update_2pc's
 // five templates (texts and parameter kinds as bench/gen.go has them),
-// a derived table read through its alias, and ship_remote's ship_join
-// and ship_sum_scaled over a 4 000-row range. Each is measured on its
-// first call, which misses the statement cache (DESIGN.md "The statement
-// cache"), and warmed. A miss's ceilings are what a statement's were
-// before the cache — 38 / 68 / 135 / 41, 26 / 17 / 25 / 88 / 136, 73, 91
-// and 77 — and it must stay under them. A warmed SELECT that the cache
-// keeps is a hit, which rebinds the kept plan and skips parse and plan;
-// every other warmed statement takes the miss's path but for the check,
-// whose verdict is kept. The warmed ceilings are 10% above what they
-// measure: 17 / 20 / 72 / 18 (34 / 61 / 122 / 37 when every call parsed
-// and planned), 23 / 15 / 22 / 80 / 57 (123), 66, 82 and 70; a miss
-// measures 37 / 64 / 125 / 39 and sum_check's 126. So a
-// regression of the fixed cost, a miss that grows, or a kept result no
-// longer carved from one block, fails here before it shows as
+// a derived table read through its alias, ship_remote's ship_join and
+// ship_sum_scaled over a 4 000-row range, and range_pruned's shape over
+// the four banks of accounts. Each is measured on its first call, which
+// misses the statement cache (DESIGN.md "The statement cache"), and
+// warmed. A miss's ceilings are what a statement's were before the
+// cache — 38 / 68 / 135 / 41, 26 / 17 / 25 / 88 / 136, 73, 91 and 77 —
+// and 10% above what range_pruned's measures (40), and it must stay
+// under them. A warmed SELECT that the cache keeps is a hit, which
+// rebinds the kept plan, re-deriving its fragments and join strategies
+// for the values, and skips parse and plan; every other warmed
+// statement takes the miss's path but for the check, whose verdict is
+// kept. The warmed ceilings are 10% above what they measure: 17 / 20 /
+// 72 / 18 (34 / 61 / 122 / 37 when every call parsed and planned), 23 /
+// 15 / 22 / 80 / 57 (123), 16, 33 and 24 (66, 82 and 70 when a range
+// was planned on every call), and range_pruned's 18. range_moved is
+// range_pruned with its plan kept for bank0 and its values in bank1:
+// the recheck sends each call back to planning, which allocates no more
+// than a miss does (37 against 40). So a regression of the fixed cost, a
+// miss that grows, a recheck that allocates, or a kept result no longer
+// carved from one block, fails here before it shows as
 // allocs_per_query. Materializing each template's subqueries, of which
 // it has none, allocates nothing. TestPlanAllocations (plan) holds the
 // planning part alone.
@@ -121,6 +134,9 @@ func TestStatementAllocations(t *testing.T) {
 	const runs = 50
 	// Rows inserted into bank0's middle, deleted again in the same order.
 	inserted, deleted := int64(1000), int64(1000)
+	// The values a statement's plan is kept for before its warmed calls
+	// are measured, when not its own: range_moved's are a bank away.
+	warm := map[string][]types.Value{"range_moved": ints(0, 10)}
 	for _, s := range []struct {
 		name      string
 		sql       string
@@ -149,11 +165,13 @@ func TestStatementAllocations(t *testing.T) {
 		{"sum_check", "SELECT SUM(balance), COUNT(*) FROM accounts",
 			func() []types.Value { return nil }, false, 136, 63},
 		{"derived", "SELECT q.oid FROM (SELECT * FROM orders WHERE oid < ?) q",
-			func() []types.Value { return ints(5) }, false, 73, 73},
+			func() []types.Value { return ints(5) }, false, 73, 18},
 		{"ship_join", "SELECT o.oid, c.name, o.amount FROM orders o JOIN customers c ON o.cust_id = c.id WHERE o.oid >= ? AND o.oid < ?",
-			func() []types.Value { return ints(0, 4000) }, false, 91, 91},
+			func() []types.Value { return ints(0, 4000) }, false, 91, 37},
 		{"sum_scaled", "SELECT COUNT(*), SUM(amount_cents) FROM orders_cents WHERE oid >= ? AND oid < ?",
-			func() []types.Value { return ints(0, 4000) }, false, 77, 77},
+			func() []types.Value { return ints(0, 4000) }, false, 77, 27},
+		{"range_pruned", rangePruned, func() []types.Value { return ints(0, 10) }, false, 44, 20},
+		{"range_moved", rangePruned, func() []types.Value { return ints(bankSpan, bankSpan+10) }, false, 44, 44},
 	} {
 		// The parameters of every run are drawn before it is measured, as
 		// the benchmark's generator draws them outside the engine.
@@ -190,7 +208,20 @@ func TestStatementAllocations(t *testing.T) {
 			e.stmts.clear()
 			run()
 		})
+		kept := warm[s.name]
+		if kept != nil {
+			e.stmts.clear()
+			if _, err := e.Query(ctx, s.sql, kept...); err != nil {
+				t.Fatal(err)
+			}
+		}
 		hit := testing.AllocsPerRun(runs, run)
+		if tm, _ := e.cachedPlan(s.sql); kept != nil && (tm == nil || tm.params.Slots[0].Val.Compare(kept[0]) != 0) {
+			t.Errorf("%s: the kept plan is not the one made for %v", s.name, kept)
+		}
+		if kept != nil && hit > miss {
+			t.Errorf("%s: a call planned afresh allocates %.0f objects, more than a miss's %.0f", s.name, hit, miss)
+		}
 		t.Logf("%-13s miss %4.0f allocations (ceiling %.0f), warmed %4.0f (ceiling %.0f)", s.name, miss, s.miss, hit, s.hit)
 		if miss > s.miss {
 			t.Errorf("%s: a first call allocates %.0f objects, ceiling %.0f", s.name, miss, s.miss)

@@ -10,11 +10,13 @@ import (
 
 // The statement cache (DESIGN.md "The statement cache") keeps, by a
 // SELECT's text, what planning it under one catalog generation and one
-// set of options made: the plan, when no parameter value could have
-// changed it (plan.ValueFree), and otherwise the verdict that it is
-// planned on every call. A later call of the text with parameters that
-// fit runs a copy of the plan with its values bound (plan.Rebind)
-// instead of parsing and planning it again.
+// set of options made: the plan, when what a parameter value could
+// change in it is re-derived for each call's values (plan.ValueFree),
+// and otherwise the verdict that it is planned on every call. A later
+// call of the text with parameters that fit runs a copy of the plan with
+// its values bound (plan.Rebind) instead of parsing and planning it
+// again, unless its values would leave a scan other fragments: that call
+// is planned afresh, and the kept plan stays.
 
 // stmtCacheSize bounds how many texts the cache keeps; one more drops
 // one it keeps.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -209,19 +208,36 @@ func TestCacheHitIsAStatement(t *testing.T) {
 	if !errors.Is(err, admission.ErrOverload) {
 		t.Errorf("a hit with the only slot held: %v, want an overload", err)
 	}
-	// A range is planned on every call: the verdict is kept, no plan.
-	ranged := "SELECT oid FROM orders WHERE oid >= ? AND oid < ?"
-	for _, p := range [][]types.Value{ints(1, 4), ints(10, 12)} {
-		res, err := e.Query(ctx, ranged, p...)
-		if err != nil || int64(len(res.Rows)) != p[1].Int()-p[0].Int() {
-			t.Fatalf("%s%v: %v, %v", ranged, p, res, err)
+	// A range is kept and rebound; on the partition column, values that
+	// leave the scan other fragments are parsed and planned afresh under
+	// a parse span named replanned, and the plan kept stays.
+	for _, c := range []struct {
+		sql    string
+		params []types.Value
+		span   string
+		kept   int64 // the first value the kept plan was made for
+	}{
+		{"SELECT oid FROM orders WHERE oid >= ? AND oid < ?", ints(1, 4), "parse/", 1},
+		{"SELECT oid FROM orders WHERE oid >= ? AND oid < ?", ints(10, 12), "parse/cached", 1},
+		{"SELECT oid FROM events WHERE oid >= ? AND oid < ?", ints(110, 120), "parse/", 110},
+		{"SELECT oid FROM events WHERE oid >= ? AND oid < ?", ints(101, 149), "parse/cached", 110},
+		{"SELECT oid FROM events WHERE oid >= ? AND oid < ?", ints(140, 160), "parse/replanned", 110},
+		{"SELECT oid FROM events WHERE oid >= ? AND oid < ?", ints(0, 3), "parse/replanned", 110},
+	} {
+		res, err := e.Query(ctx, c.sql, c.params...)
+		if err != nil || int64(len(res.Rows)) != c.params[1].Int()-c.params[0].Int() {
+			t.Fatalf("%s%v: %v, %v", c.sql, c.params, res, err)
 		}
-	}
-	if tm, kept := e.cachedPlan(ranged); tm == nil || kept != nil {
-		t.Errorf("a range: entry %v, plan %v; want an entry with no plan", tm != nil, kept != nil)
-	}
-	if !strings.Contains(e.TraceLast().Tree(), "parse") {
-		t.Errorf("a statement planned on every call is parsed:\n%s", e.TraceLast().Tree())
+		got := spans()
+		if got[c.span] != 1 || got["parse/"]+got["parse/cached"]+got["parse/replanned"] != 1 {
+			t.Errorf("%s%v: spans %v, want one parse span, %s", c.sql, c.params, got, c.span)
+		}
+		if planned := got["optimize/"] == 1; planned != (c.span != "parse/cached") {
+			t.Errorf("%s%v: planned %v under %s", c.sql, c.params, planned, c.span)
+		}
+		if tm, kept := e.cachedPlan(c.sql); tm == nil || kept == nil || tm.params.Slots[0].Val.Int() != c.kept {
+			t.Errorf("%s%v: the plan kept is not the first call's", c.sql, c.params)
+		}
 	}
 }
 

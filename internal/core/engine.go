@@ -257,7 +257,9 @@ type statement struct {
 // query log and the trace — then parse under a parse span. With cache,
 // a text the statement cache holds a plan for, under the catalog's
 // generation and the engine's options, whose parameters fit it, is not
-// parsed: its plan is rebound under a parse span named "cached". A
+// parsed: its plan is rebound under a parse span named "cached", or, when
+// the values would leave a scan other fragments (plan.Rebind), the text
+// is parsed and planned afresh under one named "replanned". A
 // statement that is shed or does not parse is already finished when
 // begin returns its error; otherwise the caller defers finish, as
 // instrument asks, or hands it to what completes the statement later
@@ -268,19 +270,24 @@ func (e *Engine) begin(ctx context.Context, text string, measure bool, params []
 		return ctx, statement{}, nil, err
 	}
 	st := statement{text: text}
+	var span *obs.Span
 	if cache {
 		gen := e.cat.Generation()
 		switch t := e.stmts.get(text, gen, e.opts); {
 		case t == nil:
 			st.fill = &template{gen: gen, opts: *e.opts}
 		case t.plan != nil && t.params.Fits(params):
-			_, span := obs.StartSpan(ctx, obs.SpanParse, "cached")
-			st.hit = plan.Rebind(t.plan, &t.params, params)
-			span.End()
-			return ctx, st, finish, nil
+			_, span = obs.StartSpan(ctx, obs.SpanParse, "cached")
+			if st.hit = plan.Rebind(t.plan, &t.params, params); st.hit != nil {
+				span.End()
+				return ctx, st, finish, nil
+			}
+			span.SetName("replanned")
 		}
 	}
-	_, span := obs.StartSpan(ctx, obs.SpanParse, "")
+	if span == nil {
+		_, span = obs.StartSpan(ctx, obs.SpanParse, "")
+	}
 	if st.fill != nil {
 		st.stmt, st.fill.params.Slots, err = sql.ParseSlots(text, st.fill.slots[:0], params...)
 	} else {
@@ -427,9 +434,10 @@ func (e *Engine) selectPlan(ctx context.Context, st statement) (p plan.Node, sha
 
 // planSelect materializes subqueries and produces an optimized plan.
 // With fill, it plans under fill's options and keeps fill under text in
-// the statement cache: with the plan, and shared set, when no parameter
-// value could have changed it (a statement holding a subquery has its
-// rows for constants), without when it is planned on every call.
+// the statement cache: with the plan, and shared set, when another call's
+// values may be bound into it (plan.ValueFree; a statement holding a
+// subquery has its rows for constants), without when it is planned on
+// every call.
 func (e *Engine) planSelect(ctx context.Context, sel *sql.SelectStmt, fill *template, text string) (p plan.Node, shared bool, err error) {
 	reusable := fill != nil && !holdsSubquery(sel)
 	rctx, rspan := obs.StartSpan(ctx, obs.SpanResolve, "")
@@ -454,6 +462,7 @@ func (e *Engine) planSelect(ctx context.Context, sel *sql.SelectStmt, fill *temp
 		return p, false, err
 	}
 	if reusable {
+		fill.params.Kept()
 		fill.plan = p
 	}
 	e.stmts.put(text, fill)

@@ -212,15 +212,25 @@ func TestPlanningWritesNoSharedState(t *testing.T) {
 }
 
 // TestPointShapesShareTheCatalogConcurrently runs point_remote's four
-// statements from two callers at once on one engine whose stores are in
-// process, so that the scans of both share their tables' schemas and
-// their fragments' remote references, and the statement cache's plans
-// (DESIGN.md "The statement cache"): under -race, a write to any of them
-// would be a reported race. Each caller draws new values in each round,
-// and each answer must be the one a lone run of another engine gives.
+// statements, and two ranges — one on events' partition column, one
+// whose join strategy its width decides — from two callers at once on
+// one engine whose stores are in process, so that the scans of both
+// share their tables' schemas and their fragments' remote references,
+// and the statement cache's plans (DESIGN.md "The statement cache"):
+// under -race, a write to any of them would be a reported race, the
+// recheck of fragments and strategy included. Each caller draws new
+// values in each round, and each answer must be the one a lone run of
+// another engine gives.
 func TestPointShapesShareTheCatalogConcurrently(t *testing.T) {
 	e, lone := sharedEngine(t), sharedEngine(t)
-	shapes := sharedShapes[:4]
+	type shape = struct {
+		name   string
+		sql    string
+		params []types.Value
+	}
+	shapes := append(sharedShapes[:4:4],
+		shape{"range_pruned", "SELECT oid, cust_id, amount FROM events WHERE oid >= ? AND oid < ? ORDER BY oid", ints(120, 140)},
+		shape{"ship_join", "SELECT o.oid, c.name FROM orders o JOIN customers c ON o.cust_id = c.id WHERE o.oid >= ? AND o.oid < ? ORDER BY o.oid", ints(0, 10)})
 	const callers, rounds = 2, 40
 	type call struct {
 		params []types.Value
@@ -234,9 +244,13 @@ func TestPointShapesShareTheCatalogConcurrently(t *testing.T) {
 				params := make([]types.Value, len(s.params))
 				for i := range params {
 					// Keys of orders (oid) and of customers (cust_id, id),
-					// some of them absent.
+					// some of them absent; a range's low end, then its
+					// high end a few keys or most of the table above it.
 					params[i] = types.NewInt(int64(rng.Intn(420)))
-					if s.name != "pk_lookup" && s.name != "in_list" {
+					switch {
+					case len(params) == 2 && i == 1:
+						params[i] = types.NewInt(params[0].Int() + int64(rng.Intn([2]int{8, 400}[rng.Intn(2)])))
+					case s.name == "fk_agg" || s.name == "fk_join_top5":
 						params[i] = types.NewInt(int64(rng.Intn(44)))
 					}
 				}

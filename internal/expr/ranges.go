@@ -84,19 +84,43 @@ func ColumnRange(filter Expr, col int) (r Range, other Expr) {
 // on col into buf's storage when they fit, so that a caller that reads
 // the range and lets it go — the estimator — allocates nothing.
 func ColumnRangeIn(filter Expr, col int, buf []types.Value) (r Range, other Expr) {
-	return foldRange(filter, col, Range{Lo: Unbounded, Hi: Unbounded}, nil, buf)
+	return foldRange(filter, col, Range{Lo: Unbounded, Hi: Unbounded}, nil, buf, Binding{})
+}
+
+// Binding reads Vals[i] wherever a filter holds the constant Slots[i]
+// points at: the range a filter would admit were the values bound into
+// it, read without building it.
+type Binding struct {
+	Slots []*Const
+	Vals  []types.Value
+}
+
+// value is c's value under b.
+func (b Binding) value(c *Const) types.Value {
+	for i, s := range b.Slots {
+		if s == c {
+			return b.Vals[i]
+		}
+	}
+	return c.Val
+}
+
+// ColumnRangeBound is ColumnRangeIn of filter under b.
+func ColumnRangeBound(filter Expr, col int, buf []types.Value, b Binding) Range {
+	r, _ := foldRange(filter, col, Range{Lo: Unbounded, Hi: Unbounded}, nil, buf, b)
+	return r
 }
 
 // foldRange walks the conjuncts of e in order, without collecting them.
 // It takes and returns the range and other rather than writing through
 // pointers, so that buf does not escape.
-func foldRange(e Expr, col int, r Range, other Expr, buf []types.Value) (Range, Expr) {
+func foldRange(e Expr, col int, r Range, other Expr, buf []types.Value, b Binding) (Range, Expr) {
 	if e == nil {
 		return r, other
 	}
-	if b, ok := e.(*Binary); ok && b.Op == OpAnd {
-		r, other = foldRange(b.L, col, r, other, buf)
-		return foldRange(b.R, col, r, other, buf)
+	if and, ok := e.(*Binary); ok && and.Op == OpAnd {
+		r, other = foldRange(and.L, col, r, other, buf, b)
+		return foldRange(and.R, col, r, other, buf, b)
 	}
 	if c, ok := ColumnConstraint(e); !ok || c.Index != col {
 		if other == nil {
@@ -107,20 +131,20 @@ func foldRange(e Expr, col int, r Range, other Expr, buf []types.Value) (Range, 
 	if r.Keys != nil {
 		buf = nil // it holds the keys r has
 	}
-	return r.Intersect(constraintRange(e, buf)), other
+	return r.Intersect(constraintRange(e, buf, b)), other
 }
 
 // constraintRange is the Range a conjunct ColumnConstraint recognised
-// admits, and the one place NULL is decided. An IN list's keys go into
-// buf when it has room.
-func constraintRange(e Expr, buf []types.Value) Range {
+// admits under b, and the one place NULL is decided. An IN list's keys go
+// into buf when it has room.
+func constraintRange(e Expr, buf []types.Value, b Binding) Range {
 	if in, ok := e.(*InList); ok {
 		keys := buf[:0]
 		if cap(keys) < len(in.List) {
 			keys = make([]types.Value, 0, len(in.List))
 		}
 		for _, el := range in.List {
-			if v := el.(*Const).Val; !v.IsNull() {
+			if v := b.value(el.(*Const)); !v.IsNull() {
 				keys = append(keys, v)
 			}
 		}
@@ -128,8 +152,13 @@ func constraintRange(e Expr, buf []types.Value) Range {
 		keys = slices.CompactFunc(keys, func(a, b types.Value) bool { return a.Compare(b) == 0 })
 		return Range{Lo: Unbounded, Hi: Unbounded, Keys: keys}
 	}
-	_, op, v, _ := ColumnComparison(e)
-	switch {
+	cmp := e.(*Binary)
+	_, op, _, _ := ColumnComparison(cmp)
+	c, isConst := cmp.R.(*Const)
+	if !isConst {
+		c = cmp.L.(*Const)
+	}
+	switch v := b.value(c); {
 	case v.IsNull():
 		return Range{Lo: Unbounded, Hi: Unbounded, Keys: []types.Value{}}
 	case op == OpEq:

@@ -271,7 +271,20 @@ func (s *Span) Name() string {
 	if s == nil {
 		return ""
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.name
+}
+
+// SetName renames the span, for a region that learns what it was only
+// once it has started.
+func (s *Span) SetName(name string) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.name = name
+	s.mu.Unlock()
 }
 
 // Duration returns the recorded duration, or the elapsed time so far

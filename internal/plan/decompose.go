@@ -119,18 +119,26 @@ func chooseStrategies(n Node, forced Strategy) Node {
 		j.Strategy = forced
 		return j
 	}
+	j.Strategy, j.costed = costedStrategy(j), true
+	return j
+}
+
+// costedStrategy is the strategy the estimates choose for j, whose right
+// side accepts its first key remotely on every fragment: the semijoin
+// when the left side is estimated at fewKeys rows or fewer, or when it
+// and the right rows it matches are estimated at less than semiJoinGain
+// of both sides shipped whole; shipping both sides otherwise. A kept
+// plan bound to other values chooses again by it (Rebind).
+func costedStrategy(j *Join) Strategy {
 	estL, estR := EstimateRows(j.L), EstimateRows(j.R)
-	estJoin := EstimateRows(j)
-	matchedR := estJoin
+	matchedR := EstimateRows(j)
 	if matchedR > estR {
 		matchedR = estR
 	}
 	if estL <= fewKeys || estL+matchedR < semiJoinGain*(estL+estR) {
-		j.Strategy = StrategySemiJoin
-	} else {
-		j.Strategy = StrategyShipAll
+		return StrategySemiJoin
 	}
-	return j
+	return StrategyShipAll
 }
 
 // setEquiKeys finds the equality conjuncts of j's condition that compare

@@ -244,6 +244,9 @@ type Join struct {
 	EquiL, EquiR []int
 
 	schema *types.Schema
+	// costed is set when Strategy is the estimates' verdict
+	// (costedStrategy), which a kept plan bound to other values re-derives.
+	costed bool
 }
 
 // Schema implements Node.

@@ -6,10 +6,11 @@ import (
 )
 
 // A plan the engine keeps for a statement's text is run again with other
-// parameter values (DESIGN.md "The statement cache"). That is sound only
-// where no value could have changed what planning made: ValueFree decides
-// it on the logical plan, and Rebind makes the kept plan's copy for the
-// next values.
+// parameter values (DESIGN.md "The statement cache"). ValueFree decides
+// on the logical plan that nothing planning made could differ for other
+// values but two choices, which Rebind makes again for each call's values
+// on the kept plan's copy: which fragments of a scan survive, and a
+// two-way join's strategy.
 
 // maxParams is how many parameters a plan that is bound again may have.
 const maxParams = 64
@@ -26,10 +27,30 @@ type Params struct {
 	// only for values that differ.
 	lists [maxLists][2]uint8
 	nList int
+	// prunes are the scans a parameter constrains a column of that a
+	// partition predicate reads, whose surviving fragments Rebind
+	// re-derives.
+	prunes [maxPrunes]pruneCheck
+	nPrune int
+	// priced is set when an estimate reads a parameter's value: a range,
+	// or a column constrained again. Rebind then re-derives the strategy
+	// of each join it copies whose strategy the estimates chose.
+	priced bool
 }
 
-// maxLists is how many IN lists of parameters a plan bound again may hold.
-const maxLists = 4
+// pruneCheck is one scan whose fragments a parameter may prune: live has
+// bit i set when the kept plan scans the table's fragment i (Kept).
+type pruneCheck struct {
+	scan *GlobalScan
+	live uint64
+}
+
+// maxLists is how many IN lists of parameters a plan bound again may
+// hold, and maxPrunes how many scans whose fragments it re-derives.
+const (
+	maxLists  = 4
+	maxPrunes = 4
+)
 
 // Fits reports whether vals may be bound into the plan made for the slots'
 // values: as many values, each of its slot's kind, and those of an IN
@@ -55,62 +76,111 @@ func (p *Params) Fits(vals []types.Value) bool {
 	return true
 }
 
-// ValueFree reports whether no value of the parameters could change
-// what Optimize makes of n, a logical plan as Builder built it, whose
-// parameters were read into p.Slots (sql.ParseSlots); it fills the rest
-// of p for Rebind when so. It is so when, besides the catalog and the
-// options, planning reads of each parameter only its kind:
-//   - it is the constant of a conjunct col = ?, or one of an IN list of
+// ValueFree reports whether the plan Optimize makes of n, a logical plan
+// as Builder built it, whose parameters were read into p.Slots
+// (sql.ParseSlots), may be kept for other values: all it reads of a
+// parameter but its kind is re-derived by Rebind. It fills the rest of p
+// when so. That holds when:
+//   - each parameter is the constant of a conjunct col op ? (op one of =,
+//     <, <=, >, >=, either way round), or one of an IN list of
 //     parameters alone, col IN (?, …), in a WHERE or ON condition, and
 //     stands nowhere else;
 //   - col is a column of a global table, read through the plan's scans
 //     and bare-column projections, of the parameter's kind, which every
-//     fragment of the table copies as it is and no partition predicate
-//     reads: neither the translation to a fragment nor Fragment.Split
-//     nor pruning reads the value;
-//   - no other conjunct constrains that column of that scan, so no value
-//     can leave its range empty, and the estimate of an equality is one
-//     distinct value and of an IN list as many as it has parameters
-//     (Fits holds a later call's values to that).
+//     fragment of the table copies as it is: the translation to a
+//     fragment carries the slot itself, and Fragment.Split reads the
+//     value only where Excludes does, which Rebind re-derives when a
+//     partition predicate reads col;
+//   - where an estimate reads a value (priced: a range, or a column
+//     constrained again), only a two-way join's strategy is priced from
+//     it, which Rebind re-derives too: no chain of three inner-joined
+//     relations or more is ordered by estimate, and no join is priced
+//     over an aggregate, whose estimate changes when it is pushed into
+//     the scans after the join was priced.
 //
-// A statement holding a subquery is the caller's to refuse: the planner
-// sees it materialized.
+// An equality alone on its column, or an IN list, is estimated by the
+// column's distinct values, whatever the value (Fits holds an IN list's
+// to being different). A statement holding a subquery is the caller's to
+// refuse: the planner sees it materialized.
 func ValueFree(n Node, p *Params) bool {
 	if len(p.Slots) > maxParams {
 		return false
 	}
 	v := valueCheck{slots: p.Slots, p: p, ok: true}
-	p.nList = 0
+	p.nList, p.nPrune, p.priced = 0, 0, false
 	v.node(n)
 	if !v.ok || v.found != 1<<len(p.Slots)-1 {
 		return false
 	}
-	// No column a parameter constrains is constrained twice.
 	for i, a := range v.cols[:v.ncol] {
-		for _, b := range v.cols[i+1 : v.ncol] {
-			if a.scan == b.scan && a.col == b.col && (a.param || b.param) {
-				return false
+		if !a.param {
+			continue
+		}
+		for j, b := range v.cols[:v.ncol] {
+			if j != i && a.scan == b.scan && a.col == b.col {
+				p.priced = true // constrained again
+			}
+		}
+		p.priced = p.priced || a.ranged
+		if a.prunes && !p.addPrune(a.scan) {
+			return false
+		}
+	}
+	return !p.priced || !v.reordered
+}
+
+// addPrune records that a parameter may prune scan's fragments; false
+// when there are too many such scans or fragments to keep track of.
+func (p *Params) addPrune(scan *GlobalScan) bool {
+	for _, c := range p.prunes[:p.nPrune] {
+		if c.scan == scan {
+			return true
+		}
+	}
+	if p.nPrune == maxPrunes || len(scan.Table.Fragments) > 64 {
+		return false
+	}
+	p.prunes[p.nPrune] = pruneCheck{scan: scan}
+	p.nPrune++
+	return true
+}
+
+// Kept records, once Optimize has made the plan that is kept, which
+// fragments of each scan a parameter may prune the plan reads: those its
+// filter, as pushed down, does not exclude.
+func (p *Params) Kept() {
+	for i := range p.prunes[:p.nPrune] {
+		c := &p.prunes[i]
+		c.live = 0
+		for k, f := range c.scan.Table.Fragments {
+			if !f.Excludes(c.scan.Filter) {
+				c.live |= 1 << k
 			}
 		}
 	}
-	return true
 }
 
 // valueCheck is ValueFree's walk. cols are the scan columns the plan's
 // conjuncts constrain to constants, param where a parameter does.
+// reordered is set when the plan holds what an estimate may reorder or
+// re-price after a join is priced.
 type valueCheck struct {
-	slots []*expr.Const
-	p     *Params
-	found uint64
-	ok    bool
-	cols  [16]constrained
-	ncol  int
+	slots     []*expr.Const
+	p         *Params
+	found     uint64
+	ok        bool
+	reordered bool
+	cols      [16]constrained
+	ncol      int
 }
 
+// constrained is a scan column a conjunct constrains to constants. Of a
+// parameter's: ranged when the conjunct is a range, prunes when a
+// partition predicate of the table reads the column.
 type constrained struct {
-	scan  *GlobalScan
-	col   int
-	param bool
+	scan                  *GlobalScan
+	col                   int
+	param, ranged, prunes bool
 }
 
 func (v *valueCheck) node(n Node) {
@@ -119,6 +189,7 @@ func (v *valueCheck) node(n Node) {
 	case *Filter:
 		v.conjuncts(t.Pred, t.Input)
 	case *Join:
+		v.reordered = v.reordered || chainLen(t) >= 3 || aggregates(t.L) || aggregates(t.R)
 		v.conjuncts(t.Cond, t)
 	case *GlobalScan:
 		v.nowhere(t.Filter)
@@ -131,6 +202,18 @@ func (v *valueCheck) node(n Node) {
 	default:
 		eachExpr(n, func(e *expr.Expr) { v.nowhere(*e) })
 	}
+}
+
+// aggregates reports whether n holds an aggregate, which Optimize may
+// split into partials in the scans after the joins are priced: a final
+// Aggregate over a union of them is estimated otherwise.
+func aggregates(n Node) bool {
+	if _, ok := n.(*Aggregate); ok {
+		return true
+	}
+	found := false
+	EachInput(n, func(in *Node) { found = found || aggregates(*in) })
+	return found
 }
 
 // nowhere refuses e when it holds a parameter.
@@ -161,11 +244,13 @@ func (v *valueCheck) conjuncts(e expr.Expr, in Node) {
 		return
 	}
 	col, isConstraint := expr.ColumnConstraint(e)
-	lo, hi, param := v.params(e)
+	lo, hi, ranged, param := v.params(e)
 	if !param {
 		v.nowhere(e)
 		if isConstraint {
-			v.constrain(in, col.Index, false)
+			if scan, g := origin(in, col.Index); scan != nil {
+				v.record(constrained{scan: scan, col: g})
+			}
 		}
 		return
 	}
@@ -175,8 +260,8 @@ func (v *valueCheck) conjuncts(e expr.Expr, in Node) {
 		}
 		v.found |= 1 << i
 	}
-	scan, g := v.constrain(in, col.Index, true)
-	if scan == nil || !v.ok {
+	scan, g := origin(in, col.Index)
+	if scan == nil {
 		v.ok = false
 		return
 	}
@@ -184,11 +269,14 @@ func (v *valueCheck) conjuncts(e expr.Expr, in Node) {
 	if scan.Table.Schema.Columns[g].Type != kind {
 		v.ok = false
 	}
+	prunes := false
 	for _, f := range scan.Table.Fragments {
-		if m := &f.Columns[g]; !m.Identity() || f.Decides(g) {
+		if !f.Columns[g].Identity() {
 			v.ok = false
 		}
+		prunes = prunes || f.Decides(g)
 	}
+	v.record(constrained{scan: scan, col: g, param: true, ranged: ranged, prunes: prunes})
 	if _, in := e.(*expr.InList); in && hi-lo > 1 {
 		if v.p.nList == maxLists {
 			v.ok = false
@@ -199,25 +287,26 @@ func (v *valueCheck) conjuncts(e expr.Expr, in Node) {
 	}
 }
 
-// params recognises col = ? (either way round) and col IN (?, …) of
-// parameters alone, and returns the parameters it reads, lo..hi-1, in
-// the order they were read; each reads its parameter's kind.
-func (v *valueCheck) params(e expr.Expr) (lo, hi int, ok bool) {
+// params recognises col op ? (either way round, op a comparison but <>)
+// and col IN (?, …) of parameters alone, and returns the parameters it
+// reads, lo..hi-1, in the order they were read, and whether it is a
+// range; each reads its parameter's kind.
+func (v *valueCheck) params(e expr.Expr) (lo, hi int, ranged, ok bool) {
 	switch n := e.(type) {
 	case *expr.Binary:
 		col, op, _, isCmp := expr.ColumnComparison(n)
-		if !isCmp || op != expr.OpEq || col.Index < 0 {
-			return 0, 0, false
+		if !isCmp || op == expr.OpNe || col.Index < 0 {
+			return 0, 0, false, false
 		}
 		c, _ := n.R.(*expr.Const)
 		if c == nil {
 			c, _ = n.L.(*expr.Const)
 		}
 		i := v.slot(c)
-		return i, i + 1, i >= 0
+		return i, i + 1, op != expr.OpEq, i >= 0
 	case *expr.InList:
 		if _, isCol := n.E.(*expr.ColRef); !isCol || n.Negate || len(n.List) == 0 {
-			return 0, 0, false
+			return 0, 0, false, false
 		}
 		lo = -1
 		for k, el := range n.List {
@@ -230,31 +319,24 @@ func (v *valueCheck) params(e expr.Expr) (lo, hi int, ok bool) {
 			case k == 0:
 				lo = i
 			case (i < 0) != (lo < 0), i >= 0 && i != hi:
-				return 0, 0, false // a literal among parameters, or out of order
+				return 0, 0, false, false // a literal among parameters, or out of order
 			}
 			hi = i + 1
 		}
-		return lo, hi, lo >= 0
+		return lo, hi, false, lo >= 0
 	default:
-		return 0, 0, false
+		return 0, 0, false, false
 	}
 }
 
-// constrain records that a conjunct constrains column col of in's output
-// to constants, and returns the scan column behind it; nil when there is
-// none to be had (it is computed, or read through a grouping or a union).
-func (v *valueCheck) constrain(in Node, col int, param bool) (*GlobalScan, int) {
-	scan, g := origin(in, col)
-	if scan == nil {
-		return nil, -1
-	}
+// record keeps c, a conjunct's constraint of a scan column.
+func (v *valueCheck) record(c constrained) {
 	if v.ncol == len(v.cols) {
 		v.ok = false
-		return nil, -1
+		return
 	}
-	v.cols[v.ncol] = constrained{scan: scan, col: g, param: param}
+	v.cols[v.ncol] = c
 	v.ncol++
-	return scan, g
 }
 
 // origin resolves column col of n's output to the global scan column it
@@ -300,12 +382,24 @@ func origin(n Node, col int) (*GlobalScan, int) {
 // Rebind returns n, a published plan made for the values in p's slots,
 // with vals in their place: the nodes on a path from the root to a slot
 // are copied, and the expressions above it in each, and every other node
-// is n's own. n is not written. vals must fit (Params.Fits).
+// is n's own. n is not written. vals must fit (Params.Fits). The choices
+// planning made from the values are made again from vals: it returns nil,
+// having copied no node, when a scan's filter would leave it other
+// fragments than the kept plan reads, and a copied join whose strategy
+// the estimates chose takes the one they choose for vals.
 func Rebind(n Node, p *Params, vals []types.Value) Node {
 	if len(vals) == 0 {
 		return n
 	}
-	r := rebinder{slots: p.Slots, consts: make([]expr.Const, len(vals))}
+	bound := expr.Binding{Slots: p.Slots, Vals: vals}
+	for _, c := range p.prunes[:p.nPrune] {
+		for k, f := range c.scan.Table.Fragments {
+			if f.ExcludesBound(c.scan.Filter, bound) == (c.live&(1<<k) != 0) {
+				return nil
+			}
+		}
+	}
+	r := rebinder{slots: p.Slots, consts: make([]expr.Const, len(vals)), priced: p.priced}
 	for i, v := range vals {
 		r.consts[i].Val = v
 	}
@@ -315,7 +409,7 @@ func Rebind(n Node, p *Params, vals []types.Value) Node {
 // rebinder is Rebind's walk. The scans of a union that follow one another
 // (FragScan.follow) share a filter: seen keeps each expression's copy and
 // each scan's, so the copies share it too and a copied scan follows its
-// copied predecessor.
+// copied predecessor. priced is Params.priced.
 type rebinder struct {
 	slots  []*expr.Const
 	consts []expr.Const
@@ -323,6 +417,7 @@ type rebinder struct {
 	nexpr  int
 	scans  [8][2]*FragScan
 	nscan  int
+	priced bool
 }
 
 func (r *rebinder) expr(e expr.Expr) expr.Expr {
@@ -381,6 +476,9 @@ func (r *rebinder) node(n Node) Node {
 		}
 		i++
 	})
+	if j, ok := out.(*Join); ok && out != n && j.costed && r.priced {
+		j.Strategy = costedStrategy(j)
+	}
 	return out
 }
 

@@ -29,6 +29,9 @@ func planTemplate(t *testing.T, cat *catalog.Catalog, text string, params []type
 	if err != nil {
 		t.Fatalf("%s: %v", text, err)
 	}
+	if free {
+		p.Kept()
+	}
 	return n, &p, free
 }
 
@@ -48,55 +51,96 @@ var rebindOptions = []func(*Options){
 	func(o *Options) { o.ForceStrategy = StrategySemiJoin },
 }
 
-// valueFreeCases are statements over newBenchCatalog, two sets of
-// parameter values each, and whether a plan made for the first stands
-// for the second.
-var valueFreeCases = []struct {
-	name   string
-	sql    string
-	a, b   []types.Value
-	reused bool
-}{
-	{"pk_lookup", planShapes[0].sql, ints(17), ints(301), true},
-	{"fk_agg", planShapes[1].sql, ints(3), ints(39), true},
-	{"fk_join_top5", planShapes[2].sql, ints(3), ints(11), true},
-	{"fk_join_top5_comma", planShapes[3].sql, ints(3), ints(11), true},
-	{"in_list", planShapes[4].sql, ints(1, 2, 3, 5, 8, 13, 21, 34), ints(399, 7, 6, 5, 4, 3, 2, 1), true},
-	{"no parameter", "SELECT SUM(amount), COUNT(*) FROM events", nil, nil, true},
-	{"two columns", "SELECT oid FROM orders WHERE region = ? AND cust_id = ?",
-		[]types.Value{types.NewString("east"), types.NewInt(2)}, []types.Value{types.NewString("west"), types.NewInt(7)}, true},
-	{"unpartitioned column of a partitioned table", "SELECT oid, amount FROM events WHERE cust_id = ?", ints(5), ints(6), true},
-	{"derived table", "SELECT q.oid FROM (SELECT oid, cust_id FROM orders WHERE cust_id = ?) q WHERE q.oid < 200", ints(5), ints(6), true},
-	{"ON conjunct", "SELECT c.name, o.oid FROM customers c JOIN orders o ON c.id = o.cust_id AND o.region = ?",
-		[]types.Value{types.NewString("east")}, []types.Value{types.NewString("north")}, true},
-	{"left join's ON", "SELECT c.name, o.oid FROM customers c LEFT JOIN orders o ON c.id = o.cust_id AND o.oid = ?", ints(5), ints(6), true},
+// What becomes of a statement's plan under ValueFree and Rebind: planned
+// on every call, kept and rebound to the second values, or kept and
+// planned afresh for them because they leave a scan other fragments.
+const (
+	planned = iota
+	rebound
+	replanned
+)
 
-	{"range", "SELECT oid FROM orders WHERE oid >= ? AND oid < ?", ints(1, 9), ints(2, 5), false},
-	{"range_pruned", planShapes[9].sql, ints(120, 140), ints(20, 40), false},
-	{"partition column", "SELECT oid, amount FROM events WHERE oid = ?", ints(5), ints(305), false},
-	{"value map", "SELECT oid FROM orders_mediated WHERE region = ?", []types.Value{types.NewString("east")}, []types.Value{types.NewString("nowhere")}, false},
-	{"unit conversion", "SELECT oid FROM orders_mediated WHERE amount_cents = ?", []types.Value{types.NewFloat(50)}, []types.Value{types.NewFloat(51)}, false},
-	{"constant column", "SELECT oid FROM orders_mediated WHERE site = ?", []types.Value{types.NewString("h_rel")}, []types.Value{types.NewString("x")}, false},
-	{"column constrained again", "SELECT oid FROM orders WHERE oid = ? AND oid < 100", ints(5), ints(150), false},
-	{"column constrained twice", "SELECT oid FROM orders WHERE oid = ? AND oid = ?", ints(5, 5), ints(5, 6), false},
-	{"literal in the list", "SELECT oid FROM orders WHERE oid IN (?, 5)", ints(4), ints(5), false},
-	{"NOT IN", "SELECT oid FROM orders WHERE oid NOT IN (?, ?)", ints(4, 5), ints(5, 5), false},
-	{"not equal", "SELECT oid FROM orders WHERE oid <> ?", ints(4), ints(5), false},
-	{"in the select list", "SELECT oid + ? FROM orders WHERE oid < 3", ints(4), ints(5), false},
-	{"negated", "SELECT oid FROM orders WHERE oid = -?", ints(4), ints(5), false},
-	{"computed", "SELECT oid FROM orders WHERE oid = ? + 1", ints(4), ints(5), false},
-	{"disjunction", "SELECT oid FROM orders WHERE oid = ? OR cust_id = 3", ints(4), ints(5), false},
-	{"HAVING", "SELECT region, COUNT(*) FROM orders GROUP BY region HAVING COUNT(*) = ?", ints(100), ints(5), false},
+// chainSQL joins three relations, which the optimizer orders by estimate.
+const chainSQL = "SELECT c.name, o.oid, e.oid FROM customers c JOIN orders o ON c.id = o.cust_id JOIN events e ON e.cust_id = c.id WHERE "
+
+// valueFreeCases are statements over newBenchCatalog, two sets of
+// parameter values each, and what becomes of a plan made for the first
+// when the second are bound, under the default options.
+var valueFreeCases = []struct {
+	name string
+	sql  string
+	a, b []types.Value
+	want int
+}{
+	{"pk_lookup", planShapes[0].sql, ints(17), ints(301), rebound},
+	{"fk_agg", planShapes[1].sql, ints(3), ints(39), rebound},
+	{"fk_join_top5", planShapes[2].sql, ints(3), ints(11), rebound},
+	{"fk_join_top5_comma", planShapes[3].sql, ints(3), ints(11), rebound},
+	{"in_list", planShapes[4].sql, ints(1, 2, 3, 5, 8, 13, 21, 34), ints(399, 7, 6, 5, 4, 3, 2, 1), rebound},
+	{"no parameter", "SELECT SUM(amount), COUNT(*) FROM events", nil, nil, rebound},
+	{"two columns", "SELECT oid FROM orders WHERE region = ? AND cust_id = ?",
+		[]types.Value{types.NewString("east"), types.NewInt(2)}, []types.Value{types.NewString("west"), types.NewInt(7)}, rebound},
+	{"unpartitioned column of a partitioned table", "SELECT oid, amount FROM events WHERE cust_id = ?", ints(5), ints(6), rebound},
+	{"derived table", "SELECT q.oid FROM (SELECT oid, cust_id FROM orders WHERE cust_id = ?) q WHERE q.oid < 200", ints(5), ints(6), rebound},
+	{"ON conjunct", "SELECT c.name, o.oid FROM customers c JOIN orders o ON c.id = o.cust_id AND o.region = ?",
+		[]types.Value{types.NewString("east")}, []types.Value{types.NewString("north")}, rebound},
+	{"left join's ON", "SELECT c.name, o.oid FROM customers c LEFT JOIN orders o ON c.id = o.cust_id AND o.oid = ?", ints(5), ints(6), rebound},
+
+	{"range", "SELECT oid FROM orders WHERE oid >= ? AND oid < ?", ints(1, 9), ints(2, 5), rebound},
+	{"range turned round", "SELECT oid FROM orders WHERE ? <= oid AND ? > oid", ints(1, 9), ints(2, 300), rebound},
+	{"empty range", "SELECT oid FROM orders WHERE oid >= ? AND oid < ?", ints(1, 9), ints(9, 1), rebound},
+	{"range from empty", "SELECT oid FROM orders WHERE oid >= ? AND oid < ?", ints(5, 5), ints(1, 9), rebound},
+	{"BETWEEN", "SELECT oid FROM orders WHERE oid BETWEEN ? AND 9", ints(4), ints(5), rebound},
+	{"threshold", planShapes[5].sql, []types.Value{types.NewFloat(250)}, []types.Value{types.NewFloat(20)}, rebound},
+	{"sum_scaled", planShapes[6].sql, ints(100, 300), ints(0, 400), rebound},
+	{"range_pruned", planShapes[9].sql, ints(120, 140), ints(20, 40), replanned},
+	{"range_pruned within its fragment", planShapes[9].sql, ints(120, 140), ints(101, 149), rebound},
+	{"range across a fragment boundary", planShapes[9].sql, ints(120, 160), ints(110, 190), rebound},
+	{"range narrowed to one fragment", planShapes[9].sql, ints(120, 160), ints(120, 140), replanned},
+	{"range over every fragment", planShapes[9].sql, ints(0, 400), ints(-5, 1000), rebound},
+	{"empty range on the partition column", planShapes[9].sql, ints(140, 120), ints(7, 7), rebound},
+	{"range on the partition column emptied", planShapes[9].sql, ints(120, 140), ints(140, 120), replanned},
+	{"partition column", "SELECT oid, amount FROM events WHERE oid = ?", ints(5), ints(305), replanned},
+	{"partition column, same fragment", "SELECT oid, amount FROM events WHERE oid = ?", ints(5), ints(6), rebound},
+	{"IN list on the partition column", "SELECT oid FROM events WHERE oid IN (?, ?)", ints(5, 6), ints(7, 305), replanned},
+	{"IN list within its fragment", "SELECT oid FROM events WHERE oid IN (?, ?)", ints(5, 6), ints(7, 8), rebound},
+	{"column constrained again", "SELECT oid FROM orders WHERE oid = ? AND oid < 100", ints(5), ints(150), rebound},
+	{"column constrained twice", "SELECT oid FROM orders WHERE oid = ? AND oid = ?", ints(5, 5), ints(5, 6), rebound},
+	{"semijoin_sel", planShapes[8].sql, ints(3, 7), ints(0, 40), rebound},
+	{"strategy flips", "SELECT o.oid, c.name FROM orders o JOIN customers c ON o.cust_id = c.id WHERE o.oid >= ? AND o.oid < ?", ints(0, 10), ints(0, 400), rebound},
+	{"strategy flips back", "SELECT o.oid, c.name FROM orders o JOIN customers c ON o.cust_id = c.id WHERE o.oid >= ? AND o.oid < ?", ints(0, 400), ints(0, 10), rebound},
+	{"range in a left join's ON", "SELECT c.name, o.oid FROM customers c LEFT JOIN orders o ON c.id = o.cust_id AND o.oid < ?", ints(5), ints(390), rebound},
+	{"chain of three, equality", chainSQL + "o.oid = ?", ints(5), ints(6), rebound},
+	{"chain of three, range", chainSQL + "o.oid < ?", ints(5), ints(390), planned},
+	{"join over an aggregate", "SELECT q.cust_id, c.name FROM (SELECT cust_id, COUNT(*) AS n FROM events WHERE amount < ? GROUP BY cust_id) q JOIN customers c ON c.id = q.cust_id",
+		[]types.Value{types.NewFloat(2)}, []types.Value{types.NewFloat(400)}, planned},
+	{"join over a limit", "SELECT q.oid, c.name FROM (SELECT oid, cust_id FROM events WHERE amount < ? ORDER BY amount LIMIT 100) q JOIN customers c ON c.id = q.cust_id",
+		[]types.Value{types.NewFloat(2)}, []types.Value{types.NewFloat(400)}, rebound},
+
+	{"value map", "SELECT oid FROM orders_mediated WHERE region = ?", []types.Value{types.NewString("east")}, []types.Value{types.NewString("nowhere")}, planned},
+	{"unit conversion", "SELECT oid FROM orders_mediated WHERE amount_cents = ?", []types.Value{types.NewFloat(50)}, []types.Value{types.NewFloat(51)}, planned},
+	{"range over a unit conversion", "SELECT oid FROM orders_mediated WHERE amount_cents < ?", []types.Value{types.NewFloat(50)}, []types.Value{types.NewFloat(51)}, planned},
+	{"constant column", "SELECT oid FROM orders_mediated WHERE site = ?", []types.Value{types.NewString("h_rel")}, []types.Value{types.NewString("x")}, planned},
+	{"literal in the list", "SELECT oid FROM orders WHERE oid IN (?, 5)", ints(4), ints(5), planned},
+	{"NOT IN", "SELECT oid FROM orders WHERE oid NOT IN (?, ?)", ints(4, 5), ints(5, 5), planned},
+	{"not equal", "SELECT oid FROM orders WHERE oid <> ?", ints(4), ints(5), planned},
+	{"in the select list", "SELECT oid + ? FROM orders WHERE oid < 3", ints(4), ints(5), planned},
+	{"negated", "SELECT oid FROM orders WHERE oid = -?", ints(4), ints(5), planned},
+	{"computed", "SELECT oid FROM orders WHERE oid = ? + 1", ints(4), ints(5), planned},
+	{"disjunction", "SELECT oid FROM orders WHERE oid = ? OR cust_id = 3", ints(4), ints(5), planned},
+	{"HAVING", "SELECT region, COUNT(*) FROM orders GROUP BY region HAVING COUNT(*) = ?", ints(100), ints(5), planned},
 	{"grouped column", "SELECT region, COUNT(*) FROM orders GROUP BY region HAVING region = ?",
-		[]types.Value{types.NewString("east")}, []types.Value{types.NewString("west")}, false},
-	{"another kind", "SELECT oid FROM orders WHERE amount = ?", ints(4), ints(5), false},
-	{"NULL", "SELECT oid FROM orders WHERE oid = ?", []types.Value{types.Null}, ints(5), false},
+		[]types.Value{types.NewString("east")}, []types.Value{types.NewString("west")}, planned},
+	{"another kind", "SELECT oid FROM orders WHERE amount = ?", ints(4), ints(5), planned},
+	{"NULL", "SELECT oid FROM orders WHERE oid = ?", []types.Value{types.Null}, ints(5), planned},
 }
 
 // TestValueFree holds ValueFree to its rule over every case, and a plan
-// it lets stand to the plan made afresh: rebound to the second values
-// under each optimizer variant, it prints as planning the statement with
-// them prints, and the plan it was made from prints as it did.
+// it keeps to the plan made afresh: rebound to the second values under
+// each optimizer variant, it prints as planning the statement with them
+// prints, or Rebind reports that they are planned afresh; the plan it was
+// made from prints as it did. Under the default options the second values
+// are rebound or planned afresh as the case says.
 func TestValueFree(t *testing.T) {
 	cat := newBenchCatalog(t)
 	for _, c := range valueFreeCases {
@@ -104,8 +148,8 @@ func TestValueFree(t *testing.T) {
 			opts := DefaultOptions()
 			tweak(opts)
 			n, p, free := planTemplate(t, cat, c.sql, c.a, opts)
-			if free != c.reused {
-				t.Errorf("%s: ValueFree = %v, want %v\n%s", c.name, free, c.reused, Explain(n))
+			if free != (c.want != planned) {
+				t.Errorf("%s: ValueFree = %v, want %v\n%s", c.name, free, !free, Explain(n))
 				break
 			}
 			if !free {
@@ -116,13 +160,39 @@ func TestValueFree(t *testing.T) {
 			}
 			before := Explain(n)
 			fresh, _, _ := planTemplate(t, cat, c.sql, c.b, opts)
-			if got, want := Explain(Rebind(n, p, c.b)), Explain(fresh); got != want {
-				t.Errorf("%s under variant %d: rebound\n%swant\n%s", c.name, i, got, want)
+			out := Rebind(n, p, c.b)
+			switch {
+			case i == 0 && (out == nil) != (c.want == replanned):
+				t.Errorf("%s: Rebind planned afresh: %v, want %v", c.name, out == nil, c.want == replanned)
+			case out == nil:
+			case Explain(out) != Explain(fresh):
+				t.Errorf("%s under variant %d: rebound\n%swant\n%s", c.name, i, Explain(out), Explain(fresh))
 			}
 			if Explain(n) != before {
 				t.Errorf("%s under variant %d: rebinding wrote the kept plan:\n%swas\n%s", c.name, i, Explain(n), before)
 			}
 		}
+	}
+}
+
+// TestRebindChoosesTheStrategyAgain rebinds a join whose strategy the
+// range's width decides: the kept plan ships the few keys of a narrow
+// range and the rebound one, for a wide range, ships both sides, as a
+// plan made for it does.
+func TestRebindChoosesTheStrategyAgain(t *testing.T) {
+	cat := newBenchCatalog(t)
+	text := "SELECT o.oid, c.name FROM orders o JOIN customers c ON o.cust_id = c.id WHERE o.oid >= ? AND o.oid < ?"
+	n, p, free := planTemplate(t, cat, text, ints(0, 10), DefaultOptions())
+	if !free {
+		t.Fatal("a range on a two-way join is kept")
+	}
+	fresh, _, _ := planTemplate(t, cat, text, ints(0, 400), DefaultOptions())
+	out := Rebind(n, p, ints(0, 400))
+	if out == nil {
+		t.Fatal("a range on an unpartitioned table is planned afresh")
+	}
+	if kept, got, want := findJoin(n).Strategy, findJoin(out).Strategy, findJoin(fresh).Strategy; kept != StrategySemiJoin || got != StrategyShipAll || got != want {
+		t.Errorf("strategies kept %v, rebound %v, afresh %v; want semijoin, shipall, shipall", kept, got, want)
 	}
 }
 
@@ -190,5 +260,45 @@ func TestRebindCopiesOnlyThePath(t *testing.T) {
 	t.Logf("Rebind of fk_join_top5 copies %d nodes and allocates %.0f objects", copied, got)
 	if want := float64(copied + 2); got > want {
 		t.Errorf("Rebind allocates %.0f objects, want at most %.0f:\n%s", got, want, Explain(n))
+	}
+}
+
+// TestRecheckAllocatesNothing holds the choices Rebind makes again to
+// reading: rebinding a join whose strategy it re-derives, and a range on
+// the partition column whose fragments it re-derives, allocates what
+// copying the path does without them, and values that leave the scan
+// other fragments are refused before anything is allocated.
+func TestRecheckAllocatesNothing(t *testing.T) {
+	cat := newBenchCatalog(t)
+	for _, c := range []struct {
+		name       string
+		sql        string
+		a, b, away []types.Value
+	}{
+		{"strategy", "SELECT o.oid, c.name FROM orders o JOIN customers c ON o.cust_id = c.id WHERE o.oid >= ? AND o.oid < ?",
+			ints(0, 10), ints(0, 400), nil},
+		{"fragments", planShapes[9].sql, ints(120, 140), ints(101, 149), ints(20, 40)},
+	} {
+		n, p, free := planTemplate(t, cat, c.sql, c.a, DefaultOptions())
+		if !free {
+			t.Fatalf("%s: not kept", c.name)
+		}
+		bare := *p
+		bare.priced, bare.nPrune = false, 0
+		rechecked := testing.AllocsPerRun(50, func() { Rebind(n, p, c.b) })
+		copied := testing.AllocsPerRun(50, func() { Rebind(n, &bare, c.b) })
+		t.Logf("%s: Rebind allocates %.0f objects, %.0f without the recheck", c.name, rechecked, copied)
+		if rechecked != copied {
+			t.Errorf("%s: the recheck allocates %.0f objects", c.name, rechecked-copied)
+		}
+		if c.away == nil {
+			continue
+		}
+		if Rebind(n, p, c.away) != nil {
+			t.Fatalf("%s: values in other fragments rebound", c.name)
+		}
+		if got := testing.AllocsPerRun(50, func() { Rebind(n, p, c.away) }); got != 0 {
+			t.Errorf("%s: refusing values in other fragments allocates %.0f objects", c.name, got)
+		}
 	}
 }

@@ -24,13 +24,20 @@ func TestChunkBytes(t *testing.T) {
 		{KindBytes, 16, 4096},
 		{KindTime, 12, 2048 + 1024},
 	} {
-		v := NewVector(c.kind)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		v.Grow(ChunkRows)
-		runtime.ReadMemStats(&after)
-		vectorSink = v
-		got := after.TotalAlloc - before.TotalAlloc
+		// Whatever else the test binary allocates meanwhile only adds
+		// to a delta, so the smallest of a few is the vector's.
+		got := uint64(0)
+		for range chunkBytesRuns {
+			v := NewVector(c.kind)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			v.Grow(ChunkRows)
+			runtime.ReadMemStats(&after)
+			vectorSink = v
+			if d := after.TotalAlloc - before.TotalAlloc; got == 0 || d < got {
+				got = d
+			}
+		}
 		if used := c.perRow * ChunkRows; got != c.class || got-used > c.perRow {
 			t.Errorf("%s: a vector of %d rows takes %d B of %d B, want %d B at %d B a row, within a row of it",
 				c.kind, ChunkRows, used, got, c.class, c.perRow)
@@ -39,6 +46,9 @@ func TestChunkBytes(t *testing.T) {
 }
 
 var vectorSink Vector // makes TestChunkBytes' vectors escape
+
+// chunkBytesRuns is how many times TestChunkBytes measures each kind.
+const chunkBytesRuns = 5
 
 // A writer changes in place what no view taken since can hold, and a
 // copy of the rest. After a view, Claim asks once for the header to be

@@ -193,9 +193,12 @@ func TestPlanEquivalence(t *testing.T) {
 		n, chains, params = 150, 40, 30
 	}
 	// How many parameter statements ran their second values on the plan
-	// the first values made.
-	var reused atomic.Int64
-	t.Cleanup(func() { t.Logf("%d of %d statements with parameters reused a plan", reused.Load(), params) })
+	// the first values made, and how many were planned afresh for them
+	// because they left a scan other fragments, under some variant.
+	var reused, replanned atomic.Int64
+	t.Cleanup(func() {
+		t.Logf("%d of %d statements with parameters reused a plan, %d were planned afresh by the recheck", reused.Load(), params, replanned.Load())
+	})
 	for _, s := range []struct {
 		name  string
 		seed  int64
@@ -205,8 +208,12 @@ func TestPlanEquivalence(t *testing.T) {
 		{"statements", equivalenceSeed, n, func(t *testing.T, f map[string]*Fixture, g *eqGen) { checkEquivalent(t, f, g.next()) }},
 		{"chains", chainSeed, chains, func(t *testing.T, f map[string]*Fixture, g *eqGen) { checkEquivalent(t, f, g.chain()) }},
 		{"parameters", parameterSeed, params, func(t *testing.T, f map[string]*Fixture, g *eqGen) {
-			if checkRebound(t, f, g, g.next()) {
+			cached, again := checkRebound(t, f, g, g.next())
+			if cached {
 				reused.Add(1)
+			}
+			if again {
+				replanned.Add(1)
 			}
 		}},
 	} {
@@ -347,16 +354,19 @@ func literal(tmpl string, vals []types.Value) string {
 // plan the first call made (DESIGN.md "The statement cache"), a plan
 // some value would have changed shows as a different answer. An unordered
 // LIMIT's rows are any of the unlimited statement's, so it is left out.
-func checkRebound(t *testing.T, fixtures map[string]*Fixture, g *eqGen, q eqQuery) (reused bool) {
+// It reports whether the second call reused the kept plan under some
+// variant (its parse span is named "cached"), and whether the kept plan
+// sent it back to planning under some variant ("replanned").
+func checkRebound(t *testing.T, fixtures map[string]*Fixture, g *eqGen, q eqQuery) (cached, replanned bool) {
 	t.Helper()
 	if q.anySubset {
-		return false
+		return false, false
 	}
 	f := fixtures[q.t.fixture]
 	sql := strings.ReplaceAll(q.sql, "$T", capTables[len(q.sql)%len(capTables)])
 	tmpl, a := lift(sql)
 	if len(a) == 0 {
-		return false
+		return false, false
 	}
 	b := g.redraw(a)
 	defer setVariant(f, planVariants[0])
@@ -369,7 +379,8 @@ func checkRebound(t *testing.T, fixtures map[string]*Fixture, g *eqGen, q eqQuer
 		tr := obs.NewTrace(tmpl)
 		got, err := eqRunIn(obs.WithTrace(ctx, tr), f, tmpl, q.ordered, b...)
 		for _, sp := range tr.FindAll(obs.SpanParse) {
-			reused = reused || sp.Name() == "cached"
+			cached = cached || sp.Name() == "cached"
+			replanned = replanned || sp.Name() == "replanned"
 		}
 		want, werr := eqRun(f, literal(tmpl, b), q.ordered)
 		switch {
@@ -381,7 +392,7 @@ func checkRebound(t *testing.T, fixtures map[string]*Fixture, g *eqGen, q eqQuer
 			}
 		}
 	}
-	return reused
+	return cached, replanned
 }
 
 // TestPlanEquivalenceCases are the statements found to disagree — by the
@@ -422,36 +433,54 @@ func TestPlanEquivalenceCases(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) { checkEquivalent(t, fixtures, c.q) })
 	}
-	// Statements no plan of which stands for other values (DESIGN.md
-	// "The statement cache"), each run twice with values that disagree:
-	// the second call is planned again, and answers — and, over eight
-	// fragments, asks the fragments — as the statement written with its
-	// values does.
+	// Statements run twice with values that disagree, each text its own
+	// so that the plan kept is its first call's: the second call
+	// rebinds the plan the first made (DESIGN.md "The statement cache"),
+	// or, where no plan stands for other values or the kept one reads
+	// other fragments, is planned again; either way it answers — and,
+	// over eight fragments, asks the fragments — as the statement written
+	// with its values does. A join whose strategy the range's width
+	// decides ships its keys for one and both sides for the other.
 	t.Run("parameters that planning reads", func(t *testing.T) {
 		events, err := Partitioned(ctx, 8, 50, false, Link{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer events.Close()
-		hetero, cap := fixtures["hetero"], fixtures["capability"]
+		hetero, cap, parts := fixtures["hetero"], fixtures["capability"], fixtures["partitioned"]
 		for _, c := range []struct {
-			name string
-			f    *Fixture
-			sql  string
-			a, b []types.Value
+			name   string
+			f      *Fixture
+			sql    string
+			a, b   []types.Value
+			cached bool
 		}{
 			{"range_pruned over eight fragments", events, "SELECT oid, cust_id, amount FROM events WHERE oid >= ? AND oid < ? ORDER BY oid",
-				[]types.Value{types.NewInt(120), types.NewInt(140)}, []types.Value{types.NewInt(20), types.NewInt(260)}},
+				intParams(120, 140), intParams(20, 260), false},
+			{"range_pruned within its fragment", events, "SELECT oid, cust_id FROM events WHERE oid >= ? AND oid < ? ORDER BY oid",
+				intParams(120, 140), intParams(101, 149), true},
+			{"range_pruned across a fragment boundary", events, "SELECT oid, amount FROM events WHERE oid >= ? AND oid < ? ORDER BY oid",
+				intParams(120, 160), intParams(110, 190), true},
+			{"range_pruned emptied", events, "SELECT oid FROM events WHERE oid >= ? AND oid < ? ORDER BY oid",
+				intParams(120, 140), intParams(140, 120), false},
 			{"the partition column", events, "SELECT oid, cust_id, amount FROM events WHERE oid = ?",
-				[]types.Value{types.NewInt(120)}, []types.Value{types.NewInt(320)}},
+				intParams(120), intParams(320), false},
+			{"a join's strategy flips with the range's width", parts, "SELECT c.name, o.oid FROM customers c JOIN events o ON c.id = o.cust_id WHERE c.id >= ? AND c.id < ? ORDER BY o.oid",
+				intParams(3, 7), intParams(0, 1000), true},
 			{"a value-mapped column", hetero, "SELECT oid, region FROM orders_mediated WHERE region = ? ORDER BY oid",
-				[]types.Value{types.NewString("north")}, []types.Value{types.NewString("W")}},
+				[]types.Value{types.NewString("north")}, []types.Value{types.NewString("W")}, false},
 			{"a unit-converted column", hetero, "SELECT oid, amount FROM orders_mediated WHERE amount < ? ORDER BY oid",
-				[]types.Value{types.NewFloat(20.005)}, []types.Value{types.NewFloat(300.005)}},
+				[]types.Value{types.NewFloat(20.005)}, []types.Value{types.NewFloat(300.005)}, false},
 			{"an IN list of parameters, then repeated values", cap, "SELECT oid, amount FROM orders_rel WHERE oid IN (?, ?, ?, ?) ORDER BY oid",
-				[]types.Value{types.NewInt(1), types.NewInt(2), types.NewInt(3), types.NewInt(4)},
-				[]types.Value{types.NewInt(7), types.NewInt(7), types.NewInt(9), types.NewInt(9)}},
+				intParams(1, 2, 3, 4), intParams(7, 7, 9, 9), false},
 		} {
+			if strings.Contains(c.name, "strategy") {
+				a, aerr := c.f.Engine.Explain(ctx, literal(c.sql, c.a))
+				b, berr := c.f.Engine.Explain(ctx, literal(c.sql, c.b))
+				if aerr != nil || berr != nil || strings.Contains(a, "semijoin") == strings.Contains(b, "semijoin") {
+					t.Errorf("%s: the two ranges plan alike:\n%s\n%s", c.name, a, b)
+				}
+			}
 			if _, err := eqRun(c.f, c.sql, true, c.a...); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
@@ -468,10 +497,12 @@ func TestPlanEquivalenceCases(t *testing.T) {
 			if d := diffRows(got, want); d != "" {
 				t.Errorf("%s: %s", c.name, d)
 			}
+			cached := false
 			for _, sp := range gotTrace.FindAll(obs.SpanParse) {
-				if sp.Name() == "cached" {
-					t.Errorf("%s: the second call reused the first one's plan", c.name)
-				}
+				cached = cached || sp.Name() == "cached"
+			}
+			if cached != c.cached {
+				t.Errorf("%s: the second call reused the first one's plan: %v, want %v", c.name, cached, c.cached)
 			}
 			if g, w := len(gotTrace.FindAll(obs.SpanShip)), len(wantTrace.FindAll(obs.SpanShip)); g != w {
 				t.Errorf("%s: the second call asks %d fragments, the statement written out %d", c.name, g, w)

@@ -104,8 +104,10 @@ var (
 )
 
 // eqGen draws statements from r. With points, three atoms in four are
-// an equality or an IN list of distinct keys, the conjuncts a plan that
-// is bound again may hold (TestPlanEquivalence's parameters).
+// an equality, an IN list of distinct keys or a range of keys — empty,
+// narrow, or wide enough to cross fragments and to ship both sides of a
+// join — the conjuncts a plan that is bound again may hold
+// (TestPlanEquivalence's parameters).
 type eqGen struct {
 	r      *rand.Rand
 	points bool
@@ -142,13 +144,24 @@ func (g *eqGen) intList(n int) string {
 func (g *eqGen) atom(t *eqTable, prefix string) string {
 	key, fk, amount, region := prefix+t.key, prefix+t.fk, prefix+t.amount, prefix+t.region
 	if g.points && g.chance(0.75) {
-		switch g.r.Intn(4) {
+		switch g.r.Intn(5) {
 		case 0:
 			return fmt.Sprintf("%s = %d", key, g.r.Intn(t.nKeys))
 		case 1:
 			return fmt.Sprintf("%s = %d", fk, g.r.Intn(1000))
 		case 2:
 			return fmt.Sprintf("%s = '%s'", region, g.pick(t.regions...))
+		case 3:
+			lo, width := g.r.Intn(t.nKeys), 0
+			switch g.r.Intn(3) {
+			case 0:
+				width = -g.r.Intn(3)
+			case 1:
+				width = 1 + g.r.Intn(20)
+			default:
+				width = t.nKeys / 3
+			}
+			return fmt.Sprintf("%s >= %d AND %s < %d", key, lo, key, lo+width)
 		default:
 			keys := make([]string, 2+g.r.Intn(4))
 			for i, k := range g.r.Perm(t.nKeys)[:len(keys)] {

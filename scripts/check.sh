@@ -42,15 +42,18 @@
 #                   quick loop for a change meant to move
 #                   allocs_per_query: sql TestParseAllocations, plan
 #                   TestPlanAllocations and
-#                   TestPlanAllocsPerAlikeFragment and
-#                   TestRebindCopiesOnlyThePath, core
+#                   TestPlanAllocsPerAlikeFragment,
+#                   TestRebindCopiesOnlyThePath and
+#                   TestRecheckAllocatesNothing, core
 #                   TestStatementAllocations, a first call that misses
-#                   the statement cache and a warmed one that hits it,
+#                   the statement cache, a warmed one that hits it and
+#                   one its recheck sends back to planning,
 #                   exec TestKeptOutputIsOneBlock and wire
 #                   TestServedSubQueryAllocs, the serving side of a
 #                   point sub-query on a warmed connection), the
-#                   statement cache's rule and invalidation (plan
-#                   TestValueFree, core
+#                   statement cache's rule and recheck (plan
+#                   TestValueFree, TestRebindChoosesTheStrategyAgain,
+#                   core
 #                   TestStatementCacheFollowsTheCatalog and
 #                   TestCacheHitIsAStatement, and
 #                   TestPointShapesShareTheCatalogConcurrently, two
