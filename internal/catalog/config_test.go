@@ -117,3 +117,58 @@ func TestConfigErrors(t *testing.T) {
 		t.Error("unknown source must error")
 	}
 }
+
+// FuzzConfig: a federation description — ParseConfig and then Apply
+// against one in-process relstore source, hospA, with the tables pat
+// and orders — returns an error or defines tables, and whatever it maps,
+// even before an error, is a fragment with as many columns as its
+// table. The seeds are the tests' configs and examples/configs, its
+// sources renamed to hospA.
+func FuzzConfig(f *testing.F) {
+	example := strings.NewReplacer(`"ny"`, `"hospA"`, `"eu"`, `"hospA"`).Replace(`{
+  "sources": [{"name": "ny", "addr": "localhost:7070"}, {"name": "eu", "addr": "localhost:7071", "latency_ms": 5, "bandwidth_mbps": 20}],
+  "tables": [{"name": "orders",
+    "columns": [{"name": "oid", "type": "int"}, {"name": "cust_id", "type": "int"}, {"name": "amount", "type": "float"}],
+    "fragments": [
+      {"source": "ny", "remote_table": "orders", "columns": [{"remote_col": 0}, {"remote_col": 1}, {"remote_col": 2}], "where": "oid < 100000"},
+      {"source": "eu", "remote_table": "orders", "columns": [{"remote_col": 0}, {"remote_col": 1}, {"remote_col": 2}], "where": "oid >= 100000"}]}]}`)
+	for _, seed := range []string{
+		testConfig,
+		example,
+		strings.Replace(testConfig, `"type": "int"`, `"type": "frobnicate"`, 1),
+		strings.Replace(testConfig, `"id < 1000"`, `"id <"`, 1),
+		strings.Replace(testConfig, `{"remote_col": -1, "const": "A"}`, `{"remote_col": -1, "const": "A"}, {"remote_col": 0}`, 1),
+		strings.Replace(testConfig, `"scale": 0.453592`, `"value_map": {"1": "2"}`, 1),
+		"{bad json",
+		"{}",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, err := ParseConfig(data)
+		if err != nil {
+			return
+		}
+		c := newConfigFixture(t)
+		src, _ := c.Source("hospA")
+		if err := src.(*relstore.Store).CreateTable("orders", types.NewSchema(
+			types.Column{Name: "oid", Type: types.KindInt},
+			types.Column{Name: "cust_id", Type: types.KindInt},
+			types.Column{Name: "amount", Type: types.KindFloat},
+		), 0); err != nil {
+			t.Fatal(err)
+		}
+		_ = c.Apply(context.Background(), cfg, sql.ParseExpr) // an error is an answer; what was mapped is checked below
+		for _, name := range c.Tables() {
+			tab, err := c.Table(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, fr := range tab.Fragments {
+				if len(fr.Columns) != tab.Schema.Len() {
+					t.Fatalf("table %s of %d columns maps fragment %d with %d columns", name, tab.Schema.Len(), i, len(fr.Columns))
+				}
+			}
+		}
+	})
+}

@@ -277,7 +277,7 @@ func parseProb(s string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // NaN too
 		return 0, fmt.Errorf("probability %v outside [0,1]", p)
 	}
 	return p, nil

@@ -201,3 +201,41 @@ func TestInjectedClassification(t *testing.T) {
 		t.Error("Injected misclassified a non-injected error")
 	}
 }
+
+// FuzzParsePlan: ParsePlan, which reads gisd's and gisql's -faults flag,
+// returns a plan or an error and never panics, and a plan it returns
+// declares some link, each rate of which lies in [0, 1]. The seeds are
+// the specs of the tests and of the commands' help.
+func FuzzParsePlan(f *testing.F) {
+	for _, spec := range []string{
+		"seed=7;*:err=0.05;ny:drop=0.1,stall=40ms,stallp=0.3,ops=read+commit",
+		"seed=23;*:err=0.1,drop=0.05,stall=1ms,stallp=0.2,ops=read",
+		"seed=7;*:err=0.05,stall=50ms,stallp=0.1",
+		"seed=5;eu:err=0.25,drop=0.1,ops=read",
+		"eu:err=1,ops=prepare",
+		"ny:stall=5ms",
+		"ny:part=2s+5s",
+		"", "seed=abc;*:err=1", "noseparator", ":err=1", "*:err", "*:err=1.5",
+		"*:frob=1", "*:part=2s", "*:ops=teleport", "*:stall=fast", "seed=1",
+		// ParseFloat reads "NaN", for which p < 0 and p > 1 are both false.
+		"*:err=NaN", "*:stallp=-0", "*:drop=1e-400",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePlan(spec)
+		if err != nil {
+			return
+		}
+		if len(p.Links) == 0 {
+			t.Fatalf("ParsePlan(%q) returned a plan of no links", spec)
+		}
+		for name, lf := range p.Links {
+			for _, r := range []float64{lf.ErrRate, lf.DropRate, lf.StallRate} {
+				if !(r >= 0 && r <= 1) {
+					t.Fatalf("ParsePlan(%q): link %q has rate %v outside [0, 1]", spec, name, r)
+				}
+			}
+		}
+	})
+}

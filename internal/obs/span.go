@@ -430,7 +430,15 @@ func newTraceID() string {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return fmt.Sprintf("%016x", z)
+	// Sixteen hex digits by hand: fmt's printer comes from a sync.Pool,
+	// which a GC empties, so Sprintf would cost a traced statement two
+	// objects more whenever a collection ran since the last one.
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = "0123456789abcdef"[z&15]
+		z >>= 4
+	}
+	return string(b[:])
 }
 
 // Name returns the trace's name.

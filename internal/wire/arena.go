@@ -23,10 +23,10 @@ import (
 //     name (Decoder.tableName), so none is made twice;
 //   - a SET value's STRING or BYTES is a string of its own, because a
 //     store may keep it (Decoder.keep);
-//   - every other STRING or BYTES payload of one request is a substring
-//     of one string made for that request (place), which is never
-//     written again: one that is kept stays valid, and keeps the block
-//     alive with it.
+//   - every other STRING or BYTES payload and every column name of one
+//     request is a substring of one string made for that request
+//     (textBlock.place), which is never written again: one that is kept
+//     stays valid, and keeps the block alive with it.
 type decodeArena struct {
 	queries  slab[source.Query]
 	colRefs  slab[expr.ColRef]
@@ -44,24 +44,13 @@ type decodeArena struct {
 	orders   slab[source.OrderSpec]
 	sets     slab[source.SetClause]
 
-	// text gathers the request's string payloads and notes says where
-	// each goes, until place makes them one string.
-	text  []byte
-	notes []textNote
+	// textBlock gathers the request's string payloads until the decode
+	// that read them places them; reset trims it.
+	textBlock
 
 	// bound describes the table the request names when the connection
 	// has bound against it (Decoder.tableName), for Server.tableInfo.
 	bound *source.TableInfo
-}
-
-// textNote is a slot waiting for its string: a name (str) or a STRING
-// or BYTES constant (val, of kind), whose bytes run in text from the
-// previous note's end to end.
-type textNote struct {
-	str  *string
-	val  *types.Value
-	kind types.Kind
-	end  int
 }
 
 // keptBytes bounds what reset keeps of a slab or of the text buffer: a
@@ -126,39 +115,53 @@ func (a *decodeArena) reset() {
 	a.aggs.reset()
 	a.orders.reset()
 	a.sets.reset()
-	a.endText()
+	a.trim()
 	a.bound = nil
 }
 
-// endText empties the gathering of text and notes, and lets go of either
-// when a request grew it past keptBytes.
-func (a *decodeArena) endText() {
-	clear(a.notes)
-	a.notes, a.text = a.notes[:0], a.text[:0]
-	if cap(a.text) > keptBytes {
-		a.text = nil
-	}
-	if cap(a.notes)*int(unsafe.Sizeof(textNote{})) > keptBytes {
-		a.notes = nil
-	}
+// textBlock is where decoded STRING and BYTES payloads, and names, wait
+// for their block: text gathers their bytes and notes says which slot
+// each goes to, until place makes them one string. It is the one way a
+// decode places a string, for a result frame's rows (a connection keeps
+// one, frameConn.text) and for a served request (decodeArena). Its owner
+// decides what it keeps: a connection keeps what its frames grew, and an
+// arena trims to keptBytes when it is reset. A decode that fails leaves
+// its notes behind; its owner drops the block or trims it before the
+// next decode.
+type textBlock struct {
+	text  []byte
+	notes []textNote
 }
 
-// note gathers b, the payload of a name (str) or of a constant of kind
+// textNote is a slot waiting for its string: a name (str) or a STRING
+// or BYTES value (val, of kind), whose bytes run in text from the
+// previous note's end to end.
+type textNote struct {
+	str  *string
+	val  *types.Value
+	kind types.Kind
+	end  int
+}
+
+// note gathers p, the payload of a name (str) or of a value of kind
 // (val), for place.
-func (a *decodeArena) note(str *string, val *types.Value, kind types.Kind, b []byte) {
-	a.text = append(a.text, b...)
-	a.notes = append(a.notes, textNote{str: str, val: val, kind: kind, end: len(a.text)})
+func (b *textBlock) note(str *string, val *types.Value, kind types.Kind, p []byte) {
+	b.text = append(b.text, p...)
+	b.notes = append(b.notes, textNote{str: str, val: val, kind: kind, end: len(b.text)})
 }
 
-// place makes the gathered payloads one string and points each noted
-// slot at its substring. A request's decode calls it once, at its end.
-func (a *decodeArena) place() {
-	if a == nil || len(a.notes) == 0 {
+// place makes the gathered payloads one string of exactly their bytes,
+// points each noted slot at its substring and empties the gathering for
+// the next decode. The string is never written again: a value copied out
+// of a slot stays valid, and keeps at most its decode's string bytes
+// alive. The notes are cleared, so the block pins no slot.
+func (b *textBlock) place() {
+	if b == nil || len(b.notes) == 0 {
 		return
 	}
-	block := string(a.text)
+	block := string(b.text)
 	start := 0
-	for _, n := range a.notes {
+	for _, n := range b.notes {
 		p := block[start:n.end]
 		switch {
 		case n.str != nil:
@@ -170,5 +173,19 @@ func (a *decodeArena) place() {
 		}
 		start = n.end
 	}
-	a.endText()
+	clear(b.notes)
+	b.notes, b.text = b.notes[:0], b.text[:0]
+}
+
+// trim empties the gathering, and lets go of its text or notes when a
+// decode grew them past keptBytes.
+func (b *textBlock) trim() {
+	clear(b.notes)
+	b.notes, b.text = b.notes[:0], b.text[:0]
+	if cap(b.text) > keptBytes {
+		b.text = nil
+	}
+	if cap(b.notes)*int(unsafe.Sizeof(textNote{})) > keptBytes {
+		b.notes = nil
+	}
 }

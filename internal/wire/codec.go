@@ -284,10 +284,10 @@ type Decoder struct {
 	pos int
 	// depth is how many Expr or Span decodes are on the stack.
 	depth int
-	// strs is where rowBatch gathers a frame's strings: the connection's
-	// (frameConn.decoder), reused frame after frame, or nil for one of
-	// the frame's own.
-	strs *stringScratch
+	// text is where the strings d decodes wait for their block: the
+	// connection's frames' (frameConn.decoder), a served request's
+	// arena's (connState.request), or else its own arena's (block).
+	text *textBlock
 	// arena is where Query, Expr and writeReq carve what they decode: a
 	// served connection's, or one of the decoder's own (nodes).
 	arena *decodeArena
@@ -308,6 +308,14 @@ func (d *Decoder) nodes() *decodeArena {
 		d.arena = new(decodeArena)
 	}
 	return d.arena
+}
+
+// block returns the text block d's strings wait in.
+func (d *Decoder) block() *textBlock {
+	if d.text == nil {
+		d.text = &d.nodes().textBlock
+	}
+	return d.text
 }
 
 // maxNesting bounds how deep an expression or span tree a payload may
@@ -487,10 +495,11 @@ func (d *Decoder) Row() (types.Row, error) {
 // msgRows payload, an INSERT's rows — into batch, reusing its slot array
 // when it is large enough. The rows are carved from one slab, sized from
 // the first row's width (a result stream's rows all have one), and their
-// strings are substrings of one string block, so a frame costs two
-// allocations and not one per row or per string. Each row is cut with a
-// full slice expression, so appending to it copies instead of reaching
-// its neighbour.
+// values are read as a request's constants are (constant): their strings
+// are substrings of one string block, so a frame costs two allocations
+// and not one per row or per string. Each row is cut with a full slice
+// expression, so appending to it copies instead of reaching its
+// neighbour.
 //
 // With a nil slab the frame gets its own, which is never written again:
 // rows stay valid for as long as the caller keeps them. A caller whose
@@ -498,7 +507,7 @@ func (d *Decoder) Row() (types.Row, error) {
 // passes the slab the previous call returned, and the frame is decoded
 // over it; only a frame that needs more room than it has allocates.
 // The slab returned is the largest the frame used. The string block is
-// the frame's own either way (see stringScratch.place).
+// the frame's own either way (textBlock.place).
 func (d *Decoder) rowBatch(batch []types.Row, slab []types.Value) ([]types.Row, []types.Value, error) {
 	n, err := d.count()
 	if err != nil {
@@ -510,11 +519,6 @@ func (d *Decoder) rowBatch(batch []types.Row, slab []types.Value) ([]types.Row, 
 		// The slot array grows to the frame size once per stream.
 		batch = make([]types.Row, n)
 	}
-	strs := d.strs
-	if strs == nil {
-		strs = new(stringScratch)
-	}
-	strs.buf, strs.notes = strs.buf[:0], strs.notes[:0]
 	free := slab // not carved yet
 	for i := range batch {
 		width, err := d.count()
@@ -531,75 +535,15 @@ func (d *Decoder) rowBatch(batch []types.Row, slab []types.Value) ([]types.Row, 
 		}
 		row := free[:width:width]
 		free = free[width:]
-		if err := d.frameValues(row, i, strs); err != nil {
-			return nil, nil, err
+		for j := range row {
+			if err := d.constant(&row[j]); err != nil {
+				return nil, nil, err
+			}
 		}
 		batch[i] = row
 	}
-	strs.place(batch)
+	d.text.place()
 	return batch, slab, nil
-}
-
-// frameValues fills row i of a frame as Row does, except that a
-// STRING or BYTES payload is not copied out on its own: its bytes are
-// appended to strs and its slot is noted.
-func (d *Decoder) frameValues(row types.Row, i int, strs *stringScratch) error {
-	for j := range row {
-		if d.Remaining() > 0 {
-			if k := types.Kind(d.buf[d.pos]); k == types.KindString || k == types.KindBytes {
-				d.pos++
-				b, err := d.payload()
-				if err != nil {
-					return err
-				}
-				strs.buf = append(strs.buf, b...)
-				strs.notes = append(strs.notes, stringNote{row: uint32(i), col: uint32(j), end: uint32(len(strs.buf)), kind: k})
-				continue
-			}
-		}
-		var err error
-		if row[j], err = d.Value(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// stringScratch gathers a frame's STRING and BYTES payloads while
-// rowBatch reads its rows. A connection keeps one and reuses it frame
-// after frame: nothing a row holds points into it, and its notes are
-// positions in the batch, not pointers, so it pins no row.
-type stringScratch struct {
-	buf   []byte
-	notes []stringNote
-}
-
-// stringNote is a slot waiting for its payload: column col of row row of
-// the batch is a value of kind whose bytes run in the scratch from the
-// previous note's end (0 for the first) to end. A frame's length is a
-// uint32 on the wire, so each fits one.
-type stringNote struct {
-	row, col, end uint32
-	kind          types.Kind
-}
-
-// place copies the gathered payloads into the frame's string block, one
-// string of exactly their bytes, and points each noted slot at its
-// substring. The block is never written again, not even when the next
-// frame is decoded over this one's slab: a value copied out of a lent row
-// stays valid, and keeps at most one frame's string bytes alive.
-func (s *stringScratch) place(batch []types.Row) {
-	block := string(s.buf)
-	start := uint32(0)
-	for _, n := range s.notes {
-		p := block[start:n.end]
-		if n.kind == types.KindBytes {
-			batch[n.row][n.col] = types.NewBytesOf(p)
-		} else {
-			batch[n.row][n.col] = types.NewString(p)
-		}
-		start = n.end
-	}
 }
 
 // Schema reads a schema.
@@ -657,22 +601,21 @@ func (d *Decoder) IntSlice() ([]int, error) {
 func (d *Decoder) Expr() (expr.Expr, error) {
 	x, err := d.expr()
 	if err == nil {
-		d.arena.place()
+		d.text.place()
 	}
 	return x, err
 }
 
-// constant reads a constant into v, as Value does, except that a
-// STRING or BYTES payload waits for the request's string block
-// (decodeArena.place) instead of being copied out on its own, unless d
-// keeps it.
+// constant reads a value into v, as Value does, except that a STRING
+// or BYTES payload waits in d's text block (textBlock.place) instead of
+// being copied out on its own, unless d keeps it.
 func (d *Decoder) constant(v *types.Value) (err error) {
 	if !d.keep && d.Remaining() > 0 {
 		if k := types.Kind(d.buf[d.pos]); k == types.KindString || k == types.KindBytes {
 			d.pos++
 			b, err := d.payload()
 			if err == nil {
-				d.nodes().note(nil, v, k, b)
+				d.block().note(nil, v, k, b)
 			}
 			return err
 		}
@@ -728,7 +671,7 @@ func (d *Decoder) expr() (expr.Expr, error) {
 		n := d.nodes().colRefs.one()
 		n.Index, n.Type = int(idx), types.Kind(kt)
 		if len(name) > 0 {
-			d.arena.note(&n.Name, nil, 0, name)
+			d.block().note(&n.Name, nil, 0, name)
 		}
 		return n, nil
 	case exTagConst:
@@ -936,7 +879,7 @@ func (d *Decoder) Query() (*source.Query, error) {
 	if len(q.GroupBy) == 0 {
 		q.GroupBy = nil
 	}
-	d.arena.place()
+	d.text.place()
 	return q, nil
 }
 
@@ -980,9 +923,11 @@ func (e *Encoder) writeReq(tag byte, w *writeReq) error {
 
 // writeReq decodes the body of write request tag. An INSERT's rows are a
 // rows body, read as a result frame is (rowBatch), into a slab of their
-// own even over an arena, because a store may keep them, and so are a SET
-// value's strings (keep); the SET-clause count is checked against the
-// bytes left (each costs at least one) before anything is made for it.
+// own even over an arena, because a store may keep them; their strings
+// are the request's string block, made for them alone. A SET value's
+// strings are each its own (keep). The SET-clause count is checked
+// against the bytes left (each costs at least one) before anything is
+// made for it.
 func (d *Decoder) writeReq(tag byte) (w writeReq, err error) {
 	if w.Begin, err = d.Bool(); err != nil {
 		return w, err
@@ -1017,6 +962,6 @@ func (d *Decoder) writeReq(tag byte) (w writeReq, err error) {
 			}
 		}
 	}
-	d.arena.place()
+	d.text.place()
 	return w, nil
 }

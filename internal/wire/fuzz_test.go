@@ -100,18 +100,18 @@ var fuzzBodies = []fuzzBody{
 		return func(e *Encoder) error { e.String(msg); return nil }, nil
 	}},
 	// The rowBatch body as a lending stream decodes it: over the slot
-	// array, the slab and the string scratch of the frame before, here
+	// array, the slab and the text block of the frame before, here
 	// three two-column rows. Last, so that the corpus keeps its kind
 	// numbers.
 	{"rowBatch over a reused slab", func(d *Decoder) (func(*Encoder) error, error) {
 		before := []types.Row{{types.NewInt(1), types.NewString("a")}, {types.Null, types.NewInt(2)}, {types.NewInt(3), types.NewInt(4)}}
-		var strs stringScratch
-		batch, slab, err := (&Decoder{buf: frameOf(before), strs: &strs}).rowBatch(nil, nil)
+		var text textBlock
+		batch, slab, err := (&Decoder{buf: frameOf(before), text: &text}).rowBatch(nil, nil)
 		if err != nil {
 			return nil, err
 		}
 		return scribbled(d, func(d *Decoder) ([]types.Row, error) {
-			d.strs = &strs
+			d.text = &text
 			rows, _, err := d.rowBatch(batch, slab)
 			return rows, err
 		})

@@ -252,7 +252,9 @@ func TestStreamRowsAllocsDoNotGrowWithRows(t *testing.T) {
 			}
 		})
 	}
-	if a, b := at(n), at(2*n); a != b {
+	a, b := at(n), at(2*n)
+	t.Logf("Execute + streamRows: %v allocations over %d rows, %v over %d", a, n, b, 2*n)
+	if a != b {
 		t.Errorf("Execute + streamRows: %v allocations over %d rows, %v over %d", a, n, b, 2*n)
 	}
 }

@@ -246,12 +246,17 @@ func idIs(k int64) expr.Expr {
 }
 
 // TestSetValuesOutliveTheirRequest: a STRING and a BYTES that an UPDATE
-// sets are kept by the store, and stay what they were set to when later
-// requests on the same connection — a write and a sub-query with strings
-// of their own — are decoded where the UPDATE was.
+// sets, and those of a row an INSERT adds, are kept by the store, and
+// stay what they were written as when later requests on the same
+// connection — a write, a sub-query with strings of its own and one whose
+// long IN list of strings grows the arena past keptBytes — are decoded
+// where the writes were.
 func TestSetValuesOutliveTheirRequest(t *testing.T) {
 	st := bytesStore(t)
 	_, cl := serveSource(t, st)
+	if n, err := cl.Insert(ctx, "t", []types.Row{{types.NewInt(0), types.NewString("inserted"), types.NewBytes([]byte("\x01in\xfe"))}}); err != nil || n != 1 {
+		t.Fatalf("insert: %d, %v", n, err)
+	}
 	set := []source.SetClause{
 		{Col: 1, Value: expr.NewConst(types.NewString("x"))},
 		{Col: 2, Value: expr.NewConst(types.NewBytes([]byte("\x00\xffbytes")))},
@@ -259,8 +264,8 @@ func TestSetValuesOutliveTheirRequest(t *testing.T) {
 	if n, err := cl.Update(ctx, "t", idIs(2), set); err != nil || n != 1 {
 		t.Fatalf("update: %d, %v", n, err)
 	}
-	if got := readBack(t, st)[2]; got != "x/\x00\xffbytes" {
-		t.Fatalf("row 2 reads %q after the update", got)
+	if got := readBack(t, st); got[0] != "inserted/\x01in\xfe" || got[2] != "x/\x00\xffbytes" {
+		t.Fatalf("rows 0 and 2 read %q and %q after the writes", got[0], got[2])
 	}
 	other := []source.SetClause{
 		{Col: 1, Value: expr.NewConst(types.NewString("a longer string than x"))},
@@ -269,20 +274,29 @@ func TestSetValuesOutliveTheirRequest(t *testing.T) {
 	if _, err := cl.Update(ctx, "t", idIs(3), other); err != nil {
 		t.Fatal(err)
 	}
-	it, err := cl.Execute(ctx, &source.Query{Table: "t", Limit: -1,
-		Filter: expr.NewBinary(expr.OpEq, expr.NewBoundColRef(1, types.KindString, "name"), expr.NewConst(types.NewString("zzzzzzzzzzzzzzzzzzzz")))})
-	if err != nil {
-		t.Fatal(err)
+	keys := make([]expr.Expr, 1000)
+	for i := range keys {
+		keys[i] = expr.NewConst(types.NewString(fmt.Sprintf("key-%05d", i)))
 	}
-	if _, err := source.Drain(it); err != nil {
-		t.Fatal(err)
+	name := expr.NewBoundColRef(1, types.KindString, "name")
+	for _, filter := range []expr.Expr{
+		expr.NewBinary(expr.OpEq, name, expr.NewConst(types.NewString("zzzzzzzzzzzzzzzzzzzz"))),
+		&expr.InList{E: name, List: keys},
+	} {
+		it, err := cl.Execute(ctx, &source.Query{Table: "t", Limit: -1, Filter: filter})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := source.Drain(it); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(cl.pool) != 1 {
 		t.Fatalf("%d pooled connections, want the one every request ran on", len(cl.pool))
 	}
 	got := readBack(t, st)
-	if got[2] != "x/\x00\xffbytes" || got[3] != "a longer string than x/and longer bytes than those" {
-		t.Errorf("rows 2 and 3 read %q and %q after later requests on the connection", got[2], got[3])
+	if got[0] != "inserted/\x01in\xfe" || got[2] != "x/\x00\xffbytes" || got[3] != "a longer string than x/and longer bytes than those" {
+		t.Errorf("rows 0, 2 and 3 read %q, %q and %q after later requests on the connection", got[0], got[2], got[3])
 	}
 }
 

@@ -240,13 +240,14 @@ type boundTable struct {
 }
 
 // request readies d to decode a sub-query or a write into the
-// connection's arena, reading a table name it has bound against as that
-// table (Decoder.tableName). The caller ends the request (endRequest).
+// connection's arena, its strings into the arena's text block, reading a
+// table name it has bound against as that table (Decoder.tableName). The
+// caller ends the request (endRequest).
 func (st *connState) request(d *Decoder) *Decoder {
 	if st.arena == nil {
 		st.arena = new(decodeArena)
 	}
-	d.arena, d.tables = st.arena, st.tables
+	d.arena, d.text, d.tables = st.arena, &st.arena.textBlock, st.tables
 	return d
 }
 

@@ -183,7 +183,7 @@ type frameConn struct {
 	// the one being read.
 	hdr, rhdr [5]byte
 	// rbuf backs payloads across readFrame calls. A client reads msgRows
-	// and msgEnd into it: a stream decodes each whole (strings copied into
+	// and msgEnd into it: a stream decodes each whole (strings placed in
 	// the frame's string block, the footer into its spans) before its next
 	// read on this conn. Every other tag a client reads gets a fresh
 	// buffer, because its payload can outlive the next read (a response
@@ -191,18 +191,21 @@ type frameConn struct {
 	// (served) reads every request of up to keptFrameBytes into it: it has
 	// answered a request before it reads the next, and nothing a request
 	// decodes points into its payload — bytes and strings are copied out
-	// (Decoder.Value, rowBatch, decodeArena.place).
+	// (Decoder.Value, textBlock.place).
 	rbuf []byte
 	// served is set on a server's end of a connection.
 	served bool
-	// strs is where the rows bodies read on this conn gather their
-	// strings (Decoder.rowBatch), reused like rbuf.
-	strs stringScratch
+	// text is where the rows bodies read on this conn gather their
+	// strings (Decoder.rowBatch). It is reused like rbuf and never
+	// trimmed: what a frame grew serves the next. A served request
+	// gathers in its arena's instead (connState.request).
+	text textBlock
 }
 
-// decoder wraps a payload read on f, to be decoded with f's scratch.
+// decoder wraps a payload read on f, its strings gathered in f's text
+// block.
 func (f *frameConn) decoder(payload []byte) *Decoder {
-	return &Decoder{buf: payload, strs: &f.strs}
+	return &Decoder{buf: payload, text: &f.text}
 }
 
 func newFrameConn(rw net.Conn, send, recv SimLink) *frameConn {

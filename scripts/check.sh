@@ -24,7 +24,8 @@
 #                   seed corpora of the fuzz targets (wire FuzzDecoder,
 #                   FuzzStream, FuzzServe and FuzzServeWrite, sql FuzzParse, filestore
 #                   FuzzScanRecords, docstore FuzzDocCodec, expr
-#                   FuzzColumnRange, catalog FuzzToRemote, types
+#                   FuzzColumnRange, catalog FuzzToRemote and
+#                   FuzzConfig, faults FuzzParsePlan, types
 #                   FuzzHashChain and FuzzVector, kvstore FuzzBTree,
 #                   relstore FuzzTable;
 #                   `make fuzz` fuzzes each for 10 s), the layout tests
