@@ -65,12 +65,12 @@ layout:
 # (plan TestPlanAllocations), at most one object more a fragment that
 # maps like the one before it (TestPlanAllocsPerAlikeFragment, and
 # TestKeyQueryAllocsPerAlikeFragment for the keys a semijoin ships),
-# rebinding a kept plan (plan TestRebindCopiesOnlyThePath: one object a
-# node on the path to a parameter; TestRecheckAllocatesNothing: the
-# fragments and join strategy re-derived for the values allocate
-# nothing), whole statements on a first call, which misses the
-# statement cache, and warmed, which hits it or, for values a bank away,
-# is planned afresh (core TestStatementAllocations), a kept result
+# binding a kept plan (plan TestBindAllocatesNothing: a hit's check,
+# fragments and bind allocate nothing in plan; TestRecheckAllocatesNothing:
+# telling the fragments values a fragment away leave allocates nothing),
+# whole statements on a first call, which misses the statement cache,
+# and warmed, which hits it, for values a bank away a second plan kept
+# beside the first (core TestStatementAllocations), a kept result
 # carved from one block (exec
 # TestKeptOutputIsOneBlock), the serving side of a point sub-query on
 # a warmed connection (wire TestServedSubQueryAllocs,
@@ -80,7 +80,7 @@ layout:
 # above what it measures; TestStreamRowsAllocsDoNotGrowWithRows).
 allocs:
 	$(GO) test -count=1 -run 'TestParseAllocations' -v ./internal/sql
-	$(GO) test -count=1 -run 'TestPlanAllocations|TestPlanAllocsPerAlikeFragment|TestKeyQueryAllocsPerAlikeFragment|TestRebindCopiesOnlyThePath|TestRecheckAllocatesNothing' -v ./internal/plan
+	$(GO) test -count=1 -run 'TestPlanAllocations|TestPlanAllocsPerAlikeFragment|TestKeyQueryAllocsPerAlikeFragment|TestBindAllocatesNothing|TestRecheckAllocatesNothing' -v ./internal/plan
 	$(GO) test -count=1 -run 'TestStatementAllocations' -v ./internal/core
 	$(GO) test -count=1 -run 'TestKeptOutputIsOneBlock' -v ./internal/exec
 	$(GO) test -count=1 -run 'TestServedSubQueryAllocs|TestRebindBuildsTheFilterOnce|TestRowsFrameAllocsDoNotGrowPerRow|TestStreamRowsAllocsDoNotGrowWithRows' -v ./internal/wire

@@ -11,26 +11,41 @@ import (
 	"gis/internal/obs"
 	"gis/internal/plan"
 	"gis/internal/relstore"
+	"gis/internal/source"
 	"gis/internal/types"
 )
 
-// cachedPlan is the plan the statement cache keeps for text; nil when it
-// keeps none.
+// cachedPlan is the statement cache's entry for text and the plan of
+// an idle instance of it; nil when it keeps none.
 func (e *Engine) cachedPlan(text string) (*template, plan.Node) {
 	e.stmts.mu.Lock()
 	defer e.stmts.mu.Unlock()
 	t := e.stmts.m[text]
-	if t == nil {
-		return nil, nil
+	if t == nil || t.nIdle == 0 {
+		return t, nil
 	}
-	return t, t.plan
+	return t, t.idle[0].plan
+}
+
+// idlePlans is how many idle plans the statement cache keeps of text.
+func (e *Engine) idlePlans(text string) int {
+	e.stmts.mu.Lock()
+	defer e.stmts.mu.Unlock()
+	if t := e.stmts.m[text]; t != nil {
+		return t.nIdle
+	}
+	return 0
 }
 
 // TestStatementCacheFollowsTheCatalog runs fk_join_top5 twice with a
 // change between the calls that a plan may read — statistics, a new
 // fragment, a view, a source, the optimizer's options — and finds the
 // second call planned again: its answer is a fresh engine's, made with
-// the change, and the plan it kept prints as that engine's EXPLAIN.
+// the change, and the plan it kept prints as that engine's EXPLAIN. A
+// plan checked out across a change of the catalog — a stream of it open
+// while statistics are collected or a fragment is mapped — is dropped
+// when the stream closes, and the next call is planned under the new
+// generation.
 func TestStatementCacheFollowsTheCatalog(t *testing.T) {
 	text := sharedShapes[2].sql
 	params := ints(3)
@@ -52,7 +67,7 @@ func TestStatementCacheFollowsTheCatalog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, c := range []struct {
+	changes := []struct {
 		name   string
 		before func(*testing.T, *Engine)
 		change func(*testing.T, *Engine)
@@ -85,7 +100,8 @@ func TestStatementCacheFollowsTheCatalog(t *testing.T) {
 		{"PlanOptions", nil, func(t *testing.T, e *Engine) {
 			e.PlanOptions().ForceStrategy = plan.StrategyShipAll
 		}},
-	} {
+	}
+	for _, c := range changes {
 		t.Run(c.name, func(t *testing.T) {
 			e, fresh := sharedEngine(t), sharedEngine(t)
 			if c.before != nil {
@@ -122,6 +138,52 @@ func TestStatementCacheFollowsTheCatalog(t *testing.T) {
 			}
 			if got := plan.Explain(kept); got != wantPlan {
 				t.Errorf("kept plan\n%swant\n%s", got, wantPlan)
+			}
+		})
+	}
+	for _, c := range changes[:2] {
+		t.Run(c.name+" while a stream is open", func(t *testing.T) {
+			e, fresh := sharedEngine(t), sharedEngine(t)
+			if c.before != nil {
+				c.before(t, e)
+				c.before(t, fresh)
+			}
+			e.SetTracing(true)
+			if _, err := e.Query(ctx, text, params...); err != nil {
+				t.Fatal(err)
+			}
+			first, _ := e.cachedPlan(text)
+			_, it, err := e.QueryIter(ctx, text, params...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := e.idlePlans(text); n != 0 {
+				t.Fatalf("the stream did not check out the kept plan: %d idle", n)
+			}
+			c.change(t, e)
+			c.change(t, fresh)
+			if _, err := source.Drain(it); err != nil {
+				t.Fatal(err)
+			}
+			if n := e.idlePlans(text); n != 0 {
+				t.Errorf("a plan made before the change was handed back: %d idle", n)
+			}
+			got, err := e.Query(ctx, text, params...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if parse := e.TraceLast().FindAll(obs.SpanParse); len(parse) != 1 || parse[0].Name() != "" {
+				t.Errorf("the call after the change: %d parse spans, want one, planned under the new generation", len(parse))
+			}
+			want, err := fresh.Query(ctx, text, params...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := fmt.Sprint(got.Schema.Columns, got.Rows), fmt.Sprint(want.Schema.Columns, want.Rows); g != w {
+				t.Errorf("after the change: %s, a fresh engine %s", g, w)
+			}
+			if second, _ := e.cachedPlan(text); second == first || e.idlePlans(text) != 1 {
+				t.Errorf("the call after the change kept %d idle plans in a new entry: %v", e.idlePlans(text), second != first)
 			}
 		})
 	}
@@ -208,21 +270,25 @@ func TestCacheHitIsAStatement(t *testing.T) {
 	if !errors.Is(err, admission.ErrOverload) {
 		t.Errorf("a hit with the only slot held: %v, want an overload", err)
 	}
-	// A range is kept and rebound; on the partition column, values that
-	// leave the scan other fragments are parsed and planned afresh under
-	// a parse span named replanned, and the plan kept stays.
+	// A range is kept and bound; on the partition column, values that
+	// leave the scan other fragments than every idle plan reads are
+	// parsed and planned afresh under a parse span named replanned, and
+	// that plan is kept beside the others: one a set of fragments.
 	for _, c := range []struct {
 		sql    string
 		params []types.Value
 		span   string
-		kept   int64 // the first value the kept plan was made for
+		idle   int // the plans kept of the text after the call
 	}{
 		{"SELECT oid FROM orders WHERE oid >= ? AND oid < ?", ints(1, 4), "parse/", 1},
 		{"SELECT oid FROM orders WHERE oid >= ? AND oid < ?", ints(10, 12), "parse/cached", 1},
-		{"SELECT oid FROM events WHERE oid >= ? AND oid < ?", ints(110, 120), "parse/", 110},
-		{"SELECT oid FROM events WHERE oid >= ? AND oid < ?", ints(101, 149), "parse/cached", 110},
-		{"SELECT oid FROM events WHERE oid >= ? AND oid < ?", ints(140, 160), "parse/replanned", 110},
-		{"SELECT oid FROM events WHERE oid >= ? AND oid < ?", ints(0, 3), "parse/replanned", 110},
+		{"SELECT oid FROM events WHERE oid >= ? AND oid < ?", ints(110, 120), "parse/", 1},
+		{"SELECT oid FROM events WHERE oid >= ? AND oid < ?", ints(101, 149), "parse/cached", 1},
+		{"SELECT oid FROM events WHERE oid >= ? AND oid < ?", ints(140, 160), "parse/replanned", 2},
+		{"SELECT oid FROM events WHERE oid >= ? AND oid < ?", ints(0, 3), "parse/replanned", 3},
+		{"SELECT oid FROM events WHERE oid >= ? AND oid < ?", ints(145, 155), "parse/cached", 3},
+		{"SELECT oid FROM events WHERE oid >= ? AND oid < ?", ints(7, 9), "parse/cached", 3},
+		{"SELECT oid FROM events WHERE oid >= ? AND oid < ?", ints(120, 130), "parse/cached", 3},
 	} {
 		res, err := e.Query(ctx, c.sql, c.params...)
 		if err != nil || int64(len(res.Rows)) != c.params[1].Int()-c.params[0].Int() {
@@ -235,8 +301,8 @@ func TestCacheHitIsAStatement(t *testing.T) {
 		if planned := got["optimize/"] == 1; planned != (c.span != "parse/cached") {
 			t.Errorf("%s%v: planned %v under %s", c.sql, c.params, planned, c.span)
 		}
-		if tm, kept := e.cachedPlan(c.sql); tm == nil || kept == nil || tm.params.Slots[0].Val.Int() != c.kept {
-			t.Errorf("%s%v: the plan kept is not the first call's", c.sql, c.params)
+		if n := e.idlePlans(c.sql); n != c.idle {
+			t.Errorf("%s%v: %d plans kept, want %d", c.sql, c.params, n, c.idle)
 		}
 	}
 }

@@ -228,8 +228,13 @@ func (e *Engine) Query(ctx context.Context, text string, params ...types.Value) 
 		return nil, err
 	}
 	defer func() { err = finish(err) }()
+	defer e.handBack(st.in)
 	return e.collect(ctx, st)
 }
+
+// handBack returns in, a plan of the statement cache a statement held,
+// once the statement is over and nothing reads the plan (stmtCache.checkin).
+func (e *Engine) handBack(in *instance) { e.stmts.checkin(in, e.cat.Generation()) }
 
 // queried returns the SELECT that Query and QueryIter run: stmt itself.
 func queried(stmt sql.Statement) (*sql.SelectStmt, error) {
@@ -241,55 +246,56 @@ func queried(stmt sql.Statement) (*sql.SelectStmt, error) {
 }
 
 // statement is what begin hands an entry point: the statement as parsed,
-// or, on a statement cache hit, none and the cached plan with the call's
-// parameters bound into it (hit). fill is set when cache was asked and
-// holds nothing current for text: planning the SELECT fills it and keeps
-// it under text.
+// and in, a plan of the statement cache that the statement holds until
+// it is over (Engine.handBack). On a hit there is no statement, and in
+// has the call's parameters bound into it; otherwise in, when set, is
+// the plan that planning the SELECT fills and the cache keeps.
 type statement struct {
 	stmt sql.Statement
-	hit  plan.Node
-	fill *template
+	in   *instance
 	text string
 }
 
 // begin is how every entry point opens: instrument — so nothing is
 // planned, and no subquery run for the plan, outside admission, the
 // query log and the trace — then parse under a parse span. With cache,
-// a text the statement cache holds a plan for, under the catalog's
-// generation and the engine's options, whose parameters fit it, is not
-// parsed: its plan is rebound under a parse span named "cached", or, when
-// the values would leave a scan other fragments (plan.Rebind), the text
-// is parsed and planned afresh under one named "replanned". A
-// statement that is shed or does not parse is already finished when
-// begin returns its error; otherwise the caller defers finish, as
-// instrument asks, or hands it to what completes the statement later
-// (QueryIter's finishIter).
+// a text the statement cache keeps plans of, under the catalog's
+// generation and the engine's options, whose parameters fit them, is not
+// parsed when an idle plan reads the fragments the values leave: the
+// values are bound into it under a parse span named "cached". With none
+// idle, the text is parsed and planned afresh under one named
+// "replanned", and the plan is kept beside the others. A statement that
+// is shed or does not parse is already finished when begin returns its
+// error; otherwise the caller defers finish, as instrument asks, or
+// hands it to what completes the statement later (QueryIter's
+// finishIter), and hands back the plan it holds.
 func (e *Engine) begin(ctx context.Context, text string, measure bool, params []types.Value, cache bool) (context.Context, statement, func(error) error, error) {
 	ctx, finish, err := e.instrument(ctx, text, measure)
 	if err != nil {
 		return ctx, statement{}, nil, err
 	}
 	st := statement{text: text}
-	var span *obs.Span
+	name := ""
 	if cache {
 		gen := e.cat.Generation()
-		switch t := e.stmts.get(text, gen, e.opts); {
+		switch t, in, fits := e.stmts.checkout(text, gen, e.opts, params); {
+		case in != nil:
+			_, span := obs.StartSpan(ctx, obs.SpanParse, "cached")
+			in.params.Bind(params)
+			span.End()
+			st.in = in
+			return ctx, st, finish, nil
 		case t == nil:
-			st.fill = &template{gen: gen, opts: *e.opts}
-		case t.plan != nil && t.params.Fits(params):
-			_, span = obs.StartSpan(ctx, obs.SpanParse, "cached")
-			if st.hit = plan.Rebind(t.plan, &t.params, params); st.hit != nil {
-				span.End()
-				return ctx, st, finish, nil
-			}
-			span.SetName("replanned")
+			t = &template{gen: gen, opts: *e.opts}
+			t.first.t = t
+			st.in = &t.first
+		case fits:
+			st.in, name = &instance{t: t}, "replanned"
 		}
 	}
-	if span == nil {
-		_, span = obs.StartSpan(ctx, obs.SpanParse, "")
-	}
-	if st.fill != nil {
-		st.stmt, st.fill.params.Slots, err = sql.ParseSlots(text, st.fill.slots[:0], params...)
+	_, span := obs.StartSpan(ctx, obs.SpanParse, name)
+	if st.in != nil {
+		st.stmt, st.in.params.Slots, err = sql.ParseSlots(text, st.in.slots[:0], params...)
 	} else {
 		st.stmt, err = sql.Parse(text, params...)
 	}
@@ -314,10 +320,11 @@ func (e *Engine) QueryIter(ctx context.Context, text string, params ...types.Val
 		it, err = exec.Run(ctx, p)
 	}
 	if err != nil {
+		e.handBack(st.in)
 		return nil, nil, finish(err)
 	}
 	// The statement is live until the stream is closed.
-	return schemaOf(p, shared), &finishIter{ctx: ctx, in: it, fn: finish, outc: outc}, nil
+	return schemaOf(p, shared), &finishIter{ctx: ctx, in: it, fn: finish, outc: outc, e: e, held: st.in}, nil
 }
 
 // schemaOf is p's schema as a statement hands it to its caller: a copy
@@ -330,7 +337,8 @@ func schemaOf(p plan.Node, shared bool) *types.Schema {
 }
 
 // finishIter completes a streamed statement's instrumentation when the
-// consumer closes the stream, and judges a streamed partial result.
+// consumer closes the stream, judges a streamed partial result, and
+// hands back held, the statement cache's plan the stream ran.
 type finishIter struct {
 	ctx     context.Context
 	in      source.RowIter
@@ -338,6 +346,8 @@ type finishIter struct {
 	outc    *resilience.Outcomes
 	verdict error
 	done    bool
+	e       *Engine
+	held    *instance
 }
 
 func (f *finishIter) Next() (types.Row, error) {
@@ -364,6 +374,7 @@ func (f *finishIter) Close() error {
 	err := f.in.Close()
 	if !f.done {
 		f.done = true
+		f.e.handBack(f.held)
 		err = f.fn(cmp.Or(err, f.judge()))
 	}
 	return err
@@ -419,26 +430,27 @@ func (e *Engine) collect(ctx context.Context, st statement) (*Result, error) {
 }
 
 // selectPlan is the plan a SELECT statement runs: the one its cache hit
-// rebound, or its statement planned. shared reports that the plan is the
-// statement cache's, which nothing may write.
+// bound, or its statement planned. shared reports that the plan is the
+// statement cache's, which a later call runs again.
 func (e *Engine) selectPlan(ctx context.Context, st statement) (p plan.Node, shared bool, err error) {
-	if st.hit != nil {
-		return st.hit, true, nil
+	if st.stmt == nil {
+		return st.in.plan, true, nil
 	}
 	sel, err := queried(st.stmt)
 	if err != nil {
 		return nil, false, err
 	}
-	return e.planSelect(ctx, sel, st.fill, st.text)
+	return e.planSelect(ctx, sel, st.in, st.text)
 }
 
 // planSelect materializes subqueries and produces an optimized plan.
-// With fill, it plans under fill's options and keeps fill under text in
-// the statement cache: with the plan, and shared set, when another call's
-// values may be bound into it (plan.ValueFree; a statement holding a
-// subquery has its rows for constants), without when it is planned on
-// every call.
-func (e *Engine) planSelect(ctx context.Context, sel *sql.SelectStmt, fill *template, text string) (p plan.Node, shared bool, err error) {
+// With fill, it plans under the options of fill's template and fills
+// fill with the plan, and shared set, when another call's values may be
+// bound into it (plan.ValueFree; a statement holding a subquery has its
+// rows for constants). A template the cache does not hold yet, whose
+// first plan fill is, is kept under text: without a plan, it is the
+// verdict that the text is planned on every call.
+func (e *Engine) planSelect(ctx context.Context, sel *sql.SelectStmt, fill *instance, text string) (p plan.Node, shared bool, err error) {
 	reusable := fill != nil && !holdsSubquery(sel)
 	rctx, rspan := obs.StartSpan(ctx, obs.SpanResolve, "")
 	err = e.materializeSubqueries(rctx, sel)
@@ -453,7 +465,7 @@ func (e *Engine) planSelect(ctx context.Context, sel *sql.SelectStmt, fill *temp
 	opts := e.opts
 	if fill != nil {
 		reusable = reusable && plan.ValueFree(logical, &fill.params)
-		opts = &fill.opts
+		opts = &fill.t.opts
 	}
 	octx, ospan := obs.StartSpan(ctx, obs.SpanOptimize, "")
 	p, err = plan.Optimize(octx, logical, e.cat, opts)
@@ -462,10 +474,12 @@ func (e *Engine) planSelect(ctx context.Context, sel *sql.SelectStmt, fill *temp
 		return p, false, err
 	}
 	if reusable {
-		fill.params.Kept()
+		fill.params.Kept(p)
 		fill.plan = p
 	}
-	e.stmts.put(text, fill)
+	if fill == &fill.t.first {
+		e.stmts.put(text, fill.t)
+	}
 	return p, reusable, nil
 }
 
@@ -543,6 +557,7 @@ func (e *Engine) Run(ctx context.Context, text string, params ...types.Value) (r
 		return nil, err
 	}
 	defer func() { err = finish(err) }()
+	defer e.handBack(st.in)
 	switch s := st.stmt.(type) {
 	case nil, *sql.SelectStmt: // nil: a statement cache hit, a SELECT's
 		return e.collect(ctx, st)

@@ -11,8 +11,10 @@ import (
 
 	"gis/internal/catalog"
 	"gis/internal/expr"
+	"gis/internal/obs"
 	"gis/internal/plan"
 	"gis/internal/relstore"
+	"gis/internal/source"
 	"gis/internal/sql"
 	"gis/internal/types"
 )
@@ -220,7 +222,10 @@ func TestPlanningWritesNoSharedState(t *testing.T) {
 // under -race, a write to any of them would be a reported race, the
 // recheck of fragments and strategy included. Each caller draws new
 // values in each round, and each answer must be the one a lone run of
-// another engine gives.
+// another engine gives. Then, for each shape, one caller holds a stream
+// of the text open while a second runs it with other values, which
+// binds no plan the stream reads: both answers are a lone engine's, and
+// once the stream is closed a third call is a hit that plans nothing.
 func TestPointShapesShareTheCatalogConcurrently(t *testing.T) {
 	e, lone := sharedEngine(t), sharedEngine(t)
 	type shape = struct {
@@ -282,4 +287,39 @@ func TestPointShapesShareTheCatalogConcurrently(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	for i, s := range shapes {
+		held, other := calls[0][i], calls[1][len(shapes)+i]
+		// The rounds above may have filled the text's idle list, which
+		// would drop the stream's plan when it is handed back.
+		e.stmts.clear()
+		schema, it, err := e.QueryIter(ctx, s.sql, held.params...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res *Result
+		var qerr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			res, qerr = e.Query(ctx, s.sql, other.params...)
+		}()
+		rows, err := source.Drain(it)
+		<-done
+		if err != nil || qerr != nil {
+			t.Fatalf("%s: %v, %v", s.name, err, qerr)
+		}
+		if got := fmt.Sprint(schema.Columns, rows); got != held.want {
+			t.Errorf("%s%v streamed: %s, alone %s", s.name, held.params, got, held.want)
+		}
+		if got := fmt.Sprint(res.Schema.Columns, res.Rows); got != other.want {
+			t.Errorf("%s%v beside the stream: %s, alone %s", s.name, other.params, got, other.want)
+		}
+		tr := obs.NewTrace(s.sql)
+		if _, err := e.Query(obs.WithTrace(ctx, tr), s.sql, held.params...); err != nil {
+			t.Fatal(err)
+		}
+		if parse, planned := tr.FindAll(obs.SpanParse), len(tr.FindAll(obs.SpanOptimize)); len(parse) != 1 || parse[0].Name() != "cached" || planned != 0 {
+			t.Errorf("%s after the stream closed: %d parse spans, the first %q, %d planned; want one hit", s.name, len(parse), parse[0].Name(), planned)
+		}
+	}
 }

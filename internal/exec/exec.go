@@ -477,20 +477,22 @@ func runMerge(ctx context.Context, inputs []plan.Node, queries []*source.Query, 
 	// 64 rows let a fetcher run ahead of the consumer without a hand-off
 	// per row, and bound what the merge holds for a consumer that stalls.
 	m := &mergeIter{ctx: cctx, cancel: cancel, outc: resilience.OutcomesFrom(ctx), inputs: inputs, queries: queries, ch: make(chan rowOrErr, 64)}
-	var wg sync.WaitGroup
 	for lo, hi := 0, 0; lo < len(inputs); lo = hi {
 		hi = len(inputs)
 		if parallel {
 			hi = m.branchEnd(lo)
 		}
-		wg.Add(1)
-		go m.fetch(&wg, lo, hi)
+		m.fetchers.Add(1)
+		go m.fetch(lo, hi)
 	}
-	go func() {
-		wg.Wait()
-		close(m.ch)
-	}()
+	go m.closeWhenDone()
 	return m
+}
+
+// closeWhenDone closes the channel once every fetcher has returned.
+func (m *mergeIter) closeWhenDone() {
+	m.fetchers.Wait()
+	close(m.ch)
 }
 
 // rowOrErr carries one row (or a terminal error) through the merge
@@ -510,6 +512,10 @@ type mergeIter struct {
 	queries []*source.Query
 	ch      chan rowOrErr
 	failed  bool
+	// fetchers counts the fetch goroutines still running, which read
+	// the plan: Close waits for them, so that a plan the statement
+	// cache hands to the next call is read by none.
+	fetchers sync.WaitGroup
 }
 
 // branchEnd is the end of the branch that starts at input lo.
@@ -528,8 +534,8 @@ func (m *mergeIter) branchEnd(lo int) int {
 // refusing a holder — and the rows it delivered stay (UNION ALL
 // semantics make that well-defined); otherwise its error fails the
 // merge.
-func (m *mergeIter) fetch(wg *sync.WaitGroup, lo, hi int) {
-	defer wg.Done()
+func (m *mergeIter) fetch(lo, hi int) {
+	defer m.fetchers.Done()
 	for end := lo; lo < hi; lo = end {
 		end = m.branchEnd(lo)
 		var rows int64
@@ -614,8 +620,12 @@ func (m *mergeIter) Next() (types.Row, error) {
 	return it.row, nil
 }
 
+// Close cancels the fetchers still running and waits for them to
+// return: a fetcher blocked on the channel returns at once, one in its
+// input when the input next answers.
 func (m *mergeIter) Close() error {
 	m.cancel()
+	m.fetchers.Wait()
 	return nil
 }
 

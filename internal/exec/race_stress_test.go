@@ -1,13 +1,20 @@
 package exec
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"gis/internal/catalog"
 	"gis/internal/obs"
 	"gis/internal/plan"
+	"gis/internal/relstore"
+	"gis/internal/source"
 	"gis/internal/types"
 )
 
@@ -112,5 +119,104 @@ func TestRaceStressParallelUnionEarlyClose(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// lateSource delivers its sub-queries' rows a millisecond apart, and
+// reads *read before each row, as a fetch reads the constants of the
+// plan it runs; live counts its streams open.
+type lateSource struct {
+	source.Source
+	live *atomic.Int32
+	read *int
+}
+
+func (s lateSource) Execute(ctx context.Context, q *source.Query) (source.RowIter, error) {
+	it, err := s.Source.Execute(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	s.live.Add(1)
+	return &lateIter{RowIter: it, s: s, ctx: ctx}, nil
+}
+
+type lateIter struct {
+	source.RowIter
+	s      lateSource
+	ctx    context.Context
+	closed bool
+}
+
+func (it *lateIter) Next() (types.Row, error) {
+	select {
+	case <-time.After(time.Millisecond):
+	case <-it.ctx.Done():
+	}
+	if *it.s.read < 0 {
+		return nil, errors.New("a negative round")
+	}
+	return it.RowIter.Next()
+}
+
+func (it *lateIter) Close() error {
+	if !it.closed {
+		it.closed = true
+		it.s.live.Add(-1)
+	}
+	return it.RowIter.Close()
+}
+
+// TestUnionCloseWaitsForItsFetchers closes a parallel union over four
+// slow fragments after its first row: when Close returns, every fetch
+// goroutine has closed its input and returned, so a plan the statement
+// cache hands to the next call is read by none. Each round writes what
+// the inputs read once Close has returned, which -race reports if a
+// fetcher still runs.
+func TestUnionCloseWaitsForItsFetchers(t *testing.T) {
+	const frags, per = 4, 100
+	schema := types.NewSchema(intCol("id"))
+	cat := catalog.New()
+	var live atomic.Int32
+	round := 0
+	if err := cat.DefineTable("t", schema); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < frags; i++ {
+		st := relstore.New(fmt.Sprintf("s%d", i))
+		if err := st.CreateTable("t", schema, 0); err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]types.Row, per)
+		for j := range rows {
+			rows[j] = types.Row{types.NewInt(int64(i*per + j))}
+		}
+		if _, err := st.Insert(ctx, "t", rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.AddSource(lateSource{Source: st, live: &live, read: &round}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.MapSimple(ctx, "t", st.Name(), "t"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := (&ownFed{cat: cat}).plan(t, "SELECT id FROM t", func(o *plan.Options) { o.ParallelFragments = true })
+	if !strings.Contains(plan.Explain(p), "Union all parallel") {
+		t.Fatalf("want a parallel union of the fragments:\n%s", plan.Explain(p))
+	}
+	for ; round < 20; round++ {
+		it, err := Run(ctx, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := it.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := live.Load(); n != 0 {
+			t.Fatalf("round %d: %d inputs still open when Close returned", round, n)
+		}
 	}
 }

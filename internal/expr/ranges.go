@@ -25,9 +25,19 @@ import (
 // (`5 < x` is x > 5). Every comparison is recognised, <> and a NULL
 // literal included; a caller that cannot use one says so itself.
 func ColumnComparison(e Expr) (col *ColRef, op BinOp, val types.Value, ok bool) {
+	col, op, con, ok := columnComparison(e)
+	if !ok {
+		return nil, 0, types.Null, false
+	}
+	return col, op, con.Val, true
+}
+
+// columnComparison is ColumnComparison with the constant, whose value it
+// does not read: a parameter's slot (Binding) may be written meanwhile.
+func columnComparison(e Expr) (col *ColRef, op BinOp, con *Const, ok bool) {
 	b, isBin := e.(*Binary)
 	if !isBin || !b.Op.Comparison() {
-		return nil, 0, types.Null, false
+		return nil, 0, nil, false
 	}
 	op = b.Op
 	col, ok = b.L.(*ColRef)
@@ -37,10 +47,7 @@ func ColumnComparison(e Expr) (col *ColRef, op BinOp, val types.Value, ok bool) 
 		con, isConst = b.L.(*Const)
 		op, _ = op.Commutes() // every comparison does
 	}
-	if !ok || !isConst {
-		return nil, 0, types.Null, false
-	}
-	return col, op, con.Val, true
+	return col, op, con, ok && isConst
 }
 
 // ColumnConstraint recognises a conjunct that constrains one column to
@@ -50,7 +57,7 @@ func ColumnComparison(e Expr) (col *ColRef, op BinOp, val types.Value, ok bool) 
 func ColumnConstraint(e Expr) (*ColRef, bool) {
 	switch n := e.(type) {
 	case *Binary:
-		col, op, _, ok := ColumnComparison(n)
+		col, op, _, ok := columnComparison(n)
 		return col, ok && op != OpNe
 	case *InList:
 		col, ok := n.E.(*ColRef)
@@ -152,12 +159,7 @@ func constraintRange(e Expr, buf []types.Value, b Binding) Range {
 		keys = slices.CompactFunc(keys, func(a, b types.Value) bool { return a.Compare(b) == 0 })
 		return Range{Lo: Unbounded, Hi: Unbounded, Keys: keys}
 	}
-	cmp := e.(*Binary)
-	_, op, _, _ := ColumnComparison(cmp)
-	c, isConst := cmp.R.(*Const)
-	if !isConst {
-		c = cmp.L.(*Const)
-	}
+	_, op, c, _ := columnComparison(e)
 	switch v := b.value(c); {
 	case v.IsNull():
 		return Range{Lo: Unbounded, Hi: Unbounded, Keys: []types.Value{}}

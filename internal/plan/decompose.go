@@ -128,7 +128,7 @@ func chooseStrategies(n Node, forced Strategy) Node {
 // when the left side is estimated at fewKeys rows or fewer, or when it
 // and the right rows it matches are estimated at less than semiJoinGain
 // of both sides shipped whole; shipping both sides otherwise. A kept
-// plan bound to other values chooses again by it (Rebind).
+// plan bound to other values chooses again by it (Params.Bind).
 func costedStrategy(j *Join) Strategy {
 	estL, estR := EstimateRows(j.L), EstimateRows(j.R)
 	matchedR := EstimateRows(j)

@@ -8,9 +8,10 @@ import (
 // A plan the engine keeps for a statement's text is run again with other
 // parameter values (DESIGN.md "The statement cache"). ValueFree decides
 // on the logical plan that nothing planning made could differ for other
-// values but two choices, which Rebind makes again for each call's values
-// on the kept plan's copy: which fragments of a scan survive, and a
-// two-way join's strategy.
+// values but two choices: which fragments of a scan survive, which a
+// kept plan stands for alone (Live, LiveFor), and a two-way join's
+// strategy, which Bind makes again when it writes a call's values into
+// the plan.
 
 // maxParams is how many parameters a plan that is bound again may have.
 const maxParams = 64
@@ -22,28 +23,33 @@ const maxParams = 64
 // when the conjunct was pushed into each fragment.
 type Params struct {
 	Slots []*expr.Const
+	// Live is the fragments the kept plan reads of each scan a parameter
+	// may prune (Kept).
+	Live Live
+	// kinds are the slots' kinds as parsed, which a call's values must
+	// have: Fits reads them, not the slots, which Bind writes.
+	kinds [maxParams]types.Kind
 	// lists are the IN lists of parameters, parameters lo..hi-1 each:
 	// the estimate counts a list's distinct values, so the plan stands
 	// only for values that differ.
 	lists [maxLists][2]uint8
 	nList int
 	// prunes are the scans a parameter constrains a column of that a
-	// partition predicate reads, whose surviving fragments Rebind
+	// partition predicate reads, whose surviving fragments LiveFor
 	// re-derives.
-	prunes [maxPrunes]pruneCheck
+	prunes [maxPrunes]*GlobalScan
 	nPrune int
 	// priced is set when an estimate reads a parameter's value: a range,
-	// or a column constrained again. Rebind then re-derives the strategy
-	// of each join it copies whose strategy the estimates chose.
+	// or a column constrained again. joins are then the kept plan's
+	// joins whose strategy the estimates chose, inputs first, which Bind
+	// re-derives.
 	priced bool
+	joins  []*Join
 }
 
-// pruneCheck is one scan whose fragments a parameter may prune: live has
-// bit i set when the kept plan scans the table's fragment i (Kept).
-type pruneCheck struct {
-	scan *GlobalScan
-	live uint64
-}
+// Live has bit k of its i-th word set when a plan reads fragment k of
+// the i-th scan whose fragments a parameter may prune (Params.prunes).
+type Live [maxPrunes]uint64
 
 // maxLists is how many IN lists of parameters a plan bound again may
 // hold, and maxPrunes how many scans whose fragments it re-derives.
@@ -54,13 +60,13 @@ const (
 
 // Fits reports whether vals may be bound into the plan made for the slots'
 // values: as many values, each of its slot's kind, and those of an IN
-// list all different.
+// list all different. It reads no slot.
 func (p *Params) Fits(vals []types.Value) bool {
 	if len(vals) != len(p.Slots) {
 		return false
 	}
 	for i, v := range vals {
-		if v.Kind() != p.Slots[i].Val.Kind() {
+		if v.Kind() != p.kinds[i] {
 			return false
 		}
 	}
@@ -76,11 +82,47 @@ func (p *Params) Fits(vals []types.Value) bool {
 	return true
 }
 
+// LiveFor is Live of the plan made for vals, which must fit: the
+// fragments of each scan whose filter, with vals bound, does not exclude
+// them. It reads no slot's value, so a plan another caller binds may be
+// asked, and allocates nothing.
+func (p *Params) LiveFor(vals []types.Value) Live {
+	return p.live(expr.Binding{Slots: p.Slots, Vals: vals})
+}
+
+// live is LiveFor under b.
+func (p *Params) live(b expr.Binding) Live {
+	var l Live
+	for i, scan := range p.prunes[:p.nPrune] {
+		for k, f := range scan.Table.Fragments {
+			if !f.ExcludesBound(scan.Filter, b) {
+				l[i] |= 1 << k
+			}
+		}
+	}
+	return l
+}
+
+// Bind writes vals into p's slots, and so into the plan kept for p
+// (Kept), and makes again the choice planning made from the values that
+// a plan's fragments do not stand for: each join whose strategy the
+// estimates chose takes the one they choose for vals. The caller holds
+// the plan alone; vals fit (Fits) and leave the plan its fragments
+// (LiveFor is p.Live). It allocates nothing.
+func (p *Params) Bind(vals []types.Value) {
+	for i, v := range vals {
+		p.Slots[i].Val = v
+	}
+	for _, j := range p.joins {
+		j.Strategy = costedStrategy(j)
+	}
+}
+
 // ValueFree reports whether the plan Optimize makes of n, a logical plan
 // as Builder built it, whose parameters were read into p.Slots
 // (sql.ParseSlots), may be kept for other values: all it reads of a
-// parameter but its kind is re-derived by Rebind. It fills the rest of p
-// when so. That holds when:
+// parameter but its kind is re-derived for a call's values (LiveFor,
+// Bind). It fills the rest of p when so. That holds when:
 //   - each parameter is the constant of a conjunct col op ? (op one of =,
 //     <, <=, >, >=, either way round), or one of an IN list of
 //     parameters alone, col IN (?, …), in a WHERE or ON condition, and
@@ -89,11 +131,11 @@ func (p *Params) Fits(vals []types.Value) bool {
 //     and bare-column projections, of the parameter's kind, which every
 //     fragment of the table copies as it is: the translation to a
 //     fragment carries the slot itself, and Fragment.Split reads the
-//     value only where Excludes does, which Rebind re-derives when a
+//     value only where Excludes does, which LiveFor re-derives when a
 //     partition predicate reads col;
 //   - where an estimate reads a value (priced: a range, or a column
 //     constrained again), only a two-way join's strategy is priced from
-//     it, which Rebind re-derives too: no chain of three inner-joined
+//     it, which Bind re-derives: no chain of three inner-joined
 //     relations or more is ordered by estimate, and no join is priced
 //     over an aggregate, whose estimate changes when it is pushed into
 //     the scans after the join was priced.
@@ -108,6 +150,9 @@ func ValueFree(n Node, p *Params) bool {
 	}
 	v := valueCheck{slots: p.Slots, p: p, ok: true}
 	p.nList, p.nPrune, p.priced = 0, 0, false
+	for i, s := range p.Slots {
+		p.kinds[i] = s.Val.Kind()
+	}
 	v.node(n)
 	if !v.ok || v.found != 1<<len(p.Slots)-1 {
 		return false
@@ -132,31 +177,37 @@ func ValueFree(n Node, p *Params) bool {
 // addPrune records that a parameter may prune scan's fragments; false
 // when there are too many such scans or fragments to keep track of.
 func (p *Params) addPrune(scan *GlobalScan) bool {
-	for _, c := range p.prunes[:p.nPrune] {
-		if c.scan == scan {
+	for _, s := range p.prunes[:p.nPrune] {
+		if s == scan {
 			return true
 		}
 	}
 	if p.nPrune == maxPrunes || len(scan.Table.Fragments) > 64 {
 		return false
 	}
-	p.prunes[p.nPrune] = pruneCheck{scan: scan}
+	p.prunes[p.nPrune] = scan
 	p.nPrune++
 	return true
 }
 
-// Kept records, once Optimize has made the plan that is kept, which
-// fragments of each scan a parameter may prune the plan reads: those its
-// filter, as pushed down, does not exclude.
-func (p *Params) Kept() {
-	for i := range p.prunes[:p.nPrune] {
-		c := &p.prunes[i]
-		c.live = 0
-		for k, f := range c.scan.Table.Fragments {
-			if !f.Excludes(c.scan.Filter) {
-				c.live |= 1 << k
-			}
-		}
+// Kept records, once Optimize has made n, the plan that is kept, which
+// fragments of each scan a parameter may prune it reads (Live): those
+// the scan's filter, as pushed down, does not exclude; and, when an
+// estimate reads a value, the joins whose strategy Bind re-derives.
+func (p *Params) Kept(n Node) {
+	p.Live = p.live(expr.Binding{})
+	p.joins = nil
+	if p.priced {
+		p.costedJoins(n)
+	}
+}
+
+// costedJoins appends n's joins whose strategy the estimates chose,
+// inputs first, to p.joins.
+func (p *Params) costedJoins(n Node) {
+	EachInput(n, func(in *Node) { p.costedJoins(*in) })
+	if j, ok := n.(*Join); ok && j.costed {
+		p.joins = append(p.joins, j)
 	}
 }
 
@@ -377,209 +428,6 @@ func origin(n Node, col int) (*GlobalScan, int) {
 			return nil, -1
 		}
 	}
-}
-
-// Rebind returns n, a published plan made for the values in p's slots,
-// with vals in their place: the nodes on a path from the root to a slot
-// are copied, and the expressions above it in each, and every other node
-// is n's own. n is not written. vals must fit (Params.Fits). The choices
-// planning made from the values are made again from vals: it returns nil,
-// having copied no node, when a scan's filter would leave it other
-// fragments than the kept plan reads, and a copied join whose strategy
-// the estimates chose takes the one they choose for vals.
-func Rebind(n Node, p *Params, vals []types.Value) Node {
-	if len(vals) == 0 {
-		return n
-	}
-	bound := expr.Binding{Slots: p.Slots, Vals: vals}
-	for _, c := range p.prunes[:p.nPrune] {
-		for k, f := range c.scan.Table.Fragments {
-			if f.ExcludesBound(c.scan.Filter, bound) == (c.live&(1<<k) != 0) {
-				return nil
-			}
-		}
-	}
-	r := rebinder{slots: p.Slots, consts: make([]expr.Const, len(vals)), priced: p.priced}
-	for i, v := range vals {
-		r.consts[i].Val = v
-	}
-	return r.node(n)
-}
-
-// rebinder is Rebind's walk. The scans of a union that follow one another
-// (FragScan.follow) share a filter: seen keeps each expression's copy and
-// each scan's, so the copies share it too and a copied scan follows its
-// copied predecessor. priced is Params.priced.
-type rebinder struct {
-	slots  []*expr.Const
-	consts []expr.Const
-	exprs  [8][2]expr.Expr
-	nexpr  int
-	scans  [8][2]*FragScan
-	nscan  int
-	priced bool
-}
-
-func (r *rebinder) expr(e expr.Expr) expr.Expr {
-	if e == nil {
-		return nil
-	}
-	for _, s := range r.exprs[:r.nexpr] {
-		if s[0] == e {
-			return s[1]
-		}
-	}
-	out := expr.Transform(e, func(x expr.Expr) expr.Expr {
-		if c, ok := x.(*expr.Const); ok {
-			for i, s := range r.slots {
-				if s == c {
-					return &r.consts[i]
-				}
-			}
-		}
-		return x
-	})
-	if out != e && r.nexpr < len(r.exprs) {
-		r.exprs[r.nexpr] = [2]expr.Expr{e, out}
-		r.nexpr++
-	}
-	return out
-}
-
-func (r *rebinder) node(n Node) Node {
-	if fs, ok := n.(*FragScan); ok {
-		return r.fragScan(fs)
-	}
-	out := n
-	i := 0
-	EachInput(n, func(in *Node) {
-		if nw := r.node(*in); nw != *in {
-			if out == n {
-				out = shallowCopy(n)
-			}
-			*inputSlot(out, i) = nw
-		}
-		i++
-	})
-	i = 0
-	owned := false
-	eachExpr(n, func(e *expr.Expr) {
-		if nw := r.expr(*e); nw != *e {
-			if out == n {
-				out = shallowCopy(n)
-			}
-			if !owned {
-				ownExprs(out)
-				owned = true
-			}
-			*exprSlot(out, i) = nw
-		}
-		i++
-	})
-	if j, ok := out.(*Join); ok && out != n && j.costed && r.priced {
-		j.Strategy = costedStrategy(j)
-	}
-	return out
-}
-
-func (r *rebinder) fragScan(s *FragScan) Node {
-	for _, c := range r.scans[:r.nscan] {
-		if c[0] == s {
-			return c[1]
-		}
-	}
-	filter, residual := r.expr(s.Query.Filter), r.expr(s.GlobalResidual)
-	if filter == s.Query.Filter && residual == s.GlobalResidual {
-		return s
-	}
-	cp := *s
-	cp.Query.Filter, cp.GlobalResidual = filter, residual
-	for _, c := range r.scans[:r.nscan] {
-		if c[0] == s.like {
-			cp.like = c[1]
-		}
-	}
-	if r.nscan < len(r.scans) {
-		r.scans[r.nscan] = [2]*FragScan{s, &cp}
-		r.nscan++
-	}
-	return &cp
-}
-
-// shallowCopy copies n, and a union's slice of inputs, so that an input
-// slot of the copy may be written; its schema is n's.
-func shallowCopy(n Node) Node {
-	switch t := n.(type) {
-	case *Filter:
-		cp := *t
-		return &cp
-	case *Project:
-		cp := *t
-		return &cp
-	case *Join:
-		cp := *t
-		return &cp
-	case *Aggregate:
-		cp := *t
-		return &cp
-	case *Sort:
-		cp := *t
-		return &cp
-	case *Limit:
-		cp := *t
-		return &cp
-	case *Union:
-		cp := *t
-		cp.Inputs = append([]Node(nil), t.Inputs...)
-		return &cp
-	default:
-		// GlobalScan, FragScan and Values have no input or expression
-		// slot (eachExpr); a FragScan is copied by fragScan.
-		return n
-	}
-}
-
-// ownExprs gives n, a copy, slices of its own of the expressions it
-// shares with the node it was copied from, so that an expression slot of
-// it may be written.
-func ownExprs(n Node) {
-	switch t := n.(type) {
-	case *Project:
-		t.Exprs = append([]expr.Expr(nil), t.Exprs...)
-	case *Aggregate:
-		t.GroupBy = append([]expr.Expr(nil), t.GroupBy...)
-		t.Aggs = append([]AggItem(nil), t.Aggs...)
-	case *Sort:
-		t.Keys = append([]SortKey(nil), t.Keys...)
-	default:
-		// A Filter's predicate and a join's condition are fields.
-	}
-}
-
-// inputSlot is n's i-th input slot, as EachInput visits them.
-func inputSlot(n Node, i int) *Node {
-	var slot *Node
-	k := 0
-	EachInput(n, func(in *Node) {
-		if k == i {
-			slot = in
-		}
-		k++
-	})
-	return slot
-}
-
-// exprSlot is n's i-th expression slot, as eachExpr visits them.
-func exprSlot(n Node, i int) *expr.Expr {
-	var slot *expr.Expr
-	k := 0
-	eachExpr(n, func(e *expr.Expr) {
-		if k == i {
-			slot = e
-		}
-		k++
-	})
-	return slot
 }
 
 // settle stores every node's schema, bottom-up, so that a plan Optimize

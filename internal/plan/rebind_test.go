@@ -2,7 +2,6 @@ package plan
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"gis/internal/catalog"
@@ -30,7 +29,7 @@ func planTemplate(t *testing.T, cat *catalog.Catalog, text string, params []type
 		t.Fatalf("%s: %v", text, err)
 	}
 	if free {
-		p.Kept()
+		p.Kept(n)
 	}
 	return n, &p, free
 }
@@ -51,9 +50,9 @@ var rebindOptions = []func(*Options){
 	func(o *Options) { o.ForceStrategy = StrategySemiJoin },
 }
 
-// What becomes of a statement's plan under ValueFree and Rebind: planned
-// on every call, kept and rebound to the second values, or kept and
-// planned afresh for them because they leave a scan other fragments.
+// What becomes of a statement's plan under ValueFree: planned on every
+// call, kept and bound to the second values, or kept and planned afresh
+// for them because they leave a scan other fragments.
 const (
 	planned = iota
 	rebound
@@ -136,11 +135,12 @@ var valueFreeCases = []struct {
 }
 
 // TestValueFree holds ValueFree to its rule over every case, and a plan
-// it keeps to the plan made afresh: rebound to the second values under
-// each optimizer variant, it prints as planning the statement with them
-// prints, or Rebind reports that they are planned afresh; the plan it was
-// made from prints as it did. Under the default options the second values
-// are rebound or planned afresh as the case says.
+// it keeps to the plan made afresh: under each optimizer variant, the
+// plan made for the second values reads the fragments LiveFor says it
+// does, and when they are the kept plan's, the kept plan with the second
+// values bound prints as that plan does, and with the first bound again
+// as it did. Under the default options the second values are bound or
+// planned afresh as the case says.
 func TestValueFree(t *testing.T) {
 	cat := newBenchCatalog(t)
 	for _, c := range valueFreeCases {
@@ -159,26 +159,32 @@ func TestValueFree(t *testing.T) {
 				t.Fatalf("%s: the second values do not fit", c.name)
 			}
 			before := Explain(n)
-			fresh, _, _ := planTemplate(t, cat, c.sql, c.b, opts)
-			out := Rebind(n, p, c.b)
+			fresh, fp, _ := planTemplate(t, cat, c.sql, c.b, opts)
+			live := p.LiveFor(c.b)
 			switch {
-			case i == 0 && (out == nil) != (c.want == replanned):
-				t.Errorf("%s: Rebind planned afresh: %v, want %v", c.name, out == nil, c.want == replanned)
-			case out == nil:
-			case Explain(out) != Explain(fresh):
-				t.Errorf("%s under variant %d: rebound\n%swant\n%s", c.name, i, Explain(out), Explain(fresh))
-			}
-			if Explain(n) != before {
-				t.Errorf("%s under variant %d: rebinding wrote the kept plan:\n%swas\n%s", c.name, i, Explain(n), before)
+			case live != fp.Live:
+				t.Errorf("%s under variant %d: LiveFor %v, the plan made for the values reads %v", c.name, i, live, fp.Live)
+			case i == 0 && (live != p.Live) != (c.want == replanned):
+				t.Errorf("%s: planned afresh: %v, want %v", c.name, live != p.Live, c.want == replanned)
+			case live != p.Live:
+			default:
+				p.Bind(c.b)
+				if Explain(n) != Explain(fresh) {
+					t.Errorf("%s under variant %d: bound\n%swant\n%s", c.name, i, Explain(n), Explain(fresh))
+				}
+				p.Bind(c.a)
+				if Explain(n) != before {
+					t.Errorf("%s under variant %d: bound back\n%swas\n%s", c.name, i, Explain(n), before)
+				}
 			}
 		}
 	}
 }
 
-// TestRebindChoosesTheStrategyAgain rebinds a join whose strategy the
+// TestRebindChoosesTheStrategyAgain binds a join whose strategy the
 // range's width decides: the kept plan ships the few keys of a narrow
-// range and the rebound one, for a wide range, ships both sides, as a
-// plan made for it does.
+// range and, bound to a wide range, ships both sides, as a plan made for
+// it does.
 func TestRebindChoosesTheStrategyAgain(t *testing.T) {
 	cat := newBenchCatalog(t)
 	text := "SELECT o.oid, c.name FROM orders o JOIN customers c ON o.cust_id = c.id WHERE o.oid >= ? AND o.oid < ?"
@@ -186,13 +192,14 @@ func TestRebindChoosesTheStrategyAgain(t *testing.T) {
 	if !free {
 		t.Fatal("a range on a two-way join is kept")
 	}
+	kept := findJoin(n).Strategy
 	fresh, _, _ := planTemplate(t, cat, text, ints(0, 400), DefaultOptions())
-	out := Rebind(n, p, ints(0, 400))
-	if out == nil {
+	if p.LiveFor(ints(0, 400)) != p.Live {
 		t.Fatal("a range on an unpartitioned table is planned afresh")
 	}
-	if kept, got, want := findJoin(n).Strategy, findJoin(out).Strategy, findJoin(fresh).Strategy; kept != StrategySemiJoin || got != StrategyShipAll || got != want {
-		t.Errorf("strategies kept %v, rebound %v, afresh %v; want semijoin, shipall, shipall", kept, got, want)
+	p.Bind(ints(0, 400))
+	if got, want := findJoin(n).Strategy, findJoin(fresh).Strategy; kept != StrategySemiJoin || got != StrategyShipAll || got != want {
+		t.Errorf("strategies kept %v, bound %v, afresh %v; want semijoin, shipall, shipall", kept, got, want)
 	}
 }
 
@@ -221,84 +228,60 @@ func TestParamsFit(t *testing.T) {
 	}
 }
 
-// TestRebindCopiesOnlyThePath rebinds fk_join_top5's plan: the join's
-// right side, which reads no parameter, is the kept plan's, and Rebind
-// allocates one object a node it copies, one for the comparison above the
-// parameter and one block of constants.
-func TestRebindCopiesOnlyThePath(t *testing.T) {
-	cat := newBenchCatalog(t)
-	n, p, free := planTemplate(t, cat, planShapes[2].sql, ints(3), DefaultOptions())
-	if !free {
-		t.Fatal("fk_join_top5 is value-free")
-	}
-	out := Rebind(n, p, ints(9))
-	j, rj := findJoin(n), findJoin(out)
-	if j == nil || rj == j || rj.R != j.R || rj.L == j.L {
-		t.Fatalf("want the join and its left side copied, its right side shared:\n%s", Explain(out))
-	}
-	if e := Explain(out); !strings.Contains(e, "= 9") || strings.Contains(e, "= 3") {
-		t.Errorf("the rebound plan does not read 9 alone:\n%s", e)
-	}
-	kept := map[Node]bool{}
-	var mark func(Node)
-	mark = func(x Node) {
-		kept[x] = true
-		EachInput(x, func(in *Node) { mark(*in) })
-	}
-	mark(n)
-	copied := 0
-	var count func(Node)
-	count = func(x Node) {
-		if !kept[x] {
-			copied++
-		}
-		EachInput(x, func(in *Node) { count(*in) })
-	}
-	count(out)
-	vals := ints(9)
-	got := testing.AllocsPerRun(50, func() { Rebind(n, p, vals) })
-	t.Logf("Rebind of fk_join_top5 copies %d nodes and allocates %.0f objects", copied, got)
-	if want := float64(copied + 2); got > want {
-		t.Errorf("Rebind allocates %.0f objects, want at most %.0f:\n%s", got, want, Explain(n))
-	}
-}
-
-// TestRecheckAllocatesNothing holds the choices Rebind makes again to
-// reading: rebinding a join whose strategy it re-derives, and a range on
-// the partition column whose fragments it re-derives, allocates what
-// copying the path does without them, and values that leave the scan
-// other fragments are refused before anything is allocated.
-func TestRecheckAllocatesNothing(t *testing.T) {
+// TestBindAllocatesNothing holds a cache hit's planning part to no
+// object: checking fk_join_top5's values, the fragments they leave and
+// binding them into the plan, a join whose strategy Bind re-derives, and
+// a range on the partition column whose fragments LiveFor re-derives.
+func TestBindAllocatesNothing(t *testing.T) {
 	cat := newBenchCatalog(t)
 	for _, c := range []struct {
-		name       string
-		sql        string
-		a, b, away []types.Value
+		name string
+		sql  string
+		a, b []types.Value
 	}{
+		{"fk_join_top5", planShapes[2].sql, ints(3), ints(9)},
 		{"strategy", "SELECT o.oid, c.name FROM orders o JOIN customers c ON o.cust_id = c.id WHERE o.oid >= ? AND o.oid < ?",
-			ints(0, 10), ints(0, 400), nil},
-		{"fragments", planShapes[9].sql, ints(120, 140), ints(101, 149), ints(20, 40)},
+			ints(0, 10), ints(0, 400)},
+		{"fragments", planShapes[9].sql, ints(120, 140), ints(101, 149)},
 	} {
 		n, p, free := planTemplate(t, cat, c.sql, c.a, DefaultOptions())
 		if !free {
 			t.Fatalf("%s: not kept", c.name)
 		}
-		bare := *p
-		bare.priced, bare.nPrune = false, 0
-		rechecked := testing.AllocsPerRun(50, func() { Rebind(n, p, c.b) })
-		copied := testing.AllocsPerRun(50, func() { Rebind(n, &bare, c.b) })
-		t.Logf("%s: Rebind allocates %.0f objects, %.0f without the recheck", c.name, rechecked, copied)
-		if rechecked != copied {
-			t.Errorf("%s: the recheck allocates %.0f objects", c.name, rechecked-copied)
+		got := testing.AllocsPerRun(50, func() {
+			if !p.Fits(c.b) || p.LiveFor(c.b) != p.Live {
+				t.Fatalf("%s: %v do not fit the kept plan", c.name, c.b)
+			}
+			p.Bind(c.b)
+		})
+		t.Logf("%s: a hit allocates %.0f objects in plan", c.name, got)
+		if got != 0 {
+			t.Errorf("%s: a hit allocates %.0f objects in plan, want 0:\n%s", c.name, got, Explain(n))
 		}
-		if c.away == nil {
-			continue
+	}
+}
+
+// TestRecheckAllocatesNothing holds the choices made again for a call's
+// values to reading: the fragments of a range on the partition column
+// that values a fragment away leave, and of one across a fragment
+// boundary, are told apart from the kept plan's without an allocation,
+// and a plan made for them reads the fragments LiveFor says.
+func TestRecheckAllocatesNothing(t *testing.T) {
+	cat := newBenchCatalog(t)
+	n, p, free := planTemplate(t, cat, planShapes[9].sql, ints(120, 140), DefaultOptions())
+	if !free {
+		t.Fatalf("range_pruned is not kept:\n%s", Explain(n))
+	}
+	for _, away := range [][]types.Value{ints(20, 40), ints(120, 160), ints(140, 120)} {
+		live := p.LiveFor(away)
+		if live == p.Live {
+			t.Errorf("%v leave the kept plan's fragments %v", away, live)
 		}
-		if Rebind(n, p, c.away) != nil {
-			t.Fatalf("%s: values in other fragments rebound", c.name)
+		if _, fp, _ := planTemplate(t, cat, planShapes[9].sql, away, DefaultOptions()); fp.Live != live {
+			t.Errorf("%v: LiveFor %v, the plan made for them reads %v", away, live, fp.Live)
 		}
-		if got := testing.AllocsPerRun(50, func() { Rebind(n, p, c.away) }); got != 0 {
-			t.Errorf("%s: refusing values in other fragments allocates %.0f objects", c.name, got)
+		if got := testing.AllocsPerRun(50, func() { p.LiveFor(away) }); got != 0 {
+			t.Errorf("%v: telling their fragments allocates %.0f objects", away, got)
 		}
 	}
 }

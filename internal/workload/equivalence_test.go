@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -193,11 +194,17 @@ func TestPlanEquivalence(t *testing.T) {
 		n, chains, params = 150, 40, 30
 	}
 	// How many parameter statements ran their second values on the plan
-	// the first values made, and how many were planned afresh for them
-	// because they left a scan other fragments, under some variant.
-	var reused, replanned atomic.Int64
+	// the first values made, how many were planned afresh for them
+	// because they left a scan other fragments, and how many of those
+	// ran their third values on one of the two plans kept, under some
+	// variant.
+	var reused, replanned, other atomic.Int64
 	t.Cleanup(func() {
-		t.Logf("%d of %d statements with parameters reused a plan, %d were planned afresh by the recheck", reused.Load(), params, replanned.Load())
+		t.Logf("%d of %d statements with parameters reused a plan, %d were planned afresh by the recheck, %d then bound one of the plans kept for two sets of fragments",
+			reused.Load(), params, replanned.Load(), other.Load())
+		if !testing.Short() && other.Load() == 0 {
+			t.Error("no statement bound a plan kept beside another for other fragments")
+		}
 	})
 	for _, s := range []struct {
 		name  string
@@ -208,12 +215,15 @@ func TestPlanEquivalence(t *testing.T) {
 		{"statements", equivalenceSeed, n, func(t *testing.T, f map[string]*Fixture, g *eqGen) { checkEquivalent(t, f, g.next()) }},
 		{"chains", chainSeed, chains, func(t *testing.T, f map[string]*Fixture, g *eqGen) { checkEquivalent(t, f, g.chain()) }},
 		{"parameters", parameterSeed, params, func(t *testing.T, f map[string]*Fixture, g *eqGen) {
-			cached, again := checkRebound(t, f, g, g.next())
+			cached, again, kept := checkRebound(t, f, g, g.next())
 			if cached {
 				reused.Add(1)
 			}
 			if again {
 				replanned.Add(1)
+			}
+			if kept {
+				other.Add(1)
 			}
 		}},
 	} {
@@ -305,10 +315,24 @@ func lexemeOf(t gsql.Token) lexeme { return lexeme{t.Kind, t.Text} }
 // redraw draws values that disagree with vals, each of its kind: an INT
 // within twenty of it or, as often, anywhere below 1 000 (another
 // fragment's key), a FLOAT between half and one and a half of it, a
-// region spelled or coded.
-func (g *eqGen) redraw(vals []types.Value) []types.Value {
+// region spelled or coded. Over t partitioned on its key, a range — two
+// INTs, the second no more than a third of the keys above the first —
+// moves whole as often: as far into another fragment, or across the
+// boundary of two.
+func (g *eqGen) redraw(vals []types.Value, t *eqTable) []types.Value {
 	out := make([]types.Value, len(vals))
-	for i, v := range vals {
+	for i := 0; i < len(vals); i++ {
+		v := vals[i]
+		if lo, w, ok := keyRange(vals[i:], t); ok && g.chance(0.5) {
+			if edge := int64(t.part * (1 + g.r.Intn(t.nKeys/t.part-1))); g.chance(0.5) {
+				lo = edge - 1 - int64(g.r.Intn(max(int(w)-1, 1))) // lo < edge < lo+w when w > 1
+			} else {
+				lo = int64(g.r.Intn(t.nKeys/t.part)*t.part) + lo%int64(t.part)
+			}
+			out[i], out[i+1] = types.NewInt(lo), types.NewInt(lo+w)
+			i++
+			continue
+		}
 		switch {
 		case v.Kind() == types.KindInt && g.chance(0.5):
 			out[i] = types.NewInt(int64(g.r.Intn(1000)))
@@ -318,6 +342,29 @@ func (g *eqGen) redraw(vals []types.Value) []types.Value {
 			out[i] = types.NewFloat(math.Round(v.Float()*(0.5+g.r.Float64())*1000) / 1000)
 		default:
 			out[i] = types.NewString(g.pick(append(append([]string(nil), spelled...), coded...)...))
+		}
+	}
+	return out
+}
+
+// keyRange reads vals[0] and vals[1] as a range of t's partition key,
+// lo up to lo+w, when t is partitioned and they can be one.
+func keyRange(vals []types.Value, t *eqTable) (lo, w int64, ok bool) {
+	if t.part == 0 || len(vals) < 2 || vals[0].Kind() != types.KindInt || vals[1].Kind() != types.KindInt {
+		return 0, 0, false
+	}
+	lo, w = vals[0].Int(), vals[1].Int()-vals[0].Int()
+	return lo, w, w >= 0 && w <= int64(t.nKeys/3)
+}
+
+// beside shifts every INT of vals by one offset of at most two, which
+// leaves a range or a key in the fragments it was in but at an edge.
+func (g *eqGen) beside(vals []types.Value) []types.Value {
+	d := int64(g.r.Intn(5) - 2)
+	out := slices.Clone(vals)
+	for i, v := range out {
+		if v.Kind() == types.KindInt {
+			out[i] = types.NewInt(v.Int() + d)
 		}
 	}
 	return out
@@ -349,26 +396,48 @@ func literal(tmpl string, vals []types.Value) string {
 
 // checkRebound runs q's statement as a template (lift) under the default
 // options and each variant: with its own values, then with values drawn
-// to disagree. The second answer must be what the statement written with
-// the second values returns, planned fresh: where the engine kept the
-// plan the first call made (DESIGN.md "The statement cache"), a plan
-// some value would have changed shows as a different answer. An unordered
-// LIMIT's rows are any of the unlimited statement's, so it is left out.
-// It reports whether the second call reused the kept plan under some
-// variant (its parse span is named "cached"), and whether the kept plan
-// sent it back to planning under some variant ("replanned").
-func checkRebound(t *testing.T, fixtures map[string]*Fixture, g *eqGen, q eqQuery) (cached, replanned bool) {
+// to disagree, then with values beside the first ones. The second and
+// third answers must be what the statement written with their values
+// returns, planned fresh: where the engine ran a plan it kept (DESIGN.md
+// "The statement cache"), a plan some value would have changed shows as
+// a different answer. An unordered LIMIT's rows are any of the unlimited
+// statement's, so it is left out. It reports, under some variant,
+// whether the second call bound a kept plan (its parse span is named
+// "cached"), whether no idle plan read its fragments so that it was
+// planned afresh and kept beside the first ("replanned"), and whether
+// the third call then bound one of the two.
+func checkRebound(t *testing.T, fixtures map[string]*Fixture, g *eqGen, q eqQuery) (cached, replanned, other bool) {
 	t.Helper()
 	if q.anySubset {
-		return false, false
+		return false, false, false
 	}
 	f := fixtures[q.t.fixture]
 	sql := strings.ReplaceAll(q.sql, "$T", capTables[len(q.sql)%len(capTables)])
 	tmpl, a := lift(sql)
 	if len(a) == 0 {
-		return false, false
+		return false, false, false
 	}
-	b := g.redraw(a)
+	b, c := g.redraw(a, q.t), g.beside(a)
+	// run runs the template with vals after prior and reports the name of
+	// its parse span.
+	run := func(v planVariant, vals, prior []types.Value) string {
+		tr := obs.NewTrace(tmpl)
+		got, err := eqRunIn(obs.WithTrace(ctx, tr), f, tmpl, q.ordered, vals...)
+		want, werr := eqRun(f, literal(tmpl, vals), q.ordered)
+		switch {
+		case (err != nil) != (werr != nil):
+			t.Errorf("%s %v after %v\n  %s: %v, written out %v", tmpl, vals, prior, v.name, err, werr)
+		case err == nil:
+			if d := diffRows(got, want); d != "" {
+				t.Errorf("%s %v after %v\n  %s: %s", tmpl, vals, prior, v.name, d)
+			}
+		}
+		name := ""
+		for _, sp := range tr.FindAll(obs.SpanParse) {
+			name = sp.Name()
+		}
+		return name
+	}
 	defer setVariant(f, planVariants[0])
 	for _, v := range planVariants {
 		setVariant(f, v)
@@ -376,23 +445,13 @@ func checkRebound(t *testing.T, fixtures map[string]*Fixture, g *eqGen, q eqQuer
 			t.Errorf("%s %v\n  %s: %v", tmpl, a, v.name, err)
 			continue
 		}
-		tr := obs.NewTrace(tmpl)
-		got, err := eqRunIn(obs.WithTrace(ctx, tr), f, tmpl, q.ordered, b...)
-		for _, sp := range tr.FindAll(obs.SpanParse) {
-			cached = cached || sp.Name() == "cached"
-			replanned = replanned || sp.Name() == "replanned"
-		}
-		want, werr := eqRun(f, literal(tmpl, b), q.ordered)
-		switch {
-		case (err != nil) != (werr != nil):
-			t.Errorf("%s %v after %v\n  %s: %v, written out %v", tmpl, b, a, v.name, err, werr)
-		case err == nil:
-			if d := diffRows(got, want); d != "" {
-				t.Errorf("%s %v after %v\n  %s: %s", tmpl, b, a, v.name, d)
-			}
-		}
+		second := run(v, b, a)
+		third := run(v, c, b)
+		cached = cached || second == "cached"
+		replanned = replanned || second == "replanned"
+		other = other || second == "replanned" && third == "cached"
 	}
-	return cached, replanned
+	return cached, replanned, other
 }
 
 // TestPlanEquivalenceCases are the statements found to disagree — by the

@@ -40,6 +40,9 @@ type eqTable struct {
 	region  string
 	regions []string
 	nKeys   int
+	// part is how many keys each fragment of a table partitioned on its
+	// key holds; 0 when it is not.
+	part int
 	// amountConst renders a filter constant for the float column that no
 	// stored value equals or rounds to. (It was chosen so while a
 	// unit-converted column compared at the source and at the mediator
@@ -81,7 +84,7 @@ var (
 		{fixture: "capability", name: "$T", key: "oid", fk: "cust_id", amount: "amount", region: "region",
 			regions: spelled, nKeys: 300, amountConst: currency, joins: customersJoin},
 		{fixture: "partitioned", name: "events", key: "oid", fk: "cust_id", amount: "amount", region: "region",
-			regions: spelled, nKeys: 1000, amountConst: currency, joins: customersJoin},
+			regions: spelled, nKeys: 1000, part: 250, amountConst: currency, joins: customersJoin},
 		{fixture: "hetero", name: "orders_mediated", key: "oid", fk: "cust_id", amount: "amount", region: "region",
 			regions: spelled, nKeys: 500, amountConst: currency, joins: &eqJoin{
 				table:   "orders_native",

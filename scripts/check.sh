@@ -44,11 +44,11 @@
 #                   allocs_per_query: sql TestParseAllocations, plan
 #                   TestPlanAllocations and
 #                   TestPlanAllocsPerAlikeFragment,
-#                   TestRebindCopiesOnlyThePath and
+#                   TestBindAllocatesNothing and
 #                   TestRecheckAllocatesNothing, core
 #                   TestStatementAllocations, a first call that misses
 #                   the statement cache, a warmed one that hits it and
-#                   one its recheck sends back to planning,
+#                   one whose values a bank away hit a second plan kept,
 #                   exec TestKeptOutputIsOneBlock and wire
 #                   TestServedSubQueryAllocs, the serving side of a
 #                   point sub-query on a warmed connection), the
@@ -59,7 +59,10 @@
 #                   TestCacheHitIsAStatement, and
 #                   TestPointShapesShareTheCatalogConcurrently, two
 #                   callers drawing new values on one engine's kept
-#                   plans, a race only -race reports), the plan
+#                   plans, and a stream holding one open beside a
+#                   caller of its text, a race only -race reports; exec
+#                   TestUnionCloseWaitsForItsFetchers, a plan no fetch
+#                   reads once its union is closed), the plan
 #                   equivalence tests
 #                   (`make equivalence` runs workload TestPlanEquivalence
 #                   and TestPlanEquivalenceCases on demand, the quick loop
