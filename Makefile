@@ -70,7 +70,11 @@ layout:
 # telling the fragments values a fragment away leave allocates nothing),
 # whole statements on a first call, which misses the statement cache,
 # and warmed, which hits it, for values a bank away a second plan kept
-# beside the first (core TestStatementAllocations), a kept result
+# beside the first (core TestStatementAllocations), a kept write's hit
+# saving at least what parsing its text costs under a parse span named
+# cached (TestKeptWriteParsesNothing), a write through Run costing what
+# it does through Exec and its one-object Result
+# (TestRunWritesAsExecDoes), a kept result
 # carved from one block (exec
 # TestKeptOutputIsOneBlock), the serving side of a point sub-query on
 # a warmed connection (wire TestServedSubQueryAllocs,
@@ -81,7 +85,7 @@ layout:
 allocs:
 	$(GO) test -count=1 -run 'TestParseAllocations' -v ./internal/sql
 	$(GO) test -count=1 -run 'TestPlanAllocations|TestPlanAllocsPerAlikeFragment|TestKeyQueryAllocsPerAlikeFragment|TestBindAllocatesNothing|TestRecheckAllocatesNothing' -v ./internal/plan
-	$(GO) test -count=1 -run 'TestStatementAllocations' -v ./internal/core
+	$(GO) test -count=1 -run 'TestStatementAllocations|TestKeptWriteParsesNothing|TestRunWritesAsExecDoes' -v ./internal/core
 	$(GO) test -count=1 -run 'TestKeptOutputIsOneBlock' -v ./internal/exec
 	$(GO) test -count=1 -run 'TestServedSubQueryAllocs|TestRebindBuildsTheFilterOnce|TestRowsFrameAllocsDoNotGrowPerRow|TestStreamRowsAllocsDoNotGrowWithRows' -v ./internal/wire
 

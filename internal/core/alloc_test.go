@@ -6,6 +6,7 @@ import (
 
 	"gis/internal/admission"
 	"gis/internal/catalog"
+	"gis/internal/obs"
 	"gis/internal/relstore"
 	"gis/internal/sql"
 	"gis/internal/types"
@@ -113,15 +114,17 @@ func statementEngine(t *testing.T) *Engine {
 // warmed. A miss's ceilings are what a statement's were before the
 // cache — 38 / 68 / 135 / 41, 26 / 17 / 25 / 88 / 136, 73, 91 and 77 —
 // and 10% above what range_pruned's measures (40), and it must stay
-// under them. A warmed SELECT that the cache keeps is a hit, which
-// checks out an idle plan that reads the fragments its values leave,
-// writes the values into it, re-deriving its join strategies, and skips
-// parse and plan; every other warmed statement takes the miss's path but
-// for the check, whose verdict is kept. The warmed ceilings are 10%
-// above what they measure: 13 / 16 / 64 / 13 (34 / 61 / 122 / 37 when
-// every call parsed and planned, 17 / 20 / 72 / 18 when a hit copied the
-// path to each parameter), 23 / 15 / 22 / 80 / 56 (123), 12, 26 and 18
-// (66, 82 and 70 when a range was planned on every call), and
+// under them. A warmed statement that the cache keeps is a hit, which
+// checks out an idle instance that reads the fragments its values leave,
+// writes the values into it, re-deriving a plan's join strategies, and
+// skips parse and plan, or a write's parse, bind and split; every other
+// warmed statement takes the miss's path but for the check, whose
+// verdict is kept. The warmed ceilings are 10% above what they measure:
+// 13 / 16 / 64 / 13 (34 / 61 / 122 / 37 when every call parsed and
+// planned, 17 / 20 / 72 / 18 when a hit copied the path to each
+// parameter), 15 / 9 / 10 / 52 / 56 (23 / 15 / 22 / 80 when every write
+// was parsed, bound and split; 123 for sum_check when it was planned), 12,
+// 26 and 18 (66, 82 and 70 when a range was planned on every call), and
 // range_pruned's 12. range_moved is range_pruned with a plan kept for
 // bank0 and its values in bank1: its first warmed call is planned
 // afresh and kept beside bank0's plan, and every later one is a hit
@@ -156,15 +159,15 @@ func TestStatementAllocations(t *testing.T) {
 		{"in_list", "SELECT oid, amount FROM orders WHERE oid IN (?, ?, ?, ?, ?, ?, ?, ?)",
 			func() []types.Value { return ints(1, 2, 3, 5, 8, 13, 21, 34) }, false, 41, 15},
 		{"insert_routed", "INSERT INTO accounts (id, balance) VALUES (?, ?)",
-			func() []types.Value { inserted++; return []types.Value{types.NewInt(inserted), types.NewFloat(25.5)} }, true, 26, 26},
+			func() []types.Value { inserted++; return []types.Value{types.NewInt(inserted), types.NewFloat(25.5)} }, true, 26, 17},
 		{"delete_pk", "DELETE FROM accounts WHERE id = ?",
-			func() []types.Value { deleted++; return ints(deleted) }, true, 17, 17},
+			func() []types.Value { deleted++; return ints(deleted) }, true, 17, 10},
 		{"update_1p", "UPDATE accounts SET balance = balance + ? WHERE id = ?",
-			func() []types.Value { return []types.Value{types.NewFloat(2.25), types.NewInt(3)} }, true, 25, 25},
+			func() []types.Value { return []types.Value{types.NewFloat(2.25), types.NewInt(3)} }, true, 25, 11},
 		{"update_2pc", "UPDATE accounts SET balance = CASE WHEN id < ? THEN balance - ? ELSE balance + ? END WHERE id >= ? AND id < ?",
 			func() []types.Value {
 				return []types.Value{types.NewInt(1_000_000), types.NewFloat(1.5), types.NewFloat(1.5), types.NewInt(999_998), types.NewInt(1_000_002)}
-			}, true, 88, 88},
+			}, true, 88, 58},
 		{"sum_check", "SELECT SUM(balance), COUNT(*) FROM accounts",
 			func() []types.Value { return nil }, false, 136, 62},
 		{"derived", "SELECT q.oid FROM (SELECT * FROM orders WHERE oid < ?) q",
@@ -229,6 +232,115 @@ func TestStatementAllocations(t *testing.T) {
 		if hit > s.hit {
 			t.Errorf("%s: a warmed call allocates %.0f objects, ceiling %.0f", s.name, hit, s.hit)
 		}
+	}
+}
+
+// TestKeptWriteParsesNothing runs update_2pc's four write templates on
+// statementEngine, each warmed: a call is a hit of the statement cache,
+// traced under one parse span, named cached, and no write span but the
+// one it runs, and a first call, which misses, allocates at least what
+// sql.Parse of the text does more than a warmed call, which parses
+// nothing.
+func TestKeptWriteParsesNothing(t *testing.T) {
+	e := statementEngine(t)
+	// Rows inserted into bank0's middle, deleted again in the same order.
+	inserted, deleted := int64(2000), int64(2000)
+	update2pc := []types.Value{types.NewInt(bankSpan), types.NewFloat(1.5), types.NewFloat(1.5), types.NewInt(bankSpan - 2), types.NewInt(bankSpan + 2)}
+	for _, s := range []struct {
+		name   string
+		sql    string
+		params func() []types.Value
+	}{
+		{"insert_routed", "INSERT INTO accounts (id, balance) VALUES (?, ?)",
+			func() []types.Value { inserted++; return []types.Value{types.NewInt(inserted), types.NewFloat(25.5)} }},
+		{"delete_pk", "DELETE FROM accounts WHERE id = ?", func() []types.Value { deleted++; return ints(deleted) }},
+		{"update_1p", "UPDATE accounts SET balance = balance + ? WHERE id = ?",
+			func() []types.Value { return []types.Value{types.NewFloat(2.25), types.NewInt(3)} }},
+		{"update_2pc", "UPDATE accounts SET balance = CASE WHEN id < ? THEN balance - ? ELSE balance + ? END WHERE id >= ? AND id < ?",
+			func() []types.Value { return update2pc }},
+	} {
+		const runs = 20
+		params := make([][]types.Value, 2*runs+3)
+		for i := range params {
+			params[i] = s.params()
+		}
+		i := 0
+		run := func() {
+			n, err := e.Exec(ctx, s.sql, params[i]...)
+			if err != nil || n < 1 {
+				t.Fatalf("%s: %d rows, %v", s.name, n, err)
+			}
+			i++
+		}
+		parsed := testing.AllocsPerRun(runs, func() {
+			if _, err := sql.Parse(s.sql, params[0]...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		miss := testing.AllocsPerRun(runs, func() {
+			e.stmts.clear()
+			run()
+		})
+		hit := testing.AllocsPerRun(runs, run)
+		e.SetTracing(true)
+		run()
+		e.SetTracing(false)
+		tr := e.TraceLast()
+		if parse := tr.FindAll(obs.SpanParse); len(parse) != 1 || parse[0].Name() != "cached" || len(tr.FindAll(obs.SpanWrite)) != 1 {
+			t.Errorf("%s warmed: %d parse spans, %d write spans; want one parse span named cached", s.name, len(parse), len(tr.FindAll(obs.SpanWrite)))
+		}
+		t.Logf("%-13s miss %4.0f allocations, warmed %4.0f, sql.Parse %4.0f", s.name, miss, hit, parsed)
+		if miss-hit < parsed {
+			t.Errorf("%s: a warmed call allocates %.0f objects, a miss %.0f: it saves less than parsing, %.0f", s.name, hit, miss, parsed)
+		}
+	}
+}
+
+// TestRunWritesAsExecDoes holds Run to Exec for a write: a warmed INSERT
+// through Run is a hit, as through Exec, and allocates what it does
+// through Exec and the one object of the Result that carries its count.
+func TestRunWritesAsExecDoes(t *testing.T) {
+	e := statementEngine(t)
+	const text = "INSERT INTO accounts (id, balance) VALUES (?, ?)"
+	// The parameters of every call are drawn before it is measured.
+	drawn := make([][]types.Value, 110)
+	for i := range drawn {
+		drawn[i] = []types.Value{types.NewInt(3000 + int64(i)), types.NewFloat(25.5)}
+	}
+	params := func() []types.Value {
+		p := drawn[0]
+		drawn = drawn[1:]
+		return p
+	}
+	exec := testing.AllocsPerRun(50, func() {
+		if n, err := e.Exec(ctx, text, params()...); err != nil || n != 1 {
+			t.Fatalf("Exec: %d, %v", n, err)
+		}
+	})
+	run := testing.AllocsPerRun(50, func() {
+		if res, err := e.Run(ctx, text, params()...); err != nil || res.Rows[0][0].Int() != 1 {
+			t.Fatalf("Run: %v, %v", res, err)
+		}
+	})
+	result := testing.AllocsPerRun(50, func() { _ = affected(1) })
+	t.Logf("warmed INSERT: Exec %.0f allocations, Run %.0f, its Result %.0f", exec, run, result)
+	if run != exec+result || result != 1 {
+		t.Errorf("a warmed INSERT allocates %.0f objects through Run, %.0f through Exec and %.0f for the Result", run, exec, result)
+	}
+	e.SetTracing(true)
+	if _, err := e.Run(ctx, text, params()...); err != nil {
+		t.Fatal(err)
+	}
+	if parse := e.TraceLast().FindAll(obs.SpanParse); len(parse) != 1 || parse[0].Name() != "cached" {
+		t.Errorf("Run's warmed INSERT is not a hit: %d parse spans", len(parse))
+	}
+	// An EXPLAIN through Run is given no instance of the cache, so keeps
+	// no template.
+	if _, err := e.Run(ctx, "EXPLAIN "+rangePruned, ints(0, 10)...); err != nil {
+		t.Fatal(err)
+	}
+	if tm, _ := e.cachedPlan("EXPLAIN " + rangePruned); tm != nil {
+		t.Errorf("an EXPLAIN through Run was kept")
 	}
 }
 

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gis/internal/admission"
+	"gis/internal/expr"
 	"gis/internal/obs"
 	"gis/internal/plan"
 	"gis/internal/relstore"
@@ -45,7 +48,8 @@ func (e *Engine) idlePlans(text string) int {
 // plan checked out across a change of the catalog — a stream of it open
 // while statistics are collected or a fragment is mapped — is dropped
 // when the stream closes, and the next call is planned under the new
-// generation.
+// generation; so is a kept write checked out by an UPDATE that a
+// component holds up across the change.
 func TestStatementCacheFollowsTheCatalog(t *testing.T) {
 	text := sharedShapes[2].sql
 	params := ints(3)
@@ -187,6 +191,88 @@ func TestStatementCacheFollowsTheCatalog(t *testing.T) {
 			}
 		})
 	}
+	for _, c := range changes[:2] {
+		t.Run(c.name+" while a write is held", func(t *testing.T) {
+			e := sharedEngine(t)
+			if c.before != nil {
+				c.before(t, e)
+			}
+			st := &stalling{Store: relstore.New("src_l"), entered: make(chan struct{}), release: make(chan struct{})}
+			if err := st.CreateTable("ledger", ordersSchemaForTest(), 0); err != nil {
+				t.Fatal(err)
+			}
+			mustInsert(t, st.Store, "ledger", moreOrders(0, 10))
+			if err := e.Catalog().AddSource(st); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Catalog().DefineTable("ledger", ordersSchemaForTest()); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Catalog().MapSimple(ctx, "ledger", "src_l", "ledger"); err != nil {
+				t.Fatal(err)
+			}
+			const upd = "UPDATE ledger SET amount = amount + ? WHERE oid = ?"
+			exec := func() error {
+				n, err := e.Exec(ctx, upd, types.NewFloat(1), types.NewInt(3))
+				if err == nil && n != 1 {
+					err = fmt.Errorf("%d rows updated, want 1", n)
+				}
+				return err
+			}
+			if err := exec(); err != nil {
+				t.Fatal(err)
+			}
+			first, _ := e.cachedPlan(upd)
+			if first == nil || e.idlePlans(upd) != 1 {
+				t.Fatalf("the first call kept %d writes", e.idlePlans(upd))
+			}
+			st.armed.Store(true)
+			done := make(chan error, 1)
+			go func() { done <- exec() }()
+			<-st.entered
+			if n := e.idlePlans(upd); n != 0 {
+				t.Errorf("the held write did not check out the kept one: %d idle", n)
+			}
+			c.change(t, e)
+			st.armed.Store(false)
+			st.release <- struct{}{}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if n := e.idlePlans(upd); n != 0 {
+				t.Errorf("a write kept before the change was handed back: %d idle", n)
+			}
+			e.SetTracing(true)
+			if err := exec(); err != nil {
+				t.Fatal(err)
+			}
+			if parse := e.TraceLast().FindAll(obs.SpanParse); len(parse) != 1 || parse[0].Name() != "" {
+				t.Errorf("the call after the change: %d parse spans, want one, built under the new generation", len(parse))
+			}
+			if second, _ := e.cachedPlan(upd); second == first || e.idlePlans(upd) != 1 {
+				t.Errorf("the call after the change kept %d idle writes in a new entry: %v", e.idlePlans(upd), second != first)
+			}
+			if got := remoteRows(t, st.Store, "ledger"); !strings.Contains(got, "(3, 3, 6, east)") {
+				t.Errorf("ledger after three updates of oid 3 by 1: %s", got)
+			}
+		})
+	}
+}
+
+// stalling is a relstore whose autocommit UPDATE, while armed, tells
+// entered and waits for release before it writes.
+type stalling struct {
+	*relstore.Store
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (s *stalling) Update(ctx context.Context, table string, filter expr.Expr, set []source.SetClause) (int64, error) {
+	if s.armed.Load() {
+		s.entered <- struct{}{}
+		<-s.release
+	}
+	return s.Store.Update(ctx, table, filter, set)
 }
 
 // ordersSchemaForTest is sharedEngine's orders schema.
@@ -304,6 +390,35 @@ func TestCacheHitIsAStatement(t *testing.T) {
 		if n := e.idlePlans(c.sql); n != c.idle {
 			t.Errorf("%s%v: %d plans kept, want %d", c.sql, c.params, n, c.idle)
 		}
+	}
+	// A write is kept as a SELECT is: its second call is a hit, through
+	// Exec or Run, under a parse span named cached and the one write span
+	// it runs; a SELECT of the text it keeps is refused as the text is.
+	const upd = "UPDATE orders SET amount = amount + ? WHERE oid = ?"
+	for i, span := range []string{"parse/", "parse/cached", "parse/cached"} {
+		params := []types.Value{types.NewFloat(0.25), types.NewInt(int64(30 + i))}
+		var n int64
+		if i < 2 {
+			n, err = e.Exec(ctx, upd, params...)
+		} else {
+			res, rerr := e.Run(ctx, upd, params...)
+			if err = rerr; err == nil {
+				n = res.Rows[0][0].Int()
+			}
+		}
+		if err != nil || n != 1 {
+			t.Fatalf("%s%v: %d, %v", upd, params, n, err)
+		}
+		got := spans()
+		if got[span] != 1 || got["parse/"]+got["parse/cached"] != 1 || got["resolve/"] != 0 || len(e.TraceLast().FindAll(obs.SpanWrite)) != 1 {
+			t.Errorf("call %d of %s: spans %v and %d write spans, want one parse span, %s, and one write span", i, upd, got, len(e.TraceLast().FindAll(obs.SpanWrite)), span)
+		}
+	}
+	if _, err := e.Query(ctx, upd, types.NewFloat(0.25), types.NewInt(30)); err == nil || !strings.Contains(err.Error(), "use Exec for *sql.UpdateStmt") {
+		t.Errorf("Query of a kept write: %v", err)
+	}
+	if _, err := e.Exec(ctx, text, ints(17)...); err == nil || !strings.Contains(err.Error(), "not *sql.SelectStmt") {
+		t.Errorf("Exec of a kept SELECT: %v", err)
 	}
 }
 

@@ -240,45 +240,66 @@ func (e *Engine) handBack(in *instance) { e.stmts.checkin(in, e.cat.Generation()
 func queried(stmt sql.Statement) (*sql.SelectStmt, error) {
 	sel, ok := stmt.(*sql.SelectStmt)
 	if !ok {
-		return nil, fmt.Errorf("core: Query requires a SELECT; use Exec for %T", stmt)
+		return nil, errNotSelect(stmt)
 	}
 	return sel, nil
 }
 
+// errNotSelect refuses a statement Query does not run.
+func errNotSelect(stmt sql.Statement) error {
+	return fmt.Errorf("core: Query requires a SELECT; use Exec for %T", stmt)
+}
+
 // statement is what begin hands an entry point: the statement as parsed,
-// and in, a plan of the statement cache that the statement holds until
-// it is over (Engine.handBack). On a hit there is no statement, and in
-// has the call's parameters bound into it; otherwise in, when set, is
-// the plan that planning the SELECT fills and the cache keeps.
+// and in, an instance of the statement cache that the statement holds
+// until it is over (Engine.handBack). On a hit there is no statement, and
+// in has the call's parameters bound into its plan or its write;
+// otherwise in, when set, is the instance that planning the SELECT or
+// building the write fills and the cache keeps.
 type statement struct {
 	stmt sql.Statement
 	in   *instance
 	text string
 }
 
+// writes reports whether the statement is an INSERT, UPDATE or DELETE.
+func (st *statement) writes() bool {
+	switch st.stmt.(type) {
+	case nil:
+		return st.in.plan == nil
+	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
+		return true
+	case *sql.SelectStmt, *sql.ExplainStmt:
+	}
+	return false
+}
+
 // begin is how every entry point opens: instrument — so nothing is
 // planned, and no subquery run for the plan, outside admission, the
 // query log and the trace — then parse under a parse span. With cache,
-// a text the statement cache keeps plans of, under the catalog's
+// a text the statement cache keeps instances of, under the catalog's
 // generation and the engine's options, whose parameters fit them, is not
-// parsed when an idle plan reads the fragments the values leave: the
+// parsed when an idle instance reads the fragments the values leave: the
 // values are bound into it under a parse span named "cached". With none
 // idle, the text is parsed and planned afresh under one named
-// "replanned", and the plan is kept beside the others. A statement that
-// is shed or does not parse is already finished when begin returns its
-// error; otherwise the caller defers finish, as instrument asks, or
-// hands it to what completes the statement later (QueryIter's
-// finishIter), and hands back the plan it holds.
+// "replanned", and the instance is kept beside the others. An EXPLAIN is
+// given no instance. A statement that is shed or does not parse is
+// already finished when begin returns its error; otherwise the caller
+// defers finish, as instrument asks, or hands it to what completes the
+// statement later (QueryIter's finishIter), and hands back the instance
+// it holds.
 func (e *Engine) begin(ctx context.Context, text string, measure bool, params []types.Value, cache bool) (context.Context, statement, func(error) error, error) {
 	ctx, finish, err := e.instrument(ctx, text, measure)
 	if err != nil {
 		return ctx, statement{}, nil, err
 	}
 	st := statement{text: text}
-	name := ""
+	var t *template
+	gen, fill, name := uint64(0), cache, ""
 	if cache {
-		gen := e.cat.Generation()
-		switch t, in, fits := e.stmts.checkout(text, gen, e.opts, params); {
+		gen = e.cat.Generation()
+		var in *instance
+		switch t, in, fill = e.stmts.checkout(text, gen, e.opts, params); {
 		case in != nil:
 			_, span := obs.StartSpan(ctx, obs.SpanParse, "cached")
 			in.params.Bind(params)
@@ -286,22 +307,38 @@ func (e *Engine) begin(ctx context.Context, text string, measure bool, params []
 			st.in = in
 			return ctx, st, finish, nil
 		case t == nil:
-			t = &template{gen: gen, opts: *e.opts}
-			t.first.t = t
-			st.in = &t.first
-		case fits:
-			st.in, name = &instance{t: t}, "replanned"
+			fill = true
+		case fill:
+			name = "replanned"
 		}
 	}
+	// The slots are read onto the stack and copied into an instance only
+	// when the statement is one the cache keeps.
+	var buf [8]*expr.Const
+	var slots []*expr.Const
 	_, span := obs.StartSpan(ctx, obs.SpanParse, name)
-	if st.in != nil {
-		st.stmt, st.in.params.Slots, err = sql.ParseSlots(text, st.in.slots[:0], params...)
+	if fill {
+		st.stmt, slots, err = sql.ParseSlots(text, buf[:0], params...)
 	} else {
 		st.stmt, err = sql.Parse(text, params...)
 	}
 	span.End()
 	if err != nil {
 		return ctx, statement{}, nil, finish(err)
+	}
+	if _, explain := st.stmt.(*sql.ExplainStmt); fill && !explain {
+		if t == nil {
+			t = &template{gen: gen, opts: *e.opts}
+			st.in = &t.first
+		} else {
+			st.in = &instance{}
+		}
+		st.in.t = t
+		if len(slots) <= len(st.in.slots) {
+			st.in.params.Slots = st.in.slots[:copy(st.in.slots[:], slots)]
+		} else {
+			st.in.params.Slots = slices.Clone(slots)
+		}
 	}
 	return ctx, st, finish, nil
 }
@@ -434,6 +471,9 @@ func (e *Engine) collect(ctx context.Context, st statement) (*Result, error) {
 // statement cache's, which a later call runs again.
 func (e *Engine) selectPlan(ctx context.Context, st statement) (p plan.Node, shared bool, err error) {
 	if st.stmt == nil {
+		if st.in.plan == nil {
+			return nil, false, errNotSelect(st.in.write.op.parsed())
+		}
 		return st.in.plan, true, nil
 	}
 	sel, err := queried(st.stmt)
@@ -558,50 +598,63 @@ func (e *Engine) Run(ctx context.Context, text string, params ...types.Value) (r
 	}
 	defer func() { err = finish(err) }()
 	defer e.handBack(st.in)
-	switch s := st.stmt.(type) {
-	case nil, *sql.SelectStmt: // nil: a statement cache hit, a SELECT's
-		return e.collect(ctx, st)
-	case *sql.ExplainStmt:
-		// The statement as it was parsed, parameters bound: printing it
-		// and parsing the text again would lose both.
-		sel, err := explained(s)
+	if st.writes() {
+		n, err := e.execStmt(ctx, st)
 		if err != nil {
 			return nil, err
 		}
-		out, err := e.explainSelect(ctx, sel, s.Analyze)
-		if err != nil {
-			return nil, err
-		}
-		var rows []types.Row
-		for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
-			rows = append(rows, types.Row{types.NewString(line)})
-		}
-		return &Result{
-			Schema: types.NewSchema(types.Column{Name: "plan", Type: types.KindString}),
-			Rows:   rows,
-		}, nil
-	default:
-		n, err := e.execStmt(ctx, s)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Schema: types.NewSchema(types.Column{Name: "affected", Type: types.KindInt}),
-			Rows:   []types.Row{{types.NewInt(n)}},
-		}, nil
+		return affected(n), nil
 	}
+	ex, ok := st.stmt.(*sql.ExplainStmt)
+	if !ok { // a SELECT, or a statement cache hit of one
+		return e.collect(ctx, st)
+	}
+	// The statement as it was parsed, parameters bound: printing it and
+	// parsing the text again would lose both.
+	sel, err := explained(ex)
+	if err != nil {
+		return nil, err
+	}
+	out, err := e.explainSelect(ctx, sel, ex.Analyze)
+	if err != nil {
+		return nil, err
+	}
+	var rows []types.Row
+	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
+		rows = append(rows, types.Row{types.NewString(line)})
+	}
+	return &Result{
+		Schema: types.NewSchema(types.Column{Name: "plan", Type: types.KindString}),
+		Rows:   rows,
+	}, nil
+}
+
+// affected is the Result Run returns for a write that affected n rows,
+// made in one allocation.
+func affected(n int64) *Result {
+	r := &struct {
+		res    Result
+		schema types.Schema
+		cols   [1]types.Column
+		rows   [1]types.Row
+		row    [1]types.Value
+	}{cols: [1]types.Column{{Name: "affected", Type: types.KindInt}}, row: [1]types.Value{types.NewInt(n)}}
+	r.schema.Columns, r.rows[0] = r.cols[:], r.row[:]
+	r.res = Result{Schema: &r.schema, Rows: r.rows[:]}
+	return &r.res
 }
 
 // Exec executes a write statement (INSERT/UPDATE/DELETE) and returns the
 // number of affected rows. Writes spanning several sources run under
 // two-phase commit.
 func (e *Engine) Exec(ctx context.Context, text string, params ...types.Value) (n int64, err error) {
-	ctx, st, finish, err := e.begin(ctx, text, false, params, false)
+	ctx, st, finish, err := e.begin(ctx, text, false, params, true)
 	if err != nil {
 		return 0, err
 	}
 	defer func() { err = finish(err) }()
-	return e.execStmt(ctx, st.stmt)
+	defer e.handBack(st.in)
+	return e.execStmt(ctx, st)
 }
 
 // Analyze collects optimizer statistics for every fragment of every

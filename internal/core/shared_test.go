@@ -226,6 +226,9 @@ func TestPlanningWritesNoSharedState(t *testing.T) {
 // of the text open while a second runs it with other values, which
 // binds no plan the stream reads: both answers are a lone engine's, and
 // once the stream is closed a third call is a hit that plans nothing.
+// Last, both callers run update_2pc's two-participant transfer over
+// events' boundaries at once, with writes the cache keeps, and the total
+// of the amounts is kept.
 func TestPointShapesShareTheCatalogConcurrently(t *testing.T) {
 	e, lone := sharedEngine(t), sharedEngine(t)
 	type shape = struct {
@@ -321,5 +324,42 @@ func TestPointShapesShareTheCatalogConcurrently(t *testing.T) {
 		if parse, planned := tr.FindAll(obs.SpanParse), len(tr.FindAll(obs.SpanOptimize)); len(parse) != 1 || parse[0].Name() != "cached" || planned != 0 {
 			t.Errorf("%s after the stream closed: %d parse spans, the first %q, %d planned; want one hit", s.name, len(parse), parse[0].Name(), planned)
 		}
+	}
+	// Last, the callers run update_2pc's text at once over events, each
+	// moving amounts across boundaries of its own range of them, which
+	// two calls may share: each binds the kept writes it holds alone, and
+	// the total is kept.
+	const transfer = "UPDATE events SET amount = CASE WHEN oid < ? THEN amount - ? ELSE amount + ? END WHERE oid >= ? AND oid < ?"
+	const total = "SELECT SUM(amount), COUNT(*) FROM events"
+	before, err := e.Query(ctx, total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(c)))
+			for i := 0; i < rounds; i++ {
+				b, w := int64(50*(1+2*c+r.Intn(4))), int64(1+r.Intn(3))
+				x := types.NewFloat(float64(1+r.Intn(8)) / 4)
+				n, err := e.Exec(context.Background(), transfer, types.NewInt(b), x, x, types.NewInt(b-w), types.NewInt(b+w))
+				if err != nil || n != 2*w {
+					t.Errorf("transfer across %d: %d rows, %v; want %d", b, n, err, 2*w)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	after, err := e.Query(ctx, total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := fmt.Sprint(after.Rows), fmt.Sprint(before.Rows); g != w {
+		t.Errorf("events' total after the transfers: %s, before %s", g, w)
+	}
+	if n := e.idlePlans(transfer); n < 2 {
+		t.Errorf("the transfers keep %d writes, want one a pair of fragments they wrote", n)
 	}
 }

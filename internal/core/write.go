@@ -28,13 +28,25 @@ type writeStmt struct {
 
 // execStmt runs a write statement: its subqueries are materialized, as
 // a SELECT's are, buildWrites turns it into fragment writes, and
-// applyWrites commits them.
-func (e *Engine) execStmt(ctx context.Context, stmt sql.Statement) (int64, error) {
-	if err := e.materializeSubqueries(ctx, stmt); err != nil {
+// applyWrites commits them. st.in, when set, is the statement cache's
+// instance the statement holds: a hit (no statement) runs the write it
+// keeps (execKept); otherwise buildWrites fills it, and a template the
+// cache does not hold yet, whose first instance it is, is kept under
+// st.text, without a write the verdict that the text is built on every
+// call.
+func (e *Engine) execStmt(ctx context.Context, st statement) (int64, error) {
+	if st.stmt == nil {
+		return e.execKept(ctx, &st.in.write)
+	}
+	fill := st.in
+	if fill != nil && holdsSubquery(st.stmt) {
+		fill = nil // materialized, its rows would read as constants
+	}
+	if err := e.materializeSubqueries(ctx, st.stmt); err != nil {
 		return 0, err
 	}
 	var w writeStmt
-	switch s := stmt.(type) {
+	switch s := st.stmt.(type) {
 	case *sql.InsertStmt:
 		w = writeStmt{op: opInsert, table: s.Table, ins: s}
 	case *sql.UpdateStmt:
@@ -42,19 +54,51 @@ func (e *Engine) execStmt(ctx context.Context, stmt sql.Statement) (int64, error
 	case *sql.DeleteStmt:
 		w = writeStmt{op: opDelete, table: s.Table, where: s.Where}
 	default:
-		return 0, fmt.Errorf("core: Exec runs INSERT, UPDATE and DELETE (use Query for SELECT), not %T", stmt)
+		return 0, errNotWrite(st.stmt)
 	}
 	ctx, span := obs.StartSpan(ctx, obs.SpanWrite, w.op.String())
 	defer span.End()
-	writes, moved, err := e.buildWrites(ctx, &w)
+	writes, moved, err := e.buildWrites(ctx, &w, fill)
 	if err != nil {
 		return 0, err
 	}
+	if st.in != nil && st.in == &st.in.t.first {
+		e.stmts.put(st.text, st.in.t)
+	}
+	return e.commitWrites(ctx, span, writes, moved)
+}
+
+// execKept runs the write a statement cache hit checked out, its values
+// bound into its slots: with no parse, no bind and no split.
+func (e *Engine) execKept(ctx context.Context, kw *keptWrite) (int64, error) {
+	if kw.tab == nil {
+		return 0, errNotWrite((*sql.SelectStmt)(nil))
+	}
+	ctx, span := obs.StartSpan(ctx, obs.SpanWrite, kw.op.String())
+	defer span.End()
+	writes := kw.writes
+	if kw.op == opInsert {
+		var err error
+		if writes, err = insertWrites(kw.tab, kw.rows, kw.width); err != nil {
+			return 0, err
+		}
+	}
+	return e.commitWrites(ctx, span, writes, -1)
+}
+
+// commitWrites applies a statement's writes (applyWrites) and records the
+// rows they affected on its write span.
+func (e *Engine) commitWrites(ctx context.Context, span *obs.Span, writes []fragWrite, moved int64) (int64, error) {
 	n, err := e.applyWrites(ctx, writes, moved)
 	if err == nil {
 		span.SetInt("affected", n)
 	}
 	return n, err
+}
+
+// errNotWrite refuses a statement Exec does not run.
+func errNotWrite(stmt sql.Statement) error {
+	return fmt.Errorf("core: Exec runs INSERT, UPDATE and DELETE (use Query for SELECT), not %T", stmt)
 }
 
 // fragWrite is one fragment's share of a global write, in the remote
@@ -78,6 +122,11 @@ const (
 
 func (op writeOp) String() string { return [...]string{"insert", "update", "delete"}[op] }
 
+// parsed is the kind of statement op is parsed from, for a message.
+func (op writeOp) parsed() sql.Statement {
+	return [...]sql.Statement{(*sql.InsertStmt)(nil), (*sql.UpdateStmt)(nil), (*sql.DeleteStmt)(nil)}[op]
+}
+
 // apply performs the write through w: the source itself (autocommit) or
 // a transaction on it.
 func (fw *fragWrite) apply(ctx context.Context, w source.Writer) (int64, error) {
@@ -94,14 +143,24 @@ func (fw *fragWrite) apply(ctx context.Context, w source.Writer) (int64, error) 
 // buildWrites is the write path's one builder. It returns the
 // statement's fragment writes in catalog order and, for an UPDATE that
 // moves rows between fragments (movesRows), the number of rows moved;
-// else -1.
-func (e *Engine) buildWrites(ctx context.Context, w *writeStmt) ([]fragWrite, int64, error) {
+// else -1. With fill, the statement cache's instance whose slots the
+// statement's parameters were read into, it keeps the write in fill
+// when a later call's values may be bound into it (keepInsert,
+// keepWrites); a move is built on every call.
+func (e *Engine) buildWrites(ctx context.Context, w *writeStmt, fill *instance) ([]fragWrite, int64, error) {
 	tab, err := e.cat.Table(w.table)
 	if err != nil {
 		return nil, -1, err
 	}
 	if w.op == opInsert {
-		writes, err := insertWrites(tab, w.ins)
+		sets, width, err := insertSets(tab, w.ins)
+		if err != nil {
+			return nil, -1, err
+		}
+		writes, err := insertWrites(tab, sets, width)
+		if err == nil && fill != nil {
+			fill.keepInsert(tab, sets, width)
+		}
 		return writes, -1, err
 	}
 	filter, err := bindWriteExpr(w.where, tab)
@@ -124,6 +183,9 @@ func (e *Engine) buildWrites(ctx context.Context, w *writeStmt) ([]fragWrite, in
 		return e.moveWrites(ctx, tab, filter, sets)
 	}
 	writes, err := fragmentWrites(tab, w.op, filter, sets)
+	if err == nil && fill != nil {
+		fill.keepWrites(tab, w.op, filter, sets, writes)
+	}
 	return writes, -1, err
 }
 
@@ -140,37 +202,46 @@ func bindWriteExpr(ex expr.Expr, tab *catalog.GlobalTable) (expr.Expr, error) {
 	return expr.FoldConstants(bound), nil
 }
 
-// insertWrites evaluates an INSERT's literal rows — a column it does not
-// name is NULL — and routes each to its fragment.
-func insertWrites(tab *catalog.GlobalTable, ins *sql.InsertStmt) ([]fragWrite, error) {
+// insertSets binds an INSERT's literal rows to the global columns it
+// names, all of them in order when it names none: row r is
+// sets[r*width:(r+1)*width], and a column a row does not name is NULL.
+func insertSets(tab *catalog.GlobalTable, ins *sql.InsertStmt) (sets []source.SetClause, width int, err error) {
 	if len(tab.Fragments) == 0 {
-		return nil, fmt.Errorf("core: global table %q has no fragments", ins.Table)
+		return nil, 0, fmt.Errorf("core: global table %q has no fragments", ins.Table)
 	}
-	var err error
-	sets := make([]source.SetClause, cmp.Or(len(ins.Columns), tab.Schema.Len()))
-	for i := range sets {
+	width = cmp.Or(len(ins.Columns), tab.Schema.Len())
+	sets = make([]source.SetClause, width*max(1, len(ins.Rows)))
+	for i := range sets[:width] {
 		sets[i].Col = i
 		if len(ins.Columns) > 0 {
 			if sets[i].Col, err = tab.Schema.IndexOf("", ins.Columns[i]); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
 	}
-	var writes []fragWrite
 	for ri, exprRow := range ins.Rows {
-		if len(exprRow) != len(sets) {
-			return nil, fmt.Errorf("core: INSERT row %d has %d values, expected %d", ri+1, len(exprRow), len(sets))
+		if len(exprRow) != width {
+			return nil, 0, fmt.Errorf("core: INSERT row %d has %d values, expected %d", ri+1, len(exprRow), width)
 		}
+		row := sets[ri*width : (ri+1)*width]
 		for i, ex := range exprRow {
-			if sets[i].Value, err = expr.Bind(ex, &types.Schema{}); err != nil {
-				break
+			row[i].Col = sets[i].Col
+			if row[i].Value, err = expr.Bind(ex, &types.Schema{}); err != nil {
+				return nil, 0, fmt.Errorf("core: INSERT row %d: %w", ri+1, err)
 			}
 		}
-		if err == nil {
-			writes, err = insertRow(writes, tab, nil, sets)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: INSERT row %d: %w", ri+1, err)
+	}
+	return sets[:width*len(ins.Rows)], width, nil
+}
+
+// insertWrites evaluates an INSERT's rows, bound by insertSets, and
+// routes each to its fragment.
+func insertWrites(tab *catalog.GlobalTable, sets []source.SetClause, width int) ([]fragWrite, error) {
+	var writes []fragWrite
+	for lo := 0; lo < len(sets); lo += width {
+		var err error
+		if writes, err = insertRow(writes, tab, nil, sets[lo:lo+width]); err != nil {
+			return nil, fmt.Errorf("core: INSERT row %d: %w", lo/width+1, err)
 		}
 	}
 	return writes, nil
@@ -308,7 +379,8 @@ func (e *TxnRequiredError) Error() string {
 }
 
 // applyWrites performs the fragment writes of one statement, given in
-// catalog fragment order. One write is one autocommit call. Several run
+// catalog fragment order (a kept write's come sorted already, and the
+// sort leaves them as they are). One write is one autocommit call. Several run
 // under the coordinator, one transaction per source — also when the
 // source is one, so that the statement is atomic within a participant as
 // it is across them. One source that offers no transaction takes them
@@ -325,7 +397,7 @@ func (e *Engine) applyWrites(ctx context.Context, writes []fragWrite, moved int6
 	// from its first write to commit — each one's writes still in catalog
 	// order, a move's deletes before its inserts so that a row that stays
 	// in its fragment does not meet its own key.
-	slices.SortStableFunc(writes, func(a, b fragWrite) int { return cmp.Compare(a.frag.Source, b.frag.Source) })
+	byParticipant(writes)
 	w, t, err := e.writeFacets(writes[0].frag.Source)
 	if err != nil {
 		return 0, err
@@ -353,6 +425,12 @@ func (e *Engine) applyWrites(ctx context.Context, writes []fragWrite, moved int6
 		return 0, err
 	}
 	return total, nil
+}
+
+// byParticipant sorts writes by their participants' names, each one's
+// writes in the order they came.
+func byParticipant(writes []fragWrite) {
+	slices.SortStableFunc(writes, func(a, b fragWrite) int { return cmp.Compare(a.frag.Source, b.frag.Source) })
 }
 
 // writeFacets returns the write facets the named source's capability

@@ -174,6 +174,28 @@ func ValueFree(n Node, p *Params) bool {
 	return !p.priced || !v.reordered
 }
 
+// Unplanned fills p for a statement that is kept without a plan: a global
+// write, whose parameters were read into p.Slots. Fits then reads their
+// kinds. When scan is not nil, its filter (an UPDATE's or a DELETE's
+// WHERE, bound over its table's global schema) is the one whose fragments
+// LiveFor re-derives, and Live is those it leaves for the slots' values.
+// It reports false when there are more parameters or fragments than p
+// keeps track of.
+func (p *Params) Unplanned(scan *GlobalScan) bool {
+	if len(p.Slots) > maxParams || scan != nil && len(scan.Table.Fragments) > 64 {
+		return false
+	}
+	for i, s := range p.Slots {
+		p.kinds[i] = s.Val.Kind()
+	}
+	p.nList, p.nPrune, p.priced, p.joins = 0, 0, false, nil
+	if scan != nil {
+		p.prunes[0], p.nPrune = scan, 1
+	}
+	p.Live = p.live(expr.Binding{})
+	return true
+}
+
 // addPrune records that a parameter may prune scan's fragments; false
 // when there are too many such scans or fragments to keep track of.
 func (p *Params) addPrune(scan *GlobalScan) bool {

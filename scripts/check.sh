@@ -49,7 +49,11 @@
 #                   TestStatementAllocations, a first call that misses
 #                   the statement cache, a warmed one that hits it and
 #                   one whose values a bank away hit a second plan kept,
-#                   exec TestKeptOutputIsOneBlock and wire
+#                   TestKeptWriteParsesNothing, a kept write's hit that
+#                   saves at least what parsing its text costs, and
+#                   TestRunWritesAsExecDoes, a write through Run costing
+#                   what it does through Exec and its Result, exec
+#                   TestKeptOutputIsOneBlock and wire
 #                   TestServedSubQueryAllocs, the serving side of a
 #                   point sub-query on a warmed connection), the
 #                   statement cache's rule and recheck (plan
@@ -60,7 +64,11 @@
 #                   TestPointShapesShareTheCatalogConcurrently, two
 #                   callers drawing new values on one engine's kept
 #                   plans, and a stream holding one open beside a
-#                   caller of its text, a race only -race reports; exec
+#                   caller of its text, then two callers' two-fragment
+#                   UPDATEs on kept writes, a race only -race reports;
+#                   core TestKeptWritesAgree, a seeded stream of writes
+#                   run kept and built afresh, component rows compared
+#                   after each; exec
 #                   TestUnionCloseWaitsForItsFetchers, a plan no fetch
 #                   reads once its union is closed), the plan
 #                   equivalence tests
