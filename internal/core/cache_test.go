@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -444,5 +445,118 @@ func TestStatementCacheIsBounded(t *testing.T) {
 	}
 	if tm, kept := e.cachedPlan(last); tm == nil || kept == nil {
 		t.Errorf("the last text is not kept")
+	}
+}
+
+// TestIdleListKeepsTheLatestSets runs a range over events' eight
+// fragments with values that read twenty sets of them, more than a text
+// keeps idle, and then each of the last sixteen again: each is a hit,
+// since a full idle list drops the instance handed back longest ago. The
+// first set, dropped, is then planned afresh.
+func TestIdleListKeepsTheLatestSets(t *testing.T) {
+	e := sharedEngine(t)
+	e.SetTracing(true)
+	const text = "SELECT oid FROM events WHERE oid >= ? AND oid < ?"
+	// Fragments a to b, each holding 50 oids from 50·a.
+	var ranges [][]types.Value
+	for a := int64(0); a < 8 && len(ranges) < 20; a++ {
+		for b := a; b < 8 && len(ranges) < 20; b++ {
+			ranges = append(ranges, ints(50*a+1, 50*b+49))
+		}
+	}
+	run := func(params []types.Value) string {
+		t.Helper()
+		res, err := e.Query(ctx, text, params...)
+		if err != nil || int64(len(res.Rows)) != params[1].Int()-params[0].Int() {
+			t.Fatalf("%v: %v, %v", params, res, err)
+		}
+		return e.TraceLast().FindAll(obs.SpanParse)[0].Name()
+	}
+	for _, r := range ranges {
+		run(r)
+	}
+	if n := e.idlePlans(text); n != maxIdle {
+		t.Fatalf("%d plans kept of %d sets, want %d", n, len(ranges), maxIdle)
+	}
+	for _, r := range ranges[len(ranges)-maxIdle:] {
+		if got := run(r); got != "cached" {
+			t.Errorf("%v again: parse span %q, want a hit", r, got)
+		}
+	}
+	if got := run(ranges[0]); got != "replanned" {
+		t.Errorf("%v, the set handed back first: parse span %q, want replanned", ranges[0], got)
+	}
+}
+
+// TestEntryPointsAnswerAlikeHitOrMiss holds each entry point to one
+// answer for a text whatever the statement cache keeps of it: Exec of a
+// SELECT text, and Query and QueryIter of a write text, return the same
+// error on a hit as on a miss, and Run returns the same result either
+// way.
+func TestEntryPointsAnswerAlikeHitOrMiss(t *testing.T) {
+	e := sharedEngine(t)
+	e.SetTracing(true)
+	const sel = "SELECT oid, amount FROM orders WHERE oid = ?"
+	const upd = "UPDATE orders SET amount = amount + ? WHERE oid = ?"
+	selParams, updParams := ints(17), []types.Value{types.NewFloat(0.25), types.NewInt(17)}
+	exec := func(text string, params []types.Value) string {
+		n, err := e.Exec(ctx, text, params...)
+		return fmt.Sprint(n, err)
+	}
+	query := func(text string, params []types.Value) string {
+		res, err := e.Query(ctx, text, params...)
+		return fmt.Sprint(res, err)
+	}
+	queryIter := func(text string, params []types.Value) string {
+		schema, it, err := e.QueryIter(ctx, text, params...)
+		if err == nil {
+			_, err = source.Drain(it)
+		}
+		return fmt.Sprint(schema, err)
+	}
+	run := func(text string, params []types.Value) string {
+		res, err := e.Run(ctx, text, params...)
+		if err != nil {
+			return err.Error()
+		}
+		return fmt.Sprint(res.Schema.Columns, res.Rows)
+	}
+	for _, c := range []struct {
+		name   string
+		text   string
+		params []types.Value
+		call   func(string, []types.Value) string
+		refuse string
+	}{
+		{"Exec of a SELECT", sel, selParams, exec, "not *sql.SelectStmt"},
+		{"Query of an UPDATE", upd, updParams, query, "use Exec for *sql.UpdateStmt"},
+		{"QueryIter of an UPDATE", upd, updParams, queryIter, "use Exec for *sql.UpdateStmt"},
+		{"Run of a SELECT", sel, selParams, run, ""},
+		{"Run of an UPDATE", upd, updParams, run, ""},
+	} {
+		parse := func() string { return e.TraceLast().FindAll(obs.SpanParse)[0].Name() }
+		e.stmts.clear()
+		miss := c.call(c.text, c.params)
+		if span := parse(); span != "" {
+			t.Errorf("%s, first: parse span %q, want a miss", c.name, span)
+		}
+		if c.text == sel {
+			_, err := e.Query(ctx, sel, selParams...)
+			if err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := e.Exec(ctx, upd, updParams...); err != nil {
+			t.Fatal(err)
+		}
+		hit := c.call(c.text, c.params)
+		if span := parse(); span != "cached" {
+			t.Errorf("%s, warmed: parse span %q, want a hit", c.name, span)
+		}
+		if hit != miss {
+			t.Errorf("%s: a hit answers %s, a miss %s", c.name, hit, miss)
+		}
+		if !strings.Contains(miss, c.refuse) || c.refuse == "" && strings.Contains(miss, "core:") {
+			t.Errorf("%s: %s, want %q", c.name, miss, cmp.Or(c.refuse, "an answer"))
+		}
 	}
 }

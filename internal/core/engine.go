@@ -57,7 +57,7 @@ type Engine struct {
 	// carries an admitted session (sub-statements, or queries the wire
 	// server admitted) pass through untouched.
 	admit atomic.Pointer[admission.Controller]
-	// stmts keeps the plans of SELECT texts run again (cache.go).
+	// stmts keeps the plans and writes of texts run again (cache.go).
 	stmts stmtCache
 }
 

@@ -292,9 +292,6 @@ func TestPointShapesShareTheCatalogConcurrently(t *testing.T) {
 	wg.Wait()
 	for i, s := range shapes {
 		held, other := calls[0][i], calls[1][len(shapes)+i]
-		// The rounds above may have filled the text's idle list, which
-		// would drop the stream's plan when it is handed back.
-		e.stmts.clear()
 		schema, it, err := e.QueryIter(ctx, s.sql, held.params...)
 		if err != nil {
 			t.Fatal(err)

@@ -17,78 +17,75 @@ import (
 	"gis/internal/types"
 )
 
-// writeStmt is what the write path reads of a statement.
-type writeStmt struct {
-	op    writeOp
-	table string
-	ins   *sql.InsertStmt  // INSERT
-	where expr.Expr        // UPDATE, DELETE
-	set   []sql.Assignment // UPDATE
+// globalWrite is a global write as buildWrite builds it and runWrite
+// runs it, whether a statement cache instance keeps it or a call built it
+// for itself: its op; scan, the table written and, for an UPDATE or a
+// DELETE, its WHERE bound over the table's global schema; sets, an
+// INSERT's rows as insertSets bound them, width clauses a row, or an
+// UPDATE's bound SET; and, for an UPDATE or a DELETE that moves no row,
+// writes, its fragment writes. An INSERT's rows are routed, and a move's
+// rows read, when it runs.
+type globalWrite struct {
+	op     writeOp
+	moves  bool // an UPDATE of a column that decides a row's fragment (movesRows)
+	scan   plan.GlobalScan
+	sets   []source.SetClause
+	width  int
+	writes []fragWrite
 }
 
-// execStmt runs a write statement: its subqueries are materialized, as
-// a SELECT's are, buildWrites turns it into fragment writes, and
-// applyWrites commits them. st.in, when set, is the statement cache's
-// instance the statement holds: a hit (no statement) runs the write it
-// keeps (execKept); otherwise buildWrites fills it, and a template the
-// cache does not hold yet, whose first instance it is, is kept under
-// st.text, without a write the verdict that the text is built on every
-// call.
+// execStmt runs a write statement: the write its statement cache hit
+// bound, or the one buildWrite makes of it, its subqueries materialized
+// as a SELECT's are; runWrite runs either. st.in, when set on a miss, is
+// the instance the statement's parameters were read into, which keeps
+// the write when a later call may bind its values into it (keep); a
+// template the cache does not hold yet, whose first instance it is, is
+// kept under st.text, without a write the verdict that the text is built
+// on every call.
 func (e *Engine) execStmt(ctx context.Context, st statement) (int64, error) {
+	var built globalWrite
+	w := &built
 	if st.stmt == nil {
-		return e.execKept(ctx, &st.in.write)
+		if st.in.plan != nil {
+			return 0, errNotWrite((*sql.SelectStmt)(nil))
+		}
+		w = &st.in.write
+	} else {
+		keepable := st.in != nil && !holdsSubquery(st.stmt) // materialized, its rows would read as constants
+		if err := e.materializeSubqueries(ctx, st.stmt); err != nil {
+			return 0, err
+		}
+		if err := e.buildWrite(ctx, st.stmt, w); err != nil {
+			return 0, err
+		}
+		if keepable {
+			st.in.keep(w)
+		}
+		if st.in != nil && st.in == &st.in.t.first {
+			e.stmts.put(st.text, st.in.t)
+		}
 	}
-	fill := st.in
-	if fill != nil && holdsSubquery(st.stmt) {
-		fill = nil // materialized, its rows would read as constants
-	}
-	if err := e.materializeSubqueries(ctx, st.stmt); err != nil {
-		return 0, err
-	}
-	var w writeStmt
-	switch s := st.stmt.(type) {
-	case *sql.InsertStmt:
-		w = writeStmt{op: opInsert, table: s.Table, ins: s}
-	case *sql.UpdateStmt:
-		w = writeStmt{op: opUpdate, table: s.Table, where: s.Where, set: s.Set}
-	case *sql.DeleteStmt:
-		w = writeStmt{op: opDelete, table: s.Table, where: s.Where}
-	default:
-		return 0, errNotWrite(st.stmt)
-	}
+	return e.runWrite(ctx, w)
+}
+
+// runWrite is the write path's one runner, for a kept write and one
+// built for the call alike. Under a write span named by its op, it routes
+// an INSERT's rows (insertWrites) or reads and moves a move's
+// (moveWrites), commits the fragment writes (applyWrites), and records
+// the rows they affected.
+func (e *Engine) runWrite(ctx context.Context, w *globalWrite) (int64, error) {
 	ctx, span := obs.StartSpan(ctx, obs.SpanWrite, w.op.String())
 	defer span.End()
-	writes, moved, err := e.buildWrites(ctx, &w, fill)
+	writes, moved, err := w.writes, int64(-1), error(nil)
+	switch {
+	case w.op == opInsert:
+		writes, err = insertWrites(w.scan.Table, w.sets, w.width)
+	case w.moves:
+		writes, moved, err = e.moveWrites(ctx, w)
+	}
 	if err != nil {
 		return 0, err
 	}
-	if st.in != nil && st.in == &st.in.t.first {
-		e.stmts.put(st.text, st.in.t)
-	}
-	return e.commitWrites(ctx, span, writes, moved)
-}
-
-// execKept runs the write a statement cache hit checked out, its values
-// bound into its slots: with no parse, no bind and no split.
-func (e *Engine) execKept(ctx context.Context, kw *keptWrite) (int64, error) {
-	if kw.tab == nil {
-		return 0, errNotWrite((*sql.SelectStmt)(nil))
-	}
-	ctx, span := obs.StartSpan(ctx, obs.SpanWrite, kw.op.String())
-	defer span.End()
-	writes := kw.writes
-	if kw.op == opInsert {
-		var err error
-		if writes, err = insertWrites(kw.tab, kw.rows, kw.width); err != nil {
-			return 0, err
-		}
-	}
-	return e.commitWrites(ctx, span, writes, -1)
-}
-
-// commitWrites applies a statement's writes (applyWrites) and records the
-// rows they affected on its write span.
-func (e *Engine) commitWrites(ctx context.Context, span *obs.Span, writes []fragWrite, moved int64) (int64, error) {
 	n, err := e.applyWrites(ctx, writes, moved)
 	if err == nil {
 		span.SetInt("affected", n)
@@ -140,53 +137,53 @@ func (fw *fragWrite) apply(ctx context.Context, w source.Writer) (int64, error) 
 	}
 }
 
-// buildWrites is the write path's one builder. It returns the
-// statement's fragment writes in catalog order and, for an UPDATE that
-// moves rows between fragments (movesRows), the number of rows moved;
-// else -1. With fill, the statement cache's instance whose slots the
-// statement's parameters were read into, it keeps the write in fill
-// when a later call's values may be bound into it (keepInsert,
-// keepWrites); a move is built on every call.
-func (e *Engine) buildWrites(ctx context.Context, w *writeStmt, fill *instance) ([]fragWrite, int64, error) {
-	tab, err := e.cat.Table(w.table)
-	if err != nil {
-		return nil, -1, err
-	}
-	if w.op == opInsert {
-		sets, width, err := insertSets(tab, w.ins)
-		if err != nil {
-			return nil, -1, err
+// buildWrite is the write path's one builder: it builds stmt, an INSERT,
+// an UPDATE or a DELETE, into w. An INSERT's rows are bound (insertSets);
+// an UPDATE's or a DELETE's WHERE and SET are bound and, unless the
+// UPDATE moves rows, split into its fragment writes (fragmentWrites).
+func (e *Engine) buildWrite(ctx context.Context, stmt sql.Statement, w *globalWrite) (err error) {
+	var table string
+	var where expr.Expr
+	var set []sql.Assignment
+	switch s := stmt.(type) {
+	case *sql.InsertStmt:
+		w.op = opInsert
+		if w.scan.Table, err = e.cat.Table(s.Table); err != nil {
+			return err
 		}
-		writes, err := insertWrites(tab, sets, width)
-		if err == nil && fill != nil {
-			fill.keepInsert(tab, sets, width)
-		}
-		return writes, -1, err
+		w.sets, w.width, err = insertSets(w.scan.Table, s)
+		return err
+	case *sql.UpdateStmt:
+		w.op, table, where, set = opUpdate, s.Table, s.Where, s.Set
+	case *sql.DeleteStmt:
+		w.op, table, where = opDelete, s.Table, s.Where
+	default:
+		return errNotWrite(stmt)
 	}
-	filter, err := bindWriteExpr(w.where, tab)
+	tab, err := e.cat.Table(table)
 	if err != nil {
-		return nil, -1, err
+		return err
 	}
-	sets := make([]source.SetClause, len(w.set))
-	for i, a := range w.set {
+	w.scan.Table = tab
+	if w.scan.Filter, err = bindWriteExpr(where, tab); err != nil {
+		return err
+	}
+	w.sets = make([]source.SetClause, len(set))
+	for i, a := range set {
 		if err := ctx.Err(); err != nil {
-			return nil, -1, err
+			return err
 		}
-		if sets[i].Col, err = tab.Schema.IndexOf("", a.Column); err != nil {
-			return nil, -1, err
+		if w.sets[i].Col, err = tab.Schema.IndexOf("", a.Column); err != nil {
+			return err
 		}
-		if sets[i].Value, err = bindWriteExpr(a.Value, tab); err != nil {
-			return nil, -1, err
+		if w.sets[i].Value, err = bindWriteExpr(a.Value, tab); err != nil {
+			return err
 		}
 	}
-	if movesRows(tab, sets) {
-		return e.moveWrites(ctx, tab, filter, sets)
+	if w.moves = movesRows(tab, w.sets); !w.moves {
+		w.writes, err = fragmentWrites(tab, w.op, w.scan.Filter, w.sets)
 	}
-	writes, err := fragmentWrites(tab, w.op, filter, sets)
-	if err == nil && fill != nil {
-		fill.keepWrites(tab, w.op, filter, sets, writes)
-	}
-	return writes, -1, err
+	return err
 }
 
 // bindWriteExpr binds a write statement's WHERE or SET value over the
@@ -343,11 +340,12 @@ func movesRows(tab *catalog.GlobalTable, sets []source.SetClause) bool {
 	})
 }
 
-// moveWrites builds an UPDATE that moves rows: the statement's DELETE,
-// then the inserts of the new rows. It reads the rows the filter matches
-// through the read path and applies the SET to each at the mediator, and
-// returns the number of rows read.
-func (e *Engine) moveWrites(ctx context.Context, tab *catalog.GlobalTable, filter expr.Expr, sets []source.SetClause) ([]fragWrite, int64, error) {
+// moveWrites builds the fragment writes of w, an UPDATE that moves rows:
+// the statement's DELETE, then the inserts of the new rows. It reads the
+// rows the filter matches through the read path and applies the SET to
+// each at the mediator, and returns the number of rows read.
+func (e *Engine) moveWrites(ctx context.Context, w *globalWrite) ([]fragWrite, int64, error) {
+	tab, filter := w.scan.Table, w.scan.Filter
 	deletes, err := fragmentWrites(tab, opDelete, filter, nil)
 	if err != nil {
 		return nil, -1, err
@@ -362,7 +360,7 @@ func (e *Engine) moveWrites(ctx context.Context, tab *catalog.GlobalTable, filte
 	}
 	var inserts []fragWrite
 	for _, old := range rows {
-		if inserts, err = insertRow(inserts, tab, old, sets); err != nil {
+		if inserts, err = insertRow(inserts, tab, old, w.sets); err != nil {
 			return nil, -1, fmt.Errorf("core: UPDATE of %s: %w", old, err)
 		}
 	}
@@ -379,10 +377,10 @@ func (e *TxnRequiredError) Error() string {
 }
 
 // applyWrites performs the fragment writes of one statement, given in
-// catalog fragment order (a kept write's come sorted already, and the
-// sort leaves them as they are). One write is one autocommit call. Several run
-// under the coordinator, one transaction per source — also when the
-// source is one, so that the statement is atomic within a participant as
+// catalog fragment order, or, a kept write's, in the order its first run
+// sorted them into, which the sort leaves as it is. One write is one
+// autocommit call. Several run under the coordinator, one transaction
+// per source — also when the source is one, so that the statement is atomic within a participant as
 // it is across them. One source that offers no transaction takes them
 // one autocommit call after another in catalog order: what a failure
 // leaves behind is then at least the same every time, which is all an

@@ -172,10 +172,11 @@ func writeRegion(r *rand.Rand) string {
 }
 
 // TestKeptWritesAgree draws a seeded stream of global writes and runs
-// each statement on an engine that keeps writes and on one whose
-// statement cache is cleared before every statement. After each, both
-// must report the same affected count (or the same error) and their
-// components must hold the same rows. On the keeping engine a write the
+// each statement on an engine that keeps writes, every other one through
+// Run, and on one whose statement cache is cleared before every
+// statement, through Exec. After each, both must report the same
+// affected count (or the same error) and their components must hold the
+// same rows. On the keeping engine a write the
 // cache keeps is kept once it succeeds (a hit later runs under a parse
 // span named cached), and one it refuses never is.
 func TestKeptWritesAgree(t *testing.T) {
@@ -192,7 +193,18 @@ func TestKeptWritesAgree(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tm := writeTemplates[rng.Intn(len(writeTemplates))]
 		params := tm.params(rng)
-		got, gerr := keep.Exec(ctx, tm.sql, params...)
+		var got int64
+		var gerr error
+		if i%2 == 0 {
+			got, gerr = keep.Exec(ctx, tm.sql, params...)
+		} else { // Run's affected column is Exec's count
+			var res *Result
+			if res, gerr = keep.Run(ctx, tm.sql, params...); gerr == nil {
+				if got = res.Rows[0][0].Int(); res.Schema.Columns[0].Name != "affected" {
+					t.Fatalf("statement %d, %s %v through Run: column %s", i, tm.sql, params, res.Schema.Columns[0].Name)
+				}
+			}
+		}
 		fresh.stmts.clear()
 		want, werr := fresh.Exec(ctx, tm.sql, params...)
 		if fmt.Sprint(got, gerr) != fmt.Sprint(want, werr) {

@@ -12,88 +12,34 @@
 #                   finding fails, see DESIGN.md "Static analysis &
 #                   invariants")
 #   4. go build   — everything compiles
-#   5. go test -race -timeout 100s ./... — the full suite, which includes
-#                   the analyzer fixtures, the race-stress, seeded-chaos
-#                   and overload tests (`make lint-fixtures`, `make chaos`
-#                   and `make overload` run those subsets on demand;
-#                   overload is core TestChaosOverload beside the memory
-#                   quota's core TestQuotaChargesWhatIsHeld and
-#                   TestQuotaErrorIsTyped, admission
-#                   TestMemQuotaRefusesTheGrower and exec
-#                   TestHoldersGiveBackWhatTheyCharged), the
-#                   seed corpora of the fuzz targets (wire FuzzDecoder,
-#                   FuzzStream, FuzzServe and FuzzServeWrite, sql FuzzParse, filestore
-#                   FuzzScanRecords, docstore FuzzDocCodec, expr
-#                   FuzzColumnRange, catalog FuzzToRemote and
-#                   FuzzConfig, faults FuzzParsePlan, types
-#                   FuzzHashChain and FuzzVector, kvstore FuzzBTree,
-#                   relstore FuzzTable;
-#                   `make fuzz` fuzzes each for 10 s), the layout tests
-#                   (`make layout` runs them on demand: relstore
-#                   TestRowBytesPerRow and TestIndexBytesPerRow, kvstore
-#                   TestBucketBytesPerRow, docstore
-#                   TestDocBytesPerDocument, types TestChunkBytes and
-#                   TestRowSlabBytes with its reserved-block cases, exec
-#                   TestCollectHeaderBytes, and the kept results carved
-#                   from one block when told their count (source.Use):
-#                   exec TestKeptOutputIsOneBlock,
-#                   TestKeptStoreScanIsOneBlock and
-#                   TestKeptEstimateOffTenfold), the allocation ceilings
-#                   (`make allocs` runs them verbosely on demand, the
-#                   quick loop for a change meant to move
-#                   allocs_per_query: sql TestParseAllocations, plan
-#                   TestPlanAllocations and
-#                   TestPlanAllocsPerAlikeFragment,
-#                   TestBindAllocatesNothing and
-#                   TestRecheckAllocatesNothing, core
-#                   TestStatementAllocations, a first call that misses
-#                   the statement cache, a warmed one that hits it and
-#                   one whose values a bank away hit a second plan kept,
-#                   TestKeptWriteParsesNothing, a kept write's hit that
-#                   saves at least what parsing its text costs, and
-#                   TestRunWritesAsExecDoes, a write through Run costing
-#                   what it does through Exec and its Result, exec
-#                   TestKeptOutputIsOneBlock and wire
-#                   TestServedSubQueryAllocs, the serving side of a
-#                   point sub-query on a warmed connection), the
-#                   statement cache's rule and recheck (plan
-#                   TestValueFree, TestRebindChoosesTheStrategyAgain,
-#                   core
-#                   TestStatementCacheFollowsTheCatalog and
-#                   TestCacheHitIsAStatement, and
-#                   TestPointShapesShareTheCatalogConcurrently, two
-#                   callers drawing new values on one engine's kept
-#                   plans, and a stream holding one open beside a
-#                   caller of its text, then two callers' two-fragment
-#                   UPDATEs on kept writes, a race only -race reports;
-#                   core TestKeptWritesAgree, a seeded stream of writes
-#                   run kept and built afresh, component rows compared
-#                   after each; exec
-#                   TestUnionCloseWaitsForItsFetchers, a plan no fetch
-#                   reads once its union is closed), the plan
-#                   equivalence tests
-#                   (`make equivalence` runs workload TestPlanEquivalence
-#                   and TestPlanEquivalenceCases on demand, the quick loop
-#                   after a planner change beside `make golden`) and
-#                   the concurrency tests no analyzer can stand in for:
-#                   workload TestConcurrentGlobalUpdates, wire
-#                   TestTwoTransactionsOneClient, TestCallObservesDeadline
-#                   and TestAbandonedTransactionReleasesLock (a lock held
-#                   in a server across round trips; DESIGN.md "Wire
-#                   connections and transactions"), and wire
-#                   TestRaceStressScansDuringWrites (scans of every store
-#                   read while writes commit; DESIGN.md "What a scan
-#                   holds"), and the frame ledger (`make frames` runs it
-#                   on demand: workload TestSetUpFrames,
-#                   TestGlobalUpdateFrames and TestSubQueryFrames — a
-#                   scaled SUM over its 600 rows among them, one msgEnd
-#                   in — and wire's tests of a result stream's end). A hang is how a
-#                   re-acquired mutex, a Wait that misses its Done or a
-#                   lock cycle shows, so the timeout is part of the gate:
-#                   well above the slowest package (workload, 49 s
-#                   under -race on 2 CPUs alone, 62 s within this step,
-#                   since TestPlanEquivalence runs its parameters
-#                   stream; 31 s and 49-52 s before) instead of Go's ten
+#   5. go test -race -timeout 100s ./... — the full suite. Its subsets
+#                   that a make target runs on demand: the analyzer
+#                   fixtures (`make lint-fixtures`), the seeded chaos and
+#                   the overload tests (`make chaos`, `make overload`),
+#                   the fuzz targets' seed corpora (`make fuzz` fuzzes
+#                   each for 10 s), the layout tests (`make layout`), the
+#                   allocation ceilings (`make allocs`), the plan
+#                   equivalence tests (`make equivalence`) and the frame
+#                   ledger (`make frames`). Named by no target: the
+#                   statement cache's rule, recheck and return (plan
+#                   TestValueFree, TestRebindChoosesTheStrategyAgain;
+#                   core TestStatementCacheFollowsTheCatalog,
+#                   TestCacheHitIsAStatement,
+#                   TestPointShapesShareTheCatalogConcurrently,
+#                   TestKeptWritesAgree; exec
+#                   TestUnionCloseWaitsForItsFetchers), races only -race
+#                   reports, and the concurrency tests no analyzer can
+#                   stand in for: workload TestConcurrentGlobalUpdates,
+#                   wire TestTwoTransactionsOneClient,
+#                   TestCallObservesDeadline,
+#                   TestAbandonedTransactionReleasesLock (DESIGN.md "Wire
+#                   connections and transactions") and
+#                   TestRaceStressScansDuringWrites (DESIGN.md "What a
+#                   scan holds"). A hang is how a re-acquired mutex, a
+#                   Wait that misses its Done or a lock cycle shows, so
+#                   the timeout is part of the gate: well above the
+#                   slowest package (workload, 49 s under -race on 2 CPUs
+#                   alone, 62 s within this step) instead of Go's ten
 #                   minutes a package
 #   6. gisbench   — the OV1 overload bench and the quick bench as JSON,
 #                   schema-validated by scripts/benchjson
