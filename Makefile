@@ -76,9 +76,11 @@ layout:
 # it does through Exec and its one-object Result
 # (TestRunWritesAsExecDoes), a kept result
 # carved from one block (exec
-# TestKeptOutputIsOneBlock), the serving side of a point sub-query on
-# a warmed connection (wire TestServedSubQueryAllocs,
-# TestRebindBuildsTheFilterOnce) and a result stream's frames, which
+# TestKeptOutputIsOneBlock), the serving side of a point sub-query and
+# of a 100-row scan on a warmed connection (wire TestServedSubQueryAllocs,
+# TestRebindBuildsTheFilterOnce) beside an untraced span's annotation,
+# which formats nothing (obs TestNilSpanSetIntFormatsNothing), and a
+# result stream's frames, which
 # cost the same objects a frame whatever their rows (wire
 # TestRowsFrameAllocsDoNotGrowPerRow: 37 more for 16 more frames, 10%
 # above what it measures; TestStreamRowsAllocsDoNotGrowWithRows).
@@ -87,6 +89,7 @@ allocs:
 	$(GO) test -count=1 -run 'TestPlanAllocations|TestPlanAllocsPerAlikeFragment|TestKeyQueryAllocsPerAlikeFragment|TestBindAllocatesNothing|TestRecheckAllocatesNothing' -v ./internal/plan
 	$(GO) test -count=1 -run 'TestStatementAllocations|TestKeptWriteParsesNothing|TestRunWritesAsExecDoes' -v ./internal/core
 	$(GO) test -count=1 -run 'TestKeptOutputIsOneBlock' -v ./internal/exec
+	$(GO) test -count=1 -run 'TestNilSpanSetIntFormatsNothing' -v ./internal/obs
 	$(GO) test -count=1 -run 'TestServedSubQueryAllocs|TestRebindBuildsTheFilterOnce|TestRowsFrameAllocsDoNotGrowPerRow|TestStreamRowsAllocsDoNotGrowWithRows' -v ./internal/wire
 
 # After a change meant to move a plan, an estimate or a parsed tree:

@@ -286,8 +286,8 @@ func TestKeptWriteParsesNothing(t *testing.T) {
 		run()
 		e.SetTracing(false)
 		tr := e.TraceLast()
-		if parse := tr.FindAll(obs.SpanParse); len(parse) != 1 || parse[0].Name() != "cached" || len(tr.FindAll(obs.SpanWrite)) != 1 {
-			t.Errorf("%s warmed: %d parse spans, %d write spans; want one parse span named cached", s.name, len(parse), len(tr.FindAll(obs.SpanWrite)))
+		if parse := tr.Data().FindAll(obs.SpanParse); len(parse) != 1 || parse[0].Name != "cached" || len(tr.Data().FindAll(obs.SpanWrite)) != 1 {
+			t.Errorf("%s warmed: %d parse spans, %d write spans; want one parse span named cached", s.name, len(parse), len(tr.Data().FindAll(obs.SpanWrite)))
 		}
 		t.Logf("%-13s miss %4.0f allocations, warmed %4.0f, sql.Parse %4.0f", s.name, miss, hit, parsed)
 		if miss-hit < parsed {
@@ -331,7 +331,7 @@ func TestRunWritesAsExecDoes(t *testing.T) {
 	if _, err := e.Run(ctx, text, params()...); err != nil {
 		t.Fatal(err)
 	}
-	if parse := e.TraceLast().FindAll(obs.SpanParse); len(parse) != 1 || parse[0].Name() != "cached" {
+	if parse := e.TraceLast().Data().FindAll(obs.SpanParse); len(parse) != 1 || parse[0].Name != "cached" {
 		t.Errorf("Run's warmed INSERT is not a hit: %d parse spans", len(parse))
 	}
 	// An EXPLAIN through Run is given no instance of the cache, so keeps

@@ -177,7 +177,7 @@ func TestStatementCacheFollowsTheCatalog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if parse := e.TraceLast().FindAll(obs.SpanParse); len(parse) != 1 || parse[0].Name() != "" {
+			if parse := e.TraceLast().Data().FindAll(obs.SpanParse); len(parse) != 1 || parse[0].Name != "" {
 				t.Errorf("the call after the change: %d parse spans, want one, planned under the new generation", len(parse))
 			}
 			want, err := fresh.Query(ctx, text, params...)
@@ -247,7 +247,7 @@ func TestStatementCacheFollowsTheCatalog(t *testing.T) {
 			if err := exec(); err != nil {
 				t.Fatal(err)
 			}
-			if parse := e.TraceLast().FindAll(obs.SpanParse); len(parse) != 1 || parse[0].Name() != "" {
+			if parse := e.TraceLast().Data().FindAll(obs.SpanParse); len(parse) != 1 || parse[0].Name != "" {
 				t.Errorf("the call after the change: %d parse spans, want one, built under the new generation", len(parse))
 			}
 			if second, _ := e.cachedPlan(upd); second == first || e.idlePlans(upd) != 1 {
@@ -308,11 +308,11 @@ func TestCacheHitIsAStatement(t *testing.T) {
 	spans := func() map[string]int {
 		out := map[string]int{}
 		for _, k := range []obs.SpanKind{obs.SpanParse, obs.SpanResolve, obs.SpanOptimize, obs.SpanDecompose} {
-			for _, sp := range e.TraceLast().FindAll(k) {
-				out[k.String()+"/"+sp.Name()]++
+			for _, sp := range e.TraceLast().Data().FindAll(k) {
+				out[k.String()+"/"+sp.Name]++
 			}
 		}
-		out["exec"] = len(e.TraceLast().FindAll(obs.SpanExec))
+		out["exec"] = len(e.TraceLast().Data().FindAll(obs.SpanExec))
 		return out
 	}
 	if _, err := e.Query(ctx, text, ints(17)...); err != nil {
@@ -411,8 +411,8 @@ func TestCacheHitIsAStatement(t *testing.T) {
 			t.Fatalf("%s%v: %d, %v", upd, params, n, err)
 		}
 		got := spans()
-		if got[span] != 1 || got["parse/"]+got["parse/cached"] != 1 || got["resolve/"] != 0 || len(e.TraceLast().FindAll(obs.SpanWrite)) != 1 {
-			t.Errorf("call %d of %s: spans %v and %d write spans, want one parse span, %s, and one write span", i, upd, got, len(e.TraceLast().FindAll(obs.SpanWrite)), span)
+		if got[span] != 1 || got["parse/"]+got["parse/cached"] != 1 || got["resolve/"] != 0 || len(e.TraceLast().Data().FindAll(obs.SpanWrite)) != 1 {
+			t.Errorf("call %d of %s: spans %v and %d write spans, want one parse span, %s, and one write span", i, upd, got, len(e.TraceLast().Data().FindAll(obs.SpanWrite)), span)
 		}
 	}
 	if _, err := e.Query(ctx, upd, types.NewFloat(0.25), types.NewInt(30)); err == nil || !strings.Contains(err.Error(), "use Exec for *sql.UpdateStmt") {
@@ -470,7 +470,7 @@ func TestIdleListKeepsTheLatestSets(t *testing.T) {
 		if err != nil || int64(len(res.Rows)) != params[1].Int()-params[0].Int() {
 			t.Fatalf("%v: %v, %v", params, res, err)
 		}
-		return e.TraceLast().FindAll(obs.SpanParse)[0].Name()
+		return e.TraceLast().Data().FindAll(obs.SpanParse)[0].Name
 	}
 	for _, r := range ranges {
 		run(r)
@@ -534,7 +534,7 @@ func TestEntryPointsAnswerAlikeHitOrMiss(t *testing.T) {
 		{"Run of a SELECT", sel, selParams, run, ""},
 		{"Run of an UPDATE", upd, updParams, run, ""},
 	} {
-		parse := func() string { return e.TraceLast().FindAll(obs.SpanParse)[0].Name() }
+		parse := func() string { return e.TraceLast().Data().FindAll(obs.SpanParse)[0].Name }
 		e.stmts.clear()
 		miss := c.call(c.text, c.params)
 		if span := parse(); span != "" {

@@ -200,7 +200,7 @@ func TestStreamedPartialResultIsCounted(t *testing.T) {
 		if d := counter.Value() - before; d != 1 {
 			t.Errorf("streamed %v: core.partial_queries rose by %d, want 1", streamed, d)
 		}
-		if spans := tr.FindAll(obs.SpanQuery); len(spans) != 1 {
+		if spans := tr.Data().FindAll(obs.SpanQuery); len(spans) != 1 {
 			t.Errorf("streamed %v: %d query spans", streamed, len(spans))
 		} else if _, ok := spans[0].Attr("partial"); !ok {
 			t.Errorf("streamed %v: the query span does not say the answer is partial", streamed)

@@ -140,9 +140,6 @@ func (e *Engine) instrument(ctx context.Context, text string, measure bool) (con
 		if err != nil {
 			root.SetAttr("error", err.Error())
 		}
-		if n, ok := root.RowsOut(); ok {
-			root.SetInt("rows_out", n)
-		}
 		root.End()
 		if owned {
 			e.lastTrace.Store(tr)

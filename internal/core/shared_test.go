@@ -318,8 +318,8 @@ func TestPointShapesShareTheCatalogConcurrently(t *testing.T) {
 		if _, err := e.Query(obs.WithTrace(ctx, tr), s.sql, held.params...); err != nil {
 			t.Fatal(err)
 		}
-		if parse, planned := tr.FindAll(obs.SpanParse), len(tr.FindAll(obs.SpanOptimize)); len(parse) != 1 || parse[0].Name() != "cached" || planned != 0 {
-			t.Errorf("%s after the stream closed: %d parse spans, the first %q, %d planned; want one hit", s.name, len(parse), parse[0].Name(), planned)
+		if parse, planned := tr.Data().FindAll(obs.SpanParse), len(tr.Data().FindAll(obs.SpanOptimize)); len(parse) != 1 || parse[0].Name != "cached" || planned != 0 {
+			t.Errorf("%s after the stream closed: %d parse spans, the first %q, %d planned; want one hit", s.name, len(parse), parse[0].Name, planned)
 		}
 	}
 	// Last, the callers run update_2pc's text at once over events, each

@@ -139,19 +139,19 @@ func TestTraceFederatedJoin(t *testing.T) {
 	if tr == nil {
 		t.Fatal("TraceLast() = nil after traced query")
 	}
-	root := tr.Root()
-	if root.Kind() != obs.SpanQuery {
-		t.Errorf("root kind = %v, want query", root.Kind())
+	root := tr.Data()
+	if root.Kind != obs.SpanQuery.String() {
+		t.Errorf("root kind = %v, want query", root.Kind)
 	}
 	for _, kind := range []obs.SpanKind{
 		obs.SpanParse, obs.SpanResolve, obs.SpanOptimize, obs.SpanDecompose, obs.SpanExec,
 	} {
-		if len(tr.FindAll(kind)) == 0 {
+		if len(root.FindAll(kind)) == 0 {
 			t.Errorf("no %v span in trace:\n%s", kind, tr.Tree())
 		}
 	}
 
-	ships := tr.FindAll(obs.SpanShip)
+	ships := root.FindAll(obs.SpanShip)
 	if len(ships) < 2 {
 		t.Fatalf("want >= 2 ship spans (one per source), got %d:\n%s", len(ships), tr.Tree())
 	}
@@ -159,7 +159,7 @@ func TestTraceFederatedJoin(t *testing.T) {
 	for _, sp := range ships {
 		src, ok := sp.Attr("source")
 		if !ok {
-			t.Fatalf("ship span %q lacks source attr", sp.Name())
+			t.Fatalf("ship span %q lacks source attr", sp.Name)
 		}
 		bySource[src] = true
 		// The shipped query renders in the source query language
@@ -181,8 +181,8 @@ func TestTraceFederatedJoin(t *testing.T) {
 	if !bySource["trjA"] || !bySource["trjB"] {
 		t.Errorf("ship spans cover sources %v, want both trjA and trjB", bySource)
 	}
-	if len(tr.FindAll(obs.SpanFetch)) < 2 {
-		t.Errorf("want >= 2 fetch spans, got %d", len(tr.FindAll(obs.SpanFetch)))
+	if fetches := root.FindAll(obs.SpanFetch); len(fetches) < 2 {
+		t.Errorf("want >= 2 fetch spans, got %d", len(fetches))
 	}
 
 	// The JSON form round-trips to the same shape.
@@ -233,17 +233,18 @@ func TestTrace2PCUpdate(t *testing.T) {
 	if tr == nil {
 		t.Fatal("TraceLast() = nil after traced update")
 	}
-	writes := tr.FindAll(obs.SpanWrite)
-	if len(writes) != 1 || writes[0].Name() != "update" {
+	root := tr.Data()
+	writes := root.FindAll(obs.SpanWrite)
+	if len(writes) != 1 || writes[0].Name != "update" {
 		t.Fatalf("write spans = %v, want one named update:\n%s", len(writes), tr.Tree())
 	}
 	if aff, _ := writes[0].Attr("affected"); aff != "2" {
 		t.Errorf("write span affected = %q, want 2", aff)
 	}
 
-	var twopc *obs.Span
-	for _, sp := range tr.FindAll(obs.SpanCommit) {
-		if strings.HasPrefix(sp.Name(), "2pc ") {
+	var twopc *obs.SpanData
+	for _, sp := range root.FindAll(obs.SpanCommit) {
+		if strings.HasPrefix(sp.Name, "2pc ") {
 			twopc = sp
 			break
 		}
@@ -259,15 +260,15 @@ func TestTrace2PCUpdate(t *testing.T) {
 	}
 
 	prepared := map[string]bool{}
-	for _, sp := range tr.FindAll(obs.SpanPrepare) {
-		prepared[sp.Name()] = true
+	for _, sp := range root.FindAll(obs.SpanPrepare) {
+		prepared[sp.Name] = true
 	}
 	if !prepared["tr2A"] || !prepared["tr2B"] {
 		t.Errorf("prepare spans cover %v, want both tr2A and tr2B:\n%s", prepared, tr.Tree())
 	}
 	commits := 0
-	for _, sp := range twopc.Children() {
-		if sp.Kind() == obs.SpanCommit {
+	for _, sp := range twopc.Children {
+		if sp.Kind == obs.SpanCommit.String() {
 			commits++
 		}
 	}
@@ -359,27 +360,22 @@ func TestTraceFederationWideStitch(t *testing.T) {
 	if tr == nil {
 		t.Fatal("TraceLast() = nil")
 	}
-	ships := tr.FindAll(obs.SpanShip)
+	ships := tr.Data().FindAll(obs.SpanShip)
 	if len(ships) < 2 {
 		t.Fatalf("ship spans = %d, want >= 2:\n%s", len(ships), tr.Tree())
 	}
 	for _, sh := range ships {
 		src, _ := sh.Attr("source")
-		var remote *obs.Span
-		for _, c := range sh.Children() {
-			if c.Kind() == obs.SpanRemote {
-				remote = c
-			}
-		}
+		remote := stitched(sh)
 		if remote == nil {
 			t.Fatalf("ship span for %s has no stitched remote subtree:\n%s", src, tr.Tree())
 		}
-		kinds := map[obs.SpanKind]bool{}
-		for _, c := range remote.Children() {
-			kinds[c.Kind()] = true
+		kinds := map[string]bool{}
+		for _, c := range remote.Children {
+			kinds[c.Kind] = true
 		}
 		for _, want := range []obs.SpanKind{obs.SpanParse, obs.SpanExec, obs.SpanStream} {
-			if !kinds[want] {
+			if !kinds[want.String()] {
 				t.Errorf("remote subtree for %s missing %v span:\n%s", src, want, tr.Tree())
 			}
 		}
@@ -392,6 +388,15 @@ func TestTraceFederationWideStitch(t *testing.T) {
 	}
 }
 
+// stitched returns the remote subtree stitched under a ship span, its
+// last child, or nil.
+func stitched(ship *obs.SpanData) *obs.SpanData {
+	if n := len(ship.Children); n > 0 && ship.Children[n-1].Kind == obs.SpanRemote.String() {
+		return ship.Children[n-1]
+	}
+	return nil
+}
+
 // fourViews is what each rendering of one statement's measured records
 // says about it.
 type fourViews struct {
@@ -402,6 +407,10 @@ type fourViews struct {
 	// The planner's estimate, where a node has one: est= in EXPLAIN
 	// ANALYZE and est_rows on the exec span, keyed as analyzeRows is.
 	analyzeEst, execEst map[string]int64
+	// The fifth view, the remote-vs-WAN split: how many ship spans had a
+	// remote subtree stitched in. Each one's duration is the log record's
+	// remote_us, and ship_us less it the record's wan_us.
+	stitched int
 }
 
 // runFourViews executes q once, through EXPLAIN ANALYZE on a traced
@@ -441,19 +450,21 @@ func runFourViews(t *testing.T, e *Engine, q string) (fourViews, string) {
 		}
 	}
 	tr := e.TraceLast()
-	for _, sp := range tr.FindAll(obs.SpanExec) {
+	root := tr.Data()
+	for _, sp := range root.FindAll(obs.SpanExec) {
 		rows, ok := sp.Attr("rows")
 		if !ok {
 			continue // a component's own exec span, stitched in
 		}
-		f := strings.Fields(sp.Name())
+		f := strings.Fields(sp.Name)
 		node := f[0] + " " + f[1]
 		v.execRows[node] += atoi(rows)
 		if est, ok := sp.Attr("est_rows"); ok {
 			v.execEst[node] = atoi(est)
 		}
 	}
-	for _, sp := range tr.FindAll(obs.SpanShip) {
+	ships := root.FindAll(obs.SpanShip)
+	for _, sp := range ships {
 		src, _ := sp.Attr("source")
 		rows, _ := sp.Attr("rows")
 		v.shipRows[src] += atoi(rows)
@@ -469,6 +480,21 @@ func runFourViews(t *testing.T, e *Engine, q string) (fourViews, string) {
 	for _, s := range rec.Sources {
 		v.logRows[s.Source] += s.Rows
 	}
+	if len(rec.Sources) != len(ships) {
+		t.Fatalf("log record has %d sources, the trace %d ship spans", len(rec.Sources), len(ships))
+	}
+	for i, sh := range ships {
+		s := rec.Sources[i]
+		var remote, wan int64
+		if r := stitched(sh); r != nil {
+			v.stitched++
+			remote, wan = r.DurationUS, s.ShipUS-r.DurationUS
+		}
+		if s.ShipUS != sh.DurationUS || s.RemoteUS != remote || s.WanUS != wan {
+			t.Errorf("source %s: log ship_us %d, remote_us %d, wan_us %d; trace ship span %d µs, stitched remote root %d µs",
+				s.Source, s.ShipUS, s.RemoteUS, s.WanUS, sh.DurationUS, remote)
+		}
+	}
 	return v, out + tr.Tree()
 }
 
@@ -476,6 +502,9 @@ func runFourViews(t *testing.T, e *Engine, q string) (fourViews, string) {
 // spans and the query-log record render one record per operator
 // execution, so for one statement they must report the same numbers —
 // and the same estimate beside them, on the nodes the planner estimates.
+// A fifth view, the log record's remote-vs-WAN split, must be the
+// trace's: the stitched remote root's duration and the rest of the ship
+// span.
 func TestFourViewsAgree(t *testing.T) {
 	t.Run("ship-all join", func(t *testing.T) {
 		e := traceFederation(t, "fvA", "fvB")
@@ -508,6 +537,9 @@ func TestFourViewsAgree(t *testing.T) {
 		if len(v.execEst) != 3 || !maps.Equal(v.analyzeEst, v.execEst) {
 			t.Errorf("estimates: EXPLAIN ANALYZE est= %v, exec spans est_rows %v; want the same three", v.analyzeEst, v.execEst)
 		}
+		if v.stitched != 2 {
+			t.Errorf("%d ship spans have a remote subtree stitched in, want both", v.stitched)
+		}
 		if t.Failed() {
 			t.Log(dump)
 		}
@@ -535,6 +567,9 @@ func TestFourViewsAgree(t *testing.T) {
 		}
 		if len(v.execEst) != 2 || !maps.Equal(v.analyzeEst, v.execEst) {
 			t.Errorf("estimates: EXPLAIN ANALYZE est= %v, exec spans est_rows %v; want the same two", v.analyzeEst, v.execEst)
+		}
+		if v.stitched != 2 {
+			t.Errorf("%d ship spans have a remote subtree stitched in, want both", v.stitched)
 		}
 		if t.Failed() {
 			t.Log(dump)

@@ -215,8 +215,8 @@ func TestKeptWritesAgree(t *testing.T) {
 				t.Fatalf("statement %d, %s %v: %s holds\n%s\nbuilt afresh\n%s", i, tm.sql, params, name, g, w)
 			}
 		}
-		parse := keep.TraceLast().FindAll(obs.SpanParse)
-		cached := len(parse) == 1 && parse[0].Name() == "cached"
+		parse := keep.TraceLast().Data().FindAll(obs.SpanParse)
+		cached := len(parse) == 1 && parse[0].Name == "cached"
 		if cached {
 			hits++
 		}

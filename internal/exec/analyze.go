@@ -9,16 +9,16 @@ import (
 	"gis/internal/plan"
 )
 
-// Annotate renders EXPLAIN ANALYZE's per-node annotation from a
-// finished statement's trace. A plan node may have run many times
-// (parallel-union branches, a semijoin's key chunks): each execution
-// left its own record, and the per-node sums are taken here. Exec spans carry
-// the operator's output and inclusive time — beside the planner's
-// estimate of that output, where it made one: est= against rows= is
-// where a misestimate is read — ship spans the rows and bytes a fragment
-// scan fetched before mediator-side compensation. The right scan of a
-// semijoin is run by the join itself, key chunk by key chunk: it has
-// ship records and no exec record, and shows the wire half alone.
+// Annotate renders EXPLAIN ANALYZE's per-node annotation from one
+// snapshot of a finished statement's trace. A plan node may have run
+// many times (parallel-union branches, a semijoin's key chunks): each
+// execution left its own record, and the per-node sums are taken here.
+// Exec spans carry the operator's output and inclusive time — beside the
+// planner's estimate of that output, where it made one: est= against
+// rows= is where a misestimate is read — ship spans the rows and bytes a
+// fragment scan fetched before mediator-side compensation. The right
+// scan of a semijoin is run by the join itself, key chunk by key chunk:
+// it has ship records and no exec record, and shows the wire half alone.
 func Annotate(tr *obs.Trace) func(plan.Node) string {
 	type sum struct {
 		rows, bytes, wireRows, wireBytes int64
@@ -28,9 +28,13 @@ func Annotate(tr *obs.Trace) func(plan.Node) string {
 		ran                              bool // an exec record; false: wire records alone
 	}
 	sums := map[plan.Node]*sum{}
+	root := tr.Data()
 	for _, kind := range []obs.SpanKind{obs.SpanExec, obs.SpanShip} {
-		for _, sp := range tr.FindAll(kind) {
-			st, _ := sp.Stats()
+		for _, sp := range root.FindAll(kind) {
+			st := sp.Stats
+			if st == nil {
+				continue
+			}
 			n, ok := st.Op.(plan.Node)
 			if !ok {
 				continue

@@ -59,8 +59,8 @@ func TestOpIterRecordsCloseLatency(t *testing.T) {
 	if rows, err := source.Drain(it); err != nil || len(rows) != 1 {
 		t.Fatalf("drain = %d rows, %v", len(rows), err)
 	}
-	st, ok := sp.Stats()
-	if !ok {
+	st := sp.Data().Stats
+	if st == nil {
 		t.Fatal("no record published")
 	}
 	if st.Rows != 1 || st.Bytes <= 0 {
@@ -258,8 +258,8 @@ func TestDeadStreamKeepsItsRecord(t *testing.T) {
 	if _, err := source.Drain(dying); err == nil {
 		t.Fatal("dying stream drained cleanly")
 	}
-	if st, ok := sp.Stats(); !ok || st.Rows != 2 || !st.HasEst || st.EstRows != 10000 {
-		t.Errorf("the dead stream's record = %+v, %v; want its 2 rows against the estimate of 10000", st, ok)
+	if st := sp.Data().Stats; st == nil || st.Rows != 2 || !st.HasEst || st.EstRows != 10000 {
+		t.Errorf("the dead stream's record = %+v; want its 2 rows against the estimate of 10000", st)
 	}
 }
 

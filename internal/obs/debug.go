@@ -173,15 +173,17 @@ func (l *QueryLog) Finish(id int64, err error, tr *Trace) {
 	if !slow && (sl == nil || !held.Sampled) {
 		return
 	}
-	// Somebody reads the text: render it, outside the lock.
+	// Somebody reads the text: render it, outside the lock. The ring
+	// and the record read one snapshot of the finished trace.
 	q := held.rendered()
+	root := tr.Data()
 	if slow {
 		entry := SlowQuery{
 			ID:         q.ID,
 			SQL:        q.SQL,
 			Start:      q.Start,
 			DurationMS: float64(d) / float64(time.Millisecond),
-			Trace:      CapSpanData(tr.Root().Data(), maxSlowTraceSpans),
+			Trace:      CapSpanData(root, maxSlowTraceSpans),
 		}
 		if err != nil {
 			entry.Err = err.Error()
@@ -196,7 +198,7 @@ func (l *QueryLog) Finish(id int64, err error, tr *Trace) {
 		l.mu.Unlock()
 	}
 	if sl != nil {
-		sl.Emit(sl.buildRecord(q.SQL, q.Start, d, err, tr, slow))
+		sl.Emit(sl.buildRecord(q.SQL, q.Start, d, err, tr.ID(), root, slow))
 	}
 }
 

@@ -113,11 +113,13 @@ func (l *StructuredLog) Emit(rec QueryLogRecord) {
 }
 
 // buildRecord assembles a record from what QueryLog.Finish knows plus
-// the (possibly nil) trace.
-func (l *StructuredLog) buildRecord(sql string, start time.Time, d time.Duration, err error, tr *Trace, slow bool) QueryLogRecord {
+// the trace's id and its snapshot, root (both empty for an untraced
+// query).
+func (l *StructuredLog) buildRecord(sql string, start time.Time, d time.Duration, err error, traceID string, root *SpanData, slow bool) QueryLogRecord {
 	rec := QueryLogRecord{
 		Time:       start.UTC().Format(time.RFC3339Nano),
 		SQL:        sql,
+		TraceID:    traceID,
 		DurationUS: d.Microseconds(),
 		Slow:       slow,
 	}
@@ -127,22 +129,15 @@ func (l *StructuredLog) buildRecord(sql string, start time.Time, d time.Duration
 	if err != nil {
 		rec.Error = err.Error()
 	}
-	if tr == nil {
-		return rec
-	}
-	rec.TraceID = tr.ID()
-	root := tr.Root()
 	if root == nil {
 		return rec
 	}
-	rec.RowsOut, _ = root.RowsOut()
-	if v, ok := root.Attr("partial"); ok {
-		rec.Partial = v
-	}
+	rec.RowsOut, _ = root.rowsOut()
+	rec.Partial, _ = root.Attr("partial")
 	rec.PhasesUS = phaseBreakdown(root)
-	rec.Sources = sourceBreakdown(tr)
-	rec.Retries = int64(len(tr.FindAll(SpanRetry)))
-	rec.Breakers = int64(len(tr.FindAll(SpanBreaker)))
+	rec.Sources = sourceBreakdown(root)
+	rec.Retries = int64(len(root.FindAll(SpanRetry)))
+	rec.Breakers = int64(len(root.FindAll(SpanBreaker)))
 	return rec
 }
 
@@ -150,11 +145,11 @@ func (l *StructuredLog) buildRecord(sql string, start time.Time, d time.Duration
 // statement's parse, resolve, optimize, exec or write, a served
 // sub-query's parse, exec and stream. Retry and breaker markers have no
 // width and are not phases.
-func phaseBreakdown(root *Span) map[string]int64 {
+func phaseBreakdown(root *SpanData) map[string]int64 {
 	out := map[string]int64{}
-	for _, c := range root.Children() {
-		if k := c.Kind(); k != SpanRetry && k != SpanBreaker {
-			out[k.String()] += c.Duration().Microseconds()
+	for _, c := range root.Children {
+		if c.Kind != kindNames[SpanRetry] && c.Kind != kindNames[SpanBreaker] {
+			out[c.Kind] += c.DurationUS
 		}
 	}
 	if len(out) == 0 {
@@ -166,17 +161,16 @@ func phaseBreakdown(root *Span) map[string]int64 {
 // sourceBreakdown extracts one SourceIO per ship span from the span's
 // measured record: the rows and bytes its wire stream delivered and the
 // remote-compute vs WAN split of the round trip.
-func sourceBreakdown(tr *Trace) []SourceIO {
-	ships := tr.FindAll(SpanShip)
+func sourceBreakdown(root *SpanData) []SourceIO {
+	ships := root.FindAll(SpanShip)
 	if len(ships) == 0 {
 		return nil
 	}
 	out := make([]SourceIO, 0, len(ships))
 	for _, sh := range ships {
-		st, _ := sh.Stats()
-		io := SourceIO{
-			Rows: st.Rows, Bytes: st.Bytes,
-			ShipUS: sh.Duration().Microseconds(), RemoteUS: st.RemoteUS, WanUS: st.WanUS,
+		io := SourceIO{ShipUS: sh.DurationUS}
+		if st := sh.Stats; st != nil {
+			io.Rows, io.Bytes, io.RemoteUS, io.WanUS = st.Rows, st.Bytes, st.RemoteUS, st.WanUS
 		}
 		io.Source, _ = sh.Attr("source")
 		out = append(out, io)

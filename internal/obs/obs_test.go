@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestSpanTreeShape(t *testing.T) {
@@ -35,14 +36,14 @@ func TestSpanTreeShape(t *testing.T) {
 	if got := tr.Root(); got != root {
 		t.Fatalf("root = %v, want the first span", got)
 	}
-	kids := root.Children()
-	if len(kids) != 2 {
-		t.Fatalf("root children = %d, want 2", len(kids))
+	d := tr.Data()
+	if len(d.Children) != 2 {
+		t.Fatalf("root children = %d, want 2", len(d.Children))
 	}
-	if kids[0].Kind() != SpanParse || kids[1].Kind() != SpanExec {
-		t.Fatalf("child kinds = %v, %v", kids[0].Kind(), kids[1].Kind())
+	if d.Children[0].Kind != "parse" || d.Children[1].Kind != "exec" {
+		t.Fatalf("child kinds = %v, %v", d.Children[0].Kind, d.Children[1].Kind)
 	}
-	ships := tr.FindAll(SpanShip)
+	ships := d.FindAll(SpanShip)
 	if len(ships) != 1 {
 		t.Fatalf("ship spans = %d, want 1", len(ships))
 	}
@@ -70,14 +71,13 @@ func TestSpanNilSafety(t *testing.T) {
 	sp.End()
 	sp.SetAttr("k", "v")
 	sp.SetInt("n", 1)
-	if sp.Duration() != 0 || sp.Name() != "" || len(sp.Children()) != 0 {
-		t.Fatal("nil span accessors should return zero values")
-	}
-	if _, ok := sp.Attr("k"); ok {
-		t.Fatal("nil span has no attrs")
+	sp.SetStats(&OpStats{Rows: 1})
+	sp.AttachData(&SpanData{Kind: "remote"})
+	if sp.ID() != 0 || sp.Data() != nil {
+		t.Fatal("a nil span has no id and no snapshot")
 	}
 	var tr *Trace
-	if tr.Root() != nil || tr.Name() != "" {
+	if tr.Root() != nil || tr.Name() != "" || tr.Data() != nil || tr.Data().FindAll(SpanExec) != nil {
 		t.Fatal("nil trace accessors should return zero values")
 	}
 	if b, err := tr.JSON(); err != nil || string(b) != "null" {
@@ -96,13 +96,56 @@ func TestSpanConcurrentChildren(t *testing.T) {
 			defer wg.Done()
 			_, sp := StartSpan(rctx, SpanExec, "branch")
 			sp.SetInt("rows", 1)
+			_ = tr.Tree() // a snapshot taken while siblings are attached
 			sp.End()
 		}()
 	}
 	wg.Wait()
 	root.End()
-	if n := len(root.Children()); n != 16 {
+	if n := len(root.Data().Children); n != 16 {
 		t.Fatalf("children = %d, want 16", n)
+	}
+}
+
+// TestTreeTakesOneSnapshot: Tree renders one snapshot of the trace, so
+// its cost grows with the spans, not with the square of the depth.
+func TestTreeTakesOneSnapshot(t *testing.T) {
+	chain := func(depth int) *Trace {
+		tr := NewTrace("chain")
+		ctx := WithTrace(context.Background(), tr)
+		for i := 0; i < depth; i++ {
+			var sp *Span
+			ctx, sp = StartSpan(ctx, SpanExec, "op")
+			sp.SetInt("rows", int64(i))
+			sp.End()
+		}
+		return tr
+	}
+	allocs := func(depth int) float64 {
+		tr := chain(depth)
+		return testing.AllocsPerRun(20, func() { _ = tr.Tree() })
+	}
+	short, long := allocs(32), allocs(64)
+	t.Logf("Tree allocates %.0f objects over 32 spans, %.0f over 64", short, long)
+	if long > 2.2*short {
+		t.Errorf("Tree over 64 spans allocates %.0f objects, over 32 %.0f: more than twice", long, short)
+	}
+}
+
+// TestSpanFitsItsSizeClass: a traced statement allocates a Span an
+// operator execution, from the 224-byte size class.
+func TestSpanFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Span{}); n > 224 {
+		t.Errorf("a Span is %d bytes, above its 224-byte size class", n)
+	}
+}
+
+// TestNilSpanSetIntFormatsNothing: an untraced call site that annotates
+// a count pays nothing for it.
+func TestNilSpanSetIntFormatsNothing(t *testing.T) {
+	var sp *Span
+	if n := testing.AllocsPerRun(100, func() { sp.SetInt("rows", 4000) }); n != 0 {
+		t.Errorf("SetInt on a nil span allocates %.0f objects, want 0", n)
 	}
 }
 

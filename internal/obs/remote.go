@@ -3,17 +3,17 @@ package obs
 import (
 	"slices"
 	"strconv"
-	"time"
 )
 
 // Remote-subtree stitching: a component-system server runs its part of
 // a query under its own Trace, snapshots the finished tree as SpanData,
 // and ships it back to the mediator in the result stream's footer. The
-// mediator reconstructs the snapshot as ended spans and attaches them
-// under the live ship span, producing one federation-wide tree.
+// mediator keeps the footer as it arrived, as data, on the live ship
+// span, whose snapshots read it as their last child: one federation-wide
+// tree.
 
 // KindFromString parses a SpanKind name as produced by SpanKind.String.
-// Unknown names report false, and SpanFromData reads them as SpanRemote.
+// Unknown names report false, and AttachData reads them as SpanRemote.
 // A peer of another helloVersion is refused at the hello, so only a
 // malformed footer carries one.
 func KindFromString(s string) (SpanKind, bool) {
@@ -23,43 +23,28 @@ func KindFromString(s string) (SpanKind, bool) {
 	return 0, false
 }
 
-// SpanFromData reconstructs a snapshot as an already-ended span
-// subtree. The spans get fresh local ids and are safe to attach into a
-// live trace; mutating the snapshot afterwards does not affect them.
-func SpanFromData(d *SpanData) *Span {
-	if d == nil {
-		return nil
-	}
-	kind, ok := KindFromString(d.Kind)
-	if !ok {
-		kind = SpanRemote
-	}
-	sp := &Span{
-		id:    nextSpanID.Add(1),
-		kind:  kind,
-		name:  d.Name,
-		start: d.Start,
-		dur:   time.Duration(d.DurationUS) * time.Microsecond,
-		ended: true,
-		attrs: append([]Attr(nil), d.Attrs...),
-	}
-	for _, c := range d.Children {
-		if child := SpanFromData(c); child != nil {
-			sp.children = append(sp.children, child)
-		}
-	}
-	return sp
-}
-
-// AttachData stitches a remote snapshot under s as an ended child
-// subtree. Safe on a nil receiver and a nil snapshot (no-ops), and safe
-// concurrently with other children being attached.
+// AttachData keeps a component system's finished subtree as s's footer,
+// replacing any kept before; an unknown kind name in it is read as
+// remote. d is s's from then on: nothing may write it afterwards. Safe
+// on a nil receiver and a nil snapshot (no-ops), and safe concurrently
+// with children being attached.
 func (s *Span) AttachData(d *SpanData) {
 	if s == nil || d == nil {
 		return
 	}
-	if child := SpanFromData(d); child != nil {
-		s.addChild(child)
+	knownKinds(d)
+	s.mu.Lock()
+	s.footer = d
+	s.mu.Unlock()
+}
+
+// knownKinds renames every span of d whose kind has no name here remote.
+func knownKinds(d *SpanData) {
+	if _, ok := KindFromString(d.Kind); !ok {
+		d.Kind = kindNames[SpanRemote]
+	}
+	for _, c := range d.Children {
+		knownKinds(c)
 	}
 }
 
@@ -80,7 +65,8 @@ func CountSpanData(d *SpanData) int {
 // children, so the retained shape stays connected). When spans are
 // dropped the root gains a truncated_spans attribute with the count, so
 // /slow consumers can tell a capped trace from a small one. The input
-// is not modified; the returned tree shares no structure with it.
+// is not modified; the returned tree's nodes are its own, share only
+// attrs, which a snapshot's reader does not write, and carry no Stats.
 func CapSpanData(d *SpanData, maxNodes int) *SpanData {
 	if d == nil {
 		return nil
@@ -92,7 +78,7 @@ func CapSpanData(d *SpanData, maxNodes int) *SpanData {
 	budget := maxNodes
 	out := capSpan(d, &budget)
 	if dropped := total - (maxNodes - budget); dropped > 0 && out != nil {
-		out.Attrs = append(out.Attrs, Attr{Key: "truncated_spans", Value: strconv.Itoa(dropped)})
+		out.Attrs = append(slices.Clip(out.Attrs), Attr{Key: "truncated_spans", Value: strconv.Itoa(dropped)})
 	}
 	return out
 }
@@ -102,13 +88,8 @@ func capSpan(d *SpanData, budget *int) *SpanData {
 		return nil
 	}
 	*budget--
-	out := &SpanData{
-		Kind:       d.Kind,
-		Name:       d.Name,
-		Start:      d.Start,
-		DurationUS: d.DurationUS,
-		Attrs:      append([]Attr(nil), d.Attrs...),
-	}
+	out := *d
+	out.Children, out.Stats = nil, nil // a capped tree is only rendered
 	for _, c := range d.Children {
 		if *budget <= 0 {
 			break
@@ -117,5 +98,5 @@ func capSpan(d *SpanData, budget *int) *SpanData {
 			out.Children = append(out.Children, kept)
 		}
 	}
-	return out
+	return &out
 }

@@ -89,7 +89,8 @@ type Attr struct {
 
 // OpStats is the one measured record of an operator execution: what the
 // stream under a span produced and what that cost. EXPLAIN ANALYZE, the
-// trace tree and the structured query log all render it.
+// trace tree and the structured query log all render it, from a span's
+// snapshot (SpanData.Stats).
 // The exec measuring wrapper fills a private copy while rows flow and
 // publishes it with SetStats when the stream ends, so nothing is shared
 // between goroutines per row. A fragment scan has two: its output (exec
@@ -113,28 +114,32 @@ type OpStats struct {
 	// time= is their sum. Close is the time inside Close (discarding an
 	// undrained remote cursor can dominate a LIMIT query).
 	Open, Next, Close time.Duration
-	// RemoteUS is the component system's own compute time for a shipped
-	// sub-query, set by the wire client's footer stitch (SetRemoteUS).
-	// WanUS is derived when the record is read: the rest of the ship
-	// span, WAN transit plus mediator-side decode.
+	// RemoteUS and WanUS are derived when a ship span is snapshotted:
+	// the duration of the footer the component system sent (its own
+	// compute time for the sub-query, see AttachData) and the rest of
+	// the ship span, WAN transit plus mediator-side decode.
 	RemoteUS, WanUS int64
 }
 
-// Span is one timed region of a trace. All methods are safe on a nil
+// Span is one timed region of a trace: the write side of it. What it
+// recorded is read from a snapshot, Data. All methods are safe on a nil
 // receiver (they no-op), and safe for concurrent use: parallel union
 // branches and 2PC fan-out attach children from multiple goroutines.
 type Span struct {
 	mu       sync.Mutex
 	id       uint64
 	kind     SpanKind
+	ended    bool
+	measured bool // SetStats was called: stats renders as rows/bytes attrs
 	name     string
 	start    time.Time
 	dur      time.Duration
-	ended    bool
 	attrs    []Attr
 	stats    OpStats
-	measured bool // SetStats was called: stats renders as rows/bytes attrs
 	children []*Span
+	// footer is the component system's finished subtree of a ship span
+	// (AttachData): data, read as the last child of every snapshot.
+	footer *SpanData
 }
 
 // nextSpanID hands out process-unique span ids; id 0 means "no span"
@@ -181,163 +186,23 @@ func (s *Span) SetAttr(key, value string) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
-// SetInt annotates the span with an integer value.
+// SetInt annotates the span with an integer value. Untraced, it formats
+// nothing.
 func (s *Span) SetInt(key string, v int64) {
-	s.SetAttr(key, strconv.FormatInt(v, 10))
+	if s != nil {
+		s.SetAttr(key, strconv.FormatInt(v, 10))
+	}
 }
 
 // SetStats publishes st as the span's measured record; a later call
-// (Close after EOF) replaces it. RemoteUS is kept: the wire client sets
-// it during the stream's last Next, before the wrapper publishes.
+// (Close after EOF) replaces it.
 func (s *Span) SetStats(st *OpStats) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	remote := s.stats.RemoteUS
 	s.stats, s.measured = *st, true
-	s.stats.RemoteUS = remote
 	s.mu.Unlock()
-}
-
-// SetRemoteUS records the remote-compute share of a ship span.
-func (s *Span) SetRemoteUS(us int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.stats.RemoteUS = us
-	s.mu.Unlock()
-}
-
-// Stats returns the span's measured record; ok is false until one was
-// published (RemoteUS alone may be set before that).
-func (s *Span) Stats() (st OpStats, ok bool) {
-	if s == nil {
-		return OpStats{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.statsLocked(), s.measured
-}
-
-func (s *Span) statsLocked() OpStats {
-	st := s.stats
-	if st.RemoteUS > 0 {
-		st.WanUS = max(s.durLocked().Microseconds()-st.RemoteUS, 0)
-	}
-	return st
-}
-
-func (s *Span) durLocked() time.Duration {
-	if !s.ended {
-		return time.Since(s.start)
-	}
-	return s.dur
-}
-
-// attrsLocked renders the explicit annotations followed by the ones
-// derived from the measured record.
-func (s *Span) attrsLocked() []Attr {
-	out := append([]Attr(nil), s.attrs...)
-	add := func(key string, v int64) {
-		out = append(out, Attr{Key: key, Value: strconv.FormatInt(v, 10)})
-	}
-	st := s.statsLocked()
-	if s.measured {
-		if st.HasEst {
-			add("est_rows", int64(st.EstRows))
-		}
-		add("rows", st.Rows)
-		add("bytes", st.Bytes)
-	}
-	if st.RemoteUS > 0 {
-		add("remote_us", st.RemoteUS)
-		add("wan_us", st.WanUS)
-	}
-	return out
-}
-
-// Kind returns the span's kind.
-func (s *Span) Kind() SpanKind {
-	if s == nil {
-		return SpanQuery
-	}
-	return s.kind
-}
-
-// Name returns the span's name.
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.name
-}
-
-// SetName renames the span, for a region that learns what it was only
-// once it has started.
-func (s *Span) SetName(name string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.name = name
-	s.mu.Unlock()
-}
-
-// Duration returns the recorded duration, or the elapsed time so far
-// for a span that has not ended.
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.durLocked()
-}
-
-// Attr returns the value of the named attribute, explicit or derived
-// from the measured record.
-func (s *Span) Attr(key string) (string, bool) {
-	if s == nil {
-		return "", false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, a := range s.attrsLocked() {
-		if a.Key == key {
-			return a.Value, true
-		}
-	}
-	return "", false
-}
-
-// Children returns a copy of the span's children.
-func (s *Span) Children() []*Span {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Span(nil), s.children...)
-}
-
-// RowsOut is what a statement's top operator produced: the measured
-// rows of the query span's last exec child (subquery plans run under
-// the resolve span, so the last one is the statement's own). ok is
-// false when the statement ran no plan.
-func (s *Span) RowsOut() (rows int64, ok bool) {
-	for _, c := range s.Children() {
-		if c.Kind() != SpanExec {
-			continue
-		}
-		if st, measured := c.Stats(); measured {
-			rows, ok = st.Rows, true
-		}
-	}
-	return rows, ok
 }
 
 func (s *Span) addChild(c *Span) {
@@ -346,7 +211,11 @@ func (s *Span) addChild(c *Span) {
 	s.mu.Unlock()
 }
 
-// SpanData is the JSON-marshalable snapshot of a span subtree.
+// SpanData is a finished snapshot of a span subtree, and the one thing
+// every view reads: EXPLAIN ANALYZE (through Stats), the trace tree and
+// its JSON, the query log and /slow, and the footer a component system
+// sends. A snapshot is read, never written: a footer's subtree is shared
+// by every snapshot of the trace it was stitched into.
 type SpanData struct {
 	Kind       string      `json:"kind"`
 	Name       string      `json:"name"`
@@ -354,9 +223,17 @@ type SpanData struct {
 	DurationUS int64       `json:"duration_us"`
 	Attrs      []Attr      `json:"attrs,omitempty"`
 	Children   []*SpanData `json:"children,omitempty"`
+	// Stats is the span's measured record, nil when it has none; Attrs
+	// renders it.
+	Stats *OpStats `json:"-"`
 }
 
-// Data snapshots the span subtree for JSON serialisation.
+// Data snapshots the span subtree. The attrs are the explicit
+// annotations followed by the ones derived from the measured record —
+// est_rows, rows and bytes, a ship span's remote_us and wan_us, and on
+// a query span rows_out, the rows of its last measured exec child
+// (subquery plans run under the resolve span, so the last one is the
+// statement's own).
 func (s *Span) Data() *SpanData {
 	if s == nil {
 		return nil
@@ -366,15 +243,96 @@ func (s *Span) Data() *SpanData {
 		Kind:       s.kind.String(),
 		Name:       s.name,
 		Start:      s.start,
-		DurationUS: s.durLocked().Microseconds(),
-		Attrs:      s.attrsLocked(),
+		DurationUS: s.dur.Microseconds(),
+		Attrs:      append([]Attr(nil), s.attrs...),
 	}
-	children := append([]*Span(nil), s.children...)
+	if !s.ended {
+		d.DurationUS = time.Since(s.start).Microseconds()
+	}
+	if s.measured {
+		st := s.stats
+		d.Stats = &st
+	}
+	// Children are only appended: the ones counted now stay put.
+	children, footer := s.children, s.footer
 	s.mu.Unlock()
+	if n := len(children); n > 0 || footer != nil {
+		d.Children = make([]*SpanData, 0, n+1)
+	}
 	for _, c := range children {
 		d.Children = append(d.Children, c.Data())
 	}
+	add := func(key string, v int64) {
+		d.Attrs = append(d.Attrs, Attr{Key: key, Value: strconv.FormatInt(v, 10)})
+	}
+	var remote, wan int64 // a footer's share of a ship span, and the rest
+	if footer != nil {
+		d.Children = append(d.Children, footer)
+		remote, wan = footer.DurationUS, max(d.DurationUS-footer.DurationUS, 0)
+	}
+	if st := d.Stats; st != nil {
+		if remote > 0 {
+			st.RemoteUS, st.WanUS = remote, wan
+		}
+		if st.HasEst {
+			add("est_rows", int64(st.EstRows))
+		}
+		add("rows", st.Rows)
+		add("bytes", st.Bytes)
+	}
+	if remote > 0 {
+		add("remote_us", remote)
+		add("wan_us", wan)
+	}
+	if s.kind == SpanQuery {
+		if rows, ok := d.rowsOut(); ok {
+			add("rows_out", rows)
+		}
+	}
 	return d
+}
+
+// rowsOut is what a statement's top operator produced: the measured
+// rows of d's last exec child. ok is false when the statement ran no
+// plan.
+func (d *SpanData) rowsOut() (rows int64, ok bool) {
+	for _, c := range d.Children {
+		if c.Stats != nil && c.Kind == kindNames[SpanExec] {
+			rows, ok = c.Stats.Rows, true
+		}
+	}
+	return rows, ok
+}
+
+// Attr returns the value of the named attribute.
+func (d *SpanData) Attr(key string) (string, bool) {
+	for _, a := range d.Attrs {
+		if a.Key == key {
+			return a.Value, true
+		}
+	}
+	return "", false
+}
+
+// FindAll returns every span of the given kind in the subtree, in
+// depth-first order. Safe on a nil snapshot.
+func (d *SpanData) FindAll(kind SpanKind) []*SpanData {
+	var out []*SpanData
+	name := kind.String()
+	var walk func(d *SpanData)
+	walk = func(d *SpanData) {
+		if d == nil {
+			return
+		}
+		if d.Kind == name {
+			out = append(out, d)
+		}
+		for _, c := range d.Children {
+			walk(c)
+		}
+	}
+	walk(d)
+	return out
 }
 
 // Trace is one query's span tree. Create it with NewTrace, attach it to
@@ -476,23 +434,26 @@ func (t *Trace) attach(parent, sp *Span) {
 	}
 }
 
+// Data snapshots the whole trace, or returns nil when no span has
+// started.
+func (t *Trace) Data() *SpanData { return t.Root().Data() }
+
 // Tree renders the trace as an indented text tree, one span per line:
 //
 //	query SELECT ... 1.2ms
 //	  parse 40µs
 //	  exec Join(hash) 1.1ms {rows=12}
 func (t *Trace) Tree() string {
-	root := t.Root()
-	if root == nil {
+	d := t.Data()
+	if d == nil {
 		return "(empty trace)\n"
 	}
 	var b strings.Builder
-	writeSpan(&b, root, 0)
+	writeSpan(&b, d, 0)
 	return b.String()
 }
 
-func writeSpan(b *strings.Builder, s *Span, depth int) {
-	d := s.Data()
+func writeSpan(b *strings.Builder, d *SpanData, depth int) {
 	for i := 0; i < depth; i++ {
 		b.WriteString("  ")
 	}
@@ -512,7 +473,7 @@ func writeSpan(b *strings.Builder, s *Span, depth int) {
 		b.WriteString("}")
 	}
 	b.WriteString("\n")
-	for _, c := range s.Children() {
+	for _, c := range d.Children {
 		writeSpan(b, c, depth+1)
 	}
 }
@@ -526,26 +487,7 @@ func (t *Trace) JSON() ([]byte, error) {
 		ID   string    `json:"id"`
 		Name string    `json:"name"`
 		Root *SpanData `json:"root"`
-	}{t.id, t.name, t.Root().Data()})
-}
-
-// FindAll returns every span of the given kind in depth-first order.
-func (t *Trace) FindAll(kind SpanKind) []*Span {
-	var out []*Span
-	var walk func(s *Span)
-	walk = func(s *Span) {
-		if s == nil {
-			return
-		}
-		if s.Kind() == kind {
-			out = append(out, s)
-		}
-		for _, c := range s.Children() {
-			walk(c)
-		}
-	}
-	walk(t.Root())
-	return out
+	}{t.id, t.name, t.Data()})
 }
 
 type traceKey struct{}

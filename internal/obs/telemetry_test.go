@@ -52,7 +52,7 @@ func TestStructuredLogRecord(t *testing.T) {
 	_, rt := StartSpan(sctx, SpanRetry, "attempt 2")
 	rt.End()
 	time.Sleep(time.Millisecond) // the ship round trip outlasts its remote share
-	sh.SetRemoteUS(7)
+	sh.AttachData(&SpanData{Kind: "remote", Name: "ny", DurationUS: 7})
 	sh.SetStats(&OpStats{Rows: 42, Bytes: 1000})
 	sh.End()
 	x.SetStats(&OpStats{Rows: 5, Bytes: 90})
@@ -62,7 +62,7 @@ func TestStructuredLogRecord(t *testing.T) {
 
 	var buf strings.Builder
 	sl := NewStructuredLog(&buf, 1, func(s string) string { return "fp-" + s })
-	sl.Emit(sl.buildRecord("SELECT 1", time.Now(), 123*time.Microsecond, nil, tr, true))
+	sl.Emit(sl.buildRecord("SELECT 1", time.Now(), 123*time.Microsecond, nil, tr.ID(), tr.Data(), true))
 
 	var rec QueryLogRecord
 	if err := json.Unmarshal([]byte(buf.String()), &rec); err != nil {
@@ -112,7 +112,10 @@ func TestSpanKindRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSpanFromDataAttach(t *testing.T) {
+// TestAttachDataKeepsTheFooter: a footer stays the data it arrived as,
+// the ship span's last child in every snapshot, with an unknown kind
+// name read as remote.
+func TestAttachDataKeepsTheFooter(t *testing.T) {
 	data := &SpanData{
 		Kind: "remote", Name: "ny", DurationUS: 100,
 		Attrs: []Attr{{Key: "trace_id", Value: "abc"}},
@@ -123,38 +126,32 @@ func TestSpanFromDataAttach(t *testing.T) {
 	}
 	tr := NewTrace("q")
 	ctx := WithTrace(context.Background(), tr)
-	_, ship := StartSpan(ctx, SpanShip, "ny.items")
+	sctx, ship := StartSpan(ctx, SpanShip, "ny.items")
+	_, fetch := StartSpan(sctx, SpanFetch, "ny")
+	fetch.End()
 	ship.AttachData(data)
 	ship.End()
 
-	kids := ship.Children()
-	if len(kids) != 1 {
-		t.Fatalf("ship children = %d", len(kids))
+	kids := tr.Data().Children
+	if len(kids) != 2 || kids[0].Kind != "fetch" {
+		t.Fatalf("ship children = %+v, want the fetch span, then the footer", kids)
 	}
-	remote := kids[0]
-	if remote.Kind() != SpanRemote || remote.Name() != "ny" {
-		t.Errorf("remote = %v %q", remote.Kind(), remote.Name())
+	if remote := kids[1]; remote != data || remote.Kind != "remote" || remote.DurationUS != 100 {
+		t.Errorf("footer = %+v, want the attached snapshot", remote)
 	}
-	if remote.Duration() != 100*time.Microsecond {
-		t.Errorf("duration = %v", remote.Duration())
+	// Unknown kinds (only a malformed footer has one) read as remote.
+	if k := data.Children[1].Kind; k != "remote" {
+		t.Errorf("unknown kind read as %q, want remote", k)
 	}
-	if v, _ := remote.Attr("trace_id"); v != "abc" {
-		t.Errorf("attrs not copied: %v", v)
+	if v, _ := tr.Data().Attr("remote_us"); v != "100" {
+		t.Errorf("remote_us = %q, want the footer's duration", v)
 	}
-	sub := remote.Children()
-	if len(sub) != 2 {
-		t.Fatalf("remote children = %d", len(sub))
-	}
-	// Unknown kinds (only a malformed footer has one) degrade to SpanRemote.
-	if sub[1].Kind() != SpanRemote {
-		t.Errorf("unknown kind mapped to %v, want remote", sub[1].Kind())
-	}
-	// Nil safety all the way down.
+	// Nil safety.
 	var nilSpan *Span
 	nilSpan.AttachData(data)
 	ship.AttachData(nil)
-	if SpanFromData(nil) != nil {
-		t.Error("SpanFromData(nil) must be nil")
+	if n := len(tr.Data().Children); n != 2 {
+		t.Errorf("a nil footer changed the ship span's children: %d", n)
 	}
 }
 

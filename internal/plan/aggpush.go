@@ -228,8 +228,9 @@ func partialScan(agg *Aggregate, fs *FragScan, partials []partialAgg) {
 }
 
 // partialSchema describes the rows of a partial scan: the source's
-// answer as it comes (Query.OutputSchema), or, where the mediator builds
-// them, the global key columns and each partial, FLOAT where it maps up.
+// answer as it comes, its group keys and then its aggregates, or, where
+// the mediator builds them, the global key columns and each partial,
+// FLOAT where it maps up.
 func partialSchema(fs *FragScan, partials int) *types.Schema {
 	remote := fs.Frag.Info().Schema
 	cols := make([]types.Column, 0, fs.keys()+partials)

@@ -222,43 +222,6 @@ func (q *Query) exceeds(caps Capabilities) error {
 	return fmt.Errorf("query shape exceeds capabilities (%s): %s", caps, q)
 }
 
-// OutputSchema computes the schema of the query's result given the
-// table's schema.
-func (q *Query) OutputSchema(table *types.Schema) (*types.Schema, error) {
-	// Positions are what matters here: whether the source offers the
-	// shape is decided where the query is built.
-	everything := Capabilities{Filter: FilterFull, Project: true, Aggregate: true, Sort: true, Limit: true}
-	if err := q.Check(everything, &TableInfo{Schema: table}); err != nil {
-		return nil, err
-	}
-	if q.HasAggregation() {
-		cols := make([]types.Column, 0, len(q.GroupBy)+len(q.Aggs))
-		for _, g := range q.GroupBy {
-			cols = append(cols, table.Columns[g])
-		}
-		for _, a := range q.Aggs {
-			in := types.KindInt
-			if !a.Star {
-				in = table.Columns[a.Col].Type
-			}
-			cols = append(cols, types.Column{
-				Name:     a.String(),
-				Type:     expr.AggResultType(a.Kind, in),
-				Nullable: a.Kind != expr.AggCount,
-			})
-		}
-		return &types.Schema{Columns: cols}, nil
-	}
-	if q.Columns == nil {
-		return table.Clone(), nil
-	}
-	cols := make([]types.Column, len(q.Columns))
-	for i, c := range q.Columns {
-		cols[i] = table.Columns[c]
-	}
-	return &types.Schema{Columns: cols}, nil
-}
-
 // String renders the query IR for EXPLAIN output.
 func (q *Query) String() string {
 	s := "scan " + q.Table

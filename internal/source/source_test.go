@@ -77,28 +77,6 @@ func TestCanFilterKeyShapes(t *testing.T) {
 	}
 }
 
-func TestQueryOutputSchema(t *testing.T) {
-	q := NewScan("t")
-	s, err := q.OutputSchema(splitSchema)
-	if err != nil || s.Len() != 3 {
-		t.Errorf("scan schema = %v, %v", s, err)
-	}
-	q = &Query{Table: "t", Columns: []int{2, 0}, Limit: -1}
-	s, err = q.OutputSchema(splitSchema)
-	if err != nil || s.Columns[0].Name != "val" || s.Columns[1].Name != "id" {
-		t.Errorf("projected schema = %v, %v", s, err)
-	}
-	q = &Query{Table: "t", GroupBy: []int{1}, Aggs: []AggSpec{{Kind: expr.AggSum, Col: 2}}, Limit: -1}
-	s, err = q.OutputSchema(splitSchema)
-	if err != nil || s.Len() != 2 || s.Columns[1].Type != types.KindFloat {
-		t.Errorf("agg schema = %v, %v", s, err)
-	}
-	q = &Query{Table: "t", Columns: []int{9}, Limit: -1}
-	if _, err = q.OutputSchema(splitSchema); err == nil {
-		t.Error("out-of-range column must error")
-	}
-}
-
 // TestQueryCheck: what a query may address is decided by the table's
 // width, the output's width and the source's capabilities — and a query
 // that passes is checked for nothing, in allocations.

@@ -517,11 +517,10 @@ func (it *streamIter) take(tag byte, payload []byte) (err error) {
 		// A footer that does not decode costs the remote half of the
 		// trace and nothing else: the frame was read whole.
 		if it.parent != nil && d.Remaining() > 0 {
+			// Its duration is the remote-compute share of the ship span;
+			// whatever else the span took is the WAN share.
 			if data, err := d.Span(); err == nil {
 				it.parent.AttachData(data)
-				// The remote-compute share of the ship span; whatever else
-				// the span took is the WAN share.
-				it.parent.SetRemoteUS(data.DurationUS)
 			}
 		}
 	case msgErr:

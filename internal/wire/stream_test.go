@@ -40,7 +40,10 @@ type streamResult struct {
 // playStream plays script, up to the frame that ends the conversation,
 // as the answer to one msgExecute and drains the stream the client reads.
 // A peer whose script ends the conversation then answers the next
-// request with one table, "t"; one whose script runs out hangs up.
+// request with one table, "t"; one whose script runs out hangs up. The
+// stream runs traced, under a ship span, so a footer is decoded and
+// stitched in: every span of the snapshot must be of a kind this side
+// knows, whatever kind names the footer carried.
 func playStream(t testing.TB, script []frame) streamResult {
 	t.Helper()
 	dctx, cancel := context.WithTimeout(ctx, 5*time.Second)
@@ -82,7 +85,8 @@ func playStream(t testing.TB, script []frame) streamResult {
 	}()
 
 	var res streamResult
-	it, err := cl.Execute(dctx, source.NewScan("t"))
+	tctx, ship := obs.StartSpan(obs.WithTrace(dctx, obs.NewTrace("played")), obs.SpanShip, "t")
+	it, err := cl.Execute(tctx, source.NewScan("t"))
 	if err == nil {
 		var rows []types.Row
 		rows, err = source.Drain(it)
@@ -90,6 +94,17 @@ func playStream(t testing.TB, script []frame) streamResult {
 		it.Close()
 	}
 	res.err = err
+	ship.End()
+	var known func(d *obs.SpanData)
+	known = func(d *obs.SpanData) {
+		if _, ok := obs.KindFromString(d.Kind); !ok {
+			t.Fatalf("a stitched span reads as kind %q", d.Kind)
+		}
+		for _, c := range d.Children {
+			known(c)
+		}
+	}
+	known(ship.Data())
 	if res.pooled = len(cl.pool) == 1; res.pooled {
 		var tables []string
 		if tables, res.sync = cl.Tables(dctx); res.sync == nil && (len(tables) != 1 || tables[0] != "t") {
@@ -223,6 +238,14 @@ func FuzzStream(f *testing.F) {
 	f.Add(script(frame{msgRows, frameOf(rows)}, frame{msgEnd, endOf(rows, []byte{0xff, 0x07})})) // a garbage footer after good rows
 	f.Add(script(frame{msgRows, frameOf(rows)}, frame{99, []byte{1}}))                           // an unknown tag
 	f.Add(script(frame{msgErr, []byte{4, 'n', 'o', 'p', 'e'}}, frame{msgEnd, endOf(rows, nil)})) // a leading msgErr
+	// A footer twenty spans deep whose innermost kind has no name here.
+	deep := &obs.SpanData{Kind: "future", Start: time.UnixMicro(0)}
+	for i := 0; i < 20; i++ {
+		deep = &obs.SpanData{Kind: "exec", Start: time.UnixMicro(0), Children: []*obs.SpanData{deep}}
+	}
+	var nested Encoder
+	nested.Span(deep)
+	f.Add(script(frame{msgEnd, endOf(nil, nested.Bytes())}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var frames []frame
 		for len(data) >= 2 && len(frames) < 64 {

@@ -17,10 +17,10 @@ import (
 )
 
 // runTracedScan executes a full-table scan under a fresh trace with a
-// ship parent span (mimicking the mediator's FragScan) and returns the
-// ended ship span for inspection. The query must always succeed with n
+// ship parent span (mimicking the mediator's FragScan) and returns a
+// snapshot of the ended ship span for inspection. The query must always succeed with n
 // rows regardless of what happens to the footer.
-func runTracedScan(t *testing.T, cl *Client, n int) *obs.Span {
+func runTracedScan(t *testing.T, cl *Client, n int) *obs.SpanData {
 	t.Helper()
 	tr := obs.NewTrace("traced scan")
 	tctx := obs.WithTrace(ctx, tr)
@@ -37,14 +37,14 @@ func runTracedScan(t *testing.T, cl *Client, n int) *obs.Span {
 		t.Fatalf("got %d rows, want %d", len(rows), n)
 	}
 	ship.End()
-	return ship
+	return ship.Data()
 }
 
 // remoteChild returns the stitched SpanRemote child of a ship span, or
 // nil when the footer brought none.
-func remoteChild(sp *obs.Span) *obs.Span {
-	for _, c := range sp.Children() {
-		if c.Kind() == obs.SpanRemote {
+func remoteChild(sp *obs.SpanData) *obs.SpanData {
+	for _, c := range sp.Children {
+		if c.Kind == obs.SpanRemote.String() {
 			return c
 		}
 	}
@@ -61,21 +61,21 @@ func TestTraceTrailerStitch(t *testing.T) {
 
 	remote := remoteChild(ship)
 	if remote == nil {
-		t.Fatalf("no SpanRemote stitched under ship span; children: %v", ship.Children())
+		t.Fatalf("no SpanRemote stitched under ship span; children: %v", ship.Children)
 	}
-	if remote.Name() != "remote1" {
-		t.Errorf("remote span name = %q, want source name %q", remote.Name(), "remote1")
+	if remote.Name != "remote1" {
+		t.Errorf("remote span name = %q, want source name %q", remote.Name, "remote1")
 	}
-	kinds := map[obs.SpanKind]*obs.Span{}
-	for _, c := range remote.Children() {
-		kinds[c.Kind()] = c
+	kinds := map[string]*obs.SpanData{}
+	for _, c := range remote.Children {
+		kinds[c.Kind] = c
 	}
 	for _, want := range []obs.SpanKind{obs.SpanParse, obs.SpanExec, obs.SpanStream} {
-		if kinds[want] == nil {
+		if kinds[want.String()] == nil {
 			t.Errorf("remote subtree missing %s span", want)
 		}
 	}
-	if st := kinds[obs.SpanStream]; st != nil {
+	if st := kinds[obs.SpanStream.String()]; st != nil {
 		if rows, _ := st.Attr("rows"); rows != "600" {
 			t.Errorf("stream span rows = %q, want 600", rows)
 		}
@@ -289,12 +289,12 @@ func TestFooterFitsThePeersFrameBound(t *testing.T) {
 		t.Fatal("a subtree over the bound was dropped, want it capped")
 	}
 	dropped, ok := remote.Attr("truncated_spans")
-	if n := len(remote.Children()); !ok || n == 0 || n >= 400 {
+	if n := len(remote.Children); !ok || n == 0 || n >= 400 {
 		t.Errorf("capped subtree has %d children, truncated_spans=%q; want fewer than all and the count of the rest", n, dropped)
 	}
 	// Its root alone — kind, name, times, trace id — is over 64 bytes.
 	if remote := remoteChild(runTracedScan(t, dial(64), 3)); remote != nil {
-		t.Errorf("a 64-byte bound let through a subtree of %d spans", obs.CountSpanData(remote.Data()))
+		t.Errorf("a 64-byte bound let through a subtree of %d spans", obs.CountSpanData(remote))
 	}
 }
 
@@ -324,7 +324,7 @@ func TestFooterBesideTheLastRows(t *testing.T) {
 	if got := in.Value() - before; got != 2 {
 		t.Errorf("a traced scan whose footer does not fit beside its rows took %d frames, want 2", got)
 	}
-	if remote == nil || len(remote.Children()) == 0 {
+	if remote == nil || len(remote.Children) == 0 {
 		t.Errorf("the footer sent alone stitched %v, want a capped remote subtree", remote)
 	}
 }

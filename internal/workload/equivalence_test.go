@@ -433,8 +433,8 @@ func checkRebound(t *testing.T, fixtures map[string]*Fixture, g *eqGen, q eqQuer
 			}
 		}
 		name := ""
-		for _, sp := range tr.FindAll(obs.SpanParse) {
-			name = sp.Name()
+		for _, sp := range tr.Data().FindAll(obs.SpanParse) {
+			name = sp.Name
 		}
 		return name
 	}
@@ -557,13 +557,13 @@ func TestPlanEquivalenceCases(t *testing.T) {
 				t.Errorf("%s: %s", c.name, d)
 			}
 			cached := false
-			for _, sp := range gotTrace.FindAll(obs.SpanParse) {
-				cached = cached || sp.Name() == "cached"
+			for _, sp := range gotTrace.Data().FindAll(obs.SpanParse) {
+				cached = cached || sp.Name == "cached"
 			}
 			if cached != c.cached {
 				t.Errorf("%s: the second call reused the first one's plan: %v, want %v", c.name, cached, c.cached)
 			}
-			if g, w := len(gotTrace.FindAll(obs.SpanShip)), len(wantTrace.FindAll(obs.SpanShip)); g != w {
+			if g, w := len(gotTrace.Data().FindAll(obs.SpanShip)), len(wantTrace.Data().FindAll(obs.SpanShip)); g != w {
 				t.Errorf("%s: the second call asks %d fragments, the statement written out %d", c.name, g, w)
 			}
 		}

@@ -423,13 +423,6 @@ func TxnStores(ctx context.Context, n, rowsPer int, remote bool, link Link) (*Fi
 	return f, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Timed runs fn and returns its wall-clock duration.
 func Timed(fn func() error) (time.Duration, error) {
 	start := time.Now()

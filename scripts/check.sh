@@ -18,7 +18,9 @@
 #                   the overload tests (`make chaos`, `make overload`),
 #                   the fuzz targets' seed corpora (`make fuzz` fuzzes
 #                   each for 10 s), the layout tests (`make layout`), the
-#                   allocation ceilings (`make allocs`), the plan
+#                   allocation ceilings (`make allocs`, with obs
+#                   TestNilSpanSetIntFormatsNothing: an untraced span
+#                   formats no annotation), the plan
 #                   equivalence tests (`make equivalence`) and the frame
 #                   ledger (`make frames`). Named by no target: the
 #                   statement cache's rule, recheck and return (plan
